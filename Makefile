@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all check test bench baseline benchdiff crashtest faulttest \
+.PHONY: all check test bench perfcheck baseline benchdiff crashtest faulttest \
   shardtest stresstest report shardreport walsmoke metricsdoc metricsdoc-check golden \
   walformatdoc walformatdoc-check clean
 
@@ -66,6 +66,12 @@ report:
 
 bench:
 	dune exec bench/main.exe
+
+# History-independence gate: on the bank hot spot, update-in-place may
+# allocate at most 1.25x and promote at most 2x the words per transaction
+# of deferred update from the same inputs (host-invariant counts).
+perfcheck:
+	bash bench/perfcheck.sh
 
 # Machine-readable bench baseline: BENCH_<rev>.json with named series
 # (includes the MB-scale recovery benchmark).  Use `--quick` sizes so

@@ -66,27 +66,55 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
   let module E = Explore.Make (S) in
   let obj = Spec.name spec in
   let meta = ref None in
+  (* The live suffix: [(tid, op)] entries of non-aborted transactions in
+     execution order, from the first operation of the oldest transaction
+     still live here.  It is a two-list queue, [front] oldest first and
+     [back] newest first.  Every operation before it is committed and so
+     belongs to every future UIP view: no abort can remove it.  That
+     prefix is folded into [base], and [current] is always [base] stepped
+     through the suffix. *)
+  let base = ref E.initial_set in
   let current = ref E.initial_set in
-  (* Execution-order log of operations by non-aborted transactions; the
-     current state-set always equals the initial set stepped through it. *)
-  let log = ref [] (* newest first *) in
+  let front = ref [] and back = ref [] in
   let per_txn : (Tid.t, Op.t list) Hashtbl.t = Hashtbl.create 16 in
   let committed_log = ref [] (* newest first *) in
   let txn_ops tid = Option.value (Hashtbl.find_opt per_txn tid) ~default:[] in
+  let step_entry st (_, op) = E.step st op in
+  (* Fold the leading entries of finished transactions into [base].  Aborts
+     drop their entries first, so every such entry is committed. *)
+  let rec fold () =
+    if Hashtbl.length per_txn = 0 then begin
+      base := !current;
+      front := [];
+      back := []
+    end
+    else
+      match !front with
+      | ((tid, _) as e) :: rest when not (Hashtbl.mem per_txn tid) ->
+          base := step_entry !base e;
+          front := rest;
+          fold ()
+      | [] when !back <> [] ->
+          front := List.rev !back;
+          back := [];
+          fold ()
+      | _ -> ()
+  in
   let responses _tid inv = candidate_responses (module S) (E.States.elements !current) inv in
   let record tid op =
     let next = E.step !current op in
     if E.States.is_empty next then
       invalid_arg (Fmt.str "Recovery.record(UIP): illegal operation %a" Op.pp op);
     current := next;
-    log := op :: !log;
+    back := (tid, op) :: !back;
     Hashtbl.replace per_txn tid (op :: txn_ops tid)
   in
   let commit tid =
     let mine = txn_ops tid in
     count_ops meta "tm_recovery_committed_ops_total" ~obj ~mode:None (List.length mine);
     committed_log := mine @ !committed_log;
-    Hashtbl.remove per_txn tid
+    Hashtbl.remove per_txn tid;
+    fold ()
   in
   (* Undo by compensation: apply the inverses of the transaction's
      operations, newest first, at the current end of the log.  Only used
@@ -107,13 +135,17 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
   let abort tid =
     let mine = txn_ops tid in
     Hashtbl.remove per_txn tid;
-    log := List.filter (fun op -> not (List.memq op mine)) !log;
-    let replayed () = E.after E.initial_set (List.rev !log) in
+    let survives (t, _) = not (Tid.equal t tid) in
+    front := List.filter survives !front;
+    back := List.filter survives !back;
+    let replayed () =
+      List.fold_left step_entry (List.fold_left step_entry !base !front) (List.rev !back)
+    in
     let undone mode =
       count_ops meta "tm_recovery_undone_ops_total" ~obj ~mode:(Some mode)
         (List.length mine)
     in
-    match compensation mine with
+    (match compensation mine with
     | None ->
         undone "replay";
         current := replayed ()
@@ -128,21 +160,22 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
         else begin
           undone "inverse";
           current := next
-        end
+        end);
+    fold ()
   in
   (* Install an already-committed sequence into a fresh manager: replayed
      work belongs to no live transaction, so it goes straight into the
-     log and committed log (no per-transaction bookkeeping, no tid). *)
+     base and committed log (no per-transaction bookkeeping, no tid). *)
   let restore ops =
-    if !log <> [] || !committed_log <> [] || Hashtbl.length per_txn > 0 then
+    if !committed_log <> [] || Hashtbl.length per_txn > 0 then
       Error { obj; reason = "restore(UIP): manager not fresh" }
     else begin
       let next = E.after E.initial_set ops in
       if ops <> [] && E.States.is_empty next then
         Error { obj; reason = "restore(UIP): replayed sequence not legal" }
       else begin
+        base := next;
         current := next;
-        log := List.rev ops;
         committed_log := List.rev ops;
         Ok ()
       end

@@ -8,9 +8,16 @@
       non-deterministic) reflecting every non-aborted operation in
       execution order, exactly [UIP(H,A)].  Commit is free; abort
       "undoes" the transaction's operations by replaying the surviving
-      log from the initial state (the general form of undo; an
-      operation-inverse fast path is a per-ADT optimisation with the same
-      semantics).
+      operations (the general form of undo; an operation-inverse fast
+      path is a per-ADT optimisation with the same semantics).  UIP
+      state is O(live suffix), not O(history): the manager keeps a base
+      state-set plus the operations from the first operation of the
+      oldest transaction still live on the object.  Everything before
+      that point is committed and in every future UIP view, so it is
+      folded into the base after each commit and abort, and abort
+      replays only the live suffix from the base.  (The
+      {!committed_ops} record, kept for verification, still grows with
+      history.)
     - {b DU} keeps a committed base state plus one intentions list per
       active transaction; a transaction computes responses against base +
       its own intentions, exactly [DU(H,A)].  Abort discards the
@@ -72,15 +79,14 @@ val pp_error : Format.formatter -> error -> unit
 
 (** [restore t ops] installs [ops] (a commit-order sequence, e.g. the
     outcome of {!Wal.replay}) into a {e fresh} manager as
-    already-committed work: UIP seeds its log and current state, DU its
+    already-committed work: UIP seeds its base and current state, DU its
     committed base.  Replayed work belongs to no live transaction, so no
     transaction id is involved.  [Error] if the manager is not fresh or
     the sequence is not legal. *)
 val restore : t -> Op.t list -> (unit, error) result
 
-(** Operations executed by non-aborted transactions, in execution order
-    (UIP) — or committed operations in commit order followed by nothing
-    (DU base).  Exposed for verification in tests. *)
+(** Committed operations in commit order, restored ones first (both
+    kinds).  Exposed for verification in tests. *)
 val committed_ops : t -> Op.t list
 
 (** [attach_metrics t reg] makes the manager count recovery work in

@@ -28,17 +28,79 @@ let check_pos ~who ~pos ~size =
   if pos < 0 || pos > size then
     invalid_arg (Fmt.str "Storage.write_at(%s): pos %d outside [0,%d]" who pos size)
 
+(* The in-memory image lives in fixed-size pages, so a write copies only
+   its own bytes, never the whole image.  Only the page table grows
+   geometrically; the bytes past the end fill at most one page. *)
+let page_size = 4096
+let no_page = Bytes.empty
+let pages_for len = (len + page_size - 1) / page_size
+
+(* Copy [n] bytes of [src] from [src_off] into the pages at [pos]. *)
+let rec blit_into pages src src_off pos n =
+  if n > 0 then begin
+    let off = pos mod page_size in
+    let k = min n (page_size - off) in
+    Bytes.blit_string src src_off pages.(pos / page_size) off k;
+    blit_into pages src (src_off + k) (pos + k) (n - k)
+  end
+
+(* Copy the first [len] bytes of the pages into [dst]. *)
+let rec blit_out pages dst pos len =
+  if pos < len then begin
+    let k = min page_size (len - pos) in
+    Bytes.blit pages.(pos / page_size) 0 dst pos k;
+    blit_out pages dst (pos + k) len
+  end
+
 let of_string ?(name = "memory") contents =
-  let contents = ref contents in
+  (* [contents] is served uncopied until the first write moves it into
+     pages. *)
+  let seed = ref (Some contents) in
+  let pages = ref [||] in
+  let len = ref (String.length contents) in
+  (* Make [pages] hold exactly the pages of an image of length [n]:
+     allocate the missing ones, release those past the end. *)
+  let resize n =
+    let need = pages_for n and have = Array.length !pages in
+    if need > have then begin
+      let grown = Array.make (max need (2 * have)) no_page in
+      Array.blit !pages 0 grown 0 have;
+      pages := grown
+    end;
+    let p = !pages in
+    for i = 0 to need - 1 do
+      if p.(i) == no_page then p.(i) <- Bytes.create page_size
+    done;
+    for i = need to min (pages_for !len) (Array.length p) - 1 do
+      p.(i) <- no_page
+    done
+  in
+  let write_at ~pos data =
+    check_pos ~who:name ~pos ~size:!len;
+    let n = pos + String.length data in
+    resize n;
+    (match !seed with
+    | None -> ()
+    | Some s ->
+        seed := None;
+        blit_into !pages s 0 0 pos);
+    blit_into !pages data 0 pos (String.length data);
+    len := n
+  in
+  let read_all () =
+    match !seed with
+    | Some s -> s
+    | None ->
+        let b = Bytes.create !len in
+        blit_out !pages b 0 !len;
+        Bytes.unsafe_to_string b
+  in
   {
     name;
-    write_at =
-      (fun ~pos data ->
-        check_pos ~who:name ~pos ~size:(String.length !contents);
-        contents := String.sub !contents 0 pos ^ data);
+    write_at;
     force = (fun () -> ());
-    read_all = (fun () -> !contents);
-    size = (fun () -> String.length !contents);
+    read_all;
+    size = (fun () -> !len);
     close = (fun () -> ());
     fault_count = (fun () -> 0);
     attach = (fun _ -> ());

@@ -44,10 +44,13 @@ val read_all : t -> string
 val size : t -> int
 val close : t -> unit
 
-(** In-memory backend (volatile; for tests and corruption sweeps). *)
+(** In-memory backend (volatile; for tests and corruption sweeps).  The
+    image is kept in 4 KB pages: a {!write_at} copies only its own data,
+    and pages past the new end are released. *)
 val memory : ?name:string -> unit -> t
 
-(** In-memory backend pre-seeded with [contents]. *)
+(** In-memory backend pre-seeded with [contents].  [contents] is served
+    uncopied by {!read_all} until the first {!write_at}. *)
 val of_string : ?name:string -> string -> t
 
 (** File backend: [write_at] is pwrite + ftruncate, [force] is fsync.

@@ -253,6 +253,151 @@ let test_inverse_undo_equivalence () =
       = Atomic_object.invoke slow observer balance_inv)
   done
 
+(* The folded UIP manager refines the unfolded one.  A long random
+   schedule runs through one locked object (NRBC): at least 200
+   transactions, up to 8 live at once, so the committed prefix is folded
+   many times, with live transactions on both sides of the fold point.  A
+   shadow manager receives the same record/commit/abort calls as the
+   object's own.  After every step its responses to every invocation and
+   its committed operations must equal those of the reference manager,
+   which keeps and replays the whole history.  Every 50 steps, and at the
+   end, the responses must also equal the literal UIP view: the
+   operations of the non-aborted transactions in execution order. *)
+let uip_refinement_run ?inverse ?(restored = []) ~spec ~conflict seed =
+  let rng = Random.State.make [| seed |] in
+  let o = Atomic_object.create ?inverse ~spec ~conflict ~recovery:Recovery.UIP () in
+  let shadow = Recovery.create ?inverse Recovery.UIP spec in
+  let oracle = Uip_reference.create ?inverse spec in
+  if restored <> [] then begin
+    let ok = function Ok () -> () | Error e -> Alcotest.failf "%a" Recovery.pp_error e in
+    ok (Atomic_object.restore o restored);
+    ok (Recovery.restore shadow restored);
+    oracle.restore restored
+  end;
+  let invs =
+    List.sort_uniq Op.compare_invocation
+      (List.map (fun (op : Op.t) -> op.inv) (Spec.generators spec))
+  in
+  let observer = Tid.of_int 1_000_000 in
+  let values = Fmt.(brackets (list ~sep:semi Value.pp)) in
+  let same_responses step what expected =
+    List.iter
+      (fun inv ->
+        let got = Recovery.responses shadow observer inv in
+        if not (List.equal Value.equal (expected inv) got) then
+          Alcotest.failf "seed %d, step %d: %a answers %a, %s answers %a" seed step
+            Op.pp_invocation inv values got what values (expected inv))
+      invs
+  in
+  let same_committed step =
+    let expected = oracle.committed_ops () in
+    List.iter
+      (fun (who, got) ->
+        if not (List.equal Op.equal expected got) then
+          Alcotest.failf "seed %d, step %d: %s committed ops differ from the reference" seed
+            step who)
+      [ ("shadow", Recovery.committed_ops shadow); ("object", Atomic_object.committed_ops o) ]
+  in
+  (* (tid, op) of non-aborted transactions, newest first *)
+  let executed = ref [] in
+  let literal_view () = restored @ List.rev_map snd !executed in
+  let total = 200 + Random.State.int rng 50 in
+  let started = ref 0 and live = ref [] and step = ref 0 in
+  let finish t =
+    live := List.filter (fun x -> not (Tid.equal x t)) !live
+  in
+  while !started < total || !live <> [] do
+    incr step;
+    if !started < total && List.length !live < 8 && (!live = [] || Random.State.bool rng)
+    then begin
+      live := Tid.of_int !started :: !live;
+      incr started
+    end;
+    let t = List.nth !live (Random.State.int rng (List.length !live)) in
+    (match Random.State.int rng 12 with
+    | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 -> (
+        let inv = List.nth invs (Random.State.int rng (List.length invs)) in
+        let choose vs = List.nth vs (Random.State.int rng (List.length vs)) in
+        match Atomic_object.invoke ~choose o t inv with
+        | Atomic_object.Executed op ->
+            if not (List.exists (Value.equal op.res) (oracle.responses inv)) then
+              Alcotest.failf "seed %d, step %d: %a is not legal in the reference view" seed
+                !step Op.pp op;
+            Recovery.record shadow t op;
+            oracle.record t op;
+            executed := (t, op) :: !executed
+        | Atomic_object.Blocked _ | Atomic_object.No_response -> ())
+    | 8 | 9 ->
+        Atomic_object.commit o t;
+        Recovery.commit shadow t;
+        oracle.commit t;
+        finish t
+    | _ ->
+        Atomic_object.abort o t;
+        Recovery.abort shadow t;
+        oracle.abort t;
+        executed := List.filter (fun (x, _) -> not (Tid.equal x t)) !executed;
+        finish t);
+    same_responses !step "the reference" oracle.responses;
+    same_committed !step;
+    if !step mod 50 = 0 then
+      same_responses !step "the literal view" (Spec.responses spec (literal_view ()))
+  done;
+  same_responses !step "the literal view" (Spec.responses spec (literal_view ()));
+  true
+
+let prop_uip_fold_refines name ?inverse ?restored ~spec ~conflict () =
+  Helpers.qcheck ~count:4 name QCheck2.Gen.int
+    (uip_refinement_run ?inverse ?restored ~spec ~conflict)
+
+let uip_refinement_props =
+  let module SQ = Tm_adt.Semiqueue in
+  [
+    prop_uip_fold_refines "folded UIP = reference (BA, compensation)" ~inverse:BA.inverse
+      ~spec:BA.spec ~conflict:BA.nrbc_conflict ();
+    prop_uip_fold_refines "folded UIP = reference (SQ, replay)" ~spec:SQ.spec
+      ~conflict:SQ.nrbc_conflict ();
+    prop_uip_fold_refines "folded UIP = reference (BA, replay, from restore)"
+      ~restored:(List.init 20 (fun i -> if i mod 3 = 2 then wok 1 else dep 2))
+      ~spec:BA.spec ~conflict:BA.nrbc_conflict ();
+  ]
+
+(* History independence: after 10^4 committed transactions, an abort that
+   cannot compensate replays only the live suffix, not the history.  The
+   spec counts its [respond] calls, one per state stepped.  Consecutive
+   transactions overlap, so the prefix is folded while another
+   transaction is live, not only when the object falls idle. *)
+let test_uip_abort_history_independent () =
+  let steps = ref 0 in
+  let spec =
+    match BA.spec with
+    | Spec.Packed (module S) ->
+        let module Counting = struct
+          include S
+
+          let respond s inv =
+            incr steps;
+            S.respond s inv
+        end in
+        Spec.pack (module Counting)
+  in
+  let r = Recovery.create Recovery.UIP spec in
+  let n = 10_000 in
+  Recovery.record r (Tid.of_int 0) (dep 1);
+  for i = 1 to n do
+    Recovery.record r (Tid.of_int i) (dep 1);
+    Recovery.commit r (Tid.of_int (i - 1))
+  done;
+  let doomed = Tid.of_int (n + 1) in
+  Recovery.record r doomed (dep 1);
+  steps := 0;
+  Recovery.abort r doomed;
+  Helpers.check_bool (Fmt.str "abort replays the live suffix only (%d steps)" !steps) true
+    (!steps <= 2);
+  Alcotest.(check (list Helpers.value))
+    "balance after the abort" [ Value.int (n + 1) ]
+    (Recovery.responses r doomed balance_inv)
+
 let test_inverse_undo_counter () =
   let module C = Tm_adt.Bounded_counter in
   let r = Recovery.create ~inverse:C.inverse Recovery.UIP C.spec in
@@ -454,6 +599,11 @@ let suite =
     Alcotest.test_case "committed ops replay" `Quick test_committed_ops_replay;
     Alcotest.test_case "inverse undo = replay undo" `Slow test_inverse_undo_equivalence;
     Alcotest.test_case "inverse undo (counter)" `Quick test_inverse_undo_counter;
+  ]
+  @ uip_refinement_props
+  @ [
+    Alcotest.test_case "UIP abort is history-independent" `Quick
+      test_uip_abort_history_independent;
     Alcotest.test_case "deadlock cycle" `Quick test_deadlock_cycle;
     Alcotest.test_case "deadlock clear with many edges" `Quick
       test_deadlock_clear_many_edges;

@@ -416,6 +416,37 @@ let test_memory_semantics () =
   let seeded = Storage.of_string "abc" in
   Helpers.check_int "seeded size" 3 (Storage.size seeded)
 
+(* The paged in-memory backend against the reference semantics of
+   [write_at]: after each write the image is [String.sub s 0 pos ^ data].
+   Lengths straddle the 4 KB page size, so writes cross page boundaries,
+   rewrites at 0 truncate to a shorter image (releasing pages), and empty
+   writes truncate without adding bytes.  Bytes encode their position and
+   write, so a misplaced or stale page shows up as a mismatch. *)
+let prop_memory_paged =
+  let open QCheck2.Gen in
+  let len = oneof [ return 0; int_bound 64; int_range 4000 9000 ] in
+  let pos = oneof [ return `Start; return `End; map (fun n -> `At n) nat ] in
+  let filled tag n = String.init n (fun i -> Char.chr ((tag + (i * 7)) land 0xff)) in
+  Helpers.qcheck "paged memory = String.sub s 0 pos ^ data"
+    (pair len (list_size (int_range 1 30) (pair pos len)))
+    (fun (seed_len, writes) ->
+      let seed = filled 0 seed_len in
+      let s = Storage.of_string seed in
+      Storage.read_all s == seed
+      && snd
+           (List.fold_left
+              (fun (expected, ok) (at, n) ->
+                let size = String.length expected in
+                let pos = match at with `Start -> 0 | `End -> size | `At k -> k mod (size + 1) in
+                let data = filled (pos + n + 1) n in
+                Storage.write_at s ~pos data;
+                let expected = String.sub expected 0 pos ^ data in
+                ( expected,
+                  ok
+                  && Storage.size s = String.length expected
+                  && String.equal (Storage.read_all s) expected ))
+              (seed, true) writes))
+
 let test_file_backend () =
   let path = Filename.temp_file "tm_storage" ".wal" in
   Fun.protect
@@ -741,6 +772,7 @@ let suite =
     Alcotest.test_case "parallel decode = serial decode" `Quick
       test_parallel_decode_equivalence;
     Alcotest.test_case "memory semantics" `Quick test_memory_semantics;
+    prop_memory_paged;
     Alcotest.test_case "file backend" `Quick test_file_backend;
     Alcotest.test_case "faulty torn write" `Quick test_faulty_torn_write;
     Alcotest.test_case "disk wal roundtrip" `Quick test_disk_wal_roundtrip;

@@ -1,0 +1,68 @@
+(* The update-in-place recovery manager before its committed prefix was
+   folded into a base state-set: it keeps every operation of every
+   non-aborted transaction, and an abort that cannot compensate replays
+   that whole log from the initial state.  The oracle of the refinement
+   property in test_engine.ml. *)
+
+open Tm_core
+
+type t = {
+  responses : Op.invocation -> Value.t list;
+  record : Tid.t -> Op.t -> unit;
+  commit : Tid.t -> unit;
+  abort : Tid.t -> unit;
+  restore : Op.t list -> unit;
+  committed_ops : unit -> Op.t list;
+}
+
+let create ?inverse (Spec.Packed (module S)) =
+  let module E = Explore.Make (S) in
+  let current = ref E.initial_set in
+  let log = ref [] (* newest first *) in
+  let per_txn : (Tid.t, Op.t list) Hashtbl.t = Hashtbl.create 16 in
+  let committed_log = ref [] (* newest first *) in
+  let txn_ops tid = Option.value (Hashtbl.find_opt per_txn tid) ~default:[] in
+  let responses inv =
+    E.States.elements !current
+    |> List.concat_map (fun st -> List.map fst (S.respond st inv))
+    |> List.sort_uniq Value.compare
+  in
+  let record tid op =
+    current := E.step !current op;
+    log := op :: !log;
+    Hashtbl.replace per_txn tid (op :: txn_ops tid)
+  in
+  let commit tid =
+    committed_log := txn_ops tid @ !committed_log;
+    Hashtbl.remove per_txn tid
+  in
+  let compensation mine =
+    match inverse with
+    | None -> None
+    | Some inverse ->
+        List.fold_left
+          (fun acc op ->
+            match acc, inverse op with
+            | Some done_, Some undo -> Some (done_ @ undo)
+            | _, _ -> None)
+          (Some []) mine
+  in
+  let abort tid =
+    let mine = txn_ops tid in
+    Hashtbl.remove per_txn tid;
+    log := List.filter (fun op -> not (List.memq op mine)) !log;
+    let replayed () = E.after E.initial_set (List.rev !log) in
+    current :=
+      match compensation mine with
+      | None -> replayed ()
+      | Some undo ->
+          let next = E.after !current undo in
+          if E.States.is_empty next then replayed () else next
+  in
+  let restore ops =
+    current := E.after E.initial_set ops;
+    log := List.rev ops;
+    committed_log := List.rev ops
+  in
+  let committed_ops () = List.rev !committed_log in
+  { responses; record; commit; abort; restore; committed_ops }
