@@ -75,7 +75,7 @@ let say ~verbose fmt =
 (* ------------------------------------------------------------------ *)
 (* Default mode: record-granularity torture.                           *)
 
-let record_mode ~verbose ~record_trace ~workers cfg checkpoint_every scenarios =
+let record_mode ~verbose ~record_trace cfg checkpoint_every scenarios =
   let failures = ref 0 in
   let total_cuts = ref 0 in
   let total_checked = ref 0 in
@@ -89,7 +89,7 @@ let record_mode ~verbose ~record_trace ~workers cfg checkpoint_every scenarios =
           rows := row :: !rows;
           last_log := Some (Wal.records wal);
           let rebuild () = scenario.Experiment.build setup in
-          let report = Crash.torture ~workers ~rebuild wal in
+          let report = Crash.torture ~rebuild wal in
           total_cuts := !total_cuts + report.Crash.cuts;
           total_checked := !total_checked + report.Crash.atomicity_checked;
           if not (Crash.ok report) then incr failures;
@@ -108,7 +108,7 @@ let record_mode ~verbose ~record_trace ~workers cfg checkpoint_every scenarios =
 (* --fault mode: byte-granularity cuts, corruption sweeps, and a
    fault-injected storage run checked against the fault-free one.       *)
 
-let fault_mode ~verbose ~record_trace ~workers cfg checkpoint_every seed
+let fault_mode ~verbose ~record_trace cfg checkpoint_every seed
     group_commit scenarios =
   let failures = ref 0 in
   let total_cuts = ref 0 in
@@ -138,7 +138,7 @@ let fault_mode ~verbose ~record_trace ~workers cfg checkpoint_every seed
           last_log := Some (Wal.records wal);
 
           (* 2. Byte-granularity crash cuts over the encoded log. *)
-          let report = Crash.torture_bytes ~workers ~rebuild wal in
+          let report = Crash.torture_bytes ~rebuild wal in
           total_cuts := !total_cuts + report.Crash.cuts;
           if not (Crash.ok report) then incr failures;
           say ~verbose:(verbose || not (Crash.ok report)) "%s bytes:  %a" combo
@@ -147,7 +147,7 @@ let fault_mode ~verbose ~record_trace ~workers cfg checkpoint_every seed
           (* 2a. Truncation torture: crash at every byte offset of the
              crash-atomic log compaction (journal + install) and demand
              the recovered state never changes. *)
-          let trunc = Crash.torture_truncation ~workers ~rebuild wal in
+          let trunc = Crash.torture_truncation ~rebuild wal in
           total_trunc_cuts := !total_trunc_cuts + trunc.Crash.cuts;
           if not (Crash.ok trunc) then incr failures;
           say ~verbose:(verbose || not (Crash.ok trunc)) "%s trunc:  %a" combo
@@ -158,7 +158,7 @@ let fault_mode ~verbose ~record_trace ~workers cfg checkpoint_every seed
              (v1) and rewriting it in the current one — every cut must
              leave a readable mixed-version log that recovers to the same
              state, with zero acknowledged commits lost. *)
-          let upg = Crash.torture_upgrade ~workers ~rebuild wal in
+          let upg = Crash.torture_upgrade ~rebuild wal in
           total_upgrade_cuts := !total_upgrade_cuts + upg.Crash.cuts;
           if not (Crash.ok upg) then incr failures;
           say ~verbose:(verbose || not (Crash.ok upg)) "%s upgrade: %a" combo
@@ -310,7 +310,7 @@ let sharded_committed db =
     (fun o -> (Atomic_object.name o, Atomic_object.committed_ops o))
     (Sharded_database.objects db)
 
-let sharded_mode ~verbose ~workers ~shards ~txns ~seed ~checkpoint_every ~fault
+let sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault
     ~audit_file () =
   let failures = ref 0 in
   let rebuild = sharded_rebuild ~shards in
@@ -321,7 +321,7 @@ let sharded_mode ~verbose ~workers ~shards ~txns ~seed ~checkpoint_every ~fault
       let drive =
         drive_sharded ~txns ~cross_pct ~checkpoint_every ~seed
       in
-      let report = Crash.torture_sharded ~workers ~shards ~rebuild ~drive () in
+      let report = Crash.torture_sharded ~shards ~rebuild ~drive () in
       if not (Crash.sharded_ok report) then incr failures;
       say ~verbose:(verbose || not (Crash.sharded_ok report))
         "sharded x%d cross=%d%%: %a" shards cross_pct Crash.pp_sharded_report
@@ -367,7 +367,7 @@ let sharded_mode ~verbose ~workers ~shards ~txns ~seed ~checkpoint_every ~fault
       incr failures;
       say ~verbose:true "sharded x%d: persisted log CORRUPT: %s" shards msg
   | reloaded -> (
-      match Sharded_database.recover ~workers ~wals:reloaded ~rebuild () with
+      match Sharded_database.recover ~wals:reloaded ~rebuild () with
       | Error e ->
           incr failures;
           say ~verbose:true "sharded x%d: recovery from disk failed: %a" shards
@@ -476,7 +476,7 @@ let sharded_mode ~verbose ~workers ~shards ~txns ~seed ~checkpoint_every ~fault
   end;
   let audit_events = ref [] in
   (match
-     Sharded_database.recover ~workers
+     Sharded_database.recover
        ~audit:(fun evs -> audit_events := evs)
        ~wals:(Array.map Wal.of_records cut_recs)
        ~rebuild ()
@@ -541,13 +541,9 @@ let sharded_mode ~verbose ~workers ~shards ~txns ~seed ~checkpoint_every ~fault
   say ~verbose:true "crashtest --shards %d: %d failures" shards !failures;
   !failures
 
-let main filter txns concurrency seed checkpoint_every fault group_commit workers
+let main filter txns concurrency seed checkpoint_every fault group_commit
     report_file trace_file metrics_file audit_file keep_log keep_log_version
     verbose shards =
-  if workers < 1 then begin
-    Fmt.epr "--replay-workers must be >= 1@.";
-    exit 1
-  end;
   if not (Wal.Codec.is_supported keep_log_version) then begin
     Fmt.epr "--keep-log-version %d: supported versions are %a@." keep_log_version
       Fmt.(list ~sep:sp int)
@@ -572,12 +568,12 @@ let main filter txns concurrency seed checkpoint_every fault group_commit worker
   end;
   let failures =
     if shards > 0 then
-      sharded_mode ~verbose ~workers ~shards ~txns ~seed ~checkpoint_every ~fault
+      sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault
         ~audit_file ()
     else if fault then
-      fault_mode ~verbose ~record_trace ~workers cfg checkpoint_every seed
+      fault_mode ~verbose ~record_trace cfg checkpoint_every seed
         group_commit scenarios
-    else record_mode ~verbose ~record_trace ~workers cfg checkpoint_every scenarios
+    else record_mode ~verbose ~record_trace cfg checkpoint_every scenarios
   in
   (match report_file with
   | None -> ()
@@ -593,7 +589,6 @@ let main filter txns concurrency seed checkpoint_every fault group_commit worker
       ("checkpoint_every", string_of_int checkpoint_every);
       ("fault", string_of_bool fault);
       ("group_commit", string_of_int group_commit);
-      ("replay_workers", string_of_int workers);
     ]
   in
   Option.iter (fun f -> Cli_util.write_traces_rows ~seed ~config f dump_rows) trace_file;
@@ -663,17 +658,6 @@ let group_commit_arg =
            when driving the workloads, and torture byte cuts inside each batch \
            (recovery must admit exactly a prefix of the batch's commit order, \
            and never lose a commit acknowledged at a flush frontier).")
-
-let workers_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "replay-workers" ] ~docv:"N"
-        ~doc:
-          "Run every recovery of the torture matrix through the partitioned \
-           parallel replay path with $(docv) worker domains (1: serial \
-           semantics on the calling domain).  The recovered state must be \
-           identical at any worker count — this flag exists so CI can prove \
-           it.")
 
 let report_arg =
   Arg.(
@@ -754,7 +738,7 @@ let cmd =
     (Cmd.info "crashtest" ~doc)
     Term.(
       const main $ scenario_arg $ txns_arg $ concurrency_arg $ seed_arg
-      $ checkpoint_arg $ fault_arg $ group_commit_arg $ workers_arg $ report_arg
+      $ checkpoint_arg $ fault_arg $ group_commit_arg $ report_arg
       $ trace_arg $ metrics_arg $ audit_arg $ keep_log_arg $ keep_log_version_arg
       $ verbose_arg $ shards_arg)
 

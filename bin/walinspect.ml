@@ -7,9 +7,11 @@
    with byte offsets — the same resynchronisation scan Disk_wal.load
    uses, so the verdict printed here is the verdict a restart gets.
 
-   --verify goes one step further: it loads the log through the real
-   recovery path (Disk_wal.load + Wal.replay) under the restart
-   profiler and prints the per-phase profile.
+   --verify goes one step further: it loads the log through
+   Disk_wal.load and folds it with Wal.plan — the decode and replay
+   plan a restart runs — under the restart profiler, and prints the
+   per-phase profile.  No objects are rebuilt, so the object-replay
+   phase stays empty.
 
    Exit status: 0 for a clean or torn-tail log (recovery proceeds),
    2 for interior corruption (recovery refuses), 1 on I/O errors. *)
@@ -21,19 +23,16 @@ module Disk_wal = Tm_engine.Disk_wal
 module Profile = Tm_obs.Recovery_profile
 module Json = Tm_obs.Json
 
-let verify_profile bytes json workers =
+let verify_profile bytes json =
   let profile = Profile.create () in
   let storage = Storage.of_string bytes in
-  match Disk_wal.load ~profile ~workers storage with
+  match Disk_wal.load ~profile storage with
   | Error c ->
       Fmt.pr "verify: load refused: %a@." Wal.Codec.pp_corruption c;
       `Corrupt
   | Ok dw ->
-      (* The partitioned replay plan is what a real restart would build:
-         at --workers 1 its committed-op count and loser set are those of
-         the historical serial replay, bit for bit. *)
-      let plan = Wal.plan ~profile ~workers (Wal.records (Disk_wal.wal dw)) in
-      let losers = Wal.plan_losers plan in
+      let plan = Wal.plan ~profile ~workers:1 (Wal.records (Disk_wal.wal dw)) in
+      let losers = plan.Wal.plan_loser_tids in
       Profile.finish profile;
       if json then
         Fmt.pr "%s@."
@@ -53,11 +52,7 @@ let verify_profile bytes json workers =
       end;
       `Ok
 
-let main file json verify workers digest shard two_phase =
-  if workers < 1 then begin
-    Fmt.epr "--workers must be >= 1@.";
-    exit 1
-  end;
+let main file json verify digest shard two_phase =
   let bytes = Cli_util.read_file file in
   (* --shard narrows every view (summary, digest, verify) to the frames
      stamped with that shard id — forensic slicing of a mixed-shard
@@ -94,7 +89,7 @@ let main file json verify workers digest shard two_phase =
         exit 2
   end;
   let verify_status =
-    if verify then verify_profile bytes json workers else `Skipped
+    if verify then verify_profile bytes json else `Skipped
   in
   match (full_summary.Wal_inspect.damage, verify_status) with
   | Wal_inspect.Interior _, _ | _, `Corrupt -> exit 2
@@ -116,18 +111,9 @@ let verify_arg =
     value & flag
     & info [ "verify" ]
         ~doc:
-          "Additionally load the log through the real recovery path \
-           (Disk_wal.load + the partitioned replay plan) under the restart \
-           profiler and print the per-phase profile.")
-
-let workers_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "workers" ] ~docv:"N"
-        ~doc:
-          "With --verify, decode and plan the replay with $(docv) worker \
-           domains (1: serial).  The committed-op count and loser set are \
-           identical at any worker count.")
+          "Additionally load the log (Disk_wal.load) and fold it into the \
+           restart's replay plan (Wal.plan) under the restart profiler, and \
+           print the per-phase profile.")
 
 let digest_arg =
   Arg.(
@@ -169,7 +155,7 @@ let cmd =
   Cmd.v
     (Cmd.info "walinspect" ~doc)
     Term.(
-      const main $ file_arg $ json_arg $ verify_arg $ workers_arg $ digest_arg
+      const main $ file_arg $ json_arg $ verify_arg $ digest_arg
       $ shard_arg $ two_phase_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -124,11 +124,11 @@ let committed_by_object db =
 (* One crash point: recover [log] (a private copy — the idempotence leg
    mutates it) and check all invariants.  [prev_committed] threads the
    prefix-stability state between successive cuts of one torture run. *)
-let check_cut ?workers ~env ~max_atomicity_txns ~atomicity_checked ~prev_committed
+let check_cut ~env ~max_atomicity_txns ~atomicity_checked ~prev_committed
     ~rebuild ~cut log =
   let recs = Wal.records log in
   let bad invariant detail = Some { cut; invariant; detail } in
-  match Durable_database.recover ?workers ~wal:log ~rebuild () with
+  match Durable_database.recover ~wal:log ~rebuild () with
   | exception exn ->
       [
         {
@@ -193,7 +193,7 @@ let check_cut ?workers ~env ~max_atomicity_txns ~atomicity_checked ~prev_committ
         let idempotence =
           Durable_database.checkpoint db;
           ignore (Wal.truncate_to_checkpoint log);
-          match Durable_database.recover ?workers ~wal:log ~rebuild () with
+          match Durable_database.recover ~wal:log ~rebuild () with
           | exception exn ->
               Option.to_list
                 (bad "idempotence"
@@ -226,13 +226,12 @@ let check_cut ?workers ~env ~max_atomicity_txns ~atomicity_checked ~prev_committ
         in
         legality @ atomicity @ stability @ idempotence
 
-let torture ?(max_atomicity_txns = default_max_atomicity_txns) ?workers ~rebuild
-    wal =
+let torture ?(max_atomicity_txns = default_max_atomicity_txns) ~rebuild wal =
   let env = Atomicity.env_of_list (List.map Atomic_object.spec (rebuild ())) in
   let atomicity_checked = ref 0 in
   let prev_committed = ref [] in
   let check cut =
-    check_cut ?workers ~env ~max_atomicity_txns ~atomicity_checked ~prev_committed
+    check_cut ~env ~max_atomicity_txns ~atomicity_checked ~prev_committed
       ~rebuild ~cut (Wal.prefix wal cut)
   in
   let cuts = Wal.length wal + 1 in
@@ -242,8 +241,8 @@ let torture ?(max_atomicity_txns = default_max_atomicity_txns) ?workers ~rebuild
 (* ------------------------------------------------------------------ *)
 (* Byte-granularity torture and corruption sweeps over the encoded log. *)
 
-let torture_bytes ?(max_atomicity_txns = default_max_atomicity_txns) ?workers
-    ~rebuild wal =
+let torture_bytes ?(max_atomicity_txns = default_max_atomicity_txns) ~rebuild
+    wal =
   let env = Atomicity.env_of_list (List.map Atomic_object.spec (rebuild ())) in
   let atomicity_checked = ref 0 in
   let prev_committed = ref [] in
@@ -273,7 +272,7 @@ let torture_bytes ?(max_atomicity_txns = default_max_atomicity_txns) ?workers
         if n = !prev_count then []
         else begin
           prev_count := n;
-          check_cut ?workers ~env ~max_atomicity_txns ~atomicity_checked
+          check_cut ~env ~max_atomicity_txns ~atomicity_checked
             ~prev_committed ~rebuild ~cut
             (Wal.of_records decoded.Wal.Codec.records)
         end
@@ -506,7 +505,7 @@ let corruption_sweep wal =
    backend state the protocol can leave behind, reload each through
    {!Disk_wal.load} and demand recovery reproduces exactly what [recs]
    (the pre-rewrite log) replays to. *)
-let sweep_rewrite ?workers ~invariant ~rebuild ~recs ~old_bytes ~image () =
+let sweep_rewrite ~invariant ~rebuild ~recs ~old_bytes ~image () =
   let new_len = String.length image in
   let intent =
     Wal.Codec.encode
@@ -538,7 +537,7 @@ let sweep_rewrite ?workers ~invariant ~rebuild ~recs ~old_bytes ~image () =
     let cut = i in
     let bad detail = { cut; invariant; detail } in
     let where = Fmt.str "%s phase, byte %d" phase k in
-    match Disk_wal.load ?workers (Storage.of_string state) with
+    match Disk_wal.load (Storage.of_string state) with
     | exception exn ->
         [ bad (Fmt.str "%s: reload raised %s" where (Printexc.to_string exn)) ]
     | Error c ->
@@ -548,9 +547,7 @@ let sweep_rewrite ?workers ~invariant ~rebuild ~recs ~old_bytes ~image () =
                Wal.Codec.pp_corruption c);
         ]
     | Ok dw -> (
-        match
-          Durable_database.recover ?workers ~wal:(Disk_wal.wal dw) ~rebuild ()
-        with
+        match Durable_database.recover ~wal:(Disk_wal.wal dw) ~rebuild () with
         | exception exn ->
             [
               bad
@@ -589,13 +586,13 @@ let sweep_rewrite ?workers ~invariant ~rebuild ~recs ~old_bytes ~image () =
   let violations = List.concat (List.mapi check states) in
   { cuts = List.length states; atomicity_checked = 0; violations }
 
-let torture_truncation ?workers ~rebuild wal =
+let torture_truncation ~rebuild wal =
   let recs = Wal.records wal in
   let mirror = Wal.of_records recs in
   let dropped = Wal.truncate_to_checkpoint mirror in
   if dropped = 0 then { cuts = 0; atomicity_checked = 0; violations = [] }
   else
-    sweep_rewrite ?workers ~invariant:"truncate-atomicity" ~rebuild ~recs
+    sweep_rewrite ~invariant:"truncate-atomicity" ~rebuild ~recs
       ~old_bytes:(Wal.Codec.encode_all recs)
       ~image:(Wal.Codec.encode_all (Wal.records mirror))
       ()
@@ -612,11 +609,11 @@ let torture_truncation ?workers ~rebuild wal =
    so no acknowledged commit is ever lost to the format migration.
    Unlike truncation, the sweep runs even when nothing would be dropped
    (the rewrite is then a pure v1→v2 re-encode of the same records). *)
-let torture_upgrade ?workers ~rebuild wal =
+let torture_upgrade ~rebuild wal =
   let recs = Wal.records wal in
   let mirror = Wal.of_records recs in
   ignore (Wal.truncate_to_checkpoint mirror);
-  sweep_rewrite ?workers ~invariant:"upgrade-atomicity" ~rebuild ~recs
+  sweep_rewrite ~invariant:"upgrade-atomicity" ~rebuild ~recs
     ~old_bytes:(Wal.Codec.encode_all ~version:Wal.Codec.v1 recs)
     ~image:(Wal.Codec.encode_all (Wal.records mirror))
     ()
@@ -661,7 +658,7 @@ let sharded_committed db =
 
 let take k l = List.filteri (fun i _ -> i < k) l
 
-let torture_sharded ?workers ~shards:n ~rebuild ~drive () =
+let torture_sharded ~shards:n ~rebuild ~drive () =
   if n < 1 then invalid_arg "Crash.torture_sharded: shards < 1";
   (* Drive the workload over recording in-memory WALs.  Every append and
      every completed force is stamped with one global clock under a
@@ -752,7 +749,7 @@ let torture_sharded ?workers ~shards:n ~rebuild ~drive () =
         prepared_tids []
     in
     let rwals = Array.map Wal.of_records cut_recs in
-    match Sharded_database.recover ?workers ~wals:rwals ~rebuild () with
+    match Sharded_database.recover ~wals:rwals ~rebuild () with
     | exception exn ->
         survival
         @ [
@@ -858,7 +855,7 @@ let torture_sharded ?workers ~shards:n ~rebuild ~drive () =
            completed the protocol, it did not merely patch state. *)
         let idempotence =
           let rwals2 = Array.map Wal.of_records post in
-          match Sharded_database.recover ?workers ~wals:rwals2 ~rebuild () with
+          match Sharded_database.recover ~wals:rwals2 ~rebuild () with
           | exception exn ->
               [
                 bad "idempotence"
@@ -1004,8 +1001,8 @@ let torture_sharded ?workers ~shards:n ~rebuild ~drive () =
     sharded_violations = !violations;
   }
 
-let run ?max_atomicity_txns ?workers ~rebuild ~drive () =
+let run ?max_atomicity_txns ~rebuild ~drive () =
   let wal = Wal.create () in
   let db = Durable_database.create ~wal (rebuild ()) in
   drive db;
-  torture ?max_atomicity_txns ?workers ~rebuild wal
+  torture ?max_atomicity_txns ~rebuild wal

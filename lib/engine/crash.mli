@@ -56,17 +56,14 @@ val pp_report : Format.formatter -> report -> unit
     tests. *)
 val history_of_records : Wal.record list -> History.t
 
-(** [torture ?max_atomicity_txns ?workers ~rebuild wal] crashes at every
+(** [torture ?max_atomicity_txns ~rebuild wal] crashes at every
     append point of [wal] (which must already contain a driven workload)
     and checks the three invariants; [rebuild] supplies fresh objects
     exactly as for {!Durable_database.recover}.  [max_atomicity_txns]
-    (default 8) gates the exponential atomicity check.  [workers] is
-    forwarded to every {!Durable_database.recover} call, so the whole
-    matrix can be run through the partitioned parallel replay path.
-    [wal] itself is never mutated — each cut works on a {!Wal.prefix}
-    copy. *)
+    (default 8) gates the exponential atomicity check.  [wal] itself
+    is never mutated — each cut works on a {!Wal.prefix} copy. *)
 val torture :
-  ?max_atomicity_txns:int -> ?workers:int ->
+  ?max_atomicity_txns:int ->
   rebuild:(unit -> Atomic_object.t list) -> Wal.t -> report
 
 (** [torture_bytes ~rebuild wal] is {!torture} at byte granularity: the
@@ -78,13 +75,12 @@ val torture :
     prefix is reported as a ["torn-tail"] violation), and the surviving
     records then pass the full invariant battery.  Cuts that decode to
     the same record list as the previous cut are skipped — the recovered
-    state cannot differ.  [cuts] in the report counts byte offsets.
-    [workers] is forwarded to recovery as in {!torture}. *)
+    state cannot differ.  [cuts] in the report counts byte offsets. *)
 val torture_bytes :
-  ?max_atomicity_txns:int -> ?workers:int ->
+  ?max_atomicity_txns:int ->
   rebuild:(unit -> Atomic_object.t list) -> Wal.t -> report
 
-(** [torture_truncation ?workers ~rebuild wal] sweeps the crash-atomic
+(** [torture_truncation ~rebuild wal] sweeps the crash-atomic
     log compaction of {!Disk_wal.checkpoint_truncate}: it replays the
     compaction [wal] would perform (journal = [Truncate_intent] frame +
     compacted image appended after the old log; install = image
@@ -97,9 +93,9 @@ val torture_bytes :
     ["truncate-atomicity"] violation.  A log whose truncation would drop
     nothing (no checkpoint) reports zero cuts.  [wal] is not mutated. *)
 val torture_truncation :
-  ?workers:int -> rebuild:(unit -> Atomic_object.t list) -> Wal.t -> report
+  rebuild:(unit -> Atomic_object.t list) -> Wal.t -> report
 
-(** [torture_upgrade ?workers ~rebuild wal] sweeps the incremental
+(** [torture_upgrade ~rebuild wal] sweeps the incremental
     v1→v2 format migration: the log's records are laid down as pure
     {e v1} frames (what a pre-versioning binary left on disk), the
     compacted replacement image is encoded as v2 (what
@@ -113,7 +109,7 @@ val torture_truncation :
     runs even when no records would be dropped: the rewrite is then a
     pure v1→v2 re-encode.  [wal] is not mutated. *)
 val torture_upgrade :
-  ?workers:int -> rebuild:(unit -> Atomic_object.t list) -> Wal.t -> report
+  rebuild:(unit -> Atomic_object.t list) -> Wal.t -> report
 
 (** {1 Batch-prefix torture (group commit)} *)
 
@@ -213,10 +209,8 @@ val pp_sharded_report : Format.formatter -> sharded_report -> unit
     commit is ever lost (acknowledgement happens only after the forced
     [Decision]).  Each recovered state must also be legal per object
     specification, equal to a direct replay of its resolved logs, and
-    stable under a second recovery (which must append nothing).
-    [workers] is forwarded to every per-shard recovery. *)
+    stable under a second recovery (which must append nothing). *)
 val torture_sharded :
-  ?workers:int ->
   shards:int ->
   rebuild:(unit -> Atomic_object.t list) ->
   drive:(Sharded_database.t -> unit) ->
@@ -228,7 +222,6 @@ val torture_sharded :
     resulting log. *)
 val run :
   ?max_atomicity_txns:int ->
-  ?workers:int ->
   rebuild:(unit -> Atomic_object.t list) ->
   drive:(Durable_database.t -> unit) ->
   unit -> report

@@ -210,7 +210,7 @@ let retry_loop retry f =
   in
   go 1
 
-let load ?(retry = default_retry) ?shard ?profile ?workers storage =
+let load ?(retry = default_retry) ?shard ?profile storage =
   (* Reads are not retried on content grounds — a short or bit-flipped
      read is silent, and it is the decoder's job to catch it. *)
   let module Profile = Tm_obs.Recovery_profile in
@@ -248,7 +248,7 @@ let load ?(retry = default_retry) ?shard ?profile ?workers storage =
   match resolved with
   | Error _ as e -> e
   | Ok bytes -> (
-      match Wal.Codec.decode_all ?profile ?workers bytes with
+      match Wal.Codec.decode_all ?profile bytes with
       | Error _ as e -> e
       | Ok { Wal.Codec.records; clean_bytes; torn = _ } ->
           (* An intent surviving in the decoded stream means the journal

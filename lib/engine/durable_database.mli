@@ -109,42 +109,31 @@ val checkpoint : t -> unit
     before the crash); each is restored with the committed operations of
     {e its} object from the log.  Returns the database and the losers,
     or a typed {!Recovery.error} when a replayed sequence violates an
-    object's specification (the caller — crash harness, CLI — reports it
-    instead of catching exceptions).  Transaction-id allocation restarts
-    strictly above every tid the log mentions (the replay plan's tid
-    high-water mark), so post-crash transactions never merge with a
-    pre-crash loser on a later replay.  Replay volume is counted as
-    [tm_recovery_replayed_ops_total] / [tm_recovery_loser_txns_total] in
-    the new database's registry; [trace], if given, is attached to it
+    object's specification, or when the log holds committed operations
+    for an object [rebuild] did not supply (dropping them would lose
+    committed work).  The caller — crash harness, CLI — reports the
+    error instead of catching exceptions.  Transaction-id allocation
+    restarts strictly above every tid the log mentions (the replay
+    plan's tid high-water mark), so post-crash transactions never merge
+    with a pre-crash loser on a later replay.  Replay volume is counted
+    as [tm_recovery_replayed_ops_total] / [tm_recovery_loser_txns_total]
+    in the new database's registry; [trace], if given, is attached to it
     and receives the [Crash_recover] span.
 
-    {b Partitioned replay.}  The log is bucketed once into
-    per-object committed-operation lists ({!Wal.plan}), each object is
-    assigned to one of [workers] partitions by a stable hash of its
-    name, and the partitions are replayed by a pool of [workers] domains
-    joined at a barrier (losers are merged there too).  [workers = 1]
-    (the default) replays everything on the calling domain and is
-    observationally identical to the historical serial replay.  Raises
-    [Invalid_argument] if [workers < 1].  For every [n], the recovered
-    committed state, loser set and [first_tid] are identical to serial
-    replay: partitions are disjoint by object, and per-object operation
-    order — the only order restore depends on — is preserved by the
-    plan.
+    Replay is one serial pass: {!Wal.plan} buckets the log's committed
+    operations by object, and each rebuilt object is restored from its
+    bucket in [rebuild] order, stopping at the first failure.
 
     With [profile], the restart profiler is threaded through the replay
     (log scan, checkpoint seeding, loser resolution) and the per-object
     restore loop; on success the profile is finished, exported as the
     [tm_recovery_*] metric family into the new registry, and emitted as
-    one [Recovery_phase] trace span per phase (plus one
-    [object_replay.p<i>] span per partition when parallel).  Callers
-    that loaded the log from storage pass the {e same} profile to
-    {!Disk_wal.load} first, so the storage-scan / decode / CRC phases
-    land in the same profile.  The profile is never shared across
-    domains: with [workers > 1] the whole pool is charged to the
-    object-replay phase at the barrier and per-partition wall times are
-    recorded coordinator-side. *)
+    one [Recovery_phase] trace span per phase.  Callers that loaded the
+    log from storage pass the {e same} profile to {!Disk_wal.load}
+    first, so the storage-scan / decode / CRC phases land in the same
+    profile. *)
 val recover :
-  ?trace:Tm_obs.Trace.t -> ?profile:Tm_obs.Recovery_profile.t -> ?workers:int ->
+  ?trace:Tm_obs.Trace.t -> ?profile:Tm_obs.Recovery_profile.t ->
   wal:Wal.t ->
   rebuild:(unit -> Atomic_object.t list) ->
   unit -> (t * Tid.Set.t, Recovery.error) result

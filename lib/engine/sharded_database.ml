@@ -316,7 +316,7 @@ let metrics t =
     t.shards;
   out
 
-let recover ?workers ?audit ~wals ~rebuild () =
+let recover ?audit ~wals ~rebuild () =
   let n = Array.length wals in
   check_shard_count n;
   (* Complete the interrupted protocol in the logs themselves: one
@@ -344,7 +344,7 @@ let recover ?workers ?audit ~wals ~rebuild () =
     if s = n then Ok (List.rev acc)
     else
       match
-        Durable_database.recover ?workers ~wal:wals.(s)
+        Durable_database.recover ~wal:wals.(s)
           ~rebuild:(fun () -> parts.(s))
           ()
       with

@@ -5,12 +5,11 @@
     lock tables and atomic objects, its own WAL (stamped with the
     shard's id in every v2 frame when disk-backed — see {!Disk_wal}),
     and its own group-commit flusher.  A router hashes object name to
-    home shard ({!Wal.partition_of_object}, the same stable hash the
-    parallel-recovery partitioner uses), so a transaction that touches
-    one shard commits through the existing fast path —
-    {!Durable_database.try_commit_nowait} under that shard's mutex, the
-    durability wait outside it — with {e zero} cross-shard
-    synchronisation beyond a brief global-table touch.
+    home shard ({!Wal.partition_of_object}, a stable hash of the name),
+    so a transaction that touches one shard commits through the
+    existing fast path — {!Durable_database.try_commit_nowait} under
+    that shard's mutex, the durability wait outside it — with {e zero}
+    cross-shard synchronisation beyond a brief global-table touch.
 
     {2 Cross-shard commit: presumed-abort 2PC}
 
@@ -46,9 +45,8 @@
     shard's log (commit iff decision evidence survives anywhere;
     otherwise presumed abort) and forces it — completing the
     interrupted protocol {e in the log}, so the subsequent per-shard
-    {!Durable_database.recover} (with its parallel partitioned replay)
-    needs no 2PC awareness at all, and a second crash during recovery
-    re-resolves to the same outcomes.
+    {!Durable_database.recover} needs no 2PC awareness at all, and a
+    second crash during recovery re-resolves to the same outcomes.
 
     {2 Caveats}
 
@@ -140,15 +138,15 @@ val set_trace : t -> Tm_obs.Trace.t -> unit
     [shard] label. *)
 val metrics : t -> Tm_obs.Metrics.t
 
-(** [recover ?workers ~wals ~rebuild ()] — crash recovery across all
-    shards: resolve in-doubt transactions (see above), then run
-    {!Durable_database.recover} per shard with [workers] replay
-    partitions each, [rebuild]'s objects routed to shards exactly as
-    {!create} routes them.  The global allocator restarts above every
-    shard's tid high-water mark.  Returns the engine and the union of
-    the shards' loser sets (a transaction resolved by presumed abort is
-    {e finished}, not a loser — recovery completed its protocol), or
-    the first shard's replay error in shard order.
+(** [recover ~wals ~rebuild ()] — crash recovery across all shards:
+    resolve in-doubt transactions (see above), then run
+    {!Durable_database.recover} on each shard in turn, [rebuild]'s
+    objects routed to shards exactly as {!create} routes them.  The
+    global allocator restarts above every shard's tid high-water mark.
+    Returns the engine and the union of the shards' loser sets (a
+    transaction resolved by presumed abort is {e finished}, not a loser
+    — recovery completed its protocol), or the first shard's replay
+    error in shard order.
 
     [audit] receives the in-doubt resolution events
     ({!Two_phase.resolution_events}: which prepares were in doubt, the
@@ -157,7 +155,6 @@ val metrics : t -> Tm_obs.Metrics.t
     [tm-2pc] artifact.  The same events drive the recovered engine's
     [tm_2pc_resolved_total{evidence,outcome}] counters. *)
 val recover :
-  ?workers:int ->
   ?audit:(Two_phase.resolution_event list -> unit) ->
   wals:Wal.t array ->
   rebuild:(unit -> Atomic_object.t list) ->

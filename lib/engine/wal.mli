@@ -199,71 +199,40 @@ val replay :
     allocation strictly above it. *)
 val max_tid : record list -> Tid.t option
 
-(** {2 Partitioned replay}
+(** {2 The restart fold}
 
-    {!plan} is the bucketing pass behind parallel recovery
-    ({!Durable_database.recover}'s [~workers]): one fold over the log —
-    the same fold as {!replay}, checkpoint seeding included — that
-    groups committed operations by object instead of producing one
-    global list, and shards the loser set by transaction id.  Objects
-    are assigned to partitions by {!partition_of_object} (a hash of the
-    object name), so every operation of an object lands in exactly one
-    partition and partitions can be replayed concurrently with no
-    shared state; the loser shards are disjoint by construction and
-    their union ({!plan_losers}) equals {!replay}'s loser set.
-
-    The plan covers an explicit record range [[plan_from, plan_to]]
-    (1-based): replay semantically starts at the latest checkpoint —
-    its fuzzy snapshot stands for every record before it — and ends at
-    the last record.  A partition replays {e exactly} the committed
-    operations the plan assigned it from that range, no more and no
-    less; the coordinator checks the per-partition counts sum back to
-    [plan_ops]. *)
-
-type partition = {
-  part_index : int;
-  part_objects : (string * Op.t list) list;
-      (** committed operations per object in commit order, sorted by
-          object name (the plan is a pure function of the records) *)
-  part_ops : int;  (** total committed operations across [part_objects] *)
-  part_losers : Tid.Set.t;  (** this partition's shard of the loser set *)
-}
+    {!plan} is the pass {!Durable_database.recover} runs: the same fold
+    as {!replay}, checkpoint seeding included, but committed operations
+    are grouped by object instead of forming one global list, so each
+    rebuilt object is restored with one lookup.  {!replay} stays the
+    independent reference the crash checks compare it against. *)
 
 type plan = {
-  partitions : partition array;  (** length = [workers] *)
-  plan_ops : int;  (** committed operations across all partitions *)
-  plan_records : int;  (** records scanned *)
-  plan_from : int;
-      (** 1-based position replay effectively starts at: the latest
-          checkpoint's record, or 1 when there is none *)
-  plan_to : int;  (** 1-based position of the last record covered *)
+  plan_objects : (string, Op.t list) Hashtbl.t;
+      (** committed operations per object name, in commit order; an
+          object the log never commits to has no entry *)
+  plan_loser_tids : Tid.Set.t;  (** = {!replay}'s loser set *)
+  plan_ops : int;  (** committed operations across all objects *)
   plan_next_tid : int;
       (** first tid strictly above every tid the log mentions (0 for a
-          log that mentions none) — what {!max_tid} + 1 used to be,
-          computed in the same pass *)
+          log that mentions none): {!max_tid} + 1, computed in the same
+          pass *)
 }
 
-(** [partition_of_object ~workers name] — the partition an object's
-    operations are bucketed into ([Hashtbl.hash name mod workers]:
-    deterministic across runs and domains). *)
+(** [partition_of_object ~workers name] — [Hashtbl.hash name mod
+    workers], deterministic across runs: the shard router of
+    {!Sharded_database}. *)
 val partition_of_object : workers:int -> string -> int
 
-(** [partition_of_tid ~workers tid] — the shard of the loser set a
-    transaction id belongs to. *)
-val partition_of_tid : workers:int -> Tid.t -> int
+(** [plan ~workers records] — the per-object replay plan.  With
+    [profile], the pass charges the same phases as {!replay} (records
+    scanned, checkpoint seeding, log scan, loser resolution).
 
-(** [plan ~workers records] — the partitioned replay plan.  [workers]
-    must be >= 1; with [workers = 1] the single partition holds every
-    object and the full loser set, reproducing serial replay exactly.
-    With [profile], the pass charges the same phases as {!replay}
-    (records scanned, checkpoint seeding, log scan, loser resolution),
-    so a partitioned restart profiles like a serial one plus the
-    object-replay phases. *)
+    [workers] must be 1 ([Invalid_argument] otherwise): restart is
+    serial, and the argument survives only so existing benchmark probes
+    that pass [~workers:1] keep compiling; it is due to be dropped. *)
 val plan :
   ?profile:Tm_obs.Recovery_profile.t -> workers:int -> record list -> plan
-
-(** The union of every partition's loser shard (= {!replay}'s losers). *)
-val plan_losers : plan -> Tid.Set.t
 
 (** [fuzzy_checkpoint ?next_tid records] computes the checkpoint snapshot
     of [records]: committed operations in commit order, the operation log
@@ -406,20 +375,9 @@ module Codec : sig
   (** [decode_all s] — [Ok] with the decoded records (and possibly a
       truncated torn tail), or [Error] on interior corruption.  With
       [profile], frame decode and CRC verification are charged as
-      separate phases, and decoded frames / torn bytes are counted.
-
-      With [workers > 1] and a large enough image, a cheap header-only
-      walk first locates every frame; if the walk covers the image
-      exactly, the CRC verification and payload decode of the frames is
-      spread over that many domains.  Any anomaly — a torn tail, a
-      corrupt frame, an implausible header — falls back to the serial
-      decoder, so torn/interior verdicts always come from the same code
-      path regardless of [workers].  (In the parallel case the whole
-      barrier is charged to the frame-decode phase: CRC time is spent
-      inside worker domains, which do not share the profile.) *)
+      separate phases, and decoded frames / torn bytes are counted. *)
   val decode_all :
     ?profile:Tm_obs.Recovery_profile.t ->
-    ?workers:int ->
     string ->
     (decoded, corruption) result
 end

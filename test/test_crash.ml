@@ -152,12 +152,7 @@ let test_torture_truncation_clean () =
     (Fmt.str "no violations: %a" Crash.pp_report report)
     true (Crash.ok report);
   Helpers.check_bool "the sweep exercised crash states" true
-    (report.Crash.cuts > 0);
-  (* and through the parallel replay path *)
-  let par = Crash.torture_truncation ~workers:4 ~rebuild:rebuild_ba wal in
-  Helpers.check_bool
-    (Fmt.str "no violations with 4 workers: %a" Crash.pp_report par)
-    true (Crash.ok par)
+    (report.Crash.cuts > 0)
 
 let test_torture_truncation_no_checkpoint () =
   (* Nothing to compact: the sweep is vacuous, not wrong. *)
@@ -168,43 +163,36 @@ let test_torture_truncation_no_checkpoint () =
   Helpers.check_int "no crash states" 0 report.Crash.cuts;
   Helpers.check_bool "clean" true (Crash.ok report)
 
-(* --- parallel replay: equivalence with serial recovery --- *)
+(* --- recovery refuses to drop committed work --- *)
 
-let committed_by_object db =
-  List.map
-    (fun o -> (Atomic_object.name o, Atomic_object.committed_ops o))
-    (Tm_engine.Database.objects (DD.database db))
-
-(* Same seed, same worker count: the partition layout and its profile
-   accounting are deterministic — the object-to-partition map is a
-   stable hash, not an artifact of scheduling. *)
-let test_parallel_replay_deterministic () =
-  let scenario = Experiment.transfer () in
-  let setup = Experiment.setup Recovery.UIP Experiment.Semantic in
-  let cfg = Scheduler.config ~concurrency:3 ~total_txns:6 ~seed:23 () in
-  let _row, wal = Experiment.run_durable ~checkpoint_every:2 scenario setup cfg in
-  let rebuild () = scenario.Experiment.build setup in
-  let observe () =
-    let profile = Tm_obs.Recovery_profile.create () in
-    match DD.recover ~profile ~workers:4 ~wal ~rebuild () with
-    | Error _ -> Alcotest.fail "recover failed"
-    | Ok _ ->
-        ( Tm_obs.Recovery_profile.workers profile,
-          List.map
-            (fun (i, objs, ops, _wall) -> (i, objs, ops))
-            (Tm_obs.Recovery_profile.partitions profile),
-          List.map
-            (fun (phase, _wall, items) -> (phase, items))
-            (Tm_obs.Recovery_profile.spans profile) )
+let test_recover_refuses_unrebuilt_object () =
+  (* The log commits operations on an object [rebuild] does not supply:
+     restoring the rest and dropping those would lose committed work. *)
+  let ghost = Op.make ~obj:"GHOST" ~args:[ Value.int 1 ] "deposit" Value.ok in
+  let wal = Wal.create () in
+  List.iter (Wal.append wal)
+    [
+      Wal.Begin Tid.a;
+      Wal.Operation (Tid.a, BA.deposit 5);
+      Wal.Commit Tid.a;
+      Wal.Begin Tid.b;
+      Wal.Operation (Tid.b, ghost);
+      Wal.Commit Tid.b;
+    ];
+  (match DD.recover ~wal ~rebuild:rebuild_ba () with
+  | Ok _ -> Alcotest.fail "recovery dropped GHOST's committed operation"
+  | Error e -> Alcotest.(check string) "error names the object" "GHOST" e.Recovery.obj);
+  let rebuild () =
+    rebuild_ba ()
+    @ [
+        Atomic_object.create
+          ~spec:(Spec.rename (BA.spec_with_initial 0) "GHOST")
+          ~conflict:BA.nrbc_conflict ~recovery:Recovery.UIP ();
+      ]
   in
-  let w1, parts1, spans1 = observe () in
-  let w2, parts2, spans2 = observe () in
-  Helpers.check_int "workers recorded" 4 w1;
-  Helpers.check_int "partitions cover the pool" 4 (List.length parts1);
-  Helpers.check_bool "partition tiling identical across runs" true
-    (parts1 = parts2 && w1 = w2);
-  Alcotest.(check (list (pair string int)))
-    "span structure identical across runs" spans1 spans2
+  match DD.recover ~wal ~rebuild () with
+  | Ok (_, losers) -> Helpers.check_bool "no losers" true (Tid.Set.is_empty losers)
+  | Error e -> Alcotest.failf "recovery with GHOST rebuilt failed: %a" Recovery.pp_error e
 
 (* --- batch-prefix torture of a group-committed run --- *)
 
@@ -270,14 +258,19 @@ let prop_crash_invariants =
           scenario.Experiment.name (Experiment.label setup) seed checkpoint_every
           Crash.pp_report report)
 
-(* For every worker count, recovery of any crash prefix must be
-   indistinguishable from serial recovery: same committed operations at
-   every object, same loser set, same restart tid.  Driven over the
-   multi-object scenario pool with random checkpoint placement, so
-   partitions, checkpoint seeding and losers all participate. *)
-let prop_parallel_replay_equivalent =
-  Helpers.qcheck ~count:40
-    "parallel replay = serial replay at any worker count"
+let committed_by_object db =
+  List.map
+    (fun o -> (Atomic_object.name o, Atomic_object.committed_ops o))
+    (Tm_engine.Database.objects (DD.database db))
+
+(* [Wal.replay] is the reference fold that restart is checked against.
+   Over the same scenario pool and random crash cuts, the restart path
+   ([Wal.plan], then [Durable_database.recover]) must give every object
+   exactly the reference's committed operations on that object, resolve
+   the same losers, and allocate post-crash tids above every tid the log
+   mentions. *)
+let prop_recover_matches_replay =
+  Helpers.qcheck ~count:40 "recovery = reference replay"
     QCheck2.Gen.(
       tup4 (int_range 0 10_000) (int_bound 3)
         (int_bound (Array.length prop_scenarios - 1))
@@ -290,30 +283,37 @@ let prop_parallel_replay_equivalent =
       (* crash at a seed-derived record cut so losers are common *)
       let cut = seed mod (Wal.length wal + 1) in
       let log = Wal.prefix wal cut in
-      let recover_with workers =
-        match DD.recover ~workers ~wal:log ~rebuild () with
-        | Ok (db, losers) ->
-            (committed_by_object db, losers, DD.begin_txn db)
-        | Error e ->
-            QCheck2.Test.fail_reportf "recover (workers %d) failed: %a" workers
-              Recovery.pp_error e
+      let recs = Wal.records log in
+      let committed, losers = Wal.replay recs in
+      let on name =
+        List.filter (fun (op : Op.t) -> String.equal op.Op.obj name) committed
       in
-      let sc, sl, st = recover_with 1 in
-      List.for_all
-        (fun w ->
-          let pc, pl, pt = recover_with w in
-          let same_committed =
-            List.equal
-              (fun (n1, o1) (n2, o2) ->
-                String.equal n1 n2 && List.equal Op.equal o1 o2)
-              sc pc
-          in
-          if same_committed && Tid.Set.equal sl pl && Tid.equal st pt then true
-          else
-            QCheck2.Test.fail_reportf
-              "%s/%s seed %d cut %d: %d-worker recovery diverged from serial"
-              scenario.Experiment.name (Experiment.label setup) seed cut w)
-        [ 2; 4; 8 ])
+      let max_tid = Option.fold ~none:(-1) ~some:Tid.to_int (Wal.max_tid recs) in
+      let fail what =
+        QCheck2.Test.fail_reportf "%s/%s seed %d cut %d: %s" scenario.Experiment.name
+          (Experiment.label setup) seed cut what
+      in
+      let plan = Wal.plan ~workers:1 recs in
+      Hashtbl.iter
+        (fun name ops ->
+          if not (List.equal Op.equal ops (on name)) then
+            fail (Fmt.str "plan buckets %s differently from replay" name))
+        plan.Wal.plan_objects;
+      if plan.Wal.plan_ops <> List.length committed then fail "plan lost committed ops";
+      if not (Tid.Set.equal plan.Wal.plan_loser_tids losers) then
+        fail "plan losers differ";
+      if plan.Wal.plan_next_tid <> max_tid + 1 then fail "plan tid high-water mark";
+      match DD.recover ~wal:log ~rebuild () with
+      | Error e -> fail (Fmt.str "recover failed: %a" Recovery.pp_error e)
+      | Ok (db, got_losers) ->
+          List.iter
+            (fun (name, ops) ->
+              if not (List.equal Op.equal ops (on name)) then
+                fail (Fmt.str "%s restored other ops than replay commits" name))
+            (committed_by_object db);
+          if not (Tid.Set.equal got_losers losers) then fail "recovered losers differ";
+          if Tid.to_int (DD.begin_txn db) <= max_tid then fail "tid reissued";
+          true)
 
 let suite =
   [
@@ -331,10 +331,10 @@ let suite =
       test_torture_truncation_clean;
     Alcotest.test_case "truncation torture: vacuous without checkpoint" `Quick
       test_torture_truncation_no_checkpoint;
-    Alcotest.test_case "parallel replay deterministic" `Quick
-      test_parallel_replay_deterministic;
+    Alcotest.test_case "recover refuses unrebuilt objects" `Quick
+      test_recover_refuses_unrebuilt_object;
     Alcotest.test_case "batch-prefix torture of group-committed run" `Quick
       test_torture_batched_group_commit;
     prop_crash_invariants;
-    prop_parallel_replay_equivalent;
+    prop_recover_matches_replay;
   ]
