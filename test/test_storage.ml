@@ -163,6 +163,50 @@ let test_valid_frame_after () =
   Helpers.check_bool "budget exhaustion is conservative (interior)" true
     (Codec.valid_frame_after ~budget:1 adversarial 0)
 
+(* The small-image codec tests damage the first or last frame; here the
+   log is hundreds of frames long and the verdicts must land deep in it:
+   a torn final frame keeps every earlier record and reports the intact
+   prefix length, and damage to a middle frame is refused at that
+   frame's own byte offset. *)
+let test_long_log_verdicts () =
+  let recs =
+    List.concat
+      (List.init 150 (fun i ->
+           let t = Tid.of_int (i mod 10) in
+           [ Wal.Begin t; Wal.Operation (t, BA.deposit 1); Wal.Commit t ]))
+  in
+  let frames = List.map Codec.encode recs in
+  let bytes = String.concat "" frames in
+  Helpers.check_bool "frames concatenate to encode_all" true
+    (String.equal bytes (Codec.encode_all recs));
+  (match Codec.decode_all bytes with
+  | Ok d ->
+      Helpers.check_bool "clean image round trips" true
+        (List.equal Wal.equal_record recs d.Codec.records
+        && d.Codec.clean_bytes = String.length bytes
+        && d.Codec.torn = None)
+  | Error c -> Alcotest.failf "clean image refused: %a" Codec.pp_corruption c);
+  let last = String.length (List.nth frames (List.length frames - 1)) in
+  let torn = String.sub bytes 0 (String.length bytes - 5) in
+  (match Codec.decode_all torn with
+  | Ok d ->
+      Helpers.check_int "torn image keeps all but the last record"
+        (List.length recs - 1) (List.length d.Codec.records);
+      Helpers.check_int "clean prefix ends before the torn frame"
+        (String.length bytes - last) d.Codec.clean_bytes;
+      Helpers.check_bool "torn tail reported" true (d.Codec.torn <> None)
+  | Error c -> Alcotest.failf "torn image refused: %a" Codec.pp_corruption c);
+  let mid = List.length frames / 2 in
+  let mid_off =
+    String.length (String.concat "" (List.filteri (fun i _ -> i < mid) frames))
+  in
+  let b = Bytes.of_string bytes in
+  let i = mid_off + Codec.header_size Codec.write_version in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
+  match Codec.decode_all (Bytes.to_string b) with
+  | Ok _ -> Alcotest.fail "interior damage decoded silently"
+  | Error c -> Helpers.check_int "refused at the middle frame's offset" mid_off c.Codec.offset
+
 let test_codec_frame_shape () =
   Helpers.check_int "write format version" 2 Codec.write_version;
   Alcotest.(check (list int))
@@ -725,6 +769,8 @@ let suite =
       test_codec_truncate_intent_roundtrip;
     Alcotest.test_case "valid_frame_after: verdicts and probe budget" `Quick
       test_valid_frame_after;
+    Alcotest.test_case "long log: deep torn tail and interior offset" `Quick
+      test_long_log_verdicts;
     Alcotest.test_case "memory semantics" `Quick test_memory_semantics;
     prop_memory_paged;
     Alcotest.test_case "file backend" `Quick test_file_backend;
