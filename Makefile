@@ -65,9 +65,11 @@ report:
 bench:
 	dune exec bench/main.exe
 
-# History-independence gate: on the bank hot spot, update-in-place may
-# allocate at most 1.25x and promote at most 2x the words per transaction
-# of deferred update from the same inputs (host-invariant counts).
+# Host-invariant performance gates.  History independence: on the bank
+# hot spot, update-in-place may allocate at most 1.25x and promote at most
+# 2x the words per transaction of deferred update from the same inputs.
+# Object footprint: transfer_2pc (1024 accounts) may keep at most 6.0 MB
+# reachable.
 perfcheck:
 	bash bench/perfcheck.sh
 

@@ -1,12 +1,20 @@
 #!/usr/bin/env bash
-# History-independence gate for update-in-place recovery.  Runs the bank
-# hot spot of the layered benchmark under UIP and under DU, from the same
-# inputs, and fails unless both runs are correct and UIP allocates at most
-# 1.25x, and promotes at most 2x, the words per transaction of DU.  Both
-# counts are host-invariant (bench/perf/run.sh pins the GC parameters), so
-# the verdict does not depend on the machine.  A UIP manager whose abort
-# cost grows with history fails it.  Needs jq.
+# Host-invariant performance gates over the layered benchmark.  Needs jq.
 #   bash bench/perfcheck.sh        (or: make perfcheck)
+#
+# 1. History independence of update-in-place recovery: runs the bank hot
+#    spot under UIP and under DU, from the same inputs, and fails unless
+#    both runs are correct and UIP allocates at most 1.25x, and promotes
+#    at most 2x, the words per transaction of DU.  A UIP manager whose
+#    abort cost grows with history fails it.
+# 2. What an object costs: runs transfer_2pc (1024 accounts over four
+#    shards) and fails unless it is correct and the engine keeps at most
+#    6.0 MB reachable (live_heap_mb).  A per-object functor instance or
+#    per-object validation tables on locking objects fail it.
+#
+# Every count is host-invariant (bench/perf/run.sh pins the GC
+# parameters, and live_heap_mb is Obj.reachable_words), so the verdict
+# does not depend on the machine.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,6 +23,7 @@ run() {
 }
 uip=$(run hotspot_uip)
 du=$(run hotspot_du)
+xfer=$(run transfer_2pc)
 
 verdict=$(jq -rn --argjson u "$uip" --argjson d "$du" '
   def ratio(k): $u.metrics[k].value / $d.metrics[k].value;
@@ -26,4 +35,12 @@ verdict=$(jq -rn --argjson u "$uip" --argjson d "$du" '
     + " UIP/DU alloc_words_per_txn \($a) (max 1.25),"
     + " major_words_per_txn \($m) (max 2)"')
 echo "perfcheck $verdict"
-[[ $verdict == ok* ]]
+
+footprint=$(jq -rn --argjson x "$xfer" '
+  $x.metrics.live_heap_mb.value as $mb
+  | (if $x.correct and $x.failed == 0 and $mb <= 6.0 then "ok" else "FAIL" end)
+    + ": transfer_2pc correct \($x.correct), failed \($x.failed),"
+    + " live_heap_mb \($mb) (max 6.0)"')
+echo "perfcheck footprint $footprint"
+
+[[ $verdict == ok* && $footprint == ok* ]]

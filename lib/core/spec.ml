@@ -26,17 +26,36 @@ let rename (Packed (module S)) new_name =
   end in
   Packed (module R : S with type state = R.state)
 
-let apply (type s) (module S : S with type state = s) (st : s) (op : Op.t) : s list =
-  List.filter_map
-    (fun (r, st') -> if Value.equal r op.Op.res then Some st' else None)
-    (S.respond st op.Op.inv)
+(* The states [op]'s response leads to, onto [acc].  The recovery managers
+   step state-sets on every invocation, so this and [successors] are
+   first-order loops that allocate only the result cells. *)
+let rec matching (op : Op.t) acc = function
+  | [] -> acc
+  | (r, st') :: rest -> matching op (if Value.equal r op.res then st' :: acc else acc) rest
 
-(* Fold an operation sequence over a *set* of states (dedup via sort). *)
+let apply (type s) (module S : S with type state = s) (st : s) (op : Op.t) : s list =
+  matching op [] (S.respond st op.inv)
+
+(* A state-set is a sorted, duplicate-free list: stepping one through an
+   operation keeps it so (dedup via sort). *)
+let rec successors respond (op : Op.t) acc = function
+  | [] -> acc
+  | st :: rest -> successors respond op (matching op acc (respond st op.inv)) rest
+
+(* [List.sort_uniq] builds its closures before looking at the length, so
+   the deterministic case (at most one state) skips it. *)
+let dedup_states (type s) (module S : S with type state = s) = function
+  | ([] | [ _ ]) as sts -> sts
+  | sts -> List.sort_uniq S.compare_state sts
+
+let step_states (type s) (module S : S with type state = s) (states : s list) op =
+  dedup_states (module S) (successors S.respond op [] states)
+
 let after_states (type s) (module S : S with type state = s) (states : s list) ops =
-  let dedup l = List.sort_uniq S.compare_state l in
   List.fold_left
-    (fun sts op -> dedup (List.concat_map (fun st -> apply (module S) st op) sts))
-    (dedup states) ops
+    (fun sts op -> step_states (module S) sts op)
+    (dedup_states (module S) states)
+    ops
 
 let legal (Packed (module S)) ops = after_states (module S) [ S.initial ] ops <> []
 

@@ -53,6 +53,21 @@ val rename : t -> string -> t
     [op] is not legal in [s]. *)
 val apply : (module S with type state = 's) -> 's -> Op.t -> 's list
 
+(** {2 State-sets}
+
+    A non-deterministic specification reaches a {e set} of states.  It is
+    represented as a sorted ([compare_state]), duplicate-free list: no
+    per-type [Set] instance is needed, so a recovery manager holding one
+    costs what the states themselves cost. *)
+
+(** [step_states (module S) sts op] is the state-set reached by executing
+    [op] from every state of [sts] (empty if [op] is legal in none). *)
+val step_states : (module S with type state = 's) -> 's list -> Op.t -> 's list
+
+(** [after_states (module S) sts ops] folds {!step_states} over [ops];
+    [sts] need not be sorted. *)
+val after_states : (module S with type state = 's) -> 's list -> Op.t list -> 's list
+
 (** [legal spec ops] — is the operation sequence [ops] in [Spec(X)]
     (executable from the initial state)? *)
 val legal : t -> Op.t list -> bool

@@ -9,22 +9,25 @@ let pp_policy ppf = function
   | Locking -> Fmt.string ppf "locking"
   | Optimistic -> Fmt.string ppf "optimistic"
 
+(* Backward-validation bookkeeping of an optimistic object: committed
+   operations in commit order, each transaction's ops and its start point
+   in that log. *)
+type optimistic = {
+  mutable committed_rev : Op.t list;
+  mutable committed_len : int;
+  opt_start : (Tid.t, int) Hashtbl.t;
+  opt_ops : (Tid.t, Op.t list) Hashtbl.t;  (* newest first *)
+}
+
 type t = {
   name : string;
   spec : Spec.t;
-  policy : policy;
   conflict : Conflict.t;
   locks : Lock_table.t;
   recovery : Recovery.t;
   mutable blocks : int;
   mutable metrics : Metrics.t option;
-  (* Optimistic bookkeeping: committed operations in commit order (for
-     backward validation), each transaction's ops and its start point in
-     that log. *)
-  mutable committed_rev : Op.t list;
-  mutable committed_len : int;
-  opt_start : (Tid.t, int) Hashtbl.t;
-  opt_ops : (Tid.t, Op.t list) Hashtbl.t;  (* newest first *)
+  optimistic : optimistic option;  (* [None] exactly for [Locking] *)
 }
 
 type outcome =
@@ -37,34 +40,37 @@ let pp_outcome ppf = function
   | Blocked tids -> Fmt.pf ppf "blocked on %a" Fmt.(list ~sep:(any ",") Tid.pp) tids
   | No_response -> Fmt.string ppf "no legal response"
 
-let make ?inverse ~spec ~conflict ~policy ~recovery () =
+let make ?inverse ?optimistic ~spec ~conflict ~recovery () =
   {
     name = Spec.name spec;
     spec;
-    policy;
     conflict;
     locks = Lock_table.create conflict;
     recovery = Recovery.create ?inverse recovery spec;
     blocks = 0;
     metrics = None;
-    committed_rev = [];
-    committed_len = 0;
-    opt_start = Hashtbl.create 16;
-    opt_ops = Hashtbl.create 16;
+    optimistic;
   }
 
-let create ?inverse ~spec ~conflict ~recovery () =
-  make ?inverse ~spec ~conflict ~policy:Locking ~recovery ()
+let create ?inverse ~spec ~conflict ~recovery () = make ?inverse ~spec ~conflict ~recovery ()
 
 (* Optimistic execution must not publish uncommitted effects, so it is
    tied to deferred-update recovery (the single current state of
    update-in-place publishes by construction). *)
 let create_optimistic ~spec ~conflict =
-  make ~spec ~conflict ~policy:Optimistic ~recovery:Recovery.DU ()
+  let optimistic =
+    {
+      committed_rev = [];
+      committed_len = 0;
+      opt_start = Hashtbl.create 16;
+      opt_ops = Hashtbl.create 16;
+    }
+  in
+  make ~optimistic ~spec ~conflict ~recovery:Recovery.DU ()
 
 let name t = t.name
 let spec t = t.spec
-let policy t = t.policy
+let policy t = match t.optimistic with None -> Locking | Some _ -> Optimistic
 let recovery_kind t = Recovery.kind t.recovery
 
 let attach_metrics t reg =
@@ -113,16 +119,16 @@ let invoke_locking ?choose t tid inv candidates =
       Lock_table.add t.locks tid op;
       Executed op
 
-let invoke_optimistic ?choose t tid inv candidates =
+let invoke_optimistic ?choose t opt tid inv candidates =
   (* No locks taken, nothing ever blocks; conflicts are paid at commit
      time (backward validation).  Remember where the committed log stood
      when the transaction first touched this object. *)
-  if not (Hashtbl.mem t.opt_start tid) then Hashtbl.add t.opt_start tid t.committed_len;
+  if not (Hashtbl.mem opt.opt_start tid) then Hashtbl.add opt.opt_start tid opt.committed_len;
   let ops = List.map (fun res -> { Op.obj = t.name; inv; res }) candidates in
   let op = choose_op t ?choose inv ops in
   Recovery.record t.recovery tid op;
-  Hashtbl.replace t.opt_ops tid
-    (op :: Option.value (Hashtbl.find_opt t.opt_ops tid) ~default:[]);
+  Hashtbl.replace opt.opt_ops tid
+    (op :: Option.value (Hashtbl.find_opt opt.opt_ops tid) ~default:[]);
   Executed op
 
 let invoke ?choose t tid inv =
@@ -131,24 +137,24 @@ let invoke ?choose t tid inv =
       count_event t "tm_object_no_response_total" inv.Op.name;
       No_response
   | candidates -> (
-      match t.policy with
-      | Locking -> invoke_locking ?choose t tid inv candidates
-      | Optimistic -> invoke_optimistic ?choose t tid inv candidates)
+      match t.optimistic with
+      | None -> invoke_locking ?choose t tid inv candidates
+      | Some opt -> invoke_optimistic ?choose t opt tid inv candidates)
 
 (* Operations committed after position [start], oldest first. *)
-let committed_since t start =
+let committed_since opt start =
   let rec take n l = if n <= 0 then [] else match l with [] -> [] | x :: r -> x :: take (n - 1) r in
-  List.rev (take (t.committed_len - start) t.committed_rev)
+  List.rev (take (opt.committed_len - start) opt.committed_rev)
 
 let validate t tid =
-  match t.policy with
-  | Locking -> Ok ()
-  | Optimistic -> (
-      match Hashtbl.find_opt t.opt_start tid with
+  match t.optimistic with
+  | None -> Ok ()
+  | Some opt -> (
+      match Hashtbl.find_opt opt.opt_start tid with
       | None -> Ok ()  (* executed nothing here *)
       | Some start ->
-          let mine = List.rev (Option.value (Hashtbl.find_opt t.opt_ops tid) ~default:[]) in
-          let interleaved = committed_since t start in
+          let mine = List.rev (Option.value (Hashtbl.find_opt opt.opt_ops tid) ~default:[]) in
+          let interleaved = committed_since opt start in
           let bad =
             List.find_map
               (fun op ->
@@ -166,27 +172,25 @@ let validate t tid =
               Error p
           | None -> Ok ()))
 
-let forget_optimistic t tid =
-  Hashtbl.remove t.opt_start tid;
-  Hashtbl.remove t.opt_ops tid
+let forget_optimistic opt tid =
+  Hashtbl.remove opt.opt_start tid;
+  Hashtbl.remove opt.opt_ops tid
 
 let commit t tid =
-  (match Hashtbl.find_opt t.opt_ops tid with
-  | Some ops ->
-      t.committed_rev <- ops @ t.committed_rev;
-      t.committed_len <- t.committed_len + List.length ops
-  | None ->
-      (* Locking policy (or an optimistic transaction that executed
-         nothing here): the validation log is only consulted by
-         [validate], which runs solely for optimistic transactions of
-         this same object, so there is nothing to record. *)
-      ());
-  forget_optimistic t tid;
+  (match t.optimistic with
+  | None -> ()
+  | Some opt ->
+      (match Hashtbl.find_opt opt.opt_ops tid with
+      | Some ops ->
+          opt.committed_rev <- ops @ opt.committed_rev;
+          opt.committed_len <- opt.committed_len + List.length ops
+      | None -> ()  (* executed nothing here *));
+      forget_optimistic opt tid);
   Recovery.commit t.recovery tid;
   Lock_table.release t.locks tid
 
 let abort t tid =
-  forget_optimistic t tid;
+  Option.iter (fun opt -> forget_optimistic opt tid) t.optimistic;
   Recovery.abort t.recovery tid;
   Lock_table.release t.locks tid
 

@@ -14,7 +14,13 @@
       operations conflicts with an operation committed since it started
       (backward validation à la Kung–Robinson, with the same
       commutativity-based conflict relation).  Requires deferred-update
-      recovery: update-in-place would publish uncommitted effects. *)
+      recovery: update-in-place would publish uncommitted effects.
+
+    The validation bookkeeping (the committed-operation log and each
+    transaction's start point and operations) is one optional field,
+    present only on optimistic objects: a locking object allocates no
+    validation tables, so it costs its lock table plus its recovery
+    manager. *)
 
 open Tm_core
 
@@ -74,7 +80,9 @@ val invoke : ?choose:(Value.t list -> Value.t) -> t -> Tid.t -> Op.invocation ->
 (** [validate t tid] — the optimistic commit test: [Error (mine, theirs)]
     if one of [tid]'s operations conflicts with an operation committed
     since [tid] first touched this object.  Always [Ok ()] under
-    [Locking]. *)
+    [Locking], and for a transaction that executed nothing here — so a
+    caller need only validate the objects a transaction touched
+    ({!Database.validate}). *)
 val validate : t -> Tid.t -> (unit, Op.t * Op.t) result
 
 (** [commit t tid] releases [tid]'s locks and makes its effects permanent

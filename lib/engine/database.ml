@@ -8,7 +8,8 @@ type txn_status =
   | Aborted
 
 type t = {
-  mutable objs : (string * Atomic_object.t) list;
+  mutable objs_rev : Atomic_object.t list;  (* newest first *)
+  by_name : (string, Atomic_object.t) Hashtbl.t;
   record_history : bool;
   mutable events : Event.t list;  (* newest first *)
   status : (Tid.t, txn_status) Hashtbl.t;
@@ -32,41 +33,46 @@ type t = {
   blocked_since : (Tid.t, string * int) Hashtbl.t;
 }
 
-let attach o reg = Atomic_object.attach_metrics o reg
+let add_object t o =
+  Atomic_object.attach_metrics o t.metrics;
+  t.objs_rev <- o :: t.objs_rev;
+  (* The first object registered under a name keeps it. *)
+  let name = Atomic_object.name o in
+  if not (Hashtbl.mem t.by_name name) then Hashtbl.add t.by_name name o
 
 let create ?(record_history = false) ?(first_tid = 0) objs =
   if first_tid < 0 then invalid_arg "Database.create: negative first_tid";
   let metrics = Metrics.create () in
-  List.iter (fun o -> attach o metrics) objs;
-  {
-    objs = List.map (fun o -> (Atomic_object.name o, o)) objs;
-    record_history;
-    events = [];
-    status = Hashtbl.create 64;
-    touched = Hashtbl.create 64;
-    waits = Deadlock.create ();
-    next_tid = first_tid;
-    metrics;
-    c_begins = Metrics.counter metrics "tm_txn_begins_total";
-    c_committed = Metrics.counter metrics "tm_txn_committed_total";
-    c_aborted = Metrics.counter metrics "tm_txn_aborted_total";
-    c_executed = Metrics.counter metrics "tm_invocations_total" ~labels:[ ("outcome", "executed") ];
-    c_blocked = Metrics.counter metrics "tm_invocations_total" ~labels:[ ("outcome", "blocked") ];
-    c_no_response =
-      Metrics.counter metrics "tm_invocations_total" ~labels:[ ("outcome", "no_response") ];
-    trace = None;
-    ticks = 0;
-    blocked_since = Hashtbl.create 16;
-  }
+  let t =
+    {
+      objs_rev = [];
+      by_name = Hashtbl.create 16;
+      record_history;
+      events = [];
+      status = Hashtbl.create 64;
+      touched = Hashtbl.create 64;
+      waits = Deadlock.create ();
+      next_tid = first_tid;
+      metrics;
+      c_begins = Metrics.counter metrics "tm_txn_begins_total";
+      c_committed = Metrics.counter metrics "tm_txn_committed_total";
+      c_aborted = Metrics.counter metrics "tm_txn_aborted_total";
+      c_executed = Metrics.counter metrics "tm_invocations_total" ~labels:[ ("outcome", "executed") ];
+      c_blocked = Metrics.counter metrics "tm_invocations_total" ~labels:[ ("outcome", "blocked") ];
+      c_no_response =
+        Metrics.counter metrics "tm_invocations_total" ~labels:[ ("outcome", "no_response") ];
+      trace = None;
+      ticks = 0;
+      blocked_since = Hashtbl.create 16;
+    }
+  in
+  List.iter (add_object t) objs;
+  t
 
-let add_object t o =
-  attach o t.metrics;
-  t.objs <- t.objs @ [ (Atomic_object.name o, o) ]
-
-let objects t = List.map snd t.objs
+let objects t = List.rev t.objs_rev
 
 let find_object t name =
-  match List.assoc_opt name t.objs with
+  match Hashtbl.find_opt t.by_name name with
   | Some o -> o
   | None -> invalid_arg ("Database.find_object: unknown object " ^ name)
 
@@ -178,35 +184,35 @@ let abort t tid =
   Metrics.Counter.incr t.c_aborted;
   emit_trace t ~tid Trace.Abort
 
+(* Only touched objects can fail: a locking object always passes, and an
+   optimistic one holds no start point for a transaction that executed
+   nothing there. *)
+let validate t tid =
+  let rec go = function
+    | [] -> Ok ()
+    | obj :: rest -> (
+        match Atomic_object.validate (find_object t obj) tid with
+        | Ok () -> go rest
+        | Error (mine, theirs) -> Error (obj, mine, theirs))
+  in
+  go (List.rev (touched_objs t tid))
+
 let try_commit t tid =
   check_running t tid;
   (* Two-phase: validate at every touched object, then commit at all of
      them; a single validation failure aborts everywhere. *)
-  let objs = List.rev (touched_objs t tid) in
   let validated =
     t.trace <> None
     && List.exists
          (fun obj ->
            Atomic_object.policy (find_object t obj) = Atomic_object.Optimistic)
-         objs
+         (touched_objs t tid)
   in
   if validated then emit_trace t ~tid Trace.Validating;
-  let failed =
-    List.find_map
-      (fun obj ->
-        match Atomic_object.validate (find_object t obj) tid with
-        | Ok () -> None
-        | Error (mine, theirs) -> Some (obj, mine, theirs))
-      objs
-  in
-  if validated then emit_trace t ~tid (Trace.Validated { ok = failed = None });
-  match failed with
-  | None ->
-      commit t tid;
-      Ok ()
-  | Some _ as e ->
-      abort t tid;
-      (match e with Some x -> Error x | None -> assert false)
+  let result = validate t tid in
+  if validated then emit_trace t ~tid (Trace.Validated { ok = Result.is_ok result });
+  (match result with Ok () -> commit t tid | Error _ -> abort t tid);
+  result
 
 let deadlock t = Deadlock.find_cycle t.waits
 let history t = History.of_events (List.rev t.events)
@@ -214,4 +220,4 @@ let committed_count t = Metrics.Counter.get t.c_committed
 let aborted_count t = Metrics.Counter.get t.c_aborted
 
 let total_blocks t =
-  List.fold_left (fun acc (_, o) -> acc + Atomic_object.block_count o) 0 t.objs
+  List.fold_left (fun acc o -> acc + Atomic_object.block_count o) 0 t.objs_rev

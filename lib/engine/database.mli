@@ -24,7 +24,13 @@ type t
     still appear in the log. *)
 val create : ?record_history:bool -> ?first_tid:int -> Atomic_object.t list -> t
 val add_object : t -> Atomic_object.t -> unit
+
+(** The managed objects in registration order. *)
 val objects : t -> Atomic_object.t list
+
+(** [find_object t name] — one hash-table lookup, whatever the number of
+    objects; if two objects share a name the first registered wins.
+    Raises [Invalid_argument] for an unknown name. *)
 val find_object : t -> string -> Atomic_object.t
 
 (** The database's metrics registry (always present). *)
@@ -75,10 +81,19 @@ val commit : t -> Tid.t -> unit
 
 val abort : t -> Tid.t -> unit
 
-(** [try_commit t tid] validates at every touched object (a no-op for
-    locking objects) and commits at all of them; on a validation failure
-    the transaction is aborted everywhere and the conflicting object and
-    operation pair are returned. *)
+(** [validate t tid] runs {!Atomic_object.validate} at each object [tid]
+    touched, in first-touch order, and returns the first failure as
+    [(obj, mine, theirs)].  Untouched objects are skipped: they cannot
+    fail (a locking object always passes, and an optimistic one has no
+    start point for [tid]), so the cost follows the transaction, not the
+    number of objects.  Changes nothing; {!try_commit} and the durable
+    commit and 2PC prepare paths call it before committing. *)
+val validate : t -> Tid.t -> (unit, string * Op.t * Op.t) result
+
+(** [try_commit t tid] is {!validate} followed by {!commit} at every
+    touched object; on a validation failure the transaction is aborted
+    everywhere and the conflicting object and operation pair are
+    returned. *)
 val try_commit : t -> Tid.t -> (unit, string * Op.t * Op.t) result
 
 (** [deadlock t] — current waits-for cycle, if any. *)

@@ -18,6 +18,7 @@ type t = {
   mutable bytes_written : int;
   mutable retries : int;
   mutable metrics : Metrics.t option;
+  mutable c_bytes : Metrics.counter option;  (* tm_wal_bytes_total, resolved on first frame *)
 }
 
 let wal t = t.wal
@@ -55,7 +56,18 @@ let persist t record =
   with_retry t (fun () -> Storage.write_at t.storage ~pos:t.end_off frame);
   t.end_off <- t.end_off + String.length frame;
   t.bytes_written <- t.bytes_written + String.length frame;
-  count t "tm_wal_bytes_total" (String.length frame)
+  match t.metrics with
+  | None -> ()
+  | Some reg ->
+      let c =
+        match t.c_bytes with
+        | Some c -> c
+        | None ->
+            let c = Metrics.counter reg "tm_wal_bytes_total" in
+            t.c_bytes <- Some c;
+            c
+      in
+      Metrics.Counter.incr ~by:(String.length frame) c
 
 let install_sink t =
   Wal.set_sink t.wal
@@ -65,6 +77,7 @@ let install_sink t =
       sink_attach =
         (fun reg ->
           t.metrics <- Some reg;
+          t.c_bytes <- None;
           Storage.attach_metrics t.storage reg);
     }
 
@@ -81,6 +94,7 @@ let make ?(retry = default_retry) ?(shard = 0) storage wal ~end_off =
       bytes_written = 0;
       retries = 0;
       metrics = None;
+      c_bytes = None;
     }
   in
   install_sink t;

@@ -48,16 +48,6 @@ let checkpoint t =
   Wal.append t.wal (Wal.Checkpoint cp);
   emit_system t.db (Trace.Checkpoint { ops = List.length cp.Wal.committed })
 
-(* Validate at every object (a no-op for locking objects): the shared
-   first step of both the one-shot commit and the 2PC prepare. *)
-let validate_all t tid =
-  List.find_map
-    (fun o ->
-      match Atomic_object.validate o tid with
-      | Ok () -> None
-      | Error (mine, theirs) -> Some (Atomic_object.name o, mine, theirs))
-    (Database.objects t.db)
-
 (* Only transactions that logged a Begin have anything to undo in the
    log; an Abort for an unlogged transaction would be noise (and
    inflate tm_wal_appends_total{kind="abort"}). *)
@@ -78,12 +68,12 @@ let try_commit_nowait t tid =
      any transaction that reads the applied state commits {e later} in
      the log, so a crash that loses this commit record also loses every
      dependent one (the log's prefix property). *)
-  match validate_all t tid with
-  | Some _ as e ->
+  match Database.validate t.db tid with
+  | Error _ as e ->
       log_abort_if_begun t tid;
       Database.abort t.db tid;
-      (match e with Some x -> Error x | None -> assert false)
-  | None ->
+      e
+  | Ok () ->
       log t tid (Wal.Commit tid);
       let lsn = Wal.last_lsn t.wal in
       Hashtbl.remove t.begun tid;
@@ -102,12 +92,12 @@ let prepare t tid =
      returned LSN before voting yes.  Nothing is applied yet: the
      transaction stays live (locks held, optimistic intentions parked)
      until {!finish_prepared}. *)
-  match validate_all t tid with
-  | Some _ as e ->
+  match Database.validate t.db tid with
+  | Error _ as e ->
       log_abort_if_begun t tid;
       Database.abort t.db tid;
-      (match e with Some x -> Error x | None -> assert false)
-  | None ->
+      e
+  | Ok () ->
       log t tid (Wal.Prepare tid);
       Ok (Wal.last_lsn t.wal)
 

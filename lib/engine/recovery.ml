@@ -59,11 +59,16 @@ let count_ops meta name ~obj ~mode n =
 (* Distinct legal responses to [inv] from a state-set, each of which keeps
    the overall sequence legal by construction. *)
 let candidate_responses (type s) (module S : Spec.S with type state = s) states inv =
-  List.concat_map (fun st -> List.map fst (S.respond st inv)) states
-  |> List.sort_uniq Value.compare
+  match List.concat_map (fun st -> List.map fst (S.respond st inv)) states with
+  | ([] | [ _ ]) as vs -> vs  (* sorted already; skip [sort_uniq]'s closures *)
+  | vs -> List.sort_uniq Value.compare vs
 
+(* State-sets are sorted, duplicate-free lists ({!Spec.step_states}), so
+   a manager holds no functor instance of its own: it costs what its
+   states and operations cost, whatever the number of objects of its
+   type. *)
 let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
-  let module E = Explore.Make (S) in
+  let step = Spec.step_states (module S) and after = Spec.after_states (module S) in
   let obj = Spec.name spec in
   let meta = ref None in
   (* The live suffix: [(tid, op)] entries of non-aborted transactions in
@@ -73,13 +78,13 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
      belongs to every future UIP view: no abort can remove it.  That
      prefix is folded into [base], and [current] is always [base] stepped
      through the suffix. *)
-  let base = ref E.initial_set in
-  let current = ref E.initial_set in
+  let base = ref [ S.initial ] in
+  let current = ref !base in
   let front = ref [] and back = ref [] in
   let per_txn : (Tid.t, Op.t list) Hashtbl.t = Hashtbl.create 16 in
   let committed_log = ref [] (* newest first *) in
   let txn_ops tid = Option.value (Hashtbl.find_opt per_txn tid) ~default:[] in
-  let step_entry st (_, op) = E.step st op in
+  let step_entry st (_, op) = step st op in
   (* Fold the leading entries of finished transactions into [base].  Aborts
      drop their entries first, so every such entry is committed. *)
   let rec fold () =
@@ -100,10 +105,10 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
           fold ()
       | _ -> ()
   in
-  let responses _tid inv = candidate_responses (module S) (E.States.elements !current) inv in
+  let responses _tid inv = candidate_responses (module S) !current inv in
   let record tid op =
-    let next = E.step !current op in
-    if E.States.is_empty next then
+    let next = step !current op in
+    if next = [] then
       invalid_arg (Fmt.str "Recovery.record(UIP): illegal operation %a" Op.pp op);
     current := next;
     back := (tid, op) :: !back;
@@ -150,10 +155,10 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
         undone "replay";
         current := replayed ()
     | Some undo ->
-        let next = E.after !current undo in
+        let next = after !current undo in
         (* Fall back to replay if a compensating operation is not legal
            here (cannot happen for well-chosen inverses, but safety wins). *)
-        if E.States.is_empty next then begin
+        if next = [] then begin
           undone "replay";
           current := replayed ()
         end
@@ -170,8 +175,8 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
     if !committed_log <> [] || Hashtbl.length per_txn > 0 then
       Error { obj; reason = "restore(UIP): manager not fresh" }
     else begin
-      let next = E.after E.initial_set ops in
-      if ops <> [] && E.States.is_empty next then
+      let next = after [ S.initial ] ops in
+      if ops <> [] && next = [] then
         Error { obj; reason = "restore(UIP): replayed sequence not legal" }
       else begin
         base := next;
@@ -186,27 +191,27 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
   { kind = UIP; responses; record; commit; abort; restore; committed_ops; set_metrics }
 
 let create_du (Spec.Packed (module S) as spec) : t =
-  let module E = Explore.Make (S) in
+  let step = Spec.step_states (module S) and after = Spec.after_states (module S) in
   let obj = Spec.name spec in
   let meta = ref None in
-  let base = ref E.initial_set in
+  let base = ref [ S.initial ] in
   let intentions : (Tid.t, Op.t list) Hashtbl.t = Hashtbl.create 16 in
   let committed_log = ref [] (* newest first *) in
   let txn_ops tid = Option.value (Hashtbl.find_opt intentions tid) ~default:[] in
   (* A transaction's view is base (committed, in commit order) plus its own
      intentions — recomputed per call because the base advances whenever
      any other transaction commits. *)
-  let view tid = E.after !base (List.rev (txn_ops tid)) in
-  let responses tid inv = candidate_responses (module S) (E.States.elements (view tid)) inv in
+  let view tid = after !base (List.rev (txn_ops tid)) in
+  let responses tid inv = candidate_responses (module S) (view tid) inv in
   let record tid op =
-    if E.States.is_empty (E.step (view tid) op) then
+    if step (view tid) op = [] then
       invalid_arg (Fmt.str "Recovery.record(DU): illegal operation %a" Op.pp op);
     Hashtbl.replace intentions tid (op :: txn_ops tid)
   in
   let commit tid =
     let ops = List.rev (txn_ops tid) in
-    let next = E.after !base ops in
-    if ops <> [] && E.States.is_empty next then
+    let next = after !base ops in
+    if ops <> [] && next = [] then
       invalid_arg
         (Fmt.str
            "Recovery.commit(DU): intentions list of %a no longer applies \
@@ -226,8 +231,8 @@ let create_du (Spec.Packed (module S) as spec) : t =
     if !committed_log <> [] || Hashtbl.length intentions > 0 then
       Error { obj; reason = "restore(DU): manager not fresh" }
     else begin
-      let next = E.after E.initial_set ops in
-      if ops <> [] && E.States.is_empty next then
+      let next = after [ S.initial ] ops in
+      if ops <> [] && next = [] then
         Error { obj; reason = "restore(DU): replayed sequence not legal" }
       else begin
         base := next;

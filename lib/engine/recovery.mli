@@ -25,7 +25,15 @@
 
     A manager only answers {e which responses are legal}; conflict
     checking lives in {!Lock_table} and the two are combined by
-    {!Atomic_object}. *)
+    {!Atomic_object}.
+
+    State-sets (the base, UIP's current state, a DU view) are sorted,
+    duplicate-free lists stepped by {!Tm_core.Spec.step_states}: the same
+    states in the same [compare_state] order as a [Set] would hold, but
+    without a [Set]/[Map] functor instance per manager.  A fresh manager
+    therefore costs a few closures and one per-transaction table, shared
+    type machinery excluded, whatever the number of objects of its
+    type. *)
 
 open Tm_core
 

@@ -64,11 +64,21 @@ type sink = {
   sink_attach : Metrics.t -> unit;
 }
 
+(* Handles into the attached registry.  Each is resolved on its first
+   event and reused after that, so an append or force bumps a field
+   instead of searching the registry, and a series is still registered
+   only once it has something to count. *)
+type meters = {
+  reg : Metrics.t;
+  appends : Metrics.counter option array;  (* tm_wal_appends_total, by [kind_index] *)
+  mutable forces : (Metrics.counter * Metrics.counter * Metrics.histogram) option;
+}
+
 type t = {
   mutable records_rev : record list;
   mutable count : int;
   mutable truncated : int;
-  mutable metrics : Metrics.t option;
+  mutable metrics : meters option;
   mutable sink : sink option;
   (* --- durability pipeline state (group commit) ---
      Appends are assigned monotone LSNs (1-based, counting every append
@@ -125,10 +135,25 @@ let set_sink t sink =
      storage holds, so the watermark starts there. *)
   t.flushed <- max t.flushed t.appended;
   t.commits_flushed <- max t.commits_flushed t.commits_appended;
-  match t.metrics with None -> () | Some reg -> sink.sink_attach reg
+  match t.metrics with None -> () | Some m -> sink.sink_attach m.reg
+
+let record_kinds =
+  [| "begin"; "operation"; "commit"; "abort"; "checkpoint"; "truncate_intent"; "prepare"; "decision" |]
+
+let kind_index = function
+  | Begin _ -> 0
+  | Operation _ -> 1
+  | Commit _ -> 2
+  | Abort _ -> 3
+  | Checkpoint _ -> 4
+  | Truncate_intent _ -> 5
+  | Prepare _ -> 6
+  | Decision _ -> 7
+
+let record_kind r = record_kinds.(kind_index r)
 
 let attach_metrics t reg =
-  t.metrics <- Some reg;
+  t.metrics <- Some { reg; appends = Array.make (Array.length record_kinds) None; forces = None };
   Metrics.Gauge.set
     (Metrics.gauge reg "tm_wal_format_version")
     (float_of_int write_format_version);
@@ -146,12 +171,22 @@ let flushed_lsn t =
 let note_force t batch =
   match t.metrics with
   | None -> ()
-  | Some reg ->
-      Metrics.Counter.incr (Metrics.counter reg "tm_wal_forces_total");
-      Metrics.Counter.incr (Metrics.counter reg "tm_wal_group_commits_total");
-      Metrics.Histogram.observe_int
-        (Metrics.histogram reg "tm_wal_group_commit_batch")
-        batch
+  | Some m ->
+      let forces, group_commits, batches =
+        match m.forces with
+        | Some h -> h
+        | None ->
+            let h =
+              ( Metrics.counter m.reg "tm_wal_forces_total",
+                Metrics.counter m.reg "tm_wal_group_commits_total",
+                Metrics.histogram m.reg "tm_wal_group_commit_batch" )
+            in
+            m.forces <- Some h;
+            h
+      in
+      Metrics.Counter.incr forces;
+      Metrics.Counter.incr group_commits;
+      Metrics.Histogram.observe_int batches batch
 
 let force_upto t lsn =
   match t.sink with
@@ -208,16 +243,6 @@ let mark_all_flushed t =
   t.commits_flushed <- max t.commits_flushed t.commits_appended;
   Mutex.unlock t.flush_lock
 
-let record_kind = function
-  | Begin _ -> "begin"
-  | Operation _ -> "operation"
-  | Commit _ -> "commit"
-  | Abort _ -> "abort"
-  | Checkpoint _ -> "checkpoint"
-  | Truncate_intent _ -> "truncate_intent"
-  | Prepare _ -> "prepare"
-  | Decision _ -> "decision"
-
 let append t r =
   t.records_rev <- r :: t.records_rev;
   t.count <- t.count + 1;
@@ -232,13 +257,23 @@ let append t r =
   Mutex.unlock t.flush_lock;
   match t.metrics with
   | None -> ()
-  | Some reg -> (
-      Metrics.Counter.incr
-        (Metrics.counter reg "tm_wal_appends_total" ~labels:[ ("kind", record_kind r) ]);
+  | Some m -> (
+      let i = kind_index r in
+      let appends =
+        match m.appends.(i) with
+        | Some c -> c
+        | None ->
+            let c =
+              Metrics.counter m.reg "tm_wal_appends_total" ~labels:[ ("kind", record_kinds.(i)) ]
+            in
+            m.appends.(i) <- Some c;
+            c
+      in
+      Metrics.Counter.incr appends;
       match r with
       | Checkpoint cp ->
           Metrics.Histogram.observe_int
-            (Metrics.histogram reg "tm_wal_checkpoint_ops")
+            (Metrics.histogram m.reg "tm_wal_checkpoint_ops")
             (List.length cp.committed)
       | Begin _ | Operation _ | Commit _ | Abort _ | Truncate_intent _
       | Prepare _ | Decision _ ->
@@ -279,9 +314,9 @@ let truncate_to_checkpoint t =
         t.truncated <- t.truncated + dropped;
         match t.metrics with
         | None -> ()
-        | Some reg ->
+        | Some m ->
             Metrics.Counter.incr ~by:dropped
-              (Metrics.counter reg "tm_wal_truncated_records_total")
+              (Metrics.counter m.reg "tm_wal_truncated_records_total")
       end;
       dropped
 

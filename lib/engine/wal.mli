@@ -145,7 +145,10 @@ val mark_all_flushed : t -> unit
     [tm_wal_checkpoint_ops] histogram and counts records dropped by
     {!truncate_to_checkpoint} as [tm_wal_truncated_records_total].
     {!Durable_database.create} attaches its database registry
-    automatically; a log rebuilt by {!prefix} keeps the attachment. *)
+    automatically; a log rebuilt by {!prefix} keeps the attachment.
+    Per-append and per-force series are looked up in [reg] once, on
+    their first event, and bumped through the cached handle after
+    that. *)
 val attach_metrics : t -> Tm_obs.Metrics.t -> unit
 
 val append : t -> record -> unit

@@ -362,6 +362,168 @@ let uip_refinement_props =
       ~spec:BA.spec ~conflict:BA.nrbc_conflict ();
   ]
 
+(* A semiqueue whose [take] removes some item and answers only [ok]: after
+   [enq 1; enq 2; take] the object is in {[1]} or {[2]}, so unlike the
+   plain semiqueue (where the response names the item) its state-sets
+   hold several states.  Only enqueues commute, so the relation that
+   lets everything else conflict contains both NFC and NRBC. *)
+let blind_semiqueue, blind_semiqueue_conflict =
+  let module SQ = Tm_adt.Semiqueue in
+  let module Blind = struct
+    include SQ.S
+
+    let respond s (inv : Op.invocation) =
+      match inv.name with
+      | "take" -> List.map (fun (_, s') -> (Value.ok, s')) (SQ.S.respond s (Op.invocation "deq"))
+      | _ -> SQ.S.respond s inv
+
+    let generators = SQ.S.generators @ [ Op.make ~obj:SQ.S.name "take" Value.ok ]
+  end in
+  let is_enq (op : Op.t) = op.inv.name = "enq" in
+  ( Spec.rename (Spec.pack (module Blind)) "BSQ",
+    Conflict.make ~name:"BSQ-all-but-enq" (fun ~requested ~held ->
+        not (is_enq requested && is_enq held)) )
+
+(* List state-sets refine the [Explore.Make] sets they replaced.  A random
+   schedule of record, commit and abort steps, with [restore] attempts
+   among them, drives a [Recovery] manager and the [Recovery_reference]
+   manager of the same kind.  A lock table under a conflict relation
+   correct for the recovery method decides which responses a transaction
+   may take, so every schedule is one the engine could run.  After every
+   step both managers must give the same responses to every invocation,
+   for every live transaction and a fresh observer, and hold the same
+   committed operations; each restore must succeed in both or fail in
+   both. *)
+let state_set_refinement_run ?inverse kind ~spec ~conflict seed =
+  let rng = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let r = Recovery.create ?inverse kind spec in
+  let oracle =
+    match kind with
+    | Recovery.UIP -> Recovery_reference.create_uip ?inverse spec
+    | Recovery.DU -> Recovery_reference.create_du spec
+  in
+  let locks = Lock_table.create conflict in
+  let invs =
+    List.sort_uniq Op.compare_invocation
+      (List.map (fun (op : Op.t) -> op.inv) (Spec.generators spec))
+  in
+  (* A legal committed sequence: one transaction's random walk. *)
+  let restorable () =
+    let w = Recovery.create Recovery.DU spec in
+    for _ = 1 to Random.State.int rng 12 do
+      let inv = pick invs in
+      match Recovery.responses w Tid.a inv with
+      | [] -> ()
+      | vs -> Recovery.record w Tid.a { Op.obj = Spec.name spec; inv; res = pick vs }
+    done;
+    Recovery.commit w Tid.a;
+    Recovery.committed_ops w
+  in
+  let values = Fmt.(brackets (list ~sep:semi Value.pp)) in
+  let same step live =
+    List.iter
+      (fun tid ->
+        List.iter
+          (fun inv ->
+            let got = Recovery.responses r tid inv and want = oracle.responses tid inv in
+            if not (List.equal Value.equal got want) then
+              Alcotest.failf "seed %d, step %d: %a for %a answers %a, the reference %a" seed step
+                Op.pp_invocation inv Tid.pp tid values got values want)
+          invs)
+      (Tid.of_int 1_000_000 :: live);
+    if not (List.equal Op.equal (Recovery.committed_ops r) (oracle.committed_ops ())) then
+      Alcotest.failf "seed %d, step %d: committed ops differ from the reference" seed step
+  in
+  let live = ref [] and fresh = ref 1 in
+  let finish tid =
+    Lock_table.release locks tid;
+    live := List.filter (fun t -> not (Tid.equal t tid)) !live
+  in
+  for step = 1 to 150 do
+    (match Random.State.int rng 20 with
+    | 0 | 1 ->
+        let ops = restorable () in
+        let a = Recovery.restore r ops and b = oracle.restore ops in
+        if Result.is_ok a <> Result.is_ok b then
+          Alcotest.failf "seed %d, step %d: restore %s here, %s in the reference" seed step
+            (if Result.is_ok a then "succeeds" else "fails")
+            (if Result.is_ok b then "succeeds" else "fails")
+    | n when n < 13 || !live = [] ->
+        let tid =
+          if !live = [] || (List.length !live < 4 && Random.State.bool rng) then begin
+            incr fresh;
+            Tid.of_int !fresh
+          end
+          else pick !live
+        in
+        let inv = pick invs in
+        let enabled =
+          List.filter_map
+            (fun res ->
+              let op = { Op.obj = Spec.name spec; inv; res } in
+              if Lock_table.blockers locks ~requested:op ~tid = [] then Some op else None)
+            (Recovery.responses r tid inv)
+        in
+        if enabled <> [] then begin
+          let op = pick enabled in
+          Recovery.record r tid op;
+          oracle.record tid op;
+          Lock_table.add locks tid op;
+          if not (List.exists (Tid.equal tid) !live) then live := tid :: !live
+        end
+    | n when n < 17 ->
+        let tid = pick !live in
+        Recovery.commit r tid;
+        oracle.commit tid;
+        finish tid
+    | _ ->
+        let tid = pick !live in
+        Recovery.abort r tid;
+        oracle.abort tid;
+        finish tid);
+    same step !live
+  done;
+  true
+
+let prop_state_sets_refine name ?inverse kind ~spec ~conflict =
+  Helpers.qcheck ~count:25 name QCheck2.Gen.int
+    (state_set_refinement_run ?inverse kind ~spec ~conflict)
+
+let state_set_refinement_props =
+  let module SQ = Tm_adt.Semiqueue in
+  [
+    prop_state_sets_refine "state-sets BA/UIP/inverse = Explore"
+      ~inverse:BA.inverse Recovery.UIP ~spec:BA.spec ~conflict:BA.nrbc_conflict;
+    prop_state_sets_refine "state-sets BA/UIP/replay = Explore" Recovery.UIP
+      ~spec:BA.spec ~conflict:BA.nrbc_conflict;
+    prop_state_sets_refine "state-sets BA/DU = Explore" Recovery.DU ~spec:BA.spec
+      ~conflict:BA.nfc_conflict;
+    prop_state_sets_refine "state-sets SQ/UIP = Explore" Recovery.UIP
+      ~spec:SQ.spec ~conflict:SQ.nrbc_conflict;
+    prop_state_sets_refine "state-sets SQ/DU = Explore" Recovery.DU ~spec:SQ.spec
+      ~conflict:SQ.nfc_conflict;
+    prop_state_sets_refine "state-sets blind SQ/UIP = Explore" Recovery.UIP
+      ~spec:blind_semiqueue ~conflict:blind_semiqueue_conflict;
+    prop_state_sets_refine "state-sets blind SQ/DU = Explore" Recovery.DU
+      ~spec:blind_semiqueue ~conflict:blind_semiqueue_conflict;
+  ]
+
+(* The blind semiqueue really reaches a state-set of two states: after
+   [enq 1; enq 2; take] either item may remain, so [deq] may answer
+   either, in both kinds of manager. *)
+let test_several_states () =
+  let enq x = Op.make ~obj:"BSQ" ~args:[ Value.int x ] "enq" Value.ok in
+  List.iter
+    (fun kind ->
+      let r = Recovery.create kind blind_semiqueue in
+      List.iter (Recovery.record r Tid.a) [ enq 1; enq 2; Op.make ~obj:"BSQ" "take" Value.ok ];
+      Alcotest.(check (list Helpers.value))
+        (Fmt.str "%a: deq answers either item" Recovery.pp_kind kind)
+        [ Value.int 1; Value.int 2 ]
+        (Recovery.responses r Tid.a (Op.invocation "deq")))
+    [ Recovery.UIP; Recovery.DU ]
+
 (* History independence: after 10^4 committed transactions, an abort that
    cannot compensate replays only the live suffix, not the history.  The
    spec counts its [respond] calls, one per state stepped.  Consecutive
@@ -518,6 +680,73 @@ let test_finished_txn_rejected () =
     (Invalid_argument "Database: transaction A already finished") (fun () ->
       ignore (Database.invoke db a ~obj:"BA" (deposit_inv 1)))
 
+(* What an object costs: a fresh locking account is its lock table, its
+   recovery manager and their closures, with no functor instance of its
+   own and no validation tables.  The marginal reachable words over 101
+   vs 1 objects cancel out what the objects share (the type, the conflict
+   relation). *)
+let test_fresh_object_footprint () =
+  let accounts n =
+    List.init n (fun i ->
+        Atomic_object.create ~inverse:BA.inverse
+          ~spec:(Spec.rename BA.spec (Fmt.str "BA%d" i))
+          ~conflict:BA.nrbc_conflict ~recovery:Recovery.UIP ())
+  in
+  let words n = Obj.reachable_words (Obj.repr (accounts n)) in
+  let per_object = (words 101 - words 1) / 100 in
+  Helpers.check_bool (Fmt.str "a fresh account costs %d words (at most 300)" per_object) true
+    (per_object <= 300)
+
+(* Validation is the same loop on both commit paths: a durable optimistic
+   transaction that fails validation at two objects gets the same
+   [(obj, mine, theirs)] as through [Database.try_commit] — the first
+   failing object in first-touch order, not in registration order — and
+   logs its Abort. *)
+let test_durable_validation_matches () =
+  let module DD = Tm_engine.Durable_database in
+  let module Wal = Tm_engine.Wal in
+  let fresh () =
+    List.map
+      (fun name ->
+        Atomic_object.create_optimistic ~spec:(Spec.rename BA.spec name)
+          ~conflict:BA.nfc_conflict)
+      [ "BA0"; "BA1" ]
+  in
+  (* [a] reads both accounts empty, touching BA1 first; [b] then deposits
+     into both and commits, so [a]'s refused withdrawals are stale. *)
+  let run ~begin_txn ~invoke ~try_commit =
+    let a = begin_txn () and b = begin_txn () in
+    List.iter (fun obj -> ignore (invoke a obj (withdraw_inv 1))) [ "BA1"; "BA0" ];
+    List.iter (fun obj -> ignore (invoke b obj (deposit_inv 1))) [ "BA0"; "BA1" ];
+    (match try_commit b with Ok () -> () | Error _ -> Alcotest.fail "b must commit");
+    (a, try_commit a)
+  in
+  let db = Database.create (fresh ()) in
+  let _, plain =
+    run
+      ~begin_txn:(fun () -> Database.begin_txn db)
+      ~invoke:(fun tid obj inv -> Database.invoke db tid ~obj inv)
+      ~try_commit:(Database.try_commit db)
+  in
+  let wal = Wal.create () in
+  let dd = DD.create ~wal (fresh ()) in
+  let a, durable =
+    run
+      ~begin_txn:(fun () -> DD.begin_txn dd)
+      ~invoke:(fun tid obj inv -> DD.invoke dd tid ~obj inv)
+      ~try_commit:(DD.try_commit dd)
+  in
+  let verdict = Alcotest.(result unit (triple string Helpers.op Helpers.op)) in
+  let on obj (op : Op.t) = { op with obj } in
+  Alcotest.check verdict "plain verdict"
+    (Error ("BA1", on "BA1" (BA.withdraw_no 1), on "BA1" (dep 1)))
+    plain;
+  Alcotest.check verdict "durable verdict = plain verdict" plain durable;
+  Helpers.check_bool "the Abort is logged last" true
+    (match List.rev (Wal.records wal) with
+    | Wal.Abort t :: _ -> Tid.equal t a
+    | _ -> false)
+
 (* Property: random single-object engine runs (UIP and DU) always record
    dynamic-atomic histories and pass the commit-order replay check. *)
 let random_engine_run recovery seed =
@@ -601,7 +830,9 @@ let suite =
     Alcotest.test_case "inverse undo (counter)" `Quick test_inverse_undo_counter;
   ]
   @ uip_refinement_props
+  @ state_set_refinement_props
   @ [
+    Alcotest.test_case "state-sets with several states" `Quick test_several_states;
     Alcotest.test_case "UIP abort is history-independent" `Quick
       test_uip_abort_history_independent;
     Alcotest.test_case "deadlock cycle" `Quick test_deadlock_cycle;
@@ -612,5 +843,8 @@ let suite =
     Alcotest.test_case "database deadlock" `Quick test_database_deadlock_and_abort;
     Alcotest.test_case "multi-object commit" `Quick test_database_multi_object_commit;
     Alcotest.test_case "finished txn rejected" `Quick test_finished_txn_rejected;
+    Alcotest.test_case "fresh object footprint" `Quick test_fresh_object_footprint;
+    Alcotest.test_case "durable validation = plain validation" `Quick
+      test_durable_validation_matches;
     prop_engine_histories_dynamic_atomic;
   ]
