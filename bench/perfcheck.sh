@@ -11,6 +11,11 @@
 #    shards) and fails unless it is correct and the engine keeps at most
 #    6.0 MB reachable (live_heap_mb).  A per-object functor instance or
 #    per-object validation tables on locking objects fail it.
+# 3. What a log record costs: runs restart (load and recover a ~1 MB
+#    log image, then append to it) and fails unless it is correct and
+#    allocates at most 400 words per transaction (alloc_words_per_txn).
+#    A codec that copies each payload, boxes an int32 per CRC byte or
+#    builds each frame twice fails it (about 1029 words).
 #
 # Every count is host-invariant (bench/perf/run.sh pins the GC
 # parameters, and live_heap_mb is Obj.reachable_words), so the verdict
@@ -24,6 +29,7 @@ run() {
 uip=$(run hotspot_uip)
 du=$(run hotspot_du)
 xfer=$(run transfer_2pc)
+restart=$(run restart)
 
 verdict=$(jq -rn --argjson u "$uip" --argjson d "$du" '
   def ratio(k): $u.metrics[k].value / $d.metrics[k].value;
@@ -43,4 +49,11 @@ footprint=$(jq -rn --argjson x "$xfer" '
     + " live_heap_mb \($mb) (max 6.0)"')
 echo "perfcheck footprint $footprint"
 
-[[ $verdict == ok* && $footprint == ok* ]]
+codec=$(jq -rn --argjson r "$restart" '
+  $r.metrics.alloc_words_per_txn.value as $w
+  | (if $r.correct and $r.failed == 0 and $w <= 400 then "ok" else "FAIL" end)
+    + ": restart correct \($r.correct), failed \($r.failed),"
+    + " alloc_words_per_txn \($w) (max 400)"')
+echo "perfcheck codec $codec"
+
+[[ $verdict == ok* && $footprint == ok* && $codec == ok* ]]

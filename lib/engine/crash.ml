@@ -949,9 +949,7 @@ let torture_sharded ~shards:n ~rebuild ~drive () =
      first record this shard lost. *)
   let byte_cuts = ref 0 in
   for s = 0 to n - 1 do
-    let bytes =
-      String.concat "" (List.map (Wal.Codec.encode ~shard:s) full.(s))
-    in
+    let bytes = Wal.Codec.encode_all ~shard:s full.(s) in
     let times = Array.of_list (List.map fst indexed.(s)) in
     let prev_count = ref (-1) in
     for cutb = 0 to String.length bytes do

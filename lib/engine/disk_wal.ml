@@ -162,15 +162,13 @@ let find_journal bytes =
      written by any supported version is at least this long. *)
   let min_intent_frame = Wal.Codec.min_header_size + intent_payload in
   (* An intent frame of either version: the header parses, the payload
-     is intent-sized and the tag byte is the intent's.  [read_header]
+     is intent-sized and the tag byte is the intent's.  [check_header]
      is the version dispatch, so a journal written by a v1 binary is
-     found by a v2 one and vice versa. *)
+     found by a v2 one and vice versa; it allocates nothing, so a
+     candidate that fails costs no [result]. *)
   let plausible p =
-    match Wal.Codec.read_header bytes p with
-    | Error _ -> false
-    | Ok h ->
-        h.Wal.Codec.h_payload_len = intent_payload
-        && bytes.[p + h.Wal.Codec.h_size] = '\005'
+    Wal.Codec.check_header bytes p = intent_payload
+    && bytes.[p + Wal.Codec.header_size (Char.code bytes.[p + 2])] = '\005'
   in
   let rec scan pos =
     if pos + min_intent_frame > total then No_journal

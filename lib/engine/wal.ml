@@ -600,71 +600,117 @@ module Codec = struct
      before it can even read the version byte and dispatch. *)
   let min_header_size = 11
 
-  (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320). *)
+  (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).  The table
+     and the running value are plain [int]s, so no step boxes an [int32]
+     and a CRC allocates nothing. *)
   let crc_table =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref (Int32.of_int n) in
-           for _ = 0 to 7 do
-             c :=
-               if Int32.logand !c 1l <> 0l then
-                 Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-               else Int32.shift_right_logical !c 1
-           done;
-           !c))
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
 
-  let crc32 s =
-    let table = Lazy.force crc_table in
-    let c = ref 0xFFFFFFFFl in
-    String.iter
-      (fun ch ->
-        c :=
-          Int32.logxor
-            table.(Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl))
-            (Int32.shift_right_logical !c 8))
-      s;
-    Int32.logxor !c 0xFFFFFFFFl
+  (* The CRC of the [len] bytes of [b] from [off], as an unsigned 32-bit
+     [int]. *)
+  let crc32_bytes b off len =
+    if off < 0 || len < 0 || off > Bytes.length b - len then
+      invalid_arg "Wal.Codec.crc32_bytes";
+    let c = ref 0xFFFFFFFF in
+    for i = off to off + len - 1 do
+      c :=
+        Array.unsafe_get crc_table ((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
+        lxor (!c lsr 8)
+    done;
+    !c lxor 0xFFFFFFFF
 
-  (* --- payload writer --- *)
+  (* The CRC over a slice of a string, in place: the bytes are only
+     read, which is what makes [Bytes.unsafe_of_string] sound. *)
+  let crc32_sub s off len = crc32_bytes (Bytes.unsafe_of_string s) off len
+  let crc32 s = Int32.of_int (crc32_sub s 0 (String.length s))
 
-  let put_int b i = Buffer.add_int64_le b (Int64.of_int i)
-  let put_string b s = put_int b (String.length s); Buffer.add_string b s
-  let put_list put b l = put_int b (List.length l); List.iter (put b) l
-  let put_tid b tid = put_int b (Tid.to_int tid)
+  (* --- payload writer ---
 
-  let rec put_value b = function
-    | Value.Unit -> Buffer.add_char b '\000'
-    | Value.Bool false -> Buffer.add_char b '\001'
-    | Value.Bool true -> Buffer.add_char b '\002'
-    | Value.Int i -> Buffer.add_char b '\003'; put_int b i
-    | Value.Str s -> Buffer.add_char b '\004'; put_string b s
-    | Value.List l -> Buffer.add_char b '\005'; put_list put_value b l
+     A frame is sized before it is written: the [*_size] functions walk
+     a record without allocating, and the [put_*] functions write it
+     into [Bytes] of exactly that size, each returning the position
+     after what it wrote.  Integers are 8-byte little-endian, strings
+     and lists carry their length first. *)
 
-  let put_op b (op : Op.t) =
-    put_string b op.obj;
-    put_string b op.inv.Op.name;
-    put_list put_value b op.inv.Op.args;
-    put_value b op.res
+  let rec sum_sizes size acc = function
+    | [] -> acc
+    | x :: l -> sum_sizes size (acc + size x) l
 
-  let put_record b = function
-    | Begin tid -> Buffer.add_char b '\000'; put_tid b tid
-    | Operation (tid, op) -> Buffer.add_char b '\001'; put_tid b tid; put_op b op
-    | Commit tid -> Buffer.add_char b '\002'; put_tid b tid
-    | Abort tid -> Buffer.add_char b '\003'; put_tid b tid
+  let string_size s = 8 + String.length s
+  let list_size size l = sum_sizes size 8 l
+
+  let rec value_size = function
+    | Value.Unit | Value.Bool _ -> 1
+    | Value.Int _ -> 9
+    | Value.Str s -> 1 + string_size s
+    | Value.List l -> 1 + list_size value_size l
+
+  let op_size (op : Op.t) =
+    string_size op.obj
+    + string_size op.inv.Op.name
+    + list_size value_size op.inv.Op.args
+    + value_size op.res
+
+  let live_size (_, ops) = 8 + list_size op_size ops
+
+  (* Payload bytes of [r]: its tag byte and body. *)
+  let record_size = function
+    | Begin _ | Commit _ | Abort _ | Prepare _ -> 9
+    | Operation (_, op) -> 9 + op_size op
+    | Checkpoint cp -> 1 + list_size op_size cp.committed + list_size live_size cp.live + 8
+    | Truncate_intent _ -> 17
+    | Decision _ -> 10
+
+  let put_byte b p c = Bytes.set b p c; p + 1
+  let put_int b p i = Bytes.set_int64_le b p (Int64.of_int i); p + 8
+
+  let put_string b p s =
+    let n = String.length s in
+    Bytes.blit_string s 0 b (put_int b p n) n;
+    p + 8 + n
+
+  let rec put_each put b p = function
+    | [] -> p
+    | x :: l -> put_each put b (put b p x) l
+
+  let put_list put b p l = put_each put b (put_int b p (List.length l)) l
+  let put_tid b p tid = put_int b p (Tid.to_int tid)
+
+  let rec put_value b p = function
+    | Value.Unit -> put_byte b p '\000'
+    | Value.Bool false -> put_byte b p '\001'
+    | Value.Bool true -> put_byte b p '\002'
+    | Value.Int i -> put_int b (put_byte b p '\003') i
+    | Value.Str s -> put_string b (put_byte b p '\004') s
+    | Value.List l -> put_list put_value b (put_byte b p '\005') l
+
+  let put_op b p (op : Op.t) =
+    let p = put_string b p op.obj in
+    let p = put_string b p op.inv.Op.name in
+    let p = put_list put_value b p op.inv.Op.args in
+    put_value b p op.res
+
+  let put_live b p (tid, ops) = put_list put_op b (put_tid b p tid) ops
+
+  let put_record b p = function
+    | Begin tid -> put_tid b (put_byte b p '\000') tid
+    | Operation (tid, op) -> put_op b (put_tid b (put_byte b p '\001') tid) op
+    | Commit tid -> put_tid b (put_byte b p '\002') tid
+    | Abort tid -> put_tid b (put_byte b p '\003') tid
     | Checkpoint cp ->
-        Buffer.add_char b '\004';
-        put_list put_op b cp.committed;
-        put_list (fun b (tid, ops) -> put_tid b tid; put_list put_op b ops) b cp.live;
-        put_int b cp.next_tid
+        let p = put_list put_op b (put_byte b p '\004') cp.committed in
+        let p = put_list put_live b p cp.live in
+        put_int b p cp.next_tid
     | Truncate_intent { old_len; new_len } ->
-        Buffer.add_char b '\005';
-        put_int b old_len;
-        put_int b new_len
-    | Prepare tid -> Buffer.add_char b '\006'; put_tid b tid
+        put_int b (put_int b (put_byte b p '\005') old_len) new_len
+    | Prepare tid -> put_tid b (put_byte b p '\006') tid
     | Decision { tid; commit } ->
-        Buffer.add_char b '\007';
-        put_tid b tid;
-        Buffer.add_char b (if commit then '\001' else '\000')
+        put_byte b (put_tid b (put_byte b p '\007') tid) (if commit then '\001' else '\000')
 
   (* Record kinds that postdate the v1 header: they may only travel
      under v2 frames, so a v1-only binary refuses them as a typed
@@ -675,7 +721,9 @@ module Codec = struct
     | Truncate_intent _ ->
         false
 
-  let encode ?(version = write_version) ?(shard = 0) r =
+  (* The bytes [r]'s frame occupies, after checking that [r] may travel
+     in a [version] frame of [shard]. *)
+  let frame_size ~version ~shard r =
     if not (is_supported version) then
       invalid_arg (Fmt.str "Wal.Codec.encode: unsupported version %d" version);
     if version = v1 && v2_only_record r then
@@ -686,27 +734,45 @@ module Codec = struct
       invalid_arg "Wal.Codec.encode: v1 frames carry no shard id";
     if shard < 0 || shard > 0xFFFF then
       invalid_arg (Fmt.str "Wal.Codec.encode: shard %d out of range" shard);
-    let payload = Buffer.create 64 in
-    put_record payload r;
-    let payload = Buffer.contents payload in
-    let b = Buffer.create (header_size version + String.length payload) in
-    Buffer.add_char b magic0;
-    Buffer.add_char b magic1;
-    Buffer.add_char b (Char.chr version);
-    if version = v2 then Buffer.add_uint16_le b shard;
-    Buffer.add_int32_le b (Int32.of_int (String.length payload));
-    Buffer.add_int32_le b (crc32 payload);
-    Buffer.add_string b payload;
-    Buffer.contents b
+    header_size version + record_size r
 
-  let encode_all ?version ?shard recs =
-    String.concat "" (List.map (fun r -> encode ?version ?shard r) recs)
+  (* Write [r]'s frame at [pos] of [b]: payload first, then the header
+     with the payload's length and CRC.  Returns the position after the
+     frame. *)
+  let put_frame b pos ~version ~shard r =
+    let start = pos + header_size version in
+    let stop = put_record b start r in
+    Bytes.set b pos magic0;
+    Bytes.set b (pos + 1) magic1;
+    Bytes.set b (pos + 2) (Char.chr version);
+    if version = v2 then Bytes.set_uint16_le b (pos + 3) shard;
+    Bytes.set_int32_le b (start - 8) (Int32.of_int (stop - start));
+    Bytes.set_int32_le b (start - 4) (Int32.of_int (crc32_bytes b start (stop - start)));
+    stop
 
-  (* --- payload reader --- *)
+  let encode ?(version = write_version) ?(shard = 0) r =
+    let size = frame_size ~version ~shard r in
+    let b = Bytes.create size in
+    let stop = put_frame b 0 ~version ~shard r in
+    assert (stop = size);
+    Bytes.unsafe_to_string b
+
+  let encode_all ?(version = write_version) ?(shard = 0) recs =
+    let total = List.fold_left (fun acc r -> acc + frame_size ~version ~shard r) 0 recs in
+    let b = Bytes.create total in
+    let stop = List.fold_left (fun pos r -> put_frame b pos ~version ~shard r) 0 recs in
+    assert (stop = total);
+    Bytes.unsafe_to_string b
+
+  (* --- payload reader ---
+
+     A reader walks the source string itself, bounded by [stop], the end
+     of the frame being decoded: no payload is copied, and no length
+     field, however wrong, can pull in a byte past the frame. *)
 
   exception Bad of string
 
-  type reader = { src : string; mutable pos : int; stop : int }
+  type reader = { src : string; mutable pos : int; mutable stop : int }
 
   let need r n = if r.stop - r.pos < n then raise (Bad "truncated payload")
 
@@ -725,7 +791,10 @@ module Codec = struct
   let get_string r = let n = get_len r in
     let s = String.sub r.src r.pos n in r.pos <- r.pos + n; s
 
-  let get_list get r = List.init (get_len r) (fun _ -> get r)
+  let[@tail_mod_cons] rec get_n get r n =
+    if n = 0 then [] else let x = get r in x :: get_n get r (n - 1)
+
+  let get_list get r = get_n get r (get_len r)
   let get_tid r = Tid.of_int (get_int r)
 
   let rec get_value r =
@@ -745,6 +814,8 @@ module Codec = struct
     let res = get_value r in
     { Op.obj; inv = { Op.name; args }; res }
 
+  let get_live r = let tid = get_tid r in (tid, get_list get_op r)
+
   let get_record r =
     match get_byte r with
     | 0 -> Begin (get_tid r)
@@ -753,7 +824,7 @@ module Codec = struct
     | 3 -> Abort (get_tid r)
     | 4 ->
         let committed = get_list get_op r in
-        let live = get_list (fun r -> let tid = get_tid r in (tid, get_list get_op r)) r in
+        let live = get_list get_live r in
         let next_tid = get_int r in
         Checkpoint { committed; live; next_tid }
     | 5 ->
@@ -789,58 +860,96 @@ module Codec = struct
     h_size : int;  (* header bytes before the payload *)
   }
 
-  (* Parse and validate one frame header at [pos] — the single
-     version-negotiation point every reader (decode, resync scan,
-     journal search, forensics) dispatches through.  No CRC is paid.
-     The corruption carries the frame's version byte whenever it was
-     readable — including a foreign version, so a reader can report
-     exactly which format it refused and where. *)
-  let read_header s pos =
+  (* The one header parse — the single version-negotiation point every
+     reader (decode, resync scan, journal search, forensics) dispatches
+     through.  [check_header s pos] validates the frame header at [pos]
+     and returns its payload length, or one of the negative codes below.
+     It pays no CRC and allocates nothing, so the decoders build no
+     [result] or [header] per frame. *)
+  let short_header = -1
+  let bad_magic = -2
+  let foreign_version = -3
+  let short_payload = -4
+
+  let check_header s pos =
     let len = String.length s in
-    let bad ?version reason = Error { offset = pos; version; reason } in
-    if len - pos < 3 then bad "truncated header"
-    else if s.[pos] <> magic0 || s.[pos + 1] <> magic1 then bad "bad magic"
+    if len - pos < 3 then short_header
+    else if s.[pos] <> magic0 || s.[pos + 1] <> magic1 then bad_magic
     else
       let v = Char.code s.[pos + 2] in
-      if not (is_supported v) then
-        bad ~version:v (Fmt.str "unsupported format version %d" v)
+      if not (is_supported v) then foreign_version
       else
         let h_size = header_size v in
-        if len - pos < h_size then bad ~version:v "truncated header"
+        if len - pos < h_size then short_header
         else
-          let h_shard =
-            if v = v1 then 0 else String.get_uint16_le s (pos + 3)
-          in
-          let len_off = if v = v1 then pos + 3 else pos + 5 in
-          let payload_len = Int32.to_int (String.get_int32_le s len_off) in
-          if payload_len < 0 || payload_len > len - pos - h_size then
-            bad ~version:v "truncated payload"
-          else Ok { h_version = v; h_shard; h_payload_len = payload_len; h_size }
+          (* the payload length sits just before the CRC *)
+          let n = Int32.to_int (String.get_int32_le s (pos + h_size - 8)) in
+          if n < 0 || n > len - pos - h_size then short_payload else n
 
-  (* Decode the frame starting at [pos]; [Ok (record, next_pos)] or the
-     reason it is unreadable.  With a profile, CRC verification is
-     charged to its own phase (the rest of the frame work is the
+  (* The corruption for a [check_header] failure [code] at [pos].  It
+     carries the frame's version byte whenever it was readable —
+     including a foreign version, so a reader can report exactly which
+     format it refused and where. *)
+  let header_error s pos code =
+    let version =
+      if code = bad_magic || String.length s - pos < 3 then None
+      else Some (Char.code s.[pos + 2])
+    in
+    let reason =
+      if code = short_header then "truncated header"
+      else if code = bad_magic then "bad magic"
+      else if code = foreign_version then
+        Fmt.str "unsupported format version %d" (Char.code s.[pos + 2])
+      else "truncated payload"
+    in
+    { offset = pos; version; reason }
+
+  let frame_error s pos reason =
+    { offset = pos; version = Some (Char.code s.[pos + 2]); reason }
+
+  let read_header s pos =
+    let n = check_header s pos in
+    if n < 0 then Error (header_error s pos n)
+    else
+      let v = Char.code s.[pos + 2] in
+      Ok
+        {
+          h_version = v;
+          h_shard = (if v = v1 then 0 else String.get_uint16_le s (pos + 3));
+          h_payload_len = n;
+          h_size = header_size v;
+        }
+
+  (* Verify and decode, in place, the frame at [pos] of [r.src], whose
+     header [check_header] accepted with payload length [n]: the CRC runs
+     over the source string and [r] is bounded by the frame's end, where
+     it leaves [r.stop].  Raises [Bad].  With a profile, CRC verification
+     is charged to its own phase (the rest of the frame work is the
      caller's to account). *)
+  let read_frame ?profile r pos n =
+    let s = r.src in
+    let start = pos + header_size (Char.code s.[pos + 2]) in
+    let expected = Int32.to_int (String.get_int32_le s (start - 4)) land 0xFFFFFFFF in
+    let actual =
+      match profile with
+      | None -> crc32_sub s start n
+      | Some p -> Profile.time p Profile.Checksum_verify (fun () -> crc32_sub s start n)
+    in
+    if actual <> expected then raise (Bad "crc mismatch");
+    r.pos <- start;
+    r.stop <- start + n;
+    let record = get_record r in
+    if r.pos <> r.stop then raise (Bad "trailing bytes in payload");
+    record
+
   let decode_frame ?profile s pos =
-    match read_header s pos with
-    | Error c -> Error c
-    | Ok h -> (
-        try
-          let expected = String.get_int32_le s (pos + h.h_size - 4) in
-          let payload = String.sub s (pos + h.h_size) h.h_payload_len in
-          let actual =
-            match profile with
-            | None -> crc32 payload
-            | Some p ->
-                Profile.time p Profile.Checksum_verify (fun () -> crc32 payload)
-          in
-          if actual <> expected then raise (Bad "crc mismatch");
-          let r = { src = payload; pos = 0; stop = h.h_payload_len } in
-          let record = get_record r in
-          if r.pos <> r.stop then raise (Bad "trailing bytes in payload");
-          Ok (record, pos + h.h_size + h.h_payload_len)
-        with Bad reason ->
-          Error { offset = pos; version = Some h.h_version; reason })
+    let n = check_header s pos in
+    if n < 0 then Error (header_error s pos n)
+    else
+      let r = { src = s; pos; stop = pos } in
+      match read_frame ?profile r pos n with
+      | record -> Ok (record, r.stop)
+      | exception Bad reason -> Error (frame_error s pos reason)
 
   (* Is there an intact frame anywhere at or after [pos]?  Used to
      classify a decode failure: damage followed by provably-written data
@@ -860,27 +969,25 @@ module Codec = struct
 
   let valid_frame_after ?(budget = default_probe_budget) s pos =
     let len = String.length s in
-    let budget = ref budget in
-    let rec resync pos =
+    let r = { src = s; pos; stop = pos } in
+    let rec resync budget pos =
       if pos + min_header_size > len then false
       else
         match String.index_from_opt s pos magic0 with
         | None -> false
         | Some p ->
             if p + min_header_size > len then false
-            else (
-              match read_header s p with
-              | Error _ -> resync (p + 1)
-              | Ok h ->
-                  if !budget <= 0 then true
-                  else begin
-                    budget := !budget - h.h_size - h.h_payload_len;
-                    match decode_frame s p with
-                    | Ok _ -> true
-                    | Error _ -> resync (p + 1)
-                  end)
+            else
+              let n = check_header s p in
+              if n < 0 then resync budget (p + 1)
+              else if budget <= 0 then true
+              else
+                match read_frame r p n with
+                | _ -> true
+                | exception Bad _ ->
+                    resync (budget - header_size (Char.code s.[p + 2]) - n) (p + 1)
     in
-    resync pos
+    resync budget pos
 
   type decoded = {
     records : record list;
@@ -889,28 +996,42 @@ module Codec = struct
         (** a trailing torn/corrupt frame that was dropped as crash loss *)
   }
 
+  (* One reader serves every frame, and the list is built in order
+     (tail modulo cons), so a decoded frame costs its record and one list
+     cell. *)
   let decode_all ?profile s =
     let len = String.length s in
-    let rec go acc pos =
-      if pos = len then Ok { records = List.rev acc; clean_bytes = pos; torn = None }
+    let r = { src = s; pos = 0; stop = 0 } in
+    let damage = ref None in
+    let[@tail_mod_cons] rec frames pos =
+      if pos = len then []
       else
-        match decode_frame ?profile s pos with
-        | Ok (r, next) ->
-            (match profile with None -> () | Some p -> Profile.note_frame p);
-            go (r :: acc) next
-        | Error c ->
-            (* Tail or interior?  A later intact frame proves bytes past
-               the damage were durably written, so the damage cannot be
-               an interrupted final append. *)
-            if valid_frame_after s (pos + 1) then Error c
-            else Ok { records = List.rev acc; clean_bytes = pos; torn = Some c }
+        let n = check_header s pos in
+        if n < 0 then (damage := Some (header_error s pos n); [])
+        else
+          match read_frame ?profile r pos n with
+          | record ->
+              (match profile with None -> () | Some p -> Profile.note_frame p);
+              record :: frames r.stop
+          | exception Bad reason -> (damage := Some (frame_error s pos reason); [])
+    in
+    let go () =
+      let records = frames 0 in
+      match !damage with
+      | None -> Ok { records; clean_bytes = len; torn = None }
+      | Some c ->
+          (* Tail or interior?  A later intact frame proves bytes past
+             the damage were durably written, so the damage cannot be
+             an interrupted final append. *)
+          if valid_frame_after s (c.offset + 1) then Error c
+          else Ok { records; clean_bytes = c.offset; torn = Some c }
     in
     match profile with
-    | None -> go [] 0
+    | None -> go ()
     | Some p ->
         let result =
           Profile.time_excluding p Profile.Frame_decode
-            ~minus:Profile.Checksum_verify (fun () -> go [] 0)
+            ~minus:Profile.Checksum_verify go
         in
         (match result with
         | Ok { clean_bytes; _ } -> Profile.note_torn_bytes p (len - clean_bytes)

@@ -269,7 +269,19 @@ val fuzzy_checkpoint : ?next_tid:int -> record list -> checkpoint
     one proves bytes beyond the damage were durably written, so it is
     {e interior corruption} and decoding returns an error carrying the
     byte offset and (when readable) the frame's version rather than
-    silently skipping records. *)
+    silently skipping records.
+
+    {b What the codec allocates.}  {!Codec.encode} sizes a record
+    before writing it, so a frame is one allocation: the returned
+    string, written once with its header, payload, length and CRC;
+    {!Codec.encode_all} writes every frame into one buffer of the total
+    size.  The CRC keeps its running value in an [int] and allocates
+    nothing.  {!Codec.decode_all} checks each CRC over the source string
+    in place and reads the payload there, bounded by the frame's end: it
+    copies no payload, and per frame it allocates only the decoded
+    record (its strings, lists and values) and one list cell.  None of
+    this shows in the bytes: every frame must match the plain two-buffer
+    encoder kept as the oracle in [test/codec_reference.ml]. *)
 module Codec : sig
   val v1 : int
   val v2 : int
@@ -298,11 +310,13 @@ module Codec : sig
 
   val magic1 : char
 
-  (** CRC-32 (IEEE), exposed for tests. *)
+  (** CRC-32 (IEEE), exposed for tests and the format document.  Only
+      the returned [int32] is allocated. *)
   val crc32 : string -> int32
 
   (** [encode r] is the full frame (header + payload) for [r], encoded
-      as [version] (default {!write_version}).  [shard] (default 0, v2
+      as [version] (default {!write_version}), written into one
+      allocation of exactly the frame's size.  [shard] (default 0, v2
       only) is the frame's shard id; encoding v1 demands [shard = 0].
       Encoding as {!v1} exists for the migration tests and the v1-log
       harvest — production writes are always {!write_version}.  Record
@@ -316,6 +330,8 @@ module Codec : sig
       ([Prepare], [Decision]). *)
   val v2_only_record : record -> bool
 
+  (** [encode_all recs] is the concatenation of the frames of [recs],
+      written into one allocation of the total size. *)
   val encode_all : ?version:int -> ?shard:int -> record list -> string
 
   type corruption = {
@@ -339,18 +355,27 @@ module Codec : sig
     h_size : int;  (** header bytes before the payload *)
   }
 
-  (** [read_header s pos] parses and validates the frame header at
-      [pos] (magic, supported version, plausible payload length — no
-      CRC).  Exposed for scanners that walk frames by extent
-      ({!Wal_inspect}'s histograms, {!Disk_wal}'s journal search and
-      mixed-version offset walk). *)
+  (** [check_header s pos] is the one header parse: it validates the
+      frame header at [pos] (magic, supported version, plausible payload
+      length — no CRC) and returns the payload length, or a negative
+      number when the header is unreadable.  It allocates nothing;
+      {!Disk_wal}'s journal search calls it on every magic byte. *)
+  val check_header : string -> int -> int
+
+  (** [read_header s pos] is {!check_header} with the parsed header, or
+      the corruption that makes it unreadable, as a [result].  Exposed
+      for scanners that walk frames by extent ({!Wal_inspect}'s
+      histograms, {!Disk_wal}'s mixed-version offset walk). *)
   val read_header : string -> int -> (header, corruption) result
 
   (** [decode_frame s pos] decodes the single frame starting at byte
       [pos]: [Ok (record, next_pos)] or the corruption that makes it
       unreadable.  The forensic walker ({!Wal_inspect}) uses this to
-      attribute each record to its byte extent.  With [profile], CRC
-      verification is charged to the [Checksum_verify] phase. *)
+      attribute each record to its byte extent.  The frame is checked
+      and read in place: no payload copy, and a payload-length field
+      that lies cannot pull a byte of a neighbouring frame into the
+      record.  With [profile], CRC verification is charged to the
+      [Checksum_verify] phase. *)
   val decode_frame :
     ?profile:Tm_obs.Recovery_profile.t ->
     string ->
@@ -376,7 +401,10 @@ module Codec : sig
   }
 
   (** [decode_all s] — [Ok] with the decoded records (and possibly a
-      truncated torn tail), or [Error] on interior corruption.  With
+      truncated torn tail), or [Error] on interior corruption.  Frames
+      are decoded in place as by {!decode_frame}, but with no per-frame
+      [Ok], header record or reader: a clean frame costs its record and
+      one list cell.  With
       [profile], frame decode and CRC verification are charged as
       separate phases, and decoded frames / torn bytes are counted. *)
   val decode_all :
