@@ -15,25 +15,28 @@ check:
 test:
 	dune runtest
 
-# Crash-injection torture: recover at every WAL append point across the
-# scenario matrix and fail on any recovery-invariant violation.
+# Crash-injection torture, generator "append": recover at every WAL
+# append point across the scenario matrix and fail on any violation of
+# the shared recovery battery (or if a generator yields no states).
 crashtest:
 	dune exec bin/crashtest.exe
 
-# Storage-fault torture with a fixed seed: byte-granularity crash cuts,
-# bit-flip corruption sweeps, batch-prefix cuts inside group-commit
-# batches, crash cuts inside a checkpoint-truncation journal (must roll
-# back or redo atomically), and a fault-injected storage run that must
-# match the fault-free one (torn writes / transient errors absorbed by
-# the WAL retry loop).
+# Storage-fault torture with a fixed seed, generators "bytes" (every
+# byte offset, batch-prefix and acked-durability checked inside
+# group-commit batches), "truncate" and "upgrade" (every byte state of
+# the checkpoint-truncation rewrite from v2 and from v1: must roll back
+# or redo atomically) and "flips" (bit-flip corruption detected or
+# contained), plus a fault-injected storage run that must match the
+# fault-free one (torn writes / transient errors absorbed by the WAL
+# retry loop).
 faulttest:
 	dune exec bin/crashtest.exe -- --fault --seed 11 --group-commit 4
 
 # Cross-shard 2PC torture: drive a 4-shard engine (30% and 100%
-# cross-shard mixes), then crash it at every forced-frontier state and
-# at every byte offset of every shard's log — no shard may ever install
-# a cross-shard transaction another shard aborted, and no commit
-# acknowledged after the forced decision may be lost.  Runs clean and
+# cross-shard mixes), generators "forced" (every forced-frontier state)
+# and "bytes" (every byte offset of every shard's log) — no shard may
+# ever install a cross-shard transaction another shard aborted, and no
+# commit acknowledged after the forced decision may be lost.  Runs clean and
 # with injected storage faults.
 shardtest:
 	dune exec bin/crashtest.exe -- --shards 4

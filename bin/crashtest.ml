@@ -1,21 +1,26 @@
-(* crashtest: crash-injection torture of WAL recovery.
+(* crashtest: crash-state enumeration over WAL recovery.
 
-   For each scenario x setup, a small concurrent workload is driven
-   through a Durable_database with a fuzzy checkpoint taken mid-run;
-   then Crash.torture crashes at every append point of the resulting
-   log and checks the three recovery invariants (replay legality /
-   dynamic atomicity, prefix stability, idempotence through a
-   post-recovery checkpoint + truncation).  Exits non-zero on any
-   violation, so CI can gate on it.
+   Each mode records workloads and runs every recording through the
+   Crash generators its flags select ([table] below); every crash state
+   a generator yields passes Crash's shared battery (replay legality,
+   dynamic atomicity, prefix stability, replay consistency, 2PC global
+   atomicity, idempotence).
 
-   --fault switches to storage-level torture of the on-disk format:
-   byte-granularity crash cuts over the encoded log, a bit-flip
-   corruption sweep (every damage must be detected as interior
-   corruption or contained as a torn tail), and a fault-injected run —
-   the same workload against storage dealing seeded torn writes and
-   transient errors — which must commit identical state to the
-   fault-free run, with the absorbed faults visible in
-   tm_storage_retries_total. *)
+   - default: the scenario x setup matrix, driven through a
+     Durable_database with a fuzzy checkpoint every few commits;
+     generator: append points;
+   - --fault: the same matrix over in-memory storage with batched
+     durability barriers; generators: byte cuts (batch-prefix and
+     acked-durability checked), checkpoint-truncation and v1->v2 upgrade
+     rewrites, bit flips — plus a run over storage dealing seeded torn
+     writes and transient errors, which must commit identical state;
+   - --shards N: a sharded engine at two cross-shard mixes; generators:
+     forced frontiers and byte cuts — plus disk-backed, fault and
+     in-doubt harvest legs.
+
+   Exits non-zero on any violation, and when a generator in the table
+   yields no crash state over the whole matrix, so a generator miswired
+   out of the table cannot pass CI. *)
 
 module Experiment = Tm_sim.Experiment
 module Scheduler = Tm_sim.Scheduler
@@ -73,170 +78,163 @@ let say ~verbose fmt =
     fmt
 
 (* ------------------------------------------------------------------ *)
-(* Default mode: record-granularity torture.                           *)
+(* The generator table.                                                *)
 
-let record_mode ~verbose ~record_trace cfg checkpoint_every scenarios =
-  let failures = ref 0 in
-  let total_cuts = ref 0 in
-  let total_checked = ref 0 in
+type sweep = rebuild:(unit -> Atomic_object.t list) -> Crash.recording -> Crash.report
+
+let enumerate gen : sweep = fun ~rebuild r -> Crash.enumerate ~rebuild (gen r)
+
+let table ~fault ~shards ~checkpoint_every : (string * sweep) list =
+  if shards > 0 then
+    [ ("forced", enumerate Crash.forced_frontiers); ("bytes", enumerate Crash.byte_cuts) ]
+  else if fault then
+    [ ("bytes", enumerate Crash.byte_cuts) ]
+    (* Without checkpoints there is nothing to truncate to. *)
+    @ (if checkpoint_every > 0 then
+         [ ("truncate", enumerate (Crash.rewrite ~from:Wal.Codec.write_version)) ]
+       else [])
+    @ [
+        ("upgrade", enumerate (Crash.rewrite ~from:Wal.Codec.v1));
+        ("flips", fun ~rebuild:_ r -> Crash.corruption_sweep r);
+      ]
+  else [ ("append", enumerate Crash.append_points) ]
+
+type total = {
+  mutable states : int;
+  mutable atomicity : int;
+  mutable evidence : int;
+  mutable failing : int;
+}
+
+(* Run every generator of [table] over every (label, rebuild, recording)
+   combination.  Returns the failure count — combinations with
+   violations, plus one per generator that yielded no state at all — and
+   the per-generator totals. *)
+let run_table ~verbose table combos =
+  let totals =
+    List.map (fun (name, _) -> (name, { states = 0; atomicity = 0; evidence = 0; failing = 0 })) table
+  in
   List.iter
-    (fun (scenario : Experiment.scenario) ->
-      List.iter
-        (fun setup ->
-          let row, wal =
-            Experiment.run_durable ~record_trace ~checkpoint_every scenario setup cfg
-          in
-          rows := row :: !rows;
-          last_log := Some (Wal.records wal);
-          let rebuild () = scenario.Experiment.build setup in
-          let report = Crash.torture ~rebuild wal in
-          total_cuts := !total_cuts + report.Crash.cuts;
-          total_checked := !total_checked + report.Crash.atomicity_checked;
-          if not (Crash.ok report) then incr failures;
-          say ~verbose:(verbose || not (Crash.ok report)) "%-24s %-10s %a"
-            scenario.Experiment.name (Experiment.label setup) Crash.pp_report report)
-        setups)
-    scenarios;
-  say ~verbose:true
-    "crashtest: %d scenario x setup combinations, %d crash points (%d \
-     atomicity-checked), %d with violations"
-    (List.length scenarios * List.length setups)
-    !total_cuts !total_checked !failures;
-  !failures
+    (fun (combo, rebuild, recording) ->
+      List.iter2
+        (fun (name, sweep) (_, t) ->
+          let r = sweep ~rebuild recording in
+          t.states <- t.states + r.Crash.states;
+          t.atomicity <- t.atomicity + r.Crash.atomicity_checked;
+          t.evidence <- t.evidence + r.Crash.evidence_checked;
+          if not (Crash.ok r) then t.failing <- t.failing + 1;
+          say ~verbose:(verbose || not (Crash.ok r)) "%s %-8s %a" combo name
+            Crash.pp_report r)
+        table totals)
+    combos;
+  let vacuous = List.filter (fun (_, t) -> t.states = 0) totals in
+  List.iter
+    (fun (name, _) -> say ~verbose:true "crashtest: generator %s yielded NO crash states" name)
+    vacuous;
+  (List.fold_left (fun n (_, t) -> n + t.failing) (List.length vacuous) totals, totals)
+
+let pp_totals =
+  Fmt.(
+    list ~sep:(any "; ") (fun ppf (name, t) ->
+        pf ppf "%s %d states (%d atomicity-checked, %d evidence checks)" name t.states
+          t.atomicity t.evidence))
 
 (* ------------------------------------------------------------------ *)
-(* --fault mode: byte-granularity cuts, corruption sweeps, and a
-   fault-injected storage run checked against the fault-free one.       *)
+(* Default and --fault modes: the scenario x setup matrix.             *)
 
-let fault_mode ~verbose ~record_trace cfg checkpoint_every seed
+let matrix_mode ~verbose ~record_trace ~fault table cfg checkpoint_every seed
     group_commit scenarios =
-  let failures = ref 0 in
-  let total_cuts = ref 0 in
-  let total_trunc_cuts = ref 0 in
-  let total_upgrade_cuts = ref 0 in
-  let total_batch_cuts = ref 0 in
-  let total_flips = ref 0 in
+  let runs =
+    List.concat_map
+      (fun (scenario : Experiment.scenario) ->
+        List.map
+          (fun setup ->
+            (* --fault drives onto real (in-memory-backed) storage through
+               the framing codec. *)
+            let wal =
+              if fault then Some (Disk_wal.wal (Disk_wal.create (Storage.memory ())))
+              else None
+            in
+            let row, wal =
+              Experiment.run_durable ~record_trace ?wal ~checkpoint_every ~group_commit
+                scenario setup cfg
+            in
+            rows := row :: !rows;
+            last_log := Some (Wal.records wal);
+            (scenario, setup, Wal.records wal))
+          setups)
+      scenarios
+  in
+  let combo (scenario : Experiment.scenario) setup =
+    Fmt.str "%-24s %-10s" scenario.Experiment.name (Experiment.label setup)
+  in
+  let failures, totals =
+    run_table ~verbose table
+      (List.map
+         (fun (scenario, setup, recs) ->
+           ( combo scenario setup,
+             (fun () -> scenario.Experiment.build setup),
+             Crash.of_log ~group_every:group_commit recs ))
+         runs)
+  in
+  let failures = ref failures in
   let total_retries = ref 0 in
   let total_faults = ref 0 in
-  List.iter
-    (fun (scenario : Experiment.scenario) ->
-      List.iter
-        (fun setup ->
-          let rebuild () = scenario.Experiment.build setup in
-          let combo = Fmt.str "%-24s %-10s" scenario.Experiment.name (Experiment.label setup) in
-
-          (* 1. Drive the workload onto real (in-memory-backed) storage
-             through the framing codec, fault-free, batching durability
-             every [group_commit] commits. *)
-          let clean_store = Storage.memory () in
-          let clean_dw = Disk_wal.create clean_store in
-          let row, wal =
-            Experiment.run_durable ~record_trace ~wal:(Disk_wal.wal clean_dw)
-              ~checkpoint_every ~group_commit scenario setup cfg
-          in
-          rows := row :: !rows;
-          last_log := Some (Wal.records wal);
-
-          (* 2. Byte-granularity crash cuts over the encoded log. *)
-          let report = Crash.torture_bytes ~rebuild wal in
-          total_cuts := !total_cuts + report.Crash.cuts;
-          if not (Crash.ok report) then incr failures;
-          say ~verbose:(verbose || not (Crash.ok report)) "%s bytes:  %a" combo
-            Crash.pp_report report;
-
-          (* 2a. Truncation torture: crash at every byte offset of the
-             crash-atomic log compaction (journal + install) and demand
-             the recovered state never changes. *)
-          let trunc = Crash.torture_truncation ~rebuild wal in
-          total_trunc_cuts := !total_trunc_cuts + trunc.Crash.cuts;
-          if not (Crash.ok trunc) then incr failures;
-          say ~verbose:(verbose || not (Crash.ok trunc)) "%s trunc:  %a" combo
-            Crash.pp_report trunc;
-
-          (* 2a'. Upgrade torture: the same compaction crash sweep, but
-             starting from the log encoded in the previous on-disk format
-             (v1) and rewriting it in the current one — every cut must
-             leave a readable mixed-version log that recovers to the same
-             state, with zero acknowledged commits lost. *)
-          let upg = Crash.torture_upgrade ~rebuild wal in
-          total_upgrade_cuts := !total_upgrade_cuts + upg.Crash.cuts;
-          if not (Crash.ok upg) then incr failures;
-          say ~verbose:(verbose || not (Crash.ok upg)) "%s upgrade: %a" combo
-            Crash.pp_report upg;
-
-          (* 2b. Batch-prefix torture: cuts inside a group-commit batch
-             must recover a prefix of the batch's commit order and never
-             lose a commit acknowledged at a flush frontier. *)
-          let batch = Crash.torture_batched ~group_every:group_commit wal in
-          total_batch_cuts := !total_batch_cuts + batch.Crash.byte_cuts;
-          if not (Crash.batch_ok batch) then incr failures;
-          say ~verbose:(verbose || not (Crash.batch_ok batch)) "%s batch:  %a" combo
-            Crash.pp_batch_report batch;
-
-          (* 3. Bit-flip corruption sweep: detected or contained, never
-             silent. *)
-          let sweep = Crash.corruption_sweep wal in
-          total_flips := !total_flips + sweep.Crash.flips;
-          if not (Crash.sweep_ok sweep) then incr failures;
-          say ~verbose:(verbose || not (Crash.sweep_ok sweep)) "%s flips:  %a" combo
-            Crash.pp_sweep_report sweep;
-
-          (* 4. The same workload against storage dealing seeded torn
-             writes and transient errors: the retry loop must absorb
-             them and commit the identical log. *)
-          let inner = Storage.memory () in
-          let faulty = Storage.faulty ~seed Storage.write_faults inner in
-          let faulty_dw = Disk_wal.create faulty in
-          let frow, fwal =
-            Experiment.run_durable ~wal:(Disk_wal.wal faulty_dw) ~checkpoint_every
-              ~group_commit scenario setup cfg
-          in
-          let retries =
-            Metrics.counter_value frow.Experiment.metrics "tm_storage_retries_total"
-          in
-          total_retries := !total_retries + retries;
-          total_faults := !total_faults + Storage.fault_count faulty;
-          let identical =
-            List.equal Wal.equal_record (Wal.records wal) (Wal.records fwal)
-          in
-          if not identical then begin
+  if fault then begin
+    (* The same workload against storage dealing seeded torn writes and
+       transient errors: the retry loop must absorb them and commit the
+       identical log. *)
+    List.iter
+      (fun (scenario, setup, recs) ->
+        let combo = combo scenario setup in
+        let inner = Storage.memory () in
+        let faulty = Storage.faulty ~seed Storage.write_faults inner in
+        let faulty_dw = Disk_wal.create faulty in
+        let frow, fwal =
+          Experiment.run_durable ~wal:(Disk_wal.wal faulty_dw) ~checkpoint_every
+            ~group_commit scenario setup cfg
+        in
+        let retries =
+          Metrics.counter_value frow.Experiment.metrics "tm_storage_retries_total"
+        in
+        total_retries := !total_retries + retries;
+        total_faults := !total_faults + Storage.fault_count faulty;
+        let identical = List.equal Wal.equal_record recs (Wal.records fwal) in
+        if not identical then begin
+          incr failures;
+          say ~verbose:true "%s faults: DIVERGED from fault-free run" combo
+        end;
+        (* The bytes that actually reached the (clean) inner store must
+           reload to the same log — torn prefixes were overwritten. *)
+        (match Disk_wal.load inner with
+        | Error c ->
             incr failures;
-            say ~verbose:true "%s faults: DIVERGED from fault-free run" combo
-          end;
-          (* The bytes that actually reached the (clean) inner store must
-             reload to the same log — torn prefixes were overwritten. *)
-          (match Disk_wal.load inner with
-          | Error c ->
+            say ~verbose:true "%s faults: persisted log CORRUPT: %a" combo
+              Wal.Codec.pp_corruption c
+        | Ok reloaded ->
+            if not (List.equal Wal.equal_record recs (Wal.records (Disk_wal.wal reloaded)))
+            then begin
               incr failures;
-              say ~verbose:true "%s faults: persisted log CORRUPT: %a" combo
-                Wal.Codec.pp_corruption c
-          | Ok reloaded ->
-              if
-                not
-                  (List.equal Wal.equal_record (Wal.records wal)
-                     (Wal.records (Disk_wal.wal reloaded)))
-              then begin
-                incr failures;
-                say ~verbose:true "%s faults: reloaded log DIVERGED" combo
-              end);
-          say ~verbose:(verbose && identical)
-            "%s faults: %d injected, %d retries, committed state identical" combo
-            (Storage.fault_count faulty) retries)
-        setups)
-    scenarios;
-  (* The sweep is vacuous if the fault dice never fired: fail loudly so a
-     mis-seeded CI run cannot pass by doing nothing. *)
-  if !total_retries = 0 then begin
-    incr failures;
-    say ~verbose:true "crashtest --fault: NO transient faults were injected/retried"
+              say ~verbose:true "%s faults: reloaded log DIVERGED" combo
+            end);
+        say ~verbose:(verbose && identical)
+          "%s faults: %d injected, %d retries, committed state identical" combo
+          (Storage.fault_count faulty) retries)
+      runs;
+    (* The sweep is vacuous if the fault dice never fired: fail loudly so a
+       mis-seeded CI run cannot pass by doing nothing. *)
+    if !total_retries = 0 then begin
+      incr failures;
+      say ~verbose:true "crashtest --fault: NO transient faults were injected/retried"
+    end
   end;
-  say ~verbose:true
-    "crashtest --fault: %d combinations, %d byte cuts (+%d truncation cuts, +%d \
-     upgrade cuts, +%d batch-prefix cuts, group commit %d), %d bit flips, %d \
-     faults injected, %d retries absorbed, %d failures"
-    (List.length scenarios * List.length setups)
-    !total_cuts !total_trunc_cuts !total_upgrade_cuts !total_batch_cuts
-    group_commit !total_flips !total_faults !total_retries !failures;
+  say ~verbose:true "crashtest%s: %d scenario x setup combinations; %a%s; %d failures"
+    (if fault then Fmt.str " --fault (group commit %d)" group_commit else "")
+    (List.length runs) pp_totals totals
+    (if fault then
+       Fmt.str "; %d faults injected, %d retries absorbed" !total_faults !total_retries
+     else "")
+    !failures;
   !failures
 
 (* ------------------------------------------------------------------ *)
@@ -311,22 +309,21 @@ let sharded_committed db =
     (Sharded_database.objects db)
 
 let sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault
-    ~audit_file () =
-  let failures = ref 0 in
+    ~audit_file table =
   let rebuild = sharded_rebuild ~shards in
-  (* Torture at two workload mixes: mostly-local (the fast path with
-     occasional 2PC) and all-cross (every commit is a 2PC). *)
-  List.iter
-    (fun cross_pct ->
-      let drive =
-        drive_sharded ~txns ~cross_pct ~checkpoint_every ~seed
-      in
-      let report = Crash.torture_sharded ~shards ~rebuild ~drive () in
-      if not (Crash.sharded_ok report) then incr failures;
-      say ~verbose:(verbose || not (Crash.sharded_ok report))
-        "sharded x%d cross=%d%%: %a" shards cross_pct Crash.pp_sharded_report
-        report)
-    [ 30; 100 ];
+  (* Two workload mixes: mostly-local (the fast path with occasional 2PC)
+     and all-cross (every commit is a 2PC). *)
+  let failures, totals =
+    run_table ~verbose table
+      (List.map
+         (fun cross_pct ->
+           ( Fmt.str "sharded x%d cross=%d%%" shards cross_pct,
+             rebuild,
+             Crash.of_drive ~shards ~rebuild
+               (drive_sharded ~txns ~cross_pct ~checkpoint_every ~seed) ))
+         [ 30; 100 ])
+  in
+  let failures = ref failures in
   (* Disk-backed leg: the same workload onto per-shard Disk_wals (every
      frame stamped with its shard id), reloaded and recovered. *)
   let run_disk ~wrap =
@@ -538,7 +535,8 @@ let sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault
           output_string oc (Two_phase.events_to_jsonl !audit_events));
       Fmt.pr "wrote 2PC audit trail to %s@." file)
     audit_file;
-  say ~verbose:true "crashtest --shards %d: %d failures" shards !failures;
+  say ~verbose:true "crashtest --shards %d: %a; %d failures" shards pp_totals totals
+    !failures;
   !failures
 
 let main filter txns concurrency seed checkpoint_every fault group_commit
@@ -566,14 +564,14 @@ let main filter txns concurrency seed checkpoint_every fault group_commit
     Fmt.epr "--audit requires --shards (the 2PC audit trail is sharded-only)@.";
     exit 1
   end;
+  let table = table ~fault ~shards ~checkpoint_every in
   let failures =
     if shards > 0 then
       sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault
-        ~audit_file ()
-    else if fault then
-      fault_mode ~verbose ~record_trace cfg checkpoint_every seed
+        ~audit_file table
+    else
+      matrix_mode ~verbose ~record_trace ~fault table cfg checkpoint_every seed
         group_commit scenarios
-    else record_mode ~verbose ~record_trace cfg checkpoint_every scenarios
   in
   (match report_file with
   | None -> ()
@@ -644,20 +642,23 @@ let fault_arg =
     value & flag
     & info [ "fault" ]
         ~doc:
-          "Storage-fault mode: byte-granularity crash cuts over the encoded \
-           log, a bit-flip corruption sweep, and a run over storage with \
-           seeded torn writes and transient errors that must match the \
-           fault-free run.")
+          "Storage-fault mode: generators bytes (every byte offset of the \
+           encoded log), truncate and upgrade (every byte state of the \
+           checkpoint-truncation rewrite, from v2 and from v1) and flips (a \
+           bit-flip corruption sweep), and a run over storage with seeded \
+           torn writes and transient errors that must match the fault-free \
+           run.")
 
 let group_commit_arg =
   Arg.(
     value & opt int 1
     & info [ "group-commit" ] ~docv:"N"
         ~doc:
-          "In --fault mode, batch the durability barrier every $(docv) commits \
-           when driving the workloads, and torture byte cuts inside each batch \
-           (recovery must admit exactly a prefix of the batch's commit order, \
-           and never lose a commit acknowledged at a flush frontier).")
+          "Batch the durability barrier every $(docv) commits when driving \
+           the scenario workloads; with $(b,--fault), byte cuts land inside \
+           each batch (recovery must admit exactly a prefix of the batch's \
+           commit order, and never lose a commit acknowledged at a flush \
+           frontier).")
 
 let report_arg =
   Arg.(
@@ -726,14 +727,15 @@ let shards_arg =
         ~doc:
           "Torture the sharded engine's cross-shard two-phase commit over \
            $(docv) shard WALs instead of the single-log scenarios: \
-           byte-granularity cuts of any shard's log, forced-frontier crash \
-           states spanning all of them, and a disk-backed leg checking \
-           shard-stamped frames reload and recover identically.  With \
+           generators forced (forced-frontier crash states spanning all the \
+           logs) and bytes (byte-granularity cuts of any shard's log), and a \
+           disk-backed leg checking shard-stamped frames reload and recover \
+           identically.  With \
            $(b,--fault), the workload additionally runs over per-shard \
            storage with seeded faults and must persist identical logs.")
 
 let cmd =
-  let doc = "crash at every WAL append point and check recovery invariants" in
+  let doc = "enumerate WAL crash states and check recovery against the specification" in
   Cmd.v
     (Cmd.info "crashtest" ~doc)
     Term.(

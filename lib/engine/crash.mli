@@ -1,45 +1,90 @@
-(** Crash-injection torture harness for WAL recovery.
+(** Crash-state enumerator for WAL recovery.
 
     The paper's thesis is that recovery and concurrency control must be
     designed together; this module adversarially exercises the join.  A
-    workload is driven through a {!Durable_database}; then, for {e every}
-    append point of the resulting log (every [Wal.prefix], i.e. every
-    possible torn tail), the harness crashes, recovers and checks three
-    invariants:
+    workload is recorded (one log, or the logs of a {!Sharded_database}
+    together with every append and durability barrier on one global
+    clock); a {e generator} turns the recording into crash states; and
+    one {e battery} recovers each state and checks it against the
+    specification, following Börger–Schewe–Wang's discipline (PAPERS.md)
+    of verifying recovery instead of trusting the implementation.
 
-    + {b replay legality / dynamic atomicity} — every object's restored
-      operation sequence is legal for its specification, and the history
-      the recovered prefix stands for (committed transactions in their
-      logged interleaving, crash losers aborted) passes the paper's
-      dynamic-atomicity checker;
-    + {b prefix stability} — the committed operation sequence at each
-      crash point extends the one at the previous crash point: one more
-      surviving record can never un-commit work (this is also what makes
-      a fuzzy checkpoint record a faithful snapshot of its prefix);
-    + {b idempotence} — recovering, taking a fuzzy checkpoint, truncating
-      the log to it and recovering again reproduces exactly the same
-      committed state and loser set.
+    A {b crash state} is a label plus one record list per shard — what
+    each shard's stable log holds after the crash; a single log is a
+    one-shard state.  The generators:
 
-    The checks follow Börger–Schewe–Wang's discipline (PAPERS.md) of
-    verifying recovery against the specification instead of trusting the
-    implementation. *)
+    - {!append_points}: every global append point — each shard keeps
+      everything appended before it;
+    - {!byte_cuts}: every byte offset of each shard's encoding — the
+      other shards keep their maximal consistent prefixes;
+    - {!forced_frontiers}: every distinct forced frontier — each shard
+      keeps exactly what its last completed barrier covered;
+    - {!rewrite}: every journal and install byte state of each shard's
+      checkpoint-truncation rewrite, from v2 or from v1;
+    - {!given}: hand-built states, each checked on its own.
+
+    Every state passes the same battery, after {e one} recovery through
+    {!Sharded_database.recover}:
+
+    + {b replay legality} — every object's restored sequence is legal
+      for its specification;
+    + {b dynamic atomicity} — each shard's resolved log, read as a
+      history ({!history_of_records}), passes the paper's checker
+      (skipped when a shard's history has more than 8 transactions: the
+      check enumerates serialization orders);
+    + {b prefix stability} — within a run of states that only grow,
+      each shard's committed operation sequence extends the previous
+      state's: one more surviving byte can never un-commit work;
+    + {b replay consistency} — each shard's recovered objects equal a
+      direct {!Wal.replay} of its resolved log;
+    + {b global atomicity} — a transaction with surviving commit evidence
+      ([Decision{commit}] anywhere, or a phase-2 [Commit] of a prepared
+      transaction) retains {e all} its operations and ends committed on
+      every participant whose [Prepare] survived; one without evidence
+      ends committed nowhere (presumed abort).  States with no [Prepare]
+      pass trivially;
+    + {b idempotence} — the resolved logs hold nothing left in doubt,
+      and a post-recovery fuzzy checkpoint, truncation and second
+      recovery reproduce the same committed state and loser set.
+
+    Checks that belong to one generator travel with it: {!byte_cuts}
+    demands every byte prefix decode as a clean log or a torn tail
+    (["torn-tail"]), its commit order be a prefix of the full one
+    (["batch-prefix"]) and every commit acknowledged at a barrier the cut
+    did not reach survive (["acked-durability"]); {!rewrite} demands
+    every byte state reload, and recover exactly the pre-rewrite state
+    (["truncate-atomicity"] / ["upgrade-atomicity"]). *)
 
 open Tm_core
 
 type violation = {
-  cut : int;  (** how many log records survived the crash *)
-  invariant : string;  (** ["replay-legality"], ["dynamic-atomicity"],
-                           ["prefix-stability"] or ["idempotence"] *)
+  label : string;  (** the crash state's label: generator, shard, position *)
+  cut : int;
+      (** the state's ordinal in its generator's enumeration, from 0 (for
+          {!corruption_sweep}: the ordinal of the flipped byte) *)
+  invariant : string;
+      (** e.g. ["replay-legality"], ["dynamic-atomicity"],
+          ["prefix-stability"], ["replay-consistency"],
+          ["global-atomicity"], ["idempotence"], or a generator's own *)
   detail : string;
 }
 
 val pp_violation : Format.formatter -> violation -> unit
 
 type report = {
-  cuts : int;  (** crash points exercised (log length + 1) *)
+  states : int;  (** crash states the generator enumerated *)
   atomicity_checked : int;
-      (** cuts on which the exact dynamic-atomicity check ran (it is
-          skipped above [max_atomicity_txns] transactions) *)
+      (** states on which the exact dynamic-atomicity check ran *)
+  cross_txns : int;
+      (** transactions with a [Prepare] in the recorded logs: the ones
+          the global-atomicity checks cover *)
+  evidence_checked : int;
+      (** (state, transaction) pairs on which the evidence-implies-survival
+          check ran *)
+  tally : (string * int) list;
+      (** generator-specific counts: durability barriers and acknowledged
+          commits for {!byte_cuts}, outcome classes for
+          {!corruption_sweep} *)
   violations : violation list;
 }
 
@@ -56,172 +101,68 @@ val pp_report : Format.formatter -> report -> unit
     tests. *)
 val history_of_records : Wal.record list -> History.t
 
-(** [torture ?max_atomicity_txns ~rebuild wal] crashes at every
-    append point of [wal] (which must already contain a driven workload)
-    and checks the three invariants; [rebuild] supplies fresh objects
-    exactly as for {!Durable_database.recover}.  [max_atomicity_txns]
-    (default 8) gates the exponential atomicity check.  [wal] itself
-    is never mutated — each cut works on a {!Wal.prefix} copy. *)
-val torture :
-  ?max_atomicity_txns:int ->
-  rebuild:(unit -> Atomic_object.t list) -> Wal.t -> report
+(** {1 Recordings} *)
 
-(** [torture_bytes ~rebuild wal] is {!torture} at byte granularity: the
-    log is serialised with {!Wal.Codec.encode_all} and the crash is
-    injected at {e every byte offset} of the encoding — so cuts land in
-    the middle of frames, not just between records.  Each cut is decoded
-    with {!Wal.Codec.decode_all}; a prefix cut must always classify as a
-    clean log or a torn tail (an interior-corruption verdict on a pure
-    prefix is reported as a ["torn-tail"] violation), and the surviving
-    records then pass the full invariant battery.  Cuts that decode to
-    the same record list as the previous cut are skipped — the recovered
-    state cannot differ.  [cuts] in the report counts byte offsets. *)
-val torture_bytes :
-  ?max_atomicity_txns:int ->
-  rebuild:(unit -> Atomic_object.t list) -> Wal.t -> report
+(** A driven workload: every shard's records, and every append and
+    completed durability barrier stamped on one global clock. *)
+type recording
 
-(** [torture_truncation ~rebuild wal] sweeps the crash-atomic
-    log compaction of {!Disk_wal.checkpoint_truncate}: it replays the
-    compaction [wal] would perform (journal = [Truncate_intent] frame +
-    compacted image appended after the old log; install = image
-    rewritten from offset 0) and reconstructs {e every} intermediate
-    backend state — each byte prefix of the journal write, each byte
-    prefix of the install write over the journaled file, and the final
-    image.  Every state is reloaded through {!Disk_wal.load} and
-    recovered; a reload refusal, or any difference from the
-    pre-compaction committed state / loser set, is a
-    ["truncate-atomicity"] violation.  A log whose truncation would drop
-    nothing (no checkpoint) reports zero cuts.  [wal] is not mutated. *)
-val torture_truncation :
-  rebuild:(unit -> Atomic_object.t list) -> Wal.t -> report
+(** [of_log ~group_every recs] — one log whose commits were acknowledged
+    in batches: a barrier after every [group_every]-th commit record plus
+    a final one, as {!Tm_sim.Scheduler.run_durable}'s [~group_commit]
+    knob produces. *)
+val of_log : group_every:int -> Wal.record list -> recording
 
-(** [torture_upgrade ~rebuild wal] sweeps the incremental
-    v1→v2 format migration: the log's records are laid down as pure
-    {e v1} frames (what a pre-versioning binary left on disk), the
-    compacted replacement image is encoded as v2 (what
-    {!Disk_wal.checkpoint_truncate} writes today), and {e every} byte
-    state of the journal + install rewrite is reloaded and recovered —
-    crash mid-journal leaves the readable v1 log (torn v2 debris rolled
-    back), crash mid-install redoes from the journaled image, and every
-    state must recover the exact pre-upgrade committed state and loser
-    set (zero acknowledged-commit loss across the migration; violations
-    are ["upgrade-atomicity"]).  Unlike {!torture_truncation} the sweep
-    runs even when no records would be dropped: the rewrite is then a
-    pure v1→v2 re-encode.  [wal] is not mutated. *)
-val torture_upgrade :
-  rebuild:(unit -> Atomic_object.t list) -> Wal.t -> report
-
-(** {1 Batch-prefix torture (group commit)} *)
-
-type batch_report = {
-  byte_cuts : int;  (** byte offsets exercised (encoded length + 1) *)
-  frontiers : int;  (** durability barriers the driven run performed *)
-  acked_max : int;  (** commits acknowledged by the final barrier *)
-  batch_violations : violation list;
-}
-
-(** [batch_ok r] — every cut inside a batch recovered to a prefix of the
-    batch's commit order, and no acknowledged commit was lost. *)
-val batch_ok : batch_report -> bool
-
-val pp_batch_report : Format.formatter -> batch_report -> unit
-
-(** [torture_batched ~group_every wal] replays the ack discipline of a
-    group-commit run over [wal] — a barrier after every
-    [group_every]-th commit record plus a final one, as
-    {!Tm_sim.Scheduler.run_durable}'s [~group_commit] knob produces —
-    and cuts the encoded log at every byte offset.  Each cut must
-    decode as a clean log or torn tail (["torn-tail"] violation
-    otherwise), recover a commit order that is a {e prefix} of the full
-    one (["batch-prefix"]), and retain at least every commit
-    acknowledged at the last barrier at or before the cut
-    (["acked-durability"] — the no-lost-acked-commit guarantee: a
-    commit is acked only once the flushed-LSN watermark passes its
-    commit record). *)
-val torture_batched : group_every:int -> Wal.t -> batch_report
-
-type sweep_report = {
-  flips : int;  (** single-bit corruptions injected (one per byte offset) *)
-  interior_detected : int;
-      (** flips detected as interior corruption (typed [Corrupt_log]) *)
-  tail_losses : int;
-      (** flips absorbed as a torn tail — records lost but the survivors
-          are a prefix of the original log (crash-equivalent, safe) *)
-  harmless : int;  (** flips that decoded to the identical record list *)
-  sweep_violations : violation list;
-      (** silent corruptions: decode succeeded with a record list that is
-          {e not} a prefix of the original — the framing failed *)
-}
-
-(** [sweep_ok r] — every injected corruption was detected or contained. *)
-val sweep_ok : sweep_report -> bool
-
-val pp_sweep_report : Format.formatter -> sweep_report -> unit
-
-(** [corruption_sweep wal] flips one bit in every byte of the encoded log
-    (bit position rotating with the offset) and decodes each corrupted
-    copy, classifying the outcome; see {!sweep_report}.  [wal] is not
-    mutated. *)
-val corruption_sweep : Wal.t -> sweep_report
-
-(** {1 Sharded torture (cross-shard 2PC)} *)
-
-type sharded_report = {
-  shard_count : int;
-  byte_cuts : int;  (** byte offsets swept, summed over all shard logs *)
-  forced_states : int;  (** distinct forced-frontier crash states checked *)
-  cross_txns : int;  (** transactions that entered 2PC in the driven run *)
-  cross_checked : int;
-      (** (state, transaction) pairs on which the evidence-implies-survival
-          check ran *)
-  sharded_violations : violation list;
-}
-
-(** [sharded_ok r] — no invariant was violated at any crash state. *)
-val sharded_ok : sharded_report -> bool
-
-val pp_sharded_report : Format.formatter -> sharded_report -> unit
-
-(** [torture_sharded ~shards:n ~rebuild ~drive ()] drives a workload
-    through a fresh {!Sharded_database} over [n] recording WALs, then
-    checks crash states spanning {e all} the shard logs:
-
-    - {b forced frontiers} — at every global clock tick, every shard
-      retains exactly what its last durability barrier covered (all
-      unforced appends lost at once).  This sweeps the 2PC force
-      ordering itself — participants' operations and [Prepare]s must be
-      durable before the coordinator's [Decision] exists, the
-      [Decision] durable before any completion is trusted;
-    - {b byte cuts} — for every shard and every byte offset of its
-      encoded log (frames stamped with the shard's id), the shard keeps
-      that byte prefix (a misclassified torn tail is a ["torn-tail"]
-      violation) while the others keep their maximal consistent
-      prefixes: everything appended before the first record the cut
-      shard lost.
-
-    Each state passes an evidence-driven battery: a transaction with
-    surviving commit evidence ([Decision{commit}] anywhere, or a
-    phase-2 [Commit] of a prepared transaction) must retain {e all} its
-    operations and end committed on every participant whose [Prepare]
-    survived; one without evidence must end committed {e nowhere}
-    (presumed abort) — so no shard ever installs a cross-shard
-    transaction another shard aborted, and no acknowledged cross-shard
-    commit is ever lost (acknowledgement happens only after the forced
-    [Decision]).  Each recovered state must also be legal per object
-    specification, equal to a direct replay of its resolved logs, and
-    stable under a second recovery (which must append nothing). *)
-val torture_sharded :
+(** [of_drive ~shards:n ~rebuild drive] runs [drive] against a fresh
+    {!Sharded_database} over [n] recording in-memory WALs, stamping every
+    append and completed force under one lock. *)
+val of_drive :
   shards:int ->
   rebuild:(unit -> Atomic_object.t list) ->
-  drive:(Sharded_database.t -> unit) ->
-  unit -> sharded_report
+  (Sharded_database.t -> unit) -> recording
 
-(** [run ~rebuild ~drive ()] builds a fresh durable database over
-    [rebuild ()], lets [drive] run a workload against it (including any
-    mid-run {!Durable_database.checkpoint} calls), then tortures the
-    resulting log. *)
-val run :
-  ?max_atomicity_txns:int ->
-  rebuild:(unit -> Atomic_object.t list) ->
-  drive:(Durable_database.t -> unit) ->
-  unit -> report
+(** {1 Generators} *)
+
+(** A crash state: [logs.(s)] is what shard [s]'s log holds after the
+    crash. *)
+type state = { label : string; logs : Wal.record list array }
+
+type generator
+
+val append_points : recording -> generator
+
+(** Each state is labelled with the commits acknowledged at the last
+    barrier before the cut. *)
+val byte_cuts : recording -> generator
+
+val forced_frontiers : recording -> generator
+
+(** [rewrite ~from r] — the crash-atomic rewrite of
+    {!Disk_wal.checkpoint_truncate}, per shard with the others whole: the
+    log as frames of version [from], then every prefix of the journal
+    (intent + compacted v2 image), every prefix of the install over the
+    journaled file, and the installed image.  From {!Wal.Codec.v1} the
+    rewrite is the v1→v2 upgrade and always runs; from the current
+    version a log without a checkpoint to truncate to yields no states. *)
+val rewrite : from:int -> recording -> generator
+
+(** [given ~reference states] — hand-built states, each with as many
+    shards as [reference], the full logs they are cut from (what "all its
+    operations" means for global atomicity). *)
+val given : reference:Wal.record list array -> state list -> generator
+
+(** [enumerate ~rebuild g] runs every state of [g] through the battery;
+    [rebuild] supplies fresh objects exactly as for
+    {!Sharded_database.recover}.  A state equal to the previous one of its
+    run is counted but not recovered again. *)
+val enumerate : rebuild:(unit -> Atomic_object.t list) -> generator -> report
+
+(** {1 Corruption} *)
+
+(** [corruption_sweep r] flips one bit in every byte of each shard's
+    encoded log (bit position rotating with the offset) and decodes each
+    corrupted copy: it must be detected as interior corruption or
+    contained as a torn tail whose records are a prefix of the original;
+    a silent decode to anything else is a ["corruption-detection"]
+    violation.  [states] counts flips; [tally] the classes. *)
+val corruption_sweep : recording -> report

@@ -80,8 +80,8 @@ val shard : t -> int
     reload (the old log is untouched); a crash during (2) finds the
     journal and redoes the install.  At no byte offset of the sequence
     can reload misclassify the log or replay pre-checkpoint records —
-    swept exhaustively by {!Crash.torture_truncation}.  Returns the
-    number of records dropped. *)
+    swept exhaustively by {!Crash.rewrite}.  Returns the number of
+    records dropped. *)
 val checkpoint_truncate : t -> int
 
 (** Bytes appended to the backend so far (also counted as

@@ -105,7 +105,7 @@ val run : ?record_trace:bool -> scenario -> setup -> Scheduler.config -> row
 (** [run_durable ?wal ?checkpoint_every scenario setup cfg] runs the
     scenario through a WAL-backed {!Tm_engine.Durable_database} and
     returns the row together with the log, ready for the crash-injection
-    harness ({!Tm_engine.Crash.torture}).  [wal] defaults to a fresh
+    harness ({!Tm_engine.Crash.of_log}).  [wal] defaults to a fresh
     in-memory log; pass a {!Tm_engine.Disk_wal}-backed one to drive the
     workload against real (or fault-injected) storage.  When
     [checkpoint_every = n > 0] a fuzzy checkpoint is appended after every

@@ -1,8 +1,9 @@
-(* The crash-injection torture harness itself: unit tests for the
-   log→history reconstruction and hand-built tortures, plus the QCheck
-   property the harness exists for — random concurrent workloads with
-   random mid-run fuzzy checkpoint placement survive a crash at *every*
-   WAL append point with all three recovery invariants intact. *)
+(* The crash-state enumerator itself: unit tests for the log→history
+   reconstruction, every generator on hand-driven logs, the battery on
+   hand-built states, the state counts each generator yields, plus the
+   QCheck property the enumerator exists for — random concurrent
+   workloads with random mid-run fuzzy checkpoint placement survive a
+   crash at *every* WAL append point with the battery intact. *)
 
 open Tm_core
 module Wal = Tm_engine.Wal
@@ -10,6 +11,7 @@ module Crash = Tm_engine.Crash
 module Recovery = Tm_engine.Recovery
 module Atomic_object = Tm_engine.Atomic_object
 module DD = Tm_engine.Durable_database
+module SD = Tm_engine.Sharded_database
 module Experiment = Tm_sim.Experiment
 module Scheduler = Tm_sim.Scheduler
 module BA = Tm_adt.Bank_account
@@ -67,29 +69,31 @@ let test_history_checkpoint_base () =
     (Tid.Set.exists (fun t -> not (Tid.equal t Tid.a || Tid.equal t Tid.b))
        (History.committed h))
 
-(* --- torture on a hand-driven database --- *)
+(* --- generators over a hand-driven database --- *)
+
+let recording ?(group_every = 1) wal = Crash.of_log ~group_every (Wal.records wal)
+
+let sweep ?(rebuild = rebuild_ba) gen wal = Crash.enumerate ~rebuild (gen (recording wal))
 
 let test_torture_clean_run () =
-  let report =
-    Crash.run ~rebuild:rebuild_ba
-      ~drive:(fun db ->
-        let a = DD.begin_txn db in
-        ignore (DD.invoke db a ~obj:"BA" (deposit_inv 5));
-        Helpers.check_bool "a commits" true (DD.try_commit db a = Ok ());
-        let b = DD.begin_txn db in
-        ignore (DD.invoke db b ~obj:"BA" (deposit_inv 3));
-        DD.checkpoint db;  (* fuzzy: b in flight *)
-        ignore (DD.invoke db b ~obj:"BA" (deposit_inv 4));
-        Helpers.check_bool "b commits" true (DD.try_commit db b = Ok ());
-        let c = DD.begin_txn db in
-        ignore (DD.invoke db c ~obj:"BA" (deposit_inv 9)))
-      ()
-  in
+  let wal = Wal.create () in
+  let db = DD.create ~wal (rebuild_ba ()) in
+  let a = DD.begin_txn db in
+  ignore (DD.invoke db a ~obj:"BA" (deposit_inv 5));
+  Helpers.check_bool "a commits" true (DD.try_commit db a = Ok ());
+  let b = DD.begin_txn db in
+  ignore (DD.invoke db b ~obj:"BA" (deposit_inv 3));
+  DD.checkpoint db;  (* fuzzy: b in flight *)
+  ignore (DD.invoke db b ~obj:"BA" (deposit_inv 4));
+  Helpers.check_bool "b commits" true (DD.try_commit db b = Ok ());
+  let c = DD.begin_txn db in
+  ignore (DD.invoke db c ~obj:"BA" (deposit_inv 9));
+  let report = sweep Crash.append_points wal in
   Helpers.check_bool
     (Fmt.str "no violations: %a" Crash.pp_report report)
     true (Crash.ok report);
   Helpers.check_bool "every cut atomicity-checked" true
-    (report.Crash.atomicity_checked = report.Crash.cuts)
+    (report.Crash.atomicity_checked = report.Crash.states)
 
 let test_torture_detects_corrupt_log () =
   (* Sanity that the harness can fail: a log whose commit record arrives
@@ -103,7 +107,7 @@ let test_torture_detects_corrupt_log () =
       Wal.Operation (Tid.a, BA.withdraw_ok 10_000);
       Wal.Commit Tid.a;
     ];
-  let report = Crash.torture ~rebuild:rebuild_ba wal in
+  let report = sweep Crash.append_points wal in
   Helpers.check_bool "violation detected" false (Crash.ok report)
 
 (* --- byte-granularity torture and corruption sweep --- *)
@@ -125,42 +129,45 @@ let driven_wal () =
 
 let test_torture_bytes_clean () =
   let wal = driven_wal () in
-  let report = Crash.torture_bytes ~rebuild:rebuild_ba wal in
+  let report = sweep Crash.byte_cuts wal in
   Helpers.check_bool
     (Fmt.str "no violations: %a" Crash.pp_report report)
     true (Crash.ok report);
   (* Byte cuts strictly outnumber record cuts: most land inside frames. *)
   Helpers.check_bool "more cuts than records" true
-    (report.Crash.cuts > Wal.length wal + 1)
+    (report.Crash.states > Wal.length wal + 1)
 
 let test_corruption_sweep_contained () =
   let wal = driven_wal () in
-  let sweep = Crash.corruption_sweep wal in
+  let sweep = Crash.corruption_sweep (recording wal) in
   Helpers.check_bool
-    (Fmt.str "nothing silent: %a" Crash.pp_sweep_report sweep)
-    true (Crash.sweep_ok sweep);
+    (Fmt.str "nothing silent: %a" Crash.pp_report sweep)
+    true (Crash.ok sweep);
   Helpers.check_bool "interior corruption was detected" true
-    (sweep.Crash.interior_detected > 0);
-  Helpers.check_bool "tail flips were contained" true (sweep.Crash.tail_losses > 0)
+    (List.assoc "interior" sweep.Crash.tally > 0);
+  Helpers.check_bool "tail flips were contained" true
+    (List.assoc "tail-loss" sweep.Crash.tally > 0)
 
 (* --- truncation torture: crash-atomic compaction byte sweep --- *)
 
+let truncation = Crash.rewrite ~from:Wal.Codec.write_version
+
 let test_torture_truncation_clean () =
   let wal = driven_wal () in
-  let report = Crash.torture_truncation ~rebuild:rebuild_ba wal in
+  let report = sweep truncation wal in
   Helpers.check_bool
     (Fmt.str "no violations: %a" Crash.pp_report report)
     true (Crash.ok report);
   Helpers.check_bool "the sweep exercised crash states" true
-    (report.Crash.cuts > 0)
+    (report.Crash.states > 0)
 
 let test_torture_truncation_no_checkpoint () =
   (* Nothing to compact: the sweep is vacuous, not wrong. *)
   let wal = Wal.create () in
   List.iter (Wal.append wal)
     [ Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 5); Wal.Commit Tid.a ];
-  let report = Crash.torture_truncation ~rebuild:rebuild_ba wal in
-  Helpers.check_int "no crash states" 0 report.Crash.cuts;
+  let report = sweep truncation wal in
+  Helpers.check_int "no crash states" 0 report.Crash.states;
   Helpers.check_bool "clean" true (Crash.ok report)
 
 (* --- recovery refuses to drop committed work --- *)
@@ -209,18 +216,18 @@ let test_torture_batched_group_commit () =
       ~group_commit:3 scenario setup cfg
   in
   let rebuild () = scenario.Experiment.build setup in
-  let report = Crash.torture_bytes ~rebuild wal in
+  (* One pass: the battery at every byte cut, batch-prefix and
+     acked-durability with it. *)
+  let batch = Crash.enumerate ~rebuild (Crash.byte_cuts (recording ~group_every:3 wal)) in
   Helpers.check_bool
-    (Fmt.str "byte cuts clean on a batched run: %a" Crash.pp_report report)
-    true (Crash.ok report);
-  let batch = Crash.torture_batched ~group_every:3 wal in
-  Helpers.check_bool
-    (Fmt.str "batch-prefix clean: %a" Crash.pp_batch_report batch)
-    true (Crash.batch_ok batch);
-  Helpers.check_bool "cuts cover the encoded log" true (batch.Crash.byte_cuts > 0);
+    (Fmt.str "byte cuts and batch-prefix clean on a batched run: %a" Crash.pp_report
+       batch)
+    true (Crash.ok batch);
+  Helpers.check_bool "cuts cover the encoded log" true (batch.Crash.states > 0);
   Helpers.check_bool "the run performed durability barriers" true
-    (batch.Crash.frontiers >= 1);
-  Helpers.check_bool "commits were acknowledged" true (batch.Crash.acked_max > 0)
+    (List.assoc "barriers" batch.Crash.tally >= 1);
+  Helpers.check_bool "commits were acknowledged" true
+    (List.assoc "acked" batch.Crash.tally > 0)
 
 (* --- the property --- *)
 
@@ -251,7 +258,7 @@ let prop_crash_invariants =
       let cfg = Scheduler.config ~concurrency:3 ~total_txns:5 ~seed () in
       let _row, wal = Experiment.run_durable ~checkpoint_every scenario setup cfg in
       let rebuild () = scenario.Experiment.build setup in
-      let report = Crash.torture ~rebuild wal in
+      let report = sweep ~rebuild Crash.append_points wal in
       if Crash.ok report then true
       else
         QCheck2.Test.fail_reportf "%s/%s seed %d cp %d: %a"
@@ -315,6 +322,131 @@ let prop_recover_matches_replay =
           if Tid.to_int (DD.begin_txn db) <= max_tid then fail "tid reissued";
           true)
 
+(* --- the sharded generators and the battery's 2PC checks --- *)
+
+let rebuild_sharded () =
+  List.init 4 (fun i ->
+      let spec = Spec.rename (BA.spec_with_initial 100) (Fmt.str "BA%d" i) in
+      if i mod 2 = 0 then
+        Atomic_object.create ~spec ~conflict:BA.nrbc_conflict ~recovery:Recovery.UIP ()
+      else Atomic_object.create ~spec ~conflict:BA.nfc_conflict ~recovery:Recovery.DU ())
+
+(* An object homed on shard [s] of two. *)
+let on_shard s =
+  List.find
+    (fun o -> Wal.partition_of_object ~workers:2 o = s)
+    (List.map Atomic_object.name (rebuild_sharded ()))
+
+(* Local and cross-shard commits, a global checkpoint, an explicit abort
+   and a transaction left in flight. *)
+let drive_two_shards db =
+  let a = on_shard 0 and b = on_shard 1 in
+  let txn ops =
+    let t = SD.begin_txn db in
+    List.iter (fun (o, n) -> ignore (SD.invoke db t ~obj:o (deposit_inv n))) ops;
+    t
+  in
+  Helpers.check_bool "local commit" true (SD.try_commit db (txn [ (a, 5) ]) = Ok ());
+  Helpers.check_bool "cross commit" true
+    (SD.try_commit db (txn [ (a, 3); (b, 4) ]) = Ok ());
+  Helpers.check_bool "checkpoint" true (SD.checkpoint db);
+  SD.abort db (txn [ (b, 2) ]);
+  Helpers.check_bool "second cross commit" true
+    (SD.try_commit db (txn [ (b, 6); (a, 1) ]) = Ok ());
+  ignore (txn [ (a, 9) ])
+
+let two_shard_recording () =
+  Crash.of_drive ~shards:2 ~rebuild:rebuild_sharded drive_two_shards
+
+let test_sharded_clean () =
+  let r = two_shard_recording () in
+  List.iter
+    (fun (name, gen) ->
+      let report = Crash.enumerate ~rebuild:rebuild_sharded (gen r) in
+      Helpers.check_bool
+        (Fmt.str "%s clean: %a" name Crash.pp_report report)
+        true (Crash.ok report);
+      Helpers.check_bool (name ^ " yields states") true (report.Crash.states > 0);
+      Helpers.check_bool (name ^ " checks evidence") true
+        (report.Crash.evidence_checked > 0))
+    [ ("forced", Crash.forced_frontiers); ("bytes", Crash.byte_cuts) ]
+
+let tid = Tid.of_int 1
+let dep obj n = Op.make ~obj ~args:[ Value.int n ] "deposit" Value.ok
+
+let flagged ~reference label logs =
+  let report =
+    Crash.enumerate ~rebuild:rebuild_sharded
+      (Crash.given ~reference [ { Crash.label; logs } ])
+  in
+  List.map
+    (fun (v : Crash.violation) ->
+      Alcotest.(check string) "violation names its state" label v.Crash.label;
+      v.Crash.invariant)
+    report.Crash.violations
+
+let test_battery_missing_participant_op () =
+  (* The coordinator's Decision proves commit, yet participant shard 1
+     kept its Prepare but not the Operation it voted on. *)
+  let a = on_shard 0 and b = on_shard 1 in
+  let reference =
+    [|
+      [
+        Wal.Begin tid;
+        Wal.Operation (tid, dep a 5);
+        Wal.Prepare tid;
+        Wal.Decision { tid; commit = true };
+        Wal.Commit tid;
+      ];
+      [ Wal.Begin tid; Wal.Operation (tid, dep b 4); Wal.Prepare tid; Wal.Commit tid ];
+    |]
+  in
+  let invariants =
+    flagged ~reference "hand-built lost operation"
+      [| reference.(0); [ Wal.Begin tid; Wal.Prepare tid ] |]
+  in
+  Helpers.check_bool "global-atomicity flagged" true
+    (List.mem "global-atomicity" invariants)
+
+let test_battery_overdraw_on_one_shard () =
+  let a = on_shard 0 in
+  let logs =
+    [|
+      [
+        Wal.Begin tid;
+        Wal.Operation (tid, Op.make ~obj:a ~args:[ Value.int 10_000 ] "withdraw" Value.ok);
+        Wal.Commit tid;
+      ];
+      [];
+    |]
+  in
+  let invariants = flagged ~reference:logs "hand-built overdraw" logs in
+  Helpers.check_bool "replay-legality flagged" true
+    (List.mem "replay-legality" invariants)
+
+(* The number of crash states each generator yields, pinned: a refactor
+   that silently drops states fails here, not only in a CI log line. *)
+let test_state_counts_pinned () =
+  let wal = driven_wal () in
+  let count name expected report =
+    Helpers.check_bool (Fmt.str "%s clean: %a" name Crash.pp_report report) true
+      (Crash.ok report);
+    Helpers.check_int (name ^ " states") expected report.Crash.states
+  in
+  count "append" 11 (sweep Crash.append_points wal);
+  count "bytes" 571 (sweep Crash.byte_cuts wal);
+  count "truncate" 741 (sweep truncation wal);
+  count "upgrade" 741 (sweep (Crash.rewrite ~from:Wal.Codec.v1) wal);
+  count "flips" 570 (Crash.corruption_sweep (recording wal));
+  let r = two_shard_recording () in
+  let forced = Crash.enumerate ~rebuild:rebuild_sharded (Crash.forced_frontiers r) in
+  let bytes = Crash.enumerate ~rebuild:rebuild_sharded (Crash.byte_cuts r) in
+  count "2-shard forced" 10 forced;
+  count "2-shard bytes" 1192 bytes;
+  Helpers.check_int "cross-shard txns" 2 bytes.Crash.cross_txns;
+  Helpers.check_int "evidence checks" 33
+    (forced.Crash.evidence_checked + bytes.Crash.evidence_checked)
+
 let suite =
   [
     Alcotest.test_case "history: committed txn" `Quick test_history_committed_txn;
@@ -337,4 +469,11 @@ let suite =
       test_torture_batched_group_commit;
     prop_crash_invariants;
     prop_recover_matches_replay;
+    Alcotest.test_case "sharded generators: clean 2-shard drive" `Quick
+      test_sharded_clean;
+    Alcotest.test_case "battery flags a lost participant operation" `Quick
+      test_battery_missing_participant_op;
+    Alcotest.test_case "battery flags an overdraw on one shard" `Quick
+      test_battery_overdraw_on_one_shard;
+    Alcotest.test_case "generator state counts pinned" `Quick test_state_counts_pinned;
   ]
