@@ -72,7 +72,9 @@ bench:
 # hot spot, update-in-place may allocate at most 1.25x and promote at most
 # 2x the words per transaction of deferred update from the same inputs.
 # Object footprint: transfer_2pc (1024 accounts) may keep at most 6.0 MB
-# reachable.
+# reachable.  Log record cost: restart may allocate at most 400 words per
+# transaction.  Contended invocation cost: hotspot_uip may allocate at
+# most 2600 words per transaction.
 perfcheck:
 	bash bench/perfcheck.sh
 

@@ -26,7 +26,10 @@ type t = {
   locks : Lock_table.t;
   recovery : Recovery.t;
   mutable blocks : int;
-  mutable metrics : Metrics.t option;
+  (* The attached registry and the {obj,op} counters resolved in it so
+     far, keyed by metric name and operation name. *)
+  mutable reg : Metrics.t option;
+  mutable events : Metrics.Handles.t;
   optimistic : optimistic option;  (* [None] exactly for [Locking] *)
 }
 
@@ -48,7 +51,8 @@ let make ?inverse ?optimistic ~spec ~conflict ~recovery () =
     locks = Lock_table.create conflict;
     recovery = Recovery.create ?inverse recovery spec;
     blocks = 0;
-    metrics = None;
+    reg = None;
+    events = Metrics.Handles.empty;
     optimistic;
   }
 
@@ -74,18 +78,31 @@ let policy t = match t.optimistic with None -> Locking | Some _ -> Optimistic
 let recovery_kind t = Recovery.kind t.recovery
 
 let attach_metrics t reg =
-  t.metrics <- Some reg;
+  (match t.reg with
+  | Some r when r == reg -> ()
+  | _ ->
+      t.reg <- Some reg;
+      t.events <- Metrics.Handles.empty);
   Lock_table.attach_metrics t.locks ~obj:t.name reg;
   Recovery.attach_metrics t.recovery reg
 
 (* Per-operation counters run only on contention/failure paths (blocks,
-   stalls, validation failures) — never on a plain executed invocation. *)
+   stalls, validation failures) — never on a plain executed invocation —
+   and search the registry only on a series' first event. *)
 let count_event t metric inv_name =
-  match t.metrics with
+  match t.reg with
   | None -> ()
   | Some reg ->
-      Metrics.Counter.incr
-        (Metrics.counter reg metric ~labels:[ ("obj", t.name); ("op", inv_name) ])
+      let c = Metrics.Handles.find t.events metric inv_name in
+      let c =
+        if c != Metrics.Counter.unresolved then c
+        else begin
+          let c = Metrics.counter reg metric ~labels:[ ("obj", t.name); ("op", inv_name) ] in
+          t.events <- Metrics.Handles.add t.events metric inv_name c;
+          c
+        end
+      in
+      Metrics.Counter.incr c
 
 let choose_op t ?choose inv enabled_ops =
   match choose, enabled_ops with

@@ -67,7 +67,16 @@ val recovery_kind : t -> Recovery.kind
     [tm_object_no_response_total] and [tm_validation_failures_total],
     plus the series documented on {!Lock_table.attach_metrics} and
     {!Recovery.attach_metrics}.  {!Database.create} calls this for every
-    object; uncontended invocations never touch a metric. *)
+    object; uncontended invocations never touch a metric.
+
+    Handles are resolved in [reg] on their series' first event and kept
+    in the object (one per metric and operation name that has occurred),
+    so registration order and the absence of zero-valued series are as
+    if every event searched the registry, but only the first one does.
+    Attaching to a different registry drops every kept handle, here and
+    in the lock table and recovery manager; re-attaching to the same
+    registry is idempotent.  The handles replace the old attachment
+    fields, so an attached object costs no more words than before. *)
 val attach_metrics : t -> Tm_obs.Metrics.t -> unit
 
 (** [invoke t tid inv] attempts the invocation for [tid].  When several

@@ -86,7 +86,8 @@ let break_deadlock t tid =
   | Some cycle ->
       let victim = Deadlock.victim cycle in
       Metrics.Counter.incr t.c_victims;
-      Database.emit_trace t.db ~tid:victim (Trace.Deadlock_victim { cycle });
+      if Database.tracing t.db then
+        Database.emit_trace t.db ~tid:victim (Trace.Deadlock_victim { cycle });
       if Tid.equal victim tid then abort_self t tid
       else begin
         Hashtbl.replace t.doomed victim ();

@@ -31,6 +31,7 @@ type t = {
   mutable trace : Trace.t option;
   mutable ticks : int;  (* logical clock: one tick per invocation attempt *)
   blocked_since : (Tid.t, string * int) Hashtbl.t;
+  wait_ticks : (string, Metrics.histogram) Hashtbl.t;  (* by object, on first wake *)
 }
 
 let add_object t o =
@@ -64,6 +65,7 @@ let create ?(record_history = false) ?(first_tid = 0) objs =
       trace = None;
       ticks = 0;
       blocked_since = Hashtbl.create 16;
+      wait_ticks = Hashtbl.create 16;
     }
   in
   List.iter (add_object t) objs;
@@ -81,6 +83,10 @@ let next_tid t = t.next_tid
 let set_trace t tr = t.trace <- Some tr
 let trace t = t.trace
 
+let tracing t = Option.is_some t.trace
+
+(* Event sites whose kind carries a payload test {!tracing} first, so an
+   untraced run never builds the kind. *)
 let emit_trace t ~tid kind =
   match t.trace with None -> () | Some tr -> Trace.emit tr ~tid kind
 
@@ -114,7 +120,9 @@ let check_running t tid =
       invalid_arg (Fmt.str "Database: transaction %a already finished" Tid.pp tid)
   | None -> invalid_arg (Fmt.str "Database: unknown transaction %a" Tid.pp tid)
 
-let push_event t e = if t.record_history then t.events <- e :: t.events
+(* Callers test [t.record_history] first, so an unrecorded run never
+   builds the event. *)
+let push_event t e = t.events <- e :: t.events
 
 let touched_objs t tid = Option.value (Hashtbl.find_opt t.touched tid) ~default:[]
 
@@ -126,36 +134,44 @@ let note_woken t tid =
   | Some (obj, since) ->
       Hashtbl.remove t.blocked_since tid;
       let waited = t.ticks - since in
-      Metrics.Histogram.observe_int
-        (Metrics.histogram t.metrics "tm_lock_wait_ticks" ~labels:[ ("obj", obj) ])
-        waited;
-      emit_trace t ~tid (Trace.Woken { obj; waited })
+      let h =
+        match Hashtbl.find t.wait_ticks obj with
+        | h -> h
+        | exception Not_found ->
+            let h = Metrics.histogram t.metrics "tm_lock_wait_ticks" ~labels:[ ("obj", obj) ] in
+            Hashtbl.add t.wait_ticks obj h;
+            h
+      in
+      Metrics.Histogram.observe_int h waited;
+      if tracing t then emit_trace t ~tid (Trace.Woken { obj; waited })
 
 let invoke ?choose t tid ~obj inv =
   check_running t tid;
   let o = find_object t obj in
   t.ticks <- t.ticks + 1;
-  emit_trace t ~tid (Trace.Invoke { obj; inv });
+  if tracing t then emit_trace t ~tid (Trace.Invoke { obj; inv });
   let outcome = Atomic_object.invoke ?choose o tid inv in
   (match outcome with
   | Atomic_object.Executed op ->
       Deadlock.clear t.waits tid;
       Metrics.Counter.incr t.c_executed;
       note_woken t tid;
-      emit_trace t ~tid (Trace.Executed { op });
-      push_event t (Event.invoke ~obj ~tid inv);
-      push_event t (Event.respond ~obj ~tid op.Op.res);
+      if tracing t then emit_trace t ~tid (Trace.Executed { op });
+      if t.record_history then begin
+        push_event t (Event.invoke ~obj ~tid inv);
+        push_event t (Event.respond ~obj ~tid op.Op.res)
+      end;
       let objs = touched_objs t tid in
       if not (List.mem obj objs) then Hashtbl.replace t.touched tid (obj :: objs)
   | Atomic_object.Blocked holders ->
       Metrics.Counter.incr t.c_blocked;
       if not (Hashtbl.mem t.blocked_since tid) then
         Hashtbl.replace t.blocked_since tid (obj, t.ticks);
-      emit_trace t ~tid (Trace.Blocked { obj; inv; holders });
+      if tracing t then emit_trace t ~tid (Trace.Blocked { obj; inv; holders });
       Deadlock.set_waiting t.waits tid ~on:holders
   | Atomic_object.No_response ->
       Metrics.Counter.incr t.c_no_response;
-      emit_trace t ~tid (Trace.No_response { obj; inv }));
+      if tracing t then emit_trace t ~tid (Trace.No_response { obj; inv }));
   outcome
 
 let finish t tid status per_object =
@@ -163,11 +179,12 @@ let finish t tid status per_object =
   List.iter
     (fun obj ->
       per_object (find_object t obj) tid;
-      emit_trace t ~tid (Trace.Lock_release { obj });
-      push_event t
-        (match status with
-        | Committed -> Event.commit ~obj ~tid
-        | Running | Aborted -> Event.abort ~obj ~tid))
+      if tracing t then emit_trace t ~tid (Trace.Lock_release { obj });
+      if t.record_history then
+        push_event t
+          (match status with
+          | Committed -> Event.commit ~obj ~tid
+          | Running | Aborted -> Event.abort ~obj ~tid))
     (List.rev (touched_objs t tid));
   Hashtbl.replace t.status tid status;
   Hashtbl.remove t.touched tid;
@@ -202,7 +219,7 @@ let try_commit t tid =
   (* Two-phase: validate at every touched object, then commit at all of
      them; a single validation failure aborts everywhere. *)
   let validated =
-    t.trace <> None
+    tracing t
     && List.exists
          (fun obj ->
            Atomic_object.policy (find_object t obj) = Atomic_object.Optimistic)

@@ -12,7 +12,8 @@
     managed object is attached to it at {!create}/{!add_object} time.  A
     {!Tm_obs.Trace} recorder can additionally be attached with
     {!set_trace}; without one, tracing costs a single branch per event
-    site. *)
+    site, and no span kind is built.  Likewise, without
+    [~record_history] no history event is built. *)
 
 open Tm_core
 
@@ -50,8 +51,13 @@ val trace : t -> Tm_obs.Trace.t option
 (** [emit_trace t ~tid kind] — emit a span into the attached recorder
     (no-op without one).  Used by the layers above the database
     (scheduler, WAL wrapper, threaded front end) for events only they can
-    see, e.g. deadlock victims and WAL forces. *)
+    see, e.g. deadlock victims and WAL forces.  A site whose kind carries
+    a payload tests {!tracing} first, so an untraced run never builds
+    it. *)
 val emit_trace : t -> tid:Tid.t -> Tm_obs.Trace.kind -> unit
+
+(** Whether a trace recorder is attached. *)
+val tracing : t -> bool
 
 (** [begin_txn t] allocates a fresh transaction id. *)
 val begin_txn : t -> Tid.t

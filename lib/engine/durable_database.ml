@@ -18,7 +18,8 @@ let begin_txn t = Database.begin_txn t.db
 
 let log t tid r =
   Wal.append t.wal r;
-  Database.emit_trace t.db ~tid (Trace.Wal_append { record = Wal.record_kind r })
+  if Database.tracing t.db then
+    Database.emit_trace t.db ~tid (Trace.Wal_append { record = Wal.record_kind r })
 
 let invoke ?choose t tid ~obj inv =
   let outcome = Database.invoke ?choose t.db tid ~obj inv in
@@ -46,7 +47,8 @@ let checkpoint t =
     Wal.fuzzy_checkpoint ~next_tid:(Database.next_tid t.db) (Wal.records t.wal)
   in
   Wal.append t.wal (Wal.Checkpoint cp);
-  emit_system t.db (Trace.Checkpoint { ops = List.length cp.Wal.committed })
+  if Database.tracing t.db then
+    emit_system t.db (Trace.Checkpoint { ops = List.length cp.Wal.committed })
 
 (* Only transactions that logged a Begin have anything to undo in the
    log; an Abort for an unlogged transaction would be noise (and
@@ -126,9 +128,10 @@ let wait_durable t tid lsn =
   (* Stage 2: park on the flushed-LSN watermark (the group-commit
      combiner in {!Wal.force_upto}); the commit may be acknowledged
      once the watermark passes the commit record's LSN. *)
-  Database.emit_trace t.db ~tid (Trace.Wal_flush_wait { upto = lsn });
+  if Database.tracing t.db then
+    Database.emit_trace t.db ~tid (Trace.Wal_flush_wait { upto = lsn });
   Wal.force_upto t.wal lsn;
-  Database.emit_trace t.db ~tid (Trace.Durable { lsn })
+  if Database.tracing t.db then Database.emit_trace t.db ~tid (Trace.Durable { lsn })
 
 let try_commit t tid =
   match try_commit_nowait t tid with
@@ -218,11 +221,13 @@ let recover ?trace ?profile ~wal ~rebuild () =
                  registry, and emit one trace span per profiled phase. *)
               Profile.finish p;
               Profile.export p reg;
-              List.iter
-                (fun (phase, wall_us, items) ->
-                  emit_system t.db (Trace.Recovery_phase { phase; wall_us; items }))
-                (Profile.spans p));
-          emit_system t.db
-            (Trace.Crash_recover
-               { replayed = plan.Wal.plan_ops; losers = Tid.Set.cardinal losers });
+              if Database.tracing t.db then
+                List.iter
+                  (fun (phase, wall_us, items) ->
+                    emit_system t.db (Trace.Recovery_phase { phase; wall_us; items }))
+                  (Profile.spans p));
+          if Database.tracing t.db then
+            emit_system t.db
+              (Trace.Crash_recover
+                 { replayed = plan.Wal.plan_ops; losers = Tid.Set.cardinal losers });
           Ok (t, losers))

@@ -11,50 +11,79 @@ type t = {
      O(total holds) list scans. *)
   held : (Tid.t, (int * Op.t) list) Hashtbl.t;
   mutable next_seq : int;
-  mutable metrics : (string * Metrics.t) option;  (* object name for labels *)
+  (* The attached registry, the object name its series are labelled
+     with, and the conflict-pair counters resolved so far (one per
+     operation-name pair that has blocked, so at most |ops|^2). *)
+  mutable reg : Metrics.t option;
+  mutable obj : string;
+  mutable pairs : Metrics.Handles.t;
 }
 
 let create conflict =
-  { conflict; held = Hashtbl.create 16; next_seq = 0; metrics = None }
-let attach_metrics t ~obj reg = t.metrics <- Some (obj, reg)
+  {
+    conflict;
+    held = Hashtbl.create 16;
+    next_seq = 0;
+    reg = None;
+    obj = "";
+    pairs = Metrics.Handles.empty;
+  }
+
+(* Handles belong to the registry they were resolved in: a different
+   registry starts with none.  Re-attaching to the same one keeps them. *)
+let attach_metrics t ~obj reg =
+  match t.reg with
+  | Some r when r == reg && String.equal t.obj obj -> ()
+  | _ ->
+      t.reg <- Some reg;
+      t.obj <- obj;
+      t.pairs <- Metrics.Handles.empty
 
 (* Conflict-pair accounting lives here (not in the caller) because only
    the lock table sees which held operation blocked the request.  It runs
    on the contention path only — an uncontended request touches no
-   metric. *)
+   metric — and searches the registry only on a pair's first conflict. *)
 let note_conflict t ~requested ~held =
-  match t.metrics with
+  match t.reg with
   | None -> ()
-  | Some (obj, reg) ->
-      Metrics.Counter.incr
-        (Metrics.counter reg "tm_lock_conflicts_total"
-           ~labels:
-             [
-               ("obj", obj);
-               ("requested", requested.Op.inv.Op.name);
-               ("held", held.Op.inv.Op.name);
-             ])
+  | Some reg ->
+      let requested = requested.Op.inv.Op.name and held = held.Op.inv.Op.name in
+      let c = Metrics.Handles.find t.pairs requested held in
+      let c =
+        if c != Metrics.Counter.unresolved then c
+        else begin
+          let c =
+            Metrics.counter reg "tm_lock_conflicts_total"
+              ~labels:[ ("obj", t.obj); ("requested", requested); ("held", held) ]
+          in
+          t.pairs <- Metrics.Handles.add t.pairs requested held c;
+          c
+        end
+      in
+      Metrics.Counter.incr c
+
+(* Whether any of [ops] conflicts with [requested], counting every
+   conflicting pair (no short-circuit). *)
+let rec conflicting t requested found = function
+  | [] -> found
+  | (_, op) :: rest ->
+      if Conflict.conflicts t.conflict ~requested ~held:op then begin
+        note_conflict t ~requested ~held:op;
+        conflicting t requested true rest
+      end
+      else conflicting t requested found rest
 
 let blockers t ~requested ~tid =
-  Hashtbl.fold
-    (fun holder ops acc ->
-      if Tid.equal holder tid then acc
-      else
-        (* No short-circuit: every conflicting pair is counted, exactly
-           as the former whole-table scan did. *)
-        let conflicting =
-          List.fold_left
-            (fun acc (_, op) ->
-              if Conflict.conflicts t.conflict ~requested ~held:op then begin
-                note_conflict t ~requested ~held:op;
-                true
-              end
-              else acc)
-            false ops
-        in
-        if conflicting then holder :: acc else acc)
-    t.held []
-  |> List.sort_uniq Tid.compare
+  match
+    Hashtbl.fold
+      (fun holder ops acc ->
+        if (not (Tid.equal holder tid)) && conflicting t requested false ops then
+          holder :: acc
+        else acc)
+      t.held []
+  with
+  | ([] | [ _ ]) as bs -> bs
+  | bs -> List.sort Tid.compare bs  (* one entry per holder: already unique *)
 
 let add t tid op =
   let seq = t.next_seq in

@@ -15,8 +15,16 @@ val create : Conflict.t -> t
 
 (** [attach_metrics t ~obj reg] makes the table count blocking conflict
     pairs in [reg] as [tm_lock_conflicts_total{obj,requested,held}]
-    (labelled by operation names).  Idempotent; called by
-    {!Database.create} for every object it manages. *)
+    (labelled by operation names).  Called by {!Database.create} for
+    every object it manages.
+
+    Each pair's counter is resolved in [reg] on that pair's first
+    conflict and kept in the table (at most one per operation-name
+    pair), so a series is registered only once it counts something,
+    and later conflicts do not search the registry.  Attaching to a
+    different registry drops the kept counters: the new registry counts
+    only what happens after it.  Re-attaching to the same registry
+    under the same name is idempotent. *)
 val attach_metrics : t -> obj:string -> Tm_obs.Metrics.t -> unit
 
 (** [blockers t ~requested ~tid] is the set of other transactions holding

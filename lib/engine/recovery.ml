@@ -26,35 +26,84 @@ type error = {
 let pp_error ppf e = Fmt.pf ppf "%s: %s" e.obj e.reason
 
 (* The spec's state type is abstract; each manager is a record of closures
-   built in a scope where the module is unpacked. *)
+   built in a scope where the module is unpacked.  [commit] and [abort]
+   take the manager itself so they can count into its handles. *)
 type t = {
   kind : kind;
+  obj : string;
   responses : Tid.t -> Op.invocation -> Value.t list;
   record : Tid.t -> Op.t -> unit;
-  commit : Tid.t -> unit;
-  abort : Tid.t -> unit;
+  commit : t -> Tid.t -> unit;
+  abort : t -> Tid.t -> unit;
   restore : Op.t list -> (unit, error) result;
   committed_ops : unit -> Op.t list;
-  set_metrics : Metrics.t -> unit;
+  (* The attached registry and one handle per series the manager counts
+     into, each {!Metrics.Counter.unresolved} until its first event. *)
+  mutable reg : Metrics.t option;
+  mutable committed : Metrics.counter;
+  mutable undone_inverse : Metrics.counter;
+  mutable undone_replay : Metrics.counter;
+  mutable discarded : Metrics.counter;
 }
 
 let kind t = t.kind
 let responses t = t.responses
 let record t = t.record
-let commit t = t.commit
-let abort t = t.abort
+let commit t tid = t.commit t tid
+let abort t tid = t.abort t tid
 let restore t = t.restore
 let committed_ops t = t.committed_ops ()
-let attach_metrics t reg = t.set_metrics reg
+
+let unresolved = Metrics.Counter.unresolved
+
+let attach_metrics t reg =
+  match t.reg with
+  | Some r when r == reg -> ()
+  | _ ->
+      t.reg <- Some reg;
+      t.committed <- unresolved;
+      t.undone_inverse <- unresolved;
+      t.undone_replay <- unresolved;
+      t.discarded <- unresolved
 
 (* Per-object undo/redo accounting; every call is on a commit/abort path,
-   never per recorded operation. *)
-let count_ops meta name ~obj ~mode n =
-  match !meta with
+   never per recorded operation.  Each handle is searched for in the
+   registry only on its series' first event. *)
+let count_committed t n =
+  match t.reg with
   | None -> ()
   | Some reg ->
-      let labels = ("obj", obj) :: (match mode with None -> [] | Some m -> [ ("mode", m) ]) in
-      Metrics.Counter.incr ~by:n (Metrics.counter reg name ~labels)
+      if t.committed == unresolved then
+        t.committed <- Metrics.counter reg "tm_recovery_committed_ops_total" ~labels:[ ("obj", t.obj) ];
+      Metrics.Counter.incr ~by:n t.committed
+
+let count_undone_inverse t n =
+  match t.reg with
+  | None -> ()
+  | Some reg ->
+      if t.undone_inverse == unresolved then
+        t.undone_inverse <-
+          Metrics.counter reg "tm_recovery_undone_ops_total"
+            ~labels:[ ("obj", t.obj); ("mode", "inverse") ];
+      Metrics.Counter.incr ~by:n t.undone_inverse
+
+let count_undone_replay t n =
+  match t.reg with
+  | None -> ()
+  | Some reg ->
+      if t.undone_replay == unresolved then
+        t.undone_replay <-
+          Metrics.counter reg "tm_recovery_undone_ops_total"
+            ~labels:[ ("obj", t.obj); ("mode", "replay") ];
+      Metrics.Counter.incr ~by:n t.undone_replay
+
+let count_discarded t n =
+  match t.reg with
+  | None -> ()
+  | Some reg ->
+      if t.discarded == unresolved then
+        t.discarded <- Metrics.counter reg "tm_recovery_discarded_ops_total" ~labels:[ ("obj", t.obj) ];
+      Metrics.Counter.incr ~by:n t.discarded
 
 (* Distinct legal responses to [inv] from a state-set, each of which keeps
    the overall sequence legal by construction. *)
@@ -70,7 +119,6 @@ let candidate_responses (type s) (module S : Spec.S with type state = s) states 
 let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
   let step = Spec.step_states (module S) and after = Spec.after_states (module S) in
   let obj = Spec.name spec in
-  let meta = ref None in
   (* The live suffix: [(tid, op)] entries of non-aborted transactions in
      execution order, from the first operation of the oldest transaction
      still live here.  It is a two-list queue, [front] oldest first and
@@ -114,9 +162,9 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
     back := (tid, op) :: !back;
     Hashtbl.replace per_txn tid (op :: txn_ops tid)
   in
-  let commit tid =
+  let commit t tid =
     let mine = txn_ops tid in
-    count_ops meta "tm_recovery_committed_ops_total" ~obj ~mode:None (List.length mine);
+    count_committed t (List.length mine);
     committed_log := mine @ !committed_log;
     Hashtbl.remove per_txn tid;
     fold ()
@@ -137,7 +185,7 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
             | _, _ -> None)
           (Some []) mine
   in
-  let abort tid =
+  let abort t tid =
     let mine = txn_ops tid in
     Hashtbl.remove per_txn tid;
     let survives (t, _) = not (Tid.equal t tid) in
@@ -146,24 +194,20 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
     let replayed () =
       List.fold_left step_entry (List.fold_left step_entry !base !front) (List.rev !back)
     in
-    let undone mode =
-      count_ops meta "tm_recovery_undone_ops_total" ~obj ~mode:(Some mode)
-        (List.length mine)
-    in
     (match compensation mine with
     | None ->
-        undone "replay";
+        count_undone_replay t (List.length mine);
         current := replayed ()
     | Some undo ->
         let next = after !current undo in
         (* Fall back to replay if a compensating operation is not legal
            here (cannot happen for well-chosen inverses, but safety wins). *)
         if next = [] then begin
-          undone "replay";
+          count_undone_replay t (List.length mine);
           current := replayed ()
         end
         else begin
-          undone "inverse";
+          count_undone_inverse t (List.length mine);
           current := next
         end);
     fold ()
@@ -187,13 +231,13 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
     end
   in
   let committed_ops () = List.rev !committed_log in
-  let set_metrics reg = meta := Some reg in
-  { kind = UIP; responses; record; commit; abort; restore; committed_ops; set_metrics }
+  { kind = UIP; obj; responses; record; commit; abort; restore; committed_ops;
+    reg = None; committed = unresolved; undone_inverse = unresolved;
+    undone_replay = unresolved; discarded = unresolved }
 
 let create_du (Spec.Packed (module S) as spec) : t =
   let step = Spec.step_states (module S) and after = Spec.after_states (module S) in
   let obj = Spec.name spec in
-  let meta = ref None in
   let base = ref [ S.initial ] in
   let intentions : (Tid.t, Op.t list) Hashtbl.t = Hashtbl.create 16 in
   let committed_log = ref [] (* newest first *) in
@@ -208,7 +252,7 @@ let create_du (Spec.Packed (module S) as spec) : t =
       invalid_arg (Fmt.str "Recovery.record(DU): illegal operation %a" Op.pp op);
     Hashtbl.replace intentions tid (op :: txn_ops tid)
   in
-  let commit tid =
+  let commit t tid =
     let ops = List.rev (txn_ops tid) in
     let next = after !base ops in
     if ops <> [] && next = [] then
@@ -218,13 +262,12 @@ let create_du (Spec.Packed (module S) as spec) : t =
             (conflict relation too weak)"
            Tid.pp tid);
     base := next;
-    count_ops meta "tm_recovery_committed_ops_total" ~obj ~mode:None (List.length ops);
+    count_committed t (List.length ops);
     committed_log := txn_ops tid @ !committed_log;
     Hashtbl.remove intentions tid
   in
-  let abort tid =
-    count_ops meta "tm_recovery_discarded_ops_total" ~obj ~mode:None
-      (List.length (txn_ops tid));
+  let abort t tid =
+    count_discarded t (List.length (txn_ops tid));
     Hashtbl.remove intentions tid
   in
   let restore ops =
@@ -242,8 +285,9 @@ let create_du (Spec.Packed (module S) as spec) : t =
     end
   in
   let committed_ops () = List.rev !committed_log in
-  let set_metrics reg = meta := Some reg in
-  { kind = DU; responses; record; commit; abort; restore; committed_ops; set_metrics }
+  { kind = DU; obj; responses; record; commit; abort; restore; committed_ops;
+    reg = None; committed = unresolved; undone_inverse = unresolved;
+    undone_replay = unresolved; discarded = unresolved }
 
 let create ?inverse kind spec =
   match kind with

@@ -103,5 +103,12 @@ val committed_ops : t -> Op.t list
     abort ([tm_recovery_undone_ops_total{obj,mode="inverse"|"replay"}])
     and intentions discarded on a DU abort
     ([tm_recovery_discarded_ops_total{obj}]).  Called by
-    {!Database.create}. *)
+    {!Database.create}.
+
+    Each of these handles is resolved in [reg] on its series' first
+    event and kept in the manager, so a series is registered only once
+    it counts something, and later commits and aborts do not search the
+    registry.  Attaching to a different registry drops the kept handles:
+    the new registry counts only what happens after it.  Re-attaching to
+    the same registry is idempotent. *)
 val attach_metrics : t -> Tm_obs.Metrics.t -> unit

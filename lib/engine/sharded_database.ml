@@ -109,6 +109,9 @@ let objects t =
 let set_trace t tr =
   Array.iter (fun sh -> Database.set_trace (Shard.database sh) tr) t.shards
 
+(* Sites test [tracing t s] before building a span kind. *)
+let tracing t s = Database.tracing (Shard.database t.shards.(s))
+
 let emit_2pc t s ~tid kind =
   Database.emit_trace (Shard.database t.shards.(s)) ~tid kind
 
@@ -161,7 +164,7 @@ let commit_cross t tid ~gtid parts =
         match Shard.with_lock sh (fun () -> Durable_database.prepare (Shard.db sh) tid) with
         | Ok lsn ->
             Metrics.Counter.incr t.c_prepares;
-            emit_2pc t s ~tid (Trace.Prepare_append { shard = s; gtid });
+            if tracing t s then emit_2pc t s ~tid (Trace.Prepare_append { shard = s; gtid });
             prep ((s, lsn) :: prepared) rest
         | Error e ->
             (* The failing shard already aborted itself.  Roll back the
@@ -175,8 +178,8 @@ let commit_cross t tid ~gtid parts =
                   (Shard.with_lock shp (fun () ->
                        Durable_database.finish_prepared (Shard.db shp) tid
                          ~commit:false));
-                emit_2pc t p ~tid
-                  (Trace.Completion { shard = p; gtid; commit = false }))
+                if tracing t p then
+                  emit_2pc t p ~tid (Trace.Completion { shard = p; gtid; commit = false }))
               prepared;
             List.iter
               (fun p ->
@@ -194,7 +197,7 @@ let commit_cross t tid ~gtid parts =
         (fun (s, lsn) ->
           Wal.force_upto (Shard.wal t.shards.(s)) lsn;
           note_flushed t s;
-          emit_2pc t s ~tid (Trace.Prepare_force { shard = s; lsn; gtid }))
+          if tracing t s then emit_2pc t s ~tid (Trace.Prepare_force { shard = s; lsn; gtid }))
         prepared;
       (* The decision: one forced append on the coordinator's own log —
          the global commit point.  The coordinator is the lowest
@@ -206,14 +209,16 @@ let commit_cross t tid ~gtid parts =
       let dlsn =
         Shard.with_lock shc (fun () ->
             Wal.append (Shard.wal shc) (Wal.Decision { tid; commit = true });
-            Database.emit_trace (Shard.database shc) ~tid
-              (Trace.Wal_append { record = "decision" });
+            if tracing t coord then
+              Database.emit_trace (Shard.database shc) ~tid
+                (Trace.Wal_append { record = "decision" });
             Wal.last_lsn (Shard.wal shc))
       in
       Wal.force_upto (Shard.wal shc) dlsn;
       note_flushed t coord;
-      emit_2pc t coord ~tid
-        (Trace.Decision_force { shard = coord; lsn = dlsn; gtid; commit = true });
+      if tracing t coord then
+        emit_2pc t coord ~tid
+          (Trace.Decision_force { shard = coord; lsn = dlsn; gtid; commit = true });
       (* Phase 2: complete everywhere.  No force — recovery re-resolves
          a lost completion from the surviving decision evidence. *)
       List.iter
@@ -222,7 +227,7 @@ let commit_cross t tid ~gtid parts =
           ignore
             (Shard.with_lock sh (fun () ->
                  Durable_database.finish_prepared (Shard.db sh) tid ~commit:true));
-          emit_2pc t s ~tid (Trace.Completion { shard = s; gtid; commit = true }))
+          if tracing t s then emit_2pc t s ~tid (Trace.Completion { shard = s; gtid; commit = true }))
         prepared;
       Ok ()
 

@@ -110,6 +110,23 @@ module Counter = struct
 
   let incr ?(by = 1) c = c.count <- c.count + by
   let get c = c.count
+  let unresolved = { count = 0 }
+end
+
+module Handles = struct
+  type t =
+    | Empty
+    | Handle of { a : string; b : string; counter : counter; rest : t }
+
+  let empty = Empty
+
+  let rec find t a b =
+    match t with
+    | Empty -> Counter.unresolved
+    | Handle h ->
+        if String.equal h.a a && String.equal h.b b then h.counter else find h.rest a b
+
+  let add t a b counter = Handle { a; b; counter; rest = t }
 end
 
 module Gauge = struct

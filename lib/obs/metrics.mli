@@ -44,6 +44,10 @@ module Counter : sig
 
   val incr : ?by:int -> t -> unit
   val get : t -> int
+
+  (** A counter of no registry: the value of a handle that is not
+      resolved yet.  Test for it with [==]; it is never incremented. *)
+  val unresolved : t
 end
 
 module Gauge : sig
@@ -67,6 +71,27 @@ module Histogram : sig
       [histogram_quantile] estimator); [None] when empty.  Estimates in
       the overflow bucket are clamped to the largest finite bound. *)
   val quantile : t -> float -> float option
+end
+
+(** {1 Handles resolved on first use}
+
+    A component that counts into a labelled family keeps each handle
+    after its first event, so later events bump a field instead of
+    searching the registry, and a series is still registered only once
+    it has something to count. *)
+
+(** Counters keyed by two label values (say an operation pair), newest
+    first.  Lookups are allocation-free. *)
+module Handles : sig
+  type t
+
+  val empty : t
+
+  (** [find t a b] is the counter kept under [(a, b)], or
+      {!Counter.unresolved}. *)
+  val find : t -> string -> string -> counter
+
+  val add : t -> string -> string -> counter -> t
 end
 
 (** {1 Introspection and aggregation} *)

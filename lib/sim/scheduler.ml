@@ -169,7 +169,8 @@ let run_ops db ops (workload : Workload.t) cfg =
                 match find_active victim with
                 | Some v ->
                     Metrics.Counter.incr c_victims;
-                    Database.emit_trace db ~tid:victim (Trace.Deadlock_victim { cycle });
+                    if Database.tracing db then
+                      Database.emit_trace db ~tid:victim (Trace.Deadlock_victim { cycle });
                     abort_and_requeue `Deadlock v
                 | None -> ())
             | None -> ())
@@ -225,10 +226,11 @@ let run_durable ?(checkpoint_every = 0) ?(group_commit = 1) dd workload cfg =
   let parked : (Tid.t * int) list ref = ref [] in
   let db = DD.database dd in
   let release_parked () =
-    List.iter
-      (fun (tid, lsn) ->
-        Tm_engine.Database.emit_trace db ~tid (Tm_obs.Trace.Durable { lsn }))
-      (List.rev !parked);
+    if Tm_engine.Database.tracing db then
+      List.iter
+        (fun (tid, lsn) ->
+          Tm_engine.Database.emit_trace db ~tid (Tm_obs.Trace.Durable { lsn }))
+        (List.rev !parked);
     parked := []
   in
   let stats =
@@ -246,8 +248,9 @@ let run_durable ?(checkpoint_every = 0) ?(group_commit = 1) dd workload cfg =
           (fun tid ->
             match DD.try_commit_nowait dd tid with
             | Ok lsn ->
-                Tm_engine.Database.emit_trace db ~tid
-                  (Tm_obs.Trace.Wal_flush_wait { upto = lsn });
+                if Tm_engine.Database.tracing db then
+                  Tm_engine.Database.emit_trace db ~tid
+                    (Tm_obs.Trace.Wal_flush_wait { upto = lsn });
                 parked := (tid, lsn) :: !parked;
                 Ok ()
             | Error _ as e -> e);

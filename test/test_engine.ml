@@ -697,6 +697,33 @@ let test_fresh_object_footprint () =
   Helpers.check_bool (Fmt.str "a fresh account costs %d words (at most 300)" per_object) true
     (per_object <= 300)
 
+(* What an attached object costs: an account in a [Database], after one
+   committed deposit, is the fresh account plus its share of the
+   database (status entry, registry series) and the handle it resolved.
+   Handles live in fields that replace the old attachment, so the
+   marginal words must not exceed what they were when every event
+   searched the registry instead (312 then, 309 now). *)
+let test_attached_object_footprint () =
+  let words n =
+    let db =
+      Database.create
+        (List.init n (fun i ->
+             Atomic_object.create ~inverse:BA.inverse
+               ~spec:(Spec.rename BA.spec (Fmt.str "BA%d" i))
+               ~conflict:BA.nrbc_conflict ~recovery:Recovery.UIP ()))
+    in
+    for i = 0 to n - 1 do
+      let a = Database.begin_txn db in
+      ignore (Database.invoke db a ~obj:(Fmt.str "BA%d" i) (deposit_inv 1));
+      Database.commit db a
+    done;
+    Obj.reachable_words (Obj.repr db)
+  in
+  let per_object = (words 101 - words 1) / 100 in
+  Helpers.check_bool
+    (Fmt.str "an attached account costs %d words (at most 312)" per_object)
+    true (per_object <= 312)
+
 (* Validation is the same loop on both commit paths: a durable optimistic
    transaction that fails validation at two objects gets the same
    [(obj, mine, theirs)] as through [Database.try_commit] — the first
@@ -808,6 +835,284 @@ let prop_engine_histories_dynamic_atomic =
           done)
         [ Recovery.UIP; Recovery.DU ])
 
+(* ------------------------------------------------------------------ *)
+(* The contention path: resolved handles, the deadlock search, and what
+   a contended invocation allocates.                                   *)
+
+module Metrics = Tm_obs.Metrics
+module FQ = Tm_adt.Fifo_queue
+
+(* A seeded, contended run over two accounts (one undoing by inverse,
+   one by replay) and a FIFO queue, plus an optimistic account under
+   DU+NFC: four clients block, wait, deadlock, are chosen as victims,
+   stall on an empty queue, fail validation, abort and commit. *)
+let contended_registry recovery =
+  let ba, fq =
+    match recovery with
+    | Recovery.UIP -> (BA.nrbc_conflict, FQ.nrbc_conflict)
+    | Recovery.DU -> (BA.nfc_conflict, FQ.nfc_conflict)
+  in
+  let objs =
+    [
+      Atomic_object.create ~inverse:BA.inverse ~spec:(Spec.rename BA.spec "BA0")
+        ~conflict:ba ~recovery ();
+      Atomic_object.create ~spec:(Spec.rename BA.spec "BA1") ~conflict:ba ~recovery ();
+      Atomic_object.create ~spec:FQ.spec ~conflict:fq ~recovery ();
+    ]
+    @
+    match recovery with
+    | Recovery.DU ->
+        [ Atomic_object.create_optimistic ~spec:(Spec.rename BA.spec "OPT") ~conflict:ba ]
+    | Recovery.UIP -> []
+  in
+  let names = List.map Atomic_object.name objs in
+  let db = Database.create objs in
+  let rng = Random.State.make [| 19 |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let active = ref [] and victims = ref 0 in
+  let drop t = active := List.filter (fun x -> not (Tid.equal x t)) !active in
+  for _ = 1 to 400 do
+    if List.length !active < 4 then active := Database.begin_txn db :: !active;
+    let t = pick !active in
+    match Random.State.int rng 10 with
+    | c when c < 7 ->
+        let obj = pick names in
+        let inv =
+          if obj = "FQ" then
+            if Random.State.bool rng then Op.invocation "deq"
+            else Op.invocation ~args:[ Value.int (Random.State.int rng 3) ] "enq"
+          else
+            match Random.State.int rng 3 with
+            | 0 -> deposit_inv (1 + Random.State.int rng 2)
+            | 1 -> withdraw_inv (1 + Random.State.int rng 2)
+            | _ -> balance_inv
+        in
+        ignore (Database.invoke db t ~obj inv);
+        Option.iter
+          (fun cycle ->
+            let v = Deadlock.victim cycle in
+            Database.abort db v;
+            incr victims;
+            drop v)
+          (Database.deadlock db)
+    | c when c < 9 ->
+        ignore (Database.try_commit db t);
+        drop t
+    | _ ->
+        Database.abort db t;
+        drop t
+  done;
+  List.iter (Database.abort db) !active;
+  (Database.metrics db, !victims)
+
+let contains haystack needle =
+  let n = String.length needle in
+  let rec at i = i + n <= String.length haystack && (String.sub haystack i n = needle || at (i + 1)) in
+  at 0
+
+let pp_series ppf (name, labels) =
+  Fmt.pf ppf "%s{%a}" name
+    Fmt.(list ~sep:(any ",") (pair ~sep:(any "=") string string))
+    labels
+
+let contended_snapshot () =
+  String.concat ""
+    (List.map
+       (fun (setup, recovery) ->
+         let reg, victims = contended_registry recovery in
+         let order =
+           List.rev (Metrics.fold reg (fun acc name labels _ -> (name, labels) :: acc) [])
+         in
+         Fmt.str "# %s deadlock victims %d@.# %s registration order@.%a@.# %s prometheus@.%s"
+           setup victims setup
+           Fmt.(list ~sep:(any "@.") pp_series)
+           order setup (Metrics.to_prometheus reg))
+       [ ("UIP+NRBC", Recovery.UIP); ("DU+NFC", Recovery.DU) ])
+
+(* Keeping handles must not change what is registered, in which order,
+   or what it counts: the snapshot equals the one taken when every event
+   searched the registry.  Regenerate only for an intended change:
+   delete the file and run the test, which writes it to the build
+   sandbox (_build/default/test/golden/). *)
+let test_contended_metrics_golden () =
+  let path = Filename.concat "golden" "contended_metrics.txt" in
+  let actual = contended_snapshot () in
+  if not (Sys.file_exists path) then begin
+    (try
+       let oc = open_out_bin path in
+       output_string oc actual;
+       close_out oc
+     with Sys_error _ -> ());
+    Alcotest.failf "missing %s (written to the build sandbox)" path
+  end;
+  let expected = In_channel.with_open_bin path In_channel.input_all in
+  let lines s = String.split_on_char '\n' s in
+  let rec first_diff i = function
+    | e :: es, a :: as_ -> if String.equal e a then first_diff (i + 1) (es, as_) else Some (i, e, a)
+    | [], [] -> None
+    | e :: _, [] -> Some (i, e, "<end>")
+    | [], a :: _ -> Some (i, "<end>", a)
+  in
+  Helpers.check_bool "the run blocks, waits, stalls, fails validation and undoes" true
+    (List.for_all (contains actual)
+       [
+         "tm_object_blocked_total"; "tm_lock_wait_ticks"; "tm_object_no_response_total";
+         "tm_validation_failures_total"; "mode=\"inverse\""; "mode=\"replay\"";
+         "tm_recovery_discarded_ops_total";
+       ]);
+  Helpers.check_bool "both setups have deadlock victims" false
+    (contains actual "deadlock victims 0\n");
+  match first_diff 1 (lines expected, lines actual) with
+  | None -> ()
+  | Some (i, e, a) -> Alcotest.failf "line %d: expected %S, got %S" i e a
+
+(* One object, attached to registry [a], then to [b]: each registry
+   counts only the round run while it was attached, re-attaching to the
+   same registry changes nothing, and an object with no registry counts
+   nothing at all. *)
+let test_reattach_resets_handles () =
+  let o =
+    Atomic_object.create ~inverse:BA.inverse ~spec:BA.spec ~conflict:BA.nrbc_conflict
+      ~recovery:Recovery.UIP ()
+  in
+  let next = ref 0 in
+  let fresh () =
+    incr next;
+    Tid.of_int !next
+  in
+  (* A conflict, a block, a commit and an abort by inverse. *)
+  let round () =
+    let a = fresh () and b = fresh () in
+    (match Atomic_object.invoke o a (deposit_inv 1) with
+    | Atomic_object.Executed _ -> ()
+    | _ -> Alcotest.fail "deposit must execute");
+    (match Atomic_object.invoke o b (withdraw_inv 1) with
+    | Atomic_object.Blocked [ h ] when Tid.equal h a -> ()
+    | _ -> Alcotest.fail "withdraw must block on the deposit");
+    Atomic_object.commit o a;
+    (match Atomic_object.invoke o b (withdraw_inv 1) with
+    | Atomic_object.Executed _ -> ()
+    | _ -> Alcotest.fail "withdraw must execute once the deposit commits");
+    Atomic_object.abort o b
+  in
+  let counts reg =
+    List.map
+      (fun (name, labels) -> Metrics.counter_value reg name ~labels)
+      [
+        ("tm_lock_conflicts_total", [ ("obj", "BA"); ("requested", "withdraw"); ("held", "deposit") ]);
+        ("tm_object_blocked_total", [ ("obj", "BA"); ("op", "withdraw") ]);
+        ("tm_recovery_committed_ops_total", [ ("obj", "BA") ]);
+        ("tm_recovery_undone_ops_total", [ ("obj", "BA"); ("mode", "inverse") ]);
+      ]
+  in
+  let series reg = Metrics.fold reg (fun n _ _ _ -> n + 1) 0 in
+  let check what expected reg = Alcotest.(check (list int)) what expected (counts reg) in
+  round ();
+  let a = Metrics.create () and b = Metrics.create () in
+  Atomic_object.attach_metrics o a;
+  round ();
+  Atomic_object.attach_metrics o b;
+  round ();
+  check "a counts only the round it saw" [ 1; 1; 1; 1 ] a;
+  check "b counts only the round it saw" [ 1; 1; 1; 1 ] b;
+  Atomic_object.attach_metrics o b;
+  round ();
+  check "re-attaching to b is idempotent" [ 2; 2; 2; 2 ] b;
+  check "a is left alone" [ 1; 1; 1; 1 ] a;
+  Helpers.check_int "a has four series" 4 (series a);
+  Helpers.check_int "b has four series" 4 (series b);
+  (* The same promise on the lock table alone. *)
+  let t = Lock_table.create BA.nrbc_conflict in
+  let c = Metrics.create () in
+  Lock_table.add t Tid.a (dep 1);
+  ignore (Lock_table.blockers t ~requested:(wok 1) ~tid:Tid.b);
+  Helpers.check_int "an unattached table registers nothing" 0 (series c);
+  Lock_table.attach_metrics t ~obj:"T" c;
+  ignore (Lock_table.blockers t ~requested:(wok 1) ~tid:Tid.b);
+  Lock_table.attach_metrics t ~obj:"T" c;
+  ignore (Lock_table.blockers t ~requested:(wok 1) ~tid:Tid.b);
+  Helpers.check_int "the table counts both attached conflicts" 2
+    (Metrics.counter_value c "tm_lock_conflicts_total"
+       ~labels:[ ("obj", "T"); ("requested", "withdraw"); ("held", "deposit") ])
+
+(* The deadlock search against the one it replaced: after every step of
+   a random sequence of edge changes, one detector (whose scratch
+   survives from search to search) finds exactly the reference's cycle,
+   or none. *)
+let prop_deadlock_matches_reference =
+  let step =
+    QCheck2.Gen.(
+      let tid = int_range 0 5 in
+      frequency
+        [
+          (3, map2 (fun t on -> `Wait (t, on)) tid (list_size (int_range 0 3) tid));
+          (1, map (fun t -> `Clear t) tid);
+        ])
+  in
+  Helpers.qcheck ~count:300 "deadlock search = reference search"
+    QCheck2.Gen.(list_size (int_range 1 40) step)
+    (fun steps ->
+      let d = Deadlock.create () and r = Deadlock_reference.create () in
+      List.for_all
+        (fun s ->
+          (match s with
+          | `Wait (t, on) ->
+              let on = List.map Tid.of_int on in
+              Deadlock.set_waiting d (Tid.of_int t) ~on;
+              Deadlock_reference.set_waiting r (Tid.of_int t) ~on
+          | `Clear t ->
+              Deadlock.clear d (Tid.of_int t);
+              Deadlock_reference.clear r (Tid.of_int t));
+          let mine = Deadlock.find_cycle d in
+          mine = Deadlock_reference.find_cycle r && mine = Deadlock.find_cycle d)
+        steps)
+
+(* Allocation pins: [Gc.minor_words] counts words, so these hold on any
+   host.  Each runs its call once first, so every handle it uses is
+   resolved before the measured call. *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* Eight holders, each holding a deposit that blocks the withdrawal:
+   the answer (eight cells, sorted) and the conflict checks themselves,
+   236 words.  Searching the registry per conflicting pair, with a label
+   list built and sorted each time, took 780. *)
+let test_blockers_allocation () =
+  let t = Lock_table.create BA.nrbc_conflict in
+  Lock_table.attach_metrics t ~obj:"BA" (Metrics.create ());
+  for i = 1 to 8 do
+    Lock_table.add t (Tid.of_int i) (dep i)
+  done;
+  let call () = Lock_table.blockers t ~requested:(wok 1) ~tid:Tid.a in
+  Helpers.check_int "eight blockers" 8 (List.length (call ()));
+  let w = minor_words call in
+  if w > 320. then Alcotest.failf "blockers against 8 holders allocated %.0f words (max 320)" w
+
+(* A blocked invocation and the deadlock search after it, as the
+   closed-loop clients run them: 123 words.  With a registry search per
+   event, a fresh search table, exception and per-node closures, and
+   the trace kind built before looking for a recorder, it took 367. *)
+let test_blocked_invoke_allocation () =
+  let db =
+    Database.create
+      [ Atomic_object.create ~inverse:BA.inverse ~spec:BA.spec ~conflict:BA.nrbc_conflict
+          ~recovery:Recovery.UIP () ]
+  in
+  let a = Database.begin_txn db and b = Database.begin_txn db in
+  ignore (Database.invoke db a ~obj:"BA" (deposit_inv 1));
+  let call () =
+    match Database.invoke db b ~obj:"BA" (withdraw_inv 1) with
+    | Atomic_object.Blocked _ -> Database.deadlock db
+    | _ -> Alcotest.fail "withdraw must block"
+  in
+  Helpers.check_bool "no deadlock" true (call () = None);
+  let w = minor_words call in
+  if w > 200. then
+    Alcotest.failf "a blocked invoke and deadlock search allocated %.0f words (max 200)" w
+
 let suite =
   [
     Alcotest.test_case "lock table" `Quick test_lock_table;
@@ -847,4 +1152,13 @@ let suite =
     Alcotest.test_case "durable validation = plain validation" `Quick
       test_durable_validation_matches;
     prop_engine_histories_dynamic_atomic;
+    Alcotest.test_case "attached object footprint" `Quick test_attached_object_footprint;
+    Alcotest.test_case "contended metrics = golden snapshot" `Quick
+      test_contended_metrics_golden;
+    Alcotest.test_case "re-attach resets resolved handles" `Quick
+      test_reattach_resets_handles;
+    prop_deadlock_matches_reference;
+    Alcotest.test_case "blockers allocation pin" `Quick test_blockers_allocation;
+    Alcotest.test_case "blocked invoke allocation pin" `Quick
+      test_blocked_invoke_allocation;
   ]
