@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all check test bench perfcheck baseline benchdiff crashtest faulttest \
+.PHONY: all check test bench perfcheck crashtest faulttest \
   shardtest stresstest report shardreport walsmoke metricsdoc metricsdoc-check golden \
   walformatdoc walformatdoc-check clean
 
@@ -65,6 +65,9 @@ report:
 	test -s _report/perfetto.json
 	@echo "report: _report/report.txt and _report/perfetto.json"
 
+# The paper reproduction harness: Section 6's tables, the worked
+# examples, Theorems 9 and 10 and the concurrency sweeps (its output is
+# pinned by `dune runtest`).
 bench:
 	dune exec bench/main.exe
 
@@ -77,31 +80,6 @@ bench:
 # most 2600 words per transaction.
 perfcheck:
 	bash bench/perfcheck.sh
-
-# Machine-readable bench baseline: BENCH_<rev>.json with named series
-# (includes the MB-scale recovery benchmark).  Use `--quick` sizes so
-# the run stays interactive; drop it for publication numbers.
-baseline:
-	dune exec bench/main.exe -- --json --quick
-
-# Compare a fresh quick run against the checked-in baseline and GATE on
-# the restart and commit-rate series: a >25% move against a gated
-# series' direction fails the build.  Everything else is printed as
-# advisory only.  If a regression is
-# intentional, rerun with the documented escape hatch and refresh the
-# baseline in the same change:
-#   make benchdiff BENCHDIFF_FLAGS=--allow-regression
-#   make baseline   # then copy the BENCH_<rev>.json over bench/BASELINE.json
-BENCHDIFF_FLAGS ?=
-benchdiff:
-	dune exec bench/main.exe -- --json _report/bench.json --quick
-	dune exec bin/benchdiff.exe -- bench/BASELINE.json _report/bench.json \
-	  --tolerance 25 --gate recovery.restart.records_per_sec \
-	  --gate recovery.restart.seconds \
-	  --gate wal.group_commit.commits_per_sec \
-	  --gate sharded.commit_rate.s1.disjoint \
-	  --gate sharded.commit_rate.s4.disjoint \
-	  --gate sharded.recovery_resolution.s4 $(BENCHDIFF_FLAGS)
 
 # Distributed-tracing report: two traced 4-shard stress runs merged into
 # one text report and one Perfetto timeline (per-shard tracks + flow

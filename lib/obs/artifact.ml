@@ -1,9 +1,10 @@
 (* Self-describing dump headers.  Every artifact the CLIs write — trace
-   JSONL, Prometheus metrics snapshots, bench baselines — starts with a
-   small metadata record: schema name/version, the producing binary, the
-   seed and any config the run used.  Readers skip it after validating
-   that the file is the kind of artifact they expect, so a metrics dump
-   fed to the trace parser fails loudly instead of decoding garbage. *)
+   JSONL, Prometheus metrics snapshots, 2PC audit trails, time series —
+   starts with a small metadata record: schema name/version, the
+   producing binary, the seed and any config the run used.  Readers
+   skip it after validating that the file is the kind of artifact they
+   expect, so a metrics dump fed to the trace parser fails loudly
+   instead of decoding garbage. *)
 
 type t = {
   schema : string;  (* "<family>/<version>", e.g. "tm-trace/1" *)
@@ -14,7 +15,6 @@ type t = {
 
 let trace_schema = "tm-trace/1"
 let metrics_schema = "tm-metrics/1"
-let bench_schema = "tm-bench/1"
 let audit_schema = "tm-2pc/1"
 let series_schema = "tm-series/1"
 
@@ -25,11 +25,6 @@ let make ~schema ?binary ?seed ?(config = []) () =
     | None -> Filename.basename Sys.executable_name
   in
   { schema; binary; seed; config }
-
-let family t =
-  match String.index_opt t.schema '/' with
-  | Some i -> String.sub t.schema 0 i
-  | None -> t.schema
 
 let family_of_schema s =
   match String.index_opt s '/' with Some i -> String.sub s 0 i | None -> s
@@ -79,7 +74,7 @@ let of_json j =
    within a family are forward-compatible for skipping (the reader only
    needs to know it has the right kind of file). *)
 let check_schema ~expect m =
-  if String.equal (family m) (family_of_schema expect) then Ok m
+  if String.equal (family_of_schema m.schema) (family_of_schema expect) then Ok m
   else
     Error
       (Fmt.str "artifact schema %S where a %S artifact was expected" m.schema

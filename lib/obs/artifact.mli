@@ -1,12 +1,13 @@
 (** Self-describing artifact headers.
 
     Every dump the CLI executables write — trace JSONL, Prometheus
-    metrics snapshots, bench baselines — carries a one-line metadata
-    header: the schema ("<family>/<version>"), the producing binary, the
-    seed and any run configuration.  Readers validate the family (a
-    metrics dump handed to the trace parser fails loudly) and then skip
-    the line; unknown {e versions} within the right family are skipped
-    without complaint, so old readers survive new writers. *)
+    metrics snapshots, 2PC audit trails, time series — carries a
+    one-line metadata header: the schema ("<family>/<version>"), the
+    producing binary, the seed and any run configuration.  Readers
+    validate the family (a metrics dump handed to the trace parser fails
+    loudly) and then skip the line; unknown {e versions} within the right
+    family are skipped without complaint, so old readers survive new
+    writers. *)
 
 type t = {
   schema : string;  (** ["<family>/<version>"], e.g. ["tm-trace/1"] *)
@@ -18,8 +19,6 @@ type t = {
 val trace_schema : string  (** ["tm-trace/1"] *)
 
 val metrics_schema : string  (** ["tm-metrics/1"] *)
-
-val bench_schema : string  (** ["tm-bench/1"] *)
 
 val audit_schema : string
 (** ["tm-2pc/1"] — the 2PC in-doubt resolution audit trail
@@ -39,9 +38,6 @@ val make :
   unit ->
   t
 
-(** The part of [schema] before ['/']. *)
-val family : t -> string
-
 (** [check_schema ~expect m] — [Ok m] when [m]'s family matches
     [expect]'s family, an explanatory [Error] otherwise. *)
 val check_schema : expect:string -> t -> (t, string) result
@@ -49,8 +45,7 @@ val check_schema : expect:string -> t -> (t, string) result
 (** {1 Wire format}
 
     The header is a JSON object [{"meta":{...}}] — distinguishable from
-    every trace event (those carry ["ts"]) and from bench payload
-    members. *)
+    every trace event (those carry ["ts"]). *)
 
 val to_json : t -> Json.t
 

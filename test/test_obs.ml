@@ -414,80 +414,6 @@ let test_catalog_markdown_mentions_everything () =
     Catalog.all
 
 (* ------------------------------------------------------------------ *)
-(* Bench baselines: JSON round trip and the comparator.                *)
-
-module Bench = Tm_obs.Bench_baseline
-
-let mk_series name value higher =
-  { Bench.name; value; units = "x/s"; higher_is_better = higher }
-
-let test_bench_roundtrip () =
-  let b =
-    Bench.make ~context:[ ("quick", "true") ] ~rev:"abc1234"
-      [ mk_series "a.rate" 100. true; mk_series "a.secs" 0.5 false ]
-  in
-  match Bench.of_string (Bench.to_string b) with
-  | Error e -> Alcotest.failf "roundtrip: %s" e
-  | Ok b' ->
-      Alcotest.(check string) "rev" "abc1234" b'.Bench.rev;
-      Alcotest.(check (list (pair string string))) "context"
-        [ ("quick", "true") ] b'.Bench.context;
-      Helpers.check_int "series" 2 (List.length b'.Bench.series);
-      (match Bench.find b' "a.secs" with
-      | Some s ->
-          check_float "value" 0.5 s.Bench.value;
-          Helpers.check_bool "direction" false s.Bench.higher_is_better
-      | None -> Alcotest.fail "a.secs lost");
-      (* non-bench artifacts are rejected loudly *)
-      match Bench.of_string "{\"schema\":\"tm-trace/1\",\"series\":[]}" with
-      | Ok _ -> Alcotest.fail "trace schema accepted as bench"
-      | Error e -> Helpers.check_bool "names the schema" true (contains e "tm-trace")
-
-let test_bench_diff_verdicts () =
-  let baseline =
-    Bench.make ~rev:"base"
-      [
-        mk_series "up.ok" 100. true;
-        mk_series "up.bad" 100. true;
-        mk_series "down.bad" 1.0 false;
-        mk_series "zero" 0. true;
-        mk_series "gone" 5. true;
-      ]
-  in
-  let current =
-    Bench.make ~rev:"cur"
-      [
-        mk_series "up.ok" 80. true;
-        (* -20%: inside tolerance *)
-        mk_series "up.bad" 60. true;
-        (* -40%: regression *)
-        mk_series "down.bad" 1.4 false;
-        (* +40% where lower is better: regression *)
-        mk_series "zero" 3. true;
-        (* zero baseline: never a regression *)
-        mk_series "fresh" 1. true;
-        (* new series: informational *)
-      ]
-  in
-  let verdicts = Bench.diff ~tolerance_pct:25. ~baseline current in
-  let verdict name =
-    match List.find_opt (fun v -> v.Bench.series_name = name) verdicts with
-    | Some v -> v
-    | None -> Alcotest.failf "no verdict for %s" name
-  in
-  Helpers.check_bool "within tolerance" false (verdict "up.ok").Bench.regression;
-  Helpers.check_bool "drop beyond tolerance" true (verdict "up.bad").Bench.regression;
-  Helpers.check_bool "rise against direction" true (verdict "down.bad").Bench.regression;
-  Helpers.check_bool "zero baseline tolerated" false (verdict "zero").Bench.regression;
-  Helpers.check_bool "missing series regresses" true (verdict "gone").Bench.regression;
-  Helpers.check_bool "new series informational" false (verdict "fresh").Bench.regression;
-  Helpers.check_int "regression count" 3 (List.length (Bench.regressions verdicts));
-  (* an improvement beyond tolerance is not a regression *)
-  let improved = Bench.make ~rev:"cur" [ mk_series "up.ok" 300. true ] in
-  let v = Bench.diff ~baseline:(Bench.make ~rev:"b" [ mk_series "up.ok" 100. true ]) improved in
-  Helpers.check_bool "improvement ok" false (List.hd v).Bench.regression
-
-(* ------------------------------------------------------------------ *)
 (* Round trip: recorded trace -> history -> dynamic-atomicity checker. *)
 
 let roundtrip_setups =
@@ -627,8 +553,6 @@ let suite =
     Alcotest.test_case "catalog rejects strays" `Quick test_catalog_rejects_strays;
     Alcotest.test_case "catalog markdown complete" `Quick
       test_catalog_markdown_mentions_everything;
-    Alcotest.test_case "bench baseline round trip" `Quick test_bench_roundtrip;
-    Alcotest.test_case "bench diff verdicts" `Quick test_bench_diff_verdicts;
     Alcotest.test_case "labeled counters" `Quick test_counter_idempotent_and_labels;
     Alcotest.test_case "type clash" `Quick test_type_clash;
     Alcotest.test_case "merge" `Quick test_merge;
