@@ -77,7 +77,7 @@ bench:
 # Object footprint: transfer_2pc (1024 accounts) may keep at most 6.0 MB
 # reachable.  Log record cost: restart may allocate at most 400 words per
 # transaction.  Contended invocation cost: hotspot_uip may allocate at
-# most 2600 words per transaction.
+# most 1250 words per transaction.
 perfcheck:
 	bash bench/perfcheck.sh
 

@@ -52,21 +52,22 @@ let withdraw_ok i = Op.make ~obj ~args:[ Value.int i ] "withdraw" Value.ok
 let withdraw_no i = Op.make ~obj ~args:[ Value.int i ] "withdraw" Value.no
 let balance i = Op.make ~obj "balance" (Value.int i)
 
-(* Operation classification used by the closed forms, carrying the
-   amount (or pinned balance). *)
-type klass =
-  | Deposit of int
-  | Withdraw_ok of int
-  | Withdraw_no of int
-  | Balance of int
-
-let classify (op : Op.t) =
+(* Operation classification used by the closed forms, as an immediate
+   int so that classifying an operand allocates nothing (the closed forms
+   run on every conflict test of the lock table): the kind in the low two
+   bits — 0 deposit, 1 withdraw→ok, 2 withdraw→no, 3 balance — and the
+   amount (or pinned balance) above them.  Amounts and balances are
+   assumed to fit in 61 bits. *)
+let code (op : Op.t) =
   match op.inv.name, op.inv.args, op.res with
-  | "deposit", [ Value.Int i ], _ -> Deposit i
-  | "withdraw", [ Value.Int i ], Value.Str "ok" -> Withdraw_ok i
-  | "withdraw", [ Value.Int i ], Value.Str "no" -> Withdraw_no i
-  | "balance", [], Value.Int b -> Balance b
+  | "deposit", [ Value.Int i ], _ -> i lsl 2
+  | "withdraw", [ Value.Int i ], Value.Str "ok" -> (i lsl 2) lor 1
+  | "withdraw", [ Value.Int i ], Value.Str "no" -> (i lsl 2) lor 2
+  | "balance", [], Value.Int b -> (b lsl 2) lor 3
   | _ -> invalid_arg ("Bank_account: not a bank account operation: " ^ Op.to_string op)
+
+let kind c = c land 3
+let amount c = c asr 2
 
 (* Figure 6-1, derived (s = balance):
    - deposit/deposit, deposit/withdraw-ok: total, add/subtract commute and
@@ -86,22 +87,12 @@ let classify (op : Op.t) =
    The paper's class-level Figure 6-1 is the existential image of this
    relation (a class pair is marked when some instance pair conflicts). *)
 let forward_commutes p q =
-  match classify p, classify q with
-  | Deposit _, Deposit _
-  | Deposit _, Withdraw_ok _
-  | Withdraw_ok _, Deposit _
-  | Withdraw_ok _, Withdraw_no _
-  | Withdraw_no _, Withdraw_ok _
-  | Withdraw_no _, Withdraw_no _
-  | Withdraw_no _, Balance _
-  | Balance _, Withdraw_no _
-  | Balance _, Balance _ -> true
-  | Deposit _, Withdraw_no _
-  | Withdraw_no _, Deposit _
-  | Deposit _, Balance _
-  | Balance _, Deposit _
-  | Withdraw_ok _, Withdraw_ok _ -> false
-  | Withdraw_ok i, Balance b | Balance b, Withdraw_ok i -> b < i
+  let p = code p and q = code q in
+  match kind p, kind q with
+  | 0, (0 | 1) | 1, (0 | 2) | 2, (1 | 2 | 3) | 3, (2 | 3) -> true
+  | 1, 3 -> amount q < amount p  (* withdraw-ok(i) / balance→b: b < i *)
+  | 3, 1 -> amount p < amount q
+  | _ -> false
 
 (* Figure 6-2, derived ([p right-commutes-backward q] = whenever p runs
    just after q it could instead have run just before, unobservably):
@@ -127,32 +118,22 @@ let forward_commutes p q =
    - balance and withdraw-no are state-preserving, so each pushes back
      over the other. *)
 let right_commutes_backward p q =
-  match classify p, classify q with
-  | Deposit _, Deposit _
-  | Deposit _, Withdraw_ok _
-  | Withdraw_ok _, Withdraw_ok _
-  | Withdraw_ok _, Withdraw_no _
-  | Withdraw_no _, Deposit _
-  | Withdraw_no _, Withdraw_no _
-  | Withdraw_no _, Balance _
-  | Balance _, Withdraw_no _
-  | Balance _, Balance _ -> true
-  | Deposit _, Withdraw_no _
-  | Withdraw_ok _, Deposit _
-  | Withdraw_no _, Withdraw_ok _
-  | Deposit _, Balance _
-  | Balance _, Withdraw_ok _ -> false
-  | Withdraw_ok i, Balance b -> b < i
-  | Balance b, Deposit i -> b < i
+  let p = code p and q = code q in
+  match kind p, kind q with
+  | 0, (0 | 1) | 1, (1 | 2) | 2, (0 | 2 | 3) | 3, (2 | 3) -> true
+  | 1, 3 -> amount q < amount p  (* withdraw-ok(i) after balance→b: b < i *)
+  | 3, 0 -> amount p < amount q  (* balance→b after deposit(i): b < i *)
+  | _ -> false
 
 (* Deposits and successful withdrawals form an abelian group action on the
    balance, so each has a position-independent compensating operation;
    failed withdrawals and balance reads change nothing. *)
 let inverse op =
-  match classify op with
-  | Deposit i -> Some [ withdraw_ok i ]
-  | Withdraw_ok i -> Some [ deposit i ]
-  | Withdraw_no _ | Balance _ -> Some []
+  let c = code op in
+  match kind c with
+  | 0 -> Some [ withdraw_ok (amount c) ]
+  | 1 -> Some [ deposit (amount c) ]
+  | _ -> Some []
 
 let nfc_conflict =
   Conflict.make ~name:"BA-NFC" (fun ~requested ~held ->
@@ -163,10 +144,7 @@ let nrbc_conflict =
       not (right_commutes_backward requested held))
 
 let rw_conflict =
-  Conflict.read_write ~name:"BA-RW" ~is_read:(fun op ->
-      match classify op with
-      | Balance _ -> true
-      | Deposit _ | Withdraw_ok _ | Withdraw_no _ -> false)
+  Conflict.read_write ~name:"BA-RW" ~is_read:(fun op -> kind (code op) = 3)
 
 let classes =
   [

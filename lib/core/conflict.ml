@@ -5,7 +5,9 @@ type t = {
 
 let make ~name test = { name; test }
 let name t = t.name
-let conflicts t = t.test
+(* Full arity: the lock table applies it on every conflict test, and a
+   partial application would build a closure per call. *)
+let conflicts t ~requested ~held = t.test ~requested ~held
 let none = make ~name:"none" (fun ~requested:_ ~held:_ -> false)
 let all = make ~name:"all" (fun ~requested:_ ~held:_ -> true)
 

@@ -14,6 +14,9 @@ type t
 
 val make : name:string -> (requested:Op.t -> held:Op.t -> bool) -> t
 val name : t -> string
+
+(** [conflicts t ~requested ~held] applies the relation.  It allocates
+    nothing of its own: a call costs what the relation's test costs. *)
 val conflicts : t -> requested:Op.t -> held:Op.t -> bool
 
 (** The empty relation: nothing conflicts.  (An incorrect concurrency

@@ -104,45 +104,60 @@ let count_event t metric inv_name =
       in
       Metrics.Counter.incr c
 
-let choose_op t ?choose inv enabled_ops =
-  match choose, enabled_ops with
-  | None, first :: _ -> first
-  | Some pick, ops ->
-      let res = pick (List.map (fun (o : Op.t) -> o.res) ops) in
+(* The operation to execute: the first of the [offered] responses (in
+   the specification's response order), or the chooser's pick, which
+   must be one of them — any other value could bypass the lock table. *)
+let choose_op t choose inv offered =
+  match choose with
+  | None -> { Op.obj = t.name; inv; res = List.hd offered }
+  | Some pick ->
+      let res = pick offered in
+      if not (List.exists (Value.equal res) offered) then
+        invalid_arg
+          (Fmt.str "Atomic_object.invoke: %s: the chooser returned %a, not one of [%a]" t.name
+             Value.pp res
+             Fmt.(list ~sep:(any "; ") Value.pp)
+             offered);
       { Op.obj = t.name; inv; res }
-  | None, [] -> assert false
 
-let invoke_locking ?choose t tid inv candidates =
-  (* Result-dependent locking: find a legal response whose operation is
-     not blocked; only if all legal responses are blocked does the
-     transaction wait. *)
-  let enabled, blocked_on =
-    List.fold_left
-      (fun (enabled, blockers) res ->
-        let op = { Op.obj = t.name; inv; res } in
-        match Lock_table.blockers t.locks ~requested:op ~tid with
-        | [] -> (op :: enabled, blockers)
-        | bs -> (enabled, bs @ blockers))
-      ([], []) candidates
-  in
-  match List.rev enabled with
-  | [] ->
-      t.blocks <- t.blocks + 1;
-      count_event t "tm_object_blocked_total" inv.Op.name;
-      Blocked (List.sort_uniq Tid.compare blocked_on)
-  | enabled_ops ->
-      let op = choose_op t ?choose inv enabled_ops in
-      Recovery.record t.recovery tid op;
-      Lock_table.add t.locks tid op;
-      Executed op
+(* [a] and [b] merged; both are strictly increasing, and so is the result. *)
+let rec merge a b =
+  match a, b with
+  | [], l | l, [] -> l
+  | x :: xs, y :: ys ->
+      let c = Tid.compare x y in
+      if c < 0 then x :: merge xs b else if c > 0 then y :: merge a ys else x :: merge xs ys
 
-let invoke_optimistic ?choose t opt tid inv candidates =
+(* Result-dependent locking: test every legal response in order (each
+   conflict is counted), keeping the enabled ones, newest first, and —
+   while none is enabled — the merged holders that block the rest.  Only
+   if every response is blocked does the transaction wait. *)
+let rec invoke_locking choose t tid inv enabled blocked = function
+  | res :: rest -> (
+      match Lock_table.blockers t.locks ~requested:{ Op.obj = t.name; inv; res } ~tid with
+      | [] -> invoke_locking choose t tid inv (res :: enabled) blocked rest
+      | holders -> (
+          match enabled with
+          | [] -> invoke_locking choose t tid inv enabled (merge holders blocked) rest
+          | _ -> invoke_locking choose t tid inv enabled blocked rest))
+  | [] -> (
+      match enabled with
+      | [] ->
+          t.blocks <- t.blocks + 1;
+          count_event t "tm_object_blocked_total" inv.Op.name;
+          Blocked blocked
+      | _ ->
+          let op = choose_op t choose inv (List.rev enabled) in
+          Recovery.record t.recovery tid op;
+          Lock_table.add t.locks tid op;
+          Executed op)
+
+let invoke_optimistic choose t opt tid inv candidates =
   (* No locks taken, nothing ever blocks; conflicts are paid at commit
      time (backward validation).  Remember where the committed log stood
      when the transaction first touched this object. *)
+  let op = choose_op t choose inv candidates in
   if not (Hashtbl.mem opt.opt_start tid) then Hashtbl.add opt.opt_start tid opt.committed_len;
-  let ops = List.map (fun res -> { Op.obj = t.name; inv; res }) candidates in
-  let op = choose_op t ?choose inv ops in
   Recovery.record t.recovery tid op;
   Hashtbl.replace opt.opt_ops tid
     (op :: Option.value (Hashtbl.find_opt opt.opt_ops tid) ~default:[]);
@@ -155,8 +170,8 @@ let invoke ?choose t tid inv =
       No_response
   | candidates -> (
       match t.optimistic with
-      | None -> invoke_locking ?choose t tid inv candidates
-      | Some opt -> invoke_optimistic ?choose t opt tid inv candidates)
+      | None -> invoke_locking choose t tid inv [] [] candidates
+      | Some opt -> invoke_optimistic choose t opt tid inv candidates)
 
 (* Operations committed after position [start], oldest first. *)
 let committed_since opt start =

@@ -83,7 +83,19 @@ val attach_metrics : t -> Tm_obs.Metrics.t -> unit
     legal responses are enabled the first in the specification's response
     order is chosen (deterministic); pass [~choose] to override (e.g. a
     seeded random pick for non-deterministic types).  Under the
-    [Optimistic] policy the call never returns [Blocked]. *)
+    [Optimistic] policy the call never returns [Blocked].
+
+    [choose] is offered the enabled responses, in response order, and
+    must return one of them (by {!Tm_core.Value.equal}): a response it
+    was not offered may conflict with a held operation, and executing it
+    would bypass the lock table.  Any other value raises
+    [Invalid_argument] naming the object and the value, and leaves the
+    object as it was: no lock taken, nothing recorded.
+
+    On [Blocked], the holders are strictly increasing, and the call
+    allocates only that answer, the candidate responses (and one
+    operation per candidate to test) and a constant for the lock
+    table's walk. *)
 val invoke : ?choose:(Value.t list -> Value.t) -> t -> Tid.t -> Op.invocation -> outcome
 
 (** [validate t tid] — the optimistic commit test: [Error (mine, theirs)]

@@ -73,10 +73,12 @@ let create ?(record_history = false) ?(first_tid = 0) objs =
 
 let objects t = List.rev t.objs_rev
 
+(* [check_running], [find_object] and [touched_objs] run on every
+   invocation, so they catch [Not_found] rather than allocate an option. *)
 let find_object t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some o -> o
-  | None -> invalid_arg ("Database.find_object: unknown object " ^ name)
+  match Hashtbl.find t.by_name name with
+  | o -> o
+  | exception Not_found -> invalid_arg ("Database.find_object: unknown object " ^ name)
 
 let metrics t = t.metrics
 let next_tid t = t.next_tid
@@ -114,17 +116,18 @@ let adopt_txn t tid =
   emit_trace t ~tid Trace.Begin
 
 let check_running t tid =
-  match Hashtbl.find_opt t.status tid with
-  | Some Running -> ()
-  | Some Committed | Some Aborted ->
+  match Hashtbl.find t.status tid with
+  | Running -> ()
+  | Committed | Aborted ->
       invalid_arg (Fmt.str "Database: transaction %a already finished" Tid.pp tid)
-  | None -> invalid_arg (Fmt.str "Database: unknown transaction %a" Tid.pp tid)
+  | exception Not_found -> invalid_arg (Fmt.str "Database: unknown transaction %a" Tid.pp tid)
 
 (* Callers test [t.record_history] first, so an unrecorded run never
    builds the event. *)
 let push_event t e = t.events <- e :: t.events
 
-let touched_objs t tid = Option.value (Hashtbl.find_opt t.touched tid) ~default:[]
+let touched_objs t tid =
+  match Hashtbl.find t.touched tid with objs -> objs | exception Not_found -> []
 
 (* A transaction executing after an earlier block has been woken: record
    how long (in attempt ticks) it waited, per object. *)

@@ -71,7 +71,13 @@ val adopt_txn : t -> Tid.t -> unit
 
 (** [invoke t tid ~obj inv] — attempt an operation; records the waits-for
     edges on [Blocked].  Raises [Invalid_argument] for an unknown object
-    or a transaction that already finished. *)
+    or a transaction that already finished.
+
+    [~choose] picks among the enabled responses as in
+    {!Atomic_object.invoke}: it must return one of the values it is
+    offered.  Any other value raises [Invalid_argument] naming the object
+    and the value, and the object is left as it was (no lock taken,
+    nothing recorded); the transaction stays running. *)
 val invoke :
   ?choose:(Value.t list -> Value.t) ->
   t ->

@@ -2,23 +2,53 @@ open Tm_core
 
 type t = {
   edges : (Tid.t, Tid.t list) Hashtbl.t;
-  (* The search's scratch, kept from search to search and emptied at the
-     start of each one: {!find_cycle} runs after every blocked invocation,
-     so it allocates no table, exception or closure per node. *)
-  visited : (Tid.t, unit) Hashtbl.t;
+  (* The last search's answer, valid while [changed] is false: a blocked
+     retry re-registers the edges it already had, and then the search
+     does not run again. *)
+  mutable last : Tid.t list option;
+  mutable changed : bool;
+  (* The search's scratch, kept from search to search: the current path,
+     oldest first, in [path.(0 .. depth - 1)], and the nodes visited so
+     far in [seen.(0 .. nseen - 1)].  Both start empty (a database that
+     never blocks never searches) and grow by doubling, never shrinking,
+     so a search allocates only the cycle it returns (and the closure
+     [Hashtbl.iter] builds for its walk). *)
+  mutable path : Tid.t array;
+  mutable depth : int;
+  mutable seen : Tid.t array;
+  mutable nseen : int;
+  (* [Hashtbl.iter]'s argument, closed over [t] once at creation. *)
+  visit_source : Tid.t -> Tid.t list -> unit;
 }
 
-let create () = { edges = Hashtbl.create 16; visited = Hashtbl.create 16 }
+let rec strictly_increasing = function
+  | a :: (b :: _ as rest) -> Tid.compare a b < 0 && strictly_increasing rest
+  | [] | [ _ ] -> true
+
+let rec same a b =
+  match a, b with
+  | [], [] -> true
+  | x :: xs, y :: ys -> Tid.equal x y && same xs ys
+  | _ -> false
 
 let set_waiting t tid ~on =
-  let on = match on with [] | [ _ ] -> on | _ -> List.sort_uniq Tid.compare on in
-  Hashtbl.replace t.edges tid on
+  let on = if strictly_increasing on then on else List.sort_uniq Tid.compare on in
+  let unchanged =
+    match Hashtbl.find t.edges tid with old -> same old on | exception Not_found -> false
+  in
+  if not unchanged then begin
+    Hashtbl.replace t.edges tid on;
+    t.changed <- true
+  end
 
 let rec mentions tid = function [] -> false | d :: rest -> Tid.equal d tid || mentions tid rest
 
 let clear t tid =
   if Hashtbl.length t.edges > 0 then begin
-    Hashtbl.remove t.edges tid;
+    if Hashtbl.mem t.edges tid then begin
+      Hashtbl.remove t.edges tid;
+      t.changed <- true
+    end;
     (* Mutating a table during Hashtbl.iter over it is unspecified: collect
        the sources whose edge lists mention [tid] first, then update. *)
     let affected =
@@ -26,49 +56,79 @@ let clear t tid =
         (fun src dsts acc -> if mentions tid dsts then (src, dsts) :: acc else acc)
         t.edges []
     in
-    List.iter
-      (fun (src, dsts) ->
-        Hashtbl.replace t.edges src (List.filter (fun d -> not (Tid.equal d tid)) dsts))
-      affected
+    match affected with
+    | [] -> ()
+    | _ ->
+        t.changed <- true;
+        List.iter
+          (fun (src, dsts) ->
+            Hashtbl.replace t.edges src (List.filter (fun d -> not (Tid.equal d tid)) dsts))
+          affected
   end
 
 let waiting t tid = match Hashtbl.find t.edges tid with on -> on | exception Not_found -> []
 
-exception Found of Tid.t list
+let grow a fill = Array.append a (Array.make (max 8 (Array.length a)) fill)
 
-(* The position of [tid] in [path], or -1. *)
-let rec index_of tid i = function
-  | [] -> -1
-  | x :: rest -> if Tid.equal x tid then i else index_of tid (i + 1) rest
+(* The position of [tid] in [t.path.(0 .. i)], or -1. *)
+let rec path_index t tid i =
+  if i < 0 then -1 else if Tid.equal t.path.(i) tid then i else path_index t tid (i - 1)
 
-let rec take n = function
-  | x :: rest when n > 0 -> x :: take (n - 1) rest
-  | _ -> []
+(* Whether [tid] is in [t.seen.(i .. nseen - 1)]. *)
+let rec seen_from t tid i = i < t.nseen && (Tid.equal t.seen.(i) tid || seen_from t tid (i + 1))
 
-(* Depth-first search with an explicit path, newest first; the first
-   back-edge found yields the cycle: the path's first i+1 entries. *)
-let rec visit t path tid =
-  let i = index_of tid 0 path in
-  if i >= 0 then raise (Found (List.rev (take (i + 1) path)))
-  else if not (Hashtbl.mem t.visited tid) then begin
-    Hashtbl.add t.visited tid ();
-    visit_all t (tid :: path) (waiting t tid)
+(* [t.path.(i .. j)] as a list, prepended to [acc]. *)
+let rec path_from t i j acc = if j < i then acc else path_from t i (j - 1) (t.path.(j) :: acc)
+
+(* Depth-first search with an explicit path; the first back edge found
+   yields the cycle, the path from the edge's target on.  True once a
+   cycle is in [t.last]. *)
+let rec visit t tid =
+  let i = path_index t tid (t.depth - 1) in
+  if i >= 0 then begin
+    t.last <- Some (path_from t i (t.depth - 1) []);
+    true
+  end
+  else if seen_from t tid 0 then false
+  else begin
+    if t.nseen = Array.length t.seen then t.seen <- grow t.seen tid;
+    t.seen.(t.nseen) <- tid;
+    t.nseen <- t.nseen + 1;
+    if t.depth = Array.length t.path then t.path <- grow t.path tid;
+    t.path.(t.depth) <- tid;
+    t.depth <- t.depth + 1;
+    visit_all t (waiting t tid) || begin
+      t.depth <- t.depth - 1;
+      false
+    end
   end
 
-and visit_all t path = function
-  | [] -> ()
-  | tid :: rest ->
-      visit t path tid;
-      visit_all t path rest
+and visit_all t = function [] -> false | tid :: rest -> visit t tid || visit_all t rest
+
+let create () =
+  let rec t =
+    {
+      edges = Hashtbl.create 16;
+      last = None;
+      changed = false;
+      path = [||];
+      depth = 0;
+      seen = [||];
+      nseen = 0;
+      visit_source = (fun tid _ -> if Option.is_none t.last then ignore (visit t tid));
+    }
+  in
+  t
 
 let find_cycle t =
-  if Hashtbl.length t.edges = 0 then None
-  else begin
-    Hashtbl.clear t.visited;
-    match Hashtbl.iter (fun tid _ -> visit t [] tid) t.edges with
-    | () -> None
-    | exception Found cycle -> Some cycle
-  end
+  if t.changed then begin
+    t.changed <- false;
+    t.last <- None;
+    t.depth <- 0;
+    t.nseen <- 0;
+    Hashtbl.iter t.visit_source t.edges
+  end;
+  t.last
 
 let victim cycle =
   match cycle with

@@ -73,17 +73,22 @@ let rec conflicting t requested found = function
       end
       else conflicting t requested found rest
 
+(* [holder] into the strictly increasing [sorted], which does not hold it
+   (each holder is one key of the table). *)
+let rec insert holder = function
+  | h :: rest when Tid.compare h holder < 0 -> h :: insert holder rest
+  | sorted -> holder :: sorted
+
+(* Each holder is inserted into the answer in order as it is found, so
+   the answer needs no sort, and the table is still walked in its own
+   order: the order of first conflicts decides the order in which the
+   conflict-pair series are registered. *)
 let blockers t ~requested ~tid =
-  match
-    Hashtbl.fold
-      (fun holder ops acc ->
-        if (not (Tid.equal holder tid)) && conflicting t requested false ops then
-          holder :: acc
-        else acc)
-      t.held []
-  with
-  | ([] | [ _ ]) as bs -> bs
-  | bs -> List.sort Tid.compare bs  (* one entry per holder: already unique *)
+  Hashtbl.fold
+    (fun holder ops acc ->
+      if (not (Tid.equal holder tid)) && conflicting t requested false ops then insert holder acc
+      else acc)
+    t.held []
 
 let add t tid op =
   let seq = t.next_seq in

@@ -28,7 +28,10 @@ val create : Conflict.t -> t
 val attach_metrics : t -> obj:string -> Tm_obs.Metrics.t -> unit
 
 (** [blockers t ~requested ~tid] is the set of other transactions holding
-    an operation that conflicts with [requested] (deduplicated). *)
+    an operation that conflicts with [requested]: strictly increasing by
+    {!Tm_core.Tid.compare}, by construction (each holder is inserted in
+    order as it is found; no sort runs).  With no blocker it is [[]]; it
+    allocates its answer, plus a constant for the table walk. *)
 val blockers : t -> requested:Op.t -> tid:Tid.t -> Tid.t list
 
 (** [add t tid op] records [op] as held by [tid]. *)

@@ -194,6 +194,26 @@ let test_semiqueue_weaker_than_fifo () =
   let fq = pairs_conflicting FQ.nfc_conflict (Spec.generators FQ.spec) in
   Helpers.check_bool "semiqueue has fewer conflicts" true (List.length sq < List.length fq)
 
+(* The int-coded closed forms against the boxed-class ones they
+   replaced, on operations far outside the generator alphabet (amounts
+   and balances up to 10^6, half of them small enough to meet each
+   other): the exhaustive checks above stop at balance 3. *)
+let prop_bank_closed_forms_match_reference =
+  let op =
+    QCheck2.Gen.(
+      let n = frequency [ (1, int_range 0 4); (1, int_range 0 1_000_000) ] in
+      oneof
+        [
+          map BA.deposit n; map BA.withdraw_ok n; map BA.withdraw_no n; map BA.balance n;
+        ])
+  in
+  Helpers.qcheck ~count:2000 "BA closed forms = klass reference"
+    QCheck2.Gen.(pair op op)
+    (fun (p, q) ->
+      (BA.forward_commutes p q = Bank_conflict_reference.forward_commutes p q
+      && BA.right_commutes_backward p q = Bank_conflict_reference.right_commutes_backward p q)
+      || QCheck2.Test.fail_reportf "%a / %a" Op.pp p Op.pp q)
+
 let suite =
   [
     Alcotest.test_case "bank account spec" `Quick test_bank_account_spec;
@@ -242,4 +262,5 @@ let suite =
     validate_rw_contains "OM/NFC" OM.rw_conflict OM.nfc_conflict (Spec.generators OM.spec);
     Alcotest.test_case "fifo derived relations" `Quick test_fifo_derived_relations_sane;
     Alcotest.test_case "semiqueue weaker than fifo" `Quick test_semiqueue_weaker_than_fifo;
+    prop_bank_closed_forms_match_reference;
   ]

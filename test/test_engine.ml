@@ -1047,7 +1047,16 @@ let prop_deadlock_matches_reference =
         [
           (3, map2 (fun t on -> `Wait (t, on)) tid (list_size (int_range 0 3) tid));
           (1, map (fun t -> `Clear t) tid);
+          (1, map2 (fun t k -> `Rewait (t, k)) tid (int_range 0 5));
+          (1, pure `Clear_stranger);
         ])
+  in
+  (* [l] rotated left by [k] and followed by its reverse: the same edge
+     set, permuted and duplicated. *)
+  let shuffled k l =
+    let k = k mod List.length l in
+    let rotated = List.filteri (fun i _ -> i >= k) l @ List.filteri (fun i _ -> i < k) l in
+    rotated @ List.rev l
   in
   Helpers.qcheck ~count:300 "deadlock search = reference search"
     QCheck2.Gen.(list_size (int_range 1 40) step)
@@ -1055,16 +1064,39 @@ let prop_deadlock_matches_reference =
       let d = Deadlock.create () and r = Deadlock_reference.create () in
       List.for_all
         (fun s ->
-          (match s with
-          | `Wait (t, on) ->
-              let on = List.map Tid.of_int on in
-              Deadlock.set_waiting d (Tid.of_int t) ~on;
-              Deadlock_reference.set_waiting r (Tid.of_int t) ~on
-          | `Clear t ->
-              Deadlock.clear d (Tid.of_int t);
-              Deadlock_reference.clear r (Tid.of_int t));
+          let before = Deadlock.find_cycle d in
+          (* Whether the step leaves the graph as it was. *)
+          let idle =
+            match s with
+            | `Wait (t, on) ->
+                let on = List.map Tid.of_int on in
+                Deadlock.set_waiting d (Tid.of_int t) ~on;
+                Deadlock_reference.set_waiting r (Tid.of_int t) ~on;
+                false
+            | `Clear t ->
+                Deadlock.clear d (Tid.of_int t);
+                Deadlock_reference.clear r (Tid.of_int t);
+                false
+            | `Rewait (t, k) -> (
+                (* Re-register a waiter's current edges, as a blocked
+                   retry does; a transaction with none is left alone. *)
+                match Deadlock.waiting d (Tid.of_int t) with
+                | [] -> true
+                | on ->
+                    let on = shuffled k on in
+                    Deadlock.set_waiting d (Tid.of_int t) ~on;
+                    Deadlock_reference.set_waiting r (Tid.of_int t) ~on;
+                    true)
+            | `Clear_stranger ->
+                (* A transaction the graph has never mentioned. *)
+                Deadlock.clear d (Tid.of_int 99);
+                Deadlock_reference.clear r (Tid.of_int 99);
+                true
+          in
           let mine = Deadlock.find_cycle d in
-          mine = Deadlock_reference.find_cycle r && mine = Deadlock.find_cycle d)
+          mine = Deadlock_reference.find_cycle r
+          && mine = Deadlock.find_cycle d
+          && ((not idle) || mine = before))
         steps)
 
 (* Allocation pins: [Gc.minor_words] counts words, so these hold on any
@@ -1112,6 +1144,108 @@ let test_blocked_invoke_allocation () =
   let w = minor_words call in
   if w > 200. then
     Alcotest.failf "a blocked invoke and deadlock search allocated %.0f words (max 200)" w
+
+(* The conflict test itself allocates nothing: the relation is applied
+   at full arity and the bank's closed forms classify each operand into
+   an immediate int.  A partial application and a boxed class per
+   operand took 9 words a call. *)
+let test_conflict_allocation () =
+  let requested = dep 1 and held = BA.balance 0 in
+  List.iter
+    (fun rel ->
+      let call () = Conflict.conflicts rel ~requested ~held in
+      Helpers.check_bool (Conflict.name rel ^ " deposit/balance conflict") true (call ());
+      let w = minor_words call in
+      if w > 0. then Alcotest.failf "%s: a conflict test allocated %.0f words" (Conflict.name rel) w)
+    [ BA.nrbc_conflict; BA.nfc_conflict ]
+
+(* A blocked retry against two holders and the deadlock search after
+   it: the answer, the candidate responses and a constant for the lock
+   table's walk, 56 words.  The search reruns only when the graph
+   changed, and a retry re-registers the same edges.  Sorting the
+   holders three times and rerunning the search took 217. *)
+let test_blocked_retry_allocation () =
+  let db =
+    Database.create
+      [ Atomic_object.create ~inverse:BA.inverse ~spec:BA.spec ~conflict:BA.nrbc_conflict
+          ~recovery:Recovery.UIP () ]
+  in
+  let a = Database.begin_txn db and b = Database.begin_txn db and c = Database.begin_txn db in
+  ignore (Database.invoke db a ~obj:"BA" (deposit_inv 1));
+  ignore (Database.invoke db b ~obj:"BA" (deposit_inv 2));
+  let call () =
+    match Database.invoke db c ~obj:"BA" (withdraw_inv 1) with
+    | Atomic_object.Blocked holders -> (holders, Database.deadlock db)
+    | _ -> Alcotest.fail "withdraw must block"
+  in
+  Alcotest.check Helpers.tids "blocked on both depositors" [ a; b ] (fst (call ()));
+  let w = minor_words call in
+  if w > 80. then
+    Alcotest.failf "a blocked retry against two holders and its deadlock search allocated \
+                    %.0f words (max 80)" w
+
+(* A search on a graph that has not changed since the last one reuses
+   that answer, cycle or none, and allocates nothing. *)
+let test_unchanged_search_allocation () =
+  let d = Deadlock.create () and r = Deadlock_reference.create () in
+  let wait t on =
+    let on = List.map Tid.of_int on in
+    Deadlock.set_waiting d (Tid.of_int t) ~on;
+    Deadlock_reference.set_waiting r (Tid.of_int t) ~on
+  in
+  let check what =
+    let first = Deadlock.find_cycle d in
+    Helpers.check_bool (what ^ ": the reference's answer") true
+      (first = Deadlock_reference.find_cycle r);
+    let w = minor_words (fun () -> Deadlock.find_cycle d) in
+    if w > 0. then Alcotest.failf "%s: a repeated search allocated %.0f words" what w;
+    first
+  in
+  wait 1 [ 2; 3 ];
+  wait 2 [ 3 ];
+  Helpers.check_bool "no cycle" true (check "no cycle" = None);
+  wait 3 [ 1 ];
+  Helpers.check_bool "a cycle" true (check "a cycle" <> None)
+
+(* A chooser may pick only among the responses it is offered.  B is
+   offered [deq→1] because [deq→2] conflicts with A's open [enq 2];
+   executing [deq→2] anyway would leave the committed [enq 1; deq→2]
+   once A aborts, an illegal history.  The pick is rejected and the
+   object is left as it was. *)
+let test_choose_outside_offer_rejected () =
+  let module SQ = Tm_adt.Semiqueue in
+  let o =
+    Atomic_object.create ~spec:SQ.spec ~conflict:SQ.nrbc_conflict ~recovery:Recovery.UIP ()
+  in
+  let db = Database.create [ o ] in
+  let enq i = Op.invocation ~args:[ Value.int i ] "enq" in
+  let c = Database.begin_txn db in
+  ignore (Database.invoke db c ~obj:"SQ" (enq 1));
+  Database.commit db c;
+  let a = Database.begin_txn db in
+  ignore (Database.invoke db a ~obj:"SQ" (enq 2));
+  let b = Database.begin_txn db in
+  let offered = ref [] in
+  let choose vs =
+    offered := vs;
+    Value.int 2
+  in
+  let holds = Atomic_object.holds o in
+  (match Database.invoke ~choose db b ~obj:"SQ" (Op.invocation "deq") with
+  | _ -> Alcotest.fail "a pick outside the offer must be rejected"
+  | exception Invalid_argument msg ->
+      Helpers.check_bool ("the message names the object and the value: " ^ msg) true
+        (contains msg "SQ" && contains msg "returned 2"));
+  Alcotest.check (Alcotest.list Helpers.value) "offered only deq→1" [ Value.int 1 ] !offered;
+  Helpers.check_bool "no lock taken" true (Atomic_object.holds o = holds);
+  (* B's turn left nothing behind: it can still dequeue the committed 1. *)
+  (match Database.invoke db b ~obj:"SQ" (Op.invocation "deq") with
+  | Atomic_object.Executed op -> Alcotest.check Helpers.value "deq→1" (Value.int 1) op.Op.res
+  | _ -> Alcotest.fail "deq→1 must execute");
+  Database.abort db a;
+  Database.commit db b;
+  Helpers.check_bool "the committed history is legal" true
+    (Spec.legal SQ.spec (Atomic_object.committed_ops o))
 
 let suite =
   [
@@ -1161,4 +1295,10 @@ let suite =
     Alcotest.test_case "blockers allocation pin" `Quick test_blockers_allocation;
     Alcotest.test_case "blocked invoke allocation pin" `Quick
       test_blocked_invoke_allocation;
+    Alcotest.test_case "conflict test allocation pin" `Quick test_conflict_allocation;
+    Alcotest.test_case "blocked retry allocation pin" `Quick test_blocked_retry_allocation;
+    Alcotest.test_case "unchanged search allocation pin" `Quick
+      test_unchanged_search_allocation;
+    Alcotest.test_case "chooser outside the offer rejected" `Quick
+      test_choose_outside_offer_rejected;
   ]
