@@ -13,44 +13,48 @@
 open Tm_core
 module BA = Tm_adt.Bank_account
 module Wal = Tm_engine.Wal
-module Durable = Tm_engine.Durable_object
+module Durable = Tm_engine.Durable_database
 module Object = Tm_engine.Atomic_object
 
 let deposit i = Op.invocation ~args:[ Value.int i ] "deposit"
 let withdraw i = Op.invocation ~args:[ Value.int i ] "withdraw"
 let balance = Op.invocation "balance"
 
-let show tid what outcome =
-  Fmt.pr "  %a %-12s -> %a@." Tid.pp tid what Object.pp_outcome outcome
+(* The bank is one account; recovery rebuilds it empty and replays the
+   log into it. *)
+let accounts () =
+  [ Object.create ~spec:BA.spec ~conflict:BA.nrbc_conflict ~recovery:Tm_engine.Recovery.UIP () ]
+
+let committed_ops db =
+  List.concat_map Object.committed_ops (Tm_engine.Database.objects (Durable.database db))
+
+(* Run [inv] as a transaction of its own, committing it unless [commit]
+   is false. *)
+let run ?(commit = true) db what inv =
+  let tid = Durable.begin_txn db in
+  Fmt.pr "  %a %-12s -> %a@." Tid.pp tid what Object.pp_outcome
+    (Durable.invoke db tid ~obj:"BA" inv);
+  if commit && Durable.try_commit db tid <> Ok () then Fmt.failwith "commit failed"
 
 let () =
   Fmt.pr "Durable bank account (write-ahead logging)@.@.";
   let wal = Wal.create () in
-  let account =
-    Durable.create ~spec:BA.spec ~conflict:BA.nrbc_conflict
-      ~recovery:Tm_engine.Recovery.UIP ~wal
-  in
+  let bank = Durable.create ~wal (accounts ()) in
 
   Fmt.pr "running transactions:@.";
-  show Tid.a "deposit 100" (Durable.invoke account Tid.a (deposit 100));
-  Durable.commit account Tid.a;
-  show Tid.b "deposit 40" (Durable.invoke account Tid.b (deposit 40));
-  Durable.commit account Tid.b;
-  Durable.checkpoint account;
-  show Tid.c "withdraw 30" (Durable.invoke account Tid.c (withdraw 30));
-  Durable.commit account Tid.c;
+  run bank "deposit 100" (deposit 100);
+  run bank "deposit 40" (deposit 40);
+  Durable.checkpoint bank;
+  run bank "withdraw 30" (withdraw 30);
   (* D is still running when the machine dies *)
-  show Tid.d "deposit 999" (Durable.invoke account Tid.d (deposit 999));
+  run ~commit:false bank "deposit 999" (deposit 999);
 
   Fmt.pr "@.log (%d records):@." (Wal.length wal);
   List.iter (fun r -> Fmt.pr "  %a@." Wal.pp_record r) (Wal.records wal);
 
   Fmt.pr "@.*** CRASH *** (volatile state lost; the log survives)@.@.";
   let recovered, losers =
-    match
-      Durable.recover ~spec:BA.spec ~conflict:BA.nrbc_conflict
-        ~recovery:Tm_engine.Recovery.UIP wal
-    with
+    match Durable.recover ~wal ~rebuild:accounts () with
     | Ok x -> x
     | Error e -> Fmt.failwith "recovery failed: %a" Tm_engine.Recovery.pp_error e
   in
@@ -59,9 +63,7 @@ let () =
     (Tid.Set.elements losers);
   Fmt.pr "recovered committed work: %a@."
     Fmt.(list ~sep:(any "; ") Op.pp_short)
-    (Durable.committed_ops recovered);
-  let t = Tid.of_int 10 in
-  show t "balance" (Durable.invoke recovered t balance);
-  Durable.commit recovered t;
+    (committed_ops recovered);
+  run recovered "balance" balance;
   Fmt.pr "@.committed work replays legally: %b@."
-    (Spec.legal BA.spec (Durable.committed_ops recovered))
+    (Spec.legal BA.spec (committed_ops recovered))

@@ -36,7 +36,10 @@
       each shard's committed operation sequence extends the previous
       state's: one more surviving byte can never un-commit work;
     + {b replay consistency} — each shard's recovered objects equal a
-      direct {!Wal.replay} of its resolved log;
+      direct {!Wal.replay} of its resolved log.  [replay] and the
+      restart's {!Wal.plan} are views of one fold, so this checks the
+      per-object bucketing and restore; the fold itself is checked
+      against the reference kept in [test/wal_replay_reference.ml];
     + {b global atomicity} — a transaction with surviving commit evidence
       ([Decision{commit}] anywhere, or a phase-2 [Commit] of a prepared
       transaction) retains {e all} its operations and ends committed on

@@ -59,6 +59,15 @@ let log_abort_if_begun t tid =
     Hashtbl.remove t.begun tid
   end
 
+(* The commit-record sequence shared by the one-shot and the 2PC commit:
+   append the Commit, read its LSN, forget the begun entry, apply. *)
+let log_commit t tid =
+  log t tid (Wal.Commit tid);
+  let lsn = Wal.last_lsn t.wal in
+  Hashtbl.remove t.begun tid;
+  Database.commit t.db tid;
+  lsn
+
 let try_commit_nowait t tid =
   (* Stage 1 of the commit pipeline: validate first (nothing logged on
      failure), append the single commit record — fixing the
@@ -75,12 +84,7 @@ let try_commit_nowait t tid =
       log_abort_if_begun t tid;
       Database.abort t.db tid;
       e
-  | Ok () ->
-      log t tid (Wal.Commit tid);
-      let lsn = Wal.last_lsn t.wal in
-      Hashtbl.remove t.begun tid;
-      Database.commit t.db tid;
-      Ok lsn
+  | Ok () -> Ok (log_commit t tid)
 
 (* --- 2PC participant half: prepare / finish, split out of the
    one-shot path above for {!Sharded_database}. *)
@@ -111,13 +115,7 @@ let finish_prepared t tid ~commit =
      from the surviving decision evidence, appending the same outcome
      again — this function and recovery are idempotent completions of
      the same protocol. *)
-  if commit then begin
-    log t tid (Wal.Commit tid);
-    let lsn = Wal.last_lsn t.wal in
-    Hashtbl.remove t.begun tid;
-    Database.commit t.db tid;
-    lsn
-  end
+  if commit then log_commit t tid
   else begin
     log_abort_if_begun t tid;
     Database.abort t.db tid;
@@ -145,10 +143,7 @@ let flush t =
   emit_system t.db Trace.Wal_force
 
 let abort t tid =
-  if Hashtbl.mem t.begun tid then begin
-    log t tid (Wal.Abort tid);
-    Hashtbl.remove t.begun tid
-  end;
+  log_abort_if_begun t tid;
   Database.abort t.db tid
 
 let recover ?trace ?profile ~wal ~rebuild () =

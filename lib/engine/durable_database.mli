@@ -1,8 +1,14 @@
-(** A write-ahead-logged multi-object database.
+(** A write-ahead-logged database: crash recovery for the engine.
 
-    {!Durable_object} logs one object; real transactions touch several,
-    and atomic commitment must survive crashes: either every object sees
-    the transaction's effects after recovery, or none does.  This wrapper
+    Every executed operation, commit and abort is appended to a {!Wal}
+    before it takes effect, and after a crash {!recover} rebuilds the
+    objects from the log: committed operations are redone in commit
+    order, and transactions without a commit record are the losers.  As
+    the paper observes, crash recovery mirrors abort recovery.  The
+    single-object case is simply a database over one object.
+    Transactions that touch several objects need atomic commitment to
+    survive crashes: either every object sees the transaction's effects
+    after recovery, or none does.  This wrapper
     shares one {!Wal} across all objects — operations are logged with
     their object name (carried by {!Tm_core.Op.t}), and a transaction's
     {e single} commit record covers all of them, so recovery is

@@ -320,11 +320,16 @@ let truncate_to_checkpoint t =
       end;
       dropped
 
-(* One pass shared by [replay], [fuzzy_checkpoint] and [max_tid]: fold the
-   log into committed operations (commit order), the per-transaction logs
-   of unfinished transactions, and the tid high-water mark.  A checkpoint
-   record summarises its whole prefix, so scanning restarts from its
-   snapshot (only the high-water mark is carried monotonically through). *)
+(* The one log fold.  [replay], [max_tid], [fuzzy_checkpoint] and [plan]
+   are views of it: it folds the log into committed operations (newest
+   first), the per-transaction logs of unfinished transactions, the
+   seen/finished tids and the tid high-water mark.  A checkpoint record
+   summarises its whole prefix, so scanning restarts from its snapshot
+   (only the high-water mark is carried monotonically through).  Lookups
+   use [find] rather than [find_opt]: no [Some] per record. *)
+(* The operations [tbl] logs for [tid], newest first. *)
+let txn_ops tbl tid = match Hashtbl.find tbl tid with ops -> ops | exception Not_found -> []
+
 type scan = {
   mutable committed_rev : Op.t list;
   ops_of : (Tid.t, Op.t list) Hashtbl.t;  (* newest first; unfinished txns *)
@@ -344,109 +349,101 @@ let scan ?profile recs =
     }
   in
   let note tid = st.hwm <- max st.hwm (Tid.to_int tid + 1) in
-  List.iter
-    (fun r ->
-      match r with
-      | Begin tid ->
-          note tid;
-          Hashtbl.replace st.seen tid ()
-      | Operation (tid, op) ->
-          note tid;
-          Hashtbl.replace st.seen tid ();
-          Hashtbl.replace st.ops_of tid
-            (op :: Option.value (Hashtbl.find_opt st.ops_of tid) ~default:[])
-      | Commit tid ->
-          note tid;
-          st.committed_rev <-
-            Option.value (Hashtbl.find_opt st.ops_of tid) ~default:[] @ st.committed_rev;
-          Hashtbl.remove st.ops_of tid;
-          Hashtbl.replace st.finished tid ()
-      | Abort tid ->
-          note tid;
-          Hashtbl.remove st.ops_of tid;
-          Hashtbl.replace st.finished tid ()
-      | Truncate_intent _ ->
-          (* A compaction journal marker; {!Disk_wal.load} resolves it
-             before the log reaches replay, but a decoded stray is
-             harmless — it carries no transaction state. *)
-          ()
-      | Prepare tid ->
-          (* A prepared transaction voted yes in a cross-shard commit but
-             this shard's log alone cannot tell the outcome.  Plain
-             replay treats it exactly like any other unfinished
-             transaction — presumed abort — so a participant whose
-             coordinator never decided loses nothing it was entitled to
-             keep.  {!Sharded_database.recover} resolves in-doubt
-             transactions against the other shards' logs {e before}
-             replay by appending the real outcome record. *)
-          note tid;
-          Hashtbl.replace st.seen tid ()
-      | Decision { tid; commit = _ } ->
-          (* The coordinator's 2PC outcome record.  It is pure
-             coordination state: it must NOT mark the transaction as
-             locally begun — on the coordinator's own shard the
-             transaction also logs its local Prepare/Commit records, and
-             a shard that only coordinated (no local ops) must not grow
-             a phantom loser. *)
-          note tid
-      | Checkpoint cp ->
-          (* The snapshot stands for the whole prefix: committed operations
-             and the logs of transactions that were in flight when it was
-             taken.  Everything else about the prefix is forgotten. *)
-          let seed () =
-            st.committed_rev <- List.rev cp.committed;
-            Hashtbl.reset st.ops_of;
-            Hashtbl.reset st.seen;
-            Hashtbl.reset st.finished;
-            List.iter
-              (fun (tid, ops) ->
-                note tid;
-                Hashtbl.replace st.seen tid ();
-                if ops <> [] then Hashtbl.replace st.ops_of tid (List.rev ops))
-              cp.live;
-            st.hwm <- max st.hwm cp.next_tid
-          in
-          (match profile with
-          | None -> seed ()
-          | Some p ->
-              Profile.note_checkpoint_seed p ~ops:(List.length cp.committed);
-              Profile.time p Profile.Checkpoint_seed seed))
-    recs;
+  let step = function
+    | Begin tid ->
+        note tid;
+        Hashtbl.replace st.seen tid ()
+    | Operation (tid, op) ->
+        note tid;
+        Hashtbl.replace st.seen tid ();
+        Hashtbl.replace st.ops_of tid (op :: txn_ops st.ops_of tid)
+    | Commit tid ->
+        note tid;
+        st.committed_rev <- txn_ops st.ops_of tid @ st.committed_rev;
+        Hashtbl.remove st.ops_of tid;
+        Hashtbl.replace st.finished tid ()
+    | Abort tid ->
+        note tid;
+        Hashtbl.remove st.ops_of tid;
+        Hashtbl.replace st.finished tid ()
+    | Truncate_intent _ ->
+        (* A compaction journal marker; {!Disk_wal.load} resolves it
+           before the log reaches replay, but a decoded stray is
+           harmless — it carries no transaction state. *)
+        ()
+    | Prepare tid ->
+        (* A prepared transaction voted yes in a cross-shard commit but
+           this shard's log alone cannot tell the outcome.  Plain replay
+           treats it exactly like any other unfinished transaction —
+           presumed abort — so a participant whose coordinator never
+           decided loses nothing it was entitled to keep.
+           {!Sharded_database.recover} resolves in-doubt transactions
+           against the other shards' logs {e before} replay by appending
+           the real outcome record. *)
+        note tid;
+        Hashtbl.replace st.seen tid ()
+    | Decision { tid; commit = _ } ->
+        (* The coordinator's 2PC outcome record.  It is pure coordination
+           state: it must NOT mark the transaction as locally begun — on
+           the coordinator's own shard the transaction also logs its
+           local Prepare/Commit records, and a shard that only
+           coordinated (no local ops) must not grow a phantom loser. *)
+        note tid
+    | Checkpoint cp ->
+        (* The snapshot stands for the whole prefix: committed operations
+           and the logs of transactions that were in flight when it was
+           taken.  Everything else about the prefix is forgotten. *)
+        let seed () =
+          st.committed_rev <- List.rev cp.committed;
+          Hashtbl.reset st.ops_of;
+          Hashtbl.reset st.seen;
+          Hashtbl.reset st.finished;
+          List.iter
+            (fun (tid, ops) ->
+              note tid;
+              Hashtbl.replace st.seen tid ();
+              if ops <> [] then Hashtbl.replace st.ops_of tid (List.rev ops))
+            cp.live;
+          st.hwm <- max st.hwm cp.next_tid
+        in
+        (match profile with
+        | None -> seed ()
+        | Some p ->
+            Profile.note_checkpoint_seed p ~ops:(List.length cp.committed);
+            Profile.time p Profile.Checkpoint_seed seed)
+  in
+  List.iter step recs;
   st
 
-let replay ?profile recs =
-  let st =
-    match profile with
-    | None -> scan recs
-    | Some p ->
-        Profile.note_records_scanned p (List.length recs);
-        Profile.time_excluding p Profile.Log_scan ~minus:Profile.Checkpoint_seed
-          (fun () -> scan ~profile:p recs)
-  in
-  let compute_losers () =
-    Hashtbl.fold
-      (fun tid () acc -> if Hashtbl.mem st.finished tid then acc else Tid.Set.add tid acc)
-      st.seen Tid.Set.empty
-  in
-  let losers =
-    match profile with
-    | None -> compute_losers ()
-    | Some p ->
-        (* Redo-only log: "undoing" a loser is resolving that it never
-           took effect — nothing to roll back, so this phase is pure
-           set computation. *)
-        let losers = Profile.time p Profile.Loser_undo compute_losers in
-        Profile.note_losers p (Tid.Set.cardinal losers);
-        losers
-  in
-  (List.rev st.committed_rev, losers)
+(* Seen but not finished: the transactions recovery must treat as
+   aborted. *)
+let losers st =
+  Hashtbl.fold
+    (fun tid () acc -> if Hashtbl.mem st.finished tid then acc else Tid.Set.add tid acc)
+    st.seen Tid.Set.empty
+
+let replay recs =
+  let st = scan recs in
+  (List.rev st.committed_rev, losers st)
 
 let max_tid recs =
   let st = scan recs in
   if st.hwm = 0 then None else Some (Tid.of_int (st.hwm - 1))
 
+let fuzzy_checkpoint ~next_tid recs =
+  let st = scan recs in
+  let live =
+    Hashtbl.fold
+      (fun tid () acc ->
+        if Hashtbl.mem st.finished tid then acc
+        else (tid, List.rev (txn_ops st.ops_of tid)) :: acc)
+      st.seen []
+    |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
+  in
+  { committed = List.rev st.committed_rev; live; next_tid = max next_tid st.hwm }
+
 (* ------------------------------------------------------------------ *)
-(* Replay plan: the restart fold.                                      *)
+(* Replay plan: the restart view of the fold.                          *)
 
 type plan = {
   plan_objects : (string, Op.t list) Hashtbl.t;
@@ -459,108 +456,50 @@ let partition_of_object ~workers name = Hashtbl.hash name mod workers
 
 let plan ?profile ~workers recs =
   if workers <> 1 then invalid_arg "Wal.plan: workers must be 1";
-  (* The same fold as [scan], but committed operations land directly in
-     per-object buckets (newest first until the final reversal) instead
-     of one global list, so recovery restores each object without
-     filtering the whole committed history.  One hash lookup per
-     bucketed operation: the buckets are refs. *)
-  let by_obj : (string, Op.t list ref) Hashtbl.t = Hashtbl.create 64 in
-  let ops_of : (Tid.t, Op.t list) Hashtbl.t = Hashtbl.create 16 in
-  let seen = Hashtbl.create 16 in
-  let finished = Hashtbl.create 16 in
-  let hwm = ref 0 in
-  let total_ops = ref 0 in
-  let note tid = hwm := max !hwm (Tid.to_int tid + 1) in
-  let bucket (op : Op.t) =
-    incr total_ops;
-    match Hashtbl.find by_obj op.Op.obj with
-    | ops -> ops := op :: !ops
-    | exception Not_found -> Hashtbl.add by_obj op.Op.obj (ref [ op ])
-  in
-  let step = function
-    | Begin tid ->
-        note tid;
-        Hashtbl.replace seen tid ()
-    | Operation (tid, op) ->
-        note tid;
-        Hashtbl.replace seen tid ();
-        (* [find] rather than [find_opt]: no [Some] per operation. *)
-        Hashtbl.replace ops_of tid
-          (op
-          :: (match Hashtbl.find ops_of tid with
-             | ops -> ops
-             | exception Not_found -> []))
-    | Commit tid ->
-        note tid;
-        (match Hashtbl.find ops_of tid with
-        | ops -> List.iter bucket (List.rev ops)
-        | exception Not_found -> ());
-        Hashtbl.remove ops_of tid;
-        Hashtbl.replace finished tid ()
-    | Abort tid ->
-        note tid;
-        Hashtbl.remove ops_of tid;
-        Hashtbl.replace finished tid ()
-    | Truncate_intent _ -> ()
-    | Prepare tid ->
-        (* Same presumed-abort reading as [scan]: prepared-but-undecided
-           is a loser until a resolution record says otherwise. *)
-        note tid;
-        Hashtbl.replace seen tid ()
-    | Decision { tid; commit = _ } -> note tid
-    | Checkpoint cp ->
-        let seed () =
-          Hashtbl.reset by_obj;
-          total_ops := 0;
-          List.iter bucket cp.committed;
-          Hashtbl.reset ops_of;
-          Hashtbl.reset seen;
-          Hashtbl.reset finished;
-          List.iter
-            (fun (tid, ops) ->
-              note tid;
-              Hashtbl.replace seen tid ();
-              if ops <> [] then Hashtbl.replace ops_of tid (List.rev ops))
-            cp.live;
-          hwm := max !hwm cp.next_tid
-        in
-        (match profile with
-        | None -> seed ()
-        | Some p ->
-            Profile.note_checkpoint_seed p ~ops:(List.length cp.committed);
-            Profile.time p Profile.Checkpoint_seed seed)
-  in
-  let fold () =
-    List.iter step recs;
+  (* Committed operations land in per-object buckets, so recovery
+     restores each object without filtering the whole committed history.
+     The fold's list is newest first, so consing onto a bucket leaves it
+     in commit order.  One hash lookup per operation: the buckets are
+     refs. *)
+  let bucket_committed () =
+    let st = scan ?profile recs in
+    let by_obj : (string, Op.t list ref) Hashtbl.t = Hashtbl.create 64 in
+    let total_ops = ref 0 in
+    List.iter
+      (fun (op : Op.t) ->
+        incr total_ops;
+        match Hashtbl.find by_obj op.Op.obj with
+        | ops -> ops := op :: !ops
+        | exception Not_found -> Hashtbl.add by_obj op.Op.obj (ref [ op ]))
+      st.committed_rev;
     let objects = Hashtbl.create (Hashtbl.length by_obj) in
-    Hashtbl.iter (fun name ops -> Hashtbl.add objects name (List.rev !ops)) by_obj;
-    objects
+    Hashtbl.iter (fun name ops -> Hashtbl.add objects name !ops) by_obj;
+    (st, objects, !total_ops)
   in
-  let objects =
+  let st, objects, total_ops =
     match profile with
-    | None -> fold ()
+    | None -> bucket_committed ()
     | Some p ->
         Profile.note_records_scanned p (List.length recs);
-        Profile.time_excluding p Profile.Log_scan ~minus:Profile.Checkpoint_seed fold
+        Profile.time_excluding p Profile.Log_scan ~minus:Profile.Checkpoint_seed
+          bucket_committed
   in
-  let compute_losers () =
-    Hashtbl.fold
-      (fun tid () acc -> if Hashtbl.mem finished tid then acc else Tid.Set.add tid acc)
-      seen Tid.Set.empty
-  in
-  let losers =
+  let loser_tids =
     match profile with
-    | None -> compute_losers ()
+    | None -> losers st
     | Some p ->
-        let losers = Profile.time p Profile.Loser_undo compute_losers in
-        Profile.note_losers p (Tid.Set.cardinal losers);
-        losers
+        (* Redo-only log: "undoing" a loser is resolving that it never
+           took effect — nothing to roll back, so this phase is pure set
+           computation. *)
+        let tids = Profile.time p Profile.Loser_undo (fun () -> losers st) in
+        Profile.note_losers p (Tid.Set.cardinal tids);
+        tids
   in
   {
     plan_objects = objects;
-    plan_loser_tids = losers;
-    plan_ops = !total_ops;
-    plan_next_tid = !hwm;
+    plan_loser_tids = loser_tids;
+    plan_ops = total_ops;
+    plan_next_tid = st.hwm;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1038,17 +977,3 @@ module Codec = struct
         | Error _ -> ());
         result
 end
-
-let fuzzy_checkpoint ?(next_tid = 0) recs =
-  let st = scan recs in
-  let live =
-    Hashtbl.fold
-      (fun tid () acc ->
-        if Hashtbl.mem st.finished tid then acc
-        else
-          (tid, List.rev (Option.value (Hashtbl.find_opt st.ops_of tid) ~default:[]))
-          :: acc)
-      st.seen []
-    |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
-  in
-  { committed = List.rev st.committed_rev; live; next_tid = max next_tid st.hwm }

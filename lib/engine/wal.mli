@@ -3,9 +3,11 @@
     The paper restricts itself to recovery from transaction aborts and
     notes that "crash recovery mechanisms are frequently similar to abort
     recovery mechanisms" (Section 1), leaving their analysis as future
-    work.  This module and {!Durable_object} implement that extension for
-    the engine: a logical redo log of operations, with commit records
-    forced before a commit is acknowledged, and fuzzy checkpoints.
+    work.  This module and {!Durable_database} implement that extension
+    for the engine: a logical redo log of operations, with commit records
+    forced before a commit is acknowledged, and fuzzy checkpoints.  One
+    fold over the records reads a log back; {!replay}, {!max_tid},
+    {!fuzzy_checkpoint} and {!plan} are views of it.
 
     Stable storage is modelled in-memory; a {e crash} loses every
     volatile object state but none of the appended log records (append is
@@ -190,11 +192,9 @@ val truncate_to_checkpoint : t -> int
     commits afterwards replays its snapshot operations followed by the
     ones it logged after the checkpoint.
 
-    With [profile], the fold is charged to the restart profiler:
-    records scanned, checkpoint seeding (time and seeded ops), the scan
-    itself, and loser resolution. *)
-val replay :
-  ?profile:Tm_obs.Recovery_profile.t -> record list -> Op.t list * Tid.Set.t
+    The global commit order is what the pinned replay digests
+    ([test/golden/logs/DIGESTS], [walinspect --digest]) hash. *)
+val replay : record list -> Op.t list * Tid.Set.t
 
 (** [max_tid records] is the highest transaction id mentioned anywhere in
     the log — by a record or by a checkpoint's [live]/[next_tid] snapshot
@@ -205,10 +205,11 @@ val max_tid : record list -> Tid.t option
 (** {2 The restart fold}
 
     {!plan} is the pass {!Durable_database.recover} runs: the same fold
-    as {!replay}, checkpoint seeding included, but committed operations
-    are grouped by object instead of forming one global list, so each
-    rebuilt object is restored with one lookup.  {!replay} stays the
-    independent reference the crash checks compare it against. *)
+    as {!replay}, checkpoint seeding included, with the committed
+    operations grouped by object instead of forming one global list, so
+    each rebuilt object is restored with one lookup.  The independent
+    reference the crash checks compare every view against is the
+    pre-fold implementation kept in [test/wal_replay_reference.ml]. *)
 
 type plan = {
   plan_objects : (string, Op.t list) Hashtbl.t;
@@ -228,8 +229,9 @@ type plan = {
 val partition_of_object : workers:int -> string -> int
 
 (** [plan ~workers records] — the per-object replay plan.  With
-    [profile], the pass charges the same phases as {!replay} (records
-    scanned, checkpoint seeding, log scan, loser resolution).
+    [profile], the pass is charged to the restart profiler: records
+    scanned, checkpoint seeding (time and seeded ops), the log scan with
+    its bucketing, and loser resolution.
 
     [workers] must be 1 ([Invalid_argument] otherwise): restart is
     serial, and the argument survives only so existing benchmark probes
@@ -237,12 +239,13 @@ val partition_of_object : workers:int -> string -> int
 val plan :
   ?profile:Tm_obs.Recovery_profile.t -> workers:int -> record list -> plan
 
-(** [fuzzy_checkpoint ?next_tid records] computes the checkpoint snapshot
-    of [records]: committed operations in commit order, the operation log
-    of every unfinished transaction, and a high-water mark covering both
-    every tid in the log and the caller's allocator position [next_tid]
-    (default 0 — callers without an allocator rely on the log scan). *)
-val fuzzy_checkpoint : ?next_tid:int -> record list -> checkpoint
+(** [fuzzy_checkpoint ~next_tid records] computes the checkpoint
+    snapshot of [records]: committed operations in commit order, the
+    operation log of every unfinished transaction, and a high-water mark
+    covering both every tid in the log and the caller's allocator
+    position [next_tid] (0 for a caller without an allocator, which
+    relies on the log scan). *)
+val fuzzy_checkpoint : next_tid:int -> record list -> checkpoint
 
 (** Binary record framing for the on-disk log — a {e versioned},
     forward-compatible contract (docs/WAL_FORMAT.md is the generated

@@ -4,7 +4,7 @@
     A single value is created by the caller that drives a restart and
     threaded through the whole path — {!Tm_engine.Disk_wal.load} charges
     the storage scan and (via {!Tm_engine.Wal.Codec.decode_all}) frame
-    decode and CRC verification, {!Tm_engine.Wal.replay} charges the log
+    decode and CRC verification, {!Tm_engine.Wal.plan} charges the log
     scan, checkpoint seeding and loser resolution, and
     {!Tm_engine.Durable_database.recover} charges per-object replay.
     Each layer also records what it processed (bytes, frames, records,

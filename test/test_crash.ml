@@ -59,7 +59,7 @@ let test_history_checkpoint_base () =
       Wal.Operation (Tid.b, BA.deposit 2);
     ]
   in
-  let recs = head @ [ Wal.Checkpoint (Wal.fuzzy_checkpoint head) ] in
+  let recs = head @ [ Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 head) ] in
   let h = Crash.history_of_records recs in
   Helpers.check_bool "well-formed" true (History.is_well_formed h);
   Helpers.check_int "base txn + live txn" 2 (Tid.Set.cardinal (History.transactions h));
@@ -270,11 +270,14 @@ let committed_by_object db =
     (fun o -> (Atomic_object.name o, Atomic_object.committed_ops o))
     (Tm_engine.Database.objects (DD.database db))
 
-(* [Wal.replay] is the reference fold that restart is checked against.
-   Over the same scenario pool and random crash cuts, the restart path
-   ([Wal.plan], then [Durable_database.recover]) must give every object
-   exactly the reference's committed operations on that object, resolve
-   the same losers, and allocate post-crash tids above every tid the log
+(* [Wal_replay_reference] is the oracle restart is checked against: the
+   two-pass fold that [Wal]'s one fold replaced.  Over the same scenario
+   pool and random crash cuts, every view of the library's fold
+   ([Wal.replay], [Wal.max_tid], [Wal.fuzzy_checkpoint], [Wal.plan]) must
+   answer as the oracle does, and the restart path
+   ([Durable_database.recover]) must give every object exactly the
+   oracle's committed operations on that object, resolve the same
+   losers, and allocate post-crash tids above every tid the log
    mentions. *)
 let prop_recover_matches_replay =
   Helpers.qcheck ~count:40 "recovery = reference replay"
@@ -291,35 +294,62 @@ let prop_recover_matches_replay =
       let cut = seed mod (Wal.length wal + 1) in
       let log = Wal.prefix wal cut in
       let recs = Wal.records log in
-      let committed, losers = Wal.replay recs in
-      let on name =
+      let on committed name =
         List.filter (fun (op : Op.t) -> String.equal op.Op.obj name) committed
       in
-      let max_tid = Option.fold ~none:(-1) ~some:Tid.to_int (Wal.max_tid recs) in
+      let high_water recs =
+        Option.fold ~none:(-1) ~some:Tid.to_int (Wal_replay_reference.max_tid recs)
+      in
       let fail what =
         QCheck2.Test.fail_reportf "%s/%s seed %d cut %d: %s" scenario.Experiment.name
           (Experiment.label setup) seed cut what
       in
-      let plan = Wal.plan ~workers:1 recs in
-      Hashtbl.iter
-        (fun name ops ->
-          if not (List.equal Op.equal ops (on name)) then
-            fail (Fmt.str "plan buckets %s differently from replay" name))
-        plan.Wal.plan_objects;
-      if plan.Wal.plan_ops <> List.length committed then fail "plan lost committed ops";
-      if not (Tid.Set.equal plan.Wal.plan_loser_tids losers) then
-        fail "plan losers differ";
-      if plan.Wal.plan_next_tid <> max_tid + 1 then fail "plan tid high-water mark";
+      let views_agree what recs =
+        let fail msg = fail (what ^ ": " ^ msg) in
+        let committed, losers = Wal_replay_reference.replay recs in
+        let lib_committed, lib_losers = Wal.replay recs in
+        if not (List.equal Op.equal lib_committed committed) then
+          fail "replay commits differently from the oracle";
+        if not (Tid.Set.equal lib_losers losers) then fail "replay losers differ";
+        if
+          not (Option.equal Tid.equal (Wal.max_tid recs) (Wal_replay_reference.max_tid recs))
+        then fail "max_tid differs";
+        (* checkpoint bytes go to disk: compare them as records *)
+        if
+          not
+            (Wal.equal_record
+               (Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 recs))
+               (Wal.Checkpoint (Wal_replay_reference.fuzzy_checkpoint ~next_tid:0 recs)))
+        then fail "fuzzy checkpoint differs";
+        let plan = Wal.plan ~workers:1 recs in
+        Hashtbl.iter
+          (fun name ops ->
+            if not (List.equal Op.equal ops (on committed name)) then
+              fail (Fmt.str "plan buckets %s differently from replay" name))
+          plan.Wal.plan_objects;
+        if plan.Wal.plan_ops <> List.length committed then fail "plan lost committed ops";
+        if not (Tid.Set.equal plan.Wal.plan_loser_tids losers) then
+          fail "plan losers differ";
+        if plan.Wal.plan_next_tid <> high_water recs + 1 then
+          fail "plan tid high-water mark"
+      in
+      views_agree "crashed log" recs;
+      (* The fold must agree with the oracle on any record list, not only
+         on one the engine writes.  Read after the complete run, every tid
+         of the crashed log recurs after it finished — across a
+         checkpoint whenever one precedes the cut. *)
+      views_agree "full run, then crashed log" (Wal.records wal @ recs);
+      let committed, losers = Wal_replay_reference.replay recs in
       match DD.recover ~wal:log ~rebuild () with
       | Error e -> fail (Fmt.str "recover failed: %a" Recovery.pp_error e)
       | Ok (db, got_losers) ->
           List.iter
             (fun (name, ops) ->
-              if not (List.equal Op.equal ops (on name)) then
+              if not (List.equal Op.equal ops (on committed name)) then
                 fail (Fmt.str "%s restored other ops than replay commits" name))
             (committed_by_object db);
           if not (Tid.Set.equal got_losers losers) then fail "recovered losers differ";
-          if Tid.to_int (DD.begin_txn db) <= max_tid then fail "tid reissued";
+          if Tid.to_int (DD.begin_txn db) <= high_water recs then fail "tid reissued";
           true)
 
 (* --- the sharded generators and the battery's 2PC checks --- *)

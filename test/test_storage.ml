@@ -367,7 +367,7 @@ let test_disk_wal_v1_upgrade () =
       Helpers.check_bool "v1 records replay bit-for-bit" true
         (List.equal Wal.equal_record sample_records (Wal.records wal));
       Wal.append wal (Wal.Commit Tid.b);
-      Wal.append wal (Wal.Checkpoint (Wal.fuzzy_checkpoint (Wal.records wal)));
+      Wal.append wal (Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 (Wal.records wal)));
       Wal.force wal;
       (* the log is now mixed: the v1 prefix untouched, v2 appended *)
       let mixed = Storage.read_all storage in
@@ -556,7 +556,7 @@ let test_disk_wal_checkpoint_truncate () =
   let wal = Disk_wal.wal dw in
   List.iter (Wal.append wal)
     [ Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 1); Wal.Commit Tid.a ];
-  Wal.append wal (Wal.Checkpoint (Wal.fuzzy_checkpoint (Wal.records wal)));
+  Wal.append wal (Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 (Wal.records wal)));
   Wal.append wal (Wal.Commit Tid.b);
   let before = Storage.size storage in
   let dropped = Disk_wal.checkpoint_truncate dw in
@@ -581,7 +581,7 @@ let compaction_fixture () =
   let wal = Disk_wal.wal dw in
   List.iter (Wal.append wal)
     [ Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 1); Wal.Commit Tid.a ];
-  Wal.append wal (Wal.Checkpoint (Wal.fuzzy_checkpoint (Wal.records wal)));
+  Wal.append wal (Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 (Wal.records wal)));
   Wal.append wal (Wal.Commit Tid.b);
   let old_bytes = Storage.read_all storage in
   let mirror = Wal.of_records (Wal.records wal) in

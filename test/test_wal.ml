@@ -1,11 +1,11 @@
-(* Crash recovery: the write-ahead log and durable objects.  The key
+(* Crash recovery: the write-ahead log and the durable database.  The key
    property is crash-consistency at every instant — recovering from every
    prefix of a generated log yields exactly the transactions whose commit
    records made it to stable storage, replayed legally in commit order. *)
 
 open Tm_core
 module Wal = Tm_engine.Wal
-module Durable = Tm_engine.Durable_object
+module DD = Tm_engine.Durable_database
 module Atomic_object = Tm_engine.Atomic_object
 module Recovery = Tm_engine.Recovery
 module BA = Tm_adt.Bank_account
@@ -14,8 +14,11 @@ let deposit_inv i = Op.invocation ~args:[ Value.int i ] "deposit"
 let withdraw_inv i = Op.invocation ~args:[ Value.int i ] "withdraw"
 let balance_inv = Op.invocation "balance"
 
-let make ?(recovery = Recovery.UIP) wal =
-  Durable.create ~spec:BA.spec ~conflict:BA.nrbc_conflict ~recovery ~wal
+(* One bank account "BA" behind a durable database. *)
+let one_account ?(recovery = Recovery.UIP) () =
+  [ Atomic_object.create ~spec:BA.spec ~conflict:BA.nrbc_conflict ~recovery () ]
+
+let the_object db = List.hd (Tm_engine.Database.objects (DD.database db))
 
 (* Recovery now returns a result; tests on well-formed logs expect Ok. *)
 let recover_exn = function
@@ -84,7 +87,7 @@ let test_checkpoint_keeps_pre_checkpoint_loser () =
       Wal.Begin Tid.b;  (* bare Begin: no operations yet *)
     ]
   in
-  let snapshot = Wal.fuzzy_checkpoint head in
+  let snapshot = Wal.fuzzy_checkpoint ~next_tid:0 head in
   let recs = head @ [ Wal.Checkpoint snapshot ] in
   let committed, losers = Wal.replay recs in
   Alcotest.check Helpers.ops "nothing committed" [] committed;
@@ -99,7 +102,7 @@ let test_checkpoint_live_txn_commits_later () =
   let recs =
     head
     @ [
-        Wal.Checkpoint (Wal.fuzzy_checkpoint head);
+        Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 head);
         Wal.Operation (Tid.a, BA.deposit 4);
         Wal.Commit Tid.a;
       ]
@@ -123,7 +126,7 @@ let test_fuzzy_checkpoint_roundtrip () =
       Wal.Abort Tid.c;
     ]
   in
-  let snapshot = Wal.fuzzy_checkpoint recs in
+  let snapshot = Wal.fuzzy_checkpoint ~next_tid:0 recs in
   let c1, l1 = Wal.replay recs in
   let c2, l2 = Wal.replay [ Wal.Checkpoint snapshot ] in
   Alcotest.check Helpers.ops "same committed" c1 c2;
@@ -141,7 +144,7 @@ let test_truncate_to_checkpoint () =
       Wal.Begin Tid.b;
       Wal.Operation (Tid.b, BA.deposit 2);
     ];
-  Wal.append wal (Wal.Checkpoint (Wal.fuzzy_checkpoint (Wal.records wal)));
+  Wal.append wal (Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 (Wal.records wal)));
   Wal.append wal (Wal.Operation (Tid.b, BA.deposit 4));
   Wal.append wal (Wal.Commit Tid.b);
   let before = Wal.replay (Wal.records wal) in
@@ -184,42 +187,30 @@ let test_prefix_carries_metrics () =
        ~labels:[ ("kind", "begin") ])
 
 (* Regression: aborting a transaction that never reached the log must not
-   append an Abort record for an unknown tid. *)
+   append an Abort record for a tid the log does not know. *)
 let test_abort_not_begun_not_logged () =
   let wal = Wal.create () in
-  let d = make wal in
-  Durable.abort d Tid.a;
-  Helpers.check_int "no record for unknown txn" 0 (Wal.length wal);
-  let module DD = Tm_engine.Durable_database in
-  let wal2 = Wal.create () in
-  let db =
-    DD.create ~wal:wal2
-      [
-        Atomic_object.create ~spec:BA.spec ~conflict:BA.nrbc_conflict
-          ~recovery:Recovery.UIP ();
-      ]
-  in
+  let db = DD.create ~wal (one_account ()) in
   let t = DD.begin_txn db in
   DD.abort db t;  (* begun but never logged: nothing to undo *)
-  Helpers.check_int "no record for unlogged txn" 0 (Wal.length wal2)
+  Helpers.check_int "no record for unlogged txn" 0 (Wal.length wal);
+  let a = DD.begin_txn db in
+  ignore (DD.invoke db a ~obj:"BA" (deposit_inv 5));
+  Helpers.check_bool "a commits" true (DD.try_commit db a = Ok ());
+  let n = Wal.length wal in
+  DD.abort db (DD.begin_txn db);
+  Helpers.check_int "none beside another transaction's records" n (Wal.length wal)
 
 (* Regression: recovery must seed tid allocation above every tid in the
    log, else a post-recovery transaction can reuse a crash loser's tid
    and replay merges their operations. *)
 let test_no_tid_reuse_after_recovery () =
-  let module DD = Tm_engine.Durable_database in
   let wal = Wal.create () in
-  let rebuild () =
-    [
-      Atomic_object.create ~spec:BA.spec ~conflict:BA.nrbc_conflict
-        ~recovery:Recovery.UIP ();
-    ]
-  in
-  let db = DD.create ~wal (rebuild ()) in
+  let db = DD.create ~wal (one_account ()) in
   let a = DD.begin_txn db in
   ignore (DD.invoke db a ~obj:"BA" (deposit_inv 5));
   (* crash with [a] in flight *)
-  let db', losers = recover_exn (DD.recover ~wal ~rebuild ()) in
+  let db', losers = recover_exn (DD.recover ~wal ~rebuild:one_account ()) in
   Helpers.check_bool "a lost" true (Tid.Set.mem a losers);
   let b = DD.begin_txn db' in
   Helpers.check_bool "fresh tid after recovery" false (Tid.equal a b);
@@ -233,7 +224,6 @@ let test_no_tid_reuse_after_recovery () =
 (* A mid-run fuzzy checkpoint followed by truncation preserves both the
    loser and the later commit of a transaction spanning the checkpoint. *)
 let test_durable_database_truncated_recovery () =
-  let module DD = Tm_engine.Durable_database in
   let wal = Wal.create () in
   let rebuild () =
     [
@@ -259,63 +249,56 @@ let test_durable_database_truncated_recovery () =
 
 let test_durable_end_to_end () =
   let wal = Wal.create () in
-  let d = make wal in
-  let run tid inv =
-    match Durable.invoke d tid inv with
+  let db = DD.create ~wal (one_account ()) in
+  let run db tid inv =
+    match DD.invoke db tid ~obj:"BA" inv with
     | Atomic_object.Executed op -> op
     | out -> Alcotest.failf "unexpected %a" Atomic_object.pp_outcome out
   in
-  ignore (run Tid.a (deposit_inv 5));
-  Durable.commit d Tid.a;
-  ignore (run Tid.b (deposit_inv 3));
+  let a = DD.begin_txn db in
+  ignore (run db a (deposit_inv 5));
+  Helpers.check_bool "A commits" true (DD.try_commit db a = Ok ());
+  let b = DD.begin_txn db in
+  ignore (run db b (deposit_inv 3));
   (* crash before B commits: log has A's commit only *)
-  let recovered, losers =
-    recover_exn
-      (Durable.recover ~spec:BA.spec ~conflict:BA.nrbc_conflict
-         ~recovery:Recovery.UIP wal)
-  in
-  Helpers.check_bool "B lost" true (Tid.Set.mem Tid.b losers);
+  let recovered, losers = recover_exn (DD.recover ~wal ~rebuild:one_account ()) in
+  Helpers.check_bool "B lost" true (Tid.Set.mem b losers);
   Alcotest.check Helpers.ops "A's work survives" [ BA.deposit 5 ]
-    (Durable.committed_ops recovered);
+    (Atomic_object.committed_ops (the_object recovered));
   (* the recovered object serves correct responses *)
-  let t = Tid.of_int 40 in
-  match Durable.invoke recovered t balance_inv with
-  | Atomic_object.Executed op -> Alcotest.check Helpers.op "balance 5" (BA.balance 5) op
-  | out -> Alcotest.failf "unexpected %a" Atomic_object.pp_outcome out
+  Alcotest.check Helpers.op "balance 5" (BA.balance 5)
+    (run recovered (DD.begin_txn recovered) balance_inv)
 
 let test_write_ahead_rule () =
   (* The commit record precedes the commit's effects: a log that ends
      exactly at the commit record still recovers the transaction. *)
   let wal = Wal.create () in
-  let d = make wal in
-  ignore (Durable.invoke d Tid.a (deposit_inv 5));
-  Durable.commit d Tid.a;
+  let db = DD.create ~wal (one_account ()) in
+  let a = DD.begin_txn db in
+  ignore (DD.invoke db a ~obj:"BA" (deposit_inv 5));
+  Helpers.check_bool "A commits" true (DD.try_commit db a = Ok ());
   let n = Wal.length wal in
   let committed, _ = Wal.replay (Wal.records (Wal.prefix wal n)) in
   Alcotest.check Helpers.ops "durable at commit record" [ BA.deposit 5 ] committed
 
 (* Crash injection: drive a random multi-transaction workload through a
-   durable object, then recover from *every* prefix of the log and check
-   (a) replay legality, (b) the committed set matches the commit records
-   in the prefix, (c) recovery is idempotent. *)
+   durable database over one object, then recover from *every* prefix of
+   the log and check (a) replay legality, (b) the committed set matches
+   the commit records in the prefix, (c) recovery is idempotent. *)
 let crash_injection recovery seed =
   let wal = Wal.create () in
-  let d = make ~recovery wal in
+  let rebuild () = one_account ~recovery () in
+  let db = DD.create ~wal (rebuild ()) in
   let rng = Random.State.make [| seed |] in
   let active = ref [] in
-  let next = ref 0 in
   for _ = 1 to 60 do
-    if List.length !active < 4 then begin
-      let t = Tid.of_int !next in
-      incr next;
-      active := t :: !active
-    end;
+    if List.length !active < 4 then active := DD.begin_txn db :: !active;
     match !active with
     | [] -> ()
     | ts -> (
         let t = List.nth ts (Random.State.int rng (List.length ts)) in
         let finish f =
-          f d t;
+          f t;
           active := List.filter (fun x -> not (Tid.equal x t)) !active
         in
         match Random.State.int rng 10 with
@@ -326,10 +309,12 @@ let crash_injection recovery seed =
               | 1 -> withdraw_inv (1 + Random.State.int rng 2)
               | _ -> balance_inv
             in
-            ignore (Durable.invoke d t inv)
-        | 6 | 7 -> finish Durable.commit
-        | 8 -> finish Durable.abort
-        | _ -> if Random.State.int rng 4 = 0 then Durable.checkpoint d)
+            ignore (DD.invoke db t ~obj:"BA" inv)
+        | 6 | 7 ->
+            finish (fun t ->
+                Helpers.check_bool "locking commit" true (DD.try_commit db t = Ok ()))
+        | 8 -> finish (DD.abort db)
+        | _ -> if Random.State.int rng 4 = 0 then DD.checkpoint db)
   done;
   let full = Wal.records wal in
   for cut = 0 to List.length full do
@@ -352,15 +337,11 @@ let crash_injection recovery seed =
       (List.length expected_commits)
       (List.length distinct_committed_txns);
     (* (c) idempotence: recovering twice equals recovering once *)
-    let r1, _ =
-      recover_exn
-        (Durable.recover ~spec:BA.spec ~conflict:BA.nrbc_conflict
-           ~recovery:Recovery.UIP log)
-    in
+    let r1, _ = recover_exn (DD.recover ~wal:log ~rebuild ()) in
     Helpers.check_bool
       (Fmt.str "prefix %d recovered state matches replay" cut)
       true
-      (List.equal Op.equal (Durable.committed_ops r1) committed)
+      (List.equal Op.equal (Atomic_object.committed_ops (the_object r1)) committed)
   done
 
 let test_crash_injection_uip () = crash_injection Recovery.UIP 101
@@ -378,7 +359,6 @@ let test_durable_database_atomic_commitment () =
           ~spec:(Spec.rename funded (Fmt.str "BA%d" i))
           ~conflict:BA.nrbc_conflict ~recovery:Recovery.UIP ())
   in
-  let module DD = Tm_engine.Durable_database in
   let db = DD.create ~wal (rebuild ()) in
   (* transfer 30 from BA0 to BA1, committed *)
   let a = DD.begin_txn db in
@@ -417,7 +397,6 @@ let test_durable_database_validation_abort_logged () =
   let rebuild () =
     [ Atomic_object.create_optimistic ~spec ~conflict:BA.nfc_conflict ]
   in
-  let module DD = Tm_engine.Durable_database in
   let db = DD.create ~wal (rebuild ()) in
   let a = DD.begin_txn db and b = DD.begin_txn db in
   ignore (DD.invoke db a ~obj:"BA" (withdraw_inv 10));
