@@ -42,12 +42,15 @@ shardtest:
 	dune exec bin/crashtest.exe -- --shards 4
 	dune exec bin/crashtest.exe -- --shards 4 --fault --seed 11 -n 10
 
-# Threaded group-commit stress with a pinned seed: OS threads against
-# the durable engine over slow storage; fails if any transaction is
-# lost, the balance diverges from the serial expectation, batching does
-# not form (fsyncs >= commits), or the persisted log replays wrong.
+# Threaded group-commit stress with a pinned seed: OS threads run
+# Concurrent over the sharded engine on slow storage; fails if any
+# transaction is lost, the balances diverge from the serial
+# expectation, the persisted logs recover wrong, batching does not form
+# on one shard (fsyncs >= commits), or no transaction crosses shards on
+# four (2PC under the threaded front end).
 stresstest:
 	dune exec bin/stresstest.exe -- --seed 7 --verbose
+	dune exec bin/stresstest.exe -- --shards 4 --seed 7 --verbose
 
 # Trace analytics over a pinned simulate run: dump trace + metrics,
 # then render the text report and the Perfetto (Chrome trace-event)

@@ -5,18 +5,23 @@
    - customer accounts (the paper's bank account),
    - an order feed (semiqueue — commutative enqueues).
 
-   Order transactions touch three objects atomically: reserve stock,
-   charge the customer, publish the order.  Eight OS threads place orders
-   and restock concurrently through Tm_engine.Concurrent (blocking
-   commutativity locks, deadlock victims retried); at the end the books
-   must balance exactly and every object must replay its committed
-   operations legally.
+   Order transactions touch three objects atomically: reserve stock
+   (a bounded-counter decr), charge the customer (a withdraw), publish
+   the order.  The objects live on a three-shard in-memory engine
+   (sink-less logs), so an order that spans shards commits through
+   two-phase commit.  Eight OS threads place orders and restock
+   concurrently through Tm_engine.Concurrent (blocking commutativity
+   locks, deadlock victims retried, cross-shard cycles found too); at
+   the end the books must balance exactly, every object must replay its
+   committed operations legally, and some order must have crossed
+   shards.
 
    Run with: dune exec examples/warehouse.exe *)
 
 open Tm_core
 module Object = Tm_engine.Atomic_object
 module Concurrent = Tm_engine.Concurrent
+module Sharded_database = Tm_engine.Sharded_database
 
 let items = 3
 let customers = 2
@@ -45,8 +50,11 @@ let objects () =
     ]
 
 let () =
-  Fmt.pr "Warehouse: 8 threads, 3 stock pools + 2 accounts + 1 order feed@.@.";
-  let db = Concurrent.create (objects ()) in
+  Fmt.pr "Warehouse: 8 threads, 3 stock pools + 2 accounts + 1 order feed on 3 shards@.@.";
+  let engine =
+    Sharded_database.create ~wals:(Array.init 3 (fun _ -> Tm_engine.Wal.create ())) (objects ())
+  in
+  let db = Concurrent.create engine in
   let placed = Array.make items 0 and restocked = Array.make items 0 in
   let spent = Array.make customers 0 in
   let tally = Mutex.create () in
@@ -108,8 +116,11 @@ let () =
   in
   List.iter Thread.join threads;
 
-  Fmt.pr "committed transactions: %d (aborted and retried: %d)@.@."
-    (Concurrent.committed_count db) (Concurrent.aborted_count db);
+  let cross =
+    Tm_obs.Metrics.counter_value (Sharded_database.metrics engine) "tm_shard_cross_txn_total"
+  in
+  Fmt.pr "committed transactions: %d (aborted and retried: %d; cross-shard 2PC: %d)@.@."
+    (Concurrent.committed_count db) (Concurrent.retry_count db) cross;
   let read_int obj inv =
     match Concurrent.with_txn db (fun h -> Concurrent.invoke h ~obj inv) with
     | Ok (Value.Int n) -> n
@@ -133,8 +144,8 @@ let () =
   let replay_ok =
     List.for_all
       (fun o -> Spec.legal (Object.spec o) (Object.committed_ops o))
-      (Tm_engine.Database.objects (Concurrent.database db))
+      (Sharded_database.objects engine)
   in
   Fmt.pr "@.books balance: %b; every object replays its committed ops legally: %b@." !ok
     replay_ok;
-  if not (!ok && replay_ok) then exit 1
+  if not (!ok && replay_ok && cross > 0) then exit 1

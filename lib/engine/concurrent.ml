@@ -2,24 +2,20 @@ open Tm_core
 module Metrics = Tm_obs.Metrics
 module Trace = Tm_obs.Trace
 
-(* Either the plain in-memory database or the write-ahead-logged one.
-   The durable backend routes invoke/commit/abort through
-   {!Durable_database} so operations and outcomes reach the WAL; both
-   share the same [Database.t] underneath for metrics/trace/history. *)
-type backend = Plain | Durable of Durable_database.t
-
 type t = {
-  db : Database.t;
-  backend : backend;
+  db : Sharded_database.t;
+  (* The monitor: every invocation runs under it, so a waiter's retry
+     and its [Condition.wait] are atomic with respect to the broadcast
+     that follows each state change.  The engine's own locks serialise
+     engine calls; a commit runs outside the monitor. *)
   lock : Mutex.t;
   changed : Condition.t;
   (* Transactions condemned by another thread's deadlock detection; they
      notice at their next wake-up or engine call. *)
   doomed : (Tid.t, unit) Hashtbl.t;
-  (* Previously these were swallowed internally: every deadlock victim
-     and every transparent [with_txn] retry is now counted in the
-     database registry (shared metric names with the sim scheduler, so
-     [Experiment] rows read one series regardless of driver). *)
+  (* Counted in the engine-level registry under the metric names the sim
+     scheduler uses, so [Experiment] rows read one series regardless of
+     driver. *)
   c_victims : Metrics.counter;
   c_retries : Metrics.counter;
   c_gave_up : Metrics.counter;
@@ -33,11 +29,10 @@ type handle = {
 
 exception Aborted
 
-let make db backend =
-  let reg = Database.metrics db in
+let create db =
+  let reg = Sharded_database.registry db in
   {
     db;
-    backend;
     lock = Mutex.create ();
     changed = Condition.create ();
     doomed = Hashtbl.create 8;
@@ -47,23 +42,7 @@ let make db backend =
     c_futile = Metrics.counter reg "tm_futile_wakeups_total";
   }
 
-let create ?record_history objs = make (Database.create ?record_history objs) Plain
-
-let create_durable ?record_history ~wal objs =
-  let dd = Durable_database.create ?record_history ~wal objs in
-  make (Durable_database.database dd) (Durable dd)
-
 let tid h = h.tid
-
-let backend_invoke ?choose t tid ~obj inv =
-  match t.backend with
-  | Plain -> Database.invoke ?choose t.db tid ~obj inv
-  | Durable dd -> Durable_database.invoke ?choose dd tid ~obj inv
-
-let backend_abort t tid =
-  match t.backend with
-  | Plain -> Database.abort t.db tid
-  | Durable dd -> Durable_database.abort dd tid
 
 let locked t f =
   Mutex.lock t.lock;
@@ -72,26 +51,32 @@ let locked t f =
 (* Must hold the lock.  Abort the transaction, wake everyone, raise. *)
 let abort_self t tid =
   Hashtbl.remove t.doomed tid;
-  backend_abort t tid;
+  Sharded_database.abort t.db tid;
   Condition.broadcast t.changed;
   raise Aborted
 
 let check_doom t tid = if Hashtbl.mem t.doomed tid then abort_self t tid
 
-(* Must hold the lock.  Break any waits-for cycle by dooming its youngest
-   member; if that is the caller, abort right here. *)
+(* Must hold the lock.  Break any waits-for cycle, on one shard or
+   across several, by dooming its youngest member; if that is the
+   caller, abort right here.  A cycle whose victim is already doomed
+   stays in the graph until the victim wakes and aborts; finding it
+   again changes nothing. *)
 let break_deadlock t tid =
-  match Database.deadlock t.db with
+  match Sharded_database.deadlock t.db with
   | None -> ()
   | Some cycle ->
       let victim = Deadlock.victim cycle in
-      Metrics.Counter.incr t.c_victims;
-      if Database.tracing t.db then
-        Database.emit_trace t.db ~tid:victim (Trace.Deadlock_victim { cycle });
-      if Tid.equal victim tid then abort_self t tid
-      else begin
-        Hashtbl.replace t.doomed victim ();
-        Condition.broadcast t.changed
+      if not (Hashtbl.mem t.doomed victim) then begin
+        Metrics.Counter.incr t.c_victims;
+        (match Sharded_database.trace t.db with
+        | None -> ()
+        | Some tr -> Trace.emit tr ~tid:victim (Trace.Deadlock_victim { cycle }));
+        if Tid.equal victim tid then abort_self t tid
+        else begin
+          Hashtbl.replace t.doomed victim ();
+          Condition.broadcast t.changed
+        end
       end
 
 let invoke ?choose h ~obj inv =
@@ -104,7 +89,7 @@ let invoke ?choose h ~obj inv =
          visible. *)
       let rec attempt ~woken () =
         check_doom t h.tid;
-        match backend_invoke ?choose t h.tid ~obj inv with
+        match Sharded_database.invoke ?choose t.db h.tid ~obj inv with
         | Atomic_object.Executed op ->
             (* state changed: a waiter's partial operation may now have a
                response *)
@@ -150,7 +135,7 @@ let with_txn ?(max_attempts = 50) ?(backoff = fun _ -> ()) t f =
     end
   in
   let rec go attempt =
-    let tid = locked t (fun () -> Database.begin_txn t.db) in
+    let tid = Sharded_database.begin_txn t.db in
     let h = { sys = t; tid } in
     let body =
       (* [Aborted] escapes [invoke] only after the transaction has been
@@ -161,7 +146,7 @@ let with_txn ?(max_attempts = 50) ?(backoff = fun _ -> ()) t f =
       | exception Aborted -> `Retry
       | exception e ->
           locked t (fun () ->
-              (try backend_abort t tid with Invalid_argument _ -> ());
+              (try Sharded_database.abort t.db tid with Invalid_argument _ -> ());
               Hashtbl.remove t.doomed tid;
               Condition.broadcast t.changed);
           raise e
@@ -174,55 +159,30 @@ let with_txn ?(max_attempts = 50) ?(backoff = fun _ -> ()) t f =
     match body with
     | `Retry -> next ()
     | `Done result -> (
-        (* Stage 1 under the monitor: validate, append the commit
-           record, apply, wake waiters.  Stage 2 — parking on the
-           flushed-LSN watermark — happens OUTSIDE the monitor, so
-           invokers and deadlock detection proceed while a group-commit
-           batch is in flight.  A committer parked there has already
-           left the engine (its commit is applied, its locks released),
-           so it can never be a deadlock victim; the only hazard is a
-           dying flusher, which {!Wal.force_upto} handles by handing the
-           round to a parked waiter. *)
-        match
-          locked t (fun () ->
-              check_doom t tid;
-              match t.backend with
-              | Plain -> (
-                  match Database.try_commit t.db tid with
-                  | Ok () ->
-                      Condition.broadcast t.changed;
-                      `Committed None
-                  | Error _ ->
-                      (* try_commit aborted the transaction *)
-                      Hashtbl.remove t.doomed tid;
-                      Condition.broadcast t.changed;
-                      `Validation_failed)
-              | Durable dd -> (
-                  match Durable_database.try_commit_nowait dd tid with
-                  | Ok lsn ->
-                      Condition.broadcast t.changed;
-                      `Committed (Some (dd, lsn))
-                  | Error _ ->
-                      Hashtbl.remove t.doomed tid;
-                      Condition.broadcast t.changed;
-                      `Validation_failed))
-        with
-        | `Committed wait ->
-            (match wait with
-            | None -> ()
-            | Some (dd, lsn) -> Durable_database.wait_durable dd tid lsn);
-            Ok result
-        | `Validation_failed -> next ()
-        | exception Aborted -> next ())
+        (* Stage 1 — validate, append, apply; on several shards the
+           whole 2PC with its forces — runs outside the monitor, under
+           the engine's own locks; then the monitor wakes the waiters.
+           Stage 2, the durability wait, comes after.  A committing
+           transaction waits on nothing, so it can never be in a
+           waits-for cycle; only a dying flusher can stall stage 2, and
+           {!Wal.force_upto} hands its round to a parked waiter. *)
+        match locked t (fun () -> check_doom t tid) with
+        | exception Aborted -> next ()
+        | () -> (
+            let staged = Sharded_database.try_commit_nowait t.db tid in
+            locked t (fun () ->
+                Hashtbl.remove t.doomed tid;
+                Condition.broadcast t.changed);
+            match staged with
+            | Ok pending ->
+                Sharded_database.wait_durable t.db pending;
+                Ok result
+            | Error _ -> next ()))
   in
   go 1
 
-let committed_count t = locked t (fun () -> Database.committed_count t.db)
-let aborted_count t = locked t (fun () -> Database.aborted_count t.db)
+let committed_count t = Sharded_database.committed_count t.db
 let deadlock_victim_count t = locked t (fun () -> Metrics.Counter.get t.c_victims)
 let retry_count t = locked t (fun () -> Metrics.Counter.get t.c_retries)
 let gave_up_count t = locked t (fun () -> Metrics.Counter.get t.c_gave_up)
 let futile_wakeup_count t = locked t (fun () -> Metrics.Counter.get t.c_futile)
-let history t = locked t (fun () -> Database.history t.db)
-let database t = t.db
-let durable_database t = match t.backend with Plain -> None | Durable dd -> Some dd

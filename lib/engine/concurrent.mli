@@ -1,16 +1,31 @@
-(** A thread-safe blocking front end for the transactional engine.
+(** The thread-safe blocking front end: a wait, retry and deadlock
+    layer over one engine type, {!Sharded_database}.
 
     {!Database} and the simulation scheduler are deterministic and
     single-threaded (for reproducible measurements); this module is the
-    interface a real application uses: operations issued from OS threads
-    {e block} — on the calling thread, under a monitor — until the
-    conflict-based locking admits them, deadlocks are detected and broken
-    by aborting the youngest transaction in the cycle, and aborted
-    transactions are retried transparently by {!with_txn}.
+    interface a real application uses.  Operations issued from OS
+    threads {e block} — on the calling thread, under a monitor — until
+    the conflict-based locking admits them.  Deadlocks, including
+    cycles that thread through several shards, are found by one search
+    over every shard's waits-for edges ({!Sharded_database.deadlock})
+    and broken by aborting the youngest transaction in the cycle.
+    Aborted transactions are retried transparently by {!with_txn}.
+
+    A commit is the engine's staged commit: the apply stage
+    ({!Sharded_database.try_commit_nowait} — on several shards the
+    whole 2PC with its forces) runs outside the monitor, which then
+    wakes every waiter; the durability wait
+    ({!Sharded_database.wait_durable}) comes after, and [with_txn]
+    acknowledges [Ok] only once it returns.  The monitor is never held
+    across a force.
+
+    The caller builds and keeps the engine.  Without a storage device,
+    sink-less logs make an in-memory engine, durable by fiat:
 
     {[
       let account = Atomic_object.create ~spec ~conflict ~recovery () in
-      let db = Concurrent.create [ account ] in
+      let engine = Sharded_database.create ~wals:[| Wal.create () |] [ account ] in
+      let db = Concurrent.create engine in
       match
         Concurrent.with_txn db (fun h ->
             let _ = Concurrent.invoke h ~obj:"BA"
@@ -19,23 +34,18 @@
       with
       | Ok balance -> ...
       | Error (`Gave_up attempts) -> ...
-    ]} *)
+    ]}
+
+    The counters below live in {!Sharded_database.registry}, so
+    {!Sharded_database.metrics} reports them without a [shard] label,
+    and [Deadlock_victim] spans reach the recorder given to
+    {!Sharded_database.set_trace}. *)
 
 open Tm_core
 
 type t
 
-val create : ?record_history:bool -> Atomic_object.t list -> t
-
-(** [create_durable ?record_history ~wal objs] — the same front end over
-    a {!Durable_database}: operations, commits and aborts reach [wal],
-    and commit follows the staged pipeline — validate / append / apply
-    under the monitor, then park on the flushed-LSN watermark {e
-    outside} it, so invokers and deadlock detection proceed while a
-    group-commit batch fsyncs ({!Durable_database.try_commit_nowait} /
-    {!Durable_database.wait_durable}).  [with_txn] acknowledges [Ok]
-    only after the transaction's commit record is durable. *)
-val create_durable : ?record_history:bool -> wal:Wal.t -> Atomic_object.t list -> t
+val create : Sharded_database.t -> t
 
 (** A handle on a running transaction; only valid within the callback of
     {!with_txn} and on the thread that owns it. *)
@@ -79,16 +89,17 @@ val default_backoff : ?base:float -> ?cap:float -> unit -> int -> unit
 
 (** Run statistics. *)
 
+(** Committed transactions ({!Sharded_database.committed_count}: each
+    counted once, however many shards it touched). *)
 val committed_count : t -> int
-val aborted_count : t -> int
 
-(** Transactions aborted as deadlock victims (read from the
-    [tm_deadlock_victims_total] registry counter; previously this was
-    swallowed by the transparent-retry machinery). *)
+(** Transactions aborted as deadlock victims
+    ([tm_deadlock_victims_total]). *)
 val deadlock_victim_count : t -> int
 
 (** Transparent {!with_txn} retries: deadlock-victim restarts plus
-    optimistic validation failures ([tm_txn_retries_total]). *)
+    optimistic validation failures ([tm_txn_retries_total]) — each
+    aborted-and-retried transaction counted once. *)
 val retry_count : t -> int
 
 (** Transactions that exhausted their attempt budget
@@ -100,11 +111,3 @@ val gave_up_count : t -> int
     ([tm_futile_wakeups_total]) — the price of the monitor's broadcast
     discipline. *)
 val futile_wakeup_count : t -> int
-
-(** The recorded global history (empty unless [record_history]). *)
-val history : t -> History.t
-
-val database : t -> Database.t
-
-(** The durable backend, when built by {!create_durable}. *)
-val durable_database : t -> Durable_database.t option

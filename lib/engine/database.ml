@@ -235,6 +235,7 @@ let try_commit t tid =
   result
 
 let deadlock t = Deadlock.find_cycle t.waits
+let waits_for t = Deadlock.edges t.waits
 let history t = History.of_events (List.rev t.events)
 let committed_count t = Metrics.Counter.get t.c_committed
 let aborted_count t = Metrics.Counter.get t.c_aborted

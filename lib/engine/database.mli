@@ -111,6 +111,10 @@ val try_commit : t -> Tid.t -> (unit, string * Op.t * Op.t) result
 (** [deadlock t] — current waits-for cycle, if any. *)
 val deadlock : t -> Tid.t list option
 
+(** The waits-for edges {!deadlock} searches ({!Deadlock.edges}) — what
+    {!Sharded_database.deadlock} unions across shards. *)
+val waits_for : t -> (Tid.t * Tid.t list) list
+
 (** The global event history (empty unless [record_history] was set). *)
 val history : t -> History.t
 

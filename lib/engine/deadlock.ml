@@ -67,6 +67,7 @@ let clear t tid =
   end
 
 let waiting t tid = match Hashtbl.find t.edges tid with on -> on | exception Not_found -> []
+let edges t = Hashtbl.fold (fun tid on acc -> (tid, on) :: acc) t.edges []
 
 let grow a fill = Array.append a (Array.make (max 8 (Array.length a)) fill)
 

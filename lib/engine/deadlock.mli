@@ -44,3 +44,6 @@ val find_cycle : t -> Tid.t list option
 val victim : Tid.t list -> Tid.t
 
 val waiting : t -> Tid.t -> Tid.t list
+
+(** [edges t] — every transaction with outgoing edges, paired with them. *)
+val edges : t -> (Tid.t * Tid.t list) list

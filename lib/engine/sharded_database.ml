@@ -22,7 +22,8 @@ type t = {
       (* global: tid allocation, the txn table, [cross_in_flight] and
          [committed].  Always acquired before any shard mutex, never
          after one. *)
-  reg : Metrics.t;  (* engine-level 2PC metrics; shards have their own *)
+  mutable trace : Trace.t option;  (* the recorder shared by every shard *)
+  reg : Metrics.t;  (* engine-level metrics; shards have their own *)
   c_prepares : Metrics.counter;
   c_cross : Metrics.counter;
   c_abort_prepare : Metrics.counter;
@@ -56,6 +57,7 @@ let make ?(first_tid = 0) shards =
     committed = 0;
     cross_in_flight = 0;
     lock = Mutex.create ();
+    trace = None;
     reg;
     c_prepares;
     c_cross;
@@ -80,12 +82,13 @@ let partition_objects ~shards:n objs =
     objs;
   Array.map List.rev parts
 
-let create ?first_tid ~wals objs =
+let create ?record_history ?first_tid ~wals objs =
   let n = Array.length wals in
   check_shard_count n;
   let parts = partition_objects ~shards:n objs in
   let shards =
-    Array.init n (fun i -> Shard.create ~index:i ~wal:wals.(i) parts.(i))
+    Array.init n (fun i ->
+        Shard.create ?record_history ~index:i ~wal:wals.(i) parts.(i))
   in
   make ?first_tid shards
 
@@ -107,7 +110,11 @@ let objects t =
    timestamps before the coordinator decision that depended on it —
    the causal order the Perfetto flow arrows render. *)
 let set_trace t tr =
+  t.trace <- Some tr;
   Array.iter (fun sh -> Database.set_trace (Shard.database sh) tr) t.shards
+
+let trace t = t.trace
+let registry t = t.reg
 
 (* Sites test [tracing t s] before building a span kind. *)
 let tracing t s = Database.tracing (Shard.database t.shards.(s))
@@ -231,7 +238,12 @@ let commit_cross t tid ~gtid parts =
         prepared;
       Ok ()
 
-let try_commit t tid =
+(* What the durability wait needs: nothing once a cross-shard commit
+   has forced its decision (or for a transaction that executed
+   nothing), else the single shard's commit record. *)
+type pending = Durable | Flush of { shard : int; tid : Tid.t; lsn : int }
+
+let try_commit_nowait t tid =
   let parts, cross, gtid =
     locked t (fun () ->
         let txn = txn_of t tid in
@@ -249,22 +261,23 @@ let try_commit t tid =
   in
   let result =
     match parts with
-    | [] -> Ok () (* executed nothing anywhere: trivially committed *)
+    | [] -> Ok Durable (* executed nothing anywhere: trivially committed *)
     | [ s ] -> (
         (* Single-shard fast path: exactly the unsharded pipeline —
-           stage 1 under the shard mutex, the durability park outside
-           it so the group-commit combiner can batch neighbours. *)
+           stage 1 under the shard mutex; the durability park
+           ({!wait_durable}) comes outside it, so the group-commit
+           combiner can batch neighbours. *)
         let sh = t.shards.(s) in
         match
           Shard.with_lock sh (fun () ->
               Durable_database.try_commit_nowait (Shard.db sh) tid)
         with
         | Error _ as e -> e
-        | Ok lsn ->
-            Durable_database.wait_durable (Shard.db sh) tid lsn;
-            note_flushed t s;
-            Ok ())
-    | parts -> commit_cross t tid ~gtid parts
+        | Ok lsn -> Ok (Flush { shard = s; tid; lsn }))
+    | parts -> (
+        match commit_cross t tid ~gtid parts with
+        | Error _ as e -> e
+        | Ok () -> Ok Durable)
   in
   locked t (fun () ->
       if cross then begin
@@ -273,6 +286,35 @@ let try_commit t tid =
       end;
       if Result.is_ok result then t.committed <- t.committed + 1);
   result
+
+let wait_durable t = function
+  | Durable -> ()
+  | Flush { shard; tid; lsn } ->
+      Durable_database.wait_durable (Shard.db t.shards.(shard)) tid lsn;
+      note_flushed t shard
+
+let try_commit t tid =
+  match try_commit_nowait t tid with
+  | Error _ as e -> e
+  | Ok pending ->
+      wait_durable t pending;
+      Ok ()
+
+(* Dynamic atomicity is local (Theorem 2): each shard's lock tables
+   and history stand alone.  A waits-for cycle is not local — it may
+   thread through several shards — so the search runs over the union of
+   every shard's edges. *)
+let deadlock t =
+  let g = Deadlock.create () in
+  Array.iter
+    (fun sh ->
+      Shard.with_lock sh (fun () ->
+          List.iter
+            (fun (tid, on) ->
+              Deadlock.set_waiting g tid ~on:(on @ Deadlock.waiting g tid))
+            (Database.waits_for (Shard.database sh))))
+    t.shards;
+  Deadlock.find_cycle g
 
 let abort t tid =
   let parts = locked t (fun () ->

@@ -48,25 +48,38 @@
     {!Durable_database.recover} needs no 2PC awareness at all, and a
     second crash during recovery re-resolves to the same outcomes.
 
+    {2 Waiting and deadlock}
+
+    {!invoke} returns [Blocked] with the holders it waits for, and
+    {!Concurrent} is the layer that makes a thread wait on it.  Lock
+    tables, waits-for edges and histories stay per shard: dynamic
+    atomicity is local (Theorem 2), so each shard's history is checked
+    on its own.  A waits-for cycle is not local, so {!deadlock} searches
+    the union of every shard's edges and finds cycles that thread
+    through several shards.
+
     {2 Caveats}
 
-    Deadlock detection remains per shard: waits-for cycles threading
-    through two shards are not detected (callers avoid them by touching
-    shards in a consistent order, or time out).  {!checkpoint} refuses
-    to run while any cross-shard commit is in flight — a fuzzy
-    checkpoint would otherwise erase a participant's in-doubt status
-    from its log. *)
+    {!checkpoint} refuses to run while any cross-shard commit is in
+    flight — a fuzzy checkpoint would otherwise erase a participant's
+    in-doubt status from its log. *)
 
 open Tm_core
 
 type t
 
-(** [create ?first_tid ~wals objs] — one shard per element of [wals]
-    (their order fixes shard ids); [objs] are partitioned among shards
-    by the router.  [first_tid] seeds the {e global} transaction-id
-    allocator.  Raises [Invalid_argument] if [wals] is empty or has
-    more than 65536 elements (shard ids must fit a v2 frame header). *)
-val create : ?first_tid:int -> wals:Wal.t array -> Atomic_object.t list -> t
+(** [create ?record_history ?first_tid ~wals objs] — one shard per
+    element of [wals] (their order fixes shard ids); [objs] are
+    partitioned among shards by the router.  A sink-less [Wal.create ()]
+    gives an in-memory shard, durable by fiat.  [record_history] makes
+    every shard's database record its history ({!Database.history} of
+    {!Shard.database}).  [first_tid] seeds the {e global}
+    transaction-id allocator.  Raises [Invalid_argument] if [wals] is
+    empty or has more than 65536 elements (shard ids must fit a v2
+    frame header). *)
+val create :
+  ?record_history:bool -> ?first_tid:int -> wals:Wal.t array ->
+  Atomic_object.t list -> t
 
 val shard_count : t -> int
 
@@ -94,13 +107,36 @@ val invoke :
   ?choose:(Value.t list -> Value.t) -> t -> Tid.t -> obj:string -> Op.invocation ->
   Atomic_object.outcome
 
-(** [try_commit t tid] — single-shard transactions take the fast path
-    (stage-1 commit under the shard mutex, group-commit durability wait
-    outside it); multi-shard transactions run the full 2PC described
-    above.  Transactions that executed nothing anywhere commit
-    trivially.  On validation failure the transaction is aborted on
-    every shard and the conflicting object/operation pair returned. *)
+(** {2 The staged commit}
+
+    As in {!Durable_database}, commit has two stages, and the caller
+    may acknowledge it only after both. *)
+
+(** A commit that is applied but may not be durable yet. *)
+type pending
+
+(** Stage 1.  A single-shard transaction validates, appends its commit
+    record and applies under the shard mutex.  A multi-shard
+    transaction runs the whole 2PC described above, forces included.
+    A transaction that executed nothing anywhere commits trivially.  On
+    validation failure the transaction is aborted on every shard and
+    the conflicting object/operation pair returned. *)
+val try_commit_nowait : t -> Tid.t -> (pending, string * Op.t * Op.t) result
+
+(** Stage 2: wait until the commit is durable — for a single-shard
+    commit, the shard WAL's flushed watermark covers its commit record
+    ({!Durable_database.wait_durable}); a cross-shard commit was durable
+    when its decision was forced.  Call without holding any lock that
+    other transactions need. *)
+val wait_durable : t -> pending -> unit
+
+(** [try_commit t tid] is both stages back to back. *)
 val try_commit : t -> Tid.t -> (unit, string * Op.t * Op.t) result
+
+(** [deadlock t] — a waits-for cycle, if any, found by one search over
+    the edges of every shard ({!Database.waits_for}).  Takes each
+    shard's mutex in turn, so it may run while other threads commit. *)
+val deadlock : t -> Tid.t list option
 
 val abort : t -> Tid.t -> unit
 
@@ -117,7 +153,7 @@ val flush : t -> unit
 val checkpoint : t -> bool
 
 (** Globally committed transaction count (each cross-shard transaction
-    counted once, not once per participant). *)
+    counted once, not once per participant), counted at stage 1. *)
 val committed_count : t -> int
 
 (** [set_trace t tr] attaches one shared recorder to {e every} shard's
@@ -128,6 +164,14 @@ val committed_count : t -> int
     coordinator's decision can be linked to every participant's prepare
     offline. *)
 val set_trace : t -> Tm_obs.Trace.t -> unit
+
+(** The recorder given to {!set_trace}, if any. *)
+val trace : t -> Tm_obs.Trace.t option
+
+(** The engine-level registry: the 2PC series below, which {!metrics}
+    merges without a [shard] label.  A layer above the engine registers
+    its own series here ({!Concurrent}'s retry and victim counters). *)
+val registry : t -> Tm_obs.Metrics.t
 
 (** A fresh registry merging the engine-level 2PC metrics
     ([tm_2pc_prepares_total], [tm_2pc_aborts_total{phase}],

@@ -2,30 +2,55 @@
    engine, with blocking, deadlock victimisation and transparent retry.
    Correctness witnesses: final balances equal the sum of committed
    effects, committed operations replay legally, and small recorded
-   histories are dynamic atomic. *)
+   histories are dynamic atomic.  The engine is a [Sharded_database];
+   the non-commuting workloads run on one shard and on two, where
+   waits-for cycles thread through both shards. *)
 
 open Tm_core
 module Atomic_object = Tm_engine.Atomic_object
 module Concurrent = Tm_engine.Concurrent
+module SD = Tm_engine.Sharded_database
+module Wal = Tm_engine.Wal
 module BA = Tm_adt.Bank_account
 
 let deposit i = Op.invocation ~args:[ Value.int i ] "deposit"
 let withdraw i = Op.invocation ~args:[ Value.int i ] "withdraw"
 let balance = Op.invocation "balance"
 
-let make_db ?(recovery = Tm_engine.Recovery.UIP) ?(initial = 0) ?record_history () =
+(* An in-memory engine: [shards] sink-less logs, durable by fiat. *)
+let engine ?record_history ?(shards = 1) objs =
+  SD.create ?record_history ~wals:(Array.init shards (fun _ -> Wal.create ())) objs
+
+let account ?(recovery = Tm_engine.Recovery.UIP) ?(initial = 0) name =
   let conflict =
     match recovery with
     | Tm_engine.Recovery.UIP -> BA.nrbc_conflict
     | Tm_engine.Recovery.DU -> BA.nfc_conflict
   in
   let spec = if initial = 0 then BA.spec else BA.spec_with_initial initial in
-  (Concurrent.create ?record_history
-     [ Atomic_object.create ~spec ~conflict ~recovery () ],
-   spec)
+  Atomic_object.create ~spec:(Spec.rename spec name) ~conflict ~recovery ()
+
+(* Two account names, routed to different shards when there are
+   several. *)
+let two_accounts ~shards =
+  let shard = Wal.partition_of_object ~workers:shards in
+  let rec other i =
+    let name = Fmt.str "BA%d" i in
+    if shards = 1 || shard name <> shard "BA0" then name else other (i + 1)
+  in
+  ("BA0", other 1)
+
+let make_db ?recovery ?initial () =
+  let sdb = engine [ account ?recovery ?initial "BA" ] in
+  (Concurrent.create sdb, sdb)
+
+let replays_legally sdb =
+  List.for_all
+    (fun o -> Spec.legal (Atomic_object.spec o) (Atomic_object.committed_ops o))
+    (SD.objects sdb)
 
 let test_single_thread_txn () =
-  let db, _spec = make_db () in
+  let db, _ = make_db () in
   let result =
     Concurrent.with_txn db (fun h ->
         let r1 = Concurrent.invoke h ~obj:"BA" (deposit 5) in
@@ -40,14 +65,15 @@ let test_single_thread_txn () =
   | Error (`Gave_up _) -> Alcotest.fail "aborted"
 
 let test_user_exception_aborts () =
-  let db, _spec = make_db () in
+  let db, sdb = make_db () in
   (try
      ignore
        (Concurrent.with_txn db (fun h ->
             ignore (Concurrent.invoke h ~obj:"BA" (deposit 5));
             failwith "user bug"))
    with Failure _ -> ());
-  Helpers.check_int "aborted" 1 (Concurrent.aborted_count db);
+  Helpers.check_int "aborted" 1
+    (Tm_engine.Database.aborted_count (Tm_engine.Shard.database (SD.shards sdb).(0)));
   (* the deposit was rolled back *)
   match Concurrent.with_txn db (fun h -> Concurrent.invoke h ~obj:"BA" balance) with
   | Ok v -> Alcotest.check Helpers.value "balance 0" (Value.int 0) v
@@ -58,7 +84,7 @@ let run_threads n f =
   List.iter Thread.join threads
 
 let test_parallel_deposits () =
-  let db, spec = make_db ~recovery:Tm_engine.Recovery.UIP () in
+  let db, sdb = make_db ~recovery:Tm_engine.Recovery.UIP () in
   let per_thread = 20 and threads = 6 in
   run_threads threads (fun _ ->
       for _ = 1 to per_thread do
@@ -75,57 +101,80 @@ let test_parallel_deposits () =
       (* every committed transaction deposited exactly 1 *)
       Helpers.check_int "balance = committed deposits" committed b;
       Helpers.check_int "no aborts for commuting work" (threads * per_thread) committed;
-      let objs = Tm_engine.Database.objects (Concurrent.database db) in
-      Helpers.check_bool "replay" true
-        (List.for_all
-           (fun o -> Spec.legal spec (Atomic_object.committed_ops o))
-           objs)
+      Helpers.check_bool "replay" true (replays_legally sdb)
   | Ok v -> Alcotest.failf "unexpected balance %a" Value.pp v
   | Error (`Gave_up _) -> Alcotest.fail "balance txn aborted"
 
-let test_parallel_mixed_with_deadlocks () =
-  (* deposits and withdrawals conflict asymmetrically under NRBC: this
-     mix produces real blocking and deadlock victims; with retry all
-     programs eventually commit and the books must balance. *)
-  let db, spec = make_db ~recovery:Tm_engine.Recovery.UIP ~initial:1000 () in
-  let deposits = ref 0 and withdrawals = ref 0 in
+let test_parallel_mixed_with_deadlocks ~shards () =
+  (* Two funded accounts, on one shard or on two.  Odd programs are
+     single deposits or withdrawals.  Even programs are transfers in
+     opposing directions (by thread parity) that deposit into one
+     account and then withdraw from the other.  Under NRBC a successful
+     withdrawal conflicts with a held deposit, so two opposing transfers
+     can each hold what the other requests: a waits-for cycle, which on
+     two shards threads through both and only the global search finds.
+     With retry every program eventually commits and the books must
+     balance. *)
+  let a, b = two_accounts ~shards in
+  let sdb =
+    engine ~shards
+      [ account ~initial:1000 a; account ~initial:1000 b ]
+  in
+  let db = Concurrent.create sdb in
+  let deposits = ref 0 and withdrawals = ref 0 and starved = ref 0 in
   let lock = Mutex.create () in
-  let add r a =
+  let add r v =
     Mutex.lock lock;
-    r := !r + a;
+    r := !r + v;
     Mutex.unlock lock
   in
+  (* with 1000 in each account, withdrawals always succeed *)
+  let ok res =
+    if not (Value.equal res Value.ok) then
+      Alcotest.failf "unexpected refusal %a" Value.pp res
+  in
+  (* A victim that retried at once would redo its deposit before the
+     survivor's withdrawal got through, and lose again: back off. *)
+  let backoff = Concurrent.default_backoff () in
   run_threads 8 (fun i ->
       for k = 1 to 10 do
         let amount = 1 + ((i + k) mod 3) in
-        let is_deposit = (i + k) mod 2 = 0 in
+        let src, dst = if i mod 2 = 0 then (a, b) else (b, a) in
+        let transfer = k mod 2 = 0 in
+        let is_deposit = (i + k) mod 4 = 1 in
         match
-          Concurrent.with_txn ~max_attempts:1000 db (fun h ->
-              let inv = if is_deposit then deposit amount else withdraw amount in
-              let res = Concurrent.invoke h ~obj:"BA" inv in
-              (* with 1000 in the pot, withdrawals always succeed *)
-              if (not is_deposit) && not (Value.equal res Value.ok) then
-                Alcotest.failf "unexpected refusal %a" Value.pp res;
-              amount)
+          Concurrent.with_txn ~max_attempts:1000 ~backoff db (fun h ->
+              if transfer then begin
+                ok (Concurrent.invoke h ~obj:dst (deposit amount));
+                Thread.yield ();
+                ok (Concurrent.invoke h ~obj:src (withdraw amount))
+              end
+              else
+                ok
+                  (Concurrent.invoke h ~obj:src
+                     (if is_deposit then deposit amount else withdraw amount)))
         with
-        | Ok a -> if is_deposit then add deposits a else add withdrawals a
-        | Error (`Gave_up _) -> Alcotest.fail "starved"
+        | Ok () ->
+            if transfer || is_deposit then add deposits amount;
+            if transfer || not is_deposit then add withdrawals amount
+        | Error (`Gave_up _) -> add starved 1
       done);
-  match Concurrent.with_txn db (fun h -> Concurrent.invoke h ~obj:"BA" balance) with
-  | Ok (Value.Int b) ->
-      Helpers.check_int "conservation of money" (1000 + !deposits - !withdrawals) b;
-      let objs = Tm_engine.Database.objects (Concurrent.database db) in
-      Helpers.check_bool "replay" true
-        (List.for_all (fun o -> Spec.legal spec (Atomic_object.committed_ops o)) objs)
-  | Ok v -> Alcotest.failf "unexpected balance %a" Value.pp v
+  (* a failure raised on a worker thread would only end that thread *)
+  Helpers.check_int "no program starved" 0 !starved;
+  match
+    Concurrent.with_txn db (fun h ->
+        (Concurrent.invoke h ~obj:a balance, Concurrent.invoke h ~obj:b balance))
+  with
+  | Ok (Value.Int x, Value.Int y) ->
+      Helpers.check_int "conservation of money" (2000 + !deposits - !withdrawals) (x + y);
+      Helpers.check_bool "replay" true (replays_legally sdb)
+  | Ok _ -> Alcotest.fail "unexpected balances"
   | Error (`Gave_up _) -> Alcotest.fail "balance txn aborted"
 
 let test_occ_threads () =
   let spec = BA.spec_with_initial 1000 in
-  let db =
-    Concurrent.create
-      [ Atomic_object.create_optimistic ~spec ~conflict:BA.nfc_conflict ]
-  in
+  let sdb = engine [ Atomic_object.create_optimistic ~spec ~conflict:BA.nfc_conflict ] in
+  let db = Concurrent.create sdb in
   run_threads 6 (fun i ->
       for k = 1 to 10 do
         let amount = 1 + ((i * k) mod 3) in
@@ -136,22 +185,38 @@ let test_occ_threads () =
         | Ok () -> ()
         | Error (`Gave_up _) -> Alcotest.fail "starved"
       done);
-  let objs = Tm_engine.Database.objects (Concurrent.database db) in
-  Helpers.check_bool "replay" true
-    (List.for_all (fun o -> Spec.legal spec (Atomic_object.committed_ops o)) objs)
+  Helpers.check_bool "replay" true (replays_legally sdb)
 
-let test_recorded_history_dynamic_atomic () =
-  let db, spec = make_db ~recovery:Tm_engine.Recovery.DU ~initial:10 ~record_history:true () in
+let test_recorded_history_dynamic_atomic ~shards () =
+  (* A deposit and two opposing withdraw-then-deposit transfers under
+     DU.  Dynamic atomicity is local (Theorem 2), so checking each
+     shard's own history is enough. *)
+  let a, b = two_accounts ~shards in
+  let objs =
+    [ account ~recovery:Tm_engine.Recovery.DU ~initial:10 a;
+      account ~recovery:Tm_engine.Recovery.DU ~initial:10 b ]
+  in
+  let sdb = engine ~record_history:true ~shards objs in
+  let db = Concurrent.create sdb in
+  let steps = function
+    | 0 -> [ (a, deposit 2) ]
+    | 1 -> [ (a, withdraw 1); (b, deposit 1) ]
+    | _ -> [ (b, withdraw 1); (a, deposit 1) ]
+  in
   run_threads 3 (fun i ->
       match
         Concurrent.with_txn ~max_attempts:1000 db (fun h ->
-            ignore (Concurrent.invoke h ~obj:"BA" (if i = 0 then deposit 2 else withdraw 1)))
+            List.iter (fun (obj, inv) -> ignore (Concurrent.invoke h ~obj inv)) (steps i))
       with
       | Ok () -> ()
       | Error (`Gave_up _) -> ());
-  let env = Atomicity.env_of_list [ spec ] in
-  Helpers.check_bool "dynamic atomic" true
-    (Atomicity.is_dynamic_atomic env (Concurrent.history db))
+  let env = Atomicity.env_of_list (List.map Atomic_object.spec objs) in
+  Array.iteri
+    (fun s sh ->
+      Helpers.check_bool (Fmt.str "shard %d dynamic atomic" s) true
+        (Atomicity.is_dynamic_atomic env
+           (Tm_engine.Database.history (Tm_engine.Shard.database sh))))
+    (SD.shards sdb)
 
 (* --- the staged commit pipeline under OS threads --- *)
 
@@ -165,13 +230,14 @@ let test_durable_group_commit_threads () =
   let dw =
     Tm_engine.Disk_wal.create (Tm_engine.Storage.slow ~force_delay:0.001 store)
   in
-  let db =
-    Concurrent.create_durable ~wal:(Tm_engine.Disk_wal.wal dw)
+  let sdb =
+    SD.create ~wals:[| Tm_engine.Disk_wal.wal dw |]
       [
         Atomic_object.create ~spec:BA.spec ~conflict:BA.nrbc_conflict
           ~recovery:Tm_engine.Recovery.UIP ();
       ]
   in
+  let db = Concurrent.create sdb in
   let threads = 6 and per_thread = 15 in
   run_threads threads (fun _ ->
       for _ = 1 to per_thread do
@@ -189,8 +255,7 @@ let test_durable_group_commit_threads () =
   | Ok v -> Alcotest.failf "unexpected balance %a" Value.pp v
   | Error (`Gave_up _) -> Alcotest.fail "balance txn aborted");
   let committed = Concurrent.committed_count db in
-  let reg = Tm_engine.Database.metrics (Concurrent.database db) in
-  let forces = Tm_obs.Metrics.counter_value reg "tm_wal_forces_total" in
+  let forces = Tm_obs.Metrics.counter_total (SD.metrics sdb) "tm_wal_forces_total" in
   Helpers.check_bool
     (Fmt.str "batching formed: %d fsyncs for %d commits" forces committed)
     true
@@ -237,11 +302,12 @@ let test_flusher_death_wakes_parked_committer () =
   in
   Tm_engine.Wal.set_sink wal sink;
   let db =
-    Concurrent.create_durable ~wal
-      [
-        Atomic_object.create ~spec:BA.spec ~conflict:BA.nrbc_conflict
-          ~recovery:Tm_engine.Recovery.UIP ();
-      ]
+    Concurrent.create
+      (SD.create ~wals:[| wal |]
+         [
+           Atomic_object.create ~spec:BA.spec ~conflict:BA.nrbc_conflict
+             ~recovery:Tm_engine.Recovery.UIP ();
+         ])
   in
   let a_saw_failure = ref false and b_committed = ref false in
   let a =
@@ -283,13 +349,14 @@ let test_futile_wakeup_counted () =
   let funded = BA.spec_with_initial 100 in
   let db =
     Concurrent.create
-      [
-        Atomic_object.create ~spec:funded ~conflict:BA.nrbc_conflict
-          ~recovery:Tm_engine.Recovery.UIP ();
-        Atomic_object.create
-          ~spec:(Spec.rename funded "BA2")
-          ~conflict:BA.nrbc_conflict ~recovery:Tm_engine.Recovery.UIP ();
-      ]
+      (engine
+         [
+           Atomic_object.create ~spec:funded ~conflict:BA.nrbc_conflict
+             ~recovery:Tm_engine.Recovery.UIP ();
+           Atomic_object.create
+             ~spec:(Spec.rename funded "BA2")
+             ~conflict:BA.nrbc_conflict ~recovery:Tm_engine.Recovery.UIP ();
+         ])
   in
   let check label = function
     | Ok _ -> ()
@@ -331,6 +398,65 @@ let test_futile_wakeup_counted () =
   Helpers.check_bool "futile wakeup counted" true
     (Concurrent.futile_wakeup_count db >= 1)
 
+let test_cross_shard_victim_traced () =
+  (* Two threads each deposit on an account on a different shard, meet
+     at a barrier, then withdraw from the other's account: a waits-for
+     cycle through both shards.  The global search dooms the younger
+     transaction, which retries after a pause and commits.  The victim
+     is counted in the engine-level registry (no shard label) and its
+     Deadlock_victim span reaches the shared recorder. *)
+  let a, b = two_accounts ~shards:2 in
+  let sdb = engine ~shards:2 [ account ~initial:100 a; account ~initial:100 b ] in
+  let tr = Tm_obs.Trace.create () in
+  SD.set_trace sdb tr;
+  let db = Concurrent.create sdb in
+  let m = Mutex.create () and c = Condition.create () and arrived = ref 0 in
+  let barrier () =
+    Mutex.lock m;
+    incr arrived;
+    if !arrived = 2 then Condition.broadcast c;
+    while !arrived < 2 do
+      Condition.wait c m
+    done;
+    Mutex.unlock m
+  in
+  let committed = ref 0 in
+  run_threads 2 (fun i ->
+      let mine, theirs = if i = 0 then (a, b) else (b, a) in
+      let first = ref true in
+      match
+        Concurrent.with_txn ~max_attempts:10 ~backoff:(fun _ -> Thread.delay 0.05) db
+          (fun h ->
+            ignore (Concurrent.invoke h ~obj:mine (deposit 5));
+            if !first then begin
+              first := false;
+              barrier ()
+            end;
+            ignore (Concurrent.invoke h ~obj:theirs (withdraw 1)))
+      with
+      | Ok () ->
+          Mutex.lock m;
+          incr committed;
+          Mutex.unlock m
+      | Error (`Gave_up _) -> ());
+  Helpers.check_int "both committed" 2 !committed;
+  let victims = Concurrent.deadlock_victim_count db in
+  Helpers.check_bool "a victim was chosen" true (victims >= 1);
+  Helpers.check_int "victims in the merged registry, unlabelled" victims
+    (Tm_obs.Metrics.counter_value (SD.metrics sdb) "tm_deadlock_victims_total");
+  let spans =
+    List.filter_map
+      (fun (e : Tm_obs.Trace.event) ->
+        match e.Tm_obs.Trace.kind with
+        | Tm_obs.Trace.Deadlock_victim { cycle } -> Some cycle
+        | _ -> None)
+      (Tm_obs.Trace.events tr)
+  in
+  Helpers.check_int "one Deadlock_victim span per victim" victims (List.length spans);
+  List.iter
+    (fun cycle -> Helpers.check_int "the cycle spans both transactions" 2 (List.length cycle))
+    spans
+
 let test_default_backoff () =
   let hook = Concurrent.default_backoff ~base:1e-6 ~cap:1e-5 () in
   (* bounded and total over any attempt number (no float overflow) *)
@@ -349,14 +475,21 @@ let suite =
     Alcotest.test_case "single-thread transaction" `Quick test_single_thread_txn;
     Alcotest.test_case "user exception aborts" `Quick test_user_exception_aborts;
     Alcotest.test_case "parallel deposits" `Slow test_parallel_deposits;
-    Alcotest.test_case "parallel mix with deadlocks" `Slow test_parallel_mixed_with_deadlocks;
+    Alcotest.test_case "parallel mix with deadlocks" `Slow
+      (test_parallel_mixed_with_deadlocks ~shards:1);
     Alcotest.test_case "optimistic threads" `Slow test_occ_threads;
     Alcotest.test_case "recorded history dynamic atomic" `Quick
-      test_recorded_history_dynamic_atomic;
+      (test_recorded_history_dynamic_atomic ~shards:1);
     Alcotest.test_case "durable group commit under threads" `Slow
       test_durable_group_commit_threads;
     Alcotest.test_case "flusher death wakes parked committer" `Slow
       test_flusher_death_wakes_parked_committer;
     Alcotest.test_case "futile wakeups counted" `Slow test_futile_wakeup_counted;
     Alcotest.test_case "default backoff" `Quick test_default_backoff;
+    Alcotest.test_case "2-shard parallel mix with deadlocks" `Slow
+      (test_parallel_mixed_with_deadlocks ~shards:2);
+    Alcotest.test_case "2-shard recorded history dynamic atomic" `Quick
+      (test_recorded_history_dynamic_atomic ~shards:2);
+    Alcotest.test_case "cross-shard deadlock victim traced" `Slow
+      test_cross_shard_victim_traced;
   ]

@@ -228,10 +228,11 @@ let test_trace_spans () =
 let test_concurrent_accessors () =
   let db =
     Concurrent.create
-      [
-        Atomic_object.create ~spec:BA.spec ~conflict:BA.nrbc_conflict
-          ~recovery:Recovery.UIP ();
-      ]
+      (Tm_engine.Sharded_database.create ~wals:[| Tm_engine.Wal.create () |]
+         [
+           Atomic_object.create ~spec:BA.spec ~conflict:BA.nrbc_conflict
+             ~recovery:Recovery.UIP ();
+         ])
   in
   (match
      Concurrent.with_txn db (fun h ->

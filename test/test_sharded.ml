@@ -621,6 +621,57 @@ let prop_cross_shard_equivalence =
       check_equal_states "cross shard" want got;
       true)
 
+(* --- cross-shard deadlock: one waits-for search over every shard --- *)
+
+let test_cross_shard_deadlock () =
+  (* Two transactions each hold a deposit on an account on a different
+     shard, then request a withdrawal from the other's account.  Under
+     NRBC a successful withdrawal conflicts with a held deposit, so each
+     blocks on the other.  Each shard holds one edge of the cycle and
+     finds none on its own; the global search finds both members, and
+     the younger is the victim.  Once it is aborted the survivor runs
+     and commits. *)
+  let names = names_per_shard 2 in
+  let x = names.(0) and y = names.(1) in
+  let db = SD.create ~wals:[| Wal.create (); Wal.create () |] [ account x; account y ] in
+  let t1 = SD.begin_txn db in
+  let t2 = SD.begin_txn db in
+  let invoke tid obj inv = SD.invoke db tid ~obj inv in
+  let executed label = function
+    | Atomic_object.Executed _ -> ()
+    | Atomic_object.Blocked _ | Atomic_object.No_response -> Alcotest.failf "%s did not run" label
+  in
+  let blocked_on label holder = function
+    | Atomic_object.Blocked holders ->
+        Alcotest.(check (list Helpers.tid)) label [ holder ] holders
+    | Atomic_object.Executed _ | Atomic_object.No_response ->
+        Alcotest.failf "%s did not block" label
+  in
+  executed "t1 deposit" (invoke t1 x (deposit_inv 5));
+  executed "t2 deposit" (invoke t2 y (deposit_inv 5));
+  blocked_on "t1 waits for t2" t2 (invoke t1 y (withdraw_inv 1));
+  blocked_on "t2 waits for t1" t1 (invoke t2 x (withdraw_inv 1));
+  Array.iteri
+    (fun s sh ->
+      Helpers.check_bool (Fmt.str "shard %d alone finds no cycle" s) true
+        (Option.is_none (Tm_engine.Database.deadlock (Tm_engine.Shard.database sh))))
+    (SD.shards db);
+  match SD.deadlock db with
+  | None -> Alcotest.fail "the cross-shard cycle was not found"
+  | Some cycle ->
+      Alcotest.(check (list Helpers.tid)) "two-member cycle" [ t1; t2 ]
+        (List.sort Tid.compare cycle);
+      Alcotest.check Helpers.tid "the younger is the victim" t2
+        (Tm_engine.Deadlock.victim cycle);
+      SD.abort db t2;
+      Helpers.check_bool "no cycle left" true (Option.is_none (SD.deadlock db));
+      executed "t1 withdraw" (invoke t1 y (withdraw_inv 1));
+      Helpers.check_bool "survivor commits" true (Result.is_ok (SD.try_commit db t1));
+      Alcotest.(check (list (pair string (list Helpers.op))))
+        "t1's operations are the only committed ones"
+        [ (x, [ dep_on x 5 ]); (y, [ Op.make ~obj:y ~args:[ Value.int 1 ] "withdraw" Value.ok ]) ]
+        (committed_by_name (SD.objects db))
+
 let suite =
   [
     Alcotest.test_case "mixed-shard frames round-trip + select" `Quick
@@ -654,4 +705,6 @@ let suite =
     prop_single_shard_equivalence;
     prop_multi_shard_disjoint_equivalence;
     prop_cross_shard_equivalence;
+    Alcotest.test_case "cross-shard deadlock found and broken" `Quick
+      test_cross_shard_deadlock;
   ]
