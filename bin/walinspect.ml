@@ -8,9 +8,10 @@
    uses, so the verdict printed here is the verdict a restart gets.
 
    --verify goes one step further: it loads the log through
-   Disk_wal.load and folds it with Wal.plan — the decode and replay
-   plan a restart runs — under the restart profiler, and prints the
-   per-phase profile.  No objects are rebuilt, so the object-replay
+   Disk_wal.load, which folds every decoded record into the log's replay
+   state, and reads the replay plan from it with Wal.plan_of — what a
+   restart runs — under the restart profiler, and prints the per-phase
+   profile.  No objects are rebuilt, so the object-replay
    phase stays empty.
 
    Exit status: 0 for a clean or torn-tail log (recovery proceeds),
@@ -31,7 +32,7 @@ let verify_profile bytes json =
       Fmt.pr "verify: load refused: %a@." Wal.Codec.pp_corruption c;
       `Corrupt
   | Ok dw ->
-      let plan = Wal.plan ~profile ~workers:1 (Wal.records (Disk_wal.wal dw)) in
+      let plan = Wal.plan_of ~profile (Disk_wal.wal dw) in
       let losers = plan.Wal.plan_loser_tids in
       Profile.finish profile;
       if json then
@@ -112,7 +113,7 @@ let verify_arg =
     & info [ "verify" ]
         ~doc:
           "Additionally load the log (Disk_wal.load) and fold it into the \
-           restart's replay plan (Wal.plan) under the restart profiler, and \
+           restart's replay plan (Wal.plan_of) under the restart profiler, and \
            print the per-phase profile.")
 
 let digest_arg =

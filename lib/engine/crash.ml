@@ -173,6 +173,14 @@ let of_drive ~shards:n ~rebuild drive =
               (fun () ->
                 stamp (fun () -> forces.(i) <- (!clock, appended.(i)) :: forces.(i)));
             sink_attach = (fun _ -> ());
+            sink_records =
+              (fun () ->
+                Mutex.lock glock;
+                let recs = List.rev_map snd appends.(i) in
+                Mutex.unlock glock;
+                recs);
+            sink_rewrite =
+              (fun _ -> invalid_arg "Crash.of_drive: a recording cannot be rewritten");
           };
         w)
   in
@@ -384,7 +392,7 @@ let loser_diff invariant ~got ~want =
           (Tid.Set.elements want) );
     ]
 
-(* [Disk_wal.checkpoint_truncate] promises that no byte offset of its
+(* [Wal.truncate_to_checkpoint] on a [Disk_wal] log promises that no byte offset of its
    journal + install sequence can make reload misclassify the log or
    change the recovered state.  Build every intermediate backend image
    the protocol can leave behind — the old log followed by each prefix of

@@ -141,7 +141,7 @@ val byte_cuts : recording -> generator
 val forced_frontiers : recording -> generator
 
 (** [rewrite ~from r] — the crash-atomic rewrite of
-    {!Disk_wal.checkpoint_truncate}, per shard with the others whole: the
+    {!Wal.truncate_to_checkpoint} on a {!Disk_wal} log, per shard with the others whole: the
     log as frames of version [from], then every prefix of the journal
     (intent + compacted v2 image), every prefix of the install over the
     journaled file, and the installed image.  From {!Wal.Codec.v1} the

@@ -69,54 +69,10 @@ let persist t record =
       in
       Metrics.Counter.incr ~by:(String.length frame) c
 
-let install_sink t =
-  Wal.set_sink t.wal
-    {
-      Wal.sink_append = (fun r -> persist t r);
-      sink_force = (fun () -> with_retry t (fun () -> Storage.force t.storage));
-      sink_attach =
-        (fun reg ->
-          t.metrics <- Some reg;
-          t.c_bytes <- None;
-          Storage.attach_metrics t.storage reg);
-    }
-
-let make ?(retry = default_retry) ?(shard = 0) storage wal ~end_off =
-  if shard < 0 || shard > 0xFFFF then
-    invalid_arg (Fmt.str "Disk_wal: shard %d out of range" shard);
-  let t =
-    {
-      storage;
-      wal;
-      retry;
-      shard;
-      end_off;
-      bytes_written = 0;
-      retries = 0;
-      metrics = None;
-      c_bytes = None;
-    }
-  in
-  install_sink t;
-  t
-
-let create ?retry ?shard storage =
-  let t = make ?retry ?shard storage (Wal.create ()) ~end_off:0 in
-  (* A fresh log owns the backend from byte 0; stale contents (a
-     previous incarnation's log) would otherwise replay after ours.
-     The truncation is forced immediately: without the barrier a crash
-     before this log's first commit flush could resurrect the stale
-     log on reload. *)
-  if Storage.size storage > 0 then begin
-    with_retry t (fun () -> Storage.write_at storage ~pos:0 "");
-    with_retry t (fun () -> Storage.force storage)
-  end;
-  t
-
 (* ------------------------------------------------------------------ *)
 (* Crash-atomic log compaction.
 
-   [checkpoint_truncate] must replace the whole backend image with a
+   A checkpoint truncation must replace the whole backend image with a
    shorter one, but {!Storage.write_at} is not atomic: the file backend
    writes the data and only then shrinks the file, and a crash between
    the two leaves intact stale frames beyond the new log — which reload
@@ -143,6 +99,84 @@ let create ?retry ?shard storage =
    The intent frame is self-locating: it must sit exactly at
    [old_len] and the file must end exactly [new_len] bytes after it,
    which a torn journal write can never satisfy.  *)
+
+(* Replace the stored log by [kept], by the protocol above. *)
+let compact t kept =
+  let image = Wal.Codec.encode_all ~shard:t.shard kept in
+  let old_len = t.end_off in
+  let intent =
+    Wal.Codec.encode ~shard:t.shard
+      (Wal.Truncate_intent { old_len; new_len = String.length image })
+  in
+  (* 1. Journal: intent + full image after the live log, forced.  The
+     old log is still intact, so a crash up to here rolls back. *)
+  with_retry t (fun () ->
+      Storage.write_at t.storage ~pos:old_len (intent ^ image));
+  with_retry t (fun () -> Storage.force t.storage);
+  (* 2. Install: the image replaces the log from byte 0; [write_at]'s
+     trailing truncation erases the journal in the same call.  A crash
+     inside this step finds the journal and redoes the install. *)
+  with_retry t (fun () -> Storage.write_at t.storage ~pos:0 image);
+  with_retry t (fun () -> Storage.force t.storage);
+  t.end_off <- String.length image
+
+(* The log as stable storage holds it: the records of its intact
+   prefix, decoded from the backend's bytes. *)
+let read_back t =
+  let bytes = Storage.read_all t.storage in
+  let len = String.length bytes in
+  if len < t.end_off then
+    failwith (Fmt.str "Disk_wal: the stored log reads back %d of its %d bytes" len t.end_off);
+  match Wal.Codec.decode_all (if len = t.end_off then bytes else String.sub bytes 0 t.end_off) with
+  | Ok { Wal.Codec.records; torn = None; _ } -> records
+  | Ok { Wal.Codec.torn = Some c; _ } | Error c ->
+      failwith (Fmt.str "Disk_wal: the stored log reads back damaged: %a" Wal.Codec.pp_corruption c)
+
+let install_sink t =
+  Wal.set_sink t.wal
+    {
+      Wal.sink_append = (fun r -> persist t r);
+      sink_force = (fun () -> with_retry t (fun () -> Storage.force t.storage));
+      sink_attach =
+        (fun reg ->
+          t.metrics <- Some reg;
+          t.c_bytes <- None;
+          Storage.attach_metrics t.storage reg);
+      sink_records = (fun () -> read_back t);
+      sink_rewrite = (fun kept -> compact t kept);
+    }
+
+let make ?(retry = default_retry) ?(shard = 0) storage =
+  if shard < 0 || shard > 0xFFFF then
+    invalid_arg (Fmt.str "Disk_wal: shard %d out of range" shard);
+  let t =
+    {
+      storage;
+      wal = Wal.create ();
+      retry;
+      shard;
+      end_off = 0;
+      bytes_written = 0;
+      retries = 0;
+      metrics = None;
+      c_bytes = None;
+    }
+  in
+  install_sink t;
+  t
+
+let create ?retry ?shard storage =
+  let t = make ?retry ?shard storage in
+  (* A fresh log owns the backend from byte 0; stale contents (a
+     previous incarnation's log) would otherwise replay after ours.
+     The truncation is forced immediately: without the barrier a crash
+     before this log's first commit flush could resurrect the stale
+     log on reload. *)
+  if Storage.size storage > 0 then begin
+    with_retry t (fun () -> Storage.write_at storage ~pos:0 "");
+    with_retry t (fun () -> Storage.force storage)
+  end;
+  t
 
 type journal_state =
   | No_journal
@@ -173,20 +207,18 @@ let find_journal bytes =
   let rec scan pos =
     if pos + min_intent_frame > total then No_journal
     else
-      match String.index_from_opt bytes pos Wal.Codec.magic0 with
-      | None -> No_journal
-      | Some p when not (plausible p) -> scan (p + 1)
-      | Some p -> (
+      match String.index_from bytes pos Wal.Codec.magic0 with
+      | exception Not_found -> No_journal
+      | p when not (plausible p) -> scan (p + 1)
+      | p -> (
           match Wal.Codec.decode_frame bytes p with
           | Ok (Wal.Truncate_intent { old_len; new_len }, next)
             when p = old_len && next + new_len = total -> (
               (* The journal committed; its image must verify in full
                  before we are allowed to destroy the old log. *)
               let image = String.sub bytes next new_len in
-              match Wal.Codec.decode_all image with
-              | Ok { Wal.Codec.torn = None; clean_bytes; _ }
-                when clean_bytes = new_len ->
-                  Complete { image }
+              match Wal.Codec.fold_frames (fun _ _ -> ()) image with
+              | Ok (_, None) -> Complete { image }
               | Ok _ ->
                   Damaged
                     {
@@ -260,66 +292,32 @@ let load ?(retry = default_retry) ?shard ?profile storage =
   match resolved with
   | Error _ as e -> e
   | Ok bytes -> (
-      match Wal.Codec.decode_all ?profile bytes with
+      (* Every decoded record goes straight into the log's replay state;
+         no record list is built.  The sink is installed first, and
+         [Wal.restore] does not forward to it, so nothing is
+         re-persisted. *)
+      let t = make ~retry ?shard storage in
+      (* An intent surviving in the decoded stream means the journal
+         write itself was cut short (a complete journal was resolved
+         above): the compaction never committed, so the log is exactly
+         the records before the intent — roll it back by restoring none
+         of the rest.  The frames after it are still decoded, so a torn
+         tail or interior corruption there gets the same verdict as
+         anywhere else.  [end_off] is the intent's byte offset as the
+         frame fold reports it, which holds for a log that mixes frame
+         versions too (v1 frames persisted by an older binary, v2
+         appends after them). *)
+      let intent_at = ref (-1) in
+      let restore pos r =
+        if !intent_at < 0 then
+          match r with
+          | Wal.Truncate_intent _ -> intent_at := pos
+          | _ -> Wal.restore ?profile t.wal r
+      in
+      match Wal.Codec.fold_frames ?profile restore bytes with
       | Error _ as e -> e
-      | Ok { Wal.Codec.records; clean_bytes; torn = _ } ->
-          (* An intent surviving in the decoded stream means the journal
-             write itself was cut short (a complete journal was resolved
-             above): the compaction never committed, so the log is
-             exactly the records before the intent — roll it back by
-             ignoring the rest.  [end_off] must point at the intent's
-             byte offset, which is recovered by walking the actual
-             on-disk frame headers — never by re-encoding the kept
-             records, whose byte length differs from the disk's once
-             the log mixes frame versions (v1 frames persisted by an
-             older binary, v2 appends after them). *)
-          let offset_of_frame n =
-            let rec go pos i =
-              if i = n then pos
-              else
-                match Wal.Codec.read_header bytes pos with
-                | Ok h -> go (pos + h.Wal.Codec.h_size + h.Wal.Codec.h_payload_len) (i + 1)
-                | Error _ -> pos (* unreachable: these frames just decoded *)
-            in
-            go 0 0
-          in
-          let records, clean_bytes =
-            let rec split n kept = function
-              | [] -> (records, clean_bytes)
-              | Wal.Truncate_intent _ :: _ -> (List.rev kept, offset_of_frame n)
-              | r :: rest -> split (n + 1) (r :: kept) rest
-            in
-            split 0 [] records
-          in
-          (* The mirror is rebuilt before the sink is installed, so the
-             replayed records are not re-persisted; a torn tail is
-             dropped logically — [end_off] points at the intact prefix,
-             and the next append overwrites the debris. *)
-          let wal = Wal.of_records records in
-          Ok (make ~retry ?shard storage wal ~end_off:clean_bytes))
-
-let checkpoint_truncate t =
-  let dropped = Wal.truncate_to_checkpoint t.wal in
-  if dropped > 0 then begin
-    let image = Wal.Codec.encode_all ~shard:t.shard (Wal.records t.wal) in
-    let old_len = t.end_off in
-    let intent =
-      Wal.Codec.encode ~shard:t.shard
-        (Wal.Truncate_intent { old_len; new_len = String.length image })
-    in
-    (* 1. Journal: intent + full image after the live log, forced.  The
-       old log is still intact, so a crash up to here rolls back. *)
-    with_retry t (fun () ->
-        Storage.write_at t.storage ~pos:old_len (intent ^ image));
-    with_retry t (fun () -> Storage.force t.storage);
-    (* 2. Install: the image replaces the log from byte 0; [write_at]'s
-       trailing truncation erases the journal in the same call.  A crash
-       inside this step finds the journal and redoes the install. *)
-    with_retry t (fun () -> Storage.write_at t.storage ~pos:0 image);
-    with_retry t (fun () -> Storage.force t.storage);
-    (* The rewrite forced the whole log through the side door, so the
-       pipeline's watermark can advance without another barrier. *)
-    Wal.mark_all_flushed t.wal;
-    t.end_off <- String.length image
-  end;
-  dropped
+      | Ok (clean_bytes, _) ->
+          (* A torn tail is dropped logically: [end_off] points at the
+             intact prefix, and the next append overwrites the debris. *)
+          t.end_off <- (if !intent_at < 0 then clean_bytes else !intent_at);
+          Ok t)

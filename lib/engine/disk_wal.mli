@@ -1,10 +1,26 @@
 (** A {!Wal} persisted through a {!Storage} backend.
 
-    The in-memory log stays the source of truth for replay and the
-    crash-torture harness; this module mirrors every append onto stable
-    storage as a {!Wal.Codec} frame, makes {!Wal.force} a real backend
-    barrier, and reloads a log from the backend's bytes after a crash —
-    truncating a torn tail, refusing interior corruption.
+    Storage holds the records; the log holds their replay state.  This
+    module is the log's {!Wal.sink}: it persists every append as a
+    {!Wal.Codec} frame, makes {!Wal.force} a real backend barrier, reads
+    the records back for {!Wal.records} (decoding the intact prefix of
+    the backend's bytes), and compacts the backend for
+    {!Wal.truncate_to_checkpoint}.
+
+    The compaction is {e crash-atomic}, in two forced steps: (1)
+    {b journal} — a [Truncate_intent] frame and the complete compacted
+    image are appended after the live log; (2) {b install} — the image
+    is rewritten from offset 0, its trailing truncation erasing the
+    journal.  A crash during (1) rolls back on reload (the old log is
+    untouched); a crash during (2) finds the journal and redoes the
+    install.  At no byte offset of the sequence can reload misclassify
+    the log or replay pre-checkpoint records — swept exhaustively by
+    {!Crash.rewrite}.
+
+    After a crash, {!load} decodes the
+    backend's bytes frame by frame straight into a fresh log's replay
+    state — truncating a torn tail, refusing interior corruption — and
+    builds no record list.
 
     Transient storage faults ({!Storage.Transient}) are absorbed by a
     bounded retry loop: a torn append is re-issued at the same offset
@@ -38,17 +54,21 @@ type t
     [Invalid_argument] outside [0, 0xFFFF]. *)
 val create : ?retry:retry -> ?shard:int -> Storage.t -> t
 
-(** [load ?retry storage] rebuilds the log from the backend's bytes.  A
-    torn or corrupt tail is truncated (crash loss; recovery proceeds);
-    interior corruption is returned as [Error] with its byte offset —
-    never skipped.  With [profile], the storage read is charged to the
-    restart profiler's storage-scan phase and decoding to the
-    frame-decode / checksum-verify phases.
+(** [load ?retry storage] rebuilds the log from the backend's bytes:
+    each decoded frame is passed to {!Wal.restore}, so the loaded log
+    holds the replay state {!Durable_database.recover} reads and no
+    records.  A torn or corrupt tail is truncated (crash loss; recovery
+    proceeds); interior corruption is returned as [Error] with its byte
+    offset — never skipped.  With [profile], the storage read is charged
+    to the restart profiler's storage-scan phase, decoding to the
+    frame-decode / checksum-verify phases, and stepping the replay state
+    to the log-scan / checkpoint-seed phases.
 
-    An interrupted {!checkpoint_truncate} is resolved before decoding:
+    An interrupted compaction is resolved before decoding:
     a {e complete} compaction journal (intent frame + verified image) is
     redone — the install is idempotent — while an incomplete one is
-    rolled back, reloading exactly the pre-compaction log.  A journal
+    rolled back, reloading exactly the pre-compaction log: the frames
+    after its intent are still decoded and checked, but not restored.  A journal
     whose intent committed but whose image no longer verifies is
     refused as corruption (never silently dropped).
 
@@ -62,27 +82,15 @@ val load :
   Storage.t ->
   (t, Wal.Codec.corruption) result
 
-(** The in-memory mirror.  Appends to it are persisted (with retry) as
-    they happen; {!Wal.force} forces the backend. *)
+(** The log.  Appends to it are persisted (with retry) before it counts
+    them; {!Wal.force} forces the backend; {!Wal.records} decodes the
+    backend's bytes. *)
 val wal : t -> Wal.t
 
 val storage : t -> Storage.t
 
 (** The shard id this log stamps on appended frames (0 unless given). *)
 val shard : t -> int
-
-(** [checkpoint_truncate t] = {!Wal.truncate_to_checkpoint} on the
-    mirror plus a {e crash-atomic} compaction of the backend, in two
-    forced steps: (1) {b journal} — a [Truncate_intent] frame and the
-    complete compacted image are appended after the live log; (2)
-    {b install} — the image is rewritten from offset 0, its trailing
-    truncation erasing the journal.  A crash during (1) rolls back on
-    reload (the old log is untouched); a crash during (2) finds the
-    journal and redoes the install.  At no byte offset of the sequence
-    can reload misclassify the log or replay pre-checkpoint records —
-    swept exhaustively by {!Crash.rewrite}.  Returns the number of
-    records dropped. *)
-val checkpoint_truncate : t -> int
 
 (** Bytes appended to the backend so far (also counted as
     [tm_wal_bytes_total]). *)

@@ -5,13 +5,12 @@ module Trace = Tm_obs.Trace
 type t = {
   db : Database.t;
   wal : Wal.t;
-  begun : (Tid.t, unit) Hashtbl.t;
 }
 
 let create ?record_history ?first_tid ~wal objs =
   let db = Database.create ?record_history ?first_tid objs in
   Wal.attach_metrics wal (Database.metrics db);
-  { db; wal; begun = Hashtbl.create 16 }
+  { db; wal }
 
 let database t = t.db
 let begin_txn t = Database.begin_txn t.db
@@ -25,10 +24,7 @@ let invoke ?choose t tid ~obj inv =
   let outcome = Database.invoke ?choose t.db tid ~obj inv in
   (match outcome with
   | Atomic_object.Executed op ->
-      if not (Hashtbl.mem t.begun tid) then begin
-        Hashtbl.add t.begun tid ();
-        log t tid (Wal.Begin tid)
-      end;
+      if not (Wal.in_flight t.wal tid) then log t tid (Wal.Begin tid);
       log t tid (Wal.Operation (tid, op))
   | Atomic_object.Blocked _ | Atomic_object.No_response -> ());
   outcome
@@ -42,29 +38,23 @@ let checkpoint t =
      of in-flight transactions — so the pre-checkpoint log segment can be
      truncated without losing losers or the early operations of a
      transaction that commits later.  The allocator position rides along
-     as the tid high-water mark. *)
-  let cp =
-    Wal.fuzzy_checkpoint ~next_tid:(Database.next_tid t.db) (Wal.records t.wal)
-  in
+     as the tid high-water mark.  The log keeps that state, so this
+     reads it rather than rescanning the records. *)
+  let cp = Wal.checkpoint_of ~next_tid:(Database.next_tid t.db) t.wal in
   Wal.append t.wal (Wal.Checkpoint cp);
   if Database.tracing t.db then
     emit_system t.db (Trace.Checkpoint { ops = List.length cp.Wal.committed })
 
-(* Only transactions that logged a Begin have anything to undo in the
-   log; an Abort for an unlogged transaction would be noise (and
-   inflate tm_wal_appends_total{kind="abort"}). *)
-let log_abort_if_begun t tid =
-  if Hashtbl.mem t.begun tid then begin
-    log t tid (Wal.Abort tid);
-    Hashtbl.remove t.begun tid
-  end
+(* Only transactions in flight in the log have anything to undo there;
+   an Abort for an unlogged transaction would be noise (and inflate
+   tm_wal_appends_total{kind="abort"}). *)
+let log_abort_if_begun t tid = if Wal.in_flight t.wal tid then log t tid (Wal.Abort tid)
 
 (* The commit-record sequence shared by the one-shot and the 2PC commit:
-   append the Commit, read its LSN, forget the begun entry, apply. *)
+   append the Commit, read its LSN, apply. *)
 let log_commit t tid =
   log t tid (Wal.Commit tid);
   let lsn = Wal.last_lsn t.wal in
-  Hashtbl.remove t.begun tid;
   Database.commit t.db tid;
   lsn
 
@@ -148,10 +138,11 @@ let abort t tid =
 
 let recover ?trace ?profile ~wal ~rebuild () =
   let module Profile = Tm_obs.Recovery_profile in
-  (* One fold buckets committed operations by object (so restoring is
-     O(committed), not O(objects x committed)), resolves the losers and
-     carries the tid high-water mark. *)
-  let plan = Wal.plan ?profile ~workers:1 (Wal.records wal) in
+  (* The log already holds its replay state (stepped as each record was
+     appended or loaded); the plan buckets its committed operations by
+     object (so restoring is O(committed), not O(objects x committed)),
+     resolves the losers and carries the tid high-water mark. *)
+  let plan = Wal.plan_of ?profile wal in
   let losers = plan.Wal.plan_loser_tids in
   let objs = rebuild () in
   (* Every object the log commits to must be rebuilt: restoring the

@@ -98,15 +98,18 @@ val finish_prepared : t -> Tid.t -> commit:bool -> int
 val flush : t -> unit
 
 (** Aborts the transaction; the [Abort] record is logged only when the
-    transaction logged a [Begin] (i.e. executed at least one operation
-    here) — aborts of unlogged transactions leave the WAL untouched. *)
+    transaction is in flight in the log ({!Wal.in_flight}: it executed
+    at least one operation here, or prepared) — aborts of unlogged
+    transactions leave the WAL untouched. *)
 val abort : t -> Tid.t -> unit
 
 (** [checkpoint t] appends a {e fuzzy} [Checkpoint] record: the committed
     operations in global commit order, every in-flight transaction's
     logged operations, and the tid allocator's high-water mark (committed
-    size observed in the [tm_wal_checkpoint_ops] histogram).  After a
-    checkpoint the preceding log segment may be dropped with
+    size observed in the [tm_wal_checkpoint_ops] histogram).  The
+    snapshot is read from the log's replay state ({!Wal.checkpoint_of}):
+    O(committed + live operations), with no scan of the log's records.
+    After a checkpoint the preceding log segment may be dropped with
     {!Wal.truncate_to_checkpoint} without changing replay. *)
 val checkpoint : t -> unit
 
@@ -126,13 +129,17 @@ val checkpoint : t -> unit
     in the new database's registry; [trace], if given, is attached to it
     and receives the [Crash_recover] span.
 
-    Replay is one serial pass: {!Wal.plan} buckets the log's committed
-    operations by object, and each rebuilt object is restored from its
-    bucket in [rebuild] order, stopping at the first failure.
+    Replay reads the log's replay state ({!Wal.plan_of}) rather than its
+    records: the log was already folded as it was appended or loaded,
+    so [recover] neither copies nor rescans the records.  Its cost is
+    bucketing the committed operations by object, O(committed
+    operations), resolving the losers, O(unfinished transactions), and
+    restoring each rebuilt object from its bucket in [rebuild] order,
+    stopping at the first failure.
 
-    With [profile], the restart profiler is threaded through the replay
-    (log scan, checkpoint seeding, loser resolution) and the per-object
-    restore loop; on success the profile is finished, exported as the
+    With [profile], the restart profiler is threaded through the
+    bucketing (log scan), loser resolution and the per-object restore
+    loop; on success the profile is finished, exported as the
     [tm_recovery_*] metric family into the new registry, and emitted as
     one [Recovery_phase] trace span per phase.  Callers that loaded the
     log from storage pass the {e same} profile to {!Disk_wal.load}

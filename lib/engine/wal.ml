@@ -54,14 +54,250 @@ let equal_record a b =
       _ ) ->
       false
 
-(* A sink mirrors the in-memory log onto stable storage ({!Disk_wal}):
-   appends are persisted as they happen, [force] is the durability
-   barrier, and a metrics attachment is forwarded so storage counters
-   land in the same registry as the log's own. *)
+(* ------------------------------------------------------------------ *)
+(* Replay state: the one log fold.                                     *)
+
+(* A set of tids as an allocator hands them out: one bit per tid over a
+   window that starts at the first tid added and grows by doubling, and
+   a table for the tids the window does not take.  The window grows only
+   while it stays within two bytes per tid added (plus a 32-byte floor),
+   so an outlier (a fuzzer's [max_int], a tid far above the rest) cannot
+   size it by its value; a run of tids beyond a gap starts in the table
+   and moves the window over once there are enough of them.  Negative
+   tids and tids below the first one always go to the table. *)
+module Tid_bits = struct
+  type t = {
+    mutable base : int;  (* the tid of bit 0; -1 while no bit is set *)
+    mutable bits : Bytes.t;
+    mutable added : int;  (* tids added since the last [clear] *)
+    far : (int, unit) Hashtbl.t;
+  }
+
+  let create () = { base = -1; bits = Bytes.make 8 '\000'; added = 0; far = Hashtbl.create 1 }
+
+  let mem s tid =
+    let t = Tid.to_int tid in
+    let i = t - s.base in
+    (i >= 0
+    && i < 8 * Bytes.length s.bits
+    && Char.code (Bytes.unsafe_get s.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0)
+    || (Hashtbl.length s.far > 0 && Hashtbl.mem s.far t)
+
+  (* Make bit [i] part of the window if the size bound allows it. *)
+  let rec fits s i =
+    let n = Bytes.length s.bits in
+    if i < 8 * n then true
+    else if n >= 16 + s.added then false
+    else begin
+      let grown = Bytes.make (2 * n) '\000' in
+      Bytes.blit s.bits 0 grown 0 n;
+      s.bits <- grown;
+      fits s i
+    end
+
+  let add s tid =
+    let t = Tid.to_int tid in
+    s.added <- s.added + 1;
+    if s.base < 0 && t >= 0 then s.base <- t land lnot 7;
+    let i = t - s.base in
+    if t >= 0 && i >= 0 && fits s i then begin
+      let k = i lsr 3 in
+      Bytes.unsafe_set s.bits k
+        (Char.unsafe_chr (Char.code (Bytes.unsafe_get s.bits k) lor (1 lsl (i land 7))))
+    end
+    else Hashtbl.replace s.far t ()
+
+  let clear s =
+    s.base <- -1;
+    s.added <- 0;
+    Bytes.fill s.bits 0 (Bytes.length s.bits) '\000';
+    Hashtbl.reset s.far
+end
+
+(* What a log reads back to.  [replay], [max_tid], [fuzzy_checkpoint] and
+   [plan] are views of it, and a {!t} keeps one up to date as records
+   are appended or restored.  A checkpoint record summarises its whole
+   prefix, so the state restarts from its snapshot (only the high-water
+   mark is carried monotonically through).  Lookups use [find] rather
+   than [find_opt]: no [Some] per record. *)
+type state = {
+  mutable committed_rev : Op.t list;  (* committed operations, newest first *)
+  pending : (Tid.t, Op.t list) Hashtbl.t;
+      (* every transaction with records but no outcome, with its
+         operations newest first — and operations logged under a tid
+         after its outcome, kept in case it commits again *)
+  finished : Tid_bits.t;  (* tids with a Commit or Abort record *)
+  mutable hwm : int;  (* first tid strictly above every tid in the log *)
+}
+
+let empty_state () =
+  { committed_rev = []; pending = Hashtbl.create 16; finished = Tid_bits.create (); hwm = 0 }
+
+(* The operations [st] holds for [tid], newest first. *)
+let txn_ops st tid = match Hashtbl.find st.pending tid with ops -> ops | exception Not_found -> []
+let note st tid = st.hwm <- max st.hwm (Tid.to_int tid + 1)
+let open_txn st tid = if not (Hashtbl.mem st.pending tid) then Hashtbl.add st.pending tid []
+
+let finish st tid =
+  Hashtbl.remove st.pending tid;
+  Tid_bits.add st.finished tid
+
+let step profile st = function
+  | Begin tid ->
+      note st tid;
+      open_txn st tid
+  | Operation (tid, op) ->
+      note st tid;
+      Hashtbl.replace st.pending tid (op :: txn_ops st tid)
+  | Commit tid ->
+      note st tid;
+      st.committed_rev <- txn_ops st tid @ st.committed_rev;
+      finish st tid
+  | Abort tid ->
+      note st tid;
+      finish st tid
+  | Truncate_intent _ ->
+      (* A compaction journal marker; {!Disk_wal.load} resolves it
+         before the log reaches replay, but a decoded stray is
+         harmless — it carries no transaction state. *)
+      ()
+  | Prepare tid ->
+      (* A prepared transaction voted yes in a cross-shard commit but
+         this shard's log alone cannot tell the outcome.  Plain replay
+         treats it exactly like any other unfinished transaction —
+         presumed abort — so a participant whose coordinator never
+         decided loses nothing it was entitled to keep.
+         {!Sharded_database.recover} resolves in-doubt transactions
+         against the other shards' logs {e before} replay by appending
+         the real outcome record. *)
+      note st tid;
+      open_txn st tid
+  | Decision { tid; commit = _ } ->
+      (* The coordinator's 2PC outcome record.  It is pure coordination
+         state: it must NOT mark the transaction as locally begun — on
+         the coordinator's own shard the transaction also logs its
+         local Prepare/Commit records, and a shard that only
+         coordinated (no local ops) must not grow a phantom loser. *)
+      note st tid
+  | Checkpoint cp ->
+      (* The snapshot stands for the whole prefix: committed operations
+         and the logs of transactions that were in flight when it was
+         taken.  Everything else about the prefix is forgotten. *)
+      let seed () =
+        st.committed_rev <- List.rev cp.committed;
+        Hashtbl.reset st.pending;
+        Tid_bits.clear st.finished;
+        List.iter
+          (fun (tid, ops) ->
+            note st tid;
+            match ops with
+            | [] -> open_txn st tid
+            | _ -> Hashtbl.replace st.pending tid (List.rev ops))
+          cp.live;
+        st.hwm <- max st.hwm cp.next_tid
+      in
+      (match profile with
+      | None -> seed ()
+      | Some p ->
+          Profile.note_checkpoint_seed p ~ops:(List.length cp.committed);
+          Profile.time p Profile.Checkpoint_seed seed)
+
+let state_of recs =
+  let st = empty_state () in
+  List.iter (step None st) recs;
+  st
+
+(* [f] over every transaction with records and no outcome: the ones
+   recovery must treat as aborted. *)
+let fold_unfinished st f acc =
+  Hashtbl.fold
+    (fun tid ops acc -> if Tid_bits.mem st.finished tid then acc else f tid ops acc)
+    st.pending acc
+
+let losers st = fold_unfinished st (fun tid _ acc -> Tid.Set.add tid acc) Tid.Set.empty
+
+let snapshot ~next_tid st =
+  let live =
+    fold_unfinished st (fun tid ops acc -> (tid, List.rev ops) :: acc) []
+    |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
+  in
+  { committed = List.rev st.committed_rev; live; next_tid = max next_tid st.hwm }
+
+type plan = {
+  plan_objects : (string, Op.t list) Hashtbl.t;
+  plan_loser_tids : Tid.Set.t;
+  plan_ops : int;
+  plan_next_tid : int;
+}
+
+(* Committed operations land in per-object buckets, so recovery restores
+   each object without filtering the whole committed history.  The
+   state's list is newest first, so consing onto a bucket leaves it in
+   commit order.  One hash lookup per operation: the buckets are refs. *)
+let plan_of_state ?profile st =
+  let bucket () =
+    let by_obj : (string, Op.t list ref) Hashtbl.t = Hashtbl.create 64 in
+    let total_ops = ref 0 in
+    List.iter
+      (fun (op : Op.t) ->
+        incr total_ops;
+        match Hashtbl.find by_obj op.Op.obj with
+        | ops -> ops := op :: !ops
+        | exception Not_found -> Hashtbl.add by_obj op.Op.obj (ref [ op ]))
+      st.committed_rev;
+    let objects = Hashtbl.create (Hashtbl.length by_obj) in
+    Hashtbl.iter (fun name ops -> Hashtbl.add objects name !ops) by_obj;
+    (objects, !total_ops)
+  in
+  let objects, total_ops =
+    match profile with
+    | None -> bucket ()
+    | Some p -> Profile.time_excluding p Profile.Log_scan bucket
+  in
+  let loser_tids =
+    match profile with
+    | None -> losers st
+    | Some p ->
+        (* Redo-only log: "undoing" a loser is resolving that it never
+           took effect — nothing to roll back, so this phase is pure set
+           computation. *)
+        let tids = Profile.time p Profile.Loser_undo (fun () -> losers st) in
+        Profile.note_losers p (Tid.Set.cardinal tids);
+        tids
+  in
+  { plan_objects = objects; plan_loser_tids = loser_tids; plan_ops = total_ops; plan_next_tid = st.hwm }
+
+(* The pure views: each folds a record list into a fresh state. *)
+
+let replay recs =
+  let st = state_of recs in
+  (List.rev st.committed_rev, losers st)
+
+let max_tid recs =
+  let st = state_of recs in
+  if st.hwm = 0 then None else Some (Tid.of_int (st.hwm - 1))
+
+let fuzzy_checkpoint ~next_tid recs = snapshot ~next_tid (state_of recs)
+let partition_of_object ~workers name = Hashtbl.hash name mod workers
+
+let plan ~workers recs =
+  if workers <> 1 then invalid_arg "Wal.plan: workers must be 1";
+  plan_of_state (state_of recs)
+
+(* ------------------------------------------------------------------ *)
+(* The log.                                                            *)
+
+(* A sink holds the log on stable storage ({!Disk_wal}): appends are
+   persisted as they happen, [force] is the durability barrier, the log
+   is read back and rewritten through it, and a metrics attachment is
+   forwarded so storage counters land in the same registry as the log's
+   own. *)
 type sink = {
   sink_append : record -> unit;
   sink_force : unit -> unit;
   sink_attach : Metrics.t -> unit;
+  sink_records : unit -> record list;
+  sink_rewrite : record list -> unit;
 }
 
 (* Handles into the attached registry.  Each is resolved on its first
@@ -75,7 +311,10 @@ type meters = {
 }
 
 type t = {
+  state : state;
   mutable records_rev : record list;
+      (* the stable log of a sink-less log, newest first; [] with a sink,
+         whose storage holds the records *)
   mutable count : int;
   mutable truncated : int;
   mutable metrics : meters option;
@@ -96,29 +335,22 @@ type t = {
   mutable flusher_busy : bool;
 }
 
-let make_log records_rev count =
-  let commits =
-    List.fold_left
-      (fun n r -> match r with Commit _ -> n + 1 | _ -> n)
-      0 records_rev
-  in
+let create () =
   {
-    records_rev;
-    count;
+    state = empty_state ();
+    records_rev = [];
+    count = 0;
     truncated = 0;
     metrics = None;
     sink = None;
-    appended = count;
+    appended = 0;
     flushed = 0;
-    commits_appended = commits;
+    commits_appended = 0;
     commits_flushed = 0;
     flush_lock = Mutex.create ();
     flush_done = Condition.create ();
     flusher_busy = false;
   }
-
-let create () = make_log [] 0
-let of_records recs = make_log (List.rev recs) (List.length recs)
 
 (* On-disk format versions.  The byte-level contract lives in {!Codec}
    (and docs/WAL_FORMAT.md); the constants sit up here so the metrics
@@ -131,8 +363,9 @@ let write_format_version = format_v2
 let set_sink t sink =
   t.sink <- Some sink;
   (* Everything already present predates the sink (e.g. records decoded
-     from the backend by {!Disk_wal.load}); it is exactly what stable
-     storage holds, so the watermark starts there. *)
+     from the backend); it is exactly what stable storage holds, so the
+     storage keeps the records and the watermark starts at the end. *)
+  t.records_rev <- [];
   t.flushed <- max t.flushed t.appended;
   t.commits_flushed <- max t.commits_flushed t.commits_appended;
   match t.metrics with None -> () | Some m -> sink.sink_attach m.reg
@@ -237,24 +470,40 @@ let force_upto t lsn =
 
 let force t = force_upto t t.appended
 
+(* Move the watermark to the end of the log: every record is on stable
+   storage, by a barrier run outside the combiner or because the record
+   was read from there. *)
 let mark_all_flushed t =
   Mutex.lock t.flush_lock;
   t.flushed <- max t.flushed t.appended;
   t.commits_flushed <- max t.commits_flushed t.commits_appended;
   Mutex.unlock t.flush_lock
 
-let append t r =
-  t.records_rev <- r :: t.records_rev;
+(* Take [r] into the state and the counters once stable storage holds
+   it; [durable] moves the watermark with it (a record read back from
+   storage).  Counter updates are taken under [flush_lock] so a
+   concurrent flusher's snapshot is consistent. *)
+let admit ~durable profile t r =
+  step profile t.state r;
+  (match t.sink with None -> t.records_rev <- r :: t.records_rev | Some _ -> ());
   t.count <- t.count + 1;
-  (match t.sink with None -> () | Some s -> s.sink_append r);
-  (* Publish the LSN only after the sink has the bytes: a flusher that
-     snapshots [appended] and forces is then guaranteed to have covered
-     every numbered record.  Counter updates are taken under [flush_lock]
-     so a concurrent flusher's snapshot is consistent. *)
   Mutex.lock t.flush_lock;
   t.appended <- t.appended + 1;
   (match r with Commit _ -> t.commits_appended <- t.commits_appended + 1 | _ -> ());
-  Mutex.unlock t.flush_lock;
+  if durable then begin
+    t.flushed <- t.appended;
+    t.commits_flushed <- t.commits_appended
+  end;
+  Mutex.unlock t.flush_lock
+
+let append t r =
+  (* The sink first: if storage refuses the record, the log must not
+     count it, step over it or snapshot it into a later checkpoint.  The
+     LSN is published only after the sink has the bytes, so a flusher
+     that snapshots [appended] and forces is guaranteed to have covered
+     every numbered record. *)
+  (match t.sink with None -> () | Some s -> s.sink_append r);
+  admit ~durable:false None t r;
   match t.metrics with
   | None -> ()
   | Some m -> (
@@ -279,37 +528,63 @@ let append t r =
       | Prepare _ | Decision _ ->
           ())
 
-let records t = List.rev t.records_rev
+let restore ?profile t r =
+  match profile with
+  | None -> admit ~durable:true None t r
+  | Some p ->
+      Profile.note_records_scanned p 1;
+      Profile.time_excluding p Profile.Log_scan (fun () -> admit ~durable:true profile t r)
+
+let of_records recs =
+  let t = create () in
+  List.iter (restore t) recs;
+  t
+
+let records t =
+  match t.sink with None -> List.rev t.records_rev | Some s -> s.sink_records ()
+
 let length t = t.count
 let truncated t = t.truncated
+let in_flight t tid = Hashtbl.mem t.state.pending tid && not (Tid_bits.mem t.state.finished tid)
+let plan_of ?profile t = plan_of_state ?profile t.state
+let checkpoint_of ~next_tid t = snapshot ~next_tid t.state
 
 let prefix t n =
   let rec take n l = if n <= 0 then [] else match l with [] -> [] | x :: r -> x :: take (n - 1) r in
-  let kept = take n (records t) in
   (* The rebuilt log keeps the metrics attachment: a crash loses volatile
      state, not the accounting of the log that survived it.  (Recovery
      re-attaches the new database's registry anyway.)  The sink is NOT
      carried over — a prefix is a volatile recovery artifact, and
      appending to it must not touch the stable storage it came from. *)
-  let log = make_log (List.rev kept) (List.length kept) in
+  let log = of_records (take n (records t)) in
   log.metrics <- t.metrics;
   log
 
 let truncate_to_checkpoint t =
-  (* [records_rev] is newest first, so the first [Checkpoint] found is the
-     latest one; everything older is summarised by it (the fuzzy snapshot
-     carries live transactions' logs) and can be dropped. *)
-  let rec split kept_rev = function
+  (* Newest first, so the first [Checkpoint] found is the latest one;
+     everything older is summarised by it (the fuzzy snapshot carries
+     live transactions' logs) and can be dropped.  The replay state does
+     not change: it already stands for the checkpoint and its tail. *)
+  let rec split newer = function
     | [] -> None
-    | (Checkpoint _ as c) :: older -> Some (kept_rev, c, older)
-    | r :: older -> split (r :: kept_rev) older
+    | (Checkpoint _ as c) :: older -> Some (c :: newer, older)
+    | r :: older -> split (r :: newer) older
   in
-  match split [] t.records_rev with
+  let newest_first =
+    match t.sink with None -> t.records_rev | Some s -> List.rev (s.sink_records ())
+  in
+  match split [] newest_first with
   | None -> 0
-  | Some (newer_rev, c, older) ->
+  | Some (kept, older) ->
       let dropped = List.length older in
       if dropped > 0 then begin
-        t.records_rev <- List.rev_append newer_rev [ c ];
+        (match t.sink with
+        | None -> t.records_rev <- List.rev kept
+        | Some s ->
+            (* The rewrite is forced through the side door, so the
+               watermark advances without another barrier. *)
+            s.sink_rewrite kept;
+            mark_all_flushed t);
         t.count <- t.count - dropped;
         t.truncated <- t.truncated + dropped;
         match t.metrics with
@@ -319,188 +594,6 @@ let truncate_to_checkpoint t =
               (Metrics.counter m.reg "tm_wal_truncated_records_total")
       end;
       dropped
-
-(* The one log fold.  [replay], [max_tid], [fuzzy_checkpoint] and [plan]
-   are views of it: it folds the log into committed operations (newest
-   first), the per-transaction logs of unfinished transactions, the
-   seen/finished tids and the tid high-water mark.  A checkpoint record
-   summarises its whole prefix, so scanning restarts from its snapshot
-   (only the high-water mark is carried monotonically through).  Lookups
-   use [find] rather than [find_opt]: no [Some] per record. *)
-(* The operations [tbl] logs for [tid], newest first. *)
-let txn_ops tbl tid = match Hashtbl.find tbl tid with ops -> ops | exception Not_found -> []
-
-type scan = {
-  mutable committed_rev : Op.t list;
-  ops_of : (Tid.t, Op.t list) Hashtbl.t;  (* newest first; unfinished txns *)
-  seen : (Tid.t, unit) Hashtbl.t;
-  finished : (Tid.t, unit) Hashtbl.t;
-  mutable hwm : int;  (* first tid strictly above every tid in the log *)
-}
-
-let scan ?profile recs =
-  let st =
-    {
-      committed_rev = [];
-      ops_of = Hashtbl.create 16;
-      seen = Hashtbl.create 16;
-      finished = Hashtbl.create 16;
-      hwm = 0;
-    }
-  in
-  let note tid = st.hwm <- max st.hwm (Tid.to_int tid + 1) in
-  let step = function
-    | Begin tid ->
-        note tid;
-        Hashtbl.replace st.seen tid ()
-    | Operation (tid, op) ->
-        note tid;
-        Hashtbl.replace st.seen tid ();
-        Hashtbl.replace st.ops_of tid (op :: txn_ops st.ops_of tid)
-    | Commit tid ->
-        note tid;
-        st.committed_rev <- txn_ops st.ops_of tid @ st.committed_rev;
-        Hashtbl.remove st.ops_of tid;
-        Hashtbl.replace st.finished tid ()
-    | Abort tid ->
-        note tid;
-        Hashtbl.remove st.ops_of tid;
-        Hashtbl.replace st.finished tid ()
-    | Truncate_intent _ ->
-        (* A compaction journal marker; {!Disk_wal.load} resolves it
-           before the log reaches replay, but a decoded stray is
-           harmless — it carries no transaction state. *)
-        ()
-    | Prepare tid ->
-        (* A prepared transaction voted yes in a cross-shard commit but
-           this shard's log alone cannot tell the outcome.  Plain replay
-           treats it exactly like any other unfinished transaction —
-           presumed abort — so a participant whose coordinator never
-           decided loses nothing it was entitled to keep.
-           {!Sharded_database.recover} resolves in-doubt transactions
-           against the other shards' logs {e before} replay by appending
-           the real outcome record. *)
-        note tid;
-        Hashtbl.replace st.seen tid ()
-    | Decision { tid; commit = _ } ->
-        (* The coordinator's 2PC outcome record.  It is pure coordination
-           state: it must NOT mark the transaction as locally begun — on
-           the coordinator's own shard the transaction also logs its
-           local Prepare/Commit records, and a shard that only
-           coordinated (no local ops) must not grow a phantom loser. *)
-        note tid
-    | Checkpoint cp ->
-        (* The snapshot stands for the whole prefix: committed operations
-           and the logs of transactions that were in flight when it was
-           taken.  Everything else about the prefix is forgotten. *)
-        let seed () =
-          st.committed_rev <- List.rev cp.committed;
-          Hashtbl.reset st.ops_of;
-          Hashtbl.reset st.seen;
-          Hashtbl.reset st.finished;
-          List.iter
-            (fun (tid, ops) ->
-              note tid;
-              Hashtbl.replace st.seen tid ();
-              if ops <> [] then Hashtbl.replace st.ops_of tid (List.rev ops))
-            cp.live;
-          st.hwm <- max st.hwm cp.next_tid
-        in
-        (match profile with
-        | None -> seed ()
-        | Some p ->
-            Profile.note_checkpoint_seed p ~ops:(List.length cp.committed);
-            Profile.time p Profile.Checkpoint_seed seed)
-  in
-  List.iter step recs;
-  st
-
-(* Seen but not finished: the transactions recovery must treat as
-   aborted. *)
-let losers st =
-  Hashtbl.fold
-    (fun tid () acc -> if Hashtbl.mem st.finished tid then acc else Tid.Set.add tid acc)
-    st.seen Tid.Set.empty
-
-let replay recs =
-  let st = scan recs in
-  (List.rev st.committed_rev, losers st)
-
-let max_tid recs =
-  let st = scan recs in
-  if st.hwm = 0 then None else Some (Tid.of_int (st.hwm - 1))
-
-let fuzzy_checkpoint ~next_tid recs =
-  let st = scan recs in
-  let live =
-    Hashtbl.fold
-      (fun tid () acc ->
-        if Hashtbl.mem st.finished tid then acc
-        else (tid, List.rev (txn_ops st.ops_of tid)) :: acc)
-      st.seen []
-    |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
-  in
-  { committed = List.rev st.committed_rev; live; next_tid = max next_tid st.hwm }
-
-(* ------------------------------------------------------------------ *)
-(* Replay plan: the restart view of the fold.                          *)
-
-type plan = {
-  plan_objects : (string, Op.t list) Hashtbl.t;
-  plan_loser_tids : Tid.Set.t;
-  plan_ops : int;
-  plan_next_tid : int;
-}
-
-let partition_of_object ~workers name = Hashtbl.hash name mod workers
-
-let plan ?profile ~workers recs =
-  if workers <> 1 then invalid_arg "Wal.plan: workers must be 1";
-  (* Committed operations land in per-object buckets, so recovery
-     restores each object without filtering the whole committed history.
-     The fold's list is newest first, so consing onto a bucket leaves it
-     in commit order.  One hash lookup per operation: the buckets are
-     refs. *)
-  let bucket_committed () =
-    let st = scan ?profile recs in
-    let by_obj : (string, Op.t list ref) Hashtbl.t = Hashtbl.create 64 in
-    let total_ops = ref 0 in
-    List.iter
-      (fun (op : Op.t) ->
-        incr total_ops;
-        match Hashtbl.find by_obj op.Op.obj with
-        | ops -> ops := op :: !ops
-        | exception Not_found -> Hashtbl.add by_obj op.Op.obj (ref [ op ]))
-      st.committed_rev;
-    let objects = Hashtbl.create (Hashtbl.length by_obj) in
-    Hashtbl.iter (fun name ops -> Hashtbl.add objects name !ops) by_obj;
-    (st, objects, !total_ops)
-  in
-  let st, objects, total_ops =
-    match profile with
-    | None -> bucket_committed ()
-    | Some p ->
-        Profile.note_records_scanned p (List.length recs);
-        Profile.time_excluding p Profile.Log_scan ~minus:Profile.Checkpoint_seed
-          bucket_committed
-  in
-  let loser_tids =
-    match profile with
-    | None -> losers st
-    | Some p ->
-        (* Redo-only log: "undoing" a loser is resolving that it never
-           took effect — nothing to roll back, so this phase is pure set
-           computation. *)
-        let tids = Profile.time p Profile.Loser_undo (fun () -> losers st) in
-        Profile.note_losers p (Tid.Set.cardinal tids);
-        tids
-  in
-  {
-    plan_objects = objects;
-    plan_loser_tids = loser_tids;
-    plan_ops = total_ops;
-    plan_next_tid = st.hwm;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Binary framing for the on-disk log.                                 *)
@@ -881,12 +974,12 @@ module Codec = struct
     if r.pos <> r.stop then raise (Bad "trailing bytes in payload");
     record
 
-  let decode_frame ?profile s pos =
+  let decode_frame s pos =
     let n = check_header s pos in
     if n < 0 then Error (header_error s pos n)
     else
       let r = { src = s; pos; stop = pos } in
-      match read_frame ?profile r pos n with
+      match read_frame r pos n with
       | record -> Ok (record, r.stop)
       | exception Bad reason -> Error (frame_error s pos reason)
 
@@ -912,9 +1005,9 @@ module Codec = struct
     let rec resync budget pos =
       if pos + min_header_size > len then false
       else
-        match String.index_from_opt s pos magic0 with
-        | None -> false
-        | Some p ->
+        match String.index_from s pos magic0 with
+        | exception Not_found -> false
+        | p ->
             if p + min_header_size > len then false
             else
               let n = check_header s p in
@@ -935,45 +1028,46 @@ module Codec = struct
         (** a trailing torn/corrupt frame that was dropped as crash loss *)
   }
 
-  (* One reader serves every frame, and the list is built in order
-     (tail modulo cons), so a decoded frame costs its record and one list
-     cell. *)
-  let decode_all ?profile s =
+  (* The frame loop.  One reader serves every frame, and each decoded
+     record goes to [f] with its frame's byte offset: the loop itself
+     keeps nothing. *)
+  let fold_frames ?profile f s =
     let len = String.length s in
     let r = { src = s; pos = 0; stop = 0 } in
-    let damage = ref None in
-    let[@tail_mod_cons] rec frames pos =
-      if pos = len then []
+    let rec frames pos =
+      if pos = len then None
       else
         let n = check_header s pos in
-        if n < 0 then (damage := Some (header_error s pos n); [])
+        if n < 0 then Some (header_error s pos n)
         else
           match read_frame ?profile r pos n with
           | record ->
               (match profile with None -> () | Some p -> Profile.note_frame p);
-              record :: frames r.stop
-          | exception Bad reason -> (damage := Some (frame_error s pos reason); [])
+              f pos record;
+              frames r.stop
+          | exception Bad reason -> Some (frame_error s pos reason)
     in
     let go () =
-      let records = frames 0 in
-      match !damage with
-      | None -> Ok { records; clean_bytes = len; torn = None }
+      match frames 0 with
+      | None -> Ok (len, None)
       | Some c ->
           (* Tail or interior?  A later intact frame proves bytes past
              the damage were durably written, so the damage cannot be
              an interrupted final append. *)
-          if valid_frame_after s (c.offset + 1) then Error c
-          else Ok { records; clean_bytes = c.offset; torn = Some c }
+          if valid_frame_after s (c.offset + 1) then Error c else Ok (c.offset, Some c)
     in
     match profile with
     | None -> go ()
     | Some p ->
-        let result =
-          Profile.time_excluding p Profile.Frame_decode
-            ~minus:Profile.Checksum_verify go
-        in
+        let result = Profile.time_excluding p Profile.Frame_decode go in
         (match result with
-        | Ok { clean_bytes; _ } -> Profile.note_torn_bytes p (len - clean_bytes)
+        | Ok (clean_bytes, _) -> Profile.note_torn_bytes p (len - clean_bytes)
         | Error _ -> ());
         result
+
+  let decode_all s =
+    let rev = ref [] in
+    match fold_frames (fun _ record -> rev := record :: !rev) s with
+    | Error c -> Error c
+    | Ok (clean_bytes, torn) -> Ok { records = List.rev !rev; clean_bytes; torn }
 end

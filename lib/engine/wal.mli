@@ -5,13 +5,24 @@
     recovery mechanisms" (Section 1), leaving their analysis as future
     work.  This module and {!Durable_database} implement that extension
     for the engine: a logical redo log of operations, with commit records
-    forced before a commit is acknowledged, and fuzzy checkpoints.  One
-    fold over the records reads a log back; {!replay}, {!max_tid},
-    {!fuzzy_checkpoint} and {!plan} are views of it.
+    forced before a commit is acknowledged, and fuzzy checkpoints.
 
-    Stable storage is modelled in-memory; a {e crash} loses every
-    volatile object state but none of the appended log records (append is
-    atomic and forced).  Torn tails are modelled by recovering from a
+    One fold reads a log back: its {e replay state} is the committed
+    operations, the operations of every unfinished transaction, the
+    finished tids and the tid high-water mark.  A log keeps that state,
+    not its records: every {!append} (once the sink holds the record) and
+    every record {!Disk_wal.load} decodes steps it, so a restart or a
+    checkpoint reads it in O(state) instead of rescanning the log
+    ({!plan_of}, {!checkpoint_of}, {!in_flight}).  {!replay}, {!max_tid},
+    {!fuzzy_checkpoint} and {!plan} are the same fold over a record list.
+
+    The records themselves live on stable storage.  With a {!sink}
+    ({!Disk_wal}), that is the sink's backend, and {!records},
+    {!prefix} and {!truncate_to_checkpoint} read the log back from it.
+    A sink-less log ({!create}, {!of_records}) models stable storage in
+    memory as its own record list; a {e crash} loses every volatile
+    object state but none of the appended log records (append is atomic
+    and forced).  Torn tails are modelled by recovering from a
     {e prefix} of the log: the crash-injection tests recover from every
     prefix. *)
 
@@ -41,10 +52,10 @@ type record =
   | Abort of Tid.t
   | Checkpoint of checkpoint
   | Truncate_intent of { old_len : int; new_len : int }
-      (** The compaction journal marker written by
-          {!Disk_wal.checkpoint_truncate}: the old log ([old_len] bytes)
-          is about to be replaced by a compacted image ([new_len]
-          bytes).  It lives only in the journal region of the backend —
+      (** The compaction journal marker written by {!Disk_wal}'s
+          compaction for {!truncate_to_checkpoint}: the old log
+          ([old_len] bytes) is about to be replaced by a compacted image
+          ([new_len] bytes).  It lives only in the journal region of the backend —
           never appended to an in-memory log — and {!Disk_wal.load}
           resolves it (redo or roll back the compaction) before the log
           reaches replay; {!replay} and {!plan} ignore a stray one (it
@@ -78,25 +89,32 @@ type t
 
 val create : unit -> t
 
-(** [of_records recs] builds a log holding exactly [recs] (no metrics,
-    no sink) — e.g. one decoded from disk by {!Disk_wal.load}. *)
+(** [of_records recs] builds a sink-less log holding exactly [recs] (no
+    metrics). *)
 val of_records : record list -> t
 
-(** A stable-storage mirror: {!append} forwards every record,
-    {!force} is the durability barrier, and a metrics attachment is
-    forwarded so storage counters join the log's registry.  Installed by
-    {!Disk_wal}; {!prefix} copies never carry the sink (a recovered
-    prefix is a volatile artifact, not the stable log). *)
+(** Stable storage for a log, installed by {!Disk_wal}: it holds the
+    records, and the log keeps only their replay state.
+    [sink_append] persists a record ({!append} forwards every record
+    before the log counts it), [sink_force] is the durability barrier,
+    [sink_attach] forwards a metrics attachment so storage counters join
+    the log's registry, [sink_records] reads the stored log back, oldest
+    first, and [sink_rewrite recs] durably replaces it with [recs] (the
+    barrier is part of the call).  {!prefix} copies never carry the sink
+    (a recovered prefix is a volatile artifact, not the stable log). *)
 type sink = {
   sink_append : record -> unit;
   sink_force : unit -> unit;
   sink_attach : Tm_obs.Metrics.t -> unit;
+  sink_records : unit -> record list;
+  sink_rewrite : record list -> unit;
 }
 
-(** [set_sink t sink] installs the mirror and moves the durability
+(** [set_sink t sink] installs the sink and moves the durability
     watermark to the current end of the log: whatever the log already
-    holds was decoded {e from} stable storage, so it is durable by
-    construction. *)
+    holds is taken to be what the sink's storage holds (a log built by
+    {!Disk_wal.load}), so it is durable by construction, and the log
+    drops its record list. *)
 val set_sink : t -> sink -> unit
 
 (** {2 The staged durability pipeline}
@@ -136,12 +154,6 @@ val force_upto : t -> int -> unit
 (** [force t] is [force_upto t (last_lsn t)]. *)
 val force : t -> unit
 
-(** [mark_all_flushed t] moves the watermark to the end of the log
-    without a barrier — for callers that have just forced the backend
-    through a side channel (e.g. {!Disk_wal.checkpoint_truncate}'s
-    rewrite). *)
-val mark_all_flushed : t -> unit
-
 (** [attach_metrics t reg] counts appends per record kind as
     [tm_wal_appends_total{kind}], observes checkpoint sizes in the
     [tm_wal_checkpoint_ops] histogram and counts records dropped by
@@ -153,12 +165,26 @@ val mark_all_flushed : t -> unit
     that. *)
 val attach_metrics : t -> Tm_obs.Metrics.t -> unit
 
+(** [append t r] hands [r] to the sink first; only once the sink
+    returns does the log count it, assign its LSN and step its replay
+    state.  A sink that raises (e.g. {!Disk_wal.Storage_unavailable})
+    leaves the log exactly as it was. *)
 val append : t -> record -> unit
+
+(** [restore t r] takes in a record that stable storage already holds:
+    as {!append}, but [r] is not handed to the sink and counts as
+    durable.  {!Disk_wal.load} calls it on every decoded frame.  With
+    [profile], the step is charged to the log scan (seeding a checkpoint
+    to its own phase) and counted as a scanned record. *)
+val restore : ?profile:Tm_obs.Recovery_profile.t -> t -> record -> unit
 
 (** The record kind as a short lower-case string (metric/trace label). *)
 val record_kind : record -> string
 
-(** The retained records, oldest first (truncated records excluded). *)
+(** The retained records, oldest first (truncated records excluded).
+    With a sink, read back from stable storage (for {!Disk_wal}, decoded
+    from its backend's bytes; [Failure] if they no longer decode
+    intact). *)
 val records : t -> record list
 
 (** Number of retained records. *)
@@ -175,13 +201,33 @@ val truncated : t -> int
 val prefix : t -> int -> t
 
 (** [truncate_to_checkpoint t] drops every record preceding the latest
-    [Checkpoint] in place, bounding log growth; the checkpoint itself and
-    its tail are retained.  Returns the number of records dropped (0 when
+    [Checkpoint], bounding log growth; the checkpoint itself and its tail
+    are retained — in place for a sink-less log, through [sink_rewrite]
+    with a sink (for {!Disk_wal}, its crash-atomic compaction, described
+    there).  The
+    replay state is unchanged.  Returns the number of records dropped (0 when
     there is no checkpoint or nothing precedes it).  Replay of the
     truncated log equals replay of the full log: the fuzzy snapshot
     carries the committed prefix and every in-flight transaction's
     operations. *)
 val truncate_to_checkpoint : t -> int
+
+(** {2 The replay state}
+
+    What the log reads back to, kept up to date by {!append} and
+    {!restore}.  Each read costs O(state), never a scan of the log. *)
+
+(** [in_flight t tid] — does the log hold records of [tid] ([Begin],
+    [Operation] or [Prepare]) and no [Commit] or [Abort] for it?  What
+    {!Durable_database} asks before logging a transaction's [Begin] or
+    [Abort]. *)
+val in_flight : t -> Tid.t -> bool
+
+(** [checkpoint_of ~next_tid t] = [fuzzy_checkpoint ~next_tid (records
+    t)], read from the state: O(committed + live operations). *)
+val checkpoint_of : next_tid:int -> t -> checkpoint
+
+(** {2 The fold over a record list} *)
 
 (** [replay records] folds a log into the durable outcome: the committed
     operations in commit order and the set of transactions that must be
@@ -204,10 +250,12 @@ val max_tid : record list -> Tid.t option
 
 (** {2 The restart fold}
 
-    {!plan} is the pass {!Durable_database.recover} runs: the same fold
-    as {!replay}, checkpoint seeding included, with the committed
+    {!plan} is the restart view of the fold: the same state as
+    {!replay}, checkpoint seeding included, with the committed
     operations grouped by object instead of forming one global list, so
-    each rebuilt object is restored with one lookup.  The independent
+    each rebuilt object is restored with one lookup.
+    {!Durable_database.recover} reads it from the log's state
+    ({!plan_of}).  The independent
     reference the crash checks compare every view against is the
     pre-fold implementation kept in [test/wal_replay_reference.ml]. *)
 
@@ -228,16 +276,19 @@ type plan = {
     {!Sharded_database}. *)
 val partition_of_object : workers:int -> string -> int
 
-(** [plan ~workers records] — the per-object replay plan.  With
-    [profile], the pass is charged to the restart profiler: records
-    scanned, checkpoint seeding (time and seeded ops), the log scan with
-    its bucketing, and loser resolution.
+(** [plan_of t] = [plan ~workers:1 (records t)], read from the state:
+    only the bucketing of committed operations by object and the loser
+    set are computed.  With [profile], the bucketing is charged to the
+    log scan and loser resolution to its own phase. *)
+val plan_of : ?profile:Tm_obs.Recovery_profile.t -> t -> plan
+
+(** [plan ~workers records] — the per-object replay plan of a record
+    list: the same fold {!restore} runs, over a fresh state.
 
     [workers] must be 1 ([Invalid_argument] otherwise): restart is
     serial, and the argument survives only so existing benchmark probes
     that pass [~workers:1] keep compiling; it is due to be dropped. *)
-val plan :
-  ?profile:Tm_obs.Recovery_profile.t -> workers:int -> record list -> plan
+val plan : workers:int -> record list -> plan
 
 (** [fuzzy_checkpoint ~next_tid records] computes the checkpoint
     snapshot of [records]: committed operations in commit order, the
@@ -263,7 +314,7 @@ val fuzzy_checkpoint : next_tid:int -> record list -> checkpoint
     dispatch: a decoded v1 log replays bit-for-bit to the same state it
     always did.  New frames are written as {!write_version} (v2), so a
     log loaded from an old binary grows as a readable mixed-version log
-    until {!Disk_wal.checkpoint_truncate} rewrites it pure-v2.
+    until {!truncate_to_checkpoint} rewrites it pure-v2.
 
     {!Codec.decode_all} never guesses: a frame that fails its CRC (or
     any other check) with {e no} intact frame after it is a {e torn
@@ -282,7 +333,9 @@ val fuzzy_checkpoint : next_tid:int -> record list -> checkpoint
     nothing.  {!Codec.decode_all} checks each CRC over the source string
     in place and reads the payload there, bounded by the frame's end: it
     copies no payload, and per frame it allocates only the decoded
-    record (its strings, lists and values) and one list cell.  None of
+    record (its strings, lists and values); {!Codec.fold_frames} hands
+    each record on and keeps nothing, and {!Codec.decode_all} adds the
+    cells of the list it returns.  None of
     this shows in the bytes: every frame must match the plain two-buffer
     encoder kept as the oracle in [test/codec_reference.ml]. *)
 module Codec : sig
@@ -377,13 +430,8 @@ module Codec : sig
       attribute each record to its byte extent.  The frame is checked
       and read in place: no payload copy, and a payload-length field
       that lies cannot pull a byte of a neighbouring frame into the
-      record.  With [profile], CRC verification is charged to the
-      [Checksum_verify] phase. *)
-  val decode_frame :
-    ?profile:Tm_obs.Recovery_profile.t ->
-    string ->
-    int ->
-    (record * int, corruption) result
+      record. *)
+  val decode_frame : string -> int -> (record * int, corruption) result
 
   (** [valid_frame_after s pos] — is there an intact frame anywhere at or
       after [pos]?  The resynchronisation scan behind the torn-tail /
@@ -403,15 +451,29 @@ module Codec : sig
         (** a trailing torn/corrupt frame that was dropped as crash loss *)
   }
 
-  (** [decode_all s] — [Ok] with the decoded records (and possibly a
-      truncated torn tail), or [Error] on interior corruption.  Frames
-      are decoded in place as by {!decode_frame}, but with no per-frame
-      [Ok], header record or reader: a clean frame costs its record and
-      one list cell.  With
-      [profile], frame decode and CRC verification are charged as
-      separate phases, and decoded frames / torn bytes are counted. *)
-  val decode_all :
+  (** [fold_frames f s] decodes the frames of [s] in order and passes
+      each record, with the byte offset of its frame, to [f]; it builds
+      no list.  The result is [Ok (clean_bytes, torn)] — the length of
+      the intact prefix and the torn tail dropped as crash loss, if any —
+      or [Error] on interior corruption, in which case [f] has already
+      seen the records before the damage and the caller must discard
+      what it built from them.  Frames are decoded in place as by
+      {!decode_frame}, but with no per-frame [Ok], header record or
+      reader: a clean frame costs its record.  With [profile], frame
+      decode (net of everything [f] charges to other phases) and CRC
+      verification are charged as separate phases, and decoded frames /
+      torn bytes are counted. *)
+  val fold_frames :
     ?profile:Tm_obs.Recovery_profile.t ->
+    (int -> record -> unit) ->
     string ->
-    (decoded, corruption) result
+    (int * corruption option, corruption) result
+
+  (** [decode_all s] — {!fold_frames} collecting the records: [Ok] with
+      the decoded records (and possibly a truncated torn tail), or
+      [Error] on interior corruption.  A clean frame costs its record and
+      two list cells.  Restart does not use it: {!Disk_wal.load} runs
+      {!fold_frames} straight into the log's state, and charges the
+      profiler there. *)
+  val decode_all : string -> (decoded, corruption) result
 end

@@ -58,7 +58,7 @@ type t = {
           not a foreign version) *)
   lsn_range : (int * int) option;
       (** 1-based record positions within this file ([None] when empty).
-          Compaction ({!Disk_wal.checkpoint_truncate}) rewrites the file
+          Compaction ({!Wal.truncate_to_checkpoint}) rewrites the file
           from its latest checkpoint, so positions restart at 1 after a
           truncation — the range measures {e this} file, not the log's
           lifetime LSNs. *)

@@ -92,16 +92,16 @@ let time t ph f =
   let t0 = t.clock () in
   Fun.protect ~finally:(fun () -> add_wall t ph (t.clock () -. t0)) f
 
-(* Charge the elapsed time minus whatever [minus] accumulated inside [f]:
+(* Charge the elapsed time minus whatever [f] charged to other phases:
    how nested phases stay non-overlapping (a log scan's checkpoint-seed
    time is the checkpoint's, not the scan's), so the per-phase walls tile
    the restart instead of double counting. *)
-let time_excluding t ph ~minus f =
-  let before = phase_wall t minus in
+let time_excluding t ph f =
+  let others () = Array.fold_left ( +. ) 0.0 t.wall -. phase_wall t ph in
+  let before = others () in
   let t0 = t.clock () in
   Fun.protect
-    ~finally:(fun () ->
-      add_wall t ph (t.clock () -. t0 -. (phase_wall t minus -. before)))
+    ~finally:(fun () -> add_wall t ph (t.clock () -. t0 -. (others () -. before)))
     f
 
 let note_bytes_scanned t n = t.bytes_scanned <- t.bytes_scanned + n

@@ -2,11 +2,13 @@
     crash recovery.
 
     A single value is created by the caller that drives a restart and
-    threaded through the whole path — {!Tm_engine.Disk_wal.load} charges
-    the storage scan and (via {!Tm_engine.Wal.Codec.decode_all}) frame
-    decode and CRC verification, {!Tm_engine.Wal.plan} charges the log
-    scan, checkpoint seeding and loser resolution, and
-    {!Tm_engine.Durable_database.recover} charges per-object replay.
+    threaded through the whole path.  {!Tm_engine.Disk_wal.load} charges
+    the storage scan, frame decode and CRC verification (via
+    {!Tm_engine.Wal.Codec.fold_frames}), and — since every decoded record
+    goes straight into the log's replay state — the log scan and
+    checkpoint seeding too.  {!Tm_engine.Durable_database.recover} then
+    charges bucketing the committed operations by object (more log
+    scan), loser resolution and per-object replay.
     Each layer also records what it processed (bytes, frames, records,
     per-object operation counts), so a restart is no longer one opaque
     call: the profile says where the time went and what the log
@@ -23,7 +25,9 @@ type phase =
   | Frame_decode  (** frame parsing, excluding CRC verification *)
   | Checksum_verify  (** CRC-32 over each frame payload *)
   | Checkpoint_seed  (** installing a checkpoint snapshot during the scan *)
-  | Log_scan  (** folding records into replay state, excluding seeding *)
+  | Log_scan
+      (** folding records into replay state and bucketing the committed
+          operations by object, excluding seeding *)
   | Object_replay  (** re-applying committed operations per object *)
   | Loser_undo
       (** resolving the loser set.  The log is redo-only, so "undo" is
@@ -42,10 +46,10 @@ val create : ?clock:(unit -> float) -> unit -> t
     [ph]. *)
 val time : t -> phase -> (unit -> 'a) -> 'a
 
-(** [time_excluding t ph ~minus f] charges [f]'s wall time to [ph]
-    {e minus} whatever [f] itself charged to [minus] — so an outer phase
-    and the inner phase it contains stay disjoint. *)
-val time_excluding : t -> phase -> minus:phase -> (unit -> 'a) -> 'a
+(** [time_excluding t ph f] charges [f]'s wall time to [ph] {e minus}
+    whatever [f] itself charged to other phases — so an outer phase and
+    the phases nested in it stay disjoint. *)
+val time_excluding : t -> phase -> (unit -> 'a) -> 'a
 
 (** Direct accumulation (for callers that measured elsewhere). *)
 val add_wall : t -> phase -> float -> unit

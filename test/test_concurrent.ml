@@ -298,6 +298,8 @@ let test_flusher_death_wakes_parked_committer () =
             failwith "device died"
           end);
       sink_attach = (fun _ -> ());
+      sink_records = (fun () -> []);
+      sink_rewrite = ignore;
     }
   in
   Tm_engine.Wal.set_sink wal sink;

@@ -12,6 +12,8 @@ module Recovery = Tm_engine.Recovery
 module Atomic_object = Tm_engine.Atomic_object
 module DD = Tm_engine.Durable_database
 module SD = Tm_engine.Sharded_database
+module Disk_wal = Tm_engine.Disk_wal
+module Storage = Tm_engine.Storage
 module Experiment = Tm_sim.Experiment
 module Scheduler = Tm_sim.Scheduler
 module BA = Tm_adt.Bank_account
@@ -352,6 +354,95 @@ let prop_recover_matches_replay =
           if Tid.to_int (DD.begin_txn db) <= high_water recs then fail "tid reissued";
           true)
 
+(* A log keeps its replay state, not its records: the state stepped as
+   records were appended (or decoded by a load) must read back exactly
+   what the fold over the log's own records computes — plan, checkpoint
+   snapshot, losers and next tid — on a sink-less log and on a disk log
+   whose records live only in storage.  Every step of a run is checked:
+   the scenario (with random fuzzy checkpoints), an optional truncation,
+   a reload, and recovery with a checkpoint on the reloaded log. *)
+let prop_log_state_matches_records =
+  Helpers.qcheck ~count:40 "log state = fold over its records"
+    QCheck2.Gen.(
+      tup5 (int_range 0 10_000) (int_bound 3)
+        (int_bound (Array.length prop_scenarios - 1))
+        (int_bound (Array.length prop_setups - 1))
+        (pair bool bool))
+    (fun (seed, checkpoint_every, si, pi, (disk, truncate)) ->
+      let scenario = prop_scenarios.(si) and setup = prop_setups.(pi) in
+      let rebuild () = scenario.Experiment.build setup in
+      let fail what =
+        QCheck2.Test.fail_reportf "%s/%s seed %d %s: %s" scenario.Experiment.name
+          (Experiment.label setup) seed
+          (if disk then "disk" else "sink-less")
+          what
+      in
+      let storage = Storage.memory () in
+      let reload wal =
+        if disk then
+          match Disk_wal.load storage with
+          | Ok dw -> Disk_wal.wal dw
+          | Error c -> fail (Fmt.str "reload refused: %a" Wal.Codec.pp_corruption c)
+        else Wal.of_records (Wal.records wal)
+      in
+      let plans_equal (a : Wal.plan) (b : Wal.plan) =
+        a.plan_ops = b.plan_ops
+        && Tid.Set.equal a.plan_loser_tids b.plan_loser_tids
+        && a.plan_next_tid = b.plan_next_tid
+        && Hashtbl.length a.plan_objects = Hashtbl.length b.plan_objects
+        && Hashtbl.fold
+             (fun name ops ok ->
+               ok
+               &&
+               match Hashtbl.find_opt b.plan_objects name with
+               | Some ops' -> List.equal Op.equal ops ops'
+               | None -> false)
+             a.plan_objects true
+      in
+      let snapshot wal = Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 wal) in
+      let check what wal =
+        let fail msg = fail (what ^ ": " ^ msg) in
+        let recs = Wal.records wal in
+        if Wal.length wal <> List.length recs then fail "length is not the records read back";
+        let plan = Wal.plan_of wal in
+        if not (plans_equal plan (Wal.plan ~workers:1 recs)) then
+          fail "plan of the state differs from the plan of the records";
+        if
+          not
+            (Wal.equal_record (snapshot wal)
+               (Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 recs)))
+        then fail "checkpoint of the state differs from the records'";
+        let committed, losers = Wal.replay recs in
+        if plan.plan_ops <> List.length committed then fail "plan lost committed ops";
+        if not (Tid.Set.equal plan.plan_loser_tids losers) then fail "losers differ";
+        let next = Option.fold ~none:0 ~some:(fun t -> Tid.to_int t + 1) (Wal.max_tid recs) in
+        if plan.plan_next_tid <> next then fail "next tid differs";
+        Tid.Set.iter
+          (fun tid -> if not (Wal.in_flight wal tid) then fail "a loser is not in flight")
+          losers;
+        let reloaded = reload wal in
+        if not (plans_equal plan (Wal.plan_of reloaded)) then
+          fail "a reload gives another plan";
+        if not (Wal.equal_record (snapshot wal) (snapshot reloaded)) then
+          fail "a reload gives another checkpoint"
+      in
+      let wal = if disk then Disk_wal.wal (Disk_wal.create storage) else Wal.create () in
+      let cfg = Scheduler.config ~concurrency:3 ~total_txns:5 ~seed () in
+      let _row, wal = Experiment.run_durable ~wal ~checkpoint_every scenario setup cfg in
+      check "run" wal;
+      if truncate then begin
+        ignore (Wal.truncate_to_checkpoint wal);
+        check "truncated" wal
+      end;
+      let wal = reload wal in
+      check "reloaded" wal;
+      match DD.recover ~wal ~rebuild () with
+      | Error e -> fail (Fmt.str "recover failed: %a" Recovery.pp_error e)
+      | Ok (db, _) ->
+          DD.checkpoint db;
+          check "recovered and checkpointed" wal;
+          true)
+
 (* --- the sharded generators and the battery's 2PC checks --- *)
 
 let rebuild_sharded () =
@@ -499,6 +590,7 @@ let suite =
       test_torture_batched_group_commit;
     prop_crash_invariants;
     prop_recover_matches_replay;
+    prop_log_state_matches_records;
     Alcotest.test_case "sharded generators: clean 2-shard drive" `Quick
       test_sharded_clean;
     Alcotest.test_case "battery flags a lost participant operation" `Quick

@@ -355,7 +355,7 @@ let test_mixed_version_roundtrip () =
         (List.equal Wal.equal_record sample_records d.Codec.records)
 
 (* A v1 log loaded by the current binary: replays bit-for-bit, appends
-   land in v2 (a mixed log), and checkpoint_truncate rewrites pure v2 —
+   land in v2 (a mixed log), and truncate_to_checkpoint rewrites pure v2 —
    the incremental upgrade path. *)
 let test_disk_wal_v1_upgrade () =
   let v1_bytes = Codec.encode_all ~version:Codec.v1 sample_records in
@@ -382,7 +382,7 @@ let test_disk_wal_v1_upgrade () =
           Helpers.check_bool "mixed log reloads" true
             (List.equal Wal.equal_record (Wal.records wal)
                (Wal.records (Disk_wal.wal dw2))));
-      ignore (Disk_wal.checkpoint_truncate dw);
+      ignore (Wal.truncate_to_checkpoint wal);
       let compacted = Storage.read_all storage in
       (* every surviving frame was rewritten in the write version *)
       let rec check pos =
@@ -550,7 +550,7 @@ let test_disk_wal_interior_corruption_refused () =
   | Ok _ -> Alcotest.fail "interior corruption loaded silently"
   | Error c -> Helpers.check_int "offset of corrupt frame" 0 c.Codec.offset
 
-let test_disk_wal_checkpoint_truncate () =
+let test_disk_wal_truncate_to_checkpoint () =
   let storage = Storage.memory () in
   let dw = Disk_wal.create storage in
   let wal = Disk_wal.wal dw in
@@ -559,7 +559,7 @@ let test_disk_wal_checkpoint_truncate () =
   Wal.append wal (Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 (Wal.records wal)));
   Wal.append wal (Wal.Commit Tid.b);
   let before = Storage.size storage in
-  let dropped = Disk_wal.checkpoint_truncate dw in
+  let dropped = Wal.truncate_to_checkpoint wal in
   Helpers.check_int "records dropped" 3 dropped;
   Helpers.check_bool "backend compacted" true (Storage.size storage < before);
   match Disk_wal.load storage with
@@ -746,6 +746,78 @@ let test_disk_wal_gives_up () =
   Alcotest.(check (list int)) "backoff hook saw each failed attempt" [ 2; 1 ]
     !backoffs
 
+(* A record storage refused is not in the log: it is not counted, has no
+   LSN, does not read back and does not reach the next checkpoint — a
+   Commit that failed to persist must not show as committed there. *)
+let test_failed_append_leaves_log_unchanged () =
+  let inner = Storage.memory () in
+  let dw = Disk_wal.create inner in
+  List.iter (Wal.append (Disk_wal.wal dw))
+    [
+      Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 5); Wal.Commit Tid.a;
+      Wal.Begin Tid.b; Wal.Operation (Tid.b, BA.deposit 7);
+    ];
+  (* The same log, reloaded through a backend whose writes all fail. *)
+  let failing = Storage.faulty ~seed:1 { Storage.no_faults with write_error = 1. } inner in
+  let retry = { Disk_wal.max_attempts = 2; backoff = ignore } in
+  let wal =
+    match Disk_wal.load ~retry failing with
+    | Ok dw -> Disk_wal.wal dw
+    | Error c -> Alcotest.failf "log refused: %a" Codec.pp_corruption c
+  in
+  let length = Wal.length wal and lsn = Wal.last_lsn wal and recs = Wal.records wal in
+  let snapshot () = Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 wal) in
+  let before = snapshot () in
+  (match Wal.append wal (Wal.Commit Tid.b) with
+  | () -> Alcotest.fail "append succeeded under write_error = 1"
+  | exception Disk_wal.Storage_unavailable _ -> ());
+  Helpers.check_int "length unchanged" length (Wal.length wal);
+  Helpers.check_int "last_lsn unchanged" lsn (Wal.last_lsn wal);
+  Helpers.check_bool "records unchanged" true (List.equal Wal.equal_record recs (Wal.records wal));
+  Helpers.check_bool "b still in flight" true (Wal.in_flight wal Tid.b);
+  Helpers.check_bool "next checkpoint unchanged" true (Wal.equal_record before (snapshot ()))
+
+(* What a disk-backed log keeps: its replay state, not its records.  Per
+   committed transfer that is two committed-operation list cells (6
+   words) and a bit in the finished-tid set.  The record list it
+   replaced held 28 words per transfer here, and a hash table for the
+   finished tids would hold 10.9; the pin allows 9.  The operations are
+   shared, so only the log's own structure is counted.  The second run
+   starts with a transaction that finishes long before the rest (as
+   after reloading a truncated log whose tail opens with an old
+   transaction's commit): the run of tids beyond the gap must still end
+   up in the bitset. *)
+let test_disk_wal_keeps_replay_state_only () =
+  let withdraw = { (BA.withdraw_ok 3) with Op.obj = "account-0001" }
+  and deposit = { (BA.deposit 3) with Op.obj = "account-0002" } in
+  let pin what ~lead ~start =
+    let storage = Storage.memory () in
+    let dw = Disk_wal.create storage in
+    let wal = Disk_wal.wal dw in
+    let transfer i =
+      let t = Tid.of_int i in
+      List.iter (Wal.append wal)
+        [ Wal.Begin t; Wal.Operation (t, withdraw); Wal.Operation (t, deposit); Wal.Commit t ]
+    in
+    let transfers lo hi = for i = lo to hi - 1 do transfer i done in
+    let words () =
+      Obj.reachable_words (Obj.repr dw) - Obj.reachable_words (Obj.repr storage)
+    in
+    List.iter transfer lead;
+    transfers start (start + 1_000);
+    let w3 = words () in
+    transfers (start + 1_000) (start + 10_000);
+    let w4 = words () in
+    let per_txn = float_of_int (w4 - w3) /. 9_000. in
+    if per_txn > 9. then
+      Alcotest.failf "%s: the log grew %.1f words per committed transfer (max 9)" what per_txn;
+    Helpers.check_int
+      (what ^ ": every record reads back from storage")
+      (4 * (List.length lead + 10_000))
+      (List.length (Wal.records wal))
+  in
+  pin "sequential tids" ~lead:[] ~start:0;
+  pin "first finished tid 1000 below the next" ~lead:[ 0 ] ~start:1_000
 
 (* ------------------------------------------------------------------ *)
 (* The codec against its oracle: [Codec_reference] is the two-buffer
@@ -980,7 +1052,7 @@ let suite =
     Alcotest.test_case "interior corruption refused" `Quick
       test_disk_wal_interior_corruption_refused;
     Alcotest.test_case "checkpoint truncate compacts backend" `Quick
-      test_disk_wal_checkpoint_truncate;
+      test_disk_wal_truncate_to_checkpoint;
     Alcotest.test_case "truncation journal: rollback" `Quick
       test_truncate_journal_rollback;
     Alcotest.test_case "truncation journal: redo" `Quick
@@ -993,6 +1065,10 @@ let suite =
       test_disk_wal_retry_absorbs_faults;
     Alcotest.test_case "storage unavailable after budget" `Quick
       test_disk_wal_gives_up;
+    Alcotest.test_case "failed append leaves the log unchanged" `Quick
+      test_failed_append_leaves_log_unchanged;
+    Alcotest.test_case "disk log keeps replay state, not records" `Quick
+      test_disk_wal_keeps_replay_state_only;
     prop_encode_matches_reference;
     prop_crc_matches_reference;
     Alcotest.test_case "crc32 known answer" `Quick test_crc_known_answer;

@@ -417,6 +417,8 @@ let counting_sink () =
       Wal.sink_append = (fun _ -> ());
       sink_force = (fun () -> incr forces);
       sink_attach = (fun _ -> ());
+      sink_records = (fun () -> []);
+      sink_rewrite = ignore;
     },
     forces )
 
@@ -490,6 +492,8 @@ let test_failed_flush_leaves_combiner_usable () =
           incr calls;
           if !calls = 1 then failwith "device hiccup");
       sink_attach = (fun _ -> ());
+      sink_records = (fun () -> []);
+      sink_rewrite = ignore;
     }
   in
   Wal.set_sink wal sink;

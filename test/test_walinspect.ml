@@ -266,7 +266,7 @@ let test_profile_phases_tile () =
   Profile.time p Profile.Storage_scan (fun () -> tick 2.);
   (* an outer scan containing an inner seeding phase: the outer phase is
      charged net of the inner one *)
-  Profile.time_excluding p Profile.Log_scan ~minus:Profile.Checkpoint_seed
+  Profile.time_excluding p Profile.Log_scan
     (fun () ->
       tick 1.;
       Profile.time p Profile.Checkpoint_seed (fun () -> tick 3.);
