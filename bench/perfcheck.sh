@@ -23,11 +23,12 @@
 #    boxing conflict test, or a deadlock search that reruns on an
 #    unchanged graph fail it (about 1600 words together).
 # 5. What a loaded log keeps: the restart run of gate 3 must promote at
-#    most 113 words per transaction to the major heap
-#    (major_words_per_txn; about 102.5 today, the limit is that plus
+#    most 53 words per transaction to the major heap
+#    (major_words_per_txn; about 48.4 today, the limit is that plus
 #    10%).  A load decodes each frame straight into the log's replay
-#    state; a load that builds the decoded record list (about 125) or a
-#    log that keeps its records in memory (about 149) fails it.
+#    state and builds each repeated operation once; a decoder without
+#    its operation cache (about 102.3) or a log that keeps its records
+#    in memory fails it.
 #
 # Every count is host-invariant (bench/perf/run.sh pins the GC
 # parameters, and live_heap_mb is Obj.reachable_words), so the verdict
@@ -77,9 +78,9 @@ echo "perfcheck contention $contention"
 
 loaded=$(jq -rn --argjson r "$restart" '
   $r.metrics.major_words_per_txn.value as $w
-  | (if $r.correct and $r.failed == 0 and $w <= 113 then "ok" else "FAIL" end)
+  | (if $r.correct and $r.failed == 0 and $w <= 53 then "ok" else "FAIL" end)
     + ": restart correct \($r.correct), failed \($r.failed),"
-    + " major_words_per_txn \($w) (max 113)"')
+    + " major_words_per_txn \($w) (max 53)"')
 echo "perfcheck loaded log $loaded"
 
 [[ $verdict == ok* && $footprint == ok* && $codec == ok* && $contention == ok* && $loaded == ok* ]]

@@ -44,9 +44,7 @@ let create db =
 
 let tid h = h.tid
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 (* Must hold the lock.  Abort the transaction, wake everyone, raise. *)
 let abort_self t tid =

@@ -15,6 +15,4 @@ let db t = t.db
 let database t = Durable_database.database t.db
 let metrics t = Database.metrics (database t)
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let with_lock t f = Mutex.protect t.lock f

@@ -122,9 +122,7 @@ let tracing t s = Database.tracing (Shard.database t.shards.(s))
 let emit_2pc t s ~tid kind =
   Database.emit_trace (Shard.database t.shards.(s)) ~tid kind
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 let txn_of t tid =
   match Hashtbl.find_opt t.txns tid with

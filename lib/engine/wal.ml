@@ -800,11 +800,75 @@ module Codec = struct
 
      A reader walks the source string itself, bounded by [stop], the end
      of the frame being decoded: no payload is copied, and no length
-     field, however wrong, can pull in a byte past the frame. *)
+     field, however wrong, can pull in a byte past the frame.
+
+     A log often repeats itself: the same few operations on the same
+     objects, frame after frame.  A reader that decodes a whole log
+     ([fold_frames]) carries a decode cache so that it pays for the log's
+     variety, not its length.  The cache is direct-mapped and bounded: a
+     slot of [ops] holds the operation first decoded from the encoded
+     slice [op_off]/[op_len] of the source, and a colliding entry evicts
+     the slot's occupant.  The key of an operation is its own bytes in
+     the source, so a miss copies no key.  Decoded values are immutable,
+     so sharing them is invisible.
+
+     A log that does not repeat gains nothing from the cache and pays
+     for it: the walk and hash of every operation, and each miss stored
+     in a table the collector must then promote.  So the cache watches
+     its own hit rate, a window of [window] lookups at a time.  A window
+     in which fewer than one lookup in eight hits leaves the cache idle
+     for the next seven windows' worth of operations, which are built
+     without a lookup.  A log with no repeats pays the cache on about one
+     operation in eight, and one that starts repeating gets it back
+     within eight windows.
+
+     A short log decodes without a cache.  Its decoded records are small,
+     so sharing saves little, and the lookups would slow the many short
+     loads of crash testing, which decode only logs of a few KB. *)
 
   exception Bad of string
 
-  type reader = { src : string; mutable pos : int; mutable stop : int }
+  let op_slots = 4096
+
+  (* The lookups in a window of the hit-rate watch, and the fewest slots
+     a table has. *)
+  let window = 1024
+
+  (* The shortest log, in bytes, whose pass gets a cache: room for a
+     table of [window] slots at 64 bytes a slot. *)
+  let min_cached = 64 * window
+
+  type memo = {
+    op_off : int array;
+    op_len : int array;  (* 0: empty, as no operation encodes to no bytes *)
+    ops : Op.t array;
+    mutable lookups : int;  (* in the current window *)
+    mutable hits : int;  (* in the current window *)
+    mutable idle : int;  (* operations still to build without a lookup *)
+  }
+
+  (* The cache for a pass over [len] bytes: one operation slot per 64
+     bytes (an operation's frame takes at least 47), from [window] up to
+     [op_slots]. *)
+  let new_memo len =
+    let rec fit n = if n >= op_slots || 64 * n >= len then n else fit (2 * n) in
+    let n = fit window in
+    let none = Op.make ~obj:"" "" Value.Unit in
+    {
+      op_off = Array.make n 0;
+      op_len = Array.make n 0;
+      ops = Array.make n none;
+      lookups = 0;
+      hits = 0;
+      idle = 0;
+    }
+
+  type reader = {
+    src : string;
+    mutable pos : int;
+    mutable stop : int;
+    memo : memo option;  (* [None] for single-frame readers *)
+  }
 
   let need r n = if r.stop - r.pos < n then raise (Bad "truncated payload")
 
@@ -820,6 +884,27 @@ module Codec = struct
     let n = get_int r in
     if n < 0 || n > r.stop - r.pos then raise (Bad "implausible length") else n
 
+  (* Do bytes [a, a + len) and [b, b + len) of [s] match?  A word at a
+     time, and allocating nothing. *)
+  let rec same s a b len =
+    if len >= 8 then
+      (String.get_int64_le s a : int64) = String.get_int64_le s b
+      && same s (a + 8) (b + 8) (len - 8)
+    else
+      len = 0 || (String.unsafe_get s a = String.unsafe_get s b && same s (a + 1) (b + 1) (len - 1))
+
+  (* A hash of bytes [i, stop) of [s], a word at a time, each step
+     folding high bits down so every byte reaches the low bits a slot
+     index keeps. *)
+  let mix h w =
+    let h = (h lxor w) * 0x100000001b3 in
+    h lxor (h lsr 29)
+
+  let rec hash s i stop h =
+    if stop - i >= 8 then hash s (i + 8) stop (mix h (Int64.to_int (String.get_int64_le s i)))
+    else if i < stop then hash s (i + 1) stop (mix h (Char.code (String.unsafe_get s i)))
+    else h
+
   let get_string r = let n = get_len r in
     let s = String.sub r.src r.pos n in r.pos <- r.pos + n; s
 
@@ -829,6 +914,8 @@ module Codec = struct
   let get_list get r = get_n get r (get_len r)
   let get_tid r = Tid.of_int (get_int r)
 
+  let bad_value_tag n = Bad (Fmt.str "bad value tag %d" n)
+
   let rec get_value r =
     match get_byte r with
     | 0 -> Value.Unit
@@ -837,14 +924,67 @@ module Codec = struct
     | 3 -> Value.Int (get_int r)
     | 4 -> Value.Str (get_string r)
     | 5 -> Value.List (get_list get_value r)
-    | n -> raise (Bad (Fmt.str "bad value tag %d" n))
+    | n -> raise (bad_value_tag n)
 
-  let get_op r =
+  let build_op r =
     let obj = get_string r in
     let name = get_string r in
     let args = get_list get_value r in
     let res = get_value r in
     { Op.obj; inv = { Op.name; args }; res }
+
+  (* The walk of an operation's encoding: every check [build_op] makes,
+     in the same order, so damage raises the same [Bad]; nothing built. *)
+  let skip_string r = let n = get_len r in r.pos <- r.pos + n
+
+  let rec skip_value r =
+    match get_byte r with
+    | 0 | 1 | 2 -> ()
+    | 3 -> need r 8; r.pos <- r.pos + 8
+    | 4 -> skip_string r
+    | 5 -> skip_values r (get_len r)
+    | n -> raise (bad_value_tag n)
+
+  and skip_values r n = if n > 0 then (skip_value r; skip_values r (n - 1))
+
+  let skip_op r =
+    skip_string r;
+    skip_string r;
+    skip_values r (get_len r);
+    skip_value r
+
+  let get_op r =
+    match r.memo with
+    | None -> build_op r
+    | Some m when m.idle > 0 ->
+        m.idle <- m.idle - 1;
+        build_op r
+    | Some m ->
+        let start = r.pos in
+        skip_op r;
+        let len = r.pos - start in
+        (* The table's length is a power of two. *)
+        let slot = hash r.src start r.pos len land (Array.length m.ops - 1) in
+        let hit =
+          Array.unsafe_get m.op_len slot = len
+          && same r.src (Array.unsafe_get m.op_off slot) start len
+        in
+        if hit then m.hits <- m.hits + 1;
+        m.lookups <- m.lookups + 1;
+        if m.lookups = window then begin
+          if 8 * m.hits < window then m.idle <- 7 * window;
+          m.lookups <- 0;
+          m.hits <- 0
+        end;
+        if hit then Array.unsafe_get m.ops slot
+        else begin
+          r.pos <- start;
+          let op = build_op r in
+          Array.unsafe_set m.op_off slot start;
+          Array.unsafe_set m.op_len slot len;
+          Array.unsafe_set m.ops slot op;
+          op
+        end
 
   let get_live r = let tid = get_tid r in (tid, get_list get_op r)
 
@@ -978,7 +1118,7 @@ module Codec = struct
     let n = check_header s pos in
     if n < 0 then Error (header_error s pos n)
     else
-      let r = { src = s; pos; stop = pos } in
+      let r = { src = s; pos; stop = pos; memo = None } in
       match read_frame r pos n with
       | record -> Ok (record, r.stop)
       | exception Bad reason -> Error (frame_error s pos reason)
@@ -1001,7 +1141,7 @@ module Codec = struct
 
   let valid_frame_after ?(budget = default_probe_budget) s pos =
     let len = String.length s in
-    let r = { src = s; pos; stop = pos } in
+    let r = { src = s; pos; stop = pos; memo = None } in
     let rec resync budget pos =
       if pos + min_header_size > len then false
       else
@@ -1028,12 +1168,14 @@ module Codec = struct
         (** a trailing torn/corrupt frame that was dropped as crash loss *)
   }
 
-  (* The frame loop.  One reader serves every frame, and each decoded
+  (* The frame loop.  One reader, with the pass's decode cache if the
+     log is long enough for one, serves every frame, and each decoded
      record goes to [f] with its frame's byte offset: the loop itself
-     keeps nothing. *)
+     keeps no record. *)
   let fold_frames ?profile f s =
     let len = String.length s in
-    let r = { src = s; pos = 0; stop = 0 } in
+    let memo = if len < min_cached then None else Some (new_memo len) in
+    let r = { src = s; pos = 0; stop = 0; memo } in
     let rec frames pos =
       if pos = len then None
       else

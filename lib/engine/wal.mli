@@ -334,9 +334,17 @@ val fuzzy_checkpoint : next_tid:int -> record list -> checkpoint
     in place and reads the payload there, bounded by the frame's end: it
     copies no payload, and per frame it allocates only the decoded
     record (its strings, lists and values); {!Codec.fold_frames} hands
-    each record on and keeps nothing, and {!Codec.decode_all} adds the
-    cells of the list it returns.  None of
-    this shows in the bytes: every frame must match the plain two-buffer
+    each record on, and {!Codec.decode_all} adds the cells of the list
+    it returns.  A pass over a whole log of 64 KB or more shares what
+    repeats: {!Codec.fold_frames} keeps a bounded, direct-mapped cache
+    for the pass, keyed by each operation's encoded bytes in the source,
+    so an operation equal to one still in the cache is not rebuilt but
+    shared ([==]).  A miss copies no key.  The cache watches its hit
+    rate and stands idle through a stretch of the log that does not
+    repeat, so a log of distinct operations pays for lookups on only
+    about one operation in eight.  A shorter log, {!Codec.decode_frame}
+    and {!Codec.valid_frame_after} have no cache.  None of this shows in
+    the bytes: every frame must match the plain two-buffer
     encoder kept as the oracle in [test/codec_reference.ml]. *)
 module Codec : sig
   val v1 : int
@@ -459,7 +467,9 @@ module Codec : sig
       seen the records before the damage and the caller must discard
       what it built from them.  Frames are decoded in place as by
       {!decode_frame}, but with no per-frame [Ok], header record or
-      reader: a clean frame costs its record.  With [profile], frame
+      reader, and through the pass's decode cache: a clean frame costs
+      its record, less an operation it shares with an earlier frame.
+      With [profile], frame
       decode (net of everything [f] charges to other phases) and CRC
       verification are charged as separate phases, and decoded frames /
       torn bytes are counted. *)
@@ -471,8 +481,9 @@ module Codec : sig
 
   (** [decode_all s] — {!fold_frames} collecting the records: [Ok] with
       the decoded records (and possibly a truncated torn tail), or
-      [Error] on interior corruption.  A clean frame costs its record and
-      two list cells.  Restart does not use it: {!Disk_wal.load} runs
+      [Error] on interior corruption.  A clean frame costs what
+      {!fold_frames} builds for it and two list cells.  Restart does not
+      use it: {!Disk_wal.load} runs
       {!fold_frames} straight into the log's state, and charges the
       profiler there. *)
   val decode_all : string -> (decoded, corruption) result

@@ -79,6 +79,30 @@ let test_user_exception_aborts () =
   | Ok v -> Alcotest.check Helpers.value "balance 0" (Value.int 0) v
   | Error (`Gave_up _) -> Alcotest.fail "aborted"
 
+(* Every lock helper releases its mutex when the engine call raises.  The
+   mutexes are private, so each check re-enters the helper from the same
+   thread: [Mutex.lock] raises [Sys_error] on a mutex the caller already
+   holds, so a leaked lock fails the check instead of hanging it. *)
+let test_locks_released_on_raise () =
+  let db, sdb = make_db () in
+  let sh = (SD.shards sdb).(0) in
+  (match Tm_engine.Shard.with_lock sh (fun () -> raise Exit) with
+  | () -> Alcotest.fail "Shard.with_lock swallowed the exception"
+  | exception Exit -> ());
+  Helpers.check_int "shard lock free after a raise" 1 (Tm_engine.Shard.with_lock sh (fun () -> 1));
+  (match SD.invoke sdb (Tid.of_int 999) ~obj:"BA" balance with
+  | _ -> Alcotest.fail "unknown transaction accepted"
+  | exception Invalid_argument _ -> ());
+  ignore (SD.begin_txn sdb);
+  (* An unknown object raises inside [Concurrent.invoke]'s monitor; the
+     rollback in [with_txn] takes the monitor again before re-raising. *)
+  (match Concurrent.with_txn db (fun h -> Concurrent.invoke h ~obj:"nowhere" balance) with
+  | _ -> Alcotest.fail "unknown object accepted"
+  | exception Invalid_argument _ -> ());
+  match Concurrent.with_txn db (fun h -> Concurrent.invoke h ~obj:"BA" balance) with
+  | Ok v -> Alcotest.check Helpers.value "monitor free after a raise" (Value.int 0) v
+  | Error (`Gave_up _) -> Alcotest.fail "gave up"
+
 let run_threads n f =
   let threads = List.init n (fun i -> Thread.create f i) in
   List.iter Thread.join threads
@@ -476,6 +500,7 @@ let suite =
   [
     Alcotest.test_case "single-thread transaction" `Quick test_single_thread_txn;
     Alcotest.test_case "user exception aborts" `Quick test_user_exception_aborts;
+    Alcotest.test_case "lock helpers release on raise" `Quick test_locks_released_on_raise;
     Alcotest.test_case "parallel deposits" `Slow test_parallel_deposits;
     Alcotest.test_case "parallel mix with deadlocks" `Slow
       (test_parallel_mixed_with_deadlocks ~shards:1);

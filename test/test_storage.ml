@@ -1015,6 +1015,176 @@ let test_decode_allocates_its_records () =
     Alcotest.failf "decoding %.0f words of records allocated %.0f words (max %.0f)" decoded w
       (1.25 *. decoded)
 
+(* ------------------------------------------------------------------ *)
+(* The decode cache: a pass over a log builds each repeated operation
+   once, stands idle where the log does not repeat, and never changes
+   what decodes.                                                       *)
+
+(* A log shorter than 64 KB decodes without a cache; [padded] appends
+   commit frames (which hold no operation) until a log is that long. *)
+let cache_floor = 65536
+
+let padded framed =
+  let commit = Wal.Commit (Tid.of_int 0) in
+  let n = (cache_floor / String.length (Codec.encode commit)) + 1 in
+  framed @ List.init n (fun _ -> (Codec.v2, commit))
+
+let encode_framed framed =
+  String.concat "" (List.map (fun (version, r) -> Codec.encode ~version r) framed)
+
+let test_decode_shares_repeats () =
+  let dep = { (BA.deposit 5) with Op.obj = "account-0042" } in
+  let wd = { (BA.withdraw_ok 3) with Op.obj = "account-0042" } in
+  let recs =
+    [
+      Wal.Operation (Tid.of_int 1, dep);
+      Wal.Operation (Tid.of_int 2, { dep with Op.obj = String.concat "-" [ "account"; "0042" ] });
+      Wal.Operation (Tid.of_int 3, wd);
+    ]
+  in
+  let first_three bytes =
+    match Codec.decode_all bytes with
+    | Ok { Codec.records = Wal.Operation (_, a) :: Wal.Operation (_, b) :: Wal.Operation (_, c) :: _;
+           _ } ->
+        (a, b, c)
+    | Ok _ -> Alcotest.fail "decoded other records"
+    | Error c -> Alcotest.failf "refused: %a" Codec.pp_corruption c
+  in
+  let a, b, c = first_three (encode_framed (padded (List.map (fun r -> (Codec.v2, r)) recs))) in
+  Helpers.check_bool "equal operations decode to one Op.t" true (a == b);
+  Helpers.check_bool "distinct operations stay distinct" false (a == c);
+  let a, b, _ = first_three (Codec.encode_all recs) in
+  Helpers.check_bool "a short log has no cache" false (a == b);
+  (* A single-frame decode has no table to share through. *)
+  let frame = Codec.encode (List.hd recs) in
+  let single () =
+    match Codec.decode_frame frame 0 with
+    | Ok (Wal.Operation (_, op), _) -> op
+    | _ -> Alcotest.fail "frame refused"
+  in
+  Helpers.check_bool "decode_frame shares nothing" false (single () == single ())
+
+(* Operations drawn from a pool far larger than any table, so slots are
+   evicted and reused all along a log, with a few operations that repeat
+   often enough to hit.  Values nest lists and strings. *)
+let pool_op i =
+  let long = String.make (i mod 48) (Char.chr (97 + (i mod 26))) in
+  {
+    Op.obj = Fmt.str "obj-%d" (i mod 61);
+    inv =
+      {
+        Op.name = [| "put"; "get"; "append"; "swap" |].(i mod 4);
+        args =
+          [
+            Value.Int i;
+            Value.Str long;
+            Value.List
+              [
+                Value.Str (string_of_int (i mod 13));
+                Value.List [ Value.Int (i / 3); Value.Bool (i mod 2 = 0) ];
+              ];
+          ];
+      };
+    res =
+      (match i mod 3 with
+      | 0 -> Value.ok
+      | 1 -> Value.List [ Value.Str (Fmt.str "r%d" i) ]
+      | _ -> Value.Unit);
+  }
+
+let pooled_records_gen =
+  let open QCheck2.Gen in
+  let op = map pool_op (oneof [ int_bound 15; int_bound 1_000_000 ]) in
+  let record =
+    frequency
+      [
+        (1, map (fun t -> Wal.Begin t) tid_gen);
+        (6, map2 (fun t o -> Wal.Operation (t, o)) tid_gen op);
+        (1, map (fun t -> Wal.Commit t) tid_gen);
+        ( 1,
+          map3
+            (fun committed live next_tid -> Wal.Checkpoint { Wal.committed; live; next_tid })
+            (list_size (int_bound 30) op)
+            (list_size (int_bound 3) (pair tid_gen (list_size (int_bound 10) op)))
+            (int_bound 20) );
+      ]
+  in
+  list_size (int_range 300 800) (pair (oneofl Codec.supported_versions) record)
+
+let prop_roundtrip_under_eviction =
+  Helpers.qcheck ~count:100 "decode_all (encode_all rs) = rs under eviction" pooled_records_gen
+    (fun framed ->
+      let framed = padded framed in
+      match Codec.decode_all (encode_framed framed) with
+      | Error _ -> false
+      | Ok d ->
+          d.Codec.torn = None
+          && List.equal Wal.equal_record (List.map snd framed) d.Codec.records)
+
+(* A miss costs its operation and nothing else: the walk, hash and
+   compare allocate nothing and the key is the source's own bytes.  Every
+   operation of this log is distinct, so every lookup misses; the
+   decoder without a cache allocated 106036 minor words for it, and the
+   pin allows 2% more.  (The table itself, at this log's size, is one
+   fixed allocation per pass, made in the major heap.) *)
+let test_decode_miss_costs_nothing_extra () =
+  let recs =
+    List.concat
+      (List.init 2000 (fun i ->
+           let t = Tid.of_int i in
+           let put = Tm_adt.Kv_store.put (Fmt.str "key-%05d" i) i in
+           [ Wal.Begin t; Wal.Operation (t, put); Wal.Commit t ]))
+  in
+  let bytes = Codec.encode_all recs in
+  let decode () =
+    match Codec.decode_all bytes with
+    | Ok d -> d.Codec.records
+    | Error c -> Alcotest.failf "put log refused: %a" Codec.pp_corruption c
+  in
+  Helpers.check_bool "put log is long enough for a cache" true
+    (String.length bytes >= cache_floor);
+  Helpers.check_bool "put log round trips" true (List.equal Wal.equal_record recs (decode ()));
+  let w = minor_words decode and max = 106036. *. 1.02 in
+  if w > max then Alcotest.failf "decoding 2000 distinct puts allocated %.0f words (max %.0f)" w max
+
+(* A cache that does not hit stands idle, then looks again.  The prefix
+   of distinct puts is longer than a window (1024 lookups), so the first
+   window hits nothing.  The run of one repeated operation after it is
+   longer than the idle stretch (seven windows): its first copies are
+   built afresh, and its last are shared again. *)
+let test_decode_cache_idles_without_hits () =
+  let distinct = 2048 and run = 8192 in
+  let rep = { (BA.deposit 5) with Op.obj = "account-0042" } in
+  let op i =
+    if i < distinct then Tm_adt.Kv_store.put (Fmt.str "key-%05d" i) i else rep
+  in
+  let recs = List.init (distinct + run) (fun i -> Wal.Operation (Tid.of_int i, op i)) in
+  match Codec.decode_all (Codec.encode_all recs) with
+  | Error c -> Alcotest.failf "refused: %a" Codec.pp_corruption c
+  | Ok d -> (
+      Helpers.check_bool "log round trips" true (List.equal Wal.equal_record recs d.Codec.records);
+      let run =
+        List.filteri (fun i _ -> i >= distinct) d.Codec.records
+        |> List.map (function Wal.Operation (_, o) -> o | _ -> Alcotest.fail "not an operation")
+      in
+      match (run, List.rev run) with
+      | a :: b :: _, y :: z :: _ ->
+          Helpers.check_bool "idle after a window without hits" false (a == b);
+          Helpers.check_bool "sharing again after the idle stretch" true (y == z)
+      | _ -> Alcotest.fail "run too short")
+
+(* A single-frame decode builds its result (record, pair and [Ok]) and a
+   five-word reader, and no table (the smallest has 1024 slots). *)
+let test_decode_frame_allocates_no_table () =
+  let op = { (BA.deposit 5) with Op.obj = "account-0042" } in
+  let frame = Codec.encode (Wal.Operation (Tid.of_int 17, op)) in
+  let decode () = Codec.decode_frame frame 0 in
+  let words = float_of_int (Obj.reachable_words (Obj.repr (decode ()))) in
+  let w = minor_words decode in
+  if w > words +. 8. then
+    Alcotest.failf "decode_frame of a %.0f-word result allocated %.0f words (max %.0f)" words w
+      (words +. 8.)
+
 let suite =
   [
     prop_roundtrip;
@@ -1078,4 +1248,13 @@ let suite =
       test_encode_allocates_its_frame;
     Alcotest.test_case "decode_all allocates about its records" `Quick
       test_decode_allocates_its_records;
+    Alcotest.test_case "decoding shares repeated operations" `Quick
+      test_decode_shares_repeats;
+    prop_roundtrip_under_eviction;
+    Alcotest.test_case "a decode-cache miss allocates nothing extra" `Quick
+      test_decode_miss_costs_nothing_extra;
+    Alcotest.test_case "a decode cache without hits stands idle" `Quick
+      test_decode_cache_idles_without_hits;
+    Alcotest.test_case "decode_frame allocates no table" `Quick
+      test_decode_frame_allocates_no_table;
   ]
