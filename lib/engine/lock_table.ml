@@ -1,15 +1,21 @@
 open Tm_core
 module Metrics = Tm_obs.Metrics
 
+(* One transaction's holds at the object, newest first, each stamped
+   with a global insertion sequence so {!holds} can still present the
+   table oldest-first across holders. *)
+type holder = {
+  tid : Tid.t;
+  mutable ops : (int * Op.t) list;
+}
+
 type t = {
   conflict : Conflict.t;
-  (* Per-holder index: the operations each transaction holds, newest
-     first, each stamped with a global insertion sequence so {!holds}
-     can still present the table oldest-first across holders.  Keying by
-     tid makes [release] O(1) (one bucket removal) and lets [blockers]
-     skip the requester's own holds wholesale, instead of the former
-     O(total holds) list scans. *)
-  held : (Tid.t, (int * Op.t) list) Hashtbl.t;
+  (* One entry per transaction holding an operation here, newest holder
+     first.  An object has a handful of holders at a time, so a list
+     walked by first-order loops beats a table: [blockers] skips the
+     requester's holds wholesale, and no walk allocates a closure. *)
+  mutable holders : holder list;
   mutable next_seq : int;
   (* The attached registry, the object name its series are labelled
      with, and the conflict-pair counters resolved so far (one per
@@ -22,7 +28,7 @@ type t = {
 let create conflict =
   {
     conflict;
-    held = Hashtbl.create 16;
+    holders = [];
     next_seq = 0;
     reg = None;
     obj = "";
@@ -74,34 +80,59 @@ let rec conflicting t requested found = function
       else conflicting t requested found rest
 
 (* [holder] into the strictly increasing [sorted], which does not hold it
-   (each holder is one key of the table). *)
+   (each transaction has at most one entry in the holders). *)
 let rec insert holder = function
   | h :: rest when Tid.compare h holder < 0 -> h :: insert holder rest
   | sorted -> holder :: sorted
 
 (* Each holder is inserted into the answer in order as it is found, so
-   the answer needs no sort, and the table is still walked in its own
-   order: the order of first conflicts decides the order in which the
+   the answer needs no sort, and the holders are still walked in their
+   own order: the order of first conflicts decides the order in which the
    conflict-pair series are registered. *)
-let blockers t ~requested ~tid =
-  Hashtbl.fold
-    (fun holder ops acc ->
-      if (not (Tid.equal holder tid)) && conflicting t requested false ops then insert holder acc
-      else acc)
-    t.held []
+let rec blocking t requested tid acc = function
+  | [] -> acc
+  | h :: rest ->
+      let acc =
+        if (not (Tid.equal h.tid tid)) && conflicting t requested false h.ops then
+          insert h.tid acc
+        else acc
+      in
+      blocking t requested tid acc rest
+
+let blockers t ~requested ~tid = blocking t requested tid [] t.holders
+
+(* Whether [tid] holds here; if so, [entry] joins its holds. *)
+let rec push tid entry = function
+  | [] -> false
+  | h :: rest ->
+      if Tid.equal h.tid tid then begin
+        h.ops <- entry :: h.ops;
+        true
+      end
+      else push tid entry rest
 
 let add t tid op =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  Hashtbl.replace t.held tid
-    ((seq, op) :: Option.value (Hashtbl.find_opt t.held tid) ~default:[])
+  let entry = (t.next_seq, op) in
+  t.next_seq <- t.next_seq + 1;
+  if not (push tid entry t.holders) then t.holders <- { tid; ops = [ entry ] } :: t.holders
 
-let release t tid = Hashtbl.remove t.held tid
+(* The holders without [tid]'s: the list itself if [tid] holds nothing
+   here, and otherwise the holders after it are shared. *)
+let rec without tid = function
+  | [] -> []
+  | h :: rest as l ->
+      if Tid.equal h.tid tid then rest
+      else
+        let rest' = without tid rest in
+        if rest' == rest then l else h :: rest'
+
+let release t tid = t.holders <- without tid t.holders
 
 let holds t =
-  Hashtbl.fold
-    (fun tid ops acc -> List.rev_append (List.rev_map (fun (s, op) -> (s, tid, op)) ops) acc)
-    t.held []
+  List.fold_left
+    (fun acc h -> List.rev_append (List.rev_map (fun (s, op) -> (s, h.tid, op)) h.ops) acc)
+    [] t.holders
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
   |> List.map (fun (_, tid, op) -> (tid, op))
+
 let conflict t = t.conflict

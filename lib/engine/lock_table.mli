@@ -31,7 +31,8 @@ val attach_metrics : t -> obj:string -> Tm_obs.Metrics.t -> unit
     an operation that conflicts with [requested]: strictly increasing by
     {!Tm_core.Tid.compare}, by construction (each holder is inserted in
     order as it is found; no sort runs).  With no blocker it is [[]]; it
-    allocates its answer, plus a constant for the table walk. *)
+    allocates only its answer (the walk over the holders allocates
+    nothing). *)
 val blockers : t -> requested:Op.t -> tid:Tid.t -> Tid.t list
 
 (** [add t tid op] records [op] as held by [tid]. *)

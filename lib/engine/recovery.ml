@@ -108,9 +108,28 @@ let count_discarded t n =
 (* Distinct legal responses to [inv] from a state-set, each of which keeps
    the overall sequence legal by construction. *)
 let candidate_responses (type s) (module S : Spec.S with type state = s) states inv =
-  match List.concat_map (fun st -> List.map fst (S.respond st inv)) states with
-  | ([] | [ _ ]) as vs -> vs  (* sorted already; skip [sort_uniq]'s closures *)
-  | vs -> List.sort_uniq Value.compare vs
+  let vs =
+    match states with
+    | [ st ] -> List.map fst (S.respond st inv)
+    | _ -> List.concat_map (fun st -> List.map fst (S.respond st inv)) states
+  in
+  match vs with
+  | [] | [ _ ] -> vs  (* sorted already; skip [sort_uniq]'s closures *)
+  | _ -> List.sort_uniq Value.compare vs
+
+(* [l] without the next [!left] entries of [tid], counting them off in
+   [left]: the tail after the last one dropped is shared, not copied. *)
+let rec drop tid left l =
+  if !left = 0 then l
+  else
+    match l with
+    | [] -> []
+    | ((t, _) as e) :: rest ->
+        if Tid.equal t tid then begin
+          decr left;
+          drop tid left rest
+        end
+        else e :: drop tid left rest
 
 (* State-sets are sorted, duplicate-free lists ({!Spec.step_states}), so
    a manager holds no functor instance of its own: it costs what its
@@ -131,7 +150,7 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
   let front = ref [] and back = ref [] in
   let per_txn : (Tid.t, Op.t list) Hashtbl.t = Hashtbl.create 16 in
   let committed_log = ref [] (* newest first *) in
-  let txn_ops tid = Option.value (Hashtbl.find_opt per_txn tid) ~default:[] in
+  let txn_ops tid = match Hashtbl.find per_txn tid with ops -> ops | exception Not_found -> [] in
   let step_entry st (_, op) = step st op in
   (* Fold the leading entries of finished transactions into [base].  Aborts
      drop their entries first, so every such entry is committed. *)
@@ -169,47 +188,39 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
     Hashtbl.remove per_txn tid;
     fold ()
   in
-  (* Undo by compensation: apply the inverses of the transaction's
-     operations, newest first, at the current end of the log.  Only used
-     when the type registers inverses (abelian updates); the replay path
-     below is the general, always-correct form, and the two are checked
-     equivalent by property tests. *)
-  let compensation mine =
-    match inverse with
-    | None -> None
-    | Some inverse ->
-        List.fold_left
-          (fun acc op ->
-            match acc, inverse op with
-            | Some done_, Some undo -> Some (done_ @ undo)
-            | _, _ -> None)
-          (Some []) mine
+  (* Undo by compensation: step the current state through the inverses
+     of the transaction's operations, newest first, at the current end of
+     the log.  Only used when the type registers inverses (abelian
+     updates); [[]] sends abort to the replay path below, the general,
+     always-correct form, and the two are checked equivalent by property
+     tests. *)
+  let rec compensate inverse st = function
+    | [] -> st
+    | op :: rest -> (
+        match inverse op with
+        | None -> []
+        | Some undo -> (
+            match List.fold_left step st undo with [] -> [] | st -> compensate inverse st rest))
   in
   let abort t tid =
     let mine = txn_ops tid in
     Hashtbl.remove per_txn tid;
-    let survives (t, _) = not (Tid.equal t tid) in
-    front := List.filter survives !front;
-    back := List.filter survives !back;
-    let replayed () =
-      List.fold_left step_entry (List.fold_left step_entry !base !front) (List.rev !back)
-    in
-    (match compensation mine with
-    | None ->
-        count_undone_replay t (List.length mine);
-        current := replayed ()
-    | Some undo ->
-        let next = after !current undo in
-        (* Fall back to replay if a compensating operation is not legal
-           here (cannot happen for well-chosen inverses, but safety wins). *)
-        if next = [] then begin
-          count_undone_replay t (List.length mine);
-          current := replayed ()
-        end
-        else begin
-          count_undone_inverse t (List.length mine);
-          current := next
-        end);
+    let n = List.length mine in
+    let left = ref n in
+    back := drop tid left !back;
+    front := drop tid left !front;
+    let undone = match inverse with None -> [] | Some inverse -> compensate inverse !current mine in
+    (* Fall back to replay if an operation has no inverse or a
+       compensating operation is not legal here (cannot happen for
+       well-chosen inverses, but safety wins). *)
+    if undone = [] then begin
+      count_undone_replay t n;
+      current := List.fold_left step_entry (List.fold_left step_entry !base !front) (List.rev !back)
+    end
+    else begin
+      count_undone_inverse t n;
+      current := undone
+    end;
     fold ()
   in
   (* Install an already-committed sequence into a fresh manager: replayed
@@ -235,43 +246,80 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
     reg = None; committed = unresolved; undone_inverse = unresolved;
     undone_replay = unresolved; discarded = unresolved }
 
+(* A live transaction's part of a DU manager: its intentions, newest
+   first, and the state-set they reach from the base of version
+   [stamp]. *)
+type 's txn = {
+  mutable ops : Op.t list;
+  mutable view : 's list;
+  mutable stamp : int;
+}
+
+(* [states] stepped through [op], which must be legal there.  Top-level,
+   so a DU manager holds no closure for it. *)
+let stepped step states op =
+  match step states op with
+  | [] -> invalid_arg (Fmt.str "Recovery.record(DU): illegal operation %a" Op.pp op)
+  | next -> next
+
 let create_du (Spec.Packed (module S) as spec) : t =
   let step = Spec.step_states (module S) and after = Spec.after_states (module S) in
   let obj = Spec.name spec in
-  let base = ref [ S.initial ] in
-  let intentions : (Tid.t, Op.t list) Hashtbl.t = Hashtbl.create 16 in
+  (* The committed base and its version, which every commit and restore
+     bumps.  Each live transaction keeps its view, base + its own
+     intentions, exactly [DU(H,A)]: an invocation steps it, and only a
+     view stamped with an older base is derived again from the base. *)
+  let base = ref [ S.initial ] and version = ref 0 in
+  let txns : (Tid.t, S.state txn) Hashtbl.t = Hashtbl.create 16 in
   let committed_log = ref [] (* newest first *) in
-  let txn_ops tid = Option.value (Hashtbl.find_opt intentions tid) ~default:[] in
-  (* A transaction's view is base (committed, in commit order) plus its own
-     intentions — recomputed per call because the base advances whenever
-     any other transaction commits. *)
-  let view tid = after !base (List.rev (txn_ops tid)) in
-  let responses tid inv = candidate_responses (module S) (view tid) inv in
+  let view e =
+    if e.stamp <> !version then begin
+      e.view <- after !base (List.rev e.ops);
+      e.stamp <- !version
+    end;
+    e.view
+  in
+  (* Lookups run on every invocation, so they catch [Not_found] rather
+     than allocate an option. *)
+  let responses tid inv =
+    candidate_responses (module S)
+      (match Hashtbl.find txns tid with e -> view e | exception Not_found -> !base)
+      inv
+  in
   let record tid op =
-    if step (view tid) op = [] then
-      invalid_arg (Fmt.str "Recovery.record(DU): illegal operation %a" Op.pp op);
-    Hashtbl.replace intentions tid (op :: txn_ops tid)
+    match Hashtbl.find txns tid with
+    | e ->
+        e.view <- stepped step (view e) op;
+        e.ops <- op :: e.ops
+    | exception Not_found ->
+        Hashtbl.add txns tid { ops = [ op ]; view = stepped step !base op; stamp = !version }
   in
   let commit t tid =
-    let ops = List.rev (txn_ops tid) in
-    let next = after !base ops in
-    if ops <> [] && next = [] then
-      invalid_arg
-        (Fmt.str
-           "Recovery.commit(DU): intentions list of %a no longer applies \
-            (conflict relation too weak)"
-           Tid.pp tid);
-    base := next;
-    count_committed t (List.length ops);
-    committed_log := txn_ops tid @ !committed_log;
-    Hashtbl.remove intentions tid
+    match Hashtbl.find txns tid with
+    | exception Not_found -> count_committed t 0
+    | e ->
+        (* A view on the current base is the new base; a stale one is
+           derived again, and must still apply. *)
+        let next = view e in
+        if next = [] then
+          invalid_arg
+            (Fmt.str
+               "Recovery.commit(DU): intentions list of %a no longer applies \
+                (conflict relation too weak)"
+               Tid.pp tid);
+        base := next;
+        incr version;
+        count_committed t (List.length e.ops);
+        committed_log := e.ops @ !committed_log;
+        Hashtbl.remove txns tid
   in
   let abort t tid =
-    count_discarded t (List.length (txn_ops tid));
-    Hashtbl.remove intentions tid
+    count_discarded t
+      (match Hashtbl.find txns tid with e -> List.length e.ops | exception Not_found -> 0);
+    Hashtbl.remove txns tid
   in
   let restore ops =
-    if !committed_log <> [] || Hashtbl.length intentions > 0 then
+    if !committed_log <> [] || Hashtbl.length txns > 0 then
       Error { obj; reason = "restore(DU): manager not fresh" }
     else begin
       let next = after [ S.initial ] ops in
@@ -279,6 +327,7 @@ let create_du (Spec.Packed (module S) as spec) : t =
         Error { obj; reason = "restore(DU): replayed sequence not legal" }
       else begin
         base := next;
+        incr version;
         committed_log := List.rev ops;
         Ok ()
       end

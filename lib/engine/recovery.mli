@@ -18,10 +18,17 @@
       replays only the live suffix from the base.  (The
       {!committed_ops} record, kept for verification, still grows with
       history.)
-    - {b DU} keeps a committed base state plus one intentions list per
-      active transaction; a transaction computes responses against base +
-      its own intentions, exactly [DU(H,A)].  Abort discards the
-      intentions; commit applies them to the base in commit order.
+    - {b DU} keeps a committed base state plus, per active transaction,
+      its intentions list and its view: the state-set base + its own
+      intentions reach, exactly [DU(H,A)].  That view changes only when
+      the transaction executes an operation or another one commits, so
+      it is kept, stamped with the base's version, which every commit
+      and {!restore} bumps.  An invocation on an unmoved base steps the
+      kept view and pays only for its answer; a commit at the object
+      costs each live transaction one re-derivation from the new base,
+      on its next call.  Abort discards the intentions; commit installs
+      a current view as the new base (a stale one is derived again and
+      must still apply), so bases follow commit order.
 
     A manager only answers {e which responses are legal}; conflict
     checking lives in {!Lock_table} and the two are combined by
