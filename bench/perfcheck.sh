@@ -38,6 +38,12 @@
 #    and derives it again only after a commit moves the base; a manager
 #    that derives the view from the base on every call fails it (about
 #    779, or 966 when commit and record derive it too).
+# 7. What a finished transaction leaves: the hotspot_uip run of gate 1
+#    must promote at most 44 words per transaction to the major heap
+#    (major_words_per_txn; about 39.9 today, the limit is that plus
+#    10%).  A database keeps only its running transactions and one bit
+#    per finished tid; a table entry per finished tid (about 49.6)
+#    fails it.
 #
 # Every count is host-invariant (bench/perf/run.sh pins the GC
 # parameters, and live_heap_mb is Obj.reachable_words), so the verdict
@@ -99,5 +105,12 @@ deferred=$(jq -rn --argjson d "$du" '
     + " alloc_words_per_txn \($w) (max 688)"')
 echo "perfcheck deferred update $deferred"
 
+finished=$(jq -rn --argjson u "$uip" '
+  $u.metrics.major_words_per_txn.value as $w
+  | (if $u.correct and $u.failed == 0 and $w <= 44 then "ok" else "FAIL" end)
+    + ": hotspot_uip correct \($u.correct), failed \($u.failed),"
+    + " major_words_per_txn \($w) (max 44)"')
+echo "perfcheck finished transactions $finished"
+
 [[ $verdict == ok* && $footprint == ok* && $codec == ok* && $contention == ok* && $loaded == ok*
-   && $deferred == ok* ]]
+   && $deferred == ok* && $finished == ok* ]]

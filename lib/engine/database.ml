@@ -2,18 +2,21 @@ open Tm_core
 module Metrics = Tm_obs.Metrics
 module Trace = Tm_obs.Trace
 
-type txn_status =
-  | Running
-  | Committed
-  | Aborted
+(* What the database keeps of a running transaction.  A finished one
+   leaves only its bit in [finished]. *)
+type txn = {
+  mutable touched : string list;  (* objects executed at, newest first *)
+  mutable blocked_on : string;  (* the object of its first block since it last executed *)
+  mutable blocked_since : int;  (* the tick of that block; -1 when not blocked *)
+}
 
 type t = {
   mutable objs_rev : Atomic_object.t list;  (* newest first *)
   by_name : (string, Atomic_object.t) Hashtbl.t;
   record_history : bool;
   mutable events : Event.t list;  (* newest first *)
-  status : (Tid.t, txn_status) Hashtbl.t;
-  touched : (Tid.t, string list) Hashtbl.t;
+  live : (Tid.t, txn) Hashtbl.t;  (* running transactions only *)
+  finished : Tid_bits.t;
   waits : Deadlock.t;
   mutable next_tid : int;
   (* Observability.  The registry always exists — counters are plain
@@ -30,7 +33,6 @@ type t = {
   c_no_response : Metrics.counter;
   mutable trace : Trace.t option;
   mutable ticks : int;  (* logical clock: one tick per invocation attempt *)
-  blocked_since : (Tid.t, string * int) Hashtbl.t;
   wait_ticks : (string, Metrics.histogram) Hashtbl.t;  (* by object, on first wake *)
 }
 
@@ -50,8 +52,8 @@ let create ?(record_history = false) ?(first_tid = 0) objs =
       by_name = Hashtbl.create 16;
       record_history;
       events = [];
-      status = Hashtbl.create 64;
-      touched = Hashtbl.create 64;
+      live = Hashtbl.create 64;
+      finished = Tid_bits.create ();
       waits = Deadlock.create ();
       next_tid = first_tid;
       metrics;
@@ -64,7 +66,6 @@ let create ?(record_history = false) ?(first_tid = 0) objs =
         Metrics.counter metrics "tm_invocations_total" ~labels:[ ("outcome", "no_response") ];
       trace = None;
       ticks = 0;
-      blocked_since = Hashtbl.create 16;
       wait_ticks = Hashtbl.create 16;
     }
   in
@@ -73,8 +74,8 @@ let create ?(record_history = false) ?(first_tid = 0) objs =
 
 let objects t = List.rev t.objs_rev
 
-(* [check_running], [find_object] and [touched_objs] run on every
-   invocation, so they catch [Not_found] rather than allocate an option. *)
+(* [running], [find_object] and [touched_objs] run on every invocation,
+   so they catch [Not_found] rather than allocate an option. *)
 let find_object t name =
   match Hashtbl.find t.by_name name with
   | o -> o
@@ -92,10 +93,12 @@ let tracing t = Option.is_some t.trace
 let emit_trace t ~tid kind =
   match t.trace with None -> () | Some tr -> Trace.emit tr ~tid kind
 
+let start t tid = Hashtbl.replace t.live tid { touched = []; blocked_on = ""; blocked_since = -1 }
+
 let begin_txn t =
   let tid = Tid.of_int t.next_tid in
   t.next_tid <- t.next_tid + 1;
-  Hashtbl.replace t.status tid Running;
+  start t tid;
   Metrics.Counter.incr t.c_begins;
   emit_trace t ~tid Trace.Begin;
   tid
@@ -108,48 +111,49 @@ let adopt_txn t tid =
      never collide with a global one. *)
   let n = Tid.to_int tid in
   if n < 0 then invalid_arg "Database.adopt_txn: negative tid";
-  if Hashtbl.mem t.status tid then
+  if Hashtbl.mem t.live tid || Tid_bits.mem t.finished tid then
     invalid_arg (Fmt.str "Database.adopt_txn: %a already known" Tid.pp tid);
   t.next_tid <- max t.next_tid (n + 1);
-  Hashtbl.replace t.status tid Running;
+  start t tid;
   Metrics.Counter.incr t.c_begins;
   emit_trace t ~tid Trace.Begin
 
-let check_running t tid =
-  match Hashtbl.find t.status tid with
-  | Running -> ()
-  | Committed | Aborted ->
-      invalid_arg (Fmt.str "Database: transaction %a already finished" Tid.pp tid)
-  | exception Not_found -> invalid_arg (Fmt.str "Database: unknown transaction %a" Tid.pp tid)
+(* The entry of a running transaction. *)
+let running t tid =
+  match Hashtbl.find t.live tid with
+  | txn -> txn
+  | exception Not_found ->
+      if Tid_bits.mem t.finished tid then
+        invalid_arg (Fmt.str "Database: transaction %a already finished" Tid.pp tid)
+      else invalid_arg (Fmt.str "Database: unknown transaction %a" Tid.pp tid)
 
 (* Callers test [t.record_history] first, so an unrecorded run never
    builds the event. *)
 let push_event t e = t.events <- e :: t.events
 
 let touched_objs t tid =
-  match Hashtbl.find t.touched tid with objs -> objs | exception Not_found -> []
+  match Hashtbl.find t.live tid with txn -> txn.touched | exception Not_found -> []
 
 (* A transaction executing after an earlier block has been woken: record
    how long (in attempt ticks) it waited, per object. *)
-let note_woken t tid =
-  match Hashtbl.find_opt t.blocked_since tid with
-  | None -> ()
-  | Some (obj, since) ->
-      Hashtbl.remove t.blocked_since tid;
-      let waited = t.ticks - since in
-      let h =
-        match Hashtbl.find t.wait_ticks obj with
-        | h -> h
-        | exception Not_found ->
-            let h = Metrics.histogram t.metrics "tm_lock_wait_ticks" ~labels:[ ("obj", obj) ] in
-            Hashtbl.add t.wait_ticks obj h;
-            h
-      in
-      Metrics.Histogram.observe_int h waited;
-      if tracing t then emit_trace t ~tid (Trace.Woken { obj; waited })
+let note_woken t tid txn =
+  if txn.blocked_since >= 0 then begin
+    let obj = txn.blocked_on and waited = t.ticks - txn.blocked_since in
+    txn.blocked_since <- -1;
+    let h =
+      match Hashtbl.find t.wait_ticks obj with
+      | h -> h
+      | exception Not_found ->
+          let h = Metrics.histogram t.metrics "tm_lock_wait_ticks" ~labels:[ ("obj", obj) ] in
+          Hashtbl.add t.wait_ticks obj h;
+          h
+    in
+    Metrics.Histogram.observe_int h waited;
+    if tracing t then emit_trace t ~tid (Trace.Woken { obj; waited })
+  end
 
 let invoke ?choose t tid ~obj inv =
-  check_running t tid;
+  let txn = running t tid in
   let o = find_object t obj in
   t.ticks <- t.ticks + 1;
   if tracing t then emit_trace t ~tid (Trace.Invoke { obj; inv });
@@ -158,18 +162,19 @@ let invoke ?choose t tid ~obj inv =
   | Atomic_object.Executed op ->
       Deadlock.clear t.waits tid;
       Metrics.Counter.incr t.c_executed;
-      note_woken t tid;
+      note_woken t tid txn;
       if tracing t then emit_trace t ~tid (Trace.Executed { op });
       if t.record_history then begin
         push_event t (Event.invoke ~obj ~tid inv);
         push_event t (Event.respond ~obj ~tid op.Op.res)
       end;
-      let objs = touched_objs t tid in
-      if not (List.mem obj objs) then Hashtbl.replace t.touched tid (obj :: objs)
+      if not (List.mem obj txn.touched) then txn.touched <- obj :: txn.touched
   | Atomic_object.Blocked holders ->
       Metrics.Counter.incr t.c_blocked;
-      if not (Hashtbl.mem t.blocked_since tid) then
-        Hashtbl.replace t.blocked_since tid (obj, t.ticks);
+      if txn.blocked_since < 0 then begin
+        txn.blocked_on <- obj;
+        txn.blocked_since <- t.ticks
+      end;
       if tracing t then emit_trace t ~tid (Trace.Blocked { obj; inv; holders });
       Deadlock.set_waiting t.waits tid ~on:holders
   | Atomic_object.No_response ->
@@ -177,30 +182,26 @@ let invoke ?choose t tid ~obj inv =
       if tracing t then emit_trace t ~tid (Trace.No_response { obj; inv }));
   outcome
 
-let finish t tid status per_object =
-  check_running t tid;
+let finish t tid ~committed per_object =
+  let txn = running t tid in
   List.iter
     (fun obj ->
       per_object (find_object t obj) tid;
       if tracing t then emit_trace t ~tid (Trace.Lock_release { obj });
       if t.record_history then
-        push_event t
-          (match status with
-          | Committed -> Event.commit ~obj ~tid
-          | Running | Aborted -> Event.abort ~obj ~tid))
-    (List.rev (touched_objs t tid));
-  Hashtbl.replace t.status tid status;
-  Hashtbl.remove t.touched tid;
-  Hashtbl.remove t.blocked_since tid;
+        push_event t (if committed then Event.commit ~obj ~tid else Event.abort ~obj ~tid))
+    (List.rev txn.touched);
+  Hashtbl.remove t.live tid;
+  Tid_bits.add t.finished tid;
   Deadlock.clear t.waits tid
 
 let commit t tid =
-  finish t tid Committed Atomic_object.commit;
+  finish t tid ~committed:true Atomic_object.commit;
   Metrics.Counter.incr t.c_committed;
   emit_trace t ~tid Trace.Commit
 
 let abort t tid =
-  finish t tid Aborted Atomic_object.abort;
+  finish t tid ~committed:false Atomic_object.abort;
   Metrics.Counter.incr t.c_aborted;
   emit_trace t ~tid Trace.Abort
 
@@ -218,7 +219,7 @@ let validate t tid =
   go (List.rev (touched_objs t tid))
 
 let try_commit t tid =
-  check_running t tid;
+  let txn = running t tid in
   (* Two-phase: validate at every touched object, then commit at all of
      them; a single validation failure aborts everywhere. *)
   let validated =
@@ -226,7 +227,7 @@ let try_commit t tid =
     && List.exists
          (fun obj ->
            Atomic_object.policy (find_object t obj) = Atomic_object.Optimistic)
-         (touched_objs t tid)
+         txn.touched
   in
   if validated then emit_trace t ~tid Trace.Validating;
   let result = validate t tid in

@@ -66,12 +66,16 @@ val begin_txn : t -> Tid.t
     as running here and bumps the local allocator above it — how each
     shard's database joins a transaction whose id was issued by
     {!Sharded_database}'s global allocator.  Raises [Invalid_argument]
-    if [tid] is negative or already known to this database. *)
+    if [tid] is negative or already known to this database: running, or
+    finished.  The database keeps an entry only for a running
+    transaction; a finished tid is remembered as one bit
+    ({!Tid_bits}). *)
 val adopt_txn : t -> Tid.t -> unit
 
 (** [invoke t tid ~obj inv] — attempt an operation; records the waits-for
-    edges on [Blocked].  Raises [Invalid_argument] for an unknown object
-    or a transaction that already finished.
+    edges on [Blocked].  Raises [Invalid_argument] for an unknown object,
+    an unknown transaction, or one that already finished (told apart by
+    the bit each finished tid leaves).
 
     [~choose] picks among the enabled responses as in
     {!Atomic_object.invoke}: it must return one of the values it is

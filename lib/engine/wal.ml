@@ -57,63 +57,6 @@ let equal_record a b =
 (* ------------------------------------------------------------------ *)
 (* Replay state: the one log fold.                                     *)
 
-(* A set of tids as an allocator hands them out: one bit per tid over a
-   window that starts at the first tid added and grows by doubling, and
-   a table for the tids the window does not take.  The window grows only
-   while it stays within two bytes per tid added (plus a 32-byte floor),
-   so an outlier (a fuzzer's [max_int], a tid far above the rest) cannot
-   size it by its value; a run of tids beyond a gap starts in the table
-   and moves the window over once there are enough of them.  Negative
-   tids and tids below the first one always go to the table. *)
-module Tid_bits = struct
-  type t = {
-    mutable base : int;  (* the tid of bit 0; -1 while no bit is set *)
-    mutable bits : Bytes.t;
-    mutable added : int;  (* tids added since the last [clear] *)
-    far : (int, unit) Hashtbl.t;
-  }
-
-  let create () = { base = -1; bits = Bytes.make 8 '\000'; added = 0; far = Hashtbl.create 1 }
-
-  let mem s tid =
-    let t = Tid.to_int tid in
-    let i = t - s.base in
-    (i >= 0
-    && i < 8 * Bytes.length s.bits
-    && Char.code (Bytes.unsafe_get s.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0)
-    || (Hashtbl.length s.far > 0 && Hashtbl.mem s.far t)
-
-  (* Make bit [i] part of the window if the size bound allows it. *)
-  let rec fits s i =
-    let n = Bytes.length s.bits in
-    if i < 8 * n then true
-    else if n >= 16 + s.added then false
-    else begin
-      let grown = Bytes.make (2 * n) '\000' in
-      Bytes.blit s.bits 0 grown 0 n;
-      s.bits <- grown;
-      fits s i
-    end
-
-  let add s tid =
-    let t = Tid.to_int tid in
-    s.added <- s.added + 1;
-    if s.base < 0 && t >= 0 then s.base <- t land lnot 7;
-    let i = t - s.base in
-    if t >= 0 && i >= 0 && fits s i then begin
-      let k = i lsr 3 in
-      Bytes.unsafe_set s.bits k
-        (Char.unsafe_chr (Char.code (Bytes.unsafe_get s.bits k) lor (1 lsl (i land 7))))
-    end
-    else Hashtbl.replace s.far t ()
-
-  let clear s =
-    s.base <- -1;
-    s.added <- 0;
-    Bytes.fill s.bits 0 (Bytes.length s.bits) '\000';
-    Hashtbl.reset s.far
-end
-
 (* What a log reads back to.  [replay], [max_tid], [fuzzy_checkpoint] and
    [plan] are views of it, and a {!t} keeps one up to date as records
    are appended or restored.  A checkpoint record summarises its whole

@@ -9,6 +9,7 @@ module Recovery = Tm_engine.Recovery
 module Atomic_object = Tm_engine.Atomic_object
 module Database = Tm_engine.Database
 module Deadlock = Tm_engine.Deadlock
+module Tid_bits = Tm_engine.Tid_bits
 
 module BA = Tm_adt.Bank_account
 
@@ -730,6 +731,281 @@ let test_finished_txn_rejected () =
     (Invalid_argument "Database: transaction A already finished") (fun () ->
       ignore (Database.invoke db a ~obj:"BA" (deposit_inv 1)))
 
+(* [Tid.of_int] refuses a negative id, so the tests of the code that
+   still guards against one ([Database.adopt_txn], [Tid_bits]) forge
+   it. *)
+let forged_tid n : Tid.t = Obj.magic n
+
+(* The transaction table against the one it replaced: a model that keeps
+   every tid's [Running | Committed | Aborted], as [Database] did before
+   it kept only running transactions.  After every step of a random
+   sequence of begins, adoptions, invocations, commits (also through
+   [try_commit]) and aborts, the
+   database accepts exactly what the model accepts, and rejects the rest
+   with the model's message.  Adopted tids include out-of-order ones,
+   running and finished ones, [max_int], and negative ones. *)
+type model_status = Running | Committed | Aborted
+
+let prop_txn_table_matches_model =
+  let open QCheck2.Gen in
+  (* Which tid a step names, resolved against the model when it runs. *)
+  let pick =
+    frequency
+      [
+        (6, map (fun k -> `Known k) nat);
+        (2, map (fun k -> `Ahead k) (int_range 0 3));
+        (1, map (fun k -> `Behind k) (int_range 1 6));
+        (1, pure `Max);
+      ]
+  in
+  let step =
+    frequency
+      [
+        (3, pure `Begin);
+        (2, map (fun p -> `Adopt p) pick);
+        (1, map (fun n -> `Adopt_negative n) (int_range 1 3));
+        (4, map3 (fun p d n -> `Invoke (p, d, n)) pick bool (int_range 1 3));
+        (2, map (fun p -> `Commit p) pick);
+        (2, map (fun p -> `Abort p) pick);
+        (1, map (fun p -> `Try_commit p) pick);
+      ]
+  in
+  Helpers.qcheck ~count:300 "transaction table = every-tid status model"
+    (list_size (int_range 1 60) step)
+    (fun steps ->
+      let db = Database.create [ make_ba Recovery.UIP ] in
+      let status = Hashtbl.create 16 and known = ref [||] and next = ref 0 in
+      let resolve = function
+        | `Known k ->
+            let len = Array.length !known in
+            if len = 0 then !next else !known.(k mod len)
+        | `Ahead k -> !next + k
+        | `Behind k -> max 0 (!next - k)
+        | `Max -> max_int
+      in
+      let register n =
+        Hashtbl.replace status n Running;
+        known := Array.append !known [| n |]
+      in
+      (* What the old table said of a call naming [n] that needs it
+         running. *)
+      let expect_running n =
+        match Hashtbl.find_opt status n with
+        | Some Running -> Ok ()
+        | Some (Committed | Aborted) ->
+            Error (Fmt.str "Database: transaction %a already finished" Tid.pp (Tid.of_int n))
+        | None -> Error (Fmt.str "Database: unknown transaction %a" Tid.pp (Tid.of_int n))
+      in
+      let outcome f = match f () with () -> Ok () | exception Invalid_argument m -> Error m in
+      let finish n s f =
+        let e = expect_running n in
+        let got = outcome (fun () -> f db (Tid.of_int n)) in
+        if Result.is_ok e then Hashtbl.replace status n s;
+        got = e
+      in
+      List.for_all
+        (function
+          | `Begin ->
+              let n = Tid.to_int (Database.begin_txn db) in
+              let ok = n = !next in
+              next := !next + 1;
+              register n;
+              ok
+          | `Adopt p ->
+              let n = resolve p in
+              let e =
+                if Hashtbl.mem status n then
+                  Error (Fmt.str "Database.adopt_txn: %a already known" Tid.pp (Tid.of_int n))
+                else Ok ()
+              in
+              let got = outcome (fun () -> Database.adopt_txn db (Tid.of_int n)) in
+              if Result.is_ok e then begin
+                next := max !next (n + 1);
+                register n
+              end;
+              got = e
+          | `Adopt_negative k ->
+              outcome (fun () -> Database.adopt_txn db (forged_tid (-k)))
+              = Error "Database.adopt_txn: negative tid"
+          | `Invoke (p, deposit, amount) ->
+              let n = resolve p in
+              let inv = if deposit then deposit_inv amount else withdraw_inv amount in
+              expect_running n
+              = outcome (fun () -> ignore (Database.invoke db (Tid.of_int n) ~obj:"BA" inv))
+          | `Commit p -> finish (resolve p) Committed Database.commit
+          | `Abort p -> finish (resolve p) Aborted Database.abort
+          | `Try_commit p ->
+              (* Locking objects always validate. *)
+              finish (resolve p) Committed (fun db tid -> ignore (Database.try_commit db tid)))
+        steps
+      &&
+      let count s = Hashtbl.fold (fun _ s' c -> if s' = s then c + 1 else c) status 0 in
+      Database.committed_count db = count Committed
+      && Database.aborted_count db = count Aborted
+      && Database.next_tid db = !next)
+
+(* --- The finished-tid set --- *)
+
+let tid_set_words s = Obj.reachable_words (Obj.repr s)
+
+let add_range s lo hi =
+  for i = lo to hi - 1 do
+    Tid_bits.add s (Tid.of_int i)
+  done
+
+let all_mem s lo hi = List.for_all (fun i -> Tid_bits.mem s (Tid.of_int i)) (List.init (hi - lo) (( + ) lo))
+
+let none_mem s lo hi =
+  List.for_all (fun i -> not (Tid_bits.mem s (Tid.of_int i))) (List.init (hi - lo) (( + ) lo))
+
+(* The window starts at 8 bytes and doubles: 8,192 dense tids fill 1,024
+   bytes exactly, and the next tid doubles them to 2,048 (128 more
+   words on a 64-bit host). *)
+let test_tid_set_window_doubles () =
+  let s = Tid_bits.create () in
+  let fresh = tid_set_words s in
+  add_range s 0 8192;
+  Helpers.check_bool "0..8191 members" true (all_mem s 0 8192);
+  Helpers.check_bool "8192.. not members" true (none_mem s 8192 8300);
+  Helpers.check_int "1,024 bytes of window" (fresh + ((1024 - 8) / 8)) (tid_set_words s);
+  let before = tid_set_words s in
+  Tid_bits.add s (Tid.of_int 8192);
+  Helpers.check_int "doubled to 2,048 bytes" (before + 128) (tid_set_words s);
+  Helpers.check_bool "8192 member" true (Tid_bits.mem s (Tid.of_int 8192))
+
+(* An outlier ([max_int]) and a negative tid go to the table: neither
+   sizes the window, and the window keeps growing over the dense run. *)
+let test_tid_set_outliers_in_table () =
+  let s = Tid_bits.create () in
+  add_range s 0 1000;
+  let before = tid_set_words s in
+  Tid_bits.add s (Tid.of_int max_int);
+  Tid_bits.add s (forged_tid (-5));
+  Helpers.check_bool "max_int member" true (Tid_bits.mem s (Tid.of_int max_int));
+  Helpers.check_bool "-5 member" true (Tid_bits.mem s (forged_tid (-5)));
+  Helpers.check_bool "-6 and max_int - 1 not members" true
+    ((not (Tid_bits.mem s (forged_tid (-6)))) && not (Tid_bits.mem s (Tid.of_int (max_int - 1))));
+  let grown = tid_set_words s - before in
+  Helpers.check_bool (Fmt.str "two table entries cost %d words (at most 16)" grown) true (grown <= 16);
+  add_range s 1000 2000;
+  Helpers.check_bool "0..1999 members" true (all_mem s 0 2000);
+  let fresh = tid_set_words (Tid_bits.create ()) in
+  let total = tid_set_words s - fresh in
+  Helpers.check_bool
+    (Fmt.str "2,002 tids cost %d words (at most 2 bytes each, plus the table)" total)
+    true
+    (total <= (2 * 2002 / 8) + 16)
+
+(* [clear] empties both the window and the table, and the window starts
+   again at the next tid added. *)
+let test_tid_set_clear () =
+  let s = Tid_bits.create () in
+  add_range s 0 1000;
+  Tid_bits.add s (Tid.of_int max_int);
+  let kept = tid_set_words s in
+  Tid_bits.clear s;
+  Helpers.check_bool "nothing left" true
+    (none_mem s 0 1000 && not (Tid_bits.mem s (Tid.of_int max_int)));
+  add_range s 5000 5100;
+  Helpers.check_bool "5000..5099 members" true (all_mem s 5000 5100);
+  Helpers.check_bool "0..999 still gone" true (none_mem s 0 1000);
+  Helpers.check_bool "the window is reused, the table emptied" true (tid_set_words s < kept)
+
+(* The set against a hash table of its members over random adds and
+   clears, with dense runs, gaps, outliers and negative tids. *)
+let prop_tid_set_matches_table =
+  let open QCheck2.Gen in
+  let op =
+    frequency
+      [
+        (6, map (fun n -> `Add n) (int_range 0 300));
+        (2, map (fun n -> `Add (100_000 + n)) (int_range 0 300));
+        (1, map (fun n -> `Add (max_int - n)) (int_range 0 3));
+        (1, map (fun n -> `Add (-n)) (int_range 1 3));
+        (1, map (fun n -> `Run n) (int_range 0 200_000));
+        (1, pure `Clear);
+      ]
+  in
+  Helpers.qcheck ~count:200 "tid set = table of members" (list_size (int_range 1 80) op)
+    (fun ops ->
+      let s = Tid_bits.create () and model = Hashtbl.create 64 in
+      let add n =
+        Tid_bits.add s (forged_tid n);
+        Hashtbl.replace model n ()
+      in
+      List.iter
+        (function
+          | `Add n -> add n
+          | `Run n ->
+              for i = n to n + 99 do
+                add i
+              done
+          | `Clear ->
+              Tid_bits.clear s;
+              Hashtbl.reset model)
+        ops;
+      let agrees n = Hashtbl.mem model n = Tid_bits.mem s (forged_tid n) in
+      Hashtbl.fold (fun n () ok -> ok && agrees n && agrees (n - 1) && agrees (n + 8)) model true
+      && List.for_all agrees [ 0; -1; max_int ])
+
+(* --- Bounded state --- *)
+
+(* What a finished transaction leaves in a [Database]: its bit in the
+   finished-tid set.  [n] begin → deposit → abort cycles keep the
+   committed log empty, so only the transaction tables can grow between
+   10³ and 10⁴ cycles; the pin allows the finished set's bit per tid
+   (9,000 bits ≤ 2,000 words, with room for the window's doubling).
+   Now each database grows 240 words; a status-table entry per finished
+   tid grew one account's database 43,680 words, and each shard's
+   21,840. *)
+let bounded_state_pin what words =
+  let small = words 1_000 and large = words 10_000 in
+  List.iter2
+    (fun s l ->
+      Helpers.check_bool
+        (Fmt.str "%s: %d → %d reachable words (at most +2000)" what s l)
+        true
+        (l - s <= 2_000))
+    small large
+
+let test_database_bounded_state () =
+  bounded_state_pin "one account" (fun n ->
+      let db = Database.create [ make_ba Recovery.UIP ] in
+      for _ = 1 to n do
+        let a = Database.begin_txn db in
+        ignore (Database.invoke db a ~obj:"BA" (deposit_inv 1));
+        Database.abort db a
+      done;
+      [ Obj.reachable_words (Obj.repr db) ])
+
+(* The same through the shard databases of a 4-shard engine, every
+   transaction touching two shards, so each shard's database adopts the
+   global tids it sees. *)
+let test_shard_databases_bounded_state () =
+  let module SD = Tm_engine.Sharded_database in
+  let module Shard = Tm_engine.Shard in
+  let shards = 4 in
+  let names = List.init 64 (fun i -> Fmt.str "BA%d" i) in
+  bounded_state_pin "shard database" (fun n ->
+      let sd =
+        SD.create
+          ~wals:(Array.init shards (fun _ -> Tm_engine.Wal.create ()))
+          (List.map
+             (fun name ->
+               Atomic_object.create ~spec:(Spec.rename BA.spec name) ~conflict:BA.nrbc_conflict
+                 ~recovery:Recovery.UIP ())
+             names)
+      in
+      (* One account on each shard. *)
+      let home = Array.init shards (fun s -> List.find (fun o -> SD.shard_of_object sd o = s) names) in
+      for i = 1 to n do
+        let a = SD.begin_txn sd in
+        ignore (SD.invoke sd a ~obj:home.(i mod shards) (deposit_inv 1));
+        ignore (SD.invoke sd a ~obj:home.((i + 1) mod shards) (deposit_inv 1));
+        SD.abort sd a
+      done;
+      Array.to_list (Array.map (fun sh -> Obj.reachable_words (Obj.repr (Shard.database sh))) (SD.shards sd)))
+
 (* What an object costs: a fresh locking account is its lock table, its
    recovery manager and their closures, with no functor instance of its
    own and no validation tables.  The marginal reachable words over 101
@@ -749,12 +1025,12 @@ let test_fresh_object_footprint () =
 
 (* What an attached object costs: an account in a [Database], after one
    committed deposit, is the fresh account plus its share of the
-   database (status entry, registry series) and the handle it resolved.
-   Handles live in fields that replace the old attachment, so the
-   marginal words must not exceed what they were when every event
+   database (registry series, a finished tid's bit) and the handle it
+   resolved.  Handles live in fields that replace the old attachment, so
+   the marginal words must not exceed what they were when every event
    searched the registry instead (312 then), and the lock table's list
    of holders costs less than the hash table it replaced (309 then, 288
-   now). *)
+   with a status entry per finished tid, 284 now). *)
 let test_attached_object_footprint () =
   let words n =
     let db =
@@ -1379,7 +1655,16 @@ let suite =
     Alcotest.test_case "database deadlock" `Quick test_database_deadlock_and_abort;
     Alcotest.test_case "multi-object commit" `Quick test_database_multi_object_commit;
     Alcotest.test_case "finished txn rejected" `Quick test_finished_txn_rejected;
+    prop_txn_table_matches_model;
+    Alcotest.test_case "tid set window doubles" `Quick test_tid_set_window_doubles;
+    Alcotest.test_case "tid set outliers in the table" `Quick test_tid_set_outliers_in_table;
+    Alcotest.test_case "tid set clear" `Quick test_tid_set_clear;
+    prop_tid_set_matches_table;
     Alcotest.test_case "fresh object footprint" `Quick test_fresh_object_footprint;
+    Alcotest.test_case "database keeps only live transactions" `Quick
+      test_database_bounded_state;
+    Alcotest.test_case "shard databases keep only live transactions" `Quick
+      test_shard_databases_bounded_state;
     Alcotest.test_case "durable validation = plain validation" `Quick
       test_durable_validation_matches;
     prop_engine_histories_dynamic_atomic;
