@@ -397,7 +397,7 @@ let loser_diff invariant ~got ~want =
    change the recovered state.  Build every intermediate backend image
    the protocol can leave behind — the old log followed by each prefix of
    the intent + compacted-image journal; each prefix of the new image
-   spliced over the full journaled file (the memory backend's [write_at]
+   spliced over the full journaled file (the memory backend's [write]
    is atomic, so the torn states of the file backend's write-then-shrink
    are constructed explicitly); the installed image alone — and reload
    each through {!Disk_wal.load}, which must never refuse: every such

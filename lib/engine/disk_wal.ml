@@ -15,6 +15,9 @@ type t = {
   retry : retry;
   shard : int;  (* stamped into every v2 frame this log appends *)
   mutable end_off : int;  (* logical end: bytes of intact, persisted log *)
+  mutable buf : Bytes.t;
+      (* scratch for encoding an append: empty until the first one, then
+         doubled whenever a frame does not fit *)
   mutable bytes_written : int;
   mutable retries : int;
   mutable metrics : Metrics.t option;
@@ -32,30 +35,51 @@ let count t name by =
   | None -> ()
   | Some reg -> Metrics.Counter.incr ~by (Metrics.counter reg name)
 
-(* Run [f] through the retry budget.  A torn write persists a prefix,
-   but every attempt rewrites from the same offset, so the torn bytes
-   are overwritten rather than accumulated. *)
-let with_retry t f =
-  let rec go attempt =
-    match f () with
-    | v -> v
-    | exception Storage.Transient last ->
-        if attempt >= t.retry.max_attempts then
-          raise (Storage_unavailable { attempts = attempt; last })
-        else begin
-          t.retries <- t.retries + 1;
-          count t "tm_storage_retries_total" 1;
-          t.retry.backoff attempt;
-          go (attempt + 1)
-        end
-  in
-  go 1
+(* The retry budget, one step of it per failed attempt and shared by
+   writes and forces: the [attempt]th try failed with [last]; give up
+   once the budget is spent, else count the retry and back off. *)
+let spend_retry t attempt last =
+  if attempt >= t.retry.max_attempts then
+    raise (Storage_unavailable { attempts = attempt; last });
+  t.retries <- t.retries + 1;
+  count t "tm_storage_retries_total" 1;
+  t.retry.backoff attempt
 
+(* Write a slice through the retry budget.  A torn write persists a
+   prefix, but every attempt rewrites from the same offset, so the torn
+   bytes are overwritten rather than accumulated.  First-order, like
+   [force_retrying]: a retried call builds no closure. *)
+let rec write_retrying t ~pos b len attempt =
+  match Storage.write t.storage ~pos b ~off:0 ~len with
+  | () -> ()
+  | exception Storage.Transient last ->
+      spend_retry t attempt last;
+      write_retrying t ~pos b len (attempt + 1)
+
+let rec force_retrying t attempt =
+  match Storage.force t.storage with
+  | () -> ()
+  | exception Storage.Transient last ->
+      spend_retry t attempt last;
+      force_retrying t (attempt + 1)
+
+let write_string t ~pos s =
+  write_retrying t ~pos (Bytes.unsafe_of_string s) (String.length s) 1
+
+let force t = force_retrying t 1
+
+(* Encode [record] into the scratch buffer and write the frame.  The
+   buffer is reused by the next append, which is sound because appends
+   to one log are serialised (see disk_wal.mli) and no backend keeps a
+   written buffer. *)
 let persist t record =
-  let frame = Wal.Codec.encode ~shard:t.shard record in
-  with_retry t (fun () -> Storage.write_at t.storage ~pos:t.end_off frame);
-  t.end_off <- t.end_off + String.length frame;
-  t.bytes_written <- t.bytes_written + String.length frame;
+  let version = Wal.Codec.write_version in
+  let len = Wal.Codec.frame_size ~version ~shard:t.shard record in
+  if len > Bytes.length t.buf then t.buf <- Bytes.create (max len (2 * Bytes.length t.buf));
+  ignore (Wal.Codec.put_frame t.buf 0 ~version ~shard:t.shard record);
+  write_retrying t ~pos:t.end_off t.buf len 1;
+  t.end_off <- t.end_off + len;
+  t.bytes_written <- t.bytes_written + len;
   match t.metrics with
   | None -> ()
   | Some reg ->
@@ -67,13 +91,13 @@ let persist t record =
             t.c_bytes <- Some c;
             c
       in
-      Metrics.Counter.incr ~by:(String.length frame) c
+      Metrics.Counter.incr ~by:len c
 
 (* ------------------------------------------------------------------ *)
 (* Crash-atomic log compaction.
 
    A checkpoint truncation must replace the whole backend image with a
-   shorter one, but {!Storage.write_at} is not atomic: the file backend
+   shorter one, but {!Storage.write} is not atomic: the file backend
    writes the data and only then shrinks the file, and a crash between
    the two leaves intact stale frames beyond the new log — which reload
    would either misclassify as interior corruption or, frame-aligned,
@@ -89,7 +113,7 @@ let persist t record =
       anywhere up to here leaves at worst a torn journal after an
       intact log, and reload rolls the compaction back (it never
       committed).}
-   {- {b install}: write the image at position 0 — [write_at]'s
+   {- {b install}: write the image at position 0 — the write's
       trailing truncation removes the journal in the same call — and
       force.  The journal survives (before its own intent frame byte
       for byte, after it geometrically) until the shrink lands, so a
@@ -110,14 +134,13 @@ let compact t kept =
   in
   (* 1. Journal: intent + full image after the live log, forced.  The
      old log is still intact, so a crash up to here rolls back. *)
-  with_retry t (fun () ->
-      Storage.write_at t.storage ~pos:old_len (intent ^ image));
-  with_retry t (fun () -> Storage.force t.storage);
-  (* 2. Install: the image replaces the log from byte 0; [write_at]'s
+  write_string t ~pos:old_len (intent ^ image);
+  force t;
+  (* 2. Install: the image replaces the log from byte 0; the write's
      trailing truncation erases the journal in the same call.  A crash
      inside this step finds the journal and redoes the install. *)
-  with_retry t (fun () -> Storage.write_at t.storage ~pos:0 image);
-  with_retry t (fun () -> Storage.force t.storage);
+  write_string t ~pos:0 image;
+  force t;
   t.end_off <- String.length image
 
 (* The log as stable storage holds it: the records of its intact
@@ -136,7 +159,7 @@ let install_sink t =
   Wal.set_sink t.wal
     {
       Wal.sink_append = (fun r -> persist t r);
-      sink_force = (fun () -> with_retry t (fun () -> Storage.force t.storage));
+      sink_force = (fun () -> force t);
       sink_attach =
         (fun reg ->
           t.metrics <- Some reg;
@@ -156,6 +179,7 @@ let make ?(retry = default_retry) ?(shard = 0) storage =
       retry;
       shard;
       end_off = 0;
+      buf = Bytes.empty;
       bytes_written = 0;
       retries = 0;
       metrics = None;
@@ -173,8 +197,8 @@ let create ?retry ?shard storage =
      before this log's first commit flush could resurrect the stale
      log on reload. *)
   if Storage.size storage > 0 then begin
-    with_retry t (fun () -> Storage.write_at storage ~pos:0 "");
-    with_retry t (fun () -> Storage.force storage)
+    write_string t ~pos:0 "";
+    force t
   end;
   t
 
@@ -239,21 +263,6 @@ let find_journal bytes =
   in
   scan 0
 
-(* A retry loop for recovery-path writes, before any [t] exists. *)
-let retry_loop retry f =
-  let rec go attempt =
-    match f () with
-    | v -> v
-    | exception Storage.Transient last ->
-        if attempt >= retry.max_attempts then
-          raise (Storage_unavailable { attempts = attempt; last })
-        else begin
-          retry.backoff attempt;
-          go (attempt + 1)
-        end
-  in
-  go 1
-
 let load ?(retry = default_retry) ?shard ?profile storage =
   (* Reads are not retried on content grounds — a short or bit-flipped
      read is silent, and it is the decoder's job to catch it. *)
@@ -269,6 +278,9 @@ let load ?(retry = default_retry) ?shard ?profile storage =
         Profile.note_bytes_scanned p (String.length bytes);
         bytes
   in
+  (* The sink is installed first, and [Wal.restore] does not forward to
+     it, so nothing decoded below is re-persisted. *)
+  let t = make ~retry ?shard storage in
   (* Resolve an interrupted compaction first: a half-installed image
      makes the raw bytes look arbitrarily damaged, so the journal — not
      the plain decode — is the authority on what the log is. *)
@@ -280,8 +292,8 @@ let load ?(retry = default_retry) ?shard ?profile storage =
            inside it converges to the same image).  Charged to the
            storage-scan phase: it is restart I/O, not decoding. *)
         let install () =
-          retry_loop retry (fun () -> Storage.write_at storage ~pos:0 image);
-          retry_loop retry (fun () -> Storage.force storage)
+          write_string t ~pos:0 image;
+          force t
         in
         (match profile with
         | None -> install ()
@@ -293,20 +305,16 @@ let load ?(retry = default_retry) ?shard ?profile storage =
   | Error _ as e -> e
   | Ok bytes -> (
       (* Every decoded record goes straight into the log's replay state;
-         no record list is built.  The sink is installed first, and
-         [Wal.restore] does not forward to it, so nothing is
-         re-persisted. *)
-      let t = make ~retry ?shard storage in
-      (* An intent surviving in the decoded stream means the journal
-         write itself was cut short (a complete journal was resolved
-         above): the compaction never committed, so the log is exactly
-         the records before the intent — roll it back by restoring none
-         of the rest.  The frames after it are still decoded, so a torn
-         tail or interior corruption there gets the same verdict as
-         anywhere else.  [end_off] is the intent's byte offset as the
-         frame fold reports it, which holds for a log that mixes frame
-         versions too (v1 frames persisted by an older binary, v2
-         appends after them). *)
+         no record list is built.  An intent surviving in the decoded
+         stream means the journal write itself was cut short (a complete
+         journal was resolved above): the compaction never committed, so
+         the log is exactly the records before the intent — roll it back
+         by restoring none of the rest.  The frames after it are still
+         decoded, so a torn tail or interior corruption there gets the
+         same verdict as anywhere else.  [end_off] is the intent's byte
+         offset as the frame fold reports it, which holds for a log that
+         mixes frame versions too (v1 frames persisted by an older
+         binary, v2 appends after them). *)
       let intent_at = ref (-1) in
       let restore pos r =
         if !intent_at < 0 then

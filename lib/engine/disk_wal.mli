@@ -24,9 +24,25 @@
 
     Transient storage faults ({!Storage.Transient}) are absorbed by a
     bounded retry loop: a torn append is re-issued at the same offset
-    (overwriting the torn prefix — the backend's {!Storage.write_at}
+    (overwriting the torn prefix — the backend's {!Storage.write}
     contract), with a deterministic backoff hook between attempts.
-    Faults that outlive the budget surface as {!Storage_unavailable}. *)
+    Faults that outlive the budget surface as {!Storage_unavailable}.
+    Every write and force of the log goes through that one loop —
+    appends, forces, compaction, {!create}'s truncation and {!load}'s
+    redo of an interrupted compaction.
+
+    {b What an append costs.}  Each log keeps one scratch buffer.  It is
+    empty until the first append (so {!create} and {!load} allocate
+    none), and it doubles whenever a frame does not fit.  An append
+    encodes its frame into the buffer in place ({!Wal.Codec.put_frame})
+    and writes that slice ({!Storage.write}); the retry loop is
+    first-order.  So after warm-up an append allocates nothing beyond
+    what the log keeps of the record, and a force allocates nothing.
+    The buffer is why {b appends to one log must be serialised}: two
+    concurrent appends would encode into the same bytes.  They are
+    already — {!Sharded_database} appends to a shard's log only under
+    that shard's mutex, and the log's logical end offset, which each
+    append advances, assumes it too. *)
 
 (** Retry policy for transient faults.  [backoff n] is called after the
     [n]th failed attempt (n = 1, 2, ...) before retrying; the default
@@ -97,5 +113,6 @@ val shard : t -> int
 val bytes_written : t -> int
 
 (** Transient faults absorbed by the retry loop so far (also counted as
-    [tm_storage_retries_total]). *)
+    [tm_storage_retries_total] once metrics are attached; {!load}'s redo
+    of a compaction counts here only). *)
 val retries : t -> int

@@ -2,7 +2,7 @@ open Tm_core
 module Metrics = Tm_obs.Metrics
 module Trace = Tm_obs.Trace
 
-type txn = { mutable touched : int list (* shard ids, first-touch order *) }
+type txn = { mutable touched : int list (* shard ids, newest first; sorted where used *) }
 
 type t = {
   shards : Shard.t array;
@@ -147,7 +147,7 @@ let invoke ?choose t tid ~obj inv =
     locked t (fun () ->
         let txn = txn_of t tid in
         let first = not (List.mem s txn.touched) in
-        if first then txn.touched <- txn.touched @ [ s ];
+        if first then txn.touched <- s :: txn.touched;
         first)
   in
   Shard.with_lock sh (fun () ->

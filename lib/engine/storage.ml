@@ -6,7 +6,7 @@ exception Transient of string
    closes over its own state. *)
 type t = {
   name : string;
-  write_at : pos:int -> string -> unit;
+  write : pos:int -> Bytes.t -> int -> int -> unit;  (* pos, buffer, off, len *)
   force : unit -> unit;
   read_all : unit -> string;
   size : unit -> int;
@@ -16,7 +16,14 @@ type t = {
 }
 
 let name t = t.name
-let write_at t ~pos data = t.write_at ~pos data
+
+let write t ~pos b ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Storage.write";
+  t.write ~pos b off len
+
+let write_at t ~pos data =
+  write t ~pos (Bytes.unsafe_of_string data) ~off:0 ~len:(String.length data)
+
 let force t = t.force ()
 let read_all t = t.read_all ()
 let size t = t.size ()
@@ -40,7 +47,7 @@ let rec blit_into pages src src_off pos n =
   if n > 0 then begin
     let off = pos mod page_size in
     let k = min n (page_size - off) in
-    Bytes.blit_string src src_off pages.(pos / page_size) off k;
+    Bytes.blit src src_off pages.(pos / page_size) off k;
     blit_into pages src (src_off + k) (pos + k) (n - k)
   end
 
@@ -75,17 +82,16 @@ let of_string ?(name = "memory") contents =
       p.(i) <- no_page
     done
   in
-  let write_at ~pos data =
+  let write ~pos b off n =
     check_pos ~who:name ~pos ~size:!len;
-    let n = pos + String.length data in
-    resize n;
+    resize (pos + n);
     (match !seed with
     | None -> ()
     | Some s ->
         seed := None;
-        blit_into !pages s 0 0 pos);
-    blit_into !pages data 0 pos (String.length data);
-    len := n
+        blit_into !pages (Bytes.unsafe_of_string s) 0 0 pos);
+    blit_into !pages b off pos n;
+    len := pos + n
   in
   let read_all () =
     match !seed with
@@ -97,7 +103,7 @@ let of_string ?(name = "memory") contents =
   in
   {
     name;
-    write_at;
+    write;
     force = (fun () -> ());
     read_all;
     size = (fun () -> !len);
@@ -117,23 +123,19 @@ let file path =
     | Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), fn, _) ->
         raise (Transient (Fmt.str "%s: interrupted" fn))
   in
-  let write_all data =
-    let b = Bytes.of_string data in
-    let rec go off =
-      if off < Bytes.length b then
-        go (off + io (fun () -> Unix.write fd b off (Bytes.length b - off)))
-    in
-    go 0
+  (* The slice goes to the kernel as it is, uncopied. *)
+  let rec write_all b off stop =
+    if off < stop then write_all b (off + io (fun () -> Unix.write fd b off (stop - off))) stop
   in
   let file_size () = (Unix.fstat fd).Unix.st_size in
   {
     name = path;
-    write_at =
-      (fun ~pos data ->
+    write =
+      (fun ~pos b off len ->
         check_pos ~who:path ~pos ~size:(file_size ());
         ignore (io (fun () -> Unix.lseek fd pos Unix.SEEK_SET));
-        write_all data;
-        io (fun () -> Unix.ftruncate fd (pos + String.length data)));
+        write_all b off (off + len);
+        io (fun () -> Unix.ftruncate fd (pos + len)));
     force = (fun () -> io (fun () -> Unix.fsync fd));
     read_all =
       (fun () ->
@@ -162,7 +164,7 @@ let slow ?(write_delay = 0.) ?(force_delay = 0.001) inner =
   {
     inner with
     name = inner.name ^ "+slow";
-    write_at = (fun ~pos data -> pause write_delay; inner.write_at ~pos data);
+    write = (fun ~pos b off len -> pause write_delay; inner.write ~pos b off len);
     force = (fun () -> pause force_delay; inner.force ());
   }
 
@@ -173,10 +175,10 @@ let probe ?(on_write = fun ~pos:_ _ -> ()) ?(on_force = fun () -> ()) inner =
   {
     inner with
     name = inner.name ^ "+probe";
-    write_at =
-      (fun ~pos data ->
-        on_write ~pos (String.length data);
-        inner.write_at ~pos data);
+    write =
+      (fun ~pos b off len ->
+        on_write ~pos len;
+        inner.write ~pos b off len);
     force =
       (fun () ->
         on_force ();
@@ -221,21 +223,21 @@ let faulty ~seed cfg inner =
   in
   {
     name = inner.name ^ "+faults";
-    write_at =
-      (fun ~pos data ->
+    write =
+      (fun ~pos b off len ->
         if hit cfg.write_error then begin
           inject "write_error";
           raise (Transient "injected: write error")
         end
-        else if String.length data > 1 && hit cfg.torn_write then begin
+        else if len > 1 && hit cfg.torn_write then begin
           inject "torn_write";
           (* A strict prefix reaches the device before the failure; the
              retry must overwrite it by rewriting at the same position. *)
-          let torn = 1 + Random.State.int rng (String.length data - 1) in
-          inner.write_at ~pos (String.sub data 0 torn);
-          raise (Transient (Fmt.str "injected: torn write (%d/%d bytes)" torn (String.length data)))
+          let torn = 1 + Random.State.int rng (len - 1) in
+          inner.write ~pos b off torn;
+          raise (Transient (Fmt.str "injected: torn write (%d/%d bytes)" torn len))
         end
-        else inner.write_at ~pos data);
+        else inner.write ~pos b off len);
     force =
       (fun () ->
         if hit cfg.force_error then begin

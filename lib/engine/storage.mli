@@ -5,9 +5,15 @@
     that tear writes, rot bits, return short reads and fail transiently;
     this module is the seam where those behaviours enter the system.  A
     backend is a flat byte store with WAL-shaped positional writes:
-    {!write_at} replaces everything from a position onward, which is how
+    {!write} replaces everything from a position onward, which is how
     {!Disk_wal} retries a torn append — rewriting from the last
     known-good offset instead of appending garbage after a torn prefix.
+
+    Each backend implements one write, of a slice of a [Bytes.t], so a
+    caller can encode into a buffer it reuses and write part of it;
+    {!write_at} of a string is a wrapper over it.  No backend keeps the
+    caller's buffer: the buffer is the caller's again when {!write}
+    returns (or raises).
 
     Three backends: {!memory} (tests, sweeps), {!file} (a real
     fsync-able file via [Unix]), and {!faulty}, a wrapper that deals
@@ -24,15 +30,19 @@ type t
 
 val name : t -> string
 
-(** [write_at t ~pos data] — the contents become the old contents up to
-    [pos] followed by [data]; anything previously beyond [pos + length
-    data] is discarded (WAL semantics: writes happen only at or before
-    the logical end, never leaving stale bytes after the tail).  Raises
-    [Invalid_argument] if [pos] exceeds the current size, {!Transient}
-    on a retryable fault. *)
+(** [write t ~pos b ~off ~len] — the contents become the old contents
+    up to [pos] followed by the [len] bytes of [b] from [off]; anything
+    previously beyond [pos + len] is discarded (WAL semantics: writes
+    happen only at or before the logical end, never leaving stale bytes
+    after the tail).  Raises [Invalid_argument] if [pos] exceeds the
+    current size or the slice is not within [b], {!Transient} on a
+    retryable fault. *)
+val write : t -> pos:int -> Bytes.t -> off:int -> len:int -> unit
+
+(** [write_at t ~pos data] is {!write} of all of [data]. *)
 val write_at : t -> pos:int -> string -> unit
 
-(** Barrier: data from every completed {!write_at} is durable when
+(** Barrier: data from every completed {!write} is durable when
     [force] returns.  Raises {!Transient} on a retryable fault. *)
 val force : t -> unit
 
@@ -45,15 +55,16 @@ val size : t -> int
 val close : t -> unit
 
 (** In-memory backend (volatile; for tests and corruption sweeps).  The
-    image is kept in 4 KB pages: a {!write_at} copies only its own data,
+    image is kept in 4 KB pages: a {!write} copies only its own slice,
     and pages past the new end are released. *)
 val memory : ?name:string -> unit -> t
 
 (** In-memory backend pre-seeded with [contents].  [contents] is served
-    uncopied by {!read_all} until the first {!write_at}. *)
+    uncopied by {!read_all} until the first {!write}. *)
 val of_string : ?name:string -> string -> t
 
-(** File backend: [write_at] is pwrite + ftruncate, [force] is fsync.
+(** File backend: [write] is a seek, a write of the slice straight from
+    the caller's buffer (no copy) and an ftruncate; [force] is fsync.
     The file is created if missing.  [EINTR]/[EAGAIN] surface as
     {!Transient}; other I/O errors propagate as [Unix.Unix_error]. *)
 val file : string -> t
@@ -61,7 +72,7 @@ val file : string -> t
 (** {1 Simulated device latency} *)
 
 (** [slow ?write_delay ?force_delay inner] sleeps before delegating each
-    {!write_at} (default 0) and {!force} (default 1ms) — a stand-in for
+    {!write} (default 0) and {!force} (default 1ms) — a stand-in for
     a device whose barrier dominates, so group-commit batching actually
     forms in benchmarks and threaded tests over {!memory}. *)
 val slow : ?write_delay:float -> ?force_delay:float -> t -> t
@@ -69,7 +80,7 @@ val slow : ?write_delay:float -> ?force_delay:float -> t -> t
 (** {1 Observation hooks} *)
 
 (** [probe ?on_write ?on_force inner] — a transparent wrapper that calls
-    [on_write ~pos len] before each {!write_at} and [on_force] before
+    [on_write ~pos len] before each {!write} and [on_force] before
     each {!force}, then delegates.  For tests that assert the {e order}
     of writes and barriers (e.g. that {!Disk_wal.create} forces the
     truncation of a stale log before anything else relies on it). *)
@@ -83,7 +94,7 @@ val probe :
     return damaged data and let recovery find out. *)
 type fault_config = {
   torn_write : float;
-      (** a strict prefix of the data is persisted, then {!Transient} *)
+      (** a strict prefix of the slice is persisted, then {!Transient} *)
   write_error : float;  (** nothing persisted, {!Transient} *)
   force_error : float;  (** barrier fails with {!Transient} *)
   bit_flip : float;  (** {!read_all} returns data with one flipped bit *)

@@ -364,52 +364,58 @@ let note_force t batch =
       Metrics.Counter.incr group_commits;
       Metrics.Histogram.observe_int batches batch
 
+(* The group-commit combiner, entered holding [flush_lock]: wait until
+   [lsn] is flushed, running the barrier when no other thread is.  It
+   returns holding the lock, or raises a failed barrier's exception
+   having released it.  A top-level function of its arguments, so a
+   force builds no closure. *)
+let rec await_flush t s lsn =
+  if t.flushed < lsn then
+    if t.flusher_busy then begin
+      (* Piggyback: a batch is in flight; park on the group-commit
+         condition and re-check when its round completes. *)
+      Condition.wait t.flush_done t.flush_lock;
+      await_flush t s lsn
+    end
+    else begin
+      t.flusher_busy <- true;
+      (* Snapshot under the lock: records with lsn <= target finished
+         their sink append before being numbered, so the barrier below
+         provably covers their bytes. *)
+      let target = t.appended in
+      let commits_target = t.commits_appended in
+      Mutex.unlock t.flush_lock;
+      match s.sink_force () with
+      | exception e ->
+          (* The flusher died.  Hand the round over — a parked waiter
+             wakes, finds the combiner free and retries the flush
+             itself — and surface the failure to this caller (no thread
+             is left blocked on a dead flusher). *)
+          Mutex.lock t.flush_lock;
+          t.flusher_busy <- false;
+          Condition.broadcast t.flush_done;
+          Mutex.unlock t.flush_lock;
+          raise e
+      | () ->
+          Mutex.lock t.flush_lock;
+          t.flusher_busy <- false;
+          if target > t.flushed then begin
+            t.flushed <- target;
+            let batch = commits_target - t.commits_flushed in
+            t.commits_flushed <- max t.commits_flushed commits_target;
+            note_force t batch
+          end;
+          Condition.broadcast t.flush_done;
+          await_flush t s lsn
+    end
+
 let force_upto t lsn =
   match t.sink with
   | None -> ()
   | Some s ->
       Mutex.lock t.flush_lock;
-      let rec await () =
-        if t.flushed >= lsn then Ok ()
-        else if t.flusher_busy then begin
-          (* Piggyback: a batch is in flight; park on the group-commit
-             condition and re-check when its round completes. *)
-          Condition.wait t.flush_done t.flush_lock;
-          await ()
-        end
-        else begin
-          t.flusher_busy <- true;
-          (* Snapshot under the lock: records with lsn <= target finished
-             their sink append before being numbered, so the barrier below
-             provably covers their bytes. *)
-          let target = t.appended in
-          let commits_target = t.commits_appended in
-          Mutex.unlock t.flush_lock;
-          let result = try Ok (s.sink_force ()) with e -> Error e in
-          Mutex.lock t.flush_lock;
-          t.flusher_busy <- false;
-          match result with
-          | Ok () ->
-              if target > t.flushed then begin
-                t.flushed <- target;
-                let batch = commits_target - t.commits_flushed in
-                t.commits_flushed <- max t.commits_flushed commits_target;
-                note_force t batch
-              end;
-              Condition.broadcast t.flush_done;
-              await ()
-          | Error e ->
-              (* The flusher died.  Hand the round over — a parked waiter
-                 wakes, finds the combiner free and retries the flush
-                 itself — and surface the failure to this caller (no
-                 thread is left blocked on a dead flusher). *)
-              Condition.broadcast t.flush_done;
-              Error e
-        end
-      in
-      let result = await () in
-      Mutex.unlock t.flush_lock;
-      (match result with Ok () -> () | Error e -> raise e)
+      await_flush t s lsn;
+      Mutex.unlock t.flush_lock
 
 let force t = force_upto t t.appended
 

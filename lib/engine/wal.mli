@@ -148,7 +148,11 @@ val flushed_lsn : t -> int
     piggybacking as described above.  A no-op for a sink-less log.  Each
     actual barrier bumps [tm_wal_forces_total] and
     [tm_wal_group_commits_total] and records the number of commit
-    records it covered in the [tm_wal_group_commit_batch] histogram. *)
+    records it covered in the [tm_wal_group_commit_batch] histogram.
+    The combiner is a top-level recursive function and a failed barrier
+    travels as its own exception, so a force allocates nothing beyond
+    what the sink's barrier and the metrics do (a {!Disk_wal} log with
+    no metrics attached: nothing). *)
 val force_upto : t -> int -> unit
 
 (** [force t] is [force_upto t (last_lsn t)]. *)
@@ -325,9 +329,13 @@ val fuzzy_checkpoint : next_tid:int -> record list -> checkpoint
     byte offset and (when readable) the frame's version rather than
     silently skipping records.
 
-    {b What the codec allocates.}  {!Codec.encode} sizes a record
-    before writing it, so a frame is one allocation: the returned
-    string, written once with its header, payload, length and CRC;
+    {b What the codec allocates.}  A frame is sized before it is
+    written: {!Codec.frame_size} walks the record without allocating,
+    and {!Codec.put_frame} writes header, payload, length and CRC in
+    place into a caller's buffer, allocating nothing — {!Disk_wal}
+    encodes every append this way into one scratch buffer per log.
+    {!Codec.encode} is that pair over a fresh string of the frame's
+    size, so a frame it returns is one allocation;
     {!Codec.encode_all} writes every frame into one buffer of the total
     size.  The CRC keeps its running value in an [int] and allocates
     nothing.  {!Codec.decode_all} checks each CRC over the source string
@@ -388,6 +396,18 @@ module Codec : sig
       only under v2 frames; encoding them as v1 raises
       [Invalid_argument]. *)
   val encode : ?version:int -> ?shard:int -> record -> string
+
+  (** [frame_size ~version ~shard r] is the number of bytes [r]'s frame
+      occupies.  It raises [Invalid_argument] exactly where {!encode}
+      does, and allocates nothing otherwise. *)
+  val frame_size : version:int -> shard:int -> record -> int
+
+  (** [put_frame b pos ~version ~shard r] writes [r]'s frame into [b] at
+      [pos] — the bytes {!encode} returns — and returns the position
+      after it.  [b] must hold [frame_size ~version ~shard r] bytes from
+      [pos]; check the arguments with {!frame_size} first.  Allocates
+      nothing. *)
+  val put_frame : Bytes.t -> int -> version:int -> shard:int -> record -> int
 
   (** [v2_only_record r] — does [r] require a v2 frame?  True exactly
       for the record kinds introduced after the v1 header was frozen
