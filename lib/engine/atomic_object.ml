@@ -5,10 +5,6 @@ type policy =
   | Locking
   | Optimistic
 
-let pp_policy ppf = function
-  | Locking -> Fmt.string ppf "locking"
-  | Optimistic -> Fmt.string ppf "optimistic"
-
 (* Backward-validation bookkeeping of an optimistic object: committed
    operations in commit order, each transaction's ops and its start point
    in that log. *)
@@ -75,7 +71,6 @@ let create_optimistic ~spec ~conflict =
 let name t = t.name
 let spec t = t.spec
 let policy t = match t.optimistic with None -> Locking | Some _ -> Optimistic
-let recovery_kind t = Recovery.kind t.recovery
 
 let attach_metrics t reg =
   (match t.reg with

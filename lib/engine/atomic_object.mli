@@ -28,8 +28,6 @@ type policy =
   | Locking
   | Optimistic
 
-val pp_policy : Format.formatter -> policy -> unit
-
 type t
 
 type outcome =
@@ -59,7 +57,6 @@ val name : t -> string
 val spec : t -> Spec.t
 
 val policy : t -> policy
-val recovery_kind : t -> Recovery.kind
 
 (** [attach_metrics t reg] wires the object — and its lock table and
     recovery manager — to a metrics registry.  Adds per-operation

@@ -13,6 +13,10 @@ type t = {
   (* Transactions condemned by another thread's deadlock detection; they
      notice at their next wake-up or engine call. *)
   doomed : (Tid.t, unit) Hashtbl.t;
+  (* What each waiter waits on, [Blocked] or [No_response]; emptied by
+     every broadcast, which wakes them all. *)
+  waiting : (Tid.t, Atomic_object.outcome) Hashtbl.t;
+  mutable active : int;  (* [with_txn] calls in progress *)
   (* Counted in the engine-level registry under the metric names the sim
      scheduler uses, so [Experiment] rows read one series regardless of
      driver. *)
@@ -20,6 +24,7 @@ type t = {
   c_retries : Metrics.counter;
   c_gave_up : Metrics.counter;
   c_futile : Metrics.counter;
+  c_stall_victims : Metrics.counter;
 }
 
 type handle = {
@@ -36,21 +41,29 @@ let create db =
     lock = Mutex.create ();
     changed = Condition.create ();
     doomed = Hashtbl.create 8;
+    waiting = Hashtbl.create 8;
+    active = 0;
     c_victims = Metrics.counter reg "tm_deadlock_victims_total";
     c_retries = Metrics.counter reg "tm_txn_retries_total";
     c_gave_up = Metrics.counter reg "tm_txn_gave_up_total";
     c_futile = Metrics.counter reg "tm_futile_wakeups_total";
+    c_stall_victims = Metrics.counter reg "tm_stall_victims_total";
   }
 
 let tid h = h.tid
 
 let locked t f = Mutex.protect t.lock f
 
+(* Must hold the lock. *)
+let wake_all t =
+  Hashtbl.clear t.waiting;
+  Condition.broadcast t.changed
+
 (* Must hold the lock.  Abort the transaction, wake everyone, raise. *)
 let abort_self t tid =
   Hashtbl.remove t.doomed tid;
   Sharded_database.abort t.db tid;
-  Condition.broadcast t.changed;
+  wake_all t;
   raise Aborted
 
 let check_doom t tid = if Hashtbl.mem t.doomed tid then abort_self t tid
@@ -73,9 +86,32 @@ let break_deadlock t tid =
         if Tid.equal victim tid then abort_self t tid
         else begin
           Hashtbl.replace t.doomed victim ();
-          Condition.broadcast t.changed
+          wake_all t
         end
       end
+
+(* Must hold the lock.  Break a stall: every active transaction waits,
+   none is doomed and there is no waits-for cycle, so each blocked
+   waiter's chain ends at a waiter for a response holding a lock the
+   chain needs.  The youngest such holder is doomed and woken like a
+   deadlock victim.  No other waiter is chosen: one blocked on a tid
+   waits for its holder, and a waiter for a response that nobody
+   blocked needs can only be answered by a transaction yet to start. *)
+let break_stall t =
+  if Hashtbl.length t.waiting = t.active && Hashtbl.length t.doomed = 0 then
+    let on_tids _ w acc = match w with Atomic_object.Blocked on -> on @ acc | _ -> acc in
+    let awaited = Hashtbl.fold on_tids t.waiting [] in
+    let youngest tid w v =
+      match w with
+      | Atomic_object.No_response when List.mem tid awaited -> max (Some tid) v
+      | _ -> v
+    in
+    match Hashtbl.fold youngest t.waiting None with
+    | Some victim when Sharded_database.deadlock t.db = None ->
+        Metrics.Counter.incr t.c_stall_victims;
+        Hashtbl.replace t.doomed victim ();
+        wake_all t
+    | _ -> ()
 
 let invoke ?choose h ~obj inv =
   let t = h.sys in
@@ -91,15 +127,15 @@ let invoke ?choose h ~obj inv =
         | Atomic_object.Executed op ->
             (* state changed: a waiter's partial operation may now have a
                response *)
-            Condition.broadcast t.changed;
+            wake_all t;
             op.Op.res
-        | Atomic_object.Blocked _ ->
+        | (Atomic_object.Blocked _ | Atomic_object.No_response) as outcome ->
             if woken then Metrics.Counter.incr t.c_futile;
-            break_deadlock t h.tid;
-            Condition.wait t.changed t.lock;
-            attempt ~woken:true ()
-        | Atomic_object.No_response ->
-            if woken then Metrics.Counter.incr t.c_futile;
+            (match outcome with Atomic_object.Blocked _ -> break_deadlock t h.tid | _ -> ());
+            (* Record what this waits on; that may complete a stall. *)
+            Hashtbl.replace t.waiting h.tid outcome;
+            break_stall t;
+            check_doom t h.tid;
             Condition.wait t.changed t.lock;
             attempt ~woken:true ()
       in
@@ -146,7 +182,7 @@ let with_txn ?(max_attempts = 50) ?(backoff = fun _ -> ()) t f =
           locked t (fun () ->
               (try Sharded_database.abort t.db tid with Invalid_argument _ -> ());
               Hashtbl.remove t.doomed tid;
-              Condition.broadcast t.changed);
+              wake_all t);
           raise e
     in
     let next () =
@@ -170,17 +206,19 @@ let with_txn ?(max_attempts = 50) ?(backoff = fun _ -> ()) t f =
             let staged = Sharded_database.try_commit_nowait t.db tid in
             locked t (fun () ->
                 Hashtbl.remove t.doomed tid;
-                Condition.broadcast t.changed);
+                wake_all t);
             match staged with
             | Ok pending ->
                 Sharded_database.wait_durable t.db pending;
                 Ok result
             | Error _ -> next ()))
   in
-  go 1
+  locked t (fun () -> t.active <- t.active + 1);
+  (* A caller that leaves may leave the rest all waiting. *)
+  let leave () = locked t (fun () -> t.active <- t.active - 1; break_stall t) in
+  Fun.protect ~finally:leave (fun () -> go 1)
 
 let committed_count t = Sharded_database.committed_count t.db
 let deadlock_victim_count t = locked t (fun () -> Metrics.Counter.get t.c_victims)
 let retry_count t = locked t (fun () -> Metrics.Counter.get t.c_retries)
-let gave_up_count t = locked t (fun () -> Metrics.Counter.get t.c_gave_up)
 let futile_wakeup_count t = locked t (fun () -> Metrics.Counter.get t.c_futile)

@@ -9,7 +9,15 @@
     cycles that thread through several shards, are found by one search
     over every shard's waits-for edges ({!Sharded_database.deadlock})
     and broken by aborting the youngest transaction in the cycle.
-    Aborted transactions are retried transparently by {!with_txn}.
+
+    A partial operation with no response waits for a state change, not
+    a tid, so it can stall every transaction without a cycle.  When all
+    of them wait and there is no cycle, the youngest waiter for a
+    response that holds a lock a blocked transaction waits for is
+    aborted as a stall victim ([tm_stall_victims_total]).  A waiter for
+    a response that no blocked transaction needs is left waiting: only
+    a transaction yet to start can answer it.  Aborted transactions are
+    retried transparently by {!with_txn}.
 
     A commit is the engine's staged commit: the apply stage
     ({!Sharded_database.try_commit_nowait} — on several shards the
@@ -97,14 +105,11 @@ val committed_count : t -> int
     ([tm_deadlock_victims_total]). *)
 val deadlock_victim_count : t -> int
 
-(** Transparent {!with_txn} retries: deadlock-victim restarts plus
-    optimistic validation failures ([tm_txn_retries_total]) — each
-    aborted-and-retried transaction counted once. *)
+(** Transparent {!with_txn} retries: deadlock-victim and stall-victim
+    restarts plus optimistic validation failures
+    ([tm_txn_retries_total]) — each aborted-and-retried transaction
+    counted once. *)
 val retry_count : t -> int
-
-(** Transactions that exhausted their attempt budget
-    ([tm_txn_gave_up_total]). *)
-val gave_up_count : t -> int
 
 (** Broadcast wake-ups after which the woken waiter was still blocked
     (or still had no legal response) and re-blocked without progress

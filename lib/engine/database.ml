@@ -182,41 +182,49 @@ let invoke ?choose t tid ~obj inv =
       if tracing t then emit_trace t ~tid (Trace.No_response { obj; inv }));
   outcome
 
-let finish t tid ~committed per_object =
-  let txn = running t tid in
-  List.iter
-    (fun obj ->
-      per_object (find_object t obj) tid;
+(* [touched] is newest first, so [release] and [validate_objs] recurse
+   to the oldest object and act on the way back: oldest first, with no
+   reversed copy. *)
+let rec release t tid ~committed = function
+  | [] -> ()
+  | obj :: older ->
+      release t tid ~committed older;
+      let o = find_object t obj in
+      if committed then Atomic_object.commit o tid else Atomic_object.abort o tid;
       if tracing t then emit_trace t ~tid (Trace.Lock_release { obj });
       if t.record_history then
-        push_event t (if committed then Event.commit ~obj ~tid else Event.abort ~obj ~tid))
-    (List.rev txn.touched);
+        push_event t (if committed then Event.commit ~obj ~tid else Event.abort ~obj ~tid)
+
+let finish t tid ~committed =
+  release t tid ~committed (running t tid).touched;
   Hashtbl.remove t.live tid;
   Tid_bits.add t.finished tid;
   Deadlock.clear t.waits tid
 
 let commit t tid =
-  finish t tid ~committed:true Atomic_object.commit;
+  finish t tid ~committed:true;
   Metrics.Counter.incr t.c_committed;
   emit_trace t ~tid Trace.Commit
 
 let abort t tid =
-  finish t tid ~committed:false Atomic_object.abort;
+  finish t tid ~committed:false;
   Metrics.Counter.incr t.c_aborted;
   emit_trace t ~tid Trace.Abort
 
 (* Only touched objects can fail: a locking object always passes, and an
    optimistic one holds no start point for a transaction that executed
-   nothing there. *)
-let validate t tid =
-  let rec go = function
-    | [] -> Ok ()
-    | obj :: rest -> (
-        match Atomic_object.validate (find_object t obj) tid with
-        | Ok () -> go rest
-        | Error (mine, theirs) -> Error (obj, mine, theirs))
-  in
-  go (List.rev (touched_objs t tid))
+   nothing there.  The first failure, oldest first, is the answer. *)
+let rec validate_objs t tid = function
+  | [] -> Ok ()
+  | obj :: older -> (
+      match validate_objs t tid older with
+      | Error _ as e -> e
+      | Ok () -> (
+          match Atomic_object.validate (find_object t obj) tid with
+          | Ok () -> Ok ()
+          | Error (mine, theirs) -> Error (obj, mine, theirs)))
+
+let validate t tid = validate_objs t tid (touched_objs t tid)
 
 let try_commit t tid =
   let txn = running t tid in
@@ -240,6 +248,3 @@ let waits_for t = Deadlock.edges t.waits
 let history t = History.of_events (List.rev t.events)
 let committed_count t = Metrics.Counter.get t.c_committed
 let aborted_count t = Metrics.Counter.get t.c_aborted
-
-let total_blocks t =
-  List.fold_left (fun acc o -> acc + Atomic_object.block_count o) 0 t.objs_rev

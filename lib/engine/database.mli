@@ -9,7 +9,7 @@
 
     Every database owns a {!Tm_obs.Metrics} registry: transaction counts
     are backed by it ({!committed_count} reads a counter) and every
-    managed object is attached to it at {!create}/{!add_object} time.  A
+    managed object is attached to it at {!create} time.  A
     {!Tm_obs.Trace} recorder can additionally be attached with
     {!set_trace}; without one, tracing costs a single branch per event
     site, and no span kind is built.  Likewise, without
@@ -24,7 +24,6 @@ type t
     high-water mark so post-crash transactions never reuse an id that may
     still appear in the log. *)
 val create : ?record_history:bool -> ?first_tid:int -> Atomic_object.t list -> t
-val add_object : t -> Atomic_object.t -> unit
 
 (** The managed objects in registration order. *)
 val objects : t -> Atomic_object.t list
@@ -128,6 +127,3 @@ val history : t -> History.t
 val committed_count : t -> int
 
 val aborted_count : t -> int
-
-(** Total blocked invocation attempts across objects. *)
-val total_blocks : t -> int

@@ -48,7 +48,9 @@ let checkpoint t =
 (* Only transactions in flight in the log have anything to undo there;
    an Abort for an unlogged transaction would be noise (and inflate
    tm_wal_appends_total{kind="abort"}). *)
-let log_abort_if_begun t tid = if Wal.in_flight t.wal tid then log t tid (Wal.Abort tid)
+let abort t tid =
+  if Wal.in_flight t.wal tid then log t tid (Wal.Abort tid);
+  Database.abort t.db tid
 
 (* The commit-record sequence shared by the one-shot and the 2PC commit:
    append the Commit, read its LSN, apply. *)
@@ -71,8 +73,7 @@ let try_commit_nowait t tid =
      dependent one (the log's prefix property). *)
   match Database.validate t.db tid with
   | Error _ as e ->
-      log_abort_if_begun t tid;
-      Database.abort t.db tid;
+      abort t tid;
       e
   | Ok () -> Ok (log_commit t tid)
 
@@ -87,30 +88,22 @@ let prepare t tid =
      full once the global decision is known.  The caller must force the
      returned LSN before voting yes.  Nothing is applied yet: the
      transaction stays live (locks held, optimistic intentions parked)
-     until {!finish_prepared}. *)
+     until {!commit_prepared} or {!abort}. *)
   match Database.validate t.db tid with
   | Error _ as e ->
-      log_abort_if_begun t tid;
-      Database.abort t.db tid;
+      abort t tid;
       e
   | Ok () ->
       log t tid (Wal.Prepare tid);
       Ok (Wal.last_lsn t.wal)
 
-let finish_prepared t tid ~commit =
-  (* Phase 2: the global decision is in — log the local outcome record
-     and apply it.  The append is {e lazy} durability: if a crash loses
-     it, the shard recovers the transaction as in-doubt (its Prepare
-     survives, forced) and {!Sharded_database.recover} re-resolves it
-     from the surviving decision evidence, appending the same outcome
-     again — this function and recovery are idempotent completions of
-     the same protocol. *)
-  if commit then log_commit t tid
-  else begin
-    log_abort_if_begun t tid;
-    Database.abort t.db tid;
-    Wal.last_lsn t.wal
-  end
+(* Phase 2 needs no force: recovery re-resolves a lost Commit from the
+   forced Prepare and the decision evidence. *)
+let commit_prepared = log_commit
+
+let decide t tid =
+  log t tid (Wal.Decision { tid; commit = true });
+  Wal.last_lsn t.wal
 
 let wait_durable t tid lsn =
   (* Stage 2: park on the flushed-LSN watermark (the group-commit
@@ -131,10 +124,6 @@ let try_commit t tid =
 let flush t =
   Wal.force t.wal;
   emit_system t.db Trace.Wal_force
-
-let abort t tid =
-  log_abort_if_begun t tid;
-  Database.abort t.db tid
 
 let recover ?trace ?profile ~wal ~rebuild () =
   let module Profile = Tm_obs.Recovery_profile in

@@ -70,8 +70,9 @@ val try_commit : t -> Tid.t -> (unit, string * Op.t * Op.t) result
     {!Sharded_database} commits a cross-shard transaction by running
     this split on every participant shard: {!prepare} is the phase-1
     vote (validate + log a [Prepare] record whose LSN the caller must
-    force before answering yes), {!finish_prepared} is the phase-2
-    completion once the coordinator's decision is known.  Between the
+    force before answering yes), {!commit_prepared} or {!abort} the
+    phase-2 completion once the coordinator's decision is known, and
+    {!decide} the coordinator's decision record.  Between the
     two the transaction stays live — locks held, optimistic intentions
     parked — exactly as between {!invoke} and {!try_commit_nowait}. *)
 
@@ -83,14 +84,17 @@ val try_commit : t -> Tid.t -> (unit, string * Op.t * Op.t) result
     object/operation pair returned — a no vote. *)
 val prepare : t -> Tid.t -> (int, string * Op.t * Op.t) result
 
-(** Phase 2: log the local outcome record ([Commit] or [Abort]) and
-    apply it; returns the outcome record's LSN.  The append is not
-    forced here — if a crash loses it, the shard's forced [Prepare]
-    survives and {!Sharded_database.recover} re-resolves the in-doubt
-    transaction from the coordinator's decision evidence, appending the
-    same outcome again (recovery and this function are idempotent
-    completions of the same protocol). *)
-val finish_prepared : t -> Tid.t -> commit:bool -> int
+(** Phase 2 of a commit: log the local [Commit] and apply it; returns its
+    LSN.  Not forced: if a crash loses it, the forced [Prepare] survives
+    and {!Sharded_database.recover} re-resolves the transaction from the
+    decision evidence, an idempotent completion of the same protocol.
+    A prepared transaction that is not to commit is rolled back by
+    {!abort}. *)
+val commit_prepared : t -> Tid.t -> int
+
+(** The coordinator's [Decision { commit = true }]; the caller forces the
+    returned LSN, the global commit point. *)
+val decide : t -> Tid.t -> int
 
 (** [flush t] forces everything appended so far (a deterministic batch
     boundary for {!Tm_sim.Scheduler.run_durable}'s [~group_commit]

@@ -9,11 +9,6 @@ let pp_kind ppf = function
   | UIP -> Fmt.string ppf "update-in-place"
   | DU -> Fmt.string ppf "deferred-update"
 
-let kind_of_string = function
-  | "uip" | "UIP" -> Some UIP
-  | "du" | "DU" -> Some DU
-  | _ -> None
-
 (* Failures on the recovery path (replaying a log into a fresh manager)
    are typed, not [Invalid_argument]: recovery callers — the crash
    harness, the durable database — must be able to report a violation

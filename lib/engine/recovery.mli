@@ -51,7 +51,6 @@ type kind =
   | DU
 
 val pp_kind : Format.formatter -> kind -> unit
-val kind_of_string : string -> kind option
 
 (** [create kind spec] builds a manager with the object in its initial
     state.  [inverse], if given, enables the update-in-place manager's

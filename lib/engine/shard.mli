@@ -5,6 +5,8 @@
     about the others; all cross-shard coordination lives in
     {!Sharded_database}. *)
 
+open Tm_core
+
 type t
 
 (** [create ?record_history ~index ~wal objs] wraps a fresh
@@ -28,6 +30,18 @@ val database : t -> Database.t
 
 val metrics : t -> Tm_obs.Metrics.t
 
-(** [with_lock t f] runs [f] holding the shard's engine mutex.  The
-    durability wait ({!Wal.force_upto}) must happen {e outside} it. *)
-val with_lock : t -> (unit -> 'a) -> 'a
+(** [run m f x y] is [f x y] with [m] held, unlocked if [f] raises:
+    [Mutex.protect] without a closure, for a top-level [f].  The router's
+    global sections use it too. *)
+val run : Mutex.t -> ('a -> 'b -> 'c) -> 'a -> 'b -> 'c
+
+(** [locked t f x] is [run] of [f (db t) x] under the shard's mutex, and
+    [invoke] is {!Durable_database.invoke} under it, adopting the
+    transaction ({!Database.adopt_txn}) when [first]; neither builds a
+    closure.  The durability wait ({!Wal.force_upto}) must happen
+    {e outside} them. *)
+val locked : t -> (Durable_database.t -> 'a -> 'b) -> 'a -> 'b
+
+val invoke :
+  ?choose:(Value.t list -> Value.t) -> t -> first:bool -> Tid.t -> obj:string ->
+  Op.invocation -> Atomic_object.outcome

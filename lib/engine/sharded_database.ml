@@ -2,7 +2,17 @@ open Tm_core
 module Metrics = Tm_obs.Metrics
 module Trace = Tm_obs.Trace
 
-type txn = { mutable touched : int list (* shard ids, newest first; sorted where used *) }
+(* An entry belongs to the thread running its transaction; only the
+   table that holds it is under the global mutex. *)
+type txn = {
+  tid : Tid.t;
+  mutable touched : int list;  (* shard ids, ascending *)
+  mutable mark : int;
+      (* -1 until retired to commit; then a single-shard commit's record
+         LSN, or a cross-shard commit's global trace id *)
+}
+
+let is_cross txn = match txn.touched with _ :: _ :: _ -> true | _ -> false
 
 type t = {
   shards : Shard.t array;
@@ -122,174 +132,186 @@ let tracing t s = Database.tracing (Shard.database t.shards.(s))
 let emit_2pc t s ~tid kind =
   Database.emit_trace (Shard.database t.shards.(s)) ~tid kind
 
-let locked t f = Mutex.protect t.lock f
+(* [locked t f x] is [f t x] under the global mutex; callers pass a
+   top-level [f], so no section builds a closure. *)
+let locked t f x = Shard.run t.lock f t x
 
 let txn_of t tid =
-  match Hashtbl.find_opt t.txns tid with
-  | Some x -> x
-  | None ->
+  match Hashtbl.find t.txns tid with
+  | x -> x
+  | exception Not_found ->
       invalid_arg (Fmt.str "Sharded_database: unknown transaction %a" Tid.pp tid)
 
-let begin_txn t =
-  locked t (fun () ->
-      let tid = Tid.of_int t.next_tid in
-      t.next_tid <- t.next_tid + 1;
-      Hashtbl.replace t.txns tid { touched = [] };
-      tid)
+let new_txn t () =
+  let tid = Tid.of_int t.next_tid in
+  t.next_tid <- t.next_tid + 1;
+  Hashtbl.replace t.txns tid { tid; touched = []; mark = -1 };
+  tid
+
+let begin_txn t = locked t new_txn ()
 
 let note_flushed t s =
-  Metrics.Gauge.set t.g_flushed.(s) (float_of_int (Wal.flushed_lsn (Shard.wal t.shards.(s))))
+  Metrics.Gauge.set_int t.g_flushed.(s) (Wal.flushed_lsn (Shard.wal t.shards.(s)))
+
+(* [l] with [s] inserted in order, or [l] itself if it holds [s]. *)
+let rec insert s = function
+  | x :: _ as l when x >= s -> if x = s then l else s :: l
+  | x :: rest as l ->
+      let rest' = insert s rest in
+      if rest' == rest then l else x :: rest'
+  | [] -> [ s ]
 
 let invoke ?choose t tid ~obj inv =
   let s = shard_of_object t obj in
-  let sh = t.shards.(s) in
-  let first =
-    locked t (fun () ->
-        let txn = txn_of t tid in
-        let first = not (List.mem s txn.touched) in
-        if first then txn.touched <- s :: txn.touched;
-        first)
-  in
-  Shard.with_lock sh (fun () ->
-      if first then Database.adopt_txn (Shard.database sh) tid;
-      Durable_database.invoke ?choose (Shard.db sh) tid ~obj inv)
+  let txn = locked t txn_of tid in
+  let touched = insert s txn.touched in
+  let first = touched != txn.touched in
+  txn.touched <- touched;
+  Shard.invoke ?choose t.shards.(s) ~first tid ~obj inv
+
+(* Take [tid] out of the table. *)
+let retire t tid =
+  let txn = txn_of t tid in
+  Hashtbl.remove t.txns tid;
+  txn
+
+(* A cross-shard commit also takes a trace id and enters the in-flight
+   count, which [close] leaves. *)
+let retire_commit t tid =
+  let txn = retire t tid in
+  if is_cross txn then begin
+    txn.mark <- t.next_gtrace;
+    t.next_gtrace <- t.next_gtrace + 1;
+    t.cross_in_flight <- t.cross_in_flight + 1;
+    Metrics.Gauge.set_int t.g_inflight t.cross_in_flight;
+    Metrics.Counter.incr t.c_cross
+  end;
+  txn
+
+let close t txn =
+  if is_cross txn then begin
+    t.cross_in_flight <- t.cross_in_flight - 1;
+    Metrics.Gauge.set_int t.g_inflight t.cross_in_flight
+  end
+
+let close_committed t txn =
+  close t txn;
+  t.committed <- t.committed + 1
+
+let rec abort_all t tid = function
+  | [] -> ()
+  | s :: rest ->
+      Shard.locked t.shards.(s) Durable_database.abort tid;
+      abort_all t tid rest
 
 (* Cross-shard commit: prepare every participant in ascending shard
    order (forcing each yes vote), write the forced decision on the
    coordinator, then complete everywhere lazily.  [parts] is sorted and
-   has >= 2 elements. *)
+   has >= 2 elements; each phase is a walk over it. *)
+exception Voted_no of int * (string * Op.t * Op.t)
+
+(* Phase 1: each prepare runs under its shard's mutex; the forces come
+   after all appends, so one group-commit flush per shard covers its
+   vote.  Returns the prepare LSNs in shard order. *)
+let rec prepare t tid ~gtid = function
+  | [] -> []
+  | s :: rest -> (
+      match Shard.locked t.shards.(s) Durable_database.prepare tid with
+      | Error e -> raise_notrace (Voted_no (s, e))
+      | Ok lsn ->
+          Metrics.Counter.incr t.c_prepares;
+          if tracing t s then emit_2pc t s ~tid (Trace.Prepare_append { shard = s; gtid });
+          lsn :: prepare t tid ~gtid rest)
+
+(* The shard [no] voted no and already aborted itself.  Roll back the
+   yes-voters before it, newest first (their prepares may even be
+   unforced — an aborted vote needs no durability), and return the
+   shards the vote never reached. *)
+let rec roll_back t tid ~gtid no = function
+  | [] -> []
+  | s :: rest when s = no -> rest
+  | s :: rest ->
+      let unreached = roll_back t tid ~gtid no rest in
+      Shard.locked t.shards.(s) Durable_database.abort tid;
+      if tracing t s then emit_2pc t s ~tid (Trace.Completion { shard = s; gtid; commit = false });
+      unreached
+
+let rec force_votes t tid ~gtid parts lsns =
+  match (parts, lsns) with
+  | s :: parts, lsn :: lsns ->
+      Wal.force_upto (Shard.wal t.shards.(s)) lsn;
+      note_flushed t s;
+      if tracing t s then emit_2pc t s ~tid (Trace.Prepare_force { shard = s; lsn; gtid });
+      force_votes t tid ~gtid parts lsns
+  | _ -> ()
+
+(* Phase 2: complete everywhere.  No force — recovery re-resolves a
+   lost completion from the surviving decision evidence. *)
+let rec complete t tid ~gtid = function
+  | [] -> ()
+  | s :: rest ->
+      ignore (Shard.locked t.shards.(s) Durable_database.commit_prepared tid);
+      if tracing t s then emit_2pc t s ~tid (Trace.Completion { shard = s; gtid; commit = true });
+      complete t tid ~gtid rest
+
 let commit_cross t tid ~gtid parts =
-  (* Phase 1.  Each prepare runs under its shard's mutex; the forces
-     run after all appends so one group-commit flush per shard covers
-     its vote. *)
-  let rec prep prepared = function
-    | [] -> Ok (List.rev prepared)
-    | s :: rest -> (
-        let sh = t.shards.(s) in
-        match Shard.with_lock sh (fun () -> Durable_database.prepare (Shard.db sh) tid) with
-        | Ok lsn ->
-            Metrics.Counter.incr t.c_prepares;
-            if tracing t s then emit_2pc t s ~tid (Trace.Prepare_append { shard = s; gtid });
-            prep ((s, lsn) :: prepared) rest
-        | Error e ->
-            (* The failing shard already aborted itself.  Roll back the
-               yes-voters (their prepares may even be unforced — an
-               aborted vote needs no durability), and plain-abort the
-               shards the vote never reached. *)
-            List.iter
-              (fun (p, _) ->
-                let shp = t.shards.(p) in
-                ignore
-                  (Shard.with_lock shp (fun () ->
-                       Durable_database.finish_prepared (Shard.db shp) tid
-                         ~commit:false));
-                if tracing t p then
-                  emit_2pc t p ~tid (Trace.Completion { shard = p; gtid; commit = false }))
-              prepared;
-            List.iter
-              (fun p ->
-                let shp = t.shards.(p) in
-                Shard.with_lock shp (fun () ->
-                    Durable_database.abort (Shard.db shp) tid))
-              rest;
-            Metrics.Counter.incr t.c_abort_prepare;
-            Error e)
-  in
-  match prep [] parts with
-  | Error _ as e -> e
-  | Ok prepared ->
-      List.iter
-        (fun (s, lsn) ->
-          Wal.force_upto (Shard.wal t.shards.(s)) lsn;
-          note_flushed t s;
-          if tracing t s then emit_2pc t s ~tid (Trace.Prepare_force { shard = s; lsn; gtid }))
-        prepared;
+  match prepare t tid ~gtid parts with
+  | exception Voted_no (no, e) ->
+      abort_all t tid (roll_back t tid ~gtid no parts);
+      Metrics.Counter.incr t.c_abort_prepare;
+      Error e
+  | lsns ->
+      force_votes t tid ~gtid parts lsns;
       (* The decision: one forced append on the coordinator's own log —
          the global commit point.  The coordinator is the lowest
          participant index, so its id is derivable from the
          transaction's footprint at recovery (not that presumed abort
          ever needs to ask it anything). *)
       let coord = List.hd parts in
-      let shc = t.shards.(coord) in
-      let dlsn =
-        Shard.with_lock shc (fun () ->
-            Wal.append (Shard.wal shc) (Wal.Decision { tid; commit = true });
-            if tracing t coord then
-              Database.emit_trace (Shard.database shc) ~tid
-                (Trace.Wal_append { record = "decision" });
-            Wal.last_lsn (Shard.wal shc))
-      in
-      Wal.force_upto (Shard.wal shc) dlsn;
+      let dlsn = Shard.locked t.shards.(coord) Durable_database.decide tid in
+      Wal.force_upto (Shard.wal t.shards.(coord)) dlsn;
       note_flushed t coord;
       if tracing t coord then
         emit_2pc t coord ~tid
           (Trace.Decision_force { shard = coord; lsn = dlsn; gtid; commit = true });
-      (* Phase 2: complete everywhere.  No force — recovery re-resolves
-         a lost completion from the surviving decision evidence. *)
-      List.iter
-        (fun (s, _) ->
-          let sh = t.shards.(s) in
-          ignore
-            (Shard.with_lock sh (fun () ->
-                 Durable_database.finish_prepared (Shard.db sh) tid ~commit:true));
-          if tracing t s then emit_2pc t s ~tid (Trace.Completion { shard = s; gtid; commit = true }))
-        prepared;
+      complete t tid ~gtid parts;
       Ok ()
 
-(* What the durability wait needs: nothing once a cross-shard commit
-   has forced its decision (or for a transaction that executed
-   nothing), else the single shard's commit record. *)
-type pending = Durable | Flush of { shard : int; tid : Tid.t; lsn : int }
+(* A pending commit is its retired transaction: the durability wait
+   needs nothing once a cross-shard commit has forced its decision (or
+   for a transaction that executed nothing), else the single shard's
+   commit record. *)
+type pending = txn
 
 let try_commit_nowait t tid =
-  let parts, cross, gtid =
-    locked t (fun () ->
-        let txn = txn_of t tid in
-        Hashtbl.remove t.txns tid;
-        let parts = List.sort compare txn.touched in
-        let cross = List.length parts > 1 in
-        let gtid = t.next_gtrace in
-        if cross then begin
-          t.next_gtrace <- gtid + 1;
-          t.cross_in_flight <- t.cross_in_flight + 1;
-          Metrics.Gauge.set t.g_inflight (float_of_int t.cross_in_flight);
-          Metrics.Counter.incr t.c_cross
-        end;
-        (parts, cross, gtid))
-  in
+  let txn = locked t retire_commit tid in
   let result =
-    match parts with
-    | [] -> Ok Durable (* executed nothing anywhere: trivially committed *)
+    match txn.touched with
+    | [] -> Ok txn (* executed nothing anywhere: trivially committed *)
     | [ s ] -> (
         (* Single-shard fast path: exactly the unsharded pipeline —
            stage 1 under the shard mutex; the durability park
            ({!wait_durable}) comes outside it, so the group-commit
            combiner can batch neighbours. *)
-        let sh = t.shards.(s) in
-        match
-          Shard.with_lock sh (fun () ->
-              Durable_database.try_commit_nowait (Shard.db sh) tid)
-        with
+        match Shard.locked t.shards.(s) Durable_database.try_commit_nowait tid with
         | Error _ as e -> e
-        | Ok lsn -> Ok (Flush { shard = s; tid; lsn }))
+        | Ok lsn ->
+            txn.mark <- lsn;
+            Ok txn)
     | parts -> (
-        match commit_cross t tid ~gtid parts with
+        match commit_cross t tid ~gtid:txn.mark parts with
         | Error _ as e -> e
-        | Ok () -> Ok Durable)
+        | Ok () -> Ok txn)
   in
-  locked t (fun () ->
-      if cross then begin
-        t.cross_in_flight <- t.cross_in_flight - 1;
-        Metrics.Gauge.set t.g_inflight (float_of_int t.cross_in_flight)
-      end;
-      if Result.is_ok result then t.committed <- t.committed + 1);
+  locked t (if Result.is_ok result then close_committed else close) txn;
   result
 
-let wait_durable t = function
-  | Durable -> ()
-  | Flush { shard; tid; lsn } ->
-      Durable_database.wait_durable (Shard.db t.shards.(shard)) tid lsn;
-      note_flushed t shard
+let wait_durable t p =
+  match p.touched with
+  | s :: _ when not (is_cross p) ->
+      Durable_database.wait_durable (Shard.db t.shards.(s)) p.tid p.mark;
+      note_flushed t s
+  | _ -> () (* touched nothing, or a cross-shard commit forced its decision *)
 
 let try_commit t tid =
   match try_commit_nowait t tid with
@@ -298,40 +320,28 @@ let try_commit t tid =
       wait_durable t pending;
       Ok ()
 
+let add_waits db g =
+  List.iter
+    (fun (tid, on) -> Deadlock.set_waiting g tid ~on:(on @ Deadlock.waiting g tid))
+    (Database.waits_for (Durable_database.database db))
+
 (* Dynamic atomicity is local (Theorem 2): each shard's lock tables
    and history stand alone.  A waits-for cycle is not local — it may
    thread through several shards — so the search runs over the union of
    every shard's edges. *)
 let deadlock t =
   let g = Deadlock.create () in
-  Array.iter
-    (fun sh ->
-      Shard.with_lock sh (fun () ->
-          List.iter
-            (fun (tid, on) ->
-              Deadlock.set_waiting g tid ~on:(on @ Deadlock.waiting g tid))
-            (Database.waits_for (Shard.database sh))))
-    t.shards;
+  Array.iter (fun sh -> Shard.locked sh add_waits g) t.shards;
   Deadlock.find_cycle g
 
-let abort t tid =
-  let parts = locked t (fun () ->
-      let txn = txn_of t tid in
-      Hashtbl.remove t.txns tid;
-      List.sort compare txn.touched)
-  in
-  List.iter
-    (fun s ->
-      let sh = t.shards.(s) in
-      Shard.with_lock sh (fun () -> Durable_database.abort (Shard.db sh) tid))
-    parts
+let abort t tid = abort_all t tid (locked t retire tid).touched
 
 let flush t =
   Array.iter (fun sh -> Durable_database.flush (Shard.db sh)) t.shards;
   Array.iteri (fun s _ -> note_flushed t s) t.shards
 
 let checkpoint t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       if t.cross_in_flight > 0 then false
       else begin
         (* Force every shard first: a participant's unforced completion
@@ -341,14 +351,12 @@ let checkpoint t =
         Array.iter (fun sh -> Wal.force (Shard.wal sh)) t.shards;
         Array.iteri (fun s _ -> note_flushed t s) t.shards;
         Array.iter
-          (fun sh ->
-            Shard.with_lock sh (fun () ->
-                Durable_database.checkpoint (Shard.db sh)))
+          (fun sh -> Shard.locked sh (fun db () -> Durable_database.checkpoint db) ())
           t.shards;
         true
       end)
 
-let committed_count t = locked t (fun () -> t.committed)
+let committed_count t = Mutex.protect t.lock (fun () -> t.committed)
 
 let metrics t =
   let out = Metrics.create () in

@@ -10,6 +10,8 @@
     existing fast path — {!Durable_database.try_commit_nowait} under
     that shard's mutex, the durability wait outside it — with {e zero}
     cross-shard synchronisation beyond a brief global-table touch.
+    Neither that touch nor the shard's locked calls ({!Shard.locked},
+    {!Shard.invoke}) build a closure.
 
     {2 Cross-shard commit: presumed-abort 2PC}
 
@@ -24,16 +26,15 @@
       yes vote: all the transaction's operations on that shard precede
       it in the log, so the shard can install the transaction after a
       crash once the decision is known.  Any validation failure aborts
-      the transaction everywhere — already-prepared shards via
-      {!Durable_database.finish_prepared}[ ~commit:false], the rest via
-      plain abort — and {e no} decision record is written (presumed
-      abort makes the no-vote free).
+      the transaction everywhere — already-prepared shards and the
+      rest alike via {!Durable_database.abort} — and {e no} decision
+      record is written (presumed abort makes the no-vote free).
     + {b Decide} — the coordinator (the lowest participant shard index)
       appends [Decision { commit = true }] to {e its own} WAL and
       forces it.  That single forced append is the global commit point:
       the transaction is committed iff it survives.
     + {b Complete} — each participant logs its local [Commit] and
-      applies ({!Durable_database.finish_prepared}[ ~commit:true]),
+      applies ({!Durable_database.commit_prepared}),
       {e without} forcing: if a crash loses a completion record, the
       shard recovers the transaction as in-doubt and re-resolves it
       from the surviving decision evidence.
@@ -115,8 +116,10 @@ val invoke :
 (** A commit that is applied but may not be durable yet. *)
 type pending
 
-(** Stage 1.  A single-shard transaction validates, appends its commit
-    record and applies under the shard mutex.  A multi-shard
+(** Stage 1.  Returns only the [pending] commit: the retired
+    transaction's own entry, so the stage allocates no tuple or closure
+    of its own.  A single-shard transaction validates, appends its
+    commit record and applies under the shard mutex.  A multi-shard
     transaction runs the whole 2PC described above, forces included.
     A transaction that executed nothing anywhere commits trivially.  On
     validation failure the transaction is aborted on every shard and

@@ -124,11 +124,6 @@ let resolution_events a =
              })
            a.in_doubt.(shard)))
 
-let pp_resolution_event ppf ev =
-  Fmt.pf ppf "shard %d: %a -> %s (evidence: %s)" ev.ev_shard Tid.pp ev.ev_tid
-    (if ev.ev_commit then "commit" else "abort")
-    (evidence_name ev.ev_evidence)
-
 let event_to_json ev =
   Tm_obs.Json.Obj
     [

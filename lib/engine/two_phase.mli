@@ -94,8 +94,6 @@ val resolution_events : analysis -> resolution_event list
     log with nothing in doubt (in particular: one already resolved by a
     previous recovery) yields [[]], so re-analysis is idempotent. *)
 
-val pp_resolution_event : Format.formatter -> resolution_event -> unit
-
 val event_to_json : resolution_event -> Tm_obs.Json.t
 
 val events_to_jsonl : resolution_event list -> string

@@ -42,11 +42,15 @@ let all =
       "Operation invocations by outcome: `executed`, `blocked` or \
        `no_response`.";
     e txn "tm_txn_retries_total" Counter []
-      "Transactions re-submitted after a deadlock abort.";
+      "Transactions re-submitted after a deadlock or stall abort.";
     e txn "tm_txn_gave_up_total" Counter []
       "Transactions abandoned after exhausting their retry budget.";
     e txn "tm_deadlock_victims_total" Counter []
       "Transactions aborted by the deadlock detector.";
+    e txn "tm_stall_victims_total" Counter []
+      "Transactions aborted while waiting for a response and holding a \
+       lock a blocked transaction needed, when every transaction waited \
+       with no waits-for cycle (`Concurrent` only).";
     e txn "tm_futile_wakeups_total" Counter []
       "Blocked transactions woken by a broadcast that still could not \
        run.";

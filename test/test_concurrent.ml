@@ -79,21 +79,40 @@ let test_user_exception_aborts () =
   | Ok v -> Alcotest.check Helpers.value "balance 0" (Value.int 0) v
   | Error (`Gave_up _) -> Alcotest.fail "aborted"
 
-(* Every lock helper releases its mutex when the engine call raises.  The
-   mutexes are private, so each check re-enters the helper from the same
-   thread: [Mutex.lock] raises [Sys_error] on a mutex the caller already
-   holds, so a leaked lock fails the check instead of hanging it. *)
+(* Every locked call releases its mutex when the engine call raises.
+   The mutexes are private, so each check re-enters a locked call from
+   the same thread: [Mutex.lock] raises [Sys_error] on a mutex the
+   caller already holds, so a leaked lock fails the check instead of
+   hanging it. *)
 let test_locks_released_on_raise () =
   let db, sdb = make_db () in
   let sh = (SD.shards sdb).(0) in
-  (match Tm_engine.Shard.with_lock sh (fun () -> raise Exit) with
-  | () -> Alcotest.fail "Shard.with_lock swallowed the exception"
+  let shard_free what =
+    Helpers.check_int (what ^ ": shard lock free") 1 (Tm_engine.Shard.locked sh (fun _ x -> x) 1)
+  in
+  (match Tm_engine.Shard.locked sh (fun _ () -> raise Exit) () with
+  | () -> Alcotest.fail "Shard.locked swallowed the exception"
   | exception Exit -> ());
-  Helpers.check_int "shard lock free after a raise" 1 (Tm_engine.Shard.with_lock sh (fun () -> 1));
+  shard_free "after Shard.locked raised";
+  (match Tm_engine.Shard.invoke sh ~first:true (Tid.of_int 998) ~obj:"nowhere" balance with
+  | _ -> Alcotest.fail "Shard.invoke accepted an unknown object"
+  | exception Invalid_argument _ -> ());
+  shard_free "after Shard.invoke raised";
+  (* An unknown transaction raises under the global mutex. *)
   (match SD.invoke sdb (Tid.of_int 999) ~obj:"BA" balance with
   | _ -> Alcotest.fail "unknown transaction accepted"
   | exception Invalid_argument _ -> ());
-  ignore (SD.begin_txn sdb);
+  (match SD.abort sdb (Tid.of_int 999) with
+  | () -> Alcotest.fail "unknown transaction aborted"
+  | exception Invalid_argument _ -> ());
+  let tid = SD.begin_txn sdb in
+  (* A known transaction at an unknown object raises under the shard
+     mutex, after its entry recorded the touch. *)
+  (match SD.invoke sdb tid ~obj:"nowhere" balance with
+  | _ -> Alcotest.fail "unknown object accepted"
+  | exception Invalid_argument _ -> ());
+  shard_free "after SD.invoke raised";
+  Helpers.check_bool "global lock free after the raises" true (SD.try_commit sdb tid = Ok ());
   (* An unknown object raises inside [Concurrent.invoke]'s monitor; the
      rollback in [with_txn] takes the monitor again before re-raising. *)
   (match Concurrent.with_txn db (fun h -> Concurrent.invoke h ~obj:"nowhere" balance) with
@@ -424,6 +443,111 @@ let test_futile_wakeup_counted () =
   Helpers.check_bool "futile wakeup counted" true
     (Concurrent.futile_wakeup_count db >= 1)
 
+(* The partial-operation stall, on one shard or with the account and
+   the queue on two.  T1 deposits 1 and then dequeues from the empty
+   queue: no response, so it waits, holding its deposit.  T2's withdraw
+   and T3's balance read block behind that deposit, and T2 would
+   enqueue the 7 that T1 waits for.  Every transaction waits and there
+   is no waits-for cycle, so T1, the waiter for a response that holds
+   the lock the others wait for, is the stall victim; it restarts and
+   then dequeues T2's 7.  Without the rule nothing commits: after the
+   deadline the test enqueues a value itself to free the threads, then
+   fails. *)
+let test_partial_operation_stall ~shards () =
+  let module FQ = Tm_adt.Fifo_queue in
+  let ba, q = two_accounts ~shards (* the second name is the queue's *) in
+  let sdb =
+    engine ~shards
+      [
+        account ~initial:10 ba;
+        Atomic_object.create ~spec:(Spec.rename FQ.spec q) ~conflict:FQ.nrbc_conflict
+          ~recovery:Tm_engine.Recovery.UIP ();
+      ]
+  in
+  let db = Concurrent.create sdb in
+  let m = Mutex.create () and deposited = Condition.create () and ready = ref false in
+  let dequeued = ref Value.ok and gave_up = ref [] in
+  let run name f =
+    Thread.create
+      (fun () ->
+        match Concurrent.with_txn db f with
+        | Ok () -> ()
+        | Error (`Gave_up _) ->
+            Mutex.lock m;
+            gave_up := name :: !gave_up;
+            Mutex.unlock m)
+      ()
+  in
+  let t1 =
+    run "T1" (fun h ->
+        ignore (Concurrent.invoke h ~obj:ba (deposit 1));
+        Mutex.lock m;
+        ready := true;
+        Condition.broadcast deposited;
+        Mutex.unlock m;
+        dequeued := Concurrent.invoke h ~obj:q (Op.invocation "deq"))
+  in
+  Mutex.lock m;
+  while not !ready do
+    Condition.wait deposited m
+  done;
+  Mutex.unlock m;
+  let t2 =
+    run "T2" (fun h ->
+        ignore (Concurrent.invoke h ~obj:ba (withdraw 1));
+        ignore (Concurrent.invoke h ~obj:q (Op.invocation ~args:[ Value.int 7 ] "enq")))
+  in
+  let t3 = run "T3" (fun h -> ignore (Concurrent.invoke h ~obj:ba balance)) in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while Concurrent.committed_count db < 3 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  let stalled = Concurrent.committed_count db < 3 in
+  if stalled then
+    ignore
+      (Concurrent.with_txn db (fun h ->
+           Concurrent.invoke h ~obj:q (Op.invocation ~args:[ Value.int 8 ] "enq")));
+  List.iter Thread.join [ t1; t2; t3 ];
+  if stalled then Alcotest.fail "the three transactions stalled past the deadline";
+  Alcotest.check (Alcotest.list Alcotest.string) "none gave up" [] !gave_up;
+  Alcotest.check Helpers.value "T1 dequeued T2's 7" (Value.int 7) !dequeued;
+  Helpers.check_bool "a stall victim was counted" true
+    (Tm_obs.Metrics.counter_value (SD.metrics sdb) "tm_stall_victims_total" >= 1);
+  match Concurrent.with_txn db (fun h -> Concurrent.invoke h ~obj:ba balance) with
+  | Ok v -> Alcotest.check Helpers.value "balance back at 10" (Value.int 10) v
+  | Error (`Gave_up _) -> Alcotest.fail "balance read gave up"
+
+(* A lone consumer waits for a response, not for a tid, and nothing is
+   blocked behind it: no stall.  It must wait for the producer, which
+   starts 50 ms later, rather than be aborted over and over until it
+   gives up. *)
+let test_lone_consumer_waits () =
+  let module FQ = Tm_adt.Fifo_queue in
+  let sdb =
+    engine
+      [
+        Atomic_object.create ~spec:(Spec.rename FQ.spec "Q") ~conflict:FQ.nrbc_conflict
+          ~recovery:Tm_engine.Recovery.UIP ();
+      ]
+  in
+  let db = Concurrent.create sdb in
+  let got = ref (Ok Value.ok) in
+  let consumer =
+    Thread.create
+      (fun () -> got := Concurrent.with_txn db (fun h -> Concurrent.invoke h ~obj:"Q" (Op.invocation "deq")))
+      ()
+  in
+  Thread.delay 0.05;
+  ignore
+    (Concurrent.with_txn db (fun h ->
+         Concurrent.invoke h ~obj:"Q" (Op.invocation ~args:[ Value.int 5 ] "enq")));
+  Thread.join consumer;
+  (match !got with
+  | Ok v -> Alcotest.check Helpers.value "the consumer dequeued 5" (Value.int 5) v
+  | Error (`Gave_up n) -> Alcotest.failf "the consumer gave up after %d attempts" n);
+  Helpers.check_int "no stall victim" 0
+    (Tm_obs.Metrics.counter_value (SD.metrics sdb) "tm_stall_victims_total")
+
 let test_cross_shard_victim_traced () =
   (* Two threads each deposit on an account on a different shard, meet
      at a barrier, then withdraw from the other's account: a waits-for
@@ -512,6 +636,11 @@ let suite =
     Alcotest.test_case "flusher death wakes parked committer" `Slow
       test_flusher_death_wakes_parked_committer;
     Alcotest.test_case "futile wakeups counted" `Slow test_futile_wakeup_counted;
+    Alcotest.test_case "partial-operation stall broken" `Slow
+      (test_partial_operation_stall ~shards:1);
+    Alcotest.test_case "2-shard partial-operation stall broken" `Slow
+      (test_partial_operation_stall ~shards:2);
+    Alcotest.test_case "lone consumer waits for its producer" `Slow test_lone_consumer_waits;
     Alcotest.test_case "default backoff" `Quick test_default_backoff;
     Alcotest.test_case "2-shard parallel mix with deadlocks" `Slow
       (test_parallel_mixed_with_deadlocks ~shards:2);

@@ -1065,6 +1065,99 @@ let test_force_allocates_nothing () =
   Helpers.check_int "forced" lsn (Wal.flushed_lsn wal);
   if w > 1. then Alcotest.failf "a force allocated %.0f words (max 1)" w
 
+(* The sharded front end and [Database] allocate nothing of their own
+   per call beyond a transaction's entries: lock sections, the 2PC
+   phases and the commit walks build no closures and copy no lists.
+   Each engine logs to [Storage.memory] as the transfer_2pc benchmark
+   does, and each figure is the mean of 256 calls after 256 to warm up. *)
+module AO = Tm_engine.Atomic_object
+module SD = Tm_engine.Sharded_database
+
+let account name =
+  AO.create ~spec:(Spec.rename (BA.spec_with_initial 1_000_000) name) ~conflict:BA.nfc_conflict
+    ~recovery:Tm_engine.Recovery.DU ()
+
+let memory_wal () = Disk_wal.wal (Disk_wal.create (Storage.memory ()))
+let deposit_1 = Op.invocation ~args:[ Value.int 1 ] "deposit"
+let withdraw_1 = Op.invocation ~args:[ Value.int 1 ] "withdraw"
+
+(* The mean minor words of [measured] over 256 transactions, each set
+   up by [prepare], after 256 unmeasured ones. *)
+let mean_words ~prepare measured =
+  let total = ref 0. in
+  for i = 1 to 512 do
+    let x = prepare () in
+    let w = minor_words (fun () -> measured x) in
+    if i > 256 then total := !total +. w
+  done;
+  !total /. 256.
+
+let committed = function Ok () -> () | Error _ -> Alcotest.fail "transfer did not commit"
+
+(* A one-shard transfer (begin, two invokes, commit) costs at most 16
+   words more through [Sharded_database] than on the bare
+   [Durable_database] under it: the router's transaction entry, its
+   shard list and its pending commit, 13 words (before: 98). *)
+let test_sharded_transfer_allocation () =
+  let transfer begin_txn invoke commit () =
+    let t = begin_txn () in
+    ignore (invoke t "A" deposit_1);
+    ignore (invoke t "B" withdraw_1);
+    committed (commit t)
+  in
+  let dd = Tm_engine.Durable_database.create ~wal:(memory_wal ()) [ account "A"; account "B" ] in
+  let bare =
+    mean_words ~prepare:ignore
+      (transfer
+         (fun () -> Tm_engine.Durable_database.begin_txn dd)
+         (fun t obj inv -> Tm_engine.Durable_database.invoke dd t ~obj inv)
+         (Tm_engine.Durable_database.try_commit dd))
+  in
+  let sd = SD.create ~wals:[| memory_wal () |] [ account "A"; account "B" ] in
+  let sharded =
+    mean_words ~prepare:ignore
+      (transfer
+         (fun () -> SD.begin_txn sd)
+         (fun t obj inv -> SD.invoke sd t ~obj inv)
+         (SD.try_commit sd))
+  in
+  if sharded > bare +. 16. then
+    Alcotest.failf "a one-shard transfer allocated %.1f words, the bare engine %.1f (max +16)"
+      sharded bare
+
+(* A cross-shard commit on four shards: two prepares, their forces, the
+   decision and two completions, 79 words (before: 232). *)
+let test_cross_shard_commit_allocation () =
+  let shard = Wal.partition_of_object ~workers:4 in
+  let name i = Fmt.str "BA%d" i in
+  let rec other i = if shard (name i) <> shard (name 0) then name i else other (i + 1) in
+  let a = name 0 and b = other 1 in
+  let sd = SD.create ~wals:(Array.init 4 (fun _ -> memory_wal ())) [ account a; account b ] in
+  let prepare () =
+    let t = SD.begin_txn sd in
+    ignore (SD.invoke sd t ~obj:a deposit_1);
+    ignore (SD.invoke sd t ~obj:b withdraw_1);
+    t
+  in
+  let w = mean_words ~prepare (fun t -> committed (SD.try_commit sd t)) in
+  Helpers.check_int "every commit crossed shards" 512
+    (Tm_obs.Metrics.counter_value (SD.metrics sd) "tm_shard_cross_txn_total");
+  if w > 96. then Alcotest.failf "a cross-shard commit allocated %.1f words (max 96)" w
+
+(* [Database.try_commit] of a two-object transaction walks its objects
+   oldest first without a reversed copy or a closure: what remains is
+   the objects' own commits, 10 words (before: 34). *)
+let test_database_commit_allocation () =
+  let db = Tm_engine.Database.create [ account "A"; account "B" ] in
+  let prepare () =
+    let t = Tm_engine.Database.begin_txn db in
+    ignore (Tm_engine.Database.invoke db t ~obj:"A" deposit_1);
+    ignore (Tm_engine.Database.invoke db t ~obj:"B" withdraw_1);
+    t
+  in
+  let w = mean_words ~prepare (fun t -> committed (Tm_engine.Database.try_commit db t)) in
+  if w > 16. then Alcotest.failf "Database.try_commit allocated %.1f words (max 16)" w
+
 (* ------------------------------------------------------------------ *)
 (* The decode cache: a pass over a log builds each repeated operation
    once, stands idle where the log does not repeat, and never changes
@@ -1302,6 +1395,12 @@ let suite =
       test_disk_wal_append_allocates_its_record;
     Alcotest.test_case "a disk log force allocates nothing" `Quick
       test_force_allocates_nothing;
+    Alcotest.test_case "a sharded transfer allocates its shard's work" `Quick
+      test_sharded_transfer_allocation;
+    Alcotest.test_case "a cross-shard commit allocates no closures" `Quick
+      test_cross_shard_commit_allocation;
+    Alcotest.test_case "Database.try_commit allocates only its objects' commits" `Quick
+      test_database_commit_allocation;
     Alcotest.test_case "decoding shares repeated operations" `Quick
       test_decode_shares_repeats;
     prop_roundtrip_under_eviction;
