@@ -1,7 +1,7 @@
 # Convenience targets; `make check` is what CI runs.
 
 .PHONY: all check test bench perfcheck crashtest faulttest \
-  shardtest stresstest report shardreport walsmoke metricsdoc metricsdoc-check golden \
+  shardtest stresstest shardreport walsmoke metricsdoc metricsdoc-check golden \
   walformatdoc walformatdoc-check clean
 
 all:
@@ -52,22 +52,6 @@ stresstest:
 	dune exec bin/stresstest.exe -- --seed 7 --verbose
 	dune exec bin/stresstest.exe -- --shards 4 --seed 7 --verbose
 
-# Trace analytics over a pinned simulate run: dump trace + metrics,
-# then render the text report and the Perfetto (Chrome trace-event)
-# JSON with obsreport.  Fails if obsreport exits non-zero or either
-# artifact comes out empty.
-report:
-	dune build @all
-	dune exec bin/simulate.exe -- bank-hotspot --seed 7 --txns 60 \
-	  --trace _report/trace.jsonl --metrics _report/metrics.prom
-	dune exec bin/obsreport.exe -- --trace _report/trace.jsonl \
-	  --metrics _report/metrics.prom --format text -o _report/report.txt
-	dune exec bin/obsreport.exe -- --trace _report/trace.jsonl \
-	  --format perfetto -o _report/perfetto.json
-	test -s _report/report.txt
-	test -s _report/perfetto.json
-	@echo "report: _report/report.txt and _report/perfetto.json"
-
 # The paper reproduction harness: Section 6's tables, the worked
 # examples, Theorems 9 and 10 and the concurrency sweeps (its output is
 # pinned by `dune runtest`).
@@ -84,39 +68,24 @@ bench:
 perfcheck:
 	bash bench/perfcheck.sh
 
-# Distributed-tracing report: two traced 4-shard stress runs merged into
-# one text report and one Perfetto timeline (per-shard tracks + flow
-# events from each coordinator Decision to its participant Prepares),
-# plus the 2PC in-doubt audit trail.  Crashtest harvests a real in-doubt
-# multi-shard image (cut after the forced Decision, before phase 2),
-# recovery emits the tm-2pc audit artifact, walinspect --two-phase names
-# every unresolved prepare and its evidence, and shardmon renders one
-# dashboard frame from the last monitor snapshot and exports its
-# tm-series rings.
+# Sharded observability smoke: a traced 4-shard stress run writes its
+# trace, metrics and live monitor snapshot; crashtest harvests a real
+# in-doubt multi-shard image (cut after the forced Decision, before
+# phase 2); walinspect --two-phase must name every unresolved prepare
+# and its evidence; shardmon renders one dashboard frame from the
+# monitor snapshot and exports its tm-series rings.
 shardreport:
 	dune build @all
 	dune exec bin/stresstest.exe -- --shards 4 --seed 7 -n 40 \
-	  --trace _report/shard_trace_a.jsonl --metrics _report/shard_metrics.prom \
+	  --trace _report/shard_trace.jsonl --metrics _report/shard_metrics.prom \
 	  --monitor _report/shard_monitor.prom
-	dune exec bin/stresstest.exe -- --shards 4 --seed 8 -n 40 \
-	  --trace _report/shard_trace_b.jsonl
-	dune exec bin/crashtest.exe -- --shards 4 -n 5 \
-	  --keep-log _report/shard_wal.img --audit _report/shard_audit.jsonl
-	dune exec bin/obsreport.exe -- --trace _report/shard_trace_a.jsonl \
-	  --trace _report/shard_trace_b.jsonl --metrics _report/shard_metrics.prom \
-	  --audit _report/shard_audit.jsonl --format text -o _report/shard_report.txt
-	dune exec bin/obsreport.exe -- --trace _report/shard_trace_a.jsonl \
-	  --trace _report/shard_trace_b.jsonl --audit _report/shard_audit.jsonl \
-	  --format perfetto -o _report/shard_perfetto.json
+	dune exec bin/crashtest.exe -- --shards 4 -n 5 --keep-log _report/shard_wal.img
 	dune exec bin/walinspect.exe -- _report/shard_wal.img --two-phase \
 	  | grep -q "evidence"
 	dune exec bin/shardmon.exe -- _report/shard_monitor.prom --once --no-clear \
 	  --snapshot _report/shard_series.jsonl
-	grep -q '"ph":"s"' _report/shard_perfetto.json
-	test -s _report/shard_report.txt
-	test -s _report/shard_audit.jsonl
 	test -s _report/shard_series.jsonl
-	@echo "shardreport: _report/shard_report.txt and _report/shard_perfetto.json"
+	@echo "shardreport: _report/shard_wal.img and _report/shard_series.jsonl"
 
 # WAL forensics smoke: persist a crashtest-driven log image, inspect it
 # (record histogram, checkpoint coverage, corruption diagnosis), then

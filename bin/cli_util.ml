@@ -32,9 +32,9 @@ let read_file file =
       exit 1
 
 (* Shared dump formats for experiment rows: every executable that takes
-   --metrics/--trace writes the same artifacts, so obsreport can consume
-   any of them.  Rows are distinguished by scenario/setup labels (extra
-   Prometheus labels; extra JSONL fields). *)
+   --metrics/--trace writes the same artifacts.  Rows are distinguished
+   by scenario/setup labels (extra Prometheus labels; extra JSONL
+   fields). *)
 
 let prom_of_rows rows =
   let module Metrics = Tm_obs.Metrics in

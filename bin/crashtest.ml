@@ -34,7 +34,6 @@ module Atomic_object = Tm_engine.Atomic_object
 module Sharded_database = Tm_engine.Sharded_database
 module Two_phase = Tm_engine.Two_phase
 module Metrics = Tm_obs.Metrics
-module Artifact = Tm_obs.Artifact
 open Tm_core
 
 (* Workloads stay tiny so most cuts fall under the exponential
@@ -308,8 +307,7 @@ let sharded_committed db =
     (fun o -> (Atomic_object.name o, Atomic_object.committed_ops o))
     (Sharded_database.objects db)
 
-let sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault
-    ~audit_file table =
+let sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault table =
   let rebuild = sharded_rebuild ~shards in
   (* Two workload mixes: mostly-local (the fast path with occasional 2PC)
      and all-cross (every commit is a 2PC). *)
@@ -525,22 +523,12 @@ let sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault
      events"
     shards in_doubt (List.length tp)
     (List.length !audit_events);
-  Option.iter
-    (fun file ->
-      Cli_util.with_out file (fun oc ->
-          output_string oc
-            (Artifact.header_line
-               (Artifact.make ~schema:Artifact.audit_schema ~seed
-                  ~config:[ ("shards", string_of_int shards) ] ()));
-          output_string oc (Two_phase.events_to_jsonl !audit_events));
-      Fmt.pr "wrote 2PC audit trail to %s@." file)
-    audit_file;
   say ~verbose:true "crashtest --shards %d: %a; %d failures" shards pp_totals totals
     !failures;
   !failures
 
 let main filter txns concurrency seed checkpoint_every fault group_commit
-    report_file trace_file metrics_file audit_file keep_log keep_log_version
+    report_file trace_file metrics_file keep_log keep_log_version
     verbose shards =
   if not (Wal.Codec.is_supported keep_log_version) then begin
     Fmt.epr "--keep-log-version %d: supported versions are %a@." keep_log_version
@@ -560,15 +548,10 @@ let main filter txns concurrency seed checkpoint_every fault group_commit
   end;
   let cfg = Scheduler.config ~concurrency ~total_txns:txns ~seed () in
   let record_trace = trace_file <> None in
-  if audit_file <> None && shards = 0 then begin
-    Fmt.epr "--audit requires --shards (the 2PC audit trail is sharded-only)@.";
-    exit 1
-  end;
   let table = table ~fault ~shards ~checkpoint_every in
   let failures =
     if shards > 0 then
-      sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault
-        ~audit_file table
+      sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault table
     else
       matrix_mode ~verbose ~record_trace ~fault table cfg checkpoint_every seed
         group_commit scenarios
@@ -686,17 +669,6 @@ let metrics_arg =
           "Write a merged Prometheus text snapshot of the driving workload \
            runs to $(docv).")
 
-let audit_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "audit" ] ~docv:"FILE"
-        ~doc:
-          "With $(b,--shards): write the in-doubt harvest's 2PC resolution \
-           audit trail (which prepares the crash left in doubt, the evidence \
-           recovery resolved each with, the outcome appended) to $(docv) as \
-           a tm-2pc JSONL artifact, for obsreport --audit.")
-
 let keep_log_arg =
   Arg.(
     value
@@ -741,7 +713,7 @@ let cmd =
     Term.(
       const main $ scenario_arg $ txns_arg $ concurrency_arg $ seed_arg
       $ checkpoint_arg $ fault_arg $ group_commit_arg $ report_arg
-      $ trace_arg $ metrics_arg $ audit_arg $ keep_log_arg $ keep_log_version_arg
+      $ trace_arg $ metrics_arg $ keep_log_arg $ keep_log_version_arg
       $ verbose_arg $ shards_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -29,35 +29,8 @@ let list_scenarios () =
   Fmt.pr "Available scenarios:@.";
   List.iter (fun (s : Experiment.scenario) -> Fmt.pr "  %s@." s.name) (scenarios ())
 
-let with_out = Cli_util.with_out
-
-let prom_of_rows = Cli_util.prom_of_rows
-let jsonl_of_rows = Cli_util.jsonl_of_rows
 let write_metrics = Cli_util.write_metrics_rows
 let write_traces = Cli_util.write_traces_rows
-
-(* --report/--perfetto: run the offline analytics (Tm_obs.Report) in
-   process over the rows just produced — same pipeline obsreport runs on
-   dumped files. *)
-let build_report rows =
-  match
-    Tm_obs.Report.of_sources ~trace_jsonl:(jsonl_of_rows rows)
-      ~metrics_text:(prom_of_rows rows) ()
-  with
-  | Ok rep -> rep
-  | Error e ->
-      Fmt.epr "internal report error: %s@." e;
-      exit 1
-
-let write_report file rows =
-  with_out file (fun oc -> output_string oc (Tm_obs.Report.to_text (build_report rows)));
-  Fmt.pr "wrote analytics report to %s@." file
-
-let write_perfetto file rows =
-  with_out file (fun oc ->
-      output_string oc (Tm_obs.Report.to_perfetto (build_report rows));
-      output_char oc '\n');
-  Fmt.pr "wrote Perfetto (Chrome trace-event) JSON to %s@." file
 
 (* The exact dynamic-atomicity checkers enumerate serialization orders,
    so replaying a full production-sized trace is infeasible; beyond this
@@ -125,7 +98,7 @@ let pp_group_commit_summary n rows =
     rows
 
 let main name list_only recovery choice occ concurrency txns seed rounds group_commit
-    metrics_file trace_file report_file perfetto_file =
+    metrics_file trace_file =
   if list_only then list_scenarios ()
   else
     match find_scenario name with
@@ -136,9 +109,7 @@ let main name list_only recovery choice occ concurrency txns seed rounds group_c
         let cfg =
           Scheduler.config ~concurrency ~total_txns:txns ~seed ~max_rounds:rounds ()
         in
-        let record_trace =
-          trace_file <> None || report_file <> None || perfetto_file <> None
-        in
+        let record_trace = trace_file <> None in
         let setup_of_flags () =
           let recovery =
             match recovery with
@@ -182,8 +153,6 @@ let main name list_only recovery choice occ concurrency txns seed rounds group_c
           | None -> []
         in
         Option.iter (fun f -> write_metrics ~seed ~config f rows) metrics_file;
-        Option.iter (fun f -> write_report f rows) report_file;
-        Option.iter (fun f -> write_perfetto f rows) perfetto_file;
         Option.iter
           (fun f ->
             write_traces ~seed ~config f rows;
@@ -254,24 +223,6 @@ let trace_arg =
           "Record transaction spans, write them to $(docv) as JSON lines, and \
            re-check each trace against the dynamic-atomicity definition.")
 
-let report_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "report" ] ~docv:"FILE"
-        ~doc:
-          "Record transaction spans and write the text analytics report \
-           (timelines, blocking, heat maps) to $(docv).")
-
-let perfetto_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "perfetto" ] ~docv:"FILE"
-        ~doc:
-          "Record transaction spans and write Chrome trace-event JSON \
-           (loadable in Perfetto / chrome://tracing) to $(docv).")
-
 let cmd =
   let doc = "run a transaction-engine scenario and print scheduler statistics" in
   Cmd.v
@@ -279,6 +230,6 @@ let cmd =
     Term.(
       const main $ name_arg $ list_arg $ recovery_arg $ choice_arg $ occ_arg
       $ concurrency_arg $ txns_arg $ seed_arg $ rounds_arg $ group_commit_arg
-      $ metrics_arg $ trace_arg $ report_arg $ perfetto_arg)
+      $ metrics_arg $ trace_arg)
 
 let () = exit (Cmd.eval cmd)

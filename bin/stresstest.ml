@@ -245,10 +245,10 @@ let main threads txns seed force_delay verbose trace_file metrics_file shards
       mean_batch
       (Concurrent.futile_wakeup_count db)
       (Concurrent.retry_count db);
-  (* Dumps use the same artifact formats as simulate, so obsreport can
-     analyse a threaded run too.  Threaded timestamps still interleave
-     deterministically per event (the recorder's clock is atomic under
-     its mutex), though the interleaving itself is scheduling-dependent. *)
+  (* Dumps use the same artifact formats as simulate.  Threaded
+     timestamps still interleave deterministically per event (the
+     recorder's clock is atomic under its mutex), though the
+     interleaving itself is scheduling-dependent. *)
   (match (trace_file, trace) with
   | Some file, Some tr ->
       Cli_util.with_out file (fun oc ->

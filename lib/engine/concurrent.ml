@@ -152,7 +152,11 @@ let default_backoff ?(base = 0.0002) ?(cap = 0.02) () =
     let h = (attempt * 0x9E3779B1) land 0xFFFF in
     Thread.delay (d *. (0.5 +. (0.5 *. float_of_int h /. 65536.)))
 
-let with_txn ?(max_attempts = 50) ?(backoff = fun _ -> ()) t f =
+(* A stall victim that restarted at once would take its lock back
+   before the waiters it was aborted for re-enter the monitor, and be
+   chosen again until it gave up; the default delay lets them go
+   first. *)
+let with_txn ?(max_attempts = 50) ?(backoff = default_backoff ()) t f =
   if max_attempts < 1 then invalid_arg "Concurrent.with_txn: max_attempts < 1";
   (* [attempt] is the number of the attempt about to run (1-based).  A
      retry first counts the metric, then runs the backoff hook OUTSIDE

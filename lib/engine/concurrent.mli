@@ -74,19 +74,6 @@ exception Aborted
 val invoke : ?choose:(Value.t list -> Value.t) -> handle -> obj:string ->
   Op.invocation -> Value.t
 
-(** [with_txn db f] begins a transaction, runs [f], and commits (with
-    optimistic validation where applicable).  On {!Aborted} the
-    transaction is rolled back and [f] retried from scratch, for at most
-    [max_attempts] attempts in total (default 50).  Before each retry the
-    [backoff] hook is called — outside the monitor — with the number of
-    the attempt that just failed (1-based); the default is no delay, since
-    the monitor wakes waiters on every completion.  When the attempt
-    budget is exhausted the transaction {e gives up}: the result is
-    [Error (`Gave_up attempts)] and [tm_txn_gave_up_total] is bumped. *)
-val with_txn :
-  ?max_attempts:int -> ?backoff:(int -> unit) -> t -> (handle -> 'a) ->
-  ('a, [ `Gave_up of int ]) result
-
 (** [default_backoff ?base ?cap ()] builds a backoff hook for
     {!with_txn}: capped exponential (starting at [base] seconds,
     doubling per attempt, clamped to [cap]) with {e deterministic}
@@ -94,6 +81,22 @@ val with_txn :
     in lockstep spread out, yet a run's delays are reproducible.
     Defaults: [base = 0.0002], [cap = 0.02]. *)
 val default_backoff : ?base:float -> ?cap:float -> unit -> int -> unit
+
+(** [with_txn db f] begins a transaction, runs [f], and commits (with
+    optimistic validation where applicable).  On {!Aborted} the
+    transaction is rolled back and [f] retried from scratch, for at most
+    [max_attempts] attempts in total (default 50).  Before each retry the
+    [backoff] hook is called — outside the monitor — with the number of
+    the attempt that just failed (1-based).  The default is
+    [default_backoff ()]: a stall victim must not restart ahead of the
+    waiters it was aborted for, or it retakes their lock before they
+    re-enter the monitor and is chosen again until it gives up.  When
+    the attempt budget is exhausted the transaction {e gives up}: the
+    result is [Error (`Gave_up attempts)] and [tm_txn_gave_up_total] is
+    bumped. *)
+val with_txn :
+  ?max_attempts:int -> ?backoff:(int -> unit) -> t -> (handle -> 'a) ->
+  ('a, [ `Gave_up of int ]) result
 
 (** Run statistics. *)
 

@@ -117,8 +117,7 @@ let objects t =
 
 (* One recorder shared by every shard: a single logical clock totally
    orders all shards' spans, so a participant's prepare always
-   timestamps before the coordinator decision that depended on it —
-   the causal order the Perfetto flow arrows render. *)
+   timestamps before the coordinator decision that depended on it. *)
 let set_trace t tr =
   t.trace <- Some tr;
   Array.iter (fun sh -> Database.set_trace (Shard.database sh) tr) t.shards

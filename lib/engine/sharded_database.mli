@@ -198,9 +198,9 @@ val metrics : t -> Tm_obs.Metrics.t
     [audit] receives the in-doubt resolution events
     ({!Two_phase.resolution_events}: which prepares were in doubt, the
     evidence that resolved each, the outcome appended) before any
-    outcome record is written — the audit trail the CLIs export as a
-    [tm-2pc] artifact.  The same events drive the recovered engine's
-    [tm_2pc_resolved_total{evidence,outcome}] counters. *)
+    outcome record is written — the audit trail [crashtest --shards]
+    checks for decision evidence.  The same events drive the recovered
+    engine's [tm_2pc_resolved_total{evidence,outcome}] counters. *)
 val recover :
   ?audit:(Two_phase.resolution_event list -> unit) ->
   wals:Wal.t array ->

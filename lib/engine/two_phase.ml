@@ -123,16 +123,3 @@ let resolution_events a =
                ev_evidence = evidence_of a tid;
              })
            a.in_doubt.(shard)))
-
-let event_to_json ev =
-  Tm_obs.Json.Obj
-    [
-      ("shard", Tm_obs.Json.Int ev.ev_shard);
-      ("tid", Tm_obs.Json.Int (Tid.to_int ev.ev_tid));
-      ("outcome", Tm_obs.Json.Str (if ev.ev_commit then "commit" else "abort"));
-      ("evidence", Tm_obs.Json.Str (evidence_name ev.ev_evidence));
-    ]
-
-let events_to_jsonl evs =
-  String.concat ""
-    (List.map (fun ev -> Tm_obs.Json.to_string (event_to_json ev) ^ "\n") evs)

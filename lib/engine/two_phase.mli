@@ -64,10 +64,9 @@ val pp_resolution : Format.formatter -> resolution -> unit
 (** {1 Audit trail}
 
     Recovery's in-doubt resolutions, as structured events naming the
-    evidence each rested on — the raw material of the 2PC audit
-    artifact ({!Tm_obs.Artifact.audit_schema}), the Report audit
-    section and the [tm_2pc_resolved_total{evidence,outcome}]
-    metrics. *)
+    evidence each rested on — what {!Sharded_database.recover} hands its
+    [~audit] callback and counts in
+    [tm_2pc_resolved_total{evidence,outcome}]. *)
 
 type evidence =
   | Decision_record  (** the coordinator's [Decision] frame survived *)
@@ -78,8 +77,7 @@ type evidence =
 
 val evidence_name : evidence -> string
 (** ["decision"], ["phase2"] or ["presumed"] — the label values of
-    [tm_2pc_resolved_total] and the [evidence] field of the audit
-    JSONL. *)
+    [tm_2pc_resolved_total]. *)
 
 type resolution_event = {
   ev_shard : int;
@@ -93,10 +91,3 @@ val resolution_events : analysis -> resolution_event list
     order — exactly the records {!Sharded_database.recover} appends.  A
     log with nothing in doubt (in particular: one already resolved by a
     previous recovery) yields [[]], so re-analysis is idempotent. *)
-
-val event_to_json : resolution_event -> Tm_obs.Json.t
-
-val events_to_jsonl : resolution_event list -> string
-(** Newline-terminated JSONL body lines
-    ([{"shard":..,"tid":..,"outcome":..,"evidence":..}]); callers
-    prepend an {!Tm_obs.Artifact.audit_schema} header line. *)

@@ -1,10 +1,10 @@
 (* Self-describing dump headers.  Every artifact the CLIs write — trace
-   JSONL, Prometheus metrics snapshots, 2PC audit trails, time series —
-   starts with a small metadata record: schema name/version, the
-   producing binary, the seed and any config the run used.  Readers
-   skip it after validating that the file is the kind of artifact they
-   expect, so a metrics dump fed to the trace parser fails loudly
-   instead of decoding garbage. *)
+   JSONL, Prometheus metrics snapshots, time series — starts with a
+   small metadata record: schema name/version, the producing binary,
+   the seed and any config the run used.  Readers skip it after
+   validating that the file is the kind of artifact they expect, so a
+   trace fed to the series reader fails loudly instead of decoding
+   garbage. *)
 
 type t = {
   schema : string;  (* "<family>/<version>", e.g. "tm-trace/1" *)
@@ -15,7 +15,6 @@ type t = {
 
 let trace_schema = "tm-trace/1"
 let metrics_schema = "tm-metrics/1"
-let audit_schema = "tm-2pc/1"
 let series_schema = "tm-series/1"
 
 let make ~schema ?binary ?seed ?(config = []) () =
@@ -89,20 +88,6 @@ let prom_magic = "# tm-meta "
 
 let prom_header t = prom_magic ^ Json.to_string (to_json t) ^ "\n"
 
-let of_jsonl s =
-  let line =
-    match String.index_opt s '\n' with
-    | Some i -> String.sub s 0 i
-    | None -> s
-  in
-  let line = String.trim line in
-  if line = "" then Ok None
-  else
-    match Json.parse line with
-    | Error _ -> Ok None  (* not even JSON: the event parser will complain *)
-    | Ok j ->
-        if is_header j then Result.map Option.some (of_json j) else Ok None
-
 let of_prom s =
   let rec first = function
     | [] -> Ok None
@@ -121,11 +106,3 @@ let of_prom s =
         else first rest
   in
   first (String.split_on_char '\n' s)
-
-let pp ppf t =
-  Fmt.pf ppf "%s (by %s%a%a)" t.schema t.binary
-    (fun ppf -> function None -> () | Some s -> Fmt.pf ppf ", seed %d" s)
-    t.seed
-    Fmt.(
-      list ~sep:nop (fun ppf (k, v) -> Fmt.pf ppf ", %s=%s" k v))
-    t.config

@@ -1,13 +1,13 @@
 (** Self-describing artifact headers.
 
     Every dump the CLI executables write — trace JSONL, Prometheus
-    metrics snapshots, 2PC audit trails, time series — carries a
-    one-line metadata header: the schema ("<family>/<version>"), the
-    producing binary, the seed and any run configuration.  Readers
-    validate the family (a metrics dump handed to the trace parser fails
-    loudly) and then skip the line; unknown {e versions} within the right
-    family are skipped without complaint, so old readers survive new
-    writers. *)
+    metrics snapshots, time series — carries a one-line metadata header:
+    the schema ("<family>/<version>"), the producing binary, the seed
+    and any run configuration.  Readers ({!Series.of_jsonl},
+    [shardmon]) validate the family (a trace handed to the series reader
+    fails loudly) and then skip the line; unknown {e versions} within
+    the right family are skipped without complaint, so old readers
+    survive new writers. *)
 
 type t = {
   schema : string;  (** ["<family>/<version>"], e.g. ["tm-trace/1"] *)
@@ -19,10 +19,6 @@ type t = {
 val trace_schema : string  (** ["tm-trace/1"] *)
 
 val metrics_schema : string  (** ["tm-metrics/1"] *)
-
-val audit_schema : string
-(** ["tm-2pc/1"] — the 2PC in-doubt resolution audit trail
-    ({!Tm_engine.Two_phase.resolution_events} rendered as JSONL). *)
 
 val series_schema : string
 (** ["tm-series/1"] — a {!Series} time-series snapshot (one sampled
@@ -62,14 +58,6 @@ val header_line : t -> string
     Prometheus parser skips it even without knowing the convention. *)
 val prom_header : t -> string
 
-(** [of_jsonl s] reads the header from the first line of a JSONL dump:
-    [Ok None] when the dump has no header (headerless artifacts from
-    older writers stay readable), [Error] when a header is present but
-    malformed. *)
-val of_jsonl : string -> (t option, string) result
-
 (** [of_prom s] finds and parses the [# tm-meta] line of a Prometheus
     dump, if any. *)
 val of_prom : string -> (t option, string) result
-
-val pp : Format.formatter -> t -> unit

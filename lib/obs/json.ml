@@ -244,8 +244,6 @@ let to_string j =
   write b j;
   Buffer.contents b
 
-let pp ppf j = Fmt.string ppf (to_string j)
-
 (* ------------------------------------------------------------------ *)
 (* Accessors.                                                          *)
 

@@ -1,11 +1,10 @@
 (** Minimal JSON values: a hand-rolled parser and printer.
 
-    The repo deliberately carries no JSON dependency; the trace exporter
-    ({!Trace.to_jsonl}) hand-prints its lines.  The analytics side
-    ({!Report}, [bin/obsreport.exe]) must read those lines {e back}, and
-    the Chrome trace-event exporter must emit JSON a real viewer
-    (Perfetto) accepts — this module is the small shared substrate for
-    both.
+    The repo deliberately carries no JSON dependency.  The trace
+    exporter ({!Trace.to_jsonl}) escapes its strings with {!escape};
+    the artifact headers ({!Artifact}), the series snapshots
+    ({!Series.of_jsonl}) and the benchmark's result files are printed
+    and read back with this module.
 
     The value model covers exactly what the telemetry formats use:
     null, booleans, integers, floats, strings, arrays and objects.
@@ -34,8 +33,6 @@ val parse_lines : string -> (t list, string) result
 (** Compact (no insignificant whitespace), with full string escaping;
     floats print as [%.17g] trimmed, integers bare. *)
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit
 
 (** [escape s] is the body of a JSON string literal for [s] (no
     surrounding quotes). *)

@@ -62,10 +62,6 @@ let events t =
 
 let length t = t.clock
 
-let of_events es =
-  let clock = List.fold_left (fun c e -> max c (e.ts + 1)) 0 es in
-  { events_rev = List.rev es; clock; lock = Mutex.create () }
-
 let kind_name = function
   | Begin -> "begin"
   | Invoke _ -> "invoke"
@@ -92,32 +88,16 @@ let kind_name = function
   | Completion _ -> "completion"
 
 (* ------------------------------------------------------------------ *)
-(* JSON-lines export (hand-rolled; the repo deliberately has no JSON
-   dependency).                                                        *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* JSON-lines export: hand-printed, strings escaped by [Json.escape]. *)
 
 let rec json_of_value = function
   | Value.Unit -> "null"
   | Value.Bool b -> string_of_bool b
   | Value.Int i -> string_of_int i
-  | Value.Str s -> Fmt.str "\"%s\"" (json_escape s)
+  | Value.Str s -> Fmt.str "\"%s\"" (Json.escape s)
   | Value.List l -> Fmt.str "[%s]" (String.concat "," (List.map json_of_value l))
 
-let json_str s = Fmt.str "\"%s\"" (json_escape s)
+let json_str s = Fmt.str "\"%s\"" (Json.escape s)
 
 let json_obj fields =
   Fmt.str "{%s}"
@@ -201,178 +181,6 @@ let pp_jsonl ?extra ppf t =
 let to_jsonl ?extra t = Fmt.str "%a" (pp_jsonl ?extra) t
 
 (* ------------------------------------------------------------------ *)
-(* JSON-lines import: the exact inverse of the exporter above, so a
-   dumped trace can be re-analyzed offline (bin/obsreport.exe).          *)
-
-exception Bad_event of string
-
-let value_of_json j =
-  let rec go = function
-    | Json.Null -> Value.Unit
-    | Json.Bool b -> Value.Bool b
-    | Json.Int i -> Value.Int i
-    | Json.Str s -> Value.Str s
-    | Json.List l -> Value.List (List.map go l)
-    | Json.Float _ | Json.Obj _ -> raise (Bad_event "non-trace value")
-  in
-  go j
-
-let field name j =
-  match Json.member name j with
-  | Some v -> v
-  | None -> raise (Bad_event (Fmt.str "missing field %S" name))
-
-let str_field name j =
-  match Json.to_str (field name j) with
-  | Some s -> s
-  | None -> raise (Bad_event (Fmt.str "field %S: expected a string" name))
-
-let int_field name j =
-  match Json.to_int (field name j) with
-  | Some i -> i
-  | None -> raise (Bad_event (Fmt.str "field %S: expected an integer" name))
-
-let inv_of_json j =
-  let name = str_field "name" j in
-  let args =
-    match Json.to_list (field "args" j) with
-    | Some l -> List.map value_of_json l
-    | None -> raise (Bad_event "field \"args\": expected an array")
-  in
-  Op.invocation ~args name
-
-let tids_of_json name j =
-  match Json.to_list (field name j) with
-  | Some l ->
-      List.map
-        (fun v ->
-          match Json.to_int v with
-          | Some i -> Tid.of_int i
-          | None -> raise (Bad_event (Fmt.str "field %S: expected integers" name)))
-        l
-  | None -> raise (Bad_event (Fmt.str "field %S: expected an array" name))
-
-let bool_field name j =
-  match field name j with
-  | Json.Bool b -> b
-  | _ -> raise (Bad_event (Fmt.str "field %S: expected a boolean" name))
-
-let op_of_json j =
-  { Op.obj = str_field "obj" j; inv = inv_of_json (field "op" j);
-    res = value_of_json (field "res" j) }
-
-let kind_of_json name j =
-  match name with
-  | "begin" -> Begin
-  | "invoke" -> Invoke { obj = str_field "obj" j; inv = inv_of_json (field "op" j) }
-  | "executed" -> Executed { op = op_of_json j }
-  | "blocked" ->
-      Blocked
-        { obj = str_field "obj" j; inv = inv_of_json (field "op" j);
-          holders = tids_of_json "holders" j }
-  | "no_response" ->
-      No_response { obj = str_field "obj" j; inv = inv_of_json (field "op" j) }
-  | "woken" -> Woken { obj = str_field "obj" j; waited = int_field "waited" j }
-  | "validating" -> Validating
-  | "validated" -> Validated { ok = bool_field "ok" j }
-  | "commit" -> Commit
-  | "abort" -> Abort
-  | "deadlock_victim" -> Deadlock_victim { cycle = tids_of_json "cycle" j }
-  | "lock_release" -> Lock_release { obj = str_field "obj" j }
-  | "wal_append" -> Wal_append { record = str_field "record" j }
-  | "wal_force" -> Wal_force
-  | "wal_flush_wait" -> Wal_flush_wait { upto = int_field "upto" j }
-  | "durable" -> Durable { lsn = int_field "lsn" j }
-  | "checkpoint" -> Checkpoint { ops = int_field "ops" j }
-  | "crash_recover" ->
-      Crash_recover { replayed = int_field "replayed" j; losers = int_field "losers" j }
-  | "recovery_phase" ->
-      Recovery_phase
-        { phase = str_field "phase" j; wall_us = int_field "wall_us" j;
-          items = int_field "items" j }
-  | "prepare_append" ->
-      Prepare_append { shard = int_field "shard" j; gtid = int_field "gtid" j }
-  | "prepare_force" ->
-      Prepare_force
-        { shard = int_field "shard" j; lsn = int_field "lsn" j;
-          gtid = int_field "gtid" j }
-  | "decision_force" ->
-      Decision_force
-        { shard = int_field "shard" j; lsn = int_field "lsn" j;
-          gtid = int_field "gtid" j; commit = bool_field "commit" j }
-  | "completion" ->
-      Completion
-        { shard = int_field "shard" j; gtid = int_field "gtid" j;
-          commit = bool_field "commit" j }
-  | other -> raise (Bad_event (Fmt.str "unknown event kind %S" other))
-
-(* The fields each kind consumes, so whatever else rides on the line
-   (e.g. the scenario/setup labels [to_jsonl ~extra] appended) comes
-   back out as the event's extra fields. *)
-let known_fields = function
-  | "invoke" | "no_response" -> [ "obj"; "op" ]
-  | "executed" -> [ "obj"; "op"; "res" ]
-  | "blocked" -> [ "obj"; "op"; "holders" ]
-  | "woken" -> [ "obj"; "waited" ]
-  | "validated" -> [ "ok" ]
-  | "deadlock_victim" -> [ "cycle" ]
-  | "lock_release" -> [ "obj" ]
-  | "wal_append" -> [ "record" ]
-  | "wal_flush_wait" -> [ "upto" ]
-  | "durable" -> [ "lsn" ]
-  | "checkpoint" -> [ "ops" ]
-  | "crash_recover" -> [ "replayed"; "losers" ]
-  | "recovery_phase" -> [ "phase"; "wall_us"; "items" ]
-  | "prepare_append" -> [ "shard"; "gtid" ]
-  | "prepare_force" -> [ "shard"; "lsn"; "gtid" ]
-  | "decision_force" -> [ "shard"; "lsn"; "gtid"; "commit" ]
-  | "completion" -> [ "shard"; "gtid"; "commit" ]
-  | _ -> []
-
-let event_of_json j =
-  let ts = int_field "ts" j in
-  let tid =
-    match field "tid" j with
-    | Json.Null -> None
-    | Json.Int i -> Some (Tid.of_int i)
-    | _ -> raise (Bad_event "field \"tid\": expected an integer or null")
-  in
-  let name = str_field "event" j in
-  let kind = kind_of_json name j in
-  let consumed = "ts" :: "tid" :: "event" :: known_fields name in
-  let extra =
-    List.filter_map
-      (fun (k, v) ->
-        if List.mem k consumed then None
-        else match v with Json.Str s -> Some (k, s) | _ -> None)
-      (Json.entries j)
-  in
-  ({ ts; tid; kind }, extra)
-
-let parse_jsonl s =
-  match Json.parse_lines s with
-  | Error e -> Error e
-  | Ok docs -> (
-      (* A leading artifact header is validated (wrong-family headers —
-         e.g. a metrics dump — fail here rather than as a bogus event)
-         and then skipped; headerless dumps parse as before. *)
-      let docs =
-        match docs with
-        | first :: rest when Artifact.is_header first -> (
-            match
-              Result.bind (Artifact.of_json first)
-                (Artifact.check_schema ~expect:Artifact.trace_schema)
-            with
-            | Ok _ -> Ok rest
-            | Error e -> Error e)
-        | docs -> Ok docs
-      in
-      match docs with
-      | Error e -> Error e
-      | Ok docs -> (
-          try Ok (List.map event_of_json docs) with Bad_event msg -> Error msg))
-
-(* ------------------------------------------------------------------ *)
 (* Replay: a recorded trace as a paper history.                        *)
 
 (* Only [Executed], [Commit] and [Abort] events carry history content;
@@ -401,15 +209,3 @@ let to_history t =
       | Some tid, Abort -> finish h tid (fun tid obj h -> History.abort_at tid obj h)
       | _ -> h)
     History.empty (events t)
-
-let pp_event ppf e =
-  Fmt.pf ppf "%6d %-4s %-16s" e.ts
-    (match e.tid with Some tid -> Tid.to_string tid | None -> "-")
-    (kind_name e.kind);
-  match e.kind with
-  | Executed { op } -> Fmt.pf ppf " %a" Op.pp op
-  | Blocked { obj; inv; holders } ->
-      Fmt.pf ppf " %s:%a on %a" obj Op.pp_invocation inv
-        Fmt.(list ~sep:(any ",") Tid.pp)
-        holders
-  | _ -> ()

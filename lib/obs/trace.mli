@@ -77,11 +77,6 @@ val events : t -> event list
 val length : t -> int
 val kind_name : kind -> string
 
-(** [of_events es] rebuilds a recorder holding exactly [es] (clock past
-    the largest timestamp) — the bridge from {!parse_jsonl} back to the
-    trace-consuming analyses ({!to_history}, {!Timeline}). *)
-val of_events : event list -> t
-
 (** {1 Exporters} *)
 
 (** One JSON object per line: [{"ts":..,"tid":..,"event":..,...}].
@@ -90,19 +85,6 @@ val of_events : event list -> t
 val pp_jsonl : ?extra:(string * string) list -> Format.formatter -> t -> unit
 
 val to_jsonl : ?extra:(string * string) list -> t -> string
-val event_to_json : ?extra:(string * string) list -> event -> string
-val pp_event : Format.formatter -> event -> unit
-
-(** {1 Importers} *)
-
-(** [parse_jsonl s] parses a {!to_jsonl} dump back into events, each with
-    the extra string fields its line carried (e.g. the [scenario]/[setup]
-    labels the CLI appends when several runs share one file).  The exact
-    inverse of the exporter on every kind.  A leading {!Artifact} header
-    line is validated (it must be a trace-family artifact) and
-    skipped. *)
-val parse_jsonl :
-  string -> ((event * (string * string) list) list, string) result
 
 (** {1 Replay} *)
 

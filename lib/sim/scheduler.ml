@@ -221,8 +221,8 @@ let run_durable ?(checkpoint_every = 0) ?(group_commit = 1) dd workload cfg =
   let commits = ref 0 in
   (* Committers parked on the durability watermark: committed in the log
      but not yet acknowledged.  Mirrored in the trace as a
-     [wal_flush_wait .. durable] span per transaction so timelines show
-     the flush-wait phase group commit introduces. *)
+     [wal_flush_wait .. durable] span per transaction, the flush wait
+     group commit introduces. *)
   let parked : (Tid.t * int) list ref = ref [] in
   let db = DD.database dd in
   let release_parked () =

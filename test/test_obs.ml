@@ -262,30 +262,24 @@ let test_scheduler_row_counters () =
 
 module Artifact = Tm_obs.Artifact
 
-let sample_trace () =
-  let db = make_db () in
-  let tr = Trace.create () in
-  Database.set_trace db tr;
-  let t = Database.begin_txn db in
-  ignore (Database.invoke db t ~obj:"BA" (deposit_inv 5));
-  Database.commit db t;
-  tr
-
 let test_artifact_roundtrip () =
   let meta =
     Artifact.make ~schema:Artifact.trace_schema ~binary:"test.exe" ~seed:42
       ~config:[ ("txns", "7") ] ()
   in
   (* JSONL side *)
-  (match Artifact.of_jsonl (Artifact.header_line meta ^ "{\"ts\":0}\n") with
-  | Ok (Some m) ->
-      Alcotest.(check string) "schema" Artifact.trace_schema m.Artifact.schema;
-      Alcotest.(check string) "binary" "test.exe" m.Artifact.binary;
-      Alcotest.(check (option int)) "seed" (Some 42) m.Artifact.seed;
-      Alcotest.(check (list (pair string string))) "config"
-        [ ("txns", "7") ] m.Artifact.config
-  | Ok None -> Alcotest.fail "header not found"
-  | Error e -> Alcotest.failf "of_jsonl: %s" e);
+  (match Tm_obs.Json.parse (Artifact.header_line meta) with
+  | Ok j -> (
+      Helpers.check_bool "is a header" true (Artifact.is_header j);
+      match Artifact.of_json j with
+      | Ok m ->
+          Alcotest.(check string) "schema" Artifact.trace_schema m.Artifact.schema;
+          Alcotest.(check string) "binary" "test.exe" m.Artifact.binary;
+          Alcotest.(check (option int)) "seed" (Some 42) m.Artifact.seed;
+          Alcotest.(check (list (pair string string))) "config"
+            [ ("txns", "7") ] m.Artifact.config
+      | Error e -> Alcotest.failf "of_json: %s" e)
+  | Error e -> Alcotest.failf "header line: %s" e);
   (* Prometheus side *)
   let prom = Artifact.prom_header meta ^ "# TYPE tm_c counter\ntm_c 1\n" in
   match Artifact.of_prom prom with
@@ -293,45 +287,24 @@ let test_artifact_roundtrip () =
   | Ok None -> Alcotest.fail "prom header not found"
   | Error e -> Alcotest.failf "of_prom: %s" e
 
-let test_trace_parse_skips_and_validates_header () =
-  let tr = sample_trace () in
-  let dump = Trace.to_jsonl tr in
-  let n = Trace.length tr in
-  let meta = Artifact.make ~schema:Artifact.trace_schema ~seed:1 () in
-  (* headered dump parses to the same events as a headerless one *)
-  (match Trace.parse_jsonl (Artifact.header_line meta ^ dump) with
-  | Ok events -> Helpers.check_int "header skipped" n (List.length events)
-  | Error e -> Alcotest.failf "headered parse: %s" e);
-  (* an unknown version within the trace family is tolerated *)
-  (match
-     Trace.parse_jsonl
-       (Artifact.header_line (Artifact.make ~schema:"tm-trace/99" ()) ^ dump)
-   with
-  | Ok events -> Helpers.check_int "newer version tolerated" n (List.length events)
-  | Error e -> Alcotest.failf "versioned parse: %s" e);
-  (* a metrics-family header on a trace dump fails loudly *)
-  match
-    Trace.parse_jsonl
-      (Artifact.header_line (Artifact.make ~schema:Artifact.metrics_schema ()) ^ dump)
-  with
-  | Ok _ -> Alcotest.fail "metrics header accepted by trace parser"
-  | Error e -> Helpers.check_bool "error names the family" true (contains e "tm-metrics")
-
-let test_report_validates_metrics_header () =
+(* The family check shardmon applies to a metrics dump: a newer version
+   within the family passes, another family fails loudly. *)
+let test_metrics_header_family () =
   let reg = Metrics.create () in
   Metrics.Counter.incr (Metrics.counter reg "tm_txn_begins_total");
   let body = Metrics.to_prometheus reg in
-  let good =
-    Artifact.prom_header (Artifact.make ~schema:Artifact.metrics_schema ()) ^ body
+  let family_of schema =
+    match Artifact.of_prom (Artifact.prom_header (Artifact.make ~schema ()) ^ body) with
+    | Ok (Some m) -> Artifact.check_schema ~expect:Artifact.metrics_schema m
+    | Ok None -> Alcotest.fail "prom header not found"
+    | Error e -> Alcotest.failf "of_prom: %s" e
   in
-  (match Tm_obs.Report.of_sources ~metrics_text:good () with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "headered metrics rejected: %s" e);
-  let bad =
-    Artifact.prom_header (Artifact.make ~schema:Artifact.trace_schema ()) ^ body
-  in
-  match Tm_obs.Report.of_sources ~metrics_text:bad () with
-  | Ok _ -> Alcotest.fail "trace header accepted on metrics dump"
+  Helpers.check_bool "metrics header accepted" true
+    (Result.is_ok (family_of Artifact.metrics_schema));
+  Helpers.check_bool "newer metrics version accepted" true
+    (Result.is_ok (family_of "tm-metrics/99"));
+  match family_of Artifact.trace_schema with
+  | Ok _ -> Alcotest.fail "trace header accepted on a metrics dump"
   | Error e -> Helpers.check_bool "error names the family" true (contains e "tm-trace")
 
 (* ------------------------------------------------------------------ *)
@@ -545,10 +518,7 @@ let suite =
     Alcotest.test_case "quantile: all-equal samples" `Quick test_quantile_all_equal;
     Alcotest.test_case "quantile: monotone in q" `Quick test_quantile_monotone_in_q;
     Alcotest.test_case "artifact header round trip" `Quick test_artifact_roundtrip;
-    Alcotest.test_case "trace parser skips/validates header" `Quick
-      test_trace_parse_skips_and_validates_header;
-    Alcotest.test_case "report validates metrics header" `Quick
-      test_report_validates_metrics_header;
+    Alcotest.test_case "metrics header family check" `Quick test_metrics_header_family;
     Alcotest.test_case "catalog covers live registries" `Quick
       test_catalog_covers_live_registries;
     Alcotest.test_case "catalog rejects strays" `Quick test_catalog_rejects_strays;

@@ -402,9 +402,9 @@ let test_inspect_truncate_intent () =
   Alcotest.(check string) "clean" "clean"
     (Wal_inspect.damage_kind s.Wal_inspect.damage)
 
-(* The report side: tm_recovery_* samples in a metrics dump surface as
-   the report's recovery section. *)
-let test_report_recovery_section () =
+(* Profile.export leaves the restart profile in the registry, where
+   walinspect, shardmon and the Prometheus dumps read it. *)
+let test_profile_export_fills_registry () =
   let clock, tick = fake_clock () in
   let p = Profile.create ~clock () in
   Profile.time p Profile.Log_scan (fun () -> tick 0.5);
@@ -413,22 +413,16 @@ let test_report_recovery_section () =
   Profile.finish p;
   let reg = Metrics.create () in
   Profile.export p reg;
-  let metrics_text = Metrics.to_prometheus reg in
-  match Tm_obs.Report.of_sources ~metrics_text () with
-  | Error e -> Alcotest.failf "report: %s" e
-  | Ok rep -> (
-      match rep.Tm_obs.Report.recovery with
-      | None -> Alcotest.fail "recovery section missing"
-      | Some r ->
-          Alcotest.(check (option (float 1e-9))) "wall" (Some 0.5)
-            r.Tm_obs.Report.wall_seconds;
-          Alcotest.(check (float 1e-9)) "log_scan seconds" 0.5
-            (List.assoc "log_scan" r.Tm_obs.Report.phase_seconds);
-          Helpers.check_int "bytes count" 4096
-            (List.assoc "tm_recovery_bytes_scanned_total" r.Tm_obs.Report.counts);
-          Alcotest.(check (list (pair string int))) "per object"
-            [ ("BA", 6) ]
-            r.Tm_obs.Report.per_object)
+  Alcotest.(check (option (float 1e-9))) "wall" (Some 0.5)
+    (Metrics.gauge_value reg "tm_recovery_wall_seconds");
+  Alcotest.(check (option (float 1e-9))) "log_scan seconds" (Some 0.5)
+    (Metrics.gauge_value reg ~labels:[ ("phase", "log_scan") ]
+       "tm_recovery_phase_seconds");
+  Helpers.check_int "bytes count" 4096
+    (Metrics.counter_value reg "tm_recovery_bytes_scanned_total");
+  Helpers.check_int "per object" 6
+    (Metrics.counter_value reg ~labels:[ ("obj", "BA") ]
+       "tm_recovery_object_replayed_ops_total")
 
 (* ------------------------------------------------------------------ *)
 (* 2PC forensics: a hand-built mixed-shard image covering all three
@@ -559,8 +553,8 @@ let suite =
       test_recover_with_profile;
     Alcotest.test_case "inspect a truncation-intent frame" `Quick
       test_inspect_truncate_intent;
-    Alcotest.test_case "report surfaces the recovery section" `Quick
-      test_report_recovery_section;
+    Alcotest.test_case "profile export fills the registry" `Quick
+      test_profile_export_fills_registry;
     Alcotest.test_case "2pc forensics on a mixed-shard image" `Quick
       test_two_phase_forensics;
   ]
