@@ -22,15 +22,16 @@ crashtest:
 	dune exec bin/crashtest.exe
 
 # Storage-fault torture with a fixed seed, generators "bytes" (every
-# byte offset, batch-prefix and acked-durability checked inside
-# group-commit batches), "truncate" and "upgrade" (every byte state of
+# byte offset, batch-prefix and acked-durability checked; the runs
+# force every commit before acknowledging it, so every commit is a
+# barrier), "truncate" and "upgrade" (every byte state of
 # the checkpoint-truncation rewrite from v2 and from v1: must roll back
 # or redo atomically) and "flips" (bit-flip corruption detected or
 # contained), plus a fault-injected storage run that must match the
 # fault-free one (torn writes / transient errors absorbed by the WAL
 # retry loop).
 faulttest:
-	dune exec bin/crashtest.exe -- --fault --seed 11 --group-commit 4
+	dune exec bin/crashtest.exe -- --fault --seed 11
 
 # Cross-shard 2PC torture: drive a 4-shard engine (30% and 100%
 # cross-shard mixes), generators "forced" (every forced-frontier state)

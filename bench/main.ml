@@ -6,14 +6,13 @@
    figures; the worked examples of Sections 3.3 and 5 are re-checked; the
    only-if counterexamples of Theorems 9 and 10 are constructed and
    verified; and the concurrency trade-off of Section 8 is quantified by
-   deterministic scheduler sweeps.  The output is deterministic and
+   deterministic sweeps of the engine on seeded fibers.  The output is deterministic and
    pinned byte for byte by [main.expected] (`dune runtest`).  Engine
    performance is measured by the layered benchmark in [bench/perf]. *)
 
 open Tm_core
 module BA = Tm_adt.Bank_account
 module Experiment = Tm_sim.Experiment
-module Scheduler = Tm_sim.Scheduler
 
 let section title = Fmt.pr "@.=== %s ===@.@." title
 
@@ -169,7 +168,7 @@ let incomparability () =
 (* ------------------------------------------------------------------ *)
 (* C1: the concurrency trade-off quantified.                           *)
 
-let cfg = Scheduler.config ~concurrency:8 ~total_txns:200 ~seed:7 ~max_rounds:100_000 ()
+let cfg = Experiment.config ~concurrency:8 ~total_txns:200 ~seed:7 ()
 
 let run_sweep title scenarios =
   section title;
@@ -184,7 +183,7 @@ let c1a () =
 
 let c1b () =
   run_sweep
-    "C1b — escrow pool, reservation-fraction sweep (UIP wins the ends, DU wins the middle)"
+    "C1b — escrow pool, reservation-fraction sweep (UIP wins the ends; in the middle both lose to serial)"
     (List.map (fun d -> Experiment.inventory_sweep ~decr_pct:d) [ 0; 25; 50; 75; 100 ])
 
 let c1c () =
@@ -206,11 +205,11 @@ let c1e () =
   let scenario = Experiment.bank_hotspot in
   List.iter
     (fun c ->
-      let cfg = Scheduler.config ~concurrency:c ~total_txns:200 ~seed:7 () in
+      let cfg = Experiment.config ~concurrency:c ~total_txns:200 ~seed:7 () in
       let rounds s =
         let row = Experiment.run scenario s cfg in
         assert row.Experiment.consistent;
-        row.Experiment.stats.Scheduler.rounds
+        row.Experiment.stats.rounds
       in
       Fmt.pr "%-12d %10d %10d %10d %10d@." c
         (rounds (Experiment.setup Tm_engine.Recovery.UIP Experiment.Semantic))
@@ -270,7 +269,7 @@ let abl_escrow () =
       let engine_rounds s =
         let row = Experiment.run scenario s cfg in
         assert row.Experiment.consistent;
-        row.Experiment.stats.Scheduler.rounds
+        row.Experiment.stats.rounds
       in
       let escrow = Tm_engine.Escrow.create ~capacity ~initial ~name:"CTR" in
       let stats = Tm_sim.Escrow_runner.run escrow scenario.Experiment.workload cfg in
@@ -279,7 +278,7 @@ let abl_escrow () =
         (engine_rounds (Experiment.setup Tm_engine.Recovery.UIP Experiment.Semantic))
         (engine_rounds (Experiment.setup Tm_engine.Recovery.DU Experiment.Semantic))
         (engine_rounds (Experiment.setup ~occ:true Tm_engine.Recovery.DU Experiment.Semantic))
-        stats.Scheduler.rounds)
+        stats.rounds)
     [ 0; 25; 50; 75; 100 ]
 
 let abl_occ_contention () =
@@ -290,7 +289,7 @@ let abl_occ_contention () =
     "OCC v-aborts";
   List.iter
     (fun c ->
-      let cfg = Scheduler.config ~concurrency:c ~total_txns:200 ~seed:7 () in
+      let cfg = Experiment.config ~concurrency:c ~total_txns:200 ~seed:7 () in
       let scenario = Experiment.bank_sweep ~withdraw_pct:50 in
       let du =
         Experiment.run scenario (Experiment.setup Tm_engine.Recovery.DU Experiment.Semantic) cfg
@@ -301,9 +300,9 @@ let abl_occ_contention () =
           cfg
       in
       assert (du.Experiment.consistent && occ.Experiment.consistent);
-      Fmt.pr "%-12d %12d %12d %14d %14d@." c du.Experiment.stats.Scheduler.rounds
-        occ.Experiment.stats.Scheduler.rounds du.Experiment.stats.Scheduler.blocked
-        occ.Experiment.stats.Scheduler.validation_aborts)
+      Fmt.pr "%-12d %12d %12d %14d %14d@." c du.Experiment.stats.rounds
+        occ.Experiment.stats.rounds du.Experiment.stats.blocked
+        occ.Experiment.stats.validation_aborts)
     [ 2; 4; 8; 16 ]
 
 (* ------------------------------------------------------------------ *)
@@ -413,7 +412,7 @@ let obs_breakdown () =
             (total "tm_object_blocked_total")
             (total "tm_object_no_response_total")
             (total "tm_validation_failures_total")
-            r.deadlock_victims r.retries pp_opt avg pp_opt p99)
+            r.stats.deadlock_victims r.stats.retries pp_opt avg pp_opt p99)
         (Experiment.run_matrix scenario cfg))
     [
       Experiment.bank_hotspot;

@@ -9,8 +9,8 @@
    - default: the scenario x setup matrix, driven through a
      Durable_database with a fuzzy checkpoint every few commits;
      generator: append points;
-   - --fault: the same matrix over in-memory storage with batched
-     durability barriers; generators: byte cuts (batch-prefix and
+   - --fault: the same matrix over in-memory storage, every commit
+     acknowledged once forced; generators: byte cuts (batch-prefix and
      acked-durability checked), checkpoint-truncation and v1->v2 upgrade
      rewrites, bit flips — plus a run over storage dealing seeded torn
      writes and transient errors, which must commit identical state;
@@ -23,7 +23,6 @@
    out of the table cannot pass CI. *)
 
 module Experiment = Tm_sim.Experiment
-module Scheduler = Tm_sim.Scheduler
 module Crash = Tm_engine.Crash
 module Recovery = Tm_engine.Recovery
 module Wal = Tm_engine.Wal
@@ -142,7 +141,7 @@ let pp_totals =
 (* Default and --fault modes: the scenario x setup matrix.             *)
 
 let matrix_mode ~verbose ~record_trace ~fault table cfg checkpoint_every seed
-    group_commit scenarios =
+    scenarios =
   let runs =
     List.concat_map
       (fun (scenario : Experiment.scenario) ->
@@ -155,8 +154,8 @@ let matrix_mode ~verbose ~record_trace ~fault table cfg checkpoint_every seed
               else None
             in
             let row, wal =
-              Experiment.run_durable ~record_trace ?wal ~checkpoint_every ~group_commit
-                scenario setup cfg
+              Experiment.run_durable ~record_trace ?wal ~checkpoint_every scenario setup
+                cfg
             in
             rows := row :: !rows;
             last_log := Some (Wal.records wal);
@@ -173,7 +172,7 @@ let matrix_mode ~verbose ~record_trace ~fault table cfg checkpoint_every seed
          (fun (scenario, setup, recs) ->
            ( combo scenario setup,
              (fun () -> scenario.Experiment.build setup),
-             Crash.of_log ~group_every:group_commit recs ))
+             Crash.of_log recs ))
          runs)
   in
   let failures = ref failures in
@@ -190,8 +189,8 @@ let matrix_mode ~verbose ~record_trace ~fault table cfg checkpoint_every seed
         let faulty = Storage.faulty ~seed Storage.write_faults inner in
         let faulty_dw = Disk_wal.create faulty in
         let frow, fwal =
-          Experiment.run_durable ~wal:(Disk_wal.wal faulty_dw) ~checkpoint_every
-            ~group_commit scenario setup cfg
+          Experiment.run_durable ~wal:(Disk_wal.wal faulty_dw) ~checkpoint_every scenario
+            setup cfg
         in
         let retries =
           Metrics.counter_value frow.Experiment.metrics "tm_storage_retries_total"
@@ -228,7 +227,7 @@ let matrix_mode ~verbose ~record_trace ~fault table cfg checkpoint_every seed
     end
   end;
   say ~verbose:true "crashtest%s: %d scenario x setup combinations; %a%s; %d failures"
-    (if fault then Fmt.str " --fault (group commit %d)" group_commit else "")
+    (if fault then " --fault" else "")
     (List.length runs) pp_totals totals
     (if fault then
        Fmt.str "; %d faults injected, %d retries absorbed" !total_faults !total_retries
@@ -527,8 +526,7 @@ let sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault table =
     !failures;
   !failures
 
-let main filter txns concurrency seed checkpoint_every fault group_commit
-    report_file trace_file metrics_file keep_log keep_log_version
+let main filter txns concurrency seed checkpoint_every fault report_file trace_file metrics_file keep_log keep_log_version
     verbose shards =
   if not (Wal.Codec.is_supported keep_log_version) then begin
     Fmt.epr "--keep-log-version %d: supported versions are %a@." keep_log_version
@@ -546,7 +544,7 @@ let main filter txns concurrency seed checkpoint_every fault group_commit
     Fmt.epr "no scenario matches %S@." (Option.value filter ~default:"");
     exit 1
   end;
-  let cfg = Scheduler.config ~concurrency ~total_txns:txns ~seed () in
+  let cfg = Experiment.config ~concurrency ~total_txns:txns ~seed () in
   let record_trace = trace_file <> None in
   let table = table ~fault ~shards ~checkpoint_every in
   let failures =
@@ -554,7 +552,7 @@ let main filter txns concurrency seed checkpoint_every fault group_commit
       sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault table
     else
       matrix_mode ~verbose ~record_trace ~fault table cfg checkpoint_every seed
-        group_commit scenarios
+        scenarios
   in
   (match report_file with
   | None -> ()
@@ -569,7 +567,6 @@ let main filter txns concurrency seed checkpoint_every fault group_commit
       ("concurrency", string_of_int concurrency);
       ("checkpoint_every", string_of_int checkpoint_every);
       ("fault", string_of_bool fault);
-      ("group_commit", string_of_int group_commit);
     ]
   in
   Option.iter (fun f -> Cli_util.write_traces_rows ~seed ~config f dump_rows) trace_file;
@@ -631,17 +628,6 @@ let fault_arg =
            bit-flip corruption sweep), and a run over storage with seeded \
            torn writes and transient errors that must match the fault-free \
            run.")
-
-let group_commit_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "group-commit" ] ~docv:"N"
-        ~doc:
-          "Batch the durability barrier every $(docv) commits when driving \
-           the scenario workloads; with $(b,--fault), byte cuts land inside \
-           each batch (recovery must admit exactly a prefix of the batch's \
-           commit order, and never lose a commit acknowledged at a flush \
-           frontier).")
 
 let report_arg =
   Arg.(
@@ -712,7 +698,7 @@ let cmd =
     (Cmd.info "crashtest" ~doc)
     Term.(
       const main $ scenario_arg $ txns_arg $ concurrency_arg $ seed_arg
-      $ checkpoint_arg $ fault_arg $ group_commit_arg $ report_arg
+      $ checkpoint_arg $ fault_arg $ report_arg
       $ trace_arg $ metrics_arg $ keep_log_arg $ keep_log_version_arg
       $ verbose_arg $ shards_arg)
 

@@ -10,7 +10,6 @@
    histories — well-formedness is always verified). *)
 
 module Experiment = Tm_sim.Experiment
-module Scheduler = Tm_sim.Scheduler
 module Recovery = Tm_engine.Recovery
 module Atomic_object = Tm_engine.Atomic_object
 module Metrics = Tm_obs.Metrics
@@ -62,43 +61,8 @@ let check_traces ~specs rows =
             (Trace.length tr) verdict)
     rows
 
-(* --group-commit: the same scenario through the staged commit pipeline
-   over a disk-format WAL (in-memory backend, real framing + real
-   barrier accounting), batching durability every N commits.  The
-   summary reads the pipeline's own metrics: actual fsyncs vs commits
-   and the batch-size histogram. *)
-let run_group_commit ?record_trace scenario setups cfg n =
-  List.map
-    (fun s ->
-      let dw = Tm_engine.Disk_wal.create (Tm_engine.Storage.memory ()) in
-      let row, _wal =
-        Experiment.run_durable ?record_trace ~wal:(Tm_engine.Disk_wal.wal dw)
-          ~group_commit:n scenario s cfg
-      in
-      row)
-    setups
-
-let pp_group_commit_summary n rows =
-  Fmt.pr "group commit (batch every %d commits):@." n;
-  List.iter
-    (fun (r : Experiment.row) ->
-      let reg = r.Experiment.metrics in
-      let commits = Metrics.counter_value reg "tm_txn_committed_total" in
-      let forces = Metrics.counter_value reg "tm_wal_forces_total" in
-      let h = Metrics.histogram reg "tm_wal_group_commit_batch" in
-      let batches = Metrics.Histogram.count h in
-      let mean =
-        if batches = 0 then 0. else Metrics.Histogram.sum h /. float_of_int batches
-      in
-      Fmt.pr
-        "  %-24s %-10s commits %5d  fsyncs %5d  forces/commit %.2f  mean batch %.1f@."
-        r.scenario r.setup commits forces
-        (if commits = 0 then 0. else float_of_int forces /. float_of_int commits)
-        mean)
-    rows
-
-let main name list_only recovery choice occ concurrency txns seed rounds group_commit
-    metrics_file trace_file =
+let main name list_only recovery choice occ concurrency txns seed metrics_file
+    trace_file =
   if list_only then list_scenarios ()
   else
     match find_scenario name with
@@ -106,9 +70,7 @@ let main name list_only recovery choice occ concurrency txns seed rounds group_c
         Fmt.epr "unknown scenario %S (try --list)@." name;
         exit 1
     | Some scenario ->
-        let cfg =
-          Scheduler.config ~concurrency ~total_txns:txns ~seed ~max_rounds:rounds ()
-        in
+        let cfg = Experiment.config ~concurrency ~total_txns:txns ~seed () in
         let record_trace = trace_file <> None in
         let setup_of_flags () =
           let recovery =
@@ -126,31 +88,17 @@ let main name list_only recovery choice occ concurrency txns seed rounds group_c
           Experiment.setup ~occ recovery choice
         in
         let rows =
-          match group_commit with
-          | Some n ->
-              let setups =
-                match recovery, choice, occ with
-                | None, None, false -> Experiment.default_setups
-                | _ -> [ setup_of_flags () ]
-              in
-              run_group_commit ~record_trace scenario setups cfg n
-          | None -> (
-              match recovery, choice, occ with
-              | None, None, false -> Experiment.run_matrix ~record_trace scenario cfg
-              | _ -> [ Experiment.run ~record_trace scenario (setup_of_flags ()) cfg ])
+          match recovery, choice, occ with
+          | None, None, false -> Experiment.run_matrix ~record_trace scenario cfg
+          | _ -> [ Experiment.run ~record_trace scenario (setup_of_flags ()) cfg ]
         in
         Fmt.pr "%a@." Experiment.pp_table rows;
-        Option.iter (fun n -> pp_group_commit_summary n rows) group_commit;
         let config =
           [
             ("scenario", name);
             ("concurrency", string_of_int concurrency);
             ("txns", string_of_int txns);
           ]
-          @
-          match group_commit with
-          | Some n -> [ ("group_commit", string_of_int n) ]
-          | None -> []
         in
         Option.iter (fun f -> write_metrics ~seed ~config f rows) metrics_file;
         Option.iter
@@ -195,18 +143,6 @@ let concurrency_arg =
 
 let txns_arg = Arg.(value & opt int 200 & info [ "txns"; "n" ] ~doc:"Transactions to run.")
 let seed_arg = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"PRNG seed.")
-let rounds_arg = Arg.(value & opt int 100_000 & info [ "max-rounds" ] ~doc:"Safety stop.")
-
-let group_commit_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "group-commit" ] ~docv:"N"
-        ~doc:
-          "Run through the staged commit pipeline over a disk-format WAL, \
-           batching the durability barrier every $(docv) commits, and print \
-           fsyncs-per-commit and batch-size statistics.")
-
 let metrics_arg =
   Arg.(
     value
@@ -224,12 +160,11 @@ let trace_arg =
            re-check each trace against the dynamic-atomicity definition.")
 
 let cmd =
-  let doc = "run a transaction-engine scenario and print scheduler statistics" in
+  let doc = "run a transaction-engine scenario and print its statistics" in
   Cmd.v
     (Cmd.info "simulate" ~doc)
     Term.(
       const main $ name_arg $ list_arg $ recovery_arg $ choice_arg $ occ_arg
-      $ concurrency_arg $ txns_arg $ seed_arg $ rounds_arg $ group_commit_arg
-      $ metrics_arg $ trace_arg)
+      $ concurrency_arg $ txns_arg $ seed_arg $ metrics_arg $ trace_arg)
 
 let () = exit (Cmd.eval cmd)

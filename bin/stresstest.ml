@@ -134,7 +134,6 @@ let main threads txns seed force_delay verbose trace_file metrics_file shards
   in
   let deposited = ref 0 in
   let lock = Mutex.create () in
-  let backoff = Concurrent.default_backoff () in
   let worker i =
     for k = 1 to txns do
       (* Deterministic per-(seed, thread, txn) amount, so the serial
@@ -143,7 +142,7 @@ let main threads txns seed force_delay verbose trace_file metrics_file shards
       let o1 = names.((i + k) mod Array.length names) in
       let o2 = if k mod 4 = 0 then other_shard o1 else None in
       match
-        Concurrent.with_txn ~max_attempts:1000 ~backoff db (fun h ->
+        Concurrent.with_txn ~max_attempts:1000 db (fun h ->
             ignore (Concurrent.invoke h ~obj:o1 (deposit amount));
             Option.iter
               (fun obj -> ignore (Concurrent.invoke h ~obj (deposit amount)))

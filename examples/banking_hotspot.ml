@@ -14,19 +14,18 @@
    Run with: dune exec examples/banking_hotspot.exe *)
 
 module Experiment = Tm_sim.Experiment
-module Scheduler = Tm_sim.Scheduler
 
 let () =
   Fmt.pr "Hot-spot account: rounds to commit 200 transactions (lower is better)@.@.";
   Fmt.pr "%-12s %10s %10s %10s@." "withdraw%" "UIP+NRBC" "DU+NFC" "serial";
-  let cfg = Scheduler.config ~concurrency:8 ~total_txns:200 ~seed:7 () in
+  let cfg = Experiment.config ~concurrency:8 ~total_txns:200 ~seed:7 () in
   List.iter
     (fun w ->
       let scenario = Experiment.bank_sweep ~withdraw_pct:w in
       let rounds setup =
         let row = Experiment.run scenario setup cfg in
         assert row.Experiment.consistent;
-        row.Experiment.stats.Scheduler.rounds
+        row.Experiment.stats.rounds
       in
       let uip =
         rounds (Experiment.setup Tm_engine.Recovery.UIP Experiment.Semantic)

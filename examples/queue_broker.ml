@@ -13,7 +13,6 @@
 
 open Tm_core
 module Experiment = Tm_sim.Experiment
-module Scheduler = Tm_sim.Scheduler
 module Object = Tm_engine.Atomic_object
 module Database = Tm_engine.Database
 
@@ -42,12 +41,12 @@ let () =
   (* Macro view: the broker workload end to end. *)
   Fmt.pr "@.broker workload, rounds to commit 200 transactions (lower is better):@.@.";
   Fmt.pr "%-12s %10s %10s %10s@." "queue" "UIP+NRBC" "DU+NFC" "serial";
-  let cfg = Scheduler.config ~concurrency:8 ~total_txns:200 ~seed:7 () in
+  let cfg = Experiment.config ~concurrency:8 ~total_txns:200 ~seed:7 () in
   List.iter
     (fun (label, scenario) ->
       let rounds setup =
         let row = Experiment.run scenario setup cfg in
-        row.Experiment.stats.Scheduler.rounds
+        row.Experiment.stats.rounds
       in
       Fmt.pr "%-12s %10d %10d %10d@." label
         (rounds (Experiment.setup Tm_engine.Recovery.UIP Experiment.Semantic))

@@ -2,14 +2,21 @@ open Tm_core
 module Metrics = Tm_obs.Metrics
 module Trace = Tm_obs.Trace
 
+type runtime = {
+  enter : unit -> unit;
+  leave : unit -> unit;
+  wait : Tid.t -> unit;
+  broadcast : unit -> unit;
+  backoff : int -> unit;
+}
+
 type t = {
   db : Sharded_database.t;
   (* The monitor: every invocation runs under it, so a waiter's retry
-     and its [Condition.wait] are atomic with respect to the broadcast
-     that follows each state change.  The engine's own locks serialise
+     and its [wait] are atomic with respect to the broadcast that
+     follows each state change.  The engine's own locks serialise
      engine calls; a commit runs outside the monitor. *)
-  lock : Mutex.t;
-  changed : Condition.t;
+  rt : runtime;
   (* Transactions condemned by another thread's deadlock detection; they
      notice at their next wake-up or engine call. *)
   doomed : (Tid.t, unit) Hashtbl.t;
@@ -17,9 +24,8 @@ type t = {
      every broadcast, which wakes them all. *)
   waiting : (Tid.t, Atomic_object.outcome) Hashtbl.t;
   mutable active : int;  (* [with_txn] calls in progress *)
-  (* Counted in the engine-level registry under the metric names the sim
-     scheduler uses, so [Experiment] rows read one series regardless of
-     driver. *)
+  (* Counted in the engine-level registry, where [Experiment] rows read
+     them. *)
   c_victims : Metrics.counter;
   c_retries : Metrics.counter;
   c_gave_up : Metrics.counter;
@@ -34,12 +40,32 @@ type handle = {
 
 exception Aborted
 
-let create db =
+let default_backoff ?(base = 0.0002) ?(cap = 0.02) () =
+  (* Capped exponential with deterministic jitter: the delay depends
+     only on the attempt number (Weyl-sequence hash spreads threads that
+     fail in lockstep), so runs stay reproducible. *)
+  if not (base > 0. && cap >= base) then
+    invalid_arg "Concurrent.default_backoff: need 0 < base <= cap";
+  fun attempt ->
+    let d = min cap (base *. (2. ** float_of_int (min (attempt - 1) 24))) in
+    let h = (attempt * 0x9E3779B1) land 0xFFFF in
+    Thread.delay (d *. (0.5 +. (0.5 *. float_of_int h /. 65536.)))
+
+let threads () =
+  let m = Mutex.create () and c = Condition.create () in
+  {
+    enter = (fun () -> Mutex.lock m);
+    leave = (fun () -> Mutex.unlock m);
+    wait = (fun _ -> Condition.wait c m);
+    broadcast = (fun () -> Condition.broadcast c);
+    backoff = default_backoff ();
+  }
+
+let create ?(runtime = threads ()) db =
   let reg = Sharded_database.registry db in
   {
     db;
-    lock = Mutex.create ();
-    changed = Condition.create ();
+    rt = runtime;
     doomed = Hashtbl.create 8;
     waiting = Hashtbl.create 8;
     active = 0;
@@ -52,12 +78,14 @@ let create db =
 
 let tid h = h.tid
 
-let locked t f = Mutex.protect t.lock f
+let locked t f =
+  t.rt.enter ();
+  Fun.protect ~finally:t.rt.leave f
 
 (* Must hold the lock. *)
 let wake_all t =
   Hashtbl.clear t.waiting;
-  Condition.broadcast t.changed
+  t.rt.broadcast ()
 
 (* Must hold the lock.  Abort the transaction, wake everyone, raise. *)
 let abort_self t tid =
@@ -136,27 +164,16 @@ let invoke ?choose h ~obj inv =
             Hashtbl.replace t.waiting h.tid outcome;
             break_stall t;
             check_doom t h.tid;
-            Condition.wait t.changed t.lock;
+            t.rt.wait h.tid;
             attempt ~woken:true ()
       in
       attempt ~woken:false ())
 
-let default_backoff ?(base = 0.0002) ?(cap = 0.02) () =
-  (* Capped exponential with deterministic jitter: the delay depends
-     only on the attempt number (Weyl-sequence hash spreads threads that
-     fail in lockstep), so runs stay reproducible. *)
-  if not (base > 0. && cap >= base) then
-    invalid_arg "Concurrent.default_backoff: need 0 < base <= cap";
-  fun attempt ->
-    let d = min cap (base *. (2. ** float_of_int (min (attempt - 1) 24))) in
-    let h = (attempt * 0x9E3779B1) land 0xFFFF in
-    Thread.delay (d *. (0.5 +. (0.5 *. float_of_int h /. 65536.)))
-
 (* A stall victim that restarted at once would take its lock back
    before the waiters it was aborted for re-enter the monitor, and be
-   chosen again until it gave up; the default delay lets them go
+   chosen again until it gave up; the runtime's backoff lets them go
    first. *)
-let with_txn ?(max_attempts = 50) ?(backoff = default_backoff ()) t f =
+let with_txn ?(max_attempts = 50) t f =
   if max_attempts < 1 then invalid_arg "Concurrent.with_txn: max_attempts < 1";
   (* [attempt] is the number of the attempt about to run (1-based).  A
      retry first counts the metric, then runs the backoff hook OUTSIDE
@@ -168,7 +185,7 @@ let with_txn ?(max_attempts = 50) ?(backoff = default_backoff ()) t f =
     end
     else begin
       Metrics.Counter.incr t.c_retries;
-      backoff attempt;
+      t.rt.backoff attempt;
       Some (attempt + 1)
     end
   in
@@ -221,6 +238,9 @@ let with_txn ?(max_attempts = 50) ?(backoff = default_backoff ()) t f =
   (* A caller that leaves may leave the rest all waiting. *)
   let leave () = locked t (fun () -> t.active <- t.active - 1; break_stall t) in
   Fun.protect ~finally:leave (fun () -> go 1)
+
+let awaits_response t tid =
+  locked t (fun () -> Hashtbl.find_opt t.waiting tid = Some Atomic_object.No_response)
 
 let committed_count t = Sharded_database.committed_count t.db
 let deadlock_victim_count t = locked t (fun () -> Metrics.Counter.get t.c_victims)

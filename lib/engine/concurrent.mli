@@ -1,11 +1,11 @@
 (** The thread-safe blocking front end: a wait, retry and deadlock
     layer over one engine type, {!Sharded_database}.
 
-    {!Database} and the simulation scheduler are deterministic and
-    single-threaded (for reproducible measurements); this module is the
-    interface a real application uses.  Operations issued from OS
-    threads {e block} — on the calling thread, under a monitor — until
-    the conflict-based locking admits them.  Deadlocks, including
+    Operations {e block} — under a monitor — until the conflict-based
+    locking admits them.  The monitor and the backoff delay come from a
+    {!runtime}: OS threads by default ({!threads}), or the seeded fibers
+    of [Tm_sim.Fiber], which run the same rules deterministically on
+    one domain for the paper's tables and the reproducible tests.  Deadlocks, including
     cycles that thread through several shards, are found by one search
     over every shard's waits-for edges ({!Sharded_database.deadlock})
     and broken by aborting the youngest transaction in the cycle.
@@ -53,17 +53,36 @@ open Tm_core
 
 type t
 
-val create : Sharded_database.t -> t
+(** The blocking primitives [Concurrent] needs: a monitor ([enter] and
+    [leave] it; [wait tid] releases it, parks the caller running [tid]
+    until the next [broadcast], and re-enters it) and the default
+    backoff before a retry ([backoff n] after failed attempt [n],
+    called outside the monitor).  No engine call ever runs between
+    [wait] and its wake-up, and none waits on the runtime. *)
+type runtime = {
+  enter : unit -> unit;
+  leave : unit -> unit;
+  wait : Tid.t -> unit;
+  broadcast : unit -> unit;
+  backoff : int -> unit;
+}
+
+(** [threads ()] — a fresh monitor on systhreads ([Mutex] and
+    [Condition]); its backoff is {!default_backoff} [()]. *)
+val threads : unit -> runtime
+
+(** [create ?runtime engine]; [runtime] defaults to [threads ()]. *)
+val create : ?runtime:runtime -> Sharded_database.t -> t
 
 (** A handle on a running transaction; only valid within the callback of
-    {!with_txn} and on the thread that owns it. *)
+    {!with_txn} and on the thread (or fiber) that owns it. *)
 type handle
 
 val tid : handle -> Tid.t
 
 exception Aborted
 (** Raised inside the callback when this transaction was chosen as a
-    deadlock victim (or failed optimistic validation at commit).
+    deadlock or stall victim (or failed optimistic validation at commit).
     {!with_txn} catches it and retries; re-raise it if caught. *)
 
 (** [invoke h ~obj inv] executes the invocation, blocking while it
@@ -74,8 +93,8 @@ exception Aborted
 val invoke : ?choose:(Value.t list -> Value.t) -> handle -> obj:string ->
   Op.invocation -> Value.t
 
-(** [default_backoff ?base ?cap ()] builds a backoff hook for
-    {!with_txn}: capped exponential (starting at [base] seconds,
+(** [default_backoff ?base ?cap ()] builds a backoff hook for a
+    {!runtime} ({!threads} uses it with the defaults): capped exponential (starting at [base] seconds,
     doubling per attempt, clamped to [cap]) with {e deterministic}
     jitter derived from the attempt number alone — threads that abort
     in lockstep spread out, yet a run's delays are reproducible.
@@ -86,17 +105,21 @@ val default_backoff : ?base:float -> ?cap:float -> unit -> int -> unit
     optimistic validation where applicable).  On {!Aborted} the
     transaction is rolled back and [f] retried from scratch, for at most
     [max_attempts] attempts in total (default 50).  Before each retry the
-    [backoff] hook is called — outside the monitor — with the number of
-    the attempt that just failed (1-based).  The default is
-    [default_backoff ()]: a stall victim must not restart ahead of the
-    waiters it was aborted for, or it retakes their lock before they
-    re-enter the monitor and is chosen again until it gives up.  When
+    runtime's [backoff] is called — outside the monitor — with the
+    number of the attempt that just failed (1-based): a stall victim
+    must not restart ahead of the waiters it was aborted for, or it
+    retakes their lock before they re-enter the monitor and is chosen
+    again until it gives up.  When
     the attempt budget is exhausted the transaction {e gives up}: the
     result is [Error (`Gave_up attempts)] and [tm_txn_gave_up_total] is
     bumped. *)
 val with_txn :
-  ?max_attempts:int -> ?backoff:(int -> unit) -> t -> (handle -> 'a) ->
-  ('a, [ `Gave_up of int ]) result
+  ?max_attempts:int -> t -> (handle -> 'a) -> ('a, [ `Gave_up of int ]) result
+
+(** [awaits_response t tid] — [tid] is parked in {!invoke} on a partial
+    operation with no legal response, not on a conflict, and no
+    broadcast has woken it since. *)
+val awaits_response : t -> Tid.t -> bool
 
 (** Run statistics. *)
 

@@ -117,9 +117,8 @@ type recording = {
 
 let full r = Array.map (List.map snd) r.appends
 
-let of_log ~group_every recs =
-  if group_every < 1 then invalid_arg "Crash.of_log: group_every < 1";
-  let clock = ref 0 and appended = ref 0 and commits = ref 0 in
+let of_log recs =
+  let clock = ref 0 and appended = ref 0 in
   let forces = ref [] in
   let force () =
     incr clock;
@@ -131,11 +130,7 @@ let of_log ~group_every recs =
         incr clock;
         incr appended;
         let stamped = (!clock, r) in
-        (match r with
-        | Wal.Commit _ ->
-            incr commits;
-            if !commits mod group_every = 0 then force ()
-        | _ -> ());
+        (match r with Wal.Commit _ -> force () | _ -> ());
         stamped)
       recs
   in
@@ -419,11 +414,7 @@ let rewrite ~from r =
       let old_bytes = Wal.Codec.encode_all ~version:from ~shard:s recs in
       let image = Wal.Codec.encode_all ~shard:s (Wal.records mirror) in
       let new_len = String.length image in
-      let journal =
-        Wal.Codec.encode ~shard:s
-          (Wal.Truncate_intent { old_len = String.length old_bytes; new_len })
-        ^ image
-      in
+      let journal = Disk_wal.journal ~shard:s ~old_len:(String.length old_bytes) image in
       let journaled = old_bytes ^ journal in
       let flen = String.length journaled in
       let images =

@@ -110,11 +110,11 @@ val history_of_records : Wal.record list -> History.t
     completed durability barrier stamped on one global clock. *)
 type recording
 
-(** [of_log ~group_every recs] — one log whose commits were acknowledged
-    in batches: a barrier after every [group_every]-th commit record plus
-    a final one, as {!Tm_sim.Scheduler.run_durable}'s [~group_commit]
-    knob produces. *)
-val of_log : group_every:int -> Wal.record list -> recording
+(** [of_log recs] — one log read as the run that wrote it acknowledged
+    it: a barrier after every commit record, plus a final one
+    ([Tm_sim.Experiment.run_durable] forces every commit before
+    acknowledging it). *)
+val of_log : Wal.record list -> recording
 
 (** [of_drive ~shards:n ~rebuild drive] runs [drive] against a fresh
     {!Sharded_database} over [n] recording in-memory WALs, stamping every

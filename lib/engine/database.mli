@@ -49,7 +49,7 @@ val trace : t -> Tm_obs.Trace.t option
 
 (** [emit_trace t ~tid kind] — emit a span into the attached recorder
     (no-op without one).  Used by the layers above the database
-    (scheduler, WAL wrapper, threaded front end) for events only they can
+    (WAL wrapper, blocking front end) for events only they can
     see, e.g. deadlock victims and WAL forces.  A site whose kind carries
     a payload tests {!tracing} first, so an untraced run never builds
     it. *)

@@ -1,7 +1,7 @@
 (** Waits-for graph and cycle detection.
 
     Conflict-based locking blocks transactions behind lock holders;
-    a cycle in the waits-for relation is a deadlock.  The scheduler
+    a cycle in the waits-for relation is a deadlock.  The database
     registers an edge set per blocked transaction and asks for a cycle;
     the conventional victim is the youngest transaction in the cycle. *)
 

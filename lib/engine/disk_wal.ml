@@ -120,21 +120,33 @@ let persist t record =
       crash anywhere inside the install finds the intent and {e redoes}
       the install from the journaled image.}}
 
-   The intent frame is self-locating: it must sit exactly at
-   [old_len] and the file must end exactly [new_len] bytes after it,
-   which a torn journal write can never satisfy.  *)
+   The intent frame is self-locating: it must sit exactly at the
+   offset its [old_len] field names and the file must end exactly
+   [new_len] bytes after it, which a torn journal write can never
+   satisfy.  That offset is the old log's length, unless the image is
+   longer than the old log (an upgrade that re-encodes v1 frames and
+   drops little): the install would then overwrite the intent, so
+   placeholder intents, each naming the offset after its own, pad the
+   journal until the real intent lies past the image.  A torn journal
+   still rolls back at the first intent.  *)
+
+let journal ~shard ~old_len image =
+  let new_len = String.length image in
+  let intent at = Wal.Codec.encode ~shard (Wal.Truncate_intent { old_len = at; new_len }) in
+  let rec pad at placeholders =
+    if at >= new_len then String.concat "" (List.rev (image :: intent at :: placeholders))
+    else
+      let p = intent (at + 1) in
+      pad (at + String.length p) (p :: placeholders)
+  in
+  pad old_len []
 
 (* Replace the stored log by [kept], by the protocol above. *)
 let compact t kept =
   let image = Wal.Codec.encode_all ~shard:t.shard kept in
-  let old_len = t.end_off in
-  let intent =
-    Wal.Codec.encode ~shard:t.shard
-      (Wal.Truncate_intent { old_len; new_len = String.length image })
-  in
   (* 1. Journal: intent + full image after the live log, forced.  The
      old log is still intact, so a crash up to here rolls back. *)
-  write_string t ~pos:old_len (intent ^ image);
+  write_string t ~pos:t.end_off (journal ~shard:t.shard ~old_len:t.end_off image);
   force t;
   (* 2. Install: the image replaces the log from byte 0; the write's
      trailing truncation erases the journal in the same call.  A crash

@@ -15,7 +15,9 @@
     untouched); a crash during (2) finds the journal and redoes the
     install.  At no byte offset of the sequence can reload misclassify
     the log or replay pre-checkpoint records — swept exhaustively by
-    {!Crash.rewrite}.
+    {!Crash.rewrite}.  An image longer than the log it replaces (a v1
+    log re-encoded as v2) pads the journal so the install never
+    overwrites it ({!journal}).
 
     After a crash, {!load} decodes the
     backend's bytes frame by frame straight into a fresh log's replay
@@ -116,3 +118,12 @@ val bytes_written : t -> int
     [tm_storage_retries_total] once metrics are attached; {!load}'s redo
     of a compaction counts here only). *)
 val retries : t -> int
+
+(** [journal ~shard ~old_len image] — the bytes a compaction writes at
+    [old_len], the end of the live log, before it installs [image]: a
+    [Truncate_intent] frame and [image].  When [image] is longer than
+    [old_len], placeholder intents, each naming an offset it does not
+    sit at, come first, so the real intent lies past [image]'s install
+    range.  Exposed for {!Crash.rewrite}, which builds every byte state
+    of the protocol from it. *)
+val journal : shard:int -> old_len:int -> string -> string

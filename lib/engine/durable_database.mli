@@ -96,9 +96,8 @@ val commit_prepared : t -> Tid.t -> int
     returned LSN, the global commit point. *)
 val decide : t -> Tid.t -> int
 
-(** [flush t] forces everything appended so far (a deterministic batch
-    boundary for {!Tm_sim.Scheduler.run_durable}'s [~group_commit]
-    knob); emits a system [Wal_force] span. *)
+(** [flush t] forces everything appended so far ({!Sharded_database.flush}
+    of every shard); emits a system [Wal_force] span. *)
 val flush : t -> unit
 
 (** Aborts the transaction; the [Abort] record is logged only when the

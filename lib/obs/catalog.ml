@@ -25,7 +25,7 @@ let e section name kind labels help = { name; kind; labels; help; section }
 let all =
   let txn = "Transactions" in
   let obj = "Objects and locking" in
-  let sched = "Scheduler" in
+  let sched = "Fiber runtime" in
   let wal = "Write-ahead log" in
   let storage = "Storage backends" in
   let sharding = "Sharding and cross-shard 2PC" in
@@ -65,11 +65,8 @@ let all =
     e obj "tm_object_no_response_total" Counter [ "obj"; "op" ]
       "Invocations with no legal response in the current state set.";
     e sched "tm_sched_rounds_total" Counter []
-      "Simulated scheduler rounds executed.";
-    e sched "tm_sched_active_txns" Gauge []
-      "Transactions live in the scheduler at last sample.";
-    e sched "tm_sched_active_txns_per_round" Histogram []
-      "Live-transaction count observed at each scheduler round.";
+      "Rounds run by the seeded fiber runtime (`Tm_sim.Fiber`), idle \
+       rounds included.";
     e wal "tm_wal_appends_total" Counter [ "kind" ]
       "Records appended to the log, by record kind (`begin`, \
        `operation`, `commit`, `abort`, `checkpoint`, and the \

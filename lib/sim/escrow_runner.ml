@@ -8,33 +8,18 @@ type active_txn = {
   retries : int;
 }
 
-let run escrow (workload : Workload.t) (cfg : Scheduler.config) =
-  let rng = Random.State.make [| cfg.Scheduler.seed |] in
+let run escrow (workload : Workload.t) (cfg : Experiment.config) =
+  let rng = Random.State.make [| cfg.seed |] in
   let pending = Queue.create () in
-  for _ = 1 to cfg.Scheduler.total_txns do
+  for _ = 1 to cfg.total_txns do
     Queue.add (workload.generate rng, 0) pending
   done;
   let active : active_txn list ref = ref [] in
   let next_tid = ref 0 in
-  let stats =
-    ref
-      {
-        Scheduler.committed = 0;
-        deadlock_aborts = 0;
-        livelock_aborts = 0;
-        validation_aborts = 0;
-        gave_up = 0;
-        rounds = 0;
-        attempts = 0;
-        executed = 0;
-        blocked = 0;
-        no_response = 0;
-        active_sum = 0;
-      }
-  in
-  let bump f = stats := f !stats in
+  let committed = ref 0 and retries = ref 0 and gave_up = ref 0 in
+  let executed = ref 0 and refused = ref 0 in
   let admit () =
-    while List.length !active < cfg.Scheduler.concurrency && not (Queue.is_empty pending) do
+    while List.length !active < cfg.concurrency && not (Queue.is_empty pending) do
       let program, retries = Queue.pop pending in
       let tid = Tid.of_int !next_tid in
       incr next_tid;
@@ -42,51 +27,38 @@ let run escrow (workload : Workload.t) (cfg : Scheduler.config) =
     done
   in
   let remove tid = active := List.filter (fun t -> not (Tid.equal t.tid tid)) !active in
-  let shuffle l =
-    let arr = Array.of_list l in
-    for i = Array.length arr - 1 downto 1 do
-      let j = Random.State.int rng (i + 1) in
-      let tmp = arr.(i) in
-      arr.(i) <- arr.(j);
-      arr.(j) <- tmp
-    done;
-    Array.to_list arr
-  in
   let progressed = ref false in
   let step t =
     match t.remaining with
     | [] ->
         Escrow.commit escrow t.tid;
         remove t.tid;
-        bump (fun s -> { s with Scheduler.committed = s.Scheduler.committed + 1 });
+        incr committed;
         progressed := true
     | (_obj, inv) :: rest -> (
-        bump (fun s -> { s with Scheduler.attempts = s.Scheduler.attempts + 1 });
         match Escrow.invoke escrow t.tid inv with
         | Escrow.Granted _ ->
             t.remaining <- rest;
-            bump (fun s -> { s with Scheduler.executed = s.Scheduler.executed + 1 });
+            incr executed;
             progressed := true
-        | Escrow.Refused ->
-            bump (fun s -> { s with Scheduler.blocked = s.Scheduler.blocked + 1 }))
+        | Escrow.Refused -> incr refused)
   in
   let abort_and_requeue t =
     Escrow.abort escrow t.tid;
     remove t.tid;
-    bump (fun s -> { s with Scheduler.livelock_aborts = s.Scheduler.livelock_aborts + 1 });
-    if t.retries < cfg.Scheduler.max_retries then Queue.add (t.program, t.retries + 1) pending
-    else bump (fun s -> { s with Scheduler.gave_up = s.Scheduler.gave_up + 1 })
+    if t.retries < cfg.max_retries then begin
+      incr retries;
+      Queue.add (t.program, t.retries + 1) pending
+    end
+    else incr gave_up
   in
   let rec loop round =
     admit ();
-    if !active = [] || round >= cfg.Scheduler.max_rounds then
-      bump (fun s -> { s with Scheduler.rounds = round })
+    if !active = [] then round
     else begin
-      bump
-        (fun s -> { s with Scheduler.active_sum = s.Scheduler.active_sum + List.length !active });
       progressed := false;
       let alive t = List.exists (fun x -> Tid.equal x.tid t.tid) !active in
-      List.iter (fun t -> if alive t then step t) (shuffle !active);
+      Array.iter (fun t -> if alive t then step t) (Workload.shuffle rng !active);
       if (not !progressed) && !active <> [] then begin
         match List.rev !active with
         | youngest :: _ -> abort_and_requeue youngest
@@ -95,8 +67,21 @@ let run escrow (workload : Workload.t) (cfg : Scheduler.config) =
       loop (round + 1)
     end
   in
-  loop 0;
-  !stats
+  let rounds = loop 0 in
+  {
+    Experiment.committed = !committed;
+    deadlock_victims = 0;
+    stall_victims = 0;
+    validation_aborts = 0;
+    retries = !retries;
+    gave_up = !gave_up;
+    unanswered = 0;
+    rounds;
+    attempts = !executed + !refused;
+    executed = !executed;
+    blocked = !refused;
+    no_response = 0;
+  }
 
 let verify ~capacity ~initial escrow =
   let module Pool = Tm_adt.Bounded_counter.Make (struct

@@ -1,6 +1,7 @@
 open Tm_core
 module Atomic_object = Tm_engine.Atomic_object
-module Database = Tm_engine.Database
+module Concurrent = Tm_engine.Concurrent
+module Sharded_database = Tm_engine.Sharded_database
 module Recovery = Tm_engine.Recovery
 module Metrics = Tm_obs.Metrics
 module Trace = Tm_obs.Trace
@@ -210,104 +211,183 @@ let all_scenarios =
     transfer ();
   ]
 
+type config = {
+  concurrency : int;
+  total_txns : int;
+  seed : int;
+  max_retries : int;
+}
+
+let config ?(concurrency = 8) ?(total_txns = 100) ?(seed = 42) ?(max_retries = 20) () =
+  { concurrency; total_txns; seed; max_retries }
+
+type stats = {
+  committed : int;
+  deadlock_victims : int;
+  stall_victims : int;
+  validation_aborts : int;
+  retries : int;
+  gave_up : int;
+  unanswered : int;
+  rounds : int;
+  attempts : int;
+  executed : int;
+  blocked : int;
+  no_response : int;
+}
+
+let aborts s = s.deadlock_victims + s.stall_victims + s.validation_aborts
+
+let efficiency s =
+  if s.attempts = 0 then 0. else float_of_int s.committed /. float_of_int s.attempts
+
 type row = {
   scenario : string;
   setup : string;
-  stats : Scheduler.stats;
+  stats : stats;
   consistent : bool;
-  deadlock_victims : int;
-  retries : int;
   metrics : Metrics.t;
   trace : Trace.t option;
 }
 
-let verify_database db =
+let verify_database sdb =
   List.for_all
     (fun o -> Spec.legal (Atomic_object.spec o) (Atomic_object.committed_ops o))
-    (Database.objects db)
+    (Sharded_database.objects sdb)
 
-let run_db ?(record_trace = false) ~name ~label db workload cfg =
+(* The engine-level series (the fibers' and [Concurrent]'s) beside the
+   shard's, without a [shard] label. *)
+let registry sdb =
+  let reg = Metrics.create () in
+  Array.iter
+    (fun sh -> Metrics.merge reg (Tm_engine.Shard.metrics sh))
+    (Sharded_database.shards sdb);
+  Metrics.merge reg (Sharded_database.registry sdb);
+  reg
+
+let stats_of ~unanswered reg =
+  let count ?labels name = Metrics.counter_value reg ?labels name in
+  let outcome o = count ~labels:[ ("outcome", o) ] "tm_invocations_total" in
+  {
+    committed = count "tm_txn_committed_total";
+    deadlock_victims = count "tm_deadlock_victims_total";
+    stall_victims = count "tm_stall_victims_total";
+    validation_aborts = Metrics.counter_total reg "tm_validation_failures_total";
+    retries = count "tm_txn_retries_total";
+    gave_up = count "tm_txn_gave_up_total";
+    unanswered;
+    rounds = count "tm_sched_rounds_total";
+    attempts = Metrics.counter_total reg "tm_invocations_total";
+    executed = outcome "executed";
+    blocked = outcome "blocked";
+    no_response = outcome "no_response";
+  }
+
+(* Every run: [cfg.concurrency] fibers over a one-shard engine,
+   each taking the next program, running it through [Concurrent.with_txn]
+   and yielding after every call.  When every fiber waits for a response
+   (the engine leaves such waiters alone: only a transaction yet to start
+   can answer them), one more fiber runs the next program.  With no
+   program left, a waiter for a response can never be answered (a
+   consumer of an empty queue, or an optimistic transaction whose view a
+   later commit emptied): it is aborted and counted as unanswered.  A
+   parked fiber blocked on a conflict means the engine's deadlock or
+   stall rule failed, and [Fiber.All_parked] escapes the run. *)
+let drive ?(record_trace = false) ?(checkpoint_every = 0) ~wal ~name ~label ~workload
+    objs cfg =
+  let sdb = Sharded_database.create ~wals:[| wal |] objs in
   let trace =
     if record_trace then begin
       let tr = Trace.create () in
-      Database.set_trace db tr;
+      Sharded_database.set_trace sdb tr;
       Some tr
     end
     else None
   in
-  let stats = Scheduler.run db workload cfg in
-  let reg = Database.metrics db in
+  let rng = Random.State.make [| cfg.seed |] in
+  let pending = Queue.create () in
+  for _ = 1 to cfg.total_txns do
+    Queue.add (workload.Workload.generate rng) pending
+  done;
+  let fibers = Fiber.create ~registry:(Sharded_database.registry sdb) rng in
+  let db = Concurrent.create ~runtime:(Fiber.runtime fibers) sdb in
+  let choose values = List.nth values (Random.State.int rng (List.length values)) in
+  let commits = ref 0 in
+  let run_program program =
+    match
+      Concurrent.with_txn ~max_attempts:(cfg.max_retries + 1) db (fun h ->
+          List.iter
+            (fun (obj, inv) ->
+              ignore (Concurrent.invoke ~choose h ~obj inv);
+              Fiber.yield ())
+            program)
+    with
+    | Ok () ->
+        incr commits;
+        if checkpoint_every > 0 && !commits mod checkpoint_every = 0 then
+          ignore (Sharded_database.checkpoint sdb : bool)
+    | Error (`Gave_up _) -> ()
+  in
+  let rec worker () =
+    match Queue.take_opt pending with
+    | None -> ()
+    | Some program ->
+        run_program program;
+        if not (Queue.is_empty pending) then Fiber.yield ();
+        worker ()
+  in
+  for _ = 1 to min cfg.concurrency cfg.total_txns do
+    Fiber.spawn fibers worker
+  done;
+  let rec go () =
+    match Fiber.run fibers with
+    | () -> 0
+    | exception Fiber.All_parked tids -> (
+        match Queue.take_opt pending with
+        | Some program ->
+            Fiber.spawn fibers (fun () -> run_program program);
+            go ()
+        | None when List.for_all (Concurrent.awaits_response db) tids ->
+            List.iter (Sharded_database.abort sdb) tids;
+            List.length tids
+        | None -> raise (Fiber.All_parked tids))
+  in
+  let unanswered = go () in
+  let reg = registry sdb in
   {
     scenario = name;
     setup = label;
-    stats;
-    consistent = verify_database db;
-    deadlock_victims = Metrics.counter_value reg "tm_deadlock_victims_total";
-    retries = Metrics.counter_value reg "tm_txn_retries_total";
+    stats = stats_of ~unanswered reg;
+    consistent = verify_database sdb;
     metrics = reg;
     trace;
   }
 
 let run ?record_trace scenario s cfg =
-  let db = Database.create (scenario.build s) in
-  run_db ?record_trace ~name:scenario.name ~label:(label s) db scenario.workload cfg
+  drive ?record_trace ~wal:(Tm_engine.Wal.create ()) ~name:scenario.name ~label:(label s)
+    ~workload:scenario.workload (scenario.build s) cfg
 
-let run_durable ?(record_trace = false) ?wal ?(checkpoint_every = 0)
-    ?(group_commit = 1) scenario s cfg =
+let run_durable ?record_trace ?wal ?checkpoint_every scenario s cfg =
   let wal = match wal with Some w -> w | None -> Tm_engine.Wal.create () in
-  let dd = Tm_engine.Durable_database.create ~wal (scenario.build s) in
-  let trace =
-    if record_trace then begin
-      let tr = Trace.create () in
-      Database.set_trace (Tm_engine.Durable_database.database dd) tr;
-      Some tr
-    end
-    else None
-  in
-  let stats =
-    Scheduler.run_durable ~checkpoint_every ~group_commit dd scenario.workload cfg
-  in
-  let db = Tm_engine.Durable_database.database dd in
-  let reg = Database.metrics db in
-  let row =
-    {
-      scenario = scenario.name;
-      setup = label s;
-      stats;
-      consistent = verify_database db;
-      deadlock_victims = Metrics.counter_value reg "tm_deadlock_victims_total";
-      retries = Metrics.counter_value reg "tm_txn_retries_total";
-      metrics = reg;
-      trace;
-    }
-  in
-  (row, wal)
+  ( drive ?record_trace ?checkpoint_every ~wal ~name:scenario.name ~label:(label s)
+      ~workload:scenario.workload (scenario.build s) cfg,
+    wal )
 
 let run_custom ?record_trace ~name ~label ~workload ~build cfg =
-  let db = Database.create (build ()) in
-  run_db ?record_trace ~name ~label db workload cfg
+  drive ?record_trace ~wal:(Tm_engine.Wal.create ()) ~name ~label ~workload (build ()) cfg
 
 let run_matrix ?record_trace scenario cfg =
   List.map (fun s -> run ?record_trace scenario s cfg) default_setups
 
-let pp_row ppf r =
-  Fmt.pf ppf "%-24s %-10s %a; victims %d; retries %d%s" r.scenario r.setup
-    Scheduler.pp_stats r.stats r.deadlock_victims r.retries
-    (if r.consistent then "" else "  !! INCONSISTENT")
-
 let pp_table ppf rows =
-  Fmt.pf ppf "@[<v>%-24s %-10s %8s %8s %8s %8s %8s %8s %8s %10s %8s@;" "scenario"
-    "setup" "commit" "abort" "victims" "retries" "rounds" "exec" "blocked" "avg-act"
-    "effcy";
+  Fmt.pf ppf "@[<v>%-24s %-10s %8s %8s %8s %8s %8s %8s %8s %8s %8s@;" "scenario" "setup"
+    "commit" "abort" "victims" "stalls" "retries" "rounds" "exec" "blocked" "effcy";
   List.iter
     (fun r ->
       let s = r.stats in
-      Fmt.pf ppf "%-24s %-10s %8d %8d %8d %8d %8d %8d %8d %10.2f %8.3f%s@;" r.scenario
-        r.setup s.Scheduler.committed
-        (s.Scheduler.deadlock_aborts + s.Scheduler.livelock_aborts
-       + s.Scheduler.validation_aborts)
-        r.deadlock_victims r.retries s.Scheduler.rounds s.Scheduler.executed
-        s.Scheduler.blocked (Scheduler.avg_active s) (Scheduler.efficiency s)
+      Fmt.pf ppf "%-24s %-10s %8d %8d %8d %8d %8d %8d %8d %8d %8.3f%s@;" r.scenario r.setup
+        s.committed (aborts s) s.deadlock_victims s.stall_victims s.retries s.rounds
+        s.executed s.blocked (efficiency s)
         (if r.consistent then "" else "  !! INCONSISTENT"))
     rows;
   Fmt.pf ppf "@]"

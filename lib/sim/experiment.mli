@@ -13,7 +13,6 @@
     - [Total]: everything conflicts (serial execution reference). *)
 
 module Atomic_object = Tm_engine.Atomic_object
-module Database = Tm_engine.Database
 module Recovery = Tm_engine.Recovery
 
 type conflict_choice =
@@ -82,57 +81,90 @@ val transfer_mixed_recovery : ?accounts:int -> unit -> scenario
 
 val all_scenarios : scenario list
 
-(** {1 Running} *)
+(** {1 Running}
+
+    Every run drives its scenario through {!Tm_engine.Concurrent} on
+    {!Fiber}s over a one-shard {!Tm_engine.Sharded_database}:
+    [concurrency] fibers each take the next of [total_txns] programs
+    (generated up front from the seed), run it in
+    {!Tm_engine.Concurrent.with_txn} and yield after every invocation
+    and every commit.  Deadlock victims, stall victims and validation
+    failures retry after the fibers' seeded backoff.  When every fiber
+    waits for a response, one more fiber starts the next program (only
+    a transaction yet to start can answer them).  With no program left,
+    the waiters are aborted and counted as [unanswered]; a transaction
+    parked on a conflict instead means a deadlock or stall went
+    unbroken, and the run raises [Fiber.All_parked].  A run is a
+    pure function of (scenario, setup, config). *)
+
+type config = {
+  concurrency : int;  (** fibers, so simultaneously active transactions *)
+  total_txns : int;  (** programs to run *)
+  seed : int;
+  max_retries : int;  (** per-program restarts after an abort *)
+}
+
+val config :
+  ?concurrency:int -> ?total_txns:int -> ?seed:int -> ?max_retries:int -> unit -> config
+
+(** A run's counts, read from its registry but for [unanswered]. *)
+type stats = {
+  committed : int;
+  deadlock_victims : int;  (** [tm_deadlock_victims_total] *)
+  stall_victims : int;  (** [tm_stall_victims_total] *)
+  validation_aborts : int;  (** [tm_validation_failures_total] *)
+  retries : int;  (** [tm_txn_retries_total] *)
+  gave_up : int;  (** [tm_txn_gave_up_total] *)
+  unanswered : int;
+      (** transactions still waiting for a response when the programs
+          ran out, aborted by the harness; not in the registry *)
+  rounds : int;  (** [tm_sched_rounds_total], counted by the fibers *)
+  attempts : int;  (** invocation attempts, [tm_invocations_total] *)
+  executed : int;
+  blocked : int;  (** attempts that hit a conflict *)
+  no_response : int;  (** attempts on a partial op with no response *)
+}
 
 type row = {
   scenario : string;
   setup : string;
-  stats : Scheduler.stats;
+  stats : stats;
   consistent : bool;
       (** post-run invariant: at every object the committed operations
           replay legally in commit order *)
-  deadlock_victims : int;  (** [tm_deadlock_victims_total] after the run *)
-  retries : int;  (** [tm_txn_retries_total] after the run *)
-  metrics : Tm_obs.Metrics.t;  (** the database registry, for exporters *)
+  metrics : Tm_obs.Metrics.t;
+      (** the engine's and its shard's series, merged without a [shard]
+          label, for exporters *)
   trace : Tm_obs.Trace.t option;  (** populated when [record_trace] *)
 }
 
 (** [run ?record_trace scenario setup cfg] — when [record_trace] (default
     false) a {!Tm_obs.Trace} recorder is attached before the run and
     returned in the row for JSONL export or trace→history replay. *)
-val run : ?record_trace:bool -> scenario -> setup -> Scheduler.config -> row
+val run : ?record_trace:bool -> scenario -> setup -> config -> row
 
-(** [run_durable ?wal ?checkpoint_every scenario setup cfg] runs the
-    scenario through a WAL-backed {!Tm_engine.Durable_database} and
-    returns the row together with the log, ready for the crash-injection
-    harness ({!Tm_engine.Crash.of_log}).  [wal] defaults to a fresh
-    in-memory log; pass a {!Tm_engine.Disk_wal}-backed one to drive the
-    workload against real (or fault-injected) storage.  When
-    [checkpoint_every = n > 0] a fuzzy checkpoint is appended after every
-    [n]th commit, i.e. while other transactions are typically in flight.
-    [group_commit] (default 1) is {!Scheduler.run_durable}'s
-    deterministic batching knob: the durability barrier runs after every
-    [n]th commit instead of every commit.  [record_trace] behaves as in
-    {!run}; durable runs additionally emit [wal_flush_wait]/[durable]
-    spans around the group-commit watermark. *)
+(** [run_durable ?wal ?checkpoint_every scenario setup cfg] is {!run}
+    over [wal] (default: a fresh in-memory log), returned with the row
+    for the crash-injection harness ({!Tm_engine.Crash.of_log}).  Pass a
+    {!Tm_engine.Disk_wal}-backed log to drive the workload against real
+    (or fault-injected) storage; every commit is forced before it is
+    acknowledged.  When [checkpoint_every = n > 0] a fuzzy checkpoint is
+    appended after every [n]th commit, while other transactions are
+    typically in flight. *)
 val run_durable :
-  ?record_trace:bool -> ?wal:Tm_engine.Wal.t -> ?checkpoint_every:int ->
-  ?group_commit:int -> scenario -> setup -> Scheduler.config ->
-  row * Tm_engine.Wal.t
+  ?record_trace:bool -> ?wal:Tm_engine.Wal.t -> ?checkpoint_every:int -> scenario ->
+  setup -> config -> row * Tm_engine.Wal.t
 
 (** [run_custom] — for ablations with hand-built objects (custom conflict
     relations, mixed policies); [label] is the setup column text. *)
 val run_custom :
   ?record_trace:bool -> name:string -> label:string -> workload:Workload.t ->
-  build:(unit -> Atomic_object.t list) -> Scheduler.config -> row
+  build:(unit -> Atomic_object.t list) -> config -> row
 
 (** [run_matrix scenario cfg] runs {!default_setups}. *)
-val run_matrix : ?record_trace:bool -> scenario -> Scheduler.config -> row list
+val run_matrix : ?record_trace:bool -> scenario -> config -> row list
 
-val pp_row : Format.formatter -> row -> unit
-
-(** Render rows as an aligned table (one line per row). *)
+(** Render rows as an aligned table (one line per row): [abort] counts
+    victims of both kinds plus validation failures, [effcy] commits per
+    invocation attempt (1.0 = never blocked or retried). *)
 val pp_table : Format.formatter -> row list -> unit
-
-(** [verify_database db] — the per-object commit-order replay check. *)
-val verify_database : Database.t -> bool

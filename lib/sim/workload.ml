@@ -24,6 +24,16 @@ let zipf rng ~n ~skew =
     pick 0 0.
   end
 
+let shuffle rng l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  a
+
 (* Weighted choice among (weight, value) pairs. *)
 let weighted rng choices =
   let total = List.fold_left (fun acc (w, _) -> acc + w) 0 choices in

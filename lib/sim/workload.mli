@@ -18,6 +18,10 @@ type t = {
     ([skew = 0.] is uniform). *)
 val zipf : Random.State.t -> n:int -> skew:float -> int
 
+(** [shuffle rng l] — the elements of [l] in a seeded Fisher–Yates
+    order. *)
+val shuffle : Random.State.t -> 'a list -> 'a array
+
 (** {1 Scenarios}
 
     Each scenario names the objects it uses; build the matching database

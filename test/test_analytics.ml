@@ -11,7 +11,6 @@ module Heatmap = Tm_obs.Heatmap
 module Recovery = Tm_engine.Recovery
 module Atomic_object = Tm_engine.Atomic_object
 module Experiment = Tm_sim.Experiment
-module Scheduler = Tm_sim.Scheduler
 
 let check_int = Helpers.check_int
 let check_bool = Helpers.check_bool
@@ -53,7 +52,7 @@ let test_json_ints_stay_ints () =
 (* Trace JSONL export: every line parses back to its event.            *)
 
 let small_cfg seed =
-  Scheduler.config ~concurrency:4 ~total_txns:12 ~seed ~max_rounds:20_000 ()
+  Experiment.config ~concurrency:4 ~total_txns:12 ~seed ()
 
 let uip = Experiment.setup Recovery.UIP Experiment.Semantic
 let du = Experiment.setup Recovery.DU Experiment.Semantic
@@ -140,33 +139,43 @@ let test_span_kinds_locking () =
   emits "a UIP hot spot" "blocked"
     (Experiment.run ~record_trace:true Experiment.bank_hotspot uip (small_cfg 7))
 
+(* [Database.try_commit] brackets optimistic validation in spans; the
+   durable staged commit that [Experiment] drives validates without
+   them. *)
 let test_span_kinds_occ () =
-  emits "an OCC run" "validating"
-    (Experiment.run ~record_trace:true Experiment.bank_hotspot
-       (Experiment.setup ~occ:true Recovery.DU Experiment.Semantic)
-       (small_cfg 7))
+  let module BA = Tm_adt.Bank_account in
+  let db =
+    Tm_engine.Database.create
+      [ Atomic_object.create_optimistic ~spec:BA.spec ~conflict:BA.nfc_conflict ]
+  in
+  let tr = Trace.create () in
+  Tm_engine.Database.set_trace db tr;
+  let tid = Tm_engine.Database.begin_txn db in
+  ignore (Tm_engine.Database.invoke db tid ~obj:"BA" (BA.deposit 1).Op.inv);
+  check_bool "commits" true (Tm_engine.Database.try_commit db tid = Ok ());
+  let kinds = List.map (fun e -> Trace.kind_name e.Trace.kind) (Trace.events tr) in
+  check_bool "an optimistic commit emits validating" true (List.mem "validating" kinds)
 
 let test_span_kinds_durable_group_commit () =
   let row, _wal =
-    Experiment.run_durable ~record_trace:true ~group_commit:4
-      Experiment.bank_hotspot uip (small_cfg 7)
+    Experiment.run_durable ~record_trace:true Experiment.bank_hotspot uip (small_cfg 7)
   in
-  emits "a group-commit durable run" "wal_flush_wait" row
+  (* every commit waits on the group-commit watermark *)
+  emits "a durable run" "wal_flush_wait" row
 
-(* Replay of a durable trace (wal_flush_wait / durable / group-commit
-   spans present): non-operation spans are ignored and the history
+(* Replay of a durable trace (wal_flush_wait / durable spans
+   present): non-operation spans are ignored and the history
    passes the dynamic-atomicity checker.  Transactions kept few so the
    exponential check runs. *)
 let durable_replay_gen = QCheck2.Gen.(int_bound 10_000)
 
 let durable_replay_prop seed =
   let cfg =
-    Scheduler.config ~concurrency:3 ~total_txns:4 ~seed ~max_rounds:5_000
-      ~max_retries:4 ()
+    Experiment.config ~concurrency:3 ~total_txns:4 ~seed ~max_retries:4 ()
   in
   let row, _wal =
-    Experiment.run_durable ~record_trace:true ~group_commit:3 ~checkpoint_every:2
-      Experiment.bank_hotspot du cfg
+    Experiment.run_durable ~record_trace:true ~checkpoint_every:2 Experiment.bank_hotspot
+      du cfg
   in
   match row.Experiment.trace with
   | None -> false

@@ -4,7 +4,10 @@
    effects, committed operations replay legally, and small recorded
    histories are dynamic atomic.  The engine is a [Sharded_database];
    the non-commuting workloads run on one shard and on two, where
-   waits-for cycles thread through both shards. *)
+   waits-for cycles thread through both shards.  The tests that order
+   threads with sleeps have deterministic twins on seeded fibers
+   ([Tm_sim.Fiber]): no wall-clock deadline, and each twin runs twice
+   with the same commits, victims and rounds. *)
 
 open Tm_core
 module Atomic_object = Tm_engine.Atomic_object
@@ -177,8 +180,8 @@ let test_parallel_mixed_with_deadlocks ~shards () =
       Alcotest.failf "unexpected refusal %a" Value.pp res
   in
   (* A victim that retried at once would redo its deposit before the
-     survivor's withdrawal got through, and lose again: back off. *)
-  let backoff = Concurrent.default_backoff () in
+     survivor's withdrawal got through, and lose again: the runtime's
+     default backoff spaces the retries. *)
   run_threads 8 (fun i ->
       for k = 1 to 10 do
         let amount = 1 + ((i + k) mod 3) in
@@ -186,7 +189,7 @@ let test_parallel_mixed_with_deadlocks ~shards () =
         let transfer = k mod 2 = 0 in
         let is_deposit = (i + k) mod 4 = 1 in
         match
-          Concurrent.with_txn ~max_attempts:1000 ~backoff db (fun h ->
+          Concurrent.with_txn ~max_attempts:1000 db (fun h ->
               if transfer then begin
                 ok (Concurrent.invoke h ~obj:dst (deposit amount));
                 Thread.yield ();
@@ -559,7 +562,11 @@ let test_cross_shard_victim_traced () =
   let sdb = engine ~shards:2 [ account ~initial:100 a; account ~initial:100 b ] in
   let tr = Tm_obs.Trace.create () in
   SD.set_trace sdb tr;
-  let db = Concurrent.create sdb in
+  let db =
+    Concurrent.create
+      ~runtime:{ (Concurrent.threads ()) with backoff = (fun _ -> Thread.delay 0.05) }
+      sdb
+  in
   let m = Mutex.create () and c = Condition.create () and arrived = ref 0 in
   let barrier () =
     Mutex.lock m;
@@ -575,8 +582,7 @@ let test_cross_shard_victim_traced () =
       let mine, theirs = if i = 0 then (a, b) else (b, a) in
       let first = ref true in
       match
-        Concurrent.with_txn ~max_attempts:10 ~backoff:(fun _ -> Thread.delay 0.05) db
-          (fun h ->
+        Concurrent.with_txn ~max_attempts:10 db (fun h ->
             ignore (Concurrent.invoke h ~obj:mine (deposit 5));
             if !first then begin
               first := false;
@@ -606,6 +612,121 @@ let test_cross_shard_victim_traced () =
   List.iter
     (fun cycle -> Helpers.check_int "the cycle spans both transactions" 2 (List.length cycle))
     spans
+
+(* --- deterministic twins on seeded fibers --- *)
+
+module Fiber = Tm_sim.Fiber
+
+let fifo_queue name =
+  let module FQ = Tm_adt.Fifo_queue in
+  Atomic_object.create ~spec:(Spec.rename FQ.spec name) ~conflict:FQ.nrbc_conflict
+    ~recovery:Tm_engine.Recovery.UIP ()
+
+let victims sdb =
+  let reg = SD.metrics sdb in
+  Tm_obs.Metrics.counter_value reg "tm_deadlock_victims_total"
+  + Tm_obs.Metrics.counter_value reg "tm_stall_victims_total"
+
+(* Run one fiber per body over [sdb] at seed 1; each body gets the
+   front end.  Returns the commits, victims and rounds.  A stall the
+   rules miss raises [Fiber.All_parked] at once. *)
+let on_fibers sdb bodies =
+  let fibers = Fiber.create ~registry:(SD.registry sdb) (Random.State.make [| 1 |]) in
+  let db = Concurrent.create ~runtime:(Fiber.runtime fibers) sdb in
+  List.iter (fun body -> Fiber.spawn fibers (fun () -> body db)) bodies;
+  Fiber.run fibers;
+  (Concurrent.committed_count db, victims sdb, Fiber.round fibers)
+
+let commits db f =
+  match Concurrent.with_txn db f with
+  | Ok v -> v
+  | Error (`Gave_up n) -> Alcotest.failf "gave up after %d attempts" n
+
+let twice name run =
+  let first = run () in
+  Alcotest.(check (triple int int int))
+    (name ^ ": same commits, victims and rounds") first (run ())
+
+(* The stall above on fibers: T1 deposits in the first round, and T2
+   and T3 start in the second. *)
+let test_partial_operation_stall_fibers ~shards () =
+  twice "stall" (fun () ->
+      let ba, q = two_accounts ~shards in
+      let sdb = engine ~shards [ account ~initial:10 ba; fifo_queue q ] in
+      let dequeued = ref Value.ok in
+      let ((committed, victims, _) as outcome) =
+        on_fibers sdb
+          [
+            (fun db ->
+              commits db (fun h ->
+                  ignore (Concurrent.invoke h ~obj:ba (deposit 1));
+                  Fiber.yield ();
+                  dequeued := Concurrent.invoke h ~obj:q (Op.invocation "deq")));
+            (fun db ->
+              Fiber.yield ();
+              commits db (fun h ->
+                  ignore (Concurrent.invoke h ~obj:ba (withdraw 1));
+                  ignore
+                    (Concurrent.invoke h ~obj:q (Op.invocation ~args:[ Value.int 7 ] "enq"))));
+            (fun db ->
+              Fiber.yield ();
+              commits db (fun h -> ignore (Concurrent.invoke h ~obj:ba balance)));
+          ]
+      in
+      Helpers.check_int "all three committed" 3 committed;
+      Alcotest.check Helpers.value "T1 dequeued T2's 7" (Value.int 7) !dequeued;
+      Helpers.check_bool "a stall victim was counted" true (victims >= 1);
+      outcome)
+
+(* The lone consumer on fibers: the producer sleeps 5 rounds first. *)
+let test_lone_consumer_waits_fibers () =
+  twice "lone consumer" (fun () ->
+      let sdb = engine [ fifo_queue "Q" ] in
+      let got = ref Value.ok in
+      let ((_, victims, _) as outcome) =
+        on_fibers sdb
+          [
+            (fun db ->
+              got := commits db (fun h -> Concurrent.invoke h ~obj:"Q" (Op.invocation "deq")));
+            (fun db ->
+              Fiber.sleep 5;
+              ignore
+                (commits db (fun h ->
+                     Concurrent.invoke h ~obj:"Q" (Op.invocation ~args:[ Value.int 5 ] "enq"))));
+          ]
+      in
+      Alcotest.check Helpers.value "the consumer dequeued 5" (Value.int 5) !got;
+      Helpers.check_int "no stall victim" 0 victims;
+      outcome)
+
+(* The cross-shard cycle on fibers: both deposit in the first round and
+   withdraw from the other's account in the second. *)
+let test_cross_shard_victim_traced_fibers () =
+  twice "cross-shard cycle" (fun () ->
+      let a, b = two_accounts ~shards:2 in
+      let sdb = engine ~shards:2 [ account ~initial:100 a; account ~initial:100 b ] in
+      let tr = Tm_obs.Trace.create () in
+      SD.set_trace sdb tr;
+      let body mine theirs db =
+        commits db (fun h ->
+            ignore (Concurrent.invoke h ~obj:mine (deposit 5));
+            Fiber.yield ();
+            ignore (Concurrent.invoke h ~obj:theirs (withdraw 1)))
+      in
+      let ((committed, victims, _) as outcome) = on_fibers sdb [ body a b; body b a ] in
+      Helpers.check_int "both committed" 2 committed;
+      Helpers.check_bool "a victim was chosen" true (victims >= 1);
+      let cycles =
+        List.filter_map
+          (fun (e : Tm_obs.Trace.event) ->
+            match e.Tm_obs.Trace.kind with
+            | Tm_obs.Trace.Deadlock_victim { cycle } -> Some (List.length cycle)
+            | _ -> None)
+          (Tm_obs.Trace.events tr)
+      in
+      Alcotest.(check (list int)) "one two-transaction span per victim"
+        (List.init victims (fun _ -> 2)) cycles;
+      outcome)
 
 let test_default_backoff () =
   let hook = Concurrent.default_backoff ~base:1e-6 ~cap:1e-5 () in
@@ -648,4 +769,12 @@ let suite =
       (test_recorded_history_dynamic_atomic ~shards:2);
     Alcotest.test_case "cross-shard deadlock victim traced" `Slow
       test_cross_shard_victim_traced;
+    Alcotest.test_case "partial-operation stall broken (fibers)" `Quick
+      (test_partial_operation_stall_fibers ~shards:1);
+    Alcotest.test_case "2-shard partial-operation stall broken (fibers)" `Quick
+      (test_partial_operation_stall_fibers ~shards:2);
+    Alcotest.test_case "lone consumer waits for its producer (fibers)" `Quick
+      test_lone_consumer_waits_fibers;
+    Alcotest.test_case "cross-shard deadlock victim traced (fibers)" `Quick
+      test_cross_shard_victim_traced_fibers;
   ]

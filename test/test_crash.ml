@@ -15,7 +15,6 @@ module SD = Tm_engine.Sharded_database
 module Disk_wal = Tm_engine.Disk_wal
 module Storage = Tm_engine.Storage
 module Experiment = Tm_sim.Experiment
-module Scheduler = Tm_sim.Scheduler
 module BA = Tm_adt.Bank_account
 
 let deposit_inv i = Op.invocation ~args:[ Value.int i ] "deposit"
@@ -73,7 +72,7 @@ let test_history_checkpoint_base () =
 
 (* --- generators over a hand-driven database --- *)
 
-let recording ?(group_every = 1) wal = Crash.of_log ~group_every (Wal.records wal)
+let recording wal = Crash.of_log (Wal.records wal)
 
 let sweep ?(rebuild = rebuild_ba) gen wal = Crash.enumerate ~rebuild (gen (recording wal))
 
@@ -172,6 +171,30 @@ let test_torture_truncation_no_checkpoint () =
   Helpers.check_int "no crash states" 0 report.Crash.states;
   Helpers.check_bool "clean" true (Crash.ok report)
 
+(* An upgrade whose v2 image outgrows the v1 log it replaces: with no
+   checkpoint nothing is dropped and every frame grows, so the install
+   reaches past the old log's end, where the journal begins.  Every byte
+   state must still reload and recover the pre-upgrade state. *)
+let test_torture_upgrade_growing_image () =
+  let wal = Wal.create () in
+  List.iter (Wal.append wal)
+    [
+      Wal.Begin Tid.a;
+      Wal.Operation (Tid.a, BA.deposit 5);
+      Wal.Commit Tid.a;
+      Wal.Begin Tid.b;
+      Wal.Operation (Tid.b, BA.deposit 3);
+    ];
+  let recs = Wal.records wal in
+  Helpers.check_bool "the v2 image is longer" true
+    (String.length (Wal.Codec.encode_all recs)
+    > String.length (Wal.Codec.encode_all ~version:Wal.Codec.v1 recs));
+  let report = sweep (Crash.rewrite ~from:Wal.Codec.v1) wal in
+  Helpers.check_bool
+    (Fmt.str "no violations: %a" Crash.pp_report report)
+    true (Crash.ok report);
+  Helpers.check_bool "the sweep exercised crash states" true (report.Crash.states > 0)
+
 (* --- recovery refuses to drop committed work --- *)
 
 let test_recover_refuses_unrebuilt_object () =
@@ -206,23 +229,24 @@ let test_recover_refuses_unrebuilt_object () =
 (* --- batch-prefix torture of a group-committed run --- *)
 
 let test_torture_batched_group_commit () =
-  (* Drive a workload with the durability barrier batched every 3
-     commits, then prove every byte cut recovers a prefix of the commit
-     order and never loses a commit acknowledged at a flush frontier. *)
+  (* Drive a workload over storage, each commit acknowledged once its
+     force (through the log's group-commit combiner) returns, then prove
+     every byte cut recovers a prefix of the commit order and never loses
+     an acknowledged commit. *)
   let scenario = Experiment.transfer () in
   let setup = Experiment.setup Recovery.UIP Experiment.Semantic in
   let dw = Tm_engine.Disk_wal.create (Tm_engine.Storage.memory ()) in
-  let cfg = Scheduler.config ~concurrency:3 ~total_txns:6 ~seed:5 () in
+  let cfg = Experiment.config ~concurrency:3 ~total_txns:6 ~seed:5 () in
   let _row, wal =
-    Experiment.run_durable ~wal:(Tm_engine.Disk_wal.wal dw) ~checkpoint_every:2
-      ~group_commit:3 scenario setup cfg
+    Experiment.run_durable ~wal:(Tm_engine.Disk_wal.wal dw) ~checkpoint_every:2 scenario
+      setup cfg
   in
   let rebuild () = scenario.Experiment.build setup in
   (* One pass: the battery at every byte cut, batch-prefix and
      acked-durability with it. *)
-  let batch = Crash.enumerate ~rebuild (Crash.byte_cuts (recording ~group_every:3 wal)) in
+  let batch = Crash.enumerate ~rebuild (Crash.byte_cuts (recording wal)) in
   Helpers.check_bool
-    (Fmt.str "byte cuts and batch-prefix clean on a batched run: %a" Crash.pp_report
+    (Fmt.str "byte cuts and batch-prefix clean on a forced run: %a" Crash.pp_report
        batch)
     true (Crash.ok batch);
   Helpers.check_bool "cuts cover the encoded log" true (batch.Crash.states > 0);
@@ -257,7 +281,7 @@ let prop_crash_invariants =
         (int_bound (Array.length prop_setups - 1)))
     (fun (seed, checkpoint_every, si, pi) ->
       let scenario = prop_scenarios.(si) and setup = prop_setups.(pi) in
-      let cfg = Scheduler.config ~concurrency:3 ~total_txns:5 ~seed () in
+      let cfg = Experiment.config ~concurrency:3 ~total_txns:5 ~seed () in
       let _row, wal = Experiment.run_durable ~checkpoint_every scenario setup cfg in
       let rebuild () = scenario.Experiment.build setup in
       let report = sweep ~rebuild Crash.append_points wal in
@@ -289,7 +313,7 @@ let prop_recover_matches_replay =
         (int_bound (Array.length prop_setups - 1)))
     (fun (seed, checkpoint_every, si, pi) ->
       let scenario = prop_scenarios.(si) and setup = prop_setups.(pi) in
-      let cfg = Scheduler.config ~concurrency:3 ~total_txns:5 ~seed () in
+      let cfg = Experiment.config ~concurrency:3 ~total_txns:5 ~seed () in
       let _row, wal = Experiment.run_durable ~checkpoint_every scenario setup cfg in
       let rebuild () = scenario.Experiment.build setup in
       (* crash at a seed-derived record cut so losers are common *)
@@ -427,7 +451,7 @@ let prop_log_state_matches_records =
           fail "a reload gives another checkpoint"
       in
       let wal = if disk then Disk_wal.wal (Disk_wal.create storage) else Wal.create () in
-      let cfg = Scheduler.config ~concurrency:3 ~total_txns:5 ~seed () in
+      let cfg = Experiment.config ~concurrency:3 ~total_txns:5 ~seed () in
       let _row, wal = Experiment.run_durable ~wal ~checkpoint_every scenario setup cfg in
       check "run" wal;
       if truncate then begin
@@ -578,6 +602,8 @@ let suite =
       test_torture_detects_corrupt_log;
     Alcotest.test_case "torture: byte-granularity cuts" `Quick
       test_torture_bytes_clean;
+    Alcotest.test_case "torture: upgrade whose image outgrows the log" `Quick
+      test_torture_upgrade_growing_image;
     Alcotest.test_case "corruption sweep contained" `Quick
       test_corruption_sweep_contained;
     Alcotest.test_case "truncation torture: clean sweep" `Quick

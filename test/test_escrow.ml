@@ -82,26 +82,26 @@ let test_replay_legal () =
 
 let test_runner_end_to_end () =
   let capacity = 100_000 and initial = 50_000 in
-  let cfg = Tm_sim.Scheduler.config ~concurrency:8 ~total_txns:100 ~seed:3 () in
+  let cfg = Tm_sim.Experiment.config ~concurrency:8 ~total_txns:100 ~seed:3 () in
   List.iter
     (fun d ->
       let workload = Tm_sim.Workload.inventory ~incr:(100 - d) ~decr:d ~read:0 () in
       let e = Escrow.create ~capacity ~initial ~name:"CTR" in
       let stats = Tm_sim.Escrow_runner.run e workload cfg in
-      Helpers.check_int (Fmt.str "all committed (d=%d)" d) 100 stats.Tm_sim.Scheduler.committed;
-      Helpers.check_int (Fmt.str "zero refusals (d=%d)" d) 0 stats.Tm_sim.Scheduler.blocked;
+      Helpers.check_int (Fmt.str "all committed (d=%d)" d) 100 stats.Tm_sim.Experiment.committed;
+      Helpers.check_int (Fmt.str "zero refusals (d=%d)" d) 0 stats.Tm_sim.Experiment.blocked;
       Helpers.check_bool "verified" true (Tm_sim.Escrow_runner.verify ~capacity ~initial e))
     [ 0; 50; 100 ]
 
 let test_runner_with_reads_consistent () =
   let capacity = 1000 and initial = 500 in
-  let cfg = Tm_sim.Scheduler.config ~concurrency:6 ~total_txns:80 ~seed:5 () in
+  let cfg = Tm_sim.Experiment.config ~concurrency:6 ~total_txns:80 ~seed:5 () in
   let workload = Tm_sim.Workload.inventory ~incr:40 ~decr:40 ~read:20 () in
   let e = Escrow.create ~capacity ~initial ~name:"CTR" in
   let stats = Tm_sim.Escrow_runner.run e workload cfg in
   Helpers.check_bool "verified" true (Tm_sim.Escrow_runner.verify ~capacity ~initial e);
   Helpers.check_bool "most committed" true
-    (stats.Tm_sim.Scheduler.committed + stats.Tm_sim.Scheduler.gave_up = 80)
+    (stats.Tm_sim.Experiment.committed + stats.Tm_sim.Experiment.gave_up = 80)
 
 let test_invalid_invocation () =
   let e = make () in

@@ -10,7 +10,6 @@ module Database = Tm_engine.Database
 module Concurrent = Tm_engine.Concurrent
 module Recovery = Tm_engine.Recovery
 module Experiment = Tm_sim.Experiment
-module Scheduler = Tm_sim.Scheduler
 module BA = Tm_adt.Bank_account
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -245,16 +244,23 @@ let test_concurrent_accessors () =
   Helpers.check_int "no retries" 0 (Concurrent.retry_count db)
 
 let test_scheduler_row_counters () =
-  let cfg = Scheduler.config ~concurrency:8 ~total_txns:60 ~seed:11 () in
+  let cfg = Experiment.config ~concurrency:8 ~total_txns:60 ~seed:11 () in
   let row =
     Experiment.run Experiment.bank_hotspot
       (Experiment.setup Recovery.UIP Experiment.Semantic)
       cfg
   in
   Helpers.check_bool "consistent" true row.Experiment.consistent;
-  Helpers.check_int "victims counter mirrors deadlock aborts"
-    row.Experiment.stats.Scheduler.deadlock_aborts row.Experiment.deadlock_victims;
-  Helpers.check_int "rounds counter" row.Experiment.stats.Scheduler.rounds
+  let s = row.Experiment.stats in
+  Helpers.check_int "every program commits, gives up or goes unanswered" 60
+    (s.committed + s.gave_up + s.unanswered);
+  Helpers.check_bool "victims retried or given up" true
+    (s.deadlock_victims + s.stall_victims <= s.retries + s.gave_up);
+  Helpers.check_int "attempts split by outcome" s.attempts
+    (s.executed + s.blocked + s.no_response);
+  (* each committed program steps 3 invocations and a commit; 8 fibers *)
+  Helpers.check_bool "rounds bound the work" true (s.rounds * 8 >= s.committed * 4);
+  Helpers.check_int "rounds counter" s.rounds
     (Metrics.counter_value row.Experiment.metrics "tm_sched_rounds_total")
 
 (* ------------------------------------------------------------------ *)
@@ -314,7 +320,7 @@ module Catalog = Tm_obs.Catalog
 
 let test_catalog_covers_live_registries () =
   (* a scheduler run exercises txn / lock / object / scheduler families *)
-  let cfg = Scheduler.config ~concurrency:8 ~total_txns:80 ~seed:3 () in
+  let cfg = Experiment.config ~concurrency:8 ~total_txns:80 ~seed:3 () in
   let row =
     Experiment.run Experiment.bank_hotspot
       (Experiment.setup Recovery.UIP Experiment.Semantic)
@@ -409,8 +415,7 @@ let trace_roundtrip_gen =
 
 let trace_roundtrip_prop (seed, s, scenario) =
   let cfg =
-    Scheduler.config ~concurrency:3 ~total_txns:4 ~seed ~max_rounds:5_000
-      ~max_retries:4 ()
+    Experiment.config ~concurrency:3 ~total_txns:4 ~seed ~max_retries:4 ()
   in
   let row = Experiment.run ~record_trace:true scenario s cfg in
   match row.Experiment.trace with

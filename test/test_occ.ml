@@ -130,7 +130,7 @@ let test_random_occ_runs_consistent () =
   done
 
 let test_occ_scheduler_consistent () =
-  let cfg = Tm_sim.Scheduler.config ~concurrency:6 ~total_txns:60 ~seed:13 () in
+  let cfg = Tm_sim.Experiment.config ~concurrency:6 ~total_txns:60 ~seed:13 () in
   List.iter
     (fun scenario ->
       let row =
@@ -143,7 +143,7 @@ let test_occ_scheduler_consistent () =
         row.Tm_sim.Experiment.consistent;
       Helpers.check_int
         (row.Tm_sim.Experiment.scenario ^ " never blocks")
-        0 row.Tm_sim.Experiment.stats.Tm_sim.Scheduler.blocked)
+        0 row.Tm_sim.Experiment.stats.Tm_sim.Experiment.blocked)
     [
       Tm_sim.Experiment.bank_hotspot;
       Tm_sim.Experiment.kv_store ();

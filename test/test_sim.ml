@@ -1,13 +1,14 @@
-(* Simulation layer: workload generators, the deterministic scheduler,
+(* Simulation layer: workload generators, the seeded fiber runtime,
    and the experiment harness (including determinism and the headline
    concurrency shapes the paper predicts). *)
 
+open Tm_core
 module Workload = Tm_sim.Workload
-module Scheduler = Tm_sim.Scheduler
+module Fiber = Tm_sim.Fiber
 module Experiment = Tm_sim.Experiment
 
 let cfg ?(total_txns = 60) ?(concurrency = 6) ?(seed = 11) () =
-  Scheduler.config ~concurrency ~total_txns ~seed ~max_rounds:50_000 ~max_retries:20 ()
+  Experiment.config ~concurrency ~total_txns ~seed ~max_retries:20 ()
 
 let test_zipf_bounds () =
   let rng = Random.State.make [| 3 |] in
@@ -32,12 +33,75 @@ let test_workload_deterministic () =
   let p2 = w.Workload.generate (Random.State.make [| 5 |]) in
   Helpers.check_bool "same seed, same program" true (p1 = p2)
 
+(* --- the fiber runtime --- *)
+
+(* Five fibers, three steps each; the log of (fiber, step) in run order. *)
+let interleaving seed =
+  let t = Fiber.create ~registry:(Tm_obs.Metrics.create ()) (Random.State.make [| seed |]) in
+  let log = ref [] in
+  for i = 0 to 4 do
+    Fiber.spawn t (fun () ->
+        for step = 1 to 3 do
+          log := (i, step) :: !log;
+          Fiber.yield ()
+        done)
+  done;
+  Fiber.run t;
+  (List.rev !log, Fiber.round t)
+
+let test_fiber_same_seed () =
+  let l1, r1 = interleaving 7 and l2, r2 = interleaving 7 in
+  Helpers.check_bool "same seed, same interleaving" true (l1 = l2);
+  Helpers.check_int "same rounds" r1 r2;
+  (* every fiber steps once a round: three rounds of five, plus the
+     round in which each returns *)
+  Helpers.check_int "rounds" 4 r1;
+  Helpers.check_bool "another seed, another interleaving" true
+    (List.exists (fun s -> fst (interleaving s) <> l1) [ 1; 2; 3 ])
+
+let test_fiber_sleep () =
+  let t = Fiber.create ~registry:(Tm_obs.Metrics.create ()) (Random.State.make [| 1 |]) in
+  let seen = ref [] in
+  Fiber.spawn t (fun () ->
+      seen := Fiber.round t :: !seen;
+      Fiber.sleep 3;
+      seen := Fiber.round t :: !seen);
+  Fiber.run t;
+  Alcotest.(check (list int)) "sleep 3 in round 1 resumes in round 5" [ 5; 1 ] !seen;
+  Helpers.check_int "idle rounds counted" 5 (Fiber.round t)
+
+let test_fiber_all_parked () =
+  let reg = Tm_obs.Metrics.create () in
+  let t = Fiber.create ~registry:reg (Random.State.make [| 1 |]) in
+  let rt = Fiber.runtime t in
+  let woken = ref false in
+  (* Both park; the sleeper's broadcast wakes them (no raise while it
+     sleeps), and then both park again with nobody left to wake them. *)
+  Fiber.spawn t (fun () ->
+      rt.wait (Tid.of_int 4);
+      rt.wait (Tid.of_int 4));
+  Fiber.spawn t (fun () ->
+      rt.wait (Tid.of_int 2);
+      woken := true;
+      rt.wait (Tid.of_int 2));
+  Fiber.spawn t (fun () ->
+      Fiber.sleep 2;
+      rt.broadcast ());
+  (match Fiber.run t with
+  | () -> Alcotest.fail "the run returned with fibers parked"
+  | exception Fiber.All_parked tids ->
+      Alcotest.(check (list int)) "names the parked tids" [ 2; 4 ]
+        (List.map Tid.to_int tids));
+  Helpers.check_bool "the broadcast woke the parked" true !woken;
+  Helpers.check_int "rounds counted in the registry" (Fiber.round t)
+    (Tm_obs.Metrics.counter_value reg "tm_sched_rounds_total")
+
 let test_scheduler_completes_all () =
   let row = Experiment.run Experiment.bank_hotspot
       (Experiment.setup Tm_engine.Recovery.UIP Experiment.Semantic)
       (cfg ()) in
   let s = row.Experiment.stats in
-  Helpers.check_int "all programs accounted" 60 (s.Scheduler.committed + s.Scheduler.gave_up);
+  Helpers.check_int "all programs accounted" 60 (s.committed + s.gave_up + s.unanswered);
   Helpers.check_bool "consistent" true row.Experiment.consistent
 
 let test_scheduler_deterministic () =
@@ -65,7 +129,7 @@ let test_matrix_all_consistent () =
 let rounds scenario setup =
   let row = Experiment.run scenario setup (cfg ~total_txns:80 ~concurrency:8 ()) in
   Helpers.check_bool "consistent" true row.Experiment.consistent;
-  row.Experiment.stats.Scheduler.rounds
+  row.Experiment.stats.rounds
 
 let uip = Experiment.setup Tm_engine.Recovery.UIP Experiment.Semantic
 let du = Experiment.setup Tm_engine.Recovery.DU Experiment.Semantic
@@ -109,7 +173,7 @@ let test_deposits_scale_perfectly () =
     (fun setup ->
       let row = Experiment.run scenario setup (cfg ~total_txns:80 ~concurrency:8 ()) in
       Helpers.check_int (Experiment.label setup ^ " zero blocks") 0
-        row.Experiment.stats.Scheduler.blocked)
+        row.Experiment.stats.blocked)
     [ uip; du ]
 
 let test_transfer_scenario () =
@@ -125,48 +189,106 @@ let test_transfer_scenario () =
 let test_mixed_recovery_locality () =
   let scenario = Experiment.transfer_mixed_recovery ~accounts:4 () in
   let row =
-    Experiment.run scenario (Experiment.setup Tm_engine.Recovery.UIP Experiment.Semantic)
-      (cfg ~total_txns:60 ())
+    Experiment.run scenario uip (cfg ~total_txns:60 ())
   in
   Helpers.check_bool "mixed-recovery run consistent" true row.Experiment.consistent;
-  (* small run with recorded history, checked by the global checker *)
-  let db = Tm_engine.Database.create ~record_history:true (scenario.Experiment.build (Experiment.setup Tm_engine.Recovery.UIP Experiment.Semantic)) in
-  let small = Scheduler.config ~concurrency:3 ~total_txns:8 ~seed:3 ~max_rounds:5_000 () in
-  ignore (Scheduler.run db scenario.Experiment.workload small);
+  (* small traced run, its history checked by the global checker *)
+  let small = Experiment.config ~concurrency:3 ~total_txns:8 ~seed:3 () in
+  let traced = Experiment.run ~record_trace:true scenario uip small in
   let funded = Tm_adt.Bank_account.spec_with_initial 100_000 in
   let env =
     Tm_core.Atomicity.env_of_list
       (List.init 4 (fun i -> Tm_core.Spec.rename funded (Fmt.str "BA%d" i)))
   in
-  Helpers.check_bool "global history dynamic atomic" true
-    (Tm_core.Atomicity.is_dynamic_atomic env (Tm_engine.Database.history db))
+  match traced.Experiment.trace with
+  | None -> Alcotest.fail "no trace recorded"
+  | Some tr ->
+      Helpers.check_bool "global history dynamic atomic" true
+        (Tm_core.Atomicity.is_dynamic_atomic env (Tm_obs.Trace.to_history tr))
 
 let test_scheduler_edges () =
   (* concurrency 1 = serial execution: no blocking, no aborts *)
   let row =
     Experiment.run Experiment.bank_hotspot
       (Experiment.setup Tm_engine.Recovery.UIP Experiment.Semantic)
-      (Scheduler.config ~concurrency:1 ~total_txns:20 ~seed:1 ())
+      (Experiment.config ~concurrency:1 ~total_txns:20 ~seed:1 ())
   in
-  Helpers.check_int "serial: all committed" 20 row.Experiment.stats.Scheduler.committed;
-  Helpers.check_int "serial: no blocking" 0 row.Experiment.stats.Scheduler.blocked;
+  Helpers.check_int "serial: all committed" 20 row.Experiment.stats.committed;
+  Helpers.check_int "serial: no blocking" 0 row.Experiment.stats.blocked;
   (* zero transactions *)
   let empty =
     Experiment.run Experiment.bank_hotspot
       (Experiment.setup Tm_engine.Recovery.DU Experiment.Semantic)
-      (Scheduler.config ~concurrency:4 ~total_txns:0 ~seed:1 ())
+      (Experiment.config ~concurrency:4 ~total_txns:0 ~seed:1 ())
   in
-  Helpers.check_int "none committed" 0 empty.Experiment.stats.Scheduler.committed;
-  Helpers.check_int "zero rounds" 0 empty.Experiment.stats.Scheduler.rounds;
+  Helpers.check_int "none committed" 0 empty.Experiment.stats.committed;
+  Helpers.check_int "zero rounds" 0 empty.Experiment.stats.rounds;
   (* max_retries 0: deadlock victims give up instead of retrying *)
   let harsh =
     Experiment.run (Experiment.bank_sweep ~withdraw_pct:50)
       (Experiment.setup Tm_engine.Recovery.UIP Experiment.Semantic)
-      (Scheduler.config ~concurrency:8 ~total_txns:50 ~seed:1 ~max_retries:0 ())
+      (Experiment.config ~concurrency:8 ~total_txns:50 ~seed:1 ~max_retries:0 ())
   in
   let s = harsh.Experiment.stats in
-  Helpers.check_int "committed + gave_up = all" 50 (s.Scheduler.committed + s.Scheduler.gave_up);
+  Helpers.check_int "committed + gave_up + unanswered = all" 50
+    (s.committed + s.gave_up + s.unanswered);
   Helpers.check_bool "consistent under give-up" true harsh.Experiment.consistent
+
+(* Consumers of a queue nobody fills wait for a response no program
+   left can give: the run ends by aborting them, not by hanging or
+   raising. *)
+let test_unanswered_waiters () =
+  let row =
+    Experiment.run_custom ~name:"consumers" ~label:"UIP+NRBC"
+      ~workload:{ Workload.name = "consumers"; generate = (fun _ -> [ ("FQ", Op.invocation "deq") ]) }
+      ~build:(fun () ->
+        [
+          Tm_engine.Atomic_object.create ~spec:Tm_adt.Fifo_queue.spec
+            ~conflict:Tm_adt.Fifo_queue.nrbc_conflict ~recovery:Tm_engine.Recovery.UIP ();
+        ])
+      (Experiment.config ~concurrency:2 ~total_txns:3 ~seed:1 ())
+  in
+  let s = row.Experiment.stats in
+  Helpers.check_int "none committed" 0 s.committed;
+  Helpers.check_int "every consumer unanswered" 3 s.unanswered;
+  Helpers.check_int "none gave up" 0 s.gave_up;
+  Helpers.check_bool "consistent" true row.Experiment.consistent
+
+(* A consumer deposits, then waits on the empty queue while the
+   producer that would fill it blocks behind the deposit: only the
+   engine's stall rule lets the run finish.  Without the rule the run
+   raises [Fiber.All_parked] at once instead of counting the stalled
+   pair as given up or unanswered. *)
+let test_stall_broken_in_harness () =
+  let next = ref 0 in
+  let workload =
+    {
+      Workload.name = "deposit-then-consume";
+      generate =
+        (fun _ ->
+          incr next;
+          if !next mod 2 = 1 then
+            [ ("BA", Op.invocation ~args:[ Value.int 1 ] "deposit"); ("FQ", Op.invocation "deq") ]
+          else
+            [ ("BA", Op.invocation "balance"); ("FQ", Op.invocation ~args:[ Value.int 1 ] "enq") ]);
+    }
+  in
+  let build () =
+    [
+      Tm_engine.Atomic_object.create ~spec:Tm_adt.Bank_account.spec
+        ~conflict:Tm_adt.Bank_account.nrbc_conflict ~recovery:Tm_engine.Recovery.UIP ();
+      Tm_engine.Atomic_object.create ~spec:Tm_adt.Fifo_queue.spec
+        ~conflict:Tm_adt.Fifo_queue.nrbc_conflict ~recovery:Tm_engine.Recovery.UIP ();
+    ]
+  in
+  let row =
+    Experiment.run_custom ~name:"stall" ~label:"UIP+NRBC" ~workload ~build
+      (Experiment.config ~concurrency:2 ~total_txns:8 ~seed:1 ())
+  in
+  let s = row.Experiment.stats in
+  Helpers.check_bool "a stall victim was chosen" true (s.stall_victims >= 1);
+  Helpers.check_int "every program commits" 8 s.committed;
+  Helpers.check_bool "consistent" true row.Experiment.consistent
 
 let test_pp_smoke () =
   let rows = Experiment.run_matrix Experiment.bank_hotspot (cfg ~total_txns:20 ()) in
@@ -178,6 +300,9 @@ let suite =
     Alcotest.test_case "zipf bounds" `Quick test_zipf_bounds;
     Alcotest.test_case "zipf skew shape" `Quick test_zipf_skew_shape;
     Alcotest.test_case "workload deterministic" `Quick test_workload_deterministic;
+    Alcotest.test_case "fiber: same seed, same interleaving" `Quick test_fiber_same_seed;
+    Alcotest.test_case "fiber: sleep k resumes after k rounds" `Quick test_fiber_sleep;
+    Alcotest.test_case "fiber: all parked raises" `Quick test_fiber_all_parked;
     Alcotest.test_case "scheduler completes all" `Quick test_scheduler_completes_all;
     Alcotest.test_case "scheduler deterministic" `Quick test_scheduler_deterministic;
     Alcotest.test_case "matrix all consistent" `Slow test_matrix_all_consistent;
@@ -189,5 +314,7 @@ let suite =
     Alcotest.test_case "transfer scenario" `Slow test_transfer_scenario;
     Alcotest.test_case "mixed recovery locality (Thm 2)" `Slow test_mixed_recovery_locality;
     Alcotest.test_case "scheduler edge cases" `Quick test_scheduler_edges;
+    Alcotest.test_case "unanswered waiters aborted at the end" `Quick test_unanswered_waiters;
+    Alcotest.test_case "stall broken in the harness" `Quick test_stall_broken_in_harness;
     Alcotest.test_case "table rendering" `Quick test_pp_smoke;
   ]
