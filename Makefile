@@ -70,23 +70,20 @@ perfcheck:
 	bash bench/perfcheck.sh
 
 # Sharded observability smoke: a traced 4-shard stress run writes its
-# trace, metrics and live monitor snapshot; crashtest harvests a real
-# in-doubt multi-shard image (cut after the forced Decision, before
+# trace and metrics dumps, which must be non-empty; crashtest harvests a
+# real in-doubt multi-shard image (cut after the forced Decision, before
 # phase 2); walinspect --two-phase must name every unresolved prepare
-# and its evidence; shardmon renders one dashboard frame from the
-# monitor snapshot and exports its tm-series rings.
+# and its evidence.
 shardreport:
 	dune build @all
 	dune exec bin/stresstest.exe -- --shards 4 --seed 7 -n 40 \
-	  --trace _report/shard_trace.jsonl --metrics _report/shard_metrics.prom \
-	  --monitor _report/shard_monitor.prom
+	  --trace _report/shard_trace.jsonl --metrics _report/shard_metrics.prom
+	test -s _report/shard_trace.jsonl
+	test -s _report/shard_metrics.prom
 	dune exec bin/crashtest.exe -- --shards 4 -n 5 --keep-log _report/shard_wal.img
 	dune exec bin/walinspect.exe -- _report/shard_wal.img --two-phase \
 	  | grep -q "evidence"
-	dune exec bin/shardmon.exe -- _report/shard_monitor.prom --once --no-clear \
-	  --snapshot _report/shard_series.jsonl
-	test -s _report/shard_series.jsonl
-	@echo "shardreport: _report/shard_wal.img and _report/shard_series.jsonl"
+	@echo "shardreport: _report/shard_trace.jsonl, _report/shard_metrics.prom and _report/shard_wal.img"
 
 # WAL forensics smoke: persist a crashtest-driven log image, inspect it
 # (record histogram, checkpoint coverage, corruption diagnosis), then

@@ -48,8 +48,7 @@ let sum_deposits objs =
         acc (Atomic_object.committed_ops o))
     0 objs
 
-let main threads txns seed force_delay verbose trace_file metrics_file shards
-    monitor monitor_interval =
+let main threads txns seed force_delay verbose trace_file metrics_file shards =
   let failures = ref 0 in
   let fail fmt =
     Fmt.kstr
@@ -94,31 +93,6 @@ let main threads txns seed force_delay verbose trace_file metrics_file shards
     ]
   in
   let meta schema = Tm_obs.Artifact.make ~schema ~seed ~config () in
-  (* The monitor file is what shardmon attaches to: a whole Prometheus
-     snapshot, rewritten atomically (tmp + rename) so a reader never
-     sees a half-written scrape. *)
-  let snapshot file =
-    let body =
-      Tm_obs.Artifact.prom_header (meta Tm_obs.Artifact.metrics_schema)
-      ^ Metrics.to_prometheus (Sharded_database.metrics sdb)
-    in
-    let tmp = file ^ ".tmp" in
-    Cli_util.with_out tmp (fun oc -> output_string oc body);
-    Sys.rename tmp file
-  in
-  let stop = ref false in
-  let monitor_thread =
-    Option.map
-      (fun file ->
-        Thread.create
-          (fun () ->
-            while not !stop do
-              snapshot file;
-              Thread.delay monitor_interval
-            done)
-          ())
-      monitor
-  in
   (* Every fourth transaction escalates to a second object on a
      different home shard: the 2PC path, under thread contention. *)
   let other_shard o1 =
@@ -159,9 +133,6 @@ let main threads txns seed force_delay verbose trace_file metrics_file shards
   in
   let handles = List.init threads (fun i -> Thread.create worker i) in
   List.iter Thread.join handles;
-  stop := true;
-  Option.iter Thread.join monitor_thread;
-  Option.iter snapshot monitor;
 
   let committed = Concurrent.committed_count db in
   let reg = Sharded_database.metrics sdb in
@@ -322,29 +293,12 @@ let shards_arg =
            shards, so the dump carries the cross-shard \
            prepare/decision/completion spans.")
 
-let monitor_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "monitor" ] ~docv:"FILE"
-        ~doc:
-          "A background thread periodically rewrites $(docv) \
-           (atomically) with a whole Prometheus snapshot of the live \
-           registry — the file shardmon attaches to while the run is going.")
-
-let monitor_interval_arg =
-  Arg.(
-    value & opt float 0.2
-    & info [ "monitor-interval" ] ~docv:"SECONDS"
-        ~doc:"Delay between --monitor snapshot rewrites.")
-
 let cmd =
   let doc = "threaded group-commit stress against the durable engine" in
   Cmd.v
     (Cmd.info "stresstest" ~doc)
     Term.(
       const main $ threads_arg $ txns_arg $ seed_arg $ force_delay_arg $ verbose_arg
-      $ trace_arg $ metrics_arg $ shards_arg $ monitor_arg
-      $ monitor_interval_arg)
+      $ trace_arg $ metrics_arg $ shards_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -14,6 +14,7 @@
 open Tm_core
 module Object = Tm_engine.Atomic_object
 module Database = Tm_engine.Database
+module Trace = Tm_obs.Trace
 
 module Pool = Tm_adt.Bounded_counter.Make (struct
   let capacity = 100
@@ -34,7 +35,9 @@ let () =
     Object.create ~spec:Pool.spec ~conflict:Pool.nrbc_conflict
       ~recovery:Tm_engine.Recovery.UIP ()
   in
-  let db = Database.create ~record_history:true [ stock ] in
+  let db = Database.create [ stock ] in
+  let trace = Trace.create () in
+  Database.set_trace db trace;
 
   (* Three customers reserve concurrently: successful reservations
      right-commute-backward with each other, so none blocks — no one had
@@ -84,7 +87,7 @@ let () =
 
   let env = Atomicity.env_of_list [ Pool.spec ] in
   Fmt.pr "@.recorded UIP history dynamic atomic: %b@."
-    (Atomicity.is_dynamic_atomic env (Database.history db));
+    (Atomicity.is_dynamic_atomic env (Trace.to_history trace));
   Fmt.pr "both stores replay committed work legally: %b / %b@."
     (Spec.legal Pool.spec (Object.committed_ops stock))
     (Spec.legal Pool.spec (Object.committed_ops du_stock))

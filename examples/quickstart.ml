@@ -12,6 +12,7 @@ open Tm_core
 module BA = Tm_adt.Bank_account
 module Object = Tm_engine.Atomic_object
 module Database = Tm_engine.Database
+module Trace = Tm_obs.Trace
 
 let deposit i = Op.invocation ~args:[ Value.int i ] "deposit"
 let withdraw i = Op.invocation ~args:[ Value.int i ] "withdraw"
@@ -25,7 +26,10 @@ let () =
   let account =
     Object.create ~spec:BA.spec ~conflict:BA.nrbc_conflict ~recovery:Tm_engine.Recovery.UIP ()
   in
-  let db = Database.create ~record_history:true [ account ] in
+  let db = Database.create [ account ] in
+  (* A trace recorder: its events rebuild the run's history. *)
+  let trace = Trace.create () in
+  Database.set_trace db trace;
 
   (* Two transactions deposit concurrently: deposits commute in every
      sense, so neither blocks. *)
@@ -58,7 +62,7 @@ let () =
 
   (* The recorded history passes the paper's correctness criterion. *)
   let env = Atomicity.env_of_list [ BA.spec ] in
-  let h = Database.history db in
+  let h = Trace.to_history trace in
   Fmt.pr "@.recorded history: %d events; dynamic atomic: %b@." (History.length h)
     (Atomicity.is_dynamic_atomic env h);
   Fmt.pr "committed ops replay legally in commit order: %b@."

@@ -141,6 +141,17 @@ let break_stall t =
         wake_all t
     | _ -> ()
 
+(* Must hold the lock.  An optimistic transaction gets no response when
+   a later commit has emptied its view: what it read no longer fits the
+   committed state, so no response can come, and it would fail
+   validation at commit.  It is validated here and, if it fails,
+   aborted at once for [with_txn] to retry.  One that passes (a
+   consumer with nothing to take yet) waits for its producer. *)
+let check_view t tid obj =
+  if Atomic_object.policy (Sharded_database.find_object t.db obj) = Atomic_object.Optimistic
+     && Result.is_error (Sharded_database.validate t.db tid)
+  then abort_self t tid
+
 let invoke ?choose h ~obj inv =
   let t = h.sys in
   locked t (fun () ->
@@ -159,7 +170,9 @@ let invoke ?choose h ~obj inv =
             op.Op.res
         | (Atomic_object.Blocked _ | Atomic_object.No_response) as outcome ->
             if woken then Metrics.Counter.incr t.c_futile;
-            (match outcome with Atomic_object.Blocked _ -> break_deadlock t h.tid | _ -> ());
+            (match outcome with
+            | Atomic_object.Blocked _ -> break_deadlock t h.tid
+            | _ -> check_view t h.tid obj);
             (* Record what this waits on; that may complete a stall. *)
             Hashtbl.replace t.waiting h.tid outcome;
             break_stall t;

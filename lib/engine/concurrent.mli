@@ -82,14 +82,19 @@ val tid : handle -> Tid.t
 
 exception Aborted
 (** Raised inside the callback when this transaction was chosen as a
-    deadlock or stall victim (or failed optimistic validation at commit).
-    {!with_txn} catches it and retries; re-raise it if caught. *)
+    deadlock or stall victim, or failed optimistic validation on a
+    partial operation with no response (see {!invoke}).  {!with_txn}
+    catches it and retries; re-raise it if caught. *)
 
 (** [invoke h ~obj inv] executes the invocation, blocking while it
     conflicts with other active transactions or (for a partial operation)
     while it has no legal response.  Raises {!Aborted} if the transaction
     is selected as a deadlock victim while waiting or doomed by another
-    thread's detection. *)
+    thread's detection.  At an optimistic object, no response may mean
+    that a later commit emptied the transaction's view; the transaction
+    is then validated ({!Sharded_database.validate}), and aborted with
+    {!Aborted} if it fails, rather than left waiting for a response that
+    cannot come. *)
 val invoke : ?choose:(Value.t list -> Value.t) -> handle -> obj:string ->
   Op.invocation -> Value.t
 

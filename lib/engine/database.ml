@@ -13,8 +13,6 @@ type txn = {
 type t = {
   mutable objs_rev : Atomic_object.t list;  (* newest first *)
   by_name : (string, Atomic_object.t) Hashtbl.t;
-  record_history : bool;
-  mutable events : Event.t list;  (* newest first *)
   live : (Tid.t, txn) Hashtbl.t;  (* running transactions only *)
   finished : Tid_bits.t;
   waits : Deadlock.t;
@@ -43,15 +41,13 @@ let add_object t o =
   let name = Atomic_object.name o in
   if not (Hashtbl.mem t.by_name name) then Hashtbl.add t.by_name name o
 
-let create ?(record_history = false) ?(first_tid = 0) objs =
+let create ?(first_tid = 0) objs =
   if first_tid < 0 then invalid_arg "Database.create: negative first_tid";
   let metrics = Metrics.create () in
   let t =
     {
       objs_rev = [];
       by_name = Hashtbl.create 16;
-      record_history;
-      events = [];
       live = Hashtbl.create 64;
       finished = Tid_bits.create ();
       waits = Deadlock.create ();
@@ -127,16 +123,12 @@ let running t tid =
         invalid_arg (Fmt.str "Database: transaction %a already finished" Tid.pp tid)
       else invalid_arg (Fmt.str "Database: unknown transaction %a" Tid.pp tid)
 
-(* Callers test [t.record_history] first, so an unrecorded run never
-   builds the event. *)
-let push_event t e = t.events <- e :: t.events
-
 let touched_objs t tid =
   match Hashtbl.find t.live tid with txn -> txn.touched | exception Not_found -> []
 
 (* A transaction executing after an earlier block has been woken: record
    how long (in attempt ticks) it waited, per object. *)
-let note_woken t tid txn =
+let note_woken t txn =
   if txn.blocked_since >= 0 then begin
     let obj = txn.blocked_on and waited = t.ticks - txn.blocked_since in
     txn.blocked_since <- -1;
@@ -148,8 +140,7 @@ let note_woken t tid txn =
           Hashtbl.add t.wait_ticks obj h;
           h
     in
-    Metrics.Histogram.observe_int h waited;
-    if tracing t then emit_trace t ~tid (Trace.Woken { obj; waited })
+    Metrics.Histogram.observe_int h waited
   end
 
 let invoke ?choose t tid ~obj inv =
@@ -162,12 +153,8 @@ let invoke ?choose t tid ~obj inv =
   | Atomic_object.Executed op ->
       Deadlock.clear t.waits tid;
       Metrics.Counter.incr t.c_executed;
-      note_woken t tid txn;
+      note_woken t txn;
       if tracing t then emit_trace t ~tid (Trace.Executed { op });
-      if t.record_history then begin
-        push_event t (Event.invoke ~obj ~tid inv);
-        push_event t (Event.respond ~obj ~tid op.Op.res)
-      end;
       if not (List.mem obj txn.touched) then txn.touched <- obj :: txn.touched
   | Atomic_object.Blocked holders ->
       Metrics.Counter.incr t.c_blocked;
@@ -191,9 +178,7 @@ let rec release t tid ~committed = function
       release t tid ~committed older;
       let o = find_object t obj in
       if committed then Atomic_object.commit o tid else Atomic_object.abort o tid;
-      if tracing t then emit_trace t ~tid (Trace.Lock_release { obj });
-      if t.record_history then
-        push_event t (if committed then Event.commit ~obj ~tid else Event.abort ~obj ~tid)
+      if tracing t then emit_trace t ~tid (Trace.Lock_release { obj })
 
 let finish t tid ~committed =
   release t tid ~committed (running t tid).touched;
@@ -245,6 +230,5 @@ let try_commit t tid =
 
 let deadlock t = Deadlock.find_cycle t.waits
 let waits_for t = Deadlock.edges t.waits
-let history t = History.of_events (List.rev t.events)
 let committed_count t = Metrics.Counter.get t.c_committed
 let aborted_count t = Metrics.Counter.get t.c_aborted

@@ -4,26 +4,26 @@
     property — Theorem 2 — so different objects may even use different
     recovery methods and conflict relations); the database adds
     transaction bookkeeping, atomic commitment across the objects a
-    transaction touched, waits-for tracking and an optional global event
-    history for offline verification with {!Tm_core.Atomicity}.
+    transaction touched and waits-for tracking.
 
     Every database owns a {!Tm_obs.Metrics} registry: transaction counts
     are backed by it ({!committed_count} reads a counter) and every
     managed object is attached to it at {!create} time.  A
     {!Tm_obs.Trace} recorder can additionally be attached with
     {!set_trace}; without one, tracing costs a single branch per event
-    site, and no span kind is built.  Likewise, without
-    [~record_history] no history event is built. *)
+    site, and no span kind is built.  A run's history, for offline
+    verification with {!Tm_core.Atomicity}, is {!Tm_obs.Trace.to_history}
+    of an attached recorder. *)
 
 open Tm_core
 
 type t
 
-(** [create ?record_history ?first_tid objs] — [first_tid] (default 0)
+(** [create ?first_tid objs] — [first_tid] (default 0)
     seeds the transaction-id allocator; recovery passes the WAL's tid
     high-water mark so post-crash transactions never reuse an id that may
     still appear in the log. *)
-val create : ?record_history:bool -> ?first_tid:int -> Atomic_object.t list -> t
+val create : ?first_tid:int -> Atomic_object.t list -> t
 
 (** The managed objects in registration order. *)
 val objects : t -> Atomic_object.t list
@@ -42,7 +42,8 @@ val metrics : t -> Tm_obs.Metrics.t
 val next_tid : t -> int
 
 (** Attach a trace recorder; subsequent engine activity emits
-    begin/invoke/executed/blocked/woken/validated/commit/abort spans. *)
+    begin/invoke/executed/blocked/no_response/validating/validated/
+    lock_release/commit/abort spans. *)
 val set_trace : t -> Tm_obs.Trace.t -> unit
 
 val trace : t -> Tm_obs.Trace.t option
@@ -117,9 +118,6 @@ val deadlock : t -> Tid.t list option
 (** The waits-for edges {!deadlock} searches ({!Deadlock.edges}) — what
     {!Sharded_database.deadlock} unions across shards. *)
 val waits_for : t -> (Tid.t * Tid.t list) list
-
-(** The global event history (empty unless [record_history] was set). *)
-val history : t -> History.t
 
 (** Committed transactions count / aborted count (read from the
     [tm_txn_committed_total] / [tm_txn_aborted_total] registry

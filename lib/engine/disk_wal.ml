@@ -21,7 +21,6 @@ type t = {
   mutable bytes_written : int;
   mutable retries : int;
   mutable metrics : Metrics.t option;
-  mutable c_bytes : Metrics.counter option;  (* tm_wal_bytes_total, resolved on first frame *)
 }
 
 let wal t = t.wal
@@ -79,19 +78,7 @@ let persist t record =
   ignore (Wal.Codec.put_frame t.buf 0 ~version ~shard:t.shard record);
   write_retrying t ~pos:t.end_off t.buf len 1;
   t.end_off <- t.end_off + len;
-  t.bytes_written <- t.bytes_written + len;
-  match t.metrics with
-  | None -> ()
-  | Some reg ->
-      let c =
-        match t.c_bytes with
-        | Some c -> c
-        | None ->
-            let c = Metrics.counter reg "tm_wal_bytes_total" in
-            t.c_bytes <- Some c;
-            c
-      in
-      Metrics.Counter.incr ~by:len c
+  t.bytes_written <- t.bytes_written + len
 
 (* ------------------------------------------------------------------ *)
 (* Crash-atomic log compaction.
@@ -175,7 +162,6 @@ let install_sink t =
       sink_attach =
         (fun reg ->
           t.metrics <- Some reg;
-          t.c_bytes <- None;
           Storage.attach_metrics t.storage reg);
       sink_records = (fun () -> read_back t);
       sink_rewrite = (fun kept -> compact t kept);
@@ -195,7 +181,6 @@ let make ?(retry = default_retry) ?(shard = 0) storage =
       bytes_written = 0;
       retries = 0;
       metrics = None;
-      c_bytes = None;
     }
   in
   install_sink t;

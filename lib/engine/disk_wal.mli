@@ -110,8 +110,7 @@ val storage : t -> Storage.t
 (** The shard id this log stamps on appended frames (0 unless given). *)
 val shard : t -> int
 
-(** Bytes appended to the backend so far (also counted as
-    [tm_wal_bytes_total]). *)
+(** Bytes appended to the backend so far. *)
 val bytes_written : t -> int
 
 (** Transient faults absorbed by the retry loop so far (also counted as

@@ -1,4 +1,3 @@
-open Tm_core
 module Metrics = Tm_obs.Metrics
 module Trace = Tm_obs.Trace
 
@@ -7,30 +6,22 @@ type t = {
   wal : Wal.t;
 }
 
-let create ?record_history ?first_tid ~wal objs =
-  let db = Database.create ?record_history ?first_tid objs in
+let create ?first_tid ~wal objs =
+  let db = Database.create ?first_tid objs in
   Wal.attach_metrics wal (Database.metrics db);
   { db; wal }
 
 let database t = t.db
 let begin_txn t = Database.begin_txn t.db
 
-let log t tid r =
-  Wal.append t.wal r;
-  if Database.tracing t.db then
-    Database.emit_trace t.db ~tid (Trace.Wal_append { record = Wal.record_kind r })
-
 let invoke ?choose t tid ~obj inv =
   let outcome = Database.invoke ?choose t.db tid ~obj inv in
   (match outcome with
   | Atomic_object.Executed op ->
-      if not (Wal.in_flight t.wal tid) then log t tid (Wal.Begin tid);
-      log t tid (Wal.Operation (tid, op))
+      if not (Wal.in_flight t.wal tid) then Wal.append t.wal (Wal.Begin tid);
+      Wal.append t.wal (Wal.Operation (tid, op))
   | Atomic_object.Blocked _ | Atomic_object.No_response -> ());
   outcome
-
-let emit_system db kind =
-  match Database.trace db with Some tr -> Trace.emit_system tr kind | None -> ()
 
 let checkpoint t =
   (* Fuzzy: snapshot the replay state of the log itself — committed
@@ -41,21 +32,19 @@ let checkpoint t =
      as the tid high-water mark.  The log keeps that state, so this
      reads it rather than rescanning the records. *)
   let cp = Wal.checkpoint_of ~next_tid:(Database.next_tid t.db) t.wal in
-  Wal.append t.wal (Wal.Checkpoint cp);
-  if Database.tracing t.db then
-    emit_system t.db (Trace.Checkpoint { ops = List.length cp.Wal.committed })
+  Wal.append t.wal (Wal.Checkpoint cp)
 
 (* Only transactions in flight in the log have anything to undo there;
    an Abort for an unlogged transaction would be noise (and inflate
    tm_wal_appends_total{kind="abort"}). *)
 let abort t tid =
-  if Wal.in_flight t.wal tid then log t tid (Wal.Abort tid);
+  if Wal.in_flight t.wal tid then Wal.append t.wal (Wal.Abort tid);
   Database.abort t.db tid
 
 (* The commit-record sequence shared by the one-shot and the 2PC commit:
    append the Commit, read its LSN, apply. *)
 let log_commit t tid =
-  log t tid (Wal.Commit tid);
+  Wal.append t.wal (Wal.Commit tid);
   let lsn = Wal.last_lsn t.wal in
   Database.commit t.db tid;
   lsn
@@ -94,7 +83,7 @@ let prepare t tid =
       abort t tid;
       e
   | Ok () ->
-      log t tid (Wal.Prepare tid);
+      Wal.append t.wal (Wal.Prepare tid);
       Ok (Wal.last_lsn t.wal)
 
 (* Phase 2 needs no force: recovery re-resolves a lost Commit from the
@@ -102,7 +91,7 @@ let prepare t tid =
 let commit_prepared = log_commit
 
 let decide t tid =
-  log t tid (Wal.Decision { tid; commit = true });
+  Wal.append t.wal (Wal.Decision { tid; commit = true });
   Wal.last_lsn t.wal
 
 let wait_durable t tid lsn =
@@ -121,9 +110,7 @@ let try_commit t tid =
       wait_durable t tid lsn;
       Ok ()
 
-let flush t =
-  Wal.force t.wal;
-  emit_system t.db Trace.Wal_force
+let flush t = Wal.force t.wal
 
 let recover ?trace ?profile ~wal ~rebuild () =
   let module Profile = Tm_obs.Recovery_profile in
@@ -186,8 +173,6 @@ let recover ?trace ?profile ~wal ~rebuild () =
           let reg = Database.metrics t.db in
           Metrics.Counter.incr ~by:plan.Wal.plan_ops
             (Metrics.counter reg "tm_recovery_replayed_ops_total");
-          Metrics.Counter.incr ~by:(Tid.Set.cardinal losers)
-            (Metrics.counter reg "tm_recovery_loser_txns_total");
           (match profile with
           | None -> ()
           | Some p ->
@@ -196,13 +181,11 @@ let recover ?trace ?profile ~wal ~rebuild () =
                  registry, and emit one trace span per profiled phase. *)
               Profile.finish p;
               Profile.export p reg;
-              if Database.tracing t.db then
-                List.iter
-                  (fun (phase, wall_us, items) ->
-                    emit_system t.db (Trace.Recovery_phase { phase; wall_us; items }))
-                  (Profile.spans p));
-          if Database.tracing t.db then
-            emit_system t.db
-              (Trace.Crash_recover
-                 { replayed = plan.Wal.plan_ops; losers = Tid.Set.cardinal losers });
+              Option.iter
+                (fun tr ->
+                  List.iter
+                    (fun (phase, wall_us, items) ->
+                      Trace.emit_system tr (Trace.Recovery_phase { phase; wall_us; items }))
+                    (Profile.spans p))
+                trace);
           Ok (t, losers))

@@ -19,12 +19,10 @@ open Tm_core
 
 type t
 
-(** [create ?record_history ?first_tid ~wal objs] — [record_history]
-    and [first_tid] are passed through to {!Database.create}
-    ([first_tid] seeds the transaction-id allocator; {!recover} passes
-    the log's tid high-water mark). *)
-val create :
-  ?record_history:bool -> ?first_tid:int -> wal:Wal.t -> Atomic_object.t list -> t
+(** [create ?first_tid ~wal objs] — [first_tid] is passed through to
+    {!Database.create} (it seeds the transaction-id allocator; {!recover}
+    passes the log's tid high-water mark). *)
+val create : ?first_tid:int -> wal:Wal.t -> Atomic_object.t list -> t
 val database : t -> Database.t
 val begin_txn : t -> Tid.t
 
@@ -97,7 +95,7 @@ val commit_prepared : t -> Tid.t -> int
 val decide : t -> Tid.t -> int
 
 (** [flush t] forces everything appended so far ({!Sharded_database.flush}
-    of every shard); emits a system [Wal_force] span. *)
+    of every shard). *)
 val flush : t -> unit
 
 (** Aborts the transaction; the [Abort] record is logged only when the
@@ -108,8 +106,7 @@ val abort : t -> Tid.t -> unit
 
 (** [checkpoint t] appends a {e fuzzy} [Checkpoint] record: the committed
     operations in global commit order, every in-flight transaction's
-    logged operations, and the tid allocator's high-water mark (committed
-    size observed in the [tm_wal_checkpoint_ops] histogram).  The
+    logged operations, and the tid allocator's high-water mark.  The
     snapshot is read from the log's replay state ({!Wal.checkpoint_of}):
     O(committed + live operations), with no scan of the log's records.
     After a checkpoint the preceding log segment may be dropped with
@@ -128,9 +125,8 @@ val checkpoint : t -> unit
     restarts strictly above every tid the log mentions (the replay
     plan's tid high-water mark), so post-crash transactions never merge
     with a pre-crash loser on a later replay.  Replay volume is counted
-    as [tm_recovery_replayed_ops_total] / [tm_recovery_loser_txns_total]
-    in the new database's registry; [trace], if given, is attached to it
-    and receives the [Crash_recover] span.
+    as [tm_recovery_replayed_ops_total] in the new database's registry;
+    [trace], if given, is attached to it.
 
     Replay reads the log's replay state ({!Wal.plan_of}) rather than its
     records: the log was already folded as it was appended or loaded,

@@ -5,8 +5,8 @@ type t = {
   lock : Mutex.t;  (* serialises engine calls; never held across a force *)
 }
 
-let create ?record_history ~index ~wal objs =
-  { index; wal; db = Durable_database.create ?record_history ~wal objs; lock = Mutex.create () }
+let create ~index ~wal objs =
+  { index; wal; db = Durable_database.create ~wal objs; lock = Mutex.create () }
 
 let of_db ~index ~wal db = { index; wal; db; lock = Mutex.create () }
 let index t = t.index

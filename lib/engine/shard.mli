@@ -9,11 +9,11 @@ open Tm_core
 
 type t
 
-(** [create ?record_history ~index ~wal objs] wraps a fresh
+(** [create ~index ~wal objs] wraps a fresh
     {!Durable_database} over [objs] and [wal].  [index] is the shard's
     position in the router's table — it is also the shard id
     {!Disk_wal} stamps into v2 frames when [wal] is disk-backed. *)
-val create : ?record_history:bool -> index:int -> wal:Wal.t -> Atomic_object.t list -> t
+val create : index:int -> wal:Wal.t -> Atomic_object.t list -> t
 
 (** [of_db ~index ~wal db] wraps an already-built engine — how
     {!Sharded_database.recover} assembles shards from per-shard

@@ -37,28 +37,12 @@ type t = {
   c_prepares : Metrics.counter;
   c_cross : Metrics.counter;
   c_abort_prepare : Metrics.counter;
-  g_flushed : Metrics.gauge array;
-  g_inflight : Metrics.gauge;
 }
 
 let max_shards = 0x10000 (* shard ids are stamped into u16 frame headers *)
 
-let make_metrics n =
-  let reg = Metrics.create () in
-  ( reg,
-    Metrics.counter reg "tm_2pc_prepares_total",
-    Metrics.counter reg "tm_shard_cross_txn_total",
-    Metrics.counter reg "tm_2pc_aborts_total" ~labels:[ ("phase", "prepare") ],
-    Array.init n (fun i ->
-        Metrics.gauge reg "tm_shard_flushed_lsn"
-          ~labels:[ ("shard", string_of_int i) ]),
-    Metrics.gauge reg "tm_2pc_in_flight" )
-
 let make ?(first_tid = 0) shards =
-  let n = Array.length shards in
-  let reg, c_prepares, c_cross, c_abort_prepare, g_flushed, g_inflight =
-    make_metrics n
-  in
+  let reg = Metrics.create () in
   {
     shards;
     txns = Hashtbl.create 64;
@@ -69,11 +53,9 @@ let make ?(first_tid = 0) shards =
     lock = Mutex.create ();
     trace = None;
     reg;
-    c_prepares;
-    c_cross;
-    c_abort_prepare;
-    g_flushed;
-    g_inflight;
+    c_prepares = Metrics.counter reg "tm_2pc_prepares_total";
+    c_cross = Metrics.counter reg "tm_shard_cross_txn_total";
+    c_abort_prepare = Metrics.counter reg "tm_2pc_aborts_total" ~labels:[ ("phase", "prepare") ];
   }
 
 let check_shard_count n =
@@ -92,13 +74,13 @@ let partition_objects ~shards:n objs =
     objs;
   Array.map List.rev parts
 
-let create ?record_history ?first_tid ~wals objs =
+let create ?first_tid ~wals objs =
   let n = Array.length wals in
   check_shard_count n;
   let parts = partition_objects ~shards:n objs in
   let shards =
     Array.init n (fun i ->
-        Shard.create ?record_history ~index:i ~wal:wals.(i) parts.(i))
+        Shard.create ~index:i ~wal:wals.(i) parts.(i))
   in
   make ?first_tid shards
 
@@ -149,9 +131,6 @@ let new_txn t () =
 
 let begin_txn t = locked t new_txn ()
 
-let note_flushed t s =
-  Metrics.Gauge.set_int t.g_flushed.(s) (Wal.flushed_lsn (Shard.wal t.shards.(s)))
-
 (* [l] with [s] inserted in order, or [l] itself if it holds [s]. *)
 let rec insert s = function
   | x :: _ as l when x >= s -> if x = s then l else s :: l
@@ -168,6 +147,17 @@ let invoke ?choose t tid ~obj inv =
   txn.touched <- touched;
   Shard.invoke ?choose t.shards.(s) ~first tid ~obj inv
 
+let validate_shard db tid = Database.validate (Durable_database.database db) tid
+
+let rec validate_at t tid = function
+  | [] -> Ok ()
+  | s :: rest -> (
+      match Shard.locked t.shards.(s) validate_shard tid with
+      | Ok () -> validate_at t tid rest
+      | Error _ as e -> e)
+
+let validate t tid = validate_at t tid (locked t txn_of tid).touched
+
 (* Take [tid] out of the table. *)
 let retire t tid =
   let txn = txn_of t tid in
@@ -182,16 +172,11 @@ let retire_commit t tid =
     txn.mark <- t.next_gtrace;
     t.next_gtrace <- t.next_gtrace + 1;
     t.cross_in_flight <- t.cross_in_flight + 1;
-    Metrics.Gauge.set_int t.g_inflight t.cross_in_flight;
     Metrics.Counter.incr t.c_cross
   end;
   txn
 
-let close t txn =
-  if is_cross txn then begin
-    t.cross_in_flight <- t.cross_in_flight - 1;
-    Metrics.Gauge.set_int t.g_inflight t.cross_in_flight
-  end
+let close t txn = if is_cross txn then t.cross_in_flight <- t.cross_in_flight - 1
 
 let close_committed t txn =
   close t txn;
@@ -239,7 +224,6 @@ let rec force_votes t tid ~gtid parts lsns =
   match (parts, lsns) with
   | s :: parts, lsn :: lsns ->
       Wal.force_upto (Shard.wal t.shards.(s)) lsn;
-      note_flushed t s;
       if tracing t s then emit_2pc t s ~tid (Trace.Prepare_force { shard = s; lsn; gtid });
       force_votes t tid ~gtid parts lsns
   | _ -> ()
@@ -269,7 +253,6 @@ let commit_cross t tid ~gtid parts =
       let coord = List.hd parts in
       let dlsn = Shard.locked t.shards.(coord) Durable_database.decide tid in
       Wal.force_upto (Shard.wal t.shards.(coord)) dlsn;
-      note_flushed t coord;
       if tracing t coord then
         emit_2pc t coord ~tid
           (Trace.Decision_force { shard = coord; lsn = dlsn; gtid; commit = true });
@@ -308,8 +291,7 @@ let try_commit_nowait t tid =
 let wait_durable t p =
   match p.touched with
   | s :: _ when not (is_cross p) ->
-      Durable_database.wait_durable (Shard.db t.shards.(s)) p.tid p.mark;
-      note_flushed t s
+      Durable_database.wait_durable (Shard.db t.shards.(s)) p.tid p.mark
   | _ -> () (* touched nothing, or a cross-shard commit forced its decision *)
 
 let try_commit t tid =
@@ -335,9 +317,7 @@ let deadlock t =
 
 let abort t tid = abort_all t tid (locked t retire tid).touched
 
-let flush t =
-  Array.iter (fun sh -> Durable_database.flush (Shard.db sh)) t.shards;
-  Array.iteri (fun s _ -> note_flushed t s) t.shards
+let flush t = Array.iter (fun sh -> Durable_database.flush (Shard.db sh)) t.shards
 
 let checkpoint t =
   Mutex.protect t.lock (fun () ->
@@ -348,7 +328,6 @@ let checkpoint t =
            license truncating away the decision evidence that would
            otherwise re-derive it. *)
         Array.iter (fun sh -> Wal.force (Shard.wal sh)) t.shards;
-        Array.iteri (fun s _ -> note_flushed t s) t.shards;
         Array.iter
           (fun sh -> Shard.locked sh (fun db () -> Durable_database.checkpoint db) ())
           t.shards;

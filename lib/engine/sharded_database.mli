@@ -69,18 +69,14 @@ open Tm_core
 
 type t
 
-(** [create ?record_history ?first_tid ~wals objs] — one shard per
+(** [create ?first_tid ~wals objs] — one shard per
     element of [wals] (their order fixes shard ids); [objs] are
     partitioned among shards by the router.  A sink-less [Wal.create ()]
-    gives an in-memory shard, durable by fiat.  [record_history] makes
-    every shard's database record its history ({!Database.history} of
-    {!Shard.database}).  [first_tid] seeds the {e global}
+    gives an in-memory shard, durable by fiat.  [first_tid] seeds the {e global}
     transaction-id allocator.  Raises [Invalid_argument] if [wals] is
     empty or has more than 65536 elements (shard ids must fit a v2
     frame header). *)
-val create :
-  ?record_history:bool -> ?first_tid:int -> wals:Wal.t array ->
-  Atomic_object.t list -> t
+val create : ?first_tid:int -> wals:Wal.t array -> Atomic_object.t list -> t
 
 val shard_count : t -> int
 
@@ -107,6 +103,13 @@ val begin_txn : t -> Tid.t
 val invoke :
   ?choose:(Value.t list -> Value.t) -> t -> Tid.t -> obj:string -> Op.invocation ->
   Atomic_object.outcome
+
+(** [validate t tid] runs {!Database.validate} on every shard [tid]
+    touched, in shard order, each under its shard's mutex, and returns
+    the first failure.  Changes nothing: the commit paths validate
+    again.  {!Concurrent} calls it to fail early an optimistic
+    transaction whose view a later commit emptied. *)
+val validate : t -> Tid.t -> (unit, string * Op.t * Op.t) result
 
 (** {2 The staged commit}
 
@@ -178,9 +181,8 @@ val registry : t -> Tm_obs.Metrics.t
 
 (** A fresh registry merging the engine-level 2PC metrics
     ([tm_2pc_prepares_total], [tm_2pc_aborts_total{phase}],
-    [tm_2pc_in_flight], [tm_2pc_resolved_total{evidence,outcome}] after
-    a recovery, [tm_shard_cross_txn_total],
-    [tm_shard_flushed_lsn{shard}]) with
+    [tm_2pc_resolved_total{evidence,outcome}] after a recovery and
+    [tm_shard_cross_txn_total]) with
     every shard's registry, each shard's series tagged with an added
     [shard] label. *)
 val metrics : t -> Tm_obs.Metrics.t

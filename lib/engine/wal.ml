@@ -295,14 +295,6 @@ let create () =
     flusher_busy = false;
   }
 
-(* On-disk format versions.  The byte-level contract lives in {!Codec}
-   (and docs/WAL_FORMAT.md); the constants sit up here so the metrics
-   attachment below can export the written version without a forward
-   reference into the codec. *)
-let format_v1 = 1
-let format_v2 = 2
-let write_format_version = format_v2
-
 let set_sink t sink =
   t.sink <- Some sink;
   (* Everything already present predates the sink (e.g. records decoded
@@ -330,9 +322,6 @@ let record_kind r = record_kinds.(kind_index r)
 
 let attach_metrics t reg =
   t.metrics <- Some { reg; appends = Array.make (Array.length record_kinds) None; forces = None };
-  Metrics.Gauge.set
-    (Metrics.gauge reg "tm_wal_format_version")
-    (float_of_int write_format_version);
   match t.sink with None -> () | Some s -> s.sink_attach reg
 
 let last_lsn t = t.appended
@@ -455,7 +444,7 @@ let append t r =
   admit ~durable:false None t r;
   match t.metrics with
   | None -> ()
-  | Some m -> (
+  | Some m ->
       let i = kind_index r in
       let appends =
         match m.appends.(i) with
@@ -467,15 +456,7 @@ let append t r =
             m.appends.(i) <- Some c;
             c
       in
-      Metrics.Counter.incr appends;
-      match r with
-      | Checkpoint cp ->
-          Metrics.Histogram.observe_int
-            (Metrics.histogram m.reg "tm_wal_checkpoint_ops")
-            (List.length cp.committed)
-      | Begin _ | Operation _ | Commit _ | Abort _ | Truncate_intent _
-      | Prepare _ | Decision _ ->
-          ())
+      Metrics.Counter.incr appends
 
 let restore ?profile t r =
   match profile with
@@ -548,9 +529,9 @@ let truncate_to_checkpoint t =
 (* Binary framing for the on-disk log.                                 *)
 
 module Codec = struct
-  let v1 = format_v1
-  let v2 = format_v2
-  let write_version = write_format_version
+  let v1 = 1
+  let v2 = 2
+  let write_version = v2
   let supported_versions = [ v1; v2 ]
   let is_supported v = List.mem v supported_versions
 

@@ -159,8 +159,7 @@ val force_upto : t -> int -> unit
 val force : t -> unit
 
 (** [attach_metrics t reg] counts appends per record kind as
-    [tm_wal_appends_total{kind}], observes checkpoint sizes in the
-    [tm_wal_checkpoint_ops] histogram and counts records dropped by
+    [tm_wal_appends_total{kind}] and counts records dropped by
     {!truncate_to_checkpoint} as [tm_wal_truncated_records_total].
     {!Durable_database.create} attaches its database registry
     automatically; a log rebuilt by {!prefix} keeps the attachment.

@@ -64,6 +64,9 @@ let all =
       "Invocations that blocked because every legal response conflicted.";
     e obj "tm_object_no_response_total" Counter [ "obj"; "op" ]
       "Invocations with no legal response in the current state set.";
+    e obj "tm_validation_failures_total" Counter [ "obj"; "op" ]
+      "Optimistic validations that failed, by object and the failing \
+       transaction's operation.";
     e sched "tm_sched_rounds_total" Counter []
       "Rounds run by the seeded fiber runtime (`Tm_sim.Fiber`), idle \
        rounds included.";
@@ -71,8 +74,6 @@ let all =
       "Records appended to the log, by record kind (`begin`, \
        `operation`, `commit`, `abort`, `checkpoint`, and the \
        cross-shard 2PC kinds `prepare` and `decision`).";
-    e wal "tm_wal_checkpoint_ops" Histogram []
-      "Committed operations carried by each checkpoint record.";
     e wal "tm_wal_truncated_records_total" Counter []
       "Records dropped from the prefix by log truncation at a \
        checkpoint.";
@@ -82,11 +83,6 @@ let all =
       "Group-commit flushes (one force amortised over a batch).";
     e wal "tm_wal_group_commit_batch" Histogram []
       "Transactions riding each group-commit flush.";
-    e wal "tm_wal_bytes_total" Counter []
-      "Encoded frame bytes written to storage.";
-    e wal "tm_wal_format_version" Gauge []
-      "On-disk WAL format version this binary writes (reads accept all \
-       supported versions; see docs/WAL_FORMAT.md).";
     e storage "tm_storage_retries_total" Counter []
       "Storage writes retried after a transient fault.";
     e storage "tm_storage_faults_total" Counter [ "backend"; "kind" ]
@@ -105,15 +101,9 @@ let all =
        survived, `phase2` = a participant's phase-2 outcome record \
        survived, `presumed` = no witness, the presumed-abort default) \
        and the outcome appended (`commit` or `abort`).";
-    e sharding "tm_2pc_in_flight" Gauge []
-      "Cross-shard transactions currently between first prepare and \
-       completion (checkpoints are deferred while > 0).";
     e sharding "tm_shard_cross_txn_total" Counter []
       "Transactions whose commit spanned more than one shard (took the \
        two-phase path instead of the single-shard fast path).";
-    e sharding "tm_shard_flushed_lsn" Gauge [ "shard" ]
-      "Durable (flushed) LSN watermark of each shard's WAL at the last \
-       engine-observed flush.";
     e recovery "tm_recovery_committed_ops_total" Counter [ "obj" ]
       "Operations made durable at commit, per object.";
     e recovery "tm_recovery_undone_ops_total" Counter [ "obj"; "mode" ]
@@ -124,13 +114,9 @@ let all =
        object.";
     e recovery "tm_recovery_replayed_ops_total" Counter []
       "Committed operations replayed during restart.";
-    e recovery "tm_recovery_loser_txns_total" Counter []
-      "In-flight (loser) transactions resolved during restart.";
     e profiler "tm_recovery_phase_seconds" Gauge [ "phase" ]
       "Wall seconds the last restart spent in each profiler phase \
        (phases tile: they do not overlap).";
-    e profiler "tm_recovery_phase_calls_total" Counter [ "phase" ]
-      "Times each profiler phase was entered during the last restart.";
     e profiler "tm_recovery_wall_seconds" Gauge []
       "End-to-end wall seconds of the last restart.";
     e profiler "tm_recovery_bytes_scanned_total" Counter []
@@ -139,10 +125,6 @@ let all =
       "Trailing bytes discarded as a torn tail during restart.";
     e profiler "tm_recovery_frames_decoded_total" Counter []
       "Log frames decoded (and checksum-verified) during restart.";
-    e profiler "tm_recovery_records_scanned_total" Counter []
-      "Log records fed to the redo scan during restart.";
-    e profiler "tm_recovery_checkpoints_seen_total" Counter []
-      "Checkpoint records encountered by the redo scan.";
     e profiler "tm_recovery_checkpoint_seed_ops_total" Counter []
       "Committed operations seeded from the newest checkpoint.";
     e profiler "tm_recovery_object_replayed_ops_total" Counter [ "obj" ]

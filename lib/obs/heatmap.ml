@@ -7,37 +7,33 @@ type t = {
 
 let conflicts_metric = "tm_lock_conflicts_total"
 
-(* Group a flat [(labels, count)] sample list into matrices: the group
-   key is the label set minus the two axis labels. *)
-let of_samples samples =
+(* Sum the conflict counters into matrices: the group key is the label
+   set minus the two axis labels. *)
+let of_metrics reg =
   let tbl : (labels, (string * string, int) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 8
   in
-  List.iter
-    (fun (labels, v) ->
-      match
-        (List.assoc_opt "requested" labels, List.assoc_opt "held" labels)
-      with
-      | Some requested, Some held ->
-          let key =
-            List.filter
-              (fun (k, _) -> k <> "requested" && k <> "held")
-              labels
-            |> List.sort compare
-          in
-          let cells =
-            match Hashtbl.find_opt tbl key with
-            | Some c -> c
-            | None ->
-                let c = Hashtbl.create 8 in
-                Hashtbl.add tbl key c;
-                c
-          in
-          let cell = (requested, held) in
-          Hashtbl.replace cells cell
-            (v + Option.value (Hashtbl.find_opt cells cell) ~default:0)
-      | _ -> ())
-    samples;
+  let add () name labels metric =
+    match (metric, List.assoc_opt "requested" labels, List.assoc_opt "held" labels) with
+    | Metrics.Counter c, Some requested, Some held when name = conflicts_metric ->
+        let key =
+          List.filter (fun (k, _) -> k <> "requested" && k <> "held") labels
+          |> List.sort compare
+        in
+        let cells =
+          match Hashtbl.find_opt tbl key with
+          | Some c -> c
+          | None ->
+              let c = Hashtbl.create 8 in
+              Hashtbl.add tbl key c;
+              c
+        in
+        let cell = (requested, held) in
+        Hashtbl.replace cells cell
+          (Metrics.Counter.get c + Option.value (Hashtbl.find_opt cells cell) ~default:0)
+    | _ -> ()
+  in
+  Metrics.fold reg add ();
   Hashtbl.fold
     (fun key cells acc ->
       let cells =
@@ -48,17 +44,6 @@ let of_samples samples =
     tbl []
   |> List.sort compare
 
-let of_metrics reg =
-  Metrics.fold reg
-    (fun acc name labels metric ->
-      match metric with
-      | Metrics.Counter c when name = conflicts_metric ->
-          (labels, Metrics.Counter.get c) :: acc
-      | _ -> acc)
-    []
-  |> List.rev |> of_samples
-
-let obj t = List.assoc_opt "obj" t.key
 let count t ~requested ~held =
   Option.value (List.assoc_opt (requested, held) t.cells) ~default:0
 
@@ -68,135 +53,6 @@ let axes t =
   let dedup_sort l = List.sort_uniq compare l in
   ( dedup_sort (List.map (fun ((r, _), _) -> r) t.cells),
     dedup_sort (List.map (fun ((_, h), _) -> h) t.cells) )
-
-(* ------------------------------------------------------------------ *)
-(* Prometheus text-format parsing                                      *)
-
-exception Parse_error of string
-
-let unescape_label_value s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i < n then
-      match s.[i] with
-      | '\\' when i + 1 < n ->
-          (match s.[i + 1] with
-          | '\\' -> Buffer.add_char b '\\'
-          | 'n' -> Buffer.add_char b '\n'
-          | '"' -> Buffer.add_char b '"'
-          | c ->
-              (* unknown escape: keep verbatim, like Prometheus does *)
-              Buffer.add_char b '\\';
-              Buffer.add_char b c);
-          go (i + 2)
-      | c ->
-          Buffer.add_char b c;
-          go (i + 1)
-  in
-  go 0;
-  Buffer.contents b
-
-(* One sample line: name{k="v",...} value  (labels optional). *)
-let parse_sample_line lineno line =
-  let fail msg = raise (Parse_error (Printf.sprintf "line %d: %s" lineno msg)) in
-  let n = String.length line in
-  let pos = ref 0 in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do incr pos done
-  in
-  let ident () =
-    let start = !pos in
-    while
-      !pos < n
-      && (match line.[!pos] with
-         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> true
-         | _ -> false)
-    do
-      incr pos
-    done;
-    if !pos = start then fail "expected identifier";
-    String.sub line start (!pos - start)
-  in
-  let name = ident () in
-  let labels =
-    if !pos < n && line.[!pos] = '{' then begin
-      incr pos;
-      let acc = ref [] in
-      let rec loop () =
-        skip_ws ();
-        if !pos < n && line.[!pos] = '}' then incr pos
-        else begin
-          let k = ident () in
-          if !pos >= n || line.[!pos] <> '=' then fail "expected '='";
-          incr pos;
-          if !pos >= n || line.[!pos] <> '"' then fail "expected '\"'";
-          incr pos;
-          let b = Buffer.create 16 in
-          let rec value () =
-            if !pos >= n then fail "unterminated label value"
-            else
-              match line.[!pos] with
-              | '"' -> incr pos
-              | '\\' when !pos + 1 < n ->
-                  Buffer.add_char b '\\';
-                  Buffer.add_char b line.[!pos + 1];
-                  pos := !pos + 2;
-                  value ()
-              | c ->
-                  Buffer.add_char b c;
-                  incr pos;
-                  value ()
-          in
-          value ();
-          acc := (k, unescape_label_value (Buffer.contents b)) :: !acc;
-          skip_ws ();
-          if !pos < n && line.[!pos] = ',' then begin
-            incr pos;
-            loop ()
-          end
-          else if !pos < n && line.[!pos] = '}' then incr pos
-          else fail "expected ',' or '}'"
-        end
-      in
-      loop ();
-      List.rev !acc
-    end
-    else []
-  in
-  skip_ws ();
-  if !pos >= n then fail "missing sample value";
-  let value_str = String.sub line !pos (n - !pos) |> String.trim in
-  let value =
-    match float_of_string_opt value_str with
-    | Some v -> v
-    | None -> fail (Printf.sprintf "bad sample value %S" value_str)
-  in
-  (name, List.sort compare labels, value)
-
-let parse_prometheus text =
-  let lines = String.split_on_char '\n' text in
-  try
-    Ok
-      (List.concat
-         (List.mapi
-            (fun i line ->
-              let line = String.trim line in
-              if line = "" || line.[0] = '#' then []
-              else [ parse_sample_line (i + 1) line ])
-            lines))
-  with Parse_error msg -> Error msg
-
-let of_prometheus text =
-  match parse_prometheus text with
-  | Error _ as e -> e
-  | Ok samples ->
-      Ok
-        (samples
-        |> List.filter_map (fun (name, labels, v) ->
-               if name = conflicts_metric then Some (labels, int_of_float v)
-               else None)
-        |> of_samples)
 
 (* ------------------------------------------------------------------ *)
 (* Comparison and rendering                                            *)

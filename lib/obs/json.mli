@@ -2,9 +2,8 @@
 
     The repo deliberately carries no JSON dependency.  The trace
     exporter ({!Trace.to_jsonl}) escapes its strings with {!escape};
-    the artifact headers ({!Artifact}), the series snapshots
-    ({!Series.of_jsonl}) and the benchmark's result files are printed
-    and read back with this module.
+    the artifact headers ({!Artifact}) are printed, and the benchmark's
+    result files printed and read back, with this module.
 
     The value model covers exactly what the telemetry formats use:
     null, booleans, integers, floats, strings, arrays and objects.

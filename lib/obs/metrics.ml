@@ -133,7 +133,6 @@ module Gauge = struct
   type t = gauge
 
   let set g v = g.value <- v
-  let set_int g n = g.value <- float_of_int n
   let add g v = g.value <- g.value +. v
   let get g = g.value
 end

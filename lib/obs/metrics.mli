@@ -54,8 +54,6 @@ module Gauge : sig
   type t = gauge
 
   val set : t -> float -> unit
-  val set_int : t -> int -> unit  (** [set] of an int, boxing no float *)
-
   val add : t -> float -> unit
   val get : t -> float
 end

@@ -146,21 +146,15 @@ let total_wall t =
 let export t reg =
   List.iter
     (fun ph ->
-      let labels = [ ("phase", phase_name ph) ] in
       Metrics.Gauge.set
-        (Metrics.gauge reg "tm_recovery_phase_seconds" ~labels)
-        (phase_wall t ph);
-      Metrics.Counter.incr
-        ~by:(phase_calls t ph)
-        (Metrics.counter reg "tm_recovery_phase_calls_total" ~labels))
+        (Metrics.gauge reg "tm_recovery_phase_seconds" ~labels:[ ("phase", phase_name ph) ])
+        (phase_wall t ph))
     all_phases;
   Metrics.Gauge.set (Metrics.gauge reg "tm_recovery_wall_seconds") (total_wall t);
   let count name v = Metrics.Counter.incr ~by:v (Metrics.counter reg name) in
   count "tm_recovery_bytes_scanned_total" t.bytes_scanned;
   count "tm_recovery_torn_bytes_total" t.torn_bytes;
   count "tm_recovery_frames_decoded_total" t.frames_decoded;
-  count "tm_recovery_records_scanned_total" t.records_scanned;
-  count "tm_recovery_checkpoints_seen_total" t.checkpoints_seen;
   count "tm_recovery_checkpoint_seed_ops_total" t.checkpoint_seed_ops;
   List.iter
     (fun (obj, n) ->

@@ -95,15 +95,14 @@ val per_object : t -> (string * int) list
 (** {1 Exports} *)
 
 (** [export t reg] publishes the profile as the [tm_recovery_*] metric
-    family: [tm_recovery_phase_seconds{phase}] /
-    [tm_recovery_phase_calls_total{phase}] per phase,
+    family: [tm_recovery_phase_seconds{phase}] per phase,
     [tm_recovery_wall_seconds], the volume counters
     ([tm_recovery_bytes_scanned_total], [tm_recovery_torn_bytes_total],
     [tm_recovery_frames_decoded_total],
-    [tm_recovery_records_scanned_total],
-    [tm_recovery_checkpoints_seen_total],
     [tm_recovery_checkpoint_seed_ops_total]) and
-    [tm_recovery_object_replayed_ops_total{obj}]. *)
+    [tm_recovery_object_replayed_ops_total{obj}].  The call counts,
+    records scanned and checkpoints seen stay in the profile
+    ({!to_json}, {!pp}). *)
 val export : t -> Metrics.t -> unit
 
 (** The phases as trace-span payloads [(phase, wall microseconds,

@@ -6,19 +6,14 @@ type kind =
   | Executed of { op : Op.t }
   | Blocked of { obj : string; inv : Op.invocation; holders : Tid.t list }
   | No_response of { obj : string; inv : Op.invocation }
-  | Woken of { obj : string; waited : int }
   | Validating
   | Validated of { ok : bool }
   | Commit
   | Abort
   | Deadlock_victim of { cycle : Tid.t list }
   | Lock_release of { obj : string }
-  | Wal_append of { record : string }
-  | Wal_force
   | Wal_flush_wait of { upto : int }
   | Durable of { lsn : int }
-  | Checkpoint of { ops : int }
-  | Crash_recover of { replayed : int; losers : int }
   | Recovery_phase of { phase : string; wall_us : int; items : int }
   | Prepare_append of { shard : int; gtid : int }
   | Prepare_force of { shard : int; lsn : int; gtid : int }
@@ -68,19 +63,14 @@ let kind_name = function
   | Executed _ -> "executed"
   | Blocked _ -> "blocked"
   | No_response _ -> "no_response"
-  | Woken _ -> "woken"
   | Validating -> "validating"
   | Validated _ -> "validated"
   | Commit -> "commit"
   | Abort -> "abort"
   | Deadlock_victim _ -> "deadlock_victim"
   | Lock_release _ -> "lock_release"
-  | Wal_append _ -> "wal_append"
-  | Wal_force -> "wal_force"
   | Wal_flush_wait _ -> "wal_flush_wait"
   | Durable _ -> "durable"
-  | Checkpoint _ -> "checkpoint"
-  | Crash_recover _ -> "crash_recover"
   | Recovery_phase _ -> "recovery_phase"
   | Prepare_append _ -> "prepare_append"
   | Prepare_force _ -> "prepare_force"
@@ -114,7 +104,7 @@ let json_of_tids tids =
   Fmt.str "[%s]" (String.concat "," (List.map (fun t -> string_of_int (Tid.to_int t)) tids))
 
 let kind_fields = function
-  | Begin | Commit | Abort | Wal_force | Validating -> []
+  | Begin | Commit | Abort | Validating -> []
   | Invoke { obj; inv } -> [ ("obj", json_str obj); ("op", json_of_inv inv) ]
   | Executed { op } ->
       [
@@ -125,17 +115,11 @@ let kind_fields = function
   | Blocked { obj; inv; holders } ->
       [ ("obj", json_str obj); ("op", json_of_inv inv); ("holders", json_of_tids holders) ]
   | No_response { obj; inv } -> [ ("obj", json_str obj); ("op", json_of_inv inv) ]
-  | Woken { obj; waited } ->
-      [ ("obj", json_str obj); ("waited", string_of_int waited) ]
   | Validated { ok } -> [ ("ok", string_of_bool ok) ]
   | Deadlock_victim { cycle } -> [ ("cycle", json_of_tids cycle) ]
   | Lock_release { obj } -> [ ("obj", json_str obj) ]
-  | Wal_append { record } -> [ ("record", json_str record) ]
   | Wal_flush_wait { upto } -> [ ("upto", string_of_int upto) ]
   | Durable { lsn } -> [ ("lsn", string_of_int lsn) ]
-  | Checkpoint { ops } -> [ ("ops", string_of_int ops) ]
-  | Crash_recover { replayed; losers } ->
-      [ ("replayed", string_of_int replayed); ("losers", string_of_int losers) ]
   | Recovery_phase { phase; wall_us; items } ->
       [
         ("phase", json_str phase);

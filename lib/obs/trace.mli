@@ -2,8 +2,16 @@
     logical timestamps.
 
     A recorder is attached to a {!Tm_engine.Database} (or the durable /
-    threaded front ends built on it); the engine emits one event per
-    transaction-lifecycle step.  Timestamps are logical — each emitted
+    sharded / threaded front ends built on it); the engine emits one
+    event per transaction-lifecycle step.  Every kind has a reader in
+    the test suite: the lifecycle kinds in the obs and analytics span
+    tests and {!to_history}, [deadlock_victim] in the concurrent tests,
+    [wal_flush_wait] and [durable] in the durable span tests,
+    [recovery_phase] in the walinspect tests and the four 2PC kinds in
+    the sharded tests.  Waiting, log volume and restart
+    totals are read from metrics instead ([tm_lock_wait_ticks],
+    [tm_wal_appends_total], [tm_wal_forces_total], the
+    [tm_recovery_*] family).  Timestamps are logical — each emitted
     event advances the recorder's clock by one — so traces are
     deterministic whenever the run is.
 
@@ -22,8 +30,6 @@ type kind =
   | Blocked of { obj : string; inv : Op.invocation; holders : Tid.t list }
   | No_response of { obj : string; inv : Op.invocation }
       (** partial operation with no legal response yet *)
-  | Woken of { obj : string; waited : int }
-      (** first execution after a block; [waited] in logical ticks *)
   | Validating  (** commit-time validation begins (optimistic objects) *)
   | Validated of { ok : bool }  (** optimistic commit-time validation *)
   | Commit
@@ -31,15 +37,11 @@ type kind =
   | Deadlock_victim of { cycle : Tid.t list }
   | Lock_release of { obj : string }
       (** the transaction's holds at [obj] released (commit or abort) *)
-  | Wal_append of { record : string }
-  | Wal_force  (** the append that makes a commit durable *)
   | Wal_flush_wait of { upto : int }
       (** a committer parking on the group-commit watermark until
           [flushed_lsn >= upto] *)
   | Durable of { lsn : int }
       (** the watermark passed [lsn]: the commit is acknowledged durable *)
-  | Checkpoint of { ops : int }
-  | Crash_recover of { replayed : int; losers : int }
   | Recovery_phase of { phase : string; wall_us : int; items : int }
       (** one restart-profiler phase ({!Recovery_profile.phase_name}):
           wall time in microseconds and the phase's item count *)
@@ -57,7 +59,7 @@ type kind =
 
 type event = {
   ts : int;  (** monotonic logical timestamp, unique per recorder *)
-  tid : Tid.t option;  (** [None] for system-wide events (checkpoints, recovery) *)
+  tid : Tid.t option;  (** [None] for system-wide events (restart phases) *)
   kind : kind;
 }
 
@@ -68,7 +70,7 @@ val create : unit -> t
 val emit : t -> tid:Tid.t -> kind -> unit
 
 (** [emit_system t kind] — an event not attributable to one transaction
-    (a checkpoint, a crash recovery); serialized with [tid:null]. *)
+    (a restart phase); serialized with [tid:null]. *)
 val emit_system : t -> kind -> unit
 
 (** Events in emission order. *)
@@ -91,7 +93,8 @@ val to_jsonl : ?extra:(string * string) list -> t -> string
 (** [to_history t] reconstructs the global event history of the traced
     run: each [Executed] operation contributes its invocation/response
     pair, and [Commit]/[Abort] expand into per-object completion events
-    for exactly the objects the transaction executed at (mirroring
-    [Database]'s own history recording).  The result can be fed to
-    {!Tm_core.Atomicity.is_online_dynamic_atomic}. *)
+    for exactly the objects the transaction executed at, oldest first
+    (the order in which [Database] releases them).  The result can be
+    fed to {!Tm_core.Atomicity.is_online_dynamic_atomic}; it is the one
+    way to get the history of an engine run. *)
 val to_history : t -> History.t

@@ -18,6 +18,17 @@ let tids = Alcotest.list tid
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* [traced db] attaches a trace recorder, whose events rebuild the run's
+   history: [recorded_history db] is {!Tm_obs.Trace.to_history} of it. *)
+let traced db =
+  Tm_engine.Database.set_trace db (Tm_obs.Trace.create ());
+  db
+
+let recorded_history db =
+  match Tm_engine.Database.trace db with
+  | Some tr -> Tm_obs.Trace.to_history tr
+  | None -> Alcotest.fail "no trace recorder attached"
+
 (* Bank-account shorthands used across suites. *)
 module BA = Tm_adt.Bank_account
 

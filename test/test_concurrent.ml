@@ -21,8 +21,8 @@ let withdraw i = Op.invocation ~args:[ Value.int i ] "withdraw"
 let balance = Op.invocation "balance"
 
 (* An in-memory engine: [shards] sink-less logs, durable by fiat. *)
-let engine ?record_history ?(shards = 1) objs =
-  SD.create ?record_history ~wals:(Array.init shards (fun _ -> Wal.create ())) objs
+let engine ?(shards = 1) objs =
+  SD.create ~wals:(Array.init shards (fun _ -> Wal.create ())) objs
 
 let account ?(recovery = Tm_engine.Recovery.UIP) ?(initial = 0) name =
   let conflict =
@@ -236,13 +236,15 @@ let test_occ_threads () =
 let test_recorded_history_dynamic_atomic ~shards () =
   (* A deposit and two opposing withdraw-then-deposit transfers under
      DU.  Dynamic atomicity is local (Theorem 2), so checking each
-     shard's own history is enough. *)
+     shard's own history is enough: each shard's database gets its own
+     recorder, whose trace rebuilds that shard's history. *)
   let a, b = two_accounts ~shards in
   let objs =
     [ account ~recovery:Tm_engine.Recovery.DU ~initial:10 a;
       account ~recovery:Tm_engine.Recovery.DU ~initial:10 b ]
   in
-  let sdb = engine ~record_history:true ~shards objs in
+  let sdb = engine ~shards objs in
+  Array.iter (fun sh -> ignore (Helpers.traced (Tm_engine.Shard.database sh))) (SD.shards sdb);
   let db = Concurrent.create sdb in
   let steps = function
     | 0 -> [ (a, deposit 2) ]
@@ -261,7 +263,7 @@ let test_recorded_history_dynamic_atomic ~shards () =
     (fun s sh ->
       Helpers.check_bool (Fmt.str "shard %d dynamic atomic" s) true
         (Atomicity.is_dynamic_atomic env
-           (Tm_engine.Database.history (Tm_engine.Shard.database sh))))
+           (Helpers.recorded_history (Tm_engine.Shard.database sh))))
     (SD.shards sdb)
 
 (* --- the staged commit pipeline under OS threads --- *)
@@ -728,6 +730,40 @@ let test_cross_shard_victim_traced_fibers () =
         (List.init victims (fun _ -> 2)) cycles;
       outcome)
 
+(* An optimistic reader overtaken by a committed deposit: what it read
+   no longer fits the committed state, so its view is empty and its next
+   invocation has no response.  It must fail validation and be retried,
+   not wait for a response that cannot come (which would end the run in
+   [Fiber.All_parked]). *)
+let test_occ_empty_view_retried_fibers () =
+  twice "empty view" (fun () ->
+      let sdb =
+        engine [ Atomic_object.create_optimistic ~spec:BA.spec ~conflict:BA.nfc_conflict ]
+      in
+      let reads = ref [] in
+      let ((committed, _, _) as outcome) =
+        on_fibers sdb
+          [
+            (fun db ->
+              commits db (fun h ->
+                  let first = Concurrent.invoke h ~obj:"BA" balance in
+                  Fiber.sleep 3;
+                  let again = Concurrent.invoke h ~obj:"BA" balance in
+                  reads := (first, again) :: !reads));
+            (fun db ->
+              Fiber.yield ();
+              commits db (fun h -> ignore (Concurrent.invoke h ~obj:"BA" (deposit 5))));
+          ]
+      in
+      Helpers.check_int "both committed" 2 committed;
+      Alcotest.(check (list (pair Helpers.value Helpers.value)))
+        "only the retry read, and it saw the deposit"
+        [ (Value.int 5, Value.int 5) ]
+        !reads;
+      Helpers.check_int "one retry" 1
+        (Tm_obs.Metrics.counter_value (SD.metrics sdb) "tm_txn_retries_total");
+      outcome)
+
 let test_default_backoff () =
   let hook = Concurrent.default_backoff ~base:1e-6 ~cap:1e-5 () in
   (* bounded and total over any attempt number (no float overflow) *)
@@ -777,4 +813,6 @@ let suite =
       test_lone_consumer_waits_fibers;
     Alcotest.test_case "cross-shard deadlock victim traced (fibers)" `Quick
       test_cross_shard_victim_traced_fibers;
+    Alcotest.test_case "optimistic empty view retried (fibers)" `Quick
+      test_occ_empty_view_retried_fibers;
   ]

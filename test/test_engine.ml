@@ -668,8 +668,7 @@ let test_deadlock_self_loop_impossible () =
 
 let test_database_end_to_end () =
   let db =
-    Database.create ~record_history:true
-      [ make_ba Recovery.UIP ]
+    Helpers.traced (Database.create [ make_ba Recovery.UIP ])
   in
   let a = Database.begin_txn db in
   let b = Database.begin_txn db in
@@ -678,7 +677,7 @@ let test_database_end_to_end () =
   Database.commit db a;
   Database.commit db b;
   Helpers.check_int "committed" 2 (Database.committed_count db);
-  let h = Database.history db in
+  let h = Helpers.recorded_history db in
   Helpers.check_bool "recorded history well-formed" true (History.is_well_formed h);
   Helpers.check_bool "recorded history dynamic atomic" true
     (Atomicity.is_dynamic_atomic Helpers.ba_env h)
@@ -711,12 +710,12 @@ let test_database_multi_object_commit () =
   let mk spec =
     Atomic_object.create ~spec ~conflict:BA.nrbc_conflict ~recovery:Recovery.UIP ()
   in
-  let db = Database.create ~record_history:true [ mk ba0; mk ba1 ] in
+  let db = Helpers.traced (Database.create [ mk ba0; mk ba1 ]) in
   let a = Database.begin_txn db in
   ignore (Database.invoke db a ~obj:"BA0" (deposit_inv 5));
   ignore (Database.invoke db a ~obj:"BA1" (deposit_inv 7));
   Database.commit db a;
-  let h = Database.history db in
+  let h = Helpers.recorded_history db in
   (* commit events at both objects (atomic commitment) *)
   let commits = List.filter Event.is_commit (History.events h) in
   Helpers.check_int "two commit events" 2 (List.length commits);
@@ -1109,7 +1108,7 @@ let random_engine_run recovery seed =
     match recovery with Recovery.UIP -> BA.nrbc_conflict | Recovery.DU -> BA.nfc_conflict
   in
   let o = Atomic_object.create ~spec:BA.spec ~conflict ~recovery () in
-  let db = Database.create ~record_history:true [ o ] in
+  let db = Helpers.traced (Database.create [ o ]) in
   let rng = Random.State.make [| seed |] in
   let active = ref [] in
   for _ = 1 to 40 do
@@ -1152,7 +1151,7 @@ let prop_engine_histories_dynamic_atomic =
         (fun recovery ->
           for seed = 1 to 25 do
             let db = random_engine_run recovery seed in
-            let h = Database.history db in
+            let h = Helpers.recorded_history db in
             Helpers.check_bool "well-formed" true (History.is_well_formed h);
             Helpers.check_bool "dynamic atomic" true
               (Atomicity.is_dynamic_atomic Helpers.ba_env h);

@@ -78,7 +78,7 @@ let test_occ_reads_are_snapshots () =
 
 let test_database_try_commit () =
   let o = make_occ () in
-  let db = Database.create ~record_history:true [ o ] in
+  let db = Helpers.traced (Database.create [ o ]) in
   let a = Database.begin_txn db in
   let b = Database.begin_txn db in
   ignore (Database.invoke db a ~obj:"BA" (withdraw_inv 10));
@@ -91,7 +91,7 @@ let test_database_try_commit () =
   (* the recorded history (with B aborted) is dynamic atomic *)
   let env = Atomicity.env_of_list [ BA.spec_with_initial 100 ] in
   Helpers.check_bool "dynamic atomic" true
-    (Atomicity.is_dynamic_atomic env (Database.history db))
+    (Atomicity.is_dynamic_atomic env (Helpers.recorded_history db))
 
 let test_random_occ_runs_consistent () =
   (* Seeded random OCC runs: committed ops always replay; recorded
@@ -100,7 +100,7 @@ let test_random_occ_runs_consistent () =
   let env = Atomicity.env_of_list [ spec ] in
   for seed = 1 to 15 do
     let o = Atomic_object.create_optimistic ~spec ~conflict:BA.nfc_conflict in
-    let db = Database.create ~record_history:true [ o ] in
+    let db = Helpers.traced (Database.create [ o ]) in
     let rng = Random.State.make [| seed |] in
     let active = ref [] in
     for _ = 1 to 50 do
@@ -126,7 +126,7 @@ let test_random_occ_runs_consistent () =
     Helpers.check_bool "replay" true
       (Spec.legal spec (Atomic_object.committed_ops o));
     Helpers.check_bool "dynamic atomic" true
-      (Atomicity.is_dynamic_atomic env (Database.history db))
+      (Atomicity.is_dynamic_atomic env (Helpers.recorded_history db))
   done
 
 let test_occ_scheduler_consistent () =

@@ -402,8 +402,8 @@ let test_inspect_truncate_intent () =
   Alcotest.(check string) "clean" "clean"
     (Wal_inspect.damage_kind s.Wal_inspect.damage)
 
-(* Profile.export leaves the restart profile in the registry, where
-   walinspect, shardmon and the Prometheus dumps read it. *)
+(* Profile.export leaves the restart profile in the registry, which the
+   CLIs' --metrics dumps write out; this test is its reader. *)
 let test_profile_export_fills_registry () =
   let clock, tick = fake_clock () in
   let p = Profile.create ~clock () in
