@@ -262,23 +262,32 @@ let abl_escrow () =
      (state-dependent conflict tests are outside the paper's framework and \
      beat both recovery methods on mixed updates)";
   let capacity = 100_000 and initial = 50_000 in
+  let module Pool = Tm_adt.Bounded_counter.Make (struct
+    let capacity = capacity
+    let initial = initial
+    let name = "CTR"
+  end) in
   Fmt.pr "%-12s %12s %12s %12s %12s@." "decr%" "UIP+NRBC" "DU+NFC" "OCC+NFC" "escrow";
   List.iter
     (fun d ->
       let scenario = Experiment.inventory_sweep ~decr_pct:d in
-      let engine_rounds s =
-        let row = Experiment.run scenario s cfg in
+      let rounds row =
         assert row.Experiment.consistent;
         row.Experiment.stats.rounds
       in
-      let escrow = Tm_engine.Escrow.create ~capacity ~initial ~name:"CTR" in
-      let stats = Tm_sim.Escrow_runner.run escrow scenario.Experiment.workload cfg in
-      assert (Tm_sim.Escrow_runner.verify ~capacity ~initial escrow);
+      let engine_rounds s = rounds (Experiment.run scenario s cfg) in
+      let escrow =
+        Experiment.run_custom ~name:scenario.Experiment.name ~label:"escrow"
+          ~workload:scenario.Experiment.workload
+          ~build:(fun () ->
+            [ Tm_engine.Atomic_object.create_escrow ~spec:Pool.spec ~capacity ~initial ])
+          cfg
+      in
       Fmt.pr "%-12d %12d %12d %12d %12d@." d
         (engine_rounds (Experiment.setup Tm_engine.Recovery.UIP Experiment.Semantic))
         (engine_rounds (Experiment.setup Tm_engine.Recovery.DU Experiment.Semantic))
         (engine_rounds (Experiment.setup ~occ:true Tm_engine.Recovery.DU Experiment.Semantic))
-        stats.rounds)
+        (rounds escrow))
     [ 0; 25; 50; 75; 100 ]
 
 let abl_occ_contention () =

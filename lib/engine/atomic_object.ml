@@ -4,6 +4,7 @@ module Metrics = Tm_obs.Metrics
 type policy =
   | Locking
   | Optimistic
+  | Escrow
 
 (* Backward-validation bookkeeping of an optimistic object: committed
    operations in commit order, each transaction's ops and its start point
@@ -14,6 +15,32 @@ type optimistic = {
   opt_start : (Tid.t, int) Hashtbl.t;
   opt_ops : (Tid.t, Op.t list) Hashtbl.t;  (* newest first *)
 }
+
+(* Escrow bookkeeping of a bounded counter: the committed value, the
+   sums of uncommitted increments and decrements, and what each
+   transaction holds.  [pins] marks a transaction that observed the
+   value (a read, or a [no]): no other transaction may change it until
+   that one ends. *)
+type holding = {
+  mutable incr : int;
+  mutable decr : int;
+  mutable pins : bool;
+}
+
+type escrow = {
+  capacity : int;
+  mutable value : int;
+  mutable total_incr : int;
+  mutable total_decr : int;
+  holdings : (Tid.t, holding) Hashtbl.t;
+}
+
+(* [Locking] is a constant constructor, so a locking object carries no
+   policy words beyond the field. *)
+type mode =
+  | Locking
+  | Optimistic of optimistic
+  | Escrow of escrow
 
 type t = {
   name : string;
@@ -26,7 +53,7 @@ type t = {
      far, keyed by metric name and operation name. *)
   mutable reg : Metrics.t option;
   mutable events : Metrics.Handles.t;
-  optimistic : optimistic option;  (* [None] exactly for [Locking] *)
+  mode : mode;
 }
 
 type outcome =
@@ -39,7 +66,7 @@ let pp_outcome ppf = function
   | Blocked tids -> Fmt.pf ppf "blocked on %a" Fmt.(list ~sep:(any ",") Tid.pp) tids
   | No_response -> Fmt.string ppf "no legal response"
 
-let make ?inverse ?optimistic ~spec ~conflict ~recovery () =
+let make ?inverse ~mode ~spec ~conflict ~recovery () =
   {
     name = Spec.name spec;
     spec;
@@ -49,10 +76,11 @@ let make ?inverse ?optimistic ~spec ~conflict ~recovery () =
     blocks = 0;
     reg = None;
     events = Metrics.Handles.empty;
-    optimistic;
+    mode;
   }
 
-let create ?inverse ~spec ~conflict ~recovery () = make ?inverse ~spec ~conflict ~recovery ()
+let create ?inverse ~spec ~conflict ~recovery () =
+  make ?inverse ~mode:Locking ~spec ~conflict ~recovery ()
 
 (* Optimistic execution must not publish uncommitted effects, so it is
    tied to deferred-update recovery (the single current state of
@@ -66,11 +94,24 @@ let create_optimistic ~spec ~conflict =
       opt_ops = Hashtbl.create 16;
     }
   in
-  make ~optimistic ~spec ~conflict ~recovery:Recovery.DU ()
+  make ~mode:(Optimistic optimistic) ~spec ~conflict ~recovery:Recovery.DU ()
+
+(* Escrow decides grants from the interval, not from conflicts, and its
+   granted operations are the transaction's intentions in a
+   deferred-update manager. *)
+let create_escrow ~spec ~capacity ~initial =
+  if initial < 0 || initial > capacity then
+    invalid_arg "Atomic_object.create_escrow: initial out of range";
+  let escrow =
+    { capacity; value = initial; total_incr = 0; total_decr = 0; holdings = Hashtbl.create 16 }
+  in
+  make ~mode:(Escrow escrow) ~spec ~conflict:Conflict.none ~recovery:Recovery.DU ()
 
 let name t = t.name
 let spec t = t.spec
-let policy t = match t.optimistic with None -> Locking | Some _ -> Optimistic
+
+let policy t : policy =
+  match t.mode with Locking -> Locking | Optimistic _ -> Optimistic | Escrow _ -> Escrow
 
 let attach_metrics t reg =
   (match t.reg with
@@ -98,6 +139,11 @@ let count_event t metric inv_name =
         end
       in
       Metrics.Counter.incr c
+
+let block t inv holders =
+  t.blocks <- t.blocks + 1;
+  count_event t "tm_object_blocked_total" inv.Op.name;
+  Blocked holders
 
 (* The operation to execute: the first of the [offered] responses (in
    the specification's response order), or the chooser's pick, which
@@ -137,10 +183,7 @@ let rec invoke_locking choose t tid inv enabled blocked = function
           | _ -> invoke_locking choose t tid inv enabled blocked rest))
   | [] -> (
       match enabled with
-      | [] ->
-          t.blocks <- t.blocks + 1;
-          count_event t "tm_object_blocked_total" inv.Op.name;
-          Blocked blocked
+      | [] -> block t inv blocked
       | _ ->
           let op = choose_op t choose inv (List.rev enabled) in
           Recovery.record t.recovery tid op;
@@ -158,15 +201,75 @@ let invoke_optimistic choose t opt tid inv candidates =
     (op :: Option.value (Hashtbl.find_opt opt.opt_ops tid) ~default:[]);
   Executed op
 
+(* The escrow grant rule: a response is granted only if it is legal in
+   every value the counter can reach, whichever other holders commit,
+   seen after [tid]'s own updates.  An update changes the value, so it
+   also waits for another holder's pin.  When no other transaction
+   holds anything the interval is a point and one response always
+   holds; otherwise the caller waits for the other holders. *)
+let invoke_escrow choose t e tid (inv : Op.invocation) =
+  let own = Hashtbl.find_opt e.holdings tid in
+  let own_incr, own_decr = match own with Some h -> (h.incr, h.decr) | None -> (0, 0) in
+  let low = e.value + own_incr - e.total_decr and high = e.value - own_decr + e.total_incr in
+  let pinned () =
+    Hashtbl.fold (fun h x p -> p || (x.pins && not (Tid.equal h tid))) e.holdings false
+  in
+  (* The response and the update it escrows: > 0 an increment, < 0 a
+     decrement, 0 an observation that pins the value. *)
+  let answer =
+    match inv.name, inv.args with
+    | "incr", [ Value.Int i ] when i > 0 ->
+        if low + i > e.capacity then Some (Value.no, 0)
+        else if high + i <= e.capacity && not (pinned ()) then Some (Value.ok, i)
+        else None
+    | "decr", [ Value.Int i ] when i > 0 ->
+        if high < i then Some (Value.no, 0)
+        else if low >= i && not (pinned ()) then Some (Value.ok, -i)
+        else None
+    | "read", [] -> if low = high then Some (Value.Int low, 0) else None
+    | _ ->
+        invalid_arg
+          (Fmt.str "Atomic_object.invoke: %s: not an escrow invocation: %a" t.name
+             Op.pp_invocation inv)
+  in
+  match answer with
+  | None ->
+      let others =
+        Hashtbl.fold (fun h _ l -> if Tid.equal h tid then l else h :: l) e.holdings []
+      in
+      block t inv (List.sort Tid.compare others)
+  | Some (res, update) ->
+      let op = choose_op t choose inv [ res ] in
+      Recovery.record t.recovery tid op;
+      let h =
+        match own with
+        | Some h -> h
+        | None ->
+            let h = { incr = 0; decr = 0; pins = false } in
+            Hashtbl.add e.holdings tid h;
+            h
+      in
+      if update > 0 then begin
+        h.incr <- h.incr + update;
+        e.total_incr <- e.total_incr + update
+      end
+      else if update < 0 then begin
+        h.decr <- h.decr - update;
+        e.total_decr <- e.total_decr - update
+      end
+      else h.pins <- true;
+      Executed op
+
 let invoke ?choose t tid inv =
-  match Recovery.responses t.recovery tid inv with
-  | [] ->
-      count_event t "tm_object_no_response_total" inv.Op.name;
-      No_response
-  | candidates -> (
-      match t.optimistic with
-      | None -> invoke_locking choose t tid inv [] [] candidates
-      | Some opt -> invoke_optimistic choose t opt tid inv candidates)
+  match t.mode with
+  | Escrow e -> invoke_escrow choose t e tid inv
+  | Locking | Optimistic _ -> (
+      match Recovery.responses t.recovery tid inv, t.mode with
+      | [], _ ->
+          count_event t "tm_object_no_response_total" inv.Op.name;
+          No_response
+      | candidates, Optimistic opt -> invoke_optimistic choose t opt tid inv candidates
+      | candidates, _ -> invoke_locking choose t tid inv [] [] candidates)
 
 (* Operations committed after position [start], oldest first. *)
 let committed_since opt start =
@@ -174,9 +277,9 @@ let committed_since opt start =
   List.rev (take (opt.committed_len - start) opt.committed_rev)
 
 let validate t tid =
-  match t.optimistic with
-  | None -> Ok ()
-  | Some opt -> (
+  match t.mode with
+  | Locking | Escrow _ -> Ok ()
+  | Optimistic opt -> (
       match Hashtbl.find_opt opt.opt_start tid with
       | None -> Ok ()  (* executed nothing here *)
       | Some start ->
@@ -203,10 +306,22 @@ let forget_optimistic opt tid =
   Hashtbl.remove opt.opt_start tid;
   Hashtbl.remove opt.opt_ops tid
 
-let commit t tid =
-  (match t.optimistic with
+(* [tid]'s escrow returns to the pool; committed, its net update joins
+   the value. *)
+let release_escrow e tid ~committed =
+  match Hashtbl.find_opt e.holdings tid with
   | None -> ()
-  | Some opt ->
+  | Some h ->
+      Hashtbl.remove e.holdings tid;
+      e.total_incr <- e.total_incr - h.incr;
+      e.total_decr <- e.total_decr - h.decr;
+      if committed then e.value <- e.value + h.incr - h.decr
+
+let commit t tid =
+  (match t.mode with
+  | Locking -> ()
+  | Escrow e -> release_escrow e tid ~committed:true
+  | Optimistic opt ->
       (match Hashtbl.find_opt opt.opt_ops tid with
       | Some ops ->
           opt.committed_rev <- ops @ opt.committed_rev;
@@ -217,7 +332,10 @@ let commit t tid =
   Lock_table.release t.locks tid
 
 let abort t tid =
-  Option.iter (fun opt -> forget_optimistic opt tid) t.optimistic;
+  (match t.mode with
+  | Locking -> ()
+  | Escrow e -> release_escrow e tid ~committed:false
+  | Optimistic opt -> forget_optimistic opt tid);
   Recovery.abort t.recovery tid;
   Lock_table.release t.locks tid
 
@@ -226,5 +344,18 @@ let holds t = Lock_table.holds t.locks
 let block_count t = t.blocks
 
 (* The manager checks freshness in O(1); an optimistic object's
-   validation log fills only on the commits that fill the manager's. *)
-let restore t ops = Recovery.restore t.recovery ops
+   validation log fills only on the commits that fill the manager's,
+   and an escrow object's value is the restored operations' net update. *)
+let restore t ops =
+  let restored = Recovery.restore t.recovery ops in
+  (match t.mode, restored with
+  | Escrow e, Ok () ->
+      List.iter
+        (fun (op : Op.t) ->
+          match op.inv.name, op.inv.args with
+          | "incr", [ Value.Int i ] when Value.equal op.res Value.ok -> e.value <- e.value + i
+          | "decr", [ Value.Int i ] when Value.equal op.res Value.ok -> e.value <- e.value - i
+          | _ -> ())
+        ops
+  | _ -> ());
+  restored

@@ -2,7 +2,7 @@
     recovery manager + concurrency-control policy.
 
     This is the executable counterpart of the paper's
-    [I(X, Spec, View, Conflict)].  Two policies are provided:
+    [I(X, Spec, View, Conflict)].  Three policies are provided:
 
     - {b Locking} (pessimistic, the paper's model): an invocation executes
       only if some legal response does not conflict with an operation held
@@ -15,18 +15,22 @@
       (backward validation à la Kung–Robinson, with the same
       commutativity-based conflict relation).  Requires deferred-update
       recovery: update-in-place would publish uncommitted effects.
+    - {b Escrow} (O'Neil's method, which Section 8 names as beyond the
+      conflict framework), for a bounded counter: the grant test depends
+      on the current state ({!create_escrow}).  By Theorem 2 (dynamic
+      atomicity is local) it shares transactions, logs and shards with
+      the other policies.
 
-    The validation bookkeeping (the committed-operation log and each
-    transaction's start point and operations) is one optional field,
-    present only on optimistic objects: a locking object allocates no
-    validation tables, so it costs its lock table plus its recovery
-    manager. *)
+    A policy's bookkeeping (optimistic validation tables, escrow
+    holdings) lives in one mode field: a locking object allocates
+    neither, so it costs its lock table plus its recovery manager. *)
 
 open Tm_core
 
 type policy =
   | Locking
   | Optimistic
+  | Escrow
 
 type t
 
@@ -50,6 +54,27 @@ val create :
     uncommitted effects, so the recovery method is necessarily
     deferred-update. *)
 val create_optimistic : spec:Spec.t -> conflict:Conflict.t -> t
+
+(** [create_escrow ~spec ~capacity ~initial] — an escrow object for a
+    {!Tm_adt.Bounded_counter} [spec] with the same bounds: invocations
+    [incr(i)], [decr(i)] ([i > 0]) and [read].  The value can reach any
+    point of the interval
+
+    [[ v + own_incr − Σdecr,  v − own_decr + Σincr ]]
+
+    where [v] is the committed value and the sums run over uncommitted
+    updates.  [incr(i) → ok] needs the top plus [i] within [capacity],
+    [→ no] the bottom plus [i] beyond it; [decr(i) → ok] needs the
+    bottom [≥ i], [→ no] the top [< i]; [read → n] needs the point [n].
+    A read or a [no] pins the value: other transactions' [ok] updates
+    wait until the pinning transaction ends.  An invocation that no
+    response fits is [Blocked] on the other holders; with none, the
+    interval is a point and some response fits.  Granted operations are
+    the transaction's intentions in a deferred-update manager, so
+    {!committed_ops}, {!restore} and the log's records work as for any
+    object.  Raises [Invalid_argument] if [initial] is outside
+    [[0, capacity]]. *)
+val create_escrow : spec:Spec.t -> capacity:int -> initial:int -> t
 
 val name : t -> string
 
@@ -80,7 +105,10 @@ val attach_metrics : t -> Tm_obs.Metrics.t -> unit
     legal responses are enabled the first in the specification's response
     order is chosen (deterministic); pass [~choose] to override (e.g. a
     seeded random pick for non-deterministic types).  Under the
-    [Optimistic] policy the call never returns [Blocked].
+    [Optimistic] policy the call never returns [Blocked]; under
+    [Escrow] it never returns [No_response], offers [choose] the one
+    response that fits, and raises [Invalid_argument] on an invocation
+    the counter does not have.
 
     [choose] is offered the enabled responses, in response order, and
     must return one of them (by {!Tm_core.Value.equal}): a response it
@@ -98,9 +126,9 @@ val invoke : ?choose:(Value.t list -> Value.t) -> t -> Tid.t -> Op.invocation ->
 (** [validate t tid] — the optimistic commit test: [Error (mine, theirs)]
     if one of [tid]'s operations conflicts with an operation committed
     since [tid] first touched this object.  Always [Ok ()] under
-    [Locking], and for a transaction that executed nothing here — so a
-    caller need only validate the objects a transaction touched
-    ({!Database.validate}). *)
+    [Locking] and [Escrow], and for a transaction that executed nothing
+    here — so a caller need only validate the objects a transaction
+    touched ({!Database.validate}). *)
 val validate : t -> Tid.t -> (unit, Op.t * Op.t) result
 
 (** [commit t tid] releases [tid]'s locks and makes its effects permanent

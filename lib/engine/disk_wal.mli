@@ -48,14 +48,12 @@
 
 (** Retry policy for transient faults.  [backoff n] is called after the
     [n]th failed attempt (n = 1, 2, ...) before retrying; the default
-    does nothing (deterministic tests) — a production caller can sleep
-    exponentially here. *)
+    (8 attempts, no backoff) does nothing between them (deterministic
+    tests) — a production caller can sleep exponentially here. *)
 type retry = {
   max_attempts : int;
   backoff : int -> unit;
 }
-
-val default_retry : retry
 
 (** A write or force still failing after [attempts] tries. *)
 exception Storage_unavailable of { attempts : int; last : string }

@@ -124,8 +124,6 @@ val merge : ?extra_labels:labels -> t -> t -> unit
 
 (** Prometheus text exposition format (0.0.4): [# TYPE] lines, cumulative
     [_bucket{le=...}] series, [_sum] and [_count] per histogram. *)
-val pp_prometheus : Format.formatter -> t -> unit
-
 val to_prometheus : t -> string
 
 (** One line per series; histograms as count/mean/p50/p90/p99. *)

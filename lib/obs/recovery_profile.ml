@@ -123,11 +123,8 @@ let note_losers t n = t.loser_txns <- t.loser_txns + n
 let finish t = t.total <- Some (t.clock () -. t.started)
 
 let bytes_scanned t = t.bytes_scanned
-let torn_bytes t = t.torn_bytes
 let frames_decoded t = t.frames_decoded
 let records_scanned t = t.records_scanned
-let checkpoints_seen t = t.checkpoints_seen
-let checkpoint_seed_ops t = t.checkpoint_seed_ops
 let replayed_ops t = t.replayed_ops
 let loser_txns t = t.loser_txns
 

@@ -51,9 +51,6 @@ val time : t -> phase -> (unit -> 'a) -> 'a
     the phases nested in it stay disjoint. *)
 val time_excluding : t -> phase -> (unit -> 'a) -> 'a
 
-(** Direct accumulation (for callers that measured elsewhere). *)
-val add_wall : t -> phase -> float -> unit
-
 (** {1 Volume accounting} *)
 
 val note_bytes_scanned : t -> int -> unit
@@ -81,11 +78,8 @@ val phase_calls : t -> phase -> int
 val total_wall : t -> float
 
 val bytes_scanned : t -> int
-val torn_bytes : t -> int
 val frames_decoded : t -> int
 val records_scanned : t -> int
-val checkpoints_seen : t -> int
-val checkpoint_seed_ops : t -> int
 val replayed_ops : t -> int
 val loser_txns : t -> int
 

@@ -15,7 +15,7 @@
     event advances the recorder's clock by one — so traces are
     deterministic whenever the run is.
 
-    The two consumers are {!pp_jsonl} (a JSON-lines dump, one object per
+    The two consumers are {!to_jsonl} (a JSON-lines dump, one object per
     line, for external tooling) and {!to_history}, which converts a
     recorded trace back into a paper history so the run can be re-checked
     by {!Tm_core.Atomicity}'s dynamic-atomicity checkers — observability
@@ -84,8 +84,6 @@ val kind_name : kind -> string
 (** One JSON object per line: [{"ts":..,"tid":..,"event":..,...}].
     [extra] appends constant string fields to every line (e.g.
     [("setup", "UIP+NRBC")] when several runs share a file). *)
-val pp_jsonl : ?extra:(string * string) list -> Format.formatter -> t -> unit
-
 val to_jsonl : ?extra:(string * string) list -> t -> string
 
 (** {1 Replay} *)

@@ -592,6 +592,66 @@ let test_state_counts_pinned () =
   Helpers.check_int "evidence checks" 33
     (forced.Crash.evidence_checked + bytes.Crash.evidence_checked)
 
+(* --- escrow in the battery: a counter on one shard, an account on the
+   other, and transfers between them, so some commits are 2PC --- *)
+
+let stock_spec =
+  let module Stock = Tm_adt.Bounded_counter.Make (struct
+    let capacity = 20
+    let initial = 10
+    let name = "CTR"
+  end) in
+  Stock.spec
+
+let till =
+  let ctr = Wal.partition_of_object ~workers:2 "CTR" in
+  List.find
+    (fun n -> Wal.partition_of_object ~workers:2 n <> ctr)
+    (List.init 8 (Fmt.str "BA%d"))
+
+let rebuild_escrow () =
+  [
+    Atomic_object.create_escrow ~spec:stock_spec ~capacity:20 ~initial:10;
+    Atomic_object.create ~spec:(Spec.rename (BA.spec_with_initial 100) till)
+      ~conflict:BA.nrbc_conflict ~recovery:Recovery.UIP ();
+  ]
+
+(* A local restock, a sale and a restock across the shards, a global
+   checkpoint, an aborted sale and a sale left in flight. *)
+let drive_escrow db =
+  let inv name n = Op.invocation ~args:[ Value.int n ] name in
+  let txn ops =
+    let t = SD.begin_txn db in
+    List.iter
+      (fun (obj, i) ->
+        match SD.invoke db t ~obj i with
+        | Atomic_object.Executed _ -> ()
+        | o -> Alcotest.failf "%s: %a" obj Atomic_object.pp_outcome o)
+      ops;
+    t
+  in
+  let sell n = [ ("CTR", inv "decr" n); (till, inv "deposit" n) ] in
+  let restock n = [ (till, inv "withdraw" n); ("CTR", inv "incr" n) ] in
+  Helpers.check_bool "local restock" true
+    (SD.try_commit db (txn [ ("CTR", inv "incr" 3) ]) = Ok ());
+  Helpers.check_bool "cross sale" true (SD.try_commit db (txn (sell 4)) = Ok ());
+  Helpers.check_bool "checkpoint" true (SD.checkpoint db);
+  SD.abort db (txn (sell 2));
+  Helpers.check_bool "cross restock" true (SD.try_commit db (txn (restock 5)) = Ok ());
+  ignore (txn (sell 1))
+
+let test_escrow_battery () =
+  let r = Crash.of_drive ~shards:2 ~rebuild:rebuild_escrow drive_escrow in
+  let count name expected gen =
+    let report = Crash.enumerate ~rebuild:rebuild_escrow (gen r) in
+    Helpers.check_bool (Fmt.str "%s clean: %a" name Crash.pp_report report) true
+      (Crash.ok report);
+    Helpers.check_int (name ^ " states") expected report.Crash.states;
+    Helpers.check_int (name ^ " cross-shard txns") 2 report.Crash.cross_txns
+  in
+  count "escrow append" 34 Crash.append_points;
+  count "escrow bytes" 1390 Crash.byte_cuts
+
 let suite =
   [
     Alcotest.test_case "history: committed txn" `Quick test_history_committed_txn;
@@ -624,4 +684,6 @@ let suite =
     Alcotest.test_case "battery flags an overdraw on one shard" `Quick
       test_battery_overdraw_on_one_shard;
     Alcotest.test_case "generator state counts pinned" `Quick test_state_counts_pinned;
+    Alcotest.test_case "escrow counter across shards: battery clean" `Quick
+      test_escrow_battery;
   ]

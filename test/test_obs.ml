@@ -358,8 +358,8 @@ let test_catalog_covers_live_registries () =
   | Ok () -> ()
   | Error ps -> Alcotest.failf "durable registry:@.%s" (String.concat "\n" ps));
   let profile = Tm_obs.Recovery_profile.create () in
-  match
-    Tm_engine.Disk_wal.load ~profile (Tm_engine.Storage.of_string
+  (match
+     Tm_engine.Disk_wal.load ~profile (Tm_engine.Storage.of_string
       (Tm_engine.Storage.read_all store))
   with
   | Error _ -> Alcotest.fail "load failed"
@@ -372,7 +372,51 @@ let test_catalog_covers_live_registries () =
           match Catalog.check (Database.metrics (DD.database db')) with
           | Ok () -> ()
           | Error ps ->
-              Alcotest.failf "recovered registry:@.%s" (String.concat "\n" ps)))
+              Alcotest.failf "recovered registry:@.%s" (String.concat "\n" ps))));
+  (* a sharded recovery that resolves an in-doubt transaction adds the
+     2PC resolution family, and a log on faulty storage the fault family *)
+  let audit what family reg =
+    Helpers.check_bool (what ^ " registers " ^ family) true
+      (Metrics.counter_total reg family > 0);
+    match Catalog.check reg with
+    | Ok () -> ()
+    | Error ps -> Alcotest.failf "%s registry:@.%s" what (String.concat "\n" ps)
+  in
+  let module Wal = Tm_engine.Wal in
+  let accounts = List.init 4 (Fmt.str "BA%d") in
+  let home s = List.find (fun o -> Wal.partition_of_object ~workers:2 o = s) accounts in
+  let wals = Array.init 2 (fun _ -> Wal.create ()) in
+  Array.iteri
+    (fun s wal ->
+      let dep = Op.make ~obj:(home s) ~args:[ Value.int 5 ] "deposit" Value.ok in
+      List.iter (Wal.append wal)
+        [ Wal.Begin Tid.a; Wal.Operation (Tid.a, dep); Wal.Prepare Tid.a ])
+    wals;
+  Wal.append wals.(0) (Wal.Decision { tid = Tid.a; commit = true });
+  let rebuild () =
+    List.map
+      (fun name ->
+        Atomic_object.create ~spec:(Spec.rename BA.spec name) ~conflict:BA.nrbc_conflict
+          ~recovery:Recovery.UIP ())
+      accounts
+  in
+  (match Tm_engine.Sharded_database.recover ~wals ~rebuild () with
+  | Error _ -> Alcotest.fail "sharded recover failed"
+  | Ok (sdb, _) ->
+      audit "sharded recovery" "tm_2pc_resolved_total"
+        (Tm_engine.Sharded_database.metrics sdb));
+  let faulty =
+    Tm_engine.Storage.faulty ~seed:7 Tm_engine.Storage.write_faults (Tm_engine.Storage.memory ())
+  in
+  let fwal = Tm_engine.Disk_wal.wal (Tm_engine.Disk_wal.create faulty) in
+  let freg = Metrics.create () in
+  Wal.attach_metrics fwal freg;
+  for i = 0 to 19 do
+    let t = Tid.of_int i in
+    List.iter (Wal.append fwal) [ Wal.Begin t; Wal.Operation (t, BA.deposit 1); Wal.Commit t ];
+    Wal.force fwal
+  done;
+  audit "faulty storage" "tm_storage_faults_total" freg
 
 let test_catalog_rejects_strays () =
   let reg = Metrics.create () in
