@@ -145,21 +145,40 @@ let block t inv holders =
   count_event t "tm_object_blocked_total" inv.Op.name;
   Blocked holders
 
+(* A chooser's pick must be one of the [offered] responses — any other
+   value could bypass the lock table. *)
+let reject_pick t res offered =
+  invalid_arg
+    (Fmt.str "Atomic_object.invoke: %s: the chooser returned %a, not one of [%a]" t.name Value.pp
+       res
+       Fmt.(list ~sep:(any "; ") Value.pp)
+       offered)
+
 (* The operation to execute: the first of the [offered] responses (in
-   the specification's response order), or the chooser's pick, which
-   must be one of them — any other value could bypass the lock table. *)
+   the specification's response order), or the chooser's pick. *)
 let choose_op t choose inv offered =
   match choose with
   | None -> { Op.obj = t.name; inv; res = List.hd offered }
   | Some pick ->
       let res = pick offered in
-      if not (List.exists (Value.equal res) offered) then
-        invalid_arg
-          (Fmt.str "Atomic_object.invoke: %s: the chooser returned %a, not one of [%a]" t.name
-             Value.pp res
-             Fmt.(list ~sep:(any "; ") Value.pp)
-             offered);
+      if not (List.exists (Value.equal res) offered) then reject_pick t res offered;
       { Op.obj = t.name; inv; res }
+
+(* The enabled operation to execute, from [enabled] (newest first): the
+   oldest, whose response comes first in the specification's order, or
+   the one the chooser picks from the enabled responses in that order. *)
+let choose_enabled t choose enabled =
+  match choose with
+  | None ->
+      let rec oldest = function [ op ] -> op | _ :: older -> oldest older | [] -> raise Not_found in
+      oldest enabled
+  | Some pick -> (
+      let enabled = List.rev enabled in
+      let offered = List.map (fun (op : Op.t) -> op.res) enabled in
+      let res = pick offered in
+      match List.find (fun (op : Op.t) -> Value.equal op.res res) enabled with
+      | op -> op
+      | exception Not_found -> reject_pick t res offered)
 
 (* [a] and [b] merged; both are strictly increasing, and so is the result. *)
 let rec merge a b =
@@ -170,13 +189,15 @@ let rec merge a b =
       if c < 0 then x :: merge xs b else if c > 0 then y :: merge a ys else x :: merge xs ys
 
 (* Result-dependent locking: test every legal response in order (each
-   conflict is counted), keeping the enabled ones, newest first, and —
-   while none is enabled — the merged holders that block the rest.  Only
-   if every response is blocked does the transaction wait. *)
+   conflict is counted), keeping the enabled operations, newest first,
+   and — while none is enabled — the merged holders that block the
+   rest.  Only if every response is blocked does the transaction wait;
+   otherwise one of the tested operations executes. *)
 let rec invoke_locking choose t tid inv enabled blocked = function
   | res :: rest -> (
-      match Lock_table.blockers t.locks ~requested:{ Op.obj = t.name; inv; res } ~tid with
-      | [] -> invoke_locking choose t tid inv (res :: enabled) blocked rest
+      let op = { Op.obj = t.name; inv; res } in
+      match Lock_table.blockers t.locks ~requested:op ~tid with
+      | [] -> invoke_locking choose t tid inv (op :: enabled) blocked rest
       | holders -> (
           match enabled with
           | [] -> invoke_locking choose t tid inv enabled (merge holders blocked) rest
@@ -185,10 +206,15 @@ let rec invoke_locking choose t tid inv enabled blocked = function
       match enabled with
       | [] -> block t inv blocked
       | _ ->
-          let op = choose_op t choose inv (List.rev enabled) in
+          let op = choose_enabled t choose enabled in
           Recovery.record t.recovery tid op;
           Lock_table.add t.locks tid op;
           Executed op)
+
+(* [tid]'s operations here, newest first.  This and the lookups in
+   [validate] and [commit] catch [Not_found] rather than allocate an
+   option. *)
+let ops_at opt tid = match Hashtbl.find opt.opt_ops tid with ops -> ops | exception Not_found -> []
 
 let invoke_optimistic choose t opt tid inv candidates =
   (* No locks taken, nothing ever blocks; conflicts are paid at commit
@@ -197,8 +223,7 @@ let invoke_optimistic choose t opt tid inv candidates =
   let op = choose_op t choose inv candidates in
   if not (Hashtbl.mem opt.opt_start tid) then Hashtbl.add opt.opt_start tid opt.committed_len;
   Recovery.record t.recovery tid op;
-  Hashtbl.replace opt.opt_ops tid
-    (op :: Option.value (Hashtbl.find_opt opt.opt_ops tid) ~default:[]);
+  Hashtbl.replace opt.opt_ops tid (op :: ops_at opt tid);
   Executed op
 
 (* The escrow grant rule: a response is granted only if it is legal in
@@ -280,10 +305,10 @@ let validate t tid =
   match t.mode with
   | Locking | Escrow _ -> Ok ()
   | Optimistic opt -> (
-      match Hashtbl.find_opt opt.opt_start tid with
-      | None -> Ok ()  (* executed nothing here *)
-      | Some start ->
-          let mine = List.rev (Option.value (Hashtbl.find_opt opt.opt_ops tid) ~default:[]) in
+      match Hashtbl.find opt.opt_start tid with
+      | exception Not_found -> Ok ()  (* executed nothing here *)
+      | start ->
+          let mine = List.rev (ops_at opt tid) in
           let interleaved = committed_since opt start in
           let bad =
             List.find_map
@@ -322,11 +347,11 @@ let commit t tid =
   | Locking -> ()
   | Escrow e -> release_escrow e tid ~committed:true
   | Optimistic opt ->
-      (match Hashtbl.find_opt opt.opt_ops tid with
-      | Some ops ->
+      (match Hashtbl.find opt.opt_ops tid with
+      | ops ->
           opt.committed_rev <- ops @ opt.committed_rev;
           opt.committed_len <- opt.committed_len + List.length ops
-      | None -> ()  (* executed nothing here *));
+      | exception Not_found -> ()  (* executed nothing here *));
       forget_optimistic opt tid);
   Recovery.commit t.recovery tid;
   Lock_table.release t.locks tid

@@ -17,8 +17,16 @@ type t = {
   mutable depth : int;
   mutable seen : Tid.t array;
   mutable nseen : int;
-  (* [Hashtbl.iter]'s argument, closed over [t] once at creation. *)
+  (* [clear]'s scratch: the tid being cleared, and the sources whose
+     edge lists mention it in [hits.(0 .. nhits - 1)], collected before
+     any list is rebuilt (mutating a table during [Hashtbl.iter] over it
+     is unspecified).  [hits] starts empty and grows by doubling. *)
+  mutable clearing : Tid.t;
+  mutable hits : Tid.t array;
+  mutable nhits : int;
+  (* [Hashtbl.iter]'s arguments, closed over [t] once at creation. *)
   visit_source : Tid.t -> Tid.t list -> unit;
+  collect_hit : Tid.t -> Tid.t list -> unit;
 }
 
 let rec strictly_increasing = function
@@ -43,33 +51,41 @@ let set_waiting t tid ~on =
 
 let rec mentions tid = function [] -> false | d :: rest -> Tid.equal d tid || mentions tid rest
 
+(* [l] without [tid], which an edge list (strictly increasing) holds at
+   most once; the cells after it are shared. *)
+let rec without tid = function
+  | [] -> []
+  | d :: rest -> if Tid.equal d tid then rest else d :: without tid rest
+
+let grow a fill = Array.append a (Array.make (max 8 (Array.length a)) fill)
+
+let collect_hit t src dsts =
+  if mentions t.clearing dsts then begin
+    if t.nhits = Array.length t.hits then t.hits <- grow t.hits src;
+    t.hits.(t.nhits) <- src;
+    t.nhits <- t.nhits + 1
+  end
+
 let clear t tid =
   if Hashtbl.length t.edges > 0 then begin
     if Hashtbl.mem t.edges tid then begin
       Hashtbl.remove t.edges tid;
       t.changed <- true
     end;
-    (* Mutating a table during Hashtbl.iter over it is unspecified: collect
-       the sources whose edge lists mention [tid] first, then update. *)
-    let affected =
-      Hashtbl.fold
-        (fun src dsts acc -> if mentions tid dsts then (src, dsts) :: acc else acc)
-        t.edges []
-    in
-    match affected with
-    | [] -> ()
-    | _ ->
-        t.changed <- true;
-        List.iter
-          (fun (src, dsts) ->
-            Hashtbl.replace t.edges src (List.filter (fun d -> not (Tid.equal d tid)) dsts))
-          affected
+    t.clearing <- tid;
+    t.nhits <- 0;
+    Hashtbl.iter t.collect_hit t.edges;
+    if t.nhits > 0 then t.changed <- true;
+    (* Replacing an existing key keeps its place in the table, so the
+       search's visit order does not move. *)
+    for i = 0 to t.nhits - 1 do
+      let src = t.hits.(i) in
+      Hashtbl.replace t.edges src (without tid (Hashtbl.find t.edges src))
+    done
   end
 
 let waiting t tid = match Hashtbl.find t.edges tid with on -> on | exception Not_found -> []
 let edges t = Hashtbl.fold (fun tid on acc -> (tid, on) :: acc) t.edges []
-
-let grow a fill = Array.append a (Array.make (max 8 (Array.length a)) fill)
 
 (* The position of [tid] in [t.path.(0 .. i)], or -1. *)
 let rec path_index t tid i =
@@ -116,7 +132,11 @@ let create () =
       depth = 0;
       seen = [||];
       nseen = 0;
+      clearing = Tid.of_int 0;
+      hits = [||];
+      nhits = 0;
       visit_source = (fun tid _ -> if Option.is_none t.last then ignore (visit t tid));
+      collect_hit = (fun src dsts -> collect_hit t src dsts);
     }
   in
   t

@@ -21,7 +21,13 @@ val set_waiting : t -> Tid.t -> on:Tid.t list -> unit
 (** [clear t tid] removes [tid]'s outgoing edges {e and} every edge
     pointing at it (call on commit/abort, and whenever [tid] executes).
     Returns at once when the graph has no edges; clearing a transaction
-    the graph does not mention changes nothing. *)
+    the graph does not mention changes nothing.
+
+    Otherwise it allocates the 4-word closure [Hashtbl.iter] builds for
+    its walk, plus, for each list that mentions [tid], the cells before
+    [tid] (the rest is shared); the sources it finds go to a scratch
+    array in [t], grown by doubling.  A rebuilt list keeps its place in
+    the table, so the next {!find_cycle} visits in the same order. *)
 val clear : t -> Tid.t -> unit
 
 (** [find_cycle t] is some cycle [t1 → t2 → … → t1] (listed without the
