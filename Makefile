@@ -15,9 +15,11 @@ check:
 test:
 	dune runtest
 
-# Crash-injection torture, generator "append": recover at every WAL
-# append point across the scenario matrix and fail on any violation of
-# the shared recovery battery (or if a generator yields no states).
+# Crash-injection torture, generator "append": record the seeded fiber
+# run of every scenario x setup, recover at every WAL append point and
+# fail on any violation of the shared recovery battery (or if a
+# generator yields no states); each run is then repeated onto a
+# Disk_wal, reloaded and recovered.
 crashtest:
 	dune exec bin/crashtest.exe
 
@@ -27,18 +29,19 @@ crashtest:
 # barrier), "truncate" and "upgrade" (every byte state of
 # the checkpoint-truncation rewrite from v2 and from v1: must roll back
 # or redo atomically) and "flips" (bit-flip corruption detected or
-# contained), plus a fault-injected storage run that must match the
-# fault-free one (torn writes / transient errors absorbed by the WAL
-# retry loop).
+# contained), plus a fault-injected storage run whose bytes must reload
+# to the recorded run's log (torn writes / transient errors absorbed by
+# the WAL retry loop).
 faulttest:
 	dune exec bin/crashtest.exe -- --fault --seed 11
 
-# Cross-shard 2PC torture: drive a 4-shard engine (30% and 100%
-# cross-shard mixes), generators "forced" (every forced-frontier state)
-# and "bytes" (every byte offset of every shard's log) — no shard may
-# ever install a cross-shard transaction another shard aborted, and no
-# commit acknowledged after the forced decision may be lost.  Runs clean and
-# with injected storage faults.
+# Cross-shard 2PC torture: the same pipeline over 4 shards, so the
+# multi-object scenarios commit through 2PC; generators "forced" (every
+# forced-frontier state) and "bytes" (every byte offset of every
+# shard's log), plus the fault generators in the second run — no shard
+# may ever install a cross-shard transaction another shard aborted, and
+# no commit acknowledged after the forced decision may be lost.  Runs
+# clean and with injected storage faults; both harvest in-doubt states.
 shardtest:
 	dune exec bin/crashtest.exe -- --shards 4
 	dune exec bin/crashtest.exe -- --shards 4 --fault --seed 11 -n 10
@@ -71,9 +74,10 @@ perfcheck:
 
 # Sharded observability smoke: a traced 4-shard stress run writes its
 # trace and metrics dumps, which must be non-empty; crashtest harvests a
-# real in-doubt multi-shard image (cut after the forced Decision, before
-# phase 2); walinspect --two-phase must name every unresolved prepare
-# and its evidence.
+# real in-doubt multi-shard image (the last forced frontier of a
+# recorded run with a decided prepare in doubt: after the forced
+# Decision, before phase 2); walinspect --two-phase must name every
+# unresolved prepare and its evidence.
 shardreport:
 	dune build @all
 	dune exec bin/stresstest.exe -- --shards 4 --seed 7 -n 40 \

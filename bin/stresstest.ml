@@ -60,7 +60,8 @@ let main threads txns seed force_delay verbose trace_file metrics_file shards =
   let stores = Array.init shards (fun _ -> Storage.memory ()) in
   let dws =
     Array.init shards (fun i ->
-        Disk_wal.create ~shard:i (Storage.slow ~force_delay stores.(i)))
+        Disk_wal.create ~shard:i
+          (Storage.probe ~on_force:(fun () -> Thread.delay force_delay) stores.(i)))
   in
   let wals = Array.map Disk_wal.wal dws in
   let objs () =

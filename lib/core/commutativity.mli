@@ -46,10 +46,6 @@ val pp_verdict : Format.formatter -> verdict -> unit
 
 val commute_forward_seq : Spec.t -> params -> Op.t list -> Op.t list -> verdict
 
-(** [right_commutes_backward_seq spec p beta gamma]: does [beta] right
-    commute backward with [gamma]? *)
-val right_commutes_backward_seq : Spec.t -> params -> Op.t list -> Op.t list -> verdict
-
 (** {1 Operation-level relations} *)
 
 val commute_forward : Spec.t -> params -> Op.t -> Op.t -> verdict
@@ -83,9 +79,6 @@ val fc_table : Spec.t -> params -> (string * Op.t list) list -> table
 val rbc_table : Spec.t -> params -> (string * Op.t list) list -> table
 
 val pp_table : Format.formatter -> table -> unit
-
-(** Marked (row-label, col-label) pairs, row-major. *)
-val table_marks : table -> (string * string) list
 
 val equal_table : table -> table -> bool
 

@@ -5,7 +5,6 @@ type t = Event.t list
 
 let empty = []
 let snoc h e = h @ [ e ]
-let of_events es = es
 let events h = h
 let length = List.length
 let append = ( @ )
@@ -177,11 +176,6 @@ let precedes h =
     | Some ci, Some ri -> ri > ci
     | (Some _ | None), _ -> false
 
-let precedes_pairs h =
-  let p = precedes h in
-  let ts = Tid.Set.elements (transactions h) in
-  List.concat_map (fun a -> List.filter_map (fun b -> if p a b then Some (a, b) else None) ts) ts
-
 let serial h order =
   List.concat_map (fun a -> project_tid h a) order
 
@@ -218,8 +212,6 @@ let is_serial h =
           distinct_runs (tid :: seen) rest
   in
   distinct_runs [] (List.map Event.tid h)
-
-let is_failure_free h = Tid.Set.is_empty (aborted h)
 
 let pp ppf h =
   Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut Event.pp) h

@@ -17,7 +17,6 @@ val empty : t
     (use {!well_formedness_errors} / {!check} to validate). *)
 val snoc : t -> Event.t -> t
 
-val of_events : Event.t list -> t
 val events : t -> Event.t list
 val length : t -> int
 val append : t -> t -> t
@@ -106,9 +105,6 @@ val permanent : t -> t
     Returned as a predicate. *)
 val precedes : t -> Tid.t -> Tid.t -> bool
 
-(** All [precedes] pairs among the transactions of [h]. *)
-val precedes_pairs : t -> (Tid.t * Tid.t) list
-
 (** [serial h order] is [Serial(H,T)] = [H|A1 · … · H|An] for [order =
     A1…An].  Transactions of [h] missing from [order] are dropped;
     ids in [order] not in [h] contribute nothing. *)
@@ -125,9 +121,6 @@ val commit_order : t -> Tid.t list
 (** A history is serial if events of different transactions do not
     interleave. *)
 val is_serial : t -> bool
-
-(** A history is failure-free if no transaction aborts in it. *)
-val is_failure_free : t -> bool
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -32,8 +32,13 @@ type escrow = {
   mutable value : int;
   mutable total_incr : int;
   mutable total_decr : int;
+  mutable pinning : int;  (* holders whose [pins] is set *)
   holdings : (Tid.t, holding) Hashtbl.t;
 }
+
+(* What a transaction that holds nothing is read as; never stored, so
+   never mutated. *)
+let no_holding = { incr = 0; decr = 0; pins = false }
 
 (* [Locking] is a constant constructor, so a locking object carries no
    policy words beyond the field. *)
@@ -103,7 +108,14 @@ let create_escrow ~spec ~capacity ~initial =
   if initial < 0 || initial > capacity then
     invalid_arg "Atomic_object.create_escrow: initial out of range";
   let escrow =
-    { capacity; value = initial; total_incr = 0; total_decr = 0; holdings = Hashtbl.create 16 }
+    {
+      capacity;
+      value = initial;
+      total_incr = 0;
+      total_decr = 0;
+      pinning = 0;
+      holdings = Hashtbl.create 16;
+    }
   in
   make ~mode:(Escrow escrow) ~spec ~conflict:Conflict.none ~recovery:Recovery.DU ()
 
@@ -233,23 +245,21 @@ let invoke_optimistic choose t opt tid inv candidates =
    holds anything the interval is a point and one response always
    holds; otherwise the caller waits for the other holders. *)
 let invoke_escrow choose t e tid (inv : Op.invocation) =
-  let own = Hashtbl.find_opt e.holdings tid in
-  let own_incr, own_decr = match own with Some h -> (h.incr, h.decr) | None -> (0, 0) in
-  let low = e.value + own_incr - e.total_decr and high = e.value - own_decr + e.total_incr in
-  let pinned () =
-    Hashtbl.fold (fun h x p -> p || (x.pins && not (Tid.equal h tid))) e.holdings false
-  in
+  let own = match Hashtbl.find e.holdings tid with h -> h | exception Not_found -> no_holding in
+  let low = e.value + own.incr - e.total_decr and high = e.value - own.decr + e.total_incr in
+  (* Another holder observed the value. *)
+  let pinned = e.pinning > (if own.pins then 1 else 0) in
   (* The response and the update it escrows: > 0 an increment, < 0 a
      decrement, 0 an observation that pins the value. *)
   let answer =
     match inv.name, inv.args with
     | "incr", [ Value.Int i ] when i > 0 ->
         if low + i > e.capacity then Some (Value.no, 0)
-        else if high + i <= e.capacity && not (pinned ()) then Some (Value.ok, i)
+        else if high + i <= e.capacity && not pinned then Some (Value.ok, i)
         else None
     | "decr", [ Value.Int i ] when i > 0 ->
         if high < i then Some (Value.no, 0)
-        else if low >= i && not (pinned ()) then Some (Value.ok, -i)
+        else if low >= i && not pinned then Some (Value.ok, -i)
         else None
     | "read", [] -> if low = high then Some (Value.Int low, 0) else None
     | _ ->
@@ -267,12 +277,12 @@ let invoke_escrow choose t e tid (inv : Op.invocation) =
       let op = choose_op t choose inv [ res ] in
       Recovery.record t.recovery tid op;
       let h =
-        match own with
-        | Some h -> h
-        | None ->
-            let h = { incr = 0; decr = 0; pins = false } in
-            Hashtbl.add e.holdings tid h;
-            h
+        if own != no_holding then own
+        else begin
+          let h = { incr = 0; decr = 0; pins = false } in
+          Hashtbl.add e.holdings tid h;
+          h
+        end
       in
       if update > 0 then begin
         h.incr <- h.incr + update;
@@ -282,7 +292,10 @@ let invoke_escrow choose t e tid (inv : Op.invocation) =
         h.decr <- h.decr - update;
         e.total_decr <- e.total_decr - update
       end
-      else h.pins <- true;
+      else if not h.pins then begin
+        h.pins <- true;
+        e.pinning <- e.pinning + 1
+      end;
       Executed op
 
 let invoke ?choose t tid inv =
@@ -334,12 +347,13 @@ let forget_optimistic opt tid =
 (* [tid]'s escrow returns to the pool; committed, its net update joins
    the value. *)
 let release_escrow e tid ~committed =
-  match Hashtbl.find_opt e.holdings tid with
-  | None -> ()
-  | Some h ->
+  match Hashtbl.find e.holdings tid with
+  | exception Not_found -> ()
+  | h ->
       Hashtbl.remove e.holdings tid;
       e.total_incr <- e.total_incr - h.incr;
       e.total_decr <- e.total_decr - h.decr;
+      if h.pins then e.pinning <- e.pinning - 1;
       if committed then e.value <- e.value + h.incr - h.decr
 
 let commit t tid =

@@ -40,16 +40,13 @@ type handle = {
 
 exception Aborted
 
-let default_backoff ?(base = 0.0002) ?(cap = 0.02) () =
-  (* Capped exponential with deterministic jitter: the delay depends
-     only on the attempt number (Weyl-sequence hash spreads threads that
-     fail in lockstep), so runs stay reproducible. *)
-  if not (base > 0. && cap >= base) then
-    invalid_arg "Concurrent.default_backoff: need 0 < base <= cap";
-  fun attempt ->
-    let d = min cap (base *. (2. ** float_of_int (min (attempt - 1) 24))) in
-    let h = (attempt * 0x9E3779B1) land 0xFFFF in
-    Thread.delay (d *. (0.5 +. (0.5 *. float_of_int h /. 65536.)))
+(* Capped exponential from 0.2 ms to 20 ms with deterministic jitter:
+   the delay depends only on the attempt number (a Weyl-sequence hash
+   spreads threads that fail in lockstep), so runs stay reproducible. *)
+let backoff attempt =
+  let d = min 0.02 (0.0002 *. (2. ** float_of_int (min (attempt - 1) 24))) in
+  let h = (attempt * 0x9E3779B1) land 0xFFFF in
+  Thread.delay (d *. (0.5 +. (0.5 *. float_of_int h /. 65536.)))
 
 let threads () =
   let m = Mutex.create () and c = Condition.create () in
@@ -58,7 +55,7 @@ let threads () =
     leave = (fun () -> Mutex.unlock m);
     wait = (fun _ -> Condition.wait c m);
     broadcast = (fun () -> Condition.broadcast c);
-    backoff = default_backoff ();
+    backoff;
   }
 
 let create ?(runtime = threads ()) db =

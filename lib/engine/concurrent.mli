@@ -68,7 +68,10 @@ type runtime = {
 }
 
 (** [threads ()] — a fresh monitor on systhreads ([Mutex] and
-    [Condition]); its backoff is {!default_backoff} [()]. *)
+    [Condition]).  Its backoff is capped exponential (0.2 ms doubling
+    per attempt, clamped to 20 ms) with {e deterministic} jitter derived
+    from the attempt number alone: threads that abort in lockstep spread
+    out, yet a run's delays are reproducible. *)
 val threads : unit -> runtime
 
 (** [create ?runtime engine]; [runtime] defaults to [threads ()]. *)
@@ -97,14 +100,6 @@ exception Aborted
     cannot come. *)
 val invoke : ?choose:(Value.t list -> Value.t) -> handle -> obj:string ->
   Op.invocation -> Value.t
-
-(** [default_backoff ?base ?cap ()] builds a backoff hook for a
-    {!runtime} ({!threads} uses it with the defaults): capped exponential (starting at [base] seconds,
-    doubling per attempt, clamped to [cap]) with {e deterministic}
-    jitter derived from the attempt number alone — threads that abort
-    in lockstep spread out, yet a run's delays are reproducible.
-    Defaults: [base = 0.0002], [cap = 0.02]. *)
-val default_backoff : ?base:float -> ?cap:float -> unit -> int -> unit
 
 (** [with_txn db f] begins a transaction, runs [f], and commits (with
     optimistic validation where applicable).  On {!Aborted} the

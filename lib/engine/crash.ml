@@ -116,27 +116,7 @@ type recording = {
 }
 
 let full r = Array.map (List.map snd) r.appends
-
-let of_log recs =
-  let clock = ref 0 and appended = ref 0 in
-  let forces = ref [] in
-  let force () =
-    incr clock;
-    forces := (!clock, !appended) :: !forces
-  in
-  let appends =
-    List.map
-      (fun r ->
-        incr clock;
-        incr appended;
-        let stamped = (!clock, r) in
-        (match r with Wal.Commit _ -> force () | _ -> ());
-        stamped)
-      recs
-  in
-  (* The run's final flush acks everything appended. *)
-  (match !forces with (_, k) :: _ when k = !appended -> () | _ -> force ());
-  { appends = [| appends |]; forces = [| List.rev !forces |] }
+let logs = full
 
 let of_drive ~shards:n ~rebuild drive =
   if n < 1 then invalid_arg "Crash.of_drive: shards < 1";
@@ -203,12 +183,15 @@ type generator = {
   expect : Sharded_database.t -> Tid.Set.t -> (string * string) list;
       (* the generator's own check of a recovered state *)
   tally : (string * int) list;
+  cuts : bool;
+      (* every state keeps a prefix of each reference log, so what a
+         transaction with commit evidence must retain is known *)
 }
 
 let no_expectation _ _ = []
 
-let generator ?(expect = no_expectation) ?(tally = []) reference runs =
-  { reference; runs; expect; tally }
+let generator ?(expect = no_expectation) ?(tally = []) ?(cuts = true) reference runs =
+  { reference; runs; expect; tally; cuts }
 
 let is_prefix ~equal xs ys =
   let rec go = function
@@ -329,13 +312,9 @@ let byte_cuts r =
         ("acked", !commits);
       ]
 
-(* At every global tick, every shard retains exactly what its last
-   completed force covered — all unforced appends lost everywhere at once.
-   This sweeps the 2PC force ordering itself: a decision forced before its
-   participants' prepares, or a completion trusted before the decision,
-   shows up as surviving evidence with missing operations. *)
-let forced_frontiers r =
-  let full = full r in
+(* Every distinct forced frontier, as (first tick it holds, records
+   each shard's last completed force covered). *)
+let frontiers r =
   let latest ticks = Array.fold_left (List.fold_left (fun m (t, _) -> max m t)) 0 ticks in
   let clock = max (latest r.appends) (latest r.forces) in
   let frontier tau =
@@ -350,17 +329,44 @@ let forced_frontiers r =
       if Some counts = prev then distinct prev (tau + 1) acc
       else distinct (Some counts) (tau + 1) ((tau, counts) :: acc)
   in
+  distinct None 0 []
+
+let frontier_image full counts =
+  Array.mapi (fun i k -> List.filteri (fun j _ -> j < k) full.(i)) counts
+
+(* At every global tick, every shard retains exactly what its last
+   completed force covered — all unforced appends lost everywhere at once.
+   This sweeps the 2PC force ordering itself: a decision forced before its
+   participants' prepares, or a completion trusted before the decision,
+   shows up as surviving evidence with missing operations. *)
+let forced_frontiers r =
+  let full = full r in
   generator full
     [
       Seq.map
         (fun (tau, counts) ->
           {
             at = Fmt.str "forced tick %d [%a]" tau Fmt.(array ~sep:comma int) counts;
-            image = Some (Array.mapi (fun i k -> List.filteri (fun j _ -> j < k) full.(i)) counts);
+            image = Some (frontier_image full counts);
             flags = [];
           })
-        (List.to_seq (distinct None 0 []));
+        (List.to_seq (frontiers r));
     ]
+
+(* The last forced frontier that leaves a prepare in doubt with its
+   commit decision forced: what 2PC's lazy phase 2 makes routine. *)
+let in_doubt r =
+  let full = full r in
+  List.fold_left
+    (fun found (tau, counts) ->
+      let logs = frontier_image full counts in
+      if
+        List.exists
+          (fun ev -> ev.Two_phase.ev_commit && ev.Two_phase.ev_evidence = Two_phase.Decision_record)
+          (Two_phase.resolution_events (Two_phase.analyze logs))
+      then Some { label = Fmt.str "in-doubt forced tick %d" tau; logs }
+      else found)
+    None (frontiers r)
 
 let only name = List.filter (fun (op : Op.t) -> String.equal op.Op.obj name)
 
@@ -398,7 +404,8 @@ let loser_diff invariant ~got ~want =
    each through {!Disk_wal.load}, which must never refuse: every such
    state is a legal crash point.  From v1 this is the incremental upgrade:
    a crash at any offset leaves the readable v1 log (torn v2 debris
-   rolled back), a committed journal to redo, or the installed v2 image. *)
+   rolled back), a committed journal to redo, or the installed v2 image;
+   a log holding 2PC records was never v1, so it has no upgrade. *)
 let rewrite ~from r =
   let name, invariant =
     if from = Wal.Codec.v1 then ("upgrade", "upgrade-atomicity")
@@ -408,10 +415,13 @@ let rewrite ~from r =
   let run s =
     let recs = full.(s) in
     let mirror = Wal.of_records recs in
-    let dropped = Wal.truncate_to_checkpoint mirror in
-    if dropped = 0 && from <> Wal.Codec.v1 then None
+    let upgrade = from = Wal.Codec.v1 in
+    if upgrade && List.exists Wal.Codec.v2_only_record recs then None
+    else if Wal.truncate_to_checkpoint mirror = 0 && not upgrade then None
     else
-      let old_bytes = Wal.Codec.encode_all ~version:from ~shard:s recs in
+      let old_bytes =
+        Wal.Codec.encode_all ~version:from ~shard:(if upgrade then 0 else s) recs
+      in
       let image = Wal.Codec.encode_all ~shard:s (Wal.records mirror) in
       let new_len = String.length image in
       let journal = Disk_wal.journal ~shard:s ~old_len:(String.length old_bytes) image in
@@ -461,7 +471,8 @@ let rewrite ~from r =
       (differing db (fun p obj -> only obj (fst replayed.(p))))
     @ loser_diff invariant ~got:losers ~want:exp_losers
   in
-  generator full ~expect (List.filter_map run (List.init (Array.length full) Fun.id))
+  generator full ~expect ~cuts:false
+    (List.filter_map run (List.init (Array.length full) Fun.id))
 
 let given ~reference states =
   generator reference
@@ -505,25 +516,29 @@ let battery ~env ~rebuild ~g ~prepared ~prev ~atomicity_checked ~evidence_checke
   (* Evidence implies complete survival: every participant's operations
      and Prepare are forced before the coordinator's Decision is even
      appended, so no legal crash state can hold commit evidence while
-     missing any committed operation. *)
+     missing any committed operation.  A rewritten log keeps a committed
+     transaction's operations in its checkpoint instead, and its
+     generator checks the recovered state exactly. *)
   let survival =
-    List.concat_map
-      (fun tid ->
-        incr evidence_checked;
-        List.filter_map
-          (fun p ->
-            let got = ops_of_tid tid logs.(p) in
-            let want = ops_of_tid tid g.reference.(p) in
-            if List.equal Op.equal got want then None
-            else
-              Some
-                ( "global-atomicity",
-                  Fmt.str
-                    "txn %a has commit evidence but shard %d retains %d/%d of its \
-                     operations"
-                    Tid.pp tid p (List.length got) (List.length want) ))
-          shard_ids)
-      (Tid.Set.elements (Tid.Set.inter prepared evidence))
+    if not g.cuts then []
+    else
+      List.concat_map
+        (fun tid ->
+          incr evidence_checked;
+          List.filter_map
+            (fun p ->
+              let got = ops_of_tid tid logs.(p) in
+              let want = ops_of_tid tid g.reference.(p) in
+              if List.equal Op.equal got want then None
+              else
+                Some
+                  ( "global-atomicity",
+                    Fmt.str
+                      "txn %a has commit evidence but shard %d retains %d/%d of its \
+                       operations"
+                      Tid.pp tid p (List.length got) (List.length want) ))
+            shard_ids)
+        (Tid.Set.elements (Tid.Set.inter prepared evidence))
   in
   match recover ~rebuild logs with
   | Error e -> survival @ [ ("replay-legality", recovery_failure "recovery" e) ]

@@ -2,9 +2,9 @@
 
     The paper's thesis is that recovery and concurrency control must be
     designed together; this module adversarially exercises the join.  A
-    workload is recorded (one log, or the logs of a {!Sharded_database}
-    together with every append and durability barrier on one global
-    clock); a {e generator} turns the recording into crash states; and
+    workload is recorded ({!of_drive}: the logs of a {!Sharded_database}
+    of one or more shards, with every append and durability barrier on
+    one global clock); a {e generator} turns the recording into crash states; and
     one {e battery} recovers each state and checks it against the
     specification, following Börger–Schewe–Wang's discipline (PAPERS.md)
     of verifying recovery instead of trusting the implementation.
@@ -20,7 +20,8 @@
     - {!forced_frontiers}: every distinct forced frontier — each shard
       keeps exactly what its last completed barrier covered;
     - {!rewrite}: every journal and install byte state of each shard's
-      checkpoint-truncation rewrite, from v2 or from v1;
+      checkpoint-truncation rewrite, from v2 or from v1 (a log holding 2PC
+      records has no v1 form, so no upgrade);
     - {!given}: hand-built states, each checked on its own.
 
     Every state passes the same battery, after {e one} recovery through
@@ -110,19 +111,18 @@ val history_of_records : Wal.record list -> History.t
     completed durability barrier stamped on one global clock. *)
 type recording
 
-(** [of_log recs] — one log read as the run that wrote it acknowledged
-    it: a barrier after every commit record, plus a final one
-    ([Tm_sim.Experiment.run_durable] forces every commit before
-    acknowledging it). *)
-val of_log : Wal.record list -> recording
-
 (** [of_drive ~shards:n ~rebuild drive] runs [drive] against a fresh
     {!Sharded_database} over [n] recording in-memory WALs, stamping every
-    append and completed force under one lock. *)
+    append and completed force under one lock: a recording's barriers
+    are exactly the forces its run made.  Every recording is made this
+    way, by hand-written drives and by [Tm_sim.Experiment.drive]. *)
 val of_drive :
   shards:int ->
   rebuild:(unit -> Atomic_object.t list) ->
   (Sharded_database.t -> unit) -> recording
+
+(** [logs r] — every shard's records, whole, in append order. *)
+val logs : recording -> Wal.record list array
 
 (** {1 Generators} *)
 
@@ -145,9 +145,18 @@ val forced_frontiers : recording -> generator
     log as frames of version [from], then every prefix of the journal
     (intent + compacted v2 image), every prefix of the install over the
     journaled file, and the installed image.  From {!Wal.Codec.v1} the
-    rewrite is the v1→v2 upgrade and always runs; from the current
-    version a log without a checkpoint to truncate to yields no states. *)
+    rewrite is the v1→v2 upgrade, with v1 frames carrying no shard id;
+    it runs on every shard log with no {!Wal.Codec.v2_only_record}.  From
+    the current version a log without a checkpoint to truncate to yields
+    no states. *)
 val rewrite : from:int -> recording -> generator
+
+(** [in_doubt r] — the last forced frontier of [r] (see
+    {!forced_frontiers}) in which some shard holds a prepare in doubt
+    whose commit decision survived: the state 2PC's lazy phase 2 leaves
+    after a crash.  [None] when no such frontier exists (in particular
+    on one shard). *)
+val in_doubt : recording -> state option
 
 (** [given ~reference states] — hand-built states, each with as many
     shards as [reference], the full logs they are cut from (what "all its

@@ -1,18 +1,14 @@
 module Metrics = Tm_obs.Metrics
 
-type retry = {
-  max_attempts : int;
-  backoff : int -> unit;
-}
-
-let default_retry = { max_attempts = 8; backoff = (fun _ -> ()) }
+(* Tries per write or force before giving up; no backoff between
+   them, so a run over faulty storage stays deterministic. *)
+let max_attempts = 8
 
 exception Storage_unavailable of { attempts : int; last : string }
 
 type t = {
   storage : Storage.t;
   wal : Wal.t;
-  retry : retry;
   shard : int;  (* stamped into every v2 frame this log appends *)
   mutable end_off : int;  (* logical end: bytes of intact, persisted log *)
   mutable buf : Bytes.t;
@@ -36,13 +32,11 @@ let count t name by =
 
 (* The retry budget, one step of it per failed attempt and shared by
    writes and forces: the [attempt]th try failed with [last]; give up
-   once the budget is spent, else count the retry and back off. *)
+   once the budget is spent, else count the retry. *)
 let spend_retry t attempt last =
-  if attempt >= t.retry.max_attempts then
-    raise (Storage_unavailable { attempts = attempt; last });
+  if attempt >= max_attempts then raise (Storage_unavailable { attempts = attempt; last });
   t.retries <- t.retries + 1;
-  count t "tm_storage_retries_total" 1;
-  t.retry.backoff attempt
+  count t "tm_storage_retries_total" 1
 
 (* Write a slice through the retry budget.  A torn write persists a
    prefix, but every attempt rewrites from the same offset, so the torn
@@ -167,14 +161,13 @@ let install_sink t =
       sink_rewrite = (fun kept -> compact t kept);
     }
 
-let make ?(retry = default_retry) ?(shard = 0) storage =
+let make ?(shard = 0) storage =
   if shard < 0 || shard > 0xFFFF then
     invalid_arg (Fmt.str "Disk_wal: shard %d out of range" shard);
   let t =
     {
       storage;
       wal = Wal.create ();
-      retry;
       shard;
       end_off = 0;
       buf = Bytes.empty;
@@ -186,8 +179,8 @@ let make ?(retry = default_retry) ?(shard = 0) storage =
   install_sink t;
   t
 
-let create ?retry ?shard storage =
-  let t = make ?retry ?shard storage in
+let create ?shard storage =
+  let t = make ?shard storage in
   (* A fresh log owns the backend from byte 0; stale contents (a
      previous incarnation's log) would otherwise replay after ours.
      The truncation is forced immediately: without the barrier a crash
@@ -260,7 +253,7 @@ let find_journal bytes =
   in
   scan 0
 
-let load ?(retry = default_retry) ?shard ?profile storage =
+let load ?shard ?profile storage =
   (* Reads are not retried on content grounds — a short or bit-flipped
      read is silent, and it is the decoder's job to catch it. *)
   let module Profile = Tm_obs.Recovery_profile in
@@ -277,7 +270,7 @@ let load ?(retry = default_retry) ?shard ?profile storage =
   in
   (* The sink is installed first, and [Wal.restore] does not forward to
      it, so nothing decoded below is re-persisted. *)
-  let t = make ~retry ?shard storage in
+  let t = make ?shard storage in
   (* Resolve an interrupted compaction first: a half-installed image
      makes the raw bytes look arbitrarily damaged, so the journal — not
      the plain decode — is the authority on what the log is. *)

@@ -27,8 +27,9 @@
     Transient storage faults ({!Storage.Transient}) are absorbed by a
     bounded retry loop: a torn append is re-issued at the same offset
     (overwriting the torn prefix — the backend's {!Storage.write}
-    contract), with a deterministic backoff hook between attempts.
-    Faults that outlive the budget surface as {!Storage_unavailable}.
+    contract), up to 8 attempts in all with no backoff between them, so
+    a run over faulty storage stays deterministic.  Faults that outlive
+    the budget surface as {!Storage_unavailable}.
     Every write and force of the log goes through that one loop —
     appends, forces, compaction, {!create}'s truncation and {!load}'s
     redo of an interrupted compaction.
@@ -46,21 +47,12 @@
     that shard's mutex, and the log's logical end offset, which each
     append advances, assumes it too. *)
 
-(** Retry policy for transient faults.  [backoff n] is called after the
-    [n]th failed attempt (n = 1, 2, ...) before retrying; the default
-    (8 attempts, no backoff) does nothing between them (deterministic
-    tests) — a production caller can sleep exponentially here. *)
-type retry = {
-  max_attempts : int;
-  backoff : int -> unit;
-}
-
-(** A write or force still failing after [attempts] tries. *)
+(** A write or force still failing after [attempts] tries (8). *)
 exception Storage_unavailable of { attempts : int; last : string }
 
 type t
 
-(** [create ?retry ?shard storage] starts a fresh, empty log on
+(** [create ?shard storage] starts a fresh, empty log on
     [storage] (discarding any previous contents; the truncation is
     forced, so a crash before this log's first commit flush cannot
     resurrect a stale previous-incarnation log).  [shard] (default 0)
@@ -68,9 +60,9 @@ type t
     {!Sharded_database} gives each shard's log its own id, so a frame
     found on the wrong backend is attributable.  Raises
     [Invalid_argument] outside [0, 0xFFFF]. *)
-val create : ?retry:retry -> ?shard:int -> Storage.t -> t
+val create : ?shard:int -> Storage.t -> t
 
-(** [load ?retry storage] rebuilds the log from the backend's bytes:
+(** [load storage] rebuilds the log from the backend's bytes:
     each decoded frame is passed to {!Wal.restore}, so the loaded log
     holds the replay state {!Durable_database.recover} reads and no
     records.  A torn or corrupt tail is truncated (crash loss; recovery
@@ -92,7 +84,6 @@ val create : ?retry:retry -> ?shard:int -> Storage.t -> t
     the decoded frames keep whatever shard their headers carry (decode
     accepts any id — the shard is forensic, not a filter). *)
 val load :
-  ?retry:retry ->
   ?shard:int ->
   ?profile:Tm_obs.Recovery_profile.t ->
   Storage.t ->

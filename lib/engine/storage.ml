@@ -157,19 +157,7 @@ let file path =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Simulated device latency.                                           *)
-
-let slow ?(write_delay = 0.) ?(force_delay = 0.001) inner =
-  let pause d = if d > 0. then Thread.delay d in
-  {
-    inner with
-    name = inner.name ^ "+slow";
-    write = (fun ~pos b off len -> pause write_delay; inner.write ~pos b off len);
-    force = (fun () -> pause force_delay; inner.force ());
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Observation hooks (tests asserting write/force ordering).           *)
+(* Observation hooks: write/force ordering, simulated latency.        *)
 
 let probe ?(on_write = fun ~pos:_ _ -> ()) ?(on_force = fun () -> ()) inner =
   {

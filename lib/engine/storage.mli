@@ -69,21 +69,15 @@ val of_string : ?name:string -> string -> t
     {!Transient}; other I/O errors propagate as [Unix.Unix_error]. *)
 val file : string -> t
 
-(** {1 Simulated device latency} *)
-
-(** [slow ?write_delay ?force_delay inner] sleeps before delegating each
-    {!write} (default 0) and {!force} (default 1ms) — a stand-in for
-    a device whose barrier dominates, so group-commit batching actually
-    forms in benchmarks and threaded tests over {!memory}. *)
-val slow : ?write_delay:float -> ?force_delay:float -> t -> t
-
 (** {1 Observation hooks} *)
 
 (** [probe ?on_write ?on_force inner] — a transparent wrapper that calls
     [on_write ~pos len] before each {!write} and [on_force] before
     each {!force}, then delegates.  For tests that assert the {e order}
     of writes and barriers (e.g. that {!Disk_wal.create} forces the
-    truncation of a stale log before anything else relies on it). *)
+    truncation of a stale log before anything else relies on it), and
+    for a device whose barrier dominates: [~on_force:(fun () ->
+    Thread.delay d)] makes group-commit batching form over {!memory}. *)
 val probe :
   ?on_write:(pos:int -> int -> unit) -> ?on_force:(unit -> unit) -> t -> t
 

@@ -257,7 +257,7 @@ let two_phase bytes =
       | _ -> ())
     framed;
   let logs = Array.map List.rev logs in
-  let a = Two_phase.analyze logs in
+  let events = Two_phase.resolution_events (Two_phase.analyze logs) in
   List.filter_map
     (fun s ->
       if not (present.(s)) then None
@@ -277,24 +277,19 @@ let two_phase bytes =
                 | Wal.Commit tid | Wal.Abort tid -> Hashtbl.mem ever tid
                 | _ -> false);
             tp_in_doubt =
-              List.map
-                (fun tid ->
-                  {
-                    tpp_tid = tid;
-                    tpp_offset =
-                      Option.value
-                        (Hashtbl.find_opt prep_offset (s, tid))
-                        ~default:0;
-                    tpp_commit = Tid.Set.mem tid a.Two_phase.commit_evidence;
-                    tpp_evidence =
-                      Two_phase.evidence_name
-                        (if Tid.Set.mem tid a.Two_phase.decision_evidence then
-                           Two_phase.Decision_record
-                         else if Tid.Set.mem tid a.Two_phase.phase2_evidence
-                         then Two_phase.Phase2_record
-                         else Two_phase.Presumed);
-                  })
-                a.Two_phase.in_doubt.(s);
+              List.filter_map
+                (fun (ev : Two_phase.resolution_event) ->
+                  if ev.ev_shard <> s then None
+                  else
+                    Some
+                      {
+                        tpp_tid = ev.ev_tid;
+                        (* an in-doubt tid was prepared here *)
+                        tpp_offset = Hashtbl.find prep_offset (s, ev.ev_tid);
+                        tpp_commit = ev.ev_commit;
+                        tpp_evidence = Two_phase.evidence_name ev.ev_evidence;
+                      })
+                events;
           }
       end)
     (List.init n (fun s -> s))

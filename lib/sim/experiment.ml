@@ -283,8 +283,8 @@ let stats_of ~unanswered reg =
     no_response = outcome "no_response";
   }
 
-(* Every run: [cfg.concurrency] fibers over a one-shard engine,
-   each taking the next program, running it through [Concurrent.with_txn]
+(* Every run: [cfg.concurrency] fibers over the caller's engine, each
+   taking the next program, running it through [Concurrent.with_txn]
    and yielding after every call.  When every fiber waits for a response
    (the engine leaves such waiters alone: only a transaction yet to start
    can answer them), one more fiber runs the next program.  With no
@@ -293,17 +293,7 @@ let stats_of ~unanswered reg =
    later commit emptied): it is aborted and counted as unanswered.  A
    parked fiber blocked on a conflict means the engine's deadlock or
    stall rule failed, and [Fiber.All_parked] escapes the run. *)
-let drive ?(record_trace = false) ?(checkpoint_every = 0) ~wal ~name ~label ~workload
-    objs cfg =
-  let sdb = Sharded_database.create ~wals:[| wal |] objs in
-  let trace =
-    if record_trace then begin
-      let tr = Trace.create () in
-      Sharded_database.set_trace sdb tr;
-      Some tr
-    end
-    else None
-  in
+let drive_named ~checkpoint_every ~name ~label ~workload cfg sdb =
   let rng = Random.State.make [| cfg.seed |] in
   let pending = Queue.create () in
   for _ = 1 to cfg.total_txns do
@@ -360,21 +350,25 @@ let drive ?(record_trace = false) ?(checkpoint_every = 0) ~wal ~name ~label ~wor
     stats = stats_of ~unanswered reg;
     consistent = verify_database sdb;
     metrics = reg;
-    trace;
+    trace = Sharded_database.trace sdb;
   }
 
-let run ?record_trace scenario s cfg =
-  drive ?record_trace ~wal:(Tm_engine.Wal.create ()) ~name:scenario.name ~label:(label s)
-    ~workload:scenario.workload (scenario.build s) cfg
+let drive ~checkpoint_every scenario s cfg sdb =
+  drive_named ~checkpoint_every ~name:scenario.name ~label:(label s)
+    ~workload:scenario.workload cfg sdb
 
-let run_durable ?record_trace ?wal ?checkpoint_every scenario s cfg =
-  let wal = match wal with Some w -> w | None -> Tm_engine.Wal.create () in
-  ( drive ?record_trace ?checkpoint_every ~wal ~name:scenario.name ~label:(label s)
-      ~workload:scenario.workload (scenario.build s) cfg,
-    wal )
+(* A one-shard in-memory engine over [objs], traced on request. *)
+let engine ?(record_trace = false) objs =
+  let sdb = Sharded_database.create ~wals:[| Tm_engine.Wal.create () |] objs in
+  if record_trace then Sharded_database.set_trace sdb (Trace.create ());
+  sdb
+
+let run ?record_trace scenario s cfg =
+  drive ~checkpoint_every:0 scenario s cfg (engine ?record_trace (scenario.build s))
 
 let run_custom ?record_trace ~name ~label ~workload ~build cfg =
-  drive ?record_trace ~wal:(Tm_engine.Wal.create ()) ~name ~label ~workload (build ()) cfg
+  drive_named ~checkpoint_every:0 ~name ~label ~workload cfg
+    (engine ?record_trace (build ()))
 
 let run_matrix ?record_trace scenario cfg =
   List.map (fun s -> run ?record_trace scenario s cfg) default_setups

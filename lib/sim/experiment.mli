@@ -33,10 +33,6 @@ val setup : ?occ:bool -> Recovery.kind -> conflict_choice -> setup
 
 val label : setup -> string
 
-(** The comparison run by default benches: UIP+NRBC, DU+NFC, OCC+NFC,
-    UIP+RW, DU+RW, UIP+Total. *)
-val default_setups : setup list
-
 type scenario = {
   name : string;
   workload : Workload.t;
@@ -84,7 +80,7 @@ val all_scenarios : scenario list
 (** {1 Running}
 
     Every run drives its scenario through {!Tm_engine.Concurrent} on
-    {!Fiber}s over a one-shard {!Tm_engine.Sharded_database}:
+    {!Fiber}s over a {!Tm_engine.Sharded_database}:
     [concurrency] fibers each take the next of [total_txns] programs
     (generated up front from the seed), run it in
     {!Tm_engine.Concurrent.with_txn} and yield after every invocation
@@ -94,8 +90,9 @@ val all_scenarios : scenario list
     a transaction yet to start can answer them).  With no program left,
     the waiters are aborted and counted as [unanswered]; a transaction
     parked on a conflict instead means a deadlock or stall went
-    unbroken, and the run raises [Fiber.All_parked].  A run is a
-    pure function of (scenario, setup, config). *)
+    unbroken, and the run raises [Fiber.All_parked].  Every commit is
+    forced before it is acknowledged.  A run is a pure function of
+    (scenario, setup, config) and the engine's shard count. *)
 
 type config = {
   concurrency : int;  (** fibers, so simultaneously active transactions *)
@@ -138,22 +135,23 @@ type row = {
   trace : Tm_obs.Trace.t option;  (** populated when [record_trace] *)
 }
 
-(** [run ?record_trace scenario setup cfg] — when [record_trace] (default
+(** [drive ~checkpoint_every scenario setup cfg engine] — the one
+    driver: runs [scenario] under [setup] on [engine], which the caller
+    built over [scenario.build setup] with as many shards and logs of
+    whatever kind it chose (the crash harness records them with
+    {!Tm_engine.Crash.of_drive}).  When [checkpoint_every = n > 0] a
+    fuzzy checkpoint is taken after every [n]th commit, while other
+    transactions are typically in flight.  The row's [trace] is the
+    recorder attached to [engine], if any. *)
+val drive :
+  checkpoint_every:int -> scenario -> setup -> config -> Tm_engine.Sharded_database.t ->
+  row
+
+(** [run ?record_trace scenario setup cfg] — {!drive} on a one-shard
+    in-memory engine, without checkpoints.  When [record_trace] (default
     false) a {!Tm_obs.Trace} recorder is attached before the run and
     returned in the row for JSONL export or trace→history replay. *)
 val run : ?record_trace:bool -> scenario -> setup -> config -> row
-
-(** [run_durable ?wal ?checkpoint_every scenario setup cfg] is {!run}
-    over [wal] (default: a fresh in-memory log), returned with the row
-    for the crash-injection harness ({!Tm_engine.Crash.of_log}).  Pass a
-    {!Tm_engine.Disk_wal}-backed log to drive the workload against real
-    (or fault-injected) storage; every commit is forced before it is
-    acknowledged.  When [checkpoint_every = n > 0] a fuzzy checkpoint is
-    appended after every [n]th commit, while other transactions are
-    typically in flight. *)
-val run_durable :
-  ?record_trace:bool -> ?wal:Tm_engine.Wal.t -> ?checkpoint_every:int -> scenario ->
-  setup -> config -> row * Tm_engine.Wal.t
 
 (** [run_custom] — for ablations with hand-built objects (custom conflict
     relations, mixed policies); [label] is the setup column text. *)
@@ -161,7 +159,8 @@ val run_custom :
   ?record_trace:bool -> name:string -> label:string -> workload:Workload.t ->
   build:(unit -> Atomic_object.t list) -> config -> row
 
-(** [run_matrix scenario cfg] runs {!default_setups}. *)
+(** [run_matrix scenario cfg] runs UIP+NRBC, DU+NFC, OCC+NFC, UIP+RW,
+    DU+RW and UIP+Total. *)
 val run_matrix : ?record_trace:bool -> scenario -> config -> row list
 
 (** Render rows as an aligned table (one line per row): [abort] counts

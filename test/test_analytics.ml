@@ -172,9 +172,7 @@ let test_span_kinds_occ () =
     verdicts
 
 let test_span_kinds_durable_group_commit () =
-  let row, _wal =
-    Experiment.run_durable ~record_trace:true Experiment.bank_hotspot uip (small_cfg 7)
-  in
+  let row = Experiment.run ~record_trace:true Experiment.bank_hotspot uip (small_cfg 7) in
   (* every commit waits on the group-commit watermark *)
   emits "a durable run" "wal_flush_wait" row
 
@@ -188,10 +186,12 @@ let durable_replay_prop seed =
   let cfg =
     Experiment.config ~concurrency:3 ~total_txns:4 ~seed ~max_retries:4 ()
   in
-  let row, _wal =
-    Experiment.run_durable ~record_trace:true ~checkpoint_every:2 Experiment.bank_hotspot
-      du cfg
+  let sdb =
+    Tm_engine.Sharded_database.create ~wals:[| Tm_engine.Wal.create () |]
+      (Experiment.bank_hotspot.Experiment.build du)
   in
+  Tm_engine.Sharded_database.set_trace sdb (Trace.create ());
+  let row = Experiment.drive ~checkpoint_every:2 Experiment.bank_hotspot du cfg sdb in
   match row.Experiment.trace with
   | None -> false
   | Some tr ->

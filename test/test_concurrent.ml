@@ -276,7 +276,8 @@ let test_durable_group_commit_threads () =
      the acknowledged commits. *)
   let store = Tm_engine.Storage.memory () in
   let dw =
-    Tm_engine.Disk_wal.create (Tm_engine.Storage.slow ~force_delay:0.001 store)
+    Tm_engine.Disk_wal.create
+      (Tm_engine.Storage.probe ~on_force:(fun () -> Thread.delay 0.001) store)
   in
   let sdb =
     SD.create ~wals:[| Tm_engine.Disk_wal.wal dw |]
@@ -765,17 +766,9 @@ let test_occ_empty_view_retried_fibers () =
       outcome)
 
 let test_default_backoff () =
-  let hook = Concurrent.default_backoff ~base:1e-6 ~cap:1e-5 () in
+  let hook = (Concurrent.threads ()).Concurrent.backoff in
   (* bounded and total over any attempt number (no float overflow) *)
-  List.iter hook [ 1; 2; 3; 10; 30; 1000 ];
-  (try
-     ignore (Concurrent.default_backoff ~base:0. () : int -> unit);
-     Alcotest.fail "base must be positive"
-   with Invalid_argument _ -> ());
-  try
-    ignore (Concurrent.default_backoff ~base:0.1 ~cap:0.01 () : int -> unit);
-    Alcotest.fail "cap must dominate base"
-  with Invalid_argument _ -> ()
+  List.iter hook [ 1; 2; 3; 10; 30; 1000 ]
 
 let suite =
   [

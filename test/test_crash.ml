@@ -72,24 +72,32 @@ let test_history_checkpoint_base () =
 
 (* --- generators over a hand-driven database --- *)
 
-let recording wal = Crash.of_log (Wal.records wal)
+(* A one-shard recording of a hand-written drive. *)
+let record ?(rebuild = rebuild_ba) drive = Crash.of_drive ~shards:1 ~rebuild drive
 
-let sweep ?(rebuild = rebuild_ba) gen wal = Crash.enumerate ~rebuild (gen (recording wal))
+(* A recording of [recs] appended by hand to the one shard's log. *)
+let appended recs =
+  record (fun db -> List.iter (Wal.append (Tm_engine.Shard.wal (SD.shards db).(0))) recs)
+
+let sweep ?(rebuild = rebuild_ba) gen r = Crash.enumerate ~rebuild (gen r)
+
+(* Two commits around a fuzzy checkpoint taken with b in flight, and c
+   left in flight at the end. *)
+let driven () =
+  record (fun db ->
+      let a = SD.begin_txn db in
+      ignore (SD.invoke db a ~obj:"BA" (deposit_inv 5));
+      Helpers.check_bool "a commits" true (SD.try_commit db a = Ok ());
+      let b = SD.begin_txn db in
+      ignore (SD.invoke db b ~obj:"BA" (deposit_inv 3));
+      Helpers.check_bool "checkpoint" true (SD.checkpoint db);
+      ignore (SD.invoke db b ~obj:"BA" (deposit_inv 4));
+      Helpers.check_bool "b commits" true (SD.try_commit db b = Ok ());
+      let c = SD.begin_txn db in
+      ignore (SD.invoke db c ~obj:"BA" (deposit_inv 9)))
 
 let test_torture_clean_run () =
-  let wal = Wal.create () in
-  let db = DD.create ~wal (rebuild_ba ()) in
-  let a = DD.begin_txn db in
-  ignore (DD.invoke db a ~obj:"BA" (deposit_inv 5));
-  Helpers.check_bool "a commits" true (DD.try_commit db a = Ok ());
-  let b = DD.begin_txn db in
-  ignore (DD.invoke db b ~obj:"BA" (deposit_inv 3));
-  DD.checkpoint db;  (* fuzzy: b in flight *)
-  ignore (DD.invoke db b ~obj:"BA" (deposit_inv 4));
-  Helpers.check_bool "b commits" true (DD.try_commit db b = Ok ());
-  let c = DD.begin_txn db in
-  ignore (DD.invoke db c ~obj:"BA" (deposit_inv 9));
-  let report = sweep Crash.append_points wal in
+  let report = sweep Crash.append_points (driven ()) in
   Helpers.check_bool
     (Fmt.str "no violations: %a" Crash.pp_report report)
     true (Crash.ok report);
@@ -99,48 +107,33 @@ let test_torture_clean_run () =
 let test_torture_detects_corrupt_log () =
   (* Sanity that the harness can fail: a log whose commit record arrives
      with an illegal operation sequence must be flagged. *)
-  let wal = Wal.create () in
-  List.iter (Wal.append wal)
-    [
-      Wal.Begin Tid.a;
-      (* overdraws the initial balance: never executable, so replaying it
-         as committed is illegal *)
-      Wal.Operation (Tid.a, BA.withdraw_ok 10_000);
-      Wal.Commit Tid.a;
-    ];
-  let report = sweep Crash.append_points wal in
+  let r =
+    appended
+      [
+        Wal.Begin Tid.a;
+        (* overdraws the initial balance: never executable, so replaying it
+           as committed is illegal *)
+        Wal.Operation (Tid.a, BA.withdraw_ok 10_000);
+        Wal.Commit Tid.a;
+      ]
+  in
+  let report = sweep Crash.append_points r in
   Helpers.check_bool "violation detected" false (Crash.ok report)
 
 (* --- byte-granularity torture and corruption sweep --- *)
 
-let driven_wal () =
-  let wal = Wal.create () in
-  let db = DD.create ~wal (rebuild_ba ()) in
-  let a = DD.begin_txn db in
-  ignore (DD.invoke db a ~obj:"BA" (deposit_inv 5));
-  Helpers.check_bool "a commits" true (DD.try_commit db a = Ok ());
-  let b = DD.begin_txn db in
-  ignore (DD.invoke db b ~obj:"BA" (deposit_inv 3));
-  DD.checkpoint db;
-  ignore (DD.invoke db b ~obj:"BA" (deposit_inv 4));
-  Helpers.check_bool "b commits" true (DD.try_commit db b = Ok ());
-  let c = DD.begin_txn db in
-  ignore (DD.invoke db c ~obj:"BA" (deposit_inv 9));
-  wal
-
 let test_torture_bytes_clean () =
-  let wal = driven_wal () in
-  let report = sweep Crash.byte_cuts wal in
+  let r = driven () in
+  let report = sweep Crash.byte_cuts r in
   Helpers.check_bool
     (Fmt.str "no violations: %a" Crash.pp_report report)
     true (Crash.ok report);
   (* Byte cuts strictly outnumber record cuts: most land inside frames. *)
   Helpers.check_bool "more cuts than records" true
-    (report.Crash.states > Wal.length wal + 1)
+    (report.Crash.states > List.length (Crash.logs r).(0) + 1)
 
 let test_corruption_sweep_contained () =
-  let wal = driven_wal () in
-  let sweep = Crash.corruption_sweep (recording wal) in
+  let sweep = Crash.corruption_sweep (driven ()) in
   Helpers.check_bool
     (Fmt.str "nothing silent: %a" Crash.pp_report sweep)
     true (Crash.ok sweep);
@@ -154,8 +147,7 @@ let test_corruption_sweep_contained () =
 let truncation = Crash.rewrite ~from:Wal.Codec.write_version
 
 let test_torture_truncation_clean () =
-  let wal = driven_wal () in
-  let report = sweep truncation wal in
+  let report = sweep truncation (driven ()) in
   Helpers.check_bool
     (Fmt.str "no violations: %a" Crash.pp_report report)
     true (Crash.ok report);
@@ -164,10 +156,8 @@ let test_torture_truncation_clean () =
 
 let test_torture_truncation_no_checkpoint () =
   (* Nothing to compact: the sweep is vacuous, not wrong. *)
-  let wal = Wal.create () in
-  List.iter (Wal.append wal)
-    [ Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 5); Wal.Commit Tid.a ];
-  let report = sweep truncation wal in
+  let r = appended [ Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 5); Wal.Commit Tid.a ] in
+  let report = sweep truncation r in
   Helpers.check_int "no crash states" 0 report.Crash.states;
   Helpers.check_bool "clean" true (Crash.ok report)
 
@@ -176,20 +166,19 @@ let test_torture_truncation_no_checkpoint () =
    reaches past the old log's end, where the journal begins.  Every byte
    state must still reload and recover the pre-upgrade state. *)
 let test_torture_upgrade_growing_image () =
-  let wal = Wal.create () in
-  List.iter (Wal.append wal)
+  let recs =
     [
       Wal.Begin Tid.a;
       Wal.Operation (Tid.a, BA.deposit 5);
       Wal.Commit Tid.a;
       Wal.Begin Tid.b;
       Wal.Operation (Tid.b, BA.deposit 3);
-    ];
-  let recs = Wal.records wal in
+    ]
+  in
   Helpers.check_bool "the v2 image is longer" true
     (String.length (Wal.Codec.encode_all recs)
     > String.length (Wal.Codec.encode_all ~version:Wal.Codec.v1 recs));
-  let report = sweep (Crash.rewrite ~from:Wal.Codec.v1) wal in
+  let report = sweep (Crash.rewrite ~from:Wal.Codec.v1) (appended recs) in
   Helpers.check_bool
     (Fmt.str "no violations: %a" Crash.pp_report report)
     true (Crash.ok report);
@@ -229,22 +218,20 @@ let test_recover_refuses_unrebuilt_object () =
 (* --- batch-prefix torture of a group-committed run --- *)
 
 let test_torture_batched_group_commit () =
-  (* Drive a workload over storage, each commit acknowledged once its
-     force (through the log's group-commit combiner) returns, then prove
-     every byte cut recovers a prefix of the commit order and never loses
-     an acknowledged commit. *)
+  (* Record a fiber run, each commit acknowledged once its force returns,
+     then prove every byte cut recovers a prefix of the commit order and
+     never loses a commit acknowledged at a barrier the cut reached. *)
   let scenario = Experiment.transfer () in
   let setup = Experiment.setup Recovery.UIP Experiment.Semantic in
-  let dw = Tm_engine.Disk_wal.create (Tm_engine.Storage.memory ()) in
   let cfg = Experiment.config ~concurrency:3 ~total_txns:6 ~seed:5 () in
-  let _row, wal =
-    Experiment.run_durable ~wal:(Tm_engine.Disk_wal.wal dw) ~checkpoint_every:2 scenario
-      setup cfg
-  in
   let rebuild () = scenario.Experiment.build setup in
+  let r =
+    record ~rebuild (fun sdb ->
+        ignore (Experiment.drive ~checkpoint_every:2 scenario setup cfg sdb : Experiment.row))
+  in
   (* One pass: the battery at every byte cut, batch-prefix and
      acked-durability with it. *)
-  let batch = Crash.enumerate ~rebuild (Crash.byte_cuts (recording wal)) in
+  let batch = sweep ~rebuild Crash.byte_cuts r in
   Helpers.check_bool
     (Fmt.str "byte cuts and batch-prefix clean on a forced run: %a" Crash.pp_report
        batch)
@@ -274,6 +261,11 @@ let prop_setups =
     Experiment.setup ~occ:true Recovery.DU Experiment.Semantic;
   |]
 
+(* [scenario] under [setup] driven onto a one-shard engine over [wal]. *)
+let drive_onto wal ~checkpoint_every scenario setup cfg =
+  let sdb = SD.create ~wals:[| wal |] (scenario.Experiment.build setup) in
+  ignore (Experiment.drive ~checkpoint_every scenario setup cfg sdb : Experiment.row)
+
 let prop_crash_invariants =
   Helpers.qcheck ~count:60 "crash at every append point preserves recovery invariants"
     QCheck2.Gen.(
@@ -282,9 +274,12 @@ let prop_crash_invariants =
     (fun (seed, checkpoint_every, si, pi) ->
       let scenario = prop_scenarios.(si) and setup = prop_setups.(pi) in
       let cfg = Experiment.config ~concurrency:3 ~total_txns:5 ~seed () in
-      let _row, wal = Experiment.run_durable ~checkpoint_every scenario setup cfg in
       let rebuild () = scenario.Experiment.build setup in
-      let report = sweep ~rebuild Crash.append_points wal in
+      let r =
+        record ~rebuild (fun sdb ->
+            ignore (Experiment.drive ~checkpoint_every scenario setup cfg sdb : Experiment.row))
+      in
+      let report = sweep ~rebuild Crash.append_points r in
       if Crash.ok report then true
       else
         QCheck2.Test.fail_reportf "%s/%s seed %d cp %d: %a"
@@ -314,7 +309,8 @@ let prop_recover_matches_replay =
     (fun (seed, checkpoint_every, si, pi) ->
       let scenario = prop_scenarios.(si) and setup = prop_setups.(pi) in
       let cfg = Experiment.config ~concurrency:3 ~total_txns:5 ~seed () in
-      let _row, wal = Experiment.run_durable ~checkpoint_every scenario setup cfg in
+      let wal = Wal.create () in
+      drive_onto wal ~checkpoint_every scenario setup cfg;
       let rebuild () = scenario.Experiment.build setup in
       (* crash at a seed-derived record cut so losers are common *)
       let cut = seed mod (Wal.length wal + 1) in
@@ -452,7 +448,7 @@ let prop_log_state_matches_records =
       in
       let wal = if disk then Disk_wal.wal (Disk_wal.create storage) else Wal.create () in
       let cfg = Experiment.config ~concurrency:3 ~total_txns:5 ~seed () in
-      let _row, wal = Experiment.run_durable ~wal ~checkpoint_every scenario setup cfg in
+      drive_onto wal ~checkpoint_every scenario setup cfg;
       check "run" wal;
       if truncate then begin
         ignore (Wal.truncate_to_checkpoint wal);
@@ -516,6 +512,31 @@ let test_sharded_clean () =
         (report.Crash.evidence_checked > 0))
     [ ("forced", Crash.forced_frontiers); ("bytes", Crash.byte_cuts) ]
 
+(* Over several shards: truncation keeps a committed cross-shard
+   transaction's operations in the checkpoint, not as records, and the
+   battery must accept that; a log holding 2PC records has no v1 form
+   to upgrade from; and the harvest finds a decided prepare in doubt. *)
+let test_sharded_rewrites_and_in_doubt () =
+  let r = two_shard_recording () in
+  let truncate = Crash.enumerate ~rebuild:rebuild_sharded (truncation r) in
+  Helpers.check_bool
+    (Fmt.str "truncate clean: %a" Crash.pp_report truncate)
+    true (Crash.ok truncate);
+  Helpers.check_int "truncate states" 1592 truncate.Crash.states;
+  let upgrade =
+    Crash.enumerate ~rebuild:rebuild_sharded (Crash.rewrite ~from:Wal.Codec.v1 r)
+  in
+  Helpers.check_int "no upgrade of 2PC logs" 0 upgrade.Crash.states;
+  (match Crash.in_doubt r with
+  | None -> Alcotest.fail "no decided prepare left in doubt"
+  | Some st ->
+      Helpers.check_bool "a decided commit in doubt" true
+        (List.exists
+           (fun (ev : Tm_engine.Two_phase.resolution_event) ->
+             ev.ev_commit && ev.ev_evidence = Tm_engine.Two_phase.Decision_record)
+           Tm_engine.Two_phase.(resolution_events (analyze st.Crash.logs))));
+  Helpers.check_bool "nothing in doubt on one shard" true (Crash.in_doubt (driven ()) = None)
+
 let tid = Tid.of_int 1
 let dep obj n = Op.make ~obj ~args:[ Value.int n ] "deposit" Value.ok
 
@@ -572,17 +593,17 @@ let test_battery_overdraw_on_one_shard () =
 (* The number of crash states each generator yields, pinned: a refactor
    that silently drops states fails here, not only in a CI log line. *)
 let test_state_counts_pinned () =
-  let wal = driven_wal () in
+  let r = driven () in
   let count name expected report =
     Helpers.check_bool (Fmt.str "%s clean: %a" name Crash.pp_report report) true
       (Crash.ok report);
     Helpers.check_int (name ^ " states") expected report.Crash.states
   in
-  count "append" 11 (sweep Crash.append_points wal);
-  count "bytes" 571 (sweep Crash.byte_cuts wal);
-  count "truncate" 741 (sweep truncation wal);
-  count "upgrade" 741 (sweep (Crash.rewrite ~from:Wal.Codec.v1) wal);
-  count "flips" 570 (Crash.corruption_sweep (recording wal));
+  count "append" 11 (sweep Crash.append_points r);
+  count "bytes" 571 (sweep Crash.byte_cuts r);
+  count "truncate" 741 (sweep truncation r);
+  count "upgrade" 741 (sweep (Crash.rewrite ~from:Wal.Codec.v1) r);
+  count "flips" 570 (Crash.corruption_sweep r);
   let r = two_shard_recording () in
   let forced = Crash.enumerate ~rebuild:rebuild_sharded (Crash.forced_frontiers r) in
   let bytes = Crash.enumerate ~rebuild:rebuild_sharded (Crash.byte_cuts r) in
@@ -679,6 +700,8 @@ let suite =
     prop_log_state_matches_records;
     Alcotest.test_case "sharded generators: clean 2-shard drive" `Quick
       test_sharded_clean;
+    Alcotest.test_case "sharded rewrites and in-doubt harvest" `Quick
+      test_sharded_rewrites_and_in_doubt;
     Alcotest.test_case "battery flags a lost participant operation" `Quick
       test_battery_missing_participant_op;
     Alcotest.test_case "battery flags an overdraw on one shard" `Quick

@@ -208,6 +208,28 @@ let theorem2_prop (seed, concurrency) =
   | None -> false
   | Some tr -> Atomicity.is_dynamic_atomic env (Tm_obs.Trace.to_history tr)
 
+(* A granted update by a transaction that already holds decides from the
+   holdings' running totals: with eight other holders it allocates no
+   more words than alone, and alone at most 44 (41; 58 when each call
+   built a pin-scan closure and an option for its own holding). *)
+let test_grant_allocation () =
+  let words others =
+    let e = make ~capacity:1000 ~initial:500 () in
+    for i = 1 to others do
+      granted "other holder" e (Tid.of_int i) (incr 1)
+    done;
+    granted "own holding" e Tid.a (incr 1);
+    let call () = Atomic_object.invoke e Tid.a (incr 1) in
+    ignore (call ());
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (call ()));
+    Gc.minor_words () -. before
+  in
+  let alone = words 0 and crowded = words 8 in
+  if crowded > alone then
+    Alcotest.failf "a grant beside 8 holders allocated %.0f words, alone %.0f" crowded alone;
+  if alone > 44. then Alcotest.failf "a grant allocated %.0f words (max 44)" alone
+
 let suite =
   [
     Alcotest.test_case "concurrent mixed updates" `Quick test_concurrent_mixed_updates;
@@ -221,6 +243,8 @@ let suite =
     Alcotest.test_case "fibers end-to-end" `Slow test_fibers_end_to_end;
     Alcotest.test_case "fibers with reads" `Slow test_fibers_with_reads_consistent;
     Alcotest.test_case "invalid invocation" `Quick test_invalid_invocation;
+    Alcotest.test_case "grant allocation independent of holders" `Quick
+      test_grant_allocation;
     Helpers.qcheck ~count:60 "theorem 2: escrow + UIP + DU dynamic atomic" theorem2_gen
       theorem2_prop;
   ]

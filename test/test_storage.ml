@@ -750,17 +750,12 @@ let test_disk_wal_retry_absorbs_faults () =
 let test_disk_wal_gives_up () =
   let cfg = { Storage.no_faults with write_error = 1. } in
   let storage = Storage.faulty ~seed:1 cfg (Storage.memory ()) in
-  let backoffs = ref [] in
-  let retry =
-    { Disk_wal.max_attempts = 3; backoff = (fun n -> backoffs := n :: !backoffs) }
-  in
-  let dw = Disk_wal.create ~retry storage in
-  (match Wal.append (Disk_wal.wal dw) (Wal.Begin Tid.a) with
+  let dw = Disk_wal.create storage in
+  match Wal.append (Disk_wal.wal dw) (Wal.Begin Tid.a) with
   | () -> Alcotest.fail "append succeeded under write_error = 1"
   | exception Disk_wal.Storage_unavailable { attempts; _ } ->
-      Helpers.check_int "attempt budget spent" 3 attempts);
-  Alcotest.(check (list int)) "backoff hook saw each failed attempt" [ 2; 1 ]
-    !backoffs
+      Helpers.check_int "attempt budget spent" 8 attempts;
+      Helpers.check_int "every failed attempt but the last retried" 7 (Disk_wal.retries dw)
 
 (* A record storage refused is not in the log: it is not counted, has no
    LSN, does not read back and does not reach the next checkpoint — a
@@ -775,9 +770,8 @@ let test_failed_append_leaves_log_unchanged () =
     ];
   (* The same log, reloaded through a backend whose writes all fail. *)
   let failing = Storage.faulty ~seed:1 { Storage.no_faults with write_error = 1. } inner in
-  let retry = { Disk_wal.max_attempts = 2; backoff = ignore } in
   let wal =
-    match Disk_wal.load ~retry failing with
+    match Disk_wal.load failing with
     | Ok dw -> Disk_wal.wal dw
     | Error c -> Alcotest.failf "log refused: %a" Codec.pp_corruption c
   in
