@@ -176,21 +176,19 @@ let choose_op t choose inv offered =
       if not (List.exists (Value.equal res) offered) then reject_pick t res offered;
       { Op.obj = t.name; inv; res }
 
-(* The enabled operation to execute, from [enabled] (newest first): the
-   oldest, whose response comes first in the specification's order, or
-   the one the chooser picks from the enabled responses in that order. *)
-let choose_enabled t choose enabled =
-  match choose with
-  | None ->
-      let rec oldest = function [ op ] -> op | _ :: older -> oldest older | [] -> raise Not_found in
-      oldest enabled
-  | Some pick -> (
-      let enabled = List.rev enabled in
-      let offered = List.map (fun (op : Op.t) -> op.res) enabled in
-      let res = pick offered in
-      match List.find (fun (op : Op.t) -> Value.equal op.res res) enabled with
-      | op -> op
-      | exception Not_found -> reject_pick t res offered)
+(* The chooser's pick among the [enabled] operations (newest first),
+   offered their responses in the specification's order. *)
+let choose_enabled t pick enabled =
+  let enabled = List.rev enabled in
+  let offered = List.map (fun (op : Op.t) -> op.res) enabled in
+  let res = pick offered in
+  match List.find (fun (op : Op.t) -> Value.equal op.res res) enabled with
+  | op -> op
+  | exception Not_found -> reject_pick t res offered
+
+(* [invoke_locking]'s mark for "no operation enabled yet", compared by
+   [==]; it never executes. *)
+let none_enabled = { Op.obj = ""; inv = Op.invocation ""; res = Value.unit }
 
 (* [a] and [b] merged; both are strictly increasing, and so is the result. *)
 let rec merge a b =
@@ -201,27 +199,30 @@ let rec merge a b =
       if c < 0 then x :: merge xs b else if c > 0 then y :: merge a ys else x :: merge xs ys
 
 (* Result-dependent locking: test every legal response in order (each
-   conflict is counted), keeping the enabled operations, newest first,
-   and — while none is enabled — the merged holders that block the
-   rest.  Only if every response is blocked does the transaction wait;
-   otherwise one of the tested operations executes. *)
-let rec invoke_locking choose t tid inv enabled blocked = function
+   conflict is counted), keeping the first enabled operation, which
+   executes unless a chooser picks another — for a chooser, every
+   enabled one too, newest first — and, while none is enabled, the
+   merged holders that block the rest.  Only if every response is
+   blocked does the transaction wait. *)
+let rec invoke_locking choose t tid inv first enabled blocked = function
   | res :: rest -> (
       let op = { Op.obj = t.name; inv; res } in
       match Lock_table.blockers t.locks ~requested:op ~tid with
-      | [] -> invoke_locking choose t tid inv (op :: enabled) blocked rest
-      | holders -> (
-          match enabled with
-          | [] -> invoke_locking choose t tid inv enabled (merge holders blocked) rest
-          | _ -> invoke_locking choose t tid inv enabled blocked rest))
-  | [] -> (
-      match enabled with
-      | [] -> block t inv blocked
-      | _ ->
-          let op = choose_enabled t choose enabled in
-          Recovery.record t.recovery tid op;
-          Lock_table.add t.locks tid op;
-          Executed op)
+      | [] ->
+          let first = if first == none_enabled then op else first in
+          let enabled = match choose with None -> enabled | Some _ -> op :: enabled in
+          invoke_locking choose t tid inv first enabled blocked rest
+      | holders ->
+          let blocked = if first == none_enabled then merge holders blocked else blocked in
+          invoke_locking choose t tid inv first enabled blocked rest)
+  | [] ->
+      if first == none_enabled then block t inv blocked
+      else begin
+        let op = match choose with None -> first | Some pick -> choose_enabled t pick enabled in
+        Recovery.record t.recovery tid op;
+        Lock_table.add t.locks tid op;
+        Executed op
+      end
 
 (* [tid]'s operations here, newest first.  This and the lookups in
    [validate] and [commit] catch [Not_found] rather than allocate an
@@ -307,7 +308,7 @@ let invoke ?choose t tid inv =
           count_event t "tm_object_no_response_total" inv.Op.name;
           No_response
       | candidates, Optimistic opt -> invoke_optimistic choose t opt tid inv candidates
-      | candidates, _ -> invoke_locking choose t tid inv [] [] candidates)
+      | candidates, _ -> invoke_locking choose t tid inv none_enabled [] [] candidates)
 
 (* Operations committed after position [start], oldest first. *)
 let committed_since opt start =

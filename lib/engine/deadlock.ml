@@ -17,16 +17,17 @@ type t = {
   mutable depth : int;
   mutable seen : Tid.t array;
   mutable nseen : int;
-  (* [clear]'s scratch: the tid being cleared, and the sources whose
-     edge lists mention it in [hits.(0 .. nhits - 1)], collected before
-     any list is rebuilt (mutating a table during [Hashtbl.iter] over it
-     is unspecified).  [hits] starts empty and grows by doubling. *)
-  mutable clearing : Tid.t;
-  mutable hits : Tid.t array;
-  mutable nhits : int;
-  (* [Hashtbl.iter]'s arguments, closed over [t] once at creation. *)
+  (* The table's keys, the transactions with outgoing edges, in
+     [sources.(0 .. nsources - 1)] in no particular order: added when
+     [set_waiting] adds a key, removed when [clear] removes one.
+     [clear] walks them, not the table, so it builds no closure and may
+     rebuild lists as it goes.  [sources] starts empty and grows by
+     doubling. *)
+  mutable sources : Tid.t array;
+  mutable nsources : int;
+  (* [Hashtbl.iter]'s argument for the search, closed over [t] once at
+     creation. *)
   visit_source : Tid.t -> Tid.t list -> unit;
-  collect_hit : Tid.t -> Tid.t list -> unit;
 }
 
 let rec strictly_increasing = function
@@ -39,15 +40,22 @@ let rec same a b =
   | x :: xs, y :: ys -> Tid.equal x y && same xs ys
   | _ -> false
 
+let grow a fill = Array.append a (Array.make (max 8 (Array.length a)) fill)
+
 let set_waiting t tid ~on =
   let on = if strictly_increasing on then on else List.sort_uniq Tid.compare on in
-  let unchanged =
-    match Hashtbl.find t.edges tid with old -> same old on | exception Not_found -> false
-  in
-  if not unchanged then begin
-    Hashtbl.replace t.edges tid on;
-    t.changed <- true
-  end
+  match Hashtbl.find t.edges tid with
+  | old ->
+      if not (same old on) then begin
+        Hashtbl.replace t.edges tid on;
+        t.changed <- true
+      end
+  | exception Not_found ->
+      Hashtbl.replace t.edges tid on;
+      t.changed <- true;
+      if t.nsources = Array.length t.sources then t.sources <- grow t.sources tid;
+      t.sources.(t.nsources) <- tid;
+      t.nsources <- t.nsources + 1
 
 let rec mentions tid = function [] -> false | d :: rest -> Tid.equal d tid || mentions tid rest
 
@@ -57,30 +65,32 @@ let rec without tid = function
   | [] -> []
   | d :: rest -> if Tid.equal d tid then rest else d :: without tid rest
 
-let grow a fill = Array.append a (Array.make (max 8 (Array.length a)) fill)
-
-let collect_hit t src dsts =
-  if mentions t.clearing dsts then begin
-    if t.nhits = Array.length t.hits then t.hits <- grow t.hits src;
-    t.hits.(t.nhits) <- src;
-    t.nhits <- t.nhits + 1
-  end
+(* [tid] out of [t.sources.(i .. nsources - 1)], if there: the last
+   source takes its slot. *)
+let rec drop_source t tid i =
+  if i < t.nsources then
+    if Tid.equal t.sources.(i) tid then begin
+      t.nsources <- t.nsources - 1;
+      t.sources.(i) <- t.sources.(t.nsources)
+    end
+    else drop_source t tid (i + 1)
 
 let clear t tid =
-  if Hashtbl.length t.edges > 0 then begin
+  if t.nsources > 0 then begin
     if Hashtbl.mem t.edges tid then begin
       Hashtbl.remove t.edges tid;
+      drop_source t tid 0;
       t.changed <- true
     end;
-    t.clearing <- tid;
-    t.nhits <- 0;
-    Hashtbl.iter t.collect_hit t.edges;
-    if t.nhits > 0 then t.changed <- true;
     (* Replacing an existing key keeps its place in the table, so the
        search's visit order does not move. *)
-    for i = 0 to t.nhits - 1 do
-      let src = t.hits.(i) in
-      Hashtbl.replace t.edges src (without tid (Hashtbl.find t.edges src))
+    for i = 0 to t.nsources - 1 do
+      let src = t.sources.(i) in
+      let dsts = Hashtbl.find t.edges src in
+      if mentions tid dsts then begin
+        Hashtbl.replace t.edges src (without tid dsts);
+        t.changed <- true
+      end
     done
   end
 
@@ -132,11 +142,9 @@ let create () =
       depth = 0;
       seen = [||];
       nseen = 0;
-      clearing = Tid.of_int 0;
-      hits = [||];
-      nhits = 0;
+      sources = [||];
+      nsources = 0;
       visit_source = (fun tid _ -> if Option.is_none t.last then ignore (visit t tid));
-      collect_hit = (fun src dsts -> collect_hit t src dsts);
     }
   in
   t

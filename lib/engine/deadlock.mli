@@ -15,7 +15,8 @@ val create : unit -> t
     that is already strictly increasing (as {!Lock_table.blockers}
     returns it) is stored as it is; any other is sorted and deduplicated
     first.  Re-registering the edges [tid] already has leaves the graph,
-    and so the next {!find_cycle}'s answer, untouched. *)
+    and so the next {!find_cycle}'s answer, untouched.  A [tid] new to
+    the graph joins [t]'s array of sources, grown by doubling. *)
 val set_waiting : t -> Tid.t -> on:Tid.t list -> unit
 
 (** [clear t tid] removes [tid]'s outgoing edges {e and} every edge
@@ -23,11 +24,11 @@ val set_waiting : t -> Tid.t -> on:Tid.t list -> unit
     Returns at once when the graph has no edges; clearing a transaction
     the graph does not mention changes nothing.
 
-    Otherwise it allocates the 4-word closure [Hashtbl.iter] builds for
-    its walk, plus, for each list that mentions [tid], the cells before
-    [tid] (the rest is shared); the sources it finds go to a scratch
-    array in [t], grown by doubling.  A rebuilt list keeps its place in
-    the table, so the next {!find_cycle} visits in the same order. *)
+    Otherwise it walks the graph's sources from an array [t] keeps of
+    them (no closure), and allocates only, for each list that mentions
+    [tid], the cells before [tid] (the rest is shared).  A rebuilt list
+    keeps its place in the table, so the next {!find_cycle} visits in
+    the same order. *)
 val clear : t -> Tid.t -> unit
 
 (** [find_cycle t] is some cycle [t1 → t2 → … → t1] (listed without the

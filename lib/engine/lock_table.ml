@@ -3,10 +3,15 @@ module Metrics = Tm_obs.Metrics
 
 (* One transaction's holds at the object, newest first, each stamped
    with a global insertion sequence so {!holds} can still present the
-   table oldest-first across holders. *)
+   table oldest-first across holders.  A hold is one 4-word cell, not a
+   pair in a list cell (6 words). *)
+type holds =
+  | Nil
+  | Hold of int * Op.t * holds
+
 type holder = {
   tid : Tid.t;
-  mutable ops : (int * Op.t) list;
+  mutable ops : holds;
 }
 
 type t = {
@@ -71,8 +76,8 @@ let note_conflict t ~requested ~held =
 (* Whether any of [ops] conflicts with [requested], counting every
    conflicting pair (no short-circuit). *)
 let rec conflicting t requested found = function
-  | [] -> found
-  | (_, op) :: rest ->
+  | Nil -> found
+  | Hold (_, op, rest) ->
       if Conflict.conflicts t.conflict ~requested ~held:op then begin
         note_conflict t ~requested ~held:op;
         conflicting t requested true rest
@@ -101,20 +106,22 @@ let rec blocking t requested tid acc = function
 
 let blockers t ~requested ~tid = blocking t requested tid [] t.holders
 
-(* Whether [tid] holds here; if so, [entry] joins its holds. *)
-let rec push tid entry = function
+(* Whether [tid] holds here; if so, [op] joins its holds as number
+   [seq]. *)
+let rec push tid seq op = function
   | [] -> false
   | h :: rest ->
       if Tid.equal h.tid tid then begin
-        h.ops <- entry :: h.ops;
+        h.ops <- Hold (seq, op, h.ops);
         true
       end
-      else push tid entry rest
+      else push tid seq op rest
 
 let add t tid op =
-  let entry = (t.next_seq, op) in
-  t.next_seq <- t.next_seq + 1;
-  if not (push tid entry t.holders) then t.holders <- { tid; ops = [ entry ] } :: t.holders
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  if not (push tid seq op t.holders) then
+    t.holders <- { tid; ops = Hold (seq, op, Nil) } :: t.holders
 
 (* The holders without [tid]'s: the list itself if [tid] holds nothing
    here, and otherwise the holders after it are shared. *)
@@ -129,9 +136,11 @@ let rec without tid = function
 let release t tid = t.holders <- without tid t.holders
 
 let holds t =
-  List.fold_left
-    (fun acc h -> List.rev_append (List.rev_map (fun (s, op) -> (s, h.tid, op)) h.ops) acc)
-    [] t.holders
+  let rec stamped tid acc = function
+    | Nil -> acc
+    | Hold (s, op, rest) -> stamped tid ((s, tid, op) :: acc) rest
+  in
+  List.fold_left (fun acc h -> stamped h.tid acc h.ops) [] t.holders
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
   |> List.map (fun (_, tid, op) -> (tid, op))
 

@@ -41,12 +41,16 @@ type t = {
   mutable discarded : Metrics.counter;
 }
 
+(* Every accessor takes its full arity.  Callers may see only the
+   interface (dev builds compile with [-opaque]), so a [responses t]
+   that returned the closure would make every call
+   [Recovery.responses t tid inv] build a partial application. *)
 let kind t = t.kind
-let responses t = t.responses
-let record t = t.record
+let responses t tid inv = t.responses tid inv
+let record t tid op = t.record tid op
 let commit t tid = t.commit t tid
 let abort t tid = t.abort t tid
-let restore t = t.restore
+let restore t ops = t.restore ops
 let committed_ops t = t.committed_ops ()
 
 let unresolved = Metrics.Counter.unresolved
@@ -112,19 +116,29 @@ let candidate_responses (type s) (module S : Spec.S with type state = s) states 
   | [] | [ _ ] -> vs  (* sorted already; skip [sort_uniq]'s closures *)
   | _ -> List.sort_uniq Value.compare vs
 
+(* A stretch of the UIP live suffix: one 4-word cell per executed
+   operation, not a pair in a list cell (6 words). *)
+type entries =
+  | End
+  | Entry of Tid.t * Op.t * entries
+
+let rec rev_entries acc = function
+  | End -> acc
+  | Entry (tid, op, rest) -> rev_entries (Entry (tid, op, acc)) rest
+
 (* [l] without the next [!left] entries of [tid], counting them off in
    [left]: the tail after the last one dropped is shared, not copied. *)
 let rec drop tid left l =
   if !left = 0 then l
   else
     match l with
-    | [] -> []
-    | ((t, _) as e) :: rest ->
+    | End -> End
+    | Entry (t, op, rest) ->
         if Tid.equal t tid then begin
           decr left;
           drop tid left rest
         end
-        else e :: drop tid left rest
+        else Entry (t, op, drop tid left rest)
 
 (* State-sets are sorted, duplicate-free lists ({!Spec.step_states}), so
    a manager holds no functor instance of its own: it costs what its
@@ -133,7 +147,7 @@ let rec drop tid left l =
 let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
   let step = Spec.step_states (module S) and after = Spec.after_states (module S) in
   let obj = Spec.name spec in
-  (* The live suffix: [(tid, op)] entries of non-aborted transactions in
+  (* The live suffix: the entries of non-aborted transactions in
      execution order, from the first operation of the oldest transaction
      still live here.  It is a two-list queue, [front] oldest first and
      [back] newest first.  Every operation before it is committed and so
@@ -142,28 +156,31 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
      through the suffix. *)
   let base = ref [ S.initial ] in
   let current = ref !base in
-  let front = ref [] and back = ref [] in
+  let front = ref End and back = ref End in
   let per_txn : (Tid.t, Op.t list) Hashtbl.t = Hashtbl.create 16 in
   let committed_log = ref [] (* newest first *) in
   let txn_ops tid = match Hashtbl.find per_txn tid with ops -> ops | exception Not_found -> [] in
-  let step_entry st (_, op) = step st op in
+  let rec step_through st = function
+    | End -> st
+    | Entry (_, op, rest) -> step_through (step st op) rest
+  in
   (* Fold the leading entries of finished transactions into [base].  Aborts
      drop their entries first, so every such entry is committed. *)
   let rec fold () =
     if Hashtbl.length per_txn = 0 then begin
       base := !current;
-      front := [];
-      back := []
+      front := End;
+      back := End
     end
     else
-      match !front with
-      | ((tid, _) as e) :: rest when not (Hashtbl.mem per_txn tid) ->
-          base := step_entry !base e;
+      match !front, !back with
+      | Entry (tid, op, rest), _ when not (Hashtbl.mem per_txn tid) ->
+          base := step !base op;
           front := rest;
           fold ()
-      | [] when !back <> [] ->
-          front := List.rev !back;
-          back := [];
+      | End, (Entry _ as back') ->
+          front := rev_entries End back';
+          back := End;
           fold ()
       | _ -> ()
   in
@@ -173,7 +190,7 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
     if next = [] then
       invalid_arg (Fmt.str "Recovery.record(UIP): illegal operation %a" Op.pp op);
     current := next;
-    back := (tid, op) :: !back;
+    back := Entry (tid, op, !back);
     Hashtbl.replace per_txn tid (op :: txn_ops tid)
   in
   let commit t tid =
@@ -210,7 +227,7 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
        well-chosen inverses, but safety wins). *)
     if undone = [] then begin
       count_undone_replay t n;
-      current := List.fold_left step_entry (List.fold_left step_entry !base !front) (List.rev !back)
+      current := step_through (step_through !base !front) (rev_entries End !back)
     end
     else begin
       count_undone_inverse t n;

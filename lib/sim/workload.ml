@@ -7,21 +7,50 @@ type t = {
   generate : Random.State.t -> program;
 }
 
+(* The running sums of the rank weights 1/(k+1)^skew for one
+   [(n, skew)], summed left to right: [sums.(k)] weighs ranks 0 to k. *)
+type zipf_table = {
+  n : int;
+  skew : float;
+  sums : float array;
+}
+
+(* The table of the last [(n, skew)] drawn from.  A draw with other
+   parameters swaps in a new one; a table is immutable, so a reader
+   racing the swap still sees a whole one. *)
+let zipf_last = ref { n = 0; skew = 0.; sums = [||] }
+
+let zipf_table n skew =
+  let t = !zipf_last in
+  if t.n = n && Float.equal t.skew skew then t
+  else begin
+    let sums = Array.make n 0. in
+    let acc = ref 0. in
+    for k = 0 to n - 1 do
+      acc := !acc +. (1. /. ((float_of_int k +. 1.) ** skew));
+      sums.(k) <- !acc
+    done;
+    let t = { n; skew; sums } in
+    zipf_last := t;
+    t
+  end
+
 let zipf rng ~n ~skew =
   if n <= 1 then 0
   else if skew <= 0. then Random.State.int rng n
   else begin
-    (* Inverse-CDF sampling over rank weights 1/(k+1)^skew. *)
-    let weights = Array.init n (fun k -> 1. /. ((float_of_int k +. 1.) ** skew)) in
-    let total = Array.fold_left ( +. ) 0. weights in
-    let x = Random.State.float rng total in
-    let rec pick k acc =
-      if k >= n - 1 then n - 1
+    (* Inverse-CDF sampling: the first rank below n - 1 whose running
+       sum exceeds the draw, else the last.  The sums never decrease,
+       so a binary search finds it. *)
+    let sums = (zipf_table n skew).sums in
+    let x = Random.State.float rng sums.(n - 1) in
+    let rec search lo hi =
+      if lo >= hi then lo
       else
-        let acc = acc +. weights.(k) in
-        if x < acc then k else pick (k + 1) acc
+        let mid = (lo + hi) / 2 in
+        if x < sums.(mid) then search lo mid else search (mid + 1) hi
     in
-    pick 0 0.
+    search 0 (n - 1)
   end
 
 let shuffle rng l =

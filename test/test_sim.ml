@@ -27,6 +27,48 @@ let test_zipf_skew_shape () =
   done;
   Helpers.check_bool "rank 0 most popular" true (counts.(0) > counts.(7) * 2)
 
+(* The O(n) sampler [Workload.zipf] replaced: it rebuilds the weights
+   on every draw and scans them left to right. *)
+let reference_zipf rng ~n ~skew =
+  if n <= 1 then 0
+  else if skew <= 0. then Random.State.int rng n
+  else begin
+    let weights = Array.init n (fun k -> 1. /. ((float_of_int k +. 1.) ** skew)) in
+    let total = Array.fold_left ( +. ) 0. weights in
+    let x = Random.State.float rng total in
+    let rec pick k acc =
+      if k >= n - 1 then n - 1
+      else
+        let acc = acc +. weights.(k) in
+        if x < acc then k else pick (k + 1) acc
+    in
+    pick 0 0.
+  end
+
+(* The table sampler picks the reference's rank on every draw and
+   consumes the same randomness: 10^4 draws per parameter pair, then
+   10^4 alternating between the pairs, so a table is swapped on every
+   draw. *)
+let test_zipf_matches_reference () =
+  let params = [ (2, 0.5); (7, 0.9); (8, 1.2); (75, 2.5); (256, 0.99); (40, 30.); (5, 0.) ] in
+  let rng = Random.State.make [| 6 |] and ref_rng = Random.State.make [| 6 |] in
+  let draw (n, skew) =
+    let got = Workload.zipf rng ~n ~skew and want = reference_zipf ref_rng ~n ~skew in
+    if got <> want then
+      Alcotest.failf "n=%d skew=%g: rank %d, the reference's %d" n skew got want
+  in
+  List.iter
+    (fun p ->
+      for _ = 1 to 10_000 do
+        draw p
+      done)
+    params;
+  let params = Array.of_list params in
+  for i = 1 to 10_000 do
+    draw params.(i mod Array.length params)
+  done;
+  Helpers.check_int "equal RNG states" (Random.State.bits ref_rng) (Random.State.bits rng)
+
 let test_workload_deterministic () =
   let w = Workload.bank_hotspot () in
   let p1 = w.Workload.generate (Random.State.make [| 5 |]) in
@@ -299,6 +341,7 @@ let suite =
   [
     Alcotest.test_case "zipf bounds" `Quick test_zipf_bounds;
     Alcotest.test_case "zipf skew shape" `Quick test_zipf_skew_shape;
+    Alcotest.test_case "zipf matches the O(n) sampler" `Quick test_zipf_matches_reference;
     Alcotest.test_case "workload deterministic" `Quick test_workload_deterministic;
     Alcotest.test_case "fiber: same seed, same interleaving" `Quick test_fiber_same_seed;
     Alcotest.test_case "fiber: sleep k resumes after k rounds" `Quick test_fiber_sleep;
