@@ -8,8 +8,8 @@
    uses, so the verdict printed here is the verdict a restart gets.
 
    --verify goes one step further: it loads the log through
-   Disk_wal.load, which folds every decoded record into the log's replay
-   state, and reads the replay plan from it with Wal.plan_of — what a
+   Disk_wal.load, which verifies every frame and folds the records from
+   the last checkpoint on into the log's replay state, and reads the replay plan from it with Wal.plan_of — what a
    restart runs — under the restart profiler, and prints the per-phase
    profile.  No objects are rebuilt, so the object-replay
    phase stays empty.

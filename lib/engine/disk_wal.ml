@@ -231,7 +231,7 @@ let find_journal bytes =
               (* The journal committed; its image must verify in full
                  before we are allowed to destroy the old log. *)
               let image = String.sub bytes next new_len in
-              match Wal.Codec.fold_frames (fun _ _ -> ()) image with
+              match Wal.Codec.verify_frames (fun _ _ _ -> ()) image with
               | Ok (_, None) -> Complete { image }
               | Ok _ ->
                   Damaged
@@ -252,6 +252,40 @@ let find_journal bytes =
           | Ok _ | Error _ -> scan (p + 1))
   in
   scan 0
+
+(* What the verifying walk of {!load} learns of the log before the
+   first intent: where its last checkpoint is, and what the frames
+   before that checkpoint add to the log's counters. *)
+type scan = {
+  mutable intent : int;  (* offset of the first Truncate_intent, or -1 *)
+  mutable frames : int;  (* frames before [intent] *)
+  mutable commits : int;  (* Commit records among them *)
+  mutable hwm : int;  (* first tid above every tid they mention *)
+  mutable checkpoint : int;  (* offset of the last Checkpoint, or -1 *)
+  mutable superseded : int;  (* [frames] before [checkpoint] *)
+  mutable superseded_commits : int;
+  mutable superseded_hwm : int;
+}
+
+(* Record tags (docs/WAL_FORMAT.md). *)
+let commit_tag = 2
+let checkpoint_tag = 4
+let intent_tag = 5
+
+let note_frame scan pos tag hwm =
+  if scan.intent < 0 then
+    if tag = intent_tag then scan.intent <- pos
+    else begin
+      if tag = checkpoint_tag then begin
+        scan.checkpoint <- pos;
+        scan.superseded <- scan.frames;
+        scan.superseded_commits <- scan.commits;
+        scan.superseded_hwm <- scan.hwm
+      end;
+      scan.frames <- scan.frames + 1;
+      if tag = commit_tag then scan.commits <- scan.commits + 1;
+      scan.hwm <- Int.max scan.hwm hwm
+    end
 
 let load ?shard ?profile storage =
   (* Reads are not retried on content grounds — a short or bit-flipped
@@ -294,28 +328,42 @@ let load ?shard ?profile storage =
   match resolved with
   | Error _ as e -> e
   | Ok bytes -> (
-      (* Every decoded record goes straight into the log's replay state;
-         no record list is built.  An intent surviving in the decoded
-         stream means the journal write itself was cut short (a complete
-         journal was resolved above): the compaction never committed, so
-         the log is exactly the records before the intent — roll it back
-         by restoring none of the rest.  The frames after it are still
-         decoded, so a torn tail or interior corruption there gets the
-         same verdict as anywhere else.  [end_off] is the intent's byte
-         offset as the frame fold reports it, which holds for a log that
-         mixes frame versions too (v1 frames persisted by an older
-         binary, v2 appends after them). *)
-      let intent_at = ref (-1) in
-      let restore pos r =
-        if !intent_at < 0 then
-          match r with
-          | Wal.Truncate_intent _ -> intent_at := pos
-          | _ -> Wal.restore ?profile t.wal r
+      (* One walk verifies every frame and builds nothing; a second
+         decodes only the frames from the last checkpoint on, straight
+         into the log's replay state, so no record list is built and the
+         prefix the checkpoint stands for is paid for by its checksums
+         alone.  An intent surviving in the stream means the journal
+         write itself was cut short (a complete journal was resolved
+         above): the compaction never committed, so the log is exactly
+         the records before the intent — roll it back by restoring none
+         of the rest.  The frames after it are still verified, so a torn
+         tail or interior corruption there gets the same verdict as
+         anywhere else.  [end_off] is the intent's byte offset as the
+         walk reports it, which holds for a log that mixes frame
+         versions too (v1 frames persisted by an older binary, v2
+         appends after them). *)
+      let scan =
+        {
+          intent = -1;
+          frames = 0;
+          commits = 0;
+          hwm = 0;
+          checkpoint = -1;
+          superseded = 0;
+          superseded_commits = 0;
+          superseded_hwm = 0;
+        }
       in
-      match Wal.Codec.fold_frames ?profile restore bytes with
+      match Wal.Codec.verify_frames ?profile (note_frame scan) bytes with
       | Error _ as e -> e
       | Ok (clean_bytes, _) ->
+          let upto = if scan.intent < 0 then clean_bytes else scan.intent in
+          Wal.restore_superseded t.wal ~records:scan.superseded ~commits:scan.superseded_commits
+            ~next_tid:scan.superseded_hwm;
+          Wal.Codec.decode_verified ?profile
+            (fun _ r -> Wal.restore ?profile t.wal r)
+            bytes ~from:(Int.max 0 scan.checkpoint) ~upto;
           (* A torn tail is dropped logically: [end_off] points at the
              intact prefix, and the next append overwrites the debris. *)
-          t.end_off <- (if !intent_at < 0 then clean_bytes else !intent_at);
+          t.end_off <- upto;
           Ok t)

@@ -19,10 +19,11 @@
     log re-encoded as v2) pads the journal so the install never
     overwrites it ({!journal}).
 
-    After a crash, {!load} decodes the
-    backend's bytes frame by frame straight into a fresh log's replay
-    state — truncating a torn tail, refusing interior corruption — and
-    builds no record list.
+    After a crash, {!load} checks every frame of the backend's bytes —
+    truncating a torn tail, refusing interior corruption — and decodes
+    the frames from the last checkpoint on straight into a fresh log's
+    replay state; it builds no record list, and the prefix the
+    checkpoint supersedes costs only its checks.
 
     Transient storage faults ({!Storage.Transient}) are absorbed by a
     bounded retry loop: a torn append is re-issued at the same offset
@@ -62,21 +63,32 @@ type t
     [Invalid_argument] outside [0, 0xFFFF]. *)
 val create : ?shard:int -> Storage.t -> t
 
-(** [load storage] rebuilds the log from the backend's bytes:
-    each decoded frame is passed to {!Wal.restore}, so the loaded log
-    holds the replay state {!Durable_database.recover} reads and no
-    records.  A torn or corrupt tail is truncated (crash loss; recovery
-    proceeds); interior corruption is returned as [Error] with its byte
-    offset — never skipped.  With [profile], the storage read is charged
-    to the restart profiler's storage-scan phase, decoding to the
-    frame-decode / checksum-verify phases, and stepping the replay state
-    to the log-scan / checkpoint-seed phases.
+(** [load storage] rebuilds the log from the backend's bytes in two
+    walks.  The first verifies every frame — header, CRC and a walk of
+    its payload that makes every check a decode makes — and builds
+    nothing ({!Wal.Codec.verify_frames}); each CRC is computed there
+    once.  The second decodes only the frames from the last [Checkpoint]
+    on ({!Wal.Codec.decode_verified}) and passes each to {!Wal.restore}:
+    the redo log's checkpoint stands for everything before it, so the
+    frames before it are taken in by {!Wal.restore_superseded}, counted
+    toward the log's length, LSNs and tid high-water mark but neither
+    decoded nor stepped.  The loaded log holds the replay state
+    {!Durable_database.recover} reads and no records, the same state a
+    decode of every frame would give.  A torn or corrupt tail is
+    truncated (crash loss; recovery proceeds); interior corruption is
+    returned as [Error] with its byte offset — never skipped — wherever
+    it lies.  With [profile], the storage read is charged to the restart
+    profiler's storage-scan phase, both walks to the frame-decode and
+    checksum-verify phases, and stepping the replay state to the
+    log-scan / checkpoint-seed phases; every verified frame counts as
+    decoded, and only the stepped records count as scanned.
 
     An interrupted compaction is resolved before decoding:
     a {e complete} compaction journal (intent frame + verified image) is
     redone — the install is idempotent — while an incomplete one is
     rolled back, reloading exactly the pre-compaction log: the frames
-    after its intent are still decoded and checked, but not restored.  A journal
+    after its intent are still verified, but not restored, and the
+    checkpoint decoding starts from is the last one before the intent.  A journal
     whose intent committed but whose image no longer verifies is
     refused as corruption (never silently dropped).
 

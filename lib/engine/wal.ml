@@ -465,6 +465,21 @@ let restore ?profile t r =
       Profile.note_records_scanned p 1;
       Profile.time_excluding p Profile.Log_scan (fun () -> admit ~durable:true profile t r)
 
+(* What stepping the records would have left of them once the checkpoint
+   after them is restored: their count, their commits and the tid mark. *)
+let restore_superseded t ~records ~commits ~next_tid =
+  (match t.sink with
+  | None -> invalid_arg "Wal.restore_superseded: a sink-less log holds its records itself"
+  | Some _ -> ());
+  t.state.hwm <- Int.max t.state.hwm next_tid;
+  t.count <- t.count + records;
+  Mutex.lock t.flush_lock;
+  t.appended <- t.appended + records;
+  t.commits_appended <- t.commits_appended + commits;
+  t.flushed <- t.appended;
+  t.commits_flushed <- t.commits_appended;
+  Mutex.unlock t.flush_lock
+
 let of_records recs =
   let t = create () in
   List.iter (restore t) recs;
@@ -562,26 +577,55 @@ module Codec = struct
      before it can even read the version byte and dispatch. *)
   let min_header_size = 11
 
-  (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).  The table
-     and the running value are plain [int]s, so no step boxes an [int32]
-     and a CRC allocates nothing. *)
-  let crc_table =
-    Array.init 256 (fun n ->
-        let c = ref n in
-        for _ = 0 to 7 do
-          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-        done;
-        !c)
+  (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), sliced by
+     eight: eight tables of 256 entries, held end to end in one array.
+     Table 0 is the byte-at-a-time table; entry [n] of table [k] is the
+     CRC of byte [n] followed by [k] zero bytes, so one step folds eight
+     bytes with eight lookups.  The tables and the running value are
+     plain [int]s, so no step boxes an [int32] and a CRC allocates
+     nothing. *)
+  let crc_tables =
+    let t = Array.make (8 * 256) 0 in
+    for n = 0 to 255 do
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      t.(n) <- !c
+    done;
+    for i = 256 to (8 * 256) - 1 do
+      let prev = t.(i - 256) in
+      t.(i) <- (prev lsr 8) lxor t.(prev land 0xFF)
+    done;
+    t
+
+  let u32 b i = Int32.to_int (Bytes.get_int32_le b i) land 0xFFFFFFFF
 
   (* The CRC of the [len] bytes of [b] from [off], as an unsigned 32-bit
-     [int]. *)
+     [int]: eight bytes a step, read as two little-endian words, then the
+     last few one at a time. *)
   let crc32_bytes b off len =
     if off < 0 || len < 0 || off > Bytes.length b - len then
       invalid_arg "Wal.Codec.crc32_bytes";
-    let c = ref 0xFFFFFFFF in
-    for i = off to off + len - 1 do
+    let t = crc_tables in
+    let c = ref 0xFFFFFFFF and i = ref off in
+    let stop = off + len in
+    while !i <= stop - 8 do
+      let one = u32 b !i lxor !c and two = u32 b (!i + 4) in
       c :=
-        Array.unsafe_get crc_table ((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
+        Array.unsafe_get t (0x700 + (one land 0xFF))
+        lxor Array.unsafe_get t (0x600 + ((one lsr 8) land 0xFF))
+        lxor Array.unsafe_get t (0x500 + ((one lsr 16) land 0xFF))
+        lxor Array.unsafe_get t (0x400 + (one lsr 24))
+        lxor Array.unsafe_get t (0x300 + (two land 0xFF))
+        lxor Array.unsafe_get t (0x200 + ((two lsr 8) land 0xFF))
+        lxor Array.unsafe_get t (0x100 + ((two lsr 16) land 0xFF))
+        lxor Array.unsafe_get t (two lsr 24);
+      i := !i + 8
+    done;
+    for i = !i to stop - 1 do
+      c :=
+        Array.unsafe_get t ((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
         lxor (!c lsr 8)
     done;
     !c lxor 0xFFFFFFFF
@@ -733,8 +777,8 @@ module Codec = struct
      field, however wrong, can pull in a byte past the frame.
 
      A log often repeats itself: the same few operations on the same
-     objects, frame after frame.  A reader that decodes a whole log
-     ([fold_frames]) carries a decode cache so that it pays for the log's
+     objects, frame after frame.  A reader that decodes a run of frames
+     ([decode_verified]) carries a decode cache so that it pays for the log's
      variety, not its length.  The cache is direct-mapped and bounded: a
      slot of [ops] holds the operation first decoded from the encoded
      slice [op_off]/[op_len] of the source, and a colliding entry evicts
@@ -944,6 +988,47 @@ module Codec = struct
         | n -> raise (Bad (Fmt.str "bad decision flag %d" n)))
     | n -> raise (Bad (Fmt.str "bad record tag %d" n))
 
+  (* The walk of a record's encoding: every check [get_record] makes, in
+     the same order, so damage raises the same [Bad] (and a negative tid
+     the same [Invalid_argument]); nothing built.  It returns the first
+     tid above every tid the record mentions, as the replay state's
+     high-water mark counts them (a checkpoint's [next_tid] as it
+     stands), or 0 for none. *)
+  let skip_tid r = Tid.to_int (get_tid r) + 1
+
+  let rec skip_ops r n = if n > 0 then (skip_op r; skip_ops r (n - 1))
+
+  let rec skip_lives r n hwm =
+    if n = 0 then hwm
+    else
+      let h = skip_tid r in
+      skip_ops r (get_len r);
+      skip_lives r (n - 1) (Int.max hwm h)
+
+  let skip_record r =
+    match get_byte r with
+    | 0 | 2 | 3 | 6 -> skip_tid r
+    | 1 ->
+        let h = skip_tid r in
+        skip_op r;
+        h
+    | 4 ->
+        skip_ops r (get_len r);
+        let hwm = skip_lives r (get_len r) 0 in
+        Int.max hwm (get_int r)
+    | 5 ->
+        let old_len = get_int r in
+        let new_len = get_int r in
+        if old_len < 0 || new_len < 0 then
+          raise (Bad "negative truncate-intent length");
+        0
+    | 7 ->
+        let h = skip_tid r in
+        (match get_byte r with
+        | 0 | 1 -> h
+        | n -> raise (Bad (Fmt.str "bad decision flag %d" n)))
+    | n -> raise (Bad (Fmt.str "bad record tag %d" n))
+
   type corruption = {
     offset : int;
     version : int option;
@@ -1022,13 +1107,13 @@ module Codec = struct
           h_size = header_size v;
         }
 
-  (* Verify and decode, in place, the frame at [pos] of [r.src], whose
-     header [check_header] accepted with payload length [n]: the CRC runs
-     over the source string and [r] is bounded by the frame's end, where
-     it leaves [r.stop].  Raises [Bad].  With a profile, CRC verification
-     is charged to its own phase (the rest of the frame work is the
-     caller's to account). *)
-  let read_frame ?profile r pos n =
+  (* Check the frame at [pos] of [r.src], whose header [check_header]
+     accepted with payload length [n], in place: its CRC over the source
+     string, then [walk] over the payload, bounded by the frame's end,
+     where it leaves [r.stop].  Raises [Bad].  With a profile, CRC
+     verification is charged to its own phase (the rest of the frame
+     work is the caller's to account). *)
+  let check_frame ?profile walk r pos n =
     let s = r.src in
     let start = pos + header_size (Char.code s.[pos + 2]) in
     let expected = Int32.to_int (String.get_int32_le s (start - 4)) land 0xFFFFFFFF in
@@ -1040,16 +1125,16 @@ module Codec = struct
     if actual <> expected then raise (Bad "crc mismatch");
     r.pos <- start;
     r.stop <- start + n;
-    let record = get_record r in
+    let v = walk r in
     if r.pos <> r.stop then raise (Bad "trailing bytes in payload");
-    record
+    v
 
   let decode_frame s pos =
     let n = check_header s pos in
     if n < 0 then Error (header_error s pos n)
     else
       let r = { src = s; pos; stop = pos; memo = None } in
-      match read_frame r pos n with
+      match check_frame get_record r pos n with
       | record -> Ok (record, r.stop)
       | exception Bad reason -> Error (frame_error s pos reason)
 
@@ -1061,7 +1146,7 @@ module Codec = struct
      The resync cursor anchors on the magic bytes ([String.index_from]
      skips damage at memchr speed) and rejects implausible headers
      before paying for a CRC, so a heavily damaged log costs one cheap
-     header check per 0xd7 byte rather than a full decode per byte
+     header check per 0xd7 byte rather than a full check per byte
      offset.  [budget] caps the payload bytes spent on CRC probes of
      plausible-looking candidates (adversarially structured damage can
      synthesise many): an exhausted budget returns [true] — the
@@ -1084,7 +1169,7 @@ module Codec = struct
               if n < 0 then resync budget (p + 1)
               else if budget <= 0 then true
               else
-                match read_frame r p n with
+                match check_frame skip_record r p n with
                 | _ -> true
                 | exception Bad _ ->
                     resync (budget - header_size (Char.code s.[p + 2]) - n) (p + 1)
@@ -1098,24 +1183,23 @@ module Codec = struct
         (** a trailing torn/corrupt frame that was dropped as crash loss *)
   }
 
-  (* The frame loop.  One reader, with the pass's decode cache if the
-     log is long enough for one, serves every frame, and each decoded
-     record goes to [f] with its frame's byte offset: the loop itself
-     keeps no record. *)
-  let fold_frames ?profile f s =
+  (* The frame loop.  Every frame is checked in full, header, CRC and a
+     payload walk, and nothing is built: each intact frame goes to [f]
+     as its byte offset, its record tag and the tid mark [skip_record]
+     reads, all unboxed, so the loop allocates nothing per frame. *)
+  let verify_frames ?profile f s =
     let len = String.length s in
-    let memo = if len < min_cached then None else Some (new_memo len) in
-    let r = { src = s; pos = 0; stop = 0; memo } in
+    let r = { src = s; pos = 0; stop = 0; memo = None } in
     let rec frames pos =
       if pos = len then None
       else
         let n = check_header s pos in
         if n < 0 then Some (header_error s pos n)
         else
-          match read_frame ?profile r pos n with
-          | record ->
+          match check_frame ?profile skip_record r pos n with
+          | hwm ->
               (match profile with None -> () | Some p -> Profile.note_frame p);
-              f pos record;
+              f pos (Char.code (String.unsafe_get s (r.stop - n))) hwm;
               frames r.stop
           | exception Bad reason -> Some (frame_error s pos reason)
     in
@@ -1137,9 +1221,38 @@ module Codec = struct
         | Error _ -> ());
         result
 
+  (* The decode loop over frames [verify_frames] passed.  One reader, with
+     the pass's decode cache if the run is long enough for one, serves
+     every frame, and each decoded record goes to [f] with its frame's
+     byte offset: the loop itself keeps no record. *)
+  let decode_verified ?profile f s ~from ~upto =
+    let fail () = invalid_arg "Wal.Codec.decode_verified: not a run of verified frames" in
+    if from < 0 || upto > String.length s || from > upto then fail ();
+    let memo = if upto - from < min_cached then None else Some (new_memo (upto - from)) in
+    let r = { src = s; pos = from; stop = from; memo } in
+    let rec frames pos =
+      if pos < upto then begin
+        let n = check_header s pos in
+        if n < 0 then fail ();
+        r.pos <- pos + header_size (Char.code s.[pos + 2]);
+        r.stop <- r.pos + n;
+        let record = get_record r in
+        if r.pos <> r.stop then fail ();
+        f pos record;
+        frames r.stop
+      end
+      else if pos > upto then fail ()
+    in
+    let go () = try frames from with Bad _ -> fail () in
+    match profile with
+    | None -> go ()
+    | Some p -> Profile.time_excluding p Profile.Frame_decode go
+
   let decode_all s =
-    let rev = ref [] in
-    match fold_frames (fun _ record -> rev := record :: !rev) s with
+    match verify_frames (fun _ _ _ -> ()) s with
     | Error c -> Error c
-    | Ok (clean_bytes, torn) -> Ok { records = List.rev !rev; clean_bytes; torn }
+    | Ok (clean_bytes, torn) ->
+        let rev = ref [] in
+        decode_verified (fun _ record -> rev := record :: !rev) s ~from:0 ~upto:clean_bytes;
+        Ok { records = List.rev !rev; clean_bytes; torn }
 end

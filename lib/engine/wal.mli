@@ -11,7 +11,8 @@
     operations, the operations of every unfinished transaction, the
     finished tids and the tid high-water mark.  A log keeps that state,
     not its records: every {!append} (once the sink holds the record) and
-    every record {!Disk_wal.load} decodes steps it, so a restart or a
+    every record {!Disk_wal.load} decodes from the last checkpoint on
+    steps it, so a restart or a
     checkpoint reads it in O(state) instead of rescanning the log
     ({!plan_of}, {!checkpoint_of}, {!in_flight}).  {!replay}, {!max_tid},
     {!fuzzy_checkpoint} and {!plan} are the same fold over a record list.
@@ -176,10 +177,24 @@ val append : t -> record -> unit
 
 (** [restore t r] takes in a record that stable storage already holds:
     as {!append}, but [r] is not handed to the sink and counts as
-    durable.  {!Disk_wal.load} calls it on every decoded frame.  With
-    [profile], the step is charged to the log scan (seeding a checkpoint
-    to its own phase) and counted as a scanned record. *)
+    durable.  {!Disk_wal.load} calls it on every frame from the log's
+    last checkpoint on.  With [profile], the step is charged to the log
+    scan (seeding a checkpoint to its own phase) and counted as a
+    scanned record. *)
 val restore : ?profile:Tm_obs.Recovery_profile.t -> t -> record -> unit
+
+(** [restore_superseded t ~records ~commits ~next_tid] takes in
+    [records] records that stable storage holds before a [Checkpoint]
+    the caller restores next, without stepping them: the checkpoint
+    stands for their replay state.  They count toward {!length}, as
+    durable toward {!last_lsn} and {!flushed_lsn}, and [commits] of them
+    as commit records; [next_tid], the first tid above every tid they
+    mention (a checkpoint's [next_tid] as it stands), raises the tid
+    high-water mark, which stays the maximum over every record.
+    {!Disk_wal.load} calls it once for the prefix it only verifies.
+    Raises [Invalid_argument] on a sink-less log, which holds its
+    records itself. *)
+val restore_superseded : t -> records:int -> commits:int -> next_tid:int -> unit
 
 (** The record kind as a short lower-case string (metric/trace label). *)
 val record_kind : record -> string
@@ -340,10 +355,11 @@ val fuzzy_checkpoint : next_tid:int -> record list -> checkpoint
     nothing.  {!Codec.decode_all} checks each CRC over the source string
     in place and reads the payload there, bounded by the frame's end: it
     copies no payload, and per frame it allocates only the decoded
-    record (its strings, lists and values); {!Codec.fold_frames} hands
+    record (its strings, lists and values); {!Codec.verify_frames}
+    checks a frame and allocates nothing, {!Codec.decode_verified} hands
     each record on, and {!Codec.decode_all} adds the cells of the list
-    it returns.  A pass over a whole log of 64 KB or more shares what
-    repeats: {!Codec.fold_frames} keeps a bounded, direct-mapped cache
+    it returns.  A decode of 64 KB or more shares what
+    repeats: {!Codec.decode_verified} keeps a bounded, direct-mapped cache
     for the pass, keyed by each operation's encoded bytes in the source,
     so an operation equal to one still in the cache is not rebuilt but
     shared ([==]).  A miss copies no key.  The cache watches its hit
@@ -478,32 +494,53 @@ module Codec : sig
         (** a trailing torn/corrupt frame that was dropped as crash loss *)
   }
 
-  (** [fold_frames f s] decodes the frames of [s] in order and passes
-      each record, with the byte offset of its frame, to [f]; it builds
-      no list.  The result is [Ok (clean_bytes, torn)] — the length of
-      the intact prefix and the torn tail dropped as crash loss, if any —
-      or [Error] on interior corruption, in which case [f] has already
-      seen the records before the damage and the caller must discard
-      what it built from them.  Frames are decoded in place as by
-      {!decode_frame}, but with no per-frame [Ok], header record or
-      reader, and through the pass's decode cache: a clean frame costs
-      its record, less an operation it shares with an earlier frame.
-      With [profile], frame
-      decode (net of everything [f] charges to other phases) and CRC
-      verification are charged as separate phases, and decoded frames /
-      torn bytes are counted. *)
-  val fold_frames :
+  (** [verify_frames f s] checks the frames of [s] in order, each in
+      full — header, CRC and a walk of its payload that makes every check
+      decoding makes — and builds nothing.  Each intact frame goes to
+      [f pos tag mark]: its byte offset, its record tag (payload byte 0,
+      docs/WAL_FORMAT.md: 2 is [Commit], 4 [Checkpoint], 5
+      [Truncate_intent]) and the first tid above every tid the record
+      mentions (a checkpoint's [next_tid] as it stands; 0 for none), so
+      the loop allocates nothing per frame.  The result is
+      [Ok (clean_bytes, torn)] — the length of the intact prefix and the
+      torn tail dropped as crash loss, if any — or [Error] on interior
+      corruption, with the verdict and offset decoding would give.  Each
+      CRC is computed here once; {!decode_verified} does not repeat it.
+      With [profile], the walk is charged to the frame-decode phase and
+      CRC verification to its own, and verified frames and torn bytes
+      are counted ([frames_decoded] counts every frame verified,
+      decoded or not). *)
+  val verify_frames :
     ?profile:Tm_obs.Recovery_profile.t ->
-    (int -> record -> unit) ->
+    (int -> int -> int -> unit) ->
     string ->
     (int * corruption option, corruption) result
 
-  (** [decode_all s] — {!fold_frames} collecting the records: [Ok] with
-      the decoded records (and possibly a truncated torn tail), or
-      [Error] on interior corruption.  A clean frame costs what
-      {!fold_frames} builds for it and two list cells.  Restart does not
-      use it: {!Disk_wal.load} runs
-      {!fold_frames} straight into the log's state, and charges the
-      profiler there. *)
+  (** [decode_verified f s ~from ~upto] decodes the frames of [s] from
+      byte [from] up to [upto], a run of frames {!verify_frames} passed,
+      and passes each record, with its frame's byte offset, to [f]; it
+      builds no list and computes no CRC.  Frames are read in place as
+      by {!decode_frame}, but with no per-frame [Ok], header record or
+      reader, and through the pass's decode cache: a frame costs its
+      record, less an operation it shares with an earlier frame.
+      {!Disk_wal.load} decodes only from the log's last checkpoint on.
+      With [profile], the decode (net of what [f] charges to other
+      phases) is charged to the frame-decode phase.  Raises
+      [Invalid_argument] where the bytes do not parse as such a run. *)
+  val decode_verified :
+    ?profile:Tm_obs.Recovery_profile.t ->
+    (int -> record -> unit) ->
+    string ->
+    from:int ->
+    upto:int ->
+    unit
+
+  (** [decode_all s] — {!verify_frames}, then {!decode_verified} over the
+      intact prefix, collecting the records: [Ok] with the decoded
+      records (and possibly a truncated torn tail), or [Error] on
+      interior corruption.  A clean frame costs what {!decode_verified}
+      builds for it and two list cells.  Restart does not use it:
+      {!Disk_wal.load} decodes only the frames from the last checkpoint
+      on, straight into the log's state. *)
   val decode_all : string -> (decoded, corruption) result
 end

@@ -124,7 +124,7 @@ let all =
     e profiler "tm_recovery_torn_bytes_total" Counter []
       "Trailing bytes discarded as a torn tail during restart.";
     e profiler "tm_recovery_frames_decoded_total" Counter []
-      "Log frames decoded (and checksum-verified) during restart.";
+      "Log frames checksum-verified during restart (decoded from the last checkpoint on).";
     e profiler "tm_recovery_checkpoint_seed_ops_total" Counter []
       "Committed operations seeded from the newest checkpoint.";
     e profiler "tm_recovery_object_replayed_ops_total" Counter [ "obj" ]

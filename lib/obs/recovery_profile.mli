@@ -4,9 +4,10 @@
     A single value is created by the caller that drives a restart and
     threaded through the whole path.  {!Tm_engine.Disk_wal.load} charges
     the storage scan, frame decode and CRC verification (via
-    {!Tm_engine.Wal.Codec.fold_frames}), and — since every decoded record
-    goes straight into the log's replay state — the log scan and
-    checkpoint seeding too.  {!Tm_engine.Durable_database.recover} then
+    {!Tm_engine.Wal.Codec.verify_frames} over every frame and
+    {!Tm_engine.Wal.Codec.decode_verified} from the last checkpoint on),
+    and — since every decoded record goes straight into the log's replay
+    state — the log scan and checkpoint seeding too.  {!Tm_engine.Durable_database.recover} then
     charges bucketing the committed operations by object (more log
     scan), loser resolution and per-object replay.
     Each layer also records what it processed (bytes, frames, records,
@@ -78,7 +79,14 @@ val phase_calls : t -> phase -> int
 val total_wall : t -> float
 
 val bytes_scanned : t -> int
+
+(** Every frame a load verified (header, CRC and payload walk), whether
+    it was then decoded or, before the last checkpoint, only verified. *)
 val frames_decoded : t -> int
+
+(** Every record stepped into the replay state: from the last checkpoint
+    on, so fewer than {!frames_decoded} when a checkpoint supersedes a
+    prefix. *)
 val records_scanned : t -> int
 val replayed_ops : t -> int
 val loser_txns : t -> int

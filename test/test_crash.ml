@@ -374,6 +374,20 @@ let prop_recover_matches_replay =
           if Tid.to_int (DD.begin_txn db) <= high_water recs then fail "tid reissued";
           true)
 
+let plans_equal (a : Wal.plan) (b : Wal.plan) =
+  a.plan_ops = b.plan_ops
+  && Tid.Set.equal a.plan_loser_tids b.plan_loser_tids
+  && a.plan_next_tid = b.plan_next_tid
+  && Hashtbl.length a.plan_objects = Hashtbl.length b.plan_objects
+  && Hashtbl.fold
+       (fun name ops ok ->
+         ok
+         &&
+         match Hashtbl.find_opt b.plan_objects name with
+         | Some ops' -> List.equal Op.equal ops ops'
+         | None -> false)
+       a.plan_objects true
+
 (* A log keeps its replay state, not its records: the state stepped as
    records were appended (or decoded by a load) must read back exactly
    what the fold over the log's own records computes — plan, checkpoint
@@ -404,20 +418,6 @@ let prop_log_state_matches_records =
           | Ok dw -> Disk_wal.wal dw
           | Error c -> fail (Fmt.str "reload refused: %a" Wal.Codec.pp_corruption c)
         else Wal.of_records (Wal.records wal)
-      in
-      let plans_equal (a : Wal.plan) (b : Wal.plan) =
-        a.plan_ops = b.plan_ops
-        && Tid.Set.equal a.plan_loser_tids b.plan_loser_tids
-        && a.plan_next_tid = b.plan_next_tid
-        && Hashtbl.length a.plan_objects = Hashtbl.length b.plan_objects
-        && Hashtbl.fold
-             (fun name ops ok ->
-               ok
-               &&
-               match Hashtbl.find_opt b.plan_objects name with
-               | Some ops' -> List.equal Op.equal ops ops'
-               | None -> false)
-             a.plan_objects true
       in
       let snapshot wal = Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 wal) in
       let check what wal =
@@ -461,6 +461,115 @@ let prop_log_state_matches_records =
       | Ok (db, _) ->
           DD.checkpoint db;
           check "recovered and checkpointed" wal;
+          true)
+
+(* What a full decode of [image] restores, frame by frame through
+   [Codec.decode_frame] (which builds every record), with the verdict the
+   loader must give: [Error] on interior corruption, else the records of
+   the intact prefix up to the first truncation intent and the offset
+   where the log ends. *)
+let reference_load image =
+  let len = String.length image in
+  (* [intent]: the offset of the first truncation intent, once seen; the
+     frames after it are still checked, as damage there is interior or
+     torn just the same, but not kept. *)
+  let rec frames pos intent acc =
+    let stop = Option.value intent ~default:pos in
+    if pos = len then Ok (List.rev acc, stop)
+    else
+      match Wal.Codec.decode_frame image pos, intent with
+      | Ok (Wal.Truncate_intent _, next), None -> frames next (Some pos) acc
+      | Ok (r, next), None -> frames next None (r :: acc)
+      | Ok (_, next), Some _ -> frames next intent acc
+      | Error c, _ ->
+          if Wal.Codec.valid_frame_after image (c.Wal.Codec.offset + 1) then Error c
+          else Ok (List.rev acc, stop)
+  in
+  frames 0 None []
+
+(* [Disk_wal.load] verifies the prefix its last checkpoint supersedes and
+   decodes only from that checkpoint on.  Whatever the log, it must give
+   the verdict, end offset, counters and replay state of a load that
+   decodes and steps every frame: logs from the scenario pool with 0–3
+   checkpoints per commit, some with a hand-built checkpoint whose
+   [next_tid] lies below a tid before it, cut at a random byte, and some
+   then given a torn compaction journal (rolled back) or one flipped
+   byte. *)
+let prop_load_matches_full_decode =
+  Helpers.qcheck ~count:100 "load = full decode of every frame"
+    QCheck2.Gen.(
+      tup5 (int_range 0 10_000) (int_bound 3)
+        (pair (int_bound (Array.length prop_scenarios - 1))
+           (int_bound (Array.length prop_setups - 1)))
+        (pair bool (int_bound 1_000_000))
+        (pair (int_bound 2) (pair (int_bound 1_000_000) (int_range 1 255))))
+    (fun (seed, checkpoint_every, (si, pi), (hand_cp, at), (damage, (cut, flip))) ->
+      let scenario = prop_scenarios.(si) and setup = prop_setups.(pi) in
+      let cfg = Experiment.config ~concurrency:3 ~total_txns:5 ~seed () in
+      let wal = Wal.create () in
+      drive_onto wal ~checkpoint_every scenario setup cfg;
+      let recs = Wal.records wal in
+      let recs =
+        if not hand_cp then recs
+        else
+          (* A checkpoint that forgot the allocator: only the tids of the
+             records before it keep the high-water mark. *)
+          let k = at mod (List.length recs + 1) in
+          let before = List.filteri (fun i _ -> i < k) recs in
+          let cp = Wal.fuzzy_checkpoint ~next_tid:0 before in
+          before
+          @ (Wal.Checkpoint { cp with Wal.next_tid = 0 } :: List.filteri (fun i _ -> i >= k) recs)
+      in
+      let full = Wal.Codec.encode_all recs in
+      let image = String.sub full 0 (cut mod (String.length full + 1)) in
+      let image =
+        match damage with
+        | 1 ->
+            (* A journal cut short: an intent that is not self-locating,
+               so the compaction never committed, then part of the
+               compacted image, which starts with a checkpoint the load
+               must not start from. *)
+            let journal =
+              Wal.Codec.encode_all (Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 recs) :: recs)
+            in
+            let old_len = String.length image + 1 in
+            image
+            ^ Wal.Codec.encode (Wal.Truncate_intent { old_len; new_len = String.length journal })
+            ^ String.sub journal 0 (at mod (String.length journal + 1))
+        | 2 when image <> "" ->
+            let b = Bytes.of_string image in
+            let i = cut mod Bytes.length b in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor flip));
+            Bytes.to_string b
+        | _ -> image
+      in
+      let fail what =
+        QCheck2.Test.fail_reportf "%s/%s seed %d cp %d hand %b cut %d damage %d: %s"
+          scenario.Experiment.name (Experiment.label setup) seed checkpoint_every hand_cp
+          (String.length image) damage what
+      in
+      match Disk_wal.load (Storage.of_string image), reference_load image with
+      | Error c, Error c' ->
+          if c <> c' then
+            fail
+              (Fmt.str "refused at %a, a full decode at %a" Wal.Codec.pp_corruption c
+                 Wal.Codec.pp_corruption c')
+          else true
+      | Ok _, Error c -> fail (Fmt.str "loaded what a full decode refuses: %a" Wal.Codec.pp_corruption c)
+      | Error c, Ok _ -> fail (Fmt.str "refused what a full decode loads: %a" Wal.Codec.pp_corruption c)
+      | Ok dw, Ok (recs, stop) ->
+          let got = Disk_wal.wal dw and want = Wal.of_records recs in
+          if Wal.length got <> Wal.length want then fail "length";
+          if Wal.last_lsn got <> Wal.last_lsn want then fail "last_lsn";
+          if Wal.flushed_lsn got <> Wal.flushed_lsn want then fail "flushed_lsn";
+          if not (plans_equal (Wal.plan_of got) (Wal.plan_of want)) then fail "plan";
+          let snapshot wal = Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 wal) in
+          if not (Wal.equal_record (snapshot got) (snapshot want)) then fail "checkpoint_of";
+          (* The next append lands where the intact log ends. *)
+          let r = Wal.Begin (Tid.of_int 4242) in
+          Wal.append got r;
+          if Storage.read_all (Disk_wal.storage dw) <> String.sub image 0 stop ^ Wal.Codec.encode r
+          then fail (Fmt.str "the next append does not land at byte %d" stop);
           true)
 
 (* --- the sharded generators and the battery's 2PC checks --- *)
@@ -698,6 +807,7 @@ let suite =
     prop_crash_invariants;
     prop_recover_matches_replay;
     prop_log_state_matches_records;
+    prop_load_matches_full_decode;
     Alcotest.test_case "sharded generators: clean 2-shard drive" `Quick
       test_sharded_clean;
     Alcotest.test_case "sharded rewrites and in-doubt harvest" `Quick

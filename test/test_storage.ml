@@ -916,6 +916,50 @@ let test_crc_known_answer () =
   Alcotest.(check int32) "crc32 check value" 0xCBF43926l (Codec.crc32 "123456789");
   Alcotest.(check int32) "crc32 of the empty string" 0l (Codec.crc32 "")
 
+(* The verifying walk makes every check a decode makes: a frame whose
+   payload has one byte changed and its CRC re-sealed, so that only the
+   payload checks stand in the way, is refused by [verify_frames]
+   exactly when [decode_frame] refuses it, for the same reason (a
+   negative tid raises in both), and an intact frame reports the tag and
+   tid mark of the record a decode builds. *)
+let prop_verify_checks_as_decode =
+  Helpers.qcheck ~count:1000 "verify walk = decode checks on resealed damage"
+    QCheck2.Gen.(triple framed_record_gen nat (int_bound 255))
+    (fun ((r, version, shard), at, x) ->
+      let frame = Codec.encode ~version ~shard r in
+      let hdr = Codec.header_size version in
+      let n = String.length frame - hdr in
+      let b = Bytes.of_string frame in
+      let i = hdr + (at mod n) in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x));
+      Bytes.set_int32_le b (hdr - 4) (Codec.crc32 (Bytes.sub_string b hdr n));
+      let s = Bytes.to_string b in
+      let seen = ref [] in
+      let verify () = Codec.verify_frames (fun pos tag mark -> seen := (pos, tag, mark) :: !seen) s in
+      let tag = function
+        | Wal.Begin _ -> 0
+        | Operation _ -> 1
+        | Commit _ -> 2
+        | Abort _ -> 3
+        | Checkpoint _ -> 4
+        | Truncate_intent _ -> 5
+        | Prepare _ -> 6
+        | Decision _ -> 7
+      in
+      let mark r = Option.fold ~none:0 ~some:(fun t -> Tid.to_int t + 1) (Wal.max_tid [ r ]) in
+      match Codec.decode_frame s 0 with
+      | exception Invalid_argument _ -> (
+          match verify () with exception Invalid_argument _ -> true | _ -> false)
+      | decoded -> (
+          match decoded, verify () with
+          | Ok (r', _), Ok (len, None) -> (
+              len = String.length s
+              && match !seen with
+                 | [ (0, t, m) ] -> t = tag r' && Int.max 0 m = mark r'
+                 | _ -> false)
+          | Error c, Ok (0, Some c') -> c = c' && !seen = []
+          | _ -> false))
+
 (* A frame decoded in place among other frames reads only its own
    bytes: its record is the one its standalone copy decodes to, and if
    its payload-length field is moved by k bytes — with the stored CRC,
@@ -995,22 +1039,26 @@ let test_encode_allocates_its_frame () =
     Alcotest.failf "encoding a %.0f-word frame allocated %.0f words (max %.0f)" frame_words
       w (frame_words +. 4.)
 
+(* The records of [n] committed transfers between 1,024 accounts, tids
+   from [first]. *)
+let transfer_log ?(first = 0) n =
+  List.concat
+    (List.init n (fun k ->
+         let i = first + k in
+         let t = Tid.of_int i in
+         let acct k = Fmt.str "account-%04d" ((i * 7 + k) mod 1024) in
+         [
+           Wal.Begin t;
+           Wal.Operation (t, { (BA.withdraw_ok 3) with Op.obj = acct 0 });
+           Wal.Operation (t, { (BA.deposit 3) with Op.obj = acct 1 });
+           Wal.Commit t;
+         ]))
+
 (* A decoded log costs what it returns, the records and their list, and
    a few words per call; the pin allows a quarter more (before: 708013
    words for these 65000 words of records). *)
 let test_decode_allocates_its_records () =
-  let recs =
-    List.concat
-      (List.init 1000 (fun i ->
-           let t = Tid.of_int i in
-           let acct k = Fmt.str "account-%04d" ((i * 7 + k) mod 1024) in
-           [
-             Wal.Begin t;
-             Wal.Operation (t, { (BA.withdraw_ok 3) with Op.obj = acct 0 });
-             Wal.Operation (t, { (BA.deposit 3) with Op.obj = acct 1 });
-             Wal.Commit t;
-           ]))
-  in
+  let recs = transfer_log 1000 in
   let bytes = Codec.encode_all recs in
   let decode () =
     match Codec.decode_all bytes with
@@ -1024,6 +1072,50 @@ let test_decode_allocates_its_records () =
   if w > 1.25 *. decoded then
     Alcotest.failf "decoding %.0f words of records allocated %.0f words (max %.0f)" decoded w
       (1.25 *. decoded)
+
+(* Checking a compaction journal's image, or the prefix a load only
+   verifies, builds nothing: the walk over a 4,000-frame log allocates
+   what it does over one frame (before: a decode of every record,
+   53,044 words for this log). *)
+let test_verify_allocates_nothing_per_frame () =
+  let verify s () =
+    match Codec.verify_frames (fun _ _ _ -> ()) s with
+    | Ok (_, None) -> ()
+    | Ok (_, Some c) | Error c -> Alcotest.failf "transfer log refused: %a" Codec.pp_corruption c
+  in
+  let one = Codec.encode (Wal.Begin Tid.a) and many = Codec.encode_all (transfer_log 1000) in
+  verify one ();
+  verify many ();
+  let w1 = minor_words (verify one) and wn = minor_words (verify many) in
+  if wn > w1 then
+    Alcotest.failf "verifying 4,000 frames allocated %.0f words, one frame %.0f" wn w1
+
+(* A load decodes only from the log's last checkpoint on: 1,000
+   transactions before the checkpoint cost no allocation beyond their
+   bytes, so the whole log loads within 64 words of the checkpoint and
+   its tail alone (0 now; 69,038 words more when the prefix is decoded
+   and stepped). *)
+let test_load_skips_superseded_prefix () =
+  let prefix = transfer_log 1000 in
+  let cp = Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 prefix) in
+  let tail = transfer_log ~first:1000 16 in
+  let load recs =
+    let image = Codec.encode_all recs in
+    fun () ->
+      match Disk_wal.load (Storage.of_string image) with
+      | Ok dw -> dw
+      | Error c -> Alcotest.failf "log refused: %a" Codec.pp_corruption c
+  in
+  let whole = load (prefix @ (cp :: tail)) and short = load (cp :: tail) in
+  let same a b = Wal.equal_record (Wal.Checkpoint a) (Wal.Checkpoint b) in
+  let state dw = Wal.checkpoint_of ~next_tid:0 (Disk_wal.wal dw) in
+  Helpers.check_bool "same replay state" true (same (state (whole ())) (state (short ())));
+  Helpers.check_int "the prefix counts toward the length" (List.length prefix)
+    (Wal.length (Disk_wal.wal (whole ())) - Wal.length (Disk_wal.wal (short ())));
+  let ww = minor_words whole and ws = minor_words short in
+  if ww > ws +. 64. then
+    Alcotest.failf "loading 1,000 transactions before the checkpoint cost %.0f words (max 64)"
+      (ww -. ws)
 
 (* An append to a warmed-up [Disk_wal] costs its record's replay state:
    the frame is encoded into the log's scratch buffer and written as a
@@ -1378,6 +1470,7 @@ let suite =
       test_disk_wal_keeps_replay_state_only;
     prop_encode_matches_reference;
     prop_crc_matches_reference;
+    prop_verify_checks_as_decode;
     Alcotest.test_case "crc32 known answer" `Quick test_crc_known_answer;
     prop_embedded_frame_bound;
     Alcotest.test_case "crc32 allocates only its result" `Quick test_crc_allocates_nothing;
@@ -1387,6 +1480,10 @@ let suite =
       test_decode_allocates_its_records;
     Alcotest.test_case "a disk log append allocates only its record" `Quick
       test_disk_wal_append_allocates_its_record;
+    Alcotest.test_case "verifying a log allocates nothing per frame" `Quick
+      test_verify_allocates_nothing_per_frame;
+    Alcotest.test_case "a load skips the prefix its checkpoint supersedes" `Quick
+      test_load_skips_superseded_prefix;
     Alcotest.test_case "a disk log force allocates nothing" `Quick
       test_force_allocates_nothing;
     Alcotest.test_case "a sharded transfer allocates its shard's work" `Quick

@@ -390,7 +390,36 @@ let test_recover_with_profile () =
   in
   Alcotest.(check (list string)) "trace spans mirror profile spans"
     (List.map (fun (n, _, _) -> n) (Profile.spans profile))
-    phase_events
+    phase_events;
+  (* With a checkpoint, the prefix before it is verified, not stepped:
+     every frame counts as decoded (verified), and only the checkpoint
+     and the records after it count as scanned. *)
+  let c = DD.begin_txn db' in
+  ignore (DD.invoke db' c ~obj:"BA" (deposit_inv 3));
+  Helpers.check_bool "c commits" true (DD.try_commit db' c = Ok ());
+  DD.checkpoint db';
+  let d = DD.begin_txn db' in
+  ignore (DD.invoke db' d ~obj:"BA" (deposit_inv 1));
+  Helpers.check_bool "d commits" true (DD.try_commit db' d = Ok ());
+  let recs = Wal.records (Disk_wal.wal loaded) in
+  let rec from_checkpoint = function
+    | [] -> Alcotest.fail "no checkpoint in the log"
+    | Wal.Checkpoint _ :: _ as l -> l
+    | _ :: l -> from_checkpoint l
+  in
+  let profile = Profile.create () in
+  match Disk_wal.load ~profile (Disk_wal.storage loaded) with
+  | Error c -> Alcotest.failf "checkpointed load: %a" Wal.Codec.pp_corruption c
+  | Ok reloaded ->
+      Helpers.check_int "checkpointed: frames decoded = every frame" (List.length recs)
+        (Profile.frames_decoded profile);
+      Helpers.check_int "checkpointed: records scanned = checkpoint and tail"
+        (List.length (from_checkpoint recs))
+        (Profile.records_scanned profile);
+      Helpers.check_bool "checkpointed: the prefix is counted, not stepped" true
+        (Profile.records_scanned profile < Profile.frames_decoded profile);
+      Helpers.check_int "checkpointed: length = every record" (List.length recs)
+        (Wal.length (Disk_wal.wal reloaded))
 
 (* The inspector's record-kind histogram covers the compaction journal's
    intent frame — a crashed truncation must be legible forensically. *)
