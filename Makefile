@@ -62,13 +62,8 @@ stresstest:
 bench:
 	dune exec bench/main.exe
 
-# Host-invariant performance gates.  History independence: on the bank
-# hot spot, update-in-place may allocate at most 1.25x and promote at most
-# 2x the words per transaction of deferred update from the same inputs.
-# Object footprint: transfer_2pc (1024 accounts) may keep at most 6.0 MB
-# reachable.  Log record cost: restart may allocate at most 400 words per
-# transaction.  Contended invocation cost: hotspot_uip may allocate at
-# most 1250 words per transaction.
+# Host-invariant performance gates; the list of gates and their limits
+# is kept at the head of bench/perfcheck.sh.
 perfcheck:
 	bash bench/perfcheck.sh
 

@@ -3,7 +3,7 @@
    One section per artifact of the paper (see DESIGN.md §2 and
    EXPERIMENTS.md): the two commutativity tables of Section 6 are
    regenerated from the specification and diffed against the published
-   figures; the worked examples of Sections 3.3 and 5 are re-checked; the
+   figures; the worked examples of Sections 3.2, 3.3 and 5 are re-checked; the
    only-if counterexamples of Theorems 9 and 10 are constructed and
    verified; and the concurrency trade-off of Section 8 is quantified by
    deterministic sweeps of the engine on seeded fibers.  The output is deterministic and
@@ -36,6 +36,16 @@ let figure_6_2 () =
   Fmt.pr "computed from Spec(BA):@.%a@." Commutativity.pp_table computed;
   Fmt.pr "paper figure:         %s@."
     (verdict (Commutativity.equal_table computed BA.paper_rbc_table))
+
+(* ------------------------------------------------------------------ *)
+(* Section 3.2: membership in Spec(BA).                                *)
+
+let example_3_2 () =
+  section "E3.2 — Spec(BA) membership in Section 3.2";
+  let legal = [ BA.deposit 5; BA.withdraw_ok 3; BA.balance 2; BA.withdraw_no 3 ] in
+  let illegal = [ BA.deposit 5; BA.withdraw_ok 3; BA.balance 2; BA.withdraw_ok 3 ] in
+  Fmt.pr "dep(5);w(3)ok;bal=2;w(3)no in Spec (paper: yes): %b@." (Spec.legal BA.spec legal);
+  Fmt.pr "dep(5);w(3)ok;bal=2;w(3)ok in Spec (paper: no):  %b@." (Spec.legal BA.spec illegal)
 
 (* ------------------------------------------------------------------ *)
 (* Section 3.3 example history.                                        *)
@@ -477,6 +487,7 @@ let () =
   Fmt.pr "Reproduction harness: Weihl, \"The Impact of Recovery on Concurrency Control\" (1989)@.";
   figure_6_1 ();
   figure_6_2 ();
+  example_3_2 ();
   example_3_3 ();
   example_5_1 ();
   theorem_9 ();

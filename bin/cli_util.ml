@@ -62,20 +62,16 @@ let jsonl_of_rows rows =
    Prometheus side it is a comment, on the JSONL side a {"meta":...}
    line; both readers validate the family and skip it. *)
 
-let write_metrics_rows ?seed ?(config = []) file rows =
-  let meta =
-    Tm_obs.Artifact.make ~schema:Tm_obs.Artifact.metrics_schema ?seed ~config ()
-  in
+let write_metrics ~seed ~config file prom =
+  let meta = Tm_obs.Artifact.make ~schema:Tm_obs.Artifact.metrics_schema ~seed ~config () in
   with_out file (fun oc ->
       output_string oc (Tm_obs.Artifact.prom_header meta);
-      output_string oc (prom_of_rows rows));
+      output_string oc prom);
   Fmt.pr "wrote Prometheus snapshot to %s@." file
 
-let write_traces_rows ?seed ?(config = []) file rows =
-  let meta =
-    Tm_obs.Artifact.make ~schema:Tm_obs.Artifact.trace_schema ?seed ~config ()
-  in
+let write_traces ~seed ~config file jsonl =
+  let meta = Tm_obs.Artifact.make ~schema:Tm_obs.Artifact.trace_schema ~seed ~config () in
   with_out file (fun oc ->
       output_string oc (Tm_obs.Artifact.header_line meta);
-      output_string oc (jsonl_of_rows rows));
+      output_string oc jsonl);
   Fmt.pr "wrote trace (JSON lines) to %s@." file

@@ -344,8 +344,12 @@ let main filter txns concurrency seed checkpoint_every fault report_file trace_f
       ("shards", string_of_int shards);
     ]
   in
-  Option.iter (fun f -> Cli_util.write_traces_rows ~seed ~config f dump_rows) trace_file;
-  Option.iter (fun f -> Cli_util.write_metrics_rows ~seed ~config f dump_rows) metrics_file;
+  Option.iter
+    (fun f -> Cli_util.write_traces ~seed ~config f (Cli_util.jsonl_of_rows dump_rows))
+    trace_file;
+  Option.iter
+    (fun f -> Cli_util.write_metrics ~seed ~config f (Cli_util.prom_of_rows dump_rows))
+    metrics_file;
   (match (keep_log, run.last_harvest, run.last_log) with
   | None, _, _ -> ()
   | Some file, Some logs, _ | Some file, None, Some logs -> (

@@ -93,7 +93,6 @@ let main threads txns seed force_delay verbose trace_file metrics_file shards =
       ("shards", string_of_int shards);
     ]
   in
-  let meta schema = Tm_obs.Artifact.make ~schema ~seed ~config () in
   (* Every fourth transaction escalates to a second object on a
      different home shard: the 2PC path, under thread contention. *)
   let other_shard o1 =
@@ -216,34 +215,25 @@ let main threads txns seed force_delay verbose trace_file metrics_file shards =
       mean_batch
       (Concurrent.futile_wakeup_count db)
       (Concurrent.retry_count db);
-  (* Dumps use the same artifact formats as simulate.  Threaded
+  (* Dumps use the same artifact formats as weihl simulate.  Threaded
      timestamps still interleave deterministically per event (the
      recorder's clock is atomic under its mutex), though the
      interleaving itself is scheduling-dependent. *)
   (match (trace_file, trace) with
   | Some file, Some tr ->
-      Cli_util.with_out file (fun oc ->
-          output_string oc
-            (Tm_obs.Artifact.header_line (meta Tm_obs.Artifact.trace_schema));
-          output_string oc
-            (Tm_obs.Trace.to_jsonl
-               ~extra:
-                 [
-                   ("scenario", "stresstest");
-                   ("setup", "UIP+NRBC");
-                   ("shards", string_of_int shards);
-                   ("seed", string_of_int seed);
-                 ]
-               tr));
-      Fmt.pr "wrote trace (JSON lines) to %s@." file
+      Cli_util.write_traces ~seed ~config file
+        (Tm_obs.Trace.to_jsonl
+           ~extra:
+             [
+               ("scenario", "stresstest");
+               ("setup", "UIP+NRBC");
+               ("shards", string_of_int shards);
+               ("seed", string_of_int seed);
+             ]
+           tr)
   | _ -> ());
   Option.iter
-    (fun file ->
-      Cli_util.with_out file (fun oc ->
-          output_string oc
-            (Tm_obs.Artifact.prom_header (meta Tm_obs.Artifact.metrics_schema));
-          output_string oc (Metrics.to_prometheus reg));
-      Fmt.pr "wrote Prometheus snapshot to %s@." file)
+    (fun file -> Cli_util.write_metrics ~seed ~config file (Metrics.to_prometheus reg))
     metrics_file;
   if !failures > 0 then exit 1;
   Fmt.pr "stresstest: OK (%d commits over %d fsyncs, %d cross-shard)@."

@@ -2,7 +2,8 @@
 
    The paper confines itself to abort recovery and observes that crash
    recovery mechanisms mirror it; this example exercises the engine's
-   WAL-based implementation of that future work.  A bank account takes
+   WAL-based implementation of that future work, on a one-shard
+   [Sharded_database] (one log per shard).  A bank account takes
    deposits and withdrawals; the machine "crashes" with a transaction in
    flight; recovery replays the log — committed work survives, the
    in-flight transaction is a loser, and the recovered object keeps
@@ -13,7 +14,7 @@
 open Tm_core
 module BA = Tm_adt.Bank_account
 module Wal = Tm_engine.Wal
-module Durable = Tm_engine.Durable_database
+module Db = Tm_engine.Sharded_database
 module Object = Tm_engine.Atomic_object
 
 let deposit i = Op.invocation ~args:[ Value.int i ] "deposit"
@@ -25,26 +26,25 @@ let balance = Op.invocation "balance"
 let accounts () =
   [ Object.create ~spec:BA.spec ~conflict:BA.nrbc_conflict ~recovery:Tm_engine.Recovery.UIP () ]
 
-let committed_ops db =
-  List.concat_map Object.committed_ops (Tm_engine.Database.objects (Durable.database db))
+let committed_ops db = List.concat_map Object.committed_ops (Db.objects db)
 
 (* Run [inv] as a transaction of its own, committing it unless [commit]
    is false. *)
 let run ?(commit = true) db what inv =
-  let tid = Durable.begin_txn db in
+  let tid = Db.begin_txn db in
   Fmt.pr "  %a %-12s -> %a@." Tid.pp tid what Object.pp_outcome
-    (Durable.invoke db tid ~obj:"BA" inv);
-  if commit && Durable.try_commit db tid <> Ok () then Fmt.failwith "commit failed"
+    (Db.invoke db tid ~obj:"BA" inv);
+  if commit && Db.try_commit db tid <> Ok () then Fmt.failwith "commit failed"
 
 let () =
   Fmt.pr "Durable bank account (write-ahead logging)@.@.";
   let wal = Wal.create () in
-  let bank = Durable.create ~wal (accounts ()) in
+  let bank = Db.create ~wals:[| wal |] (accounts ()) in
 
   Fmt.pr "running transactions:@.";
   run bank "deposit 100" (deposit 100);
   run bank "deposit 40" (deposit 40);
-  Durable.checkpoint bank;
+  assert (Db.checkpoint bank);
   run bank "withdraw 30" (withdraw 30);
   (* D is still running when the machine dies *)
   run ~commit:false bank "deposit 999" (deposit 999);
@@ -54,7 +54,7 @@ let () =
 
   Fmt.pr "@.*** CRASH *** (volatile state lost; the log survives)@.@.";
   let recovered, losers =
-    match Durable.recover ~wal ~rebuild:accounts () with
+    match Db.recover ~wals:[| wal |] ~rebuild:accounts () with
     | Ok x -> x
     | Error e -> Fmt.failwith "recovery failed: %a" Tm_engine.Recovery.pp_error e
   in

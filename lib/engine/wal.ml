@@ -886,7 +886,9 @@ module Codec = struct
     if n = 0 then [] else let x = get r in x :: get_n get r (n - 1)
 
   let get_list get r = get_n get r (get_len r)
-  let get_tid r = Tid.of_int (get_int r)
+  let get_tid r =
+    let n = get_int r in
+    if n < 0 then raise (Bad "negative tid") else Tid.of_int n
 
   let bad_value_tag n = Bad (Fmt.str "bad value tag %d" n)
 
@@ -989,11 +991,10 @@ module Codec = struct
     | n -> raise (Bad (Fmt.str "bad record tag %d" n))
 
   (* The walk of a record's encoding: every check [get_record] makes, in
-     the same order, so damage raises the same [Bad] (and a negative tid
-     the same [Invalid_argument]); nothing built.  It returns the first
-     tid above every tid the record mentions, as the replay state's
-     high-water mark counts them (a checkpoint's [next_tid] as it
-     stands), or 0 for none. *)
+     the same order, so damage raises the same [Bad] (a negative tid
+     included); nothing built.  It returns the first tid above every tid
+     the record mentions, as the replay state's high-water mark counts
+     them (a checkpoint's [next_tid] as it stands), or 0 for none. *)
   let skip_tid r = Tid.to_int (get_tid r) + 1
 
   let rec skip_ops r n = if n > 0 then (skip_op r; skip_ops r (n - 1))

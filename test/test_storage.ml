@@ -558,6 +558,21 @@ let test_disk_wal_interior_corruption_refused () =
   | Ok _ -> Alcotest.fail "interior corruption loaded silently"
   | Error c -> Helpers.check_int "offset of corrupt frame" 0 c.Codec.offset
 
+(* A frame whose CRC holds but whose tid field is negative (a foreign
+   writer, or damage re-sealed) is corrupt like any other: [load]
+   reports it at its own offset. *)
+let test_disk_wal_negative_tid_refused () =
+  let prefix = Codec.encode_all [ Wal.Begin Tid.a; Wal.Commit Tid.a ] in
+  let b = Bytes.of_string (Codec.encode (Wal.Begin Tid.b)) in
+  let hdr = Codec.header_size Codec.write_version in
+  let n = Bytes.length b - hdr in
+  Bytes.set_int64_le b (hdr + 1) (-1L);
+  Bytes.set_int32_le b (hdr - 4) (Codec.crc32 (Bytes.sub_string b hdr n));
+  let image = prefix ^ Bytes.to_string b ^ Codec.encode (Wal.Commit Tid.b) in
+  match Disk_wal.load (Storage.of_string image) with
+  | Ok _ -> Alcotest.fail "negative tid loaded"
+  | Error c -> Helpers.check_int "offset of the frame" (String.length prefix) c.Codec.offset
+
 let test_disk_wal_truncate_to_checkpoint () =
   let storage = Storage.memory () in
   let dw = Disk_wal.create storage in
@@ -920,7 +935,7 @@ let test_crc_known_answer () =
    payload has one byte changed and its CRC re-sealed, so that only the
    payload checks stand in the way, is refused by [verify_frames]
    exactly when [decode_frame] refuses it, for the same reason (a
-   negative tid raises in both), and an intact frame reports the tag and
+   negative tid included), and an intact frame reports the tag and
    tid mark of the record a decode builds. *)
 let prop_verify_checks_as_decode =
   Helpers.qcheck ~count:1000 "verify walk = decode checks on resealed damage"
@@ -947,18 +962,14 @@ let prop_verify_checks_as_decode =
         | Decision _ -> 7
       in
       let mark r = Option.fold ~none:0 ~some:(fun t -> Tid.to_int t + 1) (Wal.max_tid [ r ]) in
-      match Codec.decode_frame s 0 with
-      | exception Invalid_argument _ -> (
-          match verify () with exception Invalid_argument _ -> true | _ -> false)
-      | decoded -> (
-          match decoded, verify () with
-          | Ok (r', _), Ok (len, None) -> (
-              len = String.length s
-              && match !seen with
-                 | [ (0, t, m) ] -> t = tag r' && Int.max 0 m = mark r'
-                 | _ -> false)
-          | Error c, Ok (0, Some c') -> c = c' && !seen = []
-          | _ -> false))
+      match Codec.decode_frame s 0, verify () with
+      | Ok (r', _), Ok (len, None) -> (
+          len = String.length s
+          && match !seen with
+             | [ (0, t, m) ] -> t = tag r' && Int.max 0 m = mark r'
+             | _ -> false)
+      | Error c, Ok (0, Some c') -> c = c' && !seen = []
+      | _ -> false)
 
 (* A frame decoded in place among other frames reads only its own
    bytes: its record is the one its standalone copy decodes to, and if
@@ -1450,6 +1461,8 @@ let suite =
       test_disk_wal_torn_tail_truncated;
     Alcotest.test_case "interior corruption refused" `Quick
       test_disk_wal_interior_corruption_refused;
+    Alcotest.test_case "negative tid refused at its offset" `Quick
+      test_disk_wal_negative_tid_refused;
     Alcotest.test_case "checkpoint truncate compacts backend" `Quick
       test_disk_wal_truncate_to_checkpoint;
     Alcotest.test_case "truncation journal: rollback" `Quick
