@@ -74,9 +74,9 @@ let tables_cmd =
     Term.(const tables $ type_arg $ list $ depth_arg)
 
 let show_reachable (e : Registry.entry) depth =
-  let (Spec.Packed (module S)) = e.spec in
+  let (Spec.Packed { m = (module S); _ }) = e.spec in
   let module E = Explore.Make (S) in
-  let reached = E.reachable ~depth ~alphabet:S.generators in
+  let reached = E.reachable ~depth ~alphabet:(Spec.generators e.spec) in
   Fmt.pr "%d distinct reachable state-sets within depth %d:@." (List.length reached) depth;
   List.iter
     (fun (word, sts) ->

@@ -44,9 +44,9 @@ type 's ctx = {
 
 type checker = { check : 's. 's ctx -> verdict }
 
-let over_contexts (Spec.Packed (module S)) p { check } =
+let over_contexts (Spec.Packed { m = (module S); _ } as spec) p { check } =
   let module E = Explore.Make (S) in
-  let alphabet = Option.value p.alphabet ~default:S.generators in
+  let alphabet = match p.alphabet with Some a -> a | None -> Spec.generators spec in
   let contexts = E.reachable ~depth:p.alpha_depth ~alphabet in
   let step acc (alpha, sts) =
     match acc with

@@ -8,9 +8,9 @@ let pp_verdict ppf = function
   | Holds -> Fmt.string ppf "holds"
   | Refuted w -> Fmt.pf ppf "refuted by future [%a]" Fmt.(list ~sep:(any "; ") Op.pp) w
 
-let looks_like (Spec.Packed (module S)) ~depth ?alphabet alpha beta =
+let looks_like (Spec.Packed { m = (module S); _ } as spec) ~depth ?alphabet alpha beta =
   let module E = Explore.Make (S) in
-  let alphabet = Option.value alphabet ~default:S.generators in
+  let alphabet = match alphabet with Some a -> a | None -> Spec.generators spec in
   let u = E.after E.initial_set alpha in
   let t = E.after E.initial_set beta in
   match E.contained ~depth ~alphabet u t with

@@ -10,21 +10,19 @@ module type S = sig
   val generators : Op.t list
 end
 
-type t = Packed : (module S with type state = 's) -> t
+(* The object name sits beside the module, so a renamed spec shares the
+   type's module and its generator list: renaming costs one block. *)
+type t = Packed : { name : string; m : (module S with type state = 's) } -> t
 
-let pack m = Packed m
+let pack (type s) ((module S : S with type state = s) as m) = Packed { name = S.name; m }
 
-let name (Packed (module S)) = S.name
-let generators (Packed (module S)) = S.generators
+let name (Packed { name; _ }) = name
 
-let rename (Packed (module S)) new_name =
-  let module R = struct
-    include S
+let generators (Packed { name; m = (module S) }) =
+  if String.equal name S.name then S.generators
+  else List.map (fun (op : Op.t) -> { op with obj = name }) S.generators
 
-    let name = new_name
-    let generators = List.map (fun (op : Op.t) -> { op with obj = new_name }) S.generators
-  end in
-  Packed (module R : S with type state = R.state)
+let rename (Packed { m; _ }) name = Packed { name; m }
 
 (* The states [op]'s response leads to, onto [acc].  The recovery managers
    step state-sets on every invocation, so this and [successors] are
@@ -57,9 +55,9 @@ let after_states (type s) (module S : S with type state = s) (states : s list) o
     (dedup_states (module S) states)
     ops
 
-let legal (Packed (module S)) ops = after_states (module S) [ S.initial ] ops <> []
+let legal (Packed { m = (module S); _ }) ops = after_states (module S) [ S.initial ] ops <> []
 
-let responses (Packed (module S)) ops inv =
+let responses (Packed { m = (module S); _ }) ops inv =
   let reached = after_states (module S) [ S.initial ] ops in
   List.concat_map (fun st -> List.map fst (S.respond st inv)) reached
   |> List.sort_uniq Value.compare

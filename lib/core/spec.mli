@@ -37,15 +37,23 @@ module type S = sig
   val generators : Op.t list
 end
 
-type t = Packed : (module S with type state = 's) -> t
+(** A specification presented as one object: the object's name beside
+    the type's module.  [name] is the module's [S.name] unless the spec
+    was {!rename}d. *)
+type t = Packed : { name : string; m : (module S with type state = 's) } -> t
 
 val pack : (module S with type state = 's) -> t
 val name : t -> string
+
+(** The module's generators, tagged with {!name}: re-tagged (a fresh
+    list) only for a renamed spec. *)
 val generators : t -> Op.t list
 
 (** [rename spec x] is the same specification presented as an object named
-    [x] (generators re-tagged); used to instantiate several objects of one
-    type, e.g. accounts ["BA0"], ["BA1"], … *)
+    [x]; used to instantiate several objects of one type, e.g. accounts
+    ["BA0"], ["BA1"], ….  It allocates one block whatever the type: the
+    renamed spec shares the type's module, and {!generators} re-tags the
+    operations only when asked. *)
 val rename : t -> string -> t
 
 (** [apply (module S) s op] is the set of states reachable by executing

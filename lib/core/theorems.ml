@@ -144,7 +144,7 @@ let probe_required_pairs spec view ~ops ~txns ~ops_per_txn ~max_events ~limit =
      state-set (every condition depends on the context only through it),
      plus candidate futures up to length 2. *)
   let contexts =
-    let (Spec.Packed (module S)) = spec in
+    let (Spec.Packed { m = (module S); _ }) = spec in
     let module E = Explore.Make (S) in
     List.map fst (E.reachable ~depth:3 ~alphabet:ops)
   in

@@ -28,7 +28,7 @@ let retries t = t.retries
 let count t name by =
   match t.metrics with
   | None -> ()
-  | Some reg -> Metrics.Counter.incr ~by (Metrics.counter reg name)
+  | Some reg -> Metrics.Counter.add (Metrics.counter reg name) by
 
 (* The retry budget, one step of it per failed attempt and shared by
    writes and forces: the [attempt]th try failed with [last]; give up

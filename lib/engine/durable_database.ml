@@ -171,8 +171,9 @@ let recover ?trace ?profile ~wal ~rebuild () =
           let t = create ~first_tid:plan.Wal.plan_next_tid ~wal objs in
           (match trace with None -> () | Some tr -> Database.set_trace t.db tr);
           let reg = Database.metrics t.db in
-          Metrics.Counter.incr ~by:plan.Wal.plan_ops
-            (Metrics.counter reg "tm_recovery_replayed_ops_total");
+          Metrics.Counter.add
+            (Metrics.counter reg "tm_recovery_replayed_ops_total")
+            plan.Wal.plan_ops;
           (match profile with
           | None -> ()
           | Some p ->

@@ -20,89 +20,173 @@ type error = {
 
 let pp_error ppf e = Fmt.pf ppf "%s: %s" e.obj e.reason
 
-(* The spec's state type is abstract; each manager is a record of closures
-   built in a scope where the module is unpacked.  [commit] and [abort]
-   take the manager itself so they can count into its handles. *)
-type t = {
-  kind : kind;
+(* The handles a manager counts into once attached to a registry, each
+   {!Metrics.Counter.unresolved} until its series' first event.  A
+   detached manager holds no handle words. *)
+type handles =
+  | Detached
+  | Attached of {
+      reg : Metrics.t;
+      mutable committed : Metrics.counter;
+      mutable undone_inverse : Metrics.counter;
+      mutable undone_replay : Metrics.counter;
+      mutable discarded : Metrics.counter;
+    }
+
+(* The transactions live at a manager, newest first, each with an entry
+   from its first [record] until it ends.  A UIP entry holds the
+   transaction's operations here, newest first; a DU entry also holds
+   the state-set its intentions reach from the base of version [stamp].
+   UIP keeps no view per transaction, so its entry (4 words) has no
+   room for one. *)
+type live =
+  | No_live
+  | Live of { tid : Tid.t; mutable mine : Op.t list; mutable next : live }
+
+type 's txn =
+  | No_txn
+  | Txn of {
+      tid : Tid.t;
+      mutable ops : Op.t list;
+      mutable view : 's list;
+      mutable stamp : int;
+      mutable next : 's txn;
+    }
+
+let rec find_live tid = function
+  | No_live -> No_live
+  | Live e as x -> if Tid.equal e.tid tid then x else find_live tid e.next
+
+let rec find_txn tid = function
+  | No_txn -> No_txn
+  | Txn e as x -> if Tid.equal e.tid tid then x else find_txn tid e.next
+
+(* [l] without [x]; only the link that skipped it is written. *)
+let rec unlink_live x = function
+  | No_live -> No_live
+  | Live e as l ->
+      if l == x then e.next
+      else begin
+        let next = unlink_live x e.next in
+        if next != e.next then e.next <- next;
+        l
+      end
+
+let rec unlink_txn x = function
+  | No_txn -> No_txn
+  | Txn e as l ->
+      if l == x then e.next
+      else begin
+        let next = unlink_txn x e.next in
+        if next != e.next then e.next <- next;
+        l
+      end
+
+(* A stretch of the UIP live suffix: one 4-word cell per executed
+   operation, naming its transaction's entry.  Commit empties the
+   entry's [mine], which is how the suffix tells a finished transaction
+   (an aborted one's suffix entries are dropped). *)
+type entries =
+  | End
+  | Entry of live * Op.t * entries
+
+(* An update-in-place manager.  The live suffix holds the entries of
+   non-aborted transactions in execution order, from the first operation
+   of the oldest transaction still live here: a two-list queue, [front]
+   oldest first and [back] newest first.  Every operation before it is
+   committed and so belongs to every future UIP view: no abort can remove
+   it.  That prefix is folded into [base], and [current] is always [base]
+   stepped through the suffix. *)
+type 's uip = {
+  m : (module Spec.S with type state = 's);
   obj : string;
-  responses : Tid.t -> Op.invocation -> Value.t list;
-  record : Tid.t -> Op.t -> unit;
-  commit : t -> Tid.t -> unit;
-  abort : t -> Tid.t -> unit;
-  restore : Op.t list -> (unit, error) result;
-  committed_ops : unit -> Op.t list;
-  (* The attached registry and one handle per series the manager counts
-     into, each {!Metrics.Counter.unresolved} until its first event. *)
-  mutable reg : Metrics.t option;
-  mutable committed : Metrics.counter;
-  mutable undone_inverse : Metrics.counter;
-  mutable undone_replay : Metrics.counter;
-  mutable discarded : Metrics.counter;
+  inverse : Op.t -> Op.t list option;  (* [no_inverse] when the type has none *)
+  mutable base : 's list;
+  mutable current : 's list;
+  mutable front : entries;
+  mutable back : entries;
+  mutable live : live;
+  mutable log : Op.t list;  (* committed, newest first *)
+  mutable handles : handles;
 }
 
-(* Every accessor takes its full arity.  Callers may see only the
-   interface (dev builds compile with [-opaque]), so a [responses t]
-   that returned the closure would make every call
-   [Recovery.responses t tid inv] build a partial application. *)
-let kind t = t.kind
-let responses t tid inv = t.responses tid inv
-let record t tid op = t.record tid op
-let commit t tid = t.commit t tid
-let abort t tid = t.abort t tid
-let restore t ops = t.restore ops
-let committed_ops t = t.committed_ops ()
+(* A deferred-update manager: the committed base and its version, which
+   every commit and restore bumps.  Each live transaction keeps its
+   view, base + its own intentions, exactly [DU(H,A)]: an invocation
+   steps it, and only a view stamped with an older base is derived again
+   from the base. *)
+type 's du = {
+  m : (module Spec.S with type state = 's);
+  obj : string;
+  mutable base : 's list;
+  mutable version : int;
+  mutable txns : 's txn;
+  mutable log : Op.t list;  (* committed, newest first *)
+  mutable handles : handles;
+}
+
+(* A manager is data over its spec's state type: the spec module once,
+   then what the paper's state-set needs and the live transactions. *)
+type t =
+  | Uip : 's uip -> t
+  | Du : 's du -> t
+
+let kind = function Uip _ -> UIP | Du _ -> DU
+let obj = function Uip u -> u.obj | Du d -> d.obj
+let handles = function Uip u -> u.handles | Du d -> d.handles
 
 let unresolved = Metrics.Counter.unresolved
 
 let attach_metrics t reg =
-  match t.reg with
-  | Some r when r == reg -> ()
-  | _ ->
-      t.reg <- Some reg;
-      t.committed <- unresolved;
-      t.undone_inverse <- unresolved;
-      t.undone_replay <- unresolved;
-      t.discarded <- unresolved
+  match handles t with
+  | Attached a when a.reg == reg -> ()
+  | Detached | Attached _ -> (
+      let h =
+        Attached { reg; committed = unresolved; undone_inverse = unresolved;
+                   undone_replay = unresolved; discarded = unresolved }
+      in
+      match t with Uip u -> u.handles <- h | Du d -> d.handles <- h)
 
 (* Per-object undo/redo accounting; every call is on a commit/abort path,
    never per recorded operation.  Each handle is searched for in the
    registry only on its series' first event. *)
 let count_committed t n =
-  match t.reg with
-  | None -> ()
-  | Some reg ->
-      if t.committed == unresolved then
-        t.committed <- Metrics.counter reg "tm_recovery_committed_ops_total" ~labels:[ ("obj", t.obj) ];
-      Metrics.Counter.incr ~by:n t.committed
+  match handles t with
+  | Detached -> ()
+  | Attached a ->
+      if a.committed == unresolved then
+        a.committed <-
+          Metrics.counter a.reg "tm_recovery_committed_ops_total" ~labels:[ ("obj", obj t) ];
+      Metrics.Counter.add a.committed n
 
 let count_undone_inverse t n =
-  match t.reg with
-  | None -> ()
-  | Some reg ->
-      if t.undone_inverse == unresolved then
-        t.undone_inverse <-
-          Metrics.counter reg "tm_recovery_undone_ops_total"
-            ~labels:[ ("obj", t.obj); ("mode", "inverse") ];
-      Metrics.Counter.incr ~by:n t.undone_inverse
+  match handles t with
+  | Detached -> ()
+  | Attached a ->
+      if a.undone_inverse == unresolved then
+        a.undone_inverse <-
+          Metrics.counter a.reg "tm_recovery_undone_ops_total"
+            ~labels:[ ("obj", obj t); ("mode", "inverse") ];
+      Metrics.Counter.add a.undone_inverse n
 
 let count_undone_replay t n =
-  match t.reg with
-  | None -> ()
-  | Some reg ->
-      if t.undone_replay == unresolved then
-        t.undone_replay <-
-          Metrics.counter reg "tm_recovery_undone_ops_total"
-            ~labels:[ ("obj", t.obj); ("mode", "replay") ];
-      Metrics.Counter.incr ~by:n t.undone_replay
+  match handles t with
+  | Detached -> ()
+  | Attached a ->
+      if a.undone_replay == unresolved then
+        a.undone_replay <-
+          Metrics.counter a.reg "tm_recovery_undone_ops_total"
+            ~labels:[ ("obj", obj t); ("mode", "replay") ];
+      Metrics.Counter.add a.undone_replay n
 
 let count_discarded t n =
-  match t.reg with
-  | None -> ()
-  | Some reg ->
-      if t.discarded == unresolved then
-        t.discarded <- Metrics.counter reg "tm_recovery_discarded_ops_total" ~labels:[ ("obj", t.obj) ];
-      Metrics.Counter.incr ~by:n t.discarded
+  match handles t with
+  | Detached -> ()
+  | Attached a ->
+      if a.discarded == unresolved then
+        a.discarded <-
+          Metrics.counter a.reg "tm_recovery_discarded_ops_total" ~labels:[ ("obj", obj t) ];
+      Metrics.Counter.add a.discarded n
 
 (* Distinct legal responses to [inv] from a state-set, each of which keeps
    the overall sequence legal by construction. *)
@@ -116,241 +200,232 @@ let candidate_responses (type s) (module S : Spec.S with type state = s) states 
   | [] | [ _ ] -> vs  (* sorted already; skip [sort_uniq]'s closures *)
   | _ -> List.sort_uniq Value.compare vs
 
-(* A stretch of the UIP live suffix: one 4-word cell per executed
-   operation, not a pair in a list cell (6 words). *)
-type entries =
-  | End
-  | Entry of Tid.t * Op.t * entries
+(* [states] stepped through [op], which must be legal there. *)
+let stepped what m states op =
+  match Spec.step_states m states op with
+  | [] -> invalid_arg (Fmt.str "Recovery.record(%s): illegal operation %a" what Op.pp op)
+  | next -> next
+
+(* A fresh manager's check and install of a replayed committed sequence:
+   the state-set it reaches from the initial state. *)
+let replayed (type s) what obj (module S : Spec.S with type state = s) ops =
+  match Spec.after_states (module S) [ S.initial ] ops with
+  | [] when ops <> [] ->
+      Error { obj; reason = Fmt.str "restore(%s): replayed sequence not legal" what }
+  | next -> Ok next
+
+let not_fresh what obj = Error { obj; reason = Fmt.str "restore(%s): manager not fresh" what }
+
+(* ------------------------------------------------------------------ *)
+(* Update in place.                                                    *)
+
+let no_inverse (_ : Op.t) : Op.t list option = None
+
+let finished = function Live { mine = _ :: _; _ } -> false | No_live | Live _ -> true
 
 let rec rev_entries acc = function
   | End -> acc
-  | Entry (tid, op, rest) -> rev_entries (Entry (tid, op, acc)) rest
+  | Entry (x, op, rest) -> rev_entries (Entry (x, op, acc)) rest
 
-(* [l] without the next [!left] entries of [tid], counting them off in
+(* [l] without the next [!left] entries of [x], counting them off in
    [left]: the tail after the last one dropped is shared, not copied. *)
-let rec drop tid left l =
+let rec drop x left l =
   if !left = 0 then l
   else
     match l with
     | End -> End
-    | Entry (t, op, rest) ->
-        if Tid.equal t tid then begin
+    | Entry (y, op, rest) ->
+        if y == x then begin
           decr left;
-          drop tid left rest
+          drop x left rest
         end
-        else Entry (t, op, drop tid left rest)
+        else Entry (y, op, drop x left rest)
 
-(* State-sets are sorted, duplicate-free lists ({!Spec.step_states}), so
-   a manager holds no functor instance of its own: it costs what its
-   states and operations cost, whatever the number of objects of its
-   type. *)
-let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
-  let step = Spec.step_states (module S) and after = Spec.after_states (module S) in
-  let obj = Spec.name spec in
-  (* The live suffix: the entries of non-aborted transactions in
-     execution order, from the first operation of the oldest transaction
-     still live here.  It is a two-list queue, [front] oldest first and
-     [back] newest first.  Every operation before it is committed and so
-     belongs to every future UIP view: no abort can remove it.  That
-     prefix is folded into [base], and [current] is always [base] stepped
-     through the suffix. *)
-  let base = ref [ S.initial ] in
-  let current = ref !base in
-  let front = ref End and back = ref End in
-  let per_txn : (Tid.t, Op.t list) Hashtbl.t = Hashtbl.create 16 in
-  let committed_log = ref [] (* newest first *) in
-  let txn_ops tid = match Hashtbl.find per_txn tid with ops -> ops | exception Not_found -> [] in
-  let rec step_through st = function
-    | End -> st
-    | Entry (_, op, rest) -> step_through (step st op) rest
+let rec step_through m st = function
+  | End -> st
+  | Entry (_, op, rest) -> step_through m (Spec.step_states m st op) rest
+
+(* Fold the leading entries of finished transactions into the base.
+   Aborts drop their entries first, so every such entry is committed. *)
+let rec fold (u : _ uip) =
+  match u.live with
+  | No_live ->
+      u.base <- u.current;
+      u.front <- End;
+      u.back <- End
+  | Live _ -> (
+      match u.front with
+      | Entry (x, op, rest) when finished x ->
+          u.base <- Spec.step_states u.m u.base op;
+          u.front <- rest;
+          fold u
+      | End -> (
+          match u.back with
+          | End -> ()
+          | Entry _ as back ->
+              u.front <- rev_entries End back;
+              u.back <- End;
+              fold u)
+      | Entry _ -> ())
+
+let record_uip tid op (u : _ uip) =
+  u.current <- stepped "UIP" u.m u.current op;
+  let x =
+    match find_live tid u.live with
+    | Live e as x ->
+        e.mine <- op :: e.mine;
+        x
+    | No_live ->
+        let x = Live { tid; mine = [ op ]; next = u.live } in
+        u.live <- x;
+        x
   in
-  (* Fold the leading entries of finished transactions into [base].  Aborts
-     drop their entries first, so every such entry is committed. *)
-  let rec fold () =
-    if Hashtbl.length per_txn = 0 then begin
-      base := !current;
-      front := End;
-      back := End
-    end
-    else
-      match !front, !back with
-      | Entry (tid, op, rest), _ when not (Hashtbl.mem per_txn tid) ->
-          base := step !base op;
-          front := rest;
-          fold ()
-      | End, (Entry _ as back') ->
-          front := rev_entries End back';
-          back := End;
-          fold ()
-      | _ -> ()
+  u.back <- Entry (x, op, u.back)
+
+let commit_uip t tid (u : _ uip) =
+  (match find_live tid u.live with
+  | No_live -> count_committed t 0
+  | Live e as x ->
+      count_committed t (List.length e.mine);
+      u.log <- e.mine @ u.log;
+      e.mine <- [];
+      u.live <- unlink_live x u.live);
+  fold u
+
+(* [st] stepped through [ops]; [] as soon as one is not legal. *)
+let rec steps m st = function
+  | [] -> st
+  | op :: rest -> ( match Spec.step_states m st op with [] -> [] | st -> steps m st rest)
+
+(* Undo by compensation: step the current state through the inverses of
+   the transaction's operations, newest first, at the current end of the
+   log.  Only used when the type registers inverses (abelian updates);
+   [[]] sends abort to the replay path, the general, always-correct
+   form, and the two are checked equivalent by property tests. *)
+let rec compensate m inverse st = function
+  | [] -> st
+  | op :: rest -> (
+      match inverse op with
+      | None -> []
+      | Some undo -> ( match steps m st undo with [] -> [] | st -> compensate m inverse st rest))
+
+let abort_uip t tid (u : _ uip) =
+  let x = find_live tid u.live in
+  let mine = match x with No_live -> [] | Live e -> e.mine in
+  u.live <- unlink_live x u.live;
+  let n = List.length mine in
+  let left = ref n in
+  u.back <- drop x left u.back;
+  u.front <- drop x left u.front;
+  let undone =
+    if u.inverse == no_inverse then [] else compensate u.m u.inverse u.current mine
   in
-  let responses _tid inv = candidate_responses (module S) !current inv in
-  let record tid op =
-    let next = step !current op in
-    if next = [] then
-      invalid_arg (Fmt.str "Recovery.record(UIP): illegal operation %a" Op.pp op);
-    current := next;
-    back := Entry (tid, op, !back);
-    Hashtbl.replace per_txn tid (op :: txn_ops tid)
-  in
-  let commit t tid =
-    let mine = txn_ops tid in
-    count_committed t (List.length mine);
-    committed_log := mine @ !committed_log;
-    Hashtbl.remove per_txn tid;
-    fold ()
-  in
-  (* Undo by compensation: step the current state through the inverses
-     of the transaction's operations, newest first, at the current end of
-     the log.  Only used when the type registers inverses (abelian
-     updates); [[]] sends abort to the replay path below, the general,
-     always-correct form, and the two are checked equivalent by property
-     tests. *)
-  let rec compensate inverse st = function
-    | [] -> st
-    | op :: rest -> (
-        match inverse op with
-        | None -> []
-        | Some undo -> (
-            match List.fold_left step st undo with [] -> [] | st -> compensate inverse st rest))
-  in
-  let abort t tid =
-    let mine = txn_ops tid in
-    Hashtbl.remove per_txn tid;
-    let n = List.length mine in
-    let left = ref n in
-    back := drop tid left !back;
-    front := drop tid left !front;
-    let undone = match inverse with None -> [] | Some inverse -> compensate inverse !current mine in
-    (* Fall back to replay if an operation has no inverse or a
-       compensating operation is not legal here (cannot happen for
-       well-chosen inverses, but safety wins). *)
-    if undone = [] then begin
+  (* Fall back to replay if an operation has no inverse or a
+     compensating operation is not legal here (cannot happen for
+     well-chosen inverses, but safety wins). *)
+  (match undone with
+  | [] ->
       count_undone_replay t n;
-      current := step_through (step_through !base !front) (rev_entries End !back)
-    end
-    else begin
+      u.current <- step_through u.m (step_through u.m u.base u.front) (rev_entries End u.back)
+  | _ ->
       count_undone_inverse t n;
-      current := undone
-    end;
-    fold ()
-  in
-  (* Install an already-committed sequence into a fresh manager: replayed
-     work belongs to no live transaction, so it goes straight into the
-     base and committed log (no per-transaction bookkeeping, no tid). *)
-  let restore ops =
-    if !committed_log <> [] || Hashtbl.length per_txn > 0 then
-      Error { obj; reason = "restore(UIP): manager not fresh" }
-    else begin
-      let next = after [ S.initial ] ops in
-      if ops <> [] && next = [] then
-        Error { obj; reason = "restore(UIP): replayed sequence not legal" }
-      else begin
-        base := next;
-        current := next;
-        committed_log := List.rev ops;
-        Ok ()
-      end
-    end
-  in
-  let committed_ops () = List.rev !committed_log in
-  { kind = UIP; obj; responses; record; commit; abort; restore; committed_ops;
-    reg = None; committed = unresolved; undone_inverse = unresolved;
-    undone_replay = unresolved; discarded = unresolved }
+      u.current <- undone);
+  fold u
 
-(* A live transaction's part of a DU manager: its intentions, newest
-   first, and the state-set they reach from the base of version
-   [stamp]. *)
-type 's txn = {
-  mutable ops : Op.t list;
-  mutable view : 's list;
-  mutable stamp : int;
-}
+(* Install an already-committed sequence into a fresh manager: replayed
+   work belongs to no live transaction, so it goes straight into the
+   base and committed log (no per-transaction bookkeeping, no tid). *)
+let restore_uip ops (u : _ uip) =
+  match u.log, u.live with
+  | [], No_live ->
+      Result.map
+        (fun next ->
+          u.base <- next;
+          u.current <- next;
+          u.log <- List.rev ops)
+        (replayed "UIP" u.obj u.m ops)
+  | _ -> not_fresh "UIP" u.obj
 
-(* [states] stepped through [op], which must be legal there.  Top-level,
-   so a DU manager holds no closure for it. *)
-let stepped step states op =
-  match step states op with
-  | [] -> invalid_arg (Fmt.str "Recovery.record(DU): illegal operation %a" Op.pp op)
-  | next -> next
+(* ------------------------------------------------------------------ *)
+(* Deferred update.                                                    *)
 
-let create_du (Spec.Packed (module S) as spec) : t =
-  let step = Spec.step_states (module S) and after = Spec.after_states (module S) in
-  let obj = Spec.name spec in
-  (* The committed base and its version, which every commit and restore
-     bumps.  Each live transaction keeps its view, base + its own
-     intentions, exactly [DU(H,A)]: an invocation steps it, and only a
-     view stamped with an older base is derived again from the base. *)
-  let base = ref [ S.initial ] and version = ref 0 in
-  let txns : (Tid.t, S.state txn) Hashtbl.t = Hashtbl.create 16 in
-  let committed_log = ref [] (* newest first *) in
-  let view e =
-    if e.stamp <> !version then begin
-      e.view <- after !base (List.rev e.ops);
-      e.stamp <- !version
-    end;
-    e.view
-  in
-  (* Lookups run on every invocation, so they catch [Not_found] rather
-     than allocate an option. *)
-  let responses tid inv =
-    candidate_responses (module S)
-      (match Hashtbl.find txns tid with e -> view e | exception Not_found -> !base)
-      inv
-  in
-  let record tid op =
-    match Hashtbl.find txns tid with
-    | e ->
-        e.view <- stepped step (view e) op;
-        e.ops <- op :: e.ops
-    | exception Not_found ->
-        Hashtbl.add txns tid { ops = [ op ]; view = stepped step !base op; stamp = !version }
-  in
-  let commit t tid =
-    match Hashtbl.find txns tid with
-    | exception Not_found -> count_committed t 0
-    | e ->
-        (* A view on the current base is the new base; a stale one is
-           derived again, and must still apply. *)
-        let next = view e in
-        if next = [] then
+(* The view of a live transaction (the base for one with no intentions
+   here), derived again only if a commit moved the base since. *)
+let view (d : _ du) = function
+  | No_txn -> d.base
+  | Txn e ->
+      if e.stamp <> d.version then begin
+        e.view <- Spec.after_states d.m d.base (List.rev e.ops);
+        e.stamp <- d.version
+      end;
+      e.view
+
+let record_du tid op (d : _ du) =
+  match find_txn tid d.txns with
+  | Txn e as x ->
+      e.view <- stepped "DU" d.m (view d x) op;
+      e.ops <- op :: e.ops
+  | No_txn ->
+      let view = stepped "DU" d.m d.base op in
+      d.txns <- Txn { tid; ops = [ op ]; view; stamp = d.version; next = d.txns }
+
+let commit_du t tid (d : _ du) =
+  match find_txn tid d.txns with
+  | No_txn -> count_committed t 0
+  | Txn e as x ->
+      (* A view on the current base is the new base; a stale one is
+         derived again, and must still apply. *)
+      (match view d x with
+      | [] ->
           invalid_arg
             (Fmt.str
                "Recovery.commit(DU): intentions list of %a no longer applies \
                 (conflict relation too weak)"
-               Tid.pp tid);
-        base := next;
-        incr version;
-        count_committed t (List.length e.ops);
-        committed_log := e.ops @ !committed_log;
-        Hashtbl.remove txns tid
-  in
-  let abort t tid =
-    count_discarded t
-      (match Hashtbl.find txns tid with e -> List.length e.ops | exception Not_found -> 0);
-    Hashtbl.remove txns tid
-  in
-  let restore ops =
-    if !committed_log <> [] || Hashtbl.length txns > 0 then
-      Error { obj; reason = "restore(DU): manager not fresh" }
-    else begin
-      let next = after [ S.initial ] ops in
-      if ops <> [] && next = [] then
-        Error { obj; reason = "restore(DU): replayed sequence not legal" }
-      else begin
-        base := next;
-        incr version;
-        committed_log := List.rev ops;
-        Ok ()
-      end
-    end
-  in
-  let committed_ops () = List.rev !committed_log in
-  { kind = DU; obj; responses; record; commit; abort; restore; committed_ops;
-    reg = None; committed = unresolved; undone_inverse = unresolved;
-    undone_replay = unresolved; discarded = unresolved }
+               Tid.pp tid)
+      | next -> d.base <- next);
+      d.version <- d.version + 1;
+      count_committed t (List.length e.ops);
+      d.log <- e.ops @ d.log;
+      d.txns <- unlink_txn x d.txns
 
-let create ?inverse kind spec =
+let abort_du t tid (d : _ du) =
+  match find_txn tid d.txns with
+  | No_txn -> count_discarded t 0
+  | Txn e as x ->
+      count_discarded t (List.length e.ops);
+      d.txns <- unlink_txn x d.txns
+
+let restore_du ops (d : _ du) =
+  match d.log, d.txns with
+  | [], No_txn ->
+      Result.map
+        (fun next ->
+          d.base <- next;
+          d.version <- d.version + 1;
+          d.log <- List.rev ops)
+        (replayed "DU" d.obj d.m ops)
+  | _ -> not_fresh "DU" d.obj
+
+(* ------------------------------------------------------------------ *)
+(* The manager.                                                        *)
+
+let create ?inverse kind (Spec.Packed { name; m = (module S) as m }) =
   match kind with
-  | UIP -> create_uip ?inverse spec
-  | DU -> create_du spec
+  | UIP ->
+      let base = [ S.initial ] and inverse = Option.value inverse ~default:no_inverse in
+      Uip { m; obj = name; inverse; base; current = base; front = End; back = End;
+            live = No_live; log = []; handles = Detached }
+  | DU ->
+      Du { m; obj = name; base = [ S.initial ]; version = 0; txns = No_txn; log = [];
+           handles = Detached }
+
+let responses t tid inv =
+  match t with
+  | Uip u -> candidate_responses u.m u.current inv
+  | Du d -> candidate_responses d.m (view d (find_txn tid d.txns)) inv
+
+let record t tid op = match t with Uip u -> record_uip tid op u | Du d -> record_du tid op d
+let commit t tid = match t with Uip u -> commit_uip t tid u | Du d -> commit_du t tid d
+let abort t tid = match t with Uip u -> abort_uip t tid u | Du d -> abort_du t tid d
+let restore t ops = match t with Uip u -> restore_uip ops u | Du d -> restore_du ops d
+let committed_ops = function Uip u -> List.rev u.log | Du d -> List.rev d.log

@@ -397,9 +397,9 @@ let recover ?audit ~wals ~rebuild () =
           0 shards
       in
       let t = make ~first_tid shards in
-      Metrics.Counter.incr ~by:!resolved_aborts
-        (Metrics.counter t.reg "tm_2pc_aborts_total"
-           ~labels:[ ("phase", "recovery") ]);
+      Metrics.Counter.add
+        (Metrics.counter t.reg "tm_2pc_aborts_total" ~labels:[ ("phase", "recovery") ])
+        !resolved_aborts;
       List.iter
         (fun (ev : Two_phase.resolution_event) ->
           Metrics.Counter.incr

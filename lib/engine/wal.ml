@@ -535,8 +535,7 @@ let truncate_to_checkpoint t =
         match t.metrics with
         | None -> ()
         | Some m ->
-            Metrics.Counter.incr ~by:dropped
-              (Metrics.counter m.reg "tm_wal_truncated_records_total")
+            Metrics.Counter.add (Metrics.counter m.reg "tm_wal_truncated_records_total") dropped
       end;
       dropped
 

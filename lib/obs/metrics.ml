@@ -6,10 +6,14 @@ let normalize labels =
 type counter = { mutable count : int }
 type gauge = { mutable value : float }
 
+(* A record of floats only stores its field unboxed, so adding to the
+   sum allocates nothing. *)
+type total = { mutable total : float }
+
 type histogram = {
   bounds : float array;  (* strictly increasing upper bounds; +inf implicit *)
   counts : int array;  (* length = Array.length bounds + 1 *)
-  mutable sum : float;
+  sum : total;
   mutable observations : int;
 }
 
@@ -90,7 +94,7 @@ let histogram t ?(labels = []) ?(buckets = default_buckets) name =
           {
             bounds = Array.copy buckets;
             counts = Array.make (Array.length buckets + 1) 0;
-            sum = 0.;
+            sum = { total = 0. };
             observations = 0;
           })
       (function
@@ -108,7 +112,8 @@ let histogram t ?(labels = []) ?(buckets = default_buckets) name =
 module Counter = struct
   type t = counter
 
-  let incr ?(by = 1) c = c.count <- c.count + by
+  let incr c = c.count <- c.count + 1
+  let add c n = c.count <- c.count + n
   let get c = c.count
   let unresolved = { count = 0 }
 end
@@ -140,20 +145,29 @@ end
 module Histogram = struct
   type t = histogram
 
-  let bucket_index h v =
-    let n = Array.length h.bounds in
-    let rec find i = if i >= n then n else if v <= h.bounds.(i) then i else find (i + 1) in
-    find 0
+  (* The first bucket from [i] whose bound holds [v].  First-order, and
+     [observe_int] passes its int, so neither search boxes a float. *)
+  let rec bucket bounds (v : float) i =
+    if i >= Array.length bounds || v <= bounds.(i) then i else bucket bounds v (i + 1)
+
+  let rec bucket_int bounds v i =
+    if i >= Array.length bounds || float_of_int v <= bounds.(i) then i
+    else bucket_int bounds v (i + 1)
 
   let observe h v =
-    let i = bucket_index h v in
+    let i = bucket h.bounds v 0 in
     h.counts.(i) <- h.counts.(i) + 1;
-    h.sum <- h.sum +. v;
+    h.sum.total <- h.sum.total +. v;
     h.observations <- h.observations + 1
 
-  let observe_int h v = observe h (float_of_int v)
+  let observe_int h v =
+    let i = bucket_int h.bounds v 0 in
+    h.counts.(i) <- h.counts.(i) + 1;
+    h.sum.total <- h.sum.total +. float_of_int v;
+    h.observations <- h.observations + 1
+
   let count h = h.observations
-  let sum h = h.sum
+  let sum h = h.sum.total
 
   (* Quantile estimation by linear interpolation within the bucket that
      holds the q-th observation (the standard Prometheus
@@ -227,12 +241,12 @@ let merge ?(extra_labels = []) dst src =
     (fun () name labels m ->
       let labels = normalize (labels @ extra_labels) in
       match m with
-      | Counter c -> Counter.incr ~by:c.count (counter dst ~labels name)
+      | Counter c -> Counter.add (counter dst ~labels name) c.count
       | Gauge g -> Gauge.set (gauge dst ~labels name) g.value
       | Histogram h ->
           let into = histogram dst ~labels ~buckets:h.bounds name in
           Array.iteri (fun i n -> into.counts.(i) <- into.counts.(i) + n) h.counts;
-          into.sum <- into.sum +. h.sum;
+          into.sum.total <- into.sum.total +. h.sum.total;
           into.observations <- into.observations + h.observations)
     ()
 
@@ -292,7 +306,7 @@ let pp_prometheus ppf t =
                 (labels @ [ ("le", le) ])
                 !cumulative)
             h.counts;
-          Fmt.pf ppf "%s_sum%a %a@." name pp_labelset labels pp_float h.sum;
+          Fmt.pf ppf "%s_sum%a %a@." name pp_labelset labels pp_float h.sum.total;
           Fmt.pf ppf "%s_count%a %d@." name pp_labelset labels h.observations)
     (sorted_entries t)
 
@@ -310,7 +324,7 @@ let pp_summary ppf t =
       | Histogram h ->
           let q p = Option.value (Histogram.quantile h p) ~default:0. in
           let mean =
-            if h.observations = 0 then 0. else h.sum /. float_of_int h.observations
+            if h.observations = 0 then 0. else h.sum.total /. float_of_int h.observations
           in
           Fmt.pf ppf "%-46s %12d  mean %.1f  p50 %.1f  p90 %.1f  p99 %.1f@."
             (name ^ label_str) h.observations mean (q 0.5) (q 0.9) (q 0.99))

@@ -42,7 +42,11 @@ val default_buckets : float array
 module Counter : sig
   type t = counter
 
-  val incr : ?by:int -> t -> unit
+  val incr : t -> unit
+
+  (** [add c n] adds [n] to [c]. *)
+  val add : t -> int -> unit
+
   val get : t -> int
 
   (** A counter of no registry: the value of a handle that is not
@@ -62,6 +66,9 @@ module Histogram : sig
   type t = histogram
 
   val observe : t -> float -> unit
+
+  (** [observe_int h n] is [observe h (float_of_int n)], allocating
+      nothing. *)
   val observe_int : t -> int -> unit
   val count : t -> int
   val sum : t -> float

@@ -148,16 +148,17 @@ let export t reg =
         (phase_wall t ph))
     all_phases;
   Metrics.Gauge.set (Metrics.gauge reg "tm_recovery_wall_seconds") (total_wall t);
-  let count name v = Metrics.Counter.incr ~by:v (Metrics.counter reg name) in
+  let count name v = Metrics.Counter.add (Metrics.counter reg name) v in
   count "tm_recovery_bytes_scanned_total" t.bytes_scanned;
   count "tm_recovery_torn_bytes_total" t.torn_bytes;
   count "tm_recovery_frames_decoded_total" t.frames_decoded;
   count "tm_recovery_checkpoint_seed_ops_total" t.checkpoint_seed_ops;
   List.iter
     (fun (obj, n) ->
-      Metrics.Counter.incr ~by:n
+      Metrics.Counter.add
         (Metrics.counter reg "tm_recovery_object_replayed_ops_total"
-           ~labels:[ ("obj", obj) ]))
+           ~labels:[ ("obj", obj) ])
+        n)
     (per_object t)
 
 (* Each phase as a trace-span payload: the phase name, its wall time in

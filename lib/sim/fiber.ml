@@ -92,7 +92,7 @@ let rec run t =
       (* Rounds in which every fiber sleeps pass idle. *)
       let first = List.fold_left (fun acc (r, _) -> min acc r) max_int ready in
       let round = max (t.round + 1) first in
-      Metrics.Counter.incr ~by:(round - t.round) t.c_rounds;
+      Metrics.Counter.add t.c_rounds (round - t.round);
       t.round <- round;
       let due, later = List.partition (fun (r, _) -> r <= round) ready in
       t.ready <- later;

@@ -19,7 +19,7 @@ let candidate_responses (type s) (module S : Spec.S with type state = s) states 
   List.concat_map (fun st -> List.map fst (S.respond st inv)) states
   |> List.sort_uniq Value.compare
 
-let create_uip ?inverse (Spec.Packed (module S)) =
+let create_uip ?inverse (Spec.Packed { m = (module S); _ }) =
   let module E = Explore.Make (S) in
   let base = ref E.initial_set in
   let current = ref E.initial_set in
@@ -106,7 +106,7 @@ let create_uip ?inverse (Spec.Packed (module S)) =
   let committed_ops () = List.rev !committed_log in
   { responses; record; commit; abort; restore; committed_ops }
 
-let create_du (Spec.Packed (module S)) =
+let create_du (Spec.Packed { m = (module S); _ }) =
   let module E = Explore.Make (S) in
   let base = ref E.initial_set in
   let intentions : (Tid.t, Op.t list) Hashtbl.t = Hashtbl.create 16 in

@@ -213,7 +213,7 @@ let durable_replay_prop seed =
 
 let test_prometheus_label_escaping () =
   let reg = Metrics.create () in
-  Metrics.Counter.incr ~by:5 (Metrics.counter reg ~labels:[ ("k", "a\\b\"c\nd") ] "tm_x");
+  Metrics.Counter.add (Metrics.counter reg ~labels:[ ("k", "a\\b\"c\nd") ] "tm_x") 5;
   (* A raw newline surviving into the text would split the sample line. *)
   let samples =
     String.split_on_char '\n' (Metrics.to_prometheus reg)

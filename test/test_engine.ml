@@ -584,7 +584,7 @@ let test_uip_abort_history_independent () =
   let steps = ref 0 in
   let spec =
     match BA.spec with
-    | Spec.Packed (module S) ->
+    | Spec.Packed { m = (module S); _ } ->
         let module Counting = struct
           include S
 
@@ -1005,51 +1005,53 @@ let test_shard_databases_bounded_state () =
       done;
       Array.to_list (Array.map (fun sh -> Obj.reachable_words (Obj.repr (Shard.database sh))) (SD.shards sd)))
 
-(* What an object costs: a fresh locking account is its lock table, its
-   recovery manager and their closures, with no functor instance of its
-   own and no validation tables.  The marginal reachable words over 101
-   vs 1 objects cancel out what the objects share (the type, the conflict
-   relation): 239 words, 260 when the lock table was a hash table. *)
+(* What an object costs: a fresh locking account is its lock table and
+   its recovery manager, with no functor instance, no closure and no
+   per-transaction table of its own, and no validation tables.  The
+   marginal reachable words over 101 vs 1 objects cancel out what the
+   objects share (the type's module and generators, the conflict
+   relation): 41 words under UIP and 38 under DU, where a manager that
+   was a record of closures with its own hash table, beside a renamed
+   spec that copied the generators, cost 239 and 210.  The limits are
+   the measured values plus 10%. *)
+let account kind i =
+  let inverse = match kind with Recovery.UIP -> Some BA.inverse | Recovery.DU -> None in
+  Atomic_object.create ?inverse
+    ~spec:(Spec.rename BA.spec (Fmt.str "BA%d" i))
+    ~conflict:BA.nrbc_conflict ~recovery:kind ()
+
 let test_fresh_object_footprint () =
-  let accounts n =
-    List.init n (fun i ->
-        Atomic_object.create ~inverse:BA.inverse
-          ~spec:(Spec.rename BA.spec (Fmt.str "BA%d" i))
-          ~conflict:BA.nrbc_conflict ~recovery:Recovery.UIP ())
-  in
-  let words n = Obj.reachable_words (Obj.repr (accounts n)) in
-  let per_object = (words 101 - words 1) / 100 in
-  Helpers.check_bool (Fmt.str "a fresh account costs %d words (at most 250)" per_object) true
-    (per_object <= 250)
+  List.iter
+    (fun (kind, limit) ->
+      let words n = Obj.reachable_words (Obj.repr (List.init n (account kind))) in
+      let per_object = (words 101 - words 1) / 100 in
+      if per_object > limit then
+        Alcotest.failf "%a: a fresh account costs %d words (at most %d)" Recovery.pp_kind kind
+          per_object limit)
+    [ (Recovery.UIP, 45); (Recovery.DU, 41) ]
 
 (* What an attached object costs: an account in a [Database], after one
    committed deposit, is the fresh account plus its share of the
    database (registry series, a finished tid's bit) and the handle it
-   resolved.  Handles live in fields that replace the old attachment, so
-   the marginal words must not exceed what they were when every event
-   searched the registry instead (312 then), and the lock table's list
-   of holders costs less than the hash table it replaced (309 then, 288
-   with a status entry per finished tid, 284 now). *)
+   resolved: 90 words under UIP and 87 under DU (284 and 255 with the
+   closure-record manager), limits +10%. *)
 let test_attached_object_footprint () =
-  let words n =
-    let db =
-      Database.create
-        (List.init n (fun i ->
-             Atomic_object.create ~inverse:BA.inverse
-               ~spec:(Spec.rename BA.spec (Fmt.str "BA%d" i))
-               ~conflict:BA.nrbc_conflict ~recovery:Recovery.UIP ()))
-    in
-    for i = 0 to n - 1 do
-      let a = Database.begin_txn db in
-      ignore (Database.invoke db a ~obj:(Fmt.str "BA%d" i) (deposit_inv 1));
-      Database.commit db a
-    done;
-    Obj.reachable_words (Obj.repr db)
-  in
-  let per_object = (words 101 - words 1) / 100 in
-  Helpers.check_bool
-    (Fmt.str "an attached account costs %d words (at most 300)" per_object)
-    true (per_object <= 300)
+  List.iter
+    (fun (kind, limit) ->
+      let words n =
+        let db = Database.create (List.init n (account kind)) in
+        for i = 0 to n - 1 do
+          let a = Database.begin_txn db in
+          ignore (Database.invoke db a ~obj:(Fmt.str "BA%d" i) (deposit_inv 1));
+          Database.commit db a
+        done;
+        Obj.reachable_words (Obj.repr db)
+      in
+      let per_object = (words 101 - words 1) / 100 in
+      if per_object > limit then
+        Alcotest.failf "%a: an attached account costs %d words (at most %d)" Recovery.pp_kind
+          kind per_object limit)
+    [ (Recovery.UIP, 99); (Recovery.DU, 95) ]
 
 (* Validation is the same loop on both commit paths: a durable optimistic
    transaction that fails validation at two objects gets the same

@@ -102,17 +102,51 @@ let test_quantile_monotone_in_q () =
 (* ------------------------------------------------------------------ *)
 (* Registry semantics: idempotent handles, labels, merging.            *)
 
+(* The instruments on the commit path allocate nothing: a counter
+   addition (an optional [~by] built [Some n], 2 words) and an integer
+   observation (a boxed float, a closure for the bucket search and a
+   boxed sum cost 10 words each). *)
+let test_instrument_allocation () =
+  let reg = Metrics.create () in
+  let c = Metrics.counter reg "c" and h = Metrics.histogram reg "h" in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let n = Sys.opaque_identity 7 in
+  let added = words (fun () -> Metrics.Counter.add c n) in
+  let observed =
+    words (fun () ->
+        Metrics.Histogram.observe_int h n;
+        Metrics.Histogram.observe_int h 6000)
+  in
+  if added > 0. then Alcotest.failf "Counter.add allocated %.0f words (max 0)" added;
+  if observed > 0. then Alcotest.failf "two observe_int calls allocated %.0f words (max 0)" observed;
+  Helpers.check_int "added" 7 (Metrics.Counter.get c);
+  Helpers.check_int "observed" 2 (Metrics.Histogram.count h);
+  check_float "sum" 6007. (Metrics.Histogram.sum h);
+  Alcotest.(check string) "exported as by observe"
+    (let g = Metrics.create () in
+     let h = Metrics.histogram g "h" in
+     List.iter (Metrics.Histogram.observe h) [ 7.; 6000. ];
+     Metrics.to_prometheus g)
+    (let g = Metrics.create () in
+     let h = Metrics.histogram g "h" in
+     List.iter (Metrics.Histogram.observe_int h) [ 7; 6000 ];
+     Metrics.to_prometheus g)
+
 let test_counter_idempotent_and_labels () =
   let reg = Metrics.create () in
   let c1 = Metrics.counter reg ~labels:[ ("a", "1"); ("b", "2") ] "c" in
   (* same series under reordered labels *)
   let c2 = Metrics.counter reg ~labels:[ ("b", "2"); ("a", "1") ] "c" in
   Metrics.Counter.incr c1;
-  Metrics.Counter.incr ~by:2 c2;
+  Metrics.Counter.add c2 2;
   Helpers.check_int "one series" 3
     (Metrics.counter_value reg ~labels:[ ("a", "1"); ("b", "2") ] "c");
   Helpers.check_int "absent reads 0" 0 (Metrics.counter_value reg "absent");
-  Metrics.Counter.incr ~by:10 (Metrics.counter reg ~labels:[ ("a", "other") ] "c");
+  Metrics.Counter.add (Metrics.counter reg ~labels:[ ("a", "other") ] "c") 10;
   Helpers.check_int "family total" 13 (Metrics.counter_total reg "c")
 
 let test_type_clash () =
@@ -124,13 +158,12 @@ let test_type_clash () =
 
 let test_merge () =
   let src = Metrics.create () in
-  Metrics.Counter.incr ~by:3 (Metrics.counter src ~labels:[ ("k", "v") ] "c");
+  Metrics.Counter.add (Metrics.counter src ~labels:[ ("k", "v") ] "c") 3;
   Metrics.Gauge.set (Metrics.gauge src "g") 7.;
   let hs = Metrics.histogram src ~buckets:[| 1.; 2. |] "h" in
   Metrics.Histogram.observe hs 1.5;
   let dst = Metrics.create () in
-  Metrics.Counter.incr ~by:2
-    (Metrics.counter dst ~labels:[ ("k", "v"); ("run", "a") ] "c");
+  Metrics.Counter.add (Metrics.counter dst ~labels:[ ("k", "v"); ("run", "a") ] "c") 2;
   Metrics.merge ~extra_labels:[ ("run", "a") ] dst src;
   Helpers.check_int "counters accumulate" 5
     (Metrics.counter_value dst ~labels:[ ("k", "v"); ("run", "a") ] "c");
@@ -154,7 +187,7 @@ let test_merge_bucket_mismatch () =
 
 let test_prometheus_export () =
   let reg = Metrics.create () in
-  Metrics.Counter.incr ~by:4 (Metrics.counter reg ~labels:[ ("obj", "BA") ] "tm_c");
+  Metrics.Counter.add (Metrics.counter reg ~labels:[ ("obj", "BA") ] "tm_c") 4;
   let h = Metrics.histogram reg ~buckets:[| 1.; 2. |] "tm_h" in
   Metrics.Histogram.observe h 1.5;
   let out = Metrics.to_prometheus reg in
@@ -496,6 +529,7 @@ let suite =
     Alcotest.test_case "catalog markdown complete" `Quick
       test_catalog_markdown_mentions_everything;
     Alcotest.test_case "labeled counters" `Quick test_counter_idempotent_and_labels;
+    Alcotest.test_case "instrument allocation pin" `Quick test_instrument_allocation;
     Alcotest.test_case "type clash" `Quick test_type_clash;
     Alcotest.test_case "merge" `Quick test_merge;
     Alcotest.test_case "merge bucket mismatch" `Quick test_merge_bucket_mismatch;

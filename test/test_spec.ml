@@ -56,6 +56,49 @@ let test_rename () =
     (List.for_all (fun (o : Op.t) -> String.equal o.obj "BA7") (Spec.generators renamed));
   Helpers.check_bool "same language" true (Spec.legal renamed [ dep 5; wok 3 ])
 
+(* The bank account with 100 deposit generators instead of 10. *)
+let many_generators =
+  let module Many = struct
+    include Tm_adt.Bank_account.S
+
+    let generators =
+      List.init 100 (fun i -> Op.make ~obj:name ~args:[ Value.int (i + 1) ] "deposit" Value.ok)
+  end in
+  Spec.pack (module Many)
+
+(* A rename puts the name beside the type's module: its cost does not
+   grow with the generators, which it no longer copies (a rename that
+   re-tagged them allocated 92 words for the account's 10 and 722 for
+   100). *)
+let test_rename_constant_cost () =
+  let name = "BA7" in
+  let words spec =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Spec.rename spec name));
+    Gc.minor_words () -. before
+  in
+  let ten = words Helpers.BA.spec and hundred = words many_generators in
+  if ten <> hundred || ten > 3. then
+    Alcotest.failf "a rename allocated %.0f words over 10 generators, %.0f over 100 (max 3, equal)"
+      ten hundred
+
+(* [generators] re-tags what [rename] no longer copies, for every type,
+   a renamed rename and a type with many generators. *)
+let test_rename_retags_generators () =
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun renamed ->
+          Alcotest.(check string) "name" "X" (Spec.name renamed);
+          List.iter
+            (fun (o : Op.t) -> Alcotest.(check string) "generator tag" "X" o.obj)
+            (Spec.generators renamed);
+          Helpers.check_int "generator count"
+            (List.length (Spec.generators spec))
+            (List.length (Spec.generators renamed)))
+        [ Spec.rename spec "X"; Spec.rename (Spec.rename spec "Y") "X" ])
+    (many_generators :: List.map (fun (e : Tm_adt.Registry.entry) -> e.spec) Tm_adt.Registry.all)
+
 module E = Explore.Make (Tm_adt.Bank_account.S)
 
 let test_reachable () =
@@ -124,6 +167,8 @@ let suite =
     Alcotest.test_case "non-deterministic responses" `Quick test_nondeterministic_responses;
     Alcotest.test_case "partial operation" `Quick test_partial_operation;
     Alcotest.test_case "rename" `Quick test_rename;
+    Alcotest.test_case "rename allocation pin" `Quick test_rename_constant_cost;
+    Alcotest.test_case "renamed generators tagged" `Quick test_rename_retags_generators;
     Alcotest.test_case "reachable" `Quick test_reachable;
     Alcotest.test_case "reachable dedups" `Quick test_reachable_dedups_state_sets;
     Alcotest.test_case "containment positive" `Quick test_contained_positive;

@@ -15,7 +15,7 @@ type t = {
   committed_ops : unit -> Op.t list;
 }
 
-let create ?inverse (Spec.Packed (module S)) =
+let create ?inverse (Spec.Packed { m = (module S); _ }) =
   let module E = Explore.Make (S) in
   let current = ref E.initial_set in
   let log = ref [] (* newest first *) in
