@@ -4,8 +4,10 @@
    without running it: record-kind histogram with byte volumes, LSN
    range, checkpoint coverage (and the live-transaction set carried by
    each checkpoint), and the torn-tail / interior-corruption diagnosis
-   with byte offsets — the same resynchronisation scan Disk_wal.load
-   uses, so the verdict printed here is the verdict a restart gets.
+   with byte offsets.  The frames are walked by Disk_wal.load's own
+   walk (Wal.Codec.verify_frames, then decode_verified over the intact
+   prefix), not by a frame-at-a-time decode_frame loop, so the verdict
+   printed here is the verdict a restart gets.
 
    --verify goes one step further: it loads the log through
    Disk_wal.load, which verifies every frame and folds the records from

@@ -22,7 +22,9 @@ val spec : Spec.t
 (** [spec_with_initial b] is the same type with opening balance [b]
     (workloads that must exercise successful withdrawals pre-fund the
     account).  The commutativity relations are initial-state-independent:
-    they quantify over reachable contexts. *)
+    they quantify over reachable contexts.  Calls with the balance of the
+    previous call return the same spec, so accounts opened at one balance
+    share it. *)
 val spec_with_initial : int -> Spec.t
 
 (** {1 Operation constructors} *)

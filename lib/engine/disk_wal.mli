@@ -73,7 +73,7 @@ val create : ?shard:int -> Storage.t -> t
     frames before it are taken in by {!Wal.restore_superseded}, counted
     toward the log's length, LSNs and tid high-water mark but neither
     decoded nor stepped.  The loaded log holds the replay state
-    {!Durable_database.recover} reads and no records, the same state a
+    {!Shard.recover} reads and no records, the same state a
     decode of every frame would give.  A torn or corrupt tail is
     truncated (crash loss; recovery proceeds); interior corruption is
     returned as [Error] with its byte offset — never skipped — wherever

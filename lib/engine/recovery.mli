@@ -84,7 +84,7 @@ val abort : t -> Tid.t -> unit
 (** A recovery-path failure: replaying a log into a manager that is not
     fresh, or a replayed sequence that is not legal for the object's
     specification.  Typed (rather than [Invalid_argument]) so recovery
-    callers — the crash harness, {!Durable_database.recover} — can
+    callers — the crash harness, {!Shard.recover} — can
     report the violation with its object instead of catching generic
     exceptions. *)
 type error = {

@@ -78,13 +78,8 @@ let create ?first_tid ~wals objs =
   let n = Array.length wals in
   check_shard_count n;
   let parts = partition_objects ~shards:n objs in
-  let shards =
-    Array.init n (fun i ->
-        Shard.create ~index:i ~wal:wals.(i) parts.(i))
-  in
-  make ?first_tid shards
+  make ?first_tid (Array.init n (fun i -> Shard.create ~wal:wals.(i) parts.(i)))
 
-let shard_count t = Array.length t.shards
 let shards t = t.shards
 
 let shard_of_object t name =
@@ -145,9 +140,9 @@ let invoke ?choose t tid ~obj inv =
   let touched = insert s txn.touched in
   let first = touched != txn.touched in
   txn.touched <- touched;
-  Shard.invoke ?choose t.shards.(s) ~first tid ~obj inv
+  Shard.locked_invoke ?choose t.shards.(s) ~first tid ~obj inv
 
-let validate_shard db tid = Database.validate (Durable_database.database db) tid
+let validate_shard sh tid = Database.validate (Shard.database sh) tid
 
 let rec validate_at t tid = function
   | [] -> Ok ()
@@ -185,7 +180,7 @@ let close_committed t txn =
 let rec abort_all t tid = function
   | [] -> ()
   | s :: rest ->
-      Shard.locked t.shards.(s) Durable_database.abort tid;
+      Shard.locked t.shards.(s) Shard.abort tid;
       abort_all t tid rest
 
 (* Cross-shard commit: prepare every participant in ascending shard
@@ -200,7 +195,7 @@ exception Voted_no of int * (string * Op.t * Op.t)
 let rec prepare t tid ~gtid = function
   | [] -> []
   | s :: rest -> (
-      match Shard.locked t.shards.(s) Durable_database.prepare tid with
+      match Shard.locked t.shards.(s) Shard.prepare tid with
       | Error e -> raise_notrace (Voted_no (s, e))
       | Ok lsn ->
           Metrics.Counter.incr t.c_prepares;
@@ -216,7 +211,7 @@ let rec roll_back t tid ~gtid no = function
   | s :: rest when s = no -> rest
   | s :: rest ->
       let unreached = roll_back t tid ~gtid no rest in
-      Shard.locked t.shards.(s) Durable_database.abort tid;
+      Shard.locked t.shards.(s) Shard.abort tid;
       if tracing t s then emit_2pc t s ~tid (Trace.Completion { shard = s; gtid; commit = false });
       unreached
 
@@ -233,7 +228,7 @@ let rec force_votes t tid ~gtid parts lsns =
 let rec complete t tid ~gtid = function
   | [] -> ()
   | s :: rest ->
-      ignore (Shard.locked t.shards.(s) Durable_database.commit_prepared tid);
+      ignore (Shard.locked t.shards.(s) Shard.commit_prepared tid);
       if tracing t s then emit_2pc t s ~tid (Trace.Completion { shard = s; gtid; commit = true });
       complete t tid ~gtid rest
 
@@ -251,7 +246,7 @@ let commit_cross t tid ~gtid parts =
          transaction's footprint at recovery (not that presumed abort
          ever needs to ask it anything). *)
       let coord = List.hd parts in
-      let dlsn = Shard.locked t.shards.(coord) Durable_database.decide tid in
+      let dlsn = Shard.locked t.shards.(coord) Shard.decide tid in
       Wal.force_upto (Shard.wal t.shards.(coord)) dlsn;
       if tracing t coord then
         emit_2pc t coord ~tid
@@ -275,7 +270,7 @@ let try_commit_nowait t tid =
            stage 1 under the shard mutex; the durability park
            ({!wait_durable}) comes outside it, so the group-commit
            combiner can batch neighbours. *)
-        match Shard.locked t.shards.(s) Durable_database.try_commit_nowait tid with
+        match Shard.locked t.shards.(s) Shard.try_commit_nowait tid with
         | Error _ as e -> e
         | Ok lsn ->
             txn.mark <- lsn;
@@ -291,7 +286,7 @@ let try_commit_nowait t tid =
 let wait_durable t p =
   match p.touched with
   | s :: _ when not (is_cross p) ->
-      Durable_database.wait_durable (Shard.db t.shards.(s)) p.tid p.mark
+      Shard.wait_durable t.shards.(s) p.tid p.mark
   | _ -> () (* touched nothing, or a cross-shard commit forced its decision *)
 
 let try_commit t tid =
@@ -301,10 +296,10 @@ let try_commit t tid =
       wait_durable t pending;
       Ok ()
 
-let add_waits db g =
+let add_waits sh g =
   List.iter
     (fun (tid, on) -> Deadlock.set_waiting g tid ~on:(on @ Deadlock.waiting g tid))
-    (Database.waits_for (Durable_database.database db))
+    (Database.waits_for (Shard.database sh))
 
 (* Dynamic atomicity is local (Theorem 2): each shard's lock tables
    and history stand alone.  A waits-for cycle is not local — it may
@@ -317,7 +312,7 @@ let deadlock t =
 
 let abort t tid = abort_all t tid (locked t retire tid).touched
 
-let flush t = Array.iter (fun sh -> Durable_database.flush (Shard.db sh)) t.shards
+let flush t = Array.iter Shard.flush t.shards
 
 let checkpoint t =
   Mutex.protect t.lock (fun () ->
@@ -329,7 +324,7 @@ let checkpoint t =
            otherwise re-derive it. *)
         Array.iter (fun sh -> Wal.force (Shard.wal sh)) t.shards;
         Array.iter
-          (fun sh -> Shard.locked sh (fun db () -> Durable_database.checkpoint db) ())
+          (fun sh -> Shard.locked sh (fun sh () -> Shard.checkpoint sh) ())
           t.shards;
         true
       end)
@@ -339,11 +334,9 @@ let committed_count t = Mutex.protect t.lock (fun () -> t.committed)
 let metrics t =
   let out = Metrics.create () in
   Metrics.merge out t.reg;
-  Array.iter
-    (fun sh ->
-      Metrics.merge
-        ~extra_labels:[ ("shard", string_of_int (Shard.index sh)) ]
-        out (Shard.metrics sh))
+  Array.iteri
+    (fun i sh ->
+      Metrics.merge ~extra_labels:[ ("shard", string_of_int i) ] out (Shard.metrics sh))
     t.shards;
   out
 
@@ -375,9 +368,7 @@ let recover ?audit ~wals ~rebuild () =
     if s = n then Ok (List.rev acc)
     else
       match
-        Durable_database.recover ~wal:wals.(s)
-          ~rebuild:(fun () -> parts.(s))
-          ()
+        Shard.recover ~wal:wals.(s) ~rebuild:(fun () -> parts.(s)) ()
       with
       | Error _ as e -> e
       | Ok shard_result -> go (s + 1) (shard_result :: acc)
@@ -385,10 +376,7 @@ let recover ?audit ~wals ~rebuild () =
   match go 0 [] with
   | Error e -> Error e
   | Ok results ->
-      let shards =
-        Array.of_list
-          (List.mapi (fun i (db, _) -> Shard.of_db ~index:i ~wal:wals.(i) db) results)
-      in
+      let shards = Array.of_list (List.map fst results) in
       (* The global allocator restarts above every shard's high-water
          mark — ids are allocated globally, so the max is the mark. *)
       let first_tid =

@@ -7,11 +7,11 @@
     and its own group-commit flusher.  A router hashes object name to
     home shard ({!Wal.partition_of_object}, a stable hash of the name),
     so a transaction that touches one shard commits through the
-    existing fast path — {!Durable_database.try_commit_nowait} under
+    existing fast path — {!Shard.try_commit_nowait} under
     that shard's mutex, the durability wait outside it — with {e zero}
     cross-shard synchronisation beyond a brief global-table touch.
     Neither that touch nor the shard's locked calls ({!Shard.locked},
-    {!Shard.invoke}) build a closure.
+    {!Shard.locked_invoke}) build a closure.
 
     {2 Cross-shard commit: presumed-abort 2PC}
 
@@ -21,20 +21,20 @@
 
     + {b Prepare} — every participant, in ascending shard order,
       validates and logs a [Prepare] record
-      ({!Durable_database.prepare}); each prepare LSN is forced before
+      ({!Shard.prepare}); each prepare LSN is forced before
       the protocol proceeds.  A forced [Prepare] is the shard's durable
       yes vote: all the transaction's operations on that shard precede
       it in the log, so the shard can install the transaction after a
       crash once the decision is known.  Any validation failure aborts
       the transaction everywhere — already-prepared shards and the
-      rest alike via {!Durable_database.abort} — and {e no} decision
+      rest alike via {!Shard.abort} — and {e no} decision
       record is written (presumed abort makes the no-vote free).
     + {b Decide} — the coordinator (the lowest participant shard index)
       appends [Decision { commit = true }] to {e its own} WAL and
       forces it.  That single forced append is the global commit point:
       the transaction is committed iff it survives.
     + {b Complete} — each participant logs its local [Commit] and
-      applies ({!Durable_database.commit_prepared}),
+      applies ({!Shard.commit_prepared}),
       {e without} forcing: if a crash loses a completion record, the
       shard recovers the transaction as in-doubt and re-resolves it
       from the surviving decision evidence.
@@ -46,7 +46,7 @@
     shard's log (commit iff decision evidence survives anywhere;
     otherwise presumed abort) and forces it — completing the
     interrupted protocol {e in the log}, so the subsequent per-shard
-    {!Durable_database.recover} needs no 2PC awareness at all, and a
+    {!Shard.recover} needs no 2PC awareness at all, and a
     second crash during recovery re-resolves to the same outcomes.
 
     {2 Waiting and deadlock}
@@ -78,10 +78,8 @@ type t
     frame header). *)
 val create : ?first_tid:int -> wals:Wal.t array -> Atomic_object.t list -> t
 
-val shard_count : t -> int
-
 (** The home shard of an object name:
-    [Wal.partition_of_object ~workers:(shard_count t) name]. *)
+    [Wal.partition_of_object ~workers:n name] over the [n] shards. *)
 val shard_of_object : t -> string -> int
 
 (** The shards themselves, indexed by shard id — for tests, torture
@@ -113,7 +111,7 @@ val validate : t -> Tid.t -> (unit, string * Op.t * Op.t) result
 
 (** {2 The staged commit}
 
-    As in {!Durable_database}, commit has two stages, and the caller
+    As in {!Shard}, commit has two stages, and the caller
     may acknowledge it only after both. *)
 
 (** A commit that is applied but may not be durable yet. *)
@@ -131,7 +129,7 @@ val try_commit_nowait : t -> Tid.t -> (pending, string * Op.t * Op.t) result
 
 (** Stage 2: wait until the commit is durable — for a single-shard
     commit, the shard WAL's flushed watermark covers its commit record
-    ({!Durable_database.wait_durable}); a cross-shard commit was durable
+    ({!Shard.wait_durable}); a cross-shard commit was durable
     when its decision was forced.  Call without holding any lock that
     other transactions need. *)
 val wait_durable : t -> pending -> unit
@@ -189,7 +187,7 @@ val metrics : t -> Tm_obs.Metrics.t
 
 (** [recover ~wals ~rebuild ()] — crash recovery across all shards:
     resolve in-doubt transactions (see above), then run
-    {!Durable_database.recover} on each shard in turn, [rebuild]'s
+    {!Shard.recover} on each shard in turn, [rebuild]'s
     objects routed to shards exactly as {!create} routes them.  The
     global allocator restarts above every shard's tid high-water mark.
     Returns the engine and the union of the shards' loser sets (a

@@ -1040,19 +1040,12 @@ module Codec = struct
     | None -> Fmt.pf ppf "byte %d: %s" c.offset c.reason
     | Some v -> Fmt.pf ppf "byte %d (v%d frame): %s" c.offset v c.reason
 
-  type header = {
-    h_version : int;
-    h_shard : int;  (* 0 for v1 frames *)
-    h_payload_len : int;
-    h_size : int;  (* header bytes before the payload *)
-  }
-
   (* The one header parse — the single version-negotiation point every
      reader (decode, resync scan, journal search, forensics) dispatches
      through.  [check_header s pos] validates the frame header at [pos]
      and returns its payload length, or one of the negative codes below.
      It pays no CRC and allocates nothing, so the decoders build no
-     [result] or [header] per frame. *)
+     [result] per frame. *)
   let short_header = -1
   let bad_magic = -2
   let foreign_version = -3
@@ -1093,19 +1086,6 @@ module Codec = struct
 
   let frame_error s pos reason =
     { offset = pos; version = Some (Char.code s.[pos + 2]); reason }
-
-  let read_header s pos =
-    let n = check_header s pos in
-    if n < 0 then Error (header_error s pos n)
-    else
-      let v = Char.code s.[pos + 2] in
-      Ok
-        {
-          h_version = v;
-          h_shard = (if v = v1 then 0 else String.get_uint16_le s (pos + 3));
-          h_payload_len = n;
-          h_size = header_size v;
-        }
 
   (* Check the frame at [pos] of [r.src], whose header [check_header]
      accepted with payload length [n], in place: its CRC over the source

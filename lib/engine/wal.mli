@@ -3,7 +3,7 @@
     The paper restricts itself to recovery from transaction aborts and
     notes that "crash recovery mechanisms are frequently similar to abort
     recovery mechanisms" (Section 1), leaving their analysis as future
-    work.  This module and {!Durable_database} implement that extension
+    work.  This module and {!Shard} implement that extension
     for the engine: a logical redo log of operations, with commit records
     forced before a commit is acknowledged, and fuzzy checkpoints.
 
@@ -162,7 +162,7 @@ val force : t -> unit
 (** [attach_metrics t reg] counts appends per record kind as
     [tm_wal_appends_total{kind}] and counts records dropped by
     {!truncate_to_checkpoint} as [tm_wal_truncated_records_total].
-    {!Durable_database.create} attaches its database registry
+    {!Shard.create} attaches its database registry
     automatically; a log rebuilt by {!prefix} keeps the attachment.
     Per-append and per-force series are looked up in [reg] once, on
     their first event, and bumped through the cached handle after
@@ -237,7 +237,7 @@ val truncate_to_checkpoint : t -> int
 
 (** [in_flight t tid] — does the log hold records of [tid] ([Begin],
     [Operation] or [Prepare]) and no [Commit] or [Abort] for it?  What
-    {!Durable_database} asks before logging a transaction's [Begin] or
+    {!Shard} asks before logging a transaction's [Begin] or
     [Abort]. *)
 val in_flight : t -> Tid.t -> bool
 
@@ -272,7 +272,7 @@ val max_tid : record list -> Tid.t option
     {!replay}, checkpoint seeding included, with the committed
     operations grouped by object instead of forming one global list, so
     each rebuilt object is restored with one lookup.
-    {!Durable_database.recover} reads it from the log's state
+    {!Shard.recover} reads it from the log's state
     ({!plan_of}).  The independent
     reference the crash checks compare every view against is the
     pre-fold implementation kept in [test/wal_replay_reference.ml]. *)
@@ -445,15 +445,6 @@ module Codec : sig
 
   val pp_corruption : Format.formatter -> corruption -> unit
 
-  (** A parsed, validated frame header — the per-frame version
-      negotiation point every reader dispatches through. *)
-  type header = {
-    h_version : int;
-    h_shard : int;  (** 0 for v1 frames *)
-    h_payload_len : int;
-    h_size : int;  (** header bytes before the payload *)
-  }
-
   (** [check_header s pos] is the one header parse: it validates the
       frame header at [pos] (magic, supported version, plausible payload
       length — no CRC) and returns the payload length, or a negative
@@ -461,16 +452,10 @@ module Codec : sig
       {!Disk_wal}'s journal search calls it on every magic byte. *)
   val check_header : string -> int -> int
 
-  (** [read_header s pos] is {!check_header} with the parsed header, or
-      the corruption that makes it unreadable, as a [result].  Exposed
-      for scanners that walk frames by extent ({!Wal_inspect}'s
-      histograms, {!Disk_wal}'s mixed-version offset walk). *)
-  val read_header : string -> int -> (header, corruption) result
-
   (** [decode_frame s pos] decodes the single frame starting at byte
       [pos]: [Ok (record, next_pos)] or the corruption that makes it
-      unreadable.  The forensic walker ({!Wal_inspect}) uses this to
-      attribute each record to its byte extent.  The frame is checked
+      unreadable.  {!Disk_wal}'s journal search decodes a candidate
+      intent frame with it.  The frame is checked
       and read in place: no payload copy, and a payload-length field
       that lies cannot pull a byte of a neighbouring frame into the
       record. *)

@@ -149,7 +149,7 @@ let to_markdown () =
   pf "## Version negotiation\n\n";
   pf
     "- Every reader dispatches per frame on the version byte \
-     (`Wal.Codec.read_header`); a log may freely mix v1 and v2 frames \
+     (`Wal.Codec.check_header`); a log may freely mix v1 and v2 frames \
      (v1 frames persisted by an older binary, v2 appends after them) \
      and replays to exactly the state the same records always replayed \
      to.\n";

@@ -1,10 +1,10 @@
 (* Forensic log inspection: everything that can be said about an
-   on-disk log's bytes WITHOUT replaying them.  The walker decodes frame
-   by frame ({!Wal.Codec.decode_frame}) so each record is attributed to
-   its byte extent, and classifies damage exactly as recovery would —
-   torn tail (dropped as crash loss) vs interior corruption (refused) —
-   using the same resynchronisation scan, so what walinspect prints is
-   what a restart will do. *)
+   on-disk log's bytes WITHOUT replaying them.  The walk is the
+   loader's own ({!Disk_wal.load}): {!Wal.Codec.verify_frames} gives
+   the damage verdict — torn tail (dropped as crash loss) vs interior
+   corruption (refused) — and {!Wal.Codec.decode_verified} the records
+   of the intact prefix, each at its byte offset, so what walinspect
+   prints is what a restart will do. *)
 
 open Tm_core
 module Json = Tm_obs.Json
@@ -54,41 +54,48 @@ let kinds =
     "decision";
   ]
 
-let inspect bytes =
-  let len = String.length bytes in
-  (* Walk the frames, keeping each record's offset and size. *)
-  let rec walk acc pos =
-    if pos >= len then (List.rev acc, pos, Clean)
-    else
-      match Wal.Codec.decode_frame bytes pos with
-      | Ok (r, next) -> walk ((r, pos, next - pos) :: acc) next
-      | Error c ->
-          if Wal.Codec.valid_frame_after bytes (pos + 1) then
-            (List.rev acc, pos, Interior c)
-          else (List.rev acc, pos, Torn_tail c)
+(* One intact frame: its record, byte extent and header fields. *)
+type frame = {
+  record : Wal.record;
+  offset : int;
+  size : int;  (* frame bytes incl. header *)
+  version : int;
+  shard : int;  (* 0 for v1 frames *)
+}
+
+(* The frames of the intact prefix in log order, its length and the
+   damage verdict, walked as {!Disk_wal.load} walks them.  A frame's
+   version is its header's third byte and a v2 frame's shard the u16
+   after it (docs/WAL_FORMAT.md). *)
+let walk bytes =
+  let clean_bytes, damage =
+    match Wal.Codec.verify_frames (fun _ _ _ -> ()) bytes with
+    | Ok (n, None) -> (n, Clean)
+    | Ok (n, Some c) -> (n, Torn_tail c)
+    | Error c -> (c.Wal.Codec.offset, Interior c)
   in
-  let framed, clean_bytes, damage = walk [] 0 in
-  (* Per-frame format-version histogram: each decoded frame's header is
-     re-read (cheap, no CRC) so mixed-version logs — v1 frames persisted
-     by an older binary with v2 appends after them — are visible. *)
-  let by_version, by_shard =
-    let vt = Hashtbl.create 4 in
-    let st = Hashtbl.create 4 in
-    let bump tbl k =
-      Hashtbl.replace tbl k (1 + Option.value (Hashtbl.find_opt tbl k) ~default:0)
-    in
-    List.iter
-      (fun (_, pos, _) ->
-        match Wal.Codec.read_header bytes pos with
-        | Ok h ->
-            bump vt h.Wal.Codec.h_version;
-            bump st h.Wal.Codec.h_shard
-        | Error _ -> ())
-      framed;
-    let sorted tbl =
-      List.sort compare (Hashtbl.fold (fun v n acc -> (v, n) :: acc) tbl [])
-    in
-    (sorted vt, sorted st)
+  let rev = ref [] in
+  Wal.Codec.decode_verified (fun pos r -> rev := (pos, r) :: !rev) bytes ~from:0 ~upto:clean_bytes;
+  let frames, _ =
+    List.fold_left
+      (fun (acc, next) (offset, record) ->
+        let version = Char.code bytes.[offset + 2] in
+        let shard = if version = Wal.Codec.v1 then 0 else String.get_uint16_le bytes (offset + 3) in
+        ({ record; offset; size = next - offset; version; shard } :: acc, offset))
+      ([], clean_bytes) !rev
+  in
+  (frames, clean_bytes, damage)
+
+let inspect bytes =
+  let framed, clean_bytes, damage = walk bytes in
+  (* Per-frame histograms (key, frame count), ascending: format
+     versions, so mixed-version logs — v1 frames persisted by an older
+     binary with v2 appends after them — are visible, and shards. *)
+  let histogram key =
+    let tbl = Hashtbl.create 4 in
+    let bump k = Hashtbl.replace tbl k (1 + Option.value (Hashtbl.find_opt tbl k) ~default:0) in
+    List.iter (fun f -> bump (key f)) framed;
+    List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [])
   in
   (* A frame whose header is intact up to a version byte this binary
      does not support: report exactly where and what, instead of a bare
@@ -102,30 +109,19 @@ let inspect bytes =
             Some (c.Wal.Codec.offset, v)
         | _ -> None)
   in
-  let stat = Hashtbl.create 8 in
-  List.iter
-    (fun (r, _, size) ->
-      let k = Wal.record_kind r in
-      let s =
-        Option.value (Hashtbl.find_opt stat k) ~default:{ count = 0; bytes = 0 }
-      in
-      Hashtbl.replace stat k { count = s.count + 1; bytes = s.bytes + size })
-    framed;
   let by_kind =
-    List.map
-      (fun k ->
-        ( k,
-          Option.value (Hashtbl.find_opt stat k)
-            ~default:{ count = 0; bytes = 0 } ))
-      kinds
+    let stat k s f =
+      if Wal.record_kind f.record = k then { count = s.count + 1; bytes = s.bytes + f.size } else s
+    in
+    List.map (fun k -> (k, List.fold_left (stat k) { count = 0; bytes = 0 } framed)) kinds
   in
   let seen = Hashtbl.create 16 in
   let committed = Hashtbl.create 16 in
   let aborted = Hashtbl.create 16 in
   let note_tid tid = Hashtbl.replace seen tid () in
   List.iter
-    (fun (r, _, _) ->
-      match r with
+    (fun f ->
+      match f.record with
       | Wal.Begin tid -> note_tid tid
       | Wal.Operation (tid, _) -> note_tid tid
       | Wal.Commit tid ->
@@ -140,14 +136,14 @@ let inspect bytes =
       | Wal.Decision { tid; _ } -> note_tid tid)
     framed;
   let checkpoints =
-    List.mapi (fun i (r, off, _) -> (i + 1, r, off)) framed
-    |> List.filter_map (fun (lsn, r, off) ->
-           match r with
+    List.mapi (fun i f -> (i + 1, f)) framed
+    |> List.filter_map (fun (lsn, f) ->
+           match f.record with
            | Wal.Checkpoint cp ->
                Some
                  {
                    cp_lsn = lsn;
-                   cp_offset = off;
+                   cp_offset = f.offset;
                    cp_committed_ops = List.length cp.Wal.committed;
                    cp_live =
                      List.map
@@ -164,38 +160,29 @@ let inspect bytes =
     | last :: _ -> records - last.cp_lsn
   in
   {
-    total_bytes = len;
+    total_bytes = String.length bytes;
     clean_bytes;
     records;
     by_kind;
-    by_version;
-    by_shard;
+    by_version = histogram (fun f -> f.version);
+    by_shard = histogram (fun f -> f.shard);
     foreign_version;
     lsn_range = (if records = 0 then None else Some (1, records));
     tids_seen = Hashtbl.length seen;
     committed_txns = Hashtbl.length committed;
     aborted_txns = Hashtbl.length aborted;
-    max_tid = Wal.max_tid (List.map (fun (r, _, _) -> r) framed);
+    max_tid = Wal.max_tid (List.map (fun f -> f.record) framed);
     checkpoints;
     records_after_last_checkpoint;
     damage;
   }
 
 let select_shard bytes shard =
-  let len = String.length bytes in
-  let buf = Buffer.create len in
-  let rec walk pos =
-    if pos < len then
-      match Wal.Codec.decode_frame bytes pos with
-      | Ok (_, next) ->
-          (match Wal.Codec.read_header bytes pos with
-          | Ok h when h.Wal.Codec.h_shard = shard ->
-              Buffer.add_string buf (String.sub bytes pos (next - pos))
-          | _ -> ());
-          walk next
-      | Error _ -> ()
-  in
-  walk 0;
+  let framed, _, _ = walk bytes in
+  let buf = Buffer.create (String.length bytes) in
+  List.iter
+    (fun f -> if f.shard = shard then Buffer.add_substring buf bytes f.offset f.size)
+    framed;
   Buffer.contents buf
 
 let damage_kind = function
@@ -222,24 +209,9 @@ type tp_shard = {
 }
 
 let two_phase bytes =
-  let len = String.length bytes in
-  (* (record, offset, shard) in log order; damaged tails dropped, as
-     recovery would. *)
-  let rec walk acc pos =
-    if pos >= len then List.rev acc
-    else
-      match Wal.Codec.decode_frame bytes pos with
-      | Ok (r, next) ->
-          let shard =
-            match Wal.Codec.read_header bytes pos with
-            | Ok h -> h.Wal.Codec.h_shard
-            | Error _ -> 0
-          in
-          walk ((r, pos, shard) :: acc) next
-      | Error _ -> List.rev acc
-  in
-  let framed = walk [] 0 in
-  let max_shard = List.fold_left (fun m (_, _, s) -> max m s) 0 framed in
+  (* Damaged tails dropped, as recovery would. *)
+  let framed, _, _ = walk bytes in
+  let max_shard = List.fold_left (fun m f -> max m f.shard) 0 framed in
   let n = max_shard + 1 in
   let logs = Array.make n [] in
   let present = Array.make n false in
@@ -247,7 +219,7 @@ let two_phase bytes =
      reports for an in-doubt vote. *)
   let prep_offset : (int * Tid.t, int) Hashtbl.t = Hashtbl.create 16 in
   List.iter
-    (fun (r, off, s) ->
+    (fun { record = r; offset = off; shard = s; _ } ->
       present.(s) <- true;
       logs.(s) <- r :: logs.(s);
       match r with

@@ -1,11 +1,12 @@
 (** Forensic inspection of an on-disk log's bytes — without replay.
 
-    The walker decodes frame by frame with {!Wal.Codec.decode_frame}, so
-    every record is attributed to a byte extent, and classifies damage
-    with the same resynchronisation scan recovery uses: a failing frame
-    with {e no} intact frame after it is a {!Torn_tail} (a restart drops
-    it as crash loss), a failing frame {e followed} by an intact one is
-    {!Interior} corruption (a restart refuses the log).  What this module
+    The walk is the loader's own ({!Disk_wal.load}), not a second frame
+    walker: {!Wal.Codec.verify_frames} classifies damage — a failing
+    frame with {e no} intact frame after it is a {!Torn_tail} (a restart
+    drops it as crash loss), a failing frame {e followed} by an intact
+    one is {!Interior} corruption (a restart refuses the log) — and
+    {!Wal.Codec.decode_verified} reads the intact prefix, each record at
+    its frame's byte offset.  What this module
     reports is therefore exactly what {!Disk_wal.load} will do, plus the
     record-kind histogram, bytes by kind, LSN range, checkpoint coverage
     and the live-transaction set at each checkpoint.

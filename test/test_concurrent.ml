@@ -97,10 +97,10 @@ let test_locks_released_on_raise () =
   | () -> Alcotest.fail "Shard.locked swallowed the exception"
   | exception Exit -> ());
   shard_free "after Shard.locked raised";
-  (match Tm_engine.Shard.invoke sh ~first:true (Tid.of_int 998) ~obj:"nowhere" balance with
-  | _ -> Alcotest.fail "Shard.invoke accepted an unknown object"
+  (match Tm_engine.Shard.locked_invoke sh ~first:true (Tid.of_int 998) ~obj:"nowhere" balance with
+  | _ -> Alcotest.fail "Shard.locked_invoke accepted an unknown object"
   | exception Invalid_argument _ -> ());
-  shard_free "after Shard.invoke raised";
+  shard_free "after Shard.locked_invoke raised";
   (* An unknown transaction raises under the global mutex. *)
   (match SD.invoke sdb (Tid.of_int 999) ~obj:"BA" balance with
   | _ -> Alcotest.fail "unknown transaction accepted"

@@ -10,7 +10,7 @@ module Wal = Tm_engine.Wal
 module Crash = Tm_engine.Crash
 module Recovery = Tm_engine.Recovery
 module Atomic_object = Tm_engine.Atomic_object
-module DD = Tm_engine.Durable_database
+module Shard = Tm_engine.Shard
 module SD = Tm_engine.Sharded_database
 module Disk_wal = Tm_engine.Disk_wal
 module Storage = Tm_engine.Storage
@@ -77,7 +77,7 @@ let record ?(rebuild = rebuild_ba) drive = Crash.of_drive ~shards:1 ~rebuild dri
 
 (* A recording of [recs] appended by hand to the one shard's log. *)
 let appended recs =
-  record (fun db -> List.iter (Wal.append (Tm_engine.Shard.wal (SD.shards db).(0))) recs)
+  record (fun db -> List.iter (Wal.append (Shard.wal (SD.shards db).(0))) recs)
 
 let sweep ?(rebuild = rebuild_ba) gen r = Crash.enumerate ~rebuild (gen r)
 
@@ -200,7 +200,7 @@ let test_recover_refuses_unrebuilt_object () =
       Wal.Operation (Tid.b, ghost);
       Wal.Commit Tid.b;
     ];
-  (match DD.recover ~wal ~rebuild:rebuild_ba () with
+  (match Shard.recover ~wal ~rebuild:rebuild_ba () with
   | Ok _ -> Alcotest.fail "recovery dropped GHOST's committed operation"
   | Error e -> Alcotest.(check string) "error names the object" "GHOST" e.Recovery.obj);
   let rebuild () =
@@ -211,7 +211,7 @@ let test_recover_refuses_unrebuilt_object () =
           ~conflict:BA.nrbc_conflict ~recovery:Recovery.UIP ();
       ]
   in
-  match DD.recover ~wal ~rebuild () with
+  match Shard.recover ~wal ~rebuild () with
   | Ok (_, losers) -> Helpers.check_bool "no losers" true (Tid.Set.is_empty losers)
   | Error e -> Alcotest.failf "recovery with GHOST rebuilt failed: %a" Recovery.pp_error e
 
@@ -289,14 +289,14 @@ let prop_crash_invariants =
 let committed_by_object db =
   List.map
     (fun o -> (Atomic_object.name o, Atomic_object.committed_ops o))
-    (Tm_engine.Database.objects (DD.database db))
+    (Tm_engine.Database.objects (Shard.database db))
 
 (* [Wal_replay_reference] is the oracle restart is checked against: the
    two-pass fold that [Wal]'s one fold replaced.  Over the same scenario
    pool and random crash cuts, every view of the library's fold
    ([Wal.replay], [Wal.max_tid], [Wal.fuzzy_checkpoint], [Wal.plan]) must
    answer as the oracle does, and the restart path
-   ([Durable_database.recover]) must give every object exactly the
+   ([Shard.recover]) must give every object exactly the
    oracle's committed operations on that object, resolve the same
    losers, and allocate post-crash tids above every tid the log
    mentions. *)
@@ -362,7 +362,7 @@ let prop_recover_matches_replay =
          checkpoint whenever one precedes the cut. *)
       views_agree "full run, then crashed log" (Wal.records wal @ recs);
       let committed, losers = Wal_replay_reference.replay recs in
-      match DD.recover ~wal:log ~rebuild () with
+      match Shard.recover ~wal:log ~rebuild () with
       | Error e -> fail (Fmt.str "recover failed: %a" Recovery.pp_error e)
       | Ok (db, got_losers) ->
           List.iter
@@ -371,7 +371,7 @@ let prop_recover_matches_replay =
                 fail (Fmt.str "%s restored other ops than replay commits" name))
             (committed_by_object db);
           if not (Tid.Set.equal got_losers losers) then fail "recovered losers differ";
-          if Tid.to_int (DD.begin_txn db) <= high_water recs then fail "tid reissued";
+          if Tid.to_int (Shard.begin_txn db) <= high_water recs then fail "tid reissued";
           true)
 
 let plans_equal (a : Wal.plan) (b : Wal.plan) =
@@ -456,10 +456,10 @@ let prop_log_state_matches_records =
       end;
       let wal = reload wal in
       check "reloaded" wal;
-      match DD.recover ~wal ~rebuild () with
+      match Shard.recover ~wal ~rebuild () with
       | Error e -> fail (Fmt.str "recover failed: %a" Recovery.pp_error e)
       | Ok (db, _) ->
-          DD.checkpoint db;
+          Shard.checkpoint db;
           check "recovered and checkpointed" wal;
           true)
 

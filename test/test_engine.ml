@@ -1030,6 +1030,26 @@ let test_fresh_object_footprint () =
           per_object limit)
     [ (Recovery.UIP, 45); (Recovery.DU, 41) ]
 
+(* Every account opened at one balance shares one funded spec, so a
+   funded account costs what an unfunded one does (a funded spec built
+   per account added its own first-class module: 46 words against 38
+   under DU). *)
+let test_funded_account_footprint () =
+  let per_object spec_of =
+    let words n =
+      Obj.reachable_words
+        (Obj.repr
+           (List.init n (fun i ->
+                Atomic_object.create
+                  ~spec:(Spec.rename (spec_of ()) (Fmt.str "BA%d" i))
+                  ~conflict:BA.nrbc_conflict ~recovery:Recovery.DU ())))
+    in
+    (words 101 - words 1) / 100
+  in
+  Helpers.check_int "a funded account costs what an unfunded one does"
+    (per_object (fun () -> BA.spec))
+    (per_object (fun () -> BA.spec_with_initial 100))
+
 (* What an attached object costs: an account in a [Database], after one
    committed deposit, is the fresh account plus its share of the
    database (registry series, a finished tid's bit) and the handle it
@@ -1059,7 +1079,7 @@ let test_attached_object_footprint () =
    failing object in first-touch order, not in registration order — and
    logs its Abort. *)
 let test_durable_validation_matches () =
-  let module DD = Tm_engine.Durable_database in
+  let module Shard = Tm_engine.Shard in
   let module Wal = Tm_engine.Wal in
   let fresh () =
     List.map
@@ -1085,12 +1105,12 @@ let test_durable_validation_matches () =
       ~try_commit:(Database.try_commit db)
   in
   let wal = Wal.create () in
-  let dd = DD.create ~wal (fresh ()) in
+  let dd = Shard.create ~wal (fresh ()) in
   let a, durable =
     run
-      ~begin_txn:(fun () -> DD.begin_txn dd)
-      ~invoke:(fun tid obj inv -> DD.invoke dd tid ~obj inv)
-      ~try_commit:(DD.try_commit dd)
+      ~begin_txn:(fun () -> Shard.begin_txn dd)
+      ~invoke:(fun tid obj inv -> Shard.invoke dd tid ~obj inv)
+      ~try_commit:(Shard.try_commit dd)
   in
   let verdict = Alcotest.(result unit (triple string Helpers.op Helpers.op)) in
   let on obj (op : Op.t) = { op with obj } in
@@ -1782,6 +1802,7 @@ let suite =
     Alcotest.test_case "tid set clear" `Quick test_tid_set_clear;
     prop_tid_set_matches_table;
     Alcotest.test_case "fresh object footprint" `Quick test_fresh_object_footprint;
+    Alcotest.test_case "funded account footprint" `Quick test_funded_account_footprint;
     Alcotest.test_case "database keeps only live transactions" `Quick
       test_database_bounded_state;
     Alcotest.test_case "shard databases keep only live transactions" `Quick

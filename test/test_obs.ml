@@ -381,13 +381,13 @@ let test_catalog_covers_live_registries () =
         ~recovery:Recovery.UIP ();
     ]
   in
-  let module DD = Tm_engine.Durable_database in
-  let db = DD.create ~wal (rebuild ()) in
-  let a = DD.begin_txn db in
-  ignore (DD.invoke db a ~obj:"BA" (deposit_inv 5));
-  Helpers.check_bool "commit" true (DD.try_commit db a = Ok ());
-  DD.checkpoint db;
-  (match Catalog.check (Database.metrics (DD.database db)) with
+  let module Shard = Tm_engine.Shard in
+  let db = Shard.create ~wal (rebuild ()) in
+  let a = Shard.begin_txn db in
+  ignore (Shard.invoke db a ~obj:"BA" (deposit_inv 5));
+  Helpers.check_bool "commit" true (Shard.try_commit db a = Ok ());
+  Shard.checkpoint db;
+  (match Catalog.check (Database.metrics (Shard.database db)) with
   | Ok () -> ()
   | Error ps -> Alcotest.failf "durable registry:@.%s" (String.concat "\n" ps));
   let profile = Tm_obs.Recovery_profile.create () in
@@ -398,11 +398,11 @@ let test_catalog_covers_live_registries () =
   | Error _ -> Alcotest.fail "load failed"
   | Ok loaded -> (
       match
-        DD.recover ~profile ~wal:(Tm_engine.Disk_wal.wal loaded) ~rebuild ()
+        Shard.recover ~profile ~wal:(Tm_engine.Disk_wal.wal loaded) ~rebuild ()
       with
       | Error _ -> Alcotest.fail "recover failed"
       | Ok (db', _) -> (
-          match Catalog.check (Database.metrics (DD.database db')) with
+          match Catalog.check (Database.metrics (Shard.database db')) with
           | Ok () -> ()
           | Error ps ->
               Alcotest.failf "recovered registry:@.%s" (String.concat "\n" ps))));

@@ -5,7 +5,7 @@
    rollback, shard-stamped frames — and the QCheck property establishes
    the refinement the whole refactor hangs on: a workload pushed through
    [Sharded_database] (one shard, or several shards on disjoint keys)
-   commits exactly the state the unsharded [Durable_database] commits
+   commits exactly the state one unsharded [Shard] commits
    under the same script. *)
 
 open Tm_core
@@ -15,7 +15,7 @@ module Storage = Tm_engine.Storage
 module Disk_wal = Tm_engine.Disk_wal
 module Atomic_object = Tm_engine.Atomic_object
 module Recovery = Tm_engine.Recovery
-module DD = Tm_engine.Durable_database
+module Shard = Tm_engine.Shard
 module SD = Tm_engine.Sharded_database
 module Two_phase = Tm_engine.Two_phase
 module Metrics = Tm_obs.Metrics
@@ -324,7 +324,7 @@ let test_recover_in_doubt_commits_with_evidence () =
         List.concat_map
           (fun o -> Atomic_object.committed_ops o)
           (Tm_engine.Database.objects
-             (Tm_engine.Shard.database (SD.shards db).(s)))
+             (Shard.database (SD.shards db).(s)))
       in
       Helpers.check_int (Fmt.str "shard %d installed the op" s) 1
         (List.length got);
@@ -512,17 +512,17 @@ let script_gen ~objs =
 
 let run_unsharded names script =
   let wal = Wal.create () in
-  let db = DD.create ~wal (Array.to_list (Array.map account names)) in
+  let db = Shard.create ~wal (Array.to_list (Array.map account names)) in
   List.iter
     (fun (touches, commit) ->
-      let t = DD.begin_txn db in
+      let t = Shard.begin_txn db in
       List.iter
         (fun (i, amt) ->
-          ignore (DD.invoke db t ~obj:names.(i) (deposit_inv amt)))
+          ignore (Shard.invoke db t ~obj:names.(i) (deposit_inv amt)))
         touches;
-      if commit then ignore (DD.try_commit db t) else DD.abort db t)
+      if commit then ignore (Shard.try_commit db t) else Shard.abort db t)
     script;
-  committed_by_name (Tm_engine.Database.objects (DD.database db))
+  committed_by_name (Tm_engine.Database.objects (Shard.database db))
 
 let run_sharded ~shards names script =
   let wals = Array.init shards (fun _ -> Wal.create ()) in
@@ -631,7 +631,7 @@ let test_cross_shard_deadlock () =
   Array.iteri
     (fun s sh ->
       Helpers.check_bool (Fmt.str "shard %d alone finds no cycle" s) true
-        (Option.is_none (Tm_engine.Database.deadlock (Tm_engine.Shard.database sh))))
+        (Option.is_none (Tm_engine.Database.deadlock (Shard.database sh))))
     (SD.shards db);
   match SD.deadlock db with
   | None -> Alcotest.fail "the cross-shard cycle was not found"

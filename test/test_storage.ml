@@ -385,19 +385,11 @@ let test_disk_wal_v1_upgrade () =
       ignore (Wal.truncate_to_checkpoint wal);
       let compacted = Storage.read_all storage in
       (* every surviving frame was rewritten in the write version *)
-      let rec check pos =
-        if pos < String.length compacted then
-          match Codec.read_header compacted pos with
-          | Error c ->
-              Alcotest.failf "compacted log unreadable at %d: %a" pos
-                Codec.pp_corruption c
-          | Ok h ->
-              Helpers.check_int
-                (Fmt.str "frame at %d is write-version" pos)
-                Codec.write_version h.Codec.h_version;
-              check (pos + h.Codec.h_size + h.Codec.h_payload_len)
-      in
-      check 0
+      let report = Tm_engine.Wal_inspect.inspect compacted in
+      Alcotest.(check string) "compacted log is clean" "clean"
+        (Tm_engine.Wal_inspect.damage_kind report.damage);
+      Alcotest.(check (list (pair int int))) "every frame is write-version"
+        [ (Codec.write_version, report.records) ] report.by_version
 
 (* ------------------------------------------------------------------ *)
 (* Storage backends.                                                   *)
@@ -1193,7 +1185,7 @@ let committed = function Ok () -> () | Error _ -> Alcotest.fail "transfer did no
 
 (* A one-shard transfer (begin, two invokes, commit) costs at most 16
    words more through [Sharded_database] than on the bare
-   [Durable_database] under it: the router's transaction entry, its
+   [Shard] under it: the router's transaction entry, its
    shard list and its pending commit, 13 words (before: 98). *)
 let test_sharded_transfer_allocation () =
   let transfer begin_txn invoke commit () =
@@ -1202,13 +1194,13 @@ let test_sharded_transfer_allocation () =
     ignore (invoke t "B" withdraw_1);
     committed (commit t)
   in
-  let dd = Tm_engine.Durable_database.create ~wal:(memory_wal ()) [ account "A"; account "B" ] in
+  let dd = Tm_engine.Shard.create ~wal:(memory_wal ()) [ account "A"; account "B" ] in
   let bare =
     mean_words ~prepare:ignore
       (transfer
-         (fun () -> Tm_engine.Durable_database.begin_txn dd)
-         (fun t obj inv -> Tm_engine.Durable_database.invoke dd t ~obj inv)
-         (Tm_engine.Durable_database.try_commit dd))
+         (fun () -> Tm_engine.Shard.begin_txn dd)
+         (fun t obj inv -> Tm_engine.Shard.invoke dd t ~obj inv)
+         (Tm_engine.Shard.try_commit dd))
   in
   let sd = SD.create ~wals:[| memory_wal () |] [ account "A"; account "B" ] in
   let sharded =

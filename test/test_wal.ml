@@ -5,7 +5,7 @@
 
 open Tm_core
 module Wal = Tm_engine.Wal
-module DD = Tm_engine.Durable_database
+module Shard = Tm_engine.Shard
 module Atomic_object = Tm_engine.Atomic_object
 module Recovery = Tm_engine.Recovery
 module BA = Tm_adt.Bank_account
@@ -18,7 +18,7 @@ let balance_inv = Op.invocation "balance"
 let one_account ?(recovery = Recovery.UIP) () =
   [ Atomic_object.create ~spec:BA.spec ~conflict:BA.nrbc_conflict ~recovery () ]
 
-let the_object db = List.hd (Tm_engine.Database.objects (DD.database db))
+let the_object db = List.hd (Tm_engine.Database.objects (Shard.database db))
 
 (* Recovery now returns a result; tests on well-formed logs expect Ok. *)
 let recover_exn = function
@@ -190,15 +190,15 @@ let test_prefix_carries_metrics () =
    append an Abort record for a tid the log does not know. *)
 let test_abort_not_begun_not_logged () =
   let wal = Wal.create () in
-  let db = DD.create ~wal (one_account ()) in
-  let t = DD.begin_txn db in
-  DD.abort db t;  (* begun but never logged: nothing to undo *)
+  let db = Shard.create ~wal (one_account ()) in
+  let t = Shard.begin_txn db in
+  Shard.abort db t;  (* begun but never logged: nothing to undo *)
   Helpers.check_int "no record for unlogged txn" 0 (Wal.length wal);
-  let a = DD.begin_txn db in
-  ignore (DD.invoke db a ~obj:"BA" (deposit_inv 5));
-  Helpers.check_bool "a commits" true (DD.try_commit db a = Ok ());
+  let a = Shard.begin_txn db in
+  ignore (Shard.invoke db a ~obj:"BA" (deposit_inv 5));
+  Helpers.check_bool "a commits" true (Shard.try_commit db a = Ok ());
   let n = Wal.length wal in
-  DD.abort db (DD.begin_txn db);
+  Shard.abort db (Shard.begin_txn db);
   Helpers.check_int "none beside another transaction's records" n (Wal.length wal)
 
 (* Regression: recovery must seed tid allocation above every tid in the
@@ -206,16 +206,16 @@ let test_abort_not_begun_not_logged () =
    and replay merges their operations. *)
 let test_no_tid_reuse_after_recovery () =
   let wal = Wal.create () in
-  let db = DD.create ~wal (one_account ()) in
-  let a = DD.begin_txn db in
-  ignore (DD.invoke db a ~obj:"BA" (deposit_inv 5));
+  let db = Shard.create ~wal (one_account ()) in
+  let a = Shard.begin_txn db in
+  ignore (Shard.invoke db a ~obj:"BA" (deposit_inv 5));
   (* crash with [a] in flight *)
-  let db', losers = recover_exn (DD.recover ~wal ~rebuild:one_account ()) in
+  let db', losers = recover_exn (Shard.recover ~wal ~rebuild:one_account ()) in
   Helpers.check_bool "a lost" true (Tid.Set.mem a losers);
-  let b = DD.begin_txn db' in
+  let b = Shard.begin_txn db' in
   Helpers.check_bool "fresh tid after recovery" false (Tid.equal a b);
-  ignore (DD.invoke db' b ~obj:"BA" (deposit_inv 7));
-  Helpers.check_bool "b commits" true (DD.try_commit db' b = Ok ());
+  ignore (Shard.invoke db' b ~obj:"BA" (deposit_inv 7));
+  Helpers.check_bool "b commits" true (Shard.try_commit db' b = Ok ());
   (* second crash: the loser's operations must not ride b's commit *)
   let committed, losers2 = Wal.replay (Wal.records wal) in
   Alcotest.check Helpers.ops "only b's work is durable" [ BA.deposit 7 ] committed;
@@ -231,52 +231,52 @@ let test_durable_database_truncated_recovery () =
         ~conflict:BA.nrbc_conflict ~recovery:Recovery.UIP ();
     ]
   in
-  let db = DD.create ~wal (rebuild ()) in
-  let a = DD.begin_txn db and b = DD.begin_txn db in
-  ignore (DD.invoke db a ~obj:"BA" (deposit_inv 5));
-  ignore (DD.invoke db b ~obj:"BA" (deposit_inv 2));
-  DD.checkpoint db;  (* both a and b in flight *)
-  ignore (DD.invoke db b ~obj:"BA" (deposit_inv 4));
-  Helpers.check_bool "b commits" true (DD.try_commit db b = Ok ());
+  let db = Shard.create ~wal (rebuild ()) in
+  let a = Shard.begin_txn db and b = Shard.begin_txn db in
+  ignore (Shard.invoke db a ~obj:"BA" (deposit_inv 5));
+  ignore (Shard.invoke db b ~obj:"BA" (deposit_inv 2));
+  Shard.checkpoint db;  (* both a and b in flight *)
+  ignore (Shard.invoke db b ~obj:"BA" (deposit_inv 4));
+  Helpers.check_bool "b commits" true (Shard.try_commit db b = Ok ());
   ignore (Wal.truncate_to_checkpoint wal);
-  let db', losers = recover_exn (DD.recover ~wal ~rebuild ()) in
+  let db', losers = recover_exn (Shard.recover ~wal ~rebuild ()) in
   Helpers.check_bool "a lost" true (Tid.Set.mem a losers);
   Helpers.check_bool "b not lost" false (Tid.Set.mem b losers);
-  let o = List.hd (Tm_engine.Database.objects (DD.database db')) in
+  let o = List.hd (Tm_engine.Database.objects (Shard.database db')) in
   Alcotest.check Helpers.ops "b's pre- and post-checkpoint ops survive"
     [ BA.deposit 2; BA.deposit 4 ]
     (Atomic_object.committed_ops o)
 
 let test_durable_end_to_end () =
   let wal = Wal.create () in
-  let db = DD.create ~wal (one_account ()) in
+  let db = Shard.create ~wal (one_account ()) in
   let run db tid inv =
-    match DD.invoke db tid ~obj:"BA" inv with
+    match Shard.invoke db tid ~obj:"BA" inv with
     | Atomic_object.Executed op -> op
     | out -> Alcotest.failf "unexpected %a" Atomic_object.pp_outcome out
   in
-  let a = DD.begin_txn db in
+  let a = Shard.begin_txn db in
   ignore (run db a (deposit_inv 5));
-  Helpers.check_bool "A commits" true (DD.try_commit db a = Ok ());
-  let b = DD.begin_txn db in
+  Helpers.check_bool "A commits" true (Shard.try_commit db a = Ok ());
+  let b = Shard.begin_txn db in
   ignore (run db b (deposit_inv 3));
   (* crash before B commits: log has A's commit only *)
-  let recovered, losers = recover_exn (DD.recover ~wal ~rebuild:one_account ()) in
+  let recovered, losers = recover_exn (Shard.recover ~wal ~rebuild:one_account ()) in
   Helpers.check_bool "B lost" true (Tid.Set.mem b losers);
   Alcotest.check Helpers.ops "A's work survives" [ BA.deposit 5 ]
     (Atomic_object.committed_ops (the_object recovered));
   (* the recovered object serves correct responses *)
   Alcotest.check Helpers.op "balance 5" (BA.balance 5)
-    (run recovered (DD.begin_txn recovered) balance_inv)
+    (run recovered (Shard.begin_txn recovered) balance_inv)
 
 let test_write_ahead_rule () =
   (* The commit record precedes the commit's effects: a log that ends
      exactly at the commit record still recovers the transaction. *)
   let wal = Wal.create () in
-  let db = DD.create ~wal (one_account ()) in
-  let a = DD.begin_txn db in
-  ignore (DD.invoke db a ~obj:"BA" (deposit_inv 5));
-  Helpers.check_bool "A commits" true (DD.try_commit db a = Ok ());
+  let db = Shard.create ~wal (one_account ()) in
+  let a = Shard.begin_txn db in
+  ignore (Shard.invoke db a ~obj:"BA" (deposit_inv 5));
+  Helpers.check_bool "A commits" true (Shard.try_commit db a = Ok ());
   let n = Wal.length wal in
   let committed, _ = Wal.replay (Wal.records (Wal.prefix wal n)) in
   Alcotest.check Helpers.ops "durable at commit record" [ BA.deposit 5 ] committed
@@ -288,11 +288,11 @@ let test_write_ahead_rule () =
 let crash_injection recovery seed =
   let wal = Wal.create () in
   let rebuild () = one_account ~recovery () in
-  let db = DD.create ~wal (rebuild ()) in
+  let db = Shard.create ~wal (rebuild ()) in
   let rng = Random.State.make [| seed |] in
   let active = ref [] in
   for _ = 1 to 60 do
-    if List.length !active < 4 then active := DD.begin_txn db :: !active;
+    if List.length !active < 4 then active := Shard.begin_txn db :: !active;
     match !active with
     | [] -> ()
     | ts -> (
@@ -309,12 +309,12 @@ let crash_injection recovery seed =
               | 1 -> withdraw_inv (1 + Random.State.int rng 2)
               | _ -> balance_inv
             in
-            ignore (DD.invoke db t ~obj:"BA" inv)
+            ignore (Shard.invoke db t ~obj:"BA" inv)
         | 6 | 7 ->
             finish (fun t ->
-                Helpers.check_bool "locking commit" true (DD.try_commit db t = Ok ()))
-        | 8 -> finish (DD.abort db)
-        | _ -> if Random.State.int rng 4 = 0 then DD.checkpoint db)
+                Helpers.check_bool "locking commit" true (Shard.try_commit db t = Ok ()))
+        | 8 -> finish (Shard.abort db)
+        | _ -> if Random.State.int rng 4 = 0 then Shard.checkpoint db)
   done;
   let full = Wal.records wal in
   for cut = 0 to List.length full do
@@ -337,7 +337,7 @@ let crash_injection recovery seed =
       (List.length expected_commits)
       (List.length distinct_committed_txns);
     (* (c) idempotence: recovering twice equals recovering once *)
-    let r1, _ = recover_exn (DD.recover ~wal:log ~rebuild ()) in
+    let r1, _ = recover_exn (Shard.recover ~wal:log ~rebuild ()) in
     Helpers.check_bool
       (Fmt.str "prefix %d recovered state matches replay" cut)
       true
@@ -359,24 +359,24 @@ let test_durable_database_atomic_commitment () =
           ~spec:(Spec.rename funded (Fmt.str "BA%d" i))
           ~conflict:BA.nrbc_conflict ~recovery:Recovery.UIP ())
   in
-  let db = DD.create ~wal (rebuild ()) in
+  let db = Shard.create ~wal (rebuild ()) in
   (* transfer 30 from BA0 to BA1, committed *)
-  let a = DD.begin_txn db in
-  ignore (DD.invoke db a ~obj:"BA0" (withdraw_inv 30));
-  ignore (DD.invoke db a ~obj:"BA1" (deposit_inv 30));
-  Helpers.check_bool "committed" true (DD.try_commit db a = Ok ());
+  let a = Shard.begin_txn db in
+  ignore (Shard.invoke db a ~obj:"BA0" (withdraw_inv 30));
+  ignore (Shard.invoke db a ~obj:"BA1" (deposit_inv 30));
+  Helpers.check_bool "committed" true (Shard.try_commit db a = Ok ());
   (* a second transfer crashes mid-flight *)
-  let b = DD.begin_txn db in
-  ignore (DD.invoke db b ~obj:"BA0" (withdraw_inv 10));
-  ignore (DD.invoke db b ~obj:"BA1" (deposit_inv 10));
+  let b = Shard.begin_txn db in
+  ignore (Shard.invoke db b ~obj:"BA0" (withdraw_inv 10));
+  ignore (Shard.invoke db b ~obj:"BA1" (deposit_inv 10));
   (* crash: recover from every prefix and check the invariant:
      total money is 200 iff both or neither halves of each transfer
      survive; per-object replay is always legal *)
   for cut = 0 to Wal.length wal do
     let log = Wal.prefix wal cut in
-    let db', _losers = recover_exn (DD.recover ~wal:log ~rebuild ()) in
+    let db', _losers = recover_exn (Shard.recover ~wal:log ~rebuild ()) in
     let balance obj =
-      match DD.invoke db' (DD.begin_txn db') ~obj balance_inv with
+      match Shard.invoke db' (Shard.begin_txn db') ~obj balance_inv with
       | Atomic_object.Executed op -> Value.get_int op.Op.res
       | _ -> Alcotest.fail "balance failed"
     in
@@ -388,7 +388,7 @@ let test_durable_database_atomic_commitment () =
           (Fmt.str "prefix %d replay at %s" cut (Atomic_object.name o))
           true
           (Spec.legal (Atomic_object.spec o) (Atomic_object.committed_ops o)))
-      (Tm_engine.Database.objects (DD.database db'))
+      (Tm_engine.Database.objects (Shard.database db'))
   done
 
 let test_durable_database_validation_abort_logged () =
@@ -397,14 +397,14 @@ let test_durable_database_validation_abort_logged () =
   let rebuild () =
     [ Atomic_object.create_optimistic ~spec ~conflict:BA.nfc_conflict ]
   in
-  let db = DD.create ~wal (rebuild ()) in
-  let a = DD.begin_txn db and b = DD.begin_txn db in
-  ignore (DD.invoke db a ~obj:"BA" (withdraw_inv 10));
-  ignore (DD.invoke db b ~obj:"BA" (withdraw_inv 10));
-  Helpers.check_bool "A commits" true (DD.try_commit db a = Ok ());
-  Helpers.check_bool "B fails validation" true (DD.try_commit db b <> Ok ());
-  let db', _ = recover_exn (DD.recover ~wal ~rebuild ()) in
-  let o = List.hd (Tm_engine.Database.objects (DD.database db')) in
+  let db = Shard.create ~wal (rebuild ()) in
+  let a = Shard.begin_txn db and b = Shard.begin_txn db in
+  ignore (Shard.invoke db a ~obj:"BA" (withdraw_inv 10));
+  ignore (Shard.invoke db b ~obj:"BA" (withdraw_inv 10));
+  Helpers.check_bool "A commits" true (Shard.try_commit db a = Ok ());
+  Helpers.check_bool "B fails validation" true (Shard.try_commit db b <> Ok ());
+  let db', _ = recover_exn (Shard.recover ~wal ~rebuild ()) in
+  let o = List.hd (Tm_engine.Database.objects (Shard.database db')) in
   Alcotest.check Helpers.ops "only A's withdrawal durable" [ BA.withdraw_ok 10 ]
     (Atomic_object.committed_ops o)
 

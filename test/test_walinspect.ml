@@ -2,7 +2,7 @@
    corruption offsets must equal the byte positions the injector
    actually damaged), the restart profiler (deterministic-clock timing,
    phase tiling, metric export, end-to-end threading through
-   Disk_wal.load + Durable_database.recover), and the report side of
+   Disk_wal.load + Shard.recover), and the report side of
    the tm_recovery_* family. *)
 
 open Tm_core
@@ -10,7 +10,7 @@ module Wal = Tm_engine.Wal
 module Wal_inspect = Tm_engine.Wal_inspect
 module Storage = Tm_engine.Storage
 module Disk_wal = Tm_engine.Disk_wal
-module DD = Tm_engine.Durable_database
+module Shard = Tm_engine.Shard
 module Atomic_object = Tm_engine.Atomic_object
 module Recovery = Tm_engine.Recovery
 module Metrics = Tm_obs.Metrics
@@ -30,16 +30,16 @@ let rebuild () =
    one transaction left in flight (a loser). *)
 let sample_records () =
   let wal = Wal.create () in
-  let db = DD.create ~wal (rebuild ()) in
-  let a = DD.begin_txn db in
-  ignore (DD.invoke db a ~obj:"BA" (deposit_inv 5));
-  Helpers.check_bool "a commits" true (DD.try_commit db a = Ok ());
-  let b = DD.begin_txn db in
-  ignore (DD.invoke db b ~obj:"BA" (deposit_inv 2));
-  DD.checkpoint db;
-  Helpers.check_bool "b commits" true (DD.try_commit db b = Ok ());
-  let c = DD.begin_txn db in
-  ignore (DD.invoke db c ~obj:"BA" (deposit_inv 1));
+  let db = Shard.create ~wal (rebuild ()) in
+  let a = Shard.begin_txn db in
+  ignore (Shard.invoke db a ~obj:"BA" (deposit_inv 5));
+  Helpers.check_bool "a commits" true (Shard.try_commit db a = Ok ());
+  let b = Shard.begin_txn db in
+  ignore (Shard.invoke db b ~obj:"BA" (deposit_inv 2));
+  Shard.checkpoint db;
+  Helpers.check_bool "b commits" true (Shard.try_commit db b = Ok ());
+  let c = Shard.begin_txn db in
+  ignore (Shard.invoke db c ~obj:"BA" (deposit_inv 1));
   (* crash with c in flight *)
   (Wal.records wal, b)
 
@@ -166,12 +166,28 @@ let test_tail_flip_is_torn () =
 (* Every frame, both damage shapes: a byte flip inside frame k is
    interior corruption at offset(k) when intact frames follow, torn
    tail at offset(k) when k is last; a cut inside frame k is always a
-   torn tail at offset(k) with exactly k records readable. *)
+   torn tail at offset(k) with exactly k records readable.  On every
+   image restart agrees with the report: [Disk_wal.load] refuses
+   exactly what is reported as interior corruption, at the reported
+   offset, and otherwise keeps exactly the records counted. *)
 let test_damage_sweep () =
   let recs, _ = sample_records () in
   let bytes = Wal.Codec.encode_all recs in
   let offsets = frame_offsets recs in
   let n = List.length recs in
+  let load_agrees what image (s : Wal_inspect.t) =
+    match (Disk_wal.load (Storage.of_string image), s.damage) with
+    | Error c, Wal_inspect.Interior d ->
+        Helpers.check_int (what ^ ": load refuses at the reported offset") d.Wal.Codec.offset
+          c.Wal.Codec.offset
+    | Error c, _ -> Alcotest.failf "%s: load refused (%a), inspect did not" what Wal.Codec.pp_corruption c
+    | Ok _, Wal_inspect.Interior _ -> Alcotest.failf "%s: load accepted interior corruption" what
+    | Ok dw, _ ->
+        Helpers.check_bool (what ^ ": load keeps the records counted") true
+          (List.equal Wal.equal_record
+             (List.filteri (fun i _ -> i < s.records) recs)
+             (Wal.records (Disk_wal.wal dw)))
+  in
   List.iteri
     (fun k frame_start ->
       let flipped =
@@ -189,9 +205,11 @@ let test_damage_sweep () =
             (Fmt.str "flip in frame %d reported at its start" k)
             frame_start c.Wal.Codec.offset
       | Wal_inspect.Clean -> Alcotest.fail "damage not detected");
+      load_agrees (Fmt.str "flip in frame %d" k) flipped s;
       (* cut mid-frame: a crash that lost the tail from inside frame k *)
       let cut = String.sub bytes 0 (frame_start + 3) in
       let s = Wal_inspect.inspect cut in
+      load_agrees (Fmt.str "cut in frame %d" k) cut s;
       Alcotest.(check string)
         (Fmt.str "cut in frame %d" k)
         "torn_tail"
@@ -338,12 +356,12 @@ let test_recover_with_profile () =
   let store = Storage.memory () in
   let dw = Disk_wal.create store in
   let wal = Disk_wal.wal dw in
-  let db = DD.create ~wal (rebuild ()) in
-  let a = DD.begin_txn db in
-  ignore (DD.invoke db a ~obj:"BA" (deposit_inv 5));
-  Helpers.check_bool "a commits" true (DD.try_commit db a = Ok ());
-  let b = DD.begin_txn db in
-  ignore (DD.invoke db b ~obj:"BA" (deposit_inv 2));
+  let db = Shard.create ~wal (rebuild ()) in
+  let a = Shard.begin_txn db in
+  ignore (Shard.invoke db a ~obj:"BA" (deposit_inv 5));
+  Helpers.check_bool "a commits" true (Shard.try_commit db a = Ok ());
+  let b = Shard.begin_txn db in
+  ignore (Shard.invoke db b ~obj:"BA" (deposit_inv 2));
   (* crash with b in flight *)
   let image = Storage.read_all store in
   let profile = Profile.create () in
@@ -355,7 +373,7 @@ let test_recover_with_profile () =
   in
   let db', losers =
     match
-      DD.recover ~trace ~profile ~wal:(Disk_wal.wal loaded) ~rebuild ()
+      Shard.recover ~trace ~profile ~wal:(Disk_wal.wal loaded) ~rebuild ()
     with
     | Ok r -> r
     | Error _ -> Alcotest.fail "recover failed"
@@ -374,7 +392,7 @@ let test_recover_with_profile () =
     (Profile.per_object profile);
   Helpers.check_int "losers" 1 (Profile.loser_txns profile);
   (* export landed in the recovered database's registry *)
-  let reg = Tm_engine.Database.metrics (DD.database db') in
+  let reg = Tm_engine.Database.metrics (Shard.database db') in
   Helpers.check_int "registry: bytes scanned" (String.length image)
     (Metrics.counter_value reg "tm_recovery_bytes_scanned_total");
   Helpers.check_int "registry: replayed (pre-existing family)" 1
@@ -394,13 +412,13 @@ let test_recover_with_profile () =
   (* With a checkpoint, the prefix before it is verified, not stepped:
      every frame counts as decoded (verified), and only the checkpoint
      and the records after it count as scanned. *)
-  let c = DD.begin_txn db' in
-  ignore (DD.invoke db' c ~obj:"BA" (deposit_inv 3));
-  Helpers.check_bool "c commits" true (DD.try_commit db' c = Ok ());
-  DD.checkpoint db';
-  let d = DD.begin_txn db' in
-  ignore (DD.invoke db' d ~obj:"BA" (deposit_inv 1));
-  Helpers.check_bool "d commits" true (DD.try_commit db' d = Ok ());
+  let c = Shard.begin_txn db' in
+  ignore (Shard.invoke db' c ~obj:"BA" (deposit_inv 3));
+  Helpers.check_bool "c commits" true (Shard.try_commit db' c = Ok ());
+  Shard.checkpoint db';
+  let d = Shard.begin_txn db' in
+  ignore (Shard.invoke db' d ~obj:"BA" (deposit_inv 1));
+  Helpers.check_bool "d commits" true (Shard.try_commit db' d = Ok ());
   let recs = Wal.records (Disk_wal.wal loaded) in
   let rec from_checkpoint = function
     | [] -> Alcotest.fail "no checkpoint in the log"
