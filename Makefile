@@ -26,9 +26,9 @@ crashtest:
 # Storage-fault torture with a fixed seed, generators "bytes" (every
 # byte offset, batch-prefix and acked-durability checked; the runs
 # force every commit before acknowledging it, so every commit is a
-# barrier), "truncate" and "upgrade" (every byte state of
-# the checkpoint-truncation rewrite from v2 and from v1: must roll back
-# or redo atomically) and "flips" (bit-flip corruption detected or
+# barrier), "truncate", "upgrade" and "upgrade-v2" (every byte state of
+# the checkpoint-truncation rewrite from v3, from v1 and from v2: must
+# roll back or redo atomically) and "flips" (bit-flip corruption detected or
 # contained), plus a fault-injected storage run whose bytes must reload
 # to the recorded run's log (torn writes / transient errors absorbed by
 # the WAL retry loop).

@@ -87,6 +87,7 @@ let table ~fault ~shards ~checkpoint_every : (string * sweep) list =
        else [])
     @ [
         ("upgrade", enumerate (Crash.rewrite ~from:Wal.Codec.v1));
+        ("upgrade-v2", enumerate (Crash.rewrite ~from:Wal.Codec.v2));
         ("flips", fun ~rebuild:_ r -> Crash.corruption_sweep r);
       ]
   else if shards > 1 then [ ("bytes", enumerate Crash.byte_cuts) ]
@@ -409,9 +410,10 @@ let fault_arg =
     & info [ "fault" ]
         ~doc:
           "Storage-fault mode: generators bytes (every byte offset of each \
-           shard's encoded log), truncate and upgrade (every byte state of \
-           the checkpoint-truncation rewrite, from v2 and, for logs without \
-           2PC records, from v1) and flips (a bit-flip corruption sweep), and \
+           shard's encoded log), truncate, upgrade and upgrade-v2 (every \
+           byte state of the checkpoint-truncation rewrite, from the write \
+           version, from v1 for logs without 2PC records, and from v2) and \
+           flips (a bit-flip corruption sweep), and \
            a run over storage with seeded torn writes and transient errors \
            that must persist the recorded logs.")
 

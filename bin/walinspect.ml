@@ -59,8 +59,10 @@ let main file json verify digest shard two_phase =
   let bytes = Cli_util.read_file file in
   (* --shard narrows every view (summary, digest, verify) to the frames
      stamped with that shard id — forensic slicing of a mixed-shard
-     dump.  The damage verdict below still comes from the full bytes:
-     filtering must never hide corruption. *)
+     dump.  The slice holds only intact frames, so the damage verdict
+     (and the byte counts its torn-tail line reads) comes from the full
+     bytes, printed and in the exit status: filtering must never hide
+     corruption. *)
   let full_summary = Wal_inspect.inspect bytes in
   let bytes =
     match shard with
@@ -68,7 +70,15 @@ let main file json verify digest shard two_phase =
     | Some s -> Wal_inspect.select_shard bytes s
   in
   let summary =
-    match shard with None -> full_summary | Some _ -> Wal_inspect.inspect bytes
+    match shard with
+    | None -> full_summary
+    | Some _ ->
+        {
+          (Wal_inspect.inspect bytes) with
+          Wal_inspect.total_bytes = full_summary.Wal_inspect.total_bytes;
+          clean_bytes = full_summary.Wal_inspect.clean_bytes;
+          damage = full_summary.Wal_inspect.damage;
+        }
   in
   (* --two-phase swaps the general summary for the 2PC view: per-shard
      prepare/decision/completion counts and every in-doubt prepare with
@@ -137,8 +147,8 @@ let shard_arg =
           "Restrict the summary (and --digest / --verify) to frames stamped \
            with shard id $(docv) — forensic slicing of a dump that mixes \
            several shards' frames.  v1 frames carry no shard id and count \
-           as shard 0.  The damage verdict and exit status always reflect \
-           the full, unfiltered bytes.")
+           as shard 0.  The log's byte counts, the damage verdict and the \
+           exit status always reflect the full, unfiltered bytes.")
 
 let two_phase_arg =
   Arg.(

@@ -402,25 +402,27 @@ let loser_diff invariant ~got ~want =
    is atomic, so the torn states of the file backend's write-then-shrink
    are constructed explicitly); the installed image alone — and reload
    each through {!Disk_wal.load}, which must never refuse: every such
-   state is a legal crash point.  From v1 this is the incremental upgrade:
-   a crash at any offset leaves the readable v1 log (torn v2 debris
-   rolled back), a committed journal to redo, or the installed v2 image;
-   a log holding 2PC records was never v1, so it has no upgrade. *)
+   state is a legal crash point.  From an older version this is the
+   incremental upgrade: a crash at any offset leaves the readable old log
+   (torn debris of the new version rolled back), a committed journal to
+   redo, or the installed image in the write version; a log holding 2PC
+   records was never v1, so it has no upgrade from v1. *)
 let rewrite ~from r =
+  let upgrade = from <> Wal.Codec.write_version in
   let name, invariant =
-    if from = Wal.Codec.v1 then ("upgrade", "upgrade-atomicity")
+    if upgrade then (Fmt.str "upgrade-v%d" from, "upgrade-atomicity")
     else ("truncate", "truncate-atomicity")
   in
   let full = full r in
   let run s =
     let recs = full.(s) in
     let mirror = Wal.of_records recs in
-    let upgrade = from = Wal.Codec.v1 in
-    if upgrade && List.exists Wal.Codec.v2_only_record recs then None
+    let v1 = from = Wal.Codec.v1 in
+    if v1 && List.exists Wal.Codec.v2_only_record recs then None
     else if Wal.truncate_to_checkpoint mirror = 0 && not upgrade then None
     else
       let old_bytes =
-        Wal.Codec.encode_all ~version:from ~shard:(if upgrade then 0 else s) recs
+        Wal.Codec.encode_all ~version:from ~shard:(if v1 then 0 else s) recs
       in
       let image = Wal.Codec.encode_all ~shard:s (Wal.records mirror) in
       let new_len = String.length image in

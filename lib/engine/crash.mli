@@ -20,8 +20,9 @@
     - {!forced_frontiers}: every distinct forced frontier — each shard
       keeps exactly what its last completed barrier covered;
     - {!rewrite}: every journal and install byte state of each shard's
-      checkpoint-truncation rewrite, from v2 or from v1 (a log holding 2PC
-      records has no v1 form, so no upgrade);
+      checkpoint-truncation rewrite, from the write version, from v2 or
+      from v1 (a log holding 2PC records has no v1 form, so no upgrade
+      from v1);
     - {!given}: hand-built states, each checked on its own.
 
     Every state passes the same battery, after {e one} recovery through
@@ -143,12 +144,14 @@ val forced_frontiers : recording -> generator
 (** [rewrite ~from r] — the crash-atomic rewrite of
     {!Wal.truncate_to_checkpoint} on a {!Disk_wal} log, per shard with the others whole: the
     log as frames of version [from], then every prefix of the journal
-    (intent + compacted v2 image), every prefix of the install over the
-    journaled file, and the installed image.  From {!Wal.Codec.v1} the
-    rewrite is the v1→v2 upgrade, with v1 frames carrying no shard id;
-    it runs on every shard log with no {!Wal.Codec.v2_only_record}.  From
-    the current version a log without a checkpoint to truncate to yields
-    no states. *)
+    (intent + compacted image in {!Wal.Codec.write_version}), every
+    prefix of the install over the journaled file, and the installed
+    image.  From an older version the rewrite is the upgrade to the
+    write version, and its states are labelled ["upgrade-v<from>"].
+    From {!Wal.Codec.v1}, whose frames carry no shard id, it runs on
+    every shard log with no {!Wal.Codec.v2_only_record}; from
+    {!Wal.Codec.v2}, on every shard log.  From the write version a log
+    without a checkpoint to truncate to yields no states. *)
 val rewrite : from:int -> recording -> generator
 
 (** [in_doubt r] — the last forced frontier of [r] (see

@@ -9,7 +9,7 @@ exception Storage_unavailable of { attempts : int; last : string }
 type t = {
   storage : Storage.t;
   wal : Wal.t;
-  shard : int;  (* stamped into every v2 frame this log appends *)
+  shard : int;  (* stamped into every frame this log appends *)
   mutable end_off : int;  (* logical end: bytes of intact, persisted log *)
   mutable buf : Bytes.t;
       (* scratch for encoding an append: empty until the first one, then
@@ -204,15 +204,15 @@ type journal_state =
    image never contains an intent). *)
 let find_journal bytes =
   let total = String.length bytes in
-  (* tag byte + two 8-byte lengths *)
+  (* tag byte + two 8-byte lengths, fixed in every version *)
   let intent_payload = 17 in
   (* The smallest frame an intent can occupy (v1 header); an intent
      written by any supported version is at least this long. *)
   let min_intent_frame = Wal.Codec.min_header_size + intent_payload in
-  (* An intent frame of either version: the header parses, the payload
+  (* An intent frame of any version: the header parses, the payload
      is intent-sized and the tag byte is the intent's.  [check_header]
-     is the version dispatch, so a journal written by a v1 binary is
-     found by a v2 one and vice versa; it allocates nothing, so a
+     is the version dispatch, so a journal written by an older binary
+     is found by a newer one and vice versa; it allocates nothing, so a
      candidate that fails costs no [result]. *)
   let plausible p =
     Wal.Codec.check_header bytes p = intent_payload
@@ -340,7 +340,7 @@ let load ?shard ?profile storage =
          tail or interior corruption there gets the same verdict as
          anywhere else.  [end_off] is the intent's byte offset as the
          walk reports it, which holds for a log that mixes frame
-         versions too (v1 frames persisted by an older binary, v2
+         versions too (v1 or v2 frames persisted by an older binary, v3
          appends after them). *)
       let scan =
         {

@@ -16,8 +16,13 @@
     install.  At no byte offset of the sequence can reload misclassify
     the log or replay pre-checkpoint records — swept exhaustively by
     {!Crash.rewrite}.  An image longer than the log it replaces (a v1
-    log re-encoded as v2) pads the journal so the install never
-    overwrites it ({!journal}).
+    log re-encoded in the write version, where its records' integers
+    outgrow the varints' savings) pads the journal so the install never
+    overwrites it ({!journal}).  The intent frame has one size in every
+    version: its two lengths stay 8 fixed bytes in v3, whose other
+    payload integers are varints, so the journal search probes for one
+    payload length and each placeholder intent adds a known number of
+    bytes.
 
     After a crash, {!load} checks every frame of the backend's bytes —
     truncating a torn tail, refusing interior corruption — and decodes
@@ -57,7 +62,8 @@ type t
     [storage] (discarding any previous contents; the truncation is
     forced, so a crash before this log's first commit flush cannot
     resurrect a stale previous-incarnation log).  [shard] (default 0)
-    is stamped into the v2 header of every frame this log writes —
+    is stamped into the header of every frame this log writes (v2 and
+    later headers carry it) —
     {!Sharded_database} gives each shard's log its own id, so a frame
     found on the wrong backend is attributable.  Raises
     [Invalid_argument] outside [0, 0xFFFF]. *)

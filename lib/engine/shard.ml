@@ -19,10 +19,10 @@ let begin_txn t = Database.begin_txn t.db
 
 let invoke ?choose t tid ~obj inv =
   let outcome = Database.invoke ?choose t.db tid ~obj inv in
+  (* No Begin frame: the first Operation opens the transaction in the
+     log's replay state as well as a Begin would. *)
   (match outcome with
-  | Atomic_object.Executed op ->
-      if not (Wal.in_flight t.wal tid) then Wal.append t.wal (Wal.Begin tid);
-      Wal.append t.wal (Wal.Operation (tid, op))
+  | Atomic_object.Executed op -> Wal.append t.wal (Wal.Operation (tid, op))
   | Atomic_object.Blocked _ | Atomic_object.No_response -> ());
   outcome
 

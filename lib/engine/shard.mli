@@ -40,8 +40,9 @@ val database : t -> Database.t
 val metrics : t -> Tm_obs.Metrics.t
 val begin_txn : t -> Tid.t
 
-(** Executes at [obj] and, when the operation ran, logs it (with the
-    transaction's [Begin] before its first operation). *)
+(** Executes at [obj] and, when the operation ran, logs it as an
+    [Operation] record.  No [Begin] record is written: the first
+    operation opens the transaction in the log. *)
 val invoke :
   ?choose:(Value.t list -> Value.t) -> t -> Tid.t -> obj:string -> Op.invocation ->
   Atomic_object.outcome
@@ -66,7 +67,7 @@ val invoke :
 (** Stage 1: validate (for optimistic objects), append the commit
     record, apply.  [Ok lsn] is the commit record's LSN to pass to
     {!wait_durable}; on validation failure the transaction is aborted
-    (and its [Abort] logged if it logged a [Begin]). *)
+    (and its [Abort] logged if it logged an operation). *)
 val try_commit_nowait : t -> Tid.t -> (int, string * Op.t * Op.t) result
 
 (** Stage 2: block until the WAL's flushed watermark covers [lsn]
@@ -93,7 +94,7 @@ val try_commit : t -> Tid.t -> (unit, string * Op.t * Op.t) result
     [Ok lsn] is the prepare record's LSN — the caller must
     [Wal.force_upto] it before voting yes (a yes vote is a durable
     promise).  On validation failure the transaction is aborted locally
-    (its [Abort] logged if it logged a [Begin]) and the conflicting
+    (its [Abort] logged if it logged an operation) and the conflicting
     object/operation pair returned — a no vote. *)
 val prepare : t -> Tid.t -> (int, string * Op.t * Op.t) result
 

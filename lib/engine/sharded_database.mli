@@ -3,7 +3,7 @@
 
     Each shard is a complete single-shard engine ({!Shard}): its own
     lock tables and atomic objects, its own WAL (stamped with the
-    shard's id in every v2 frame when disk-backed — see {!Disk_wal}),
+    shard's id in every frame when disk-backed — see {!Disk_wal}),
     and its own group-commit flusher.  A router hashes object name to
     home shard ({!Wal.partition_of_object}, a stable hash of the name),
     so a transaction that touches one shard commits through the
@@ -74,8 +74,8 @@ type t
     partitioned among shards by the router.  A sink-less [Wal.create ()]
     gives an in-memory shard, durable by fiat.  [first_tid] seeds the {e global}
     transaction-id allocator.  Raises [Invalid_argument] if [wals] is
-    empty or has more than 65536 elements (shard ids must fit a v2
-    frame header). *)
+    empty or has more than 65536 elements (shard ids must fit a frame
+    header). *)
 val create : ?first_tid:int -> wals:Wal.t array -> Atomic_object.t list -> t
 
 (** The home shard of an object name:

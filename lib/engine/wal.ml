@@ -545,22 +545,28 @@ let truncate_to_checkpoint t =
 module Codec = struct
   let v1 = 1
   let v2 = 2
-  let write_version = v2
-  let supported_versions = [ v1; v2 ]
+  let v3 = 3
+  let write_version = v3
+  let supported_versions = [ v1; v2; v3 ]
   let is_supported v = List.mem v supported_versions
 
-  (* The frame header is versioned; the payload encoding (record tag +
-     body) is byte-identical across versions, so version negotiation is
-     purely a header concern and old payload bytes replay bit-for-bit.
+  (* The frame header is versioned, and the version byte also names the
+     payload's integer encoding; the record tags and field order are the
+     same in every version, so old payload bytes replay bit-for-bit.
 
        v1: magic0 magic1 0x01 | payload_len LE32 | crc32 LE32 | payload
        v2: magic0 magic1 0x02 | shard LE16 | payload_len LE32 | crc32 LE32 | payload
+       v3: magic0 magic1 0x03 | shard LE16 | payload_len LE32 | crc32 LE32 | payload
 
-     v2 adds a 16-bit shard id (written as 0 until the sharded engine
-     lands; any value is accepted on decode) and, with the version byte,
-     reserves room for record-kind growth: new record tags arrive only
-     under v2 frames, so a v1-only binary can never misparse them — it
+     v2 adds a 16-bit shard id and, with the version byte, reserves room
+     for record-kind growth: new record tags arrive only under v2 and
+     later frames, so a v1-only binary can never misparse them — it
      reports a typed foreign-version corruption with the exact offset.
+     v3 keeps v2's header and shrinks the payload: every integer in it
+     (tids, lengths, [Value.Int], a checkpoint's [next_tid]) is a zigzag
+     LEB128 varint instead of 8 fixed bytes, except a [Truncate_intent]'s
+     two lengths, which stay fixed so that an intent frame has one size
+     ({!Disk_wal}'s journal search probes for exactly that size).
      The magic gives the decoder a resynchronization anchor: after a
      corrupt frame it can scan for the next intact one to tell interior
      corruption from a torn tail. *)
@@ -569,7 +575,7 @@ module Codec = struct
 
   let header_size = function
     | 1 -> 11
-    | 2 -> 13
+    | 2 | 3 -> 13
     | v -> invalid_arg (Fmt.str "Wal.Codec.header_size: unsupported version %d" v)
 
   (* The smallest supported header — how many bytes a scanner needs
@@ -639,87 +645,116 @@ module Codec = struct
      A frame is sized before it is written: the [*_size] functions walk
      a record without allocating, and the [put_*] functions write it
      into [Bytes] of exactly that size, each returning the position
-     after what it wrote.  Integers are 8-byte little-endian, strings
-     and lists carry their length first. *)
+     after what it wrote.  Strings and lists carry their length first.
+     [fixed] says how the payload's integers are written: 8 bytes
+     little-endian (v1, v2) or as varints (v3).  It is an argument of
+     every call rather than a setting, because shards append from
+     several threads at once. *)
 
-  let rec sum_sizes size acc = function
+  let fixed_ints version = version < v3
+
+  (* Zigzag moves the sign to the low bit, so an integer of small
+     magnitude, of either sign, has a short varint.  The result is read
+     as 63 unsigned bits ([lsr]), seven to a byte, low bits first, with
+     the top bit of a byte set when another follows: at most 9 bytes. *)
+  let zigzag i = (i lsl 1) lxor (i asr 62)
+  let unzigzag z = (z lsr 1) lxor -(z land 1)
+
+  let rec varint_size z = if z lsr 7 = 0 then 1 else 1 + varint_size (z lsr 7)
+  let int_size fixed i = if fixed then 8 else varint_size (zigzag i)
+
+  let rec sum_sizes size fixed acc = function
     | [] -> acc
-    | x :: l -> sum_sizes size (acc + size x) l
+    | x :: l -> sum_sizes size fixed (acc + size fixed x) l
 
-  let string_size s = 8 + String.length s
-  let list_size size l = sum_sizes size 8 l
+  let string_size fixed s = let n = String.length s in int_size fixed n + n
+  let list_size size fixed l = sum_sizes size fixed (int_size fixed (List.length l)) l
 
-  let rec value_size = function
+  let rec value_size fixed = function
     | Value.Unit | Value.Bool _ -> 1
-    | Value.Int _ -> 9
-    | Value.Str s -> 1 + string_size s
-    | Value.List l -> 1 + list_size value_size l
+    | Value.Int i -> 1 + int_size fixed i
+    | Value.Str s -> 1 + string_size fixed s
+    | Value.List l -> 1 + list_size value_size fixed l
 
-  let op_size (op : Op.t) =
-    string_size op.obj
-    + string_size op.inv.Op.name
-    + list_size value_size op.inv.Op.args
-    + value_size op.res
+  let op_size fixed (op : Op.t) =
+    string_size fixed op.obj
+    + string_size fixed op.inv.Op.name
+    + list_size value_size fixed op.inv.Op.args
+    + value_size fixed op.res
 
-  let live_size (_, ops) = 8 + list_size op_size ops
+  let tid_size fixed tid = int_size fixed (Tid.to_int tid)
+  let live_size fixed (tid, ops) = tid_size fixed tid + list_size op_size fixed ops
 
-  (* Payload bytes of [r]: its tag byte and body. *)
-  let record_size = function
-    | Begin _ | Commit _ | Abort _ | Prepare _ -> 9
-    | Operation (_, op) -> 9 + op_size op
-    | Checkpoint cp -> 1 + list_size op_size cp.committed + list_size live_size cp.live + 8
+  (* Payload bytes of [r]: its tag byte and body.  An intent's two
+     lengths take 8 bytes each in every version. *)
+  let record_size fixed = function
+    | Begin tid | Commit tid | Abort tid | Prepare tid -> 1 + tid_size fixed tid
+    | Operation (tid, op) -> 1 + tid_size fixed tid + op_size fixed op
+    | Checkpoint cp ->
+        1
+        + list_size op_size fixed cp.committed
+        + list_size live_size fixed cp.live
+        + int_size fixed cp.next_tid
     | Truncate_intent _ -> 17
-    | Decision _ -> 10
+    | Decision { tid; _ } -> 2 + tid_size fixed tid
 
   let put_byte b p c = Bytes.set b p c; p + 1
-  let put_int b p i = Bytes.set_int64_le b p (Int64.of_int i); p + 8
+  let put_u64 b p i = Bytes.set_int64_le b p (Int64.of_int i); p + 8
 
-  let put_string b p s =
+  let rec put_varint b p z =
+    if z lsr 7 = 0 then put_byte b p (Char.unsafe_chr z)
+    else put_varint b (put_byte b p (Char.unsafe_chr (z land 0x7f lor 0x80))) (z lsr 7)
+
+  let put_int fixed b p i = if fixed then put_u64 b p i else put_varint b p (zigzag i)
+
+  let put_string fixed b p s =
     let n = String.length s in
-    Bytes.blit_string s 0 b (put_int b p n) n;
-    p + 8 + n
+    let p = put_int fixed b p n in
+    Bytes.blit_string s 0 b p n;
+    p + n
 
-  let rec put_each put b p = function
+  let rec put_each put fixed b p = function
     | [] -> p
-    | x :: l -> put_each put b (put b p x) l
+    | x :: l -> put_each put fixed b (put fixed b p x) l
 
-  let put_list put b p l = put_each put b (put_int b p (List.length l)) l
-  let put_tid b p tid = put_int b p (Tid.to_int tid)
+  let put_list put fixed b p l = put_each put fixed b (put_int fixed b p (List.length l)) l
+  let put_tid fixed b p tid = put_int fixed b p (Tid.to_int tid)
 
-  let rec put_value b p = function
+  let rec put_value fixed b p = function
     | Value.Unit -> put_byte b p '\000'
     | Value.Bool false -> put_byte b p '\001'
     | Value.Bool true -> put_byte b p '\002'
-    | Value.Int i -> put_int b (put_byte b p '\003') i
-    | Value.Str s -> put_string b (put_byte b p '\004') s
-    | Value.List l -> put_list put_value b (put_byte b p '\005') l
+    | Value.Int i -> put_int fixed b (put_byte b p '\003') i
+    | Value.Str s -> put_string fixed b (put_byte b p '\004') s
+    | Value.List l -> put_list put_value fixed b (put_byte b p '\005') l
 
-  let put_op b p (op : Op.t) =
-    let p = put_string b p op.obj in
-    let p = put_string b p op.inv.Op.name in
-    let p = put_list put_value b p op.inv.Op.args in
-    put_value b p op.res
+  let put_op fixed b p (op : Op.t) =
+    let p = put_string fixed b p op.obj in
+    let p = put_string fixed b p op.inv.Op.name in
+    let p = put_list put_value fixed b p op.inv.Op.args in
+    put_value fixed b p op.res
 
-  let put_live b p (tid, ops) = put_list put_op b (put_tid b p tid) ops
+  let put_live fixed b p (tid, ops) = put_list put_op fixed b (put_tid fixed b p tid) ops
 
-  let put_record b p = function
-    | Begin tid -> put_tid b (put_byte b p '\000') tid
-    | Operation (tid, op) -> put_op b (put_tid b (put_byte b p '\001') tid) op
-    | Commit tid -> put_tid b (put_byte b p '\002') tid
-    | Abort tid -> put_tid b (put_byte b p '\003') tid
+  let put_record fixed b p = function
+    | Begin tid -> put_tid fixed b (put_byte b p '\000') tid
+    | Operation (tid, op) -> put_op fixed b (put_tid fixed b (put_byte b p '\001') tid) op
+    | Commit tid -> put_tid fixed b (put_byte b p '\002') tid
+    | Abort tid -> put_tid fixed b (put_byte b p '\003') tid
     | Checkpoint cp ->
-        let p = put_list put_op b (put_byte b p '\004') cp.committed in
-        let p = put_list put_live b p cp.live in
-        put_int b p cp.next_tid
+        let p = put_list put_op fixed b (put_byte b p '\004') cp.committed in
+        let p = put_list put_live fixed b p cp.live in
+        put_int fixed b p cp.next_tid
     | Truncate_intent { old_len; new_len } ->
-        put_int b (put_int b (put_byte b p '\005') old_len) new_len
-    | Prepare tid -> put_tid b (put_byte b p '\006') tid
+        put_u64 b (put_u64 b (put_byte b p '\005') old_len) new_len
+    | Prepare tid -> put_tid fixed b (put_byte b p '\006') tid
     | Decision { tid; commit } ->
-        put_byte b (put_tid b (put_byte b p '\007') tid) (if commit then '\001' else '\000')
+        put_byte b (put_tid fixed b (put_byte b p '\007') tid) (if commit then '\001' else '\000')
 
   (* Record kinds that postdate the v1 header: they may only travel
-     under v2 frames, so a v1-only binary refuses them as a typed
-     foreign-version corruption instead of misparsing the payload. *)
+     under v2 and later frames, so a v1-only binary refuses them as a
+     typed foreign-version corruption instead of misparsing the
+     payload. *)
   let v2_only_record = function
     | Prepare _ | Decision _ -> true
     | Begin _ | Operation _ | Commit _ | Abort _ | Checkpoint _
@@ -739,18 +774,18 @@ module Codec = struct
       invalid_arg "Wal.Codec.encode: v1 frames carry no shard id";
     if shard < 0 || shard > 0xFFFF then
       invalid_arg (Fmt.str "Wal.Codec.encode: shard %d out of range" shard);
-    header_size version + record_size r
+    header_size version + record_size (fixed_ints version) r
 
   (* Write [r]'s frame at [pos] of [b]: payload first, then the header
      with the payload's length and CRC.  Returns the position after the
      frame. *)
   let put_frame b pos ~version ~shard r =
     let start = pos + header_size version in
-    let stop = put_record b start r in
+    let stop = put_record (fixed_ints version) b start r in
     Bytes.set b pos magic0;
     Bytes.set b (pos + 1) magic1;
     Bytes.set b (pos + 2) (Char.chr version);
-    if version = v2 then Bytes.set_uint16_le b (pos + 3) shard;
+    if version <> v1 then Bytes.set_uint16_le b (pos + 3) shard;
     Bytes.set_int32_le b (start - 8) (Int32.of_int (stop - start));
     Bytes.set_int32_le b (start - 4) (Int32.of_int (crc32_bytes b start (stop - start)));
     stop
@@ -780,10 +815,11 @@ module Codec = struct
      ([decode_verified]) carries a decode cache so that it pays for the log's
      variety, not its length.  The cache is direct-mapped and bounded: a
      slot of [ops] holds the operation first decoded from the encoded
-     slice [op_off]/[op_len] of the source, and a colliding entry evicts
-     the slot's occupant.  The key of an operation is its own bytes in
-     the source, so a miss copies no key.  Decoded values are immutable,
-     so sharing them is invisible.
+     slice at [op_off] of the source, and a colliding entry evicts the
+     slot's occupant.  The key of an operation is its own bytes in the
+     source and its frame's integer width, so a miss copies no key and a
+     mixed log never reads a v3 operation's bytes as a v2 one's.
+     Decoded values are immutable, so sharing them is invisible.
 
      A log that does not repeat gains nothing from the cache and pays
      for it: the walk and hash of every operation, and each miss stored
@@ -813,7 +849,9 @@ module Codec = struct
 
   type memo = {
     op_off : int array;
-    op_len : int array;  (* 0: empty, as no operation encodes to no bytes *)
+    op_key : int array;
+        (* the encoding's length, doubled, plus 1 for fixed-width
+           integers; 0: empty, as no operation encodes to no bytes *)
     ops : Op.t array;
     mutable lookups : int;  (* in the current window *)
     mutable hits : int;  (* in the current window *)
@@ -821,15 +859,17 @@ module Codec = struct
   }
 
   (* The cache for a pass over [len] bytes: one operation slot per 64
-     bytes (an operation's frame takes at least 47), from [window] up to
-     [op_slots]. *)
+     bytes, from [window] up to [op_slots].  An operation's frame takes
+     at least 47 bytes in v1 and v2 and at least 19 in v3 (37 on
+     average in the restart benchmark's image), so that is a slot per
+     one or two operations; a log of 256 KB or more gets the cap. *)
   let new_memo len =
     let rec fit n = if n >= op_slots || 64 * n >= len then n else fit (2 * n) in
     let n = fit window in
     let none = Op.make ~obj:"" "" Value.Unit in
     {
       op_off = Array.make n 0;
-      op_len = Array.make n 0;
+      op_key = Array.make n 0;
       ops = Array.make n none;
       lookups = 0;
       hits = 0;
@@ -840,6 +880,7 @@ module Codec = struct
     src : string;
     mutable pos : int;
     mutable stop : int;
+    mutable fixed : bool;  (* the current frame's integers are 8 bytes *)
     memo : memo option;  (* [None] for single-frame readers *)
   }
 
@@ -847,11 +888,32 @@ module Codec = struct
 
   let get_byte r = need r 1; let c = r.src.[r.pos] in r.pos <- r.pos + 1; Char.code c
 
-  let get_int r =
+  let get_u64 r =
     need r 8;
     let v = Int64.to_int (String.get_int64_le r.src r.pos) in
     r.pos <- r.pos + 8;
     v
+
+  (* The bytes of a varint after its first, which held the low seven
+     bits: seven more bits each.  The ninth byte holds the last seven of
+     63 bits, so it may not ask for a tenth. *)
+  let rec varint_rest r z shift =
+    need r 1;
+    let c = Char.code (String.unsafe_get r.src r.pos) in
+    r.pos <- r.pos + 1;
+    let z = z lor ((c land 0x7f) lsl shift) in
+    if c < 0x80 then z
+    else if shift = 56 then raise (Bad "varint longer than 9 bytes")
+    else varint_rest r z (shift + 7)
+
+  (* Most varints are one byte; that case makes no call. *)
+  let get_varint r =
+    need r 1;
+    let c = Char.code (String.unsafe_get r.src r.pos) in
+    r.pos <- r.pos + 1;
+    unzigzag (if c < 0x80 then c else varint_rest r (c land 0x7f) 7)
+
+  let get_int r = if r.fixed then get_u64 r else get_varint r
 
   let get_len r =
     let n = get_int r in
@@ -915,7 +977,7 @@ module Codec = struct
   let rec skip_value r =
     match get_byte r with
     | 0 | 1 | 2 -> ()
-    | 3 -> need r 8; r.pos <- r.pos + 8
+    | 3 -> ignore (get_int r)
     | 4 -> skip_string r
     | 5 -> skip_values r (get_len r)
     | n -> raise (bad_value_tag n)
@@ -940,8 +1002,9 @@ module Codec = struct
         let len = r.pos - start in
         (* The table's length is a power of two. *)
         let slot = hash r.src start r.pos len land (Array.length m.ops - 1) in
+        let key = (2 * len) + Bool.to_int r.fixed in
         let hit =
-          Array.unsafe_get m.op_len slot = len
+          Array.unsafe_get m.op_key slot = key
           && same r.src (Array.unsafe_get m.op_off slot) start len
         in
         if hit then m.hits <- m.hits + 1;
@@ -956,7 +1019,7 @@ module Codec = struct
           r.pos <- start;
           let op = build_op r in
           Array.unsafe_set m.op_off slot start;
-          Array.unsafe_set m.op_len slot len;
+          Array.unsafe_set m.op_key slot key;
           Array.unsafe_set m.ops slot op;
           op
         end
@@ -975,8 +1038,8 @@ module Codec = struct
         let next_tid = get_int r in
         Checkpoint { committed; live; next_tid }
     | 5 ->
-        let old_len = get_int r in
-        let new_len = get_int r in
+        let old_len = get_u64 r in
+        let new_len = get_u64 r in
         if old_len < 0 || new_len < 0 then
           raise (Bad "negative truncate-intent length");
         Truncate_intent { old_len; new_len }
@@ -1017,8 +1080,8 @@ module Codec = struct
         let hwm = skip_lives r (get_len r) 0 in
         Int.max hwm (get_int r)
     | 5 ->
-        let old_len = get_int r in
-        let new_len = get_int r in
+        let old_len = get_u64 r in
+        let new_len = get_u64 r in
         if old_len < 0 || new_len < 0 then
           raise (Bad "negative truncate-intent length");
         0
@@ -1095,7 +1158,8 @@ module Codec = struct
      work is the caller's to account). *)
   let check_frame ?profile walk r pos n =
     let s = r.src in
-    let start = pos + header_size (Char.code s.[pos + 2]) in
+    let version = Char.code s.[pos + 2] in
+    let start = pos + header_size version in
     let expected = Int32.to_int (String.get_int32_le s (start - 4)) land 0xFFFFFFFF in
     let actual =
       match profile with
@@ -1105,6 +1169,7 @@ module Codec = struct
     if actual <> expected then raise (Bad "crc mismatch");
     r.pos <- start;
     r.stop <- start + n;
+    r.fixed <- fixed_ints version;
     let v = walk r in
     if r.pos <> r.stop then raise (Bad "trailing bytes in payload");
     v
@@ -1113,7 +1178,7 @@ module Codec = struct
     let n = check_header s pos in
     if n < 0 then Error (header_error s pos n)
     else
-      let r = { src = s; pos; stop = pos; memo = None } in
+      let r = { src = s; pos; stop = pos; fixed = false; memo = None } in
       match check_frame get_record r pos n with
       | record -> Ok (record, r.stop)
       | exception Bad reason -> Error (frame_error s pos reason)
@@ -1136,7 +1201,7 @@ module Codec = struct
 
   let valid_frame_after ?(budget = default_probe_budget) s pos =
     let len = String.length s in
-    let r = { src = s; pos; stop = pos; memo = None } in
+    let r = { src = s; pos; stop = pos; fixed = false; memo = None } in
     let rec resync budget pos =
       if pos + min_header_size > len then false
       else
@@ -1169,7 +1234,7 @@ module Codec = struct
      reads, all unboxed, so the loop allocates nothing per frame. *)
   let verify_frames ?profile f s =
     let len = String.length s in
-    let r = { src = s; pos = 0; stop = 0; memo = None } in
+    let r = { src = s; pos = 0; stop = 0; fixed = false; memo = None } in
     let rec frames pos =
       if pos = len then None
       else
@@ -1209,13 +1274,15 @@ module Codec = struct
     let fail () = invalid_arg "Wal.Codec.decode_verified: not a run of verified frames" in
     if from < 0 || upto > String.length s || from > upto then fail ();
     let memo = if upto - from < min_cached then None else Some (new_memo (upto - from)) in
-    let r = { src = s; pos = from; stop = from; memo } in
+    let r = { src = s; pos = from; stop = from; fixed = false; memo } in
     let rec frames pos =
       if pos < upto then begin
         let n = check_header s pos in
         if n < 0 then fail ();
-        r.pos <- pos + header_size (Char.code s.[pos + 2]);
+        let version = Char.code s.[pos + 2] in
+        r.pos <- pos + header_size version;
         r.stop <- r.pos + n;
+        r.fixed <- fixed_ints version;
         let record = get_record r in
         if r.pos <> r.stop then fail ();
         f pos record;

@@ -48,6 +48,10 @@ type checkpoint = {
 
 type record =
   | Begin of Tid.t
+      (** Opens a transaction.  {!Shard} no longer writes it (the first
+          [Operation] opens the transaction in the replay state just as
+          well), but every version still encodes and replays it, so old
+          logs read as they always did. *)
   | Operation of Tid.t * Op.t
   | Commit of Tid.t
   | Abort of Tid.t
@@ -237,8 +241,7 @@ val truncate_to_checkpoint : t -> int
 
 (** [in_flight t tid] — does the log hold records of [tid] ([Begin],
     [Operation] or [Prepare]) and no [Commit] or [Abort] for it?  What
-    {!Shard} asks before logging a transaction's [Begin] or
-    [Abort]. *)
+    {!Shard} asks before logging a transaction's [Abort]. *)
 val in_flight : t -> Tid.t -> bool
 
 (** [checkpoint_of ~next_tid t] = [fuzzy_checkpoint ~next_tid (records
@@ -320,19 +323,23 @@ val fuzzy_checkpoint : next_tid:int -> record list -> checkpoint
     forward-compatible contract (docs/WAL_FORMAT.md is the generated
     spec).
 
-    Each record is one frame.  Two frame formats are readable:
+    Each record is one frame.  Three frame formats are readable:
 
     - {b v1}: 2-byte magic, version byte [0x01], 4-byte little-endian
       payload length, 4-byte CRC32 of the payload, payload;
     - {b v2}: 2-byte magic, version byte [0x02], 2-byte little-endian
-      shard id, then length/CRC/payload as in v1.
+      shard id, then length/CRC/payload as in v1;
+    - {b v3}: v2's header with version byte [0x03]; the payload's
+      integers are zigzag LEB128 varints instead of 8 fixed bytes
+      (a [Truncate_intent]'s two lengths excepted).
 
-    The payload encoding (record tag + body) is identical across
-    versions, so version negotiation is purely per-frame header
-    dispatch: a decoded v1 log replays bit-for-bit to the same state it
-    always did.  New frames are written as {!write_version} (v2), so a
-    log loaded from an old binary grows as a readable mixed-version log
-    until {!truncate_to_checkpoint} rewrites it pure-v2.
+    The record layout (tag + body) is identical across versions, so
+    version negotiation is per-frame dispatch on the version byte,
+    which also names the integer width: a decoded v1 or v2 log replays
+    bit-for-bit to the same state it always did.  New frames are
+    written as {!write_version} (v3), so a log loaded from an old
+    binary grows as a readable mixed-version log until
+    {!truncate_to_checkpoint} rewrites it pure-v3.
 
     {!Codec.decode_all} never guesses: a frame that fails its CRC (or
     any other check) with {e no} intact frame after it is a {e torn
@@ -373,16 +380,24 @@ module Codec : sig
   val v1 : int
   val v2 : int
 
-  (** The version every new frame is encoded with (currently {!v2}). *)
+  (** v2's header with a smaller payload: every integer in it is a
+      zigzag LEB128 varint (at most 9 bytes) instead of 8 fixed bytes,
+      except a [Truncate_intent]'s two lengths, which stay 8 bytes so
+      that an intent frame has one size. *)
+  val v3 : int
+
+  (** The version every new frame is encoded with (currently {!v3}). *)
   val write_version : int
 
-  (** Versions this binary decodes ([[v1; v2]], ascending). *)
+  (** Versions this binary decodes ([[v1; v2; v3]], ascending).  The
+      reader picks the integer width of each frame from its version
+      byte, so a log may mix versions frame by frame. *)
   val supported_versions : int list
 
   val is_supported : int -> bool
 
   (** [header_size v] — frame-header bytes (before the payload) of a
-      version-[v] frame: 11 for v1, 13 for v2.  Raises
+      version-[v] frame: 11 for v1, 13 for v2 and v3.  Raises
       [Invalid_argument] on an unsupported version. *)
   val header_size : int -> int
 
@@ -403,12 +418,12 @@ module Codec : sig
 
   (** [encode r] is the full frame (header + payload) for [r], encoded
       as [version] (default {!write_version}), written into one
-      allocation of exactly the frame's size.  [shard] (default 0, v2
-      only) is the frame's shard id; encoding v1 demands [shard = 0].
-      Encoding as {!v1} exists for the migration tests and the v1-log
-      harvest — production writes are always {!write_version}.  Record
-      kinds that postdate the v1 header ([Prepare], [Decision]) travel
-      only under v2 frames; encoding them as v1 raises
+      allocation of exactly the frame's size.  [shard] (default 0; v2
+      and v3) is the frame's shard id; encoding v1 demands [shard = 0].
+      Encoding as {!v1} or {!v2} exists for the migration tests and the
+      old-log harvests — production writes are always {!write_version}.
+      Record kinds that postdate the v1 header ([Prepare], [Decision])
+      travel only under v2 and later frames; encoding them as v1 raises
       [Invalid_argument]. *)
   val encode : ?version:int -> ?shard:int -> record -> string
 
@@ -424,7 +439,7 @@ module Codec : sig
       nothing. *)
   val put_frame : Bytes.t -> int -> version:int -> shard:int -> record -> int
 
-  (** [v2_only_record r] — does [r] require a v2 frame?  True exactly
+  (** [v2_only_record r] — does [r] require a v2 or later frame?  True exactly
       for the record kinds introduced after the v1 header was frozen
       ([Prepare], [Decision]). *)
   val v2_only_record : record -> bool

@@ -65,7 +65,7 @@ type frame = {
 
 (* The frames of the intact prefix in log order, its length and the
    damage verdict, walked as {!Disk_wal.load} walks them.  A frame's
-   version is its header's third byte and a v2 frame's shard the u16
+   version is its header's third byte and a v2 or v3 frame's shard the u16
    after it (docs/WAL_FORMAT.md). *)
 let walk bytes =
   let clean_bytes, damage =
@@ -90,7 +90,7 @@ let inspect bytes =
   let framed, clean_bytes, damage = walk bytes in
   (* Per-frame histograms (key, frame count), ascending: format
      versions, so mixed-version logs — v1 frames persisted by an older
-     binary with v2 appends after them — are visible, and shards. *)
+     binary with v3 appends after them — are visible, and shards. *)
   let histogram key =
     let tbl = Hashtbl.create 4 in
     let bump k = Hashtbl.replace tbl k (1 + Option.value (Hashtbl.find_opt tbl k) ~default:0) in

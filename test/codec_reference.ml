@@ -1,10 +1,14 @@
 (* The WAL frame encoder and CRC-32 as they were before the codec wrote
    frames in place: a [Buffer] for the payload and another for the
    frame, every integer boxed as an [Int64], and the CRC folded over an
-   [Int32] ref.  It is the oracle of the byte-identity properties in
-   test_storage.ml, which check that [Wal.Codec.encode] and
-   [Wal.Codec.crc32] produce exactly these bytes.  The argument checks
-   of [encode] are left out; the tests only ask for valid frames. *)
+   [Int32] ref.  v3's varints are derived here from the definition
+   rather than from the codec's bit tricks: the zigzag image is 2n for
+   n >= 0 and -2n - 1 below, computed as an unsigned [Int64], and is
+   written seven bits a byte while the unsigned rest is nonzero.  It is
+   the oracle of the byte-identity properties in test_storage.ml, which
+   check that [Wal.Codec.encode] and [Wal.Codec.crc32] produce exactly
+   these bytes.  The argument checks of [encode] are left out; the
+   tests only ask for valid frames. *)
 
 open Tm_core
 module Wal = Tm_engine.Wal
@@ -33,7 +37,27 @@ let crc32 s =
     s;
   Int32.logxor !c 0xFFFFFFFFl
 
-let put_int b i = Buffer.add_int64_le b (Int64.of_int i)
+(* How the frame being built writes its integers: [true] for v1/v2's 8
+   fixed bytes, [false] for v3's varints. *)
+let fixed = ref true
+
+let put_u64 b i = Buffer.add_int64_le b (Int64.of_int i)
+
+let put_varint b i =
+  let n = Int64.of_int i in
+  let z = if i >= 0 then Int64.mul 2L n else Int64.sub (Int64.mul (-2L) n) 1L in
+  let rec go z =
+    let rest = Int64.shift_right_logical z 7 in
+    let low = Int64.to_int (Int64.logand z 0x7fL) in
+    if Int64.equal rest 0L then Buffer.add_char b (Char.chr low)
+    else begin
+      Buffer.add_char b (Char.chr (low + 128));
+      go rest
+    end
+  in
+  go z
+
+let put_int b i = if !fixed then put_u64 b i else put_varint b i
 let put_string b s = put_int b (String.length s); Buffer.add_string b s
 let put_list put b l = put_int b (List.length l); List.iter (put b) l
 let put_tid b tid = put_int b (Tid.to_int tid)
@@ -64,8 +88,8 @@ let put_record b = function
       put_int b cp.Wal.next_tid
   | Wal.Truncate_intent { old_len; new_len } ->
       Buffer.add_char b '\005';
-      put_int b old_len;
-      put_int b new_len
+      put_u64 b old_len;
+      put_u64 b new_len
   | Wal.Prepare tid -> Buffer.add_char b '\006'; put_tid b tid
   | Wal.Decision { tid; commit } ->
       Buffer.add_char b '\007';
@@ -74,13 +98,14 @@ let put_record b = function
 
 let encode ?(version = Wal.Codec.write_version) ?(shard = 0) r =
   let payload = Buffer.create 64 in
+  fixed := version < Wal.Codec.v3;
   put_record payload r;
   let payload = Buffer.contents payload in
   let b = Buffer.create (Wal.Codec.header_size version + String.length payload) in
   Buffer.add_char b Wal.Codec.magic0;
   Buffer.add_char b Wal.Codec.magic1;
   Buffer.add_char b (Char.chr version);
-  if version = Wal.Codec.v2 then Buffer.add_uint16_le b shard;
+  if version <> Wal.Codec.v1 then Buffer.add_uint16_le b shard;
   Buffer.add_int32_le b (Int32.of_int (String.length payload));
   Buffer.add_int32_le b (crc32 payload);
   Buffer.add_string b payload;

@@ -161,21 +161,25 @@ let test_torture_truncation_no_checkpoint () =
   Helpers.check_int "no crash states" 0 report.Crash.states;
   Helpers.check_bool "clean" true (Crash.ok report)
 
-(* An upgrade whose v2 image outgrows the v1 log it replaces: with no
-   checkpoint nothing is dropped and every frame grows, so the install
-   reaches past the old log's end, where the journal begins.  Every byte
-   state must still reload and recover the pre-upgrade state. *)
+(* An upgrade whose image outgrows the v1 log it replaces: with no
+   checkpoint nothing is dropped, and the install reaches past the old
+   log's end, where the journal begins.  A v3 frame's header is 2 bytes
+   wider than a v1 frame's, and a tid of 2^58 takes 9 bytes as a varint
+   against 8 fixed, so the Begin and Abort frames of such tids outgrow
+   what the two operations' varints save.  Every byte state must still
+   reload and recover the pre-upgrade state. *)
 let test_torture_upgrade_growing_image () =
-  let recs =
-    [
-      Wal.Begin Tid.a;
-      Wal.Operation (Tid.a, BA.deposit 5);
-      Wal.Commit Tid.a;
-      Wal.Begin Tid.b;
-      Wal.Operation (Tid.b, BA.deposit 3);
-    ]
+  let big i = Tid.of_int ((1 lsl 58) + i) in
+  let a = big 0 and b = big 1 in
+  let aborted =
+    List.concat (List.init 10 (fun i -> [ Wal.Begin (big (2 + i)); Wal.Abort (big (2 + i)) ]))
   in
-  Helpers.check_bool "the v2 image is longer" true
+  let recs =
+    [ Wal.Begin a; Wal.Operation (a, BA.deposit 5); Wal.Commit a ]
+    @ aborted
+    @ [ Wal.Begin b; Wal.Operation (b, BA.deposit 3) ]
+  in
+  Helpers.check_bool "the v3 image is longer" true
     (String.length (Wal.Codec.encode_all recs)
     > String.length (Wal.Codec.encode_all ~version:Wal.Codec.v1 recs));
   let report = sweep (Crash.rewrite ~from:Wal.Codec.v1) (appended recs) in
@@ -631,11 +635,20 @@ let test_sharded_rewrites_and_in_doubt () =
   Helpers.check_bool
     (Fmt.str "truncate clean: %a" Crash.pp_report truncate)
     true (Crash.ok truncate);
-  Helpers.check_int "truncate states" 1592 truncate.Crash.states;
+  Helpers.check_int "truncate states" 702 truncate.Crash.states;
   let upgrade =
     Crash.enumerate ~rebuild:rebuild_sharded (Crash.rewrite ~from:Wal.Codec.v1 r)
   in
   Helpers.check_int "no upgrade of 2PC logs" 0 upgrade.Crash.states;
+  (* v2 frames carry shard ids and 2PC records, so every shard upgrades *)
+  let upgrade_v2 =
+    Crash.enumerate ~rebuild:rebuild_sharded (Crash.rewrite ~from:Wal.Codec.v2 r)
+  in
+  Helpers.check_bool
+    (Fmt.str "upgrade-v2 clean: %a" Crash.pp_report upgrade_v2)
+    true (Crash.ok upgrade_v2);
+  Helpers.check_int "upgrade-v2 states" 702 upgrade_v2.Crash.states;
+  Helpers.check_int "upgrade-v2 cross-shard txns" 2 upgrade_v2.Crash.cross_txns;
   (match Crash.in_doubt r with
   | None -> Alcotest.fail "no decided prepare left in doubt"
   | Some st ->
@@ -708,18 +721,19 @@ let test_state_counts_pinned () =
       (Crash.ok report);
     Helpers.check_int (name ^ " states") expected report.Crash.states
   in
-  count "append" 11 (sweep Crash.append_points r);
-  count "bytes" 571 (sweep Crash.byte_cuts r);
-  count "truncate" 741 (sweep truncation r);
-  count "upgrade" 741 (sweep (Crash.rewrite ~from:Wal.Codec.v1) r);
-  count "flips" 570 (Crash.corruption_sweep r);
+  count "append" 8 (sweep Crash.append_points r);
+  count "bytes" 218 (sweep Crash.byte_cuts r);
+  count "truncate" 305 (sweep truncation r);
+  count "upgrade" 305 (sweep (Crash.rewrite ~from:Wal.Codec.v1) r);
+  count "upgrade-v2" 305 (sweep (Crash.rewrite ~from:Wal.Codec.v2) r);
+  count "flips" 217 (Crash.corruption_sweep r);
   let r = two_shard_recording () in
   let forced = Crash.enumerate ~rebuild:rebuild_sharded (Crash.forced_frontiers r) in
   let bytes = Crash.enumerate ~rebuild:rebuild_sharded (Crash.byte_cuts r) in
   count "2-shard forced" 10 forced;
-  count "2-shard bytes" 1192 bytes;
+  count "2-shard bytes" 513 bytes;
   Helpers.check_int "cross-shard txns" 2 bytes.Crash.cross_txns;
-  Helpers.check_int "evidence checks" 33
+  Helpers.check_int "evidence checks" 28
     (forced.Crash.evidence_checked + bytes.Crash.evidence_checked)
 
 (* --- escrow in the battery: a counter on one shard, an account on the
@@ -779,8 +793,8 @@ let test_escrow_battery () =
     Helpers.check_int (name ^ " states") expected report.Crash.states;
     Helpers.check_int (name ^ " cross-shard txns") 2 report.Crash.cross_txns
   in
-  count "escrow append" 34 Crash.append_points;
-  count "escrow bytes" 1390 Crash.byte_cuts
+  count "escrow append" 25 Crash.append_points;
+  count "escrow bytes" 576 Crash.byte_cuts
 
 let suite =
   [

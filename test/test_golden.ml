@@ -9,11 +9,12 @@
      format fails here until `make golden` regenerates the files (and
      the diff shows exactly which kinds/versions moved).
 
-   - Harvested logs: test/golden/logs/*.wal are real v1 log images
-     written by crashtest --keep-log --keep-log-version 1 (one with a
-     fuzzy checkpoint, one with a torn tail), and logs/DIGESTS records
-     the replay digest each must recover to.  The current binary must
-     keep replaying them to those digests — the migration contract.
+   - Harvested logs: test/golden/logs/*.wal are real v1 and v2 log
+     images written by crashtest --keep-log --keep-log-version N (v1:
+     one with a fuzzy checkpoint, one with a torn tail; v2: one with
+     fuzzy checkpoints), and logs/DIGESTS records the replay digest each
+     must recover to.  The current binary must keep replaying them to
+     those digests — the migration contract.
 
    A missing golden file is written to the build sandbox and the test
    fails pointing at `make golden`, so bootstrapping a new record kind
@@ -127,21 +128,24 @@ let read_digests () =
   if lines = [] then Alcotest.fail "DIGESTS is empty";
   lines
 
-(* The checked-in v1 logs replay, under this binary, to the recorded
-   recovered-state digests — bit-for-bit read compatibility, including
-   across a torn tail. *)
-let test_harvested_v1_logs () =
+(* The checked-in logs of one format version ([v<N>_*.wal]) replay,
+   under this binary, to the recorded recovered-state digests —
+   bit-for-bit read compatibility, including across a torn tail. *)
+let test_harvested_logs version () =
+  let prefix = Fmt.str "v%d_" version in
+  let logs = List.filter (fun (file, _) -> String.starts_with ~prefix file) (read_digests ()) in
+  if logs = [] then Alcotest.failf "DIGESTS names no %s*.wal log" prefix;
   List.iter
     (fun (file, expected) ->
       let path = Filename.concat (Filename.concat "golden" "logs") file in
       if not (Sys.file_exists path) then
         Alcotest.failf "%s named in DIGESTS but missing" path;
       let bytes = read_file path in
-      (* these are v1 images: every readable frame must be v1 *)
+      (* every readable frame must be of the version the name gives *)
       let s = Wal_inspect.inspect bytes in
       List.iter
         (fun (v, _) ->
-          Helpers.check_int (file ^ " frames are v1") Codec.v1 v)
+          Helpers.check_int (Fmt.str "%s frames are v%d" file version) version v)
         s.Wal_inspect.by_version;
       match Wal_inspect.replay_digest bytes with
       | Error c -> Alcotest.failf "%s refused: %a" file Codec.pp_corruption c
@@ -149,7 +153,7 @@ let test_harvested_v1_logs () =
           Alcotest.(check string)
             (file ^ " replays to its recorded digest")
             expected actual)
-    (read_digests ())
+    logs
 
 let suite =
   List.map
@@ -163,5 +167,7 @@ let suite =
       Alcotest.test_case "every record kind has a golden fixture" `Quick
         test_fixture_coverage;
       Alcotest.test_case "harvested v1 logs replay to recorded digests" `Quick
-        test_harvested_v1_logs;
+        (test_harvested_logs Codec.v1);
+      Alcotest.test_case "harvested v2 logs replay to recorded digests" `Quick
+        (test_harvested_logs Codec.v2);
     ]

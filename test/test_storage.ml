@@ -54,8 +54,8 @@ let prop_roundtrip =
           && d.Codec.clean_bytes = String.length bytes
           && List.equal Wal.equal_record rs d.Codec.records)
 
-(* Same round trip at every supported format version: the payload
-   encoding is shared, only the frame header differs. *)
+(* Same round trip at every supported format version: the record
+   layout is shared; the header and the integer width differ. *)
 let prop_versioned_roundtrip =
   Helpers.qcheck "decode (encode ~version rs) = rs for each version"
     QCheck2.Gen.(pair (oneofl Codec.supported_versions) records_gen)
@@ -66,7 +66,7 @@ let prop_versioned_roundtrip =
       | Ok d ->
           d.Codec.torn = None && List.equal Wal.equal_record rs d.Codec.records)
 
-(* And with the version chosen per frame: any v1/v2 interleaving decodes
+(* And with the version chosen per frame: any v1/v2/v3 interleaving decodes
    to the same records — version negotiation is per frame, not per log. *)
 let prop_mixed_version_roundtrip =
   Helpers.qcheck "per-frame version mix round trips"
@@ -208,23 +208,27 @@ let test_long_log_verdicts () =
   | Error c -> Helpers.check_int "refused at the middle frame's offset" mid_off c.Codec.offset
 
 let test_codec_frame_shape () =
-  Helpers.check_int "write format version" 2 Codec.write_version;
+  Helpers.check_int "write format version" 3 Codec.write_version;
   Alcotest.(check (list int))
-    "supported versions" [ 1; 2 ] Codec.supported_versions;
+    "supported versions" [ 1; 2; 3 ] Codec.supported_versions;
   let frame = Codec.encode (Wal.Begin Tid.a) in
   Helpers.check_bool "frame longer than header" true
     (String.length frame > Codec.header_size Codec.write_version);
   Helpers.check_bool "magic byte 0" true (frame.[0] = '\xd7');
   Helpers.check_bool "magic byte 1" true (frame.[1] = 'W');
   Helpers.check_int "version byte" Codec.write_version (Char.code frame.[2]);
-  (* v2 carries a little-endian shard id (written as 0 for now) between
-     the version byte and the payload length *)
+  (* v2 and v3 carry a little-endian shard id between the version byte
+     and the payload length *)
   Helpers.check_int "shard id" 0
     (Char.code frame.[3] lor (Char.code frame.[4] lsl 8));
   let v1 = Codec.encode ~version:Codec.v1 (Wal.Begin Tid.a) in
   Helpers.check_int "v1 version byte" 1 (Char.code v1.[2]);
   Helpers.check_int "v2 header is 2 bytes wider" 2
-    (String.length frame - String.length v1)
+    (String.length (Codec.encode ~version:Codec.v2 (Wal.Begin Tid.a)) - String.length v1);
+  Helpers.check_int "v3 header is v2's" (Codec.header_size Codec.v2)
+    (Codec.header_size Codec.v3);
+  (* v3 writes the tid as a one-byte varint: tag + 1 byte of payload *)
+  Helpers.check_int "v3 begin payload" 2 (String.length frame - Codec.header_size Codec.v3)
 
 let test_codec_torn_tail () =
   let bytes = Codec.encode_all sample_records in
@@ -325,13 +329,16 @@ let test_foreign_version_refused () =
             (Some 9) c.Codec.version
       | None -> Alcotest.fail "foreign tail not reported as torn")
 
-(* Version-negotiation round trips: pure v1, pure v2, and interleaved
-   frames all decode to the same records — payload encoding is shared,
-   only the frame header differs. *)
+(* Version-negotiation round trips: pure v1, pure v2, pure v3 and
+   interleaved frames all decode to the same records — the record
+   layout is shared; the header and the integer width differ. *)
 let test_mixed_version_roundtrip () =
   let v1 = Codec.encode_all ~version:Codec.v1 sample_records in
   let v2 = Codec.encode_all ~version:Codec.v2 sample_records in
+  let v3 = Codec.encode_all ~version:Codec.v3 sample_records in
   Helpers.check_bool "v1 and v2 images differ" true (not (String.equal v1 v2));
+  Helpers.check_bool "v3 image is the shortest" true
+    (String.length v3 < String.length v1 && String.length v1 < String.length v2);
   List.iter
     (fun (label, bytes) ->
       match Codec.decode_all bytes with
@@ -340,12 +347,11 @@ let test_mixed_version_roundtrip () =
           Helpers.check_bool (label ^ " round trips") true
             (List.equal Wal.equal_record sample_records d.Codec.records
             && d.Codec.torn = None))
-    [ ("pure v1", v1); ("pure v2", v2) ];
+    [ ("pure v1", v1); ("pure v2", v2); ("pure v3", v3) ];
   let mixed =
     String.concat ""
       (List.mapi
-         (fun i r ->
-           Codec.encode ~version:(if i mod 2 = 0 then Codec.v1 else Codec.v2) r)
+         (fun i r -> Codec.encode ~version:(List.nth Codec.supported_versions (i mod 3)) r)
          sample_records)
   in
   match Codec.decode_all mixed with
@@ -355,8 +361,9 @@ let test_mixed_version_roundtrip () =
         (List.equal Wal.equal_record sample_records d.Codec.records)
 
 (* A v1 log loaded by the current binary: replays bit-for-bit, appends
-   land in v2 (a mixed log), and truncate_to_checkpoint rewrites pure v2 —
-   the incremental upgrade path. *)
+   land in the write version (a mixed log), and truncate_to_checkpoint
+   rewrites it purely in the write version — the incremental upgrade
+   path. *)
 let test_disk_wal_v1_upgrade () =
   let v1_bytes = Codec.encode_all ~version:Codec.v1 sample_records in
   let storage = Storage.of_string v1_bytes in
@@ -369,7 +376,7 @@ let test_disk_wal_v1_upgrade () =
       Wal.append wal (Wal.Commit Tid.b);
       Wal.append wal (Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 (Wal.records wal)));
       Wal.force wal;
-      (* the log is now mixed: the v1 prefix untouched, v2 appended *)
+      (* the log is now mixed: the v1 prefix untouched, v3 appended *)
       let mixed = Storage.read_all storage in
       Helpers.check_bool "v1 prefix untouched" true
         (String.length mixed > String.length v1_bytes
@@ -552,18 +559,27 @@ let test_disk_wal_interior_corruption_refused () =
 
 (* A frame whose CRC holds but whose tid field is negative (a foreign
    writer, or damage re-sealed) is corrupt like any other: [load]
-   reports it at its own offset. *)
+   reports it at its own offset, whether the tid is 8 fixed bytes (v2)
+   or a varint (v3, where 1 is the zigzag of -1). *)
 let test_disk_wal_negative_tid_refused () =
-  let prefix = Codec.encode_all [ Wal.Begin Tid.a; Wal.Commit Tid.a ] in
-  let b = Bytes.of_string (Codec.encode (Wal.Begin Tid.b)) in
-  let hdr = Codec.header_size Codec.write_version in
-  let n = Bytes.length b - hdr in
-  Bytes.set_int64_le b (hdr + 1) (-1L);
-  Bytes.set_int32_le b (hdr - 4) (Codec.crc32 (Bytes.sub_string b hdr n));
-  let image = prefix ^ Bytes.to_string b ^ Codec.encode (Wal.Commit Tid.b) in
-  match Disk_wal.load (Storage.of_string image) with
-  | Ok _ -> Alcotest.fail "negative tid loaded"
-  | Error c -> Helpers.check_int "offset of the frame" (String.length prefix) c.Codec.offset
+  List.iter
+    (fun version ->
+      let prefix = Codec.encode_all ~version [ Wal.Begin Tid.a; Wal.Commit Tid.a ] in
+      let b = Bytes.of_string (Codec.encode ~version (Wal.Begin Tid.b)) in
+      let hdr = Codec.header_size version in
+      let n = Bytes.length b - hdr in
+      if version = Codec.v3 then Bytes.set b (hdr + 1) '\001'
+      else Bytes.set_int64_le b (hdr + 1) (-1L);
+      Bytes.set_int32_le b (hdr - 4) (Codec.crc32 (Bytes.sub_string b hdr n));
+      let image = prefix ^ Bytes.to_string b ^ Codec.encode ~version (Wal.Commit Tid.b) in
+      match Disk_wal.load (Storage.of_string image) with
+      | Ok _ -> Alcotest.failf "v%d: negative tid loaded" version
+      | Error c ->
+          Helpers.check_int
+            (Fmt.str "v%d: offset of the frame" version)
+            (String.length prefix) c.Codec.offset;
+          Alcotest.(check string) (Fmt.str "v%d: reason" version) "negative tid" c.Codec.reason)
+    [ Codec.v2; Codec.v3 ]
 
 let test_disk_wal_truncate_to_checkpoint () =
   let storage = Storage.memory () in
@@ -894,12 +910,15 @@ let any_record_gen =
     ]
 
 (* A record with a frame it may travel in: v1 (shard 0) unless the kind
-   is v2-only, or v2 with any shard. *)
+   is v2-only, or v2 or v3 with any shard. *)
 let framed_record_gen =
   let open QCheck2.Gen in
   any_record_gen >>= fun r ->
-  let v2 = map (fun shard -> (r, Codec.v2, shard)) (int_range 0 0xFFFF) in
-  if Codec.v2_only_record r then v2 else oneof [ return (r, Codec.v1, 0); v2 ]
+  let sharded =
+    map2 (fun version shard -> (r, version, shard)) (oneofl [ Codec.v2; Codec.v3 ])
+      (int_range 0 0xFFFF)
+  in
+  if Codec.v2_only_record r then sharded else oneof [ return (r, Codec.v1, 0); sharded ]
 
 let prop_encode_matches_reference =
   Helpers.qcheck ~count:500 "encode = reference encoder, every kind and frame"
@@ -962,6 +981,47 @@ let prop_verify_checks_as_decode =
              | _ -> false)
       | Error c, Ok (0, Some c') -> c = c' && !seen = []
       | _ -> false)
+
+(* v3's varints.  The boundary values of the one-byte fast path and of
+   the 63-bit range round trip in a tid, a value and a checkpoint's
+   [next_tid].  A frame holding a 10-byte varint, or one cut inside a
+   varint, its length and CRC re-sealed so that only the varint reader
+   stands in the way, is refused by [decode_frame] and by
+   [verify_frames] alike: the same reason at the same offset. *)
+let varint_boundaries = [ 0; 63; 64; 127; 128; 8191; 8192; max_int; -1; -64; -65; min_int ]
+
+(* A v3 frame around [payload], sealed with its length and CRC. *)
+let sealed_v3 payload =
+  let hdr = Codec.header_size Codec.v3 in
+  let b = Bytes.of_string (Codec.encode ~version:Codec.v3 (Wal.Commit Tid.a)) in
+  let b = Bytes.cat (Bytes.sub b 0 hdr) (Bytes.of_string payload) in
+  Bytes.set_int32_le b (hdr - 8) (Int32.of_int (String.length payload));
+  Bytes.set_int32_le b (hdr - 4) (Codec.crc32 payload);
+  Bytes.to_string b
+
+let refused_alike frame reason =
+  match Codec.decode_frame frame 0, Codec.verify_frames (fun _ _ _ -> ()) frame with
+  | Error c, Ok (0, Some c') -> c = c' && c.Codec.offset = 0 && String.equal c.Codec.reason reason
+  | _ -> false
+
+let prop_varint =
+  Helpers.qcheck ~count:300 "v3 varints: boundaries round trip, overlong and cut refused"
+    QCheck2.Gen.(pair (oneof [ oneofl varint_boundaries; int ]) nat)
+    (fun (i, k) ->
+      let tid = Tid.of_int (i land max_int) in
+      let op = Op.make ~obj:"acct" ~args:[ Value.Int i ] "deposit" (Value.Int i) in
+      let round_trips r =
+        match Codec.decode_frame (Codec.encode ~version:Codec.v3 r) 0 with
+        | Ok (r', _) -> Wal.equal_record r r'
+        | Error _ -> false
+      in
+      let commit = Codec.encode ~version:Codec.v3 (Wal.Commit (Tid.of_int ((i land max_int) lor (1 lsl 20)))) in
+      let varint = String.sub commit (Codec.header_size Codec.v3 + 1) (String.length commit - Codec.header_size Codec.v3 - 1) in
+      let cut = 1 + (k mod (String.length varint - 1)) in
+      round_trips (Wal.Operation (tid, op))
+      && round_trips (Wal.Checkpoint { Wal.committed = [ op ]; live = [ (tid, [ op ]) ]; next_tid = i })
+      && refused_alike (sealed_v3 ("\002" ^ String.make 9 '\x80' ^ "\000")) "varint longer than 9 bytes"
+      && refused_alike (sealed_v3 ("\002" ^ String.sub varint 0 cut)) "truncated payload")
 
 (* A frame decoded in place among other frames reads only its own
    bytes: its record is the one its standalone copy decodes to, and if
@@ -1214,6 +1274,35 @@ let test_sharded_transfer_allocation () =
     Alcotest.failf "a one-shard transfer allocated %.1f words, the bare engine %.1f (max +16)"
       sharded bare
 
+(* What a one-shard transfer leaves in the log: an Operation frame per
+   invoke and a Commit, and no Begin, in v3 frames whose tids, lengths
+   and amounts are one-byte varints: 80 bytes in 3 frames.  A Begin
+   would add a 15-byte frame, and the v2 writer, which wrote one, wrote
+   193 bytes in 4 frames. *)
+let test_transfer_log_bytes () =
+  let storage = Storage.memory () in
+  let sh =
+    Tm_engine.Shard.create ~wal:(Disk_wal.wal (Disk_wal.create storage)) [ account "A"; account "B" ]
+  in
+  let transfer () =
+    let t = Tm_engine.Shard.begin_txn sh in
+    ignore (Tm_engine.Shard.invoke sh t ~obj:"A" deposit_1);
+    ignore (Tm_engine.Shard.invoke sh t ~obj:"B" withdraw_1);
+    committed (Tm_engine.Shard.try_commit sh t)
+  in
+  let appends kind =
+    Tm_obs.Metrics.counter_value (Tm_engine.Shard.metrics sh) "tm_wal_appends_total"
+      ~labels:[ ("kind", kind) ]
+  in
+  let frames () = appends "begin" + appends "operation" + appends "commit" in
+  transfer ();
+  let size = Storage.size storage and before = frames () in
+  transfer ();
+  Helpers.check_int "no begin appended" 0 (appends "begin");
+  Helpers.check_int "frames per transfer" 3 (frames () - before);
+  let bytes = Storage.size storage - size in
+  if bytes > 80 then Alcotest.failf "a one-shard transfer wrote %d log bytes (max 80)" bytes
+
 (* A cross-shard commit on four shards: two prepares, their forces, the
    decision and two completions, 79 words (before: 232). *)
 let test_cross_shard_commit_allocation () =
@@ -1295,6 +1384,38 @@ let test_decode_shares_repeats () =
     | _ -> Alcotest.fail "frame refused"
   in
   Helpers.check_bool "decode_frame shares nothing" false (single () == single ())
+
+(* The decode cache keys an operation on its bytes and its frame's
+   integer width.  These two operations encode to the same 37 bytes, one
+   in a v2 frame and one in a v3 frame: the v2 object name's 8-byte
+   length and its first bytes read, as varints, as a v3 operation whose
+   string result swallows the rest.  A cache keyed on the bytes alone
+   would hand the v3 frame the v2 frame's operation. *)
+let test_decode_cache_keys_width () =
+  let obj = "\000\004\052" ^ "abcdefghi" in
+  let v2_op = { Op.obj; inv = { Op.name = ""; args = [] }; res = Value.Unit } in
+  let v3_op =
+    {
+      Op.obj = String.make 6 '\000';
+      inv = { Op.name = ""; args = [] };
+      res = Value.Str ("abcdefghi" ^ String.make 17 '\000');
+    }
+  in
+  let body version op =
+    let frame = Codec.encode ~version (Wal.Operation (Tid.of_int 1, op)) in
+    (* past the tag and the tid: 8 bytes in v2, 1 in v3 *)
+    let start = Codec.header_size version + 1 + if version = Codec.v2 then 8 else 1 in
+    String.sub frame start (String.length frame - start)
+  in
+  Alcotest.(check string) "the two encodings are the same bytes" (body Codec.v2 v2_op)
+    (body Codec.v3 v3_op);
+  let recs = [ Wal.Operation (Tid.of_int 1, v2_op); Wal.Operation (Tid.of_int 1, v3_op) ] in
+  let framed = padded [ (Codec.v2, List.hd recs); (Codec.v3, List.nth recs 1) ] in
+  match Codec.decode_all (encode_framed framed) with
+  | Error c -> Alcotest.failf "refused: %a" Codec.pp_corruption c
+  | Ok d ->
+      Helpers.check_bool "each frame decodes to its own operation" true
+        (List.equal Wal.equal_record (List.map snd framed) d.Codec.records)
 
 (* Operations drawn from a pool far larger than any table, so slots are
    evicted and reused all along a log, with a few operations that repeat
@@ -1406,7 +1527,7 @@ let test_decode_cache_idles_without_hits () =
       | _ -> Alcotest.fail "run too short")
 
 (* A single-frame decode builds its result (record, pair and [Ok]) and a
-   five-word reader, and no table (the smallest has 1024 slots). *)
+   six-word reader, and no table (the smallest has 1024 slots). *)
 let test_decode_frame_allocates_no_table () =
   let op = { (BA.deposit 5) with Op.obj = "account-0042" } in
   let frame = Codec.encode (Wal.Operation (Tid.of_int 17, op)) in
@@ -1476,6 +1597,7 @@ let suite =
     prop_encode_matches_reference;
     prop_crc_matches_reference;
     prop_verify_checks_as_decode;
+    prop_varint;
     Alcotest.test_case "crc32 known answer" `Quick test_crc_known_answer;
     prop_embedded_frame_bound;
     Alcotest.test_case "crc32 allocates only its result" `Quick test_crc_allocates_nothing;
@@ -1493,12 +1615,16 @@ let suite =
       test_force_allocates_nothing;
     Alcotest.test_case "a sharded transfer allocates its shard's work" `Quick
       test_sharded_transfer_allocation;
+    Alcotest.test_case "a one-shard transfer writes at most 80 log bytes" `Quick
+      test_transfer_log_bytes;
     Alcotest.test_case "a cross-shard commit allocates no closures" `Quick
       test_cross_shard_commit_allocation;
     Alcotest.test_case "Database.try_commit allocates only its objects' commits" `Quick
       test_database_commit_allocation;
     Alcotest.test_case "decoding shares repeated operations" `Quick
       test_decode_shares_repeats;
+    Alcotest.test_case "the decode cache keys on the integer width" `Quick
+      test_decode_cache_keys_width;
     prop_roundtrip_under_eviction;
     Alcotest.test_case "a decode-cache miss allocates nothing extra" `Quick
       test_decode_miss_costs_nothing_extra;
