@@ -558,17 +558,14 @@ module Codec = struct
        v2: magic0 magic1 0x02 | shard LE16 | payload_len LE32 | crc32 LE32 | payload
        v3: magic0 magic1 0x03 | shard LE16 | payload_len LE32 | crc32 LE32 | payload
 
-     v2 adds a 16-bit shard id and, with the version byte, reserves room
-     for record-kind growth: new record tags arrive only under v2 and
-     later frames, so a v1-only binary can never misparse them — it
-     reports a typed foreign-version corruption with the exact offset.
-     v3 keeps v2's header and shrinks the payload: every integer in it
-     (tids, lengths, [Value.Int], a checkpoint's [next_tid]) is a zigzag
-     LEB128 varint instead of 8 fixed bytes, except a [Truncate_intent]'s
-     two lengths, which stay fixed so that an intent frame has one size
-     ({!Disk_wal}'s journal search probes for exactly that size).
-     The magic gives the decoder a resynchronization anchor: after a
-     corrupt frame it can scan for the next intact one to tell interior
+     New record tags arrive only under v2 and later frames, so a v1-only
+     binary reports them as a typed foreign-version corruption instead of
+     misparsing them.  Every payload integer of a v3 frame (tids,
+     lengths, [Value.Int], a checkpoint's [next_tid]) is a zigzag LEB128
+     varint, except a [Truncate_intent]'s two lengths, which stay 8 bytes
+     so that an intent frame has one size ({!Disk_wal}'s journal search
+     probes for exactly that size).  The magic is the anchor a scan for
+     the next intact frame resynchronizes on, to tell interior
      corruption from a torn tail. *)
   let magic0 = '\xd7'
   let magic1 = 'W'
@@ -642,15 +639,18 @@ module Codec = struct
 
   (* --- payload writer ---
 
-     A frame is sized before it is written: the [*_size] functions walk
-     a record without allocating, and the [put_*] functions write it
-     into [Bytes] of exactly that size, each returning the position
-     after what it wrote.  Strings and lists carry their length first.
-     [fixed] says how the payload's integers are written: 8 bytes
-     little-endian (v1, v2) or as varints (v3).  It is an argument of
-     every call rather than a setting, because shards append from
-     several threads at once. *)
+     One walk writes a record and sizes it: the [put_*] functions write
+     into [b] and return the position after what they wrote, and into
+     the zero-length buffer [counting] they write nothing and only
+     advance the position, so [put_record fixed counting 0 r] is the
+     payload's size.  Any other buffer too short for what is written
+     raises [Invalid_argument], as [Bytes.set] does.  Strings and lists
+     carry their length first.  [fixed] says how the payload's integers
+     are written: 8 bytes little-endian (v1, v2) or as varints (v3).  It
+     is an argument of every call rather than a setting, because shards
+     append from several threads at once. *)
 
+  let counting = Bytes.create 0
   let fixed_ints version = version < v3
 
   (* Zigzag moves the sign to the low bit, so an integer of small
@@ -660,57 +660,19 @@ module Codec = struct
   let zigzag i = (i lsl 1) lxor (i asr 62)
   let unzigzag z = (z lsr 1) lxor -(z land 1)
 
-  let rec varint_size z = if z lsr 7 = 0 then 1 else 1 + varint_size (z lsr 7)
-  let int_size fixed i = if fixed then 8 else varint_size (zigzag i)
-
-  let rec sum_sizes size fixed acc = function
-    | [] -> acc
-    | x :: l -> sum_sizes size fixed (acc + size fixed x) l
-
-  let string_size fixed s = let n = String.length s in int_size fixed n + n
-  let list_size size fixed l = sum_sizes size fixed (int_size fixed (List.length l)) l
-
-  let rec value_size fixed = function
-    | Value.Unit | Value.Bool _ -> 1
-    | Value.Int i -> 1 + int_size fixed i
-    | Value.Str s -> 1 + string_size fixed s
-    | Value.List l -> 1 + list_size value_size fixed l
-
-  let op_size fixed (op : Op.t) =
-    string_size fixed op.obj
-    + string_size fixed op.inv.Op.name
-    + list_size value_size fixed op.inv.Op.args
-    + value_size fixed op.res
-
-  let tid_size fixed tid = int_size fixed (Tid.to_int tid)
-  let live_size fixed (tid, ops) = tid_size fixed tid + list_size op_size fixed ops
-
-  (* Payload bytes of [r]: its tag byte and body.  An intent's two
-     lengths take 8 bytes each in every version. *)
-  let record_size fixed = function
-    | Begin tid | Commit tid | Abort tid | Prepare tid -> 1 + tid_size fixed tid
-    | Operation (tid, op) -> 1 + tid_size fixed tid + op_size fixed op
-    | Checkpoint cp ->
-        1
-        + list_size op_size fixed cp.committed
-        + list_size live_size fixed cp.live
-        + int_size fixed cp.next_tid
-    | Truncate_intent _ -> 17
-    | Decision { tid; _ } -> 2 + tid_size fixed tid
-
-  let put_byte b p c = Bytes.set b p c; p + 1
-  let put_u64 b p i = Bytes.set_int64_le b p (Int64.of_int i); p + 8
+  let[@inline] put_byte b p c = if b != counting then Bytes.set b p c; p + 1
+  let[@inline] put_u64 b p i = if b != counting then Bytes.set_int64_le b p (Int64.of_int i); p + 8
 
   let rec put_varint b p z =
     if z lsr 7 = 0 then put_byte b p (Char.unsafe_chr z)
     else put_varint b (put_byte b p (Char.unsafe_chr (z land 0x7f lor 0x80))) (z lsr 7)
 
-  let put_int fixed b p i = if fixed then put_u64 b p i else put_varint b p (zigzag i)
+  let[@inline] put_int fixed b p i = if fixed then put_u64 b p i else put_varint b p (zigzag i)
 
   let put_string fixed b p s =
     let n = String.length s in
     let p = put_int fixed b p n in
-    Bytes.blit_string s 0 b p n;
+    if b != counting then Bytes.blit_string s 0 b p n;
     p + n
 
   let rec put_each put fixed b p = function
@@ -718,7 +680,7 @@ module Codec = struct
     | x :: l -> put_each put fixed b (put fixed b p x) l
 
   let put_list put fixed b p l = put_each put fixed b (put_int fixed b p (List.length l)) l
-  let put_tid fixed b p tid = put_int fixed b p (Tid.to_int tid)
+  let[@inline] put_tid fixed b p tid = put_int fixed b p (Tid.to_int tid)
 
   let rec put_value fixed b p = function
     | Value.Unit -> put_byte b p '\000'
@@ -736,30 +698,22 @@ module Codec = struct
 
   let put_live fixed b p (tid, ops) = put_list put_op fixed b (put_tid fixed b p tid) ops
 
-  let put_record fixed b p = function
-    | Begin tid -> put_tid fixed b (put_byte b p '\000') tid
-    | Operation (tid, op) -> put_op fixed b (put_tid fixed b (put_byte b p '\001') tid) op
-    | Commit tid -> put_tid fixed b (put_byte b p '\002') tid
-    | Abort tid -> put_tid fixed b (put_byte b p '\003') tid
+  (* A payload is the record's tag, its index in [record_kinds], then
+     its body. *)
+  let put_record fixed b p r =
+    let p = put_byte b p (Char.unsafe_chr (kind_index r)) in
+    match r with
+    | Begin tid | Commit tid | Abort tid | Prepare tid -> put_tid fixed b p tid
+    | Operation (tid, op) -> put_op fixed b (put_tid fixed b p tid) op
     | Checkpoint cp ->
-        let p = put_list put_op fixed b (put_byte b p '\004') cp.committed in
+        let p = put_list put_op fixed b p cp.committed in
         let p = put_list put_live fixed b p cp.live in
         put_int fixed b p cp.next_tid
-    | Truncate_intent { old_len; new_len } ->
-        put_u64 b (put_u64 b (put_byte b p '\005') old_len) new_len
-    | Prepare tid -> put_tid fixed b (put_byte b p '\006') tid
-    | Decision { tid; commit } ->
-        put_byte b (put_tid fixed b (put_byte b p '\007') tid) (if commit then '\001' else '\000')
+    | Truncate_intent { old_len; new_len } -> put_u64 b (put_u64 b p old_len) new_len
+    | Decision { tid; commit } -> put_byte b (put_tid fixed b p tid) (if commit then '\001' else '\000')
 
-  (* Record kinds that postdate the v1 header: they may only travel
-     under v2 and later frames, so a v1-only binary refuses them as a
-     typed foreign-version corruption instead of misparsing the
-     payload. *)
-  let v2_only_record = function
-    | Prepare _ | Decision _ -> true
-    | Begin _ | Operation _ | Commit _ | Abort _ | Checkpoint _
-    | Truncate_intent _ ->
-        false
+  (* [Prepare] and [Decision], the last two tags, postdate v1 frames. *)
+  let v2_only_record r = kind_index r >= 6
 
   (* The bytes [r]'s frame occupies, after checking that [r] may travel
      in a [version] frame of [shard]. *)
@@ -767,14 +721,12 @@ module Codec = struct
     if not (is_supported version) then
       invalid_arg (Fmt.str "Wal.Codec.encode: unsupported version %d" version);
     if version = v1 && v2_only_record r then
-      invalid_arg
-        (Fmt.str "Wal.Codec.encode: %s records require v2 frames"
-           (record_kind r));
+      invalid_arg (Fmt.str "Wal.Codec.encode: %s records require v2 frames" (record_kind r));
     if version = v1 && shard <> 0 then
       invalid_arg "Wal.Codec.encode: v1 frames carry no shard id";
     if shard < 0 || shard > 0xFFFF then
       invalid_arg (Fmt.str "Wal.Codec.encode: shard %d out of range" shard);
-    header_size version + record_size (fixed_ints version) r
+    header_size version + put_record (fixed_ints version) counting 0 r
 
   (* Write [r]'s frame at [pos] of [b]: payload first, then the header
      with the payload's length and CRC.  Returns the position after the
@@ -808,7 +760,11 @@ module Codec = struct
 
      A reader walks the source string itself, bounded by [stop], the end
      of the frame being decoded: no payload is copied, and no length
-     field, however wrong, can pull in a byte past the frame.
+     field, however wrong, can pull in a byte past the frame.  The one
+     walk builds a record or, with [build] off, verifies it: it makes
+     the same checks in the same order, so damage raises the same [Bad],
+     but allocates nothing, returning a placeholder where it would
+     build.  Either way it raises [mark] above every tid it reads.
 
      A log often repeats itself: the same few operations on the same
      objects, frame after frame.  A reader that decodes a run of frames
@@ -862,7 +818,11 @@ module Codec = struct
      bytes, from [window] up to [op_slots].  An operation's frame takes
      at least 47 bytes in v1 and v2 and at least 19 in v3 (37 on
      average in the restart benchmark's image), so that is a slot per
-     one or two operations; a log of 256 KB or more gets the cap. *)
+     one or two operations; a log of 256 KB or more gets the cap.  The
+     empty slot is a fresh value: [Array.make] of a young value first
+     runs a minor collection, so the pass starts in an empty minor heap
+     and fewer of its short-lived values are promoted (a static filler
+     took restart's [major_words_per_txn] from 27.6 to 33.7). *)
   let new_memo len =
     let rec fit n = if n >= op_slots || 64 * n >= len then n else fit (2 * n) in
     let n = fit window in
@@ -881,9 +841,12 @@ module Codec = struct
     mutable pos : int;
     mutable stop : int;
     mutable fixed : bool;  (* the current frame's integers are 8 bytes *)
+    mutable build : bool;  (* false: verify only *)
+    mutable mark : int;  (* the first tid above every tid read *)
     memo : memo option;  (* [None] for single-frame readers *)
   }
 
+  let reader ?memo ~build src pos = { src; pos; stop = pos; fixed = false; build; mark = 0; memo }
   let need r n = if r.stop - r.pos < n then raise (Bad "truncated payload")
 
   let get_byte r = need r 1; let c = r.src.[r.pos] in r.pos <- r.pos + 1; Char.code c
@@ -940,16 +903,25 @@ module Codec = struct
     else if i < stop then hash s (i + 1) stop (mix h (Char.code (String.unsafe_get s i)))
     else h
 
-  let get_string r = let n = get_len r in
-    let s = String.sub r.src r.pos n in r.pos <- r.pos + n; s
+  let get_string r =
+    let n = get_len r in
+    r.pos <- r.pos + n;
+    if r.build then String.sub r.src (r.pos - n) n else ""
 
   let[@tail_mod_cons] rec get_n get r n =
     if n = 0 then [] else let x = get r in x :: get_n get r (n - 1)
 
-  let get_list get r = get_n get r (get_len r)
+  let rec walk_n get r n = if n > 0 then (ignore (get r); walk_n get r (n - 1))
+
+  let get_list get r =
+    let n = get_len r in
+    if r.build then get_n get r n else (walk_n get r n; [])
+
   let get_tid r =
     let n = get_int r in
-    if n < 0 then raise (Bad "negative tid") else Tid.of_int n
+    if n < 0 then raise (Bad "negative tid");
+    if n >= r.mark then r.mark <- n + 1;
+    Tid.of_int n
 
   let bad_value_tag n = Bad (Fmt.str "bad value tag %d" n)
 
@@ -958,38 +930,22 @@ module Codec = struct
     | 0 -> Value.Unit
     | 1 -> Value.Bool false
     | 2 -> Value.Bool true
-    | 3 -> Value.Int (get_int r)
-    | 4 -> Value.Str (get_string r)
-    | 5 -> Value.List (get_list get_value r)
+    | 3 -> let i = get_int r in if r.build then Value.Int i else Value.Unit
+    | 4 -> let s = get_string r in if r.build then Value.Str s else Value.Unit
+    | 5 -> let l = get_list get_value r in if r.build then Value.List l else Value.Unit
     | n -> raise (bad_value_tag n)
+
+  let unbuilt_op = Op.make ~obj:"" "" Value.Unit
 
   let build_op r =
     let obj = get_string r in
     let name = get_string r in
     let args = get_list get_value r in
     let res = get_value r in
-    { Op.obj; inv = { Op.name; args }; res }
+    if r.build then { Op.obj; inv = { Op.name; args }; res } else unbuilt_op
 
-  (* The walk of an operation's encoding: every check [build_op] makes,
-     in the same order, so damage raises the same [Bad]; nothing built. *)
-  let skip_string r = let n = get_len r in r.pos <- r.pos + n
-
-  let rec skip_value r =
-    match get_byte r with
-    | 0 | 1 | 2 -> ()
-    | 3 -> ignore (get_int r)
-    | 4 -> skip_string r
-    | 5 -> skip_values r (get_len r)
-    | n -> raise (bad_value_tag n)
-
-  and skip_values r n = if n > 0 then (skip_value r; skip_values r (n - 1))
-
-  let skip_op r =
-    skip_string r;
-    skip_string r;
-    skip_values r (get_len r);
-    skip_value r
-
+  (* With a cache, an operation is first walked without building, to
+     measure and hash its bytes. *)
   let get_op r =
     match r.memo with
     | None -> build_op r
@@ -998,7 +954,10 @@ module Codec = struct
         build_op r
     | Some m ->
         let start = r.pos in
-        skip_op r;
+        r.build <- false;
+        (match build_op r with
+        | _ -> r.build <- true
+        | exception e -> r.build <- true; raise e);
         let len = r.pos - start in
         (* The table's length is a power of two. *)
         let slot = hash r.src start r.pos len land (Array.length m.ops - 1) in
@@ -1024,73 +983,55 @@ module Codec = struct
           op
         end
 
-  let get_live r = let tid = get_tid r in (tid, get_list get_op r)
+  let unbuilt_live = (Tid.a, [])
 
+  let get_live r =
+    let tid = get_tid r in
+    let ops = get_list get_op r in
+    if r.build then (tid, ops) else unbuilt_live
+
+  let unbuilt = Commit Tid.a
+
+  (* The tid mark counts as the replay state's high-water mark does: a
+     checkpoint's [next_tid] as it stands. *)
   let get_record r =
     match get_byte r with
-    | 0 -> Begin (get_tid r)
-    | 1 -> let tid = get_tid r in Operation (tid, get_op r)
-    | 2 -> Commit (get_tid r)
-    | 3 -> Abort (get_tid r)
+    | 0 -> let tid = get_tid r in if r.build then Begin tid else unbuilt
+    | 1 ->
+        let tid = get_tid r in
+        let op = get_op r in
+        if r.build then Operation (tid, op) else unbuilt
+    | 2 -> let tid = get_tid r in if r.build then Commit tid else unbuilt
+    | 3 -> let tid = get_tid r in if r.build then Abort tid else unbuilt
     | 4 ->
         let committed = get_list get_op r in
         let live = get_list get_live r in
         let next_tid = get_int r in
-        Checkpoint { committed; live; next_tid }
+        if next_tid > r.mark then r.mark <- next_tid;
+        if r.build then Checkpoint { committed; live; next_tid } else unbuilt
     | 5 ->
         let old_len = get_u64 r in
         let new_len = get_u64 r in
         if old_len < 0 || new_len < 0 then
           raise (Bad "negative truncate-intent length");
-        Truncate_intent { old_len; new_len }
-    | 6 -> Prepare (get_tid r)
+        if r.build then Truncate_intent { old_len; new_len } else unbuilt
+    | 6 -> let tid = get_tid r in if r.build then Prepare tid else unbuilt
     | 7 ->
         let tid = get_tid r in
-        (match get_byte r with
-        | 0 -> Decision { tid; commit = false }
-        | 1 -> Decision { tid; commit = true }
-        | n -> raise (Bad (Fmt.str "bad decision flag %d" n)))
+        let commit =
+          match get_byte r with
+          | 0 -> false
+          | 1 -> true
+          | n -> raise (Bad (Fmt.str "bad decision flag %d" n))
+        in
+        if r.build then Decision { tid; commit } else unbuilt
     | n -> raise (Bad (Fmt.str "bad record tag %d" n))
 
-  (* The walk of a record's encoding: every check [get_record] makes, in
-     the same order, so damage raises the same [Bad] (a negative tid
-     included); nothing built.  It returns the first tid above every tid
-     the record mentions, as the replay state's high-water mark counts
-     them (a checkpoint's [next_tid] as it stands), or 0 for none. *)
-  let skip_tid r = Tid.to_int (get_tid r) + 1
-
-  let rec skip_ops r n = if n > 0 then (skip_op r; skip_ops r (n - 1))
-
-  let rec skip_lives r n hwm =
-    if n = 0 then hwm
-    else
-      let h = skip_tid r in
-      skip_ops r (get_len r);
-      skip_lives r (n - 1) (Int.max hwm h)
-
-  let skip_record r =
-    match get_byte r with
-    | 0 | 2 | 3 | 6 -> skip_tid r
-    | 1 ->
-        let h = skip_tid r in
-        skip_op r;
-        h
-    | 4 ->
-        skip_ops r (get_len r);
-        let hwm = skip_lives r (get_len r) 0 in
-        Int.max hwm (get_int r)
-    | 5 ->
-        let old_len = get_u64 r in
-        let new_len = get_u64 r in
-        if old_len < 0 || new_len < 0 then
-          raise (Bad "negative truncate-intent length");
-        0
-    | 7 ->
-        let h = skip_tid r in
-        (match get_byte r with
-        | 0 | 1 -> h
-        | n -> raise (Bad (Fmt.str "bad decision flag %d" n)))
-    | n -> raise (Bad (Fmt.str "bad record tag %d" n))
+  (* The verify walk of one record: its tid mark, 0 for none. *)
+  let verify_record r =
+    r.mark <- 0;
+    ignore (get_record r);
+    r.mark
 
   type corruption = {
     offset : int;
@@ -1150,6 +1091,14 @@ module Codec = struct
   let frame_error s pos reason =
     { offset = pos; version = Some (Char.code s.[pos + 2]); reason }
 
+  (* Point [r] at the payload of the frame at [pos], [n] bytes long,
+     read with its version's integers. *)
+  let enter r pos n =
+    let version = Char.code r.src.[pos + 2] in
+    r.pos <- pos + header_size version;
+    r.stop <- r.pos + n;
+    r.fixed <- fixed_ints version
+
   (* Check the frame at [pos] of [r.src], whose header [check_header]
      accepted with payload length [n], in place: its CRC over the source
      string, then [walk] over the payload, bounded by the frame's end,
@@ -1157,9 +1106,8 @@ module Codec = struct
      verification is charged to its own phase (the rest of the frame
      work is the caller's to account). *)
   let check_frame ?profile walk r pos n =
-    let s = r.src in
-    let version = Char.code s.[pos + 2] in
-    let start = pos + header_size version in
+    enter r pos n;
+    let s = r.src and start = r.pos in
     let expected = Int32.to_int (String.get_int32_le s (start - 4)) land 0xFFFFFFFF in
     let actual =
       match profile with
@@ -1167,9 +1115,6 @@ module Codec = struct
       | Some p -> Profile.time p Profile.Checksum_verify (fun () -> crc32_sub s start n)
     in
     if actual <> expected then raise (Bad "crc mismatch");
-    r.pos <- start;
-    r.stop <- start + n;
-    r.fixed <- fixed_ints version;
     let v = walk r in
     if r.pos <> r.stop then raise (Bad "trailing bytes in payload");
     v
@@ -1178,7 +1123,7 @@ module Codec = struct
     let n = check_header s pos in
     if n < 0 then Error (header_error s pos n)
     else
-      let r = { src = s; pos; stop = pos; fixed = false; memo = None } in
+      let r = reader ~build:true s pos in
       match check_frame get_record r pos n with
       | record -> Ok (record, r.stop)
       | exception Bad reason -> Error (frame_error s pos reason)
@@ -1201,7 +1146,7 @@ module Codec = struct
 
   let valid_frame_after ?(budget = default_probe_budget) s pos =
     let len = String.length s in
-    let r = { src = s; pos; stop = pos; fixed = false; memo = None } in
+    let r = reader ~build:false s pos in
     let rec resync budget pos =
       if pos + min_header_size > len then false
       else
@@ -1214,7 +1159,7 @@ module Codec = struct
               if n < 0 then resync budget (p + 1)
               else if budget <= 0 then true
               else
-                match check_frame skip_record r p n with
+                match check_frame verify_record r p n with
                 | _ -> true
                 | exception Bad _ ->
                     resync (budget - header_size (Char.code s.[p + 2]) - n) (p + 1)
@@ -1230,18 +1175,18 @@ module Codec = struct
 
   (* The frame loop.  Every frame is checked in full, header, CRC and a
      payload walk, and nothing is built: each intact frame goes to [f]
-     as its byte offset, its record tag and the tid mark [skip_record]
+     as its byte offset, its record tag and the tid mark [verify_record]
      reads, all unboxed, so the loop allocates nothing per frame. *)
   let verify_frames ?profile f s =
     let len = String.length s in
-    let r = { src = s; pos = 0; stop = 0; fixed = false; memo = None } in
+    let r = reader ~build:false s 0 in
     let rec frames pos =
       if pos = len then None
       else
         let n = check_header s pos in
         if n < 0 then Some (header_error s pos n)
         else
-          match check_frame ?profile skip_record r pos n with
+          match check_frame ?profile verify_record r pos n with
           | hwm ->
               (match profile with None -> () | Some p -> Profile.note_frame p);
               f pos (Char.code (String.unsafe_get s (r.stop - n))) hwm;
@@ -1274,15 +1219,12 @@ module Codec = struct
     let fail () = invalid_arg "Wal.Codec.decode_verified: not a run of verified frames" in
     if from < 0 || upto > String.length s || from > upto then fail ();
     let memo = if upto - from < min_cached then None else Some (new_memo (upto - from)) in
-    let r = { src = s; pos = from; stop = from; fixed = false; memo } in
+    let r = reader ?memo ~build:true s from in
     let rec frames pos =
       if pos < upto then begin
         let n = check_header s pos in
         if n < 0 then fail ();
-        let version = Char.code s.[pos + 2] in
-        r.pos <- pos + header_size version;
-        r.stop <- r.pos + n;
-        r.fixed <- fixed_ints version;
+        enter r pos n;
         let record = get_record r in
         if r.pos <> r.stop then fail ();
         f pos record;

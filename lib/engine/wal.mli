@@ -200,7 +200,10 @@ val restore : ?profile:Tm_obs.Recovery_profile.t -> t -> record -> unit
     records itself. *)
 val restore_superseded : t -> records:int -> commits:int -> next_tid:int -> unit
 
-(** The record kind as a short lower-case string (metric/trace label). *)
+(** The record kinds as lower-case labels (metrics, traces, forensics),
+    indexed by tag, payload byte 0: ["begin"] is 0, ["decision"] 7. *)
+val record_kinds : string array
+
 val record_kind : record -> string
 
 (** The retained records, oldest first (truncated records excluded).
@@ -428,15 +431,18 @@ module Codec : sig
   val encode : ?version:int -> ?shard:int -> record -> string
 
   (** [frame_size ~version ~shard r] is the number of bytes [r]'s frame
-      occupies.  It raises [Invalid_argument] exactly where {!encode}
-      does, and allocates nothing otherwise. *)
+      occupies: the header and the payload that {!put_frame}'s writer,
+      in its counting mode, walks without writing.  It raises
+      [Invalid_argument] exactly where {!encode} does, and allocates
+      nothing otherwise. *)
   val frame_size : version:int -> shard:int -> record -> int
 
   (** [put_frame b pos ~version ~shard r] writes [r]'s frame into [b] at
       [pos] — the bytes {!encode} returns — and returns the position
       after it.  [b] must hold [frame_size ~version ~shard r] bytes from
-      [pos]; check the arguments with {!frame_size} first.  Allocates
-      nothing. *)
+      [pos]; check the arguments with {!frame_size} first.  Into a
+      shorter buffer it raises [Invalid_argument] rather than drop a
+      byte.  Allocates nothing. *)
   val put_frame : Bytes.t -> int -> version:int -> shard:int -> record -> int
 
   (** [v2_only_record r] — does [r] require a v2 or later frame?  True exactly
@@ -495,8 +501,9 @@ module Codec : sig
   }
 
   (** [verify_frames f s] checks the frames of [s] in order, each in
-      full — header, CRC and a walk of its payload that makes every check
-      decoding makes — and builds nothing.  Each intact frame goes to
+      full — header, CRC and the decoder's own walk of its payload with
+      building off, so it makes every check decoding makes, in the same
+      order — and builds nothing.  Each intact frame goes to
       [f pos tag mark]: its byte offset, its record tag (payload byte 0,
       docs/WAL_FORMAT.md: 2 is [Commit], 4 [Checkpoint], 5
       [Truncate_intent]) and the first tid above every tid the record

@@ -42,17 +42,7 @@ type t = {
   damage : damage;
 }
 
-let kinds =
-  [
-    "begin";
-    "operation";
-    "commit";
-    "abort";
-    "checkpoint";
-    "truncate_intent";
-    "prepare";
-    "decision";
-  ]
+let kinds = Array.to_list Wal.record_kinds
 
 (* One intact frame: its record, byte extent and header fields. *)
 type frame = {

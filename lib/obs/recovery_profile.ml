@@ -137,6 +137,8 @@ let phases_wall t = Array.fold_left ( +. ) 0.0 t.wall
 let total_wall t =
   match t.total with Some s -> s | None -> phases_wall t
 
+let unprofiled t = Float.max 0.0 (total_wall t -. phases_wall t)
+
 (* ------------------------------------------------------------------ *)
 (* Exports: metrics, trace-span payloads, text, JSON.                  *)
 
@@ -193,6 +195,9 @@ let pp ppf t =
       Fmt.pf ppf "  %-16s %10.3f %5.1f%% %10d@." (phase_name ph) (w *. 1e3)
         pct (span_items t ph))
     all_phases;
+  let u = unprofiled t in
+  Fmt.pf ppf "  %-16s %10.3f %5.1f%%@." "unprofiled" (u *. 1e3)
+    (if total > 0.0 then 100.0 *. u /. total else 0.0);
   Fmt.pf ppf
     "  scanned %d bytes (%d torn), %d frames, %d records; %d checkpoints \
      (%d seed ops); replayed %d ops; %d losers@."
@@ -209,6 +214,7 @@ let to_json t =
   Json.Obj
     [
       ("total_seconds", Json.Float (total_wall t));
+      ("unprofiled_seconds", Json.Float (unprofiled t));
       ( "phases",
         Json.Obj
           (List.map

@@ -78,6 +78,12 @@ val phase_calls : t -> phase -> int
 (** End-to-end wall if {!finish} ran, else the sum of phase walls. *)
 val total_wall : t -> float
 
+(** End-to-end wall less the sum of phase walls, floored at 0: the time
+    charged to no phase, so that the phases and this add up to
+    {!total_wall}.  {!pp} prints it as the [unprofiled] row and
+    {!to_json} as [unprofiled_seconds]. *)
+val unprofiled : t -> float
+
 val bytes_scanned : t -> int
 
 (** Every frame a load verified (header, CRC and payload walk), whether

@@ -962,25 +962,72 @@ let prop_verify_checks_as_decode =
       let s = Bytes.to_string b in
       let seen = ref [] in
       let verify () = Codec.verify_frames (fun pos tag mark -> seen := (pos, tag, mark) :: !seen) s in
-      let tag = function
-        | Wal.Begin _ -> 0
-        | Operation _ -> 1
-        | Commit _ -> 2
-        | Abort _ -> 3
-        | Checkpoint _ -> 4
-        | Truncate_intent _ -> 5
-        | Prepare _ -> 6
-        | Decision _ -> 7
-      in
       let mark r = Option.fold ~none:0 ~some:(fun t -> Tid.to_int t + 1) (Wal.max_tid [ r ]) in
       match Codec.decode_frame s 0, verify () with
       | Ok (r', _), Ok (len, None) -> (
           len = String.length s
           && match !seen with
-             | [ (0, t, m) ] -> t = tag r' && Int.max 0 m = mark r'
+             | [ (0, t, m) ] -> Wal.record_kinds.(t) = Wal.record_kind r' && Int.max 0 m = mark r'
              | _ -> false)
       | Error c, Ok (0, Some c') -> c = c' && !seen = []
       | _ -> false)
+
+(* The verify walk's tid mark is decode's.  Over a run of frames of
+   every version, each intact frame reports the tag of the record a
+   decode builds and a mark one above the largest tid that record
+   mentions; a checkpoint's [next_tid] counts as it stands, and an
+   intent, which mentions no tid, reports 0.  A [get_tid] that stops
+   raising the mark, or a mark carried from one frame to the next,
+   fails it. *)
+let decoded_mark = function
+  | Wal.Begin t | Commit t | Abort t | Prepare t | Operation (t, _) | Decision { tid = t; _ } ->
+      Tid.to_int t + 1
+  | Checkpoint cp -> List.fold_left (fun m (t, _) -> Int.max m (Tid.to_int t + 1)) cp.next_tid cp.live
+  | Truncate_intent _ -> 0
+
+let prop_verify_mark_is_decode_mark =
+  Helpers.qcheck ~count:500 "verify walk's tid mark = decode's"
+    QCheck2.Gen.(list_size (int_range 1 6) framed_record_gen)
+    (fun framed ->
+      let s = String.concat "" (List.map (fun (r, version, shard) -> Codec.encode ~version ~shard r) framed) in
+      let seen = ref [] in
+      match Codec.verify_frames (fun pos tag mark -> seen := (pos, tag, mark) :: !seen) s with
+      | Ok (len, None) when len = String.length s ->
+          List.length !seen = List.length framed
+          && List.for_all
+               (fun (pos, tag, mark) ->
+                 match Codec.decode_frame s pos with
+                 | Ok (r, _) -> String.equal Wal.record_kinds.(tag) (Wal.record_kind r) && mark = decoded_mark r
+                 | Error _ -> false)
+               !seen
+      | _ -> false)
+
+(* Sizing is writing into the counting buffer, and only that buffer
+   writes nothing: for every fixture at every version, [frame_size] is
+   the length of the frame [encode] returns, and [put_frame] into a
+   buffer one byte short raises rather than dropping the last byte. *)
+let test_counting_writer_sizes_and_refuses_short () =
+  List.iter
+    (fun version ->
+      List.iter
+        (fun (name, r) ->
+          if Tm_engine.Wal_format.fixture_supported ~version r then begin
+            let shard = if version = Codec.v1 then 0 else 3 in
+            let what = Fmt.str "v%d %s" version name in
+            let frame = Codec.encode ~version ~shard r in
+            let size = Codec.frame_size ~version ~shard r in
+            Helpers.check_int (what ^ ": frame_size = encoded length") (String.length frame) size;
+            let b = Bytes.make (size + 5) '\000' in
+            Helpers.check_int (what ^ ": put_frame stops at the frame's end") (size + 5)
+              (Codec.put_frame b 5 ~version ~shard r);
+            Alcotest.(check string) (what ^ ": put_frame writes encode's bytes") frame
+              (Bytes.sub_string b 5 size);
+            match Codec.put_frame (Bytes.create (size + 4)) 5 ~version ~shard r with
+            | stop -> Alcotest.failf "%s: put_frame into a buffer one byte short returned %d" what stop
+            | exception Invalid_argument _ -> ()
+          end)
+        Tm_engine.Wal_format.fixtures)
+    Codec.supported_versions
 
 (* v3's varints.  The boundary values of the one-byte fast path and of
    the 63-bit range round trip in a tid, a value and a checkpoint's
@@ -1597,6 +1644,9 @@ let suite =
     prop_encode_matches_reference;
     prop_crc_matches_reference;
     prop_verify_checks_as_decode;
+    prop_verify_mark_is_decode_mark;
+    Alcotest.test_case "the counting writer never stands in for a real one" `Quick
+      test_counting_writer_sizes_and_refuses_short;
     prop_varint;
     Alcotest.test_case "crc32 known answer" `Quick test_crc_known_answer;
     prop_embedded_frame_bound;

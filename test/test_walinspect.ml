@@ -301,6 +301,49 @@ let test_profile_phases_tile () =
   Profile.finish p;
   Alcotest.(check (float 1e-9)) "end-to-end wall" 6.5 (Profile.total_wall p)
 
+(* The table adds up: time between phases, which no phase is charged
+   with, is the unprofiled row, so the phase rows and that row sum to
+   end-to-end — in the accessors, the printed table and the JSON.  A
+   phase charged after [finish] cannot make the row negative. *)
+let test_profile_rows_sum () =
+  let clock, tick = fake_clock () in
+  let p = Profile.create ~clock () in
+  tick 0.5;
+  Profile.time p Profile.Storage_scan (fun () -> tick 2.);
+  tick 0.25;
+  Profile.time_excluding p Profile.Frame_decode (fun () ->
+      tick 1.;
+      Profile.time p Profile.Checksum_verify (fun () -> tick 0.75));
+  tick 0.125;
+  Profile.time p Profile.Object_replay (fun () -> tick 1.);
+  Profile.finish p;
+  let phases = List.fold_left (fun acc ph -> acc +. Profile.phase_wall p ph) 0. Profile.all_phases in
+  Alcotest.(check (float 1e-9)) "end-to-end wall" 5.625 (Profile.total_wall p);
+  Alcotest.(check (float 1e-9)) "unprofiled row" 0.875 (Profile.unprofiled p);
+  Alcotest.(check (float 1e-9)) "rows sum to end-to-end" (Profile.total_wall p)
+    (phases +. Profile.unprofiled p);
+  (* the printed rows: name, ms, percent (and items) after the header *)
+  let lines = String.split_on_char '\n' (Fmt.str "%a" Profile.pp p) in
+  let rows =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' (String.trim l) |> List.filter (( <> ) "") with
+        | name :: ms :: pct :: _ when String.ends_with ~suffix:"%" pct ->
+            Option.map (fun ms -> (name, ms)) (float_of_string_opt ms)
+        | _ -> None)
+      lines
+  in
+  Helpers.check_int "a row per phase, and the unprofiled row" (List.length Profile.all_phases + 1)
+    (List.length rows);
+  Alcotest.(check (float 1e-9)) "printed unprofiled ms" 875. (List.assoc "unprofiled" rows);
+  Alcotest.(check (float 1e-6)) "printed rows sum to end-to-end ms" 5625.
+    (List.fold_left (fun acc (_, ms) -> acc +. ms) 0. rows);
+  (match Tm_obs.Json.member "unprofiled_seconds" (Profile.to_json p) with
+  | Some (Tm_obs.Json.Float s) -> Alcotest.(check (float 1e-9)) "json unprofiled" 0.875 s
+  | _ -> Alcotest.fail "to_json has no unprofiled_seconds");
+  Profile.time p Profile.Loser_undo (fun () -> tick 1.);
+  Alcotest.(check (float 1e-9)) "floored at 0" 0. (Profile.unprofiled p)
+
 let test_profile_export_and_spans () =
   let clock, tick = fake_clock () in
   let p = Profile.create ~clock () in
@@ -595,6 +638,8 @@ let suite =
       test_replay_digest_version_stable;
     Alcotest.test_case "profiler: phases tile (fake clock)" `Quick
       test_profile_phases_tile;
+    Alcotest.test_case "profiler: rows sum to end-to-end (fake clock)" `Quick
+      test_profile_rows_sum;
     Alcotest.test_case "profiler: export and spans" `Quick
       test_profile_export_and_spans;
     Alcotest.test_case "recover under a profile, end to end" `Quick
