@@ -213,8 +213,8 @@ let harvest run combo ~rebuild recording =
           if
             not
               (List.exists
-                 (fun (ev : Two_phase.resolution_event) ->
-                   ev.Two_phase.ev_commit && ev.Two_phase.ev_evidence = Two_phase.Decision_record)
+                 (fun (r : Two_phase.resolution) ->
+                   r.commit && r.evidence = Two_phase.Decision_record)
                  !audit)
           then fail "%s harvest: audit trail has no decision-evidence commit" combo;
           if

@@ -362,8 +362,8 @@ let in_doubt r =
       let logs = frontier_image full counts in
       if
         List.exists
-          (fun ev -> ev.Two_phase.ev_commit && ev.Two_phase.ev_evidence = Two_phase.Decision_record)
-          (Two_phase.resolution_events (Two_phase.analyze logs))
+          (fun (r : Two_phase.resolution) -> r.commit && r.evidence = Two_phase.Decision_record)
+          (Two_phase.analyze (Array.map Wal.of_records logs))
       then Some { label = Fmt.str "in-doubt forced tick %d" tau; logs }
       else found)
     None (frontiers r)
@@ -482,6 +482,11 @@ let given ~reference states =
        (fun st -> Seq.return { at = st.label; image = Some st.logs; flags = [] })
        states)
 
+let states g =
+  Seq.concat_map
+    (Seq.filter_map (fun step -> Option.map (fun logs -> { label = step.at; logs }) step.image))
+    (List.to_seq g.runs)
+
 (* ------------------------------------------------------------------ *)
 (* The battery.                                                        *)
 
@@ -506,6 +511,26 @@ let ops_of_tid tid recs =
     (function Wal.Operation (t, op) when Tid.equal t tid -> Some op | _ -> None)
     recs
 
+(* The tids [logs] prove committed: a [Decision { commit = true }]
+   anywhere, or a [Commit] after a [Prepare] on one shard.  The battery
+   reads the records itself rather than the engine's {!Two_phase}, so it
+   never checks the engine's analysis against itself. *)
+let commit_evidence logs =
+  let proven = ref Tid.Set.empty in
+  let prove tid = proven := Tid.Set.add tid !proven in
+  Array.iter
+    (fun recs ->
+      let prepared = Hashtbl.create 8 in
+      List.iter
+        (function
+          | Wal.Prepare tid -> Hashtbl.replace prepared tid ()
+          | Wal.Commit tid when Hashtbl.mem prepared tid -> prove tid
+          | Wal.Decision { tid; commit = true } -> prove tid
+          | _ -> ())
+        recs)
+    logs;
+  !proven
+
 (* One crash state.  The 2PC checks are evidence-driven: whether the state
    carries commit evidence for a transaction decides what recovery must do
    with it — no reference to what the full run "intended", only to what
@@ -514,7 +539,7 @@ let ops_of_tid tid recs =
 let battery ~env ~rebuild ~g ~prepared ~prev ~atomicity_checked ~evidence_checked
     logs =
   let shard_ids = List.init (Array.length logs) Fun.id in
-  let evidence = (Two_phase.analyze logs).Two_phase.commit_evidence in
+  let evidence = commit_evidence logs in
   (* Evidence implies complete survival: every participant's operations
      and Prepare are forced before the coordinator's Decision is even
      appended, so no legal crash state can hold commit evidence while
@@ -651,10 +676,7 @@ let battery ~env ~rebuild ~g ~prepared ~prev ~atomicity_checked ~evidence_checke
          nothing is left in doubt, and a post-recovery fuzzy checkpoint,
          truncation and second recovery reproduce the same state. *)
       let idempotence =
-        let analysis = Two_phase.analyze resolved in
-        let left =
-          List.concat_map (fun s -> Two_phase.resolutions analysis ~shard:s) shard_ids
-        in
+        let left = Two_phase.analyze wals in
         (if left = [] then []
          else
            [

@@ -166,6 +166,10 @@ val in_doubt : recording -> state option
     operations" means for global atomicity). *)
 val given : reference:Wal.record list array -> state list -> generator
 
+(** [states g] — the crash states {!enumerate} runs the battery on, in
+    order (positions that yield no state are skipped). *)
+val states : generator -> state Seq.t
+
 (** [enumerate ~rebuild g] runs every state of [g] through the battery;
     [rebuild] supplies fresh objects exactly as for
     {!Sharded_database.recover}.  A state equal to the previous one of its

@@ -347,22 +347,13 @@ let recover ?audit ~wals ~rebuild () =
      real outcome record per in-doubt transaction, forced, so ordinary
      single-shard replay below needs no 2PC awareness — and a crash
      during recovery just re-resolves to the same outcomes. *)
-  let analysis = Two_phase.analyze (Array.map Wal.records wals) in
-  let resolution_events = Two_phase.resolution_events analysis in
-  Option.iter (fun f -> f resolution_events) audit;
-  let resolved_aborts = ref 0 in
-  Array.iteri
-    (fun s wal ->
-      match Two_phase.resolutions analysis ~shard:s with
-      | [] -> ()
-      | rs ->
-          List.iter
-            (fun { Two_phase.tid; commit } ->
-              if not commit then incr resolved_aborts;
-              Wal.append wal (if commit then Wal.Commit tid else Wal.Abort tid))
-            rs;
-          Wal.force wal)
-    wals;
+  let resolutions = Two_phase.analyze wals in
+  Option.iter (fun f -> f resolutions) audit;
+  List.iter
+    (fun { Two_phase.shard; tid; commit; _ } ->
+      Wal.append wals.(shard) (if commit then Wal.Commit tid else Wal.Abort tid))
+    resolutions;
+  List.iter (fun (r : Two_phase.resolution) -> Wal.force wals.(r.shard)) resolutions;
   let parts = partition_objects ~shards:n (rebuild ()) in
   let rec go s acc =
     if s = n then Ok (List.rev acc)
@@ -387,17 +378,17 @@ let recover ?audit ~wals ~rebuild () =
       let t = make ~first_tid shards in
       Metrics.Counter.add
         (Metrics.counter t.reg "tm_2pc_aborts_total" ~labels:[ ("phase", "recovery") ])
-        !resolved_aborts;
+        (List.length (List.filter (fun (r : Two_phase.resolution) -> not r.commit) resolutions));
       List.iter
-        (fun (ev : Two_phase.resolution_event) ->
+        (fun (r : Two_phase.resolution) ->
           Metrics.Counter.incr
             (Metrics.counter t.reg "tm_2pc_resolved_total"
                ~labels:
                  [
-                   ("evidence", Two_phase.evidence_name ev.ev_evidence);
-                   ("outcome", if ev.ev_commit then "commit" else "abort");
+                   ("evidence", Two_phase.evidence_name r.evidence);
+                   ("outcome", if r.commit then "commit" else "abort");
                  ]))
-        resolution_events;
+        resolutions;
       let losers =
         List.fold_left
           (fun acc (_, l) -> Tid.Set.union acc l)

@@ -41,7 +41,8 @@
 
     {2 Recovery}
 
-    {!recover} first runs {!Two_phase.analyze} over all shard logs,
+    {!recover} first runs {!Two_phase.analyze} over all shard logs
+    (reading each log's replay state, not its records),
     appends a real [Commit]/[Abort] per in-doubt transaction to its
     shard's log (commit iff decision evidence survives anywhere;
     otherwise presumed abort) and forces it — completing the
@@ -195,14 +196,14 @@ val metrics : t -> Tm_obs.Metrics.t
     — recovery completed its protocol), or the first shard's replay
     error in shard order.
 
-    [audit] receives the in-doubt resolution events
-    ({!Two_phase.resolution_events}: which prepares were in doubt, the
-    evidence that resolved each, the outcome appended) before any
-    outcome record is written — the audit trail [crashtest --shards]
-    checks for decision evidence.  The same events drive the recovered
+    [audit] receives the in-doubt resolutions
+    ({!Two_phase.analyze}: which prepares were in doubt, the evidence
+    that resolved each, the outcome appended) before any outcome record
+    is written — the audit trail [crashtest --shards] checks for
+    decision evidence.  The same resolutions drive the recovered
     engine's [tm_2pc_resolved_total{evidence,outcome}] counters. *)
 val recover :
-  ?audit:(Two_phase.resolution_event list -> unit) ->
+  ?audit:(Two_phase.resolution list -> unit) ->
   wals:Wal.t array ->
   rebuild:(unit -> Atomic_object.t list) ->
   unit -> (t * Tid.Set.t, Recovery.error) result

@@ -71,19 +71,65 @@ type state = {
          after its outcome, kept in case it commits again *)
   finished : Tid_bits.t;  (* tids with a Commit or Abort record *)
   mutable hwm : int;  (* first tid strictly above every tid in the log *)
+  prepared : Tid_bits.t;  (* tids with a Prepare record *)
+  mutable in_doubt : Tid.t array;
+      (* [0, n_in_doubt): prepared with no Commit or Abort since, in
+         first-Prepare order; a vector, so a grown one costs no words *)
+  mutable n_in_doubt : int;
+  decided : Tid_bits.t;  (* tids with a Decision *)
+  phase2 : Tid_bits.t;  (* tids with a Commit or Abort after their Prepare *)
+  commit_evidence : Tid_bits.t;  (* a Decision { commit = true } or a phase-2 Commit *)
 }
 
 let empty_state () =
-  { committed_rev = []; pending = Hashtbl.create 16; finished = Tid_bits.create (); hwm = 0 }
+  {
+    committed_rev = [];
+    pending = Hashtbl.create 16;
+    finished = Tid_bits.create ();
+    hwm = 0;
+    prepared = Tid_bits.create ();
+    in_doubt = [||];
+    n_in_doubt = 0;
+    decided = Tid_bits.create ();
+    phase2 = Tid_bits.create ();
+    commit_evidence = Tid_bits.create ();
+  }
 
 (* The operations [st] holds for [tid], newest first. *)
 let txn_ops st tid = match Hashtbl.find st.pending tid with ops -> ops | exception Not_found -> []
 let note st tid = st.hwm <- max st.hwm (Tid.to_int tid + 1)
 let open_txn st tid = if not (Hashtbl.mem st.pending tid) then Hashtbl.add st.pending tid []
 
-let finish st tid =
+(* The index of [tid] among the in-doubt tids from [i] on, or -1. *)
+let rec find_in_doubt st tid i =
+  if i = st.n_in_doubt then -1
+  else if Tid.equal st.in_doubt.(i) tid then i
+  else find_in_doubt st tid (i + 1)
+
+let push_in_doubt st tid =
+  let n = st.n_in_doubt in
+  if n = Array.length st.in_doubt then begin
+    let grown = Array.make (max 8 (2 * n)) tid in
+    Array.blit st.in_doubt 0 grown 0 n;
+    st.in_doubt <- grown
+  end;
+  st.in_doubt.(n) <- tid;
+  st.n_in_doubt <- n + 1
+
+(* A local outcome: a Commit or Abort of a tid prepared here is a
+   phase-2 record, and takes the tid out of doubt. *)
+let finish st tid ~commit =
   Hashtbl.remove st.pending tid;
-  Tid_bits.add st.finished tid
+  Tid_bits.add st.finished tid;
+  if Tid_bits.mem st.prepared tid then begin
+    Tid_bits.add st.phase2 tid;
+    if commit then Tid_bits.add st.commit_evidence tid;
+    let i = find_in_doubt st tid 0 in
+    if i >= 0 then begin
+      Array.blit st.in_doubt (i + 1) st.in_doubt i (st.n_in_doubt - i - 1);
+      st.n_in_doubt <- st.n_in_doubt - 1
+    end
+  end
 
 let step profile st = function
   | Begin tid ->
@@ -95,10 +141,10 @@ let step profile st = function
   | Commit tid ->
       note st tid;
       st.committed_rev <- txn_ops st tid @ st.committed_rev;
-      finish st tid
+      finish st tid ~commit:true
   | Abort tid ->
       note st tid;
-      finish st tid
+      finish st tid ~commit:false
   | Truncate_intent _ ->
       (* A compaction journal marker; {!Disk_wal.load} resolves it
          before the log reaches replay, but a decoded stray is
@@ -112,16 +158,22 @@ let step profile st = function
          decided loses nothing it was entitled to keep.
          {!Sharded_database.recover} resolves in-doubt transactions
          against the other shards' logs {e before} replay by appending
-         the real outcome record. *)
+         the real outcome record, read from this state ({!in_doubt}). *)
       note st tid;
-      open_txn st tid
-  | Decision { tid; commit = _ } ->
+      open_txn st tid;
+      if find_in_doubt st tid 0 < 0 then begin
+        Tid_bits.add st.prepared tid;
+        push_in_doubt st tid
+      end
+  | Decision { tid; commit } ->
       (* The coordinator's 2PC outcome record.  It is pure coordination
          state: it must NOT mark the transaction as locally begun — on
          the coordinator's own shard the transaction also logs its
          local Prepare/Commit records, and a shard that only
          coordinated (no local ops) must not grow a phantom loser. *)
-      note st tid
+      note st tid;
+      Tid_bits.add st.decided tid;
+      if commit then Tid_bits.add st.commit_evidence tid
   | Checkpoint cp ->
       (* The snapshot stands for the whole prefix: committed operations
          and the logs of transactions that were in flight when it was
@@ -130,6 +182,13 @@ let step profile st = function
         st.committed_rev <- List.rev cp.committed;
         Hashtbl.reset st.pending;
         Tid_bits.clear st.finished;
+        (* No 2PC outcome spans a checkpoint: {!Sharded_database.checkpoint}
+           forces every shard and refuses while a cross-shard transaction
+           is between its first prepare and its completion, so nothing is
+           in doubt here and no later resolution needs the evidence of a
+           transaction the snapshot already settled. *)
+        List.iter Tid_bits.clear [ st.prepared; st.decided; st.phase2; st.commit_evidence ];
+        st.n_in_doubt <- 0;
         List.iter
           (fun (tid, ops) ->
             note st tid;
@@ -492,6 +551,10 @@ let length t = t.count
 let truncated t = t.truncated
 let in_flight t tid = Hashtbl.mem t.state.pending tid && not (Tid_bits.mem t.state.finished tid)
 let plan_of ?profile t = plan_of_state ?profile t.state
+let in_doubt t = List.init t.state.n_in_doubt (Array.get t.state.in_doubt)
+let decided t tid = Tid_bits.mem t.state.decided tid
+let phase2 t tid = Tid_bits.mem t.state.phase2 tid
+let commit_evidence t tid = Tid_bits.mem t.state.commit_evidence tid
 let checkpoint_of ~next_tid t = snapshot ~next_tid t.state
 
 let prefix t n =

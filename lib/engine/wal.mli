@@ -9,13 +9,15 @@
 
     One fold reads a log back: its {e replay state} is the committed
     operations, the operations of every unfinished transaction, the
-    finished tids and the tid high-water mark.  A log keeps that state,
-    not its records: every {!append} (once the sink holds the record) and
-    every record {!Disk_wal.load} decodes from the last checkpoint on
-    steps it, so a restart or a
-    checkpoint reads it in O(state) instead of rescanning the log
-    ({!plan_of}, {!checkpoint_of}, {!in_flight}).  {!replay}, {!max_tid},
-    {!fuzzy_checkpoint} and {!plan} are the same fold over a record list.
+    finished tids and the tid high-water mark, and, for two-phase
+    commit, the prepares still in doubt and the outcome evidence the log
+    holds.  A log keeps that state, not its records: every {!append}
+    (once the sink holds the record) and every record {!Disk_wal.load}
+    decodes from the last checkpoint on steps it, so a restart, a
+    checkpoint or the 2PC resolution of a sharded restart reads it in
+    O(state) instead of rescanning the log ({!plan_of},
+    {!checkpoint_of}, {!in_flight}, {!in_doubt}).  {!replay}, {!max_tid}, {!fuzzy_checkpoint} and {!plan}
+    are the same fold over a record list.
 
     The records themselves live on stable storage.  With a {!sink}
     ({!Disk_wal}), that is the sink's backend, and {!records},
@@ -250,6 +252,33 @@ val in_flight : t -> Tid.t -> bool
 (** [checkpoint_of ~next_tid t] = [fuzzy_checkpoint ~next_tid (records
     t)], read from the state: O(committed + live operations). *)
 val checkpoint_of : next_tid:int -> t -> checkpoint
+
+(** {3 What 2PC recovery asks}
+
+    {!Two_phase.analyze} reads these of each shard's log.  Like the rest
+    of the state they cover the log from its last checkpoint on, which
+    loses nothing: {!Sharded_database.checkpoint} refuses while a
+    cross-shard transaction is between its first prepare and its
+    completion, so no 2PC outcome spans a checkpoint.  The sets are
+    {!Tid_bits} and the in-doubt list is pruned at each local outcome,
+    so an append's cost stays flat. *)
+
+(** [in_doubt t] — the tids this log prepared with no [Commit] or
+    [Abort] since, in the order of the [Prepare] that left each in
+    doubt (the first one: tids are never reused). *)
+val in_doubt : t -> Tid.t list
+
+(** [decided t tid] — does the log hold a [Decision] for [tid]? *)
+val decided : t -> Tid.t -> bool
+
+(** [phase2 t tid] — does the log hold a [Commit] or [Abort] of [tid]
+    after a [Prepare] of it?  A participant logs the outcome the
+    coordinator decided, so such a record is as good as the decision. *)
+val phase2 : t -> Tid.t -> bool
+
+(** [commit_evidence t tid] — does the log prove [tid] committed: a
+    [Decision { commit = true }], or a phase-2 [Commit]? *)
+val commit_evidence : t -> Tid.t -> bool
 
 (** {2 The fold over a record list} *)
 

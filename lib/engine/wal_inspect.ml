@@ -201,60 +201,54 @@ type tp_shard = {
 let two_phase bytes =
   (* Damaged tails dropped, as recovery would. *)
   let framed, _, _ = walk bytes in
-  let max_shard = List.fold_left (fun m f -> max m f.shard) 0 framed in
-  let n = max_shard + 1 in
-  let logs = Array.make n [] in
+  let n = 1 + List.fold_left (fun m f -> max m f.shard) 0 framed in
   let present = Array.make n false in
-  (* First-Prepare byte offset per (shard, tid): the address walinspect
-     reports for an in-doubt vote. *)
-  let prep_offset : (int * Tid.t, int) Hashtbl.t = Hashtbl.create 16 in
+  let wals = Array.init n (fun _ -> Wal.create ()) in
+  let prepares = Array.make n 0 and decisions = Array.make n 0 in
+  let completions = Array.make n 0 in
+  (* First-Prepare byte offset per tid on each shard: the address
+     walinspect reports for an in-doubt vote. *)
+  let first_prepare = Array.init n (fun _ -> Hashtbl.create 8) in
   List.iter
-    (fun { record = r; offset = off; shard = s; _ } ->
+    (fun { record = r; offset; shard = s; _ } ->
       present.(s) <- true;
-      logs.(s) <- r :: logs.(s);
+      Wal.restore wals.(s) r;
       match r with
       | Wal.Prepare tid ->
-          if not (Hashtbl.mem prep_offset (s, tid)) then
-            Hashtbl.add prep_offset (s, tid) off
-      | _ -> ())
+          prepares.(s) <- prepares.(s) + 1;
+          if not (Hashtbl.mem first_prepare.(s) tid) then Hashtbl.add first_prepare.(s) tid offset
+      | Wal.Decision _ -> decisions.(s) <- decisions.(s) + 1
+      | Wal.Commit tid | Wal.Abort tid ->
+          if Hashtbl.mem first_prepare.(s) tid then completions.(s) <- completions.(s) + 1
+      | Wal.Begin _ | Wal.Operation _ | Wal.Checkpoint _ | Wal.Truncate_intent _ -> ())
     framed;
-  let logs = Array.map List.rev logs in
-  let events = Two_phase.resolution_events (Two_phase.analyze logs) in
+  let resolutions = Two_phase.analyze wals in
   List.filter_map
     (fun s ->
-      if not (present.(s)) then None
-      else begin
-        let count p = List.length (List.filter p logs.(s)) in
-        let ever = Hashtbl.create 8 in
-        List.iter
-          (function Wal.Prepare tid -> Hashtbl.replace ever tid () | _ -> ())
-          logs.(s);
+      if not present.(s) then None
+      else
         Some
           {
             tp_shard = s;
-            tp_prepares = count (function Wal.Prepare _ -> true | _ -> false);
-            tp_decisions = count (function Wal.Decision _ -> true | _ -> false);
-            tp_completions =
-              count (function
-                | Wal.Commit tid | Wal.Abort tid -> Hashtbl.mem ever tid
-                | _ -> false);
+            tp_prepares = prepares.(s);
+            tp_decisions = decisions.(s);
+            tp_completions = completions.(s);
             tp_in_doubt =
               List.filter_map
-                (fun (ev : Two_phase.resolution_event) ->
-                  if ev.ev_shard <> s then None
+                (fun (r : Two_phase.resolution) ->
+                  if r.shard <> s then None
                   else
                     Some
                       {
-                        tpp_tid = ev.ev_tid;
+                        tpp_tid = r.tid;
                         (* an in-doubt tid was prepared here *)
-                        tpp_offset = Hashtbl.find prep_offset (s, ev.ev_tid);
-                        tpp_commit = ev.ev_commit;
-                        tpp_evidence = Two_phase.evidence_name ev.ev_evidence;
+                        tpp_offset = Hashtbl.find first_prepare.(s) r.tid;
+                        tpp_commit = r.commit;
+                        tpp_evidence = Two_phase.evidence_name r.evidence;
                       })
-                events;
-          }
-      end)
-    (List.init n (fun s -> s))
+                resolutions;
+          })
+    (List.init n Fun.id)
 
 let pp_two_phase ppf shards =
   if shards = [] then Fmt.pf ppf "two-phase: no intact frames@."

@@ -108,8 +108,9 @@ val to_json : t -> Tm_obs.Json.t
     The view behind [walinspect --two-phase]: per-shard counts of the
     2PC record kinds plus every in-doubt prepare — a vote with no later
     local outcome — with its byte offset and the verdict recovery will
-    reach for it ({!Two_phase.analyze} over the per-shard record lists
-    of the same image). *)
+    reach for it ({!Two_phase.analyze} over the image's frames restored
+    into one {!Wal.t} per shard).  One pass over the frames computes
+    the counts, the first-[Prepare] offsets and the shards' logs. *)
 
 type tp_prepare = {
   tpp_tid : Tid.t;
@@ -125,8 +126,8 @@ type tp_shard = {
   tp_prepares : int;
   tp_decisions : int;
   tp_completions : int;
-      (** phase-2 [Commit]/[Abort] records of ever-prepared
-          transactions on this shard *)
+      (** phase-2 [Commit]/[Abort] records on this shard: those of a
+          transaction prepared earlier on it *)
   tp_in_doubt : tp_prepare list;  (** first-[Prepare] order *)
 }
 

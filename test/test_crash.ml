@@ -654,10 +654,33 @@ let test_sharded_rewrites_and_in_doubt () =
   | Some st ->
       Helpers.check_bool "a decided commit in doubt" true
         (List.exists
-           (fun (ev : Tm_engine.Two_phase.resolution_event) ->
-             ev.ev_commit && ev.ev_evidence = Tm_engine.Two_phase.Decision_record)
-           Tm_engine.Two_phase.(resolution_events (analyze st.Crash.logs))));
+           (fun (r : Tm_engine.Two_phase.resolution) ->
+             r.commit && r.evidence = Tm_engine.Two_phase.Decision_record)
+           (Tm_engine.Two_phase.analyze (Array.map Wal.of_records st.Crash.logs))));
   Helpers.check_bool "nothing in doubt on one shard" true (Crash.in_doubt (driven ()) = None)
+
+(* The 2PC resolutions read from the replay states equal the record
+   walk's on every state of the 2-shard generators.  Cuts leave prepares
+   in doubt, so those comparisons are not over empty lists; a rewrite
+   keeps every record of its log or its checkpoint and tail, so it
+   leaves none, but its states hold 2PC records before a checkpoint. *)
+let test_sharded_analysis_matches_walk () =
+  let r = two_shard_recording () in
+  List.iter
+    (fun (name, gen, in_doubt) ->
+      let states = ref 0 and resolved = ref 0 in
+      Seq.iter
+        (fun (st : Crash.state) ->
+          incr states;
+          resolved := !resolved + Two_phase_reference.check st.Crash.label st.Crash.logs)
+        (Crash.states (gen r));
+      Helpers.check_bool (name ^ " yields states") true (!states > 0);
+      Helpers.check_bool (name ^ " leaves prepares in doubt") in_doubt (!resolved > 0))
+    [
+      ("forced", Crash.forced_frontiers, true);
+      ("bytes", Crash.byte_cuts, true);
+      ("truncate", truncation, false);
+    ]
 
 let tid = Tid.of_int 1
 let dep obj n = Op.make ~obj ~args:[ Value.int n ] "deposit" Value.ok
@@ -826,6 +849,8 @@ let suite =
       test_sharded_clean;
     Alcotest.test_case "sharded rewrites and in-doubt harvest" `Quick
       test_sharded_rewrites_and_in_doubt;
+    Alcotest.test_case "2PC analysis: replay state = record walk" `Quick
+      test_sharded_analysis_matches_walk;
     Alcotest.test_case "battery flags a lost participant operation" `Quick
       test_battery_missing_participant_op;
     Alcotest.test_case "battery flags an overdraw on one shard" `Quick

@@ -109,91 +109,88 @@ let test_disk_wal_stamps_shard () =
 
 (* --- Two_phase analysis --- *)
 
+(* The resolutions of hand-written logs, read from their replay states. *)
+let analyze logs = Two_phase.analyze (Array.map Wal.of_records logs)
+
+let on_shard s rs = List.filter (fun (r : Two_phase.resolution) -> r.shard = s) rs
+
+(* A prepared transaction with no surviving decision or completion is
+   in doubt on every participant and resolves to abort. *)
+let presumed_abort_logs =
+  [|
+    [ Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 1); Wal.Prepare Tid.a ];
+    [ Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 2); Wal.Prepare Tid.a ];
+  |]
+
 let test_analyze_presumed_abort () =
-  (* A prepared transaction with no surviving decision or completion is
-     in doubt on every participant and resolves to abort. *)
-  let logs =
-    [|
-      [ Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 1); Wal.Prepare Tid.a ];
-      [ Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 2); Wal.Prepare Tid.a ];
-    |]
-  in
-  let a = Two_phase.analyze logs in
-  Helpers.check_bool "in doubt on 0" true (a.Two_phase.in_doubt.(0) = [ Tid.a ]);
-  Helpers.check_bool "in doubt on 1" true (a.Two_phase.in_doubt.(1) = [ Tid.a ]);
+  let rs = analyze presumed_abort_logs in
   List.iter
     (fun s ->
-      match Two_phase.resolutions a ~shard:s with
-      | [ { Two_phase.tid; commit } ] ->
+      match on_shard s rs with
+      | [ { Two_phase.tid; commit; evidence; _ } ] ->
           Helpers.check_bool "tid" true (Tid.equal tid Tid.a);
-          Helpers.check_bool "presumed abort" false commit
+          Helpers.check_bool "presumed abort" false commit;
+          Helpers.check_bool "no witness" true (evidence = Two_phase.Presumed)
       | rs -> Alcotest.failf "shard %d: %d resolutions" s (List.length rs))
     [ 0; 1 ]
 
+(* The coordinator's forced Decision{commit} is global commit evidence:
+   every shard's in-doubt Prepare resolves to commit. *)
+let decision_commits_logs =
+  [|
+    [
+      Wal.Begin Tid.a;
+      Wal.Operation (Tid.a, BA.deposit 1);
+      Wal.Prepare Tid.a;
+      Wal.Decision { tid = Tid.a; commit = true };
+    ];
+    [ Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 2); Wal.Prepare Tid.a ];
+  |]
+
 let test_analyze_decision_commits () =
-  (* The coordinator's forced Decision{commit} is global commit
-     evidence: every shard's in-doubt Prepare resolves to commit. *)
-  let logs =
-    [|
-      [
-        Wal.Begin Tid.a;
-        Wal.Operation (Tid.a, BA.deposit 1);
-        Wal.Prepare Tid.a;
-        Wal.Decision { tid = Tid.a; commit = true };
-      ];
-      [ Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 2); Wal.Prepare Tid.a ];
-    |]
-  in
-  let a = Two_phase.analyze logs in
+  let rs = analyze decision_commits_logs in
   List.iter
     (fun s ->
-      match Two_phase.resolutions a ~shard:s with
+      match on_shard s rs with
       | [ { Two_phase.commit; _ } ] ->
           Helpers.check_bool (Fmt.str "shard %d commits" s) true commit
       | rs -> Alcotest.failf "shard %d: %d resolutions" s (List.length rs))
     [ 0; 1 ]
 
+(* A phase-2 Commit that survived on one participant proves the
+   decision even if the Decision record itself was lost. *)
+let peer_commit_logs =
+  [|
+    [ Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 1); Wal.Prepare Tid.a; Wal.Commit Tid.a ];
+    [ Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 2); Wal.Prepare Tid.a ];
+  |]
+
+(* An ordinary single-shard Commit (never prepared) is not 2PC evidence
+   for anything, not even for its own tid prepared on a peer. *)
+let unrelated_commit_logs =
+  [|
+    [ Wal.Begin Tid.b; Wal.Commit Tid.b; Wal.Begin Tid.a; Wal.Commit Tid.a ];
+    [ Wal.Begin Tid.a; Wal.Prepare Tid.a ];
+  |]
+
 let test_analyze_peer_commit_is_evidence () =
-  (* A phase-2 Commit that survived on one participant proves the
-     decision even if the Decision record itself was lost. *)
-  let logs =
-    [|
-      [
-        Wal.Begin Tid.a;
-        Wal.Operation (Tid.a, BA.deposit 1);
-        Wal.Prepare Tid.a;
-        Wal.Commit Tid.a;
-      ];
-      [ Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 2); Wal.Prepare Tid.a ];
-    |]
-  in
-  let a = Two_phase.analyze logs in
-  Helpers.check_bool "resolved shard not in doubt" true
-    (a.Two_phase.in_doubt.(0) = []);
-  (match Two_phase.resolutions a ~shard:1 with
+  let rs = analyze peer_commit_logs in
+  Helpers.check_bool "resolved shard not in doubt" true (on_shard 0 rs = []);
+  (match on_shard 1 rs with
   | [ { Two_phase.commit; _ } ] -> Helpers.check_bool "commit" true commit
   | rs -> Alcotest.failf "%d resolutions" (List.length rs));
-  (* An ordinary single-shard Commit (never prepared) is not 2PC
-     evidence for anything. *)
-  let logs' =
-    [|
-      [ Wal.Begin Tid.b; Wal.Commit Tid.b ];
-      [ Wal.Begin Tid.a; Wal.Prepare Tid.a ];
-    |]
-  in
-  let a' = Two_phase.analyze logs' in
+  let wals = Array.map Wal.of_records unrelated_commit_logs in
   Helpers.check_bool "unrelated commit is no evidence" true
-    (Tid.Set.is_empty a'.Two_phase.commit_evidence)
+    (not (Wal.phase2 wals.(0) Tid.a || Wal.commit_evidence wals.(0) Tid.b));
+  match Two_phase.analyze wals with
+  | [ { Two_phase.commit = false; evidence = Two_phase.Presumed; _ } ] -> ()
+  | rs -> Alcotest.failf "%d resolutions, or not a presumed abort" (List.length rs)
+
+let abort_decision_logs =
+  [| [ Wal.Prepare Tid.a; Wal.Decision { tid = Tid.a; commit = false } ]; [ Wal.Prepare Tid.a ] |]
 
 let test_analyze_abort_decision () =
-  let logs =
-    [|
-      [ Wal.Prepare Tid.a; Wal.Decision { tid = Tid.a; commit = false } ];
-      [ Wal.Prepare Tid.a ];
-    |]
-  in
-  let a = Two_phase.analyze logs in
-  match Two_phase.resolutions a ~shard:1 with
+  match on_shard 1 (analyze abort_decision_logs) with
   | [ { Two_phase.commit; _ } ] -> Helpers.check_bool "abort" false commit
   | rs -> Alcotest.failf "%d resolutions" (List.length rs)
 
@@ -291,6 +288,54 @@ let test_checkpoint_when_idle () =
   Helpers.check_bool "checkpoint taken when no 2PC in flight" true
     (SD.checkpoint db)
 
+(* The replay state forgets 2PC at a checkpoint, which is sound only
+   because no checkpoint is taken while a cross-shard commit is between
+   its prepares and its completion.  A participant's prepare force asks
+   for one; it must be refused.  The checkpoint runs on another thread:
+   this one is its shard's flusher, so a checkpoint that went ahead and
+   forced the shard would wait for it.  The wait here is bounded, so
+   such a checkpoint fails the test (returning [true] late) instead of
+   hanging it. *)
+let test_checkpoint_refused_during_prepare () =
+  let n = 2 in
+  let names = names_per_shard n in
+  let db = ref None and armed = ref false in
+  let answer = Atomic.make None and checkpointer = ref None in
+  let on_force () =
+    if !armed then begin
+      armed := false;
+      checkpointer :=
+        Some
+          (Thread.create
+             (fun db -> Atomic.set answer (Some (SD.checkpoint db)))
+             (Option.get !db));
+      let deadline = Unix.gettimeofday () +. 2.0 in
+      while Atomic.get answer = None && Unix.gettimeofday () < deadline do
+        Thread.delay 0.001
+      done
+    end
+  in
+  let wals =
+    Array.init n (fun s ->
+        let store = Storage.memory () in
+        let store = if s = 1 then Storage.probe ~on_force store else store in
+        Disk_wal.wal (Disk_wal.create ~shard:s store))
+  in
+  let sd = SD.create ~wals (Array.to_list (Array.map account names)) in
+  db := Some sd;
+  let t = SD.begin_txn sd in
+  ignore (SD.invoke sd t ~obj:names.(0) (deposit_inv 5));
+  ignore (SD.invoke sd t ~obj:names.(1) (deposit_inv 6));
+  armed := true;
+  Helpers.check_bool "cross-shard commit" true (SD.try_commit sd t = Ok ());
+  (match !checkpointer with
+  | None -> Alcotest.fail "the participant's prepare was never forced"
+  | Some th -> Thread.join th);
+  Alcotest.(check (option bool))
+    "checkpoint during the prepare force" (Some false) (Atomic.get answer);
+  Helpers.check_bool "checkpoint proceeds once the commit completed" true
+    (SD.checkpoint sd)
+
 (* --- recovery-time in-doubt resolution on the real engine --- *)
 
 let recover_names n wals =
@@ -332,10 +377,7 @@ let test_recover_in_doubt_commits_with_evidence () =
          finds nothing in doubt. *)
       ignore wal)
     wals;
-  let a = Two_phase.analyze (Array.map Wal.records wals) in
-  Array.iter
-    (fun d -> Helpers.check_bool "nothing left in doubt" true (d = []))
-    a.Two_phase.in_doubt
+  Helpers.check_bool "nothing left in doubt" true (Two_phase.analyze wals = [])
 
 let test_recover_in_doubt_presumed_abort () =
   let n = 2 in
@@ -367,42 +409,134 @@ let test_recover_in_doubt_presumed_abort () =
   Helpers.check_int "recovery aborts counted per participant" 2
     (Metrics.counter_value m "tm_2pc_aborts_total"
        ~labels:[ ("phase", "recovery") ]);
-  let a = Two_phase.analyze (Array.map Wal.records wals) in
-  Array.iter
-    (fun d -> Helpers.check_bool "nothing left in doubt" true (d = []))
-    a.Two_phase.in_doubt
+  Helpers.check_bool "nothing left in doubt" true (Two_phase.analyze wals = [])
+
+(* A sharded restart reads each stored byte once, in [Disk_wal.load]:
+   resolving the in-doubt prepare reads the loaded logs' replay states,
+   so the bytes below the logs' end may be gone by then. *)
+let test_restart_reads_each_log_once () =
+  let n = 2 in
+  let names = names_per_shard n in
+  let tid = Tid.of_int 1 in
+  let stores = Array.init n (fun _ -> Storage.memory ()) in
+  let logs =
+    [|
+      [
+        Wal.Operation (Tid.of_int 0, dep_on names.(0) 3);
+        Wal.Commit (Tid.of_int 0);
+        Wal.Operation (tid, dep_on names.(0) 5);
+        Wal.Prepare tid;
+        Wal.Decision { tid; commit = true };
+      ];
+      [ Wal.Operation (tid, dep_on names.(1) 7); Wal.Prepare tid; Wal.Operation (Tid.of_int 2, dep_on names.(1) 1) ];
+    |]
+  in
+  Array.iteri
+    (fun s recs ->
+      let wal = Disk_wal.wal (Disk_wal.create ~shard:s stores.(s)) in
+      List.iter (Wal.append wal) recs;
+      Wal.force wal)
+    logs;
+  let recover ~damage =
+    let dws =
+      Array.mapi
+        (fun s store ->
+          match Disk_wal.load ~shard:s (Storage.of_string (Storage.read_all store)) with
+          | Ok dw -> dw
+          | Error c -> Alcotest.failf "load refused: %a" Wal.Codec.pp_corruption c)
+        stores
+    in
+    if damage then
+      Array.iter
+        (fun dw ->
+          let store = Disk_wal.storage dw in
+          Storage.write_at store ~pos:0 (String.make (Storage.size store) '\xff'))
+        dws;
+    let audit = ref [] in
+    match
+      SD.recover ~audit:(fun rs -> audit := rs) ~wals:(Array.map Disk_wal.wal dws)
+        ~rebuild:(fun () -> Array.to_list (Array.map account names))
+        ()
+    with
+    | Error e -> Alcotest.failf "recover refused: %a" Recovery.pp_error e
+    | Ok (db, losers) -> (!audit, committed_by_name (SD.objects db), Tid.Set.elements losers)
+  in
+  let resolutions, committed, losers = recover ~damage:false in
+  Helpers.check_int "the prepare is in doubt on both shards" 2 (List.length resolutions);
+  Helpers.check_bool "resolved by the decision" true
+    (List.for_all (fun (r : Two_phase.resolution) -> r.commit) resolutions);
+  let resolutions', committed', losers' = recover ~damage:true in
+  Helpers.check_bool "same resolutions" true (resolutions' = resolutions);
+  Alcotest.(check (list (pair string (list Helpers.op)))) "same recovered state" committed committed';
+  Alcotest.(check (list Helpers.tid)) "same losers" losers losers'
 
 (* --- resolution events: the structured audit trail --- *)
 
+let evidence_kinds_logs =
+  [|
+    (* a: in doubt here, the Decision survives on shard 1 *)
+    [ Wal.Prepare Tid.a ];
+    [ Wal.Prepare Tid.a; Wal.Decision { tid = Tid.a; commit = true } ];
+    (* b: in doubt here, a peer's phase-2 Commit survives on shard 3 *)
+    [ Wal.Prepare Tid.b ];
+    [ Wal.Prepare Tid.b; Wal.Commit Tid.b ];
+    (* c: no evidence anywhere — presumed abort *)
+    [ Wal.Prepare Tid.c ];
+  |]
+
 let test_resolution_events_evidence_kinds () =
-  let logs =
-    [|
-      (* a: in doubt here, the Decision survives on shard 1 *)
-      [ Wal.Prepare Tid.a ];
-      [ Wal.Prepare Tid.a; Wal.Decision { tid = Tid.a; commit = true } ];
-      (* b: in doubt here, a peer's phase-2 Commit survives on shard 3 *)
-      [ Wal.Prepare Tid.b ];
-      [ Wal.Prepare Tid.b; Wal.Commit Tid.b ];
-      (* c: no evidence anywhere — presumed abort *)
-      [ Wal.Prepare Tid.c ];
-    |]
-  in
-  let evs = Two_phase.resolution_events (Two_phase.analyze logs) in
+  let evs = analyze evidence_kinds_logs in
   (* shards 0, 1 (its own prepare has no local outcome either), 2, 4 *)
   Helpers.check_int "event count" 4 (List.length evs);
-  let find shard = List.find (fun e -> e.Two_phase.ev_shard = shard) evs in
+  let find shard = List.find (fun (e : Two_phase.resolution) -> e.shard = shard) evs in
   let e0 = find 0 in
   Helpers.check_bool "decision evidence commits" true
-    (e0.Two_phase.ev_commit
-    && e0.Two_phase.ev_evidence = Two_phase.Decision_record);
+    (e0.commit && e0.evidence = Two_phase.Decision_record);
   let e2 = find 2 in
   Helpers.check_bool "phase-2 evidence commits" true
-    (e2.Two_phase.ev_commit
-    && e2.Two_phase.ev_evidence = Two_phase.Phase2_record);
+    (e2.commit && e2.evidence = Two_phase.Phase2_record);
   let e4 = find 4 in
   Helpers.check_bool "no evidence presumes abort" true
-    ((not e4.Two_phase.ev_commit)
-    && e4.Two_phase.ev_evidence = Two_phase.Presumed)
+    ((not e4.commit) && e4.evidence = Two_phase.Presumed)
+
+(* Several votes on one shard: a completed one leaves the middle of the
+   in-doubt order, a phase-2 Abort is evidence too, and a repeated
+   Prepare is listed once. *)
+let ordering_logs =
+  [|
+    [
+      Wal.Prepare Tid.a;
+      Wal.Prepare Tid.b;
+      Wal.Prepare Tid.c;
+      Wal.Commit Tid.b;
+      Wal.Prepare Tid.a;
+      Wal.Abort Tid.c;
+      Wal.Prepare Tid.d;
+    ];
+    [ Wal.Prepare Tid.b; Wal.Prepare Tid.c; Wal.Prepare Tid.d; Wal.Decision { tid = Tid.d; commit = true } ];
+  |]
+
+let test_analyze_matches_record_walk () =
+  let resolved =
+    List.fold_left
+      (fun n (label, logs) -> n + Two_phase_reference.check label logs)
+      0
+      [
+        ("presumed abort", presumed_abort_logs);
+        ("decision commits", decision_commits_logs);
+        ("peer commit", peer_commit_logs);
+        ("unrelated commit", unrelated_commit_logs);
+        ("abort decision", abort_decision_logs);
+        ("evidence kinds", evidence_kinds_logs);
+        ("ordering", ordering_logs);
+      ]
+  in
+  Helpers.check_int "resolutions compared" 17 resolved;
+  Alcotest.(check (list string))
+    "in-doubt order"
+    [ "shard 0 A->abort (presumed)"; "shard 0 D->commit (decision)"; "shard 1 B->commit (phase2)";
+      "shard 1 C->abort (phase2)"; "shard 1 D->commit (decision)" ]
+    (List.map (Fmt.str "%a" Two_phase_reference.pp_resolution) (analyze ordering_logs))
 
 let test_resolution_idempotent_after_recovery () =
   let n = 2 in
@@ -430,16 +564,13 @@ let test_resolution_idempotent_after_recovery () =
   Helpers.check_int "first recovery audits both dangling prepares" 2
     (List.length !first);
   List.iter
-    (fun e ->
+    (fun (e : Two_phase.resolution) ->
       Helpers.check_bool "decision evidence, commit outcome" true
-        (e.Two_phase.ev_commit
-        && e.Two_phase.ev_evidence = Two_phase.Decision_record))
+        (e.commit && e.evidence = Two_phase.Decision_record))
     !first;
   (* Recovery appended real outcomes, so re-analyzing the same logs — or
      recovering them again — finds nothing in doubt and audits nothing. *)
-  Helpers.check_bool "re-analysis emits no events" true
-    (Two_phase.resolution_events (Two_phase.analyze (Array.map Wal.records wals))
-    = []);
+  Helpers.check_bool "re-analysis emits no events" true (Two_phase.analyze wals = []);
   let second = ref None in
   (match SD.recover ~audit:(fun evs -> second := Some evs) ~wals ~rebuild () with
   | Error e -> Alcotest.failf "second recover refused: %a" Recovery.pp_error e
@@ -669,12 +800,18 @@ let suite =
       test_prepare_failure_aborts_everywhere;
     Alcotest.test_case "checkpoint proceeds when idle" `Quick
       test_checkpoint_when_idle;
+    Alcotest.test_case "checkpoint refused during a prepare force" `Quick
+      test_checkpoint_refused_during_prepare;
+    Alcotest.test_case "a sharded restart reads each log once" `Quick
+      test_restart_reads_each_log_once;
     Alcotest.test_case "recovery commits in-doubt with evidence" `Quick
       test_recover_in_doubt_commits_with_evidence;
     Alcotest.test_case "recovery presumes abort without evidence" `Quick
       test_recover_in_doubt_presumed_abort;
     Alcotest.test_case "resolution events: evidence kinds" `Quick
       test_resolution_events_evidence_kinds;
+    Alcotest.test_case "analyze: replay state = record walk (hand-written)" `Quick
+      test_analyze_matches_record_walk;
     Alcotest.test_case "resolution is idempotent after recovery" `Quick
       test_resolution_idempotent_after_recovery;
     Alcotest.test_case "shared trace recorder: 2pc spans" `Quick
