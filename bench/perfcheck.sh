@@ -5,8 +5,11 @@
 # 1. History independence of update-in-place recovery: runs the bank hot
 #    spot under UIP and under DU, from the same inputs, and fails unless
 #    both runs are correct and UIP allocates at most 1.25x, and promotes
-#    at most 2x, the words per transaction of DU.  A UIP manager whose
-#    abort cost grows with history fails it.
+#    at most 2x, the words per transaction of DU (about 1.22 and 1.0
+#    today).  A UIP manager whose abort cost grows with history fails
+#    it, and so does a bank inverse that builds an operation per undone
+#    operation (about 1.254): each spec step once built a list, and
+#    without it the DU side falls further than UIP.
 # 2. What an object and its log cost: runs transfer_2pc (1024 accounts
 #    over four shards) and fails unless it is correct and the engine
 #    keeps at most 2.45 MB reachable (live_heap_mb; about 2.22 today, the
@@ -22,27 +25,30 @@
 #    per-object validation tables on locking objects fail it.
 # 3. What a log record costs: runs restart (load and recover a ~1 MB
 #    log image with a checkpoint at its midpoint, then append to it) and
-#    fails unless it is correct and allocates at most 79 words per
-#    transaction (alloc_words_per_txn; about 68.5 today, the limit is the
-#    largest of seeds 1-5, 71.7 when the log was v2, plus 10%).  Each restart rebuilds its
-#    accounts, so the closure-record manager beside a rename that copies
-#    the generator list (about 82.6) fails it; that rename alone (about
-#    76.9) stays inside, and gates 2 and 5 catch it.  A load verifies
-#    the prefix the checkpoint supersedes and decodes only from the
-#    checkpoint on; a loader that decodes and steps the superseded
-#    prefix (about 15 words more) fails it, and so does a codec that
-#    copies each payload, boxes an int32 per CRC byte or builds each
-#    frame twice (about 1029).
+#    fails unless it is correct and allocates at most 62.8 words per
+#    transaction (alloc_words_per_txn; about 56.6 today, the limit is the
+#    largest of seeds 1-5, 57.06, plus 10%).  Each restart rebuilds its
+#    accounts and replays their operations through the spec's fold, so
+#    a spec that answers with a list of (response, state) pairs (about
+#    68.6) fails it, and so does the closure-record manager beside a
+#    rename that copies the generator list (about 14 words more); gates
+#    2 and 5 catch that rename alone.  A load verifies the prefix the
+#    checkpoint supersedes and decodes only from the checkpoint on; a
+#    loader that decodes and steps the superseded prefix (about 15 words
+#    more) fails it, and so does a codec that copies each payload, boxes
+#    an int32 per CRC byte or builds each frame twice (about 1029).
 # 4. What a contended invocation costs: the hotspot_uip run of gate 1
-#    must be correct and allocate at most 552.2 words per transaction
-#    (alloc_words_per_txn; about 502 today, the limit is the largest of
-#    seeds 1-3, 501.99, plus 10%).
-#    A blocked retry allocates only its answer, the lock table walks
+#    must be correct and allocate at most 450 words per transaction
+#    (alloc_words_per_txn; about 409 today, the limit is the largest of
+#    seeds 1-3, 408.93, plus 10%).
+#    Each spec step folds over the responses, building no list of
+#    (response, state) pairs: a spec that builds one (about 502) fails
+#    it.  A blocked retry allocates only its answer, the lock table walks
 #    its list of holders without a closure, the waits-for graph is
 #    cleared from its array of sources with no closure or list, each
 #    executed operation is built once, and the recovery manager is
 #    called at full arity: a manager applied partially on every call
-#    (about 574), a clear that folds the graph into a list of pairs and
+#    (about 72 words more), a clear that folds the graph into a list of pairs and
 #    filters each hit list through a fresh closure (about 106 words
 #    more), a hash table of holders walked by Hashtbl.fold, re-sorting
 #    the holders, a partially applied or boxing conflict test, or a
@@ -64,15 +70,16 @@
 #    without the minor collection Array.make runs for a fresh one (about
 #    33.7), or a log that keeps its records in memory fails it.
 # 6. What a deferred-update invocation costs: the hotspot_du run of
-#    gate 1 must be correct and allocate at most 448.9 words per
-#    transaction (alloc_words_per_txn; about 405 today, the limit is the
-#    largest of seeds 1-3, 408.03, plus 10%).
+#    gate 1 must be correct and allocate at most 372 words per
+#    transaction (alloc_words_per_txn; about 336 today, the limit is the
+#    largest of seeds 1-3, 338.09, plus 10%).  A spec that answers with
+#    a list of (response, state) pairs (about 405) fails it.
 #    Each live transaction keeps its view, base + its own intentions,
 #    and derives it again only after a commit moves the base; a manager
 #    that derives the view from the base on every call (about 150 words
 #    more per transaction), the closure-and-list clear of gate 4 (about
-#    92 more) or a manager applied partially on every call (about 471)
-#    fails it.
+#    92 more) or a manager applied partially on every call (about 66
+#    more) fails it.
 # 7. What a finished transaction leaves: the hotspot_uip run of gate 1
 #    must promote at most 44 words per transaction to the major heap
 #    (major_words_per_txn; about 39.5 today, the limit was set at 39.8
@@ -80,15 +87,16 @@
 #    per finished tid; a table entry per finished tid (about 49.6)
 #    fails it.
 # 8. What a sharded commit costs: the transfer_2pc run of gate 2 must be
-#    correct and allocate at most 241.3 words per transaction
-#    (alloc_words_per_txn; about 218.8 today, the limit is the largest of
-#    seeds 1-3, 219.29, plus 10%).  The router's lock sections, the 2PC phases and the commit
+#    correct and allocate at most 215.5 words per transaction
+#    (alloc_words_per_txn; about 195.4 today, the limit is the largest of
+#    seeds 1-3, 195.89, plus 10%).  A spec that answers with a list of
+#    (response, state) pairs (about 219.7) fails it.  The router's lock sections, the 2PC phases and the commit
 #    walks build no closures and copy no lists, a durable log encodes
 #    each frame in place into one scratch buffer, and the recovery
 #    manager is called at full arity; closure-built lock sections in
 #    the router's invoke or a fresh frame per append (each about 30
 #    words more per transaction), or a manager applied partially on
-#    every call (about 264), fail it.  Transfers never block, so the
+#    every call (about 45 more), fail it.  Transfers never block, so the
 #    closure-and-list clear of gate 4 costs nothing here; building each
 #    executed operation twice (about 14 words more here, 25 on
 #    hotspot_uip) stays inside the headroom of gates 4 and 8, and the
@@ -128,16 +136,16 @@ echo "perfcheck footprint $footprint"
 
 codec=$(jq -rn --argjson r "$restart" '
   $r.metrics.alloc_words_per_txn.value as $w
-  | (if $r.correct and $r.failed == 0 and $w <= 79 then "ok" else "FAIL" end)
+  | (if $r.correct and $r.failed == 0 and $w <= 62.8 then "ok" else "FAIL" end)
     + ": restart correct \($r.correct), failed \($r.failed),"
-    + " alloc_words_per_txn \($w) (max 79)"')
+    + " alloc_words_per_txn \($w) (max 62.8)"')
 echo "perfcheck codec $codec"
 
 contention=$(jq -rn --argjson u "$uip" '
   $u.metrics.alloc_words_per_txn.value as $w
-  | (if $u.correct and $u.failed == 0 and $w <= 552.2 then "ok" else "FAIL" end)
+  | (if $u.correct and $u.failed == 0 and $w <= 450 then "ok" else "FAIL" end)
     + ": hotspot_uip correct \($u.correct), failed \($u.failed),"
-    + " alloc_words_per_txn \($w) (max 552.2)"')
+    + " alloc_words_per_txn \($w) (max 450)"')
 echo "perfcheck contention $contention"
 
 loaded=$(jq -rn --argjson r "$restart" '
@@ -149,9 +157,9 @@ echo "perfcheck loaded log $loaded"
 
 deferred=$(jq -rn --argjson d "$du" '
   $d.metrics.alloc_words_per_txn.value as $w
-  | (if $d.correct and $d.failed == 0 and $w <= 448.9 then "ok" else "FAIL" end)
+  | (if $d.correct and $d.failed == 0 and $w <= 372 then "ok" else "FAIL" end)
     + ": hotspot_du correct \($d.correct), failed \($d.failed),"
-    + " alloc_words_per_txn \($w) (max 448.9)"')
+    + " alloc_words_per_txn \($w) (max 372)"')
 echo "perfcheck deferred update $deferred"
 
 finished=$(jq -rn --argjson u "$uip" '
@@ -163,9 +171,9 @@ echo "perfcheck finished transactions $finished"
 
 sharded=$(jq -rn --argjson x "$xfer" '
   $x.metrics.alloc_words_per_txn.value as $w
-  | (if $x.correct and $x.failed == 0 and $w <= 241.3 then "ok" else "FAIL" end)
+  | (if $x.correct and $x.failed == 0 and $w <= 215.5 then "ok" else "FAIL" end)
     + ": transfer_2pc correct \($x.correct), failed \($x.failed),"
-    + " alloc_words_per_txn \($w) (max 241.3)"')
+    + " alloc_words_per_txn \($w) (max 215.5)"')
 echo "perfcheck sharded commit $sharded"
 
 [[ $verdict == ok* && $footprint == ok* && $codec == ok* && $contention == ok* && $loaded == ok*

@@ -14,13 +14,13 @@ module S = struct
   let compare_state = List.compare Int.compare
   let pp_state ppf s = Fmt.pf ppf "log<%a>" Fmt.(list ~sep:comma int) (List.rev s)
 
-  let respond s (inv : Op.invocation) =
+  let respond s (inv : Op.invocation) k c acc =
     match inv.name, inv.args, s with
-    | "append", [ Value.Int x ], _ -> [ (Value.ok, x :: s) ]
-    | "last", [], latest :: _ -> [ (Value.int latest, s) ]
-    | "last", [], [] -> []
-    | "len", [], _ -> [ (Value.int (List.length s), s) ]
-    | _ -> []
+    | "append", [ Value.Int x ], _ -> k c Value.ok (x :: s) acc
+    | "last", [], latest :: _ -> k c (Value.int latest) s acc
+    | "last", [], [] -> acc
+    | "len", [], _ -> k c (Value.int (List.length s)) s acc
+    | _ -> acc
 
   let generators =
     [

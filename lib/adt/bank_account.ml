@@ -13,13 +13,13 @@ module S = struct
   let compare_state = Int.compare
   let pp_state = Fmt.int
 
-  let respond s (inv : Op.invocation) =
+  let respond s (inv : Op.invocation) k c acc =
     match inv.name, inv.args with
-    | "deposit", [ Value.Int i ] when i > 0 -> [ (Value.ok, s + i) ]
+    | "deposit", [ Value.Int i ] when i > 0 -> k c Value.ok (s + i) acc
     | "withdraw", [ Value.Int i ] when i > 0 ->
-        if s >= i then [ (Value.ok, s - i) ] else [ (Value.no, s) ]
-    | "balance", [] -> [ (Value.Int s, s) ]
-    | _ -> []
+        if s >= i then k c Value.ok (s - i) acc else k c Value.no s acc
+    | "balance", [] -> k c (Value.Int s) s acc
+    | _ -> acc
 
   (* Amounts 1-2 and balances 0-3 exhibit every behaviourally distinct
      situation of the type: what matters to legality is only the order
@@ -137,12 +137,19 @@ let right_commutes_backward p q =
 
 (* Deposits and successful withdrawals form an abelian group action on the
    balance, so each has a position-independent compensating operation;
-   failed withdrawals and balance reads change nothing. *)
+   failed withdrawals and balance reads change nothing.  The
+   compensations of amounts below 64 are built once and shared, so an
+   abort that undoes small updates builds no operation. *)
+let shared = 64
+let undo_deposit = Array.init shared (fun i -> Some [ withdraw_ok i ])
+let undo_withdraw = Array.init shared (fun i -> Some [ deposit i ])
+
 let inverse op =
   let c = code op in
+  let i = amount c in
   match kind c with
-  | 0 -> Some [ withdraw_ok (amount c) ]
-  | 1 -> Some [ deposit (amount c) ]
+  | 0 -> if i >= 0 && i < shared then undo_deposit.(i) else Some [ withdraw_ok i ]
+  | 1 -> if i >= 0 && i < shared then undo_withdraw.(i) else Some [ deposit i ]
   | _ -> Some []
 
 let nfc_conflict =

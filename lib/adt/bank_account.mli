@@ -48,7 +48,8 @@ val right_commutes_backward : Op.t -> Op.t -> bool
 (** [inverse op] — compensating operations for the engine's
     update-in-place undo fast path ({!Tm_core.Spec} is unaffected):
     deposits and successful withdrawals undo each other; failed
-    withdrawals and balance reads need nothing. *)
+    withdrawals and balance reads need nothing.  The answers for amounts
+    below 64 are built once and shared, so it allocates nothing there. *)
 val inverse : Op.t -> Op.t list option
 
 (** {1 Conflict relations for the engine} *)

@@ -43,14 +43,14 @@ module Make (C : CONFIG) : S_counter = struct
     let compare_state = Int.compare
     let pp_state = Fmt.int
 
-    let respond n (inv : Op.invocation) =
+    let respond n (inv : Op.invocation) k c acc =
       match inv.name, inv.args with
       | "incr", [ Value.Int i ] when i > 0 ->
-          if n + i <= capacity then [ (Value.ok, n + i) ] else [ (Value.no, n) ]
+          if n + i <= capacity then k c Value.ok (n + i) acc else k c Value.no n acc
       | "decr", [ Value.Int i ] when i > 0 ->
-          if n >= i then [ (Value.ok, n - i) ] else [ (Value.no, n) ]
-      | "read", [] -> [ (Value.Int n, n) ]
-      | _ -> []
+          if n >= i then k c Value.ok (n - i) acc else k c Value.no n acc
+      | "read", [] -> k c (Value.Int n) n acc
+      | _ -> acc
 
     (* Amounts 1-2: with a small capacity the explorer reaches every
        state 0..capacity, covering each side of every legality threshold

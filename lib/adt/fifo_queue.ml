@@ -13,12 +13,12 @@ module S = struct
   let compare_state = List.compare Int.compare
   let pp_state ppf s = Fmt.pf ppf "<%a>" Fmt.(list ~sep:comma int) s
 
-  let respond s (inv : Op.invocation) =
+  let respond s (inv : Op.invocation) k c acc =
     match inv.name, inv.args, s with
-    | "enq", [ Value.Int x ], _ -> [ (Value.ok, s @ [ x ]) ]
-    | "deq", [], front :: rest -> [ (Value.int front, rest) ]
-    | "deq", [], [] -> []
-    | _ -> []
+    | "enq", [ Value.Int x ], _ -> k c Value.ok (s @ [ x ]) acc
+    | "deq", [], front :: rest -> k c (Value.int front) rest acc
+    | "deq", [], [] -> acc
+    | _ -> acc
 
   (* The derived conflict relations are sound only for operations over
      this alphabet (a value never reachable in an explored context would

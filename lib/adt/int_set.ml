@@ -14,13 +14,13 @@ module S = struct
   let compare_state = Int_set.compare
   let pp_state ppf s = Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma int) (Int_set.elements s)
 
-  let respond s (inv : Op.invocation) =
+  let respond s (inv : Op.invocation) k c acc =
     match inv.name, inv.args with
-    | "insert", [ Value.Int x ] -> [ (Value.ok, Int_set.add x s) ]
-    | "remove", [ Value.Int x ] -> [ (Value.ok, Int_set.remove x s) ]
-    | "member", [ Value.Int x ] -> [ (Value.bool (Int_set.mem x s), s) ]
-    | "size", [] -> [ (Value.int (Int_set.cardinal s), s) ]
-    | _ -> []
+    | "insert", [ Value.Int x ] -> k c Value.ok (Int_set.add x s) acc
+    | "remove", [ Value.Int x ] -> k c Value.ok (Int_set.remove x s) acc
+    | "member", [ Value.Int x ] -> k c (Value.bool (Int_set.mem x s)) s acc
+    | "size", [] -> k c (Value.int (Int_set.cardinal s)) s acc
+    | _ -> acc
 
   (* Three elements so that for every generator element x and every size
      n <= 2 there is a reachable context of cardinality n avoiding x —

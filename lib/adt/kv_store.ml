@@ -22,12 +22,12 @@ module S = struct
       Fmt.(list ~sep:comma (pair ~sep:(any "=") string int))
       (Str_map.bindings s)
 
-  let respond s (inv : Op.invocation) =
+  let respond s (inv : Op.invocation) f c acc =
     match inv.name, inv.args with
-    | "put", [ Value.Str k; Value.Int x ] -> [ (Value.ok, Str_map.add k x s) ]
-    | "del", [ Value.Str k ] -> [ (Value.ok, Str_map.remove k s) ]
-    | "get", [ Value.Str k ] -> [ (encode_opt (Str_map.find_opt k s), s) ]
-    | _ -> []
+    | "put", [ Value.Str k; Value.Int x ] -> f c Value.ok (Str_map.add k x s) acc
+    | "del", [ Value.Str k ] -> f c Value.ok (Str_map.remove k s) acc
+    | "get", [ Value.Str k ] -> f c (encode_opt (Str_map.find_opt k s)) s acc
+    | _ -> acc
 
   (* Two keys and two values: the relations depend only on key
      (in)equality, value (in)equality and presence, all exercised. *)

@@ -25,13 +25,13 @@ module S = struct
       Fmt.(list ~sep:comma (pair ~sep:(any "=") int int))
       (Int_map.bindings s)
 
-  let respond s (inv : Op.invocation) =
+  let respond s (inv : Op.invocation) f c acc =
     match inv.name, inv.args with
-    | "put", [ Value.Int k; Value.Int v ] -> [ (Value.ok, Int_map.add k v s) ]
-    | "del", [ Value.Int k ] -> [ (Value.ok, Int_map.remove k s) ]
-    | "get", [ Value.Int k ] -> [ (encode_opt (Int_map.find_opt k s), s) ]
-    | "count", [ Value.Int lo; Value.Int hi ] -> [ (Value.int (count_range lo hi s), s) ]
-    | _ -> []
+    | "put", [ Value.Int k; Value.Int v ] -> f c Value.ok (Int_map.add k v s) acc
+    | "del", [ Value.Int k ] -> f c Value.ok (Int_map.remove k s) acc
+    | "get", [ Value.Int k ] -> f c (encode_opt (Int_map.find_opt k s)) s acc
+    | "count", [ Value.Int lo; Value.Int hi ] -> f c (Value.int (count_range lo hi s)) s acc
+    | _ -> acc
 
   (* Three keys and two interval shapes: every relevant configuration —
      key inside/outside the interval, interval partially and completely

@@ -13,11 +13,11 @@ module S = struct
   let compare_state = Int.compare
   let pp_state = Fmt.int
 
-  let respond v (inv : Op.invocation) =
+  let respond v (inv : Op.invocation) k c acc =
     match inv.name, inv.args with
-    | "write", [ Value.Int x ] -> [ (Value.ok, x) ]
-    | "read", [] -> [ (Value.Int v, v) ]
-    | _ -> []
+    | "write", [ Value.Int x ] -> k c Value.ok x acc
+    | "read", [] -> k c (Value.Int v) v acc
+    | _ -> acc
 
   let generators =
     List.concat_map

@@ -7,12 +7,17 @@ let obj = "SQ"
 (* Multisets as sorted lists. *)
 let ms_add x s = List.sort Int.compare (x :: s)
 
-let rec ms_remove x = function
-  | [] -> None
-  | y :: rest ->
-      if x = y then Some rest
-      else if y > x then None
-      else Option.map (fun r -> y :: r) (ms_remove x rest)
+(* A [deq] from the multiset [seen] reversed onto [rest] answers each
+   distinct item [x] of [rest], leaving the multiset less one [x]. *)
+let rec deq_each k c acc seen = function
+  | [] -> acc
+  | x :: rest ->
+      let acc =
+        match seen with
+        | y :: _ when y = x -> acc
+        | _ -> k c (Value.int x) (List.rev_append seen rest) acc
+      in
+      deq_each k c acc (x :: seen) rest
 
 module S = struct
   type nonrec state = state
@@ -23,14 +28,11 @@ module S = struct
   let compare_state = List.compare Int.compare
   let pp_state ppf s = Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma int) s
 
-  let respond s (inv : Op.invocation) =
+  let respond s (inv : Op.invocation) k c acc =
     match inv.name, inv.args with
-    | "enq", [ Value.Int x ] -> [ (Value.ok, ms_add x s) ]
-    | "deq", [] ->
-        List.sort_uniq Int.compare s
-        |> List.filter_map (fun x ->
-               Option.map (fun s' -> (Value.int x, s')) (ms_remove x s))
-    | _ -> []
+    | "enq", [ Value.Int x ] -> k c Value.ok (ms_add x s) acc
+    | "deq", [] -> deq_each k c acc [] s
+    | _ -> acc
 
   (* Two item values suffice: the relations depend only on whether the two
      dequeued items are equal and on multiplicities 0/1/2, all reachable

@@ -13,12 +13,12 @@ module S = struct
   let compare_state = List.compare Int.compare
   let pp_state ppf s = Fmt.pf ppf "<%a]" Fmt.(list ~sep:comma int) s
 
-  let respond s (inv : Op.invocation) =
+  let respond s (inv : Op.invocation) k c acc =
     match inv.name, inv.args, s with
-    | "push", [ Value.Int x ], _ -> [ (Value.ok, x :: s) ]
-    | "pop", [], top :: rest -> [ (Value.int top, rest) ]
-    | "pop", [], [] -> []
-    | _ -> []
+    | "push", [ Value.Int x ], _ -> k c Value.ok (x :: s) acc
+    | "pop", [], top :: rest -> k c (Value.int top) rest acc
+    | "pop", [], [] -> acc
+    | _ -> acc
 
   (* Must cover every item value client workloads use — see
      Fifo_queue.S.generators. *)

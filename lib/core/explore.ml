@@ -7,10 +7,10 @@ module Make (S : Spec.S) = struct
 
   let initial_set = States.singleton S.initial
 
-  let step sts op =
-    States.fold
-      (fun st acc -> List.fold_left (fun acc st' -> States.add st' acc) acc (Spec.apply (module S) st op))
-      sts States.empty
+  let add_matching (op : Op.t) r st' acc = if Value.equal r op.res then States.add st' acc else acc
+
+  let step sts (op : Op.t) =
+    States.fold (fun st acc -> S.respond st op.inv add_matching op acc) sts States.empty
 
   let after sts ops = List.fold_left step sts ops
   let legal ops = not (States.is_empty (after initial_set ops))

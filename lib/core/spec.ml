@@ -6,7 +6,7 @@ module type S = sig
   val equal_state : state -> state -> bool
   val compare_state : state -> state -> int
   val pp_state : Format.formatter -> state -> unit
-  val respond : state -> Op.invocation -> (Value.t * state) list
+  val respond : state -> Op.invocation -> ('c -> Value.t -> state -> 'a -> 'a) -> 'c -> 'a -> 'a
   val generators : Op.t list
 end
 
@@ -24,21 +24,20 @@ let generators (Packed { name; m = (module S) }) =
 
 let rename (Packed { m; _ }) name = Packed { name; m }
 
-(* The states [op]'s response leads to, onto [acc].  The recovery managers
-   step state-sets on every invocation, so this and [successors] are
-   first-order loops that allocate only the result cells. *)
-let rec matching (op : Op.t) acc = function
-  | [] -> acc
-  | (r, st') :: rest -> matching op (if Value.equal r op.res then st' :: acc else acc) rest
+(* A response's next state onto [acc] if the response is [op]'s.  The
+   recovery managers step state-sets on every invocation, so [apply] and
+   [successors] fold this top-level function with [op] as its context:
+   they allocate only the result cells. *)
+let matching (op : Op.t) r st' acc = if Value.equal r op.res then st' :: acc else acc
 
 let apply (type s) (module S : S with type state = s) (st : s) (op : Op.t) : s list =
-  matching op [] (S.respond st op.inv)
+  S.respond st op.inv matching op []
 
 (* A state-set is a sorted, duplicate-free list: stepping one through an
    operation keeps it so (dedup via sort). *)
 let rec successors respond (op : Op.t) acc = function
   | [] -> acc
-  | st :: rest -> successors respond op (matching op acc (respond st op.inv)) rest
+  | st :: rest -> successors respond op (respond st op.inv matching op acc) rest
 
 (* [List.sort_uniq] builds its closures before looking at the length, so
    the deterministic case (at most one state) skips it. *)
@@ -57,7 +56,16 @@ let after_states (type s) (module S : S with type state = s) (states : s list) o
 
 let legal (Packed { m = (module S); _ }) ops = after_states (module S) [ S.initial ] ops <> []
 
+let response () r _ acc = r :: acc
+
+let rec all_responses respond inv acc = function
+  | [] -> acc
+  | st :: rest -> all_responses respond inv (respond st inv response () acc) rest
+
+let state_responses (type s) (module S : S with type state = s) (states : s list) inv =
+  match all_responses S.respond inv [] states with
+  | ([] | [ _ ]) as vs -> vs  (* sorted already; skip [sort_uniq]'s closures *)
+  | vs -> List.sort_uniq Value.compare vs
+
 let responses (Packed { m = (module S); _ }) ops inv =
-  let reached = after_states (module S) [ S.initial ] ops in
-  List.concat_map (fun st -> List.map fst (S.respond st inv)) reached
-  |> List.sort_uniq Value.compare
+  state_responses (module S) (after_states (module S) [ S.initial ] ops) inv

@@ -3,10 +3,11 @@
     The paper models [Spec(X)] as a prefix-closed set of operation
     sequences, conveniently presented as the language of an I/O automaton
     whose actions are the operations of [X].  We present specifications as
-    transition systems over an abstract state: [respond s inv] enumerates
+    transition systems over an abstract state: [respond s inv] folds over
     every legal (response, next-state) pair for invocation [inv] in state
-    [s].  Operations may be {e partial} ([respond] returns no pair for some
-    states) and {e non-deterministic} (more than one pair).
+    [s], building no list of them.  Operations may be {e partial}
+    ([respond] folds over no pair for some states) and
+    {e non-deterministic} (more than one pair).
 
     [Spec(X)] — the prefix-closed sequence set — is recovered as the set of
     operation sequences executable from [initial]; with non-determinism a
@@ -24,11 +25,14 @@ module type S = sig
   val compare_state : state -> state -> int
   val pp_state : Format.formatter -> state -> unit
 
-  (** [respond s inv] is every pair [(r, s')] such that the operation
-      [[inv, r]] is legal in state [s] and may leave the object in state
-      [s'].  The empty list means [inv] has no legal response in [s]
-      (a partial operation). *)
-  val respond : state -> Op.invocation -> (Value.t * state) list
+  (** [respond s inv k c acc] folds [k] over every pair [(r, s')] such
+      that the operation [[inv, r]] is legal in state [s] and may leave
+      the object in state [s']: it calls [k c r s' acc] once per pair,
+      threading the accumulator, and returns [acc] itself when [inv] has
+      no legal response in [s] (a partial operation).  The context [c]
+      lets a caller pass a top-level [k] and what it needs, so a step
+      builds no closure. *)
+  val respond : state -> Op.invocation -> ('c -> Value.t -> state -> 'a -> 'a) -> 'c -> 'a -> 'a
 
   (** A finite sample of the operation alphabet, used by the bounded
       decision procedures and by history generators.  It should exercise
@@ -75,6 +79,11 @@ val step_states : (module S with type state = 's) -> 's list -> Op.t -> 's list
 (** [after_states (module S) sts ops] folds {!step_states} over [ops];
     [sts] need not be sorted. *)
 val after_states : (module S with type state = 's) -> 's list -> Op.t list -> 's list
+
+(** [state_responses (module S) sts inv] is the set of legal responses
+    to [inv] from any state of [sts], sorted and deduplicated.  It
+    allocates only the answer's cells. *)
+val state_responses : (module S with type state = 's) -> 's list -> Op.invocation -> Value.t list
 
 (** [legal spec ops] — is the operation sequence [ops] in [Spec(X)]
     (executable from the initial state)? *)

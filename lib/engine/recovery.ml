@@ -188,18 +188,6 @@ let count_discarded t n =
           Metrics.counter a.reg "tm_recovery_discarded_ops_total" ~labels:[ ("obj", obj t) ];
       Metrics.Counter.add a.discarded n
 
-(* Distinct legal responses to [inv] from a state-set, each of which keeps
-   the overall sequence legal by construction. *)
-let candidate_responses (type s) (module S : Spec.S with type state = s) states inv =
-  let vs =
-    match states with
-    | [ st ] -> List.map fst (S.respond st inv)
-    | _ -> List.concat_map (fun st -> List.map fst (S.respond st inv)) states
-  in
-  match vs with
-  | [] | [ _ ] -> vs  (* sorted already; skip [sort_uniq]'s closures *)
-  | _ -> List.sort_uniq Value.compare vs
-
 (* [states] stepped through [op], which must be legal there. *)
 let stepped what m states op =
   match Spec.step_states m states op with
@@ -419,10 +407,12 @@ let create ?inverse kind (Spec.Packed { name; m = (module S) as m }) =
       Du { m; obj = name; base = [ S.initial ]; version = 0; txns = No_txn; log = [];
            handles = Detached }
 
+(* Distinct legal responses to [inv] from the transaction's state-set,
+   each of which keeps the overall sequence legal by construction. *)
 let responses t tid inv =
   match t with
-  | Uip u -> candidate_responses u.m u.current inv
-  | Du d -> candidate_responses d.m (view d (find_txn tid d.txns)) inv
+  | Uip u -> Spec.state_responses u.m u.current inv
+  | Du d -> Spec.state_responses d.m (view d (find_txn tid d.txns)) inv
 
 let record t tid op = match t with Uip u -> record_uip tid op u | Du d -> record_du tid op d
 let commit t tid = match t with Uip u -> commit_uip t tid u | Du d -> commit_du t tid d

@@ -28,7 +28,7 @@ let rec doubled n bound = if n >= bound then n else doubled (2 * n) bound
 let fits s i =
   let n = Bytes.length s.bits in
   if i < 8 * n then true
-  else if i >= 8 * doubled n (16 + s.added) then false
+  else if i >= 8 * doubled n (32 + (2 * s.added)) then false
   else begin
     let grown = Bytes.make (doubled n ((i / 8) + 1)) '\000' in
     Bytes.blit s.bits 0 grown 0 n;

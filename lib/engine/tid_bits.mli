@@ -4,11 +4,13 @@
     replay state ({!Wal}) and in a {!Database}.
 
     The window starts at the first tid added (rounded down to a multiple
-    of 8) and grows by doubling, but only while it stays within two
-    bytes per tid added since the last {!clear}, plus a 32-byte floor.
-    So an outlier (a fuzzer's [max_int], a tid far above the rest)
-    cannot size it by its value: a tid beyond the largest window the
-    bound allows goes to the table and grows nothing.  A run of tids
+    of 8) and grows by doubling, but never past the first doubling at or
+    above two bytes per tid added since the last {!clear} plus a 32-byte
+    floor, so within twice that bound; a run of every 16th tid stays in
+    the window at 2 bytes a member.  So an outlier (a fuzzer's
+    [max_int], a tid far above the rest) cannot size it by its value: a
+    tid beyond the largest window the bound allows goes to the table
+    and grows nothing.  A run of tids
     beyond a gap starts in the table, and the window grows over the rest
     of the run once there are enough of them.  Negative tids and tids
     below the first one always go to the table. *)

@@ -2,7 +2,8 @@
    [Explore.Make] and kept its state-sets as a [Set]: the oracle of the
    state-set refinement properties in test_engine.ml, which check that
    the sorted-list state-sets of [Recovery] answer exactly the same.
-   Metrics are left out; everything else is unchanged. *)
+   Metrics are left out, and a spec's responses are read through
+   [Spec_reference.pairs]; everything else is unchanged. *)
 
 open Tm_core
 
@@ -16,7 +17,7 @@ type t = {
 }
 
 let candidate_responses (type s) (module S : Spec.S with type state = s) states inv =
-  List.concat_map (fun st -> List.map fst (S.respond st inv)) states
+  List.concat_map (fun st -> List.map fst (Spec_reference.pairs (module S) st inv)) states
   |> List.sort_uniq Value.compare
 
 let create_uip ?inverse (Spec.Packed { m = (module S); _ }) =

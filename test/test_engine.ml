@@ -423,10 +423,13 @@ let blind_semiqueue, blind_semiqueue_conflict =
   let module Blind = struct
     include SQ.S
 
-    let respond s (inv : Op.invocation) =
+    (* [take] answers [ok] for each state a [deq] may leave. *)
+    let take (k, c) _ s' acc = k c Value.ok s' acc
+
+    let respond s (inv : Op.invocation) k c acc =
       match inv.name with
-      | "take" -> List.map (fun (_, s') -> (Value.ok, s')) (SQ.S.respond s (Op.invocation "deq"))
-      | _ -> SQ.S.respond s inv
+      | "take" -> SQ.S.respond s (Op.invocation "deq") take (k, c) acc
+      | _ -> SQ.S.respond s inv k c acc
 
     let generators = SQ.S.generators @ [ Op.make ~obj:SQ.S.name "take" Value.ok ]
   end in
@@ -588,9 +591,9 @@ let test_uip_abort_history_independent () =
         let module Counting = struct
           include S
 
-          let respond s inv =
+          let respond s inv k c acc =
             incr steps;
-            S.respond s inv
+            S.respond s inv k c acc
         end in
         Spec.pack (module Counting)
   in
@@ -894,6 +897,35 @@ let test_tid_set_outliers_in_table () =
     (Fmt.str "2,002 tids cost %d words (at most 2 bytes each, plus the table)" total)
     true
     (total <= (2 * 2002 / 8) + 16)
+
+(* A set of every 12th or every 16th tid (the tids one shard of 12 or
+   16 sees finish) stays in the window, at most 2 bytes per member plus
+   the 32-byte floor: 1,024 bytes for each.  A bound that allowed only
+   the first doubling at or above [16 + added] bytes sent both into the
+   table: 1,255 and 2,031 words. *)
+let test_tid_set_sparse_in_window () =
+  List.iter
+    (fun stride ->
+      let s = Tid_bits.create () in
+      let fresh = tid_set_words s in
+      let members = ref 0 in
+      for i = 0 to 7999 do
+        if i mod stride = 0 then begin
+          Tid_bits.add s (Tid.of_int i);
+          incr members
+        end
+      done;
+      Helpers.check_bool
+        (Fmt.str "every %dth tid a member, no other" stride)
+        true
+        (List.for_all
+           (fun i -> Tid_bits.mem s (Tid.of_int i) = (i mod stride = 0))
+           (List.init 8000 Fun.id));
+      let total = tid_set_words s - fresh and limit = ((2 * !members) + 32) / 8 in
+      if total > limit then
+        Alcotest.failf "every %dth tid of 0..7999: %d members cost %d words (at most %d)" stride
+          !members total limit)
+    [ 12; 16 ]
 
 (* [clear] empties both the window and the table, and the window starts
    again at the next tid added. *)
@@ -1480,10 +1512,11 @@ let test_blockers_allocation () =
   if w > 41. then Alcotest.failf "blockers against 8 holders allocated %.0f words (max 41)" w
 
 (* A blocked invocation and the deadlock search after it, as the
-   closed-loop clients run them: 33 words.  With a hash table of
-   holders it took 53, and with a registry search per event, a fresh
-   search table, exception and per-node closures, and the trace kind
-   built before looking for a recorder, 367. *)
+   closed-loop clients run them: 22 words.  A spec that answered with a
+   list of (response, state) pairs took 28, with a hash table of
+   holders 53, and with a registry search per event, a fresh search
+   table, exception and per-node closures, and the trace kind built
+   before looking for a recorder, 367. *)
 let test_blocked_invoke_allocation () =
   let db =
     Database.create
@@ -1499,8 +1532,8 @@ let test_blocked_invoke_allocation () =
   in
   Helpers.check_bool "no deadlock" true (call () = None);
   let w = minor_words call in
-  if w > 36. then
-    Alcotest.failf "a blocked invoke and deadlock search allocated %.0f words (max 36)" w
+  if w > 28. then
+    Alcotest.failf "a blocked invoke and deadlock search allocated %.0f words (max 28)" w
 
 (* The conflict test itself allocates nothing: the relation is applied
    at full arity and the bank's closed forms classify each operand into
@@ -1517,10 +1550,11 @@ let test_conflict_allocation () =
     [ BA.nrbc_conflict; BA.nfc_conflict ]
 
 (* A blocked retry against two holders and the deadlock search after
-   it: the answer and the candidate responses, 39 words.  The search
+   it: the answer and the candidate responses, 28 words.  The search
    reruns only when the graph changed, and a retry re-registers the
-   same edges.  Walking a hash table of holders took 62, and sorting the
-   holders three times and rerunning the search 217. *)
+   same edges.  A spec that answered with a list of pairs took 34,
+   walking a hash table of holders 62, and sorting the holders three
+   times and rerunning the search 217. *)
 let test_blocked_retry_allocation () =
   let db =
     Database.create
@@ -1537,9 +1571,9 @@ let test_blocked_retry_allocation () =
   in
   Alcotest.check Helpers.tids "blocked on both depositors" [ a; b ] (fst (call ()));
   let w = minor_words call in
-  if w > 42. then
+  if w > 34. then
     Alcotest.failf "a blocked retry against two holders and its deadlock search allocated \
-                    %.0f words (max 42)" w
+                    %.0f words (max 34)" w
 
 (* A search on a graph that has not changed since the last one reuses
    that answer, cycle or none, and allocates nothing. *)
@@ -1599,12 +1633,14 @@ let test_deadlock_clear_allocation () =
 (* An executed deposit by a transaction that three blocked withdrawals
    wait on pays for the deposit alone: the walk that clears their edges
    to it allocates nothing, and each waiter's list falls to its shared
-   empty tail.  45 words under UIP, 41 under DU, with or without the
+   empty tail.  33 words under UIP, 29 under DU, with or without the
    waiters.  The deposit builds its operation once, for the lock test,
    and executes it, keeping it in an argument rather than a list; its
    lock hold, and under UIP its cell of the live suffix, are one cell
-   each; and the recovery manager is called at full arity.  Before
-   those cuts it took 62 words under UIP and 56 under DU, 4 more with
+   each; the recovery manager is called at full arity; and the spec
+   folds over its responses.  A spec that answered with a list of
+   (response, state) pairs, one per step, took 45 words under UIP and
+   41 under DU.  Before the other cuts it took 62 and 56, 4 more with
    the waiters ([Hashtbl.iter]'s closure in the clear): partial
    applications of [Recovery.responses] and [Recovery.record] 5 words
    each, the list of enabled operations 3, a pair in a list cell per
@@ -1616,7 +1652,7 @@ let test_contended_deposit_allocation () =
   List.iter
     (fun recovery ->
       let what, limit =
-        match recovery with Recovery.UIP -> ("UIP", 45.) | Recovery.DU -> ("DU", 41.)
+        match recovery with Recovery.UIP -> ("UIP", 33.) | Recovery.DU -> ("DU", 29.)
       in
       (* The words of a's third deposit, with [waiters] withdrawals
          blocked on a's first two. *)
@@ -1656,11 +1692,12 @@ let test_contended_deposit_allocation () =
     [ Recovery.UIP; Recovery.DU ]
 
 (* Deferred update keeps each transaction's view: after 64 deposits an
-   invocation steps nothing and pays only for its answer, 11 words.  A
+   invocation steps nothing and pays only for its answer, 5 words.  A
    commit by another transaction moves the base, so the next call
    derives the view once; the call after it is back to the answer
-   alone.  A [Recovery.responses] that returned the manager's closure,
-   applied partially on each call, took 16 words, and deriving the view
+   alone.  A spec that answered with a list of (response, state) pairs
+   took 11 words, a [Recovery.responses] that returned the manager's
+   closure, applied partially on each call, 16, and deriving the view
    on every call 797. *)
 let test_du_kept_view_allocation () =
   let r = Recovery.create Recovery.DU BA.spec in
@@ -1672,7 +1709,7 @@ let test_du_kept_view_allocation () =
     Alcotest.check (Alcotest.list Helpers.value) (what ^ ": A's balance") [ Value.int balance ]
       (call ());
     let w = minor_words call in
-    if w > 11. then Alcotest.failf "%s: a DU responses call allocated %.0f words (max 11)" what w
+    if w > 5. then Alcotest.failf "%s: a DU responses call allocated %.0f words (max 5)" what w
   in
   check "after 64 deposits" 64;
   Recovery.record r Tid.b (dep 100);
@@ -1683,11 +1720,12 @@ let test_du_kept_view_allocation () =
 
 (* Recording a deposit by a transaction that recorded eight before it
    pays for the stepped state-set and the transaction's list cell and,
-   under update-in-place, one 4-word cell of the live suffix: 16 words
-   under UIP, 12 under DU.  A [Recovery.record] that returned the
-   manager's closure, applied partially on each call, took 5 words
-   more in both, and a suffix entry built as a pair in a list cell 2
-   more under UIP: 23 and 17. *)
+   under update-in-place, one 4-word cell of the live suffix: 10 words
+   under UIP, 6 under DU.  A spec that answered with a list of
+   (response, state) pairs took 6 words more in both, 16 and 12; a
+   [Recovery.record] that returned the manager's closure, applied
+   partially on each call, 5 more again, and a suffix entry built as a
+   pair in a list cell 2 more under UIP: 23 and 17. *)
 let test_record_allocation () =
   List.iter
     (fun (recovery, what, limit) ->
@@ -1701,7 +1739,30 @@ let test_record_allocation () =
         Alcotest.failf "%s: recording a deposit allocated %.0f words (max %.0f)" what w limit;
       Alcotest.check (Alcotest.list Helpers.value) (what ^ ": A's balance") [ Value.int 9 ]
         (Recovery.responses r Tid.a balance_inv))
-    [ (Recovery.UIP, "UIP", 16.); (Recovery.DU, "DU", 12.) ]
+    [ (Recovery.UIP, "UIP", 10.); (Recovery.DU, "DU", 6.) ]
+
+(* A UIP abort of eight bank deposits compensates each with the bank's
+   shared inverse: it builds no operation, and pays for the state-set
+   each compensation steps to and the suffix it drops them from:
+   30 words.  An inverse built per undone operation took 19 words more
+   each: 182.  For small amounts the inverse itself allocates
+   nothing. *)
+let test_uip_abort_allocation () =
+  List.iter
+    (fun op ->
+      let w = minor_words (fun () -> BA.inverse op) in
+      if w > 0. then Alcotest.failf "the inverse of %a allocated %.0f words" Op.pp op w)
+    [ dep 1; dep 63; wok 1; wok 63 ];
+  let r = Recovery.create ~inverse:BA.inverse Recovery.UIP BA.spec in
+  Recovery.record r Tid.b (dep 100);
+  for i = 1 to 8 do
+    Recovery.record r Tid.a (dep i)
+  done;
+  let w = minor_words (fun () -> Recovery.abort r Tid.a) in
+  if w > 30. then
+    Alcotest.failf "a UIP abort of eight deposits allocated %.0f words (max 30)" w;
+  Alcotest.check (Alcotest.list Helpers.value) "only B's deposit is left" [ Value.int 100 ]
+    (Recovery.responses r Tid.b balance_inv)
 
 (* A commit of a current view installs it as the base without stepping
    again: it pays for the committed log's cells, 3 words per operation.
@@ -1800,6 +1861,7 @@ let suite =
     Alcotest.test_case "tid set window doubles" `Quick test_tid_set_window_doubles;
     Alcotest.test_case "tid set outliers in the table" `Quick test_tid_set_outliers_in_table;
     Alcotest.test_case "tid set clear" `Quick test_tid_set_clear;
+    Alcotest.test_case "tid set sparse runs stay in the window" `Quick test_tid_set_sparse_in_window;
     prop_tid_set_matches_table;
     Alcotest.test_case "fresh object footprint" `Quick test_fresh_object_footprint;
     Alcotest.test_case "funded account footprint" `Quick test_funded_account_footprint;
@@ -1828,6 +1890,7 @@ let suite =
       test_contended_deposit_allocation;
     Alcotest.test_case "DU kept view allocation pin" `Quick test_du_kept_view_allocation;
     Alcotest.test_case "recovery record allocation pin" `Quick test_record_allocation;
+    Alcotest.test_case "UIP abort allocation pin" `Quick test_uip_abort_allocation;
     Alcotest.test_case "DU commit allocation pin" `Quick test_du_commit_allocation;
     Alcotest.test_case "chooser outside the offer rejected" `Quick
       test_choose_outside_offer_rejected;

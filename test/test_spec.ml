@@ -159,6 +159,63 @@ let prop_responses_extend_legally =
           Op.invocation ~args:[ Value.int 2 ] "withdraw";
           Op.invocation "balance" ])
 
+(* Each shipped spec's fold against its list-returning reference
+   ([Spec_reference]).  A random sequence of at most four generators,
+   cut where it stops being legal, reaches a state-set; from every state
+   it passes through, and for every generator, the fold's pairs (sorted)
+   are the reference's, and so are [Spec.apply]'s states.  From the
+   reached state-set, [Spec.step_states], [Spec.state_responses] and
+   [Spec.responses] answer as they did over the lists. *)
+let prop_fold_matches_reference (Spec_reference.Ref { m = (module S); respond }) =
+  let gens = Array.of_list S.generators in
+  let gen = QCheck2.Gen.(list_size (int_bound 4) (int_bound (Array.length gens - 1))) in
+  let compare_pair (r, s) (r', s') =
+    match Value.compare r r' with 0 -> S.compare_state s s' | c -> c
+  in
+  let sorted_pairs l = List.sort compare_pair l in
+  let sorted_states l = List.sort S.compare_state l in
+  let from_state st =
+    Array.for_all
+      (fun (op : Op.t) ->
+        sorted_pairs (Spec_reference.pairs (module S) st op.inv) = sorted_pairs (respond st op.inv)
+        && sorted_states (Spec.apply (module S) st op)
+           = sorted_states (Spec_reference.apply respond st op))
+      gens
+  in
+  let from_state_set sts = List.for_all from_state sts in
+  let from_set ops sts =
+    Array.for_all
+      (fun (op : Op.t) ->
+        Spec.step_states (module S) sts op
+        = Spec_reference.step_states S.compare_state respond sts op
+        && Spec.state_responses (module S) sts op.inv
+           = Spec_reference.responses respond sts op.inv
+        && Spec.responses (Spec.pack (module S)) ops op.inv
+           = Spec_reference.responses respond sts op.inv)
+      gens
+  in
+  Helpers.qcheck ~count:100
+    (Fmt.str "%s: spec fold = list reference" S.name)
+    gen
+    (fun picks ->
+      let rec walk ops sts = function
+        | [] -> (ops, sts)
+        | i :: rest -> (
+            let op = gens.(i) in
+            match Spec_reference.step_states S.compare_state respond sts op with
+            | [] -> (ops, sts)
+            | next -> if from_state_set sts then walk (ops @ [ op ]) next rest else (ops, []))
+      in
+      match walk [] [ S.initial ] picks with
+      | _, [] -> false
+      | ops, sts -> from_state_set sts && from_set ops sts)
+
+let test_reference_covers_registry () =
+  Alcotest.(check (list string))
+    "one reference per registry type"
+    (List.sort String.compare Tm_adt.Registry.names)
+    (List.sort String.compare (List.map Spec_reference.name Spec_reference.all))
+
 let suite =
   [
     Alcotest.test_case "paper §3.2 sequences" `Quick test_legal_paper_sequences;
@@ -175,4 +232,6 @@ let suite =
     Alcotest.test_case "containment witness" `Quick test_contained_negative_with_witness;
     Alcotest.test_case "containment empty cases" `Quick test_contained_empty_cases;
     prop_responses_extend_legally;
+    Alcotest.test_case "spec references cover the registry" `Quick test_reference_covers_registry;
   ]
+  @ List.map prop_fold_matches_reference Spec_reference.all

@@ -24,7 +24,7 @@ let create ?inverse (Spec.Packed { m = (module S); _ }) =
   let txn_ops tid = Option.value (Hashtbl.find_opt per_txn tid) ~default:[] in
   let responses inv =
     E.States.elements !current
-    |> List.concat_map (fun st -> List.map fst (S.respond st inv))
+    |> List.concat_map (fun st -> List.map fst (Spec_reference.pairs (module S) st inv))
     |> List.sort_uniq Value.compare
   in
   let record tid op =
