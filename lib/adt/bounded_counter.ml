@@ -153,12 +153,24 @@ module Make (C : CONFIG) : S_counter = struct
   (* Successful updates form an abelian group action within the bounds;
      compensations are legal at the end of the log whenever the sound
      conflict relations were used (and the engine falls back to replay
-     otherwise). *)
-  let inverse op =
-    match classify op with
-    | Incr_ok i -> Some [ decr_ok i ]
-    | Decr_ok i -> Some [ incr_ok i ]
-    | Incr_no _ | Decr_no _ | Read _ -> Some []
+     otherwise).  As in {!Bank_account}, the compensations of amounts
+     below 64 are built once and shared, and the operation is matched
+     in place rather than classified, so undoing a small update
+     allocates nothing. *)
+  let shared = 64
+  let undo_incr = Array.init shared (fun i -> Some [ decr_ok i ])
+  let undo_decr = Array.init shared (fun i -> Some [ incr_ok i ])
+
+  let inverse (op : Op.t) =
+    match op.inv.name, op.inv.args, op.res with
+    | "incr", [ Value.Int i ], Value.Str "ok" ->
+        if i >= 0 && i < shared then undo_incr.(i) else Some [ decr_ok i ]
+    | "decr", [ Value.Int i ], Value.Str "ok" ->
+        if i >= 0 && i < shared then undo_decr.(i) else Some [ incr_ok i ]
+    | _ ->
+        (* A failed update or a read; [classify] rejects the rest. *)
+        ignore (classify op);
+        Some []
 
   let nfc_conflict =
     Conflict.make

@@ -25,13 +25,10 @@ let generators (Packed { name; m = (module S) }) =
 let rename (Packed { m; _ }) name = Packed { name; m }
 
 (* A response's next state onto [acc] if the response is [op]'s.  The
-   recovery managers step state-sets on every invocation, so [apply] and
-   [successors] fold this top-level function with [op] as its context:
-   they allocate only the result cells. *)
+   recovery managers step state-sets on every invocation, so
+   [successors] folds this top-level function with [op] as its context:
+   it allocates only the result cells. *)
 let matching (op : Op.t) r st' acc = if Value.equal r op.res then st' :: acc else acc
-
-let apply (type s) (module S : S with type state = s) (st : s) (op : Op.t) : s list =
-  S.respond st op.inv matching op []
 
 (* A state-set is a sorted, duplicate-free list: stepping one through an
    operation keeps it so (dedup via sort). *)

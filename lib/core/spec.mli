@@ -60,11 +60,6 @@ val generators : t -> Op.t list
     operations only when asked. *)
 val rename : t -> string -> t
 
-(** [apply (module S) s op] is the set of states reachable by executing
-    operation [op] (invocation {e and} response fixed) from [s]; empty if
-    [op] is not legal in [s]. *)
-val apply : (module S with type state = 's) -> 's -> Op.t -> 's list
-
 (** {2 State-sets}
 
     A non-deterministic specification reaches a {e set} of states.  It is

@@ -10,8 +10,7 @@ type policy =
    operations in commit order, each transaction's ops and its start point
    in that log. *)
 type optimistic = {
-  mutable committed_rev : Op.t list;
-  mutable committed_len : int;
+  mutable committed : Op_log.t;
   opt_start : (Tid.t, int) Hashtbl.t;
   opt_ops : (Tid.t, Op.t list) Hashtbl.t;  (* newest first *)
 }
@@ -93,8 +92,7 @@ let create ?inverse ~spec ~conflict ~recovery () =
 let create_optimistic ~spec ~conflict =
   let optimistic =
     {
-      committed_rev = [];
-      committed_len = 0;
+      committed = Op_log.empty;
       opt_start = Hashtbl.create 16;
       opt_ops = Hashtbl.create 16;
     }
@@ -234,7 +232,8 @@ let invoke_optimistic choose t opt tid inv candidates =
      time (backward validation).  Remember where the committed log stood
      when the transaction first touched this object. *)
   let op = choose_op t choose inv candidates in
-  if not (Hashtbl.mem opt.opt_start tid) then Hashtbl.add opt.opt_start tid opt.committed_len;
+  if not (Hashtbl.mem opt.opt_start tid) then
+    Hashtbl.add opt.opt_start tid (Op_log.length opt.committed);
   Recovery.record t.recovery tid op;
   Hashtbl.replace opt.opt_ops tid (op :: ops_at opt tid);
   Executed op
@@ -310,10 +309,21 @@ let invoke ?choose t tid inv =
       | candidates, Optimistic opt -> invoke_optimistic choose t opt tid inv candidates
       | candidates, _ -> invoke_locking choose t tid inv none_enabled [] [] candidates)
 
-(* Operations committed after position [start], oldest first. *)
-let committed_since opt start =
-  let rec take n l = if n <= 0 then [] else match l with [] -> [] | x :: r -> x :: take (n - 1) r in
-  List.rev (take (opt.committed_len - start) opt.committed_rev)
+(* The oldest of [mine] (newest first) that conflicts with an operation
+   committed at position [start] or later, and the oldest such
+   operation: the log is walked in place, from [start]. *)
+let rec first_conflict conflict committed start = function
+  | [] -> None
+  | op :: older -> (
+      match first_conflict conflict committed start older with
+      | Some _ as found -> found
+      | None -> (
+          match
+            Op_log.find_from committed start (fun c ->
+                Conflict.conflicts conflict ~requested:op ~held:c)
+          with
+          | Some c -> Some (op, c)
+          | None -> None))
 
 let validate t tid =
   match t.mode with
@@ -321,21 +331,8 @@ let validate t tid =
   | Optimistic opt -> (
       match Hashtbl.find opt.opt_start tid with
       | exception Not_found -> Ok ()  (* executed nothing here *)
-      | start ->
-          let mine = List.rev (ops_at opt tid) in
-          let interleaved = committed_since opt start in
-          let bad =
-            List.find_map
-              (fun op ->
-                List.find_map
-                  (fun c ->
-                    if Conflict.conflicts t.conflict ~requested:op ~held:c then
-                      Some (op, c)
-                    else None)
-                  interleaved)
-              mine
-          in
-          (match bad with
+      | start -> (
+          match first_conflict t.conflict opt.committed start (ops_at opt tid) with
           | Some ((mine_op, _) as p) ->
               count_event t "tm_validation_failures_total" mine_op.Op.inv.Op.name;
               Error p
@@ -363,9 +360,7 @@ let commit t tid =
   | Escrow e -> release_escrow e tid ~committed:true
   | Optimistic opt ->
       (match Hashtbl.find opt.opt_ops tid with
-      | ops ->
-          opt.committed_rev <- ops @ opt.committed_rev;
-          opt.committed_len <- opt.committed_len + List.length ops
+      | ops -> opt.committed <- Op_log.push_rev opt.committed ops
       | exception Not_found -> ()  (* executed nothing here *));
       forget_optimistic opt tid);
   Recovery.commit t.recovery tid;

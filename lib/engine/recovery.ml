@@ -106,7 +106,7 @@ type 's uip = {
   mutable front : entries;
   mutable back : entries;
   mutable live : live;
-  mutable log : Op.t list;  (* committed, newest first *)
+  mutable log : Op_log.t;  (* committed *)
   mutable handles : handles;
 }
 
@@ -121,7 +121,7 @@ type 's du = {
   mutable base : 's list;
   mutable version : int;
   mutable txns : 's txn;
-  mutable log : Op.t list;  (* committed, newest first *)
+  mutable log : Op_log.t;  (* committed *)
   mutable handles : handles;
 }
 
@@ -275,7 +275,7 @@ let commit_uip t tid (u : _ uip) =
   | No_live -> count_committed t 0
   | Live e as x ->
       count_committed t (List.length e.mine);
-      u.log <- e.mine @ u.log;
+      u.log <- Op_log.push_rev u.log e.mine;
       e.mine <- [];
       u.live <- unlink_live x u.live);
   fold u
@@ -324,15 +324,15 @@ let abort_uip t tid (u : _ uip) =
    work belongs to no live transaction, so it goes straight into the
    base and committed log (no per-transaction bookkeeping, no tid). *)
 let restore_uip ops (u : _ uip) =
-  match u.log, u.live with
-  | [], No_live ->
+  match u.live with
+  | No_live when Op_log.length u.log = 0 ->
       Result.map
         (fun next ->
           u.base <- next;
           u.current <- next;
-          u.log <- List.rev ops)
+          u.log <- List.fold_left Op_log.push u.log ops)
         (replayed "UIP" u.obj u.m ops)
-  | _ -> not_fresh "UIP" u.obj
+  | No_live | Live _ -> not_fresh "UIP" u.obj
 
 (* ------------------------------------------------------------------ *)
 (* Deferred update.                                                    *)
@@ -373,7 +373,7 @@ let commit_du t tid (d : _ du) =
       | next -> d.base <- next);
       d.version <- d.version + 1;
       count_committed t (List.length e.ops);
-      d.log <- e.ops @ d.log;
+      d.log <- Op_log.push_rev d.log e.ops;
       d.txns <- unlink_txn x d.txns
 
 let abort_du t tid (d : _ du) =
@@ -384,15 +384,15 @@ let abort_du t tid (d : _ du) =
       d.txns <- unlink_txn x d.txns
 
 let restore_du ops (d : _ du) =
-  match d.log, d.txns with
-  | [], No_txn ->
+  match d.txns with
+  | No_txn when Op_log.length d.log = 0 ->
       Result.map
         (fun next ->
           d.base <- next;
           d.version <- d.version + 1;
-          d.log <- List.rev ops)
+          d.log <- List.fold_left Op_log.push d.log ops)
         (replayed "DU" d.obj d.m ops)
-  | _ -> not_fresh "DU" d.obj
+  | No_txn | Txn _ -> not_fresh "DU" d.obj
 
 (* ------------------------------------------------------------------ *)
 (* The manager.                                                        *)
@@ -402,10 +402,10 @@ let create ?inverse kind (Spec.Packed { name; m = (module S) as m }) =
   | UIP ->
       let base = [ S.initial ] and inverse = Option.value inverse ~default:no_inverse in
       Uip { m; obj = name; inverse; base; current = base; front = End; back = End;
-            live = No_live; log = []; handles = Detached }
+            live = No_live; log = Op_log.empty; handles = Detached }
   | DU ->
-      Du { m; obj = name; base = [ S.initial ]; version = 0; txns = No_txn; log = [];
-           handles = Detached }
+      Du { m; obj = name; base = [ S.initial ]; version = 0; txns = No_txn;
+           log = Op_log.empty; handles = Detached }
 
 (* Distinct legal responses to [inv] from the transaction's state-set,
    each of which keeps the overall sequence legal by construction. *)
@@ -418,4 +418,4 @@ let record t tid op = match t with Uip u -> record_uip tid op u | Du d -> record
 let commit t tid = match t with Uip u -> commit_uip t tid u | Du d -> commit_du t tid d
 let abort t tid = match t with Uip u -> abort_uip t tid u | Du d -> abort_du t tid d
 let restore t ops = match t with Uip u -> restore_uip ops u | Du d -> restore_du ops d
-let committed_ops = function Uip u -> List.rev u.log | Du d -> List.rev d.log
+let committed_ops = function Uip u -> Op_log.to_list u.log | Du d -> Op_log.to_list d.log

@@ -17,7 +17,8 @@
       folded into the base after each commit and abort, and abort
       replays only the live suffix from the base.  (The
       {!committed_ops} record, kept for verification, still grows with
-      history.)
+      history, at about one word per committed operation: an {!Op_log}
+      of chunks that a commit fills without copying.)
     - {b DU} keeps a committed base state plus, per active transaction,
       its intentions list and its view: the state-set base + its own
       intentions reach, exactly [DU(H,A)].  That view changes only when
@@ -43,7 +44,8 @@
     transactions that gets an entry on a transaction's first {!record}.
     A fresh manager is therefore one record and its initial state-set:
     16 words under UIP and 13 under DU for a bank account, whatever the
-    number of objects of its type. *)
+    number of objects of its type; its empty committed log is a
+    constant, and one committed operation adds a 2-word block. *)
 
 open Tm_core
 
@@ -103,7 +105,8 @@ val pp_error : Format.formatter -> error -> unit
 val restore : t -> Op.t list -> (unit, error) result
 
 (** Committed operations in commit order, restored ones first (both
-    kinds).  Exposed for verification in tests. *)
+    kinds).  Exposed for verification in tests; the list is built on
+    each call, and the manager keeps the operations in an {!Op_log}. *)
 val committed_ops : t -> Op.t list
 
 (** [attach_metrics t reg] makes the manager count recovery work in

@@ -64,7 +64,7 @@ let equal_record a b =
    mark is carried monotonically through).  Lookups use [find] rather
    than [find_opt]: no [Some] per record. *)
 type state = {
-  mutable committed_rev : Op.t list;  (* committed operations, newest first *)
+  mutable committed : Op_log.t;  (* committed operations *)
   pending : (Tid.t, Op.t list) Hashtbl.t;
       (* every transaction with records but no outcome, with its
          operations newest first — and operations logged under a tid
@@ -83,7 +83,7 @@ type state = {
 
 let empty_state () =
   {
-    committed_rev = [];
+    committed = Op_log.empty;
     pending = Hashtbl.create 16;
     finished = Tid_bits.create ();
     hwm = 0;
@@ -140,7 +140,7 @@ let step profile st = function
       Hashtbl.replace st.pending tid (op :: txn_ops st tid)
   | Commit tid ->
       note st tid;
-      st.committed_rev <- txn_ops st tid @ st.committed_rev;
+      st.committed <- Op_log.push_rev st.committed (txn_ops st tid);
       finish st tid ~commit:true
   | Abort tid ->
       note st tid;
@@ -179,7 +179,7 @@ let step profile st = function
          and the logs of transactions that were in flight when it was
          taken.  Everything else about the prefix is forgotten. *)
       let seed () =
-        st.committed_rev <- List.rev cp.committed;
+        st.committed <- List.fold_left Op_log.push Op_log.empty cp.committed;
         Hashtbl.reset st.pending;
         Tid_bits.clear st.finished;
         (* No 2PC outcome spans a checkpoint: {!Sharded_database.checkpoint}
@@ -223,7 +223,7 @@ let snapshot ~next_tid st =
     fold_unfinished st (fun tid ops acc -> (tid, List.rev ops) :: acc) []
     |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
   in
-  { committed = List.rev st.committed_rev; live; next_tid = max next_tid st.hwm }
+  { committed = Op_log.to_list st.committed; live; next_tid = max next_tid st.hwm }
 
 type plan = {
   plan_objects : (string, Op.t list) Hashtbl.t;
@@ -234,22 +234,21 @@ type plan = {
 
 (* Committed operations land in per-object buckets, so recovery restores
    each object without filtering the whole committed history.  The
-   state's list is newest first, so consing onto a bucket leaves it in
-   commit order.  One hash lookup per operation: the buckets are refs. *)
+   state's log is folded newest first, so consing onto a bucket leaves
+   it in commit order.  One hash lookup per operation: the buckets are
+   refs. *)
 let plan_of_state ?profile st =
   let bucket () =
     let by_obj : (string, Op.t list ref) Hashtbl.t = Hashtbl.create 64 in
-    let total_ops = ref 0 in
-    List.iter
-      (fun (op : Op.t) ->
-        incr total_ops;
+    Op_log.fold
+      (fun () (op : Op.t) ->
         match Hashtbl.find by_obj op.Op.obj with
         | ops -> ops := op :: !ops
         | exception Not_found -> Hashtbl.add by_obj op.Op.obj (ref [ op ]))
-      st.committed_rev;
+      () st.committed;
     let objects = Hashtbl.create (Hashtbl.length by_obj) in
     Hashtbl.iter (fun name ops -> Hashtbl.add objects name !ops) by_obj;
-    (objects, !total_ops)
+    (objects, Op_log.length st.committed)
   in
   let objects, total_ops =
     match profile with
@@ -273,7 +272,7 @@ let plan_of_state ?profile st =
 
 let replay recs =
   let st = state_of recs in
-  (List.rev st.committed_rev, losers st)
+  (Op_log.to_list st.committed, losers st)
 
 let max_tid recs =
   let st = state_of recs in

@@ -17,7 +17,12 @@
     checkpoint or the 2PC resolution of a sharded restart reads it in
     O(state) instead of rescanning the log ({!plan_of},
     {!checkpoint_of}, {!in_flight}, {!in_doubt}).  {!replay}, {!max_tid}, {!fuzzy_checkpoint} and {!plan}
-    are the same fold over a record list.
+    are the same fold over a record list.  The state's committed
+    operations are an {!Op_log}, about one word per operation: a
+    [Commit] pushes the transaction's operations and a checkpoint's seed
+    pushes its [committed] list, and only {!replay} and a snapshot
+    ({!checkpoint_of}, {!fuzzy_checkpoint}) build a list of them.  The
+    log still grows with every committed operation.
 
     The records themselves live on stable storage.  With a {!sink}
     ({!Disk_wal}), that is the sink's backend, and {!records},

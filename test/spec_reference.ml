@@ -1,8 +1,9 @@
 (* The ten shipped specs' [respond]s as they were before a spec folded
    over its responses: each builds the list of every legal (response,
    next-state) pair, in the order the fold must visit them.  With the
-   list forms of [Spec.apply], [Spec.step_states] and [Spec.responses]
-   over them, the oracle of the fold properties in test_spec.ml. *)
+   list forms of [apply] (the states one fixed response reaches),
+   [Spec.step_states] and [Spec.responses] over them, the oracle of the
+   fold properties in test_spec.ml. *)
 
 open Tm_core
 open Tm_adt
@@ -127,8 +128,13 @@ let all =
 
 let name (Ref { m = (module S); _ }) = S.name
 
-(* [Spec.apply], [Spec.step_states] and the response set of
-   [Spec.responses] as they were over the lists. *)
+(* The states a spec's fold reaches from [st] by [op], its response
+   fixed: the fold's side of the property that holds it to [apply]. *)
+let fold_apply (type s) (module S : Spec.S with type state = s) (st : s) (op : Op.t) =
+  S.respond st op.inv (fun () r st' acc -> if Value.equal r op.res then st' :: acc else acc) () []
+
+(* [apply], [Spec.step_states] and the response set of [Spec.responses]
+   as they were over the lists. *)
 let apply respond st (op : Op.t) =
   List.fold_left
     (fun acc (r, st') -> if Value.equal r op.res then st' :: acc else acc)

@@ -163,7 +163,8 @@ let prop_responses_extend_legally =
    ([Spec_reference]).  A random sequence of at most four generators,
    cut where it stops being legal, reaches a state-set; from every state
    it passes through, and for every generator, the fold's pairs (sorted)
-   are the reference's, and so are [Spec.apply]'s states.  From the
+   are the reference's, and so are the states the fold reaches by the
+   generator ([Spec_reference.fold_apply]).  From the
    reached state-set, [Spec.step_states], [Spec.state_responses] and
    [Spec.responses] answer as they did over the lists. *)
 let prop_fold_matches_reference (Spec_reference.Ref { m = (module S); respond }) =
@@ -178,7 +179,7 @@ let prop_fold_matches_reference (Spec_reference.Ref { m = (module S); respond })
     Array.for_all
       (fun (op : Op.t) ->
         sorted_pairs (Spec_reference.pairs (module S) st op.inv) = sorted_pairs (respond st op.inv)
-        && sorted_states (Spec.apply (module S) st op)
+        && sorted_states (Spec_reference.fold_apply (module S) st op)
            = sorted_states (Spec_reference.apply respond st op))
       gens
   in
