@@ -81,21 +81,23 @@ module Make (C : CONFIG) : S_counter = struct
   let decr_no i = Op.make ~obj ~args:[ Value.int i ] "decr" Value.no
   let read n = Op.make ~obj "read" (Value.int n)
 
-  type klass =
-    | Incr_ok of int
-    | Incr_no of int
-    | Decr_ok of int
-    | Decr_no of int
-    | Read of int
-
-  let classify (op : Op.t) =
+  (* Operation classification used by the closed forms, as an immediate
+     int so that classifying an operand allocates nothing (the closed
+     forms run on every conflict test of the lock table): the kind in
+     the low three bits — 0 incr→ok, 1 incr→no, 2 decr→ok, 3 decr→no,
+     4 read — and the amount (or the value read) above them.  Amounts
+     and values are assumed to fit in 60 bits. *)
+  let code (op : Op.t) =
     match op.inv.name, op.inv.args, op.res with
-    | "incr", [ Value.Int i ], Value.Str "ok" -> Incr_ok i
-    | "incr", [ Value.Int i ], Value.Str "no" -> Incr_no i
-    | "decr", [ Value.Int i ], Value.Str "ok" -> Decr_ok i
-    | "decr", [ Value.Int i ], Value.Str "no" -> Decr_no i
-    | "read", [], Value.Int n -> Read n
+    | "incr", [ Value.Int i ], Value.Str "ok" -> i lsl 3
+    | "incr", [ Value.Int i ], Value.Str "no" -> (i lsl 3) lor 1
+    | "decr", [ Value.Int i ], Value.Str "ok" -> (i lsl 3) lor 2
+    | "decr", [ Value.Int i ], Value.Str "no" -> (i lsl 3) lor 3
+    | "read", [], Value.Int n -> (n lsl 3) lor 4
     | _ -> invalid_arg ("Bounded_counter: not a counter operation: " ^ Op.to_string op)
+
+  let kind c = c land 7
+  let amount c = c asr 3
 
   (* Derivations (n = state, C = capacity, i/j the two amounts):
      - incr-ok(i)/incr-ok(j): each legal at n <= C-max(i,j); the pair needs
@@ -112,43 +114,28 @@ module Make (C : CONFIG) : S_counter = struct
        contexts where both are legal; outside those (n+i > C for incr,
        n < i for decr) the pair is vacuously commuting. *)
   let forward_commutes p q =
-    match classify p, classify q with
-    | Incr_ok _, Incr_ok _ | Decr_ok _, Decr_ok _ -> false
-    | Incr_ok _, Decr_ok _ | Decr_ok _, Incr_ok _ -> true
-    | Incr_ok _, Incr_no _ | Incr_no _, Incr_ok _ -> true
-    | Decr_ok _, Decr_no _ | Decr_no _, Decr_ok _ -> true
-    | Incr_ok _, Decr_no _ | Decr_no _, Incr_ok _ -> false
-    | Incr_no _, Decr_ok _ | Decr_ok _, Incr_no _ -> false
-    | Incr_ok i, Read n | Read n, Incr_ok i -> n + i > capacity
-    | Decr_ok i, Read n | Read n, Decr_ok i -> n < i
-    | Incr_no _, (Incr_no _ | Decr_no _ | Read _) | (Decr_no _ | Read _), Incr_no _ ->
-        true
-    | Decr_no _, (Decr_no _ | Read _) | Read _, Decr_no _ -> true
-    | Read _, Read _ -> true
+    let p = code p and q = code q in
+    match kind p, kind q with
+    | 0, 4 -> amount q + amount p > capacity  (* incr-ok(i) / read→n: n+i > C *)
+    | 4, 0 -> amount p + amount q > capacity
+    | 2, 4 -> amount q < amount p  (* decr-ok(i) / read→n: n < i *)
+    | 4, 2 -> amount p < amount q
+    | 0, (0 | 3) | 2, (1 | 2) | 1, 2 | 3, 0 -> false
+    | _ -> true
 
   let right_commutes_backward p q =
-    match classify p, classify q with
-    | Incr_ok _, Incr_ok _ | Decr_ok _, Decr_ok _ -> true
-    | Incr_ok _, Decr_ok _ | Decr_ok _, Incr_ok _ -> false
-    | Incr_ok _, Incr_no _ -> true
-    | Incr_no _, Incr_ok _ -> false
-    | Decr_ok _, Decr_no _ -> true
-    | Decr_no _, Decr_ok _ -> false
-    | Incr_ok _, Decr_no _ -> false
-    | Decr_no _, Incr_ok _ -> true
-    | Incr_no _, Decr_ok _ -> true
-    | Decr_ok _, Incr_no _ -> false
+    let p = code p and q = code q in
+    match kind p, kind q with
     (* An ok-update pushes back over read→n only when "read then update"
        is impossible (vacuous); a read→n pushes back over an ok-update
        only when "update then read→n" is impossible — when the state the
        read would have seen before the update is out of range. *)
-    | Incr_ok i, Read n -> n + i > capacity
-    | Decr_ok i, Read n -> n < i
-    | Read n, Incr_ok i -> n < i
-    | Read n, Decr_ok i -> n + i > capacity
-    | Incr_no _, (Incr_no _ | Decr_no _ | Read _) -> true
-    | Decr_no _, (Incr_no _ | Decr_no _ | Read _) -> true
-    | Read _, (Incr_no _ | Decr_no _ | Read _) -> true
+    | 0, 4 -> amount q + amount p > capacity  (* incr-ok(i) after read→n: n+i > C *)
+    | 2, 4 -> amount q < amount p  (* decr-ok(i) after read→n: n < i *)
+    | 4, 0 -> amount p < amount q  (* read→n after incr-ok(i): n < i *)
+    | 4, 2 -> amount p + amount q > capacity  (* read→n after decr-ok(i): n+i > C *)
+    | 0, (2 | 3) | 1, 0 | 2, (0 | 1) | 3, 2 -> false
+    | _ -> true
 
   (* Successful updates form an abelian group action within the bounds;
      compensations are legal at the end of the log whenever the sound
@@ -168,8 +155,8 @@ module Make (C : CONFIG) : S_counter = struct
     | "decr", [ Value.Int i ], Value.Str "ok" ->
         if i >= 0 && i < shared then undo_decr.(i) else Some [ incr_ok i ]
     | _ ->
-        (* A failed update or a read; [classify] rejects the rest. *)
-        ignore (classify op);
+        (* A failed update or a read; [code] rejects the rest. *)
+        ignore (code op);
         Some []
 
   let nfc_conflict =
@@ -185,10 +172,7 @@ module Make (C : CONFIG) : S_counter = struct
   let rw_conflict =
     Conflict.read_write
       ~name:(obj ^ "-RW")
-      ~is_read:(fun op ->
-        match classify op with
-        | Read _ -> true
-        | Incr_ok _ | Incr_no _ | Decr_ok _ | Decr_no _ -> false)
+      ~is_read:(fun op -> kind (code op) = 4)
 
   let classes =
     [

@@ -53,6 +53,27 @@ let after_states (type s) (module S : S with type state = s) (states : s list) o
 
 let legal (Packed { m = (module S); _ }) ops = after_states (module S) [ S.initial ] ops <> []
 
+(* The marks of {!state_response}: blocks of this module that no spec
+   can answer with, so [==] tells them from every response. *)
+let no_response = Value.Str "<no response>"
+let several_responses = Value.Str "<several responses>"
+
+(* [acc] joined with the response [r]: the one distinct response so far,
+   or a mark. *)
+let single () r _ acc =
+  if acc == no_response then r
+  else if acc == several_responses || Value.equal acc r then acc
+  else several_responses
+
+let rec one_response respond inv acc = function
+  | [] -> acc
+  | st :: rest ->
+      let acc = respond st inv single () acc in
+      if acc == several_responses then acc else one_response respond inv acc rest
+
+let state_response (type s) (module S : S with type state = s) (states : s list) inv =
+  one_response S.respond inv no_response states
+
 let response () r _ acc = r :: acc
 
 let rec all_responses respond inv acc = function
@@ -60,9 +81,11 @@ let rec all_responses respond inv acc = function
   | st :: rest -> all_responses respond inv (respond st inv response () acc) rest
 
 let state_responses (type s) (module S : S with type state = s) (states : s list) inv =
-  match all_responses S.respond inv [] states with
-  | ([] | [ _ ]) as vs -> vs  (* sorted already; skip [sort_uniq]'s closures *)
-  | vs -> List.sort_uniq Value.compare vs
+  let r = one_response S.respond inv no_response states in
+  if r == no_response then []
+  else if r == several_responses then
+    List.sort_uniq Value.compare (all_responses S.respond inv [] states)
+  else [ r ]
 
 let responses (Packed { m = (module S); _ }) ops inv =
   state_responses (module S) (after_states (module S) [ S.initial ] ops) inv

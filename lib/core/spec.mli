@@ -75,9 +75,23 @@ val step_states : (module S with type state = 's) -> 's list -> Op.t -> 's list
     [sts] need not be sorted. *)
 val after_states : (module S with type state = 's) -> 's list -> Op.t list -> 's list
 
+(** [state_response (module S) sts inv] folds over the legal responses
+    to [inv] from every state of [sts] and answers with the one distinct
+    response (by [Value.equal]), {!no_response} when there is none (a
+    partial operation) or {!several_responses} when there are two or
+    more.  The marks are compared by [==]; no spec answers with either.
+    The fold allocates nothing of its own, so an invocation of a
+    deterministic type builds no list of its one response. *)
+val state_response : (module S with type state = 's) -> 's list -> Op.invocation -> Value.t
+
+val no_response : Value.t
+val several_responses : Value.t
+
 (** [state_responses (module S) sts inv] is the set of legal responses
-    to [inv] from any state of [sts], sorted and deduplicated.  It
-    allocates only the answer's cells. *)
+    to [inv] from any state of [sts], sorted and deduplicated: [[]] or
+    [[r]] as {!state_response} answers, and only for several responses
+    a second walk that collects and sorts them.  It allocates only the
+    answer's cells. *)
 val state_responses : (module S with type state = 's) -> 's list -> Op.invocation -> Value.t list
 
 (** [legal spec ops] — is the operation sequence [ops] in [Spec(X)]

@@ -222,16 +222,27 @@ let rec invoke_locking choose t tid inv first enabled blocked = function
         Executed op
       end
 
+(* Locking with one legal response: its operation is tested directly,
+   with no candidate list, and blocks on every holder it conflicts with
+   (what the list walk answers for one response). *)
+let invoke_one t tid inv res =
+  let op = { Op.obj = t.name; inv; res } in
+  match Lock_table.blockers t.locks ~requested:op ~tid with
+  | [] ->
+      Recovery.record t.recovery tid op;
+      Lock_table.add t.locks tid op;
+      Executed op
+  | holders -> block t inv holders
+
 (* [tid]'s operations here, newest first.  This and the lookups in
    [validate] and [commit] catch [Not_found] rather than allocate an
    option. *)
 let ops_at opt tid = match Hashtbl.find opt.opt_ops tid with ops -> ops | exception Not_found -> []
 
-let invoke_optimistic choose t opt tid inv candidates =
+let invoke_optimistic t opt tid op =
   (* No locks taken, nothing ever blocks; conflicts are paid at commit
      time (backward validation).  Remember where the committed log stood
      when the transaction first touched this object. *)
-  let op = choose_op t choose inv candidates in
   if not (Hashtbl.mem opt.opt_start tid) then
     Hashtbl.add opt.opt_start tid (Op_log.length opt.committed);
   Recovery.record t.recovery tid op;
@@ -298,16 +309,31 @@ let invoke_escrow choose t e tid (inv : Op.invocation) =
       end;
       Executed op
 
+(* The legal responses as a list, for a chooser or several responses:
+   [res] is {!Recovery.response}'s answer, not [Spec.no_response]. *)
+let candidates t tid inv res =
+  if res == Spec.several_responses then Recovery.responses t.recovery tid inv else [ res ]
+
+(* The candidate list is built only for several responses or a
+   chooser; one response without a chooser is executed or tested
+   directly. *)
 let invoke ?choose t tid inv =
   match t.mode with
   | Escrow e -> invoke_escrow choose t e tid inv
   | Locking | Optimistic _ -> (
-      match Recovery.responses t.recovery tid inv, t.mode with
-      | [], _ ->
-          count_event t "tm_object_no_response_total" inv.Op.name;
-          No_response
-      | candidates, Optimistic opt -> invoke_optimistic choose t opt tid inv candidates
-      | candidates, _ -> invoke_locking choose t tid inv none_enabled [] [] candidates)
+      let res = Recovery.response t.recovery tid inv in
+      if res == Spec.no_response then begin
+        count_event t "tm_object_no_response_total" inv.Op.name;
+        No_response
+      end
+      else
+        let one = res != Spec.several_responses in
+        match t.mode, choose with
+        | Optimistic opt, None when one -> invoke_optimistic t opt tid { Op.obj = t.name; inv; res }
+        | Optimistic opt, _ ->
+            invoke_optimistic t opt tid (choose_op t choose inv (candidates t tid inv res))
+        | _, None when one -> invoke_one t tid inv res
+        | _ -> invoke_locking choose t tid inv none_enabled [] [] (candidates t tid inv res))
 
 (* The oldest of [mine] (newest first) that conflicts with an operation
    committed at position [start] or later, and the oldest such

@@ -117,10 +117,13 @@ val attach_metrics : t -> Tm_obs.Metrics.t -> unit
     [Invalid_argument] naming the object and the value, and leaves the
     object as it was: no lock taken, nothing recorded.
 
-    On [Blocked], the holders are strictly increasing, and the call
-    allocates only that answer, the candidate responses (and one
-    operation per candidate to test) and a constant for the lock
-    table's walk. *)
+    On [Blocked], the holders are strictly increasing.  An invocation
+    with one legal response and no chooser builds no candidate list
+    ({!Recovery.response}): it allocates the one operation it tests
+    and, on [Blocked], only the answer beside it; executed, what the
+    recovery manager and the lock table keep.  Several legal responses
+    or a chooser add the candidate list and one operation per
+    candidate tested. *)
 val invoke : ?choose:(Value.t list -> Value.t) -> t -> Tid.t -> Op.invocation -> outcome
 
 (** [validate t tid] — the optimistic commit test: [Error (mine, theirs)]

@@ -9,18 +9,19 @@ type holds =
   | Nil
   | Hold of int * Op.t * holds
 
-type holder = {
-  tid : Tid.t;
-  mutable ops : holds;
-}
+(* The transactions holding an operation here, newest holder first: one
+   4-word entry each, linked in place, so neither a new holder nor a
+   release builds a list cell. *)
+type holders =
+  | No_holder
+  | Holder of { tid : Tid.t; mutable ops : holds; mutable next : holders }
 
 type t = {
   conflict : Conflict.t;
-  (* One entry per transaction holding an operation here, newest holder
-     first.  An object has a handful of holders at a time, so a list
-     walked by first-order loops beats a table: [blockers] skips the
-     requester's holds wholesale, and no walk allocates a closure. *)
-  mutable holders : holder list;
+  (* An object has a handful of holders at a time, so a chain walked by
+     first-order loops beats a table: [blockers] skips the requester's
+     holds wholesale, and no walk allocates a closure. *)
+  mutable holders : holders;
   mutable next_seq : int;
   (* The attached registry, the object name its series are labelled
      with, and the conflict-pair counters resolved so far (one per
@@ -33,7 +34,7 @@ type t = {
 let create conflict =
   {
     conflict;
-    holders = [];
+    holders = No_holder;
     next_seq = 0;
     reg = None;
     obj = "";
@@ -95,52 +96,56 @@ let rec insert holder = function
    own order: the order of first conflicts decides the order in which the
    conflict-pair series are registered. *)
 let rec blocking t requested tid acc = function
-  | [] -> acc
-  | h :: rest ->
+  | No_holder -> acc
+  | Holder h ->
       let acc =
         if (not (Tid.equal h.tid tid)) && conflicting t requested false h.ops then
           insert h.tid acc
         else acc
       in
-      blocking t requested tid acc rest
+      blocking t requested tid acc h.next
 
 let blockers t ~requested ~tid = blocking t requested tid [] t.holders
 
 (* Whether [tid] holds here; if so, [op] joins its holds as number
    [seq]. *)
 let rec push tid seq op = function
-  | [] -> false
-  | h :: rest ->
+  | No_holder -> false
+  | Holder h ->
       if Tid.equal h.tid tid then begin
         h.ops <- Hold (seq, op, h.ops);
         true
       end
-      else push tid seq op rest
+      else push tid seq op h.next
 
 let add t tid op =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   if not (push tid seq op t.holders) then
-    t.holders <- { tid; ops = Hold (seq, op, Nil) } :: t.holders
+    t.holders <- Holder { tid; ops = Hold (seq, op, Nil); next = t.holders }
 
-(* The holders without [tid]'s: the list itself if [tid] holds nothing
-   here, and otherwise the holders after it are shared. *)
-let rec without tid = function
-  | [] -> []
-  | h :: rest as l ->
-      if Tid.equal h.tid tid then rest
-      else
-        let rest' = without tid rest in
-        if rest' == rest then l else h :: rest'
+(* Unlink [tid]'s entry, which follows [prev] (the first when
+   [No_holder]), in place; nothing if [tid] holds nothing here. *)
+let rec unlink t tid prev =
+  match (match prev with No_holder -> t.holders | Holder p -> p.next) with
+  | No_holder -> ()
+  | Holder h as cur ->
+      if Tid.equal h.tid tid then
+        match prev with No_holder -> t.holders <- h.next | Holder p -> p.next <- h.next
+      else unlink t tid cur
 
-let release t tid = t.holders <- without tid t.holders
+let release t tid = unlink t tid No_holder
 
 let holds t =
   let rec stamped tid acc = function
     | Nil -> acc
     | Hold (s, op, rest) -> stamped tid ((s, tid, op) :: acc) rest
   in
-  List.fold_left (fun acc h -> stamped h.tid acc h.ops) [] t.holders
+  let rec all acc = function
+    | No_holder -> acc
+    | Holder h -> all (stamped h.tid acc h.ops) h.next
+  in
+  all [] t.holders
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
   |> List.map (fun (_, tid, op) -> (tid, op))
 

@@ -82,20 +82,20 @@ let rec unlink_txn x = function
         l
       end
 
-(* A stretch of the UIP live suffix: one 4-word cell per executed
-   operation, naming its transaction's entry.  Commit empties the
-   entry's [mine], which is how the suffix tells a finished transaction
-   (an aborted one's suffix entries are dropped). *)
+(* One operation of the UIP live suffix: a 4-word cell naming its
+   transaction's entry, linked to the next newer one.  Commit empties
+   the entry's [mine], which is how the suffix tells a finished
+   transaction (an aborted one's suffix entries are unlinked). *)
 type entries =
   | End
-  | Entry of live * Op.t * entries
+  | Entry of { x : live; op : Op.t; mutable next : entries }
 
 (* An update-in-place manager.  The live suffix holds the entries of
    non-aborted transactions in execution order, from the first operation
-   of the oldest transaction still live here: a two-list queue, [front]
-   oldest first and [back] newest first.  Every operation before it is
-   committed and so belongs to every future UIP view: no abort can remove
-   it.  That prefix is folded into [base], and [current] is always [base]
+   of the oldest transaction still live here: a chain linked oldest
+   first, from [head] to [tail].  Every operation before it is committed
+   and so belongs to every future UIP view: no abort can remove it.
+   That prefix is folded into [base], and [current] is always [base]
    stepped through the suffix. *)
 type 's uip = {
   m : (module Spec.S with type state = 's);
@@ -103,8 +103,8 @@ type 's uip = {
   inverse : Op.t -> Op.t list option;  (* [no_inverse] when the type has none *)
   mutable base : 's list;
   mutable current : 's list;
-  mutable front : entries;
-  mutable back : entries;
+  mutable head : entries;
+  mutable tail : entries;
   mutable live : live;
   mutable log : Op_log.t;  (* committed *)
   mutable handles : handles;
@@ -211,50 +211,26 @@ let no_inverse (_ : Op.t) : Op.t list option = None
 
 let finished = function Live { mine = _ :: _; _ } -> false | No_live | Live _ -> true
 
-let rec rev_entries acc = function
-  | End -> acc
-  | Entry (x, op, rest) -> rev_entries (Entry (x, op, acc)) rest
-
-(* [l] without the next [!left] entries of [x], counting them off in
-   [left]: the tail after the last one dropped is shared, not copied. *)
-let rec drop x left l =
-  if !left = 0 then l
-  else
-    match l with
-    | End -> End
-    | Entry (y, op, rest) ->
-        if y == x then begin
-          decr left;
-          drop x left rest
-        end
-        else Entry (y, op, drop x left rest)
-
 let rec step_through m st = function
   | End -> st
-  | Entry (_, op, rest) -> step_through m (Spec.step_states m st op) rest
+  | Entry e -> step_through m (Spec.step_states m st e.op) e.next
 
 (* Fold the leading entries of finished transactions into the base.
-   Aborts drop their entries first, so every such entry is committed. *)
+   Aborts unlink their entries first, so every such entry is committed. *)
 let rec fold (u : _ uip) =
   match u.live with
   | No_live ->
       u.base <- u.current;
-      u.front <- End;
-      u.back <- End
+      u.head <- End;
+      u.tail <- End
   | Live _ -> (
-      match u.front with
-      | Entry (x, op, rest) when finished x ->
-          u.base <- Spec.step_states u.m u.base op;
-          u.front <- rest;
+      match u.head with
+      | Entry e when finished e.x ->
+          u.base <- Spec.step_states u.m u.base e.op;
+          u.head <- e.next;
+          if e.next == End then u.tail <- End;
           fold u
-      | End -> (
-          match u.back with
-          | End -> ()
-          | Entry _ as back ->
-              u.front <- rev_entries End back;
-              u.back <- End;
-              fold u)
-      | Entry _ -> ())
+      | End | Entry _ -> ())
 
 let record_uip tid op (u : _ uip) =
   u.current <- stepped "UIP" u.m u.current op;
@@ -268,7 +244,9 @@ let record_uip tid op (u : _ uip) =
         u.live <- x;
         x
   in
-  u.back <- Entry (x, op, u.back)
+  let e = Entry { x; op; next = End } in
+  (match u.tail with End -> u.head <- e | Entry t -> t.next <- e);
+  u.tail <- e
 
 let commit_uip t tid (u : _ uip) =
   (match find_live tid u.live with
@@ -279,6 +257,20 @@ let commit_uip t tid (u : _ uip) =
       e.mine <- [];
       u.live <- unlink_live x u.live);
   fold u
+
+(* Unlink the next [left] entries of [x] from the suffix, in place,
+   walking on from [prev] (the head when [End]). *)
+let rec unlink_entries (u : _ uip) x left prev =
+  if left > 0 then
+    match (match prev with End -> u.head | Entry p -> p.next) with
+    | End -> ()
+    | Entry e as cur ->
+        if e.x == x then begin
+          (match prev with End -> u.head <- e.next | Entry p -> p.next <- e.next);
+          if u.tail == cur then u.tail <- prev;
+          unlink_entries u x (left - 1) prev
+        end
+        else unlink_entries u x left cur
 
 (* [st] stepped through [ops]; [] as soon as one is not legal. *)
 let rec steps m st = function
@@ -302,9 +294,7 @@ let abort_uip t tid (u : _ uip) =
   let mine = match x with No_live -> [] | Live e -> e.mine in
   u.live <- unlink_live x u.live;
   let n = List.length mine in
-  let left = ref n in
-  u.back <- drop x left u.back;
-  u.front <- drop x left u.front;
+  unlink_entries u x n End;
   let undone =
     if u.inverse == no_inverse then [] else compensate u.m u.inverse u.current mine
   in
@@ -314,7 +304,7 @@ let abort_uip t tid (u : _ uip) =
   (match undone with
   | [] ->
       count_undone_replay t n;
-      u.current <- step_through u.m (step_through u.m u.base u.front) (rev_entries End u.back)
+      u.current <- step_through u.m u.base u.head
   | _ ->
       count_undone_inverse t n;
       u.current <- undone);
@@ -401,7 +391,7 @@ let create ?inverse kind (Spec.Packed { name; m = (module S) as m }) =
   match kind with
   | UIP ->
       let base = [ S.initial ] and inverse = Option.value inverse ~default:no_inverse in
-      Uip { m; obj = name; inverse; base; current = base; front = End; back = End;
+      Uip { m; obj = name; inverse; base; current = base; head = End; tail = End;
             live = No_live; log = Op_log.empty; handles = Detached }
   | DU ->
       Du { m; obj = name; base = [ S.initial ]; version = 0; txns = No_txn;
@@ -413,6 +403,11 @@ let responses t tid inv =
   match t with
   | Uip u -> Spec.state_responses u.m u.current inv
   | Du d -> Spec.state_responses d.m (view d (find_txn tid d.txns)) inv
+
+let response t tid inv =
+  match t with
+  | Uip u -> Spec.state_response u.m u.current inv
+  | Du d -> Spec.state_response d.m (view d (find_txn tid d.txns)) inv
 
 let record t tid op = match t with Uip u -> record_uip tid op u | Du d -> record_du tid op d
 let commit t tid = match t with Uip u -> commit_uip t tid u | Du d -> commit_du t tid d

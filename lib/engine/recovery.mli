@@ -12,7 +12,9 @@
       path is a per-ADT optimisation with the same semantics).  UIP
       state is O(live suffix), not O(history): the manager keeps a base
       state-set plus the operations from the first operation of the
-      oldest transaction still live on the object.  Everything before
+      oldest transaction still live on the object, a chain linked
+      oldest first that {!record} extends at its tail and an abort
+      unlinks its own entries from in place.  Everything before
       that point is committed and in every future UIP view, so it is
       folded into the base after each commit and abort, and abort
       replays only the live suffix from the base.  (The
@@ -74,6 +76,12 @@ val kind : t -> kind
     [tid]'s view of the object (deduplicated; empty for a partial
     operation with no legal response yet). *)
 val responses : t -> Tid.t -> Op.invocation -> Value.t list
+
+(** [response t tid inv] is {!Tm_core.Spec.state_response} on [tid]'s
+    view: the one distinct legal response, {!Tm_core.Spec.no_response}
+    or {!Tm_core.Spec.several_responses} (compared by [==]).  It builds
+    no list; {!responses} answers through the same fold. *)
+val response : t -> Tid.t -> Op.invocation -> Value.t
 
 (** [record t tid op] records that [tid] executed [op].  Raises
     [Invalid_argument] if [op.res] is not a legal response in [tid]'s

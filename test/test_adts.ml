@@ -214,6 +214,59 @@ let prop_bank_closed_forms_match_reference =
       && BA.right_commutes_backward p q = Bank_conflict_reference.right_commutes_backward p q)
       || QCheck2.Test.fail_reportf "%a / %a" Op.pp p Op.pp q)
 
+(* The counter's int-coded closed forms against the boxed-class ones
+   they replaced: exhaustively on the generator pairs of the default
+   counter, and on random operation pairs of counters with random
+   capacities (amounts and values up to 10^6, half of them small enough
+   to meet each other and the capacity). *)
+let counter_agrees ~capacity fc rbc p q =
+  fc p q = Counter_conflict_reference.forward_commutes ~capacity p q
+  && rbc p q = Counter_conflict_reference.right_commutes_backward ~capacity p q
+
+let test_counter_closed_forms_on_generators () =
+  let ops = Spec.generators CTR.spec in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun q ->
+          if
+            not
+              (counter_agrees ~capacity:CTR.capacity CTR.forward_commutes
+                 CTR.right_commutes_backward p q)
+          then Alcotest.failf "%a / %a: the closed forms differ from the reference" Op.pp p Op.pp q)
+        ops)
+    ops
+
+let prop_counter_closed_forms_match_reference =
+  let gen =
+    QCheck2.Gen.(
+      let n = frequency [ (1, int_range 0 8); (1, int_range 0 1_000_000) ] in
+      let op =
+        oneof
+          [
+            map (fun i -> `Incr_ok i) n; map (fun i -> `Incr_no i) n; map (fun i -> `Decr_ok i) n;
+            map (fun i -> `Decr_no i) n; map (fun i -> `Read i) n;
+          ]
+      in
+      triple (frequency [ (1, int_range 0 8); (1, int_range 0 1_000_000) ]) op op)
+  in
+  Helpers.qcheck ~count:2000 "CTR closed forms = klass reference" gen (fun (capacity, p, q) ->
+      let module C = Tm_adt.Bounded_counter.Make (struct
+        let capacity = capacity
+        let initial = 0
+        let name = "CTR"
+      end) in
+      let op = function
+        | `Incr_ok i -> C.incr_ok i
+        | `Incr_no i -> C.incr_no i
+        | `Decr_ok i -> C.decr_ok i
+        | `Decr_no i -> C.decr_no i
+        | `Read n -> C.read n
+      in
+      let p = op p and q = op q in
+      counter_agrees ~capacity C.forward_commutes C.right_commutes_backward p q
+      || QCheck2.Test.fail_reportf "capacity %d: %a / %a" capacity Op.pp p Op.pp q)
+
 let suite =
   [
     Alcotest.test_case "bank account spec" `Quick test_bank_account_spec;
@@ -263,4 +316,7 @@ let suite =
     Alcotest.test_case "fifo derived relations" `Quick test_fifo_derived_relations_sane;
     Alcotest.test_case "semiqueue weaker than fifo" `Quick test_semiqueue_weaker_than_fifo;
     prop_bank_closed_forms_match_reference;
+    Alcotest.test_case "CTR closed forms = klass reference (generators)" `Quick
+      test_counter_closed_forms_on_generators;
+    prop_counter_closed_forms_match_reference;
   ]

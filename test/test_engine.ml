@@ -314,7 +314,10 @@ let test_inverse_undo_equivalence () =
    its committed operations must equal those of the reference manager,
    which keeps and replays the whole history.  Every 50 steps, and at the
    end, the responses must also equal the literal UIP view: the
-   operations of the non-aborted transactions in execution order. *)
+   operations of the non-aborted transactions in execution order.  The
+   run must interleave at least three transactions in the live suffix
+   and abort a transaction whose operations sit at its head, one at its
+   tail and one in its middle (neither). *)
 let uip_refinement_run ?inverse ?(restored = []) ~spec ~conflict seed =
   let rng = Random.State.make [| seed |] in
   let o = Atomic_object.create ?inverse ~spec ~conflict ~recovery:Recovery.UIP () in
@@ -358,6 +361,27 @@ let uip_refinement_run ?inverse ?(restored = []) ~spec ~conflict seed =
   let finish t =
     live := List.filter (fun x -> not (Tid.equal x t)) !live
   in
+  (* The tids of the live suffix's operations, oldest first: the
+     non-aborted operations from the first one of a live transaction. *)
+  let suffix () =
+    let rec from = function
+      | (x, _) :: rest as l -> if List.exists (Tid.equal x) !live then l else from rest
+      | [] -> []
+    in
+    List.map fst (from (List.rev !executed))
+  in
+  let interleaved = ref 0 and heads = ref 0 and middles = ref 0 and tails = ref 0 in
+  let note_abort t =
+    match suffix () with
+    | [] -> ()
+    | first :: _ as tids when List.exists (Tid.equal t) tids ->
+        let head = Tid.equal first t
+        and tail = Tid.equal (List.nth tids (List.length tids - 1)) t in
+        if head then incr heads;
+        if tail then incr tails;
+        if not (head || tail) then incr middles
+    | _ -> ()
+  in
   while !started < total || !live <> [] do
     incr step;
     if !started < total && List.length !live < 8 && (!live = [] || Random.State.bool rng)
@@ -377,7 +401,10 @@ let uip_refinement_run ?inverse ?(restored = []) ~spec ~conflict seed =
                 !step Op.pp op;
             Recovery.record shadow t op;
             oracle.record t op;
-            executed := (t, op) :: !executed
+            executed := (t, op) :: !executed;
+            let tids = suffix () in
+            interleaved :=
+              max !interleaved (List.length (List.sort_uniq Tid.compare tids))
         | Atomic_object.Blocked _ | Atomic_object.No_response -> ())
     | 8 | 9 ->
         Atomic_object.commit o t;
@@ -385,6 +412,7 @@ let uip_refinement_run ?inverse ?(restored = []) ~spec ~conflict seed =
         oracle.commit t;
         finish t
     | _ ->
+        note_abort t;
         Atomic_object.abort o t;
         Recovery.abort shadow t;
         oracle.abort t;
@@ -396,6 +424,10 @@ let uip_refinement_run ?inverse ?(restored = []) ~spec ~conflict seed =
       same_responses !step "the literal view" (Spec.responses spec (literal_view ()))
   done;
   same_responses !step "the literal view" (Spec.responses spec (literal_view ()));
+  if !interleaved < 3 || !heads = 0 || !middles = 0 || !tails = 0 then
+    Alcotest.failf
+      "seed %d: %d transactions interleaved at most; aborts at the head %d, middle %d, tail %d"
+      seed !interleaved !heads !middles !tails;
   true
 
 let prop_uip_fold_refines name ?inverse ?restored ~spec ~conflict () =
@@ -1514,9 +1546,28 @@ let test_blockers_allocation () =
   let w = minor_words call in
   if w > 41. then Alcotest.failf "blockers against 8 holders allocated %.0f words (max 41)" w
 
+(* The lock holders are a chain of 4-word entries: the first hold of a
+   new holder costs its entry and its hold, 8 words, and releasing the
+   oldest of eight holders unlinks it in place, 0.  A holder record in
+   a list cell took 10 and 21: the release copied the seven cells
+   before it. *)
+let test_lock_release_allocation () =
+  let t = Lock_table.create BA.nrbc_conflict and op = dep 1 in
+  let w = minor_words (fun () -> Lock_table.add t (Tid.of_int 1) op) in
+  if w > 8. then Alcotest.failf "a new holder's first hold allocated %.0f words (max 8)" w;
+  for i = 2 to 8 do
+    Lock_table.add t (Tid.of_int i) (dep i)
+  done;
+  let w = minor_words (fun () -> Lock_table.release t (Tid.of_int 1)) in
+  if w > 0. then Alcotest.failf "releasing the oldest of eight holders allocated %.0f words" w;
+  Alcotest.check Helpers.tids "the other seven still block"
+    (List.init 7 (fun i -> Tid.of_int (i + 2)))
+    (Lock_table.blockers t ~requested:(wok 1) ~tid:Tid.a)
+
 (* A blocked invocation and the deadlock search after it, as the
-   closed-loop clients run them: 22 words.  A spec that answered with a
-   list of (response, state) pairs took 28, with a hash table of
+   closed-loop clients run them: 22 → 19 words, now that the one legal
+   response is tested without a candidate list.  A spec that answered
+   with a list of (response, state) pairs took 28, with a hash table of
    holders 53, and with a registry search per event, a fresh search
    table, exception and per-node closures, and the trace kind built
    before looking for a recorder, 367. *)
@@ -1539,21 +1590,27 @@ let test_blocked_invoke_allocation () =
     Alcotest.failf "a blocked invoke and deadlock search allocated %.0f words (max 28)" w
 
 (* The conflict test itself allocates nothing: the relation is applied
-   at full arity and the bank's closed forms classify each operand into
-   an immediate int.  A partial application and a boxed class per
-   operand took 9 words a call. *)
+   at full arity and the closed forms of the bank and of the counter
+   classify each operand into an immediate int.  A partial application
+   and a boxed class per operand took 9 words a call; the counter's
+   boxed class alone 4 → 0. *)
 let test_conflict_allocation () =
-  let requested = dep 1 and held = BA.balance 0 in
+  let module C = Tm_adt.Bounded_counter in
   List.iter
-    (fun rel ->
+    (fun (rel, requested, held) ->
       let call () = Conflict.conflicts rel ~requested ~held in
-      Helpers.check_bool (Conflict.name rel ^ " deposit/balance conflict") true (call ());
+      Helpers.check_bool (Conflict.name rel ^ " update/read conflict") true (call ());
       let w = minor_words call in
       if w > 0. then Alcotest.failf "%s: a conflict test allocated %.0f words" (Conflict.name rel) w)
-    [ BA.nrbc_conflict; BA.nfc_conflict ]
+    [
+      (BA.nrbc_conflict, dep 1, BA.balance 0); (BA.nfc_conflict, dep 1, BA.balance 0);
+      (C.nrbc_conflict, C.incr_ok 1, C.read 0); (C.nfc_conflict, C.incr_ok 1, C.read 0);
+    ]
 
 (* A blocked retry against two holders and the deadlock search after
-   it: the answer and the candidate responses, 28 words.  The search
+   it: the answer and the one operation it tests, 28 → 25 words now
+   that the one legal response is tested without a candidate list.
+   The search
    reruns only when the graph changed, and a retry re-registers the
    same edges.  A spec that answered with a list of pairs took 34,
    walking a hash table of holders 62, and sorting the holders three
@@ -1636,12 +1693,13 @@ let test_deadlock_clear_allocation () =
 (* An executed deposit by a transaction that three blocked withdrawals
    wait on pays for the deposit alone: the walk that clears their edges
    to it allocates nothing, and each waiter's list falls to its shared
-   empty tail.  33 words under UIP, 29 under DU, with or without the
-   waiters.  The deposit builds its operation once, for the lock test,
-   and executes it, keeping it in an argument rather than a list; its
-   lock hold, and under UIP its cell of the live suffix, are one cell
-   each; the recovery manager is called at full arity; and the spec
-   folds over its responses.  A spec that answered with a list of
+   empty tail.  33 → 30 words under UIP, 29 → 26 under DU, with or
+   without the waiters, now that its one legal response is tested
+   without a candidate list.  The deposit builds its operation once,
+   for the lock test, and executes it, keeping it in an argument rather
+   than a list; its lock hold, and under UIP its cell of the live
+   suffix, are one cell each; the recovery manager is called at full
+   arity; and the spec folds over its responses.  A spec that answered with a list of
    (response, state) pairs, one per step, took 45 words under UIP and
    41 under DU.  Before the other cuts it took 62 and 56, 4 more with
    the waiters ([Hashtbl.iter]'s closure in the clear): partial
@@ -1655,7 +1713,7 @@ let test_contended_deposit_allocation () =
   List.iter
     (fun recovery ->
       let what, limit =
-        match recovery with Recovery.UIP -> ("UIP", 33.) | Recovery.DU -> ("DU", 29.)
+        match recovery with Recovery.UIP -> ("UIP", 30.) | Recovery.DU -> ("DU", 26.)
       in
       (* The words of a's third deposit, with [waiters] withdrawals
          blocked on a's first two. *)
@@ -1745,10 +1803,11 @@ let test_record_allocation () =
     [ (Recovery.UIP, "UIP", 10.); (Recovery.DU, "DU", 6.) ]
 
 (* A UIP abort of eight bank deposits compensates each with the bank's
-   shared inverse: it builds no operation, and pays for the state-set
-   each compensation steps to and the suffix it drops them from:
-   30 words.  An inverse built per undone operation took 19 words more
-   each: 182.  For small amounts the inverse itself allocates
+   shared inverse: it builds no operation, and pays only for the
+   state-set each compensation steps to: 30 → 24 words, now that its
+   suffix entries are unlinked in place rather than dropped from a
+   two-list queue that the fold then refilled.  An inverse built per
+   undone operation took 19 words more each: 182.  For small amounts the inverse itself allocates
    nothing. *)
 let test_uip_abort_allocation () =
   List.iter
@@ -1762,14 +1821,14 @@ let test_uip_abort_allocation () =
     Recovery.record r Tid.a (dep i)
   done;
   let w = minor_words (fun () -> Recovery.abort r Tid.a) in
-  if w > 30. then
-    Alcotest.failf "a UIP abort of eight deposits allocated %.0f words (max 30)" w;
+  if w > 24. then
+    Alcotest.failf "a UIP abort of eight deposits allocated %.0f words (max 24)" w;
   Alcotest.check (Alcotest.list Helpers.value) "only B's deposit is left" [ Value.int 100 ]
     (Recovery.responses r Tid.b balance_inv)
 
 (* The same abort over a counter: eight increments, each undone by the
-   counter's shared inverse, 30 words, what the bank's abort pays; the
-   limit is that plus 10%.  An inverse built per undone increment took
+   counter's shared inverse, 30 → 24 words, what the bank's abort pays;
+   the limit is that plus 10% (33 → 26).  An inverse built per undone increment took
    21 words more each: 198.  For small amounts the inverse itself
    allocates nothing. *)
 let test_uip_counter_abort_allocation () =
@@ -1789,8 +1848,8 @@ let test_uip_counter_abort_allocation () =
     Recovery.record r Tid.a (C.incr_ok i)
   done;
   let w = minor_words (fun () -> Recovery.abort r Tid.a) in
-  if w > 33. then
-    Alcotest.failf "a UIP abort of eight increments allocated %.0f words (max 33)" w;
+  if w > 26. then
+    Alcotest.failf "a UIP abort of eight increments allocated %.0f words (max 26)" w;
   Alcotest.check (Alcotest.list Helpers.value) "only B's increment is left" [ Value.int 10 ]
     (Recovery.responses r Tid.b (Op.invocation "read"))
 
@@ -1811,6 +1870,75 @@ let test_du_commit_allocation () =
       (140. +. 16.);
   Alcotest.check (Alcotest.list Helpers.value) "the base holds the deposits"
     [ Value.int (65 * 66 / 2) ]
+    (Recovery.responses r Tid.b balance_inv)
+
+(* An invocation with one legal response builds no candidate list: a
+   deposit through [Atomic_object.invoke] by a transaction that
+   deposited before pays for its operation (4 words), the manager's
+   record (10 under UIP, 6 under DU), its lock hold (4) and the outcome
+   (2): 20 and 16 words.  Walking a one-element candidate list took 3
+   more in both: 23 and 19. *)
+let test_one_response_allocation () =
+  List.iter
+    (fun (recovery, what, limit) ->
+      let o =
+        Atomic_object.create ~inverse:BA.inverse ~spec:BA.spec ~conflict:BA.nrbc_conflict
+          ~recovery ()
+      in
+      let inv = deposit_inv 1 in
+      let call () = Atomic_object.invoke o Tid.a inv in
+      ignore (call ());
+      let w = minor_words call in
+      if w > limit then
+        Alcotest.failf "%s: a one-response invocation allocated %.0f words (max %.0f)" what w
+          limit;
+      Helpers.check_int (what ^ ": two deposits held") 2 (List.length (Atomic_object.holds o));
+      match Atomic_object.invoke o Tid.a balance_inv with
+      | Atomic_object.Executed op ->
+          Alcotest.check Helpers.value (what ^ ": A's balance") (Value.int 2) op.Op.res
+      | _ -> Alcotest.failf "%s: A's balance must execute" what)
+    [ (Recovery.UIP, "UIP", 20.); (Recovery.DU, "DU", 16.) ]
+
+(* Committing the older of two interleaved UIP transactions folds its
+   one operation into the base where the suffix starts: it pays for
+   the stepped base and the committed log's first block, 5 words, and
+   copies no suffix entry.  Refilling a two-list queue by reversing
+   all nine entries took 41. *)
+let test_uip_commit_allocation () =
+  let r = Recovery.create ~inverse:BA.inverse Recovery.UIP BA.spec in
+  Recovery.record r Tid.a (dep 100);
+  for i = 1 to 8 do
+    Recovery.record r Tid.b (dep i)
+  done;
+  let w = minor_words (fun () -> Recovery.commit r Tid.a) in
+  if w > 5. then
+    Alcotest.failf "committing the older of two UIP transactions allocated %.0f words (max 5)" w;
+  Alcotest.check (Alcotest.list Helpers.value) "B sees both" [ Value.int 136 ]
+    (Recovery.responses r Tid.b balance_inv);
+  Recovery.abort r Tid.b;
+  Alcotest.check (Alcotest.list Helpers.value) "only A's deposit is left" [ Value.int 100 ]
+    (Recovery.responses r Tid.c balance_inv)
+
+(* Aborting the middle one of three interleaved UIP transactions, four
+   deposits each, unlinks its entries in place and pays only for its
+   four compensating steps, 3 words each: 12.  Dropping them from a
+   two-list queue copied the entries newer than its first and refilled
+   the queue's front: 74. *)
+let test_uip_abort_middle_allocation () =
+  let r = Recovery.create ~inverse:BA.inverse Recovery.UIP BA.spec in
+  for i = 1 to 4 do
+    Recovery.record r Tid.a (dep i);
+    Recovery.record r Tid.b (dep (10 * i));
+    Recovery.record r Tid.c (dep (100 * i))
+  done;
+  let w = minor_words (fun () -> Recovery.abort r Tid.b) in
+  if w > 12. then
+    Alcotest.failf "aborting the middle of three UIP transactions allocated %.0f words (max 12)" w;
+  Alcotest.check (Alcotest.list Helpers.value) "A's and C's deposits are left" [ Value.int 1010 ]
+    (Recovery.responses r Tid.a balance_inv);
+  Recovery.commit r Tid.a;
+  Recovery.abort r Tid.c;
+  Alcotest.check (Alcotest.list Helpers.value) "then A's alone" [ Value.int 10 ]
     (Recovery.responses r Tid.b balance_inv)
 
 (* The chunked log against a list: single pushes and pushes of a
@@ -1892,6 +2020,28 @@ let test_committed_log_density () =
         Alcotest.failf "%a: the committed log grew %.3f words per operation (max 1.15)"
           Recovery.pp_kind kind per_op)
     [ Recovery.UIP; Recovery.DU ]
+
+(* An invocation with one legal response still offers a chooser that
+   response, as a one-element list, under locking (either recovery
+   method) and under optimistic control. *)
+let test_choose_offered_one_response () =
+  List.iter
+    (fun (what, o) ->
+      let offered = ref [] in
+      let choose vs =
+        offered := vs;
+        List.hd vs
+      in
+      (match Atomic_object.invoke ~choose o Tid.a (deposit_inv 1) with
+      | Atomic_object.Executed op -> Alcotest.check Helpers.op (what ^ ": the deposit") (dep 1) op
+      | _ -> Alcotest.failf "%s: the deposit must execute" what);
+      Alcotest.check (Alcotest.list Helpers.value) (what ^ ": offered [ok]") [ Value.ok ] !offered)
+    [
+      ( "UIP",
+        Atomic_object.create ~spec:BA.spec ~conflict:BA.nrbc_conflict ~recovery:Recovery.UIP () );
+      ("DU", Atomic_object.create ~spec:BA.spec ~conflict:BA.nfc_conflict ~recovery:Recovery.DU ());
+      ("optimistic", Atomic_object.create_optimistic ~spec:BA.spec ~conflict:BA.nfc_conflict);
+    ]
 
 (* A chooser may pick only among the responses it is offered.  B is
    offered [deq→1] because [deq→2] conflicts with A's open [enq 2];
@@ -1994,6 +2144,7 @@ let suite =
     Alcotest.test_case "blockers allocation pin" `Quick test_blockers_allocation;
     Alcotest.test_case "blocked invoke allocation pin" `Quick
       test_blocked_invoke_allocation;
+    Alcotest.test_case "lock release allocation pin" `Quick test_lock_release_allocation;
     Alcotest.test_case "conflict test allocation pin" `Quick test_conflict_allocation;
     Alcotest.test_case "blocked retry allocation pin" `Quick test_blocked_retry_allocation;
     Alcotest.test_case "unchanged search allocation pin" `Quick
@@ -2007,8 +2158,16 @@ let suite =
     Alcotest.test_case "UIP counter abort allocation pin" `Quick
       test_uip_counter_abort_allocation;
     Alcotest.test_case "DU commit allocation pin" `Quick test_du_commit_allocation;
+    Alcotest.test_case "one-response invocation allocation pin" `Quick
+      test_one_response_allocation;
+    Alcotest.test_case "UIP commit of the older allocation pin" `Quick
+      test_uip_commit_allocation;
+    Alcotest.test_case "UIP abort of the middle allocation pin" `Quick
+      test_uip_abort_middle_allocation;
     prop_op_log_matches_list;
     Alcotest.test_case "committed log density pin" `Quick test_committed_log_density;
     Alcotest.test_case "chooser outside the offer rejected" `Quick
       test_choose_outside_offer_rejected;
+    Alcotest.test_case "chooser offered the one response" `Quick
+      test_choose_offered_one_response;
   ]

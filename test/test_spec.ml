@@ -211,6 +211,54 @@ let prop_fold_matches_reference (Spec_reference.Ref { m = (module S); respond })
       | _, [] -> false
       | ops, sts -> from_state_set sts && from_set ops sts)
 
+(* The one-response fold against the list it stands in for, on every
+   registry type: a random sequence of at most six generators, each
+   skipped where it is not legal, reaches a state-set, and for every
+   generator's invocation [Spec.state_response] answers the sole
+   element of [Spec.state_responses], [Spec.no_response] for [[]] and
+   [Spec.several_responses] for two or more.  The semiqueue's dequeue
+   answers several once two distinct items are in. *)
+let prop_one_response_matches_list (e : Tm_adt.Registry.entry) =
+  let (Spec.Packed { m = (module S); _ }) = e.spec in
+  let gens = Array.of_list S.generators in
+  let invs =
+    List.sort_uniq Op.compare_invocation (List.map (fun (op : Op.t) -> op.inv) S.generators)
+  in
+  let gen = QCheck2.Gen.(list_size (int_bound 6) (int_bound (Array.length gens - 1))) in
+  let agrees sts inv =
+    let r = Spec.state_response (module S) sts inv in
+    match Spec.state_responses (module S) sts inv with
+    | [] -> r == Spec.no_response
+    | [ v ] -> r != Spec.no_response && r != Spec.several_responses && Value.equal r v
+    | _ :: _ :: _ -> r == Spec.several_responses
+  in
+  Helpers.qcheck ~count:100 (Fmt.str "%s: one-response fold = response list" e.name) gen
+    (fun picks ->
+      let sts =
+        List.fold_left
+          (fun sts i ->
+            match Spec.step_states (module S) sts gens.(i) with [] -> sts | next -> next)
+          [ S.initial ] picks
+      in
+      List.for_all (agrees sts) invs
+      || QCheck2.Test.fail_reportf "%s after %a" e.name
+           Fmt.(list ~sep:sp Op.pp)
+           (List.map (fun i -> gens.(i)) picks))
+
+let test_one_response_marks () =
+  let module SQ = Tm_adt.Semiqueue in
+  let (Spec.Packed { m = (module S); _ }) = SQ.spec in
+  let deq = Op.invocation "deq" in
+  let after ops = Spec.after_states (module S) [ S.initial ] ops in
+  Helpers.check_bool "empty: none" true
+    (Spec.state_response (module S) (after []) deq == Spec.no_response);
+  Alcotest.check Helpers.value "one item: that item" (Value.int 1)
+    (Spec.state_response (module S) (after [ SQ.enq 1; SQ.enq 1 ]) deq);
+  Helpers.check_bool "two items: several" true
+    (Spec.state_response (module S) (after [ SQ.enq 1; SQ.enq 2 ]) deq == Spec.several_responses);
+  Alcotest.check (Alcotest.list Helpers.value) "two items: both listed" [ Value.int 1; Value.int 2 ]
+    (Spec.state_responses (module S) (after [ SQ.enq 2; SQ.enq 1 ]) deq)
+
 let test_reference_covers_registry () =
   Alcotest.(check (list string))
     "one reference per registry type"
@@ -236,3 +284,5 @@ let suite =
     Alcotest.test_case "spec references cover the registry" `Quick test_reference_covers_registry;
   ]
   @ List.map prop_fold_matches_reference Spec_reference.all
+  @ (Alcotest.test_case "one-response fold marks" `Quick test_one_response_marks
+    :: List.map prop_one_response_matches_list Tm_adt.Registry.all)
