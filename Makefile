@@ -19,9 +19,13 @@ test:
 # run of every scenario x setup, recover at every WAL append point and
 # fail on any violation of the shared recovery battery (or if a
 # generator yields no states); each run is then repeated onto a
-# Disk_wal, reloaded and recovered.
+# Disk_wal, reloaded and recovered.  The second leg runs 100
+# transactions with no checkpoint, so every recovered history keeps its
+# whole run; it must check all 16704 of its states for dynamic atomicity.
 crashtest:
 	dune exec bin/crashtest.exe
+	dune exec bin/crashtest.exe -- -n 100 --checkpoint-every 0 | grep -F \
+	  'append 16704 states (16704 atomicity-checked, 0 cross-shard txns, 0 evidence checks); 0 failures'
 
 # Storage-fault torture with a fixed seed, generators "bytes" (every
 # byte offset, batch-prefix and acked-durability checked; the runs
@@ -68,7 +72,8 @@ perfcheck:
 	bash bench/perfcheck.sh
 
 # Sharded observability smoke: a traced 4-shard stress run writes its
-# trace and metrics dumps, which must be non-empty; crashtest harvests a
+# trace and metrics dumps, which must be non-empty, and fails unless the
+# traced history is dynamic atomic; crashtest harvests a
 # real in-doubt multi-shard image (the last forced frontier of a
 # recorded run with a decided prepare in doubt: after the forced
 # Decision, before phase 2); walinspect --two-phase must name every

@@ -35,9 +35,9 @@ module Sharded_database = Tm_engine.Sharded_database
 module Two_phase = Tm_engine.Two_phase
 module Metrics = Tm_obs.Metrics
 
-(* Workloads stay tiny so most cuts fall under the exponential
-   dynamic-atomicity checker's transaction gate; the log still contains
-   begins, operations, commits, aborts and a mid-run checkpoint. *)
+(* Workloads stay small because the byte-cut generators recover at every
+   byte of a log, so their time grows with the log's size; the log still
+   contains operations, commits, aborts and a mid-run checkpoint. *)
 let scenarios () =
   Experiment.all_scenarios @ [ Experiment.transfer_mixed_recovery () ]
 
@@ -387,8 +387,8 @@ let txns_arg =
     value & opt int 6
     & info [ "txns"; "n" ]
         ~doc:
-          "Transactions per run.  Keep small: the exact atomicity check is \
-           exponential and skipped on cuts with many transactions.")
+          "Transactions per run.  The byte-cut generators recover at every \
+           log byte, so their time grows with the log's size.")
 
 let concurrency_arg =
   Arg.(value & opt int 3 & info [ "concurrency"; "c" ] ~doc:"Concurrent transactions.")

@@ -20,7 +20,8 @@
    Deposits commute (NRBC), so with a shared trace recorder attached the
    run doubles as the distributed-tracing producer: every cross-shard
    commit emits its prepare/decision/completion spans under one logical
-   clock.  Exits non-zero on any violation, so CI can gate on it (the
+   clock, and the history the trace records must be dynamic atomic.
+   Exits non-zero on any violation, so CI can gate on it (the
    seed is pinned by the Makefile target). *)
 
 open Tm_core
@@ -230,7 +231,11 @@ let main threads txns seed force_delay verbose trace_file metrics_file shards =
                ("shards", string_of_int shards);
                ("seed", string_of_int seed);
              ]
-           tr)
+           tr);
+      (* The trace is the run's history: check what it recorded. *)
+      let env = Atomicity.env_of_list (List.map Atomic_object.spec (objs ())) in
+      let v = Atomicity.dynamic_atomic env (Tm_obs.Trace.to_history tr) in
+      if not (Atomicity.is_ok v) then fail "traced history: %a" Atomicity.pp_verdict v
   | _ -> ());
   Option.iter
     (fun file -> Cli_util.write_metrics ~seed ~config file (Metrics.to_prometheus reg))

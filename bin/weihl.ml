@@ -240,11 +240,6 @@ let scenarios =
   @ List.map (fun w -> Experiment.bank_sweep ~withdraw_pct:w) [ 0; 25; 50; 75; 100 ]
   @ List.map (fun d -> Experiment.inventory_sweep ~decr_pct:d) [ 0; 25; 50; 75; 100 ]
 
-(* The exact dynamic-atomicity checkers enumerate serialization orders,
-   so replaying a full production-sized trace is infeasible; beyond this
-   many transactions we settle for well-formedness. *)
-let full_check_txn_limit = 9
-
 let check_traces ~specs rows =
   let env = Atomicity.env_of_list specs in
   List.iter
@@ -255,16 +250,8 @@ let check_traces ~specs rows =
           let h = Trace.to_history tr in
           let verdict =
             if not (History.is_well_formed h) then "history NOT WELL-FORMED"
-            else begin
-              let txns = Tid.Set.cardinal (History.transactions h) in
-              if txns <= full_check_txn_limit then
-                if Atomicity.is_online_dynamic_atomic env h then
-                  "well-formed, dynamically atomic"
-                else "well-formed, NOT DYNAMICALLY ATOMIC"
-              else
-                Fmt.str "well-formed (%d txns; atomicity check needs <= %d)" txns
-                  full_check_txn_limit
-            end
+            else if Atomicity.is_online_dynamic_atomic env h then "well-formed, dynamically atomic"
+            else "well-formed, NOT DYNAMICALLY ATOMIC"
           in
           Fmt.pr "trace %-24s %-10s %5d events -> %s@." r.scenario r.setup
             (Trace.length tr) verdict)

@@ -12,9 +12,10 @@
       [precedes(H|CS)].  Online dynamic atomicity implies dynamic
       atomicity.
 
-    All checkers are exact (they enumerate the quantified orders), intended
-    for the small histories of tests, model checking and counterexample
-    validation. *)
+    The dynamic-atomicity checkers are exact at any size: they walk the
+    downsets of [precedes] one object at a time (Theorem 2), merging the
+    orders that reach one state-set, so their cost grows with how many
+    transactions are mutually concurrent, not with every order. *)
 
 (** Maps each object name to its serial specification. *)
 type env = string -> Spec.t

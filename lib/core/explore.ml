@@ -82,6 +82,7 @@ module Make (S : Spec.S) = struct
     in
     if States.is_empty u then None
     else if States.is_empty t then Some []
+    else if States.subset u t then None
     else
       match search (Pair_map.singleton (u, t) ()) [ ((u, t), []) ] 1 with
       | () -> None

@@ -490,11 +490,6 @@ let states g =
 (* ------------------------------------------------------------------ *)
 (* The battery.                                                        *)
 
-(* The exact checker enumerates serialization orders, so it only runs on
-   histories with at most this many transactions (crashtest workloads are
-   sized to stay under it). *)
-let max_atomicity_txns = 8
-
 let recovery_failure what = function
   | `Raised exn -> Fmt.str "%s raised %s" what (Printexc.to_string exn)
   | `Failed e -> Fmt.str "%s failed: %a" what Recovery.pp_error e
@@ -625,23 +620,13 @@ let battery ~env ~rebuild ~g ~prepared ~prev ~atomicity_checked ~evidence_checke
             (fun p ->
               ("dynamic-atomicity", Fmt.str "shard %d: replayed history not well-formed" p))
             malformed
-        else if
-          Array.exists
-            (fun h -> Tid.Set.cardinal (History.transactions h) > max_atomicity_txns)
-            hs
-        then []
         else begin
           incr atomicity_checked;
           List.filter_map
             (fun p ->
               match Atomicity.dynamic_atomic env hs.(p) with
               | Atomicity.Ok -> None
-              | Atomicity.Counterexample order ->
-                  Some
-                    ( "dynamic-atomicity",
-                      Fmt.str "shard %d: not serializable in %a" p
-                        Fmt.(list ~sep:(any "-") Tid.pp)
-                        order ))
+              | v -> Some ("dynamic-atomicity", Fmt.str "shard %d: %a" p Atomicity.pp_verdict v))
             shard_ids
         end
       in

@@ -32,8 +32,7 @@
       for its specification;
     + {b dynamic atomicity} — each shard's resolved log, read as a
       history ({!history_of_records}), passes the paper's checker
-      (skipped when a shard's history has more than 8 transactions: the
-      check enumerates serialization orders);
+      ({!Tm_core.Atomicity.dynamic_atomic}, at any size);
     + {b prefix stability} — within a run of states that only grow,
       each shard's committed operation sequence extends the previous
       state's: one more surviving byte can never un-commit work;
@@ -79,7 +78,8 @@ val pp_violation : Format.formatter -> violation -> unit
 type report = {
   states : int;  (** crash states the generator enumerated *)
   atomicity_checked : int;
-      (** states on which the exact dynamic-atomicity check ran *)
+      (** states on which the dynamic-atomicity check ran: all but those
+          with no image, an image equal to the previous one, or a failed recovery *)
   cross_txns : int;
       (** transactions with a [Prepare] in the recorded logs: the ones
           the global-atomicity checks cover *)

@@ -93,11 +93,13 @@ let qcheck_seed =
         | None -> Fmt.failwith "QCHECK_SEED=%S is not an integer" s)
     | None -> Random.State.bits (Random.State.make_self_init ()) land 0x3FFFFFFF)
 
-let qcheck ?(count = 200) name gen prop =
+let qcheck ?(count = 200) ?(after = ignore) name gen prop =
   Alcotest.test_case name `Quick (fun () ->
       let seed = Lazy.force qcheck_seed in
       let rand = Random.State.make [| seed |] in
-      try QCheck2.Test.check_exn ~rand (QCheck2.Test.make ~count ~name gen prop)
+      try
+        QCheck2.Test.check_exn ~rand (QCheck2.Test.make ~count ~name gen prop);
+        after ()
       with e ->
         Fmt.epr "[qcheck] %s failed — reproduce with QCHECK_SEED=%d@." name seed;
         raise e)

@@ -1,3 +1,13 @@
+(* Enumeration of the total orders consistent with a partial order, as
+   the library's dynamic-atomicity checkers did it before they walked
+   downsets: the enumerating oracle of [Atomicity_reference]. *)
+
+open Tm_core
+
+(* [linear_extensions elts before] is every permutation [o] of [elts]
+   such that whenever [before a b], [a] appears before [b] in [o].
+   [before] need not be transitive; only the given pairs are enforced.
+   Order of results is deterministic. *)
 let linear_extensions elts before =
   (* Standard recursive enumeration: at each step pick any remaining
      element with no remaining predecessor. *)
@@ -17,8 +27,11 @@ let linear_extensions elts before =
   in
   extend [] elts
 
+(* All permutations (linear extensions of the empty relation). *)
 let permutations elts = linear_extensions elts (fun _ _ -> false)
 
+(* Does total order [order] respect every [before] pair among its
+   elements? *)
 let consistent order before =
   let rec check = function
     | [] -> true
@@ -26,6 +39,7 @@ let consistent order before =
   in
   check order
 
+(* All subsets of [elts] (the commit sets). *)
 let rec subsets = function
   | [] -> [ [] ]
   | x :: rest ->

@@ -127,6 +127,64 @@ let test_linear_extensions () =
 let test_subsets () =
   Helpers.check_int "2^3 subsets" 8 (List.length (Orders.subsets [ Tid.a; Tid.b; Tid.c ]))
 
+(* [order] is a counterexample to dynamic atomicity of [h] over the
+   transactions [ts]: each of them once, consistent with [precedes], and
+   not serializable. *)
+let refutes env h ts order =
+  List.length order = Tid.Set.cardinal ts
+  && Tid.Set.equal (Tid.Set.of_list order) ts
+  && Orders.consistent order (History.precedes h)
+  && not (Atomicity.serializable_in env (History.project_tids h ts) order)
+
+(* The downset walk against the enumerating oracle
+   ([Atomicity_reference]) on random implementation-model walks: every
+   registry type under UIP and DU with its NRBC, its NFC or no
+   conflicts, four transactions of up to three operations over 30 steps.
+   Both checkers agree with the oracle, every counterexample refutes the
+   history it was checked on, and each checker gives both verdicts. *)
+let prop_walk_matches_enumeration =
+  let module Registry = Tm_adt.Registry in
+  let entries = Array.of_list Registry.all in
+  let views = [| View.uip; View.du |] in
+  let conflicts =
+    [| (fun (e : Registry.entry) -> e.nrbc); (fun e -> e.nfc); (fun _ -> Conflict.none) |]
+  in
+  let seen = Array.make 4 false in
+  let gen =
+    QCheck2.Gen.(
+      quad (int_bound (Array.length entries - 1)) (int_bound 1) (int_bound 2) (int_bound 1_000_000))
+  in
+  let agrees ~slot walk oracle ~refuted =
+    match walk, oracle with
+    | Atomicity.Ok, Atomicity.Ok -> seen.(slot) <- true; true
+    | Atomicity.Counterexample order, Atomicity.Counterexample _ ->
+        seen.(slot + 1) <- true;
+        refuted order
+    | _ -> false
+  in
+  Helpers.qcheck ~count:2000 "walk = enumerating oracle (registry model walks)" gen
+    ~after:(fun () ->
+      Alcotest.(check (array bool))
+        "both verdicts of both checkers" [| true; true; true; true |] seen)
+    (fun (e, v, c, seed) ->
+      let e = entries.(e) in
+      let i = Impl_model.make ~spec:e.spec ~view:views.(v) ~conflict:(conflicts.(c) e) in
+      let rng = Random.State.make [| seed |] in
+      let txns = [ Tid.a; Tid.b; Tid.c; Tid.d ] in
+      let h = Impl_model.random i ~txns ~ops_per_txn:3 ~steps:30 ~rng in
+      let env = Atomicity.env_of_list [ e.spec ] in
+      let committed = History.committed h in
+      let active = History.active h in
+      (agrees ~slot:0 (Atomicity.dynamic_atomic env h) (Atomicity_reference.dynamic_atomic env h)
+         ~refuted:(fun order -> refutes env h committed order)
+      && agrees ~slot:2 (Atomicity.online_dynamic_atomic env h)
+           (Atomicity_reference.online_dynamic_atomic env h) ~refuted:(fun order ->
+             let ts = Tid.Set.of_list order in
+             Tid.Set.subset committed ts
+             && Tid.Set.subset ts (Tid.Set.union committed active)
+             && refutes env h ts order))
+      || QCheck2.Test.fail_reportf "%s:@.%a" e.name History.pp h)
+
 let suite =
   [
     Alcotest.test_case "paper §3.3 example" `Quick test_paper_example_atomic;
@@ -138,6 +196,7 @@ let suite =
     Alcotest.test_case "online dynamic atomicity" `Quick test_online_dynamic_atomic;
     Alcotest.test_case "online implies dynamic" `Quick test_online_implies_dynamic;
     Alcotest.test_case "empty history" `Quick test_empty_history;
+    prop_walk_matches_enumeration;
     Alcotest.test_case "linear extensions" `Quick test_linear_extensions;
     Alcotest.test_case "subsets" `Quick test_subsets;
   ]

@@ -40,6 +40,30 @@ let test_sound_relations_unrefutable () =
             cex.held)
     Registry.all
 
+(* With no conflicts at all, both theorems' only-if directions build a
+   counterexample history for every type; the checker rejects each with
+   an order of its committed transactions that is consistent with
+   precedes and does not serialize. *)
+let test_refutations_rejected () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      let env = Atomicity.env_of_list [ e.spec ] in
+      List.iter
+        (fun (view, refute) ->
+          match refute e.spec params Conflict.none with
+          | None -> Alcotest.failf "%s/%s: no refutation without conflicts" e.name view
+          | Some (cex : Theorems.cex) -> (
+              let h = cex.history in
+              match Atomicity.dynamic_atomic env h with
+              | Atomicity.Ok -> Alcotest.failf "%s/%s: counterexample accepted" e.name view
+              | Atomicity.Counterexample order ->
+                  Helpers.check_bool (e.name ^ " order consistent") true
+                    (Orders.consistent order (History.precedes h));
+                  Helpers.check_bool (e.name ^ " order refutes") false
+                    (Atomicity.serializable_in env (History.permanent h) order)))
+        [ ("UIP", Theorems.uip_refute); ("DU", Theorems.du_refute) ])
+    Registry.all
+
 let model_check_entry (e : Registry.entry) view conflict =
   let i = Impl_model.make ~spec:e.spec ~view ~conflict in
   let env = Atomicity.env_of_list [ e.spec ] in
@@ -116,4 +140,5 @@ let suite =
     Alcotest.test_case "model check UIP+NRBC (all types)" `Slow test_model_check_all_uip;
     Alcotest.test_case "model check DU+NFC (all types)" `Slow test_model_check_all_du;
     Alcotest.test_case "engine runs (all types)" `Slow test_engine_runs_all_types;
+    Alcotest.test_case "refutations rejected (all types)" `Quick test_refutations_rejected;
   ]

@@ -226,27 +226,58 @@ let test_transfer_scenario () =
     (Experiment.run_matrix (Experiment.transfer ()) (cfg ~total_txns:60 ()))
 
 (* Theorem 2 in action: objects with different recovery methods and
-   conflict relations coexist; the global recorded history is still
-   dynamic atomic. *)
+   conflict relations coexist; the global recorded history of the
+   60-program run is still dynamic atomic. *)
 let test_mixed_recovery_locality () =
   let scenario = Experiment.transfer_mixed_recovery ~accounts:4 () in
-  let row =
-    Experiment.run scenario uip (cfg ~total_txns:60 ())
-  in
+  let row = Experiment.run ~record_trace:true scenario uip (cfg ~total_txns:60 ()) in
   Helpers.check_bool "mixed-recovery run consistent" true row.Experiment.consistent;
-  (* small traced run, its history checked by the global checker *)
-  let small = Experiment.config ~concurrency:3 ~total_txns:8 ~seed:3 () in
-  let traced = Experiment.run ~record_trace:true scenario uip small in
   let funded = Tm_adt.Bank_account.spec_with_initial 100_000 in
   let env =
-    Tm_core.Atomicity.env_of_list
-      (List.init 4 (fun i -> Tm_core.Spec.rename funded (Fmt.str "BA%d" i)))
+    Atomicity.env_of_list (List.init 4 (fun i -> Spec.rename funded (Fmt.str "BA%d" i)))
   in
-  match traced.Experiment.trace with
+  match row.Experiment.trace with
   | None -> Alcotest.fail "no trace recorded"
   | Some tr ->
       Helpers.check_bool "global history dynamic atomic" true
-        (Tm_core.Atomicity.is_dynamic_atomic env (Tm_obs.Trace.to_history tr))
+        (Atomicity.is_dynamic_atomic env (Tm_obs.Trace.to_history tr))
+
+(* The negative leg at the same size: the hot-spot workload on an
+   unfunded account under UIP with the bank's NFC in place of NRBC
+   (Theorem 9's missing pair: a withdrawal may read an uncommitted
+   deposit).  Its traced history is well-formed and not dynamic atomic,
+   and the checker's order is a consistent one that does not
+   serialize. *)
+let test_uip_with_nfc_rejected () =
+  let module BA = Tm_adt.Bank_account in
+  let build () =
+    [
+      Tm_engine.Atomic_object.create ~spec:BA.spec ~conflict:BA.nfc_conflict
+        ~recovery:Tm_engine.Recovery.UIP ();
+    ]
+  in
+  let row =
+    Experiment.run_custom ~record_trace:true ~name:"bank-hotspot" ~label:"UIP+NFC"
+      ~workload:Experiment.bank_hotspot.workload ~build (cfg ~total_txns:60 ())
+  in
+  let h =
+    match row.Experiment.trace with
+    | None -> Alcotest.fail "no trace recorded"
+    | Some tr -> Tm_obs.Trace.to_history tr
+  in
+  let env = Atomicity.env_of_list [ BA.spec ] in
+  Helpers.check_bool "well-formed" true (History.is_well_formed h);
+  Helpers.check_bool "more than 8 transactions" true
+    (Tid.Set.cardinal (History.committed h) > 8);
+  match Atomicity.dynamic_atomic env h with
+  | Atomicity.Ok -> Alcotest.fail "UIP+NFC history accepted"
+  | Atomicity.Counterexample order ->
+      Helpers.check_int "counterexample orders every committed transaction"
+        (Tid.Set.cardinal (History.committed h)) (List.length order);
+      Helpers.check_bool "consistent with precedes" true
+        (Orders.consistent order (History.precedes h));
+      Helpers.check_bool "does not serialize" false
+        (Atomicity.serializable_in env (History.permanent h) order)
 
 let test_scheduler_edges () =
   (* concurrency 1 = serial execution: no blocking, no aborts *)
@@ -356,6 +387,7 @@ let suite =
     Alcotest.test_case "deposits scale perfectly" `Slow test_deposits_scale_perfectly;
     Alcotest.test_case "transfer scenario" `Slow test_transfer_scenario;
     Alcotest.test_case "mixed recovery locality (Thm 2)" `Slow test_mixed_recovery_locality;
+    Alcotest.test_case "UIP with NFC rejected at 60 programs" `Quick test_uip_with_nfc_rejected;
     Alcotest.test_case "scheduler edge cases" `Quick test_scheduler_edges;
     Alcotest.test_case "unanswered waiters aborted at the end" `Quick test_unanswered_waiters;
     Alcotest.test_case "stall broken in the harness" `Quick test_stall_broken_in_harness;

@@ -245,6 +245,34 @@ let prop_one_response_matches_list (e : Tm_adt.Registry.entry) =
            Fmt.(list ~sep:sp Op.pp)
            (List.map (fun i -> gens.(i)) picks))
 
+(* The subset shortcut of [Explore.contained] against the search it
+   skips ([Explore_reference]), on every registry type: from two random
+   state-sets reachable in at most three generators, the pair (u, u),
+   (u, v), (u, u ∪ v) or (u ∪ v, u) is contained to depth 3 by both or
+   by neither, with the same witness.  Reachable sets are singletons for
+   every shipped type, so the unions give the strict subsets. *)
+let prop_contained_matches_search (e : Tm_adt.Registry.entry) =
+  let (Spec.Packed { m = (module S); _ }) = e.spec in
+  let module E = Explore.Make (S) in
+  let module R = Explore_reference.Make (S) in
+  let alphabet = S.generators in
+  let sets = Array.of_list (List.map snd (E.reachable ~depth:3 ~alphabet)) in
+  let pick = QCheck2.Gen.int_bound (Array.length sets - 1) in
+  Helpers.qcheck ~count:200 (Fmt.str "%s: contained = unshortened search" e.name)
+    QCheck2.Gen.(triple pick pick (int_bound 3))
+    (fun (i, j, k) ->
+      let uv = E.States.union sets.(i) sets.(j) in
+      let u, t =
+        match k with
+        | 0 -> (sets.(i), sets.(i))
+        | 1 -> (sets.(i), sets.(j))
+        | 2 -> (sets.(i), uv)
+        | _ -> (uv, sets.(i))
+      in
+      Option.equal (List.equal Op.equal)
+        (E.contained ~depth:3 ~alphabet u t)
+        (R.contained ~depth:3 ~alphabet u t))
+
 let test_one_response_marks () =
   let module SQ = Tm_adt.Semiqueue in
   let (Spec.Packed { m = (module S); _ }) = SQ.spec in
@@ -286,3 +314,4 @@ let suite =
   @ List.map prop_fold_matches_reference Spec_reference.all
   @ (Alcotest.test_case "one-response fold marks" `Quick test_one_response_marks
     :: List.map prop_one_response_matches_list Tm_adt.Registry.all)
+  @ List.map prop_contained_matches_search Tm_adt.Registry.all
