@@ -75,16 +75,15 @@ let tables_cmd =
 
 let show_reachable (e : Registry.entry) depth =
   let (Spec.Packed { m = (module S); _ }) = e.spec in
-  let module E = Explore.Make (S) in
-  let reached = E.reachable ~depth ~alphabet:(Spec.generators e.spec) in
+  let reached = Explore.reachable (module S) ~depth ~alphabet:(Spec.generators e.spec) in
   Fmt.pr "%d distinct reachable state-sets within depth %d:@." (List.length reached) depth;
   List.iter
     (fun (word, sts) ->
-      Fmt.pr "  [%a] -> {%a}@."
+      Fmt.pr "  @[<h>[%a] -> {%a}@]@."
         Fmt.(list ~sep:(any "; ") Op.pp_short)
         word
         Fmt.(list ~sep:(any ", ") S.pp_state)
-        (E.States.elements sts))
+        sts)
     reached
 
 let show_conflicts (e : Registry.entry) =

@@ -1,11 +1,9 @@
 type params = {
   alpha_depth : int;
   future_depth : int;
-  alphabet : Op.t list option;
 }
 
-let params ?(alpha_depth = 5) ?(future_depth = 5) ?alphabet () =
-  { alpha_depth; future_depth; alphabet }
+let params ?(alpha_depth = 5) ?(future_depth = 5) () = { alpha_depth; future_depth }
 
 let default_params = params ()
 
@@ -30,77 +28,74 @@ let pp_verdict ppf = function
         Fmt.(option (fun ppf -> pf ppf " with future [%a]" pp_ops))
         future
 
-(* Both relations quantify over all contexts α; the truth of each condition
-   depends on α only through the set of states it can reach, so we iterate
-   over one representative word per distinct reachable state-set.  The
-   per-context check is passed as a rank-2 record so that the state-set
-   type of the locally instantiated explorer does not escape. *)
-type 's ctx = {
-  after : Op.t list -> 's;  (* step the context's state-set *)
-  contained : 's -> 's -> Op.t list option;
-  empty : 's -> bool;
-  alpha : Op.t list;
-}
+let abg = "\xce\xb1\xce\xb2\xce\xb3" and agb = "\xce\xb1\xce\xb3\xce\xb2"
 
-type checker = { check : 's. 's ctx -> verdict }
+(* In context [alpha]: [u], the state-set of [what], looks like [t],
+   that of [like], or the future that tells them apart. *)
+let looks_like contained alpha (what, u) (like, t) =
+  match contained u t with
+  | None -> Commutes
+  | Some f -> Refuted { alpha; future = Some f; reason = what ^ " does not look like " ^ like }
 
-let over_contexts (Spec.Packed { m = (module S); _ } as spec) p { check } =
-  let module E = Explore.Make (S) in
-  let alphabet = match p.alphabet with Some a -> a | None -> Spec.generators spec in
-  let contexts = E.reachable ~depth:p.alpha_depth ~alphabet in
-  let step acc (alpha, sts) =
-    match acc with
-    | Refuted _ -> acc
-    | Commutes ->
-        check
-          {
-            after = (fun ops -> E.after sts ops);
-            contained = (fun u t -> E.contained ~depth:p.future_depth ~alphabet u t);
-            empty = E.States.is_empty;
-            alpha;
-          }
-  in
-  List.fold_left step Commutes contexts
-
-let commute_forward_seq spec p beta gamma =
-  let check (type s) ({ after; contained; empty; alpha } : s ctx) =
-    let sb = after beta and sg = after gamma in
-    if empty sb || empty sg then Commutes
+(* The condition of each relation in one context [alpha]: [after ops] is
+   the state-set that [alpha] followed by [ops] reaches, and [contained]
+   the bounded language containment. *)
+let forward contained alpha after beta gamma =
+  if after beta = [] || after gamma = [] then Commutes
+  else
+    let sbg = after (beta @ gamma) in
+    if sbg = [] then Refuted { alpha; future = None; reason = abg ^ " \xe2\x88\x89 Spec" }
     else
-      let sbg = after (beta @ gamma) in
-      if empty sbg then
-        Refuted { alpha; future = None; reason = "\xce\xb1\xce\xb2\xce\xb3 \xe2\x88\x89 Spec" }
-      else
-        let sgb = after (gamma @ beta) in
-        match contained sbg sgb with
-        | Some f ->
-            Refuted
-              { alpha; future = Some f; reason = "\xce\xb1\xce\xb2\xce\xb3 does not look like \xce\xb1\xce\xb3\xce\xb2" }
-        | None -> (
-            match contained sgb sbg with
-            | Some f ->
-                Refuted
-                  { alpha; future = Some f; reason = "\xce\xb1\xce\xb3\xce\xb2 does not look like \xce\xb1\xce\xb2\xce\xb3" }
-            | None -> Commutes)
-  in
-  over_contexts spec p { check }
+      let sgb = after (gamma @ beta) in
+      match looks_like contained alpha (abg, sbg) (agb, sgb) with
+      | Commutes -> looks_like contained alpha (agb, sgb) (abg, sbg)
+      | refuted -> refuted
 
-let right_commutes_backward_seq spec p beta gamma =
-  let check (type s) ({ after; contained; empty = _; alpha } : s ctx) =
-    match contained (after (gamma @ beta)) (after (beta @ gamma)) with
-    | Some f ->
-        Refuted
-          { alpha; future = Some f; reason = "\xce\xb1\xce\xb3\xce\xb2 does not look like \xce\xb1\xce\xb2\xce\xb3" }
-    | None -> Commutes
-  in
-  over_contexts spec p { check }
+let backward contained alpha after beta gamma =
+  looks_like contained alpha (agb, after (gamma @ beta)) (abg, after (beta @ gamma))
 
-let commute_forward spec p b g = commute_forward_seq spec p [ b ] [ g ]
-let right_commutes_backward spec p b g = right_commutes_backward_seq spec p [ b ] [ g ]
-let fc spec p b g = is_commutes (commute_forward spec p b g)
-let nfc spec p b g = not (fc spec p b g)
-let rbc spec p b g = is_commutes (right_commutes_backward spec p b g)
-let nrbc spec p b g = not (rbc spec p b g)
+type direction = Forward | Backward
+
+(* Both relations quantify over all contexts α; the truth of each
+   condition depends on α only through the state-set it reaches, so one
+   representative word per distinct reachable state-set stands for all.
+   Applied to [spec] and [p], a relation explores the contexts once and
+   every pair asked after that reuses them. *)
+let relation direction (Spec.Packed { m = (module S); _ } as spec) p =
+  let alphabet = Spec.generators spec in
+  let contexts = Explore.reachable (module S) ~depth:p.alpha_depth ~alphabet in
+  let contained = Explore.contained (module S) ~depth:p.future_depth ~alphabet in
+  let check = match direction with Forward -> forward contained | Backward -> backward contained in
+  fun beta gamma ->
+    let rec over = function
+      | [] -> Commutes
+      | (alpha, sts) :: rest -> (
+          let after ops = List.fold_left (Spec.step_states (module S)) sts ops in
+          match check alpha after beta gamma with Commutes -> over rest | refuted -> refuted)
+    in
+    over contexts
+
+let commute_forward_seq spec p = relation Forward spec p
+
+let on_operations direction spec p =
+  let r = relation direction spec p in
+  fun b g -> r [ b ] [ g ]
+
+let commute_forward spec p = on_operations Forward spec p
+let right_commutes_backward spec p = on_operations Backward spec p
+
+let holds direction spec p =
+  let r = on_operations direction spec p in
+  fun b g -> is_commutes (r b g)
+
+let fails direction spec p =
+  let r = on_operations direction spec p in
+  fun b g -> not (is_commutes (r b g))
+
+let fc spec p = holds Forward spec p
+let nfc spec p = fails Forward spec p
+let rbc spec p = holds Backward spec p
+let nrbc spec p = fails Backward spec p
 
 type table = {
   labels : string list;

@@ -15,16 +15,20 @@
 
     Decision procedures are bounded (see {!Explore}): [alpha_depth] bounds
     the contexts [α] explored (via distinct reachable state-sets) and
-    [future_depth] the distinguishing futures. *)
+    [future_depth] the distinguishing futures.
+
+    Applied to a specification and its parameters, each relation below
+    explores the contexts once: [let r = fc spec p] answers every pair
+    [r b g] from the same reachable state-sets. *)
 
 type params = {
   alpha_depth : int;
   future_depth : int;
-  alphabet : Op.t list option;  (** default: the specification's generators *)
 }
 
-(** Defaults: [alpha_depth = 5], [future_depth = 5], generator alphabet. *)
-val params : ?alpha_depth:int -> ?future_depth:int -> ?alphabet:Op.t list -> unit -> params
+(** Defaults: [alpha_depth = 5], [future_depth = 5].  Both searches run
+    over the specification's generators. *)
+val params : ?alpha_depth:int -> ?future_depth:int -> unit -> params
 
 val default_params : params
 

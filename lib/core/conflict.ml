@@ -45,25 +45,23 @@ let invocation_blind spec rel =
         (fun r -> List.exists (fun h -> rel.test ~requested:r ~held:h) (variants held))
         (variants requested))
 
-(* Memoise a binary operation relation; the decision procedures behind
-   [nfc]/[nrbc] re-explore the specification on every query. *)
-let memoize test =
+(* Memoise a relation decided per operation pair.  [decide] is applied
+   to the spec on the first query, so the contexts are explored once per
+   relation, and only if it is asked at all. *)
+let memoize decide =
+  let relation = lazy (decide ()) in
   let table = Hashtbl.create 64 in
   fun ~requested ~held ->
     let key = (requested, held) in
     match Hashtbl.find_opt table key with
     | Some v -> v
     | None ->
-        let v = test ~requested ~held in
+        let v = (Lazy.force relation) requested held in
         Hashtbl.add table key v;
         v
 
-let nfc spec params =
-  make ~name:"NFC" (memoize (fun ~requested ~held -> Commutativity.nfc spec params requested held))
-
-let nrbc spec params =
-  make ~name:"NRBC"
-    (memoize (fun ~requested ~held -> Commutativity.nrbc spec params requested held))
+let nfc spec params = make ~name:"NFC" (memoize (fun () -> Commutativity.nfc spec params))
+let nrbc spec params = make ~name:"NRBC" (memoize (fun () -> Commutativity.nrbc spec params))
 
 let read_write ~name ~is_read =
   make ~name (fun ~requested ~held -> not (is_read requested && is_read held))

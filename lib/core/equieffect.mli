@@ -8,8 +8,8 @@
     equieffectiveness is an equivalence (Lemma 4).
 
     All checks are bounded semi-decisions (see {!Explore}): [depth] bounds
-    the length of distinguishing futures, and [alphabet] (default: the
-    specification's generators) bounds the operations they may use. *)
+    the length of distinguishing futures, drawn from the specification's
+    generators. *)
 
 type verdict =
   | Holds  (** to the given bound *)
@@ -19,12 +19,10 @@ type verdict =
 val is_holds : verdict -> bool
 val pp_verdict : Format.formatter -> verdict -> unit
 
-(** [looks_like spec ~depth ?alphabet alpha beta] checks that [alpha]
-    looks like [beta] with respect to [spec]. *)
-val looks_like :
-  Spec.t -> depth:int -> ?alphabet:Op.t list -> Op.t list -> Op.t list -> verdict
+(** [looks_like spec ~depth alpha beta] checks that [alpha] looks like
+    [beta] with respect to [spec]. *)
+val looks_like : Spec.t -> depth:int -> Op.t list -> Op.t list -> verdict
 
-(** [equieffective spec ~depth ?alphabet alpha beta] checks both
-    directions; the witness, if any, distinguishes in one of them. *)
-val equieffective :
-  Spec.t -> depth:int -> ?alphabet:Op.t list -> Op.t list -> Op.t list -> verdict
+(** [equieffective spec ~depth alpha beta] checks both directions; the
+    witness, if any, distinguishes in one of them. *)
+val equieffective : Spec.t -> depth:int -> Op.t list -> Op.t list -> verdict

@@ -15,35 +15,28 @@
     the procedures are semi-decisions whose positive answers read
     "holds for all contexts/futures within the bound".  Each shipped ADT
     also provides a closed-form relation carrying the unbounded claim,
-    cross-validated against these procedures by property tests. *)
+    cross-validated against these procedures by property tests.
 
-module Make (S : Spec.S) : sig
-  module States : Set.S with type elt = S.state
+    A state-set is {!Spec}'s: a sorted ([compare_state]), duplicate-free
+    list, stepped by {!Spec.step_states}. *)
 
-  val initial_set : States.t
+(** [reachable (module S) ~depth ~alphabet] enumerates every distinct
+    state-set reachable from [[S.initial]] by a sequence of at most
+    [depth] operations drawn from [alphabet], paired with one
+    representative sequence (a shortest one, found breadth-first). *)
+val reachable :
+  (module Spec.S with type state = 's) -> depth:int -> alphabet:Op.t list -> (Op.t list * 's list) list
 
-  (** [step sts op] is the set of states reachable from [sts] by the
-      operation [op]. *)
-  val step : States.t -> Op.t -> States.t
-
-  (** [after sts ops] folds {!step} over the sequence. *)
-  val after : States.t -> Op.t list -> States.t
-
-  (** [legal ops] — is [ops ∈ Spec] (from the initial state)? *)
-  val legal : Op.t list -> bool
-
-  (** [reachable ~depth ~alphabet] enumerates every distinct state-set
-      reachable from [{initial}] by a sequence of at most [depth]
-      operations drawn from [alphabet], paired with one representative
-      sequence (a shortest one, found breadth-first). *)
-  val reachable : depth:int -> alphabet:Op.t list -> (Op.t list * States.t) list
-
-  (** [contained ~depth ~alphabet u t] checks [L(u) ⊆ L(t)] — every
-      sequence of at most [depth] alphabet operations executable from [u]
-      is executable from [t].  [None] means containment holds to the
-      bound; [Some gamma] is a witness sequence executable from [u] but
-      not from [t] (possibly the empty sequence, when [u] is non-empty and
-      [t] empty). *)
-  val contained :
-    depth:int -> alphabet:Op.t list -> States.t -> States.t -> Op.t list option
-end
+(** [contained (module S) ~depth ~alphabet u t] checks [L(u) ⊆ L(t)] —
+    every sequence of at most [depth] alphabet operations executable
+    from [u] is executable from [t].  [None] means containment holds to
+    the bound; [Some gamma] is a witness sequence executable from [u]
+    but not from [t] (possibly the empty sequence, when [u] is non-empty
+    and [t] empty). *)
+val contained :
+  (module Spec.S with type state = 's) ->
+  depth:int ->
+  alphabet:Op.t list ->
+  's list ->
+  's list ->
+  Op.t list option

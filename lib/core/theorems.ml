@@ -34,55 +34,59 @@ let build_history ~obj ~alpha ~first ~second ~commits ~rho =
   if rho = [] then h
   else h |> History.exec_seq Tid.d rho |> History.commit_at Tid.d obj
 
-let uip_counterexample spec p ~requested ~held =
-  match Commutativity.right_commutes_backward spec p requested held with
-  | Commutativity.Commutes -> None
-  | Commutativity.Refuted { alpha; future; reason = _ } ->
-      (* alpha \xc2\xb7 held \xc2\xb7 requested \xc2\xb7 rho \xe2\x88\x88 Spec, but with the two swapped it
-         is not: the history serializes as A-B-C-D but not A-C-B-D. *)
-      let rho = Option.value future ~default:[] in
-      let obj = Spec.name spec in
-      let history =
-        build_history ~obj ~alpha ~first:held ~second:requested
-          ~commits:[ Tid.b; Tid.c ] ~rho
-      in
-      let failing_order =
-        (if alpha = [] then [] else [ Tid.a ])
-        @ [ Tid.c; Tid.b ]
-        @ if rho = [] then [] else [ Tid.d ]
-      in
-      Some { requested; held; alpha; rho; history; failing_order }
-
-let du_counterexample spec p ~requested ~held =
-  match Commutativity.commute_forward_seq spec p [ held ] [ requested ] with
-  | Commutativity.Commutes -> None
-  | Commutativity.Refuted { alpha; future; reason = _ } -> (
-      let obj = Spec.name spec in
-      let prefix_a = if alpha = [] then [] else [ Tid.a ] in
-      let case ~commits ~failing ~rho =
+let uip_counterexample spec p =
+  let rbc = Commutativity.right_commutes_backward spec p in
+  fun ~requested ~held ->
+    match rbc requested held with
+    | Commutativity.Commutes -> None
+    | Commutativity.Refuted { alpha; future; reason = _ } ->
+        (* alpha \xc2\xb7 held \xc2\xb7 requested \xc2\xb7 rho \xe2\x88\x88 Spec, but with the two swapped it
+           is not: the history serializes as A-B-C-D but not A-C-B-D. *)
+        let rho = Option.value future ~default:[] in
+        let obj = Spec.name spec in
         let history =
-          build_history ~obj ~alpha ~first:held ~second:requested ~commits ~rho
+          build_history ~obj ~alpha ~first:held ~second:requested
+            ~commits:[ Tid.b; Tid.c ] ~rho
         in
         let failing_order =
-          prefix_a @ failing @ if rho = [] then [] else [ Tid.d ]
+          (if alpha = [] then [] else [ Tid.a ])
+          @ [ Tid.c; Tid.b ]
+          @ if rho = [] then [] else [ Tid.d ]
         in
         Some { requested; held; alpha; rho; history; failing_order }
-      in
-      (* The check ran with \xce\xb2 = held, \xce\xb3 = requested. *)
-      match future with
-      | None ->
-          (* Case 1: \xce\xb1\xc2\xb7held\xc2\xb7requested \xe2\x88\x89 Spec; fails in the order B-C. *)
-          case ~commits:[ Tid.b; Tid.c ] ~failing:[ Tid.b; Tid.c ] ~rho:[]
-      | Some rho ->
-          (* Case 2: an equieffectiveness failure.  Commit B and C so that
-             the commit order is the order whose extension by \xcf\x81 is legal
-             (transaction D's responses must be enabled); the swapped order
-             then fails to serialize. *)
-          if Spec.legal spec (alpha @ [ held; requested ] @ rho) then
-            case ~commits:[ Tid.b; Tid.c ] ~failing:[ Tid.c; Tid.b ] ~rho
-          else if Spec.legal spec (alpha @ [ requested; held ] @ rho) then
-            case ~commits:[ Tid.c; Tid.b ] ~failing:[ Tid.b; Tid.c ] ~rho
-          else None)
+
+let du_counterexample spec p =
+  let fc = Commutativity.commute_forward_seq spec p in
+  fun ~requested ~held ->
+    match fc [ held ] [ requested ] with
+    | Commutativity.Commutes -> None
+    | Commutativity.Refuted { alpha; future; reason = _ } -> (
+        let obj = Spec.name spec in
+        let prefix_a = if alpha = [] then [] else [ Tid.a ] in
+        let case ~commits ~failing ~rho =
+          let history =
+            build_history ~obj ~alpha ~first:held ~second:requested ~commits ~rho
+          in
+          let failing_order =
+            prefix_a @ failing @ if rho = [] then [] else [ Tid.d ]
+          in
+          Some { requested; held; alpha; rho; history; failing_order }
+        in
+        (* The check ran with \xce\xb2 = held, \xce\xb3 = requested. *)
+        match future with
+        | None ->
+            (* Case 1: \xce\xb1\xc2\xb7held\xc2\xb7requested \xe2\x88\x89 Spec; fails in the order B-C. *)
+            case ~commits:[ Tid.b; Tid.c ] ~failing:[ Tid.b; Tid.c ] ~rho:[]
+        | Some rho ->
+            (* Case 2: an equieffectiveness failure.  Commit B and C so that
+               the commit order is the order whose extension by \xcf\x81 is legal
+               (transaction D's responses must be enabled); the swapped order
+               then fails to serialize. *)
+            if Spec.legal spec (alpha @ [ held; requested ] @ rho) then
+              case ~commits:[ Tid.b; Tid.c ] ~failing:[ Tid.c; Tid.b ] ~rho
+            else if Spec.legal spec (alpha @ [ requested; held ] @ rho) then
+              case ~commits:[ Tid.c; Tid.b ] ~failing:[ Tid.b; Tid.c ] ~rho
+            else None)
 
 let find_missing_pair spec ~required ~given =
   let ops = Spec.generators spec in
@@ -117,10 +121,8 @@ let refute make_cex spec p ~required conflict =
           ops)
       ops
   in
-  List.fold_left
-    (fun acc (requested, held) ->
-      match acc with Some _ -> acc | None -> make_cex spec p ~requested ~held)
-    None candidates
+  let make = make_cex spec p in
+  List.find_map (fun (requested, held) -> make ~requested ~held) candidates
 
 let uip_refute spec p conflict =
   refute uip_counterexample spec p ~required:(Conflict.nrbc spec p) conflict
@@ -145,8 +147,7 @@ let probe_required_pairs spec view ~ops ~txns ~ops_per_txn ~max_events ~limit =
      plus candidate futures up to length 2. *)
   let contexts =
     let (Spec.Packed { m = (module S); _ }) = spec in
-    let module E = Explore.Make (S) in
-    List.map fst (E.reachable ~depth:3 ~alphabet:ops)
+    List.map fst (Explore.reachable (module S) ~depth:3 ~alphabet:ops)
   in
   let futures = words ops 2 in
   (* The proofs' history shape: A runs a context and commits; B executes

@@ -57,7 +57,7 @@ let equal_record a b =
 (* ------------------------------------------------------------------ *)
 (* Replay state: the one log fold.                                     *)
 
-(* What a log reads back to.  [replay], [max_tid], [fuzzy_checkpoint] and
+(* What a log reads back to.  [replay], [max_tid], [checkpoint_of] and
    [plan] are views of it, and a {!t} keeps one up to date as records
    are appended or restored.  A checkpoint record summarises its whole
    prefix, so the state restarts from its snapshot (only the high-water
@@ -278,7 +278,6 @@ let max_tid recs =
   let st = state_of recs in
   if st.hwm = 0 then None else Some (Tid.of_int (st.hwm - 1))
 
-let fuzzy_checkpoint ~next_tid recs = snapshot ~next_tid (state_of recs)
 let partition_of_object ~workers name = Hashtbl.hash name mod workers
 
 let plan ~workers recs =
@@ -317,7 +316,6 @@ type t = {
       (* the stable log of a sink-less log, newest first; [] with a sink,
          whose storage holds the records *)
   mutable count : int;
-  mutable truncated : int;
   mutable metrics : meters option;
   mutable sink : sink option;
   (* --- durability pipeline state (group commit) ---
@@ -341,7 +339,6 @@ let create () =
     state = empty_state ();
     records_rev = [];
     count = 0;
-    truncated = 0;
     metrics = None;
     sink = None;
     appended = 0;
@@ -547,7 +544,6 @@ let records t =
   match t.sink with None -> List.rev t.records_rev | Some s -> s.sink_records ()
 
 let length t = t.count
-let truncated t = t.truncated
 let in_flight t tid = Hashtbl.mem t.state.pending tid && not (Tid_bits.mem t.state.finished tid)
 let plan_of ?profile t = plan_of_state ?profile t.state
 let in_doubt t = List.init t.state.n_in_doubt (Array.get t.state.in_doubt)
@@ -555,17 +551,6 @@ let decided t tid = Tid_bits.mem t.state.decided tid
 let phase2 t tid = Tid_bits.mem t.state.phase2 tid
 let commit_evidence t tid = Tid_bits.mem t.state.commit_evidence tid
 let checkpoint_of ~next_tid t = snapshot ~next_tid t.state
-
-let prefix t n =
-  let rec take n l = if n <= 0 then [] else match l with [] -> [] | x :: r -> x :: take (n - 1) r in
-  (* The rebuilt log keeps the metrics attachment: a crash loses volatile
-     state, not the accounting of the log that survived it.  (Recovery
-     re-attaches the new database's registry anyway.)  The sink is NOT
-     carried over — a prefix is a volatile recovery artifact, and
-     appending to it must not touch the stable storage it came from. *)
-  let log = of_records (take n (records t)) in
-  log.metrics <- t.metrics;
-  log
 
 let truncate_to_checkpoint t =
   (* Newest first, so the first [Checkpoint] found is the latest one;
@@ -593,7 +578,6 @@ let truncate_to_checkpoint t =
             s.sink_rewrite kept;
             mark_all_flushed t);
         t.count <- t.count - dropped;
-        t.truncated <- t.truncated + dropped;
         match t.metrics with
         | None -> ()
         | Some m ->

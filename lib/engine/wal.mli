@@ -16,23 +16,23 @@
     decodes from the last checkpoint on steps it, so a restart, a
     checkpoint or the 2PC resolution of a sharded restart reads it in
     O(state) instead of rescanning the log ({!plan_of},
-    {!checkpoint_of}, {!in_flight}, {!in_doubt}).  {!replay}, {!max_tid}, {!fuzzy_checkpoint} and {!plan}
-    are the same fold over a record list.  The state's committed
+    {!checkpoint_of}, {!in_flight}, {!in_doubt}).  {!replay}, {!max_tid}
+    and {!plan} are the same fold over a record list.  The state's committed
     operations are an {!Op_log}, about one word per operation: a
     [Commit] pushes the transaction's operations and a checkpoint's seed
     pushes its [committed] list, and only {!replay} and a snapshot
-    ({!checkpoint_of}, {!fuzzy_checkpoint}) build a list of them.  The
+    ({!checkpoint_of}) build a list of them.  The
     log still grows with every committed operation.
 
     The records themselves live on stable storage.  With a {!sink}
-    ({!Disk_wal}), that is the sink's backend, and {!records},
-    {!prefix} and {!truncate_to_checkpoint} read the log back from it.
+    ({!Disk_wal}), that is the sink's backend, and {!records} and
+    {!truncate_to_checkpoint} read the log back from it.
     A sink-less log ({!create}, {!of_records}) models stable storage in
     memory as its own record list; a {e crash} loses every volatile
     object state but none of the appended log records (append is atomic
     and forced).  Torn tails are modelled by recovering from a
-    {e prefix} of the log: the crash-injection tests recover from every
-    prefix. *)
+    {e prefix} of the log ({!of_records} of the first records): the
+    crash-injection tests recover from every prefix. *)
 
 open Tm_core
 
@@ -112,8 +112,7 @@ val of_records : record list -> t
     [sink_attach] forwards a metrics attachment so storage counters join
     the log's registry, [sink_records] reads the stored log back, oldest
     first, and [sink_rewrite recs] durably replaces it with [recs] (the
-    barrier is part of the call).  {!prefix} copies never carry the sink
-    (a recovered prefix is a volatile artifact, not the stable log). *)
+    barrier is part of the call). *)
 type sink = {
   sink_append : record -> unit;
   sink_force : unit -> unit;
@@ -174,7 +173,7 @@ val force : t -> unit
     [tm_wal_appends_total{kind}] and counts records dropped by
     {!truncate_to_checkpoint} as [tm_wal_truncated_records_total].
     {!Shard.create} attaches its database registry
-    automatically; a log rebuilt by {!prefix} keeps the attachment.
+    automatically.
     Per-append and per-force series are looked up in [reg] once, on
     their first event, and bumped through the cached handle after
     that. *)
@@ -222,16 +221,6 @@ val records : t -> record list
 (** Number of retained records. *)
 val length : t -> int
 
-(** Cumulative records dropped by {!truncate_to_checkpoint}. *)
-val truncated : t -> int
-
-(** [prefix t n] — the stable log as it would read after a crash that
-    persisted only the first [n] retained records.  The metrics
-    attachment is carried over (the crash loses volatile object state,
-    not the log's accounting); recovery re-attaches the new database's
-    registry on top. *)
-val prefix : t -> int -> t
-
 (** [truncate_to_checkpoint t] drops every record preceding the latest
     [Checkpoint], bounding log growth; the checkpoint itself and its tail
     are retained — in place for a sink-less log, through [sink_rewrite]
@@ -254,8 +243,13 @@ val truncate_to_checkpoint : t -> int
     {!Shard} asks before logging a transaction's [Abort]. *)
 val in_flight : t -> Tid.t -> bool
 
-(** [checkpoint_of ~next_tid t] = [fuzzy_checkpoint ~next_tid (records
-    t)], read from the state: O(committed + live operations). *)
+(** [checkpoint_of ~next_tid t] is the checkpoint snapshot of the log:
+    committed operations in commit order, the operation log of every
+    unfinished transaction, and a high-water mark covering both every
+    tid in the log and the caller's allocator position [next_tid] (0 for
+    a caller without an allocator, which relies on the log scan).  It is
+    read from the state, O(committed + live operations); the snapshot of
+    a record list [recs] is [checkpoint_of ~next_tid (of_records recs)]. *)
 val checkpoint_of : next_tid:int -> t -> checkpoint
 
 (** {3 What 2PC recovery asks}
@@ -347,14 +341,6 @@ val plan_of : ?profile:Tm_obs.Recovery_profile.t -> t -> plan
     serial, and the argument survives only so existing benchmark probes
     that pass [~workers:1] keep compiling; it is due to be dropped. *)
 val plan : workers:int -> record list -> plan
-
-(** [fuzzy_checkpoint ~next_tid records] computes the checkpoint
-    snapshot of [records]: committed operations in commit order, the
-    operation log of every unfinished transaction, and a high-water mark
-    covering both every tid in the log and the caller's allocator
-    position [next_tid] (0 for a caller without an allocator, which
-    relies on the log scan). *)
-val fuzzy_checkpoint : next_tid:int -> record list -> checkpoint
 
 (** Binary record framing for the on-disk log — a {e versioned},
     forward-compatible contract (docs/WAL_FORMAT.md is the generated

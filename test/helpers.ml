@@ -81,6 +81,35 @@ let legal_seq_gen spec max_len =
   in
   int_bound max_len >>= fun len -> extend [] len
 
+(* A semiqueue whose [take] removes some item and answers only [ok]: after
+   [enq 1; enq 2; take] the object is in {[1]} or {[2]}, so unlike the
+   plain semiqueue (where the response names the item) its state-sets
+   hold several states.  Only enqueues commute, so the relation that
+   lets everything else conflict contains both NFC and NRBC. *)
+let blind_semiqueue, blind_semiqueue_conflict =
+  let module SQ = Tm_adt.Semiqueue in
+  let module Blind = struct
+    include SQ.S
+
+    (* [take] answers [ok] for each state a [deq] may leave. *)
+    let take (k, c) _ s' acc = k c Value.ok s' acc
+
+    let respond s (inv : Op.invocation) k c acc =
+      match inv.name with
+      | "take" -> SQ.S.respond s (Op.invocation "deq") take (k, c) acc
+      | _ -> SQ.S.respond s inv k c acc
+
+    let generators = SQ.S.generators @ [ Op.make ~obj:SQ.S.name "take" Value.ok ]
+  end in
+  let is_enq (op : Op.t) = op.inv.name = "enq" in
+  ( Spec.rename (Spec.pack (module Blind)) "BSQ",
+    Conflict.make ~name:"BSQ-all-but-enq" (fun ~requested ~held ->
+        not (is_enq requested && is_enq held)) )
+
+(* The stable log as it reads after a crash that persisted only the
+   first [n] of the records [recs]. *)
+let log_prefix recs n = Tm_engine.Wal.of_records (List.filteri (fun i _ -> i < n) recs)
+
 (* One seed per process, honoring QCHECK_SEED so a failure is replayable:
    the failing test prints the seed, and rerunning under
    QCHECK_SEED=<seed> dune runtest reproduces the exact draw sequence. *)

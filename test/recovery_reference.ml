@@ -1,7 +1,8 @@
-(* The recovery managers as they were when each one instantiated
-   [Explore.Make] and kept its state-sets as a [Set]: the oracle of the
-   state-set refinement properties in test_engine.ml, which check that
-   the sorted-list state-sets of [Recovery] answer exactly the same.
+(* The recovery managers as they were when each one kept its state-sets
+   as a [Set] ([Explore_reference.Make], the explorer of that time): the
+   oracle of the state-set refinement properties in test_engine.ml,
+   which check that the sorted-list state-sets of [Recovery] answer
+   exactly the same.
    Metrics are left out, and a spec's responses are read through
    [Spec_reference.pairs]; everything else is unchanged. *)
 
@@ -21,7 +22,7 @@ let candidate_responses (type s) (module S : Spec.S with type state = s) states 
   |> List.sort_uniq Value.compare
 
 let create_uip ?inverse (Spec.Packed { m = (module S); _ }) =
-  let module E = Explore.Make (S) in
+  let module E = Explore_reference.Make (S) in
   let base = ref E.initial_set in
   let current = ref E.initial_set in
   let front = ref [] and back = ref [] in
@@ -108,7 +109,7 @@ let create_uip ?inverse (Spec.Packed { m = (module S); _ }) =
   { responses; record; commit; abort; restore; committed_ops }
 
 let create_du (Spec.Packed { m = (module S); _ }) =
-  let module E = Explore.Make (S) in
+  let module E = Explore_reference.Make (S) in
   let base = ref E.initial_set in
   let intentions : (Tid.t, Op.t list) Hashtbl.t = Hashtbl.create 16 in
   let committed_log = ref [] (* newest first *) in

@@ -60,7 +60,7 @@ let test_history_checkpoint_base () =
       Wal.Operation (Tid.b, BA.deposit 2);
     ]
   in
-  let recs = head @ [ Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 head) ] in
+  let recs = head @ [ Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Wal.of_records head)) ] in
   let h = Crash.history_of_records recs in
   Helpers.check_bool "well-formed" true (History.is_well_formed h);
   Helpers.check_int "base txn + live txn" 2 (Tid.Set.cardinal (History.transactions h));
@@ -298,7 +298,7 @@ let committed_by_object db =
 (* [Wal_replay_reference] is the oracle restart is checked against: the
    two-pass fold that [Wal]'s one fold replaced.  Over the same scenario
    pool and random crash cuts, every view of the library's fold
-   ([Wal.replay], [Wal.max_tid], [Wal.fuzzy_checkpoint], [Wal.plan]) must
+   ([Wal.replay], [Wal.max_tid], [Wal.checkpoint_of], [Wal.plan]) must
    answer as the oracle does, and the restart path
    ([Shard.recover]) must give every object exactly the
    oracle's committed operations on that object, resolve the same
@@ -318,7 +318,7 @@ let prop_recover_matches_replay =
       let rebuild () = scenario.Experiment.build setup in
       (* crash at a seed-derived record cut so losers are common *)
       let cut = seed mod (Wal.length wal + 1) in
-      let log = Wal.prefix wal cut in
+      let log = Helpers.log_prefix (Wal.records wal) cut in
       let recs = Wal.records log in
       let on committed name =
         List.filter (fun (op : Op.t) -> String.equal op.Op.obj name) committed
@@ -344,7 +344,7 @@ let prop_recover_matches_replay =
         if
           not
             (Wal.equal_record
-               (Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 recs))
+               (Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Wal.of_records recs)))
                (Wal.Checkpoint (Wal_replay_reference.fuzzy_checkpoint ~next_tid:0 recs)))
         then fail "fuzzy checkpoint differs";
         let plan = Wal.plan ~workers:1 recs in
@@ -434,7 +434,7 @@ let prop_log_state_matches_records =
         if
           not
             (Wal.equal_record (snapshot wal)
-               (Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 recs)))
+               (Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Wal.of_records recs))))
         then fail "checkpoint of the state differs from the records'";
         let committed, losers = Wal.replay recs in
         if plan.plan_ops <> List.length committed then fail "plan lost committed ops";
@@ -520,7 +520,7 @@ let prop_load_matches_full_decode =
              records before it keep the high-water mark. *)
           let k = at mod (List.length recs + 1) in
           let before = List.filteri (fun i _ -> i < k) recs in
-          let cp = Wal.fuzzy_checkpoint ~next_tid:0 before in
+          let cp = Wal.checkpoint_of ~next_tid:0 (Wal.of_records before) in
           before
           @ (Wal.Checkpoint { cp with Wal.next_tid = 0 } :: List.filteri (fun i _ -> i >= k) recs)
       in
@@ -534,7 +534,7 @@ let prop_load_matches_full_decode =
                compacted image, which starts with a checkpoint the load
                must not start from. *)
             let journal =
-              Wal.Codec.encode_all (Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 recs) :: recs)
+              Wal.Codec.encode_all (Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Wal.of_records recs)) :: recs)
             in
             let old_len = String.length image + 1 in
             image

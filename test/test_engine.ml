@@ -446,32 +446,7 @@ let uip_refinement_props =
       ~spec:BA.spec ~conflict:BA.nrbc_conflict ();
   ]
 
-(* A semiqueue whose [take] removes some item and answers only [ok]: after
-   [enq 1; enq 2; take] the object is in {[1]} or {[2]}, so unlike the
-   plain semiqueue (where the response names the item) its state-sets
-   hold several states.  Only enqueues commute, so the relation that
-   lets everything else conflict contains both NFC and NRBC. *)
-let blind_semiqueue, blind_semiqueue_conflict =
-  let module SQ = Tm_adt.Semiqueue in
-  let module Blind = struct
-    include SQ.S
-
-    (* [take] answers [ok] for each state a [deq] may leave. *)
-    let take (k, c) _ s' acc = k c Value.ok s' acc
-
-    let respond s (inv : Op.invocation) k c acc =
-      match inv.name with
-      | "take" -> SQ.S.respond s (Op.invocation "deq") take (k, c) acc
-      | _ -> SQ.S.respond s inv k c acc
-
-    let generators = SQ.S.generators @ [ Op.make ~obj:SQ.S.name "take" Value.ok ]
-  end in
-  let is_enq (op : Op.t) = op.inv.name = "enq" in
-  ( Spec.rename (Spec.pack (module Blind)) "BSQ",
-    Conflict.make ~name:"BSQ-all-but-enq" (fun ~requested ~held ->
-        not (is_enq requested && is_enq held)) )
-
-(* List state-sets refine the [Explore.Make] sets they replaced.  A random
+(* List state-sets refine the [Set] state-sets they replaced.  A random
    schedule of record, commit and abort steps, with [restore] attempts
    among them, drives a [Recovery] manager and the [Recovery_reference]
    manager of the same kind.  A lock table under a conflict relation
@@ -591,9 +566,9 @@ let state_set_refinement_props =
     prop_state_sets_refine "state-sets SQ/DU = Explore" Recovery.DU ~spec:SQ.spec
       ~conflict:SQ.nfc_conflict;
     prop_state_sets_refine "state-sets blind SQ/UIP = Explore" Recovery.UIP
-      ~spec:blind_semiqueue ~conflict:blind_semiqueue_conflict;
+      ~spec:Helpers.blind_semiqueue ~conflict:Helpers.blind_semiqueue_conflict;
     prop_state_sets_refine "state-sets blind SQ/DU = Explore" Recovery.DU
-      ~spec:blind_semiqueue ~conflict:blind_semiqueue_conflict;
+      ~spec:Helpers.blind_semiqueue ~conflict:Helpers.blind_semiqueue_conflict;
   ]
 
 (* The blind semiqueue really reaches a state-set of two states: after
@@ -603,7 +578,7 @@ let test_several_states () =
   let enq x = Op.make ~obj:"BSQ" ~args:[ Value.int x ] "enq" Value.ok in
   List.iter
     (fun kind ->
-      let r = Recovery.create kind blind_semiqueue in
+      let r = Recovery.create kind Helpers.blind_semiqueue in
       List.iter (Recovery.record r Tid.a) [ enq 1; enq 2; Op.make ~obj:"BSQ" "take" Value.ok ];
       Alcotest.(check (list Helpers.value))
         (Fmt.str "%a: deq answers either item" Recovery.pp_kind kind)

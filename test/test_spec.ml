@@ -99,11 +99,15 @@ let test_rename_retags_generators () =
         [ Spec.rename spec "X"; Spec.rename (Spec.rename spec "Y") "X" ])
     (many_generators :: List.map (fun (e : Tm_adt.Registry.entry) -> e.spec) Tm_adt.Registry.all)
 
-module E = Explore.Make (Tm_adt.Bank_account.S)
+module BA_S = Tm_adt.Bank_account.S
+
+let reachable = Explore.reachable (module BA_S)
+let contained = Explore.contained (module BA_S)
+let after ops = Spec.after_states (module BA_S) [ BA_S.initial ] ops
 
 let test_reachable () =
   let alphabet = [ dep 1 ] in
-  let reached = E.reachable ~depth:3 ~alphabet in
+  let reached = reachable ~depth:3 ~alphabet in
   (* balances 0,1,2,3 *)
   Helpers.check_int "4 state-sets" 4 (List.length reached);
   let words = List.map fst reached in
@@ -115,22 +119,22 @@ let test_reachable_dedups_state_sets () =
   (* deposit(1);deposit(1) and deposit(2) reach the same balance: one
      state-set, one representative. *)
   let alphabet = [ dep 1; dep 2 ] in
-  let reached = E.reachable ~depth:2 ~alphabet in
+  let reached = reachable ~depth:2 ~alphabet in
   (* balances 0,1,2,3,4 *)
   Helpers.check_int "5 distinct sets" 5 (List.length reached)
 
 let test_contained_positive () =
   (* Balance 2 via different routes: same state, mutually contained. *)
-  let u = E.after E.initial_set [ dep 2 ] in
-  let t = E.after E.initial_set [ dep 1; dep 1 ] in
+  let u = after [ dep 2 ] in
+  let t = after [ dep 1; dep 1 ] in
   Alcotest.(check (option Helpers.ops)) "contained" None
-    (E.contained ~depth:5 ~alphabet:(Spec.generators Helpers.BA.spec) u t)
+    (contained ~depth:5 ~alphabet:(Spec.generators Helpers.BA.spec) u t)
 
 let test_contained_negative_with_witness () =
   (* From balance 1 one can withdraw 1; from balance 0 one cannot. *)
-  let u = E.after E.initial_set [ dep 1 ] in
-  let t = E.initial_set in
-  match E.contained ~depth:5 ~alphabet:(Spec.generators Helpers.BA.spec) u t with
+  let u = after [ dep 1 ] in
+  let t = after [] in
+  match contained ~depth:5 ~alphabet:(Spec.generators Helpers.BA.spec) u t with
   | None -> Alcotest.fail "expected a witness"
   | Some w ->
       Helpers.check_bool "witness legal from u" true
@@ -139,11 +143,11 @@ let test_contained_negative_with_witness () =
 
 let test_contained_empty_cases () =
   let alphabet = Spec.generators Helpers.BA.spec in
-  let empty = E.after E.initial_set [ wok 1 ] (* illegal: empty set *) in
+  let empty = after [ wok 1 ] (* illegal: empty set *) in
   Alcotest.(check (option Helpers.ops)) "empty contained in anything" None
-    (E.contained ~depth:3 ~alphabet empty E.initial_set);
+    (contained ~depth:3 ~alphabet empty (after []));
   Alcotest.(check (option Helpers.ops)) "nonempty not contained in empty" (Some [])
-    (E.contained ~depth:3 ~alphabet E.initial_set empty)
+    (contained ~depth:3 ~alphabet (after []) empty)
 
 (* Property: for every legal sequence, stepping the state-set never goes
    empty, and every response offered by [Spec.responses] extends legally. *)
@@ -245,23 +249,30 @@ let prop_one_response_matches_list (e : Tm_adt.Registry.entry) =
            Fmt.(list ~sep:sp Op.pp)
            (List.map (fun i -> gens.(i)) picks))
 
-(* The subset shortcut of [Explore.contained] against the search it
-   skips ([Explore_reference]), on every registry type: from two random
-   state-sets reachable in at most three generators, the pair (u, u),
-   (u, v), (u, u ∪ v) or (u ∪ v, u) is contained to depth 3 by both or
-   by neither, with the same witness.  Reachable sets are singletons for
-   every shipped type, so the unions give the strict subsets. *)
-let prop_contained_matches_search (e : Tm_adt.Registry.entry) =
-  let (Spec.Packed { m = (module S); _ }) = e.spec in
-  let module E = Explore.Make (S) in
+(* The explorer against the [Set]-based one it replaced
+   ([Explore_reference]), on every registry type and on the blind
+   semiqueue, whose [take] reaches state-sets of several states (where a
+   list order that differed from the [Set] order would show).
+   [reachable] to depth 3 must give the same words and state-sets in the
+   same order; and from two of those state-sets, the pair (u, u), (u, v),
+   (u, u ∪ v) or (u ∪ v, u) is contained to depth 3 by both or by
+   neither, with the same witness, although only the oracle runs the
+   search where [u ⊆ t]. *)
+let prop_explorer_matches_reference name (Spec.Packed { m = (module S); _ } as spec) =
   let module R = Explore_reference.Make (S) in
-  let alphabet = S.generators in
-  let sets = Array.of_list (List.map snd (E.reachable ~depth:3 ~alphabet)) in
+  let alphabet = Spec.generators spec in
+  let reached = Explore.reachable (module S) ~depth:3 ~alphabet in
+  let same (w, sts) (w', sts') = List.equal Op.equal w w' && List.equal S.equal_state sts sts' in
+  let same_reachable =
+    List.equal same reached
+      (List.map (fun (w, sts) -> (w, R.States.elements sts)) (R.reachable ~depth:3 ~alphabet))
+  in
+  let sets = Array.of_list (List.map snd reached) in
   let pick = QCheck2.Gen.int_bound (Array.length sets - 1) in
-  Helpers.qcheck ~count:200 (Fmt.str "%s: contained = unshortened search" e.name)
+  Helpers.qcheck ~count:200 (Fmt.str "%s: contained = unshortened search" name)
     QCheck2.Gen.(triple pick pick (int_bound 3))
     (fun (i, j, k) ->
-      let uv = E.States.union sets.(i) sets.(j) in
+      let uv = List.sort_uniq S.compare_state (sets.(i) @ sets.(j)) in
       let u, t =
         match k with
         | 0 -> (sets.(i), sets.(i))
@@ -269,9 +280,10 @@ let prop_contained_matches_search (e : Tm_adt.Registry.entry) =
         | 2 -> (sets.(i), uv)
         | _ -> (uv, sets.(i))
       in
-      Option.equal (List.equal Op.equal)
-        (E.contained ~depth:3 ~alphabet u t)
-        (R.contained ~depth:3 ~alphabet u t))
+      (same_reachable || QCheck2.Test.fail_reportf "%s: reachable differs from the reference" name)
+      && Option.equal (List.equal Op.equal)
+           (Explore.contained (module S) ~depth:3 ~alphabet u t)
+           (R.contained ~depth:3 ~alphabet (R.States.of_list u) (R.States.of_list t)))
 
 let test_one_response_marks () =
   let module SQ = Tm_adt.Semiqueue in
@@ -314,4 +326,7 @@ let suite =
   @ List.map prop_fold_matches_reference Spec_reference.all
   @ (Alcotest.test_case "one-response fold marks" `Quick test_one_response_marks
     :: List.map prop_one_response_matches_list Tm_adt.Registry.all)
-  @ List.map prop_contained_matches_search Tm_adt.Registry.all
+  @ List.map
+      (fun (e : Tm_adt.Registry.entry) -> prop_explorer_matches_reference e.name e.spec)
+      Tm_adt.Registry.all
+  @ [ prop_explorer_matches_reference "BSQ" Helpers.blind_semiqueue ]

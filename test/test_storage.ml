@@ -374,7 +374,7 @@ let test_disk_wal_v1_upgrade () =
       Helpers.check_bool "v1 records replay bit-for-bit" true
         (List.equal Wal.equal_record sample_records (Wal.records wal));
       Wal.append wal (Wal.Commit Tid.b);
-      Wal.append wal (Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 (Wal.records wal)));
+      Wal.append wal (Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 wal));
       Wal.force wal;
       (* the log is now mixed: the v1 prefix untouched, v3 appended *)
       let mixed = Storage.read_all storage in
@@ -587,7 +587,7 @@ let test_disk_wal_truncate_to_checkpoint () =
   let wal = Disk_wal.wal dw in
   List.iter (Wal.append wal)
     [ Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 1); Wal.Commit Tid.a ];
-  Wal.append wal (Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 (Wal.records wal)));
+  Wal.append wal (Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 wal));
   Wal.append wal (Wal.Commit Tid.b);
   let before = Storage.size storage in
   let dropped = Wal.truncate_to_checkpoint wal in
@@ -612,7 +612,7 @@ let compaction_fixture () =
   let wal = Disk_wal.wal dw in
   List.iter (Wal.append wal)
     [ Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 1); Wal.Commit Tid.a ];
-  Wal.append wal (Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 (Wal.records wal)));
+  Wal.append wal (Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 wal));
   Wal.append wal (Wal.Commit Tid.b);
   let old_bytes = Storage.read_all storage in
   let mirror = Wal.of_records (Wal.records wal) in
@@ -1210,7 +1210,7 @@ let test_verify_allocates_nothing_per_frame () =
    and stepped). *)
 let test_load_skips_superseded_prefix () =
   let prefix = transfer_log 1000 in
-  let cp = Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 prefix) in
+  let cp = Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Wal.of_records prefix)) in
   let tail = transfer_log ~first:1000 16 in
   let load recs =
     let image = Codec.encode_all recs in

@@ -30,13 +30,14 @@ let test_theorem9_pairwise () =
   (* Every NRBC pair outside the given conflict relation yields a valid
      counterexample; here: the empty relation, every generator pair. *)
   let ops = Spec.generators spec in
+  let nrbc = Commutativity.nrbc spec p and uip_counterexample = Theorems.uip_counterexample spec p in
   let count = ref 0 in
   List.iter
     (fun requested ->
       List.iter
         (fun held ->
-          if Commutativity.nrbc spec p requested held then begin
-            match Theorems.uip_counterexample spec p ~requested ~held with
+          if nrbc requested held then begin
+            match uip_counterexample ~requested ~held with
             | None -> Alcotest.failf "no cex for %a/%a" Op.pp requested Op.pp held
             | Some cex ->
                 incr count;
@@ -48,13 +49,14 @@ let test_theorem9_pairwise () =
 
 let test_theorem10_pairwise () =
   let ops = Spec.generators spec in
+  let nfc = Commutativity.nfc spec p and du_counterexample = Theorems.du_counterexample spec p in
   let count = ref 0 in
   List.iter
     (fun requested ->
       List.iter
         (fun held ->
-          if Commutativity.nfc spec p requested held then begin
-            match Theorems.du_counterexample spec p ~requested ~held with
+          if nfc requested held then begin
+            match du_counterexample ~requested ~held with
             | None -> Alcotest.failf "no cex for %a/%a" Op.pp requested Op.pp held
             | Some cex ->
                 incr count;

@@ -87,7 +87,7 @@ let test_checkpoint_keeps_pre_checkpoint_loser () =
       Wal.Begin Tid.b;  (* bare Begin: no operations yet *)
     ]
   in
-  let snapshot = Wal.fuzzy_checkpoint ~next_tid:0 head in
+  let snapshot = Wal.checkpoint_of ~next_tid:0 (Wal.of_records head) in
   let recs = head @ [ Wal.Checkpoint snapshot ] in
   let committed, losers = Wal.replay recs in
   Alcotest.check Helpers.ops "nothing committed" [] committed;
@@ -102,7 +102,7 @@ let test_checkpoint_live_txn_commits_later () =
   let recs =
     head
     @ [
-        Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 head);
+        Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Wal.of_records head));
         Wal.Operation (Tid.a, BA.deposit 4);
         Wal.Commit Tid.a;
       ]
@@ -126,7 +126,7 @@ let test_fuzzy_checkpoint_roundtrip () =
       Wal.Abort Tid.c;
     ]
   in
-  let snapshot = Wal.fuzzy_checkpoint ~next_tid:0 recs in
+  let snapshot = Wal.checkpoint_of ~next_tid:0 (Wal.of_records recs) in
   let c1, l1 = Wal.replay recs in
   let c2, l2 = Wal.replay [ Wal.Checkpoint snapshot ] in
   Alcotest.check Helpers.ops "same committed" c1 c2;
@@ -144,14 +144,13 @@ let test_truncate_to_checkpoint () =
       Wal.Begin Tid.b;
       Wal.Operation (Tid.b, BA.deposit 2);
     ];
-  Wal.append wal (Wal.Checkpoint (Wal.fuzzy_checkpoint ~next_tid:0 (Wal.records wal)));
+  Wal.append wal (Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 wal));
   Wal.append wal (Wal.Operation (Tid.b, BA.deposit 4));
   Wal.append wal (Wal.Commit Tid.b);
   let before = Wal.replay (Wal.records wal) in
   let dropped = Wal.truncate_to_checkpoint wal in
   Helpers.check_int "records dropped" 5 dropped;
   Helpers.check_int "retained length" 3 (Wal.length wal);
-  Helpers.check_int "truncated counter" 5 (Wal.truncated wal);
   Helpers.check_int "truncated metric" 5
     (Tm_obs.Metrics.counter_value reg "tm_wal_truncated_records_total");
   let after = Wal.replay (Wal.records wal) in
@@ -170,21 +169,6 @@ let test_max_tid () =
     (Wal.max_tid [ Wal.Checkpoint (cp ~next_tid:10 []) ] = Some t9);
   Helpers.check_bool "from checkpoint live snapshot" true
     (Wal.max_tid [ Wal.Checkpoint (cp ~live:[ (t9, []) ] []) ] = Some t9)
-
-(* A crash-surviving prefix keeps the log's metrics attachment. *)
-let test_prefix_carries_metrics () =
-  let wal = Wal.create () in
-  let reg = Tm_obs.Metrics.create () in
-  Wal.attach_metrics wal reg;
-  Wal.append wal (Wal.Begin Tid.a);
-  let before =
-    Tm_obs.Metrics.counter_value reg "tm_wal_appends_total"
-      ~labels:[ ("kind", "begin") ]
-  in
-  Wal.append (Wal.prefix wal 1) (Wal.Begin Tid.b);
-  Helpers.check_int "append through prefix counted" (before + 1)
-    (Tm_obs.Metrics.counter_value reg "tm_wal_appends_total"
-       ~labels:[ ("kind", "begin") ])
 
 (* Regression: aborting a transaction that never reached the log must not
    append an Abort record for a tid the log does not know. *)
@@ -278,7 +262,7 @@ let test_write_ahead_rule () =
   ignore (Shard.invoke db a ~obj:"BA" (deposit_inv 5));
   Helpers.check_bool "A commits" true (Shard.try_commit db a = Ok ());
   let n = Wal.length wal in
-  let committed, _ = Wal.replay (Wal.records (Wal.prefix wal n)) in
+  let committed, _ = Wal.replay (Wal.records (Helpers.log_prefix (Wal.records wal) n)) in
   Alcotest.check Helpers.ops "durable at commit record" [ BA.deposit 5 ] committed
 
 (* Crash injection: drive a random multi-transaction workload through a
@@ -318,7 +302,7 @@ let crash_injection recovery seed =
   done;
   let full = Wal.records wal in
   for cut = 0 to List.length full do
-    let log = Wal.prefix wal cut in
+    let log = Helpers.log_prefix full cut in
     let committed, _losers = Wal.replay (Wal.records log) in
     (* (a) replay legality *)
     Helpers.check_bool
@@ -373,7 +357,7 @@ let test_durable_database_atomic_commitment () =
      total money is 200 iff both or neither halves of each transfer
      survive; per-object replay is always legal *)
   for cut = 0 to Wal.length wal do
-    let log = Wal.prefix wal cut in
+    let log = Helpers.log_prefix (Wal.records wal) cut in
     let db', _losers = recover_exn (Shard.recover ~wal:log ~rebuild ()) in
     let balance obj =
       match Shard.invoke db' (Shard.begin_txn db') ~obj balance_inv with
@@ -521,7 +505,6 @@ let suite =
       test_fuzzy_checkpoint_roundtrip;
     Alcotest.test_case "truncate to checkpoint" `Quick test_truncate_to_checkpoint;
     Alcotest.test_case "max tid" `Quick test_max_tid;
-    Alcotest.test_case "prefix carries metrics" `Quick test_prefix_carries_metrics;
     Alcotest.test_case "abort of unknown txn not logged" `Quick
       test_abort_not_begun_not_logged;
     Alcotest.test_case "no tid reuse after recovery" `Quick

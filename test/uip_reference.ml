@@ -16,7 +16,7 @@ type t = {
 }
 
 let create ?inverse (Spec.Packed { m = (module S); _ }) =
-  let module E = Explore.Make (S) in
+  let module E = Explore_reference.Make (S) in
   let current = ref E.initial_set in
   let log = ref [] (* newest first *) in
   let per_txn : (Tid.t, Op.t list) Hashtbl.t = Hashtbl.create 16 in

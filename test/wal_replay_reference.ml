@@ -1,6 +1,6 @@
 (* The WAL fold as it was when [Wal.replay] and [Wal.plan] were two
    separate passes: the oracle that the crash property compares the
-   library's [replay], [max_tid], [fuzzy_checkpoint] and [plan] against,
+   library's [replay], [max_tid], [checkpoint_of] and [plan] against,
    now that all four are views of one fold.  Profiling and the
    per-record comments are left out; the code is otherwise unchanged. *)
 
