@@ -133,16 +133,36 @@ let explore e depth reachable conflicts pair =
         show_conflicts e
       end
 
+(* "OP1,OP2" split at the one comma outside every parenthesis and
+   bracket, so an operation such as put(j,1)→ok keeps its own commas. *)
+let op_pair =
+  let parse s =
+    let rec split i depth =
+      if i = String.length s then
+        Error (`Msg (Fmt.str "expected OP1,OP2 with a comma outside brackets: '%s'" s))
+      else
+        match s.[i] with
+        | '(' | '[' -> split (i + 1) (depth + 1)
+        | ')' | ']' -> split (i + 1) (depth - 1)
+        | ',' when depth = 0 ->
+            Ok (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+        | _ -> split (i + 1) depth
+    in
+    split 0 0
+  in
+  Arg.conv (parse, fun ppf (a, b) -> Fmt.pf ppf "%s,%s" a b)
+
 let explore_cmd =
   let reachable = Arg.(value & flag & info [ "reachable" ] ~doc:"Show reachable state-sets.") in
   let conflicts = Arg.(value & flag & info [ "conflicts" ] ~doc:"List conflict pairs.") in
   let pair =
     Arg.(
       value
-      & opt (some (pair ~sep:',' string string)) None
+      & opt (some op_pair) None
       & info [ "pair" ] ~docv:"OP1,OP2"
           ~doc:"Decide commutativity of two operations (pp-short syntax, e.g. \
-                'withdraw(1)\xe2\x86\x92ok,deposit(1)\xe2\x86\x92ok').")
+                'withdraw(1)\xe2\x86\x92ok,deposit(1)\xe2\x86\x92ok'), split at the \
+                comma outside every parenthesis and bracket.")
   in
   Cmd.v
     (Cmd.info "explore" ~doc:"explore a serial specification and its conflict relations")

@@ -45,11 +45,66 @@ let dedup_states (type s) (module S : S with type state = s) = function
 let step_states (type s) (module S : S with type state = s) (states : s list) op =
   dedup_states (module S) (successors S.respond op [] states)
 
-let after_states (type s) (module S : S with type state = s) (states : s list) ops =
-  List.fold_left
-    (fun sts op -> step_states (module S) sts op)
-    (dedup_states (module S) states)
-    ops
+(* A state-set part way through a sequence.  While it holds one state
+   ([size] 1, the state in [one]), a step whose operation has exactly one
+   successor writes that state in place; a step with several falls back
+   to [step_states] ([size] 2, the states in [many]), and a step with
+   none leaves it empty for good ([size] 0).  [found] counts the
+   successors the current step has found. *)
+type 's walk = {
+  m : (module S with type state = 's);
+  mutable one : 's;
+  mutable many : 's list;
+  mutable size : int;
+  mutable found : int;
+}
+
+(* A response's next state: the first one found is written over [w.one]
+   (the step keeps the state it left), the rest only counted. *)
+let successor (op : Op.t) r st' w =
+  if Value.equal r op.res then begin
+    if w.found = 0 then w.one <- st';
+    w.found <- w.found + 1
+  end;
+  w
+
+let settle w = function
+  | [] -> w.size <- 0
+  | [ st ] ->
+      w.size <- 1;
+      w.one <- st
+  | sts ->
+      w.size <- 2;
+      w.many <- sts
+
+let step (type s) (w : s walk) (op : Op.t) =
+  let (module S) = w.m in
+  (match w.size with
+  | 0 -> ()
+  | 1 -> (
+      let st = w.one in
+      w.found <- 0;
+      match (S.respond st op.inv successor op w).found with
+      | 0 -> w.size <- 0
+      | 1 -> ()
+      | _ -> settle w (step_states w.m [ st ] op))
+  | _ -> settle w (step_states w.m w.many op));
+  w
+
+let after_fold (type s) (module S : S with type state = s) fold (states : s list) ops =
+  match dedup_states (module S) states with
+  | [] -> []
+  | st :: _ as sts -> (
+      let w = { m = (module S); one = st; many = sts; size = 0; found = 0 } in
+      settle w sts;
+      let w = fold step w ops in
+      match w.size, sts with
+      | 0, _ -> []
+      | 1, [ st ] when st == w.one -> sts
+      | 1, _ -> [ w.one ]
+      | _ -> w.many)
+
+let after_states m states ops = after_fold m List.fold_left states ops
 
 let legal (Packed { m = (module S); _ }) ops = after_states (module S) [ S.initial ] ops <> []
 

@@ -72,8 +72,27 @@ val rename : t -> string -> t
 val step_states : (module S with type state = 's) -> 's list -> Op.t -> 's list
 
 (** [after_states (module S) sts ops] folds {!step_states} over [ops];
-    [sts] need not be sorted. *)
+    [sts] need not be sorted.  It is {!after_fold} over a list. *)
 val after_states : (module S with type state = 's) -> 's list -> Op.t list -> 's list
+
+(** A state-set part way through {!after_fold}'s sequence. *)
+type 's walk
+
+(** [after_fold (module S) fold sts seq] is {!after_states} over the
+    operations [fold] visits in [seq], oldest first: [fold step w seq]
+    must call [step] on each in turn, threading the walk, as
+    [List.fold_left] does over a list.  While the set holds one state, a
+    step whose operation has exactly one successor writes it in place and
+    allocates nothing; a step with several successors falls back to
+    {!step_states}, and one with none leaves [[]].  A deterministic walk
+    allocates the walk and the answer's one cell (none when the state
+    ends as it began), whatever the length of [seq]. *)
+val after_fold :
+  (module S with type state = 's) ->
+  (('s walk -> Op.t -> 's walk) -> 's walk -> 'seq -> 's walk) ->
+  's list ->
+  'seq ->
+  's list
 
 (** [state_response (module S) sts inv] folds over the legal responses
     to [inv] from every state of [sts] and answers with the one distinct

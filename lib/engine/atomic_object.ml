@@ -404,19 +404,22 @@ let committed_ops t = Recovery.committed_ops t.recovery
 let holds t = Lock_table.holds t.locks
 let block_count t = t.blocks
 
-(* The manager checks freshness in O(1); an optimistic object's
-   validation log fills only on the commits that fill the manager's,
-   and an escrow object's value is the restored operations' net update. *)
-let restore t ops =
-  let restored = Recovery.restore t.recovery ops in
+(* An escrow value moved by a committed operation. *)
+let net_update value (op : Op.t) =
+  match op.inv.name, op.inv.args with
+  | "incr", [ Value.Int i ] when Value.equal op.res Value.ok -> value + i
+  | "decr", [ Value.Int i ] when Value.equal op.res Value.ok -> value - i
+  | _ -> value
+
+(* The manager checks freshness in O(1) and takes the log over; an
+   optimistic object's validation log fills only on the commits that
+   fill the manager's, and an escrow object's value is the restored
+   operations' net update. *)
+let restore_log t log =
+  let restored = Recovery.restore t.recovery log in
   (match t.mode, restored with
-  | Escrow e, Ok () ->
-      List.iter
-        (fun (op : Op.t) ->
-          match op.inv.name, op.inv.args with
-          | "incr", [ Value.Int i ] when Value.equal op.res Value.ok -> e.value <- e.value + i
-          | "decr", [ Value.Int i ] when Value.equal op.res Value.ok -> e.value <- e.value - i
-          | _ -> ())
-        ops
+  | Escrow e, Ok () -> e.value <- Op_log.fold net_update e.value log
   | _ -> ());
   restored
+
+let restore t ops = restore_log t (Op_log.of_list ops)

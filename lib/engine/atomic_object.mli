@@ -155,10 +155,17 @@ val holds : t -> (Tid.t * Op.t) list
 (** Number of conflict checks that came back "blocked" so far. *)
 val block_count : t -> int
 
-(** [restore t ops] installs [ops] (a commit-order sequence, e.g. the
-    outcome of {!Wal.replay}) into a freshly created object as
-    already-committed work (directly into the recovery manager's
-    committed state — no transaction id is consumed).  [Error] if the
-    object is not fresh or the sequence is not legal — a typed recovery
-    violation the caller can report (see {!Recovery.error}). *)
+(** [restore_log t log] installs [log] (a commit-order sequence, e.g.
+    the object's bucket of {!Wal.plan_of}) into a freshly created object
+    as already-committed work (directly into the recovery manager's
+    committed state — no transaction id is consumed); an escrow
+    counter's value becomes the log's net update.  [Error] if the object
+    is not fresh or the sequence is not legal — a typed recovery
+    violation the caller can report (see {!Recovery.error}).
+
+    On success the object takes [log] over as its committed log, with no
+    copy ({!Recovery.restore}): the caller must not use it again. *)
+val restore_log : t -> Op_log.t -> (unit, Recovery.error) result
+
+(** [restore t ops] is [restore_log t (Op_log.of_list ops)]. *)
 val restore : t -> Op.t list -> (unit, Recovery.error) result

@@ -64,6 +64,37 @@ let fold f acc = function
   | One op -> f acc op
   | Log l -> fold_full f (fold_chunk f acc l.chunk (l.fill - 1)) l.full
 
+let rec fold_chunk_oldest f acc a i n =
+  if i >= n then acc else fold_chunk_oldest f (f acc a.(i)) a (i + 1) n
+
+(* [full] is newest first, so its oldest chunk is folded first on the
+   way back up: one frame per full chunk. *)
+let rec fold_full_oldest f acc = function
+  | [] -> acc
+  | a :: older -> fold_chunk_oldest f (fold_full_oldest f acc older) a 0 (Array.length a)
+
+let fold_oldest f acc = function
+  | Empty -> acc
+  | One op -> f acc op
+  | Log l -> fold_chunk_oldest f (fold_full_oldest f acc l.full) l.chunk 0 l.fill
+
+let of_list ops = List.fold_left push Empty ops
+
+(* [op] appended to its object's log in [objects]: a push onto a log of
+   two or more operations updates it in place, so only the first two of
+   an object write the table. *)
+let push_by_object objects (op : Op.t) =
+  match Hashtbl.find objects op.obj with
+  | log ->
+      let pushed = push log op in
+      if pushed != log then Hashtbl.replace objects op.obj pushed;
+      objects
+  | exception Not_found ->
+      Hashtbl.add objects op.obj (One op);
+      objects
+
+let by_object t = fold_oldest push_by_object (Hashtbl.create 64) t
+
 let cons acc op = op :: acc
 let to_list t = fold cons [] t
 

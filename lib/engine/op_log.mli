@@ -24,6 +24,9 @@ val push : t -> Op.t -> t
     what a transaction's commit has. *)
 val push_rev : t -> Op.t list -> t
 
+(** [of_list ops] is the log of [ops], oldest first. *)
+val of_list : Op.t list -> t
+
 val length : t -> int
 
 (** The operations, oldest first. *)
@@ -31,6 +34,17 @@ val to_list : t -> Op.t list
 
 (** [fold f acc t] folds [f] over the operations, newest first. *)
 val fold : ('a -> Op.t -> 'a) -> 'a -> t -> 'a
+
+(** [fold_oldest f acc t] folds [f] over the operations, oldest first,
+    as [List.fold_left] over {!to_list} does, with no list: the order a
+    restore steps an object's state through. *)
+val fold_oldest : ('a -> Op.t -> 'a) -> 'a -> t -> 'a
+
+(** [by_object t] splits [t] by object name ([Op.obj]): each object's
+    operations in their order in [t], in a log of its own, filled
+    oldest first at one chunk slot per operation.  An object [t] never
+    names has no entry.  The logs are fresh, shared with nothing. *)
+val by_object : t -> (string, t) Hashtbl.t
 
 (** [find_from t start p] is the first operation at position [start] or
     later ([0] the oldest) that satisfies [p], searched oldest first. *)

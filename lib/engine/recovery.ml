@@ -194,12 +194,11 @@ let stepped what m states op =
   | [] -> invalid_arg (Fmt.str "Recovery.record(%s): illegal operation %a" what Op.pp op)
   | next -> next
 
-(* A fresh manager's check and install of a replayed committed sequence:
-   the state-set it reaches from the initial state. *)
-let replayed (type s) what obj (module S : Spec.S with type state = s) ops =
-  match Spec.after_states (module S) [ S.initial ] ops with
-  | [] when ops <> [] ->
-      Error { obj; reason = Fmt.str "restore(%s): replayed sequence not legal" what }
+(* A fresh manager's check of a replayed committed log: the state-set it
+   reaches from the initial state, stepped through the log in place. *)
+let replayed (type s) what obj (module S : Spec.S with type state = s) log =
+  match Spec.after_fold (module S) Op_log.fold_oldest [ S.initial ] log with
+  | [] -> Error { obj; reason = Fmt.str "restore(%s): replayed sequence not legal" what }
   | next -> Ok next
 
 let not_fresh what obj = Error { obj; reason = Fmt.str "restore(%s): manager not fresh" what }
@@ -211,9 +210,8 @@ let no_inverse (_ : Op.t) : Op.t list option = None
 
 let finished = function Live { mine = _ :: _; _ } -> false | No_live | Live _ -> true
 
-let rec step_through m st = function
-  | End -> st
-  | Entry e -> step_through m (Spec.step_states m st e.op) e.next
+(* [f] folded over the suffix's operations, oldest first. *)
+let rec fold_entries f acc = function End -> acc | Entry e -> fold_entries f (f acc e.op) e.next
 
 (* Fold the leading entries of finished transactions into the base.
    Aborts unlink their entries first, so every such entry is committed. *)
@@ -304,28 +302,34 @@ let abort_uip t tid (u : _ uip) =
   (match undone with
   | [] ->
       count_undone_replay t n;
-      u.current <- step_through u.m u.base u.head
+      u.current <- Spec.after_fold u.m fold_entries u.base u.head
   | _ ->
       count_undone_inverse t n;
       u.current <- undone);
   fold u
 
-(* Install an already-committed sequence into a fresh manager: replayed
-   work belongs to no live transaction, so it goes straight into the
-   base and committed log (no per-transaction bookkeeping, no tid). *)
-let restore_uip ops (u : _ uip) =
+(* Install an already-committed log into a fresh manager: replayed work
+   belongs to no live transaction, so its state goes straight into the
+   base and the log itself becomes the committed log (no per-transaction
+   bookkeeping, no tid, no copy). *)
+let restore_uip log (u : _ uip) =
   match u.live with
-  | No_live when Op_log.length u.log = 0 ->
-      Result.map
-        (fun next ->
+  | No_live when Op_log.length u.log = 0 -> (
+      match replayed "UIP" u.obj u.m log with
+      | Ok next ->
           u.base <- next;
           u.current <- next;
-          u.log <- List.fold_left Op_log.push u.log ops)
-        (replayed "UIP" u.obj u.m ops)
+          u.log <- log;
+          Ok ()
+      | Error _ as e -> e)
   | No_live | Live _ -> not_fresh "UIP" u.obj
 
 (* ------------------------------------------------------------------ *)
 (* Deferred update.                                                    *)
+
+(* [f] folded over [ops], a newest-first list, oldest first: one frame
+   per operation and no reversed copy. *)
+let rec fold_rev f acc = function [] -> acc | op :: older -> f (fold_rev f acc older) op
 
 (* The view of a live transaction (the base for one with no intentions
    here), derived again only if a commit moved the base since. *)
@@ -333,7 +337,7 @@ let view (d : _ du) = function
   | No_txn -> d.base
   | Txn e ->
       if e.stamp <> d.version then begin
-        e.view <- Spec.after_states d.m d.base (List.rev e.ops);
+        e.view <- Spec.after_fold d.m fold_rev d.base e.ops;
         e.stamp <- d.version
       end;
       e.view
@@ -373,15 +377,16 @@ let abort_du t tid (d : _ du) =
       count_discarded t (List.length e.ops);
       d.txns <- unlink_txn x d.txns
 
-let restore_du ops (d : _ du) =
+let restore_du log (d : _ du) =
   match d.txns with
-  | No_txn when Op_log.length d.log = 0 ->
-      Result.map
-        (fun next ->
+  | No_txn when Op_log.length d.log = 0 -> (
+      match replayed "DU" d.obj d.m log with
+      | Ok next ->
           d.base <- next;
           d.version <- d.version + 1;
-          d.log <- List.fold_left Op_log.push d.log ops)
-        (replayed "DU" d.obj d.m ops)
+          d.log <- log;
+          Ok ()
+      | Error _ as e -> e)
   | No_txn | Txn _ -> not_fresh "DU" d.obj
 
 (* ------------------------------------------------------------------ *)
@@ -412,5 +417,5 @@ let response t tid inv =
 let record t tid op = match t with Uip u -> record_uip tid op u | Du d -> record_du tid op d
 let commit t tid = match t with Uip u -> commit_uip t tid u | Du d -> commit_du t tid d
 let abort t tid = match t with Uip u -> abort_uip t tid u | Du d -> abort_du t tid d
-let restore t ops = match t with Uip u -> restore_uip ops u | Du d -> restore_du ops d
+let restore t log = match t with Uip u -> restore_uip log u | Du d -> restore_du log d
 let committed_ops = function Uip u -> Op_log.to_list u.log | Du d -> Op_log.to_list d.log

@@ -104,13 +104,19 @@ type error = {
 
 val pp_error : Format.formatter -> error -> unit
 
-(** [restore t ops] installs [ops] (a commit-order sequence, e.g. the
-    outcome of {!Wal.replay}) into a {e fresh} manager as
+(** [restore t log] installs [log] (a commit-order sequence, e.g. an
+    object's bucket of {!Wal.plan_of}) into a {e fresh} manager as
     already-committed work: UIP seeds its base and current state, DU its
-    committed base.  Replayed work belongs to no live transaction, so no
-    transaction id is involved.  [Error] if the manager is not fresh or
-    the sequence is not legal. *)
-val restore : t -> Op.t list -> (unit, error) result
+    committed base, each stepped through [log] in place
+    ({!Spec.after_fold}).  Replayed work belongs to no live transaction,
+    so no transaction id is involved.  [Error] if the manager is not
+    fresh or the sequence is not legal.
+
+    On success the manager takes [log] over as its committed log, with
+    no copy: its later commits push onto it, in place once it holds two
+    operations, so the caller must not use [log] again.  A deterministic
+    replay allocates a few words whatever the length of [log]. *)
+val restore : t -> Op_log.t -> (unit, error) result
 
 (** Committed operations in commit order, restored ones first (both
     kinds).  Exposed for verification in tests; the list is built on

@@ -120,7 +120,8 @@ let recover ?trace ?profile ~wal ~rebuild () =
   (* The log already holds its replay state (stepped as each record was
      appended or loaded); the plan buckets its committed operations by
      object (so restoring is O(committed), not O(objects x committed)),
-     resolves the losers and carries the tid high-water mark. *)
+     resolves the losers and carries the tid high-water mark.  Each
+     rebuilt object takes its bucket over as its committed log. *)
   let plan = Wal.plan_of ?profile wal in
   let losers = plan.Wal.plan_loser_tids in
   let objs = rebuild () in
@@ -131,7 +132,7 @@ let recover ?trace ?profile ~wal ~rebuild () =
     List.iter (fun o -> Hashtbl.replace rebuilt (Atomic_object.name o) ()) objs;
     Hashtbl.fold
       (fun name ops acc ->
-        if Hashtbl.mem rebuilt name then acc else (name, List.length ops) :: acc)
+        if Hashtbl.mem rebuilt name then acc else (name, Op_log.length ops) :: acc)
       plan.Wal.plan_objects []
     |> List.sort compare
   in
@@ -140,13 +141,13 @@ let recover ?trace ?profile ~wal ~rebuild () =
     let ops =
       match Hashtbl.find plan.Wal.plan_objects name with
       | ops -> ops
-      | exception Not_found -> []
+      | exception Not_found -> Op_log.empty
     in
     match profile with
-    | None -> Atomic_object.restore o ops
+    | None -> Atomic_object.restore_log o ops
     | Some p ->
-        Profile.note_object_replay p ~obj:name (List.length ops);
-        Profile.time p Profile.Object_replay (fun () -> Atomic_object.restore o ops)
+        Profile.note_object_replay p ~obj:name (Op_log.length ops);
+        Profile.time p Profile.Object_replay (fun () -> Atomic_object.restore_log o ops)
   in
   let rec restore_all = function
     | [] -> Ok ()

@@ -226,30 +226,18 @@ let snapshot ~next_tid st =
   { committed = Op_log.to_list st.committed; live; next_tid = max next_tid st.hwm }
 
 type plan = {
-  plan_objects : (string, Op.t list) Hashtbl.t;
+  plan_objects : (string, Op_log.t) Hashtbl.t;
   plan_loser_tids : Tid.Set.t;
   plan_ops : int;
   plan_next_tid : int;
 }
 
 (* Committed operations land in per-object buckets, so recovery restores
-   each object without filtering the whole committed history.  The
-   state's log is folded newest first, so consing onto a bucket leaves
-   it in commit order.  One hash lookup per operation: the buckets are
-   refs. *)
+   each object without filtering the whole committed history: one hash
+   lookup and one chunk slot per operation, each bucket in commit
+   order. *)
 let plan_of_state ?profile st =
-  let bucket () =
-    let by_obj : (string, Op.t list ref) Hashtbl.t = Hashtbl.create 64 in
-    Op_log.fold
-      (fun () (op : Op.t) ->
-        match Hashtbl.find by_obj op.Op.obj with
-        | ops -> ops := op :: !ops
-        | exception Not_found -> Hashtbl.add by_obj op.Op.obj (ref [ op ]))
-      () st.committed;
-    let objects = Hashtbl.create (Hashtbl.length by_obj) in
-    Hashtbl.iter (fun name ops -> Hashtbl.add objects name !ops) by_obj;
-    (objects, Op_log.length st.committed)
-  in
+  let bucket () = (Op_log.by_object st.committed, Op_log.length st.committed) in
   let objects, total_ops =
     match profile with
     | None -> bucket ()

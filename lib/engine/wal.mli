@@ -305,16 +305,22 @@ val max_tid : record list -> Tid.t option
     {!plan} is the restart view of the fold: the same state as
     {!replay}, checkpoint seeding included, with the committed
     operations grouped by object instead of forming one global list, so
-    each rebuilt object is restored with one lookup.
-    {!Shard.recover} reads it from the log's state
+    each rebuilt object is restored with one lookup.  Each object's
+    operations are an {!Op_log}, which {!Shard.recover} hands to the
+    rebuilt object's restore ({!Atomic_object.restore_log}): the object
+    steps its state through it and keeps it as its committed log, with
+    no copy.  {!Shard.recover} reads the plan from the log's state
     ({!plan_of}).  The independent
     reference the crash checks compare every view against is the
     pre-fold implementation kept in [test/wal_replay_reference.ml]. *)
 
 type plan = {
-  plan_objects : (string, Op.t list) Hashtbl.t;
+  plan_objects : (string, Op_log.t) Hashtbl.t;
       (** committed operations per object name, in commit order; an
-          object the log never commits to has no entry *)
+          object the log never commits to has no entry.  Each bucket is
+          the plan's own (no other plan or log shares it), so a restore
+          may take it over as the object's committed log, after which
+          the object's commits push onto it in place *)
   plan_loser_tids : Tid.Set.t;  (** = {!replay}'s loser set *)
   plan_ops : int;  (** committed operations across all objects *)
   plan_next_tid : int;
@@ -330,8 +336,10 @@ val partition_of_object : workers:int -> string -> int
 
 (** [plan_of t] = [plan ~workers:1 (records t)], read from the state:
     only the bucketing of committed operations by object and the loser
-    set are computed.  With [profile], the bucketing is charged to the
-    log scan and loser resolution to its own phase. *)
+    set are computed.  The buckets are split from the state's committed
+    {!Op_log} ({!Op_log.by_object}), one chunk slot per operation, and
+    are fresh on every call.  With [profile], the bucketing is charged
+    to the log scan and loser resolution to its own phase. *)
 val plan_of : ?profile:Tm_obs.Recovery_profile.t -> t -> plan
 
 (** [plan ~workers records] — the per-object replay plan of a record

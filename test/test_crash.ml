@@ -14,6 +14,7 @@ module Shard = Tm_engine.Shard
 module SD = Tm_engine.Sharded_database
 module Disk_wal = Tm_engine.Disk_wal
 module Storage = Tm_engine.Storage
+module Op_log = Tm_engine.Op_log
 module Experiment = Tm_sim.Experiment
 module BA = Tm_adt.Bank_account
 
@@ -350,7 +351,7 @@ let prop_recover_matches_replay =
         let plan = Wal.plan ~workers:1 recs in
         Hashtbl.iter
           (fun name ops ->
-            if not (List.equal Op.equal ops (on committed name)) then
+            if not (List.equal Op.equal (Op_log.to_list ops) (on committed name)) then
               fail (Fmt.str "plan buckets %s differently from replay" name))
           plan.Wal.plan_objects;
         if plan.Wal.plan_ops <> List.length committed then fail "plan lost committed ops";
@@ -388,7 +389,7 @@ let plans_equal (a : Wal.plan) (b : Wal.plan) =
          ok
          &&
          match Hashtbl.find_opt b.plan_objects name with
-         | Some ops' -> List.equal Op.equal ops ops'
+         | Some ops' -> List.equal Op.equal (Op_log.to_list ops) (Op_log.to_list ops')
          | None -> false)
        a.plan_objects true
 

@@ -326,7 +326,7 @@ let uip_refinement_run ?inverse ?(restored = []) ~spec ~conflict seed =
   if restored <> [] then begin
     let ok = function Ok () -> () | Error e -> Alcotest.failf "%a" Recovery.pp_error e in
     ok (Atomic_object.restore o restored);
-    ok (Recovery.restore shadow restored);
+    ok (Recovery.restore shadow (Op_log.of_list restored));
     oracle.restore restored
   end;
   let invs =
@@ -506,7 +506,7 @@ let state_set_refinement_run ?inverse kind ~spec ~conflict seed =
     (match Random.State.int rng 20 with
     | 0 | 1 ->
         let ops = restorable () in
-        let a = Recovery.restore r ops and b = oracle.restore ops in
+        let a = Recovery.restore r (Op_log.of_list ops) and b = oracle.restore ops in
         if Result.is_ok a <> Result.is_ok b then
           Alcotest.failf "seed %d, step %d: restore %s here, %s in the reference" seed step
             (if Result.is_ok a then "succeeds" else "fails")
@@ -1919,9 +1919,10 @@ let test_uip_abort_middle_allocation () =
 (* The chunked log against a list: single pushes and pushes of a
    newest-first list, interleaved across the chunk boundaries (8, 24,
    56, 120, 248, then every 256 operations), hold the length after each
-   step, read back oldest first, fold newest first, and find from every
-   start what the list's suffix finds.  The operations are distinct
-   deposits, so an order slip shows. *)
+   step, read back oldest first (split by object too), fold newest
+   first and oldest first, and find from every start what the list's
+   suffix finds.  The operations are distinct deposits, so an order
+   slip shows. *)
 let prop_op_log_matches_list =
   let gen =
     QCheck2.Gen.(
@@ -1957,14 +1958,25 @@ let prop_op_log_matches_list =
       let in_order, visited =
         Op_log.fold (fun (ok, i) op -> (ok && Op.equal op newest_first.(i), i + 1)) (true, 0) log
       in
+      let oldest_first, visited_oldest =
+        Op_log.fold_oldest
+          (fun (ok, i) op -> (ok && Op.equal op newest_first.(n - 1 - i), i + 1))
+          (true, 0) log
+      in
       (* Position [p] holds deposit [p + 1], so this holds at the last
          slot of each of the first chunks. *)
       let every_eighth (op : Op.t) =
         match op.inv.args with [ Value.Int i ] -> i mod 8 = 0 | _ -> false
       in
       let rec drop k l = if k <= 0 then l else match l with [] -> [] | _ :: r -> drop (k - 1) r in
+      let by_object =
+        match Hashtbl.find_opt (Op_log.by_object log) "BA" with
+        | Some l -> Op_log.to_list l
+        | None -> []
+      in
       List.equal Op.equal (Op_log.to_list log) model
-      && in_order && visited = n
+      && List.equal Op.equal by_object model
+      && in_order && visited = n && oldest_first && visited_oldest = n
       && List.for_all
            (fun start ->
              Option.equal Op.equal
@@ -1995,6 +2007,64 @@ let test_committed_log_density () =
         Alcotest.failf "%a: the committed log grew %.3f words per operation (max 1.15)"
           Recovery.pp_kind kind per_op)
     [ Recovery.UIP; Recovery.DU ]
+
+(* A restart replays into what it keeps.  Restoring 1,000 committed
+   bank operations into a fresh account (UIP with its inverses, and DU)
+   steps the account's one state in place and takes the log over as its
+   committed log: 14 words in all, whatever the length.  The plan of a
+   1,000-commit log over two accounts fills one [Op_log] bucket per
+   account from the log's state, oldest first: 1,165 words, about one
+   per operation.  A list cell per replay step (3,020 words), a copy of
+   the log into the manager, or buckets of list cells (about 4,200)
+   each cost 3 words or more per operation, and the limit is 2.5. *)
+let test_restore_allocation () =
+  let n = 1000 in
+  let ops = List.init n (fun i -> if i mod 4 = 3 then wok 1 else dep (1 + (i mod 7))) in
+  let balance =
+    List.fold_left
+      (fun b (op : Op.t) ->
+        match op.inv.name, op.inv.args with
+        | "deposit", [ Value.Int i ] -> b + i
+        | _, [ Value.Int i ] -> b - i
+        | _ -> b)
+      0 ops
+  in
+  List.iter
+    (fun kind ->
+      let inverse = if kind = Recovery.UIP then Some BA.inverse else None in
+      let o =
+        Atomic_object.create ?inverse ~spec:BA.spec ~conflict:BA.nrbc_conflict ~recovery:kind ()
+      in
+      let log = Op_log.of_list ops in
+      let w = minor_words (fun () -> Atomic_object.restore_log o log) in
+      if w > 2.5 *. float_of_int n then
+        Alcotest.failf "%a: restoring %d operations allocated %.0f words (max %.0f)"
+          Recovery.pp_kind kind n w (2.5 *. float_of_int n);
+      Alcotest.check Helpers.ops "the restored log is the committed log" ops
+        (Atomic_object.committed_ops o);
+      match Atomic_object.invoke o Tid.a balance_inv with
+      | Atomic_object.Executed op ->
+          Alcotest.check Helpers.value "balance" (Value.int balance) op.res
+      | outcome -> Alcotest.failf "balance: %a" Atomic_object.pp_outcome outcome)
+    [ Recovery.UIP; Recovery.DU ];
+  let module Wal = Tm_engine.Wal in
+  let wal = Wal.create () in
+  List.iteri
+    (fun i (op : Op.t) ->
+      let tid = Tid.of_int (i + 1) in
+      let obj = if i mod 2 = 0 then "BA0" else "BA1" in
+      Wal.append wal (Wal.Operation (tid, { op with obj }));
+      Wal.append wal (Wal.Commit tid))
+    ops;
+  ignore (Wal.plan_of wal);
+  let w = minor_words (fun () -> Wal.plan_of wal) in
+  if w > 2.5 *. float_of_int n then
+    Alcotest.failf "the plan of %d commits allocated %.0f words (max %.0f)" n w
+      (2.5 *. float_of_int n);
+  let plan = Wal.plan_of wal in
+  Alcotest.check Alcotest.int "one bucket per account" 2 (Hashtbl.length plan.Wal.plan_objects);
+  Alcotest.check Alcotest.int "half the operations each" (n / 2)
+    (Op_log.length (Hashtbl.find plan.Wal.plan_objects "BA1"))
 
 (* An invocation with one legal response still offers a chooser that
    response, as a one-element list, under locking (either recovery
@@ -2139,6 +2209,7 @@ let suite =
       test_uip_commit_allocation;
     Alcotest.test_case "UIP abort of the middle allocation pin" `Quick
       test_uip_abort_middle_allocation;
+    Alcotest.test_case "restore and plan allocation pin" `Quick test_restore_allocation;
     prop_op_log_matches_list;
     Alcotest.test_case "committed log density pin" `Quick test_committed_log_density;
     Alcotest.test_case "chooser outside the offer rejected" `Quick

@@ -2,6 +2,7 @@
    enumeration, prefix closure, reachability, containment. *)
 
 open Tm_core
+module Op_log = Tm_engine.Op_log
 
 let dep = Helpers.dep
 let wok = Helpers.wok
@@ -285,6 +286,56 @@ let prop_explorer_matches_reference name (Spec.Packed { m = (module S); _ } as s
            (Explore.contained (module S) ~depth:3 ~alphabet u t)
            (R.contained ~depth:3 ~alphabet (R.States.of_list u) (R.States.of_list t)))
 
+(* [Spec.after_states], which steps a lone state in place, against the
+   plain left fold of [Spec.step_states] it stands for, on every
+   registry type and on the blind semiqueue, whose [take] gives one
+   state several successors (the fallback to [step_states]).  A random
+   sequence of up to eight generators, legal or not, runs from the
+   initial state, from a state-set a random walk reaches, and from the
+   union of two such sets, unsorted and with duplicates; the same
+   sequence driven from an [Op_log] ([Spec.after_fold] over
+   [Op_log.fold_oldest]) must agree too.  Over its cases the property
+   must see a run end in [[]] and a run pass through several states, and
+   on the blind semiqueue one state step to several ([branches]). *)
+let prop_after_states_is_fold ?(branches = false) name (Spec.Packed { m = (module S); _ }) =
+  let gens = Array.of_list S.generators in
+  let seq = QCheck2.Gen.(list_size (int_bound 8) (int_bound (Array.length gens - 1))) in
+  let reach picks =
+    List.fold_left
+      (fun sts i -> match Spec.step_states (module S) sts gens.(i) with [] -> sts | next -> next)
+      [ S.initial ] picks
+  in
+  let emptied = ref 0 and several = ref 0 and branched = ref 0 in
+  let seen from sts =
+    (match sts with [] -> incr emptied | [ _ ] -> () | _ -> incr several);
+    (match from, sts with [ _ ], _ :: _ :: _ -> incr branched | _ -> ());
+    sts
+  in
+  let after () =
+    if !emptied = 0 || !several = 0 || (branches && !branched = 0) then
+      Alcotest.failf "%s: runs ended empty %d, passed several states %d, branched %d" name
+        !emptied !several !branched
+  in
+  Helpers.qcheck ~count:200 ~after (Fmt.str "%s: after_states = fold of step_states" name)
+    QCheck2.Gen.(quad (int_bound 2) seq seq seq)
+    (fun (k, a, b, picks) ->
+      let start =
+        match k with 0 -> [ S.initial ] | 1 -> reach a | _ -> List.rev (reach a) @ reach b
+      in
+      let ops = List.map (fun i -> gens.(i)) picks in
+      let want =
+        List.fold_left
+          (fun sts op -> seen sts (Spec.step_states (module S) sts op))
+          (seen [] (List.sort_uniq S.compare_state start))
+          ops
+      in
+      let same got = List.equal S.equal_state got want in
+      (same (Spec.after_states (module S) start ops)
+      && same (Spec.after_fold (module S) Op_log.fold_oldest start (Op_log.of_list ops)))
+      || QCheck2.Test.fail_reportf "%s: from %d states through %a" name (List.length start)
+           Fmt.(list ~sep:sp Op.pp)
+           ops)
+
 let test_one_response_marks () =
   let module SQ = Tm_adt.Semiqueue in
   let (Spec.Packed { m = (module S); _ }) = SQ.spec in
@@ -330,3 +381,7 @@ let suite =
       (fun (e : Tm_adt.Registry.entry) -> prop_explorer_matches_reference e.name e.spec)
       Tm_adt.Registry.all
   @ [ prop_explorer_matches_reference "BSQ" Helpers.blind_semiqueue ]
+  @ List.map
+      (fun (e : Tm_adt.Registry.entry) -> prop_after_states_is_fold e.name e.spec)
+      Tm_adt.Registry.all
+  @ [ prop_after_states_is_fold ~branches:true "BSQ" Helpers.blind_semiqueue ]
