@@ -290,7 +290,7 @@ let abl_escrow () =
         Experiment.run_custom ~name:scenario.Experiment.name ~label:"escrow"
           ~workload:scenario.Experiment.workload
           ~build:(fun () ->
-            [ Tm_engine.Atomic_object.create_escrow ~spec:Pool.spec ~capacity ~initial ])
+            [ Tm_engine.Atomic_object.create_escrow ~spec:Pool.spec ~capacity ])
           cfg
       in
       Fmt.pr "%-12d %12d %12d %12d %12d@." d

@@ -6,20 +6,11 @@ type policy =
   | Optimistic
   | Escrow
 
-(* Backward-validation bookkeeping of an optimistic object: committed
-   operations in commit order, each transaction's ops and its start point
-   in that log. *)
-type optimistic = {
-  mutable committed : Op_log.t;
-  opt_start : (Tid.t, int) Hashtbl.t;
-  opt_ops : (Tid.t, Op.t list) Hashtbl.t;  (* newest first *)
-}
-
-(* Escrow bookkeeping of a bounded counter: the committed value, the
-   sums of uncommitted increments and decrements, and what each
-   transaction holds.  [pins] marks a transaction that observed the
-   value (a read, or a [no]): no other transaction may change it until
-   that one ends. *)
+(* Escrow bookkeeping of a bounded counter: the sums of uncommitted
+   increments and decrements, and what each transaction holds.  [pins]
+   marks a transaction that observed the value (a read, or a [no]): no
+   other transaction may change it until that one ends.  The committed
+   value is the recovery manager's. *)
 type holding = {
   mutable incr : int;
   mutable decr : int;
@@ -28,7 +19,6 @@ type holding = {
 
 type escrow = {
   capacity : int;
-  mutable value : int;
   mutable total_incr : int;
   mutable total_decr : int;
   mutable pinning : int;  (* holders whose [pins] is set *)
@@ -40,19 +30,19 @@ type escrow = {
 let no_holding = { incr = 0; decr = 0; pins = false }
 
 (* [Locking] is a constant constructor, so a locking object carries no
-   policy words beyond the field. *)
+   policy words beyond the field.  An optimistic object keeps only each
+   transaction's start: the length of the manager's committed log when
+   the transaction first touched the object. *)
 type mode =
   | Locking
-  | Optimistic of optimistic
+  | Optimistic of (Tid.t, int) Hashtbl.t
   | Escrow of escrow
 
 type t = {
   name : string;
   spec : Spec.t;
-  conflict : Conflict.t;
   locks : Lock_table.t;
   recovery : Recovery.t;
-  mutable blocks : int;
   (* The attached registry and the {obj,op} counters resolved in it so
      far, keyed by metric name and operation name. *)
   mutable reg : Metrics.t option;
@@ -74,10 +64,8 @@ let make ?inverse ~mode ~spec ~conflict ~recovery () =
   {
     name = Spec.name spec;
     spec;
-    conflict;
     locks = Lock_table.create conflict;
     recovery = Recovery.create ?inverse recovery spec;
-    blocks = 0;
     reg = None;
     events = Metrics.Handles.empty;
     mode;
@@ -90,30 +78,34 @@ let create ?inverse ~spec ~conflict ~recovery () =
    tied to deferred-update recovery (the single current state of
    update-in-place publishes by construction). *)
 let create_optimistic ~spec ~conflict =
-  let optimistic =
-    {
-      committed = Op_log.empty;
-      opt_start = Hashtbl.create 16;
-      opt_ops = Hashtbl.create 16;
-    }
-  in
-  make ~mode:(Optimistic optimistic) ~spec ~conflict ~recovery:Recovery.DU ()
+  make ~mode:(Optimistic (Hashtbl.create 16)) ~spec ~conflict ~recovery:Recovery.DU ()
+
+let read = Op.invocation "read"
+
+(* The spec's one answer to [inv] in its initial state, if it has one. *)
+let initially spec inv =
+  match Spec.responses spec [] inv with [ r ] -> r | _ -> Spec.no_response
 
 (* Escrow decides grants from the interval, not from conflicts, and its
    granted operations are the transaction's intentions in a
-   deferred-update manager. *)
-let create_escrow ~spec ~capacity ~initial =
-  if initial < 0 || initial > capacity then
-    invalid_arg "Atomic_object.create_escrow: initial out of range";
+   deferred-update manager, whose state holds the value.  The spec must
+   bound the value by [capacity]: from its initial value, [incr] of the
+   room left answers [ok] and of one more [no]. *)
+let create_escrow ~spec ~capacity =
+  let refuse why =
+    invalid_arg (Fmt.str "Atomic_object.create_escrow: %s: %s" (Spec.name spec) why)
+  in
+  let incr i r = Value.equal (initially spec (Op.invocation ~args:[ Value.int i ] "incr")) r in
+  (match initially spec read with
+  | Value.Int v when v < 0 || v > capacity ->
+      refuse (Fmt.str "initial value %d outside [0, %d]" v capacity)
+  | Value.Int v ->
+      let room = capacity - v in
+      if (room > 0 && not (incr room Value.ok)) || not (incr (room + 1) Value.no) then
+        refuse (Fmt.str "the spec does not bound the value by capacity %d" capacity)
+  | _ -> refuse "read does not answer one integer");
   let escrow =
-    {
-      capacity;
-      value = initial;
-      total_incr = 0;
-      total_decr = 0;
-      pinning = 0;
-      holdings = Hashtbl.create 16;
-    }
+    { capacity; total_incr = 0; total_decr = 0; pinning = 0; holdings = Hashtbl.create 16 }
   in
   make ~mode:(Escrow escrow) ~spec ~conflict:Conflict.none ~recovery:Recovery.DU ()
 
@@ -151,7 +143,6 @@ let count_event t metric inv_name =
       Metrics.Counter.incr c
 
 let block t inv holders =
-  t.blocks <- t.blocks + 1;
   count_event t "tm_object_blocked_total" inv.Op.name;
   Blocked holders
 
@@ -234,30 +225,30 @@ let invoke_one t tid inv res =
       Executed op
   | holders -> block t inv holders
 
-(* [tid]'s operations here, newest first.  This and the lookups in
-   [validate] and [commit] catch [Not_found] rather than allocate an
-   option. *)
-let ops_at opt tid = match Hashtbl.find opt.opt_ops tid with ops -> ops | exception Not_found -> []
-
-let invoke_optimistic t opt tid op =
+let invoke_optimistic t starts tid op =
   (* No locks taken, nothing ever blocks; conflicts are paid at commit
      time (backward validation).  Remember where the committed log stood
      when the transaction first touched this object. *)
-  if not (Hashtbl.mem opt.opt_start tid) then
-    Hashtbl.add opt.opt_start tid (Op_log.length opt.committed);
+  if not (Hashtbl.mem starts tid) then
+    Hashtbl.add starts tid (Op_log.length (Recovery.committed_log t.recovery));
   Recovery.record t.recovery tid op;
-  Hashtbl.replace opt.opt_ops tid (op :: ops_at opt tid);
   Executed op
 
 (* The escrow grant rule: a response is granted only if it is legal in
-   every value the counter can reach, whichever other holders commit,
-   seen after [tid]'s own updates.  An update changes the value, so it
-   also waits for another holder's pin.  When no other transaction
-   holds anything the interval is a point and one response always
-   holds; otherwise the caller waits for the other holders. *)
+   every value the counter can reach, whichever other holders commit:
+   the value [tid]'s own view reads, widened by the other holders'
+   escrowed updates.  An update changes the value, so it also waits for
+   another holder's pin.  When no other transaction holds anything the
+   interval is a point and one response always holds; otherwise the
+   caller waits for the other holders. *)
 let invoke_escrow choose t e tid (inv : Op.invocation) =
   let own = match Hashtbl.find e.holdings tid with h -> h | exception Not_found -> no_holding in
-  let low = e.value + own.incr - e.total_decr and high = e.value - own.decr + e.total_incr in
+  let mine =
+    match Recovery.response t.recovery tid read with
+    | Value.Int v -> v
+    | _ -> invalid_arg (Fmt.str "Atomic_object.invoke: %s: read answers no integer" t.name)
+  in
+  let low = mine + own.decr - e.total_decr and high = mine - own.incr + e.total_incr in
   (* Another holder observed the value. *)
   let pinned = e.pinning > (if own.pins then 1 else 0) in
   (* The response and the update it escrows: > 0 an increment, < 0 a
@@ -329,9 +320,10 @@ let invoke ?choose t tid inv =
       else
         let one = res != Spec.several_responses in
         match t.mode, choose with
-        | Optimistic opt, None when one -> invoke_optimistic t opt tid { Op.obj = t.name; inv; res }
-        | Optimistic opt, _ ->
-            invoke_optimistic t opt tid (choose_op t choose inv (candidates t tid inv res))
+        | Optimistic starts, None when one ->
+            invoke_optimistic t starts tid { Op.obj = t.name; inv; res }
+        | Optimistic starts, _ ->
+            invoke_optimistic t starts tid (choose_op t choose inv (candidates t tid inv res))
         | _, None when one -> invoke_one t tid inv res
         | _ -> invoke_locking choose t tid inv none_enabled [] [] (candidates t tid inv res))
 
@@ -354,72 +346,52 @@ let rec first_conflict conflict committed start = function
 let validate t tid =
   match t.mode with
   | Locking | Escrow _ -> Ok ()
-  | Optimistic opt -> (
-      match Hashtbl.find opt.opt_start tid with
+  | Optimistic starts -> (
+      match Hashtbl.find starts tid with
       | exception Not_found -> Ok ()  (* executed nothing here *)
       | start -> (
-          match first_conflict t.conflict opt.committed start (ops_at opt tid) with
+          match
+            first_conflict (Lock_table.conflict t.locks) (Recovery.committed_log t.recovery)
+              start (Recovery.intentions t.recovery tid)
+          with
           | Some ((mine_op, _) as p) ->
               count_event t "tm_validation_failures_total" mine_op.Op.inv.Op.name;
               Error p
           | None -> Ok ()))
 
-let forget_optimistic opt tid =
-  Hashtbl.remove opt.opt_start tid;
-  Hashtbl.remove opt.opt_ops tid
-
-(* [tid]'s escrow returns to the pool; committed, its net update joins
-   the value. *)
-let release_escrow e tid ~committed =
+(* [tid]'s escrow returns to the pool, whether it commits or aborts:
+   the manager's commit moves the committed value. *)
+let release_escrow e tid =
   match Hashtbl.find e.holdings tid with
   | exception Not_found -> ()
   | h ->
       Hashtbl.remove e.holdings tid;
       e.total_incr <- e.total_incr - h.incr;
       e.total_decr <- e.total_decr - h.decr;
-      if h.pins then e.pinning <- e.pinning - 1;
-      if committed then e.value <- e.value + h.incr - h.decr
+      if h.pins then e.pinning <- e.pinning - 1
+
+let forget t tid =
+  match t.mode with
+  | Locking -> ()
+  | Escrow e -> release_escrow e tid
+  | Optimistic starts -> Hashtbl.remove starts tid
 
 let commit t tid =
-  (match t.mode with
-  | Locking -> ()
-  | Escrow e -> release_escrow e tid ~committed:true
-  | Optimistic opt ->
-      (match Hashtbl.find opt.opt_ops tid with
-      | ops -> opt.committed <- Op_log.push_rev opt.committed ops
-      | exception Not_found -> ()  (* executed nothing here *));
-      forget_optimistic opt tid);
+  forget t tid;
   Recovery.commit t.recovery tid;
   Lock_table.release t.locks tid
 
 let abort t tid =
-  (match t.mode with
-  | Locking -> ()
-  | Escrow e -> release_escrow e tid ~committed:false
-  | Optimistic opt -> forget_optimistic opt tid);
+  forget t tid;
   Recovery.abort t.recovery tid;
   Lock_table.release t.locks tid
 
 let committed_ops t = Recovery.committed_ops t.recovery
 let holds t = Lock_table.holds t.locks
-let block_count t = t.blocks
 
-(* An escrow value moved by a committed operation. *)
-let net_update value (op : Op.t) =
-  match op.inv.name, op.inv.args with
-  | "incr", [ Value.Int i ] when Value.equal op.res Value.ok -> value + i
-  | "decr", [ Value.Int i ] when Value.equal op.res Value.ok -> value - i
-  | _ -> value
-
-(* The manager checks freshness in O(1) and takes the log over; an
-   optimistic object's validation log fills only on the commits that
-   fill the manager's, and an escrow object's value is the restored
-   operations' net update. *)
-let restore_log t log =
-  let restored = Recovery.restore t.recovery log in
-  (match t.mode, restored with
-  | Escrow e, Ok () -> e.value <- Op_log.fold net_update e.value log
-  | _ -> ());
-  restored
+(* The manager checks freshness in O(1) and takes the log over; every
+   policy reads its committed state from the manager, so nothing else
+   is restored. *)
+let restore_log t log = Recovery.restore t.recovery log
 
 let restore t ops = restore_log t (Op_log.of_list ops)

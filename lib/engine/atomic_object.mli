@@ -21,9 +21,12 @@
       atomicity is local) it shares transactions, logs and shards with
       the other policies.
 
-    A policy's bookkeeping (optimistic validation tables, escrow
-    holdings) lives in one mode field: a locking object allocates
-    neither, so it costs its lock table plus its recovery manager. *)
+    The recovery manager keeps each fact once: optimistic validation
+    reads its committed log and intentions, and an escrow counter its
+    state's [read].  A policy's own bookkeeping (optimistic start
+    positions, escrow holdings) lives in one mode field: a locking
+    object allocates neither, so it costs its lock table plus its
+    recovery manager. *)
 
 open Tm_core
 
@@ -55,26 +58,30 @@ val create :
     deferred-update. *)
 val create_optimistic : spec:Spec.t -> conflict:Conflict.t -> t
 
-(** [create_escrow ~spec ~capacity ~initial] — an escrow object for a
-    {!Tm_adt.Bounded_counter} [spec] with the same bounds: invocations
+(** [create_escrow ~spec ~capacity] — an escrow object for a
+    {!Tm_adt.Bounded_counter} [spec] with the same bound: invocations
     [incr(i)], [decr(i)] ([i > 0]) and [read].  The value can reach any
     point of the interval
 
-    [[ v + own_incr − Σdecr,  v − own_decr + Σincr ]]
+    [[ w − Σdecr,  w + Σincr ]]
 
-    where [v] is the committed value and the sums run over uncommitted
-    updates.  [incr(i) → ok] needs the top plus [i] within [capacity],
-    [→ no] the bottom plus [i] beyond it; [decr(i) → ok] needs the
-    bottom [≥ i], [→ no] the top [< i]; [read → n] needs the point [n].
+    where [w] is what the transaction's own view reads (the committed
+    value plus its own updates) and the sums run over the other holders'
+    uncommitted updates.  [incr(i) → ok] needs the top plus [i] within
+    [capacity], [→ no] the bottom plus [i] beyond it; [decr(i) → ok]
+    needs the bottom [≥ i], [→ no] the top [< i]; [read → n] needs the
+    point [n].
     A read or a [no] pins the value: other transactions' [ok] updates
     wait until the pinning transaction ends.  An invocation that no
     response fits is [Blocked] on the other holders; with none, the
     interval is a point and some response fits.  Granted operations are
     the transaction's intentions in a deferred-update manager, so
     {!committed_ops}, {!restore} and the log's records work as for any
-    object.  Raises [Invalid_argument] if [initial] is outside
-    [[0, capacity]]. *)
-val create_escrow : spec:Spec.t -> capacity:int -> initial:int -> t
+    object.  Raises [Invalid_argument] naming the object unless the
+    spec's initial state reads an integer [initial] in [[0, capacity]]
+    where [incr(capacity − initial)] answers [ok] (if positive) and
+    [incr(capacity − initial + 1)] [no]. *)
+val create_escrow : spec:Spec.t -> capacity:int -> t
 
 val name : t -> string
 
@@ -149,17 +156,13 @@ val abort : t -> Tid.t -> unit
     (the key run-time invariant checked by the test suite). *)
 val committed_ops : t -> Op.t list
 
-(** Current lock holds (for introspection and deadlock reporting). *)
+(** Current lock holds, as {!Lock_table.holds} lists them. *)
 val holds : t -> (Tid.t * Op.t) list
-
-(** Number of conflict checks that came back "blocked" so far. *)
-val block_count : t -> int
 
 (** [restore_log t log] installs [log] (a commit-order sequence, e.g.
     the object's bucket of {!Wal.plan_of}) into a freshly created object
     as already-committed work (directly into the recovery manager's
-    committed state — no transaction id is consumed); an escrow
-    counter's value becomes the log's net update.  [Error] if the object
+    committed state — no transaction id is consumed).  [Error] if the object
     is not fresh or the sequence is not legal — a typed recovery
     violation the caller can report (see {!Recovery.error}).
 

@@ -1,13 +1,11 @@
 open Tm_core
 module Metrics = Tm_obs.Metrics
 
-(* One transaction's holds at the object, newest first, each stamped
-   with a global insertion sequence so {!holds} can still present the
-   table oldest-first across holders.  A hold is one 4-word cell, not a
-   pair in a list cell (6 words). *)
+(* One transaction's holds at the object, newest first.  A hold is one
+   3-word cell, not a pair in a list cell (6 words). *)
 type holds =
   | Nil
-  | Hold of int * Op.t * holds
+  | Hold of Op.t * holds
 
 (* The transactions holding an operation here, newest holder first: one
    4-word entry each, linked in place, so neither a new holder nor a
@@ -22,7 +20,6 @@ type t = {
      first-order loops beats a table: [blockers] skips the requester's
      holds wholesale, and no walk allocates a closure. *)
   mutable holders : holders;
-  mutable next_seq : int;
   (* The attached registry, the object name its series are labelled
      with, and the conflict-pair counters resolved so far (one per
      operation-name pair that has blocked, so at most |ops|^2). *)
@@ -35,7 +32,6 @@ let create conflict =
   {
     conflict;
     holders = No_holder;
-    next_seq = 0;
     reg = None;
     obj = "";
     pairs = Metrics.Handles.empty;
@@ -78,7 +74,7 @@ let note_conflict t ~requested ~held =
    conflicting pair (no short-circuit). *)
 let rec conflicting t requested found = function
   | Nil -> found
-  | Hold (_, op, rest) ->
+  | Hold (op, rest) ->
       if Conflict.conflicts t.conflict ~requested ~held:op then begin
         note_conflict t ~requested ~held:op;
         conflicting t requested true rest
@@ -107,22 +103,19 @@ let rec blocking t requested tid acc = function
 
 let blockers t ~requested ~tid = blocking t requested tid [] t.holders
 
-(* Whether [tid] holds here; if so, [op] joins its holds as number
-   [seq]. *)
-let rec push tid seq op = function
+(* Whether [tid] holds here; if so, [op] joins its holds. *)
+let rec push tid op = function
   | No_holder -> false
   | Holder h ->
       if Tid.equal h.tid tid then begin
-        h.ops <- Hold (seq, op, h.ops);
+        h.ops <- Hold (op, h.ops);
         true
       end
-      else push tid seq op h.next
+      else push tid op h.next
 
 let add t tid op =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  if not (push tid seq op t.holders) then
-    t.holders <- Holder { tid; ops = Hold (seq, op, Nil); next = t.holders }
+  if not (push tid op t.holders) then
+    t.holders <- Holder { tid; ops = Hold (op, Nil); next = t.holders }
 
 (* Unlink [tid]'s entry, which follows [prev] (the first when
    [No_holder]), in place; nothing if [tid] holds nothing here. *)
@@ -136,17 +129,11 @@ let rec unlink t tid prev =
 
 let release t tid = unlink t tid No_holder
 
+(* [tid]'s holds [ops] (newest first), oldest first, before [acc]. *)
+let rec held tid acc = function Nil -> acc | Hold (op, older) -> held tid ((tid, op) :: acc) older
+
 let holds t =
-  let rec stamped tid acc = function
-    | Nil -> acc
-    | Hold (s, op, rest) -> stamped tid ((s, tid, op) :: acc) rest
-  in
-  let rec all acc = function
-    | No_holder -> acc
-    | Holder h -> all (stamped h.tid acc h.ops) h.next
-  in
-  all [] t.holders
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-  |> List.map (fun (_, tid, op) -> (tid, op))
+  let rec all = function No_holder -> [] | Holder h -> held h.tid (all h.next) h.ops in
+  all t.holders
 
 let conflict t = t.conflict

@@ -41,7 +41,8 @@ val add : t -> Tid.t -> Op.t -> unit
 (** [release t tid] drops every operation held by [tid]. *)
 val release : t -> Tid.t -> unit
 
-(** All (transaction, operation) holds, oldest first. *)
+(** All (transaction, operation) holds: holder by holder, the newest
+    holder first, each one's operations in the order it acquired them. *)
 val holds : t -> (Tid.t * Op.t) list
 
 val conflict : t -> Conflict.t

@@ -1,6 +1,7 @@
 (** An append-only sequence of operations: the committed log of a
-    recovery manager ({!Recovery}), of a log's replay state ({!Wal}) and
-    of an optimistic object's validation ({!Atomic_object}).
+    recovery manager ({!Recovery}), which an optimistic object's
+    validation also walks ({!Atomic_object}), and of a log's replay
+    state ({!Wal}).
 
     The operations sit in chunks: the first holds 8, each new one twice
     the last, up to 256, so no chunk is allocated straight in the major

@@ -418,4 +418,10 @@ let record t tid op = match t with Uip u -> record_uip tid op u | Du d -> record
 let commit t tid = match t with Uip u -> commit_uip t tid u | Du d -> commit_du t tid d
 let abort t tid = match t with Uip u -> abort_uip t tid u | Du d -> abort_du t tid d
 let restore t log = match t with Uip u -> restore_uip log u | Du d -> restore_du log d
-let committed_ops = function Uip u -> Op_log.to_list u.log | Du d -> Op_log.to_list d.log
+let committed_log = function Uip u -> u.log | Du d -> d.log
+let committed_ops t = Op_log.to_list (committed_log t)
+
+let intentions t tid =
+  match t with
+  | Uip u -> ( match find_live tid u.live with Live e -> e.mine | No_live -> [])
+  | Du d -> ( match find_txn tid d.txns with Txn e -> e.ops | No_txn -> [])

@@ -123,6 +123,14 @@ val restore : t -> Op_log.t -> (unit, error) result
     each call, and the manager keeps the operations in an {!Op_log}. *)
 val committed_ops : t -> Op.t list
 
+(** The committed log itself, restored operations first, not a copy:
+    read it only (a push would change what the manager has committed). *)
+val committed_log : t -> Op_log.t
+
+(** [intentions t tid] is [tid]'s uncommitted operations here, newest
+    first: the manager's own list, [[]] for none. *)
+val intentions : t -> Tid.t -> Op.t list
+
 (** [attach_metrics t reg] makes the manager count recovery work in
     [reg], labelled by the object (spec) name: committed operations
     ([tm_recovery_committed_ops_total{obj}]), operations undone on a UIP

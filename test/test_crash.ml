@@ -779,7 +779,7 @@ let till =
 
 let rebuild_escrow () =
   [
-    Atomic_object.create_escrow ~spec:stock_spec ~capacity:20 ~initial:10;
+    Atomic_object.create_escrow ~spec:stock_spec ~capacity:20;
     Atomic_object.create ~spec:(Spec.rename (BA.spec_with_initial 100) till)
       ~conflict:BA.nrbc_conflict ~recovery:Recovery.UIP ();
   ]

@@ -21,14 +21,16 @@ let exec o tid inv =
   | out -> Alcotest.failf "expected execution, got %a" Atomic_object.pp_outcome out
 
 let test_never_blocks () =
-  let o = make_occ () in
+  let o = make_occ () and reg = Tm_obs.Metrics.create () in
+  Atomic_object.attach_metrics o reg;
   (* Two concurrent successful withdrawals: locking DU+NFC would block
      the second; optimistic executes both. *)
   let op1 = exec o Tid.a (withdraw_inv 10) in
   let op2 = exec o Tid.b (withdraw_inv 10) in
   Alcotest.check Helpers.op "first" (BA.withdraw_ok 10) op1;
   Alcotest.check Helpers.op "second" (BA.withdraw_ok 10) op2;
-  Helpers.check_int "no blocks counted" 0 (Atomic_object.block_count o)
+  Helpers.check_int "no blocks counted" 0
+    (Tm_obs.Metrics.counter_total reg "tm_object_blocked_total")
 
 let test_validation_catches_conflict () =
   let o = make_occ () in
