@@ -302,8 +302,8 @@ let load ?shard ?profile storage =
         Profile.note_bytes_scanned p (String.length bytes);
         bytes
   in
-  (* The sink is installed first, and [Wal.restore] does not forward to
-     it, so nothing decoded below is re-persisted. *)
+  (* The sink is installed first, and [Wal.restore_frames] does not
+     forward to it, so nothing read below is re-persisted. *)
   let t = make ?shard storage in
   (* Resolve an interrupted compaction first: a half-installed image
      makes the raw bytes look arbitrarily damaged, so the journal — not
@@ -329,19 +329,19 @@ let load ?shard ?profile storage =
   | Error _ as e -> e
   | Ok bytes -> (
       (* One walk verifies every frame and builds nothing; a second
-         decodes only the frames from the last checkpoint on, straight
-         into the log's replay state, so no record list is built and the
-         prefix the checkpoint stands for is paid for by its checksums
-         alone.  An intent surviving in the stream means the journal
-         write itself was cut short (a complete journal was resolved
-         above): the compaction never committed, so the log is exactly
-         the records before the intent — roll it back by restoring none
-         of the rest.  The frames after it are still verified, so a torn
-         tail or interior corruption there gets the same verdict as
-         anywhere else.  [end_off] is the intent's byte offset as the
-         walk reports it, which holds for a log that mixes frame
-         versions too (v1 or v2 frames persisted by an older binary, v3
-         appends after them). *)
+         steps the log's replay state from the bytes of the frames from
+         the last checkpoint on, so no record or record list is built
+         and the prefix the checkpoint stands for is paid for by its
+         checksums alone.  An intent surviving in the stream means the
+         journal write itself was cut short (a complete journal was
+         resolved above): the compaction never committed, so the log is
+         exactly the records before the intent — roll it back by
+         restoring none of the rest.  The frames after it are still
+         verified, so a torn tail or interior corruption there gets the
+         same verdict as anywhere else.  [end_off] is the intent's byte
+         offset as the walk reports it, which holds for a log that mixes
+         frame versions too (v1 or v2 frames persisted by an older
+         binary, v3 appends after them). *)
       let scan =
         {
           intent = -1;
@@ -358,11 +358,9 @@ let load ?shard ?profile storage =
       | Error _ as e -> e
       | Ok (clean_bytes, _) ->
           let upto = if scan.intent < 0 then clean_bytes else scan.intent in
-          Wal.restore_superseded t.wal ~records:scan.superseded ~commits:scan.superseded_commits
-            ~next_tid:scan.superseded_hwm;
-          Wal.Codec.decode_verified ?profile
-            (fun _ r -> Wal.restore ?profile t.wal r)
-            bytes ~from:(Int.max 0 scan.checkpoint) ~upto;
+          Wal.restore_frames ?profile t.wal ~superseded:scan.superseded
+            ~superseded_commits:scan.superseded_commits ~superseded_hwm:scan.superseded_hwm bytes
+            ~from:(Int.max 0 scan.checkpoint) ~upto;
           (* A torn tail is dropped logically: [end_off] points at the
              intact prefix, and the next append overwrites the debris. *)
           t.end_off <- upto;

@@ -73,21 +73,24 @@ val create : ?shard:int -> Storage.t -> t
     walks.  The first verifies every frame — header, CRC and a walk of
     its payload that makes every check a decode makes — and builds
     nothing ({!Wal.Codec.verify_frames}); each CRC is computed there
-    once.  The second decodes only the frames from the last [Checkpoint]
-    on ({!Wal.Codec.decode_verified}) and passes each to {!Wal.restore}:
-    the redo log's checkpoint stands for everything before it, so the
-    frames before it are taken in by {!Wal.restore_superseded}, counted
-    toward the log's length, LSNs and tid high-water mark but neither
-    decoded nor stepped.  The loaded log holds the replay state
+    once.  The second, one call of {!Wal.restore_frames}, steps the
+    log's replay state from the bytes of the frames from the last
+    [Checkpoint] on, building no [Operation] or [Commit] record and no
+    list of the checkpoint's committed operations: the redo log's
+    checkpoint stands for everything before it, so the frames before it
+    count toward the log's length, LSNs and tid high-water mark but are
+    neither decoded nor stepped.  The same call runs with and without
+    [profile].  The loaded log holds the replay state
     {!Shard.recover} reads and no records, the same state a
     decode of every frame would give.  A torn or corrupt tail is
     truncated (crash loss; recovery proceeds); interior corruption is
     returned as [Error] with its byte offset — never skipped — wherever
     it lies.  With [profile], the storage read is charged to the restart
     profiler's storage-scan phase, both walks to the frame-decode and
-    checksum-verify phases, and stepping the replay state to the
-    log-scan / checkpoint-seed phases; every verified frame counts as
-    decoded, and only the stepped records count as scanned.
+    checksum-verify phases, stepping the replay state to the log-scan
+    phase, and decoding and seeding the checkpoint to the
+    checkpoint-seed phase; every verified frame counts as decoded, and
+    only the stepped frames count as scanned records.
 
     An interrupted compaction is resolved before decoding:
     a {e complete} compaction journal (intent frame + verified image) is

@@ -63,13 +63,16 @@ let check_shard_count n =
   if n > max_shards then
     invalid_arg (Fmt.str "Sharded_database: %d shards exceed the frame header's %d" n max_shards)
 
+(* The router: a stable hash of the name, the same in every run. *)
+let home_shard ~shards name = Hashtbl.hash name mod shards
+
 (* Route the object list to per-shard lists, preserving input order
    within each shard — the same assignment {!recover} must reproduce. *)
 let partition_objects ~shards:n objs =
   let parts = Array.make n [] in
   List.iter
     (fun o ->
-      let s = Wal.partition_of_object ~workers:n (Atomic_object.name o) in
+      let s = home_shard ~shards:n (Atomic_object.name o) in
       parts.(s) <- o :: parts.(s))
     objs;
   Array.map List.rev parts
@@ -82,8 +85,7 @@ let create ?first_tid ~wals objs =
 
 let shards t = t.shards
 
-let shard_of_object t name =
-  Wal.partition_of_object ~workers:(Array.length t.shards) name
+let shard_of_object t name = home_shard ~shards:(Array.length t.shards) name
 
 let find_object t name =
   Database.find_object (Shard.database t.shards.(shard_of_object t name)) name

@@ -5,7 +5,7 @@
     lock tables and atomic objects, its own WAL (stamped with the
     shard's id in every frame when disk-backed — see {!Disk_wal}),
     and its own group-commit flusher.  A router hashes object name to
-    home shard ({!Wal.partition_of_object}, a stable hash of the name),
+    home shard ({!home_shard}, a stable hash of the name),
     so a transaction that touches one shard commits through the
     existing fast path — {!Shard.try_commit_nowait} under
     that shard's mutex, the durability wait outside it — with {e zero}
@@ -79,8 +79,14 @@ type t
     header). *)
 val create : ?first_tid:int -> wals:Wal.t array -> Atomic_object.t list -> t
 
-(** The home shard of an object name:
-    [Wal.partition_of_object ~workers:n name] over the [n] shards. *)
+(** [home_shard ~shards name] — the shard, of [shards], that holds the
+    object [name]: [Hashtbl.hash name mod shards], the same in every
+    run, so {!create} and {!recover} route alike and a test can tell
+    where an object lives before building the engine. *)
+val home_shard : shards:int -> string -> int
+
+(** The home shard of an object name: {!home_shard} over [t]'s
+    shards. *)
 val shard_of_object : t -> string -> int
 
 (** The shards themselves, indexed by shard id — for tests, torture

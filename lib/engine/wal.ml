@@ -131,82 +131,96 @@ let finish st tid ~commit =
     end
   end
 
-let step profile st = function
-  | Begin tid ->
+(* One step per record kind.  A record step ({!step}: appends,
+   {!of_records}) and the frame step of a load ({!Codec.step_frame})
+   both call these, so a record decoded from its frame steps the state
+   exactly as the record itself would. *)
+
+let step_begin st tid =
+  note st tid;
+  open_txn st tid
+
+let step_operation st tid op =
+  note st tid;
+  Hashtbl.replace st.pending tid (op :: txn_ops st tid)
+
+let step_commit st tid =
+  note st tid;
+  st.committed <- Op_log.push_rev st.committed (txn_ops st tid);
+  finish st tid ~commit:true
+
+let step_abort st tid =
+  note st tid;
+  finish st tid ~commit:false
+
+(* A prepared transaction voted yes in a cross-shard commit but this
+   shard's log alone cannot tell the outcome.  Plain replay treats it
+   exactly like any other unfinished transaction — presumed abort — so
+   a participant whose coordinator never decided loses nothing it was
+   entitled to keep.  {!Sharded_database.recover} resolves in-doubt
+   transactions against the other shards' logs {e before} replay by
+   appending the real outcome record, read from this state
+   ({!in_doubt}). *)
+let step_prepare st tid =
+  note st tid;
+  open_txn st tid;
+  if find_in_doubt st tid 0 < 0 then begin
+    Tid_bits.add st.prepared tid;
+    push_in_doubt st tid
+  end
+
+(* The coordinator's 2PC outcome record.  It is pure coordination
+   state: it must NOT mark the transaction as locally begun — on the
+   coordinator's own shard the transaction also logs its local
+   Prepare/Commit records, and a shard that only coordinated (no local
+   ops) must not grow a phantom loser. *)
+let step_decision st tid ~commit =
+  note st tid;
+  Tid_bits.add st.decided tid;
+  if commit then Tid_bits.add st.commit_evidence tid
+
+(* A checkpoint's snapshot stands for the whole prefix: committed
+   operations and the logs of transactions that were in flight when it
+   was taken.  Everything else about the prefix is forgotten.  The
+   state takes [committed] over. *)
+let seed st ~committed ~live ~next_tid =
+  st.committed <- committed;
+  Hashtbl.reset st.pending;
+  Tid_bits.clear st.finished;
+  (* No 2PC outcome spans a checkpoint: {!Sharded_database.checkpoint}
+     forces every shard and refuses while a cross-shard transaction is
+     between its first prepare and its completion, so nothing is in
+     doubt here and no later resolution needs the evidence of a
+     transaction the snapshot already settled. *)
+  List.iter Tid_bits.clear [ st.prepared; st.decided; st.phase2; st.commit_evidence ];
+  st.n_in_doubt <- 0;
+  List.iter
+    (fun (tid, ops) ->
       note st tid;
-      open_txn st tid
-  | Operation (tid, op) ->
-      note st tid;
-      Hashtbl.replace st.pending tid (op :: txn_ops st tid)
-  | Commit tid ->
-      note st tid;
-      st.committed <- Op_log.push_rev st.committed (txn_ops st tid);
-      finish st tid ~commit:true
-  | Abort tid ->
-      note st tid;
-      finish st tid ~commit:false
+      match ops with
+      | [] -> open_txn st tid
+      | _ -> Hashtbl.replace st.pending tid (List.rev ops))
+    live;
+  st.hwm <- max st.hwm next_tid
+
+let step st = function
+  | Begin tid -> step_begin st tid
+  | Operation (tid, op) -> step_operation st tid op
+  | Commit tid -> step_commit st tid
+  | Abort tid -> step_abort st tid
   | Truncate_intent _ ->
       (* A compaction journal marker; {!Disk_wal.load} resolves it
          before the log reaches replay, but a decoded stray is
          harmless — it carries no transaction state. *)
       ()
-  | Prepare tid ->
-      (* A prepared transaction voted yes in a cross-shard commit but
-         this shard's log alone cannot tell the outcome.  Plain replay
-         treats it exactly like any other unfinished transaction —
-         presumed abort — so a participant whose coordinator never
-         decided loses nothing it was entitled to keep.
-         {!Sharded_database.recover} resolves in-doubt transactions
-         against the other shards' logs {e before} replay by appending
-         the real outcome record, read from this state ({!in_doubt}). *)
-      note st tid;
-      open_txn st tid;
-      if find_in_doubt st tid 0 < 0 then begin
-        Tid_bits.add st.prepared tid;
-        push_in_doubt st tid
-      end
-  | Decision { tid; commit } ->
-      (* The coordinator's 2PC outcome record.  It is pure coordination
-         state: it must NOT mark the transaction as locally begun — on
-         the coordinator's own shard the transaction also logs its
-         local Prepare/Commit records, and a shard that only
-         coordinated (no local ops) must not grow a phantom loser. *)
-      note st tid;
-      Tid_bits.add st.decided tid;
-      if commit then Tid_bits.add st.commit_evidence tid
+  | Prepare tid -> step_prepare st tid
+  | Decision { tid; commit } -> step_decision st tid ~commit
   | Checkpoint cp ->
-      (* The snapshot stands for the whole prefix: committed operations
-         and the logs of transactions that were in flight when it was
-         taken.  Everything else about the prefix is forgotten. *)
-      let seed () =
-        st.committed <- List.fold_left Op_log.push Op_log.empty cp.committed;
-        Hashtbl.reset st.pending;
-        Tid_bits.clear st.finished;
-        (* No 2PC outcome spans a checkpoint: {!Sharded_database.checkpoint}
-           forces every shard and refuses while a cross-shard transaction
-           is between its first prepare and its completion, so nothing is
-           in doubt here and no later resolution needs the evidence of a
-           transaction the snapshot already settled. *)
-        List.iter Tid_bits.clear [ st.prepared; st.decided; st.phase2; st.commit_evidence ];
-        st.n_in_doubt <- 0;
-        List.iter
-          (fun (tid, ops) ->
-            note st tid;
-            match ops with
-            | [] -> open_txn st tid
-            | _ -> Hashtbl.replace st.pending tid (List.rev ops))
-          cp.live;
-        st.hwm <- max st.hwm cp.next_tid
-      in
-      (match profile with
-      | None -> seed ()
-      | Some p ->
-          Profile.note_checkpoint_seed p ~ops:(List.length cp.committed);
-          Profile.time p Profile.Checkpoint_seed seed)
+      seed st ~committed:(Op_log.of_list cp.committed) ~live:cp.live ~next_tid:cp.next_tid
 
 let state_of recs =
   let st = empty_state () in
-  List.iter (step None st) recs;
+  List.iter (step st) recs;
   st
 
 (* [f] over every transaction with records and no outcome: the ones
@@ -464,8 +478,8 @@ let mark_all_flushed t =
    it; [durable] moves the watermark with it (a record read back from
    storage).  Counter updates are taken under [flush_lock] so a
    concurrent flusher's snapshot is consistent. *)
-let admit ~durable profile t r =
-  step profile t.state r;
+let admit ~durable t r =
+  step t.state r;
   (match t.sink with None -> t.records_rev <- r :: t.records_rev | Some _ -> ());
   t.count <- t.count + 1;
   Mutex.lock t.flush_lock;
@@ -484,7 +498,7 @@ let append t r =
      that snapshots [appended] and forces is guaranteed to have covered
      every numbered record. *)
   (match t.sink with None -> () | Some s -> s.sink_append r);
-  admit ~durable:false None t r;
+  admit ~durable:false t r;
   match t.metrics with
   | None -> ()
   | Some m ->
@@ -501,27 +515,7 @@ let append t r =
       in
       Metrics.Counter.incr appends
 
-let restore ?profile t r =
-  match profile with
-  | None -> admit ~durable:true None t r
-  | Some p ->
-      Profile.note_records_scanned p 1;
-      Profile.time_excluding p Profile.Log_scan (fun () -> admit ~durable:true profile t r)
-
-(* What stepping the records would have left of them once the checkpoint
-   after them is restored: their count, their commits and the tid mark. *)
-let restore_superseded t ~records ~commits ~next_tid =
-  (match t.sink with
-  | None -> invalid_arg "Wal.restore_superseded: a sink-less log holds its records itself"
-  | Some _ -> ());
-  t.state.hwm <- Int.max t.state.hwm next_tid;
-  t.count <- t.count + records;
-  Mutex.lock t.flush_lock;
-  t.appended <- t.appended + records;
-  t.commits_appended <- t.commits_appended + commits;
-  t.flushed <- t.appended;
-  t.commits_flushed <- t.commits_appended;
-  Mutex.unlock t.flush_lock
+let restore t r = admit ~durable:true t r
 
 let of_records recs =
   let t = create () in
@@ -821,6 +815,15 @@ module Codec = struct
      operation in eight, and one that starts repeating gets it back
      within eight windows.
 
+     The cache shares strings too.  An operation it must build (a miss,
+     or any operation while the cache stands idle) takes each short
+     string, an object name, an operation name or a [Str] value, from a
+     second direct-mapped table, keyed by the string's own bytes: a log
+     names few objects and operations, so their names are built once a
+     pass, however varied the arguments around them.  The table of
+     strings does not go idle; a lookup costs a hash of at most
+     [max_shared] bytes, and a hit saves a string of two or more words.
+
      A short log decodes without a cache.  Its decoded records are small,
      so sharing saves little, and the lookups would slow the many short
      loads of crash testing, which decode only logs of a few KB. *)
@@ -837,12 +840,17 @@ module Codec = struct
      table of [window] slots at 64 bytes a slot. *)
   let min_cached = 64 * window
 
+  (* The longest string the cache shares, and its slots for strings. *)
+  let max_shared = 32
+  let str_slots = 1024
+
   type memo = {
     op_off : int array;
     op_key : int array;
         (* the encoding's length, doubled, plus 1 for fixed-width
            integers; 0: empty, as no operation encodes to no bytes *)
     ops : Op.t array;
+    strs : string array;  (* "": empty, as no shared string is empty *)
     mutable lookups : int;  (* in the current window *)
     mutable hits : int;  (* in the current window *)
     mutable idle : int;  (* operations still to build without a lookup *)
@@ -865,6 +873,7 @@ module Codec = struct
       op_off = Array.make n 0;
       op_key = Array.make n 0;
       ops = Array.make n none;
+      strs = Array.make str_slots "";
       lookups = 0;
       hits = 0;
       idle = 0;
@@ -916,14 +925,15 @@ module Codec = struct
     let n = get_int r in
     if n < 0 || n > r.stop - r.pos then raise (Bad "implausible length") else n
 
-  (* Do bytes [a, a + len) and [b, b + len) of [s] match?  A word at a
-     time, and allocating nothing. *)
-  let rec same s a b len =
+  (* Do bytes [a, a + len) of [s] and [b, b + len) of [u] match?  A
+     word at a time, and allocating nothing. *)
+  let rec same s a u b len =
     if len >= 8 then
-      (String.get_int64_le s a : int64) = String.get_int64_le s b
-      && same s (a + 8) (b + 8) (len - 8)
+      (String.get_int64_le s a : int64) = String.get_int64_le u b
+      && same s (a + 8) u (b + 8) (len - 8)
     else
-      len = 0 || (String.unsafe_get s a = String.unsafe_get s b && same s (a + 1) (b + 1) (len - 1))
+      len = 0
+      || (String.unsafe_get s a = String.unsafe_get u b && same s (a + 1) u (b + 1) (len - 1))
 
   (* A hash of bytes [i, stop) of [s], a word at a time, each step
      folding high bits down so every byte reaches the low bits a slot
@@ -937,10 +947,27 @@ module Codec = struct
     else if i < stop then hash s (i + 1) stop (mix h (Char.code (String.unsafe_get s i)))
     else h
 
+  (* The string of bytes [p, p + n) of the source, shared through the
+     cache's table of strings. *)
+  let shared_string m src p n =
+    let slot = hash src p (p + n) n land (str_slots - 1) in
+    let s = Array.unsafe_get m.strs slot in
+    if String.length s = n && same s 0 src p n then s
+    else begin
+      let s = String.sub src p n in
+      Array.unsafe_set m.strs slot s;
+      s
+    end
+
   let get_string r =
     let n = get_len r in
-    r.pos <- r.pos + n;
-    if r.build then String.sub r.src (r.pos - n) n else ""
+    let p = r.pos in
+    r.pos <- p + n;
+    if not r.build || n = 0 then ""
+    else
+      match r.memo with
+      | Some m when n <= max_shared -> shared_string m r.src p n
+      | _ -> String.sub r.src p n
 
   let[@tail_mod_cons] rec get_n get r n =
     if n = 0 then [] else let x = get r in x :: get_n get r (n - 1)
@@ -998,7 +1025,7 @@ module Codec = struct
         let key = (2 * len) + Bool.to_int r.fixed in
         let hit =
           Array.unsafe_get m.op_key slot = key
-          && same r.src (Array.unsafe_get m.op_off slot) start len
+          && same r.src (Array.unsafe_get m.op_off slot) r.src start len
         in
         if hit then m.hits <- m.hits + 1;
         m.lookups <- m.lookups + 1;
@@ -1245,12 +1272,13 @@ module Codec = struct
         | Error _ -> ());
         result
 
-  (* The decode loop over frames [verify_frames] passed.  One reader, with
-     the pass's decode cache if the run is long enough for one, serves
-     every frame, and each decoded record goes to [f] with its frame's
-     byte offset: the loop itself keeps no record. *)
-  let decode_verified ?profile f s ~from ~upto =
-    let fail () = invalid_arg "Wal.Codec.decode_verified: not a run of verified frames" in
+  (* The frame loop over a run of frames [verify_frames] passed.  One
+     reader, with the pass's decode cache if the run is long enough for
+     one, serves every frame: [body pos r] reads the frame at [pos],
+     [r] having entered its payload, and must read it to its end.  The
+     loop keeps nothing. *)
+  let run_frames ?profile body s ~from ~upto =
+    let fail () = invalid_arg "Wal.Codec: not a run of verified frames" in
     if from < 0 || upto > String.length s || from > upto then fail ();
     let memo = if upto - from < min_cached then None else Some (new_memo (upto - from)) in
     let r = reader ?memo ~build:true s from in
@@ -1259,9 +1287,8 @@ module Codec = struct
         let n = check_header s pos in
         if n < 0 then fail ();
         enter r pos n;
-        let record = get_record r in
+        body pos r;
         if r.pos <> r.stop then fail ();
-        f pos record;
         frames r.stop
       end
       else if pos > upto then fail ()
@@ -1271,6 +1298,57 @@ module Codec = struct
     | None -> go ()
     | Some p -> Profile.time_excluding p Profile.Frame_decode go
 
+  let decode_verified ?profile f s ~from ~upto =
+    run_frames ?profile (fun pos r -> f pos (get_record r)) s ~from ~upto
+
+  (* A checkpoint's committed operations, decoded straight into a log. *)
+  let rec push_ops r log n = if n = 0 then log else push_ops r (Op_log.push log (get_op r)) (n - 1)
+
+  (* With a profile, a step is charged to the log scan. *)
+  let scan1 profile f st a =
+    match profile with
+    | None -> f st a
+    | Some p -> Profile.time_excluding p Profile.Log_scan (fun () -> f st a)
+
+  let scan2 profile f st a b =
+    match profile with
+    | None -> f st a b
+    | Some p -> Profile.time_excluding p Profile.Log_scan (fun () -> f st a b)
+
+  (* Step [st] by the frame [r] has entered, building only what the
+     state keeps: an [Operation] is read as its tid and its operation,
+     a [Commit] as its tid, and a [Checkpoint]'s committed operations go
+     straight into the log its seed takes over, so none of them builds
+     a record or a list.  The rarer kinds are decoded as records.
+     Returns 1 for a [Commit], else 0.  With a profile, a checkpoint's
+     decode and seed are charged to the seeding phase. *)
+  let step_frame profile st r =
+    match get_byte r with
+    | 1 ->
+        let tid = get_tid r in
+        scan2 profile step_operation st tid (get_op r);
+        0
+    | 2 ->
+        scan1 profile step_commit st (get_tid r);
+        1
+    | 4 ->
+        let seed_frame () =
+          let committed = push_ops r Op_log.empty (get_len r) in
+          let live = get_list get_live r in
+          seed st ~committed ~live ~next_tid:(get_int r);
+          Op_log.length committed
+        in
+        (match profile with
+        | None -> ignore (seed_frame ())
+        | Some p ->
+            let ops = Profile.time p Profile.Checkpoint_seed seed_frame in
+            Profile.note_checkpoint_seed p ~ops);
+        0
+    | _ ->
+        r.pos <- r.pos - 1;
+        scan1 profile step st (get_record r);
+        0
+
   let decode_all s =
     match verify_frames (fun _ _ _ -> ()) s with
     | Error c -> Error c
@@ -1279,3 +1357,30 @@ module Codec = struct
         decode_verified (fun _ record -> rev := record :: !rev) s ~from:0 ~upto:clean_bytes;
         Ok { records = List.rev !rev; clean_bytes; torn }
 end
+
+(* Take in a load's frames: the [superseded] frames before [from], of
+   which [superseded_commits] are commits and whose tids lie below
+   [superseded_hwm], count without a step, and the frames from [from]
+   to [upto] are stepped from their bytes.  A load is one thread's
+   until it returns, so the counters move once, at the end. *)
+let restore_frames ?profile t ~superseded ~superseded_commits ~superseded_hwm s ~from ~upto =
+  (match t.sink with
+  | None -> invalid_arg "Wal.restore_frames: a sink-less log holds its records itself"
+  | Some _ -> ());
+  let st = t.state in
+  st.hwm <- Int.max st.hwm superseded_hwm;
+  let frames = ref 0 and commits = ref 0 in
+  Codec.run_frames ?profile
+    (fun _ r ->
+      incr frames;
+      commits := !commits + Codec.step_frame profile st r)
+    s ~from ~upto;
+  (match profile with None -> () | Some p -> Profile.note_records_scanned p !frames);
+  let records = superseded + !frames in
+  t.count <- t.count + records;
+  Mutex.lock t.flush_lock;
+  t.appended <- t.appended + records;
+  t.commits_appended <- t.commits_appended + superseded_commits + !commits;
+  t.flushed <- t.appended;
+  t.commits_flushed <- t.commits_appended;
+  Mutex.unlock t.flush_lock

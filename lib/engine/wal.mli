@@ -12,15 +12,16 @@
     finished tids and the tid high-water mark, and, for two-phase
     commit, the prepares still in doubt and the outcome evidence the log
     holds.  A log keeps that state, not its records: every {!append}
-    (once the sink holds the record) and every record {!Disk_wal.load}
-    decodes from the last checkpoint on steps it, so a restart, a
+    (once the sink holds the record) and every frame {!Disk_wal.load}
+    reads from the last checkpoint on ({!restore_frames}) steps it, so a restart, a
     checkpoint or the 2PC resolution of a sharded restart reads it in
     O(state) instead of rescanning the log ({!plan_of},
     {!checkpoint_of}, {!in_flight}, {!in_doubt}).  {!replay}, {!max_tid}
     and {!plan} are the same fold over a record list.  The state's committed
     operations are an {!Op_log}, about one word per operation: a
     [Commit] pushes the transaction's operations and a checkpoint's seed
-    pushes its [committed] list, and only {!replay} and a snapshot
+    takes a log of its [committed] operations over (a load decodes them
+    straight into it), and only {!replay} and a snapshot
     ({!checkpoint_of}) build a list of them.  The
     log still grows with every committed operation.
 
@@ -187,24 +188,47 @@ val append : t -> record -> unit
 
 (** [restore t r] takes in a record that stable storage already holds:
     as {!append}, but [r] is not handed to the sink and counts as
-    durable.  {!Disk_wal.load} calls it on every frame from the log's
-    last checkpoint on.  With [profile], the step is charged to the log
-    scan (seeding a checkpoint to its own phase) and counted as a
-    scanned record. *)
-val restore : ?profile:Tm_obs.Recovery_profile.t -> t -> record -> unit
+    durable.  {!of_records} calls it on every record. *)
+val restore : t -> record -> unit
 
-(** [restore_superseded t ~records ~commits ~next_tid] takes in
-    [records] records that stable storage holds before a [Checkpoint]
-    the caller restores next, without stepping them: the checkpoint
-    stands for their replay state.  They count toward {!length}, as
-    durable toward {!last_lsn} and {!flushed_lsn}, and [commits] of them
-    as commit records; [next_tid], the first tid above every tid they
-    mention (a checkpoint's [next_tid] as it stands), raises the tid
-    high-water mark, which stays the maximum over every record.
-    {!Disk_wal.load} calls it once for the prefix it only verifies.
+(** [restore_frames t ~superseded ~superseded_commits ~superseded_hwm s
+    ~from ~upto] takes in a log that stable storage holds as the bytes
+    [s], every frame of which {!Codec.verify_frames} passed: the
+    [superseded] frames before byte [from], which a [Checkpoint] at
+    [from] stands for, and the frames from [from] up to [upto].
+
+    The superseded frames are not stepped.  They count toward {!length},
+    as durable toward {!last_lsn} and {!flushed_lsn}, and
+    [superseded_commits] of them as commit records; [superseded_hwm],
+    the first tid above every tid they mention (a checkpoint's
+    [next_tid] as it stands), raises the tid high-water mark, which
+    stays the maximum over every record.
+
+    The frames from [from] on step the replay state straight from their
+    bytes, as {!restore} of their decoded records would: an [Operation]
+    is read as its tid and operation, a [Commit] as its tid, and a
+    checkpoint's committed operations go straight into the state's
+    {!Op_log}, so none of these builds a record or a list.  The pass
+    reads through the decode cache {!Codec.decode_verified} uses.
+    {!Disk_wal.load} calls it once, with the last checkpoint's offset as
+    [from] (0 without one).
+
+    With [profile], the pass is charged to the frame-decode phase, each
+    step to the log scan, and a checkpoint's decode and seed to its own
+    phase; every frame from [from] on counts as a scanned record.
     Raises [Invalid_argument] on a sink-less log, which holds its
-    records itself. *)
-val restore_superseded : t -> records:int -> commits:int -> next_tid:int -> unit
+    records itself, or where the bytes do not parse as a run of
+    verified frames. *)
+val restore_frames :
+  ?profile:Tm_obs.Recovery_profile.t ->
+  t ->
+  superseded:int ->
+  superseded_commits:int ->
+  superseded_hwm:int ->
+  string ->
+  from:int ->
+  upto:int ->
+  unit
 
 (** The record kinds as lower-case labels (metrics, traces, forensics),
     indexed by tag, payload byte 0: ["begin"] is 0, ["decision"] 7. *)
@@ -236,7 +260,8 @@ val truncate_to_checkpoint : t -> int
 (** {2 The replay state}
 
     What the log reads back to, kept up to date by {!append} and
-    {!restore}.  Each read costs O(state), never a scan of the log. *)
+    {!restore} and {!restore_frames}.  Each read costs O(state), never
+    a scan of the log. *)
 
 (** [in_flight t tid] — does the log hold records of [tid] ([Begin],
     [Operation] or [Prepare]) and no [Commit] or [Abort] for it?  What
@@ -330,8 +355,9 @@ type plan = {
 }
 
 (** [partition_of_object ~workers name] — [Hashtbl.hash name mod
-    workers], deterministic across runs: the shard router of
-    {!Sharded_database}. *)
+    workers], deterministic across runs.  It is
+    {!Sharded_database.home_shard} under its old name, kept only for the
+    benchmark's probes and workloads, which still call it. *)
 val partition_of_object : workers:int -> string -> int
 
 (** [plan_of t] = [plan ~workers:1 (records t)], read from the state:
@@ -396,15 +422,21 @@ val plan : workers:int -> record list -> plan
     record (its strings, lists and values); {!Codec.verify_frames}
     checks a frame and allocates nothing, {!Codec.decode_verified} hands
     each record on, and {!Codec.decode_all} adds the cells of the list
-    it returns.  A decode of 64 KB or more shares what
-    repeats: {!Codec.decode_verified} keeps a bounded, direct-mapped cache
-    for the pass, keyed by each operation's encoded bytes in the source,
-    so an operation equal to one still in the cache is not rebuilt but
-    shared ([==]).  A miss copies no key.  The cache watches its hit
-    rate and stands idle through a stretch of the log that does not
-    repeat, so a log of distinct operations pays for lookups on only
-    about one operation in eight.  A shorter log, {!Codec.decode_frame}
-    and {!Codec.valid_frame_after} have no cache.  None of this shows in
+    it returns.  {!restore_frames} builds no record at all for an
+    [Operation], [Commit] or [Checkpoint] frame: it steps a log's state
+    from the bytes.  A pass over 64 KB or more of frames
+    ({!Codec.decode_verified}, {!restore_frames}) shares what repeats:
+    it keeps a bounded, direct-mapped cache, keyed by each operation's
+    encoded bytes in the source, so an operation equal to one still in
+    the cache is not rebuilt but shared ([==]).  A miss copies no key.
+    The cache watches its hit rate and stands idle through a stretch of
+    the log that does not repeat, so a log of distinct operations pays
+    for lookups on only about one operation in eight.  An operation the
+    pass does build takes its short strings (object and operation
+    names, [Str] values of up to 32 bytes) from a second table keyed by
+    the string's bytes, so equal names are shared too.  A shorter log,
+    {!Codec.decode_frame} and {!Codec.valid_frame_after} have no
+    cache.  None of this shows in
     the bytes: every frame must match the plain two-buffer
     encoder kept as the oracle in [test/codec_reference.ml]. *)
 module Codec : sig
@@ -557,11 +589,13 @@ module Codec : sig
       builds no list and computes no CRC.  Frames are read in place as
       by {!decode_frame}, but with no per-frame [Ok], header record or
       reader, and through the pass's decode cache: a frame costs its
-      record, less an operation it shares with an earlier frame.
-      {!Disk_wal.load} decodes only from the log's last checkpoint on.
-      With [profile], the decode (net of what [f] charges to other
-      phases) is charged to the frame-decode phase.  Raises
-      [Invalid_argument] where the bytes do not parse as such a run. *)
+      record, less the operation and strings it shares with earlier
+      frames.  {!Wal_inspect} and {!decode_all} read logs with it;
+      restart does not build records ({!restore_frames} runs the same
+      frame loop, stepping a log's state instead).  With [profile], the
+      decode (net of what [f] charges to other phases) is charged to the
+      frame-decode phase.  Raises [Invalid_argument] where the bytes do
+      not parse as such a run. *)
   val decode_verified :
     ?profile:Tm_obs.Recovery_profile.t ->
     (int -> record -> unit) ->
@@ -574,8 +608,9 @@ module Codec : sig
       intact prefix, collecting the records: [Ok] with the decoded
       records (and possibly a truncated torn tail), or [Error] on
       interior corruption.  A clean frame costs what {!decode_verified}
-      builds for it and two list cells.  Restart does not use it:
-      {!Disk_wal.load} decodes only the frames from the last checkpoint
-      on, straight into the log's state. *)
+      builds for it and two list cells.  {!records} of a {!Disk_wal}
+      log reads through it; restart does not: {!Disk_wal.load} steps
+      the log's state from the frames from the last checkpoint on
+      ({!restore_frames}). *)
   val decode_all : string -> (decoded, corruption) result
 end

@@ -5,9 +5,9 @@
     threaded through the whole path.  {!Tm_engine.Disk_wal.load} charges
     the storage scan, frame decode and CRC verification (via
     {!Tm_engine.Wal.Codec.verify_frames} over every frame and
-    {!Tm_engine.Wal.Codec.decode_verified} from the last checkpoint on),
-    and — since every decoded record goes straight into the log's replay
-    state — the log scan and checkpoint seeding too.  {!Tm_engine.Shard.recover} then
+    {!Tm_engine.Wal.restore_frames} from the last checkpoint on), and —
+    since that pass steps the log's replay state from the frames — the
+    log scan and checkpoint seeding too.  {!Tm_engine.Shard.recover} then
     charges bucketing the committed operations by object (more log
     scan), loser resolution and per-object replay.
     Each layer also records what it processed (bytes, frames, records,

@@ -110,6 +110,23 @@ let blind_semiqueue, blind_semiqueue_conflict =
    first [n] of the records [recs]. *)
 let log_prefix recs n = Tm_engine.Wal.of_records (List.filteri (fun i _ -> i < n) recs)
 
+(* Do two replay plans hold the same buckets, in the same order, the
+   same losers and the same next tid? *)
+let plans_equal (a : Tm_engine.Wal.plan) (b : Tm_engine.Wal.plan) =
+  a.plan_ops = b.plan_ops
+  && Tid.Set.equal a.plan_loser_tids b.plan_loser_tids
+  && a.plan_next_tid = b.plan_next_tid
+  && Hashtbl.length a.plan_objects = Hashtbl.length b.plan_objects
+  && Hashtbl.fold
+       (fun name ops ok ->
+         ok
+         &&
+         match Hashtbl.find_opt b.plan_objects name with
+         | Some ops' ->
+             List.equal Op.equal (Tm_engine.Op_log.to_list ops) (Tm_engine.Op_log.to_list ops')
+         | None -> false)
+       a.plan_objects true
+
 (* One seed per process, honoring QCHECK_SEED so a failure is replayable:
    the failing test prints the seed, and rerunning under
    QCHECK_SEED=<seed> dune runtest reproduces the exact draw sequence. *)

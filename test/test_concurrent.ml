@@ -36,7 +36,7 @@ let account ?(recovery = Tm_engine.Recovery.UIP) ?(initial = 0) name =
 (* Two account names, routed to different shards when there are
    several. *)
 let two_accounts ~shards =
-  let shard = Wal.partition_of_object ~workers:shards in
+  let shard = SD.home_shard ~shards in
   let rec other i =
     let name = Fmt.str "BA%d" i in
     if shards = 1 || shard name <> shard "BA0" then name else other (i + 1)

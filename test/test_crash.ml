@@ -379,19 +379,7 @@ let prop_recover_matches_replay =
           if Tid.to_int (Shard.begin_txn db) <= high_water recs then fail "tid reissued";
           true)
 
-let plans_equal (a : Wal.plan) (b : Wal.plan) =
-  a.plan_ops = b.plan_ops
-  && Tid.Set.equal a.plan_loser_tids b.plan_loser_tids
-  && a.plan_next_tid = b.plan_next_tid
-  && Hashtbl.length a.plan_objects = Hashtbl.length b.plan_objects
-  && Hashtbl.fold
-       (fun name ops ok ->
-         ok
-         &&
-         match Hashtbl.find_opt b.plan_objects name with
-         | Some ops' -> List.equal Op.equal (Op_log.to_list ops) (Op_log.to_list ops')
-         | None -> false)
-       a.plan_objects true
+let plans_equal = Helpers.plans_equal
 
 (* A log keeps its replay state, not its records: the state stepped as
    records were appended (or decoded by a load) must read back exactly
@@ -589,7 +577,7 @@ let rebuild_sharded () =
 (* An object homed on shard [s] of two. *)
 let on_shard s =
   List.find
-    (fun o -> Wal.partition_of_object ~workers:2 o = s)
+    (fun o -> SD.home_shard ~shards:2 o = s)
     (List.map Atomic_object.name (rebuild_sharded ()))
 
 (* Local and cross-shard commits, a global checkpoint, an explicit abort
@@ -772,9 +760,9 @@ let stock_spec =
   Stock.spec
 
 let till =
-  let ctr = Wal.partition_of_object ~workers:2 "CTR" in
+  let ctr = SD.home_shard ~shards:2 "CTR" in
   List.find
-    (fun n -> Wal.partition_of_object ~workers:2 n <> ctr)
+    (fun n -> SD.home_shard ~shards:2 n <> ctr)
     (List.init 8 (Fmt.str "BA%d"))
 
 let rebuild_escrow () =

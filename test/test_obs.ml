@@ -417,7 +417,7 @@ let test_catalog_covers_live_registries () =
   in
   let module Wal = Tm_engine.Wal in
   let accounts = List.init 4 (Fmt.str "BA%d") in
-  let home s = List.find (fun o -> Wal.partition_of_object ~workers:2 o = s) accounts in
+  let home s = List.find (fun o -> Tm_engine.Sharded_database.home_shard ~shards:2 o = s) accounts in
   let wals = Array.init 2 (fun _ -> Wal.create ()) in
   Array.iteri
     (fun s wal ->

@@ -35,7 +35,7 @@ let account name =
     ~conflict:BA.nrbc_conflict ~recovery:Recovery.UIP ()
 
 (* Object names routed to each of [n] shards: probe "BA<i>" until every
-   shard has one.  The router is [Wal.partition_of_object], so the test
+   shard has one.  The router is [SD.home_shard], so the test
    never hard-codes the hash. *)
 let names_per_shard n =
   let found = Array.make n None in
@@ -43,7 +43,7 @@ let names_per_shard n =
   let i = ref 0 in
   while !remaining > 0 do
     let name = Fmt.str "BA%d" !i in
-    let s = Wal.partition_of_object ~workers:n name in
+    let s = SD.home_shard ~shards:n name in
     if found.(s) = None then begin
       found.(s) <- Some name;
       decr remaining
@@ -55,6 +55,22 @@ let names_per_shard n =
 let committed_by_name objs =
   List.map (fun o -> (Atomic_object.name o, Atomic_object.committed_ops o)) objs
   |> List.sort compare
+
+(* The benchmark predicts where its accounts live through
+   [Wal.partition_of_object], the router's old name: it must route as
+   the engine does, and the engine as {!SD.home_shard} says. *)
+let test_router_names_agree () =
+  let names = List.init 300 (Fmt.str "account-%04d") in
+  List.iter
+    (fun shards ->
+      let sd = SD.create ~wals:(Array.init shards (fun _ -> Wal.create ())) [] in
+      List.iter
+        (fun name ->
+          let home = SD.home_shard ~shards name in
+          Helpers.check_int name home (SD.shard_of_object sd name);
+          Helpers.check_int name home (Wal.partition_of_object ~workers:shards name))
+        names)
+    [ 1; 2; 3; 4; 7 ]
 
 (* --- shard-stamped frames (satellite: v2 shard id end to end) --- *)
 
@@ -786,6 +802,7 @@ let suite =
       test_mixed_shard_roundtrip;
     Alcotest.test_case "disk wal stamps its shard id" `Quick
       test_disk_wal_stamps_shard;
+    Alcotest.test_case "the router's two names route alike" `Quick test_router_names_agree;
     Alcotest.test_case "analyze: presumed abort without evidence" `Quick
       test_analyze_presumed_abort;
     Alcotest.test_case "analyze: decision record commits in-doubt" `Quick

@@ -1356,7 +1356,7 @@ let test_transfer_log_bytes () =
 (* A cross-shard commit on four shards: two prepares, their forces, the
    decision and two completions, 79 words (before: 232). *)
 let test_cross_shard_commit_allocation () =
-  let shard = Wal.partition_of_object ~workers:4 in
+  let shard = SD.home_shard ~shards:4 in
   let name i = Fmt.str "BA%d" i in
   let rec other i = if shard (name i) <> shard (name 0) then name i else other (i + 1) in
   let a = name 0 and b = other 1 in
@@ -1588,6 +1588,141 @@ let test_decode_frame_allocates_no_table () =
     Alcotest.failf "decode_frame of a %.0f-word result allocated %.0f words (max %.0f)" words w
       (words +. 8.)
 
+(* ------------------------------------------------------------------ *)
+(* A load steps the replay state from the frame bytes: it must read
+   back what the records those frames decode to step into.            *)
+
+(* The first view in which two logs' replay states differ, or [None]. *)
+let replay_state_diff got want =
+  let plan_got = Wal.plan_of got and plan_want = Wal.plan_of want in
+  let tids =
+    List.init (max plan_got.Wal.plan_next_tid plan_want.Wal.plan_next_tid) Tid.of_int
+  in
+  let each_tid f = List.for_all (fun tid -> f got tid = f want tid) tids in
+  let snapshot wal = Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 wal) in
+  List.find_map
+    (fun (view, same) -> if same then None else Some view)
+    [
+      ("length", Wal.length got = Wal.length want);
+      ("last_lsn", Wal.last_lsn got = Wal.last_lsn want);
+      ("flushed_lsn", Wal.flushed_lsn got = Wal.flushed_lsn want);
+      ("plan (buckets, losers, next tid)", Helpers.plans_equal plan_got plan_want);
+      ("in_doubt", List.equal Tid.equal (Wal.in_doubt got) (Wal.in_doubt want));
+      ("decided", each_tid Wal.decided);
+      ("phase2", each_tid Wal.phase2);
+      ("commit_evidence", each_tid Wal.commit_evidence);
+      ("in_flight", each_tid Wal.in_flight);
+      ("checkpoint_of", Wal.equal_record (snapshot got) (snapshot want));
+    ]
+
+(* [None] when a load of [bytes] steps to the state of
+   [Wal.of_records] of their decoded records, else what differs. *)
+let load_vs_records bytes =
+  match (Disk_wal.load (Storage.of_string bytes), Codec.decode_all bytes) with
+  | Ok dw, Ok d -> replay_state_diff (Disk_wal.wal dw) (Wal.of_records d.Codec.records)
+  | Error c, _ | _, Error c -> Some (Fmt.str "refused: %a" Codec.pp_corruption c)
+
+(* Logs of every record kind but the journal's, each record in a frame
+   of a version that can carry it.  Checkpoints carry live transactions'
+   operations.  A third of the logs are followed by copies of their
+   records other than checkpoints, past the 64 KB a pass needs for its
+   decode cache, so the pass from the last checkpoint has one. *)
+let replay_log_gen =
+  let open QCheck2.Gen in
+  let tid = map Tid.of_int (int_bound 24) in
+  let op = map pool_op (oneof [ int_bound 15; int_bound 1_000_000 ]) in
+  let record =
+    frequency
+      [
+        (1, map (fun t -> Wal.Begin t) tid);
+        (8, map2 (fun t o -> Wal.Operation (t, o)) tid op);
+        (3, map (fun t -> Wal.Commit t) tid);
+        (1, map (fun t -> Wal.Abort t) tid);
+        (1, map (fun t -> Wal.Prepare t) tid);
+        (1, map2 (fun t commit -> Wal.Decision { tid = t; commit }) tid bool);
+        ( 1,
+          map3
+            (fun committed live next_tid -> Wal.Checkpoint { Wal.committed; live; next_tid })
+            (list_size (int_bound 30) op)
+            (list_size (int_bound 4) (pair tid (list_size (int_bound 4) op)))
+            (int_bound 30) );
+      ]
+  in
+  let framed =
+    map2
+      (fun r v -> ((if v = Codec.v1 && Codec.v2_only_record r then Codec.v3 else v), r))
+      record (oneofl Codec.supported_versions)
+  in
+  let no_checkpoint = function _, Wal.Checkpoint _ -> false | _ -> true in
+  map2
+    (fun framed long ->
+      let bytes = encode_framed framed in
+      let more = encode_framed (List.filter no_checkpoint framed) in
+      if (not long) || more = "" then bytes
+      else
+        String.concat ""
+          (bytes :: List.init ((cache_floor / String.length more) + 1) (fun _ -> more)))
+    (list_size (int_bound 80) framed)
+    (frequency [ (2, pure false); (1, pure true) ])
+
+let prop_load_steps_frames =
+  Helpers.qcheck ~count:300 "load's frame step = record step" replay_log_gen (fun bytes ->
+      match load_vs_records bytes with
+      | None -> true
+      | Some view ->
+          QCheck2.Test.fail_reportf "a %d-byte log loads to another %s" (String.length bytes) view)
+
+let test_golden_logs_load_as_records () =
+  let dir = Filename.concat "golden" "logs" in
+  let logs = List.filter (fun f -> Filename.check_suffix f ".wal") (Array.to_list (Sys.readdir dir)) in
+  Helpers.check_bool "golden logs found" true (logs <> []);
+  List.iter
+    (fun file ->
+      let ic = open_in_bin (Filename.concat dir file) in
+      let bytes = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      match load_vs_records bytes with
+      | None -> ()
+      | Some view -> Alcotest.failf "%s loads to another %s" file view)
+    (List.sort compare logs)
+
+(* A load pays for what the replay state keeps.  [n] transfers between
+   64 accounts, each of its two operations carrying an amount of 1 to 97
+   so that few of them repeat, with a checkpoint after the first half:
+   the pass from the checkpoint on is over 64 KB, so it has a decode
+   cache.  A load builds no [Operation] or [Commit] record and no list
+   of the checkpoint's committed operations, and shares the object and
+   operation names of the operations it builds: 35.4 words per
+   transaction.  A load that decodes each frame into a record and steps
+   that reads 42.4, and one whose cache shares no strings 50.3; the pin
+   allows 38. *)
+let test_load_allocates_its_state () =
+  let n = 2000 in
+  let transfer i =
+    let t = Tid.of_int i in
+    let acct k = Fmt.str "account-%04d" (((i * 7) + (k * 13)) mod 64) in
+    let amount = 1 + (i mod 97) in
+    [
+      Wal.Operation (t, { (BA.withdraw_ok amount) with Op.obj = acct 0 });
+      Wal.Operation (t, { (BA.deposit amount) with Op.obj = acct 1 });
+      Wal.Commit t;
+    ]
+  in
+  let txns from k = List.concat (List.init k (fun i -> transfer (from + i))) in
+  let prefix = txns 0 (n / 2) in
+  let cp = Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Wal.of_records prefix)) in
+  let bytes = Codec.encode_all (prefix @ (cp :: txns (n / 2) (n / 2))) in
+  let tail = String.length bytes - String.length (Codec.encode_all prefix) in
+  Helpers.check_bool "the pass from the checkpoint has a cache" true (tail >= cache_floor);
+  let load () =
+    match Disk_wal.load (Storage.of_string bytes) with
+    | Ok dw -> dw
+    | Error c -> Alcotest.failf "transfer log refused: %a" Codec.pp_corruption c
+  in
+  Helpers.check_bool "the load steps to the records' state" true (load_vs_records bytes = None);
+  let per_txn = minor_words load /. float_of_int n in
+  if per_txn > 38. then Alcotest.failf "a load allocated %.2f words per transaction (max 38)" per_txn
+
 let suite =
   [
     prop_roundtrip;
@@ -1685,4 +1820,9 @@ let suite =
       test_decode_cache_idles_without_hits;
     Alcotest.test_case "decode_frame allocates no table" `Quick
       test_decode_frame_allocates_no_table;
+    prop_load_steps_frames;
+    Alcotest.test_case "every golden log loads to its records' state" `Quick
+      test_golden_logs_load_as_records;
+    Alcotest.test_case "a load allocates the state it keeps" `Quick
+      test_load_allocates_its_state;
   ]
