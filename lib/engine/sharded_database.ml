@@ -64,7 +64,7 @@ let check_shard_count n =
     invalid_arg (Fmt.str "Sharded_database: %d shards exceed the frame header's %d" n max_shards)
 
 (* The router: a stable hash of the name, the same in every run. *)
-let home_shard ~shards name = Hashtbl.hash name mod shards
+let home_shard ~shards name = Wal.partition_of_object ~workers:shards name
 
 (* Route the object list to per-shard lists, preserving input order
    within each shard — the same assignment {!recover} must reproduce. *)

@@ -815,14 +815,19 @@ module Codec = struct
      operation in eight, and one that starts repeating gets it back
      within eight windows.
 
-     The cache shares strings too.  An operation it must build (a miss,
-     or any operation while the cache stands idle) takes each short
-     string, an object name, an operation name or a [Str] value, from a
-     second direct-mapped table, keyed by the string's own bytes: a log
-     names few objects and operations, so their names are built once a
-     pass, however varied the arguments around them.  The table of
-     strings does not go idle; a lookup costs a hash of at most
-     [max_shared] bytes, and a hit saves a string of two or more words.
+     The cache shares names too.  An operation it must build (a miss,
+     or any operation while the cache stands idle) takes its object and
+     operation names, if short, from a second direct-mapped table, keyed
+     by the string's own bytes: a log most often names few objects, and
+     a type has few operations, so their names are built once a pass,
+     however varied the arguments around them.  A lookup costs a hash of
+     at most [max_shared] bytes, and a hit saves a string of two or more
+     words.  A miss costs more: it stores its string in the table, a
+     write the collector must track.  So argument and result strings,
+     which need not repeat (a key-value log's keys), are not looked up,
+     and object names are watched as operations are: a log whose objects
+     do not repeat builds their names without a lookup, seven windows in
+     eight.
 
      A short log decodes without a cache.  Its decoded records are small,
      so sharing saves little, and the lookups would slow the many short
@@ -840,9 +845,16 @@ module Codec = struct
      table of [window] slots at 64 bytes a slot. *)
   let min_cached = 64 * window
 
-  (* The longest string the cache shares, and its slots for strings. *)
+  (* The longest name the cache shares, and its slots for names. *)
   let max_shared = 32
-  let str_slots = 1024
+  let name_slots = 1024
+
+  (* A table's hit-rate watch. *)
+  type watch = {
+    mutable lookups : int;  (* in the current window *)
+    mutable hits : int;  (* in the current window *)
+    mutable idle : int;  (* values still to build without a lookup *)
+  }
 
   type memo = {
     op_off : int array;
@@ -850,11 +862,21 @@ module Codec = struct
         (* the encoding's length, doubled, plus 1 for fixed-width
            integers; 0: empty, as no operation encodes to no bytes *)
     ops : Op.t array;
-    strs : string array;  (* "": empty, as no shared string is empty *)
-    mutable lookups : int;  (* in the current window *)
-    mutable hits : int;  (* in the current window *)
-    mutable idle : int;  (* operations still to build without a lookup *)
+    op_watch : watch;
+    names : string array;  (* "": empty, as no shared name is empty *)
+    obj_watch : watch;  (* of object names only *)
   }
+
+  (* Count a lookup; a window in which fewer than one lookup in eight
+     hits idles the table for the next seven windows' worth of values. *)
+  let count w hit =
+    if hit then w.hits <- w.hits + 1;
+    w.lookups <- w.lookups + 1;
+    if w.lookups = window then begin
+      if 8 * w.hits < window then w.idle <- 7 * window;
+      w.lookups <- 0;
+      w.hits <- 0
+    end
 
   (* The cache for a pass over [len] bytes: one operation slot per 64
      bytes, from [window] up to [op_slots].  An operation's frame takes
@@ -873,10 +895,9 @@ module Codec = struct
       op_off = Array.make n 0;
       op_key = Array.make n 0;
       ops = Array.make n none;
-      strs = Array.make str_slots "";
-      lookups = 0;
-      hits = 0;
-      idle = 0;
+      op_watch = { lookups = 0; hits = 0; idle = 0 };
+      names = Array.make name_slots "";
+      obj_watch = { lookups = 0; hits = 0; idle = 0 };
     }
 
   type reader = {
@@ -947,27 +968,41 @@ module Codec = struct
     else if i < stop then hash s (i + 1) stop (mix h (Char.code (String.unsafe_get s i)))
     else h
 
-  (* The string of bytes [p, p + n) of the source, shared through the
-     cache's table of strings. *)
-  let shared_string m src p n =
-    let slot = hash src p (p + n) n land (str_slots - 1) in
-    let s = Array.unsafe_get m.strs slot in
-    if String.length s = n && same s 0 src p n then s
-    else begin
-      let s = String.sub src p n in
-      Array.unsafe_set m.strs slot s;
-      s
-    end
-
   let get_string r =
     let n = get_len r in
     let p = r.pos in
     r.pos <- p + n;
-    if not r.build || n = 0 then ""
-    else
-      match r.memo with
-      | Some m when n <= max_shared -> shared_string m r.src p n
-      | _ -> String.sub r.src p n
+    if not r.build || n = 0 then "" else String.sub r.src p n
+
+  (* An object ([obj]) or operation name, shared through the cache's
+     table of names if the reader has a cache.  Object name lookups are
+     watched; operation names come from a type's few operations. *)
+  let get_name ~obj r =
+    match r.memo with
+    | Some m when r.build ->
+        let n = get_len r in
+        let p = r.pos in
+        r.pos <- p + n;
+        let w = m.obj_watch in
+        if n = 0 then ""
+        else if n > max_shared then String.sub r.src p n
+        else if obj && w.idle > 0 then begin
+          w.idle <- w.idle - 1;
+          String.sub r.src p n
+        end
+        else begin
+          let slot = hash r.src p (p + n) n land (name_slots - 1) in
+          let s = Array.unsafe_get m.names slot in
+          let hit = String.length s = n && same s 0 r.src p n in
+          if obj then count w hit;
+          if hit then s
+          else begin
+            let s = String.sub r.src p n in
+            Array.unsafe_set m.names slot s;
+            s
+          end
+        end
+    | _ -> get_string r
 
   let[@tail_mod_cons] rec get_n get r n =
     if n = 0 then [] else let x = get r in x :: get_n get r (n - 1)
@@ -999,8 +1034,8 @@ module Codec = struct
   let unbuilt_op = Op.make ~obj:"" "" Value.Unit
 
   let build_op r =
-    let obj = get_string r in
-    let name = get_string r in
+    let obj = get_name ~obj:true r in
+    let name = get_name ~obj:false r in
     let args = get_list get_value r in
     let res = get_value r in
     if r.build then { Op.obj; inv = { Op.name; args }; res } else unbuilt_op
@@ -1010,8 +1045,8 @@ module Codec = struct
   let get_op r =
     match r.memo with
     | None -> build_op r
-    | Some m when m.idle > 0 ->
-        m.idle <- m.idle - 1;
+    | Some m when m.op_watch.idle > 0 ->
+        m.op_watch.idle <- m.op_watch.idle - 1;
         build_op r
     | Some m ->
         let start = r.pos in
@@ -1027,13 +1062,7 @@ module Codec = struct
           Array.unsafe_get m.op_key slot = key
           && same r.src (Array.unsafe_get m.op_off slot) r.src start len
         in
-        if hit then m.hits <- m.hits + 1;
-        m.lookups <- m.lookups + 1;
-        if m.lookups = window then begin
-          if 8 * m.hits < window then m.idle <- 7 * window;
-          m.lookups <- 0;
-          m.hits <- 0
-        end;
+        count m.op_watch hit;
         if hit then Array.unsafe_get m.ops slot
         else begin
           r.pos <- start;
@@ -1298,38 +1327,33 @@ module Codec = struct
     | None -> go ()
     | Some p -> Profile.time_excluding p Profile.Frame_decode go
 
-  let decode_verified ?profile f s ~from ~upto =
-    run_frames ?profile (fun pos r -> f pos (get_record r)) s ~from ~upto
+  let decode_verified f s ~from ~upto = run_frames (fun pos r -> f pos (get_record r)) s ~from ~upto
 
   (* A checkpoint's committed operations, decoded straight into a log. *)
   let rec push_ops r log n = if n = 0 then log else push_ops r (Op_log.push log (get_op r)) (n - 1)
-
-  (* With a profile, a step is charged to the log scan. *)
-  let scan1 profile f st a =
-    match profile with
-    | None -> f st a
-    | Some p -> Profile.time_excluding p Profile.Log_scan (fun () -> f st a)
-
-  let scan2 profile f st a b =
-    match profile with
-    | None -> f st a b
-    | Some p -> Profile.time_excluding p Profile.Log_scan (fun () -> f st a b)
 
   (* Step [st] by the frame [r] has entered, building only what the
      state keeps: an [Operation] is read as its tid and its operation,
      a [Commit] as its tid, and a [Checkpoint]'s committed operations go
      straight into the log its seed takes over, so none of them builds
      a record or a list.  The rarer kinds are decoded as records.
-     Returns 1 for a [Commit], else 0.  With a profile, a checkpoint's
-     decode and seed are charged to the seeding phase. *)
+     Returns 1 for a [Commit], else 0.  With a profile, a step is
+     charged to the log scan, and a checkpoint's decode and seed to the
+     seeding phase. *)
   let step_frame profile st r =
     match get_byte r with
     | 1 ->
         let tid = get_tid r in
-        scan2 profile step_operation st tid (get_op r);
+        let op = get_op r in
+        (match profile with
+        | None -> step_operation st tid op
+        | Some p -> Profile.time_excluding p Profile.Log_scan (fun () -> step_operation st tid op));
         0
     | 2 ->
-        scan1 profile step_commit st (get_tid r);
+        let tid = get_tid r in
+        (match profile with
+        | None -> step_commit st tid
+        | Some p -> Profile.time_excluding p Profile.Log_scan (fun () -> step_commit st tid));
         1
     | 4 ->
         let seed_frame () =
@@ -1346,7 +1370,10 @@ module Codec = struct
         0
     | _ ->
         r.pos <- r.pos - 1;
-        scan1 profile step st (get_record r);
+        let record = get_record r in
+        (match profile with
+        | None -> step st record
+        | Some p -> Profile.time_excluding p Profile.Log_scan (fun () -> step st record));
         0
 
   let decode_all s =

@@ -355,9 +355,10 @@ type plan = {
 }
 
 (** [partition_of_object ~workers name] — [Hashtbl.hash name mod
-    workers], deterministic across runs.  It is
-    {!Sharded_database.home_shard} under its old name, kept only for the
-    benchmark's probes and workloads, which still call it. *)
+    workers], deterministic across runs: the body of
+    {!Sharded_database.home_shard}, the router's name.  Only the
+    benchmark's probes and workloads call it under this name; the body
+    moves to [home_shard] once they call that. *)
 val partition_of_object : workers:int -> string -> int
 
 (** [plan_of t] = [plan ~workers:1 (records t)], read from the state:
@@ -432,9 +433,11 @@ val plan : workers:int -> record list -> plan
     The cache watches its hit rate and stands idle through a stretch of
     the log that does not repeat, so a log of distinct operations pays
     for lookups on only about one operation in eight.  An operation the
-    pass does build takes its short strings (object and operation
-    names, [Str] values of up to 32 bytes) from a second table keyed by
-    the string's bytes, so equal names are shared too.  A shorter log,
+    pass does build takes its object and operation names of up to 32
+    bytes from a second table keyed by the string's bytes, so equal
+    names are shared too; object names are watched the same way, and
+    argument and result strings, which need not repeat, are built
+    afresh.  A shorter log,
     {!Codec.decode_frame} and {!Codec.valid_frame_after} have no
     cache.  None of this shows in
     the bytes: every frame must match the plain two-buffer
@@ -589,15 +592,12 @@ module Codec : sig
       builds no list and computes no CRC.  Frames are read in place as
       by {!decode_frame}, but with no per-frame [Ok], header record or
       reader, and through the pass's decode cache: a frame costs its
-      record, less the operation and strings it shares with earlier
+      record, less the operation and names it shares with earlier
       frames.  {!Wal_inspect} and {!decode_all} read logs with it;
       restart does not build records ({!restore_frames} runs the same
-      frame loop, stepping a log's state instead).  With [profile], the
-      decode (net of what [f] charges to other phases) is charged to the
-      frame-decode phase.  Raises [Invalid_argument] where the bytes do
-      not parse as such a run. *)
+      frame loop, stepping a log's state instead).  Raises
+      [Invalid_argument] where the bytes do not parse as such a run. *)
   val decode_verified :
-    ?profile:Tm_obs.Recovery_profile.t ->
     (int -> record -> unit) ->
     string ->
     from:int ->

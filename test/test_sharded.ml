@@ -56,22 +56,6 @@ let committed_by_name objs =
   List.map (fun o -> (Atomic_object.name o, Atomic_object.committed_ops o)) objs
   |> List.sort compare
 
-(* The benchmark predicts where its accounts live through
-   [Wal.partition_of_object], the router's old name: it must route as
-   the engine does, and the engine as {!SD.home_shard} says. *)
-let test_router_names_agree () =
-  let names = List.init 300 (Fmt.str "account-%04d") in
-  List.iter
-    (fun shards ->
-      let sd = SD.create ~wals:(Array.init shards (fun _ -> Wal.create ())) [] in
-      List.iter
-        (fun name ->
-          let home = SD.home_shard ~shards name in
-          Helpers.check_int name home (SD.shard_of_object sd name);
-          Helpers.check_int name home (Wal.partition_of_object ~workers:shards name))
-        names)
-    [ 1; 2; 3; 4; 7 ]
-
 (* --- shard-stamped frames (satellite: v2 shard id end to end) --- *)
 
 let test_mixed_shard_roundtrip () =
@@ -802,7 +786,6 @@ let suite =
       test_mixed_shard_roundtrip;
     Alcotest.test_case "disk wal stamps its shard id" `Quick
       test_disk_wal_stamps_shard;
-    Alcotest.test_case "the router's two names route alike" `Quick test_router_names_agree;
     Alcotest.test_case "analyze: presumed abort without evidence" `Quick
       test_analyze_presumed_abort;
     Alcotest.test_case "analyze: decision record commits in-doubt" `Quick
