@@ -115,16 +115,17 @@ val decide : t -> Tid.t -> int
 val flush : t -> unit
 
 (** Aborts the transaction; the [Abort] record is logged only when the
-    transaction is in flight in the log ({!Wal.in_flight}: it executed
-    at least one operation here, or prepared) — aborts of unlogged
-    transactions leave the WAL untouched. *)
+    transaction is in flight in the log ({!Wal.in_flight}: it has a
+    [Begin], [Operation] or [Prepare] record here and no outcome) —
+    aborts of unlogged transactions leave the WAL untouched. *)
 val abort : t -> Tid.t -> unit
 
 (** [checkpoint t] appends a {e fuzzy} [Checkpoint] record: the committed
     operations in global commit order, every in-flight transaction's
     logged operations, and the tid allocator's high-water mark.  The
     snapshot is read from the log's replay state ({!Wal.checkpoint_of}):
-    O(committed + live operations), with no scan of the log's records.
+    the committed operations and one pass over the live transactions'
+    slots, with no scan of the log's records.
     After a checkpoint the preceding log segment may be dropped with
     {!Wal.truncate_to_checkpoint} without changing replay. *)
 val checkpoint : t -> unit

@@ -61,14 +61,28 @@ let equal_record a b =
    [plan] are views of it, and a {!t} keeps one up to date as records
    are appended or restored.  A checkpoint record summarises its whole
    prefix, so the state restarts from its snapshot (only the high-water
-   mark is carried monotonically through).  Lookups use [find] rather
-   than [find_opt]: no [Some] per record. *)
+   mark is carried monotonically through).
+
+   The operations of the transactions with records but no outcome sit
+   in one vector of slots, in log order, so each transaction's
+   operations stay in the order it executed them.  A transaction's run
+   opens with a marker slot, [-tid-1] in [slot_tids]; each later slot
+   holding [tid] there is one of its operations, kept at the same index
+   of [slot_ops].  A tid has at most one marker.  An outcome takes the
+   run out and closes the gap, moving the newer slots down or the older
+   ones up ([lo] is the first slot in use), so a grown vector costs no
+   words per record.  Marker slots and freed slots of [slot_ops] keep
+   whatever they held: clearing them would be one more write barrier
+   per slot. *)
 type state = {
   mutable committed : Op_log.t;  (* committed operations *)
-  pending : (Tid.t, Op.t list) Hashtbl.t;
-      (* every transaction with records but no outcome, with its
-         operations newest first — and operations logged under a tid
-         after its outcome, kept in case it commits again *)
+  mutable slot_tids : int array;
+      (* [lo, n_slots): markers and operation tids, in log order — every
+         transaction with records but no outcome, and a tid that logged
+         operations after its outcome, kept in case it commits again *)
+  mutable slot_ops : Op.t array;  (* the operation of each operation slot *)
+  mutable lo : int;
+  mutable n_slots : int;
   finished : Tid_bits.t;  (* tids with a Commit or Abort record *)
   mutable hwm : int;  (* first tid strictly above every tid in the log *)
   prepared : Tid_bits.t;  (* tids with a Prepare record *)
@@ -84,7 +98,10 @@ type state = {
 let empty_state () =
   {
     committed = Op_log.empty;
-    pending = Hashtbl.create 16;
+    slot_tids = [||];
+    slot_ops = [||];
+    lo = 0;
+    n_slots = 0;
     finished = Tid_bits.create ();
     hwm = 0;
     prepared = Tid_bits.create ();
@@ -95,10 +112,116 @@ let empty_state () =
     commit_evidence = Tid_bits.create ();
   }
 
-(* The operations [st] holds for [tid], newest first. *)
-let txn_ops st tid = match Hashtbl.find st.pending tid with ops -> ops | exception Not_found -> []
 let note st tid = st.hwm <- max st.hwm (Tid.to_int tid + 1)
-let open_txn st tid = if not (Hashtbl.mem st.pending tid) then Hashtbl.add st.pending tid []
+let marker t = -t - 1
+
+(* The latest slot of [t] at or below [i], an operation of its run or
+   the marker opening it, or [st.lo - 1] if it has none. *)
+let rec last_slot st t i =
+  if i < st.lo then i
+  else
+    let x = st.slot_tids.(i) in
+    if x = t || x = marker t then i else last_slot st t (i - 1)
+
+(* Can tid [t] have a run?  Not when it is at or above [bound], a tid
+   above every tid the vector has held since it was last emptied.  No
+   bound lies above [max_int], so that tid is always searched for. *)
+let may_have_run ~bound t = t < bound || t = max_int
+
+let has_run st ~bound tid =
+  let t = Tid.to_int tid in
+  may_have_run ~bound t && last_slot st t (st.n_slots - 1) >= st.lo
+
+(* A full vector slides its slots down to 0 if at least half of it lies
+   before [lo], and doubles otherwise.  [slot_ops] is empty until the
+   first operation lands, and as long as [slot_tids] from then on; a
+   grown one is filled with an operation it holds, so it has no dummy. *)
+let push_slot st x =
+  let n = st.n_slots and cap = Array.length st.slot_tids in
+  let ops = st.slot_ops in
+  if n = cap then
+    if cap > 0 && 2 * st.lo >= cap then begin
+      let lo = st.lo in
+      Array.blit st.slot_tids lo st.slot_tids 0 (n - lo);
+      if Array.length ops > 0 then Array.blit ops lo ops 0 (n - lo);
+      st.lo <- 0;
+      st.n_slots <- n - lo
+    end
+    else begin
+      let grown = Array.make (max 8 (2 * n)) 0 in
+      Array.blit st.slot_tids 0 grown 0 n;
+      st.slot_tids <- grown;
+      if Array.length ops > 0 then begin
+        let grown = Array.make (Array.length grown) ops.(0) in
+        Array.blit ops 0 grown 0 n;
+        st.slot_ops <- grown
+      end
+    end;
+  st.slot_tids.(st.n_slots) <- x;
+  st.n_slots <- st.n_slots + 1
+
+let push_op st tid op =
+  push_slot st (Tid.to_int tid);
+  if Array.length st.slot_ops = 0 then st.slot_ops <- Array.make (Array.length st.slot_tids) op
+  else st.slot_ops.(st.n_slots - 1) <- op
+
+let open_run st ~bound tid = if not (has_run st ~bound tid) then push_slot st (marker (Tid.to_int tid))
+
+let rec find_marker st m i = if i < st.lo || st.slot_tids.(i) = m then i else find_marker st m (i - 1)
+
+(* Push [t]'s operations in slots [i] to [last] into the committed log,
+   oldest first. *)
+let rec commit_run st t i last =
+  if i <= last then begin
+    if st.slot_tids.(i) = t then st.committed <- Op_log.push st.committed st.slot_ops.(i);
+    commit_run st t (i + 1) last
+  end
+
+(* Close the gap [t]'s run leaves by moving every other slot from [i]
+   on down to [j]... *)
+let rec sweep_down st t i j =
+  if i = st.n_slots then st.n_slots <- j
+  else
+    let x = st.slot_tids.(i) in
+    if x = t then sweep_down st t (i + 1) j
+    else begin
+      st.slot_tids.(j) <- x;
+      if x >= 0 then st.slot_ops.(j) <- st.slot_ops.(i);
+      sweep_down st t (i + 1) (j + 1)
+    end
+
+(* ... or every other slot from [i] back to [lo] up to [j]. *)
+let rec sweep_up st t i j =
+  if i < st.lo then st.lo <- j + 1
+  else
+    let x = st.slot_tids.(i) in
+    if x = t || x = marker t then sweep_up st t (i - 1) j
+    else begin
+      st.slot_tids.(j) <- x;
+      if x >= 0 then st.slot_ops.(j) <- st.slot_ops.(i);
+      sweep_up st t (i - 1) (j - 1)
+    end
+
+(* Take [tid]'s run out of the vector, pushing its operations into the
+   committed log if [commit].  The search starts at the end and stops at
+   the run's marker, so it never passes a run older than [tid]'s; the
+   gap closes from the side with fewer slots to move, so the oldest run
+   finishing leaves the rest in place. *)
+let close_run st tid ~commit =
+  let t = Tid.to_int tid in
+  if may_have_run ~bound:st.hwm t then begin
+    let last = last_slot st t (st.n_slots - 1) in
+    if last >= st.lo then begin
+      let m = find_marker st (marker t) last in
+      if commit then commit_run st t (m + 1) last;
+      if st.n_slots - m <= last - st.lo then sweep_down st t (m + 1) m
+      else sweep_up st t (last - 1) last;
+      if st.lo = st.n_slots then begin
+        st.lo <- 0;
+        st.n_slots <- 0
+      end
+    end
+  end
 
 (* The index of [tid] among the in-doubt tids from [i] on, or -1. *)
 let rec find_in_doubt st tid i =
@@ -119,7 +242,8 @@ let push_in_doubt st tid =
 (* A local outcome: a Commit or Abort of a tid prepared here is a
    phase-2 record, and takes the tid out of doubt. *)
 let finish st tid ~commit =
-  Hashtbl.remove st.pending tid;
+  close_run st tid ~commit;
+  note st tid;
   Tid_bits.add st.finished tid;
   if Tid_bits.mem st.prepared tid then begin
     Tid_bits.add st.phase2 tid;
@@ -134,24 +258,20 @@ let finish st tid ~commit =
 (* One step per record kind.  A record step ({!step}: appends,
    {!of_records}) and the frame step of a load ({!Codec.step_frame})
    both call these, so a record decoded from its frame steps the state
-   exactly as the record itself would. *)
+   exactly as the record itself would.  A step looks for a run before
+   it notes its tid: a tid at or above the high-water mark has none. *)
 
 let step_begin st tid =
-  note st tid;
-  open_txn st tid
+  open_run st ~bound:st.hwm tid;
+  note st tid
 
 let step_operation st tid op =
+  open_run st ~bound:st.hwm tid;
   note st tid;
-  Hashtbl.replace st.pending tid (op :: txn_ops st tid)
+  push_op st tid op
 
-let step_commit st tid =
-  note st tid;
-  st.committed <- Op_log.push_rev st.committed (txn_ops st tid);
-  finish st tid ~commit:true
-
-let step_abort st tid =
-  note st tid;
-  finish st tid ~commit:false
+let step_commit st tid = finish st tid ~commit:true
+let step_abort st tid = finish st tid ~commit:false
 
 (* A prepared transaction voted yes in a cross-shard commit but this
    shard's log alone cannot tell the outcome.  Plain replay treats it
@@ -162,8 +282,8 @@ let step_abort st tid =
    appending the real outcome record, read from this state
    ({!in_doubt}). *)
 let step_prepare st tid =
+  open_run st ~bound:st.hwm tid;
   note st tid;
-  open_txn st tid;
   if find_in_doubt st tid 0 < 0 then begin
     Tid_bits.add st.prepared tid;
     push_in_doubt st tid
@@ -182,10 +302,13 @@ let step_decision st tid ~commit =
 (* A checkpoint's snapshot stands for the whole prefix: committed
    operations and the logs of transactions that were in flight when it
    was taken.  Everything else about the prefix is forgotten.  The
-   state takes [committed] over. *)
+   state takes [committed] over.  A snapshot lists its live tids in
+   ascending order, so [above] spares each one the search for a run;
+   a later entry for a tid replaces an earlier one's operations. *)
 let seed st ~committed ~live ~next_tid =
   st.committed <- committed;
-  Hashtbl.reset st.pending;
+  st.lo <- 0;
+  st.n_slots <- 0;
   Tid_bits.clear st.finished;
   (* No 2PC outcome spans a checkpoint: {!Sharded_database.checkpoint}
      forces every shard and refuses while a cross-shard transaction is
@@ -194,13 +317,17 @@ let seed st ~committed ~live ~next_tid =
      transaction the snapshot already settled. *)
   List.iter Tid_bits.clear [ st.prepared; st.decided; st.phase2; st.commit_evidence ];
   st.n_in_doubt <- 0;
-  List.iter
-    (fun (tid, ops) ->
-      note st tid;
-      match ops with
-      | [] -> open_txn st tid
-      | _ -> Hashtbl.replace st.pending tid (List.rev ops))
-    live;
+  let seed_one above (tid, ops) =
+    note st tid;
+    (match ops with
+    | [] -> open_run st ~bound:above tid
+    | _ ->
+        if has_run st ~bound:above tid then close_run st tid ~commit:false;
+        push_slot st (marker (Tid.to_int tid));
+        List.iter (push_op st tid) ops);
+    max above (Tid.to_int tid + 1)
+  in
+  ignore (List.fold_left seed_one 0 live : int);
   st.hwm <- max st.hwm next_tid
 
 let step st = function
@@ -223,20 +350,33 @@ let state_of recs =
   List.iter (step st) recs;
   st
 
-(* [f] over every transaction with records and no outcome: the ones
-   recovery must treat as aborted. *)
+(* [f tid op acc] over the slots of every transaction with records and
+   no outcome (the ones recovery must treat as aborted), back to front,
+   so each one's operations come oldest first; [op] is [None] at the
+   marker that opens its run. *)
 let fold_unfinished st f acc =
-  Hashtbl.fold
-    (fun tid ops acc -> if Tid_bits.mem st.finished tid then acc else f tid ops acc)
-    st.pending acc
+  let rec go i acc =
+    if i < st.lo then acc
+    else
+      let x = st.slot_tids.(i) in
+      let tid = Tid.of_int (if x < 0 then marker x else x) in
+      go (i - 1)
+        (if Tid_bits.mem st.finished tid then acc
+         else f tid (if x < 0 then None else Some st.slot_ops.(i)) acc)
+  in
+  go (st.n_slots - 1) acc
 
-let losers st = fold_unfinished st (fun tid _ acc -> Tid.Set.add tid acc) Tid.Set.empty
+let losers st =
+  fold_unfinished st
+    (fun tid op acc -> if Option.is_none op then Tid.Set.add tid acc else acc)
+    Tid.Set.empty
 
 let snapshot ~next_tid st =
-  let live =
-    fold_unfinished st (fun tid ops acc -> (tid, List.rev ops) :: acc) []
-    |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
+  let add tid op live =
+    let ops = Option.value (Tid.Map.find_opt tid live) ~default:[] in
+    Tid.Map.add tid (match op with None -> ops | Some op -> op :: ops) live
   in
+  let live = Tid.Map.bindings (fold_unfinished st add Tid.Map.empty) in
   { committed = Op_log.to_list st.committed; live; next_tid = max next_tid st.hwm }
 
 type plan = {
@@ -526,7 +666,8 @@ let records t =
   match t.sink with None -> List.rev t.records_rev | Some s -> s.sink_records ()
 
 let length t = t.count
-let in_flight t tid = Hashtbl.mem t.state.pending tid && not (Tid_bits.mem t.state.finished tid)
+let in_flight t tid =
+  (not (Tid_bits.mem t.state.finished tid)) && has_run t.state ~bound:t.state.hwm tid
 let plan_of ?profile t = plan_of_state ?profile t.state
 let in_doubt t = List.init t.state.n_in_doubt (Array.get t.state.in_doubt)
 let decided t tid = Tid_bits.mem t.state.decided tid

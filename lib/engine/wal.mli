@@ -23,7 +23,10 @@
     takes a log of its [committed] operations over (a load decodes them
     straight into it), and only {!replay} and a snapshot
     ({!checkpoint_of}) build a list of them.  The
-    log still grows with every committed operation.
+    log still grows with every committed operation.  The unfinished
+    transactions' operations sit in one vector of slots in log order,
+    each transaction's run opened by a marker slot: once grown, it costs
+    no words per record, and an outcome takes its run out.
 
     The records themselves live on stable storage.  With a {!sink}
     ({!Disk_wal}), that is the sink's backend, and {!records} and
@@ -265,7 +268,10 @@ val truncate_to_checkpoint : t -> int
 
 (** [in_flight t tid] — does the log hold records of [tid] ([Begin],
     [Operation] or [Prepare]) and no [Commit] or [Abort] for it?  What
-    {!Shard} asks before logging a transaction's [Abort]. *)
+    {!Shard} asks before logging a transaction's [Abort].  A finished
+    tid or one above every tid in the log is answered at once; any
+    other is a scan back through the unfinished transactions' slots to
+    the latest one of [tid], so it costs at most the live slots. *)
 val in_flight : t -> Tid.t -> bool
 
 (** [checkpoint_of ~next_tid t] is the checkpoint snapshot of the log:
@@ -273,7 +279,8 @@ val in_flight : t -> Tid.t -> bool
     unfinished transaction, and a high-water mark covering both every
     tid in the log and the caller's allocator position [next_tid] (0 for
     a caller without an allocator, which relies on the log scan).  It is
-    read from the state, O(committed + live operations); the snapshot of
+    read from the state: the committed operations and one pass over the
+    live transactions' slots, grouped by tid in a map; the snapshot of
     a record list [recs] is [checkpoint_of ~next_tid (of_records recs)]. *)
 val checkpoint_of : next_tid:int -> t -> checkpoint
 

@@ -296,15 +296,57 @@ let committed_by_object db =
     (fun o -> (Atomic_object.name o, Atomic_object.committed_ops o))
     (Tm_engine.Database.objects (Shard.database db))
 
-(* [Wal_replay_reference] is the oracle restart is checked against: the
-   two-pass fold that [Wal]'s one fold replaced.  Over the same scenario
-   pool and random crash cuts, every view of the library's fold
-   ([Wal.replay], [Wal.max_tid], [Wal.checkpoint_of], [Wal.plan]) must
-   answer as the oracle does, and the restart path
-   ([Shard.recover]) must give every object exactly the
-   oracle's committed operations on that object, resolve the same
-   losers, and allocate post-crash tids above every tid the log
-   mentions. *)
+let on_object committed name =
+  List.filter (fun (op : Op.t) -> String.equal op.Op.obj name) committed
+
+let high_water recs = Option.fold ~none:(-1) ~some:Tid.to_int (Wal_replay_reference.max_tid recs)
+
+(* Where the library's views of [recs] ([Wal.replay], [Wal.max_tid],
+   [Wal.plan], and [Wal.checkpoint_of] and [Wal.in_flight] of [wal],
+   by default [Wal.of_records recs]) part from the oracle's, or [None].
+   [Wal_replay_reference] is the two-pass fold that [Wal]'s one fold
+   replaced; a tid is in flight in a log exactly when the oracle counts
+   it a loser. *)
+let replay_views_differ ?wal recs =
+  let committed, losers = Wal_replay_reference.replay recs in
+  let high_water = high_water recs in
+  let lib_committed, lib_losers = Wal.replay recs in
+  let wal = match wal with Some wal -> wal | None -> Wal.of_records recs in
+  let plan = Wal.plan ~workers:1 recs in
+  let checks =
+    [
+      ("replay commits differently from the oracle", fun () ->
+          List.equal Op.equal lib_committed committed);
+      ("replay losers differ", fun () -> Tid.Set.equal lib_losers losers);
+      ("max_tid differs", fun () ->
+          Option.equal Tid.equal (Wal.max_tid recs) (Wal_replay_reference.max_tid recs));
+      (* checkpoint bytes go to disk: compare them as records *)
+      ("fuzzy checkpoint differs", fun () ->
+          Wal.equal_record
+            (Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 wal))
+            (Wal.Checkpoint (Wal_replay_reference.fuzzy_checkpoint ~next_tid:0 recs)));
+      ("plan buckets an object differently from replay", fun () ->
+          Hashtbl.fold
+            (fun name ops ok ->
+              ok && List.equal Op.equal (Op_log.to_list ops) (on_object committed name))
+            plan.Wal.plan_objects true);
+      ("plan lost committed ops", fun () -> plan.Wal.plan_ops = List.length committed);
+      ("plan losers differ", fun () -> Tid.Set.equal plan.Wal.plan_loser_tids losers);
+      ("plan tid high-water mark", fun () -> plan.Wal.plan_next_tid = high_water + 1);
+      ("in_flight differs from the oracle's losers", fun () ->
+          List.for_all
+            (fun t -> Wal.in_flight wal (Tid.of_int t) = Tid.Set.mem (Tid.of_int t) losers)
+            (List.init (high_water + 2) Fun.id));
+    ]
+  in
+  List.find_map (fun (what, agree) -> if agree () then None else Some what) checks
+
+(* Over the same scenario pool and random crash cuts as the crash
+   property, every view of the library's fold must answer as the oracle
+   does, and the restart path ([Shard.recover]) must give every object
+   exactly the oracle's committed operations on that object, resolve
+   the same losers, and allocate post-crash tids above every tid the
+   log mentions. *)
 let prop_recover_matches_replay =
   Helpers.qcheck ~count:40 "recovery = reference replay"
     QCheck2.Gen.(
@@ -321,44 +363,12 @@ let prop_recover_matches_replay =
       let cut = seed mod (Wal.length wal + 1) in
       let log = Helpers.log_prefix (Wal.records wal) cut in
       let recs = Wal.records log in
-      let on committed name =
-        List.filter (fun (op : Op.t) -> String.equal op.Op.obj name) committed
-      in
-      let high_water recs =
-        Option.fold ~none:(-1) ~some:Tid.to_int (Wal_replay_reference.max_tid recs)
-      in
       let fail what =
         QCheck2.Test.fail_reportf "%s/%s seed %d cut %d: %s" scenario.Experiment.name
           (Experiment.label setup) seed cut what
       in
       let views_agree what recs =
-        let fail msg = fail (what ^ ": " ^ msg) in
-        let committed, losers = Wal_replay_reference.replay recs in
-        let lib_committed, lib_losers = Wal.replay recs in
-        if not (List.equal Op.equal lib_committed committed) then
-          fail "replay commits differently from the oracle";
-        if not (Tid.Set.equal lib_losers losers) then fail "replay losers differ";
-        if
-          not (Option.equal Tid.equal (Wal.max_tid recs) (Wal_replay_reference.max_tid recs))
-        then fail "max_tid differs";
-        (* checkpoint bytes go to disk: compare them as records *)
-        if
-          not
-            (Wal.equal_record
-               (Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Wal.of_records recs)))
-               (Wal.Checkpoint (Wal_replay_reference.fuzzy_checkpoint ~next_tid:0 recs)))
-        then fail "fuzzy checkpoint differs";
-        let plan = Wal.plan ~workers:1 recs in
-        Hashtbl.iter
-          (fun name ops ->
-            if not (List.equal Op.equal (Op_log.to_list ops) (on committed name)) then
-              fail (Fmt.str "plan buckets %s differently from replay" name))
-          plan.Wal.plan_objects;
-        if plan.Wal.plan_ops <> List.length committed then fail "plan lost committed ops";
-        if not (Tid.Set.equal plan.Wal.plan_loser_tids losers) then
-          fail "plan losers differ";
-        if plan.Wal.plan_next_tid <> high_water recs + 1 then
-          fail "plan tid high-water mark"
+        Option.iter (fun msg -> fail (what ^ ": " ^ msg)) (replay_views_differ recs)
       in
       views_agree "crashed log" recs;
       (* The fold must agree with the oracle on any record list, not only
@@ -372,12 +382,157 @@ let prop_recover_matches_replay =
       | Ok (db, got_losers) ->
           List.iter
             (fun (name, ops) ->
-              if not (List.equal Op.equal ops (on committed name)) then
+              if not (List.equal Op.equal ops (on_object committed name)) then
                 fail (Fmt.str "%s restored other ops than replay commits" name))
             (committed_by_object db);
           if not (Tid.Set.equal got_losers losers) then fail "recovered losers differ";
           if Tid.to_int (Shard.begin_txn db) <= high_water recs then fail "tid reissued";
           true)
+
+(* Record sequences no engine run writes, built from fragments.  A
+   fragment is a function of [base], a tid above every tid before it, so
+   each shape names the tids it needs fresh:
+   - operations logged after a tid's outcome, then a second [Commit];
+   - a [Prepare] of a tid with no operations, then its [Abort];
+   - a checkpoint whose live list has an entry with no operations, and
+     sometimes names a tid a second time, which replaces its operations;
+   - a tid below the high-water mark whose first record comes after
+     those of higher tids;
+   - a checkpoint carrying 100 to 300 live transactions ahead of a tail
+     that finishes some of the oldest in age order, then finishes or
+     extends any of them;
+   and single records of any kind but the journal's on the last few
+   tids, which interleave the shapes. *)
+let replay_fragment_gen =
+  let open QCheck2.Gen in
+  let op =
+    map2 (fun (o : Op.t) obj -> { o with Op.obj }) Helpers.ba_op_gen (oneofl [ "a"; "b"; "c" ])
+  in
+  let ops = list_size (int_bound 3) op in
+  let tid base k = Tid.of_int (base + k) in
+  let single =
+    map3
+      (fun kind back o base ->
+        let t = Tid.of_int (max 0 (base - back)) in
+        match kind with
+        | 0 -> [ Wal.Begin t ]
+        | 1 | 2 -> [ Wal.Operation (t, o) ]
+        | 3 -> [ Wal.Commit t ]
+        | 4 -> [ Wal.Abort t ]
+        | 5 -> [ Wal.Prepare t ]
+        | _ -> [ Wal.Decision { tid = t; commit = back mod 2 = 0 } ])
+      (int_bound 6) (int_bound 6) op
+  in
+  let after_outcome =
+    map3
+      (fun a b commit_first base ->
+        let t = tid base 0 in
+        [
+          Wal.Operation (t, a);
+          (if commit_first then Wal.Commit t else Wal.Abort t);
+          Wal.Operation (t, b);
+          Wal.Commit t;
+        ])
+      op op bool
+  in
+  let prepare_abort = pure (fun base -> [ Wal.Prepare (tid base 0); Wal.Abort (tid base 0) ]) in
+  let empty_live =
+    map3
+      (fun committed live (next, again) base ->
+        let live = (tid base 0, []) :: List.mapi (fun i ops -> (tid base (i + 1), ops)) live in
+        let again =
+          Option.fold ~none:[]
+            ~some:(fun (k, ops) -> [ (tid base (k mod List.length live), ops) ])
+            again
+        in
+        [ Wal.Checkpoint { Wal.committed; live = live @ again; next_tid = base + next } ])
+      (list_size (int_bound 4) op)
+      (list_size (int_bound 3) (list_size (int_range 1 3) op))
+      (pair (int_bound 6) (option (pair (int_bound 3) ops)))
+  in
+  let late_low =
+    map3
+      (fun a b commit base ->
+        Wal.Operation (tid base 2, a)
+        :: Wal.Operation (tid base 0, b)
+        :: (if commit then [ Wal.Commit (tid base 0) ] else []))
+      op op bool
+  in
+  let many_live =
+    list_size (int_range 100 300) (list_size (int_bound 2) op) >>= fun live ->
+    let n = List.length live in
+    map3
+      (fun committed oldest tail base ->
+        let live = List.mapi (fun i ops -> (tid base i, ops)) live in
+        let outcome i kind o =
+          match kind with
+          | 0 -> Wal.Operation (tid base i, o)
+          | 1 -> Wal.Abort (tid base i)
+          | _ -> Wal.Commit (tid base i)
+        in
+        Wal.Checkpoint { Wal.committed; live; next_tid = base + n }
+        :: (List.init oldest (fun i -> outcome i (1 + (i mod 3)) (List.hd committed))
+           @ List.map (fun (i, kind, o) -> outcome i kind o) tail))
+      (list_size (int_range 1 8) op)
+      (int_bound n)
+      (list_size (int_range 0 (2 * n)) (triple (int_bound (n - 1)) (int_bound 3) op))
+  in
+  frequency
+    [
+      (8, single);
+      (2, after_outcome);
+      (1, prepare_abort);
+      (1, empty_live);
+      (2, late_low);
+      (1, many_live);
+    ]
+
+let replay_records_gen =
+  QCheck2.Gen.map
+    (fun fragments ->
+      let step (base, rev) fragment =
+        let recs = fragment base in
+        let top = Option.fold ~none:0 ~some:(fun t -> Tid.to_int t + 1) (Wal_replay_reference.max_tid recs) in
+        (max base top, List.rev_append recs rev)
+      in
+      List.rev (snd (List.fold_left step (0, []) fragments)))
+    QCheck2.Gen.(list_size (int_range 1 12) replay_fragment_gen)
+
+(* The fold against the oracle on generated logs, through both steps:
+   the record step ([Wal.of_records] and the pure views) and the frame
+   step of a load. *)
+let prop_replay_matches_reference_on_any_log =
+  Helpers.qcheck ~count:200 "replay state = reference replay on generated logs" replay_records_gen
+    (fun recs ->
+      let fail what = QCheck2.Test.fail_reportf "%d records: %s" (List.length recs) what in
+      Option.iter fail (replay_views_differ recs);
+      match Disk_wal.load (Storage.of_string (Wal.Codec.encode_all recs)) with
+      | Error c -> fail (Fmt.str "log refused: %a" Wal.Codec.pp_corruption c)
+      | Ok dw ->
+          Option.iter
+            (fun msg -> fail ("loaded: " ^ msg))
+            (replay_views_differ ~wal:(Disk_wal.wal dw) recs);
+          true)
+
+(* The high-water mark cannot rise above [max_int], so that tid is
+   never above it: its operations must still reach the commit, through
+   the record step and a load. *)
+let test_replay_max_int_tid () =
+  let top = Tid.of_int max_int and low = Tid.of_int 3 in
+  let recs =
+    [
+      Wal.Operation (top, BA.deposit 1);
+      Wal.Operation (low, BA.deposit 2);
+      Wal.Operation (top, BA.deposit 3);
+      Wal.Commit top;
+      Wal.Operation (top, BA.deposit 4);
+    ]
+  in
+  Option.iter Alcotest.fail (replay_views_differ recs);
+  Helpers.check_int "both operations commit" 2 (List.length (fst (Wal.replay recs)));
+  match Disk_wal.load (Storage.of_string (Wal.Codec.encode_all recs)) with
+  | Error c -> Alcotest.failf "log refused: %a" Wal.Codec.pp_corruption c
+  | Ok dw -> Option.iter Alcotest.fail (replay_views_differ ~wal:(Disk_wal.wal dw) recs)
 
 let plans_equal = Helpers.plans_equal
 
@@ -832,6 +987,8 @@ let suite =
       test_torture_batched_group_commit;
     prop_crash_invariants;
     prop_recover_matches_replay;
+    prop_replay_matches_reference_on_any_log;
+    Alcotest.test_case "a max_int tid replays like any other" `Quick test_replay_max_int_tid;
     prop_log_state_matches_records;
     prop_load_matches_full_decode;
     Alcotest.test_case "sharded generators: clean 2-shard drive" `Quick
