@@ -14,8 +14,14 @@
 
     The dynamic-atomicity checkers are exact at any size: they walk the
     downsets of [precedes] one object at a time (Theorem 2), merging the
-    orders that reach one state-set, so their cost grows with how many
-    transactions are mutually concurrent, not with every order. *)
+    orders that reach one state-set.  On a well-formed history
+    [precedes] is an interval order (THEORY.md), so a downset is its
+    member with the latest last response plus a subset of that member's
+    window w of concurrent transactions: the cost grows with the
+    downsets of the windows, at most [2^w] per transaction, and is
+    linear in the history when w is bounded.  Both raise
+    [Invalid_argument] on an ill-formed history, as {!History.check}
+    does. *)
 
 (** Maps each object name to its serial specification. *)
 type env = string -> Spec.t

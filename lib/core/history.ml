@@ -1,13 +1,12 @@
+(* Events newest first, so an append is one cons; the definitions that
+   read them in occurrence order go through [events]. *)
 type t = Event.t list
-(* Events in occurrence order.  Histories in this development are short
-   (checkers and tests); a list keeps every definition a direct
-   transliteration of the paper's. *)
 
 let empty = []
-let snoc h e = h @ [ e ]
-let events h = h
+let snoc h e = e :: h
+let events = List.rev
 let length = List.length
-let append = ( @ )
+let append h k = k @ h
 
 type violation =
   | Invoke_while_pending of Tid.t
@@ -80,7 +79,7 @@ let well_formedness_errors h =
         set tid { s with aborted_at = obj :: s.aborted_at };
         errs
   in
-  List.rev (List.fold_left step [] h)
+  List.rev (List.fold_left step [] (events h))
 
 let is_well_formed h = well_formedness_errors h = []
 
@@ -114,20 +113,21 @@ let objects h =
         Hashtbl.add seen x ();
         Some x
       end)
-    h
+    (events h)
 
 let project_obj h x = List.filter (fun e -> String.equal (Event.obj e) x) h
 let project_tid h a = List.filter (fun e -> Tid.equal (Event.tid e) a) h
 let project_tids h s = List.filter (fun e -> Tid.Set.mem (Event.tid e) s) h
 
+(* [a]'s newest invocation or response decides. *)
 let pending_invocation h a =
-  let step acc e =
-    match e with
-    | Event.Invoke { tid; obj; inv } when Tid.equal tid a -> Some (obj, inv)
-    | Event.Respond { tid; _ } when Tid.equal tid a -> None
-    | Event.Invoke _ | Event.Respond _ | Event.Commit _ | Event.Abort _ -> acc
+  let rec newest = function
+    | Event.Invoke { tid; obj; inv } :: _ when Tid.equal tid a -> Some (obj, inv)
+    | Event.Respond { tid; _ } :: _ when Tid.equal tid a -> None
+    | _ :: older -> newest older
+    | [] -> None
   in
-  List.fold_left step None h
+  newest h
 
 let opseq h =
   let pending = Hashtbl.create 8 in
@@ -144,31 +144,21 @@ let opseq h =
         | None -> invalid_arg "History.opseq: response without pending invocation")
     | Event.Commit _ | Event.Abort _ -> acc
   in
-  List.rev (List.fold_left step [] h)
+  List.rev (List.fold_left step [] (events h))
 
 let permanent h = project_tids h (committed h)
 
-(* Index of the first commit event of each transaction. *)
-let first_commit_index h =
-  let m = Hashtbl.create 8 in
-  List.iteri
-    (fun i e ->
-      match e with
-      | Event.Commit { tid; _ } -> if not (Hashtbl.mem m tid) then Hashtbl.add m tid i
-      | Event.Invoke _ | Event.Respond _ | Event.Abort _ -> ())
-    h;
-  m
-
 let precedes h =
-  let commits = first_commit_index h in
-  (* latest response index per transaction *)
-  let last_response = Hashtbl.create 8 in
+  (* Each transaction's first commit and last response, by index. *)
+  let commits = Hashtbl.create 8 and last_response = Hashtbl.create 8 in
   List.iteri
     (fun i e ->
       match e with
+      | Event.Commit { tid; _ } ->
+          if not (Hashtbl.mem commits tid) then Hashtbl.add commits tid i
       | Event.Respond { tid; _ } -> Hashtbl.replace last_response tid i
-      | Event.Invoke _ | Event.Commit _ | Event.Abort _ -> ())
-    h;
+      | Event.Invoke _ | Event.Abort _ -> ())
+    (events h);
   fun a b ->
     (not (Tid.equal a b))
     &&
@@ -176,8 +166,7 @@ let precedes h =
     | Some ci, Some ri -> ri > ci
     | (Some _ | None), _ -> false
 
-let serial h order =
-  List.concat_map (fun a -> project_tid h a) order
+let serial h order = List.concat_map (project_tid h) (List.rev order)
 
 let equivalent h k =
   let ts = Tid.Set.union (transactions h) (transactions k) in
@@ -197,7 +186,7 @@ let commit_order h =
             Some tid
           end
       | Event.Invoke _ | Event.Respond _ | Event.Abort _ -> None)
-    h
+    (events h)
 
 let is_serial h =
   (* Once a transaction's events stop, they never resume interleaved with
@@ -211,18 +200,46 @@ let is_serial h =
           let rest = List.to_seq rest |> Seq.drop_while (Tid.equal tid) |> List.of_seq in
           distinct_runs (tid :: seen) rest
   in
-  distinct_runs [] (List.map Event.tid h)
+  distinct_runs [] (List.map Event.tid (events h))
 
 let pp ppf h =
-  Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut Event.pp) h
+  Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut Event.pp) (events h)
 
 let to_string h = Fmt.str "%a" pp h
 
 let exec a (op : Op.t) h =
-  h @ [ Event.invoke ~obj:op.obj ~tid:a op.inv; Event.respond ~obj:op.obj ~tid:a op.res ]
+  Event.respond ~obj:op.obj ~tid:a op.res :: Event.invoke ~obj:op.obj ~tid:a op.inv :: h
 
-let invoke a ~obj inv h = h @ [ Event.invoke ~obj ~tid:a inv ]
-let respond a ~obj res h = h @ [ Event.respond ~obj ~tid:a res ]
-let commit_at a x h = h @ [ Event.commit ~obj:x ~tid:a ]
-let abort_at a x h = h @ [ Event.abort ~obj:x ~tid:a ]
+let invoke a ~obj inv h = Event.invoke ~obj ~tid:a inv :: h
+let respond a ~obj res h = Event.respond ~obj ~tid:a res :: h
+let commit_at a x h = Event.commit ~obj:x ~tid:a :: h
+let abort_at a x h = Event.abort ~obj:x ~tid:a :: h
 let exec_seq a ops h = List.fold_left (fun h op -> exec a op h) h ops
+
+type step =
+  | Exec of Tid.t * Op.t
+  | Commit of Tid.t
+  | Abort of Tid.t
+
+(* [touched]: the objects each unfinished transaction executed at,
+   newest first. *)
+let of_steps ?(abort_unfinished = false) steps =
+  let touched = Hashtbl.create 16 in
+  let finish at h tid =
+    let objs = Option.value (Hashtbl.find_opt touched tid) ~default:[] in
+    Hashtbl.remove touched tid;
+    List.fold_right (fun x h -> at tid x h) objs h
+  in
+  let step h = function
+    | Exec (tid, op) ->
+        let objs = Option.value (Hashtbl.find_opt touched tid) ~default:[] in
+        if not (List.mem op.Op.obj objs) then Hashtbl.replace touched tid (op.Op.obj :: objs);
+        exec tid op h
+    | Commit tid -> finish commit_at h tid
+    | Abort tid -> finish abort_at h tid
+  in
+  let h = List.fold_left step empty steps in
+  if not abort_unfinished then h
+  else
+    List.fold_left (finish abort_at) h
+      (List.sort Tid.compare (Hashtbl.fold (fun tid _ ts -> tid :: ts) touched []))

@@ -13,8 +13,8 @@ type t
 
 val empty : t
 
-(** [snoc h e] appends event [e]; no well-formedness check is performed
-    (use {!well_formedness_errors} / {!check} to validate). *)
+(** [snoc h e] appends event [e] in O(1); no well-formedness check is
+    performed (use {!well_formedness_errors} / {!check} to validate). *)
 val snoc : t -> Event.t -> t
 
 val events : t -> Event.t list
@@ -145,3 +145,20 @@ val abort_at : Tid.t -> string -> t -> t
 
 (** [exec_seq a ops h] executes each operation of [ops] in turn. *)
 val exec_seq : Tid.t -> Op.t list -> t -> t
+
+(** {1 Replaying a log} *)
+
+(** A log or trace step: [Commit] and [Abort] finish the transaction at
+    every object it executed at. *)
+type step =
+  | Exec of Tid.t * Op.t
+  | Commit of Tid.t
+  | Abort of Tid.t
+
+(** [of_steps steps] is the history of [steps], built in linear time:
+    [Exec] appends an operation's invocation and response, and a
+    [Commit] or [Abort] one commit or abort event per object the
+    transaction executed at since it last finished, in the order it first
+    executed there.  With [~abort_unfinished:true] every transaction left
+    unfinished then aborts the same way, in {!Tid.compare} order. *)
+val of_steps : ?abort_unfinished:bool -> step list -> t

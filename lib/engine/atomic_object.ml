@@ -29,19 +29,19 @@ type escrow = {
    never mutated. *)
 let no_holding = { incr = 0; decr = 0; pins = false }
 
-(* [Locking] is a constant constructor, so a locking object carries no
-   policy words beyond the field.  An optimistic object keeps only each
+(* Only a locking object has a lock table.  An optimistic object keeps
+   its conflict relation, which it validates with, and each
    transaction's start: the length of the manager's committed log when
-   the transaction first touched the object. *)
+   the transaction first touched the object.  An escrow object decides
+   from its interval and needs neither. *)
 type mode =
-  | Locking
-  | Optimistic of (Tid.t, int) Hashtbl.t
+  | Locking of Lock_table.t
+  | Optimistic of { conflict : Conflict.t; starts : (Tid.t, int) Hashtbl.t }
   | Escrow of escrow
 
 type t = {
   name : string;
   spec : Spec.t;
-  locks : Lock_table.t;
   recovery : Recovery.t;
   (* The attached registry and the {obj,op} counters resolved in it so
      far, keyed by metric name and operation name. *)
@@ -60,11 +60,10 @@ let pp_outcome ppf = function
   | Blocked tids -> Fmt.pf ppf "blocked on %a" Fmt.(list ~sep:(any ",") Tid.pp) tids
   | No_response -> Fmt.string ppf "no legal response"
 
-let make ?inverse ~mode ~spec ~conflict ~recovery () =
+let make ?inverse ~mode ~spec ~recovery () =
   {
     name = Spec.name spec;
     spec;
-    locks = Lock_table.create conflict;
     recovery = Recovery.create ?inverse recovery spec;
     reg = None;
     events = Metrics.Handles.empty;
@@ -72,13 +71,13 @@ let make ?inverse ~mode ~spec ~conflict ~recovery () =
   }
 
 let create ?inverse ~spec ~conflict ~recovery () =
-  make ?inverse ~mode:Locking ~spec ~conflict ~recovery ()
+  make ?inverse ~mode:(Locking (Lock_table.create conflict)) ~spec ~recovery ()
 
 (* Optimistic execution must not publish uncommitted effects, so it is
    tied to deferred-update recovery (the single current state of
    update-in-place publishes by construction). *)
 let create_optimistic ~spec ~conflict =
-  make ~mode:(Optimistic (Hashtbl.create 16)) ~spec ~conflict ~recovery:Recovery.DU ()
+  make ~mode:(Optimistic { conflict; starts = Hashtbl.create 16 }) ~spec ~recovery:Recovery.DU ()
 
 let read = Op.invocation "read"
 
@@ -107,13 +106,13 @@ let create_escrow ~spec ~capacity =
   let escrow =
     { capacity; total_incr = 0; total_decr = 0; pinning = 0; holdings = Hashtbl.create 16 }
   in
-  make ~mode:(Escrow escrow) ~spec ~conflict:Conflict.none ~recovery:Recovery.DU ()
+  make ~mode:(Escrow escrow) ~spec ~recovery:Recovery.DU ()
 
 let name t = t.name
 let spec t = t.spec
 
 let policy t : policy =
-  match t.mode with Locking -> Locking | Optimistic _ -> Optimistic | Escrow _ -> Escrow
+  match t.mode with Locking _ -> Locking | Optimistic _ -> Optimistic | Escrow _ -> Escrow
 
 let attach_metrics t reg =
   (match t.reg with
@@ -121,7 +120,9 @@ let attach_metrics t reg =
   | _ ->
       t.reg <- Some reg;
       t.events <- Metrics.Handles.empty);
-  Lock_table.attach_metrics t.locks ~obj:t.name reg;
+  (match t.mode with
+  | Locking locks -> Lock_table.attach_metrics locks ~obj:t.name reg
+  | Optimistic _ | Escrow _ -> ());
   Recovery.attach_metrics t.recovery reg
 
 (* Per-operation counters run only on contention/failure paths (blocks,
@@ -193,35 +194,35 @@ let rec merge a b =
    enabled one too, newest first — and, while none is enabled, the
    merged holders that block the rest.  Only if every response is
    blocked does the transaction wait. *)
-let rec invoke_locking choose t tid inv first enabled blocked = function
+let rec invoke_locking choose t locks tid inv first enabled blocked = function
   | res :: rest -> (
       let op = { Op.obj = t.name; inv; res } in
-      match Lock_table.blockers t.locks ~requested:op ~tid with
+      match Lock_table.blockers locks ~requested:op ~tid with
       | [] ->
           let first = if first == none_enabled then op else first in
           let enabled = match choose with None -> enabled | Some _ -> op :: enabled in
-          invoke_locking choose t tid inv first enabled blocked rest
+          invoke_locking choose t locks tid inv first enabled blocked rest
       | holders ->
           let blocked = if first == none_enabled then merge holders blocked else blocked in
-          invoke_locking choose t tid inv first enabled blocked rest)
+          invoke_locking choose t locks tid inv first enabled blocked rest)
   | [] ->
       if first == none_enabled then block t inv blocked
       else begin
         let op = match choose with None -> first | Some pick -> choose_enabled t pick enabled in
         Recovery.record t.recovery tid op;
-        Lock_table.add t.locks tid op;
+        Lock_table.add locks tid op;
         Executed op
       end
 
 (* Locking with one legal response: its operation is tested directly,
    with no candidate list, and blocks on every holder it conflicts with
    (what the list walk answers for one response). *)
-let invoke_one t tid inv res =
+let invoke_one t locks tid inv res =
   let op = { Op.obj = t.name; inv; res } in
-  match Lock_table.blockers t.locks ~requested:op ~tid with
+  match Lock_table.blockers locks ~requested:op ~tid with
   | [] ->
       Recovery.record t.recovery tid op;
-      Lock_table.add t.locks tid op;
+      Lock_table.add locks tid op;
       Executed op
   | holders -> block t inv holders
 
@@ -305,27 +306,30 @@ let invoke_escrow choose t e tid (inv : Op.invocation) =
 let candidates t tid inv res =
   if res == Spec.several_responses then Recovery.responses t.recovery tid inv else [ res ]
 
+(* [Recovery.response]'s answer to [inv], counted when there is none. *)
+let response t tid inv =
+  let res = Recovery.response t.recovery tid inv in
+  if res == Spec.no_response then count_event t "tm_object_no_response_total" inv.Op.name;
+  res
+
 (* The candidate list is built only for several responses or a
    chooser; one response without a chooser is executed or tested
    directly. *)
 let invoke ?choose t tid inv =
   match t.mode with
   | Escrow e -> invoke_escrow choose t e tid inv
-  | Locking | Optimistic _ -> (
-      let res = Recovery.response t.recovery tid inv in
-      if res == Spec.no_response then begin
-        count_event t "tm_object_no_response_total" inv.Op.name;
-        No_response
-      end
-      else
-        let one = res != Spec.several_responses in
-        match t.mode, choose with
-        | Optimistic starts, None when one ->
-            invoke_optimistic t starts tid { Op.obj = t.name; inv; res }
-        | Optimistic starts, _ ->
-            invoke_optimistic t starts tid (choose_op t choose inv (candidates t tid inv res))
-        | _, None when one -> invoke_one t tid inv res
-        | _ -> invoke_locking choose t tid inv none_enabled [] [] (candidates t tid inv res))
+  | Locking locks ->
+      let res = response t tid inv in
+      if res == Spec.no_response then No_response
+      else if res != Spec.several_responses && Option.is_none choose then
+        invoke_one t locks tid inv res
+      else invoke_locking choose t locks tid inv none_enabled [] [] (candidates t tid inv res)
+  | Optimistic { starts; _ } ->
+      let res = response t tid inv in
+      if res == Spec.no_response then No_response
+      else if res != Spec.several_responses && Option.is_none choose then
+        invoke_optimistic t starts tid { Op.obj = t.name; inv; res }
+      else invoke_optimistic t starts tid (choose_op t choose inv (candidates t tid inv res))
 
 (* The oldest of [mine] (newest first) that conflicts with an operation
    committed at position [start] or later, and the oldest such
@@ -345,13 +349,13 @@ let rec first_conflict conflict committed start = function
 
 let validate t tid =
   match t.mode with
-  | Locking | Escrow _ -> Ok ()
-  | Optimistic starts -> (
+  | Locking _ | Escrow _ -> Ok ()
+  | Optimistic { conflict; starts } -> (
       match Hashtbl.find starts tid with
       | exception Not_found -> Ok ()  (* executed nothing here *)
       | start -> (
           match
-            first_conflict (Lock_table.conflict t.locks) (Recovery.committed_log t.recovery)
+            first_conflict conflict (Recovery.committed_log t.recovery)
               start (Recovery.intentions t.recovery tid)
           with
           | Some ((mine_op, _) as p) ->
@@ -372,22 +376,22 @@ let release_escrow e tid =
 
 let forget t tid =
   match t.mode with
-  | Locking -> ()
+  | Locking locks -> Lock_table.release locks tid
   | Escrow e -> release_escrow e tid
-  | Optimistic starts -> Hashtbl.remove starts tid
+  | Optimistic { starts; _ } -> Hashtbl.remove starts tid
 
 let commit t tid =
   forget t tid;
-  Recovery.commit t.recovery tid;
-  Lock_table.release t.locks tid
+  Recovery.commit t.recovery tid
 
 let abort t tid =
   forget t tid;
-  Recovery.abort t.recovery tid;
-  Lock_table.release t.locks tid
+  Recovery.abort t.recovery tid
 
 let committed_ops t = Recovery.committed_ops t.recovery
-let holds t = Lock_table.holds t.locks
+
+let holds t =
+  match t.mode with Locking locks -> Lock_table.holds locks | Optimistic _ | Escrow _ -> []
 
 (* The manager checks freshness in O(1) and takes the log over; every
    policy reads its committed state from the manager, so nothing else

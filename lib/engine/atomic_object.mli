@@ -23,10 +23,11 @@
 
     The recovery manager keeps each fact once: optimistic validation
     reads its committed log and intentions, and an escrow counter its
-    state's [read].  A policy's own bookkeeping (optimistic start
-    positions, escrow holdings) lives in one mode field: a locking
-    object allocates neither, so it costs its lock table plus its
-    recovery manager. *)
+    state's [read].  A policy's own bookkeeping lives in one mode field:
+    a locking object's lock table, an optimistic object's conflict
+    relation and start positions, an escrow counter's holdings.  Only a
+    locking object has a lock table, so only its commit and abort
+    release locks. *)
 
 open Tm_core
 
@@ -156,7 +157,8 @@ val abort : t -> Tid.t -> unit
     (the key run-time invariant checked by the test suite). *)
 val committed_ops : t -> Op.t list
 
-(** Current lock holds, as {!Lock_table.holds} lists them. *)
+(** Current lock holds, as {!Lock_table.holds} lists them; none for an
+    optimistic or escrow object, which holds no locks. *)
 val holds : t -> (Tid.t * Op.t) list
 
 (** [restore_log t log] installs [log] (a commit-order sequence, e.g.

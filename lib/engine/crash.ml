@@ -47,62 +47,27 @@ let pp_report ppf r =
    the logged interleaving of transactions must serialize in every order
    consistent with commit precedence. *)
 let history_of_records recs =
-  let fresh_tid =
-    match Wal.max_tid recs with Some m -> Tid.to_int m + 1 | None -> 0
+  let base = Tid.of_int (match Wal.max_tid recs with Some m -> Tid.to_int m + 1 | None -> 0) in
+  (* Steps newest first. *)
+  let exec tid ops = List.rev_map (fun op -> History.Exec (tid, op)) ops in
+  let step steps = function
+    | Wal.Checkpoint cp ->
+        (* The scan restarts at each checkpoint, from its base and its live snapshot. *)
+        List.concat_map (fun (tid, ops) -> exec tid ops) (List.rev cp.Wal.live)
+        @ (History.Commit base :: exec base cp.Wal.committed)
+    | Wal.Operation (tid, op) -> History.Exec (tid, op) :: steps
+    | Wal.Commit tid -> History.Commit tid :: steps
+    | Wal.Abort tid -> History.Abort tid :: steps
+    | Wal.Begin _ | Wal.Truncate_intent _ | Wal.Prepare _ | Wal.Decision _ ->
+        (* Prepare/Decision are 2PC coordination records: they change
+           no object state and carry no operations, so the replayed
+           history sees through them (the transaction's outcome is its
+           local Commit/Abort record, appended by the protocol or by
+           recovery's in-doubt resolution). *)
+        steps
   in
-  (* Split at the latest checkpoint; the scan restarts there. *)
-  let base_cp, tail =
-    let rec latest acc pending = function
-      | [] -> (acc, List.rev pending)
-      | Wal.Checkpoint cp :: rest -> latest (Some cp) [] rest
-      | r :: rest -> latest acc (r :: pending) rest
-    in
-    latest None [] recs
-  in
-  let h = ref History.empty in
-  let touched : (Tid.t, string list) Hashtbl.t = Hashtbl.create 16 in
-  let finished : (Tid.t, unit) Hashtbl.t = Hashtbl.create 16 in
-  let touch tid (op : Op.t) =
-    let objs = Option.value (Hashtbl.find_opt touched tid) ~default:[] in
-    if not (List.mem op.Op.obj objs) then Hashtbl.replace touched tid (op.Op.obj :: objs)
-  in
-  let exec tid op =
-    touch tid op;
-    h := History.exec tid op !h
-  in
-  let complete at tid =
-    List.iter
-      (fun obj -> h := at tid obj !h)
-      (List.rev (Option.value (Hashtbl.find_opt touched tid) ~default:[]));
-    Hashtbl.replace finished tid ()
-  in
-  (match base_cp with
-  | None -> ()
-  | Some cp ->
-      let base = Tid.of_int fresh_tid in
-      List.iter (exec base) cp.Wal.committed;
-      if cp.Wal.committed <> [] then complete History.commit_at base;
-      List.iter (fun (tid, ops) -> List.iter (exec tid) ops) cp.Wal.live);
-  List.iter
-    (fun r ->
-      match r with
-      | Wal.Begin _ | Wal.Checkpoint _ | Wal.Truncate_intent _
-      | Wal.Prepare _ | Wal.Decision _ ->
-          (* Prepare/Decision are 2PC coordination records: they change
-             no object state and carry no operations, so the replayed
-             history sees through them (the transaction's outcome is its
-             local Commit/Abort record, appended by the protocol or by
-             recovery's in-doubt resolution). *)
-          ()
-      | Wal.Operation (tid, op) -> exec tid op
-      | Wal.Commit tid -> complete History.commit_at tid
-      | Wal.Abort tid -> complete History.abort_at tid)
-    tail;
   (* Crash losers: recovery implicitly aborts every unfinished txn. *)
-  Hashtbl.iter
-    (fun tid _ -> if not (Hashtbl.mem finished tid) then complete History.abort_at tid)
-    (Hashtbl.copy touched);
-  !h
+  History.of_steps ~abort_unfinished:true (List.rev (List.fold_left step [] recs))
 
 (* ------------------------------------------------------------------ *)
 (* Recordings.                                                         *)

@@ -32,7 +32,8 @@
       for its specification;
     + {b dynamic atomicity} — each shard's resolved log, read as a
       history ({!history_of_records}), passes the paper's checker
-      ({!Tm_core.Atomicity.dynamic_atomic}, at any size);
+      ({!Tm_core.Atomicity.dynamic_atomic}, at any size, in time linear in
+      the history for a bounded number of concurrent transactions);
     + {b prefix stability} — within a run of states that only grow,
       each shard's committed operation sequence extends the previous
       state's: one more surviving byte can never un-commit work;

@@ -135,5 +135,3 @@ let rec held tid acc = function Nil -> acc | Hold (op, older) -> held tid ((tid,
 let holds t =
   let rec all = function No_holder -> [] | Holder h -> held h.tid (all h.next) h.ops in
   all t.holders
-
-let conflict t = t.conflict

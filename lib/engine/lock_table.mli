@@ -44,5 +44,3 @@ val release : t -> Tid.t -> unit
 (** All (transaction, operation) holds: holder by holder, the newest
     holder first, each one's operations in the order it acquired them. *)
 val holds : t -> (Tid.t * Op.t) list
-
-val conflict : t -> Conflict.t

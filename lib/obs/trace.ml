@@ -168,28 +168,16 @@ let to_jsonl ?extra t = Fmt.str "%a" (pp_jsonl ?extra) t
 (* Replay: a recorded trace as a paper history.                        *)
 
 (* Only [Executed], [Commit] and [Abort] events carry history content;
-   the rest is scheduling noise.  The objects a transaction touched are
-   reconstructed from its executed operations, mirroring exactly what
-   [Database.finish] does when it emits per-object commit/abort
-   events. *)
+   the rest is scheduling noise.  [History.of_steps] turns an outcome
+   into one event per object the transaction executed at, as
+   [Database.finish] emits its per-object commit/abort events. *)
 let to_history t =
-  let touched : (Tid.t, string list) Hashtbl.t = Hashtbl.create 16 in
-  let touch tid obj =
-    let objs = Option.value (Hashtbl.find_opt touched tid) ~default:[] in
-    if not (List.mem obj objs) then Hashtbl.replace touched tid (obj :: objs)
-  in
-  let finish h tid per_obj =
-    let objs = List.rev (Option.value (Hashtbl.find_opt touched tid) ~default:[]) in
-    Hashtbl.remove touched tid;
-    List.fold_left (fun h obj -> per_obj tid obj h) h objs
-  in
-  List.fold_left
-    (fun h e ->
-      match e.tid, e.kind with
-      | Some tid, Executed { op } ->
-          touch tid op.Op.obj;
-          History.exec tid op h
-      | Some tid, Commit -> finish h tid (fun tid obj h -> History.commit_at tid obj h)
-      | Some tid, Abort -> finish h tid (fun tid obj h -> History.abort_at tid obj h)
-      | _ -> h)
-    History.empty (events t)
+  History.of_steps
+    (List.filter_map
+       (fun e ->
+         match e.tid, e.kind with
+         | Some tid, Executed { op } -> Some (History.Exec (tid, op))
+         | Some tid, Commit -> Some (History.Commit tid)
+         | Some tid, Abort -> Some (History.Abort tid)
+         | _ -> None)
+       (events t))

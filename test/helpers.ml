@@ -149,3 +149,24 @@ let qcheck ?(count = 200) ?(after = ignore) name gen prop =
       with e ->
         Fmt.epr "[qcheck] %s failed — reproduce with QCHECK_SEED=%d@." name seed;
         raise e)
+
+(* [precedes h] restricted to [Committed(h) ∪ Active(h)] is transitive;
+   [chains] counts the triples [a < b < c] it saw. *)
+let precedes_transitive ?(chains = ref 0) h =
+  let ts = Tid.Set.elements (Tid.Set.diff (History.transactions h) (History.aborted h)) in
+  let p = History.precedes h in
+  List.for_all
+    (fun b ->
+      List.for_all
+        (fun a ->
+          (not (p a b))
+          || List.for_all
+               (fun c ->
+                 (not (p b c))
+                 || begin
+                      incr chains;
+                      p a c
+                    end)
+               ts)
+        ts)
+    ts

@@ -291,6 +291,35 @@ let prop_crash_invariants =
           scenario.Experiment.name (Experiment.label setup) seed checkpoint_every
           Crash.pp_report report)
 
+(* [precedes] is transitive on the histories the battery replays (see
+   "precedes is transitive" in test_atomicity.ml): every shard history
+   of every append point of a random workload with random checkpoints. *)
+let prop_replayed_precedes_transitive =
+  let chains = ref 0 in
+  Helpers.qcheck ~count:30 "precedes is transitive on replayed shard histories"
+    QCheck2.Gen.(
+      tup4 (int_range 0 10_000) (int_bound 3) (int_bound (Array.length prop_scenarios - 1))
+        (int_bound (Array.length prop_setups - 1)))
+    ~after:(fun () -> Helpers.check_bool "chains seen" true (!chains > 0))
+    (fun (seed, checkpoint_every, si, pi) ->
+      let scenario = prop_scenarios.(si) and setup = prop_setups.(pi) in
+      let cfg = Experiment.config ~concurrency:3 ~total_txns:8 ~seed () in
+      let rebuild () = scenario.Experiment.build setup in
+      let r =
+        record ~rebuild (fun sdb ->
+            ignore (Experiment.drive ~checkpoint_every scenario setup cfg sdb : Experiment.row))
+      in
+      Seq.for_all
+        (fun (st : Crash.state) ->
+          Array.for_all
+            (fun log ->
+              let h = Crash.history_of_records log in
+              History.is_well_formed h && Helpers.precedes_transitive ~chains h)
+            st.Crash.logs)
+        (Crash.states (Crash.append_points r))
+      || QCheck2.Test.fail_reportf "%s/%s seed %d cp %d" scenario.Experiment.name
+           (Experiment.label setup) seed checkpoint_every)
+
 let committed_by_object db =
   List.map
     (fun o -> (Atomic_object.name o, Atomic_object.committed_ops o))
@@ -986,6 +1015,7 @@ let suite =
     Alcotest.test_case "batch-prefix torture of group-committed run" `Quick
       test_torture_batched_group_commit;
     prop_crash_invariants;
+    prop_replayed_precedes_transitive;
     prop_recover_matches_replay;
     prop_replay_matches_reference_on_any_log;
     Alcotest.test_case "a max_int tid replays like any other" `Quick test_replay_max_int_tid;

@@ -1058,12 +1058,14 @@ let test_shard_databases_bounded_state () =
    per-transaction table of its own, and no validation tables.  The
    marginal reachable words over 101 vs 1 objects cancel out what the
    objects share (the type's module and generators, the conflict
-   relation): 38 words under UIP and 35 under DU.  An object that kept
-   its own conflict field and block count, beside a lock table with a
-   hold counter, cost 41 and 38, and a manager that was a record of
-   closures with its own hash table, beside a renamed spec that copied
-   the generators, 239 and 210.  The limits are the measured values
-   plus 10%. *)
+   relation): 39 words under UIP and 36 under DU, the lock table held
+   in the [Locking] mode (38 and 35 when every object, optimistic and
+   escrow ones too, kept a lock table in a field of its own).  An
+   object that kept its own conflict field and block count, beside a
+   lock table with a hold counter, cost 41 and 38, and a manager that
+   was a record of closures with its own hash table, beside a renamed
+   spec that copied the generators, 239 and 210.  The limits are the
+   38 and 35 plus 10%. *)
 let account kind i =
   let inverse = match kind with Recovery.UIP -> Some BA.inverse | Recovery.DU -> None in
   Atomic_object.create ?inverse
@@ -1079,6 +1081,23 @@ let test_fresh_object_footprint () =
         Alcotest.failf "%a: a fresh account costs %d words (at most %d)" Recovery.pp_kind kind
           per_object limit)
     [ (Recovery.UIP, 41); (Recovery.DU, 38) ]
+
+(* A fresh optimistic account is its recovery manager, its conflict
+   relation and its table of start positions, with no lock table: 53
+   words (59 when every object kept a lock table).  The limit is the
+   measured value plus 10%. *)
+let test_optimistic_object_footprint () =
+  let words n =
+    Obj.reachable_words
+      (Obj.repr
+         (List.init n (fun i ->
+              Atomic_object.create_optimistic
+                ~spec:(Spec.rename BA.spec (Fmt.str "BA%d" i))
+                ~conflict:BA.nfc_conflict)))
+  in
+  let per_object = (words 101 - words 1) / 100 in
+  if per_object > 58 then
+    Alcotest.failf "a fresh optimistic account costs %d words (at most 58)" per_object
 
 (* Every account opened at one balance shares one funded spec, so a
    funded account costs what an unfunded one does (a funded spec built
@@ -1103,8 +1122,9 @@ let test_funded_account_footprint () =
 (* What an attached object costs: an account in a [Database], after one
    committed deposit, is the fresh account plus its share of the
    database (registry series, a finished tid's bit), the handle it
-   resolved and its one-operation committed log (a 2-word block): 86
-   words under UIP and 83 under DU (89 and 86 with the object's own
+   resolved and its one-operation committed log (a 2-word block): 87
+   words under UIP and 84 under DU (86 and 83 with the lock table a
+   field of every object, 89 and 86 with the object's own
    conflict field and block count and a hold counter, 90 and 87 when
    the log was a list cell besides, 284 and 255 with the closure-record
    manager), limits +10% of the list-cell figures. *)
@@ -2214,6 +2234,7 @@ let suite =
     prop_tid_set_matches_table;
     Alcotest.test_case "fresh object footprint" `Quick test_fresh_object_footprint;
     Alcotest.test_case "funded account footprint" `Quick test_funded_account_footprint;
+    Alcotest.test_case "optimistic object footprint" `Quick test_optimistic_object_footprint;
     Alcotest.test_case "database keeps only live transactions" `Quick
       test_database_bounded_state;
     Alcotest.test_case "shard databases keep only live transactions" `Quick
