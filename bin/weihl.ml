@@ -268,9 +268,10 @@ let check_traces ~specs rows =
       | Some tr ->
           let h = Trace.to_history tr in
           let verdict =
-            if not (History.is_well_formed h) then "history NOT WELL-FORMED"
-            else if Atomicity.is_online_dynamic_atomic env h then "well-formed, dynamically atomic"
-            else "well-formed, NOT DYNAMICALLY ATOMIC"
+            match Atomicity.online_dynamic_atomic_opt env h with
+            | None -> "history NOT WELL-FORMED"
+            | Some Atomicity.Ok -> "well-formed, dynamically atomic"
+            | Some (Atomicity.Counterexample _) -> "well-formed, NOT DYNAMICALLY ATOMIC"
           in
           Fmt.pr "trace %-24s %-10s %5d events -> %s@." r.scenario r.setup
             (Trace.length tr) verdict)

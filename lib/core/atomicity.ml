@@ -171,9 +171,10 @@ let complete txns at path =
    of them consistent with [precedes] extends to a consistent order of
    all, so the walk runs over X's alone.  An active transaction never
    commits, so it precedes nothing: with [~online] the prefixes of the
-   orders of every commit set are the paths of one walk. *)
-let check env h ~online =
-  let txns, objects = index (History.check h) in
+   orders of every commit set are the paths of one walk.  [h] is
+   well-formed: each entry point makes the one pass that checks it. *)
+let check_formed env h ~online =
+  let txns, objects = index h in
   let check_object (x, at) =
     let ms =
       Hashtbl.fold
@@ -191,8 +192,15 @@ let check env h ~online =
   | None -> Ok
   | Some order -> Counterexample order
 
+let check env h ~online = check_formed env (History.check h) ~online
+
+let check_opt env h ~online =
+  if History.is_well_formed h then Some (check_formed env h ~online) else None
+
 let dynamic_atomic env h = check env h ~online:false
 let online_dynamic_atomic env h = check env h ~online:true
+let dynamic_atomic_opt env h = check_opt env h ~online:false
+let online_dynamic_atomic_opt env h = check_opt env h ~online:true
 
 let is_dynamic_atomic env h = is_ok (dynamic_atomic env h)
 let is_online_dynamic_atomic env h = is_ok (online_dynamic_atomic env h)

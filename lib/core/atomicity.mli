@@ -59,6 +59,15 @@ val dynamic_atomic : env -> History.t -> verdict
     [Committed(h) ⊆ CS ⊆ Committed(h) ∪ Active(h)]. *)
 val online_dynamic_atomic : env -> History.t -> verdict
 
+(** [dynamic_atomic_opt env h] is [None] if [h] is not well-formed, else
+    [Some (dynamic_atomic env h)]; and [online_dynamic_atomic_opt] the
+    same for {!online_dynamic_atomic}.  One well-formedness pass serves
+    both the answer and the walk, for a caller that reports an
+    ill-formed history rather than letting it raise. *)
+val dynamic_atomic_opt : env -> History.t -> verdict option
+
+val online_dynamic_atomic_opt : env -> History.t -> verdict option
+
 (** Boolean shorthands. *)
 
 val is_dynamic_atomic : env -> History.t -> bool

@@ -47,6 +47,8 @@ type t = {
      far, keyed by metric name and operation name. *)
   mutable reg : Metrics.t option;
   mutable events : Metrics.Handles.t;
+  (* The database's table, through which every operation is built. *)
+  mutable ops : Op_table.t;
   mode : mode;
 }
 
@@ -67,6 +69,7 @@ let make ?inverse ~mode ~spec ~recovery () =
     recovery = Recovery.create ?inverse recovery spec;
     reg = None;
     events = Metrics.Handles.empty;
+    ops = Op_table.detached;
     mode;
   }
 
@@ -125,6 +128,12 @@ let attach_metrics t reg =
   | Optimistic _ | Escrow _ -> ());
   Recovery.attach_metrics t.recovery reg
 
+let share_ops t ops = t.ops <- ops
+
+(* The operation [inv] answered by [res] here, shared with every equal
+   one through the database's table. *)
+let op t inv res = Op_table.find t.ops t.name inv res
+
 (* Per-operation counters run only on contention/failure paths (blocks,
    stalls, validation failures) — never on a plain executed invocation —
    and search the registry only on a series' first event. *)
@@ -160,11 +169,11 @@ let reject_pick t res offered =
    the specification's response order), or the chooser's pick. *)
 let choose_op t choose inv offered =
   match choose with
-  | None -> { Op.obj = t.name; inv; res = List.hd offered }
+  | None -> op t inv (List.hd offered)
   | Some pick ->
       let res = pick offered in
       if not (List.exists (Value.equal res) offered) then reject_pick t res offered;
-      { Op.obj = t.name; inv; res }
+      op t inv res
 
 (* The chooser's pick among the [enabled] operations (newest first),
    offered their responses in the specification's order. *)
@@ -196,7 +205,7 @@ let rec merge a b =
    blocked does the transaction wait. *)
 let rec invoke_locking choose t locks tid inv first enabled blocked = function
   | res :: rest -> (
-      let op = { Op.obj = t.name; inv; res } in
+      let op = op t inv res in
       match Lock_table.blockers locks ~requested:op ~tid with
       | [] ->
           let first = if first == none_enabled then op else first in
@@ -218,7 +227,7 @@ let rec invoke_locking choose t locks tid inv first enabled blocked = function
    with no candidate list, and blocks on every holder it conflicts with
    (what the list walk answers for one response). *)
 let invoke_one t locks tid inv res =
-  let op = { Op.obj = t.name; inv; res } in
+  let op = op t inv res in
   match Lock_table.blockers locks ~requested:op ~tid with
   | [] ->
       Recovery.record t.recovery tid op;
@@ -328,7 +337,7 @@ let invoke ?choose t tid inv =
       let res = response t tid inv in
       if res == Spec.no_response then No_response
       else if res != Spec.several_responses && Option.is_none choose then
-        invoke_optimistic t starts tid { Op.obj = t.name; inv; res }
+        invoke_optimistic t starts tid (op t inv res)
       else invoke_optimistic t starts tid (choose_op t choose inv (candidates t tid inv res))
 
 (* The oldest of [mine] (newest first) that conflicts with an operation

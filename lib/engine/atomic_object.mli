@@ -109,6 +109,16 @@ val policy : t -> policy
     fields, so an attached object costs no more words than before. *)
 val attach_metrics : t -> Tm_obs.Metrics.t -> unit
 
+(** [share_ops t ops] makes [ops] the table through which the object
+    builds every operation it executes or tests ({!Op_table.find}): an
+    operation equal to one already in the table is that one, so equal
+    operations of a database's objects are one value and a hit allocates
+    nothing.  {!Database.create} hands every object its table this way,
+    as it attaches its registry; an object in no database builds each
+    operation afresh ({!Op_table.detached}).  Sharing is invisible:
+    operations are immutable and compared by {!Tm_core.Op.equal}. *)
+val share_ops : t -> Op_table.t -> unit
+
 (** [invoke t tid inv] attempts the invocation for [tid].  When several
     legal responses are enabled the first in the specification's response
     order is chosen (deterministic); pass [~choose] to override (e.g. a
@@ -127,10 +137,11 @@ val attach_metrics : t -> Tm_obs.Metrics.t -> unit
 
     On [Blocked], the holders are strictly increasing.  An invocation
     with one legal response and no chooser builds no candidate list
-    ({!Recovery.response}): it allocates the one operation it tests
-    and, on [Blocked], only the answer beside it; executed, what the
-    recovery manager and the lock table keep.  Several legal responses
-    or a chooser add the candidate list and one operation per
+    ({!Recovery.response}): it looks up the one operation it tests in
+    the object's table ({!share_ops}), which allocates only on a miss,
+    and, on [Blocked], allocates only the answer beside it; executed,
+    what the recovery manager and the lock table keep.  Several legal
+    responses or a chooser add the candidate list and one lookup per
     candidate tested. *)
 val invoke : ?choose:(Value.t list -> Value.t) -> t -> Tid.t -> Op.invocation -> outcome
 

@@ -576,23 +576,26 @@ let battery ~env ~rebuild ~g ~prepared ~prev ~atomicity_checked ~evidence_checke
           (Sharded_database.objects db)
       in
       let atomicity =
-        let hs = Array.map history_of_records resolved in
-        let malformed =
-          List.filter (fun p -> not (History.is_well_formed hs.(p))) shard_ids
+        let verdicts =
+          List.map
+            (fun p -> (p, Atomicity.dynamic_atomic_opt env (history_of_records resolved.(p))))
+            shard_ids
         in
+        let malformed = List.filter (fun (_, v) -> Option.is_none v) verdicts in
         if malformed <> [] then
           List.map
-            (fun p ->
+            (fun (p, _) ->
               ("dynamic-atomicity", Fmt.str "shard %d: replayed history not well-formed" p))
             malformed
         else begin
           incr atomicity_checked;
           List.filter_map
-            (fun p ->
-              match Atomicity.dynamic_atomic env hs.(p) with
-              | Atomicity.Ok -> None
-              | v -> Some ("dynamic-atomicity", Fmt.str "shard %d: %a" p Atomicity.pp_verdict v))
-            shard_ids
+            (fun (p, v) ->
+              match v with
+              | None | Some Atomicity.Ok -> None
+              | Some v ->
+                  Some ("dynamic-atomicity", Fmt.str "shard %d: %a" p Atomicity.pp_verdict v))
+            verdicts
         end
       in
       (* One more surviving byte can only extend committed work (this is

@@ -2,6 +2,17 @@ open Tm_core
 module Metrics = Tm_obs.Metrics
 module Trace = Tm_obs.Trace
 
+(* Objects by name.  Every invocation and every release looks its
+   object up, so names are compared by [String.equal], not by the
+   polymorphic compare of a generic table (about half the time of a
+   lookup); the hash, and so the buckets, are a generic table's. *)
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 (* What the database keeps of a running transaction.  A finished one
    leaves only its bit in [finished]. *)
 type txn = {
@@ -12,7 +23,7 @@ type txn = {
 
 type t = {
   mutable objs_rev : Atomic_object.t list;  (* newest first *)
-  by_name : (string, Atomic_object.t) Hashtbl.t;
+  by_name : Atomic_object.t Names.t;
   live : (Tid.t, txn) Hashtbl.t;  (* running transactions only *)
   finished : Tid_bits.t;
   waits : Deadlock.t;
@@ -23,6 +34,8 @@ type t = {
      reads the counter).  The trace recorder is optional: [None] (the
      default) costs one branch per event site. *)
   metrics : Metrics.t;
+  (* The operations of every object here, shared ({!Op_table}). *)
+  ops : Op_table.t;
   c_begins : Metrics.counter;
   c_committed : Metrics.counter;
   c_aborted : Metrics.counter;
@@ -36,10 +49,11 @@ type t = {
 
 let add_object t o =
   Atomic_object.attach_metrics o t.metrics;
+  Atomic_object.share_ops o t.ops;
   t.objs_rev <- o :: t.objs_rev;
   (* The first object registered under a name keeps it. *)
   let name = Atomic_object.name o in
-  if not (Hashtbl.mem t.by_name name) then Hashtbl.add t.by_name name o
+  if not (Names.mem t.by_name name) then Names.add t.by_name name o
 
 let create ?(first_tid = 0) objs =
   if first_tid < 0 then invalid_arg "Database.create: negative first_tid";
@@ -47,12 +61,13 @@ let create ?(first_tid = 0) objs =
   let t =
     {
       objs_rev = [];
-      by_name = Hashtbl.create 16;
+      by_name = Names.create 16;
       live = Hashtbl.create 64;
       finished = Tid_bits.create ();
       waits = Deadlock.create ();
       next_tid = first_tid;
       metrics;
+      ops = Op_table.create ();
       c_begins = Metrics.counter metrics "tm_txn_begins_total";
       c_committed = Metrics.counter metrics "tm_txn_committed_total";
       c_aborted = Metrics.counter metrics "tm_txn_aborted_total";
@@ -73,7 +88,7 @@ let objects t = List.rev t.objs_rev
 (* [running], [find_object] and [touched_objs] run on every invocation,
    so they catch [Not_found] rather than allocate an option. *)
 let find_object t name =
-  match Hashtbl.find t.by_name name with
+  match Names.find t.by_name name with
   | o -> o
   | exception Not_found -> invalid_arg ("Database.find_object: unknown object " ^ name)
 

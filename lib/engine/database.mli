@@ -13,7 +13,17 @@
     {!set_trace}; without one, tracing costs a single branch per event
     site, and no span kind is built.  A run's history, for offline
     verification with {!Tm_core.Atomicity}, is {!Tm_obs.Trace.to_history}
-    of an attached recorder. *)
+    of an attached recorder.
+
+    Every database also owns an operation table ({!Op_table}), which
+    {!create} hands to each object as it attaches the registry
+    ({!Atomic_object.share_ops}).  Every operation the objects execute
+    or test is built through it, so equal operations are one value: a
+    committed operation costs its committed log a slot and nothing
+    more, and a long history of repeating operations keeps one copy of
+    each.  The table is allocated on the first invocation, bounded
+    ({!Op_table.size} slots), and invisible to callers, who compare
+    operations by {!Tm_core.Op.equal}. *)
 
 open Tm_core
 

@@ -11,6 +11,7 @@ module Database = Tm_engine.Database
 module Deadlock = Tm_engine.Deadlock
 module Tid_bits = Tm_engine.Tid_bits
 module Op_log = Tm_engine.Op_log
+module Op_table = Tm_engine.Op_table
 
 module BA = Tm_adt.Bank_account
 
@@ -329,6 +330,8 @@ let test_inverse_undo_equivalence () =
 let uip_refinement_run ?inverse ?(restored = []) ~spec ~conflict seed =
   let rng = Random.State.make [| seed |] in
   let o = Atomic_object.create ?inverse ~spec ~conflict ~recovery:Recovery.UIP () in
+  (* Equal operations are shared, as in a database. *)
+  Atomic_object.share_ops o (Op_table.create ());
   let shadow = Recovery.create ?inverse Recovery.UIP spec in
   let oracle = Uip_reference.create ?inverse spec in
   if restored <> [] then begin
@@ -1058,8 +1061,10 @@ let test_shard_databases_bounded_state () =
    per-transaction table of its own, and no validation tables.  The
    marginal reachable words over 101 vs 1 objects cancel out what the
    objects share (the type's module and generators, the conflict
-   relation): 39 words under UIP and 36 under DU, the lock table held
-   in the [Locking] mode (38 and 35 when every object, optimistic and
+   relation): 40 words under UIP and 37 under DU, the lock table held
+   in the [Locking] mode, and a field for its database's operation
+   table, which a fresh object leaves at the shared detached one (39 and
+   36 without that field, 38 and 35 when every object, optimistic and
    escrow ones too, kept a lock table in a field of its own).  An
    object that kept its own conflict field and block count, beside a
    lock table with a hold counter, cost 41 and 38, and a manager that
@@ -1083,9 +1088,10 @@ let test_fresh_object_footprint () =
     [ (Recovery.UIP, 41); (Recovery.DU, 38) ]
 
 (* A fresh optimistic account is its recovery manager, its conflict
-   relation and its table of start positions, with no lock table: 53
-   words (59 when every object kept a lock table).  The limit is the
-   measured value plus 10%. *)
+   relation, its table of start positions and its field for a
+   database's operation table, with no lock table: 54 words (53 before
+   that field, 59 when every object kept a lock table).  The limit is
+   the 53 plus 10%. *)
 let test_optimistic_object_footprint () =
   let words n =
     Obj.reachable_words
@@ -1122,8 +1128,10 @@ let test_funded_account_footprint () =
 (* What an attached object costs: an account in a [Database], after one
    committed deposit, is the fresh account plus its share of the
    database (registry series, a finished tid's bit), the handle it
-   resolved and its one-operation committed log (a 2-word block): 87
-   words under UIP and 84 under DU (86 and 83 with the lock table a
+   resolved, its field for the database's operation table and its
+   one-operation committed log (a 2-word block); its deposit is in the
+   table too, shared with the log: 88 words under UIP and 85 under DU
+   (87 and 84 before the table field, 86 and 83 with the lock table a
    field of every object, 89 and 86 with the object's own
    conflict field and block count and a hold counter, 90 and 87 when
    the log was a list cell besides, 284 and 255 with the closure-record
@@ -1573,7 +1581,8 @@ let test_lock_release_allocation () =
 
 (* A blocked invocation and the deadlock search after it, as the
    closed-loop clients run them: 22 → 19 words, now that the one legal
-   response is tested without a candidate list.  A spec that answered
+   response is tested without a candidate list, and 15 now that the
+   operation it tests is the database's, found in its table.  A spec that answered
    with a list of (response, state) pairs took 28, with a hash table of
    holders 53, and with a registry search per event, a fresh search
    table, exception and per-node closures, and the trace kind built
@@ -1616,7 +1625,8 @@ let test_conflict_allocation () =
 
 (* A blocked retry against two holders and the deadlock search after
    it: the answer and the one operation it tests, 28 → 25 words now
-   that the one legal response is tested without a candidate list.
+   that the one legal response is tested without a candidate list, and
+   21 now that the operation is the database's, found in its table.
    The search
    reruns only when the graph changed, and a retry re-registers the
    same edges.  A spec that answered with a list of pairs took 34,
@@ -1700,14 +1710,17 @@ let test_deadlock_clear_allocation () =
 (* An executed deposit by a transaction that three blocked withdrawals
    wait on pays for the deposit alone: the walk that clears their edges
    to it allocates nothing, and each waiter's list falls to its shared
-   empty tail.  29 words under UIP, 25 under DU, with or without the
-   waiters: 33 and 29 with a candidate list, 30 and 26 with a lock hold
-   stamped with a global sequence number.  The deposit builds its
-   operation once, for the lock test, and executes it, keeping it in an
-   argument rather than a list; its lock hold (3 words, the operation
+   empty tail.  25 words under UIP, 21 under DU, with or without the
+   waiters: 29 and 25 when each executed operation was a block of its
+   own, 33 and 29 with a candidate list besides, 30 and 26 with a lock
+   hold stamped with a global sequence number.  The deposit looks its
+   operation up once, for the lock test, and finds it in the database's
+   table, where the first deposit left it; it executes that operation,
+   keeping it in an argument rather than a list; its lock hold (3 words, the operation
    and the next hold), and under UIP its cell of the live suffix, are
    one cell each; the recovery manager is called at full
-   arity; and the spec folds over its responses.  A spec that answered with a list of
+   arity; and the spec folds over its responses.  The limits are the
+   measured values plus 10%.  A spec that answered with a list of
    (response, state) pairs, one per step, took 45 words under UIP and
    41 under DU.  Before the other cuts it took 62 and 56, 4 more with
    the waiters ([Hashtbl.iter]'s closure in the clear): partial
@@ -1721,7 +1734,7 @@ let test_contended_deposit_allocation () =
   List.iter
     (fun recovery ->
       let what, limit =
-        match recovery with Recovery.UIP -> ("UIP", 29.) | Recovery.DU -> ("DU", 25.)
+        match recovery with Recovery.UIP -> ("UIP", 27.) | Recovery.DU -> ("DU", 23.)
       in
       (* The words of a's third deposit, with [waiters] withdrawals
          blocked on a's first two. *)
@@ -2045,9 +2058,10 @@ let test_committed_log_density () =
    committed log and keeps no log of its own: from 10^3 to 10^4
    committed single-deposit transactions it grows by what the manager's
    log does, 1.04 words per operation.  The words counted are the
-   object's beyond the operations themselves (each transaction's deposit
-   is its own block, which the object shares with the list
-   [committed_ops] builds).  A second chunked log for validation, filled
+   object's beyond the operations themselves: the account is in no
+   database, so it shares no operations ({!Op_table.detached}) and each
+   transaction's deposit is its own block, which the object shares with
+   the list [committed_ops] builds.  A second chunked log for validation, filled
    by the same commits, doubled it (2.08); the limit is 1.2. *)
 let test_optimistic_log_density () =
   let inv = deposit_inv 1 in
@@ -2068,6 +2082,99 @@ let test_optimistic_log_density () =
   if per_op > 1.2 then
     Alcotest.failf "an optimistic account grew %.3f words per committed operation (max 1.2)"
       per_op
+
+(* What a committed operation costs through a database: its slot in
+   the manager's committed log, and nothing more.  From 10^3 to 10^4
+   single-deposit transactions, each invocation built afresh, a
+   database grows 1.07 words per operation under UIP and under DU: the
+   object builds each deposit through the database's operation table,
+   so every one is the same shared operation.  When each executed
+   operation was its own block, which kept the caller's invocation, its
+   argument list and its value alive too, the database grew 13.07 words
+   per operation.  The limit is 1.2. *)
+let test_database_op_density () =
+  List.iter
+    (fun kind ->
+      let words n =
+        let db = Database.create [ make_ba kind ] in
+        for _ = 1 to n do
+          let a = Database.begin_txn db in
+          (match Database.invoke db a ~obj:"BA" (deposit_inv 1) with
+          | Atomic_object.Executed _ -> ()
+          | _ -> Alcotest.fail "a lone deposit must execute");
+          Database.commit db a
+        done;
+        Obj.reachable_words (Obj.repr db)
+      in
+      let per_op = float_of_int (words 10_000 - words 1_000) /. 9_000. in
+      if per_op > 1.2 then
+        Alcotest.failf "%a: a database grew %.3f words per committed operation (max 1.2)"
+          Recovery.pp_kind kind per_op)
+    [ Recovery.UIP; Recovery.DU ]
+
+(* The table shares: equal keys built from distinct invocation records
+   find one operation, and a hit allocates nothing.  Its empty slot
+   matches no lookup, not even one equal to the empty slot's contents
+   but for the object name's identity.  The detached table of an object
+   in no database builds every operation afresh. *)
+let test_op_table_shares () =
+  let t = Op_table.create () and obj = "BA" in
+  let first = Op_table.find t obj (deposit_inv 1) Value.ok in
+  let again = Op_table.find t obj (deposit_inv 1) Value.ok in
+  Helpers.check_bool "equal keys find one operation" true (first == again);
+  Helpers.check_bool "the operation is the key's" true
+    (Op.equal first { Op.obj; inv = deposit_inv 1; res = Value.ok });
+  let inv = deposit_inv 1 in
+  let w = minor_words (fun () -> Op_table.find t obj inv Value.ok) in
+  if w > 0. then Alcotest.failf "a hit allocated %.0f words" w;
+  let unit_obj = String.make 0 ' ' and unit_inv = Op.invocation "" in
+  List.iter
+    (fun t ->
+      let op = Op_table.find t unit_obj unit_inv Value.unit in
+      Helpers.check_bool "a lookup of the empty slot's contents gets its own object name" true
+        (op.Op.obj == unit_obj))
+    [ Op_table.create (); t ];
+  let d = Op_table.find Op_table.detached obj inv Value.ok in
+  Helpers.check_bool "the detached table shares nothing" true
+    (d != Op_table.find Op_table.detached obj inv Value.ok && Op.equal d first)
+
+(* Whatever the keys and their collisions, a lookup answers an
+   operation equal to its key, carrying the object's own name string,
+   and a key looked up twice in a row answers the same value both
+   times. *)
+let test_op_table_model =
+  let open QCheck2.Gen in
+  let value =
+    oneof
+      [
+        map Value.int (int_range (-3) 3);
+        map Value.str (oneofl [ "ok"; "no"; "a-rather-long-string-value"; "" ]);
+        pure Value.unit;
+        map Value.bool bool;
+        map (fun l -> Value.list (List.map Value.int l)) (list_size (int_range 0 2) (int_range 0 3));
+      ]
+  in
+  let key =
+    quad (int_range 0 5)
+      (oneofl [ "deposit"; "withdraw"; "balance"; "" ])
+      (list_size (int_range 0 2) value)
+      value
+  in
+  let objs = [| "BA"; "BA1"; "account-00000001"; "account-00000002"; ""; "x" |] in
+  Helpers.qcheck ~count:200 "operation table: lookups answer their keys"
+    (list_size (int_range 1 300) key)
+    (fun keys ->
+      let t = Op_table.create () in
+      List.for_all
+        (fun (o, name, args, res) ->
+          let obj = objs.(o) in
+          (* A fresh invocation and argument list each time. *)
+          let inv () = Op.invocation ~args:(List.map Fun.id args) (name ^ "") in
+          let op = Op_table.find t obj (inv ()) res in
+          op.Op.obj == obj
+          && Op.equal op { Op.obj; inv = inv (); res }
+          && Op_table.find t obj (inv ()) res == op)
+        keys)
 
 (* A restart replays into what it keeps.  Restoring 1,000 committed
    bank operations into a fresh account (UIP with its inverses, and DU)
@@ -2275,6 +2382,10 @@ let suite =
     prop_op_log_matches_list;
     Alcotest.test_case "committed log density pin" `Quick test_committed_log_density;
     Alcotest.test_case "optimistic one-log density pin" `Quick test_optimistic_log_density;
+    Alcotest.test_case "a committed operation costs one word through a database" `Quick
+      test_database_op_density;
+    Alcotest.test_case "operation table shares equal operations" `Quick test_op_table_shares;
+    test_op_table_model;
     Alcotest.test_case "chooser outside the offer rejected" `Quick
       test_choose_outside_offer_rejected;
     Alcotest.test_case "chooser offered the one response" `Quick

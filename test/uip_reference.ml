@@ -18,7 +18,12 @@ type t = {
 let create ?inverse (Spec.Packed { m = (module S); _ }) =
   let module E = Explore_reference.Make (S) in
   let current = ref E.initial_set in
-  let log = ref [] (* newest first *) in
+  (* The restored operations, and after them (tid, op) of every
+     non-aborted operation executed since, newest first.  An abort
+     removes its own transaction's by tid: equal operations of other
+     transactions may be one shared value. *)
+  let restored = ref [] in
+  let log = ref [] in
   let per_txn : (Tid.t, Op.t list) Hashtbl.t = Hashtbl.create 16 in
   let committed_log = ref [] (* newest first *) in
   let txn_ops tid = Option.value (Hashtbl.find_opt per_txn tid) ~default:[] in
@@ -29,7 +34,7 @@ let create ?inverse (Spec.Packed { m = (module S); _ }) =
   in
   let record tid op =
     current := E.step !current op;
-    log := op :: !log;
+    log := (tid, op) :: !log;
     Hashtbl.replace per_txn tid (op :: txn_ops tid)
   in
   let commit tid =
@@ -50,8 +55,8 @@ let create ?inverse (Spec.Packed { m = (module S); _ }) =
   let abort tid =
     let mine = txn_ops tid in
     Hashtbl.remove per_txn tid;
-    log := List.filter (fun op -> not (List.memq op mine)) !log;
-    let replayed () = E.after E.initial_set (List.rev !log) in
+    log := List.filter (fun (t, _) -> not (Tid.equal t tid)) !log;
+    let replayed () = E.after E.initial_set (!restored @ List.rev_map snd !log) in
     current :=
       match compensation mine with
       | None -> replayed ()
@@ -61,7 +66,8 @@ let create ?inverse (Spec.Packed { m = (module S); _ }) =
   in
   let restore ops =
     current := E.after E.initial_set ops;
-    log := List.rev ops;
+    restored := ops;
+    log := [];
     committed_log := List.rev ops
   in
   let committed_ops () = List.rev !committed_log in
