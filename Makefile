@@ -16,10 +16,11 @@ test:
 	dune runtest
 
 # Crash-injection torture, generator "append": record the seeded fiber
-# run of every scenario x setup, recover at every WAL append point and
-# fail on any violation of the shared recovery battery (or if a
-# generator yields no states); each run is then repeated onto a
-# Disk_wal, reloaded and recovered.  The second leg runs 100
+# run of every scenario x setup onto one Disk_wal per shard, load and
+# recover the stored bytes at every WAL append point and fail on any
+# violation of the shared recovery battery (or if a generator yields
+# no states); the recording itself must load and recover the live
+# engine's state.  The second leg runs 100
 # transactions with no checkpoint, so every recovered history keeps its
 # whole run; it must check all 16704 of its states for dynamic atomicity.
 crashtest:
@@ -33,9 +34,9 @@ crashtest:
 # barrier), "truncate", "upgrade" and "upgrade-v2" (every byte state of
 # the checkpoint-truncation rewrite from v3, from v1 and from v2: must
 # roll back or redo atomically) and "flips" (bit-flip corruption detected or
-# contained), plus a fault-injected storage run whose bytes must reload
-# to the recorded run's log (torn writes / transient errors absorbed by
-# the WAL retry loop).
+# contained), plus a fault-injected storage run whose stores must end
+# holding the recorded bytes exactly (torn writes / transient errors
+# absorbed by the WAL retry loop).
 faulttest:
 	dune exec bin/crashtest.exe -- --fault --seed 11
 

@@ -2,18 +2,19 @@
 
    One pipeline at any --shards N.  Every scenario x setup combination
    is driven by [Experiment.drive] on seeded fibers over an N-shard
-   engine, and the drive is recorded ([Crash.of_drive]: every append
-   and every force the run made).  Each generator of [table] turns the
-   recording into crash states, and every state passes Crash's shared
-   battery (replay legality, dynamic atomicity, prefix stability, replay
-   consistency, 2PC global atomicity, idempotence).  Then:
+   engine logging to one Disk_wal per shard over in-memory storage, and
+   the drive is recorded ([Crash.of_drive]: the bytes every store held,
+   every write and every force the run made).  The recording's own
+   bytes must carry each store's shard id, load, and recover the live
+   engine's state.  Each generator of [table] turns the recording into
+   crash states, byte images per shard, and every state passes Crash's
+   shared battery (replay legality, dynamic atomicity, prefix stability,
+   replay consistency, 2PC global atomicity, idempotence).  Then:
 
-   - the reload leg drives the combination again onto N Disk_wals over
-     in-memory storage: every store's frames carry its shard id, reload
-     to the recorded logs and recover the live engine's state;
-   - with --fault, the fault leg does the same over storage dealing
-     seeded torn writes and transient errors, which the WAL's retry
-     loop must absorb;
+   - with --fault, the fault leg drives the combination again over
+     storage dealing seeded torn writes and transient errors, which the
+     WAL's retry loop must absorb: the bytes every store ends with must
+     equal the recording's;
    - on N > 1 shards, the in-doubt harvest takes the last forced
      frontier with a decided prepare in doubt ([Crash.in_doubt]), reads
      it back through walinspect and recovers it with its audit trail.
@@ -121,8 +122,8 @@ type run = {
   totals : (string * total) list;
   mutable rows : Experiment.row list;
       (* the recorded drives, for --trace/--metrics *)
-  mutable last_log : Wal.record list array option;
-  mutable last_harvest : Wal.record list array option;
+  mutable last_log : string array option;
+  mutable last_harvest : string array option;
       (* for --keep-log: the last in-doubt harvest, else the last log *)
   mutable faults : int;
   mutable retries : int;
@@ -140,46 +141,50 @@ let same_state a b =
     (fun (n1, ops1) (n2, ops2) -> String.equal n1 n2 && List.equal Tm_core.Op.equal ops1 ops2)
     (committed a) (committed b)
 
-(* Drive the combination again onto one Disk_wal per shard over
-   in-memory stores, each seen through [wrap]: the bytes that reached
-   every store must carry its shard id, reload to the recorded logs and
-   recover the live engine's state.  Returns the disk logs. *)
-let persist run ~leg ~wrap combo ~rebuild ~drive recording =
-  let inners = Array.init run.shards (fun _ -> Storage.memory ()) in
-  let dws = Array.mapi (fun i inner -> Disk_wal.create ~shard:i (wrap inner)) inners in
-  let live = Sharded_database.create ~wals:(Array.map Disk_wal.wal dws) (rebuild ()) in
-  drive live;
+let load images =
+  match Crash.load images with Ok dws -> Array.map Disk_wal.wal dws | Error e -> failwith e
+
+(* The recording's own bytes: every store's frames must carry its shard
+   id, load, and recover the state the live engine ended in. *)
+let check_recording combo ~rebuild live recording =
   Array.iteri
-    (fun i store ->
-      match (Wal_inspect.inspect (Storage.read_all store)).Wal_inspect.by_shard with
+    (fun i image ->
+      match (Wal_inspect.inspect image).Wal_inspect.by_shard with
       | [] -> ()
       | [ (id, _) ] when id = i -> ()
       | got ->
-          fail "%s %s: shard %d frames stamped %a, want [(%d,_)]" combo leg i
+          fail "%s: shard %d frames stamped %a, want [(%d,_)]" combo i
             Fmt.(list ~sep:comma (pair ~sep:(any ":") int int))
             got i)
-    inners;
-  (match
-     Array.map
-       (fun st ->
-         match Disk_wal.load st with
-         | Ok dw -> Disk_wal.wal dw
-         | Error c -> Fmt.failwith "%a" Wal.Codec.pp_corruption c)
-       inners
-   with
-  | exception Failure msg -> fail "%s %s: persisted log CORRUPT: %s" combo leg msg
-  | reloaded -> (
-      if
-        not
-          (Array.for_all2 (List.equal Wal.equal_record) (Array.map Wal.records reloaded)
-             (Crash.logs recording))
-      then fail "%s %s: reloaded logs DIVERGED from the recorded run" combo leg;
-      match Sharded_database.recover ~wals:reloaded ~rebuild () with
-      | Error e -> fail "%s %s: recovery failed: %a" combo leg Recovery.pp_error e
+    (Crash.bytes recording);
+  match load (Crash.bytes recording) with
+  | exception Failure msg -> fail "%s: recorded log CORRUPT: %s" combo msg
+  | wals -> (
+      match Sharded_database.recover ~wals ~rebuild () with
+      | Error e -> fail "%s: recovery failed: %a" combo Recovery.pp_error e
       | Ok (rdb, _) ->
           if not (same_state live rdb) then
-            fail "%s %s: recovered state DIVERGED from the live engine" combo leg));
-  dws
+            fail "%s: recovered state DIVERGED from the live engine" combo)
+
+(* Drive the combination again onto one Disk_wal per shard over
+   in-memory stores dealing seeded torn writes and transient errors.
+   Every retry rewrites its frame at the frame's own offset, so each
+   store must end holding the recording's bytes exactly. *)
+let fault_leg run combo ~rebuild ~drive recording =
+  let store () = Storage.faulty ~seed:run.seed Storage.write_faults (Storage.memory ()) in
+  let dws = Array.init run.shards (fun i -> Disk_wal.create ~shard:i (store ())) in
+  drive (Sharded_database.create ~wals:(Array.map Disk_wal.wal dws) (rebuild ()));
+  Array.iteri
+    (fun i dw ->
+      if not (String.equal (Storage.read_all (Disk_wal.storage dw)) (Crash.bytes recording).(i))
+      then fail "%s faults: shard %d stored bytes DIVERGED from the recorded run" combo i)
+    dws;
+  let sum f = Array.fold_left (fun n dw -> n + f dw) 0 dws in
+  let injected = sum (fun dw -> Storage.fault_count (Disk_wal.storage dw)) in
+  let retries = sum Disk_wal.retries in
+  run.faults <- run.faults + injected;
+  run.retries <- run.retries + retries;
+  say ~verbose:run.verbose "%s faults: %d injected, %d retries" combo injected retries
 
 (* The last forced frontier with a decided prepare in doubt: walinspect
    must read its prepares as in doubt, and recovery must resolve one by
@@ -190,14 +195,11 @@ let harvest run combo ~rebuild recording =
   | Some st ->
       run.harvests <- run.harvests + 1;
       run.last_harvest <- Some st.Crash.logs;
-      let image =
-        String.concat ""
-          (Array.to_list (Array.mapi (fun i recs -> Wal.Codec.encode_all ~shard:i recs) st.Crash.logs))
-      in
       let in_doubt =
         List.fold_left
           (fun n s -> n + List.length s.Wal_inspect.tp_in_doubt)
-          0 (Wal_inspect.two_phase image)
+          0
+          (Wal_inspect.two_phase (String.concat "" (Array.to_list st.Crash.logs)))
       in
       run.in_doubt <- run.in_doubt + in_doubt;
       if in_doubt = 0 then fail "%s harvest: walinspect reads NO in-doubt prepares" combo;
@@ -205,8 +207,7 @@ let harvest run combo ~rebuild recording =
       (match
          Sharded_database.recover
            ~audit:(fun evs -> audit := evs)
-           ~wals:(Array.map Wal.of_records st.Crash.logs)
-           ~rebuild ()
+           ~wals:(load st.Crash.logs) ~rebuild ()
        with
       | Error e -> fail "%s harvest: recovery failed: %a" combo Recovery.pp_error e
       | Ok (rdb, _) ->
@@ -232,12 +233,15 @@ let combination run (scenario : Experiment.scenario) setup =
   let drive sdb =
     Experiment.drive ~checkpoint_every:run.checkpoint_every scenario setup run.cfg sdb
   in
+  let live = ref None in
   let recording =
     Crash.of_drive ~shards:run.shards ~rebuild (fun sdb ->
         if run.record_trace then Sharded_database.set_trace sdb (Tm_obs.Trace.create ());
+        live := Some sdb;
         run.rows <- drive sdb :: run.rows)
   in
-  run.last_log <- Some (Crash.logs recording);
+  Option.iter (fun live -> check_recording combo ~rebuild live recording) !live;
+  run.last_log <- Some (Crash.bytes recording);
   List.iter2
     (fun (name, sweep) (_, t) ->
       let r = sweep ~rebuild recording in
@@ -248,18 +252,8 @@ let combination run (scenario : Experiment.scenario) setup =
       if not (Crash.ok r) then incr failures;
       say ~verbose:(run.verbose || not (Crash.ok r)) "%s %-8s %a" combo name Crash.pp_report r)
     run.table run.totals;
-  let drive sdb = ignore (drive sdb : Experiment.row) in
-  ignore (persist run ~leg:"reload" ~wrap:Fun.id combo ~rebuild ~drive recording);
-  if run.fault then begin
-    let wrap = Storage.faulty ~seed:run.seed Storage.write_faults in
-    let dws = persist run ~leg:"faults" ~wrap combo ~rebuild ~drive recording in
-    let sum f = Array.fold_left (fun n dw -> n + f dw) 0 dws in
-    let injected = sum (fun dw -> Storage.fault_count (Disk_wal.storage dw)) in
-    let retries = sum Disk_wal.retries in
-    run.faults <- run.faults + injected;
-    run.retries <- run.retries + retries;
-    say ~verbose:run.verbose "%s faults: %d injected, %d retries" combo injected retries
-  end;
+  if run.fault then
+    fault_leg run combo ~rebuild ~drive:(fun sdb -> ignore (drive sdb : Experiment.row)) recording;
   if run.shards > 1 then harvest run combo ~rebuild recording
 
 let main filter txns concurrency seed checkpoint_every fault report_file trace_file
@@ -354,13 +348,11 @@ let main filter txns concurrency seed checkpoint_every fault report_file trace_f
   (match (keep_log, run.last_harvest, run.last_log) with
   | None, _, _ -> ()
   | Some file, Some logs, _ | Some file, None, Some logs -> (
-      match
-        String.concat ""
-          (Array.to_list
-             (Array.mapi
-                (fun i recs -> Wal.Codec.encode_all ~version:keep_log_version ~shard:i recs)
-                logs))
-      with
+      let encode i image =
+        let d = Result.get_ok (Wal.Codec.decode_all image) in
+        Wal.Codec.encode_all ~version:keep_log_version ~shard:i d.Wal.Codec.records
+      in
+      match String.concat "" (Array.to_list (Array.mapi encode logs)) with
       | exception Invalid_argument msg ->
           Fmt.epr "--keep-log %s: %s@." file msg;
           exit 1
@@ -415,7 +407,7 @@ let fault_arg =
            version, from v1 for logs without 2PC records, and from v2) and \
            flips (a bit-flip corruption sweep), and \
            a run over storage with seeded torn writes and transient errors \
-           that must persist the recorded logs.")
+           that must store the recorded bytes.")
 
 let report_arg =
   Arg.(

@@ -197,6 +197,7 @@ let modelcheck (e : Registry.entry) view conflict txns ops max_events limit rand
     incr checked;
     match Atomicity.online_dynamic_atomic env h with
     | Atomicity.Ok -> ()
+    | Atomicity.Ill_formed why -> invalid_arg ("modelcheck: " ^ why)
     | Atomicity.Counterexample order ->
         incr violations;
         if !violations = 1 then
@@ -268,10 +269,10 @@ let check_traces ~specs rows =
       | Some tr ->
           let h = Trace.to_history tr in
           let verdict =
-            match Atomicity.online_dynamic_atomic_opt env h with
-            | None -> "history NOT WELL-FORMED"
-            | Some Atomicity.Ok -> "well-formed, dynamically atomic"
-            | Some (Atomicity.Counterexample _) -> "well-formed, NOT DYNAMICALLY ATOMIC"
+            match Atomicity.online_dynamic_atomic env h with
+            | Atomicity.Ill_formed _ -> "history NOT WELL-FORMED"
+            | Atomicity.Ok -> "well-formed, dynamically atomic"
+            | Atomicity.Counterexample _ -> "well-formed, NOT DYNAMICALLY ATOMIC"
           in
           Fmt.pr "trace %-24s %-10s %5d events -> %s@." r.scenario r.setup
             (Trace.length tr) verdict)

@@ -31,13 +31,15 @@ let atomic env h = Option.is_some (serializable env (History.permanent h))
 type verdict =
   | Ok
   | Counterexample of Tid.t list
+  | Ill_formed of string
 
-let is_ok = function Ok -> true | Counterexample _ -> false
+let is_ok = function Ok -> true | Counterexample _ | Ill_formed _ -> false
 
 let pp_verdict ppf = function
   | Ok -> Fmt.string ppf "ok"
   | Counterexample order ->
       Fmt.pf ppf "not serializable in order %a" Fmt.(list ~sep:(any "-") Tid.pp) order
+  | Ill_formed why -> Fmt.pf ppf "not well-formed: %s" why
 
 (* A transaction's last response and first commit, by event index: [fc]
    is [max_int] while it is active and -1 once it aborts. *)
@@ -192,15 +194,13 @@ let check_formed env h ~online =
   | None -> Ok
   | Some order -> Counterexample order
 
-let check env h ~online = check_formed env (History.check h) ~online
-
-let check_opt env h ~online =
-  if History.is_well_formed h then Some (check_formed env h ~online) else None
+let check env h ~online =
+  match History.well_formedness_errors h with
+  | [] -> check_formed env h ~online
+  | v :: _ -> Ill_formed (Fmt.str "%a" History.pp_violation v)
 
 let dynamic_atomic env h = check env h ~online:false
 let online_dynamic_atomic env h = check env h ~online:true
-let dynamic_atomic_opt env h = check_opt env h ~online:false
-let online_dynamic_atomic_opt env h = check_opt env h ~online:true
 
 let is_dynamic_atomic env h = is_ok (dynamic_atomic env h)
 let is_online_dynamic_atomic env h = is_ok (online_dynamic_atomic env h)

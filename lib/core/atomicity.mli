@@ -19,9 +19,9 @@
     member with the latest last response plus a subset of that member's
     window w of concurrent transactions: the cost grows with the
     downsets of the windows, at most [2^w] per transaction, and is
-    linear in the history when w is bounded.  Both raise
-    [Invalid_argument] on an ill-formed history, as {!History.check}
-    does. *)
+    linear in the history when w is bounded.  Both answer an ill-formed
+    history with {!Ill_formed}, after the one well-formedness pass that
+    also serves the walk. *)
 
 (** Maps each object name to its serial specification. *)
 type env = string -> Spec.t
@@ -49,6 +49,9 @@ type verdict =
   | Counterexample of Tid.t list
       (** an order consistent with [precedes] in which the history does
           not serialize *)
+  | Ill_formed of string
+      (** the history is not well-formed ({!History.well_formedness_errors});
+          the first violation *)
 
 val is_ok : verdict -> bool
 val pp_verdict : Format.formatter -> verdict -> unit
@@ -58,15 +61,6 @@ val dynamic_atomic : env -> History.t -> verdict
 (** [online_dynamic_atomic env h] checks every commit set
     [Committed(h) ⊆ CS ⊆ Committed(h) ∪ Active(h)]. *)
 val online_dynamic_atomic : env -> History.t -> verdict
-
-(** [dynamic_atomic_opt env h] is [None] if [h] is not well-formed, else
-    [Some (dynamic_atomic env h)]; and [online_dynamic_atomic_opt] the
-    same for {!online_dynamic_atomic}.  One well-formedness pass serves
-    both the answer and the walk, for a caller that reports an
-    ill-formed history rather than letting it raise. *)
-val dynamic_atomic_opt : env -> History.t -> verdict option
-
-val online_dynamic_atomic_opt : env -> History.t -> verdict option
 
 (** Boolean shorthands. *)
 

@@ -83,11 +83,6 @@ let well_formedness_errors h =
 
 let is_well_formed h = well_formedness_errors h = []
 
-let check h =
-  match well_formedness_errors h with
-  | [] -> h
-  | v :: _ -> invalid_arg (Fmt.str "History.check: %a" pp_violation v)
-
 let committed h =
   List.fold_left
     (fun s e -> match e with Event.Commit { tid; _ } -> Tid.Set.add tid s | _ -> s)

@@ -14,7 +14,7 @@ type t
 val empty : t
 
 (** [snoc h e] appends event [e] in O(1); no well-formedness check is
-    performed (use {!well_formedness_errors} / {!check} to validate). *)
+    performed (use {!well_formedness_errors} to validate). *)
 val snoc : t -> Event.t -> t
 
 val events : t -> Event.t list
@@ -46,10 +46,6 @@ val pp_violation : Format.formatter -> violation -> unit
 val well_formedness_errors : t -> violation list
 
 val is_well_formed : t -> bool
-
-(** [check h] is [h] if well-formed, otherwise raises [Invalid_argument]
-    naming the first violation. *)
-val check : t -> t
 
 (** {1 Transaction status} *)
 

@@ -46,7 +46,7 @@ let pp_report ppf r =
    transactions.  The result feeds the paper's dynamic-atomicity checker:
    the logged interleaving of transactions must serialize in every order
    consistent with commit precedence. *)
-let history_of_records recs =
+let history_of_log recs =
   let base = Tid.of_int (match Wal.max_tid recs with Some m -> Tid.to_int m + 1 | None -> 0) in
   (* Steps newest first. *)
   let exec tid ops = List.rev_map (fun op -> History.Exec (tid, op)) ops in
@@ -72,91 +72,93 @@ let history_of_records recs =
 (* ------------------------------------------------------------------ *)
 (* Recordings.                                                         *)
 
+(* Per shard: its stored bytes, the (global tick, end offset) of every
+   write (one frame each) and the (global tick, bytes durable) of every
+   completed barrier, in order. *)
 type recording = {
-  appends : (int * Wal.record) list array;
-      (* per shard, in append order: (global tick, record) *)
+  bytes : string array;
+  writes : (int * int) list array;
   forces : (int * int) list array;
-      (* per shard, in order: (global tick, records covered) of every
-         completed durability barrier *)
 }
 
-let full r = Array.map (List.map snd) r.appends
-let logs = full
+let bytes r = r.bytes
 
 let of_drive ~shards:n ~rebuild drive =
   if n < 1 then invalid_arg "Crash.of_drive: shards < 1";
-  (* Every append and every completed force is stamped with one global
-     clock under a single lock, so both the true cross-shard append order
-     and each shard's durability frontier over time are known exactly —
-     the two ingredients every legal crash state is made of. *)
-  let glock = Mutex.create () in
-  let clock = ref 0 in
-  let appends = Array.make n [] and forces = Array.make n [] in
-  let appended = Array.make n 0 in
+  (* Every write (one appended frame) and every completed force is
+     stamped with one global clock under a single lock, so both the true
+     cross-shard append order and each shard's durability frontier over
+     time are known exactly — the two ingredients every legal crash state
+     is made of. *)
+  let glock = Mutex.create () and clock = ref 0 in
+  let writes = Array.make n [] and forces = Array.make n [] and size = Array.make n 0 in
   let stamp f =
     Mutex.lock glock;
     incr clock;
     f ();
     Mutex.unlock glock
   in
+  let stores = Array.init n (fun _ -> Storage.memory ()) in
   let wals =
-    Array.init n (fun i ->
-        let w = Wal.create () in
-        Wal.set_sink w
-          {
-            Wal.sink_append =
-              (fun r ->
-                stamp (fun () ->
-                    appended.(i) <- appended.(i) + 1;
-                    appends.(i) <- (!clock, r) :: appends.(i)));
-            sink_force =
-              (fun () ->
-                stamp (fun () -> forces.(i) <- (!clock, appended.(i)) :: forces.(i)));
-            sink_attach = (fun _ -> ());
-            sink_records =
-              (fun () ->
-                Mutex.lock glock;
-                let recs = List.rev_map snd appends.(i) in
-                Mutex.unlock glock;
-                recs);
-            sink_rewrite =
-              (fun _ -> invalid_arg "Crash.of_drive: a recording cannot be rewritten");
-          };
-        w)
+    Array.mapi
+      (fun s store ->
+        let on_write ~pos len =
+          if pos <> size.(s) then invalid_arg "Crash.of_drive: a recording cannot be rewritten";
+          stamp (fun () ->
+              size.(s) <- pos + len;
+              writes.(s) <- (!clock, size.(s)) :: writes.(s))
+        and on_force () = stamp (fun () -> forces.(s) <- (!clock, size.(s)) :: forces.(s)) in
+        Disk_wal.wal (Disk_wal.create ~shard:s (Storage.probe ~on_write ~on_force store)))
+      stores
   in
   drive (Sharded_database.create ~wals (rebuild ()));
-  { appends = Array.map List.rev appends; forces = Array.map List.rev forces }
+  {
+    bytes = Array.map Storage.read_all stores;
+    writes = Array.map List.rev writes;
+    forces = Array.map List.rev forces;
+  }
+
+(* The records of a whole recorded log. *)
+let records_of image = (Result.get_ok (Wal.Codec.decode_all image)).Wal.Codec.records
+
+(* Every value, or the first error. *)
+let all results =
+  match Array.find_map (function Error e -> Some e | Ok _ -> None) results with
+  | Some e -> Error e
+  | None -> Ok (Array.map Result.get_ok results)
+
+(* Shard [s]'s log as the loader restores it from [image], or why not. *)
+let load_shard s image =
+  match Disk_wal.load ~shard:s (Storage.of_string image) with
+  | exception exn -> Error (Fmt.str "shard %d: load raised %s" s (Printexc.to_string exn))
+  | Error c -> Error (Fmt.str "shard %d: load refused: %a" s Wal.Codec.pp_corruption c)
+  | Ok dw -> Ok dw
+
+let load images = all (Array.mapi load_shard images)
 
 (* ------------------------------------------------------------------ *)
 (* Generators.                                                         *)
 
-type state = { label : string; logs : Wal.record list array }
-
-(* One enumerated position: a crash state for the battery, or [None]
-   when the image did not even yield one; [flags] are the generator's
-   own verdicts on it, as (invariant, detail). *)
-type step = {
-  at : string;
-  image : Wal.record list array option;
-  flags : (string * string) list;
-}
+type state = { label : string; logs : string array }
 
 type generator = {
   reference : Wal.record list array;
-  runs : step Seq.t list;
+  runs : state Seq.t list;
       (* each run only grows: prefix stability holds within it *)
+  check : state -> Wal.record list array -> (string * string) list;
+      (* the generator's own check of the records a state loads to *)
   expect : Sharded_database.t -> Tid.Set.t -> (string * string) list;
       (* the generator's own check of a recovered state *)
+  refused : string;  (* the invariant a state the loader refuses violates *)
   tally : (string * int) list;
   cuts : bool;
       (* every state keeps a prefix of each reference log, so what a
          transaction with commit evidence must retain is known *)
 }
 
-let no_expectation _ _ = []
-
-let generator ?(expect = no_expectation) ?(tally = []) ?(cuts = true) reference runs =
-  { reference; runs; expect; tally; cuts }
+let generator ?(check = fun _ _ -> []) ?(expect = fun _ _ -> []) ?(refused = "replay-legality")
+    ?(tally = []) ?(cuts = true) reference runs =
+  { reference; runs; check; expect; refused; tally; cuts }
 
 let is_prefix ~equal xs ys =
   let rec go = function
@@ -172,132 +174,111 @@ let pp_tids = Fmt.(list ~sep:comma Tid.pp)
 let commit_tids recs =
   List.filter_map (function Wal.Commit tid -> Some tid | _ -> None) recs
 
-(* Every shard's records appended strictly before global tick [tau]. *)
+let prefix image len = if len = String.length image then image else String.sub image 0 len
+
+(* Every shard's bytes as they stood before global tick [tau]: up to the
+   end of its last write before it. *)
 let before r tau =
-  Array.map (List.filter_map (fun (t, rc) -> if t < tau then Some rc else None)) r.appends
+  Array.mapi
+    (fun s ws -> prefix r.bytes.(s) (List.fold_left (fun e (t, e') -> if t < tau then e' else e) 0 ws))
+    r.writes
 
 let append_points r =
   let ticks =
-    List.sort compare (List.concat_map (List.map fst) (Array.to_list r.appends))
+    List.sort compare (List.concat_map (List.map fst) (Array.to_list r.writes))
   in
-  let taus = ticks @ [ max_int ] in
-  generator (full r)
+  generator
+    (Array.map records_of r.bytes)
     [
       Seq.mapi
-        (fun i tau ->
-          { at = Fmt.str "append %d" i; image = Some (before r tau); flags = [] })
-        (List.to_seq taus);
+        (fun i tau -> { label = Fmt.str "append %d" i; logs = before r tau })
+        (List.to_seq (ticks @ [ max_int ]));
     ]
 
 let byte_cuts r =
-  let full = full r in
-  let commits = ref 0 in
+  let reference = Array.map records_of r.bytes in
+  (* Each barrier acknowledges the commits among the frames it made
+     durable: [acked s cut] is what the last barrier a cut of shard [s]
+     at byte [cut] kept acknowledged. *)
+  let commit_ends =
+    Array.map2
+      (fun recs ws ->
+        List.filter_map (function Wal.Commit _, (_, e) -> Some e | _ -> None) (List.combine recs ws))
+      reference r.writes
+  in
+  let acked s cut =
+    let durable = List.fold_left (fun d (_, b) -> if b <= cut then max d b else d) 0 r.forces.(s) in
+    List.length (List.filter (fun e -> e <= durable) commit_ends.(s))
+  in
+  (* A crash inside a group-commit batch admits a leading part of it,
+     never a subset with holes; and once a barrier acknowledged a commit,
+     no later cut may lose it. *)
+  let check st logs =
+    List.concat
+      (List.mapi
+         (fun s recs ->
+           let all = commit_tids reference.(s) and recovered = commit_tids recs in
+           let acked = acked s (String.length st.logs.(s)) in
+           (if is_prefix ~equal:Tid.equal recovered all then []
+            else
+              [
+                ( "batch-prefix",
+                  Fmt.str "recovered commit order [%a] is not a prefix of [%a]" pp_tids
+                    recovered pp_tids all );
+              ])
+           @
+           if List.length recovered >= acked then []
+           else
+             [
+               ( "acked-durability",
+                 Fmt.str "recovers %d commits but %d were acknowledged at the last barrier"
+                   (List.length recovered) acked );
+             ])
+         (Array.to_list logs))
+  in
   let run s =
-    let recs = full.(s) in
-    let bytes = Wal.Codec.encode_all ~shard:s recs in
-    let times = Array.of_list (List.map fst r.appends.(s)) in
-    let all_commits = commit_tids recs in
-    (* Each barrier acknowledges the commits among the records it
-       covered, at the byte offset where the last of them ends. *)
-    let ends = Array.make (List.length recs + 1) (0, 0) in
-    List.iteri
-      (fun k rc ->
-        let off, n = ends.(k) in
-        ends.(k + 1) <-
-          ( off + String.length (Wal.Codec.encode ~shard:s rc),
-            match rc with Wal.Commit _ -> n + 1 | _ -> n ))
-      recs;
-    let barriers = List.map (fun (_, k) -> ends.(k)) r.forces.(s) in
-    commits := !commits + snd ends.(List.length recs);
-    let acked_at cut =
-      List.fold_left (fun acc (b, n) -> if b <= cut then max acc n else acc) 0 barriers
-    in
-    (* Cuts inside one frame decode to the same records: the state (and
-       the generator's verdicts on it) is computed once per record count. *)
-    let prev = ref (-1, [||]) in
+    let bytes = r.bytes.(s) in
     Seq.init
       (String.length bytes + 1)
       (fun cut ->
-        let acked = acked_at cut in
-        let at = Fmt.str "bytes shard %d byte %d (%d acked)" s cut acked in
-        match Wal.Codec.decode_all (String.sub bytes 0 cut) with
-        | Error c ->
-            (* A pure prefix of a well-formed log can only tear the tail —
-               there is no later intact frame to resynchronise on — so an
-               interior-corruption verdict here is itself a bug. *)
-            {
-              at;
-              image = None;
-              flags =
-                [
-                  ( "torn-tail",
-                    Fmt.str "prefix cut misclassified as interior corruption: %a"
-                      Wal.Codec.pp_corruption c );
-                ];
-            }
-        | Ok d ->
-            let got = d.Wal.Codec.records in
-            let k = List.length got in
-            if k = fst !prev then { at; image = Some (snd !prev); flags = [] }
-            else begin
-              let tau = if k = Array.length times then max_int else times.(k) in
-              let logs = Array.mapi (fun p l -> if p = s then got else l) (before r tau) in
-              prev := (k, logs);
-              (* A crash inside a group-commit batch admits a leading part
-                 of it, never a subset with holes; and once a barrier
-                 acknowledged a commit, no later cut may lose it. *)
-              let recovered = commit_tids got in
-              let flags =
-                (if is_prefix ~equal:Tid.equal recovered all_commits then []
-                 else
-                   [
-                     ( "batch-prefix",
-                       Fmt.str "recovered commit order [%a] is not a prefix of [%a]"
-                         pp_tids recovered pp_tids all_commits );
-                   ])
-                @
-                if List.length recovered >= acked then []
-                else
-                  [
-                    ( "acked-durability",
-                      Fmt.str
-                        "recovers %d commits but %d were acknowledged at the last \
-                         barrier"
-                        (List.length recovered) acked );
-                  ]
-              in
-              { at; image = Some logs; flags }
-            end)
+        (* The other shards keep what they wrote before this shard's next
+           frame. *)
+        let next = List.find_opt (fun (_, e) -> e > cut) r.writes.(s) in
+        let logs = before r (Option.fold ~none:max_int ~some:fst next) in
+        logs.(s) <- String.sub bytes 0 cut;
+        { label = Fmt.str "bytes shard %d byte %d (%d acked)" s cut (acked s cut); logs })
   in
-  let runs = List.init (Array.length full) run in
-  generator full runs
+  (* A pure prefix of a well-formed log can only tear the tail — there
+     is no later intact frame to resynchronise on — so a load that
+     refuses one misclassified it as interior corruption. *)
+  generator reference ~check ~refused:"torn-tail"
     ~tally:
       [
         ("barriers", Array.fold_left (fun n fs -> n + List.length fs) 0 r.forces);
-        ("acked", !commits);
+        ("acked", Array.fold_left (fun n ends -> n + List.length ends) 0 commit_ends);
       ]
+    (List.init (Array.length r.bytes) run)
 
-(* Every distinct forced frontier, as (first tick it holds, records
-   each shard's last completed force covered). *)
+(* Every distinct forced frontier, as (first tick it holds, bytes each
+   shard's last completed force made durable). *)
 let frontiers r =
   let latest ticks = Array.fold_left (List.fold_left (fun m (t, _) -> max m t)) 0 ticks in
-  let clock = max (latest r.appends) (latest r.forces) in
+  let clock = max (latest r.writes) (latest r.forces) in
   let frontier tau =
     Array.map
-      (List.fold_left (fun acc (t, k) -> if t < tau then max acc k else acc) 0)
+      (List.fold_left (fun acc (t, b) -> if t < tau then max acc b else acc) 0)
       r.forces
   in
   let rec distinct prev tau acc =
     if tau > clock + 1 then List.rev acc
     else
-      let counts = frontier tau in
-      if Some counts = prev then distinct prev (tau + 1) acc
-      else distinct (Some counts) (tau + 1) ((tau, counts) :: acc)
+      let sizes = frontier tau in
+      if Some sizes = prev then distinct prev (tau + 1) acc
+      else distinct (Some sizes) (tau + 1) ((tau, sizes) :: acc)
   in
   distinct None 0 []
 
-let frontier_image full counts =
-  Array.mapi (fun i k -> List.filteri (fun j _ -> j < k) full.(i)) counts
+let frontier_image r sizes = Array.mapi (fun s b -> prefix r.bytes.(s) b) sizes
 
 (* At every global tick, every shard retains exactly what its last
    completed force covered — all unforced appends lost everywhere at once.
@@ -305,15 +286,14 @@ let frontier_image full counts =
    participants' prepares, or a completion trusted before the decision,
    shows up as surviving evidence with missing operations. *)
 let forced_frontiers r =
-  let full = full r in
-  generator full
+  generator
+    (Array.map records_of r.bytes)
     [
       Seq.map
-        (fun (tau, counts) ->
+        (fun (tau, sizes) ->
           {
-            at = Fmt.str "forced tick %d [%a]" tau Fmt.(array ~sep:comma int) counts;
-            image = Some (frontier_image full counts);
-            flags = [];
+            label = Fmt.str "forced tick %d [%a]" tau Fmt.(array ~sep:comma int) sizes;
+            logs = frontier_image r sizes;
           })
         (List.to_seq (frontiers r));
     ]
@@ -321,14 +301,13 @@ let forced_frontiers r =
 (* The last forced frontier that leaves a prepare in doubt with its
    commit decision forced: what 2PC's lazy phase 2 makes routine. *)
 let in_doubt r =
-  let full = full r in
   List.fold_left
-    (fun found (tau, counts) ->
-      let logs = frontier_image full counts in
+    (fun found (tau, sizes) ->
+      let logs = frontier_image r sizes in
       if
         List.exists
           (fun (r : Two_phase.resolution) -> r.commit && r.evidence = Two_phase.Decision_record)
-          (Two_phase.analyze (Array.map Wal.of_records logs))
+          (Two_phase.analyze (Array.map Disk_wal.wal (Result.get_ok (load logs))))
       then Some { label = Fmt.str "in-doubt forced tick %d" tau; logs }
       else found)
     None (frontiers r)
@@ -360,72 +339,66 @@ let loser_diff invariant ~got ~want =
 
 (* [Wal.truncate_to_checkpoint] on a [Disk_wal] log promises that no byte offset of its
    journal + install sequence can make reload misclassify the log or
-   change the recovered state.  Build every intermediate backend image
-   the protocol can leave behind — the old log followed by each prefix of
-   the intent + compacted-image journal; each prefix of the new image
-   spliced over the full journaled file (the memory backend's [write]
-   is atomic, so the torn states of the file backend's write-then-shrink
-   are constructed explicitly); the installed image alone — and reload
-   each through {!Disk_wal.load}, which must never refuse: every such
-   state is a legal crash point.  From an older version this is the
-   incremental upgrade: a crash at any offset leaves the readable old log
-   (torn debris of the new version rolled back), a committed journal to
-   redo, or the installed image in the write version; a log holding 2PC
-   records was never v1, so it has no upgrade from v1. *)
+   change the recovered state.  Run the compaction on a copy of each
+   shard's log and build every intermediate backend image the protocol
+   can leave behind — the old log followed by each prefix of the intent
+   + compacted-image journal; each prefix of the new image spliced over
+   the full journaled file (the memory backend's [write] is atomic, so
+   the torn states of the file backend's write-then-shrink are
+   constructed explicitly); the installed image alone.  The loader must
+   never refuse one: every such state is a legal crash point.  From an
+   older version this is the incremental upgrade: a crash at any offset
+   leaves the readable old log (torn debris of the new version rolled
+   back), a committed journal to redo, or the installed image in the
+   write version; a log holding 2PC records was never v1, so it has no
+   upgrade from v1. *)
 let rewrite ~from r =
   let upgrade = from <> Wal.Codec.write_version in
   let name, invariant =
     if upgrade then (Fmt.str "upgrade-v%d" from, "upgrade-atomicity")
     else ("truncate", "truncate-atomicity")
   in
-  let full = full r in
+  let reference = Array.map records_of r.bytes in
   let run s =
-    let recs = full.(s) in
-    let mirror = Wal.of_records recs in
+    let recs = reference.(s) in
     let v1 = from = Wal.Codec.v1 in
     if v1 && List.exists Wal.Codec.v2_only_record recs then None
-    else if Wal.truncate_to_checkpoint mirror = 0 && not upgrade then None
     else
       let old_bytes =
-        Wal.Codec.encode_all ~version:from ~shard:(if v1 then 0 else s) recs
+        if upgrade then Wal.Codec.encode_all ~version:from ~shard:(if v1 then 0 else s) recs
+        else r.bytes.(s)
       in
-      let image = Wal.Codec.encode_all ~shard:s (Wal.records mirror) in
-      let new_len = String.length image in
-      let journal = Disk_wal.journal ~shard:s ~old_len:(String.length old_bytes) image in
-      let journaled = old_bytes ^ journal in
-      let flen = String.length journaled in
-      let images =
-        Seq.append
-          (Seq.init
-             (String.length journal + 1)
-             (fun k -> ("journal", k, old_bytes ^ String.sub journal 0 k)))
-          (Seq.append
-             (* k = new_len is the shrink itself still pending: image
-                bytes followed by the stale remainder of the file. *)
-             (Seq.init (new_len + 1) (fun k ->
-                  ("install", k, String.sub image 0 k ^ String.sub journaled k (flen - k))))
-             (Seq.return ("done", new_len, image)))
-      in
-      Some
-        (Seq.map
-           (fun (phase, k, bytes) ->
-             let at = Fmt.str "%s shard %d %s byte %d" name s phase k in
-             let refused detail = { at; image = None; flags = [ (invariant, detail) ] } in
-             match Disk_wal.load (Storage.of_string bytes) with
-             | exception exn -> refused ("reload raised " ^ Printexc.to_string exn)
-             | Error c ->
-                 refused
-                   (Fmt.str "reload refused a legal crash state: %a"
-                      Wal.Codec.pp_corruption c)
-             | Ok dw ->
-                 let logs = Array.copy full in
-                 logs.(s) <- Wal.records (Disk_wal.wal dw);
-                 { at; image = Some logs; flags = [] })
-           images)
+      let copy = Disk_wal.wal (Result.get_ok (load_shard s old_bytes)) in
+      if Wal.truncate_to_checkpoint copy = 0 && not upgrade then None
+      else
+        let image = Wal.Codec.encode_all ~shard:s (Wal.records copy) in
+        let new_len = String.length image in
+        let journal = Disk_wal.journal ~shard:s ~old_len:(String.length old_bytes) image in
+        let journaled = old_bytes ^ journal in
+        let flen = String.length journaled in
+        let images =
+          Seq.append
+            (Seq.init
+               (String.length journal + 1)
+               (fun k -> ("journal", k, old_bytes ^ String.sub journal 0 k)))
+            (Seq.append
+               (* k = new_len is the shrink itself still pending: image
+                  bytes followed by the stale remainder of the file. *)
+               (Seq.init (new_len + 1) (fun k ->
+                    ("install", k, String.sub image 0 k ^ String.sub journaled k (flen - k))))
+               (Seq.return ("done", new_len, image)))
+        in
+        Some
+          (Seq.map
+             (fun (phase, k, bytes) ->
+               let logs = Array.copy r.bytes in
+               logs.(s) <- bytes;
+               { label = Fmt.str "%s shard %d %s byte %d" name s phase k; logs })
+             images)
   in
   (* Every state must recover exactly what the pre-rewrite logs replay
      to: no acknowledged commit is lost to a compaction or migration. *)
-  let replayed = Array.map Wal.replay full in
+  let replayed = Array.map Wal.replay reference in
   let exp_losers =
     Array.fold_left (fun acc (_, l) -> Tid.Set.union acc l) Tid.Set.empty replayed
   in
@@ -438,33 +411,30 @@ let rewrite ~from r =
       (differing db (fun p obj -> only obj (fst replayed.(p))))
     @ loser_diff invariant ~got:losers ~want:exp_losers
   in
-  generator full ~expect ~cuts:false
-    (List.filter_map run (List.init (Array.length full) Fun.id))
+  generator reference ~expect ~refused:invariant ~cuts:false
+    (List.filter_map run (List.init (Array.length r.bytes) Fun.id))
 
 let given ~reference states =
-  generator reference
-    (List.map
-       (fun st -> Seq.return { at = st.label; image = Some st.logs; flags = [] })
-       states)
+  generator (Array.map records_of reference) (List.map Seq.return states)
 
-let states g =
-  Seq.concat_map
-    (Seq.filter_map (fun step -> Option.map (fun logs -> { label = step.at; logs }) step.image))
-    (List.to_seq g.runs)
+let states g = Seq.concat (List.to_seq g.runs)
 
 (* ------------------------------------------------------------------ *)
 (* The battery.                                                        *)
 
 let recovery_failure what = function
+  | `Refused e -> Fmt.str "%s: %s" what e
   | `Raised exn -> Fmt.str "%s raised %s" what (Printexc.to_string exn)
   | `Failed e -> Fmt.str "%s failed: %a" what Recovery.pp_error e
 
-let recover ~rebuild logs =
-  let wals = Array.map Wal.of_records logs in
-  match Sharded_database.recover ~wals ~rebuild () with
-  | exception exn -> Error (`Raised exn)
-  | Error e -> Error (`Failed e)
-  | Ok (db, losers) -> Ok (db, losers, wals)
+(* A restart: each shard's loaded log, recovered. *)
+let recover ~rebuild = function
+  | Error e -> Error (`Refused e)
+  | Ok dws -> (
+      match Sharded_database.recover ~wals:(Array.map Disk_wal.wal dws) ~rebuild () with
+      | exception exn -> Error (`Raised exn)
+      | Error e -> Error (`Failed e)
+      | Ok (db, losers) -> Ok (db, losers, dws))
 
 let ops_of_tid tid recs =
   List.filter_map
@@ -497,7 +467,7 @@ let commit_evidence logs =
    the logs prove.  [prev] threads each shard's committed sequence along
    the run for prefix stability. *)
 let battery ~env ~rebuild ~g ~prepared ~prev ~atomicity_checked ~evidence_checked
-    logs =
+    logs loaded =
   let shard_ids = List.init (Array.length logs) Fun.id in
   let evidence = commit_evidence logs in
   (* Evidence implies complete survival: every participant's operations
@@ -527,10 +497,14 @@ let battery ~env ~rebuild ~g ~prepared ~prev ~atomicity_checked ~evidence_checke
             shard_ids)
         (Tid.Set.elements (Tid.Set.inter prepared evidence))
   in
-  match recover ~rebuild logs with
+  match recover ~rebuild loaded with
   | Error e -> survival @ [ ("replay-legality", recovery_failure "recovery" e) ]
-  | Ok (db, losers, wals) ->
-      let resolved = Array.map Wal.records wals in
+  | Ok (db, losers, dws) ->
+      let wals = Array.map Disk_wal.wal dws in
+      (* What each log holds now: read back if recovery appended to it. *)
+      let resolved =
+        Array.mapi (fun p w -> if Wal.length w = List.length logs.(p) then logs.(p) else Wal.records w) wals
+      in
       let committed = Array.map (fun recs -> fst (Wal.replay recs)) resolved in
       (* With evidence, every shard whose Prepare survived must end with the
          transaction committed; without evidence (presumed abort) no shard
@@ -577,26 +551,18 @@ let battery ~env ~rebuild ~g ~prepared ~prev ~atomicity_checked ~evidence_checke
       in
       let atomicity =
         let verdicts =
-          List.map
-            (fun p -> (p, Atomicity.dynamic_atomic_opt env (history_of_records resolved.(p))))
-            shard_ids
+          List.map (fun p -> Atomicity.dynamic_atomic env (history_of_log resolved.(p))) shard_ids
         in
-        let malformed = List.filter (fun (_, v) -> Option.is_none v) verdicts in
-        if malformed <> [] then
-          List.map
-            (fun (p, _) ->
-              ("dynamic-atomicity", Fmt.str "shard %d: replayed history not well-formed" p))
-            malformed
-        else begin
-          incr atomicity_checked;
-          List.filter_map
-            (fun (p, v) ->
-              match v with
-              | None | Some Atomicity.Ok -> None
-              | Some v ->
-                  Some ("dynamic-atomicity", Fmt.str "shard %d: %a" p Atomicity.pp_verdict v))
-            verdicts
-        end
+        let well_formed = function Atomicity.Ill_formed _ -> false | _ -> true in
+        if List.for_all well_formed verdicts then incr atomicity_checked;
+        List.concat
+          (List.mapi
+             (fun p -> function
+               | Atomicity.Ok -> []
+               | Atomicity.Ill_formed _ ->
+                   [ ("dynamic-atomicity", Fmt.str "shard %d: replayed history not well-formed" p) ]
+               | v -> [ ("dynamic-atomicity", Fmt.str "shard %d: %a" p Atomicity.pp_verdict v) ])
+             verdicts)
       in
       (* One more surviving byte can only extend committed work (this is
          also what makes a checkpoint record a faithful snapshot of its
@@ -627,7 +593,8 @@ let battery ~env ~rebuild ~g ~prepared ~prev ~atomicity_checked ~evidence_checke
       in
       (* Recovery completed the protocol, it did not merely patch state:
          nothing is left in doubt, and a post-recovery fuzzy checkpoint,
-         truncation and second recovery reproduce the same state. *)
+         journaled truncation and second load and recovery of what the
+         stores then hold reproduce the same state. *)
       let idempotence =
         let left = Two_phase.analyze wals in
         (if left = [] then []
@@ -641,7 +608,10 @@ let battery ~env ~rebuild ~g ~prepared ~prev ~atomicity_checked ~evidence_checke
         @
         (ignore (Sharded_database.checkpoint db);
          Array.iter (fun w -> ignore (Wal.truncate_to_checkpoint w)) wals;
-         match recover ~rebuild (Array.map Wal.records wals) with
+         match
+           recover ~rebuild
+             (load (Array.map (fun dw -> Storage.read_all (Disk_wal.storage dw)) dws))
+         with
          | Error e -> [ ("idempotence", recovery_failure "second recovery" e) ]
          | Ok (db2, losers2, _) ->
              List.map
@@ -662,39 +632,97 @@ let prepared_tids logs =
     (List.fold_left (fun acc -> function Wal.Prepare t -> Tid.Set.add t acc | _ -> acc))
     Tid.Set.empty logs
 
+(* One shard image as the loader read it: the records of the log it
+   restored, the bytes of [image] they span when they are its leading
+   frames (else -1), and the loaded log until a recovery takes it. *)
+type read = {
+  image : string;
+  recs : (Wal.record list, string) result;
+  span : int;
+  mutable fresh : Disk_wal.t option;
+}
+
+(* Read shard [s]'s [image] through the loader.  One that resolved no
+   journal left its store untouched and, unless it rolled one back,
+   restored the image's intact frames: they are decoded from the image,
+   past the [span] of the previous read [prev] when [image] extends it.
+   Any other log is read back from its store. *)
+let read s prev image =
+  let read_back dw = { image; recs = Ok (Wal.records (Disk_wal.wal dw)); span = -1; fresh = Some dw } in
+  match load_shard s image with
+  | Error e -> { image; recs = Error e; span = -1; fresh = None }
+  | Ok dw when Storage.read_all (Disk_wal.storage dw) != image -> read_back dw
+  | Ok dw -> (
+      let from, before =
+        match prev with
+        | { image = p; recs = Ok recs; span; _ } when span >= 0 && String.starts_with ~prefix:p image
+          ->
+            (span, recs)
+        | _ -> (0, [])
+      in
+      let kept = Wal.length (Disk_wal.wal dw) in
+      match Wal.Codec.decode_all (String.sub image from (String.length image - from)) with
+      | Ok d when List.length before + List.length d.records = kept ->
+          { image; recs = Ok (before @ d.records); span = from + d.clean_bytes; fresh = Some dw }
+      | Ok d when List.length before + List.length d.records > kept ->
+          (* rolled back at the intent of a journal cut short *)
+          let recs = List.filteri (fun i _ -> i < kept) (before @ d.records) in
+          { image; recs = Ok recs; span = -1; fresh = Some dw }
+      | _ -> read_back dw)
+
 let enumerate ~rebuild g =
   let env = Atomicity.env_of_list (List.map Atomic_object.spec (rebuild ())) in
   let prepared = prepared_tids g.reference in
   let states = ref 0 and atomicity_checked = ref 0 and evidence_checked = ref 0 in
   let violations = ref [] in
+  (* Each shard's last read: consecutive states mostly differ in one
+     shard, by a byte or a frame more. *)
+  let reads =
+    Array.make (Array.length g.reference) { image = ""; recs = Ok []; span = 0; fresh = None }
+  in
+  let records s image =
+    let r = reads.(s) in
+    if r.image != image && not (String.equal r.image image) then reads.(s) <- read s r image;
+    reads.(s).recs
+  in
+  (* Shard [s]'s log for a recovery: the one its read loaded, if free. *)
+  let take s =
+    match reads.(s) with
+    | { fresh = Some dw; _ } as r ->
+        r.fresh <- None;
+        Ok dw
+    | r -> load_shard s r.image
+  in
   List.iter
     (fun run ->
       let prev = Array.make (Array.length g.reference) [] in
       let last = ref None in
       Seq.iter
-        (fun step ->
+        (fun state ->
           let cut = !states in
           incr states;
           let flag (invariant, detail) =
-            violations := { label = step.at; cut; invariant; detail } :: !violations
+            violations := { label = state.label; cut; invariant; detail } :: !violations
           in
-          List.iter flag step.flags;
-          match step.image with
-          | None -> ()
-          | Some logs ->
+          match all (Array.mapi records state.logs) with
+          | Error e -> flag (g.refused, e)
+          | Ok logs ->
+              (* Cuts inside one frame decode to the same records: such a
+                 state is counted but not recovered again. *)
               let same =
                 match !last with
                 | Some l ->
-                    l == logs
-                    || Array.length l = Array.length logs
-                       && Array.for_all2 (List.equal Wal.equal_record) l logs
+                    Array.length l = Array.length logs
+                    && Array.for_all2 (List.equal (fun x y -> x == y || Wal.equal_record x y)) l logs
                 | None -> false
               in
               if not same then begin
                 last := Some logs;
+                List.iter flag (g.check state logs);
                 List.iter flag
                   (battery ~env ~rebuild ~g ~prepared ~prev ~atomicity_checked
-                     ~evidence_checked logs)
+                     ~evidence_checked logs
+                     (all (Array.init (Array.length logs) take)))
               end)
         run)
     g.runs;
@@ -710,7 +738,7 @@ let enumerate ~rebuild g =
 (* ------------------------------------------------------------------ *)
 (* Corruption sweep.                                                   *)
 
-(* Flip one bit in every byte of the encoded log (bit index rotates with
+(* Flip one bit in every byte of the recorded log (bit index rotates with
    the offset, so all eight positions are exercised) and demand that every
    corruption is either {e detected} — an interior [Corrupt_log] — or
    {e contained} — decoded as a torn tail whose records are a prefix of
@@ -721,8 +749,8 @@ let corruption_sweep r =
   let flips = ref 0 in
   let violations = ref [] in
   Array.iteri
-    (fun s original ->
-      let bytes = Wal.Codec.encode_all ~shard:s original in
+    (fun s bytes ->
+      let original = records_of bytes in
       for off = 0 to String.length bytes - 1 do
         let cut = !flips in
         incr flips;
@@ -746,7 +774,7 @@ let corruption_sweep r =
                 }
                 :: !violations
       done)
-    (full r);
+    r.bytes;
   {
     states = !flips;
     atomicity_checked = 0;

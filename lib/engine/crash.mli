@@ -2,36 +2,37 @@
 
     The paper's thesis is that recovery and concurrency control must be
     designed together; this module adversarially exercises the join.  A
-    workload is recorded ({!of_drive}: the logs of a {!Sharded_database}
-    of one or more shards, with every append and durability barrier on
+    workload is recorded ({!of_drive}: the stores of a {!Sharded_database}
+    of one or more shards, with every write and durability barrier on
     one global clock); a {e generator} turns the recording into crash states; and
     one {e battery} recovers each state and checks it against the
     specification, following Börger–Schewe–Wang's discipline (PAPERS.md)
     of verifying recovery instead of trusting the implementation.
 
-    A {b crash state} is a label plus one record list per shard — what
-    each shard's stable log holds after the crash; a single log is a
+    A {b crash state} is a label plus one byte image per shard — what
+    each shard's storage holds after the crash; a single log is a
     one-shard state.  The generators:
 
     - {!append_points}: every global append point — each shard keeps
-      everything appended before it;
-    - {!byte_cuts}: every byte offset of each shard's encoding — the
+      every frame it wrote before it;
+    - {!byte_cuts}: every byte offset of each shard's log — the
       other shards keep their maximal consistent prefixes;
     - {!forced_frontiers}: every distinct forced frontier — each shard
-      keeps exactly what its last completed barrier covered;
+      keeps exactly the bytes its last completed barrier made durable;
     - {!rewrite}: every journal and install byte state of each shard's
       checkpoint-truncation rewrite, from the write version, from v2 or
       from v1 (a log holding 2PC records has no v1 form, so no upgrade
       from v1);
     - {!given}: hand-built states, each checked on its own.
 
-    Every state passes the same battery, after {e one} recovery through
-    {!Sharded_database.recover}:
+    Every state is read through {!Disk_wal.load} (a refusal is a
+    violation) and passes the same battery after {e one} recovery of
+    what the loader restored, through {!Sharded_database.recover}:
 
     + {b replay legality} — every object's restored sequence is legal
       for its specification;
     + {b dynamic atomicity} — each shard's resolved log, read as a
-      history ({!history_of_records}), passes the paper's checker
+      history ({!history_of_log}), passes the paper's checker
       ({!Tm_core.Atomicity.dynamic_atomic}, at any size, in time linear in
       the history for a bounded number of concurrent transactions);
     + {b prefix stability} — within a run of states that only grow,
@@ -49,15 +50,15 @@
       ends committed nowhere (presumed abort).  States with no [Prepare]
       pass trivially;
     + {b idempotence} — the resolved logs hold nothing left in doubt,
-      and a post-recovery fuzzy checkpoint, truncation and second
-      recovery reproduce the same committed state and loser set.
+      and a post-recovery fuzzy checkpoint, journaled truncation, load
+      and recovery reproduce the same committed state and loser set.
 
     Checks that belong to one generator travel with it: {!byte_cuts}
-    demands every byte prefix decode as a clean log or a torn tail
+    demands every byte prefix load as a clean log or a torn tail
     (["torn-tail"]), its commit order be a prefix of the full one
     (["batch-prefix"]) and every commit acknowledged at a barrier the cut
     did not reach survive (["acked-durability"]); {!rewrite} demands
-    every byte state reload, and recover exactly the pre-rewrite state
+    every byte state load, and recover exactly the pre-rewrite state
     (["truncate-atomicity"] / ["upgrade-atomicity"]). *)
 
 open Tm_core
@@ -80,7 +81,7 @@ type report = {
   states : int;  (** crash states the generator enumerated *)
   atomicity_checked : int;
       (** states on which the dynamic-atomicity check ran: all but those
-          with no image, an image equal to the previous one, or a failed recovery *)
+          refused, read as the previous one, or failing recovery *)
   cross_txns : int;
       (** transactions with a [Prepare] in the recorded logs: the ones
           the global-atomicity checks cover *)
@@ -99,38 +100,44 @@ val ok : report -> bool
 
 val pp_report : Format.formatter -> report -> unit
 
-(** [history_of_records recs] — the post-crash history a recovered log
+(** [history_of_log recs] — the post-crash history a recovered log
     stands for: the latest checkpoint's committed base as one synthetic
     committed transaction, then the logged operations in execution order,
     commits in commit-record order, and every unfinished transaction
     aborted (recovery implicitly aborts crash losers).  Exposed for
     tests. *)
-val history_of_records : Wal.record list -> History.t
+val history_of_log : Wal.record list -> History.t
 
 (** {1 Recordings} *)
 
-(** A driven workload: every shard's records, and every append and
+(** A driven workload: every shard's stored bytes, and every write and
     completed durability barrier stamped on one global clock. *)
 type recording
 
 (** [of_drive ~shards:n ~rebuild drive] runs [drive] against a fresh
-    {!Sharded_database} over [n] recording in-memory WALs, stamping every
-    append and completed force under one lock: a recording's barriers
-    are exactly the forces its run made.  Every recording is made this
-    way, by hand-written drives and by [Tm_sim.Experiment.drive]. *)
+    {!Sharded_database} over [n] {!Disk_wal} logs over {!Storage.probe}d
+    {!Storage.memory}, stamping every write (one frame) and completed
+    force under one lock: a recording's barriers are exactly the forces
+    its run made.  Every recording is made this way, by hand-written
+    drives and by [Tm_sim.Experiment.drive].  A drive that rewrites a
+    log raises [Invalid_argument]. *)
 val of_drive :
   shards:int ->
   rebuild:(unit -> Atomic_object.t list) ->
   (Sharded_database.t -> unit) -> recording
 
-(** [logs r] — every shard's records, whole, in append order. *)
-val logs : recording -> Wal.record list array
+(** [bytes r] — what every shard's storage held when the drive returned. *)
+val bytes : recording -> string array
+
+(** [load images] — shard [s]'s log loaded from [images.(s)] by
+    {!Disk_wal.load} [~shard:s] for every [s], or why not. *)
+val load : string array -> (Disk_wal.t array, string) result
 
 (** {1 Generators} *)
 
-(** A crash state: [logs.(s)] is what shard [s]'s log holds after the
-    crash. *)
-type state = { label : string; logs : Wal.record list array }
+(** A crash state: [logs.(s)] is the byte image shard [s]'s storage
+    holds after the crash. *)
+type state = { label : string; logs : string array }
 
 type generator
 
@@ -163,9 +170,9 @@ val rewrite : from:int -> recording -> generator
 val in_doubt : recording -> state option
 
 (** [given ~reference states] — hand-built states, each with as many
-    shards as [reference], the full logs they are cut from (what "all its
-    operations" means for global atomicity). *)
-val given : reference:Wal.record list array -> state list -> generator
+    shards as [reference], the full images they are cut from (what "all
+    its operations" means for global atomicity). *)
+val given : reference:string array -> state list -> generator
 
 (** [states g] — the crash states {!enumerate} runs the battery on, in
     order (positions that yield no state are skipped). *)
@@ -173,14 +180,14 @@ val states : generator -> state Seq.t
 
 (** [enumerate ~rebuild g] runs every state of [g] through the battery;
     [rebuild] supplies fresh objects exactly as for
-    {!Sharded_database.recover}.  A state equal to the previous one of its
+    {!Sharded_database.recover}.  A state read as the previous one of its
     run is counted but not recovered again. *)
 val enumerate : rebuild:(unit -> Atomic_object.t list) -> generator -> report
 
 (** {1 Corruption} *)
 
 (** [corruption_sweep r] flips one bit in every byte of each shard's
-    encoded log (bit position rotating with the offset) and decodes each
+    recorded log (bit position rotating with the offset) and decodes each
     corrupted copy: it must be detected as interior corruption or
     contained as a torn tail whose records are a prefix of the original;
     a silent decode to anything else is a ["corruption-detection"]

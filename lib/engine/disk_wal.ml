@@ -136,17 +136,85 @@ let compact t kept =
   force t;
   t.end_off <- String.length image
 
-(* The log as stable storage holds it: the records of its intact
-   prefix, decoded from the backend's bytes. *)
-let read_back t =
+(* The log as stable storage holds it: bytes [0, end_off) of the
+   backend. *)
+let stored t =
   let bytes = Storage.read_all t.storage in
   let len = String.length bytes in
   if len < t.end_off then
     failwith (Fmt.str "Disk_wal: the stored log reads back %d of its %d bytes" len t.end_off);
-  match Wal.Codec.decode_all (if len = t.end_off then bytes else String.sub bytes 0 t.end_off) with
+  if len = t.end_off then bytes else String.sub bytes 0 t.end_off
+
+let damaged c =
+  failwith (Fmt.str "Disk_wal: the stored log reads back damaged: %a" Wal.Codec.pp_corruption c)
+
+(* The records of the stored log's intact prefix. *)
+let read_back t =
+  match Wal.Codec.decode_all (stored t) with
   | Ok { Wal.Codec.records; torn = None; _ } -> records
-  | Ok { Wal.Codec.torn = Some c; _ } | Error c ->
-      failwith (Fmt.str "Disk_wal: the stored log reads back damaged: %a" Wal.Codec.pp_corruption c)
+  | Ok { Wal.Codec.torn = Some c; _ } | Error c -> damaged c
+
+(* What a verifying walk ({!load}, {!truncate}) learns of the log before the
+   first intent: where its last checkpoint is, and what the frames
+   before that checkpoint add to the log's counters. *)
+type scan = {
+  mutable intent : int;  (* offset of the first Truncate_intent, or -1 *)
+  mutable frames : int;  (* frames before [intent] *)
+  mutable commits : int;  (* Commit records among them *)
+  mutable hwm : int;  (* first tid above every tid they mention *)
+  mutable checkpoint : int;  (* offset of the last Checkpoint, or -1 *)
+  mutable superseded : int;  (* [frames] before [checkpoint] *)
+  mutable superseded_commits : int;
+  mutable superseded_hwm : int;
+}
+
+let new_scan () =
+  {
+    intent = -1;
+    frames = 0;
+    commits = 0;
+    hwm = 0;
+    checkpoint = -1;
+    superseded = 0;
+    superseded_commits = 0;
+    superseded_hwm = 0;
+  }
+
+(* Record tags (docs/WAL_FORMAT.md). *)
+let commit_tag = 2
+let checkpoint_tag = 4
+let intent_tag = 5
+
+let note_frame scan pos tag hwm =
+  if scan.intent < 0 then
+    if tag = intent_tag then scan.intent <- pos
+    else begin
+      if tag = checkpoint_tag then begin
+        scan.checkpoint <- pos;
+        scan.superseded <- scan.frames;
+        scan.superseded_commits <- scan.commits;
+        scan.superseded_hwm <- scan.hwm
+      end;
+      scan.frames <- scan.frames + 1;
+      if tag = commit_tag then scan.commits <- scan.commits + 1;
+      scan.hwm <- Int.max scan.hwm hwm
+    end
+
+(* Drop every frame before the last checkpoint: the walk {!load} makes
+   finds it, and only the frames from it on are decoded, to be
+   compacted.  Returns the number of frames dropped. *)
+let truncate t =
+  let bytes = stored t and scan = new_scan () in
+  (match Wal.Codec.verify_frames (note_frame scan) bytes with
+  | Ok (_, None) -> ()
+  | Ok (_, Some c) | Error c -> damaged c);
+  if scan.superseded > 0 then begin
+    let kept = ref [] in
+    Wal.Codec.decode_verified (fun _ r -> kept := r :: !kept) bytes ~from:scan.checkpoint
+      ~upto:t.end_off;
+    compact t (List.rev !kept)
+  end;
+  scan.superseded
 
 let install_sink t =
   Wal.set_sink t.wal
@@ -158,7 +226,7 @@ let install_sink t =
           t.metrics <- Some reg;
           Storage.attach_metrics t.storage reg);
       sink_records = (fun () -> read_back t);
-      sink_rewrite = (fun kept -> compact t kept);
+      sink_truncate = (fun () -> truncate t);
     }
 
 let make ?(shard = 0) storage =
@@ -253,40 +321,6 @@ let find_journal bytes =
   in
   scan 0
 
-(* What the verifying walk of {!load} learns of the log before the
-   first intent: where its last checkpoint is, and what the frames
-   before that checkpoint add to the log's counters. *)
-type scan = {
-  mutable intent : int;  (* offset of the first Truncate_intent, or -1 *)
-  mutable frames : int;  (* frames before [intent] *)
-  mutable commits : int;  (* Commit records among them *)
-  mutable hwm : int;  (* first tid above every tid they mention *)
-  mutable checkpoint : int;  (* offset of the last Checkpoint, or -1 *)
-  mutable superseded : int;  (* [frames] before [checkpoint] *)
-  mutable superseded_commits : int;
-  mutable superseded_hwm : int;
-}
-
-(* Record tags (docs/WAL_FORMAT.md). *)
-let commit_tag = 2
-let checkpoint_tag = 4
-let intent_tag = 5
-
-let note_frame scan pos tag hwm =
-  if scan.intent < 0 then
-    if tag = intent_tag then scan.intent <- pos
-    else begin
-      if tag = checkpoint_tag then begin
-        scan.checkpoint <- pos;
-        scan.superseded <- scan.frames;
-        scan.superseded_commits <- scan.commits;
-        scan.superseded_hwm <- scan.hwm
-      end;
-      scan.frames <- scan.frames + 1;
-      if tag = commit_tag then scan.commits <- scan.commits + 1;
-      scan.hwm <- Int.max scan.hwm hwm
-    end
-
 let load ?shard ?profile storage =
   (* Reads are not retried on content grounds — a short or bit-flipped
      read is silent, and it is the decoder's job to catch it. *)
@@ -342,18 +376,7 @@ let load ?shard ?profile storage =
          offset as the walk reports it, which holds for a log that mixes
          frame versions too (v1 or v2 frames persisted by an older
          binary, v3 appends after them). *)
-      let scan =
-        {
-          intent = -1;
-          frames = 0;
-          commits = 0;
-          hwm = 0;
-          checkpoint = -1;
-          superseded = 0;
-          superseded_commits = 0;
-          superseded_hwm = 0;
-        }
-      in
+      let scan = new_scan () in
       match Wal.Codec.verify_frames ?profile (note_frame scan) bytes with
       | Error _ as e -> e
       | Ok (clean_bytes, _) ->

@@ -5,7 +5,7 @@
     {!Wal.Codec} frame, makes {!Wal.force} a real backend barrier, reads
     the records back for {!Wal.records} (decoding the intact prefix of
     the backend's bytes), and compacts the backend for
-    {!Wal.truncate_to_checkpoint}.
+    {!Wal.truncate_to_checkpoint}, decoding only the frames it keeps.
 
     The compaction is {e crash-atomic}, in two forced steps: (1)
     {b journal} — a [Truncate_intent] frame and the complete compacted

@@ -255,8 +255,8 @@ let finish st tid ~commit =
     end
   end
 
-(* One step per record kind.  A record step ({!step}: appends,
-   {!of_records}) and the frame step of a load ({!Codec.step_frame})
+(* One step per record kind.  A record step ({!step}: appends and the
+   pure views) and the frame step of a load ({!Codec.step_frame})
    both call these, so a record decoded from its frame steps the state
    exactly as the record itself would.  A step looks for a run before
    it notes its tid: a tid at or above the high-water mark has none. *)
@@ -439,7 +439,7 @@ type sink = {
   sink_force : unit -> unit;
   sink_attach : Metrics.t -> unit;
   sink_records : unit -> record list;
-  sink_rewrite : record list -> unit;
+  sink_truncate : unit -> int;
 }
 
 (* Handles into the attached registry.  Each is resolved on its first
@@ -614,31 +614,20 @@ let mark_all_flushed t =
   t.commits_flushed <- max t.commits_flushed t.commits_appended;
   Mutex.unlock t.flush_lock
 
-(* Take [r] into the state and the counters once stable storage holds
-   it; [durable] moves the watermark with it (a record read back from
-   storage).  Counter updates are taken under [flush_lock] so a
-   concurrent flusher's snapshot is consistent. *)
-let admit ~durable t r =
-  step t.state r;
-  (match t.sink with None -> t.records_rev <- r :: t.records_rev | Some _ -> ());
-  t.count <- t.count + 1;
-  Mutex.lock t.flush_lock;
-  t.appended <- t.appended + 1;
-  (match r with Commit _ -> t.commits_appended <- t.commits_appended + 1 | _ -> ());
-  if durable then begin
-    t.flushed <- t.appended;
-    t.commits_flushed <- t.commits_appended
-  end;
-  Mutex.unlock t.flush_lock
-
 let append t r =
   (* The sink first: if storage refuses the record, the log must not
      count it, step over it or snapshot it into a later checkpoint.  The
      LSN is published only after the sink has the bytes, so a flusher
      that snapshots [appended] and forces is guaranteed to have covered
-     every numbered record. *)
-  (match t.sink with None -> () | Some s -> s.sink_append r);
-  admit ~durable:false t r;
+     every numbered record.  Counter updates are taken under
+     [flush_lock] so a concurrent flusher's snapshot is consistent. *)
+  (match t.sink with None -> t.records_rev <- r :: t.records_rev | Some s -> s.sink_append r);
+  step t.state r;
+  t.count <- t.count + 1;
+  Mutex.lock t.flush_lock;
+  t.appended <- t.appended + 1;
+  (match r with Commit _ -> t.commits_appended <- t.commits_appended + 1 | _ -> ());
+  Mutex.unlock t.flush_lock;
   match t.metrics with
   | None -> ()
   | Some m ->
@@ -655,13 +644,6 @@ let append t r =
       in
       Metrics.Counter.incr appends
 
-let restore t r = admit ~durable:true t r
-
-let of_records recs =
-  let t = create () in
-  List.iter (restore t) recs;
-  t
-
 let records t =
   match t.sink with None -> List.rev t.records_rev | Some s -> s.sink_records ()
 
@@ -676,37 +658,27 @@ let commit_evidence t tid = Tid_bits.mem t.state.commit_evidence tid
 let checkpoint_of ~next_tid t = snapshot ~next_tid t.state
 
 let truncate_to_checkpoint t =
-  (* Newest first, so the first [Checkpoint] found is the latest one;
-     everything older is summarised by it (the fuzzy snapshot carries
-     live transactions' logs) and can be dropped.  The replay state does
-     not change: it already stands for the checkpoint and its tail. *)
+  (* Everything before the latest [Checkpoint] is summarised by it (the
+     fuzzy snapshot carries live transactions' logs): a sink drops it
+     from storage, its barrier included, a sink-less log from its
+     newest-first list.  The replay state already stands for the rest. *)
   let rec split newer = function
-    | [] -> None
-    | (Checkpoint _ as c) :: older -> Some (c :: newer, older)
+    | [] -> 0
+    | (Checkpoint _ as c) :: older ->
+        t.records_rev <- List.rev_append newer [ c ];
+        List.length older
     | r :: older -> split (r :: newer) older
   in
-  let newest_first =
-    match t.sink with None -> t.records_rev | Some s -> List.rev (s.sink_records ())
-  in
-  match split [] newest_first with
-  | None -> 0
-  | Some (kept, older) ->
-      let dropped = List.length older in
-      if dropped > 0 then begin
-        (match t.sink with
-        | None -> t.records_rev <- List.rev kept
-        | Some s ->
-            (* The rewrite is forced through the side door, so the
-               watermark advances without another barrier. *)
-            s.sink_rewrite kept;
-            mark_all_flushed t);
-        t.count <- t.count - dropped;
-        match t.metrics with
-        | None -> ()
-        | Some m ->
-            Metrics.Counter.add (Metrics.counter m.reg "tm_wal_truncated_records_total") dropped
-      end;
-      dropped
+  let dropped = match t.sink with None -> split [] t.records_rev | Some s -> s.sink_truncate () in
+  if dropped > 0 then begin
+    mark_all_flushed t;
+    t.count <- t.count - dropped;
+    match t.metrics with
+    | None -> ()
+    | Some m ->
+        Metrics.Counter.add (Metrics.counter m.reg "tm_wal_truncated_records_total") dropped
+  end;
+  dropped
 
 (* ------------------------------------------------------------------ *)
 (* Binary framing for the on-disk log.                                 *)

@@ -29,14 +29,13 @@
     no words per record, and an outcome takes its run out.
 
     The records themselves live on stable storage.  With a {!sink}
-    ({!Disk_wal}), that is the sink's backend, and {!records} and
-    {!truncate_to_checkpoint} read the log back from it.
-    A sink-less log ({!create}, {!of_records}) models stable storage in
-    memory as its own record list; a {e crash} loses every volatile
-    object state but none of the appended log records (append is atomic
-    and forced).  Torn tails are modelled by recovering from a
-    {e prefix} of the log ({!of_records} of the first records): the
-    crash-injection tests recover from every prefix. *)
+    ({!Disk_wal}), that is the sink's backend: {!records} reads the
+    log back from it and {!truncate_to_checkpoint} compacts it.
+    A sink-less log ({!create}) models stable storage in memory as its
+    own record list; a {e crash} loses every volatile object state but
+    none of the appended log records (append is atomic and forced).
+    Torn and lost records are byte images of a {!Disk_wal} log's
+    storage: {!Crash} loads and recovers every byte prefix. *)
 
 open Tm_core
 
@@ -105,24 +104,21 @@ type t
 
 val create : unit -> t
 
-(** [of_records recs] builds a sink-less log holding exactly [recs] (no
-    metrics). *)
-val of_records : record list -> t
-
 (** Stable storage for a log, installed by {!Disk_wal}: it holds the
     records, and the log keeps only their replay state.
     [sink_append] persists a record ({!append} forwards every record
     before the log counts it), [sink_force] is the durability barrier,
     [sink_attach] forwards a metrics attachment so storage counters join
     the log's registry, [sink_records] reads the stored log back, oldest
-    first, and [sink_rewrite recs] durably replaces it with [recs] (the
-    barrier is part of the call). *)
+    first, and [sink_truncate ()] durably drops every record before the
+    last [Checkpoint] and returns how many it dropped (the barrier is
+    part of the call). *)
 type sink = {
   sink_append : record -> unit;
   sink_force : unit -> unit;
   sink_attach : Tm_obs.Metrics.t -> unit;
   sink_records : unit -> record list;
-  sink_rewrite : record list -> unit;
+  sink_truncate : unit -> int;
 }
 
 (** [set_sink t sink] installs the sink and moves the durability
@@ -189,11 +185,6 @@ val attach_metrics : t -> Tm_obs.Metrics.t -> unit
     leaves the log exactly as it was. *)
 val append : t -> record -> unit
 
-(** [restore t r] takes in a record that stable storage already holds:
-    as {!append}, but [r] is not handed to the sink and counts as
-    durable.  {!of_records} calls it on every record. *)
-val restore : t -> record -> unit
-
 (** [restore_frames t ~superseded ~superseded_commits ~superseded_hwm s
     ~from ~upto] takes in a log that stable storage holds as the bytes
     [s], every frame of which {!Codec.verify_frames} passed: the
@@ -208,7 +199,7 @@ val restore : t -> record -> unit
     stays the maximum over every record.
 
     The frames from [from] on step the replay state straight from their
-    bytes, as {!restore} of their decoded records would: an [Operation]
+    bytes, as appending their decoded records would: an [Operation]
     is read as its tid and operation, a [Commit] as its tid, and a
     checkpoint's committed operations go straight into the state's
     {!Op_log}, so none of these builds a record or a list.  The pass
@@ -250,9 +241,9 @@ val length : t -> int
 
 (** [truncate_to_checkpoint t] drops every record preceding the latest
     [Checkpoint], bounding log growth; the checkpoint itself and its tail
-    are retained — in place for a sink-less log, through [sink_rewrite]
-    with a sink (for {!Disk_wal}, its crash-atomic compaction, described
-    there).  The
+    are retained — in place for a sink-less log, through [sink_truncate]
+    with a sink (for {!Disk_wal}, its crash-atomic compaction of the
+    frames from the last checkpoint on, described there).  The
     replay state is unchanged.  Returns the number of records dropped (0 when
     there is no checkpoint or nothing precedes it).  Replay of the
     truncated log equals replay of the full log: the fuzzy snapshot
@@ -263,7 +254,7 @@ val truncate_to_checkpoint : t -> int
 (** {2 The replay state}
 
     What the log reads back to, kept up to date by {!append} and
-    {!restore} and {!restore_frames}.  Each read costs O(state), never
+    {!restore_frames}.  Each read costs O(state), never
     a scan of the log. *)
 
 (** [in_flight t tid] — does the log hold records of [tid] ([Begin],
@@ -281,7 +272,7 @@ val in_flight : t -> Tid.t -> bool
     a caller without an allocator, which relies on the log scan).  It is
     read from the state: the committed operations and one pass over the
     live transactions' slots, grouped by tid in a map; the snapshot of
-    a record list [recs] is [checkpoint_of ~next_tid (of_records recs)]. *)
+    a record list [recs] is that of a fresh log they are appended to. *)
 val checkpoint_of : next_tid:int -> t -> checkpoint
 
 (** {3 What 2PC recovery asks}
@@ -377,7 +368,7 @@ val partition_of_object : workers:int -> string -> int
 val plan_of : ?profile:Tm_obs.Recovery_profile.t -> t -> plan
 
 (** [plan ~workers records] — the per-object replay plan of a record
-    list: the same fold {!restore} runs, over a fresh state.
+    list: the same fold {!append} runs, over a fresh state.
 
     [workers] must be 1 ([Invalid_argument] otherwise): restart is
     serial, and the argument survives only so existing benchmark probes

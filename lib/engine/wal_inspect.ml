@@ -212,7 +212,7 @@ let two_phase bytes =
   List.iter
     (fun { record = r; offset; shard = s; _ } ->
       present.(s) <- true;
-      Wal.restore wals.(s) r;
+      Wal.append wals.(s) r;
       match r with
       | Wal.Prepare tid ->
           prepares.(s) <- prepares.(s) + 1;

@@ -106,9 +106,21 @@ let blind_semiqueue, blind_semiqueue_conflict =
     Conflict.make ~name:"BSQ-all-but-enq" (fun ~requested ~held ->
         not (is_enq requested && is_enq held)) )
 
+(* A sink-less log holding the records [recs], appended in order. *)
+let log_of recs =
+  let wal = Tm_engine.Wal.create () in
+  List.iter (Tm_engine.Wal.append wal) recs;
+  wal
+
 (* The stable log as it reads after a crash that persisted only the
    first [n] of the records [recs]. *)
-let log_prefix recs n = Tm_engine.Wal.of_records (List.filteri (fun i _ -> i < n) recs)
+let log_prefix recs n = log_of (List.filteri (fun i _ -> i < n) recs)
+
+(* Each shard's log as the loader restores it from its byte image. *)
+let load_images images =
+  match Tm_engine.Crash.load images with
+  | Ok dws -> Array.map Tm_engine.Disk_wal.wal dws
+  | Error e -> Alcotest.fail e
 
 (* Do two replay plans hold the same buckets, in the same order, the
    same losers and the same next tid? *)

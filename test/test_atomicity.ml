@@ -34,7 +34,7 @@ let test_paper_example_perturbed () =
   in
   Helpers.check_bool "still atomic" true (Atomicity.atomic env h);
   (match Atomicity.dynamic_atomic env h with
-  | Atomicity.Ok -> Alcotest.fail "expected a counterexample order"
+  | Atomicity.Ok | Atomicity.Ill_formed _ -> Alcotest.fail "expected a counterexample order"
   | Atomicity.Counterexample order ->
       Helpers.check_bool "B before A in the bad order" true
         (match order with b :: _ -> Tid.equal b Tid.b | [] -> false));
@@ -98,7 +98,7 @@ let test_online_dynamic_atomic () =
   let funded = History.empty |> History.exec Tid.d (dep 1) |> History.commit_at Tid.d "BA" in
   let h = funded |> History.exec Tid.a (wok 1) |> History.exec Tid.b (wok 1) in
   (match Atomicity.online_dynamic_atomic env h with
-  | Atomicity.Ok -> Alcotest.fail "expected counterexample"
+  | Atomicity.Ok | Atomicity.Ill_formed _ -> Alcotest.fail "expected counterexample"
   | Atomicity.Counterexample _ -> ());
   (* dynamic atomicity alone does not catch it: permanent(H) is just D. *)
   Helpers.check_bool "plain DA blind to active" true (Atomicity.is_dynamic_atomic env h)
@@ -340,11 +340,10 @@ let prop_walk_matches_closure_walk =
 
 let test_ill_formed_rejected () =
   let h = History.empty |> History.respond Tid.a ~obj:"BA" Value.ok in
-  let raises f =
-    match f env h with _ -> false | exception Invalid_argument _ -> true
-  in
-  Helpers.check_bool "dynamic_atomic raises" true (raises Atomicity.dynamic_atomic);
-  Helpers.check_bool "online_dynamic_atomic raises" true (raises Atomicity.online_dynamic_atomic)
+  let ill_formed f = match f env h with Atomicity.Ill_formed _ -> true | _ -> false in
+  Helpers.check_bool "dynamic_atomic: ill-formed" true (ill_formed Atomicity.dynamic_atomic);
+  Helpers.check_bool "online_dynamic_atomic: ill-formed" true
+    (ill_formed Atomicity.online_dynamic_atomic)
 
 (* [n] transactions of four interleaved clients over three accounts:
    in each round of four, every client deposits 2 to its account, then

@@ -348,7 +348,7 @@ let test_flusher_death_wakes_parked_committer () =
           end);
       sink_attach = (fun _ -> ());
       sink_records = (fun () -> []);
-      sink_rewrite = ignore;
+      sink_truncate = (fun () -> 0);
     }
   in
   Tm_engine.Wal.set_sink wal sink;

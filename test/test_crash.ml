@@ -26,7 +26,7 @@ let rebuild_ba () =
       ~recovery:Recovery.UIP ();
   ]
 
-(* --- history_of_records --- *)
+(* --- history_of_log --- *)
 
 let test_history_committed_txn () =
   let recs =
@@ -36,14 +36,14 @@ let test_history_committed_txn () =
       Wal.Commit Tid.a;
     ]
   in
-  let h = Crash.history_of_records recs in
+  let h = Crash.history_of_log recs in
   Helpers.check_bool "well-formed" true (History.is_well_formed h);
   Helpers.check_bool "a committed" true (Tid.Set.mem Tid.a (History.committed h));
   Helpers.check_bool "no active txns" true (Tid.Set.is_empty (History.active h))
 
 let test_history_loser_aborted () =
   let recs = [ Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 5) ] in
-  let h = Crash.history_of_records recs in
+  let h = Crash.history_of_log recs in
   Helpers.check_bool "well-formed" true (History.is_well_formed h);
   Helpers.check_bool "loser aborted" true (Tid.Set.mem Tid.a (History.aborted h));
   Helpers.check_bool "no active txns" true (Tid.Set.is_empty (History.active h))
@@ -61,8 +61,8 @@ let test_history_checkpoint_base () =
       Wal.Operation (Tid.b, BA.deposit 2);
     ]
   in
-  let recs = head @ [ Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Wal.of_records head)) ] in
-  let h = Crash.history_of_records recs in
+  let recs = head @ [ Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Helpers.log_of head)) ] in
+  let h = Crash.history_of_log recs in
   Helpers.check_bool "well-formed" true (History.is_well_formed h);
   Helpers.check_int "base txn + live txn" 2 (Tid.Set.cardinal (History.transactions h));
   Helpers.check_bool "b's snapshot ops present, b aborted as loser" true
@@ -81,6 +81,16 @@ let appended recs =
   record (fun db -> List.iter (Wal.append (Shard.wal (SD.shards db).(0))) recs)
 
 let sweep ?(rebuild = rebuild_ba) gen r = Crash.enumerate ~rebuild (gen r)
+
+(* The records of a byte image that decodes whole. *)
+let records_of image =
+  match Wal.Codec.decode_all image with
+  | Ok { Wal.Codec.records; torn = None; _ } -> records
+  | Ok { Wal.Codec.torn = Some c; _ } | Error c ->
+      Alcotest.failf "image does not decode whole: %a" Wal.Codec.pp_corruption c
+
+(* One byte image per shard of record lists. *)
+let images logs = Array.mapi (fun s recs -> Wal.Codec.encode_all ~shard:s recs) logs
 
 (* Two commits around a fuzzy checkpoint taken with b in flight, and c
    left in flight at the end. *)
@@ -131,7 +141,7 @@ let test_torture_bytes_clean () =
     true (Crash.ok report);
   (* Byte cuts strictly outnumber record cuts: most land inside frames. *)
   Helpers.check_bool "more cuts than records" true
-    (report.Crash.states > List.length (Crash.logs r).(0) + 1)
+    (report.Crash.states > List.length (records_of (Crash.bytes r).(0)) + 1)
 
 let test_corruption_sweep_contained () =
   let sweep = Crash.corruption_sweep (driven ()) in
@@ -313,7 +323,7 @@ let prop_replayed_precedes_transitive =
         (fun (st : Crash.state) ->
           Array.for_all
             (fun log ->
-              let h = Crash.history_of_records log in
+              let h = Crash.history_of_log (records_of log) in
               History.is_well_formed h && Helpers.precedes_transitive ~chains h)
             st.Crash.logs)
         (Crash.states (Crash.append_points r))
@@ -332,7 +342,7 @@ let high_water recs = Option.fold ~none:(-1) ~some:Tid.to_int (Wal_replay_refere
 
 (* Where the library's views of [recs] ([Wal.replay], [Wal.max_tid],
    [Wal.plan], and [Wal.checkpoint_of] and [Wal.in_flight] of [wal],
-   by default [Wal.of_records recs]) part from the oracle's, or [None].
+   by default [Helpers.log_of recs]) part from the oracle's, or [None].
    [Wal_replay_reference] is the two-pass fold that [Wal]'s one fold
    replaced; a tid is in flight in a log exactly when the oracle counts
    it a loser. *)
@@ -340,7 +350,7 @@ let replay_views_differ ?wal recs =
   let committed, losers = Wal_replay_reference.replay recs in
   let high_water = high_water recs in
   let lib_committed, lib_losers = Wal.replay recs in
-  let wal = match wal with Some wal -> wal | None -> Wal.of_records recs in
+  let wal = match wal with Some wal -> wal | None -> Helpers.log_of recs in
   let plan = Wal.plan ~workers:1 recs in
   let checks =
     [
@@ -528,7 +538,7 @@ let replay_records_gen =
     QCheck2.Gen.(list_size (int_range 1 12) replay_fragment_gen)
 
 (* The fold against the oracle on generated logs, through both steps:
-   the record step ([Wal.of_records] and the pure views) and the frame
+   the record step ([Helpers.log_of] and the pure views) and the frame
    step of a load. *)
 let prop_replay_matches_reference_on_any_log =
   Helpers.qcheck ~count:200 "replay state = reference replay on generated logs" replay_records_gen
@@ -594,7 +604,7 @@ let prop_log_state_matches_records =
           match Disk_wal.load storage with
           | Ok dw -> Disk_wal.wal dw
           | Error c -> fail (Fmt.str "reload refused: %a" Wal.Codec.pp_corruption c)
-        else Wal.of_records (Wal.records wal)
+        else Helpers.log_of (Wal.records wal)
       in
       let snapshot wal = Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 wal) in
       let check what wal =
@@ -607,7 +617,7 @@ let prop_log_state_matches_records =
         if
           not
             (Wal.equal_record (snapshot wal)
-               (Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Wal.of_records recs))))
+               (Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Helpers.log_of recs))))
         then fail "checkpoint of the state differs from the records'";
         let committed, losers = Wal.replay recs in
         if plan.plan_ops <> List.length committed then fail "plan lost committed ops";
@@ -693,7 +703,7 @@ let prop_load_matches_full_decode =
              records before it keep the high-water mark. *)
           let k = at mod (List.length recs + 1) in
           let before = List.filteri (fun i _ -> i < k) recs in
-          let cp = Wal.checkpoint_of ~next_tid:0 (Wal.of_records before) in
+          let cp = Wal.checkpoint_of ~next_tid:0 (Helpers.log_of before) in
           before
           @ (Wal.Checkpoint { cp with Wal.next_tid = 0 } :: List.filteri (fun i _ -> i >= k) recs)
       in
@@ -707,7 +717,7 @@ let prop_load_matches_full_decode =
                compacted image, which starts with a checkpoint the load
                must not start from. *)
             let journal =
-              Wal.Codec.encode_all (Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Wal.of_records recs)) :: recs)
+              Wal.Codec.encode_all (Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Helpers.log_of recs)) :: recs)
             in
             let old_len = String.length image + 1 in
             image
@@ -735,7 +745,7 @@ let prop_load_matches_full_decode =
       | Ok _, Error c -> fail (Fmt.str "loaded what a full decode refuses: %a" Wal.Codec.pp_corruption c)
       | Error c, Ok _ -> fail (Fmt.str "refused what a full decode loads: %a" Wal.Codec.pp_corruption c)
       | Ok dw, Ok (recs, stop) ->
-          let got = Disk_wal.wal dw and want = Wal.of_records recs in
+          let got = Disk_wal.wal dw and want = Helpers.log_of recs in
           if Wal.length got <> Wal.length want then fail "length";
           if Wal.last_lsn got <> Wal.last_lsn want then fail "last_lsn";
           if Wal.flushed_lsn got <> Wal.flushed_lsn want then fail "flushed_lsn";
@@ -829,7 +839,7 @@ let test_sharded_rewrites_and_in_doubt () =
         (List.exists
            (fun (r : Tm_engine.Two_phase.resolution) ->
              r.commit && r.evidence = Tm_engine.Two_phase.Decision_record)
-           (Tm_engine.Two_phase.analyze (Array.map Wal.of_records st.Crash.logs))));
+           (Tm_engine.Two_phase.analyze (Helpers.load_images st.Crash.logs))));
   Helpers.check_bool "nothing in doubt on one shard" true (Crash.in_doubt (driven ()) = None)
 
 (* The 2PC resolutions read from the replay states equal the record
@@ -845,7 +855,8 @@ let test_sharded_analysis_matches_walk () =
       Seq.iter
         (fun (st : Crash.state) ->
           incr states;
-          resolved := !resolved + Two_phase_reference.check st.Crash.label st.Crash.logs)
+          resolved :=
+            !resolved + Two_phase_reference.check st.Crash.label (Helpers.load_images st.Crash.logs))
         (Crash.states (gen r));
       Helpers.check_bool (name ^ " yields states") true (!states > 0);
       Helpers.check_bool (name ^ " leaves prepares in doubt") in_doubt (!resolved > 0))
@@ -861,7 +872,7 @@ let dep obj n = Op.make ~obj ~args:[ Value.int n ] "deposit" Value.ok
 let flagged ~reference label logs =
   let report =
     Crash.enumerate ~rebuild:rebuild_sharded
-      (Crash.given ~reference [ { Crash.label; logs } ])
+      (Crash.given ~reference:(images reference) [ { Crash.label; logs = images logs } ])
   in
   List.map
     (fun (v : Crash.violation) ->
@@ -907,6 +918,59 @@ let test_battery_overdraw_on_one_shard () =
   let invariants = flagged ~reference:logs "hand-built overdraw" logs in
   Helpers.check_bool "replay-legality flagged" true
     (List.mem "replay-legality" invariants)
+
+(* Byte states built by hand, one shard: a committed transaction, then a
+   fuzzy checkpoint taken with [b] in flight, and [b]'s second operation
+   and commit after it. *)
+let checkpointed_log =
+  let a = Tid.of_int 1 and b = Tid.of_int 2 in
+  let head = [ Wal.Operation (a, BA.deposit 5); Wal.Commit a; Wal.Operation (b, BA.deposit 3) ] in
+  let cp = Wal.checkpoint_of ~next_tid:0 (Helpers.log_of head) in
+  head @ [ Wal.Checkpoint cp; Wal.Operation (b, BA.deposit 4); Wal.Commit b ]
+
+let given_report label image =
+  let reference = [| Wal.Codec.encode_all checkpointed_log |] in
+  Crash.enumerate ~rebuild:rebuild_ba (Crash.given ~reference [ { Crash.label; logs = [| image |] } ])
+
+(* A crash tore [b]'s commit frame: the loader keeps the intact prefix,
+   checkpoint included, and recovery aborts [b]. *)
+let test_given_torn_after_checkpoint () =
+  let full = Wal.Codec.encode_all checkpointed_log in
+  let torn = String.sub full 0 (String.length full - 3) in
+  (match Crash.load [| torn |] with
+  | Ok [| dw |] ->
+      let wal = Disk_wal.wal dw in
+      let live = function Wal.Checkpoint cp -> cp.Wal.live <> [] | _ -> false in
+      Helpers.check_bool "a live transaction at the checkpoint" true
+        (List.exists live checkpointed_log);
+      Helpers.check_int "intact prefix" (List.length checkpointed_log - 1) (Wal.length wal);
+      Helpers.check_bool "b in flight" true (Wal.in_flight wal (Tid.of_int 2))
+  | Ok _ | Error _ -> Alcotest.fail "the torn log does not load");
+  let report = given_report "hand-built torn commit" torn in
+  Helpers.check_bool (Fmt.str "clean: %a" Crash.pp_report report) true (Crash.ok report);
+  Helpers.check_int "recovered and checked" 1 report.Crash.atomicity_checked
+
+(* A flipped byte inside the log, with intact frames after it, is
+   interior corruption: the loader refuses the state, and the battery
+   reports that against the state's label rather than raising. *)
+let test_given_flipped_byte () =
+  let full = Wal.Codec.encode_all checkpointed_log in
+  let b = Bytes.of_string full in
+  (* a payload byte of the second frame, past its 13-byte header *)
+  let at = String.length (Wal.Codec.encode (List.hd checkpointed_log)) + 14 in
+  Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x10));
+  let label = "hand-built flipped byte" in
+  let report = given_report label (Bytes.to_string b) in
+  Helpers.check_int "one state" 1 report.Crash.states;
+  Helpers.check_int "nothing recovered" 0 report.Crash.atomicity_checked;
+  match report.Crash.violations with
+  | [] -> Alcotest.fail "the flipped byte went unreported"
+  | vs ->
+      List.iter
+        (fun (v : Crash.violation) ->
+          Alcotest.(check string) "violation names its state" label v.Crash.label;
+          Alcotest.(check string) "a refused load" "replay-legality" v.Crash.invariant)
+        vs
 
 (* The number of crash states each generator yields, pinned: a refactor
    that silently drops states fails here, not only in a CI log line. *)
@@ -1031,6 +1095,9 @@ let suite =
       test_battery_missing_participant_op;
     Alcotest.test_case "battery flags an overdraw on one shard" `Quick
       test_battery_overdraw_on_one_shard;
+    Alcotest.test_case "given: torn frame after a fuzzy checkpoint" `Quick
+      test_given_torn_after_checkpoint;
+    Alcotest.test_case "given: flipped byte reported, not raised" `Quick test_given_flipped_byte;
     Alcotest.test_case "generator state counts pinned" `Quick test_state_counts_pinned;
     Alcotest.test_case "escrow counter across shards: battery clean" `Quick
       test_escrow_battery;

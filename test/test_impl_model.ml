@@ -131,6 +131,7 @@ let model_check name i limit =
         (fun h ->
           match Atomicity.online_dynamic_atomic env h with
           | Atomicity.Ok -> ()
+          | Atomicity.Ill_formed why -> Alcotest.fail why
           | Atomicity.Counterexample order ->
               Alcotest.failf "not online dynamic atomic in %a:@.%a"
                 Fmt.(list ~sep:(any "-") Tid.pp)

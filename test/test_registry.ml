@@ -56,6 +56,7 @@ let test_refutations_rejected () =
               let h = cex.history in
               match Atomicity.dynamic_atomic env h with
               | Atomicity.Ok -> Alcotest.failf "%s/%s: counterexample accepted" e.name view
+              | Atomicity.Ill_formed why -> Alcotest.failf "%s/%s: %s" e.name view why
               | Atomicity.Counterexample order ->
                   Helpers.check_bool (e.name ^ " order consistent") true
                     (Orders.consistent order (History.precedes h));
@@ -75,6 +76,7 @@ let model_check_entry (e : Registry.entry) view conflict =
     (fun h ->
       match Atomicity.online_dynamic_atomic env h with
       | Atomicity.Ok -> ()
+      | Atomicity.Ill_formed why -> Alcotest.fail why
       | Atomicity.Counterexample order ->
           Alcotest.failf "%s/%s: violation in order %a:@.%a" e.name (View.name view)
             Fmt.(list ~sep:(any "-") Tid.pp)

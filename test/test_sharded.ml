@@ -110,7 +110,7 @@ let test_disk_wal_stamps_shard () =
 (* --- Two_phase analysis --- *)
 
 (* The resolutions of hand-written logs, read from their replay states. *)
-let analyze logs = Two_phase.analyze (Array.map Wal.of_records logs)
+let analyze logs = Two_phase.analyze (Array.map Helpers.log_of logs)
 
 let on_shard s rs = List.filter (fun (r : Two_phase.resolution) -> r.shard = s) rs
 
@@ -179,7 +179,7 @@ let test_analyze_peer_commit_is_evidence () =
   (match on_shard 1 rs with
   | [ { Two_phase.commit; _ } ] -> Helpers.check_bool "commit" true commit
   | rs -> Alcotest.failf "%d resolutions" (List.length rs));
-  let wals = Array.map Wal.of_records unrelated_commit_logs in
+  let wals = Array.map Helpers.log_of unrelated_commit_logs in
   Helpers.check_bool "unrelated commit is no evidence" true
     (not (Wal.phase2 wals.(0) Tid.a || Wal.commit_evidence wals.(0) Tid.b));
   match Two_phase.analyze wals with
@@ -519,7 +519,7 @@ let ordering_logs =
 let test_analyze_matches_record_walk () =
   let resolved =
     List.fold_left
-      (fun n (label, logs) -> n + Two_phase_reference.check label logs)
+      (fun n (label, logs) -> n + Two_phase_reference.check label (Array.map Helpers.log_of logs))
       0
       [
         ("presumed abort", presumed_abort_logs);

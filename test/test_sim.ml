@@ -271,6 +271,7 @@ let test_uip_with_nfc_rejected () =
     (Tid.Set.cardinal (History.committed h) > 8);
   match Atomicity.dynamic_atomic env h with
   | Atomicity.Ok -> Alcotest.fail "UIP+NFC history accepted"
+  | Atomicity.Ill_formed why -> Alcotest.fail why
   | Atomicity.Counterexample order ->
       Helpers.check_int "counterexample orders every committed transaction"
         (Tid.Set.cardinal (History.committed h)) (List.length order);

@@ -615,7 +615,7 @@ let compaction_fixture () =
   Wal.append wal (Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 wal));
   Wal.append wal (Wal.Commit Tid.b);
   let old_bytes = Storage.read_all storage in
-  let mirror = Wal.of_records (Wal.records wal) in
+  let mirror = Helpers.log_of (Wal.records wal) in
   ignore (Wal.truncate_to_checkpoint mirror);
   let image = Codec.encode_all (Wal.records mirror) in
   let intent =
@@ -1210,7 +1210,7 @@ let test_verify_allocates_nothing_per_frame () =
    and stepped). *)
 let test_load_skips_superseded_prefix () =
   let prefix = transfer_log 1000 in
-  let cp = Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Wal.of_records prefix)) in
+  let cp = Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Helpers.log_of prefix)) in
   let tail = transfer_log ~first:1000 16 in
   let load recs =
     let image = Codec.encode_all recs in
@@ -1656,10 +1656,10 @@ let replay_state_diff got want =
     ]
 
 (* [None] when a load of [bytes] steps to the state of
-   [Wal.of_records] of their decoded records, else what differs. *)
+   [Helpers.log_of] of their decoded records, else what differs. *)
 let load_vs_records bytes =
   match (Disk_wal.load (Storage.of_string bytes), Codec.decode_all bytes) with
-  | Ok dw, Ok d -> replay_state_diff (Disk_wal.wal dw) (Wal.of_records d.Codec.records)
+  | Ok dw, Ok d -> replay_state_diff (Disk_wal.wal dw) (Helpers.log_of d.Codec.records)
   | Error c, _ | _, Error c -> Some (Fmt.str "refused: %a" Codec.pp_corruption c)
 
 (* Logs of every record kind but the journal's, each record in a frame
@@ -1753,7 +1753,7 @@ let test_load_allocates_its_state () =
   in
   let txns from k = List.concat (List.init k (fun i -> transfer (from + i))) in
   let prefix = txns 0 (n / 2) in
-  let cp = Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Wal.of_records prefix)) in
+  let cp = Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Helpers.log_of prefix)) in
   let bytes = Codec.encode_all (prefix @ (cp :: txns (n / 2) (n / 2))) in
   let tail = String.length bytes - String.length (Codec.encode_all prefix) in
   Helpers.check_bool "the pass from the checkpoint has a cache" true (tail >= cache_floor);

@@ -87,7 +87,7 @@ let test_checkpoint_keeps_pre_checkpoint_loser () =
       Wal.Begin Tid.b;  (* bare Begin: no operations yet *)
     ]
   in
-  let snapshot = Wal.checkpoint_of ~next_tid:0 (Wal.of_records head) in
+  let snapshot = Wal.checkpoint_of ~next_tid:0 (Helpers.log_of head) in
   let recs = head @ [ Wal.Checkpoint snapshot ] in
   let committed, losers = Wal.replay recs in
   Alcotest.check Helpers.ops "nothing committed" [] committed;
@@ -102,7 +102,7 @@ let test_checkpoint_live_txn_commits_later () =
   let recs =
     head
     @ [
-        Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Wal.of_records head));
+        Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Helpers.log_of head));
         Wal.Operation (Tid.a, BA.deposit 4);
         Wal.Commit Tid.a;
       ]
@@ -126,7 +126,7 @@ let test_fuzzy_checkpoint_roundtrip () =
       Wal.Abort Tid.c;
     ]
   in
-  let snapshot = Wal.checkpoint_of ~next_tid:0 (Wal.of_records recs) in
+  let snapshot = Wal.checkpoint_of ~next_tid:0 (Helpers.log_of recs) in
   let c1, l1 = Wal.replay recs in
   let c2, l2 = Wal.replay [ Wal.Checkpoint snapshot ] in
   Alcotest.check Helpers.ops "same committed" c1 c2;
@@ -402,7 +402,7 @@ let counting_sink () =
       sink_force = (fun () -> incr forces);
       sink_attach = (fun _ -> ());
       sink_records = (fun () -> []);
-      sink_rewrite = ignore;
+      sink_truncate = (fun () -> 0);
     },
     forces )
 
@@ -477,7 +477,7 @@ let test_failed_flush_leaves_combiner_usable () =
           if !calls = 1 then failwith "device hiccup");
       sink_attach = (fun _ -> ());
       sink_records = (fun () -> []);
-      sink_rewrite = ignore;
+      sink_truncate = (fun () -> 0);
     }
   in
   Wal.set_sink wal sink;

@@ -99,10 +99,10 @@ let pp_resolution ppf (r : Two_phase.resolution) =
     (if r.commit then "commit" else "abort")
     (Two_phase.evidence_name r.evidence)
 
-(* Fails unless the replay states of [logs] resolve exactly as the walk
+(* Fails unless the replay states of [wals] resolve exactly as the walk
    over their records does; returns the number of resolutions. *)
-let check label logs =
-  let got = Two_phase.analyze (Array.map Wal.of_records logs) and want = analyze logs in
+let check label wals =
+  let got = Two_phase.analyze wals and want = analyze (Array.map Wal.records wals) in
   if got <> want then
     Alcotest.failf "%s: the replay state resolves [%a], the record walk [%a]" label
       Fmt.(list ~sep:semi pp_resolution)
