@@ -11,8 +11,11 @@
 #    1) plus 0.0166, the margin that still failed a bank inverse that
 #    builds an operation per undone operation at each of those seeds
 #    (1.254, 1.236 and 1.232; the gate runs seed 1).  Since a database
-#    shares equal operations the ratio reads 1.219 (seeds 1-3: 1.219,
-#    1.203, 1.200) and that inverse 1.271, 1.253 and 1.249.  Until lock
+#    shares equal operations the ratio read 1.219 (seeds 1-3: 1.219,
+#    1.203, 1.200) and that inverse 1.271, 1.253 and 1.249; since the
+#    tid tables and the deadlock search allocate nothing per
+#    transaction, which cuts DU's words too, 1.223 (1.223, 1.206, 1.204)
+#    and that inverse 1.272, 1.254 and 1.250.  Until lock
 #    holds lost their sequence stamp the limit was 1.25, which that
 #    inverse, at about 1.253, cleared by a hair.  The UIP abort pin in
 #    test/test_engine.ml catches it too.
@@ -76,14 +79,21 @@
 #    more) fails it, and so does a codec that copies each payload, boxes
 #    an int32 per CRC byte or builds each frame twice (about 1029).
 # 4. What a contended invocation costs: the hotspot_uip run of gate 1
-#    must be correct and allocate at most 361.9 words per transaction
-#    (alloc_words_per_txn; about 329 today, the limit is the largest of
-#    seeds 1-3, 329.04, plus 10%; it was 401.4, from 364.87, until the
-#    database's operation table made a blocked poll and a repeated
-#    operation allocate none).  The figures that follow were measured
-#    before that table, when the run read about 361, 32 words above
-#    today; a cut that adds more than today's 33 words of headroom fails
-#    it.  An invocation with one legal
+#    must be correct and allocate at most 333.9 words per transaction
+#    (alloc_words_per_txn; about 303.5 today, the limit is the largest
+#    of seeds 1-3, 303.53, plus 10%; it was 361.9, from 329.04, until a
+#    running transaction took a slot of a tid table and a reused record,
+#    and a deadlock search after lost edges alone walked nothing, and
+#    401.4, from 364.87, until the database's operation table made a
+#    blocked poll and a repeated operation allocate none).  The figures
+#    that follow were measured before that table, when the run read
+#    about 361, 57 words above today, and are not re-measured; a cut
+#    that adds more than today's 30 words of headroom fails it.  A
+#    generic hash table of running transactions, a record per
+#    transaction and a search that walks the whole graph by Hashtbl.iter
+#    after every change (329.04 together) stay inside, and the empty
+#    transaction and incremental search pins in test/test_engine.ml
+#    catch them instead.  An invocation with one legal
 #    response tests its one operation without a candidate list, the
 #    live suffix of a UIP manager is a chain that commit and abort
 #    unlink in place, and the lock holders are a chain too: building
@@ -128,16 +138,19 @@
 #    33.7 beside list-cell logs), or a log that keeps its records in
 #    memory fails it.
 # 6. What a deferred-update invocation costs: the hotspot_du run of
-#    gate 1 must be correct and allocate at most 298.9 words per
-#    transaction (alloc_words_per_txn; about 270 today, the limit is the
-#    largest of seeds 1-3, 271.70, plus 10%; it was 337.0, from 306.39,
-#    until the database shared equal operations).  The figures that
-#    follow were measured before then, when the run read about 298.  A
-#    spec that answers with a list of (response, state) pairs (about 75
-#    words more) fails it.  A candidate list per invocation and a list
-#    cell per lock holder (about 32 words more) stayed inside, with
-#    about 39 words of headroom then and 29 now; the one-response
-#    invocation pin in test/test_engine.ml catches the list.
+#    gate 1 must be correct and allocate at most 274.9 words per
+#    transaction (alloc_words_per_txn; about 248.3 today, the limit is
+#    the largest of seeds 1-3, 249.91, plus 10%; it was 298.9, from
+#    271.70, until the tid tables and the deadlock search allocated
+#    nothing per transaction, and 337.0, from 306.39, until the database
+#    shared equal operations).  The figures that follow were measured
+#    before then, when the run read about 298, and are not re-measured.
+#    A spec that answers with a list of (response, state) pairs (about
+#    75 words more) fails it.  A candidate list per invocation and a
+#    list cell per lock holder (about 32 words more) stayed inside, with
+#    about 39 words of headroom then, 29 after the sharing and 27 now;
+#    the one-response invocation pin in test/test_engine.ml catches the
+#    list.
 #    Each live transaction keeps its view, base + its own intentions,
 #    and derives it again only after a commit moves the base; a manager
 #    that derives the view from the base on every call (about 150 words
@@ -165,18 +178,23 @@
 #    committed operation costs its log slot.  Operations built afresh,
 #    each about 12 words beside its slot, read 1.259 and fail it.
 # 8. What a sharded commit costs: the transfer_2pc run of gate 2 must be
-#    correct and allocate at most 186.2 words per transaction
-#    (alloc_words_per_txn; about 165.5 today, 168.8 before each shard
-#    shared equal operations; the limit is the largest of seeds 1-3,
-#    169.23, plus 10%; it was 200.4, from 182.14, until the
-#    log's replay state kept unfinished transactions in one vector).  A
-#    replay state that keeps them in a hash table bucket per transaction
-#    and a list cell per operation (179.61) stays inside, and the append
-#    allocation pin in test/test_storage.ml catches it instead.  A spec
+#    correct and allocate at most 167.1 words per transaction
+#    (alloc_words_per_txn; about 151.6 today, 165.5 before the router
+#    and each shard's database kept their running transactions in tid
+#    tables, with each shard's records reused, and 168.8 before each
+#    shard shared equal operations; the limit is the largest of seeds
+#    1-3, 151.93, plus 10%; it was 186.2, from 169.23, until then, and
+#    200.4, from 182.14, until the log's replay state kept unfinished
+#    transactions in one vector).  The figures that follow were measured
+#    before the tid tables, with 20.7 words of headroom where there are
+#    15.5 now, and are not re-measured.  A replay state that keeps them
+#    in a hash table bucket per transaction and a list cell per
+#    operation (179.61) stayed inside, and the append allocation pin in
+#    test/test_storage.ml catches it instead.  A spec
 #    that answers with a list of (response, state) pairs (about 28 words
 #    more) fails it.  A candidate list per invocation and a list cell
-#    per lock holder (191.6 beside that hash table, so about 180.7 now)
-#    stay inside; the one-response invocation pin in
+#    per lock holder (191.6 beside that hash table, so about 180.7
+#    before the tid tables) stayed inside; the one-response invocation pin in
 #    test/test_engine.ml catches the list instead.  The router's lock sections, the 2PC phases and the commit
 #    walks build no closures and copy no lists, a durable log encodes
 #    each frame in place into one scratch buffer, and the recovery
@@ -230,9 +248,9 @@ echo "perfcheck codec $codec"
 
 contention=$(jq -rn --argjson u "$uip" '
   $u.metrics.alloc_words_per_txn.value as $w
-  | (if $u.correct and $u.failed == 0 and $w <= 361.9 then "ok" else "FAIL" end)
+  | (if $u.correct and $u.failed == 0 and $w <= 333.9 then "ok" else "FAIL" end)
     + ": hotspot_uip correct \($u.correct), failed \($u.failed),"
-    + " alloc_words_per_txn \($w) (max 361.9)"')
+    + " alloc_words_per_txn \($w) (max 333.9)"')
 echo "perfcheck contention $contention"
 
 loaded=$(jq -rn --argjson r "$restart" '
@@ -244,9 +262,9 @@ echo "perfcheck loaded log $loaded"
 
 deferred=$(jq -rn --argjson d "$du" '
   $d.metrics.alloc_words_per_txn.value as $w
-  | (if $d.correct and $d.failed == 0 and $w <= 298.9 then "ok" else "FAIL" end)
+  | (if $d.correct and $d.failed == 0 and $w <= 274.9 then "ok" else "FAIL" end)
     + ": hotspot_du correct \($d.correct), failed \($d.failed),"
-    + " alloc_words_per_txn \($w) (max 298.9)"')
+    + " alloc_words_per_txn \($w) (max 274.9)"')
 echo "perfcheck deferred update $deferred"
 
 finished=$(jq -rn --argjson u "$uip" '
@@ -265,9 +283,9 @@ echo "perfcheck long history $history"
 
 sharded=$(jq -rn --argjson x "$xfer" '
   $x.metrics.alloc_words_per_txn.value as $w
-  | (if $x.correct and $x.failed == 0 and $w <= 186.2 then "ok" else "FAIL" end)
+  | (if $x.correct and $x.failed == 0 and $w <= 167.1 then "ok" else "FAIL" end)
     + ": transfer_2pc correct \($x.correct), failed \($x.failed),"
-    + " alloc_words_per_txn \($w) (max 186.2)"')
+    + " alloc_words_per_txn \($w) (max 167.1)"')
 echo "perfcheck sharded commit $sharded"
 
 [[ $verdict == ok* && $footprint == ok* && $codec == ok* && $contention == ok* && $loaded == ok*

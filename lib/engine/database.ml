@@ -14,17 +14,24 @@ module Names = Hashtbl.Make (struct
 end)
 
 (* What the database keeps of a running transaction.  A finished one
-   leaves only its bit in [finished]. *)
+   leaves only its bit in [finished]; its record, reset, waits in
+   [spare] for the next transaction to begin.  No record leaves this
+   module, so none is in use once its transaction has finished. *)
 type txn = {
   mutable touched : string list;  (* objects executed at, newest first *)
   mutable blocked_on : string;  (* the object of its first block since it last executed *)
   mutable blocked_since : int;  (* the tick of that block; -1 when not blocked *)
 }
 
+(* The value of an empty slot of [live] and [spare]; never running. *)
+let no_txn = { touched = []; blocked_on = ""; blocked_since = -1 }
+
 type t = {
   mutable objs_rev : Atomic_object.t list;  (* newest first *)
   by_name : Atomic_object.t Names.t;
-  live : (Tid.t, txn) Hashtbl.t;  (* running transactions only *)
+  live : txn Tid_table.t;  (* running transactions only *)
+  mutable spare : txn array;  (* finished records in [spare.(0 .. nspare - 1)] *)
+  mutable nspare : int;
   finished : Tid_bits.t;
   waits : Deadlock.t;
   mutable next_tid : int;
@@ -62,7 +69,9 @@ let create ?(first_tid = 0) objs =
     {
       objs_rev = [];
       by_name = Names.create 16;
-      live = Hashtbl.create 64;
+      live = Tid_table.create ~dummy:no_txn;
+      spare = [||];
+      nspare = 0;
       finished = Tid_bits.create ();
       waits = Deadlock.create ();
       next_tid = first_tid;
@@ -104,7 +113,15 @@ let tracing t = Option.is_some t.trace
 let emit_trace t ~tid kind =
   match t.trace with None -> () | Some tr -> Trace.emit tr ~tid kind
 
-let start t tid = Hashtbl.replace t.live tid { touched = []; blocked_on = ""; blocked_since = -1 }
+let start t tid =
+  let txn =
+    if t.nspare = 0 then { touched = []; blocked_on = ""; blocked_since = -1 }
+    else begin
+      t.nspare <- t.nspare - 1;
+      t.spare.(t.nspare)
+    end
+  in
+  Tid_table.replace t.live tid txn
 
 let begin_txn t =
   let tid = Tid.of_int t.next_tid in
@@ -122,7 +139,7 @@ let adopt_txn t tid =
      never collide with a global one. *)
   let n = Tid.to_int tid in
   if n < 0 then invalid_arg "Database.adopt_txn: negative tid";
-  if Hashtbl.mem t.live tid || Tid_bits.mem t.finished tid then
+  if Tid_table.mem t.live tid || Tid_bits.mem t.finished tid then
     invalid_arg (Fmt.str "Database.adopt_txn: %a already known" Tid.pp tid);
   t.next_tid <- max t.next_tid (n + 1);
   start t tid;
@@ -131,7 +148,7 @@ let adopt_txn t tid =
 
 (* The entry of a running transaction. *)
 let running t tid =
-  match Hashtbl.find t.live tid with
+  match Tid_table.find t.live tid with
   | txn -> txn
   | exception Not_found ->
       if Tid_bits.mem t.finished tid then
@@ -139,7 +156,7 @@ let running t tid =
       else invalid_arg (Fmt.str "Database: unknown transaction %a" Tid.pp tid)
 
 let touched_objs t tid =
-  match Hashtbl.find t.live tid with txn -> txn.touched | exception Not_found -> []
+  match Tid_table.find t.live tid with txn -> txn.touched | exception Not_found -> []
 
 (* A transaction executing after an earlier block has been woken: record
    how long (in attempt ticks) it waited, per object. *)
@@ -195,9 +212,21 @@ let rec release t tid ~committed = function
       if committed then Atomic_object.commit o tid else Atomic_object.abort o tid;
       if tracing t then emit_trace t ~tid (Trace.Lock_release { obj })
 
+(* [txn], reset, onto the spare stack, which grows by doubling. *)
+let retire t txn =
+  txn.touched <- [];
+  txn.blocked_on <- "";
+  txn.blocked_since <- -1;
+  if t.nspare = Array.length t.spare then
+    t.spare <- Array.append t.spare (Array.make (max 8 t.nspare) no_txn);
+  t.spare.(t.nspare) <- txn;
+  t.nspare <- t.nspare + 1
+
 let finish t tid ~committed =
-  release t tid ~committed (running t tid).touched;
-  Hashtbl.remove t.live tid;
+  let txn = running t tid in
+  release t tid ~committed txn.touched;
+  Tid_table.remove t.live tid;
+  retire t txn;
   Tid_bits.add t.finished tid;
   Deadlock.clear t.waits tid
 

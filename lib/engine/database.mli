@@ -78,8 +78,10 @@ val begin_txn : t -> Tid.t
     {!Sharded_database}'s global allocator.  Raises [Invalid_argument]
     if [tid] is negative or already known to this database: running, or
     finished.  The database keeps an entry only for a running
-    transaction; a finished tid is remembered as one bit
-    ({!Tid_bits}). *)
+    transaction, a slot of a {!Tid_table} pointing at a record that a
+    finished transaction left for reuse, so a transaction that begins
+    (or is adopted) and finishes having executed nothing allocates
+    nothing; a finished tid is remembered as one bit ({!Tid_bits}). *)
 val adopt_txn : t -> Tid.t -> unit
 
 (** [invoke t tid ~obj inv] — attempt an operation; records the waits-for

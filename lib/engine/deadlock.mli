@@ -16,7 +16,11 @@ val create : unit -> t
     returns it) is stored as it is; any other is sorted and deduplicated
     first.  Re-registering the edges [tid] already has leaves the graph,
     and so the next {!find_cycle}'s answer, untouched.  A [tid] new to
-    the graph joins [t]'s array of sources, grown by doubling. *)
+    the graph joins [t]'s array of sources, grown by doubling.  A new or
+    changed edge list marks its source for the next {!find_cycle}; the
+    mark is kept beside the source in that array and leaves with it, so
+    a graph that is fed but never searched keeps no more than its
+    sources. *)
 val set_waiting : t -> Tid.t -> on:Tid.t list -> unit
 
 (** [clear t tid] removes [tid]'s outgoing edges {e and} every edge
@@ -38,13 +42,21 @@ val clear : t -> Tid.t -> unit
     The answer is kept in [t] and reused until {!set_waiting} or
     {!clear} changes the graph, so a search after a blocked retry that
     re-registered the same edges returns at once and allocates nothing.
-    A search that does run keeps its path and visited marks in scratch
+    A search that does run first decides whether there is a cycle, by a
+    depth-first walk over the array of sources that builds no closure:
+    after a search that found none, from the marked sources alone (only
+    a new or changed edge list can close a cycle, and {!clear} only
+    takes edges away), so a search that follows only clears walks
+    nothing; after one that found a cycle, from every source.  Only
+    when there is a cycle does the search in table order run, so the
+    cycle, and so the {!victim}, is the one a search from scratch
+    finds.  Every walk keeps its path and visited marks in scratch
     arrays in [t] (grown by doubling, never shrunk; a visited test scans
     the nodes seen so far, which are at most the transactions in the
-    graph), so it allocates only the cycle it returns, the 4-word
-    closure [Hashtbl.iter] builds for its walk, and the arrays when they
-    grow.  Not safe to call from two threads on one [t] at a
-    time. *)
+    graph), so a search that finds no cycle allocates nothing but those
+    arrays when they grow, and one that finds a cycle the cycle it
+    returns and the 4-word closure [Hashtbl.iter] builds for its walk.
+    Not safe to call from two threads on one [t] at a time. *)
 val find_cycle : t -> Tid.t list option
 
 (** [victim cycle] is the youngest (largest-id) transaction. *)

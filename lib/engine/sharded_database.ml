@@ -12,11 +12,14 @@ type txn = {
          LSN, or a cross-shard commit's global trace id *)
 }
 
+(* The value of an empty slot of the table. *)
+let no_txn = { tid = Tid.a; touched = []; mark = -1 }
+
 let is_cross txn = match txn.touched with _ :: _ :: _ -> true | _ -> false
 
 type t = {
   shards : Shard.t array;
-  txns : (Tid.t, txn) Hashtbl.t;
+  txns : txn Tid_table.t;
   mutable next_tid : int;
   mutable next_gtrace : int;
       (* global trace ids: one per cross-shard commit attempt, stamped
@@ -45,7 +48,7 @@ let make ?(first_tid = 0) shards =
   let reg = Metrics.create () in
   {
     shards;
-    txns = Hashtbl.create 64;
+    txns = Tid_table.create ~dummy:no_txn;
     next_tid = first_tid;
     next_gtrace = 0;
     committed = 0;
@@ -115,7 +118,7 @@ let emit_2pc t s ~tid kind =
 let locked t f x = Shard.run t.lock f t x
 
 let txn_of t tid =
-  match Hashtbl.find t.txns tid with
+  match Tid_table.find t.txns tid with
   | x -> x
   | exception Not_found ->
       invalid_arg (Fmt.str "Sharded_database: unknown transaction %a" Tid.pp tid)
@@ -123,7 +126,7 @@ let txn_of t tid =
 let new_txn t () =
   let tid = Tid.of_int t.next_tid in
   t.next_tid <- t.next_tid + 1;
-  Hashtbl.replace t.txns tid { tid; touched = []; mark = -1 };
+  Tid_table.replace t.txns tid { tid; touched = []; mark = -1 };
   tid
 
 let begin_txn t = locked t new_txn ()
@@ -158,7 +161,7 @@ let validate t tid = validate_at t tid (locked t txn_of tid).touched
 (* Take [tid] out of the table. *)
 let retire t tid =
   let txn = txn_of t tid in
-  Hashtbl.remove t.txns tid;
+  Tid_table.remove t.txns tid;
   txn
 
 (* A cross-shard commit also takes a trace id and enters the in-flight

@@ -416,9 +416,19 @@ let replay recs =
   let st = state_of recs in
   (Op_log.to_list st.committed, losers st)
 
+(* The replay state's high-water mark ([note], [seed]) in one fold over
+   the records, with no state built: each record's tid + 1, and a
+   checkpoint's live tids + 1 and its [next_tid]. *)
 let max_tid recs =
-  let st = state_of recs in
-  if st.hwm = 0 then None else Some (Tid.of_int (st.hwm - 1))
+  let note hwm tid = max hwm (Tid.to_int tid + 1) in
+  let step hwm = function
+    | Begin tid | Operation (tid, _) | Commit tid | Abort tid | Prepare tid | Decision { tid; _ } ->
+        note hwm tid
+    | Checkpoint cp -> max (List.fold_left (fun hwm (tid, _) -> note hwm tid) hwm cp.live) cp.next_tid
+    | Truncate_intent _ -> hwm
+  in
+  let hwm = List.fold_left step 0 recs in
+  if hwm = 0 then None else Some (Tid.of_int (hwm - 1))
 
 let partition_of_object ~workers name = Hashtbl.hash name mod workers
 

@@ -320,7 +320,8 @@ val replay : record list -> Op.t list * Tid.Set.t
 (** [max_tid records] is the highest transaction id mentioned anywhere in
     the log — by a record or by a checkpoint's [live]/[next_tid] snapshot
     — or [None] for a log that mentions none.  Recovery seeds tid
-    allocation strictly above it. *)
+    allocation strictly above it.  One fold over the records by the
+    replay state's high-water rule, with no state built. *)
 val max_tid : record list -> Tid.t option
 
 (** {2 The restart fold}

@@ -71,6 +71,59 @@ let test_history_checkpoint_base () =
     (Tid.Set.exists (fun t -> not (Tid.equal t Tid.a || Tid.equal t Tid.b))
        (History.committed h))
 
+(* [Wal.max_tid], one fold over the records with no replay state (it
+   gives [history_of_log] its base tid), = the reference's, which steps
+   a whole replay state.  Pinned on every golden frame and log (a torn
+   log on the records before its tear), and on every append point of a
+   recorded bank run with fuzzy checkpoints. *)
+let max_tid_is_reference what recs =
+  Helpers.check_bool (what ^ ": max tid = reference max tid") true
+    (Option.equal Tid.equal (Wal.max_tid recs) (Wal_replay_reference.max_tid recs))
+
+let read_bin path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+      really_input_string ic (in_channel_length ic))
+
+let test_max_tid_golden () =
+  let files dir suffix =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f suffix)
+    |> List.sort compare
+    |> List.map (Filename.concat dir)
+  in
+  let golden = files "golden" ".bin" @ files (Filename.concat "golden" "logs") ".wal" in
+  Helpers.check_bool "golden logs found" true (List.length golden > 20);
+  List.iter
+    (fun path ->
+      match Wal.Codec.decode_all (read_bin path) with
+      | Ok { Wal.Codec.records; _ } -> max_tid_is_reference path records
+      | Error c -> Alcotest.failf "%s does not decode: %a" path Wal.Codec.pp_corruption c)
+    golden
+
+let test_max_tid_recording () =
+  let rebuild () = Experiment.bank_hotspot.Experiment.build (Experiment.setup Recovery.UIP Experiment.Semantic) in
+  let cfg = Experiment.config ~concurrency:3 ~total_txns:20 ~seed:1 () in
+  let r =
+    Crash.of_drive ~shards:1 ~rebuild (fun sdb ->
+        ignore
+          (Experiment.drive ~checkpoint_every:5 Experiment.bank_hotspot
+             (Experiment.setup Recovery.UIP Experiment.Semantic) cfg sdb
+            : Experiment.row))
+  in
+  let states = ref 0 and checkpoints = ref 0 in
+  Seq.iter
+    (fun (st : Crash.state) ->
+      incr states;
+      let recs = match Wal.Codec.decode_all st.Crash.logs.(0) with
+        | Ok { Wal.Codec.records; _ } -> records
+        | Error c -> Alcotest.failf "state %d does not decode: %a" !states Wal.Codec.pp_corruption c
+      in
+      if List.exists (function Wal.Checkpoint _ -> true | _ -> false) recs then incr checkpoints;
+      max_tid_is_reference (Fmt.str "append point %d" !states) recs)
+    (Crash.states (Crash.append_points r));
+  Helpers.check_bool "states with a checkpoint" true (!checkpoints > 0)
+
 (* --- generators over a hand-driven database --- *)
 
 (* A one-shard recording of a hand-written drive. *)
@@ -1061,6 +1114,8 @@ let suite =
     Alcotest.test_case "history: committed txn" `Quick test_history_committed_txn;
     Alcotest.test_case "history: loser aborted" `Quick test_history_loser_aborted;
     Alcotest.test_case "history: checkpoint base" `Quick test_history_checkpoint_base;
+    Alcotest.test_case "history: max tid = reference (golden)" `Quick test_max_tid_golden;
+    Alcotest.test_case "history: max tid = reference (recording)" `Quick test_max_tid_recording;
     Alcotest.test_case "torture: clean run" `Quick test_torture_clean_run;
     Alcotest.test_case "torture: detects corrupt log" `Quick
       test_torture_detects_corrupt_log;
