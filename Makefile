@@ -36,9 +36,11 @@ crashtest:
 # roll back or redo atomically) and "flips" (bit-flip corruption detected or
 # contained), plus a fault-injected storage run whose stores must end
 # holding the recorded bytes exactly (torn writes / transient errors
-# absorbed by the WAL retry loop).
+# absorbed by the WAL retry loop).  The summary line is pinned, so a
+# generator that gains or loses states fails.
 faulttest:
-	dune exec bin/crashtest.exe -- --fault --seed 11
+	dune exec bin/crashtest.exe -- --fault --seed 11 | grep -F \
+	  'bytes 44424 states (993 atomicity-checked, 0 cross-shard txns, 0 evidence checks); truncate 19997 states (70 atomicity-checked, 0 cross-shard txns, 0 evidence checks); upgrade 19997 states (70 atomicity-checked, 0 cross-shard txns, 0 evidence checks); upgrade-v2 19997 states (70 atomicity-checked, 0 cross-shard txns, 0 evidence checks); flips 44388 states (0 atomicity-checked, 0 cross-shard txns, 0 evidence checks); 259 faults injected, 259 retries absorbed; 0 failures'
 
 # Cross-shard 2PC torture: the same pipeline over 4 shards, so the
 # multi-object scenarios commit through 2PC; generators "forced" (every
@@ -47,9 +49,12 @@ faulttest:
 # may ever install a cross-shard transaction another shard aborted, and
 # no commit acknowledged after the forced decision may be lost.  Runs
 # clean and with injected storage faults; both harvest in-doubt states.
+# Both summary lines are pinned.
 shardtest:
-	dune exec bin/crashtest.exe -- --shards 4
-	dune exec bin/crashtest.exe -- --shards 4 --fault --seed 11 -n 10
+	dune exec bin/crashtest.exe -- --shards 4 | grep -F \
+	  'forced 554 states (554 atomicity-checked, 58 cross-shard txns, 840 evidence checks); bytes 52932 states (1619 atomicity-checked, 58 cross-shard txns, 1820 evidence checks); 12 in-doubt harvests, 12 prepares in doubt; 0 failures'
+	dune exec bin/crashtest.exe -- --shards 4 --fault --seed 11 -n 10 | grep -F \
+	  'forced 1036 states (1036 atomicity-checked, 107 cross-shard txns, 2559 evidence checks); bytes 107764 states (2790 atomicity-checked, 107 cross-shard txns, 5316 evidence checks); truncate 40538 states (288 atomicity-checked, 107 cross-shard txns, 0 evidence checks); upgrade 26198 states (232 atomicity-checked, 107 cross-shard txns, 0 evidence checks); upgrade-v2 40538 states (288 atomicity-checked, 107 cross-shard txns, 0 evidence checks); flips 107620 states (0 atomicity-checked, 0 cross-shard txns, 0 evidence checks); 911 faults injected, 911 retries absorbed; 12 in-doubt harvests, 12 prepares in doubt; 0 failures'
 
 # Threaded group-commit stress with a pinned seed: OS threads run
 # Concurrent over the sharded engine on slow storage; fails if any

@@ -340,13 +340,13 @@ let loser_diff invariant ~got ~want =
 (* [Wal.truncate_to_checkpoint] on a [Disk_wal] log promises that no byte offset of its
    journal + install sequence can make reload misclassify the log or
    change the recovered state.  Run the compaction on a copy of each
-   shard's log and build every intermediate backend image the protocol
-   can leave behind — the old log followed by each prefix of the intent
-   + compacted-image journal; each prefix of the new image spliced over
-   the full journaled file (the memory backend's [write] is atomic, so
-   the torn states of the file backend's write-then-shrink are
-   constructed explicitly); the installed image alone.  The loader must
-   never refuse one: every such state is a legal crash point.  From an
+   shard's log, record every write it makes, and cut each one: the file
+   it lands on with each byte prefix of the write in place (the memory
+   backend's [write] is atomic, so the torn states of the file backend's
+   write-then-shrink are constructed explicitly), and, when the write
+   shrinks the file, the file it leaves.  The loader must never refuse
+   one: every such state is a legal crash point.  A log whose
+   compaction drops nothing makes no write and has no states.  From an
    older version this is the incremental upgrade: a crash at any offset
    leaves the readable old log (torn debris of the new version rolled
    back), a committed journal to redo, or the installed image in the
@@ -368,33 +368,39 @@ let rewrite ~from r =
         if upgrade then Wal.Codec.encode_all ~version:from ~shard:(if v1 then 0 else s) recs
         else r.bytes.(s)
       in
-      let copy = Disk_wal.wal (Result.get_ok (load_shard s old_bytes)) in
-      if Wal.truncate_to_checkpoint copy = 0 && not upgrade then None
-      else
-        let image = Wal.Codec.encode_all ~shard:s (Wal.records copy) in
-        let new_len = String.length image in
-        let journal = Disk_wal.journal ~shard:s ~old_len:(String.length old_bytes) image in
-        let journaled = old_bytes ^ journal in
-        let flen = String.length journaled in
-        let images =
-          Seq.append
-            (Seq.init
-               (String.length journal + 1)
-               (fun k -> ("journal", k, old_bytes ^ String.sub journal 0 k)))
-            (Seq.append
-               (* k = new_len is the shrink itself still pending: image
-                  bytes followed by the stale remainder of the file. *)
-               (Seq.init (new_len + 1) (fun k ->
-                    ("install", k, String.sub image 0 k ^ String.sub journaled k (flen - k))))
-               (Seq.return ("done", new_len, image)))
+      (* Each write's offset and the file before it, newest first. *)
+      let store = Storage.of_string old_bytes and writes = ref [] in
+      let on_write ~pos _ = writes := (pos, Storage.read_all store) :: !writes in
+      let copy = Result.get_ok (Disk_wal.load ~shard:s (Storage.probe ~on_write store)) in
+      ignore (Wal.truncate_to_checkpoint (Disk_wal.wal copy) : int);
+      (* A write leaves the file the next one lands on. *)
+      let _, cuts =
+        List.fold_left
+          (fun (after, cuts) (pos, before) -> (before, (pos, before, after) :: cuts))
+          (Storage.read_all store, [])
+          !writes
+      in
+      let states i (pos, before, after) =
+        let stale n =
+          let n = min n (String.length before) in
+          String.sub before n (String.length before - n)
         in
+        let cut k = (Fmt.str "write %d byte %d" i k, String.sub after 0 (pos + k) ^ stale (pos + k)) in
+        Seq.append
+          (Seq.init (String.length after - pos + 1) cut)
+          (if String.length after < String.length before then
+             Seq.return (Fmt.str "write %d shrunk" i, after)
+           else Seq.empty)
+      in
+      if cuts = [] then None
+      else
         Some
           (Seq.map
-             (fun (phase, k, bytes) ->
+             (fun (what, bytes) ->
                let logs = Array.copy r.bytes in
                logs.(s) <- bytes;
-               { label = Fmt.str "%s shard %d %s byte %d" name s phase k; logs })
-             images)
+               { label = Fmt.str "%s shard %d %s" name s what; logs })
+             (Seq.concat (Seq.mapi states (List.to_seq cuts))))
   in
   (* Every state must recover exactly what the pre-rewrite logs replay
      to: no acknowledged commit is lost to a compaction or migration. *)

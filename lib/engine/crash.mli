@@ -19,10 +19,10 @@
       other shards keep their maximal consistent prefixes;
     - {!forced_frontiers}: every distinct forced frontier — each shard
       keeps exactly the bytes its last completed barrier made durable;
-    - {!rewrite}: every journal and install byte state of each shard's
-      checkpoint-truncation rewrite, from the write version, from v2 or
-      from v1 (a log holding 2PC records has no v1 form, so no upgrade
-      from v1);
+    - {!rewrite}: every byte state the writes of each shard's real
+      checkpoint-truncation compaction can leave, from the write version,
+      from v2 or from v1 (a log holding 2PC records has no v1 form, so
+      no upgrade from v1);
     - {!given}: hand-built states, each checked on its own.
 
     Every state is read through {!Disk_wal.load} (a refusal is a
@@ -150,16 +150,21 @@ val byte_cuts : recording -> generator
 val forced_frontiers : recording -> generator
 
 (** [rewrite ~from r] — the crash-atomic rewrite of
-    {!Wal.truncate_to_checkpoint} on a {!Disk_wal} log, per shard with the others whole: the
-    log as frames of version [from], then every prefix of the journal
-    (intent + compacted image in {!Wal.Codec.write_version}), every
-    prefix of the install over the journaled file, and the installed
-    image.  From an older version the rewrite is the upgrade to the
-    write version, and its states are labelled ["upgrade-v<from>"].
-    From {!Wal.Codec.v1}, whose frames carry no shard id, it runs on
-    every shard log with no {!Wal.Codec.v2_only_record}; from
-    {!Wal.Codec.v2}, on every shard log.  From the write version a log
-    without a checkpoint to truncate to yields no states. *)
+    {!Wal.truncate_to_checkpoint} on a {!Disk_wal} log, per shard with
+    the others whole.  The log, as frames of version [from], is loaded
+    and compacted, and every write the compaction makes is cut: the file
+    the write lands on with each byte prefix of the write in place
+    (labelled ["write <i> byte <k>"]), and, when the write shrinks the
+    file, the file it leaves (["write <i> shrunk"]).  So the states
+    follow the engine's own protocol: the journal write, then the
+    install over the journaled file, then the installed image.  From an
+    older version the rewrite is the upgrade to the write version, and
+    its states are labelled ["upgrade-v<from>"].  From
+    {!Wal.Codec.v1}, whose frames carry no shard id, it runs on every
+    shard log with no {!Wal.Codec.v2_only_record}; from
+    {!Wal.Codec.v2}, on every shard log.  A log whose compaction drops
+    nothing — no checkpoint past its first frame — makes no write and
+    yields no states. *)
 val rewrite : from:int -> recording -> generator
 
 (** [in_doubt r] — the last forced frontier of [r] (see

@@ -111,30 +111,29 @@ let persist t record =
    journal until the real intent lies past the image.  A torn journal
    still rolls back at the first intent.  *)
 
-let journal ~shard ~old_len image =
-  let new_len = String.length image in
-  let intent at = Wal.Codec.encode ~shard (Wal.Truncate_intent { old_len = at; new_len }) in
-  let rec pad at placeholders =
-    if at >= new_len then String.concat "" (List.rev (image :: intent at :: placeholders))
-    else
-      let p = intent (at + 1) in
-      pad (at + String.length p) (p :: placeholders)
-  in
-  pad old_len []
-
 (* Replace the stored log by [kept], by the protocol above. *)
 let compact t kept =
   let image = Wal.Codec.encode_all ~shard:t.shard kept in
+  let new_len = String.length image in
+  let intent at = Wal.Codec.encode ~shard:t.shard (Wal.Truncate_intent { old_len = at; new_len }) in
+  (* The journal from [at] on: placeholder intents until the real one
+     lies past the image's install range, then the intent and image. *)
+  let rec journal at placeholders =
+    if at >= new_len then String.concat "" (List.rev (image :: intent at :: placeholders))
+    else
+      let p = intent (at + 1) in
+      journal (at + String.length p) (p :: placeholders)
+  in
   (* 1. Journal: intent + full image after the live log, forced.  The
      old log is still intact, so a crash up to here rolls back. *)
-  write_string t ~pos:t.end_off (journal ~shard:t.shard ~old_len:t.end_off image);
+  write_string t ~pos:t.end_off (journal t.end_off []);
   force t;
   (* 2. Install: the image replaces the log from byte 0; the write's
      trailing truncation erases the journal in the same call.  A crash
      inside this step finds the journal and redoes the install. *)
   write_string t ~pos:0 image;
   force t;
-  t.end_off <- String.length image
+  t.end_off <- new_len
 
 (* The log as stable storage holds it: bytes [0, end_off) of the
    backend. *)
@@ -155,33 +154,19 @@ let read_back t =
   | Ok { Wal.Codec.torn = Some c; _ } | Error c -> damaged c
 
 (* What a verifying walk ({!load}, {!truncate}) learns of the log before the
-   first intent: where its last checkpoint is, and what the frames
-   before that checkpoint add to the log's counters. *)
+   first intent: its length and tid high-water mark, where its last
+   checkpoint is and how many frames that checkpoint supersedes. *)
 type scan = {
   mutable intent : int;  (* offset of the first Truncate_intent, or -1 *)
   mutable frames : int;  (* frames before [intent] *)
-  mutable commits : int;  (* Commit records among them *)
   mutable hwm : int;  (* first tid above every tid they mention *)
   mutable checkpoint : int;  (* offset of the last Checkpoint, or -1 *)
   mutable superseded : int;  (* [frames] before [checkpoint] *)
-  mutable superseded_commits : int;
-  mutable superseded_hwm : int;
 }
 
-let new_scan () =
-  {
-    intent = -1;
-    frames = 0;
-    commits = 0;
-    hwm = 0;
-    checkpoint = -1;
-    superseded = 0;
-    superseded_commits = 0;
-    superseded_hwm = 0;
-  }
+let new_scan () = { intent = -1; frames = 0; hwm = 0; checkpoint = -1; superseded = 0 }
 
 (* Record tags (docs/WAL_FORMAT.md). *)
-let commit_tag = 2
 let checkpoint_tag = 4
 let intent_tag = 5
 
@@ -191,12 +176,9 @@ let note_frame scan pos tag hwm =
     else begin
       if tag = checkpoint_tag then begin
         scan.checkpoint <- pos;
-        scan.superseded <- scan.frames;
-        scan.superseded_commits <- scan.commits;
-        scan.superseded_hwm <- scan.hwm
+        scan.superseded <- scan.frames
       end;
       scan.frames <- scan.frames + 1;
-      if tag = commit_tag then scan.commits <- scan.commits + 1;
       scan.hwm <- Int.max scan.hwm hwm
     end
 
@@ -381,8 +363,7 @@ let load ?shard ?profile storage =
       | Error _ as e -> e
       | Ok (clean_bytes, _) ->
           let upto = if scan.intent < 0 then clean_bytes else scan.intent in
-          Wal.restore_frames ?profile t.wal ~superseded:scan.superseded
-            ~superseded_commits:scan.superseded_commits ~superseded_hwm:scan.superseded_hwm bytes
+          Wal.restore_frames ?profile t.wal ~frames:scan.frames ~hwm:scan.hwm bytes
             ~from:(Int.max 0 scan.checkpoint) ~upto;
           (* A torn tail is dropped logically: [end_off] points at the
              intact prefix, and the next append overwrites the debris. *)

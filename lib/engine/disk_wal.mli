@@ -15,10 +15,12 @@
     untouched); a crash during (2) finds the journal and redoes the
     install.  At no byte offset of the sequence can reload misclassify
     the log or replay pre-checkpoint records — swept exhaustively by
-    {!Crash.rewrite}.  An image longer than the log it replaces (a v1
-    log re-encoded in the write version, where its records' integers
-    outgrow the varints' savings) pads the journal so the install never
-    overwrites it ({!journal}).  The intent frame has one size in every
+    {!Crash.rewrite}, which cuts every write a real compaction makes.
+    An image longer than the log it replaces (a v1 log re-encoded in the
+    write version, where its records' integers outgrow the varints'
+    savings) pads the journal with placeholder intents, each naming an
+    offset it does not sit at, so the install never overwrites the real
+    one.  The intent frame has one size in every
     version: its two lengths stay 8 fixed bytes in v3, whose other
     payload integers are varints, so the journal search probes for one
     payload length and each placeholder intent adds a known number of
@@ -78,8 +80,9 @@ val create : ?shard:int -> Storage.t -> t
     [Checkpoint] on, building no [Operation] or [Commit] record and no
     list of the checkpoint's committed operations: the redo log's
     checkpoint stands for everything before it, so the frames before it
-    count toward the log's length, LSNs and tid high-water mark but are
-    neither decoded nor stepped.  The same call runs with and without
+    are neither decoded nor stepped.  The log's length, LSNs and tid
+    high-water mark are the first walk's totals, which count every
+    frame.  The same call runs with and without
     [profile].  The loaded log holds the replay state
     {!Shard.recover} reads and no records, the same state a
     decode of every frame would give.  A torn or corrupt tail is
@@ -127,12 +130,3 @@ val bytes_written : t -> int
     [tm_storage_retries_total] once metrics are attached; {!load}'s redo
     of a compaction counts here only). *)
 val retries : t -> int
-
-(** [journal ~shard ~old_len image] — the bytes a compaction writes at
-    [old_len], the end of the live log, before it installs [image]: a
-    [Truncate_intent] frame and [image].  When [image] is longer than
-    [old_len], placeholder intents, each naming an offset it does not
-    sit at, come first, so the real intent lies past [image]'s install
-    range.  Exposed for {!Crash.rewrite}, which builds every byte state
-    of the protocol from it. *)
-val journal : shard:int -> old_len:int -> string -> string

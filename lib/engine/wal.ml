@@ -928,29 +928,16 @@ module Codec = struct
      mixed log never reads a v3 operation's bytes as a v2 one's.
      Decoded values are immutable, so sharing them is invisible.
 
-     A log that does not repeat gains nothing from the cache and pays
-     for it: the walk and hash of every operation, and each miss stored
-     in a table the collector must then promote.  So the cache watches
-     its own hit rate, a window of [window] lookups at a time.  A window
-     in which fewer than one lookup in eight hits leaves the cache idle
-     for the next seven windows' worth of operations, which are built
-     without a lookup.  A log with no repeats pays the cache on about one
-     operation in eight, and one that starts repeating gets it back
-     within eight windows.
-
-     The cache shares names too.  An operation it must build (a miss,
-     or any operation while the cache stands idle) takes its object and
-     operation names, if short, from a second direct-mapped table, keyed
-     by the string's own bytes: a log most often names few objects, and
-     a type has few operations, so their names are built once a pass,
-     however varied the arguments around them.  A lookup costs a hash of
-     at most [max_shared] bytes, and a hit saves a string of two or more
-     words.  A miss costs more: it stores its string in the table, a
-     write the collector must track.  So argument and result strings,
-     which need not repeat (a key-value log's keys), are not looked up,
-     and object names are watched as operations are: a log whose objects
-     do not repeat builds their names without a lookup, seven windows in
-     eight.
+     The cache shares names too.  An operation it must build (a miss)
+     takes its object and operation names, if short, from a second
+     direct-mapped table, keyed by the string's own bytes: a log most
+     often names few objects, and a type has few operations, so their
+     names are built once a pass, however varied the arguments around
+     them.  A lookup costs a hash of at most [max_shared] bytes, and a
+     hit saves a string of two or more words.  A miss stores its string
+     in the table, a write the collector must track, so argument and
+     result strings, which need not repeat (a key-value log's keys), are
+     not looked up.
 
      A short log decodes without a cache.  Its decoded records are small,
      so sharing saves little, and the lookups would slow the many short
@@ -960,24 +947,16 @@ module Codec = struct
 
   let op_slots = 4096
 
-  (* The lookups in a window of the hit-rate watch, and the fewest slots
-     a table has. *)
-  let window = 1024
+  (* The fewest operation slots a table has. *)
+  let min_slots = 1024
 
   (* The shortest log, in bytes, whose pass gets a cache: room for a
-     table of [window] slots at 64 bytes a slot. *)
-  let min_cached = 64 * window
+     table of [min_slots] slots at 64 bytes a slot. *)
+  let min_cached = 64 * min_slots
 
   (* The longest name the cache shares, and its slots for names. *)
   let max_shared = 32
   let name_slots = 1024
-
-  (* A table's hit-rate watch. *)
-  type watch = {
-    mutable lookups : int;  (* in the current window *)
-    mutable hits : int;  (* in the current window *)
-    mutable idle : int;  (* values still to build without a lookup *)
-  }
 
   type memo = {
     op_off : int array;
@@ -985,24 +964,11 @@ module Codec = struct
         (* the encoding's length, doubled, plus 1 for fixed-width
            integers; 0: empty, as no operation encodes to no bytes *)
     ops : Op.t array;
-    op_watch : watch;
     names : string array;  (* "": empty, as no shared name is empty *)
-    obj_watch : watch;  (* of object names only *)
   }
 
-  (* Count a lookup; a window in which fewer than one lookup in eight
-     hits idles the table for the next seven windows' worth of values. *)
-  let count w hit =
-    if hit then w.hits <- w.hits + 1;
-    w.lookups <- w.lookups + 1;
-    if w.lookups = window then begin
-      if 8 * w.hits < window then w.idle <- 7 * window;
-      w.lookups <- 0;
-      w.hits <- 0
-    end
-
   (* The cache for a pass over [len] bytes: one operation slot per 64
-     bytes, from [window] up to [op_slots].  An operation's frame takes
+     bytes, from [min_slots] up to [op_slots].  An operation's frame takes
      at least 47 bytes in v1 and v2 and at least 19 in v3 (37 on
      average in the restart benchmark's image), so that is a slot per
      one or two operations; a log of 256 KB or more gets the cap.  The
@@ -1012,15 +978,13 @@ module Codec = struct
      took restart's [major_words_per_txn] from 27.6 to 33.7). *)
   let new_memo len =
     let rec fit n = if n >= op_slots || 64 * n >= len then n else fit (2 * n) in
-    let n = fit window in
+    let n = fit min_slots in
     let none = Op.make ~obj:"" "" Value.Unit in
     {
       op_off = Array.make n 0;
       op_key = Array.make n 0;
       ops = Array.make n none;
-      op_watch = { lookups = 0; hits = 0; idle = 0 };
       names = Array.make name_slots "";
-      obj_watch = { lookups = 0; hits = 0; idle = 0 };
     }
 
   type reader = {
@@ -1097,28 +1061,20 @@ module Codec = struct
     r.pos <- p + n;
     if not r.build || n = 0 then "" else String.sub r.src p n
 
-  (* An object ([obj]) or operation name, shared through the cache's
-     table of names if the reader has a cache.  Object name lookups are
-     watched; operation names come from a type's few operations. *)
-  let get_name ~obj r =
+  (* An object or operation name, shared through the cache's table of
+     names if the reader has a cache. *)
+  let get_name r =
     match r.memo with
     | Some m when r.build ->
         let n = get_len r in
         let p = r.pos in
         r.pos <- p + n;
-        let w = m.obj_watch in
         if n = 0 then ""
         else if n > max_shared then String.sub r.src p n
-        else if obj && w.idle > 0 then begin
-          w.idle <- w.idle - 1;
-          String.sub r.src p n
-        end
         else begin
           let slot = hash r.src p (p + n) n land (name_slots - 1) in
           let s = Array.unsafe_get m.names slot in
-          let hit = String.length s = n && same s 0 r.src p n in
-          if obj then count w hit;
-          if hit then s
+          if String.length s = n && same s 0 r.src p n then s
           else begin
             let s = String.sub r.src p n in
             Array.unsafe_set m.names slot s;
@@ -1157,8 +1113,8 @@ module Codec = struct
   let unbuilt_op = Op.make ~obj:"" "" Value.Unit
 
   let build_op r =
-    let obj = get_name ~obj:true r in
-    let name = get_name ~obj:false r in
+    let obj = get_name r in
+    let name = get_name r in
     let args = get_list get_value r in
     let res = get_value r in
     if r.build then { Op.obj; inv = { Op.name; args }; res } else unbuilt_op
@@ -1168,9 +1124,6 @@ module Codec = struct
   let get_op r =
     match r.memo with
     | None -> build_op r
-    | Some m when m.op_watch.idle > 0 ->
-        m.op_watch.idle <- m.op_watch.idle - 1;
-        build_op r
     | Some m ->
         let start = r.pos in
         r.build <- false;
@@ -1181,12 +1134,10 @@ module Codec = struct
         (* The table's length is a power of two. *)
         let slot = hash r.src start r.pos len land (Array.length m.ops - 1) in
         let key = (2 * len) + Bool.to_int r.fixed in
-        let hit =
+        if
           Array.unsafe_get m.op_key slot = key
           && same r.src (Array.unsafe_get m.op_off slot) r.src start len
-        in
-        count m.op_watch hit;
-        if hit then Array.unsafe_get m.ops slot
+        then Array.unsafe_get m.ops slot
         else begin
           r.pos <- start;
           let op = build_op r in
@@ -1459,10 +1410,9 @@ module Codec = struct
      state keeps: an [Operation] is read as its tid and its operation,
      a [Commit] as its tid, and a [Checkpoint]'s committed operations go
      straight into the log its seed takes over, so none of them builds
-     a record or a list.  The rarer kinds are decoded as records.
-     Returns 1 for a [Commit], else 0.  With a profile, a step is
-     charged to the log scan, and a checkpoint's decode and seed to the
-     seeding phase. *)
+     a record or a list.  The rarer kinds are decoded as records.  With
+     a profile, a step is charged to the log scan, and a checkpoint's
+     decode and seed to the seeding phase. *)
   let step_frame profile st r =
     match get_byte r with
     | 1 ->
@@ -1470,34 +1420,30 @@ module Codec = struct
         let op = get_op r in
         (match profile with
         | None -> step_operation st tid op
-        | Some p -> Profile.time_excluding p Profile.Log_scan (fun () -> step_operation st tid op));
-        0
-    | 2 ->
+        | Some p -> Profile.time_excluding p Profile.Log_scan (fun () -> step_operation st tid op))
+    | 2 -> (
         let tid = get_tid r in
-        (match profile with
+        match profile with
         | None -> step_commit st tid
-        | Some p -> Profile.time_excluding p Profile.Log_scan (fun () -> step_commit st tid));
-        1
-    | 4 ->
+        | Some p -> Profile.time_excluding p Profile.Log_scan (fun () -> step_commit st tid))
+    | 4 -> (
         let seed_frame () =
           let committed = push_ops r Op_log.empty (get_len r) in
           let live = get_list get_live r in
           seed st ~committed ~live ~next_tid:(get_int r);
           Op_log.length committed
         in
-        (match profile with
+        match profile with
         | None -> ignore (seed_frame ())
         | Some p ->
             let ops = Profile.time p Profile.Checkpoint_seed seed_frame in
-            Profile.note_checkpoint_seed p ~ops);
-        0
-    | _ ->
+            Profile.note_checkpoint_seed p ~ops)
+    | _ -> (
         r.pos <- r.pos - 1;
         let record = get_record r in
-        (match profile with
+        match profile with
         | None -> step st record
-        | Some p -> Profile.time_excluding p Profile.Log_scan (fun () -> step st record));
-        0
+        | Some p -> Profile.time_excluding p Profile.Log_scan (fun () -> step st record))
 
   let decode_all s =
     match verify_frames (fun _ _ _ -> ()) s with
@@ -1508,29 +1454,27 @@ module Codec = struct
         Ok { records = List.rev !rev; clean_bytes; torn }
 end
 
-(* Take in a load's frames: the [superseded] frames before [from], of
-   which [superseded_commits] are commits and whose tids lie below
-   [superseded_hwm], count without a step, and the frames from [from]
-   to [upto] are stepped from their bytes.  A load is one thread's
-   until it returns, so the counters move once, at the end. *)
-let restore_frames ?profile t ~superseded ~superseded_commits ~superseded_hwm s ~from ~upto =
+(* Take in a load's [frames] frames, of which those from [from] to
+   [upto] are stepped from their bytes: the ones before [from], which
+   the checkpoint at [from] stands for, only count.  [hwm], the first
+   tid above every tid of the frames, is the walk's that verified them.
+   A load is one thread's until it returns, so the counters move once,
+   at the end. *)
+let restore_frames ?profile t ~frames ~hwm s ~from ~upto =
   (match t.sink with
   | None -> invalid_arg "Wal.restore_frames: a sink-less log holds its records itself"
   | Some _ -> ());
-  let st = t.state in
-  st.hwm <- Int.max st.hwm superseded_hwm;
-  let frames = ref 0 and commits = ref 0 in
+  let st = t.state and stepped = ref 0 in
   Codec.run_frames ?profile
     (fun _ r ->
-      incr frames;
-      commits := !commits + Codec.step_frame profile st r)
+      incr stepped;
+      Codec.step_frame profile st r)
     s ~from ~upto;
-  (match profile with None -> () | Some p -> Profile.note_records_scanned p !frames);
-  let records = superseded + !frames in
-  t.count <- t.count + records;
+  (match profile with None -> () | Some p -> Profile.note_records_scanned p !stepped);
+  st.hwm <- Int.max st.hwm hwm;
+  t.count <- t.count + frames;
   Mutex.lock t.flush_lock;
-  t.appended <- t.appended + records;
-  t.commits_appended <- t.commits_appended + superseded_commits + !commits;
+  t.appended <- t.appended + frames;
   t.flushed <- t.appended;
   t.commits_flushed <- t.commits_appended;
   Mutex.unlock t.flush_lock

@@ -185,17 +185,17 @@ val attach_metrics : t -> Tm_obs.Metrics.t -> unit
     leaves the log exactly as it was. *)
 val append : t -> record -> unit
 
-(** [restore_frames t ~superseded ~superseded_commits ~superseded_hwm s
-    ~from ~upto] takes in a log that stable storage holds as the bytes
-    [s], every frame of which {!Codec.verify_frames} passed: the
-    [superseded] frames before byte [from], which a [Checkpoint] at
-    [from] stands for, and the frames from [from] up to [upto].
+(** [restore_frames t ~frames ~hwm s ~from ~upto] takes in a log that
+    stable storage holds as the bytes [s], every frame of which
+    {!Codec.verify_frames} passed: [frames] frames up to byte [upto],
+    of which those before byte [from] are the ones a [Checkpoint] at
+    [from] stands for.  [frames] and [hwm], the first tid above every
+    tid they mention (a checkpoint's [next_tid] as it stands), are the
+    totals of the walk that verified them.
 
-    The superseded frames are not stepped.  They count toward {!length},
-    as durable toward {!last_lsn} and {!flushed_lsn}, and
-    [superseded_commits] of them as commit records; [superseded_hwm],
-    the first tid above every tid they mention (a checkpoint's
-    [next_tid] as it stands), raises the tid high-water mark, which
+    The frames before [from] are not stepped.  Every frame counts
+    toward {!length} and as durable toward {!last_lsn} and
+    {!flushed_lsn}, and [hwm] raises the tid high-water mark, which
     stays the maximum over every record.
 
     The frames from [from] on step the replay state straight from their
@@ -216,9 +216,8 @@ val append : t -> record -> unit
 val restore_frames :
   ?profile:Tm_obs.Recovery_profile.t ->
   t ->
-  superseded:int ->
-  superseded_commits:int ->
-  superseded_hwm:int ->
+  frames:int ->
+  hwm:int ->
   string ->
   from:int ->
   upto:int ->
@@ -429,18 +428,13 @@ val plan : workers:int -> record list -> plan
     it keeps a bounded, direct-mapped cache, keyed by each operation's
     encoded bytes in the source, so an operation equal to one still in
     the cache is not rebuilt but shared ([==]).  A miss copies no key.
-    The cache watches its hit rate and stands idle through a stretch of
-    the log that does not repeat, so a log of distinct operations pays
-    for lookups on only about one operation in eight.  An operation the
-    pass does build takes its object and operation names of up to 32
-    bytes from a second table keyed by the string's bytes, so equal
-    names are shared too; object names are watched the same way, and
-    argument and result strings, which need not repeat, are built
-    afresh.  A shorter log,
-    {!Codec.decode_frame} and {!Codec.valid_frame_after} have no
-    cache.  None of this shows in
-    the bytes: every frame must match the plain two-buffer
-    encoder kept as the oracle in [test/codec_reference.ml]. *)
+    An operation the pass does build takes its object and operation
+    names of up to 32 bytes from a second table keyed by the string's
+    bytes, so equal names are shared too; argument and result strings,
+    which need not repeat, are built afresh.  A shorter log,
+    {!Codec.decode_frame} and {!Codec.valid_frame_after} have no cache.
+    None of this shows in the bytes: every frame must match the plain
+    two-buffer encoder kept as the oracle in [test/codec_reference.ml]. *)
 module Codec : sig
   val v1 : int
   val v2 : int

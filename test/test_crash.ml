@@ -225,32 +225,83 @@ let test_torture_truncation_no_checkpoint () =
   Helpers.check_int "no crash states" 0 report.Crash.states;
   Helpers.check_bool "clean" true (Crash.ok report)
 
-(* An upgrade whose image outgrows the v1 log it replaces: with no
-   checkpoint nothing is dropped, and the install reaches past the old
-   log's end, where the journal begins.  A v3 frame's header is 2 bytes
-   wider than a v1 frame's, and a tid of 2^58 takes 9 bytes as a varint
-   against 8 fixed, so the Begin and Abort frames of such tids outgrow
-   what the two operations' varints save.  Every byte state must still
-   reload and recover the pre-upgrade state. *)
+(* The writes a rewrite cut, in order: each one's byte states, and
+   whether it shrank the file (a "shrunk" state follows its bytes). *)
+let cut_writes g =
+  Seq.fold_left
+    (fun writes { Crash.label; _ } ->
+      Scanf.sscanf label "%_s shard %_d write %d %s" (fun i what ->
+          match (what, writes) with
+          | "byte", (j, n, s) :: rest when i = j -> (j, n + 1, s) :: rest
+          | "byte", _ -> (i, 1, false) :: writes
+          | "shrunk", (j, n, _) :: rest when i = j -> (j, n, true) :: rest
+          | _ -> Alcotest.failf "not a rewrite state: %s" label))
+    [] (Crash.states g)
+  |> List.rev_map (fun (_, n, shrunk) -> (n, shrunk))
+
+(* The records of [image] from its last checkpoint on, as a compaction
+   keeps them, encoded in the write version. *)
+let compacted image =
+  List.fold_left
+    (fun kept r -> match r with Wal.Checkpoint _ -> [ r ] | _ -> r :: kept)
+    [] (records_of image)
+  |> List.rev |> Wal.Codec.encode_all
+
+let intent_size =
+  String.length (Wal.Codec.encode (Wal.Truncate_intent { old_len = 0; new_len = 0 }))
+
+(* The compaction's two writes, as the rewrite cuts them: the journal
+   (an intent and the image) at every byte after the live log, the
+   install of the image at every byte over the journaled file, and the
+   file the install's shrink leaves. *)
+let test_rewrite_cuts_the_compaction_writes () =
+  let r = driven () in
+  let image = String.length (compacted (Crash.bytes r).(0)) in
+  Alcotest.(check (list (pair int bool)))
+    "journal write + 1, image + 1 and the shrunk file"
+    [ (intent_size + image + 1, false); (image + 1, true) ]
+    (cut_writes (truncation r));
+  Helpers.check_int "states" (intent_size + image + 1 + (image + 1) + 1)
+    (Seq.length (Crash.states (truncation r)))
+
+(* An upgrade whose image outgrows the v1 log it replaces: the
+   checkpoint after the first transaction drops its three frames, and
+   the install of what follows reaches past the old log's end, where the
+   journal begins.  A v3 frame's header is 2 bytes wider than a v1
+   frame's, and a tid of 2^58 takes 9 bytes as a varint against 8
+   fixed, so the Begin and Abort frames of such tids outgrow what the
+   dropped frames and the operations' varints save.  The compaction
+   pads its journal with placeholder intents, and every byte state must
+   still reload and recover the pre-upgrade state. *)
 let test_torture_upgrade_growing_image () =
   let big i = Tid.of_int ((1 lsl 58) + i) in
   let a = big 0 and b = big 1 in
   let aborted =
-    List.concat (List.init 10 (fun i -> [ Wal.Begin (big (2 + i)); Wal.Abort (big (2 + i)) ]))
+    List.concat (List.init 40 (fun i -> [ Wal.Begin (big (2 + i)); Wal.Abort (big (2 + i)) ]))
+  in
+  let checkpoint =
+    Wal.Checkpoint { Wal.committed = [ BA.deposit 5 ]; live = []; next_tid = Tid.to_int a + 1 }
   in
   let recs =
-    [ Wal.Begin a; Wal.Operation (a, BA.deposit 5); Wal.Commit a ]
+    [ Wal.Begin a; Wal.Operation (a, BA.deposit 5); Wal.Commit a; checkpoint ]
     @ aborted
     @ [ Wal.Begin b; Wal.Operation (b, BA.deposit 3) ]
   in
-  Helpers.check_bool "the v3 image is longer" true
-    (String.length (Wal.Codec.encode_all recs)
-    > String.length (Wal.Codec.encode_all ~version:Wal.Codec.v1 recs));
-  let report = sweep (Crash.rewrite ~from:Wal.Codec.v1) (appended recs) in
+  let r = appended recs in
+  let image = String.length (compacted (Crash.bytes r).(0)) in
+  Helpers.check_bool "the v3 image is longer than the v1 log" true
+    (image > String.length (Wal.Codec.encode_all ~version:Wal.Codec.v1 recs));
+  let upgrade = Crash.rewrite ~from:Wal.Codec.v1 in
+  (match cut_writes (upgrade r) with
+  | [ (journal, false); (install, true) ] ->
+      Helpers.check_int "the install writes the image" (image + 1) install;
+      Helpers.check_bool "the journal write carries placeholder intents" true
+        (journal - 1 > image + intent_size)
+  | _ -> Alcotest.fail "the compaction did not write a journal and an install");
+  let report = sweep upgrade r in
   Helpers.check_bool
     (Fmt.str "no violations: %a" Crash.pp_report report)
-    true (Crash.ok report);
-  Helpers.check_bool "the sweep exercised crash states" true (report.Crash.states > 0)
+    true (Crash.ok report)
 
 (* --- recovery refuses to drop committed work --- *)
 
@@ -1123,6 +1174,8 @@ let suite =
       test_torture_bytes_clean;
     Alcotest.test_case "torture: upgrade whose image outgrows the log" `Quick
       test_torture_upgrade_growing_image;
+    Alcotest.test_case "rewrite cuts the compaction's own writes" `Quick
+      test_rewrite_cuts_the_compaction_writes;
     Alcotest.test_case "corruption sweep contained" `Quick
       test_corruption_sweep_contained;
     Alcotest.test_case "truncation torture: clean sweep" `Quick

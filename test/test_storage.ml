@@ -1230,6 +1230,24 @@ let test_load_skips_superseded_prefix () =
     Alcotest.failf "loading 1,000 transactions before the checkpoint cost %.0f words (max 64)"
       (ww -. ws)
 
+(* A load counts no commits: the group-commit batch is the commits
+   appended since the last force, and a loaded log is all forced.  Its
+   commits before and after the checkpoint are behind it, so the first
+   force after one appended commit observes a batch of exactly 1. *)
+let test_load_counts_no_commits () =
+  let cp = Wal.Checkpoint (Wal.checkpoint_of ~next_tid:0 (Helpers.log_of (transfer_log 20))) in
+  let image = Codec.encode_all (transfer_log 20 @ (cp :: transfer_log ~first:20 5)) in
+  match Disk_wal.load (Storage.of_string image) with
+  | Error c -> Alcotest.failf "log refused: %a" Codec.pp_corruption c
+  | Ok dw ->
+      let wal = Disk_wal.wal dw and reg = Tm_obs.Metrics.create () in
+      Wal.attach_metrics wal reg;
+      List.iter (Wal.append wal) [ Wal.Begin (Tid.of_int 25); Wal.Commit (Tid.of_int 25) ];
+      Wal.force wal;
+      let h = Tm_obs.Metrics.histogram reg "tm_wal_group_commit_batch" in
+      Helpers.check_int "one batch" 1 (Tm_obs.Metrics.Histogram.count h);
+      Helpers.check_bool "of one commit" true (Tm_obs.Metrics.Histogram.sum h = 1.)
+
 (* An append to a warmed-up [Disk_wal] allocates nothing: the frame is
    encoded into the log's scratch buffer and written as a slice, the
    retry loop builds no closure, and the replay state writes the
@@ -1391,8 +1409,7 @@ let test_database_commit_allocation () =
 
 (* ------------------------------------------------------------------ *)
 (* The decode cache: a pass over a log builds each repeated operation
-   once, stands idle where the log does not repeat, and never changes
-   what decodes.                                                       *)
+   once, and never changes what decodes.                               *)
 
 (* A log shorter than 64 KB decodes without a cache; [padded] appends
    commit frames (which hold no operation) until a log is that long. *)
@@ -1558,63 +1575,6 @@ let test_decode_miss_costs_nothing_extra () =
   Helpers.check_bool "put log round trips" true (List.equal Wal.equal_record recs (decode ()));
   let w = minor_words decode and max = 106036. *. 1.02 in
   if w > max then Alcotest.failf "decoding 2000 distinct puts allocated %.0f words (max %.0f)" w max
-
-(* A cache that does not hit stands idle, then looks again.  The prefix
-   of distinct puts is longer than a window (1024 lookups), so the first
-   window hits nothing.  The run of one repeated operation after it is
-   longer than the idle stretch (seven windows): its first copies are
-   built afresh, and its last are shared again. *)
-let test_decode_cache_idles_without_hits () =
-  let distinct = 2048 and run = 8192 in
-  let rep = { (BA.deposit 5) with Op.obj = "account-0042" } in
-  let op i =
-    if i < distinct then Tm_adt.Kv_store.put (Fmt.str "key-%05d" i) i else rep
-  in
-  let recs = List.init (distinct + run) (fun i -> Wal.Operation (Tid.of_int i, op i)) in
-  match Codec.decode_all (Codec.encode_all recs) with
-  | Error c -> Alcotest.failf "refused: %a" Codec.pp_corruption c
-  | Ok d -> (
-      Helpers.check_bool "log round trips" true (List.equal Wal.equal_record recs d.Codec.records);
-      let run =
-        List.filteri (fun i _ -> i >= distinct) d.Codec.records
-        |> List.map (function Wal.Operation (_, o) -> o | _ -> Alcotest.fail "not an operation")
-      in
-      match (run, List.rev run) with
-      | a :: b :: _, y :: z :: _ ->
-          Helpers.check_bool "idle after a window without hits" false (a == b);
-          Helpers.check_bool "sharing again after the idle stretch" true (y == z)
-      | _ -> Alcotest.fail "run too short")
-
-(* Object names are watched as operations are.  The prefix names a new
-   object in each operation, so the first window of name lookups hits
-   nothing and object names are built without a lookup for seven
-   windows; operation names are still shared.  The run after it
-   alternates two objects, each operation with its own amount so that
-   none is shared whole: its first names are built afresh, and its last
-   are shared again. *)
-let test_decode_names_idle_without_hits () =
-  let distinct = 2048 and run = 8192 in
-  let op i =
-    if i < distinct then { (BA.deposit 1) with Op.obj = Fmt.str "object-%05d" i }
-    else { (BA.deposit i) with Op.obj = Fmt.str "account-%04d" (i mod 2) }
-  in
-  let recs = List.init (distinct + run) (fun i -> Wal.Operation (Tid.of_int i, op i)) in
-  match Codec.decode_all (Codec.encode_all recs) with
-  | Error c -> Alcotest.failf "refused: %a" Codec.pp_corruption c
-  | Ok d ->
-      Helpers.check_bool "log round trips" true (List.equal Wal.equal_record recs d.Codec.records);
-      let nth k =
-        match List.nth d.Codec.records (distinct + k) with
-        | Wal.Operation (_, o) -> o
-        | _ -> Alcotest.fail "not an operation"
-      in
-      let a = nth 0 and b = nth 2 and y = nth (run - 3) and z = nth (run - 1) in
-      Helpers.check_bool "object names idle after a window without hits" false
-        (a.Op.obj == b.Op.obj);
-      Helpers.check_bool "operation names shared meanwhile" true
-        (a.Op.inv.Op.name == b.Op.inv.Op.name);
-      Helpers.check_bool "object names shared again after the idle stretch" true
-        (y.Op.obj == z.Op.obj)
 
 (* A single-frame decode builds its result (record, pair and [Ok]) and a
    six-word reader, and no table (the smallest has 1024 slots). *)
@@ -1843,6 +1803,8 @@ let suite =
       test_verify_allocates_nothing_per_frame;
     Alcotest.test_case "a load skips the prefix its checkpoint supersedes" `Quick
       test_load_skips_superseded_prefix;
+    Alcotest.test_case "a load counts no commits toward a group commit" `Quick
+      test_load_counts_no_commits;
     Alcotest.test_case "a disk log force allocates nothing" `Quick
       test_force_allocates_nothing;
     Alcotest.test_case "a sharded transfer allocates its shard's work" `Quick
@@ -1860,9 +1822,6 @@ let suite =
     prop_roundtrip_under_eviction;
     Alcotest.test_case "a decode-cache miss allocates nothing extra" `Quick
       test_decode_miss_costs_nothing_extra;
-    Alcotest.test_case "a decode cache without hits stands idle" `Quick
-      test_decode_cache_idles_without_hits;
-    Alcotest.test_case "object names idle without hits" `Quick test_decode_names_idle_without_hits;
     Alcotest.test_case "decode_frame allocates no table" `Quick
       test_decode_frame_allocates_no_table;
     prop_load_steps_frames;
