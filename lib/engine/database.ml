@@ -18,20 +18,24 @@ end)
    [spare] for the next transaction to begin.  No record leaves this
    module, so none is in use once its transaction has finished. *)
 type txn = {
-  mutable touched : string list;  (* objects executed at, newest first *)
+  mutable touched : Atomic_object.t array;
+      (* objects executed at, first touch first, in [touched.(0 .. ntouched - 1)];
+         grown by doubling and kept when the record is reused *)
+  mutable ntouched : int;
   mutable blocked_on : string;  (* the object of its first block since it last executed *)
   mutable blocked_since : int;  (* the tick of that block; -1 when not blocked *)
 }
 
+let fresh_txn () = { touched = [||]; ntouched = 0; blocked_on = ""; blocked_since = -1 }
+
 (* The value of an empty slot of [live] and [spare]; never running. *)
-let no_txn = { touched = []; blocked_on = ""; blocked_since = -1 }
+let no_txn = fresh_txn ()
 
 type t = {
   mutable objs_rev : Atomic_object.t list;  (* newest first *)
   by_name : Atomic_object.t Names.t;
   live : txn Tid_table.t;  (* running transactions only *)
-  mutable spare : txn array;  (* finished records in [spare.(0 .. nspare - 1)] *)
-  mutable nspare : int;
+  spare : txn Spare.t;  (* finished records, reset *)
   finished : Tid_bits.t;
   waits : Deadlock.t;
   mutable next_tid : int;
@@ -70,8 +74,7 @@ let create ?(first_tid = 0) objs =
       objs_rev = [];
       by_name = Names.create 16;
       live = Tid_table.create ~dummy:no_txn;
-      spare = [||];
-      nspare = 0;
+      spare = Spare.create no_txn;
       finished = Tid_bits.create ();
       waits = Deadlock.create ();
       next_tid = first_tid;
@@ -94,8 +97,8 @@ let create ?(first_tid = 0) objs =
 
 let objects t = List.rev t.objs_rev
 
-(* [running], [find_object] and [touched_objs] run on every invocation,
-   so they catch [Not_found] rather than allocate an option. *)
+(* [running] and [find_object] run on every invocation, so they catch
+   [Not_found] rather than allocate an option. *)
 let find_object t name =
   match Names.find t.by_name name with
   | o -> o
@@ -114,13 +117,8 @@ let emit_trace t ~tid kind =
   match t.trace with None -> () | Some tr -> Trace.emit tr ~tid kind
 
 let start t tid =
-  let txn =
-    if t.nspare = 0 then { touched = []; blocked_on = ""; blocked_since = -1 }
-    else begin
-      t.nspare <- t.nspare - 1;
-      t.spare.(t.nspare)
-    end
-  in
+  let txn = Spare.pop t.spare in
+  let txn = if txn == no_txn then fresh_txn () else txn in
   Tid_table.replace t.live tid txn
 
 let begin_txn t =
@@ -155,8 +153,17 @@ let running t tid =
         invalid_arg (Fmt.str "Database: transaction %a already finished" Tid.pp tid)
       else invalid_arg (Fmt.str "Database: unknown transaction %a" Tid.pp tid)
 
-let touched_objs t tid =
-  match Tid_table.find t.live tid with txn -> txn.touched | exception Not_found -> []
+let rec touched_from txn o i =
+  i < txn.ntouched && (txn.touched.(i) == o || touched_from txn o (i + 1))
+
+(* [o] among [txn]'s touched objects, or added after them. *)
+let touch txn o =
+  if not (touched_from txn o 0) then begin
+    let n = txn.ntouched in
+    if n = Array.length txn.touched then txn.touched <- Spare.grow txn.touched o;
+    txn.touched.(n) <- o;
+    txn.ntouched <- n + 1
+  end
 
 (* A transaction executing after an earlier block has been woken: record
    how long (in attempt ticks) it waited, per object. *)
@@ -187,7 +194,7 @@ let invoke ?choose t tid ~obj inv =
       Metrics.Counter.incr t.c_executed;
       note_woken t txn;
       if tracing t then emit_trace t ~tid (Trace.Executed { op });
-      if not (List.mem obj txn.touched) then txn.touched <- obj :: txn.touched
+      touch txn o
   | Atomic_object.Blocked holders ->
       Metrics.Counter.incr t.c_blocked;
       if txn.blocked_since < 0 then begin
@@ -201,30 +208,26 @@ let invoke ?choose t tid ~obj inv =
       if tracing t then emit_trace t ~tid (Trace.No_response { obj; inv }));
   outcome
 
-(* [touched] is newest first, so [release] and [validate_objs] recurse
-   to the oldest object and act on the way back: oldest first, with no
-   reversed copy. *)
-let rec release t tid ~committed = function
-  | [] -> ()
-  | obj :: older ->
-      release t tid ~committed older;
-      let o = find_object t obj in
-      if committed then Atomic_object.commit o tid else Atomic_object.abort o tid;
-      if tracing t then emit_trace t ~tid (Trace.Lock_release { obj })
+(* [release], [validate_from] and [try_commit]'s optimistic test walk
+   the touched objects by index, oldest first, with no name lookup. *)
+let release t tid ~committed txn =
+  for i = 0 to txn.ntouched - 1 do
+    let o = txn.touched.(i) in
+    if committed then Atomic_object.commit o tid else Atomic_object.abort o tid;
+    if tracing t then emit_trace t ~tid (Trace.Lock_release { obj = Atomic_object.name o })
+  done
 
-(* [txn], reset, onto the spare stack, which grows by doubling. *)
+(* [txn], reset, onto the spare stack.  Its [touched] array stays, for
+   the next transaction to fill. *)
 let retire t txn =
-  txn.touched <- [];
+  txn.ntouched <- 0;
   txn.blocked_on <- "";
   txn.blocked_since <- -1;
-  if t.nspare = Array.length t.spare then
-    t.spare <- Array.append t.spare (Array.make (max 8 t.nspare) no_txn);
-  t.spare.(t.nspare) <- txn;
-  t.nspare <- t.nspare + 1
+  Spare.push t.spare txn
 
 let finish t tid ~committed =
   let txn = running t tid in
-  release t tid ~committed txn.touched;
+  release t tid ~committed txn;
   Tid_table.remove t.live tid;
   retire t txn;
   Tid_bits.add t.finished tid;
@@ -243,31 +246,31 @@ let abort t tid =
 (* Only touched objects can fail: a locking object always passes, and an
    optimistic one holds no start point for a transaction that executed
    nothing there.  The first failure, oldest first, is the answer. *)
-let rec validate_objs t tid = function
-  | [] -> Ok ()
-  | obj :: older -> (
-      match validate_objs t tid older with
-      | Error _ as e -> e
-      | Ok () -> (
-          match Atomic_object.validate (find_object t obj) tid with
-          | Ok () -> Ok ()
-          | Error (mine, theirs) -> Error (obj, mine, theirs)))
+let rec validate_from tid txn i =
+  if i = txn.ntouched then Ok ()
+  else
+    let o = txn.touched.(i) in
+    match Atomic_object.validate o tid with
+    | Ok () -> validate_from tid txn (i + 1)
+    | Error (mine, theirs) -> Error (Atomic_object.name o, mine, theirs)
 
-let validate t tid = validate_objs t tid (touched_objs t tid)
+let validate t tid =
+  match Tid_table.find t.live tid with
+  | txn -> validate_from tid txn 0
+  | exception Not_found -> Ok ()
+
+let rec optimistic_from txn i =
+  i < txn.ntouched
+  && (Atomic_object.policy txn.touched.(i) = Atomic_object.Optimistic
+     || optimistic_from txn (i + 1))
 
 let try_commit t tid =
   let txn = running t tid in
   (* Two-phase: validate at every touched object, then commit at all of
      them; a single validation failure aborts everywhere. *)
-  let validated =
-    tracing t
-    && List.exists
-         (fun obj ->
-           Atomic_object.policy (find_object t obj) = Atomic_object.Optimistic)
-         txn.touched
-  in
+  let validated = tracing t && optimistic_from txn 0 in
   if validated then emit_trace t ~tid Trace.Validating;
-  let result = validate t tid in
+  let result = validate_from tid txn 0 in
   if validated then emit_trace t ~tid (Trace.Validated { ok = Result.is_ok result });
   (match result with Ok () -> commit t tid | Error _ -> abort t tid);
   result

@@ -81,7 +81,12 @@ val begin_txn : t -> Tid.t
     transaction, a slot of a {!Tid_table} pointing at a record that a
     finished transaction left for reuse, so a transaction that begins
     (or is adopted) and finishes having executed nothing allocates
-    nothing; a finished tid is remembered as one bit ({!Tid_bits}). *)
+    nothing; a finished tid is remembered as one bit ({!Tid_bits}).  The
+    record keeps the objects the transaction executed at in an array,
+    in first-touch order, that it keeps when it is reused, so an
+    executed invocation adds no cell; no record leaves the database, so
+    {!commit}, {!abort} and {!try_commit} each put theirs back for the
+    next transaction. *)
 val adopt_txn : t -> Tid.t -> unit
 
 (** [invoke t tid ~obj inv] — attempt an operation; records the waits-for

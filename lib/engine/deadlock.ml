@@ -45,8 +45,6 @@ let rec same a b =
   | x :: xs, y :: ys -> Tid.equal x y && same xs ys
   | _ -> false
 
-let grow a fill = Array.append a (Array.make (max 8 (Array.length a)) fill)
-
 (* Mark [tid] among [t.sources.(i .. nsources - 1)]. *)
 let rec mark t tid i =
   if i < t.nsources then
@@ -65,8 +63,8 @@ let set_waiting t tid ~on =
       Hashtbl.replace t.edges tid on;
       t.changed <- true;
       if t.nsources = Array.length t.sources then begin
-        t.sources <- grow t.sources tid;
-        t.marked <- grow t.marked false
+        t.sources <- Spare.grow t.sources tid;
+        t.marked <- Spare.grow t.marked false
       end;
       t.sources.(t.nsources) <- tid;
       t.marked.(t.nsources) <- true;
@@ -135,10 +133,10 @@ let rec visit t tid =
   end
   else if seen_from t tid 0 then false
   else begin
-    if t.nseen = Array.length t.seen then t.seen <- grow t.seen tid;
+    if t.nseen = Array.length t.seen then t.seen <- Spare.grow t.seen tid;
     t.seen.(t.nseen) <- tid;
     t.nseen <- t.nseen + 1;
-    if t.depth = Array.length t.path then t.path <- grow t.path tid;
+    if t.depth = Array.length t.path then t.path <- Spare.grow t.path tid;
     t.path.(t.depth) <- tid;
     t.depth <- t.depth + 1;
     visit_all t (waiting t tid) || begin

@@ -3,23 +3,33 @@ module Metrics = Tm_obs.Metrics
 module Trace = Tm_obs.Trace
 
 (* An entry belongs to the thread running its transaction; only the
-   table that holds it is under the global mutex. *)
+   table that holds it and the spare stack are under the global mutex.
+   A record goes back on the spare stack after an abort, a failed
+   commit or the durability wait that consumes it as [pending], and the
+   next [begin_txn] takes it. *)
 type txn = {
-  tid : Tid.t;
-  mutable touched : int list;  (* shard ids, ascending *)
+  mutable tid : Tid.t;
+  mutable shards : int array;
+      (* touched shard ids, ascending, in [shards.(0 .. nshards - 1)];
+         grown by doubling and kept when the record is reused *)
+  mutable nshards : int;
+  mutable lsns : int array;  (* [lsns.(i)]: the prepare LSN of [shards.(i)] *)
   mutable mark : int;
       (* -1 until retired to commit; then a single-shard commit's record
          LSN, or a cross-shard commit's global trace id *)
 }
 
-(* The value of an empty slot of the table. *)
-let no_txn = { tid = Tid.a; touched = []; mark = -1 }
+let fresh_txn tid = { tid; shards = [||]; nshards = 0; lsns = [||]; mark = -1 }
 
-let is_cross txn = match txn.touched with _ :: _ :: _ -> true | _ -> false
+(* The value of an empty slot of the table and the spare stack. *)
+let no_txn = fresh_txn Tid.a
+
+let is_cross txn = txn.nshards >= 2
 
 type t = {
   shards : Shard.t array;
   txns : txn Tid_table.t;
+  spare : txn Spare.t;  (* finished records, reset *)
   mutable next_tid : int;
   mutable next_gtrace : int;
       (* global trace ids: one per cross-shard commit attempt, stamped
@@ -49,6 +59,7 @@ let make ?(first_tid = 0) shards =
   {
     shards;
     txns = Tid_table.create ~dummy:no_txn;
+    spare = Spare.create no_txn;
     next_tid = first_tid;
     next_gtrace = 0;
     committed = 0;
@@ -126,37 +137,64 @@ let txn_of t tid =
 let new_txn t () =
   let tid = Tid.of_int t.next_tid in
   t.next_tid <- t.next_tid + 1;
-  Tid_table.replace t.txns tid { tid; touched = []; mark = -1 };
+  let txn = Spare.pop t.spare in
+  let txn =
+    if txn == no_txn then fresh_txn tid
+    else begin
+      txn.tid <- tid;
+      txn
+    end
+  in
+  Tid_table.replace t.txns tid txn;
   tid
 
 let begin_txn t = locked t new_txn ()
 
-(* [l] with [s] inserted in order, or [l] itself if it holds [s]. *)
-let rec insert s = function
-  | x :: _ as l when x >= s -> if x = s then l else s :: l
-  | x :: rest as l ->
-      let rest' = insert s rest in
-      if rest' == rest then l else x :: rest'
-  | [] -> [ s ]
+(* [txn], reset, onto the spare stack.  Its arrays stay, for the next
+   transaction to fill. *)
+let recycle t txn =
+  txn.nshards <- 0;
+  txn.mark <- -1;
+  Spare.push t.spare txn
+
+(* The position of the first of [txn]'s shards from [i] on that is not
+   below [s]. *)
+let rec position txn s i =
+  if i < txn.nshards && txn.shards.(i) < s then position txn s (i + 1) else i
+
+(* Add [s] to [txn]'s shards, keeping them ascending; whether it is
+   new. *)
+let add_shard txn s =
+  let n = txn.nshards in
+  let i = position txn s 0 in
+  if i < n && txn.shards.(i) = s then false
+  else begin
+    if n = Array.length txn.shards then begin
+      txn.shards <- Spare.grow txn.shards 0;
+      txn.lsns <- Array.make (Array.length txn.shards) 0
+    end;
+    Array.blit txn.shards i txn.shards (i + 1) (n - i);
+    txn.shards.(i) <- s;
+    txn.nshards <- n + 1;
+    true
+  end
 
 let invoke ?choose t tid ~obj inv =
   let s = shard_of_object t obj in
   let txn = locked t txn_of tid in
-  let touched = insert s txn.touched in
-  let first = touched != txn.touched in
-  txn.touched <- touched;
+  let first = add_shard txn s in
   Shard.locked_invoke ?choose t.shards.(s) ~first tid ~obj inv
 
 let validate_shard sh tid = Database.validate (Shard.database sh) tid
 
-let rec validate_at t tid = function
-  | [] -> Ok ()
-  | s :: rest -> (
-      match Shard.locked t.shards.(s) validate_shard tid with
-      | Ok () -> validate_at t tid rest
-      | Error _ as e -> e)
+let rec validate_from t txn i =
+  if i = txn.nshards then Ok ()
+  else
+    match Shard.locked t.shards.(txn.shards.(i)) validate_shard txn.tid with
+    | Ok () -> validate_from t txn (i + 1)
+    | Error _ as e -> e
 
-let validate t tid = validate_at t tid (locked t txn_of tid).touched
+let validate t tid = validate_from t (locked t txn_of tid) 0
 
 (* Take [tid] out of the table. *)
 let retire t tid =
@@ -182,117 +220,122 @@ let close_committed t txn =
   close t txn;
   t.committed <- t.committed + 1
 
-let rec abort_all t tid = function
-  | [] -> ()
-  | s :: rest ->
-      Shard.locked t.shards.(s) Shard.abort tid;
-      abort_all t tid rest
+let close_failed t txn =
+  close t txn;
+  recycle t txn
+
+(* Abort [txn] at its shards from position [i] on. *)
+let abort_from t txn i =
+  for i = i to txn.nshards - 1 do
+    Shard.locked t.shards.(txn.shards.(i)) Shard.abort txn.tid
+  done
 
 (* Cross-shard commit: prepare every participant in ascending shard
    order (forcing each yes vote), write the forced decision on the
-   coordinator, then complete everywhere lazily.  [parts] is sorted and
-   has >= 2 elements; each phase is a walk over it. *)
+   coordinator, then complete everywhere lazily.  [txn] has >= 2
+   shards; each phase is a walk over them. *)
 exception Voted_no of int * (string * Op.t * Op.t)
 
 (* Phase 1: each prepare runs under its shard's mutex; the forces come
    after all appends, so one group-commit flush per shard covers its
-   vote.  Returns the prepare LSNs in shard order. *)
-let rec prepare t tid ~gtid = function
-  | [] -> []
-  | s :: rest -> (
-      match Shard.locked t.shards.(s) Shard.prepare tid with
-      | Error e -> raise_notrace (Voted_no (s, e))
-      | Ok lsn ->
-          Metrics.Counter.incr t.c_prepares;
-          if tracing t s then emit_2pc t s ~tid (Trace.Prepare_append { shard = s; gtid });
-          lsn :: prepare t tid ~gtid rest)
+   vote.  Each prepare LSN goes into [txn.lsns]; a no vote raises with
+   its shard's position. *)
+let prepare t txn ~gtid =
+  let tid = txn.tid in
+  for i = 0 to txn.nshards - 1 do
+    let s = txn.shards.(i) in
+    match Shard.locked t.shards.(s) Shard.prepare tid with
+    | Error e -> raise_notrace (Voted_no (i, e))
+    | Ok lsn ->
+        txn.lsns.(i) <- lsn;
+        Metrics.Counter.incr t.c_prepares;
+        if tracing t s then emit_2pc t s ~tid (Trace.Prepare_append { shard = s; gtid })
+  done
 
-(* The shard [no] voted no and already aborted itself.  Roll back the
-   yes-voters before it, newest first (their prepares may even be
-   unforced — an aborted vote needs no durability), and return the
-   shards the vote never reached. *)
-let rec roll_back t tid ~gtid no = function
-  | [] -> []
-  | s :: rest when s = no -> rest
-  | s :: rest ->
-      let unreached = roll_back t tid ~gtid no rest in
-      Shard.locked t.shards.(s) Shard.abort tid;
-      if tracing t s then emit_2pc t s ~tid (Trace.Completion { shard = s; gtid; commit = false });
-      unreached
+(* The shard at position [no] voted no and already aborted itself.
+   Roll back the yes-voters before it, newest first (their prepares may
+   even be unforced — an aborted vote needs no durability), then abort
+   the shards the vote never reached. *)
+let roll_back t txn ~gtid no =
+  let tid = txn.tid in
+  for i = no - 1 downto 0 do
+    let s = txn.shards.(i) in
+    Shard.locked t.shards.(s) Shard.abort tid;
+    if tracing t s then emit_2pc t s ~tid (Trace.Completion { shard = s; gtid; commit = false })
+  done;
+  abort_from t txn (no + 1)
 
-let rec force_votes t tid ~gtid parts lsns =
-  match (parts, lsns) with
-  | s :: parts, lsn :: lsns ->
-      Wal.force_upto (Shard.wal t.shards.(s)) lsn;
-      if tracing t s then emit_2pc t s ~tid (Trace.Prepare_force { shard = s; lsn; gtid });
-      force_votes t tid ~gtid parts lsns
-  | _ -> ()
+let force_votes t txn ~gtid =
+  for i = 0 to txn.nshards - 1 do
+    let s = txn.shards.(i) and lsn = txn.lsns.(i) in
+    Wal.force_upto (Shard.wal t.shards.(s)) lsn;
+    if tracing t s then emit_2pc t s ~tid:txn.tid (Trace.Prepare_force { shard = s; lsn; gtid })
+  done
 
 (* Phase 2: complete everywhere.  No force — recovery re-resolves a
    lost completion from the surviving decision evidence. *)
-let rec complete t tid ~gtid = function
-  | [] -> ()
-  | s :: rest ->
-      ignore (Shard.locked t.shards.(s) Shard.commit_prepared tid);
-      if tracing t s then emit_2pc t s ~tid (Trace.Completion { shard = s; gtid; commit = true });
-      complete t tid ~gtid rest
+let complete t txn ~gtid =
+  for i = 0 to txn.nshards - 1 do
+    let s = txn.shards.(i) in
+    ignore (Shard.locked t.shards.(s) Shard.commit_prepared txn.tid);
+    if tracing t s then
+      emit_2pc t s ~tid:txn.tid (Trace.Completion { shard = s; gtid; commit = true })
+  done
 
-let commit_cross t tid ~gtid parts =
-  match prepare t tid ~gtid parts with
+let commit_cross t txn =
+  let tid = txn.tid and gtid = txn.mark in
+  match prepare t txn ~gtid with
   | exception Voted_no (no, e) ->
-      abort_all t tid (roll_back t tid ~gtid no parts);
+      roll_back t txn ~gtid no;
       Metrics.Counter.incr t.c_abort_prepare;
       Error e
-  | lsns ->
-      force_votes t tid ~gtid parts lsns;
+  | () ->
+      force_votes t txn ~gtid;
       (* The decision: one forced append on the coordinator's own log —
          the global commit point.  The coordinator is the lowest
          participant index, so its id is derivable from the
          transaction's footprint at recovery (not that presumed abort
          ever needs to ask it anything). *)
-      let coord = List.hd parts in
+      let coord = txn.shards.(0) in
       let dlsn = Shard.locked t.shards.(coord) Shard.decide tid in
       Wal.force_upto (Shard.wal t.shards.(coord)) dlsn;
       if tracing t coord then
         emit_2pc t coord ~tid
           (Trace.Decision_force { shard = coord; lsn = dlsn; gtid; commit = true });
-      complete t tid ~gtid parts;
+      complete t txn ~gtid;
       Ok ()
 
 (* A pending commit is its retired transaction: the durability wait
    needs nothing once a cross-shard commit has forced its decision (or
    for a transaction that executed nothing), else the single shard's
-   commit record. *)
+   commit record.  The wait then puts the record back. *)
 type pending = txn
 
 let try_commit_nowait t tid =
   let txn = locked t retire_commit tid in
   let result =
-    match txn.touched with
-    | [] -> Ok txn (* executed nothing anywhere: trivially committed *)
-    | [ s ] -> (
+    match txn.nshards with
+    | 0 -> Ok txn (* executed nothing anywhere: trivially committed *)
+    | 1 -> (
         (* Single-shard fast path: exactly the unsharded pipeline —
            stage 1 under the shard mutex; the durability park
            ({!wait_durable}) comes outside it, so the group-commit
            combiner can batch neighbours. *)
-        match Shard.locked t.shards.(s) Shard.try_commit_nowait tid with
+        match Shard.locked t.shards.(txn.shards.(0)) Shard.try_commit_nowait tid with
         | Error _ as e -> e
         | Ok lsn ->
             txn.mark <- lsn;
             Ok txn)
-    | parts -> (
-        match commit_cross t tid ~gtid:txn.mark parts with
-        | Error _ as e -> e
-        | Ok () -> Ok txn)
+    | _ -> ( match commit_cross t txn with Error _ as e -> e | Ok () -> Ok txn)
   in
-  locked t (if Result.is_ok result then close_committed else close) txn;
+  locked t (if Result.is_ok result then close_committed else close_failed) txn;
   result
 
 let wait_durable t p =
-  match p.touched with
-  | s :: _ when not (is_cross p) ->
-      Shard.wait_durable t.shards.(s) p.tid p.mark
-  | _ -> () (* touched nothing, or a cross-shard commit forced its decision *)
+  (* Touched nothing, or a cross-shard commit forced its decision: no
+     wait. *)
+  if p.nshards = 1 then Shard.wait_durable t.shards.(p.shards.(0)) p.tid p.mark;
+  locked t recycle p
 
 let try_commit t tid =
   match try_commit_nowait t tid with
@@ -315,7 +358,10 @@ let deadlock t =
   Array.iter (fun sh -> Shard.locked sh add_waits g) t.shards;
   Deadlock.find_cycle g
 
-let abort t tid = abort_all t tid (locked t retire tid).touched
+let abort t tid =
+  let txn = locked t retire tid in
+  abort_from t txn 0;
+  locked t recycle txn
 
 let flush t = Array.iter Shard.flush t.shards
 

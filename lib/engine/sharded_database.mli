@@ -126,7 +126,9 @@ type pending
 
 (** Stage 1.  Returns only the [pending] commit: the retired
     transaction's own entry, so the stage allocates no tuple or closure
-    of its own.  A single-shard transaction validates, appends its
+    of its own.  {!wait_durable} consumes it; a failed commit puts the
+    record back for the next {!begin_txn} at once, as {!abort} does.
+    A single-shard transaction validates, appends its
     commit record and applies under the shard mutex.  A multi-shard
     transaction runs the whole 2PC described above, forces included.
     A transaction that executed nothing anywhere commits trivially.  On
@@ -138,10 +140,15 @@ val try_commit_nowait : t -> Tid.t -> (pending, string * Op.t * Op.t) result
     commit, the shard WAL's flushed watermark covers its commit record
     ({!Shard.wait_durable}); a cross-shard commit was durable
     when its decision was forced.  Call without holding any lock that
-    other transactions need. *)
+    other transactions need.  The wait consumes [pending]: it puts the
+    transaction's record back for the next {!begin_txn} to reuse, so
+    call it once per [pending] and drop the [pending] after. *)
 val wait_durable : t -> pending -> unit
 
-(** [try_commit t tid] is both stages back to back. *)
+(** [try_commit t tid] is both stages back to back.  Either way a
+    transaction's record, its sorted array of shard ids and its array
+    of prepare LSNs are reused, and the 2PC phases walk that array by
+    index. *)
 val try_commit : t -> Tid.t -> (unit, string * Op.t * Op.t) result
 
 (** [deadlock t] — a waits-for cycle, if any, found by one search over

@@ -1,7 +1,14 @@
 type labels = (string * string) list
 
+(* A label list strictly sorted by key is its own normal form, so the
+   usual one-label list is returned as it is, not copied. *)
+let rec strictly_sorted = function
+  | (a, _) :: ((b, _) :: _ as rest) -> String.compare a b < 0 && strictly_sorted rest
+  | _ -> true
+
 let normalize labels =
-  List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) labels
+  if strictly_sorted labels then labels
+  else List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) labels
 
 type counter = { mutable count : int }
 type gauge = { mutable value : float }
@@ -39,15 +46,13 @@ let kind_name = function
   | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
 
-let register t name labels build check =
-  let key = { metric_name = name; metric_labels = normalize labels } in
-  match Hashtbl.find_opt t.tbl key with
-  | Some m -> check m
-  | None ->
-      let m = build () in
-      Hashtbl.add t.tbl key m;
-      t.order <- key :: t.order;
-      m
+(* Each kind resolves its series with [Hashtbl.find] and builds the
+   metric only on a miss: no closure, and no option around a hit. *)
+let key name labels = { metric_name = name; metric_labels = normalize labels }
+
+let add t key m =
+  Hashtbl.add t.tbl key m;
+  t.order <- key :: t.order
 
 let type_clash name m want =
   invalid_arg
@@ -55,22 +60,24 @@ let type_clash name m want =
        (kind_name m) want)
 
 let counter t ?(labels = []) name =
-  match
-    register t name labels
-      (fun () -> Counter { count = 0 })
-      (function Counter _ as m -> m | m -> type_clash name m "counter")
-  with
+  let key = key name labels in
+  match Hashtbl.find t.tbl key with
   | Counter c -> c
-  | _ -> assert false
+  | m -> type_clash name m "counter"
+  | exception Not_found ->
+      let c = { count = 0 } in
+      add t key (Counter c);
+      c
 
 let gauge t ?(labels = []) name =
-  match
-    register t name labels
-      (fun () -> Gauge { value = 0. })
-      (function Gauge _ as m -> m | m -> type_clash name m "gauge")
-  with
+  let key = key name labels in
+  match Hashtbl.find t.tbl key with
   | Gauge g -> g
-  | _ -> assert false
+  | m -> type_clash name m "gauge"
+  | exception Not_found ->
+      let g = { value = 0. } in
+      add t key (Gauge g);
+      g
 
 (* Geometric-ish default: fine resolution at the low end (most logical
    durations are a handful of rounds), coarse at the tail. *)
@@ -87,27 +94,24 @@ let check_bounds bounds =
 
 let histogram t ?(labels = []) ?(buckets = default_buckets) name =
   check_bounds buckets;
-  match
-    register t name labels
-      (fun () ->
-        Histogram
-          {
-            bounds = Array.copy buckets;
-            counts = Array.make (Array.length buckets + 1) 0;
-            sum = { total = 0. };
-            observations = 0;
-          })
-      (function
-        | Histogram h as m ->
-            if h.bounds <> buckets then
-              invalid_arg
-                (Fmt.str "Metrics: histogram %s re-registered with different buckets"
-                   name);
-            m
-        | m -> type_clash name m "histogram")
-  with
-  | Histogram h -> h
-  | _ -> assert false
+  let key = key name labels in
+  match Hashtbl.find t.tbl key with
+  | Histogram h ->
+      if h.bounds <> buckets then
+        invalid_arg (Fmt.str "Metrics: histogram %s re-registered with different buckets" name);
+      h
+  | m -> type_clash name m "histogram"
+  | exception Not_found ->
+      let h =
+        {
+          bounds = Array.copy buckets;
+          counts = Array.make (Array.length buckets + 1) 0;
+          sum = { total = 0. };
+          observations = 0;
+        }
+      in
+      add t key (Histogram h);
+      h
 
 module Counter = struct
   type t = counter
@@ -216,9 +220,7 @@ let fold t f init =
     init (List.rev t.order)
 
 let counter_value t ?(labels = []) name =
-  match
-    Hashtbl.find_opt t.tbl { metric_name = name; metric_labels = normalize labels }
-  with
+  match Hashtbl.find_opt t.tbl (key name labels) with
   | Some (Counter c) -> c.count
   | _ -> 0
 
@@ -230,9 +232,7 @@ let counter_total t name =
     0
 
 let gauge_value t ?(labels = []) name =
-  match
-    Hashtbl.find_opt t.tbl { metric_name = name; metric_labels = normalize labels }
-  with
+  match Hashtbl.find_opt t.tbl (key name labels) with
   | Some (Gauge g) -> Some g.value
   | _ -> None
 

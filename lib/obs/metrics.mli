@@ -9,6 +9,12 @@
     - registration is idempotent: asking for an existing [(name, labels)]
       pair returns the same handle (a type mismatch raises
       [Invalid_argument]);
+    - resolving a series is one [Hashtbl.find] on its key and builds no
+      closure, and a label list already strictly sorted by key is kept
+      as it is.  A one-label counter costs the caller's label list and
+      its [Some] (8 words) and its key (3) to resolve, 11 words in all,
+      and about 23 to register: its metric, counter, table bucket and
+      place in the registration order besides;
     - registries from independent runs can be {!merge}d, optionally adding
       distinguishing labels (e.g. [setup="UIP+NRBC"]), which is how the
       CLI combines a whole comparison matrix into one snapshot. *)
@@ -16,7 +22,8 @@
 type t
 
 (** Label sets are normalized (sorted by key, deduplicated) so label order
-    never distinguishes two series. *)
+    never distinguishes two series.  A list that is already strictly
+    sorted by key is its own normal form and is not copied. *)
 type labels = (string * string) list
 
 val create : unit -> t

@@ -1845,6 +1845,47 @@ let test_empty_txn_allocation () =
   Helpers.check_int "committed" 9 (Database.committed_count db);
   Helpers.check_int "aborted" 9 (Database.aborted_count db)
 
+(* A finished transaction's record is reused with its touched objects
+   forgotten.  After a transaction that executed at A and B commits, the
+   next one takes its record and executes only at B: it releases B alone
+   and validates B alone.  A is optimistic, so a record that still held
+   A would release it again and open a validation span at commit. *)
+let test_reused_record_forgets_objects () =
+  let a =
+    Atomic_object.create_optimistic ~spec:(Spec.rename BA.spec "A") ~conflict:BA.nfc_conflict
+  and b =
+    Atomic_object.create ~spec:(Spec.rename BA.spec "B") ~conflict:BA.nrbc_conflict
+      ~recovery:Recovery.UIP ()
+  in
+  let db = Helpers.traced (Database.create [ a; b ]) in
+  let t1 = Database.begin_txn db in
+  ignore (Database.invoke db t1 ~obj:"A" (deposit_inv 5));
+  ignore (Database.invoke db t1 ~obj:"B" (deposit_inv 5));
+  Helpers.check_bool "the first commits" true (Database.try_commit db t1 = Ok ());
+  let t2 = Database.begin_txn db in
+  ignore (Database.invoke db t2 ~obj:"B" (deposit_inv 1));
+  Helpers.check_bool "the second validates" true (Database.validate db t2 = Ok ());
+  Helpers.check_bool "the second commits" true (Database.try_commit db t2 = Ok ());
+  let events = match Database.trace db with Some tr -> Tm_obs.Trace.events tr | None -> [] in
+  let of_txn tid f =
+    List.filter_map
+      (fun (e : Tm_obs.Trace.event) ->
+        match e.tid with Some x when Tid.equal x tid -> f e.kind | _ -> None)
+      events
+  in
+  let released tid =
+    of_txn tid (function Tm_obs.Trace.Lock_release { obj } -> Some obj | _ -> None)
+  and validating tid =
+    List.length (of_txn tid (function Tm_obs.Trace.Validating -> Some () | _ -> None))
+  in
+  Alcotest.(check (list string)) "the first releases A, then B" [ "A"; "B" ] (released t1);
+  Helpers.check_int "the first validates A" 1 (validating t1);
+  Alcotest.(check (list string)) "the second releases B alone" [ "B" ] (released t2);
+  Helpers.check_int "the second validates nothing optimistic" 0 (validating t2);
+  Helpers.check_int "A holds the first's deposit alone" 1
+    (List.length (Atomic_object.committed_ops a));
+  Helpers.check_int "B holds both deposits" 2 (List.length (Atomic_object.committed_ops b))
+
 (* Eight sources wait on a tid that heads each of their edge lists:
    clearing it rebuilds no list (each keeps its tail) and walks the
    sources from the graph's array of them, so it allocates nothing.
@@ -2565,4 +2606,6 @@ let suite =
     Alcotest.test_case "unsearched graph stays bounded" `Quick test_unsearched_graph_bounded;
     prop_tid_table_matches_model;
     Alcotest.test_case "empty transaction allocation pin" `Quick test_empty_txn_allocation;
+    Alcotest.test_case "a reused record forgets its objects" `Quick
+      test_reused_record_forgets_objects;
   ]

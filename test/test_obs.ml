@@ -136,6 +136,37 @@ let test_instrument_allocation () =
      List.iter (Metrics.Histogram.observe_int h) [ 7; 6000 ];
      Metrics.to_prometheus g)
 
+(* A series resolves with one table lookup and builds no closure, and a
+   label list already sorted by key is kept as it is.  Averaged over
+   1,024 one-label counters, and counting the caller's label list (6
+   words) and the [Some] around it (2), registering a new series costs
+   22.8 words (its key, metric, counter, table bucket and place in the
+   registration order, and the table's growth) and resolving an
+   existing one 11 (its key).  The pins allow 24 and 12.  Resolving
+   through two closures, a [List.sort_uniq] of the labels and a
+   [find_opt] cost 47.8 and 38.0. *)
+let test_series_resolution_allocation () =
+  let n = 1024 in
+  let objs = Array.init n (fun i -> "obj-" ^ string_of_int i) in
+  let reg = Metrics.create () in
+  let resolve_all () =
+    for i = 0 to n - 1 do
+      ignore (Sys.opaque_identity (Metrics.counter reg ~labels:[ ("obj", objs.(i)) ] "c"))
+    done
+  in
+  let per_series f =
+    let before = Gc.minor_words () in
+    f ();
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let registered = per_series resolve_all in
+  let resolved = per_series resolve_all in
+  if registered > 24. then
+    Alcotest.failf "registering a labelled counter allocated %.1f words (max 24)" registered;
+  if resolved > 12. then
+    Alcotest.failf "resolving a labelled counter allocated %.1f words (max 12)" resolved;
+  Helpers.check_int "one series per object" n (Metrics.fold reg (fun k _ _ _ -> k + 1) 0)
+
 let test_counter_idempotent_and_labels () =
   let reg = Metrics.create () in
   let c1 = Metrics.counter reg ~labels:[ ("a", "1"); ("b", "2") ] "c" in
@@ -530,6 +561,8 @@ let suite =
       test_catalog_markdown_mentions_everything;
     Alcotest.test_case "labeled counters" `Quick test_counter_idempotent_and_labels;
     Alcotest.test_case "instrument allocation pin" `Quick test_instrument_allocation;
+    Alcotest.test_case "series resolution allocation pin" `Quick
+      test_series_resolution_allocation;
     Alcotest.test_case "type clash" `Quick test_type_clash;
     Alcotest.test_case "merge" `Quick test_merge;
     Alcotest.test_case "merge bucket mismatch" `Quick test_merge_bucket_mismatch;

@@ -279,6 +279,109 @@ let test_prepare_failure_aborts_everywhere () =
            (Wal.records wal)))
     wals
 
+(* The kinds of [wal]'s records that name [tid], oldest first. *)
+let txn_kinds wal tid =
+  List.filter_map
+    (fun r ->
+      match r with
+      | Wal.Operation (x, _) | Wal.Commit x | Wal.Abort x | Wal.Prepare x when Tid.equal x tid ->
+          Some (Wal.record_kind r)
+      | _ -> None)
+    (Wal.records wal)
+
+(* Begun less committed and aborted: the transactions a shard's
+   database still runs. *)
+let live_on sh =
+  let m = Shard.metrics sh in
+  Metrics.counter_value m "tm_txn_begins_total"
+  - Metrics.counter_value m "tm_txn_committed_total"
+  - Metrics.counter_value m "tm_txn_aborted_total"
+
+(* A no vote at the middle shard of three: the shard before it voted
+   yes and rolls back, and the shard after it, which the vote never
+   reached, aborts without a prepare. *)
+let test_middle_no_vote_aborts_everywhere () =
+  let names = names_per_shard 3 in
+  let opt_name = names.(1) in
+  let objs =
+    [
+      account names.(0);
+      Atomic_object.create_optimistic
+        ~spec:(Spec.rename (BA.spec_with_initial 1_000) opt_name)
+        ~conflict:BA.nfc_conflict;
+      account names.(2);
+    ]
+  in
+  let wals = Array.init 3 (fun _ -> Wal.create ()) in
+  let db = SD.create ~wals objs in
+  let t = SD.begin_txn db in
+  ignore (SD.invoke db t ~obj:names.(2) (deposit_inv 3));
+  ignore (SD.invoke db t ~obj:opt_name (withdraw_inv 7));
+  ignore (SD.invoke db t ~obj:names.(0) (deposit_inv 5));
+  let u = SD.begin_txn db in
+  ignore (SD.invoke db u ~obj:opt_name (withdraw_inv 900));
+  Helpers.check_bool "interloper commits" true (SD.try_commit db u = Ok ());
+  (match SD.try_commit db t with
+  | Ok () -> Alcotest.fail "t must fail validation at the middle shard"
+  | Error _ -> ());
+  Alcotest.(check (list string))
+    "shard 0 prepared, then rolled back" [ "operation"; "prepare"; "abort" ] (txn_kinds wals.(0) t);
+  Alcotest.(check (list string))
+    "shard 1 voted no" [ "operation"; "abort" ] (txn_kinds wals.(1) t);
+  Alcotest.(check (list string))
+    "shard 2, unreached, aborted" [ "operation"; "abort" ] (txn_kinds wals.(2) t);
+  Array.iteri
+    (fun s wal ->
+      Helpers.check_bool (Fmt.str "no decision on shard %d" s) true
+        (List.for_all (fun r -> Wal.record_kind r <> "decision") (Wal.records wal));
+      Helpers.check_int (Fmt.str "nothing live on shard %d" s) 0 (live_on (SD.shards db).(s)))
+    wals;
+  Helpers.check_int "shard 0 installed nothing" 0
+    (List.length (Atomic_object.committed_ops (SD.find_object db names.(0))));
+  Helpers.check_int "shard 2 installed nothing" 0
+    (List.length (Atomic_object.committed_ops (SD.find_object db names.(2))));
+  let m = SD.metrics db in
+  Helpers.check_int "one prepare, at shard 0" 1 (Metrics.counter_value m "tm_2pc_prepares_total");
+  Helpers.check_int "prepare-phase abort counted" 1
+    (Metrics.counter_value m "tm_2pc_aborts_total" ~labels:[ ("phase", "prepare") ])
+
+(* A finished transaction's record is reused with its shards
+   forgotten.  After a commit on shards 0 and 2 (staged, so the
+   durability wait puts the record back) and an abort on shards 1 and
+   2, the next two transactions take those records: one that touches
+   shard 1 alone commits on the single-shard path, with no prepare, and
+   one that touches nothing commits trivially. *)
+let test_reused_record_forgets_shards () =
+  let db, wals, names = mk_sharded 3 in
+  let counter name = Metrics.counter_value (SD.metrics db) name in
+  let t1 = SD.begin_txn db in
+  ignore (SD.invoke db t1 ~obj:names.(0) (deposit_inv 1));
+  ignore (SD.invoke db t1 ~obj:names.(2) (deposit_inv 2));
+  (match SD.try_commit_nowait db t1 with
+  | Ok pending -> SD.wait_durable db pending
+  | Error _ -> Alcotest.fail "cross-shard commit");
+  let t2 = SD.begin_txn db in
+  ignore (SD.invoke db t2 ~obj:names.(1) (deposit_inv 3));
+  ignore (SD.invoke db t2 ~obj:names.(2) (deposit_inv 4));
+  SD.abort db t2;
+  Helpers.check_int "two prepares" 2 (counter "tm_2pc_prepares_total");
+  let t3 = SD.begin_txn db in
+  ignore (SD.invoke db t3 ~obj:names.(1) (deposit_inv 5));
+  Helpers.check_bool "one-shard commit" true (SD.try_commit db t3 = Ok ());
+  Helpers.check_int "no prepare for a one-shard commit" 2 (counter "tm_2pc_prepares_total");
+  Alcotest.(check (list string))
+    "shard 1 logs a plain commit" [ "operation"; "commit" ] (txn_kinds wals.(1) t3);
+  let t4 = SD.begin_txn db in
+  Helpers.check_bool "empty commit" true (SD.try_commit db t4 = Ok ());
+  Helpers.check_int "no prepare for an empty commit" 2 (counter "tm_2pc_prepares_total");
+  Helpers.check_int "one cross-shard commit" 1 (counter "tm_shard_cross_txn_total");
+  Helpers.check_int "three commits" 3 (SD.committed_count db);
+  Array.iteri
+    (fun s wal ->
+      Helpers.check_int (Fmt.str "nothing of the empty commit on shard %d" s) 0
+        (List.length (txn_kinds wal t4)))
+    wals
+
 let test_checkpoint_when_idle () =
   let db, _, names = mk_sharded 2 in
   let t = SD.begin_txn db in
@@ -798,6 +901,10 @@ let suite =
       test_cross_shard_commit;
     Alcotest.test_case "prepare failure aborts on every shard" `Quick
       test_prepare_failure_aborts_everywhere;
+    Alcotest.test_case "a no vote at the middle of three shards aborts everywhere" `Quick
+      test_middle_no_vote_aborts_everywhere;
+    Alcotest.test_case "a reused record forgets its shards" `Quick
+      test_reused_record_forgets_shards;
     Alcotest.test_case "checkpoint proceeds when idle" `Quick
       test_checkpoint_when_idle;
     Alcotest.test_case "checkpoint refused during a prepare force" `Quick
