@@ -6,9 +6,9 @@
     {!runtime}: OS threads by default ({!threads}), or the seeded fibers
     of [Tm_sim.Fiber], which run the same rules deterministically on
     one domain for the paper's tables and the reproducible tests.  Deadlocks, including
-    cycles that thread through several shards, are found by one search
-    over every shard's waits-for edges ({!Sharded_database.deadlock})
-    and broken by aborting the youngest transaction in the cycle.
+    cycles that thread through several shards, are found in the one
+    waits-for graph of every shard ({!Sharded_database.deadlock}) and
+    broken by aborting the youngest transaction in the cycle.
 
     A partial operation with no response waits for a state change, not
     a tid, so it can stall every transaction without a cycle.  When all

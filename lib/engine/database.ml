@@ -37,7 +37,8 @@ type t = {
   live : txn Tid_table.t;  (* running transactions only *)
   spare : txn Spare.t;  (* finished records, reset *)
   finished : Tid_bits.t;
-  waits : Deadlock.t;
+  mutable waits : Deadlock.t;  (* shared by every shard of a sharded engine *)
+  mutable shard : int;  (* this database's tag in [waits] *)
   mutable next_tid : int;
   (* Observability.  The registry always exists — counters are plain
      field bumps, so the uninstrumented cost is negligible — and the
@@ -77,6 +78,7 @@ let create ?(first_tid = 0) objs =
       spare = Spare.create no_txn;
       finished = Tid_bits.create ();
       waits = Deadlock.create ();
+      shard = 0;
       next_tid = first_tid;
       metrics;
       ops = Op_table.create ();
@@ -108,6 +110,8 @@ let metrics t = t.metrics
 let next_tid t = t.next_tid
 let set_trace t tr = t.trace <- Some tr
 let trace t = t.trace
+
+let share_waits t g ~shard = t.waits <- g; t.shard <- shard
 
 let tracing t = Option.is_some t.trace
 
@@ -190,7 +194,7 @@ let invoke ?choose t tid ~obj inv =
   let outcome = Atomic_object.invoke ?choose o tid inv in
   (match outcome with
   | Atomic_object.Executed op ->
-      Deadlock.clear t.waits tid;
+      Deadlock.clear t.waits tid ~at:t.shard;
       Metrics.Counter.incr t.c_executed;
       note_woken t txn;
       if tracing t then emit_trace t ~tid (Trace.Executed { op });
@@ -202,7 +206,7 @@ let invoke ?choose t tid ~obj inv =
         txn.blocked_since <- t.ticks
       end;
       if tracing t then emit_trace t ~tid (Trace.Blocked { obj; inv; holders });
-      Deadlock.set_waiting t.waits tid ~on:holders
+      Deadlock.set_waiting t.waits tid ~on:holders ~at:t.shard
   | Atomic_object.No_response ->
       Metrics.Counter.incr t.c_no_response;
       if tracing t then emit_trace t ~tid (Trace.No_response { obj; inv }));
@@ -231,7 +235,7 @@ let finish t tid ~committed =
   Tid_table.remove t.live tid;
   retire t txn;
   Tid_bits.add t.finished tid;
-  Deadlock.clear t.waits tid
+  Deadlock.clear t.waits tid ~at:t.shard
 
 let commit t tid =
   finish t tid ~committed:true;
@@ -276,6 +280,5 @@ let try_commit t tid =
   result
 
 let deadlock t = Deadlock.find_cycle t.waits
-let waits_for t = Deadlock.edges t.waits
 let committed_count t = Metrics.Counter.get t.c_committed
 let aborted_count t = Metrics.Counter.get t.c_aborted

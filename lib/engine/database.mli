@@ -58,6 +58,11 @@ val set_trace : t -> Tm_obs.Trace.t -> unit
 
 val trace : t -> Tm_obs.Trace.t option
 
+(** [share_waits t g ~shard] makes [t] keep its waits-for edges in [g]
+    instead of its own graph (shard 0), tagged [shard]; call it before
+    any transaction blocks, as {!Sharded_database} does. *)
+val share_waits : t -> Deadlock.t -> shard:int -> unit
+
 (** [emit_trace t ~tid kind] — emit a span into the attached recorder
     (no-op without one).  Used by the layers above the database
     (WAL wrapper, blocking front end) for events only they can
@@ -129,12 +134,9 @@ val validate : t -> Tid.t -> (unit, string * Op.t * Op.t) result
     returned. *)
 val try_commit : t -> Tid.t -> (unit, string * Op.t * Op.t) result
 
-(** [deadlock t] — current waits-for cycle, if any. *)
+(** [deadlock t] — current waits-for cycle, if any, in [t]'s graph,
+    which may be shared ({!share_waits}). *)
 val deadlock : t -> Tid.t list option
-
-(** The waits-for edges {!deadlock} searches ({!Deadlock.edges}) — what
-    {!Sharded_database.deadlock} unions across shards. *)
-val waits_for : t -> (Tid.t * Tid.t list) list
 
 (** Committed transactions count / aborted count (read from the
     [tm_txn_committed_total] / [tm_txn_aborted_total] registry

@@ -26,10 +26,13 @@ type t = {
      [clear] walks them, not the table, so it builds no closure and may
      rebuild lists as it goes.  [marked.(i)] says whether
      [sources.(i)]'s edges were set or changed since the last search;
-     it moves with its source.  Both start empty and grow by doubling. *)
+     it moves with its source, and so does [at.(i)], the shard it last
+     blocked at.  All start empty and grow by doubling. *)
   mutable sources : Tid.t array;
   mutable marked : bool array;
+  mutable at : int array;
   mutable nsources : int;
+  lock : Mutex.t;  (* held by every operation, which takes no other lock *)
   (* [Hashtbl.iter]'s argument for the search, closed over [t] once at
      creation. *)
   visit_source : Tid.t -> Tid.t list -> unit;
@@ -45,30 +48,39 @@ let rec same a b =
   | x :: xs, y :: ys -> Tid.equal x y && same xs ys
   | _ -> false
 
-(* Mark [tid] among [t.sources.(i .. nsources - 1)]. *)
-let rec mark t tid i =
-  if i < t.nsources then
-    if Tid.equal t.sources.(i) tid then t.marked.(i) <- true else mark t tid (i + 1)
+(* [Mutex.protect]'s raise path without its closure. *)
+let release t e = Mutex.unlock t.lock; raise e
 
-let set_waiting t tid ~on =
+(* The position of [tid] in [t.sources], which holds it. *)
+let rec index t tid i = if Tid.equal t.sources.(i) tid then i else index t tid (i + 1)
+
+let set t tid on at =
   let on = if strictly_increasing on then on else List.sort_uniq Tid.compare on in
   match Hashtbl.find t.edges tid with
   | old ->
+      let i = index t tid 0 in
+      t.at.(i) <- at;
       if not (same old on) then begin
         Hashtbl.replace t.edges tid on;
         t.changed <- true;
-        mark t tid 0
+        t.marked.(i) <- true
       end
   | exception Not_found ->
       Hashtbl.replace t.edges tid on;
       t.changed <- true;
       if t.nsources = Array.length t.sources then begin
         t.sources <- Spare.grow t.sources tid;
-        t.marked <- Spare.grow t.marked false
+        t.marked <- Spare.grow t.marked false;
+        t.at <- Spare.grow t.at 0
       end;
       t.sources.(t.nsources) <- tid;
       t.marked.(t.nsources) <- true;
+      t.at.(t.nsources) <- at;
       t.nsources <- t.nsources + 1
+
+let set_waiting t tid ~on ~at =
+  Mutex.lock t.lock;
+  match set t tid on at with () -> Mutex.unlock t.lock | exception e -> release t e
 
 let rec mentions tid = function [] -> false | d :: rest -> Tid.equal d tid || mentions tid rest
 
@@ -78,22 +90,16 @@ let rec without tid = function
   | [] -> []
   | d :: rest -> if Tid.equal d tid then rest else d :: without tid rest
 
-(* [tid] out of [t.sources.(i .. nsources - 1)], if there: the last
-   source takes its slot and its mark. *)
-let rec drop_source t tid i =
-  if i < t.nsources then
-    if Tid.equal t.sources.(i) tid then begin
-      t.nsources <- t.nsources - 1;
-      t.sources.(i) <- t.sources.(t.nsources);
-      t.marked.(i) <- t.marked.(t.nsources)
-    end
-    else drop_source t tid (i + 1)
-
-let clear t tid =
+let drop t tid at =
   if t.nsources > 0 then begin
     if Hashtbl.mem t.edges tid then begin
+      (* The last source takes [tid]'s slot, its mark and its tag. *)
+      let i = index t tid 0 and last = t.nsources - 1 in
+      t.sources.(i) <- t.sources.(last);
+      t.marked.(i) <- t.marked.(last);
+      t.at.(i) <- t.at.(last);
+      t.nsources <- last;
       Hashtbl.remove t.edges tid;
-      drop_source t tid 0;
       t.changed <- true
     end;
     (* Replacing an existing key keeps its place in the table, so the
@@ -101,15 +107,22 @@ let clear t tid =
     for i = 0 to t.nsources - 1 do
       let src = t.sources.(i) in
       let dsts = Hashtbl.find t.edges src in
-      if mentions tid dsts then begin
+      if t.at.(i) = at && mentions tid dsts then begin
         Hashtbl.replace t.edges src (without tid dsts);
         t.changed <- true
       end
     done
   end
 
-let waiting t tid = match Hashtbl.find t.edges tid with on -> on | exception Not_found -> []
-let edges t = Hashtbl.fold (fun tid on acc -> (tid, on) :: acc) t.edges []
+let clear t tid ~at =
+  Mutex.lock t.lock;
+  match drop t tid at with () -> Mutex.unlock t.lock | exception e -> release t e
+
+let out_edges t tid = match Hashtbl.find t.edges tid with on -> on | exception Not_found -> []
+
+let waiting t tid =
+  Mutex.lock t.lock;
+  match out_edges t tid with on -> Mutex.unlock t.lock; on | exception e -> release t e
 
 (* The position of [tid] in [t.path.(0 .. i)], or -1. *)
 let rec path_index t tid i =
@@ -139,7 +152,7 @@ let rec visit t tid =
     if t.depth = Array.length t.path then t.path <- Spare.grow t.path tid;
     t.path.(t.depth) <- tid;
     t.depth <- t.depth + 1;
-    visit_all t (waiting t tid) || begin
+    visit_all t (out_edges t tid) || begin
       t.depth <- t.depth - 1;
       false
     end
@@ -160,7 +173,9 @@ let create () =
       hit = 0;
       sources = [||];
       marked = [||];
+      at = [||];
       nsources = 0;
+      lock = Mutex.create ();
       visit_source =
         (fun tid _ ->
           if Option.is_none t.last && visit t tid then
@@ -181,7 +196,7 @@ let rec cycle_from t ~all i =
    whether there is a cycle; only then does the search in table order
    run, so the cycle it returns is the one a search from scratch
    finds. *)
-let find_cycle t =
+let search t =
   if t.changed then begin
     let all = Option.is_some t.last in
     t.changed <- false;
@@ -196,6 +211,10 @@ let find_cycle t =
     Array.fill t.marked 0 t.nsources false
   end;
   t.last
+
+let find_cycle t =
+  Mutex.lock t.lock;
+  match search t with r -> Mutex.unlock t.lock; r | exception e -> release t e
 
 let victim cycle =
   match cycle with

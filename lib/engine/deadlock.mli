@@ -3,7 +3,11 @@
     Conflict-based locking blocks transactions behind lock holders;
     a cycle in the waits-for relation is a deadlock.  The database
     registers an edge set per blocked transaction and asks for a cycle;
-    the conventional victim is the youngest transaction in the cycle. *)
+    the conventional victim is the youngest transaction in the cycle.
+    The shards of a {!Sharded_database} share one graph, each source
+    tagged with the shard it blocked at ({!clear}; the tag goes with
+    ROADMAP item 6's fix).  Every operation takes the graph's mutex and
+    no other lock: a commit, under one shard's mutex, races the rest. *)
 
 open Tm_core
 
@@ -11,7 +15,8 @@ type t
 
 val create : unit -> t
 
-(** [set_waiting t tid ~on] replaces [tid]'s outgoing edges.  A list
+(** [set_waiting t tid ~on ~at] replaces [tid]'s outgoing edges and
+    tags it with [at], the shard it blocked at.  A list
     that is already strictly increasing (as {!Lock_table.blockers}
     returns it) is stored as it is; any other is sorted and deduplicated
     first.  Re-registering the edges [tid] already has leaves the graph,
@@ -20,20 +25,22 @@ val create : unit -> t
     changed edge list marks its source for the next {!find_cycle}; the
     mark is kept beside the source in that array and leaves with it, so
     a graph that is fed but never searched keeps no more than its
-    sources. *)
-val set_waiting : t -> Tid.t -> on:Tid.t list -> unit
+    sources.  The tag is kept and moves the same way. *)
+val set_waiting : t -> Tid.t -> on:Tid.t list -> at:int -> unit
 
-(** [clear t tid] removes [tid]'s outgoing edges {e and} every edge
-    pointing at it (call on commit/abort, and whenever [tid] executes).
-    Returns at once when the graph has no edges; clearing a transaction
-    the graph does not mention changes nothing.
+(** [clear t tid ~at] removes [tid]'s outgoing edges {e and} every edge
+    pointing at it from a source tagged [at] (call at shard [at] on
+    commit/abort, and whenever [tid] executes there: that takes none of
+    its locks at another shard away).  Returns at once when the graph
+    has no edges; clearing a transaction the graph does not mention
+    changes nothing.
 
     Otherwise it walks the graph's sources from an array [t] keeps of
     them (no closure), and allocates only, for each list that mentions
     [tid], the cells before [tid] (the rest is shared).  A rebuilt list
     keeps its place in the table, so the next {!find_cycle} visits in
     the same order. *)
-val clear : t -> Tid.t -> unit
+val clear : t -> Tid.t -> at:int -> unit
 
 (** [find_cycle t] is some cycle [t1 → t2 → … → t1] (listed without the
     closing repeat) if the graph has one: the first back edge of a
@@ -55,14 +62,10 @@ val clear : t -> Tid.t -> unit
     the nodes seen so far, which are at most the transactions in the
     graph), so a search that finds no cycle allocates nothing but those
     arrays when they grow, and one that finds a cycle the cycle it
-    returns and the 4-word closure [Hashtbl.iter] builds for its walk.
-    Not safe to call from two threads on one [t] at a time. *)
+    returns and the 4-word closure [Hashtbl.iter] builds for its walk. *)
 val find_cycle : t -> Tid.t list option
 
 (** [victim cycle] is the youngest (largest-id) transaction. *)
 val victim : Tid.t list -> Tid.t
 
 val waiting : t -> Tid.t -> Tid.t list
-
-(** [edges t] — every transaction with outgoing edges, paired with them. *)
-val edges : t -> (Tid.t * Tid.t list) list

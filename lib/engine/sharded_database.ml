@@ -46,6 +46,7 @@ type t = {
          [committed].  Always acquired before any shard mutex, never
          after one. *)
   mutable trace : Trace.t option;  (* the recorder shared by every shard *)
+  waits : Deadlock.t;  (* the waits-for graph shared by every shard *)
   reg : Metrics.t;  (* engine-level metrics; shards have their own *)
   c_prepares : Metrics.counter;
   c_cross : Metrics.counter;
@@ -55,7 +56,8 @@ type t = {
 let max_shards = 0x10000 (* shard ids are stamped into u16 frame headers *)
 
 let make ?(first_tid = 0) shards =
-  let reg = Metrics.create () in
+  let reg = Metrics.create () and waits = Deadlock.create () in
+  Array.iteri (fun s sh -> Database.share_waits (Shard.database sh) waits ~shard:s) shards;
   {
     shards;
     txns = Tid_table.create ~dummy:no_txn;
@@ -66,6 +68,7 @@ let make ?(first_tid = 0) shards =
     cross_in_flight = 0;
     lock = Mutex.create ();
     trace = None;
+    waits;
     reg;
     c_prepares = Metrics.counter reg "tm_2pc_prepares_total";
     c_cross = Metrics.counter reg "tm_shard_cross_txn_total";
@@ -344,19 +347,9 @@ let try_commit t tid =
       wait_durable t pending;
       Ok ()
 
-let add_waits sh g =
-  List.iter
-    (fun (tid, on) -> Deadlock.set_waiting g tid ~on:(on @ Deadlock.waiting g tid))
-    (Database.waits_for (Shard.database sh))
-
-(* Dynamic atomicity is local (Theorem 2): each shard's lock tables
-   and history stand alone.  A waits-for cycle is not local — it may
-   thread through several shards — so the search runs over the union of
-   every shard's edges. *)
-let deadlock t =
-  let g = Deadlock.create () in
-  Array.iter (fun sh -> Shard.locked sh add_waits g) t.shards;
-  Deadlock.find_cycle g
+(* A waits-for cycle is not local (each shard's lock tables and history
+   are, Theorem 2), so every shard keeps its edges in one graph. *)
+let deadlock t = Deadlock.find_cycle t.waits
 
 let abort t tid =
   let txn = locked t retire tid in

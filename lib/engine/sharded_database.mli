@@ -54,11 +54,11 @@
 
     {!invoke} returns [Blocked] with the holders it waits for, and
     {!Concurrent} is the layer that makes a thread wait on it.  Lock
-    tables, waits-for edges and histories stay per shard: dynamic
-    atomicity is local (Theorem 2), so each shard's history is checked
-    on its own.  A waits-for cycle is not local, so {!deadlock} searches
-    the union of every shard's edges and finds cycles that thread
-    through several shards.
+    tables and histories stay per shard: dynamic atomicity is local
+    (Theorem 2), so each shard's history is checked on its own.  A
+    waits-for cycle is not local, so all shards keep their edges in one
+    {!Deadlock} graph ({!Database.share_waits}), where {!deadlock}
+    finds cycles that thread through several shards.
 
     {2 Caveats}
 
@@ -151,9 +151,9 @@ val wait_durable : t -> pending -> unit
     index. *)
 val try_commit : t -> Tid.t -> (unit, string * Op.t * Op.t) result
 
-(** [deadlock t] — a waits-for cycle, if any, found by one search over
-    the edges of every shard ({!Database.waits_for}).  Takes each
-    shard's mutex in turn, so it may run while other threads commit. *)
+(** [deadlock t] — a waits-for cycle, if any, in the graph every shard
+    shares ({!Deadlock.find_cycle}).  Takes that graph's mutex and no
+    shard's, so it may run while other threads commit. *)
 val deadlock : t -> Tid.t list option
 
 val abort : t -> Tid.t -> unit

@@ -2,7 +2,8 @@
    [visited] table, a local exception and a closure per node: the oracle
    of the deadlock refinement property in test_engine.ml, which checks
    that [Deadlock.find_cycle] finds exactly the same cycle (or none)
-   after every step of a random edge sequence.  Unchanged otherwise. *)
+   after every step of a random edge sequence.  Unchanged otherwise,
+   but for [union], the oracle of the shared sharded graph. *)
 
 open Tm_core
 
@@ -45,3 +46,19 @@ let find_cycle t =
   match Hashtbl.iter (fun tid _ -> dfs [] tid) t.edges with
   | () -> None
   | exception Found cycle -> Some cycle
+
+(* The union of several graphs, each source's edge lists concatenated
+   in array order: the graph the sharded engine searched when every
+   shard kept a graph of its own and each search rebuilt their union
+   (every shard's edges folded into a list, each list prepended to the
+   edges the union already held).  The oracle of the shared graph's
+   exactness property in test_sharded.ml. *)
+let union gs =
+  let u = create () in
+  Array.iter
+    (fun g ->
+      List.iter
+        (fun (tid, on) -> set_waiting u tid ~on:(on @ waiting u tid))
+        (Hashtbl.fold (fun tid on acc -> (tid, on) :: acc) g.edges []))
+    gs;
+  u

@@ -648,16 +648,16 @@ let test_inverse_undo_counter () =
 
 let test_deadlock_cycle () =
   let d = Deadlock.create () in
-  Deadlock.set_waiting d Tid.a ~on:[ Tid.b ];
+  Deadlock.set_waiting d Tid.a ~on:[ Tid.b ] ~at:0;
   Alcotest.(check (option Helpers.tids)) "no cycle yet" None (Deadlock.find_cycle d);
-  Deadlock.set_waiting d Tid.b ~on:[ Tid.c ];
-  Deadlock.set_waiting d Tid.c ~on:[ Tid.a ];
+  Deadlock.set_waiting d Tid.b ~on:[ Tid.c ] ~at:0;
+  Deadlock.set_waiting d Tid.c ~on:[ Tid.a ] ~at:0;
   (match Deadlock.find_cycle d with
   | None -> Alcotest.fail "expected a cycle"
   | Some cycle ->
       Helpers.check_int "3-cycle" 3 (List.length cycle);
       Alcotest.check Helpers.tid "victim is youngest" Tid.c (Deadlock.victim cycle));
-  Deadlock.clear d Tid.c;
+  Deadlock.clear d Tid.c ~at:0;
   Alcotest.(check (option Helpers.tids)) "cleared" None (Deadlock.find_cycle d)
 
 (* Regression: [clear] used to Hashtbl.replace inside Hashtbl.iter over
@@ -667,9 +667,9 @@ let test_deadlock_clear_many_edges () =
   let d = Deadlock.create () in
   let tids = List.init 40 Tid.of_int in
   let victim = Tid.of_int 40 in
-  List.iter (fun t -> Deadlock.set_waiting d t ~on:[ victim; Tid.a ]) tids;
-  Deadlock.set_waiting d victim ~on:[ Tid.b ];
-  Deadlock.clear d victim;
+  List.iter (fun t -> Deadlock.set_waiting d t ~on:[ victim; Tid.a ] ~at:0) tids;
+  Deadlock.set_waiting d victim ~on:[ Tid.b ] ~at:0;
+  Deadlock.clear d victim ~at:0;
   Alcotest.check Helpers.tids "victim's own edges gone" [] (Deadlock.waiting d victim);
   List.iter
     (fun t ->
@@ -682,7 +682,7 @@ let test_deadlock_self_loop_impossible () =
   (* The lock table never reports a transaction as blocking itself, but
      the graph handles a self-edge gracefully if given one. *)
   let d = Deadlock.create () in
-  Deadlock.set_waiting d Tid.a ~on:[ Tid.a ];
+  Deadlock.set_waiting d Tid.a ~on:[ Tid.a ] ~at:0;
   match Deadlock.find_cycle d with
   | Some [ t ] -> Alcotest.check Helpers.tid "self" Tid.a t
   | _ -> Alcotest.fail "expected self-cycle"
@@ -1561,12 +1561,12 @@ let prop_deadlock_matches_reference =
             match s with
             | `Wait (t, on) ->
                 let on = List.map Tid.of_int on in
-                Deadlock.set_waiting d (Tid.of_int t) ~on;
+                Deadlock.set_waiting d (Tid.of_int t) ~on ~at:0;
                 Deadlock_reference.set_waiting r (Tid.of_int t) ~on;
                 idle := false;
                 true
             | `Clear t ->
-                Deadlock.clear d (Tid.of_int t);
+                Deadlock.clear d (Tid.of_int t) ~at:0;
                 Deadlock_reference.clear r (Tid.of_int t);
                 idle := false;
                 true
@@ -1577,12 +1577,12 @@ let prop_deadlock_matches_reference =
                 | [] -> true
                 | on ->
                     let on = shuffled k on in
-                    Deadlock.set_waiting d (Tid.of_int t) ~on;
+                    Deadlock.set_waiting d (Tid.of_int t) ~on ~at:0;
                     Deadlock_reference.set_waiting r (Tid.of_int t) ~on;
                     true)
             | `Clear_stranger ->
                 (* A transaction the graph has never mentioned. *)
-                Deadlock.clear d (Tid.of_int 99);
+                Deadlock.clear d (Tid.of_int 99) ~at:0;
                 Deadlock_reference.clear r (Tid.of_int 99);
                 true
             | `Search ->
@@ -1749,7 +1749,7 @@ let test_unchanged_search_allocation () =
   let d = Deadlock.create () and r = Deadlock_reference.create () in
   let wait t on =
     let on = List.map Tid.of_int on in
-    Deadlock.set_waiting d (Tid.of_int t) ~on;
+    Deadlock.set_waiting d (Tid.of_int t) ~on ~at:0;
     Deadlock_reference.set_waiting r (Tid.of_int t) ~on
   in
   let check what =
@@ -1775,7 +1775,7 @@ let test_unchanged_search_allocation () =
    source by [Hashtbl.iter] took its 4-word closure each time. *)
 let test_incremental_search_allocation () =
   let d = Deadlock.create () in
-  let wait t on = Deadlock.set_waiting d (Tid.of_int t) ~on:(List.map Tid.of_int on) in
+  let wait t on = Deadlock.set_waiting d (Tid.of_int t) ~on:(List.map Tid.of_int on) ~at:0 in
   let search what =
     let answer = ref (Some []) in
     let w = minor_words (fun () -> answer := Deadlock.find_cycle d) in
@@ -1787,13 +1787,13 @@ let test_incremental_search_allocation () =
     wait i [ i + 1 ]
   done;
   Helpers.check_bool "no cycle in the chain" true (Deadlock.find_cycle d = None);
-  Deadlock.clear d (Tid.of_int 5);
+  Deadlock.clear d (Tid.of_int 5) ~at:0;
   search "after a clear";
   wait 4 [ 6 ];
   search "after an edge closing no cycle";
   wait 9 [ 1 ];
   Helpers.check_bool "9 → 1 closes a cycle" true (Deadlock.find_cycle d <> None);
-  Deadlock.clear d (Tid.of_int 9);
+  Deadlock.clear d (Tid.of_int 9) ~at:0;
   search "after the cycle broke"
 
 (* A graph that is fed but never searched, as each shard's database's
@@ -1804,9 +1804,9 @@ let test_incremental_search_allocation () =
 let test_unsearched_graph_bounded () =
   let d = Deadlock.create () and t = Tid.of_int in
   let round i =
-    Deadlock.set_waiting d (t (i + 2)) ~on:[ t i; t (i + 1) ];
-    Deadlock.set_waiting d (t (i + 1)) ~on:[ t i; t (i + 2) ];
-    Deadlock.clear d (t i)
+    Deadlock.set_waiting d (t (i + 2)) ~on:[ t i; t (i + 1) ] ~at:0;
+    Deadlock.set_waiting d (t (i + 1)) ~on:[ t i; t (i + 2) ] ~at:0;
+    Deadlock.clear d (t i) ~at:0
   in
   for i = 0 to 999 do
     round i
@@ -1899,13 +1899,13 @@ let test_deadlock_clear_allocation () =
   let cleared = Tid.of_int 0 and other = Tid.of_int 9 in
   let wait_all () =
     for i = 1 to 8 do
-      Deadlock.set_waiting d (Tid.of_int i) ~on:[ cleared; other ]
+      Deadlock.set_waiting d (Tid.of_int i) ~on:[ cleared; other ] ~at:0
     done
   in
   wait_all ();
-  Deadlock.clear d cleared;
+  Deadlock.clear d cleared ~at:0;
   wait_all ();
-  let w = minor_words (fun () -> Deadlock.clear d cleared) in
+  let w = minor_words (fun () -> Deadlock.clear d cleared ~at:0) in
   for i = 1 to 8 do
     Alcotest.check Helpers.tids "only the edge to the cleared tid removed" [ other ]
       (Deadlock.waiting d (Tid.of_int i))
@@ -1913,9 +1913,12 @@ let test_deadlock_clear_allocation () =
   if w > 0. then Alcotest.failf "clearing a tid 8 sources wait on allocated %.0f words (max 0)" w;
   wait_all ();
   let stranger = Tid.of_int 99 in
-  Deadlock.clear d stranger;
-  let w = minor_words (fun () -> Deadlock.clear d stranger) in
-  Helpers.check_int "the graph keeps its 8 sources" 8 (List.length (Deadlock.edges d));
+  Deadlock.clear d stranger ~at:0;
+  let w = minor_words (fun () -> Deadlock.clear d stranger ~at:0) in
+  for i = 1 to 8 do
+    Alcotest.check Helpers.tids "every source keeps its edges" [ cleared; other ]
+      (Deadlock.waiting d (Tid.of_int i))
+  done;
   if w > 0. then Alcotest.failf "clearing a tid no edge mentions allocated %.0f words (max 0)" w
 
 (* An executed deposit by a transaction that three blocked withdrawals
@@ -1950,7 +1953,8 @@ let test_contended_deposit_allocation () =
       (* The words of a's third deposit, with [waiters] withdrawals
          blocked on a's first two. *)
       let deposit_words waiters =
-        let db = Database.create [ make_ba recovery ] in
+        let db = Database.create [ make_ba recovery ] and g = Deadlock.create () in
+        Database.share_waits db g ~shard:0;
         let a = Database.begin_txn db in
         let others = List.init waiters (fun _ -> Database.begin_txn db) in
         let block () =
@@ -1972,7 +1976,7 @@ let test_contended_deposit_allocation () =
         block ();
         let w = minor_words deposit in
         Helpers.check_bool (what ^ ": the waiters' edges cleared") true
-          (List.for_all (fun (_, on) -> on = []) (Database.waits_for db));
+          (List.for_all (fun b -> Deadlock.waiting g b = []) others);
         w
       in
       let alone = deposit_words 0 and contended = deposit_words 3 in

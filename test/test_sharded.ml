@@ -18,6 +18,7 @@ module Recovery = Tm_engine.Recovery
 module Shard = Tm_engine.Shard
 module SD = Tm_engine.Sharded_database
 module Two_phase = Tm_engine.Two_phase
+module Deadlock = Tm_engine.Deadlock
 module Metrics = Tm_obs.Metrics
 module Trace = Tm_obs.Trace
 module BA = Tm_adt.Bank_account
@@ -838,10 +839,11 @@ let test_cross_shard_deadlock () =
   (* Two transactions each hold a deposit on an account on a different
      shard, then request a withdrawal from the other's account.  Under
      NRBC a successful withdrawal conflicts with a held deposit, so each
-     blocks on the other.  Each shard holds one edge of the cycle and
-     finds none on its own; the global search finds both members, and
-     the younger is the victim.  Once it is aborted the survivor runs
-     and commits. *)
+     blocks on the other.  Each shard blocked one edge of the cycle;
+     both edges are in the engine's one graph, so every shard's search
+     and the engine's find the same two-member cycle, and the younger
+     is the victim.  Once it is aborted no search finds a cycle, and
+     the survivor runs and commits. *)
   let names = names_per_shard 2 in
   let x = names.(0) and y = names.(1) in
   let db = SD.create ~wals:[| Wal.create (); Wal.create () |] [ account x; account y ] in
@@ -862,26 +864,199 @@ let test_cross_shard_deadlock () =
   executed "t2 deposit" (invoke t2 y (deposit_inv 5));
   blocked_on "t1 waits for t2" t2 (invoke t1 y (withdraw_inv 1));
   blocked_on "t2 waits for t1" t1 (invoke t2 x (withdraw_inv 1));
-  Array.iteri
-    (fun s sh ->
-      Helpers.check_bool (Fmt.str "shard %d alone finds no cycle" s) true
-        (Option.is_none (Tm_engine.Database.deadlock (Shard.database sh))))
-    (SD.shards db);
+  let shard_searches () =
+    Array.to_list (SD.shards db)
+    |> List.map (fun sh -> Tm_engine.Database.deadlock (Shard.database sh))
+  in
   match SD.deadlock db with
   | None -> Alcotest.fail "the cross-shard cycle was not found"
   | Some cycle ->
       Alcotest.(check (list Helpers.tid)) "two-member cycle" [ t1; t2 ]
         (List.sort Tid.compare cycle);
+      Alcotest.(check (list (option (list Helpers.tid))))
+        "every shard's search finds the one cycle" [ Some cycle; Some cycle ] (shard_searches ());
       Alcotest.check Helpers.tid "the younger is the victim" t2
-        (Tm_engine.Deadlock.victim cycle);
+        (Deadlock.victim cycle);
       SD.abort db t2;
       Helpers.check_bool "no cycle left" true (Option.is_none (SD.deadlock db));
+      Alcotest.(check (list (option (list Helpers.tid))))
+        "no cycle left at any shard" [ None; None ] (shard_searches ());
       executed "t1 withdraw" (invoke t1 y (withdraw_inv 1));
       Helpers.check_bool "survivor commits" true (Result.is_ok (SD.try_commit db t1));
       Alcotest.(check (list (pair string (list Helpers.op))))
         "t1's operations are the only committed ones"
         [ (x, [ dep_on x 5 ]); (y, [ Op.make ~obj:y ~args:[ Value.int 1 ] "withdraw" Value.ok ]) ]
         (committed_by_name (SD.objects db))
+
+(* --- one waits-for graph for every shard --- *)
+
+(* [a] and [b] are the same cycle, read from different members. *)
+let same_cycle a b =
+  match a, b with
+  | None, None -> true
+  | Some a, Some b ->
+      let n = List.length a in
+      let rotated k = List.filteri (fun i _ -> i >= k) a @ List.filteri (fun i _ -> i < k) a in
+      n = List.length b && List.exists (fun k -> rotated k = b) (List.init n Fun.id)
+  | _ -> false
+
+(* Random sequences of what the engine does to its waits-for edges at
+   2-4 shards, played on the engine's shared tagged graph and on one
+   reference graph per shard, unioned for each comparison as the
+   search once did ([Deadlock_reference.union]).  A blocked
+   transaction stays at its shard until it executes there or aborts,
+   as a [Concurrent] waiter does; an abort clears it at every shard it
+   invoked at, a commit (of a transaction not blocked) likewise.
+   After each step every transaction's edges agree, and each search
+   finds no cycle in either or the same cycle, so the same victim. *)
+let prop_shared_graph_exact =
+  let tids = 6 in
+  let gen =
+    QCheck2.Gen.(
+      int_range 2 4 >>= fun n ->
+      let tid = int_bound (tids - 1) and shard = int_bound (n - 1) in
+      let step =
+        frequency
+          [
+            (3, map3 (fun t s on -> `Block (t, s, on)) tid shard (list_size (int_range 1 3) tid));
+            (3, map2 (fun t s -> `Execute (t, s)) tid shard);
+            (1, map (fun t -> `Commit t) tid);
+            (1, map (fun t -> `Abort t) tid);
+            (2, pure `Search);
+          ]
+      in
+      pair (pure n) (list_size (int_range 1 60) step))
+  in
+  Helpers.qcheck ~count:300 "shared tagged graph = union of per-shard graphs" gen
+    (fun (n, steps) ->
+      let g = Deadlock.create () and rs = Array.init n (fun _ -> Deadlock_reference.create ()) in
+      (* Per transaction: the shard it is blocked at (-1 if none), the
+         shards it invoked at, and whether it finished. *)
+      let blocked = Array.make tids (-1) and invoked = Array.make tids [] in
+      let finished = Array.make tids false in
+      let at_shard t s = (not finished.(t)) && (blocked.(t) < 0 || blocked.(t) = s) in
+      let invoke t s =
+        if not (List.mem s invoked.(t)) then invoked.(t) <- List.sort compare (s :: invoked.(t))
+      in
+      let finish t =
+        List.iter
+          (fun s ->
+            Deadlock.clear g (Tid.of_int t) ~at:s;
+            Deadlock_reference.clear rs.(s) (Tid.of_int t))
+          invoked.(t);
+        finished.(t) <- true
+      in
+      let step = function
+        | `Block (t, s, on) ->
+            let on = List.filter (fun h -> h <> t) on |> List.map Tid.of_int in
+            if at_shard t s && on <> [] then begin
+              Deadlock.set_waiting g (Tid.of_int t) ~on ~at:s;
+              Deadlock_reference.set_waiting rs.(s) (Tid.of_int t) ~on;
+              invoke t s;
+              blocked.(t) <- s
+            end;
+            true
+        | `Execute (t, s) ->
+            if at_shard t s then begin
+              Deadlock.clear g (Tid.of_int t) ~at:s;
+              Deadlock_reference.clear rs.(s) (Tid.of_int t);
+              invoke t s;
+              blocked.(t) <- -1
+            end;
+            true
+        | `Commit t ->
+            if (not finished.(t)) && blocked.(t) < 0 then finish t;
+            true
+        | `Abort t ->
+            if not finished.(t) then finish t;
+            true
+        | `Search ->
+            same_cycle (Deadlock.find_cycle g)
+              (Deadlock_reference.find_cycle (Deadlock_reference.union rs))
+      in
+      List.for_all
+        (fun s ->
+          step s
+          &&
+          let u = Deadlock_reference.union rs in
+          List.for_all
+            (fun t ->
+              Deadlock.waiting g (Tid.of_int t) = Deadlock_reference.waiting u (Tid.of_int t))
+            (List.init tids Fun.id))
+        (steps @ [ `Search ]))
+
+(* A waiter blocked at shard 1 on a transaction keeps its edge when
+   that transaction executes at shard 0, where executing takes none of
+   its shard-1 locks away.  The kept edge closes the cycle the holder
+   then makes at shard 0; dropping it (a clear that ignored the shard
+   tag) would leave both waiting with no cycle to find. *)
+let test_execute_keeps_other_shard_edge () =
+  let names = names_per_shard 2 in
+  let x = names.(0) and y = names.(1) in
+  let db = SD.create ~wals:[| Wal.create (); Wal.create () |] [ account x; account y ] in
+  let holder = SD.begin_txn db and waiter = SD.begin_txn db in
+  let outcome label want o =
+    match o, want with
+    | Atomic_object.Executed _, None -> ()
+    | Atomic_object.Blocked [ h ], Some w when Tid.equal h w -> ()
+    | _ -> Alcotest.failf "%s: unexpected outcome" label
+  in
+  outcome "waiter deposits at shard 0" None (SD.invoke db waiter ~obj:x (deposit_inv 1));
+  outcome "holder deposits at shard 1" None (SD.invoke db holder ~obj:y (deposit_inv 5));
+  outcome "waiter blocks at shard 1" (Some holder) (SD.invoke db waiter ~obj:y (withdraw_inv 1));
+  outcome "holder executes at shard 0" None (SD.invoke db holder ~obj:x (deposit_inv 5));
+  Alcotest.(check (option (list Helpers.tid))) "no cycle yet" None (SD.deadlock db);
+  outcome "holder blocks at shard 0" (Some waiter) (SD.invoke db holder ~obj:x (withdraw_inv 1));
+  match SD.deadlock db with
+  | None -> Alcotest.fail "the waiter's shard-1 edge was dropped: no cycle"
+  | Some cycle ->
+      Alcotest.(check (list Helpers.tid)) "holder and waiter" [ holder; waiter ]
+        (List.sort Tid.compare cycle)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* Four withdrawals wait on one holder, spread over the shards.  Each
+   blocked retry re-registers the edges its waiter already has, so the
+   search after it finds the shared graph unchanged and returns its
+   last answer: the search allocates nothing, and a retry and a search
+   together cost the retry alone (the pin allows 2 words of slack),
+   at 1 shard and at 4: 15 words each way.  A search that rebuilt the
+   union of every shard's graph took 155 words more at 1 shard and 185
+   at 4. *)
+let test_blocked_search_allocation () =
+  List.iter
+    (fun shards ->
+      let names = names_per_shard shards in
+      let db =
+        SD.create ~wals:(Array.init shards (fun _ -> Wal.create ()))
+          (Array.to_list (Array.map account names))
+      in
+      let holder = SD.begin_txn db in
+      Array.iter (fun x -> ignore (SD.invoke db holder ~obj:x (deposit_inv 5))) names;
+      let waiters = List.init 4 (fun i -> (SD.begin_txn db, names.(i mod shards))) in
+      let retry (w, x) () =
+        match SD.invoke db w ~obj:x (withdraw_inv 1) with
+        | Atomic_object.Blocked _ as o -> o
+        | _ -> Alcotest.fail "a withdrawal must block on the holder"
+      in
+      let retry_and_search w () =
+        ignore (retry w ());
+        SD.deadlock db
+      in
+      List.iter (fun w -> ignore (retry_and_search w ())) waiters;
+      let mean f = List.fold_left (fun acc w -> acc +. minor_words (f w)) 0. waiters /. 4. in
+      let alone = mean retry and searched = mean retry_and_search in
+      let search = minor_words (fun () -> SD.deadlock db) in
+      if search > 0. then
+        Alcotest.failf "%d shards: a search of an unchanged graph allocated %.0f words (max 0)"
+          shards search;
+      if searched > alone +. 2. then
+        Alcotest.failf "%d shards: a blocked retry and a search allocated %.1f words, the retry \
+                        alone %.1f (max +2)" shards searched alone)
+    [ 1; 4 ]
 
 let suite =
   [
@@ -928,4 +1103,9 @@ let suite =
     prop_cross_shard_equivalence;
     Alcotest.test_case "cross-shard deadlock found and broken" `Quick
       test_cross_shard_deadlock;
+    prop_shared_graph_exact;
+    Alcotest.test_case "executing at shard 0 keeps a shard-1 waiter's edge" `Quick
+      test_execute_keeps_other_shard_edge;
+    Alcotest.test_case "a blocked retry's search allocates nothing" `Quick
+      test_blocked_search_allocation;
   ]
