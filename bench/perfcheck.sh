@@ -23,24 +23,31 @@
 #    test/test_engine.ml catches it too.
 # 2. What an object and its log cost: runs transfer_2pc (1024 accounts
 #    over four shards) and fails unless it is correct and the engine
-#    keeps at most 1.99 MB reachable (live_heap_mb; about 1.81 today, the
-#    limit is the largest of seeds 1-3, 1.811, plus 10%; it was 2.31,
-#    from 2.101, until each shard's database shared equal operations
-#    through its operation table).  Each committed operation costs its
-#    recovery manager and its log's replay state about one word, a slot
-#    in a chunk, and nothing more: the operation is the shard's shared
-#    one.  Operations built afresh, as before that table, read 2.089 and
-#    fail it.  The figures that follow were measured before the table,
-#    when the engine kept about 2.08 MB, and are not re-measured: each
-#    is that much above today's.  Committed logs of list cells (about
-#    2.24) stayed inside, and the density pin in test/test_engine.ml and
-#    the replay-state pin in test/test_storage.ml catch them instead.
-#    The four
-#    in-memory logs write v3 frames, whose payload integers are varints,
-#    and no Begin frame: a v2 writer (about 2.71) and a v2 writer without
-#    Begin (about 2.60) fail it; v3 frames with a Begin (about 2.30) stay
-#    inside, and the log-bytes pin in test/test_storage.ml catches that
-#    instead.  A recovery manager is data over the spec's module and a
+#    keeps at most 1.65 MB reachable (live_heap_mb; about 1.50 today, the
+#    limit is the largest of seeds 1-3, 1.500, plus 10%; it was 1.99,
+#    from 1.811, until each shard's operation table shared invocations
+#    and grouped its slots in two-way sets, and 2.31, from 2.101, until
+#    each shard's database shared equal operations through that table).
+#    Each committed operation costs its recovery manager and its log's
+#    replay state a slot in a chunk, and its operation is the shard's
+#    shared one, which points at the shard's shared invocation: the
+#    last epoch's 8,000 committed operations are 4,242 records over 16
+#    invocation blocks.  The direct-mapped table whose operations kept
+#    their callers' invocations (about 1.81; 4,705 records and as many
+#    invocation blocks) fails it, and so does a two-way table that keeps
+#    them (about 1.77); the committed-operation retention pin in
+#    test/test_storage.ml catches both too.  Operations built afresh,
+#    as before the table, read 2.089 and fail it.  The figures that
+#    follow were measured before the table, when the engine kept about
+#    2.08 MB, and are not re-measured: each is that much above 1.81.
+#    Committed logs of list cells (about 2.24) stayed inside then, and
+#    the density pin in test/test_engine.ml and the replay-state pin in
+#    test/test_storage.ml catch them instead.
+#    The four in-memory logs write v3 frames, whose payload integers are
+#    varints, and no Begin frame: a v2 writer (about 2.71) and a v2
+#    writer without Begin (about 2.60) fail it; v3 frames with a Begin
+#    (about 2.30) stayed inside then, and the log-bytes pin in
+#    test/test_storage.ml catches that instead.  A recovery manager is data over the spec's module and a
 #    rename is one block: the closure-record manager with its own hash
 #    table beside a rename that copies the generator list (about 4.08),
 #    that rename alone (about 3.35), a per-object functor instance or
@@ -173,13 +180,15 @@
 #    list-cell logs, and a committed log of list cells about 39.5, 5.6
 #    words above the 33.9 of then and so above today's headroom too.
 # 9. What a long history keeps: the hotspot_uip run of gate 1 must keep
-#    at most 0.269 MB reachable when it ends (live_heap_mb; about 0.24
-#    today, the limit is the largest of seeds 1-3, 0.2442, plus 10%).
-#    Its committed operations repeat (amounts of 1 and 2 on 75
-#    accounts), and each is one value shared by the lock holds, the UIP
-#    suffix, the committed log and the database's operation table, so a
-#    committed operation costs its log slot.  Operations built afresh,
-#    each about 12 words beside its slot, read 1.259 and fail it.
+#    at most 0.253 MB reachable when it ends (live_heap_mb; about 0.23
+#    today, the limit is the largest of seeds 1-3, 0.2299, plus 10%; it
+#    was 0.269, from 0.2444, until the operation table shared
+#    invocations and grouped its slots in two-way sets).  Its committed
+#    operations repeat (amounts of 1 and 2 on 75 accounts), and each is
+#    one value shared by the lock holds, the UIP suffix, the committed
+#    log and the database's operation table, so a committed operation
+#    costs its log slot.  Operations built afresh, each about 12 words
+#    beside its slot, read 1.259 and fail it.
 # 8. What a sharded commit costs: the transfer_2pc run of gate 2 must be
 #    correct and allocate at most 142.7 words per transaction
 #    (alloc_words_per_txn; about 129.5 today; 151.6 before a metric
@@ -247,9 +256,9 @@ echo "perfcheck $verdict"
 
 footprint=$(jq -rn --argjson x "$xfer" '
   $x.metrics.live_heap_mb.value as $mb
-  | (if $x.correct and $x.failed == 0 and $mb <= 1.99 then "ok" else "FAIL" end)
+  | (if $x.correct and $x.failed == 0 and $mb <= 1.65 then "ok" else "FAIL" end)
     + ": transfer_2pc correct \($x.correct), failed \($x.failed),"
-    + " live_heap_mb \($mb) (max 1.99)"')
+    + " live_heap_mb \($mb) (max 1.65)"')
 echo "perfcheck footprint $footprint"
 
 codec=$(jq -rn --argjson r "$restart" '
@@ -289,9 +298,9 @@ echo "perfcheck finished transactions $finished"
 
 history=$(jq -rn --argjson u "$uip" '
   $u.metrics.live_heap_mb.value as $mb
-  | (if $u.correct and $u.failed == 0 and $mb <= 0.269 then "ok" else "FAIL" end)
+  | (if $u.correct and $u.failed == 0 and $mb <= 0.253 then "ok" else "FAIL" end)
     + ": hotspot_uip correct \($u.correct), failed \($u.failed),"
-    + " live_heap_mb \($mb) (max 0.269)"')
+    + " live_heap_mb \($mb) (max 0.253)"')
 echo "perfcheck long history $history"
 
 sharded=$(jq -rn --argjson x "$xfer" '

@@ -1,16 +1,22 @@
 open Tm_core
 
-type t = { mutable slots : Op.t array }
+type t = { mutable slots : Op.t array; mutable invs : Op.invocation array }
 
 let size = 1024
-let create () = { slots = [||] }
-let detached = { slots = [||] }
+let inv_size = 64
+let create () = { slots = [||]; invs = [||] }
+let detached = { slots = [||]; invs = [||] }
 
-(* The empty slot.  Its object name is allocated here and carried by
-   no object, and a lookup matches an operation's object name by [==]
-   (every operation of an object carries the object's one name string),
-   so no lookup can match it. *)
-let empty = { Op.obj = String.make 0 ' '; inv = Op.invocation ""; res = Value.unit }
+(* The empty invocation slot.  It is allocated here and handed to no
+   caller, and a lookup takes a slot's invocation only if it is not this
+   one, so no lookup matches it, not even one of [Op.invocation ""]. *)
+let empty_inv = Op.invocation ""
+
+(* The empty operation slot.  Its object name is allocated here and
+   carried by no object, and a lookup matches an operation's object name
+   by [==] (every operation of an object carries the object's one name
+   string), so no lookup can match it. *)
+let empty = { Op.obj = String.make 0 ' '; inv = empty_inv; res = Value.unit }
 
 (* A lookup's cost is mostly its hash, so the hash reads a word at a
    time and mixes once, at the end.  A string is read whole, up to and
@@ -35,10 +41,9 @@ let rec value_key h (v : Value.t) =
 
 and values_key h = function [] -> h | v :: rest -> values_key (value_key h v) rest
 
-let slot obj (inv : Op.invocation) res =
-  let h = value_key (values_key (string_key (string_key 0 obj) inv.name) inv.args) res in
+let mix h =
   let h = (h lxor (h lsr 32)) * 0x100000001b3 in
-  (h lxor (h lsr 29)) land (size - 1)
+  h lxor (h lsr 29)
 
 (* [Value.equal], its common cases first. *)
 let same_value (a : Value.t) (b : Value.t) =
@@ -55,22 +60,42 @@ let rec same_values a b =
   | x :: a, y :: b -> same_value x y && same_values a b
   | _, _ -> false
 
+let same_inv (a : Op.invocation) (b : Op.invocation) =
+  a == b || ((a.name == b.name || String.equal a.name b.name) && same_values a.args b.args)
+
+let holds (op : Op.t) obj inv res = op.obj == obj && same_inv op.inv inv && same_value op.res res
+
+(* The table's invocation equal to [inv]: the one its slot holds, else
+   [inv], which then takes the slot. *)
+let shared_inv invs (inv : Op.invocation) =
+  let j = mix (values_key (string_key 0 inv.name) inv.args) land (inv_size - 1) in
+  let held = Array.unsafe_get invs j in
+  if held != empty_inv && same_inv held inv then held
+  else begin
+    Array.unsafe_set invs j inv;
+    inv
+  end
+
+(* A key's set is two adjacent slots, its most recently found operation
+   first. *)
 let find t obj (inv : Op.invocation) res =
   if t == detached then { Op.obj; inv; res }
   else begin
-    if Array.length t.slots = 0 then t.slots <- Array.make size empty;
+    if Array.length t.slots = 0 then begin
+      t.slots <- Array.make size empty;
+      t.invs <- Array.make inv_size empty_inv
+    end;
     let slots = t.slots in
-    let i = slot obj inv res in
-    let op = Array.unsafe_get slots i in
-    if
-      op.obj == obj
-      && (op.inv == inv
-         || ((op.inv.name == inv.name || String.equal op.inv.name inv.name)
-            && same_values op.inv.args inv.args))
-      && same_value op.res res
-    then op
+    let h = value_key (values_key (string_key (string_key 0 obj) inv.name) inv.args) res in
+    let i = (mix h land ((size / 2) - 1)) * 2 in
+    let first = Array.unsafe_get slots i in
+    if holds first obj inv res then first
     else begin
-      let op = { Op.obj; inv; res } in
+      let second = Array.unsafe_get slots (i + 1) in
+      let op =
+        if holds second obj inv res then second else { Op.obj; inv = shared_inv t.invs inv; res }
+      in
+      Array.unsafe_set slots (i + 1) first;
       Array.unsafe_set slots i op;
       op
     end

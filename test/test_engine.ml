@@ -2327,11 +2327,17 @@ let test_database_op_density () =
           Recovery.pp_kind kind per_op)
     [ Recovery.UIP; Recovery.DU ]
 
-(* The table shares: equal keys built from distinct invocation records
-   find one operation, and a hit allocates nothing.  Its empty slot
-   matches no lookup, not even one equal to the empty slot's contents
-   but for the object name's identity.  The detached table of an object
-   in no database builds every operation afresh. *)
+(* The table shares operations and invocations: equal keys built from
+   distinct invocation records find one operation, and two objects'
+   operations built from distinct but equal invocations carry one
+   invocation block, the table's (a table that kept each caller's
+   invocation fails here).  Once its slots exist, a hit allocates
+   nothing and a miss only its 4-word operation.  Neither empty slot
+   matches a lookup, not even one equal to its contents but for the
+   object name's identity: such a lookup gets its own object name and
+   its own invocation (an empty invocation slot that matched
+   [Op.invocation ""] fails here).  The detached table of an object in
+   no database builds every operation afresh. *)
 let test_op_table_shares () =
   let t = Op_table.create () and obj = "BA" in
   let first = Op_table.find t obj (deposit_inv 1) Value.ok in
@@ -2339,15 +2345,23 @@ let test_op_table_shares () =
   Helpers.check_bool "equal keys find one operation" true (first == again);
   Helpers.check_bool "the operation is the key's" true
     (Op.equal first { Op.obj; inv = deposit_inv 1; res = Value.ok });
+  let other = Op_table.find t "BB" (deposit_inv 1) Value.ok in
+  Helpers.check_bool "two objects' operations share one invocation" true
+    (other != first && other.Op.inv == first.Op.inv);
   let inv = deposit_inv 1 in
   let w = minor_words (fun () -> Op_table.find t obj inv Value.ok) in
   if w > 0. then Alcotest.failf "a hit allocated %.0f words" w;
+  let missed = deposit_inv 2 in
+  let w = minor_words (fun () -> Op_table.find t obj missed Value.ok) in
+  if w <> 4. then Alcotest.failf "a miss allocated %.0f words (the operation is 4)" w;
   let unit_obj = String.make 0 ' ' and unit_inv = Op.invocation "" in
   List.iter
     (fun t ->
       let op = Op_table.find t unit_obj unit_inv Value.unit in
-      Helpers.check_bool "a lookup of the empty slot's contents gets its own object name" true
-        (op.Op.obj == unit_obj))
+      Helpers.check_bool "a lookup of the empty slots' contents gets its own object name" true
+        (op.Op.obj == unit_obj);
+      Helpers.check_bool "a lookup of the empty slots' contents gets its own invocation" true
+        (op.Op.inv == unit_inv))
     [ Op_table.create (); t ];
   let d = Op_table.find Op_table.detached obj inv Value.ok in
   Helpers.check_bool "the detached table shares nothing" true
@@ -2356,7 +2370,10 @@ let test_op_table_shares () =
 (* Whatever the keys and their collisions, a lookup answers an
    operation equal to its key, carrying the object's own name string,
    and a key looked up twice in a row answers the same value both
-   times. *)
+   times.  A set holds two operations: after a key, the key looked up
+   just before it still answers the value it answered then, and so does
+   the key itself after that (a direct-mapped table fails this when two
+   keys in a row collide). *)
 let test_op_table_model =
   let open QCheck2.Gen in
   let value =
@@ -2380,16 +2397,23 @@ let test_op_table_model =
     (list_size (int_range 1 300) key)
     (fun keys ->
       let t = Op_table.create () in
-      List.for_all
-        (fun (o, name, args, res) ->
-          let obj = objs.(o) in
-          (* A fresh invocation and argument list each time. *)
-          let inv () = Op.invocation ~args:(List.map Fun.id args) (name ^ "") in
-          let op = Op_table.find t obj (inv ()) res in
-          op.Op.obj == obj
-          && Op.equal op { Op.obj; inv = inv (); res }
-          && Op_table.find t obj (inv ()) res == op)
-        keys)
+      (* A fresh invocation and argument list each time. *)
+      let find (o, name, args, res) =
+        Op_table.find t objs.(o) (Op.invocation ~args:(List.map Fun.id args) (name ^ "")) res
+      in
+      let answers key op = find key == op in
+      let rec go previous = function
+        | [] -> true
+        | ((o, name, args, res) as key) :: rest ->
+            let obj = objs.(o) in
+            let op = find key in
+            op.Op.obj == obj
+            && Op.equal op { Op.obj; inv = Op.invocation ~args name; res }
+            && answers key op
+            && (match previous with None -> true | Some (k, p) -> answers k p && answers key op)
+            && go (Some (key, op)) rest
+      in
+      go None keys)
 
 (* A restart replays into what it keeps.  Restoring 1,000 committed
    bank operations into a fresh account (UIP with its inverses, and DU)

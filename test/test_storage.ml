@@ -1431,6 +1431,60 @@ let test_two_shard_transfer_allocation () =
     (Tm_obs.Metrics.counter_value (SD.metrics sd) "tm_shard_cross_txn_total");
   if w > 77. then Alcotest.failf "a two-shard transfer allocated %.1f words (max 77)" w
 
+(* What a committed operation keeps, in the shape of the benchmark's
+   sharded transfers: 1,024 accounts over four shards, transfers of 1 or
+   2, every invocation built afresh by its caller.  From 10^3 to 10^4
+   transfers the engine, beyond its logs' bytes, grows 4.11 words per
+   committed operation: the recovery manager's and the log replay
+   state's slots, and the operations rebuilt after their table evicted
+   them, each 4 words and no invocation of its own.  When a shard's
+   table was direct-mapped and each operation kept its caller's
+   invocation, argument cell and value, it grew 6.98.  The limit is the
+   reading plus 10%.  And the committed operations carry no more
+   invocation blocks than the shards' tables have invocation slots: 16,
+   four per shard (7,171 when each kept its caller's). *)
+let test_committed_op_retention () =
+  let accounts = 1024 and shards = 4 in
+  let names = Array.init accounts (Fmt.str "BA%d") in
+  let run n =
+    let storages = Array.init shards (fun _ -> Storage.memory ()) in
+    let wals = Array.map (fun s -> Disk_wal.wal (Disk_wal.create s)) storages in
+    let sd = SD.create ~wals (Array.to_list (Array.map account names)) in
+    let rng = Random.State.make [| 7 |] in
+    for _ = 1 to n do
+      let src = Random.State.int rng accounts in
+      let dst = (src + 1 + Random.State.int rng (accounts - 1)) mod accounts in
+      let amount () = [ Value.int (1 + (src land 1)) ] in
+      let t = SD.begin_txn sd in
+      ignore (SD.invoke sd t ~obj:names.(src) (Op.invocation ~args:(amount ()) "withdraw"));
+      ignore (SD.invoke sd t ~obj:names.(dst) (Op.invocation ~args:(amount ()) "deposit"));
+      committed (SD.try_commit sd t)
+    done;
+    (sd, Obj.reachable_words (Obj.repr sd) - Obj.reachable_words (Obj.repr storages))
+  in
+  let _, w3 = run 1_000 and sd, w4 = run 10_000 in
+  let per_op = float_of_int (w4 - w3) /. 18_000. in
+  let blocks = Hashtbl.create 64 and distinct = ref 0 and ops = ref 0 in
+  List.iter
+    (fun o ->
+      List.iter
+        (fun (op : Op.t) ->
+          incr ops;
+          let key = (op.inv.name, op.inv.args) in
+          let held = Hashtbl.find_all blocks key in
+          if not (List.memq op.inv held) then begin
+            incr distinct;
+            Hashtbl.add blocks key op.inv
+          end)
+        (AO.committed_ops o))
+    (SD.objects sd);
+  Helpers.check_int "every transfer committed both operations" 20_000 !ops;
+  if per_op > 4.5 then
+    Alcotest.failf "the engine kept %.2f words per committed operation (max 4.5)" per_op;
+  if !distinct > shards * Tm_engine.Op_table.inv_size then
+    Alcotest.failf "the committed operations carry %d invocation blocks (max %d)" !distinct
+      (shards * Tm_engine.Op_table.inv_size)
+
 (* [Database.try_commit] of a two-object transaction walks its objects
    oldest first without a reversed copy or a closure: what remains is
    the objects' own commits, 2.1 words (before: 34). *)
@@ -1872,6 +1926,8 @@ let suite =
       test_cross_shard_commit_allocation;
     Alcotest.test_case "a two-shard transfer reuses its footprint" `Quick
       test_two_shard_transfer_allocation;
+    Alcotest.test_case "a committed operation keeps no caller's invocation" `Quick
+      test_committed_op_retention;
     Alcotest.test_case "Database.try_commit allocates only its objects' commits" `Quick
       test_database_commit_allocation;
     Alcotest.test_case "a Database transfer conses no touched list" `Quick
