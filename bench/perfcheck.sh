@@ -23,13 +23,18 @@
 #    test/test_engine.ml catches it too.
 # 2. What an object and its log cost: runs transfer_2pc (1024 accounts
 #    over four shards) and fails unless it is correct and the engine
-#    keeps at most 1.65 MB reachable (live_heap_mb; about 1.50 today, the
-#    limit is the largest of seeds 1-3, 1.500, plus 10%; it was 1.99,
-#    from 1.811, until each shard's operation table shared invocations
-#    and grouped its slots in two-way sets, and 2.31, from 2.101, until
-#    each shard's database shared equal operations through that table).
-#    Each committed operation costs its recovery manager and its log's
-#    replay state a slot in a chunk, and its operation is the shard's
+#    keeps at most 1.57 MB reachable (live_heap_mb; about 1.42 today, the
+#    limit is the largest of seeds 1-3, 1.4292, plus 10%; it was 1.65,
+#    from 1.500, until a live log kept no global copy of its committed
+#    operations, 1.99, from 1.811, until each shard's operation table
+#    shared invocations and grouped its slots in two-way sets, and 2.31,
+#    from 2.101, until each shard's database shared equal operations
+#    through that table).  The tree before that copy went, 1.4935 at
+#    seed 1, does not fail the new limit: the copy's slot per committed
+#    operation is about 0.07 MB here, under the headroom, and the
+#    live-log growth pin in test/test_storage.ml catches it instead.
+#    Each committed operation costs its recovery manager a slot in a
+#    chunk, and its operation is the shard's
 #    shared one, which points at the shard's shared invocation: the
 #    last epoch's 8,000 committed operations are 4,242 records over 16
 #    invocation blocks.  The direct-mapped table whose operations kept
@@ -129,13 +134,20 @@
 #    inside the headroom; the allocation pins in test/test_engine.ml
 #    catch them instead.
 # 5. What a loaded log keeps: the restart run of gate 3 must promote at
-#    most 22.5 words per transaction to the major heap
-#    (major_words_per_txn; about 20.1 today, the limit is the largest of
-#    seeds 1-5, 20.47, plus 10%; it was 24.3, from 22.07, until a load
-#    stopped building records and shared names).  A load that builds
-#    each record reads 20.07, as today: those blocks die young, so gate
-#    3 catches it instead.  A cache that shares no names (21.63)
-#    stays inside; the load allocation pin in
+#    most 20.4 words per transaction to the major heap
+#    (major_words_per_txn; about 18.1 today, the limit is the largest of
+#    seeds 1-5, 18.53, plus 10%; it was 22.5, from 20.47, until a
+#    recovered log dropped its global copy of the committed operations
+#    once the rebuilt objects adopted their buckets, and 24.3, from
+#    22.07, until a load stopped building records and shared names).
+#    The tree that kept the copy, 20.17 at seed 1, does not fail the new
+#    limit; the live-log growth pin and "recovering twice from one
+#    loaded log" in test/test_storage.ml catch a log that keeps it.
+#    The figures that follow were measured while the log kept it, about
+#    2 words above today, and are not re-measured.  A load that builds
+#    each record read 20.07, as the tree did then: those blocks die
+#    young, so gate 3 catches it instead.  A cache that shares no names
+#    (21.63) stays inside; the load allocation pin in
 #    test/test_storage.ml catches it.  The accounts each restart rebuilds
 #    survive into the major heap: the closure-record manager beside a
 #    rename that copies the generator list (about 47.0) and that rename
@@ -256,9 +268,9 @@ echo "perfcheck $verdict"
 
 footprint=$(jq -rn --argjson x "$xfer" '
   $x.metrics.live_heap_mb.value as $mb
-  | (if $x.correct and $x.failed == 0 and $mb <= 1.65 then "ok" else "FAIL" end)
+  | (if $x.correct and $x.failed == 0 and $mb <= 1.57 then "ok" else "FAIL" end)
     + ": transfer_2pc correct \($x.correct), failed \($x.failed),"
-    + " live_heap_mb \($mb) (max 1.65)"')
+    + " live_heap_mb \($mb) (max 1.57)"')
 echo "perfcheck footprint $footprint"
 
 codec=$(jq -rn --argjson r "$restart" '
@@ -277,9 +289,9 @@ echo "perfcheck contention $contention"
 
 loaded=$(jq -rn --argjson r "$restart" '
   $r.metrics.major_words_per_txn.value as $w
-  | (if $r.correct and $r.failed == 0 and $w <= 22.5 then "ok" else "FAIL" end)
+  | (if $r.correct and $r.failed == 0 and $w <= 20.4 then "ok" else "FAIL" end)
     + ": restart correct \($r.correct), failed \($r.failed),"
-    + " major_words_per_txn \($w) (max 22.5)"')
+    + " major_words_per_txn \($w) (max 20.4)"')
 echo "perfcheck loaded log $loaded"
 
 deferred=$(jq -rn --argjson d "$du" '

@@ -11,6 +11,7 @@ type t = {
   wal : Wal.t;
   shard : int;  (* stamped into every frame this log appends *)
   mutable end_off : int;  (* logical end: bytes of intact, persisted log *)
+  mutable checkpoint_off : int;  (* offset of the last Checkpoint frame, 0 without one *)
   mutable buf : Bytes.t;
       (* scratch for encoding an append: empty until the first one, then
          doubled whenever a frame does not fit *)
@@ -71,6 +72,7 @@ let persist t record =
   if len > Bytes.length t.buf then t.buf <- Bytes.create (max len (2 * Bytes.length t.buf));
   ignore (Wal.Codec.put_frame t.buf 0 ~version ~shard:t.shard record);
   write_retrying t ~pos:t.end_off t.buf len 1;
+  (match record with Wal.Checkpoint _ -> t.checkpoint_off <- t.end_off | _ -> ());
   t.end_off <- t.end_off + len;
   t.bytes_written <- t.bytes_written + len
 
@@ -133,16 +135,20 @@ let compact t kept =
      inside this step finds the journal and redoes the install. *)
   write_string t ~pos:0 image;
   force t;
-  t.end_off <- new_len
+  t.end_off <- new_len;
+  (* [kept] opens with the checkpoint it compacts to *)
+  t.checkpoint_off <- 0
 
-(* The log as stable storage holds it: bytes [0, end_off) of the
-   backend. *)
-let stored t =
+(* The log as stable storage holds it from byte [from]: bytes
+   [from, end_off) of the backend. *)
+let stored_from t from =
   let bytes = Storage.read_all t.storage in
   let len = String.length bytes in
   if len < t.end_off then
     failwith (Fmt.str "Disk_wal: the stored log reads back %d of its %d bytes" len t.end_off);
-  if len = t.end_off then bytes else String.sub bytes 0 t.end_off
+  if from = 0 && len = t.end_off then bytes else String.sub bytes from (t.end_off - from)
+
+let stored t = stored_from t 0
 
 let damaged c =
   failwith (Fmt.str "Disk_wal: the stored log reads back damaged: %a" Wal.Codec.pp_corruption c)
@@ -208,6 +214,7 @@ let install_sink t =
           t.metrics <- Some reg;
           Storage.attach_metrics t.storage reg);
       sink_records = (fun () -> read_back t);
+      sink_tail = (fun () -> stored_from t t.checkpoint_off);
       sink_truncate = (fun () -> truncate t);
     }
 
@@ -220,6 +227,7 @@ let make ?(shard = 0) storage =
       wal = Wal.create ();
       shard;
       end_off = 0;
+      checkpoint_off = 0;
       buf = Bytes.empty;
       bytes_written = 0;
       retries = 0;
@@ -244,14 +252,15 @@ let create ?shard storage =
 
 type journal_state =
   | No_journal
-  | Complete of { image : string }
+  | Complete of { image : string; scan : scan }
   | Damaged of Wal.Codec.corruption
 
 (* Locate a complete compaction journal in [bytes].  The scan anchors on
    the frame magic and pays for a decode only on an exact candidate:
    intent-sized payload, intent tag, and the self-locating geometry
    above.  At most one journal can exist (the install erases it and the
-   image never contains an intent). *)
+   image never contains an intent).  A complete journal's image is
+   verified in full, and that walk is the one its load restores by. *)
 let find_journal bytes =
   let total = String.length bytes in
   (* tag byte + two 8-byte lengths, fixed in every version *)
@@ -280,9 +289,9 @@ let find_journal bytes =
             when p = old_len && next + new_len = total -> (
               (* The journal committed; its image must verify in full
                  before we are allowed to destroy the old log. *)
-              let image = String.sub bytes next new_len in
-              match Wal.Codec.verify_frames (fun _ _ _ -> ()) image with
-              | Ok (_, None) -> Complete { image }
+              let image = String.sub bytes next new_len and walk = new_scan () in
+              match Wal.Codec.verify_frames (note_frame walk) image with
+              | Ok (_, None) -> Complete { image; scan = walk }
               | Ok _ ->
                   Damaged
                     {
@@ -321,51 +330,51 @@ let load ?shard ?profile storage =
   (* The sink is installed first, and [Wal.restore_frames] does not
      forward to it, so nothing read below is re-persisted. *)
   let t = make ?shard storage in
-  (* Resolve an interrupted compaction first: a half-installed image
-     makes the raw bytes look arbitrarily damaged, so the journal — not
-     the plain decode — is the authority on what the log is. *)
-  let resolved =
-    match find_journal bytes with
-    | Damaged c -> Error c
-    | Complete { image } ->
-        (* Redo the install (idempotent: re-running after any crash
-           inside it converges to the same image).  Charged to the
-           storage-scan phase: it is restart I/O, not decoding. *)
-        let install () =
-          write_string t ~pos:0 image;
-          force t
-        in
-        (match profile with
-        | None -> install ()
-        | Some p -> Profile.time p Profile.Storage_scan install);
-        Ok image
-    | No_journal -> Ok bytes
+  (* Step the log's replay state from the bytes of the frames from the
+     last checkpoint on, so no record or record list is built and the
+     prefix the checkpoint stands for is paid for by its checksums
+     alone.  An intent surviving in the stream means the journal write
+     itself was cut short (a complete journal is resolved below): the
+     compaction never committed, so the log is exactly the records
+     before the intent — roll it back by restoring none of the rest.
+     [end_off] is the intent's byte offset as the walk reports it,
+     which holds for a log that mixes frame versions too (v1 or v2
+     frames persisted by an older binary, v3 appends after them).  A
+     torn tail is dropped logically: [end_off] points at the intact
+     prefix, and the next append overwrites the debris. *)
+  let restore bytes scan clean_bytes =
+    let upto = if scan.intent < 0 then clean_bytes else scan.intent in
+    Wal.restore_frames ?profile t.wal ~frames:scan.frames ~hwm:scan.hwm bytes
+      ~from:(Int.max 0 scan.checkpoint) ~upto;
+    t.end_off <- upto;
+    t.checkpoint_off <- Int.max 0 scan.checkpoint;
+    Ok t
   in
-  match resolved with
-  | Error _ as e -> e
-  | Ok bytes -> (
-      (* One walk verifies every frame and builds nothing; a second
-         steps the log's replay state from the bytes of the frames from
-         the last checkpoint on, so no record or record list is built
-         and the prefix the checkpoint stands for is paid for by its
-         checksums alone.  An intent surviving in the stream means the
-         journal write itself was cut short (a complete journal was
-         resolved above): the compaction never committed, so the log is
-         exactly the records before the intent — roll it back by
-         restoring none of the rest.  The frames after it are still
-         verified, so a torn tail or interior corruption there gets the
-         same verdict as anywhere else.  [end_off] is the intent's byte
-         offset as the walk reports it, which holds for a log that mixes
-         frame versions too (v1 or v2 frames persisted by an older
-         binary, v3 appends after them). *)
-      let scan = new_scan () in
-      match Wal.Codec.verify_frames ?profile (note_frame scan) bytes with
-      | Error _ as e -> e
-      | Ok (clean_bytes, _) ->
-          let upto = if scan.intent < 0 then clean_bytes else scan.intent in
-          Wal.restore_frames ?profile t.wal ~frames:scan.frames ~hwm:scan.hwm bytes
-            ~from:(Int.max 0 scan.checkpoint) ~upto;
-          (* A torn tail is dropped logically: [end_off] points at the
-             intact prefix, and the next append overwrites the debris. *)
-          t.end_off <- upto;
-          Ok t)
+  (* One walk verifies every frame and builds nothing.  A walk that
+     reaches the end of the bytes and meets no intent proves there is no
+     journal, which would sit after the old log.  Otherwise (damage, a
+     torn tail or an intent) an interrupted compaction is resolved
+     first: a half-installed image makes the raw bytes look arbitrarily
+     damaged, so the journal — not the walk — is the authority on what
+     the log is.  The frames after a rolled-back intent are still
+     verified, so a torn tail or interior corruption there gets the
+     same verdict as anywhere else. *)
+  let scan = new_scan () in
+  match Wal.Codec.verify_frames ?profile (note_frame scan) bytes with
+  | Ok (clean_bytes, None) when scan.intent < 0 -> restore bytes scan clean_bytes
+  | walked -> (
+      match find_journal bytes, walked with
+      | Damaged c, _ | No_journal, Error c -> Error c
+      | No_journal, Ok (clean_bytes, _) -> restore bytes scan clean_bytes
+      | Complete { image; scan }, _ ->
+          (* Redo the install (idempotent: re-running after any crash
+             inside it converges to the same image).  Charged to the
+             storage-scan phase: it is restart I/O, not decoding. *)
+          let install () =
+            write_string t ~pos:0 image;
+            force t
+          in
+          (match profile with
+          | None -> install ()
+          | Some p -> Profile.time p Profile.Storage_scan install);
+          restore image scan (String.length image))

@@ -4,7 +4,8 @@
     module is the log's {!Wal.sink}: it persists every append as a
     {!Wal.Codec} frame, makes {!Wal.force} a real backend barrier, reads
     the records back for {!Wal.records} (decoding the intact prefix of
-    the backend's bytes), and compacts the backend for
+    the backend's bytes) and the frames from the last checkpoint on for
+    a live log's fold ({!Wal.checkpoint_of}), and compacts the backend for
     {!Wal.truncate_to_checkpoint}, decoding only the frames it keeps.
 
     The compaction is {e crash-atomic}, in two forced steps: (1)
@@ -95,12 +96,17 @@ val create : ?shard:int -> Storage.t -> t
     checkpoint-seed phase; every verified frame counts as decoded, and
     only the stepped frames count as scanned records.
 
-    An interrupted compaction is resolved before decoding:
-    a {e complete} compaction journal (intent frame + verified image) is
-    redone — the install is idempotent — while an incomplete one is
-    rolled back, reloading exactly the pre-compaction log: the frames
-    after its intent are still verified, but not restored, and the
-    checkpoint decoding starts from is the last one before the intent.  A journal
+    An interrupted compaction is resolved before decoding.  The
+    journal sits after the old log, so a first walk that reaches the
+    end of the bytes clean and meets no intent frame proves there is
+    none, and only a walk that ends otherwise (damage, a torn tail or
+    an intent) searches the bytes for one.  A {e complete} compaction
+    journal (intent frame + verified image) is redone — the install is
+    idempotent — and the image's own verify walk, made by the search,
+    is the one the image is restored by; an incomplete one is rolled
+    back, reloading exactly the pre-compaction log: the frames after
+    its intent are still verified, but not restored, and the checkpoint
+    decoding starts from is the last one before the intent.  A journal
     whose intent committed but whose image no longer verifies is
     refused as corruption (never silently dropped).
 
@@ -115,7 +121,9 @@ val load :
 
 (** The log.  Appends to it are persisted (with retry) before it counts
     them; {!Wal.force} forces the backend; {!Wal.records} decodes the
-    backend's bytes. *)
+    backend's bytes; a checkpoint or plan of the log once live
+    ({!Wal.checkpoint_of}, {!Wal.plan_of}) reads back the frames from
+    the last [Checkpoint] it wrote, loaded or compacted to. *)
 val wal : t -> Wal.t
 
 val storage : t -> Storage.t

@@ -32,8 +32,9 @@ let checkpoint t =
      of in-flight transactions — so the pre-checkpoint log segment can be
      truncated without losing losers or the early operations of a
      transaction that commits later.  The allocator position rides along
-     as the tid high-water mark.  The log keeps that state, so this
-     reads it rather than rescanning the records. *)
+     as the tid high-water mark.  A live log keeps no committed
+     operations (the objects do), so this folds the last checkpoint and
+     the records after it rather than rescanning the whole log. *)
   let cp = Wal.checkpoint_of ~next_tid:(Database.next_tid t.db) t.wal in
   Wal.append t.wal (Wal.Checkpoint cp)
 
@@ -121,7 +122,8 @@ let recover ?trace ?profile ~wal ~rebuild () =
      appended or loaded); the plan buckets its committed operations by
      object (so restoring is O(committed), not O(objects x committed)),
      resolves the losers and carries the tid high-water mark.  Each
-     rebuilt object takes its bucket over as its committed log. *)
+     rebuilt object takes its bucket over as its committed log, and the
+     log drops its own copy: from here on it is a live log. *)
   let plan = Wal.plan_of ?profile wal in
   let losers = plan.Wal.plan_loser_tids in
   let objs = rebuild () in

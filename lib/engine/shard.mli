@@ -123,9 +123,9 @@ val abort : t -> Tid.t -> unit
 (** [checkpoint t] appends a {e fuzzy} [Checkpoint] record: the committed
     operations in global commit order, every in-flight transaction's
     logged operations, and the tid allocator's high-water mark.  The
-    snapshot is read from the log's replay state ({!Wal.checkpoint_of}):
-    the committed operations and one pass over the live transactions'
-    slots, with no scan of the log's records.
+    snapshot is {!Wal.checkpoint_of}: a live log keeps no committed
+    operations, so it folds the log's last checkpoint and the records
+    after it (every record without one) into a fresh replay state.
     After a checkpoint the preceding log segment may be dropped with
     {!Wal.truncate_to_checkpoint} without changing replay. *)
 val checkpoint : t -> unit
@@ -151,7 +151,10 @@ val checkpoint : t -> unit
     bucketing the committed operations by object, O(committed
     operations), resolving the losers, O(unfinished transactions), and
     restoring each rebuilt object from its bucket in [rebuild] order,
-    stopping at the first failure.
+    stopping at the first failure.  The objects keep their buckets as
+    their committed logs and the log drops its own copy; a second
+    [recover] from the same log folds its frames from the last
+    checkpoint on instead, and restores the same objects.
 
     With [profile], the restart profiler is threaded through the
     bucketing (log scan), loser resolution and the per-object restore

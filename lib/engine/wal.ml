@@ -73,9 +73,16 @@ let equal_record a b =
    ones up ([lo] is the first slot in use), so a grown vector costs no
    words per record.  Marker slots and freed slots of [slot_ops] keep
    whatever they held: clearing them would be one more write barrier
-   per slot. *)
+   per slot.
+
+   Only a state that is being read keeps the committed operations: a
+   pure fold's, and a loaded log's until recovery takes its plan.  A
+   live log's commit drops the run, and its checkpoints and plans fold
+   its stored records from the last checkpoint on into a fresh state
+   ({!fold}). *)
 type state = {
-  mutable committed : Op_log.t;  (* committed operations *)
+  mutable keeps : bool;  (* does [committed] follow the commits? *)
+  mutable committed : Op_log.t;  (* committed operations, if [keeps] *)
   mutable slot_tids : int array;
       (* [lo, n_slots): markers and operation tids, in log order — every
          transaction with records but no outcome, and a tid that logged
@@ -95,8 +102,9 @@ type state = {
   commit_evidence : Tid_bits.t;  (* a Decision { commit = true } or a phase-2 Commit *)
 }
 
-let empty_state () =
+let empty_state ~keeps =
   {
+    keeps;
     committed = Op_log.empty;
     slot_tids = [||];
     slot_ops = [||];
@@ -203,17 +211,17 @@ let rec sweep_up st t i j =
     end
 
 (* Take [tid]'s run out of the vector, pushing its operations into the
-   committed log if [commit].  The search starts at the end and stops at
-   the run's marker, so it never passes a run older than [tid]'s; the
-   gap closes from the side with fewer slots to move, so the oldest run
-   finishing leaves the rest in place. *)
+   committed log if [commit] and the state keeps one.  The search starts
+   at the end and stops at the run's marker, so it never passes a run
+   older than [tid]'s; the gap closes from the side with fewer slots to
+   move, so the oldest run finishing leaves the rest in place. *)
 let close_run st tid ~commit =
   let t = Tid.to_int tid in
   if may_have_run ~bound:st.hwm t then begin
     let last = last_slot st t (st.n_slots - 1) in
     if last >= st.lo then begin
       let m = find_marker st (marker t) last in
-      if commit then commit_run st t (m + 1) last;
+      if commit && st.keeps then commit_run st t (m + 1) last;
       if st.n_slots - m <= last - st.lo then sweep_down st t (m + 1) m
       else sweep_up st t (last - 1) last;
       if st.lo = st.n_slots then begin
@@ -302,9 +310,10 @@ let step_decision st tid ~commit =
 (* A checkpoint's snapshot stands for the whole prefix: committed
    operations and the logs of transactions that were in flight when it
    was taken.  Everything else about the prefix is forgotten.  The
-   state takes [committed] over.  A snapshot lists its live tids in
-   ascending order, so [above] spares each one the search for a run;
-   a later entry for a tid replaces an earlier one's operations. *)
+   state takes [committed] over (empty where it keeps none).  A snapshot
+   lists its live tids in ascending order, so [above] spares each one
+   the search for a run; a later entry for a tid replaces an earlier
+   one's operations. *)
 let seed st ~committed ~live ~next_tid =
   st.committed <- committed;
   st.lo <- 0;
@@ -343,10 +352,11 @@ let step st = function
   | Prepare tid -> step_prepare st tid
   | Decision { tid; commit } -> step_decision st tid ~commit
   | Checkpoint cp ->
-      seed st ~committed:(Op_log.of_list cp.committed) ~live:cp.live ~next_tid:cp.next_tid
+      let committed = if st.keeps then Op_log.of_list cp.committed else Op_log.empty in
+      seed st ~committed ~live:cp.live ~next_tid:cp.next_tid
 
 let state_of recs =
-  let st = empty_state () in
+  let st = empty_state ~keeps:true in
   List.iter (step st) recs;
   st
 
@@ -441,14 +451,16 @@ let plan ~workers recs =
 
 (* A sink holds the log on stable storage ({!Disk_wal}): appends are
    persisted as they happen, [force] is the durability barrier, the log
-   is read back and rewritten through it, and a metrics attachment is
-   forwarded so storage counters land in the same registry as the log's
-   own. *)
+   is read back and rewritten through it, its frames from the last
+   checkpoint on are read back for a fold ({!fold}), and a metrics
+   attachment is forwarded so storage counters land in the same
+   registry as the log's own. *)
 type sink = {
   sink_append : record -> unit;
   sink_force : unit -> unit;
   sink_attach : Metrics.t -> unit;
   sink_records : unit -> record list;
+  sink_tail : unit -> string;
   sink_truncate : unit -> int;
 }
 
@@ -488,7 +500,7 @@ type t = {
 
 let create () =
   {
-    state = empty_state ();
+    state = empty_state ~keeps:false;
     records_rev = [];
     count = 0;
     metrics = None;
@@ -660,12 +672,10 @@ let records t =
 let length t = t.count
 let in_flight t tid =
   (not (Tid_bits.mem t.state.finished tid)) && has_run t.state ~bound:t.state.hwm tid
-let plan_of ?profile t = plan_of_state ?profile t.state
 let in_doubt t = List.init t.state.n_in_doubt (Array.get t.state.in_doubt)
 let decided t tid = Tid_bits.mem t.state.decided tid
 let phase2 t tid = Tid_bits.mem t.state.phase2 tid
 let commit_evidence t tid = Tid_bits.mem t.state.commit_evidence tid
-let checkpoint_of ~next_tid t = snapshot ~next_tid t.state
 
 let truncate_to_checkpoint t =
   (* Everything before the latest [Checkpoint] is summarised by it (the
@@ -1375,13 +1385,18 @@ module Codec = struct
         | Error _ -> ());
         result
 
-  (* The frame loop over a run of frames [verify_frames] passed.  One
-     reader, with the pass's decode cache if the run is long enough for
-     one, serves every frame: [body pos r] reads the frame at [pos],
-     [r] having entered its payload, and must read it to its end.  The
-     loop keeps nothing. *)
-  let run_frames ?profile body s ~from ~upto =
-    let fail () = invalid_arg "Wal.Codec: not a run of verified frames" in
+  (* The frame loop over a run of frames [verify_frames] passed, or,
+     with [crc], over frames read back from storage, whose checksums it
+     checks as it goes (a defect is then a [Failure]).  One reader, with
+     the pass's decode cache if the run is long enough for one, serves
+     every frame: [body pos r] reads the frame at [pos], [r] having
+     entered its payload, and must read it to its end.  The loop keeps
+     nothing. *)
+  let run_frames ?profile ?(crc = false) body s ~from ~upto =
+    let fail () =
+      if crc then failwith "Wal: the stored frames read back damaged"
+      else invalid_arg "Wal.Codec: not a run of verified frames"
+    in
     if from < 0 || upto > String.length s || from > upto then fail ();
     let memo = if upto - from < min_cached then None else Some (new_memo (upto - from)) in
     let r = reader ?memo ~build:true s from in
@@ -1390,6 +1405,10 @@ module Codec = struct
         let n = check_header s pos in
         if n < 0 then fail ();
         enter r pos n;
+        if crc then begin
+          let expected = Int32.to_int (String.get_int32_le s (r.pos - 4)) land 0xFFFFFFFF in
+          if crc32_sub s r.pos n <> expected then fail ()
+        end;
         body pos r;
         if r.pos <> r.stop then fail ();
         frames r.stop
@@ -1463,8 +1482,10 @@ end
 let restore_frames ?profile t ~frames ~hwm s ~from ~upto =
   (match t.sink with
   | None -> invalid_arg "Wal.restore_frames: a sink-less log holds its records itself"
+  | Some _ when t.count > 0 -> invalid_arg "Wal.restore_frames: the log holds records already"
   | Some _ -> ());
   let st = t.state and stepped = ref 0 in
+  st.keeps <- true;
   Codec.run_frames ?profile
     (fun _ r ->
       incr stepped;
@@ -1478,3 +1499,41 @@ let restore_frames ?profile t ~frames ~hwm s ~from ~upto =
   t.flushed <- t.appended;
   t.commits_flushed <- t.commits_appended;
   Mutex.unlock t.flush_lock
+
+(* A fresh state that keeps its committed operations, folded from the
+   log's records from its last checkpoint on: what a live log's
+   checkpoint and plan read.  A sink reads its frames back and they are
+   stepped as a load steps them, each checksum checked in the same
+   pass; a sink-less log steps its own records.  The high-water mark is
+   the log's, which also covers the records before that checkpoint. *)
+let fold t =
+  let st = empty_state ~keeps:true in
+  (match t.sink with
+  | Some s ->
+      let tail = s.sink_tail () in
+      Codec.run_frames ~crc:true (fun _ r -> Codec.step_frame None st r) tail ~from:0
+        ~upto:(String.length tail)
+  | None ->
+      let rec since newer = function
+        | [] -> newer
+        | (Checkpoint _ as c) :: _ -> c :: newer
+        | r :: older -> since (r :: newer) older
+      in
+      List.iter (step st) (since [] t.records_rev));
+  st.hwm <- Int.max st.hwm t.state.hwm;
+  st
+
+let checkpoint_of ~next_tid t = snapshot ~next_tid (if t.state.keeps then t.state else fold t)
+
+(* A loaded log's plan takes its committed operations, whose buckets
+   the rebuilt objects adopt, and the log drops them: from here on it
+   is a live log. *)
+let plan_of ?profile t =
+  let st = t.state in
+  if st.keeps then begin
+    let plan = plan_of_state ?profile st in
+    st.keeps <- false;
+    st.committed <- Op_log.empty;
+    plan
+  end
+  else plan_of_state ?profile (fold t)

@@ -8,25 +8,35 @@
     forced before a commit is acknowledged, and fuzzy checkpoints.
 
     One fold reads a log back: its {e replay state} is the committed
-    operations, the operations of every unfinished transaction, the
+    operations (which only a log being read keeps, below), the operations of every unfinished transaction, the
     finished tids and the tid high-water mark, and, for two-phase
     commit, the prepares still in doubt and the outcome evidence the log
     holds.  A log keeps that state, not its records: every {!append}
     (once the sink holds the record) and every frame {!Disk_wal.load}
-    reads from the last checkpoint on ({!restore_frames}) steps it, so a restart, a
-    checkpoint or the 2PC resolution of a sharded restart reads it in
-    O(state) instead of rescanning the log ({!plan_of},
-    {!checkpoint_of}, {!in_flight}, {!in_doubt}).  {!replay}, {!max_tid}
-    and {!plan} are the same fold over a record list.  The state's committed
-    operations are an {!Op_log}, about one word per operation: a
-    [Commit] pushes the transaction's operations and a checkpoint's seed
-    takes a log of its [committed] operations over (a load decodes them
-    straight into it), and only {!replay} and a snapshot
-    ({!checkpoint_of}) build a list of them.  The
-    log still grows with every committed operation.  The unfinished
-    transactions' operations sit in one vector of slots in log order,
-    each transaction's run opened by a marker slot: once grown, it costs
-    no words per record, and an outcome takes its run out.
+    reads from the last checkpoint on ({!restore_frames}) steps it, so
+    the 2PC resolution of a sharded restart reads it in O(state)
+    instead of rescanning the log ({!in_flight}, {!in_doubt}).
+    {!replay}, {!max_tid} and {!plan} are the same fold over a record
+    list.
+
+    Only a log that is being read keeps the committed operations: a
+    pure fold, and a loaded log until recovery takes its plan
+    ({!plan_of}), after which the rebuilt objects' recovery managers
+    hold them, each object its own.  There they are an {!Op_log}, about
+    one word per operation: a [Commit] pushes the transaction's
+    operations and a checkpoint's seed takes a log of its [committed]
+    operations over (a load decodes them straight into it).  A live log
+    ({!create}, {!Disk_wal.create}, or a loaded one once recovered)
+    keeps none: a [Commit] just takes the transaction's run out, so the
+    state does not grow with the committed history.  Its checkpoint
+    ({!checkpoint_of}) and plan ({!plan_of}) fold the log's own records
+    from its last [Checkpoint] on into a fresh state — the stored frames
+    of a sink, stepped as a load steps them, or a sink-less log's
+    records — which is why a checkpoint costs a fold of that tail.  The
+    unfinished transactions' operations sit in one vector of slots in
+    log order, each transaction's run opened by a marker slot: once
+    grown, it costs no words per record, and an outcome takes its run
+    out.
 
     The records themselves live on stable storage.  With a {!sink}
     ({!Disk_wal}), that is the sink's backend: {!records} reads the
@@ -110,14 +120,17 @@ val create : unit -> t
     before the log counts it), [sink_force] is the durability barrier,
     [sink_attach] forwards a metrics attachment so storage counters join
     the log's registry, [sink_records] reads the stored log back, oldest
-    first, and [sink_truncate ()] durably drops every record before the
-    last [Checkpoint] and returns how many it dropped (the barrier is
-    part of the call). *)
+    first, [sink_tail] reads back the frames from the last [Checkpoint]
+    on (every frame without one) for a fold that checks each frame's
+    checksum as it steps it, and [sink_truncate ()] durably drops every
+    record before the last [Checkpoint] and returns how many it dropped
+    (the barrier is part of the call). *)
 type sink = {
   sink_append : record -> unit;
   sink_force : unit -> unit;
   sink_attach : Tm_obs.Metrics.t -> unit;
   sink_records : unit -> record list;
+  sink_tail : unit -> string;
   sink_truncate : unit -> int;
 }
 
@@ -185,8 +198,9 @@ val attach_metrics : t -> Tm_obs.Metrics.t -> unit
     leaves the log exactly as it was. *)
 val append : t -> record -> unit
 
-(** [restore_frames t ~frames ~hwm s ~from ~upto] takes in a log that
-    stable storage holds as the bytes [s], every frame of which
+(** [restore_frames t ~frames ~hwm s ~from ~upto] takes into [t], a
+    fresh log with a sink, a log that stable storage holds as the bytes
+    [s], every frame of which
     {!Codec.verify_frames} passed: [frames] frames up to byte [upto],
     of which those before byte [from] are the ones a [Checkpoint] at
     [from] stands for.  [frames] and [hwm], the first tid above every
@@ -202,8 +216,9 @@ val append : t -> record -> unit
     bytes, as appending their decoded records would: an [Operation]
     is read as its tid and operation, a [Commit] as its tid, and a
     checkpoint's committed operations go straight into the state's
-    {!Op_log}, so none of these builds a record or a list.  The pass
-    reads through the decode cache {!Codec.decode_verified} uses.
+    {!Op_log}, so none of these builds a record or a list.  The log
+    keeps its committed operations from here until {!plan_of}.  The
+    pass reads through the decode cache {!Codec.decode_verified} uses.
     {!Disk_wal.load} calls it once, with the last checkpoint's offset as
     [from] (0 without one).
 
@@ -211,8 +226,8 @@ val append : t -> record -> unit
     step to the log scan, and a checkpoint's decode and seed to its own
     phase; every frame from [from] on counts as a scanned record.
     Raises [Invalid_argument] on a sink-less log, which holds its
-    records itself, or where the bytes do not parse as a run of
-    verified frames. *)
+    records itself, on one that holds records already, or where the
+    bytes do not parse as a run of verified frames. *)
 val restore_frames :
   ?profile:Tm_obs.Recovery_profile.t ->
   t ->
@@ -254,7 +269,8 @@ val truncate_to_checkpoint : t -> int
 
     What the log reads back to, kept up to date by {!append} and
     {!restore_frames}.  Each read costs O(state), never
-    a scan of the log. *)
+    a scan of the log, except a live log's checkpoint and plan, which
+    fold its records from the last checkpoint on. *)
 
 (** [in_flight t tid] — does the log hold records of [tid] ([Begin],
     [Operation] or [Prepare]) and no [Commit] or [Abort] for it?  What
@@ -268,10 +284,18 @@ val in_flight : t -> Tid.t -> bool
     committed operations in commit order, the operation log of every
     unfinished transaction, and a high-water mark covering both every
     tid in the log and the caller's allocator position [next_tid] (0 for
-    a caller without an allocator, which relies on the log scan).  It is
-    read from the state: the committed operations and one pass over the
-    live transactions' slots, grouped by tid in a map; the snapshot of
-    a record list [recs] is that of a fresh log they are appended to. *)
+    a caller without an allocator, which relies on the log scan).  A
+    loaded log, until {!plan_of}, reads it from its state: the committed
+    operations and one pass over the live transactions' slots, grouped
+    by tid in a map.  A live log reads it from a fold of its records
+    from its last [Checkpoint] on (all of them without one) into a fresh
+    state, which is the last checkpoint's snapshot with its tail
+    stepped: a sink's stored frames are read back and stepped as
+    {!Disk_wal.load} steps them, each checksum checked in the same pass
+    and no record list built ([Failure] if they no longer read back
+    intact), and a sink-less log steps its records.  Either way the
+    snapshot, and so the [Checkpoint] frame, is the one of a fresh log
+    the log's records are appended to. *)
 val checkpoint_of : next_tid:int -> t -> checkpoint
 
 (** {3 What 2PC recovery asks}
@@ -359,12 +383,18 @@ type plan = {
     moves to [home_shard] once they call that. *)
 val partition_of_object : workers:int -> string -> int
 
-(** [plan_of t] = [plan ~workers:1 (records t)], read from the state:
-    only the bucketing of committed operations by object and the loser
-    set are computed.  The buckets are split from the state's committed
-    {!Op_log} ({!Op_log.by_object}), one chunk slot per operation, and
-    are fresh on every call.  With [profile], the bucketing is charged
-    to the log scan and loser resolution to its own phase. *)
+(** [plan_of t] = [plan ~workers:1 (records t)].  A loaded log reads
+    it from its state: only the bucketing of committed operations by
+    object and the loser set are computed.  The buckets are split from
+    the state's committed {!Op_log} ({!Op_log.by_object}), one chunk
+    slot per operation, and the log then drops its own copy: the
+    rebuilt objects hold the committed operations from here on, and the
+    log is a live one.  A live log reads the plan from a fold of its
+    records from its last [Checkpoint] on, as {!checkpoint_of} does, so
+    recovering twice from one loaded log restores the same objects.
+    The buckets are fresh on every call.  With [profile], the bucketing
+    is charged to the log scan and loser resolution to its own
+    phase. *)
 val plan_of : ?profile:Tm_obs.Recovery_profile.t -> t -> plan
 
 (** [plan ~workers records] — the per-object replay plan of a record

@@ -348,6 +348,7 @@ let test_flusher_death_wakes_parked_committer () =
           end);
       sink_attach = (fun _ -> ());
       sink_records = (fun () -> []);
+      sink_tail = (fun () -> "");
       sink_truncate = (fun () -> 0);
     }
   in

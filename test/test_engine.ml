@@ -2419,10 +2419,11 @@ let test_op_table_model =
    bank operations into a fresh account (UIP with its inverses, and DU)
    steps the account's one state in place and takes the log over as its
    committed log: 14 words in all, whatever the length.  The plan of a
-   1,000-commit log over two accounts fills one [Op_log] bucket per
-   account from the log's state, oldest first: 1,165 words, about one
-   per operation.  A list cell per replay step (3,020 words), a copy of
-   the log into the manager, or buckets of list cells (about 4,200)
+   loaded 1,000-commit log over two accounts fills one [Op_log] bucket
+   per account from the log's state, oldest first: 1,160 words, about
+   one per operation.  A list cell per replay step (3,020 words), a copy
+   of the log into the manager, buckets of list cells (about 4,200) or
+   a fold of the records, which is how a live log plans (8,438 words),
    each cost 3 words or more per operation, and the limit is 2.5. *)
 let test_restore_allocation () =
   let n = 1000 in
@@ -2455,19 +2456,29 @@ let test_restore_allocation () =
       | outcome -> Alcotest.failf "balance: %a" Atomic_object.pp_outcome outcome)
     [ Recovery.UIP; Recovery.DU ];
   let module Wal = Tm_engine.Wal in
-  let wal = Wal.create () in
-  List.iteri
-    (fun i (op : Op.t) ->
-      let tid = Tid.of_int (i + 1) in
-      let obj = if i mod 2 = 0 then "BA0" else "BA1" in
-      Wal.append wal (Wal.Operation (tid, { op with obj }));
-      Wal.append wal (Wal.Commit tid))
-    ops;
-  ignore (Wal.plan_of wal);
+  let module Disk_wal = Tm_engine.Disk_wal in
+  let image =
+    Wal.Codec.encode_all
+      (List.concat
+         (List.mapi
+            (fun i (op : Op.t) ->
+              let tid = Tid.of_int (i + 1) in
+              let obj = if i mod 2 = 0 then "BA0" else "BA1" in
+              [ Wal.Operation (tid, { op with obj }); Wal.Commit tid ])
+            ops))
+  in
+  let load () =
+    match Disk_wal.load (Tm_engine.Storage.of_string image) with
+    | Ok dw -> Disk_wal.wal dw
+    | Error c -> Alcotest.failf "the image loads: %a" Wal.Codec.pp_corruption c
+  in
+  ignore (Wal.plan_of (load ()));
+  let wal = load () in
   let w = minor_words (fun () -> Wal.plan_of wal) in
   if w > 2.5 *. float_of_int n then
-    Alcotest.failf "the plan of %d commits allocated %.0f words (max %.0f)" n w
+    Alcotest.failf "the plan of %d loaded commits allocated %.0f words (max %.0f)" n w
       (2.5 *. float_of_int n);
+  (* The log is live now: its plan is a fold of its frames. *)
   let plan = Wal.plan_of wal in
   Alcotest.check Alcotest.int "one bucket per account" 2 (Hashtbl.length plan.Wal.plan_objects);
   Alcotest.check Alcotest.int "half the operations each" (n / 2)

@@ -1386,6 +1386,138 @@ let test_transfer_log_bytes () =
   let bytes = Storage.size storage - size in
   if bytes > 80 then Alcotest.failf "a one-shard transfer wrote %d log bytes (max 80)" bytes
 
+(* A live log keeps no committed history: its recovery managers hold
+   it.  From 10^3 to 10^4 single-deposit commits through a shard over
+   [Disk_wal], the log's replay state (its words less the storage's)
+   grows by the finished tids' bits alone: 686 → 926 words, 0.027 per
+   commit.  While every log kept a global copy of the committed
+   operations it grew 1,736 → 11,336 words, 1.07 per commit (the
+   deposits share one operation, so that is the copy's slots).  The
+   limit is 0.1. *)
+let test_live_log_bounded_state () =
+  let words n =
+    let storage = Storage.memory () in
+    let sh = Tm_engine.Shard.create ~wal:(Disk_wal.wal (Disk_wal.create storage)) [ account "A" ] in
+    for _ = 1 to n do
+      let t = Tm_engine.Shard.begin_txn sh in
+      ignore (Tm_engine.Shard.invoke sh t ~obj:"A" deposit_1);
+      committed (Tm_engine.Shard.try_commit sh t)
+    done;
+    let wal = Tm_engine.Shard.wal sh in
+    Obj.reachable_words (Obj.repr (wal, storage)) - Obj.reachable_words (Obj.repr storage)
+  in
+  let small = words 1_000 and large = words 10_000 in
+  let per_commit = float_of_int (large - small) /. 9_000. in
+  if per_commit > 0.1 then
+    Alcotest.failf "a live log's state grew %d → %d words, %.3f per commit (max 0.1)" small large
+      per_commit
+
+(* A live engine's checkpoint folds its stored frames from the last
+   checkpoint on.  Whatever the engine ran (deposits, commits, aborts,
+   checkpoints and compactions), the [Checkpoint] frame it appends
+   encodes byte-equal to the checkpoint of a fold of every record it had
+   logged ([Wal_replay_reference], the two-pass fold), and to the one a
+   load of its bytes reads from the loaded state. *)
+let prop_live_checkpoint_is_fold =
+  let open QCheck2.Gen in
+  let slot = int_bound 3 in
+  let action =
+    frequency
+      [
+        (4, map2 (fun i a -> `Invoke (i, a)) slot (int_range 1 9));
+        (2, map (fun i -> `Commit i) slot);
+        (1, map (fun i -> `Abort i) slot);
+        (1, pure `Checkpoint);
+        (1, pure `Truncate);
+      ]
+  in
+  Helpers.qcheck "a live checkpoint = the checkpoint of a fold of its records"
+    (list_size (int_bound 40) action) (fun actions ->
+      let module Shard = Tm_engine.Shard in
+      let storage = Storage.memory () in
+      let sh = Shard.create ~wal:(Disk_wal.wal (Disk_wal.create storage)) [ account "A"; account "B" ] in
+      let wal = Shard.wal sh and txns = Array.make 4 None in
+      let encode cp = Codec.encode (Wal.Checkpoint cp) in
+      let step = function
+        | `Invoke (i, a) ->
+            let t = match txns.(i) with Some t -> t | None -> Shard.begin_txn sh in
+            txns.(i) <- Some t;
+            let obj = if a mod 2 = 0 then "A" else "B" in
+            ignore (Shard.invoke sh t ~obj (Op.invocation ~args:[ Value.int a ] "deposit"))
+        | `Commit i ->
+            Option.iter (fun t -> committed (Shard.try_commit sh t)) txns.(i);
+            txns.(i) <- None
+        | `Abort i ->
+            Option.iter (Shard.abort sh) txns.(i);
+            txns.(i) <- None
+        | `Truncate -> ignore (Wal.truncate_to_checkpoint wal : int)
+        | `Checkpoint ->
+            let next_tid = Tm_engine.Database.next_tid (Shard.database sh) in
+            let before = Wal.records wal in
+            let loaded =
+              match Disk_wal.load (Storage.of_string (Storage.read_all storage)) with
+              | Ok dw -> Wal.checkpoint_of ~next_tid (Disk_wal.wal dw)
+              | Error c -> QCheck2.Test.fail_reportf "the log refused: %a" Codec.pp_corruption c
+            in
+            Shard.checkpoint sh;
+            let appended =
+              match List.rev (Wal.records wal) with
+              | Wal.Checkpoint cp :: _ -> encode cp
+              | _ -> QCheck2.Test.fail_report "no checkpoint appended"
+            in
+            if appended <> encode (Wal_replay_reference.fuzzy_checkpoint ~next_tid before) then
+              QCheck2.Test.fail_report "the checkpoint differs from the fold of the records";
+            if appended <> encode loaded then
+              QCheck2.Test.fail_report "the checkpoint differs from the loaded state's"
+      in
+      List.iter step (actions @ [ `Checkpoint ]);
+      true)
+
+(* Recovery hands a loaded log's committed operations to the rebuilt
+   objects and the log keeps none; a second recovery from the same log
+   plans from a fold of its stored frames and restores the same
+   objects, losers and tids. *)
+let test_recover_twice_from_one_load () =
+  let module Shard = Tm_engine.Shard in
+  let storage = Storage.memory () in
+  let sh = Shard.create ~wal:(Disk_wal.wal (Disk_wal.create storage)) [ account "A"; account "B" ] in
+  let deposit obj =
+    let t = Shard.begin_txn sh in
+    ignore (Shard.invoke sh t ~obj deposit_1);
+    t
+  in
+  let early_loser = deposit "B" in
+  for i = 1 to 20 do
+    committed (Shard.try_commit sh (deposit (if i mod 2 = 0 then "A" else "B")));
+    if i = 10 then Shard.checkpoint sh
+  done;
+  let late_loser = deposit "A" in
+  Shard.flush sh;
+  let objects sh =
+    List.map (fun o -> (AO.name o, AO.committed_ops o)) (Tm_engine.Database.objects (Shard.database sh))
+  in
+  let want = objects sh in
+  let dw =
+    match Disk_wal.load (Storage.of_string (Storage.read_all storage)) with
+    | Ok dw -> dw
+    | Error c -> Alcotest.failf "the log refused: %a" Codec.pp_corruption c
+  in
+  let recover () =
+    match Shard.recover ~wal:(Disk_wal.wal dw) ~rebuild:(fun () -> [ account "A"; account "B" ]) () with
+    | Ok (sh, losers) -> (objects sh, Tid.Set.elements losers, Tid.to_int (Shard.begin_txn sh))
+    | Error e -> Alcotest.failf "recovery failed: %a" Tm_engine.Recovery.pp_error e
+  in
+  let first = recover () in
+  let second = recover () in
+  let (got, losers, tid) = first in
+  Alcotest.(check (list (pair string Helpers.ops))) "the first recovery restores the committed ops" want got;
+  Alcotest.(check (list int)) "the losers" (List.map Tid.to_int [ early_loser; late_loser ])
+    (List.map Tid.to_int losers);
+  let (got2, losers2, tid2) = second in
+  Alcotest.(check (list (pair string Helpers.ops))) "the second recovery restores the same" got got2;
+  Alcotest.(check (list int)) "the same losers" (List.map Tid.to_int losers) (List.map Tid.to_int losers2);
+  Helpers.check_int "the same first tid" tid tid2
+
 (* Two account names that [shards] shards route apart. *)
 let apart ~shards =
   let shard = SD.home_shard ~shards in
@@ -1922,6 +2054,11 @@ let suite =
       test_sharded_transfer_allocation;
     Alcotest.test_case "a one-shard transfer writes at most 80 log bytes" `Quick
       test_transfer_log_bytes;
+    Alcotest.test_case "a live log's state does not grow with its commits" `Quick
+      test_live_log_bounded_state;
+    prop_live_checkpoint_is_fold;
+    Alcotest.test_case "recovering twice from one loaded log" `Quick
+      test_recover_twice_from_one_load;
     Alcotest.test_case "a cross-shard commit allocates no closures" `Quick
       test_cross_shard_commit_allocation;
     Alcotest.test_case "a two-shard transfer reuses its footprint" `Quick

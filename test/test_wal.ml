@@ -402,6 +402,7 @@ let counting_sink () =
       sink_force = (fun () -> incr forces);
       sink_attach = (fun _ -> ());
       sink_records = (fun () -> []);
+      sink_tail = (fun () -> "");
       sink_truncate = (fun () -> 0);
     },
     forces )
@@ -477,6 +478,7 @@ let test_failed_flush_leaves_combiner_usable () =
           if !calls = 1 then failwith "device hiccup");
       sink_attach = (fun _ -> ());
       sink_records = (fun () -> []);
+      sink_tail = (fun () -> "");
       sink_truncate = (fun () -> 0);
     }
   in
