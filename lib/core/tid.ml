@@ -4,6 +4,10 @@ let of_int n =
   if n < 0 then invalid_arg "Tid.of_int: negative id";
   n
 
+let limit = max_int
+
+exception Exhausted
+
 let to_int t = t
 let equal = Int.equal
 let compare = Int.compare

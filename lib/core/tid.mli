@@ -7,6 +7,14 @@
 type t
 
 val of_int : int -> t
+
+(** The allocators give out ids below [limit], [max_int], so the next
+    id after one they gave never overflows. *)
+val limit : int
+
+(** Raised by an allocator asked for an id at or above {!limit}. *)
+exception Exhausted
+
 val to_int : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int

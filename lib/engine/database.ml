@@ -126,6 +126,7 @@ let start t tid =
   Tid_table.replace t.live tid txn
 
 let begin_txn t =
+  if t.next_tid >= Tid.limit then raise Tid.Exhausted;
   let tid = Tid.of_int t.next_tid in
   t.next_tid <- t.next_tid + 1;
   start t tid;

@@ -74,7 +74,9 @@ val emit_trace : t -> tid:Tid.t -> Tm_obs.Trace.kind -> unit
 (** Whether a trace recorder is attached. *)
 val tracing : t -> bool
 
-(** [begin_txn t] allocates a fresh transaction id. *)
+(** [begin_txn t] allocates a fresh transaction id.  Raises
+    {!Tm_core.Tid.Exhausted} once the next id would reach
+    {!Tm_core.Tid.limit}. *)
 val begin_txn : t -> Tid.t
 
 (** [adopt_txn t tid] registers an externally allocated transaction id

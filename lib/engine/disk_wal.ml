@@ -140,13 +140,14 @@ let compact t kept =
   t.checkpoint_off <- 0
 
 (* The log as stable storage holds it from byte [from]: bytes
-   [from, end_off) of the backend. *)
+   [from, end_off) of the backend, the only ones read. *)
 let stored_from t from =
-  let bytes = Storage.read_all t.storage in
-  let len = String.length bytes in
-  if len < t.end_off then
-    failwith (Fmt.str "Disk_wal: the stored log reads back %d of its %d bytes" len t.end_off);
-  if from = 0 && len = t.end_off then bytes else String.sub bytes from (t.end_off - from)
+  let bytes = Storage.read_from t.storage ~pos:from in
+  let len = String.length bytes and want = t.end_off - from in
+  if len < want then
+    failwith
+      (Fmt.str "Disk_wal: the stored log reads back %d of its %d bytes" (from + len) t.end_off);
+  if len = want then bytes else String.sub bytes 0 want
 
 let stored t = stored_from t 0
 

@@ -20,17 +20,21 @@ type error = {
 
 let pp_error ppf e = Fmt.pf ppf "%s: %s" e.obj e.reason
 
-(* The handles a manager counts into once attached to a registry, each
-   {!Metrics.Counter.unresolved} until its series' first event.  A
-   detached manager holds no handle words. *)
+(* What a manager attached to a registry counts, each count [-1] until
+   its series' first event.  [undone] counts what a UIP abort undoes by
+   inverse or a DU abort discards, [replayed] what a UIP abort undoes by
+   replay.  On a series' first event the record enrolls in the registry
+   as a member of {!counts}, so every count is a field bump and none
+   searches or grows the registry.  A detached manager holds no handle
+   words. *)
 type handles =
   | Detached
   | Attached of {
       reg : Metrics.t;
-      mutable committed : Metrics.counter;
-      mutable undone_inverse : Metrics.counter;
-      mutable undone_replay : Metrics.counter;
-      mutable discarded : Metrics.counter;
+      obj : string;
+      mutable committed : int;
+      mutable undone : int;
+      mutable replayed : int;
     }
 
 (* The transactions live at a manager, newest first, each with an entry
@@ -135,58 +139,67 @@ let kind = function Uip _ -> UIP | Du _ -> DU
 let obj = function Uip u -> u.obj | Du d -> d.obj
 let handles = function Uip u -> u.handles | Du d -> d.handles
 
-let unresolved = Metrics.Counter.unresolved
+(* How a registry reads the handles records, by series: committed,
+   undone by inverse, undone by replay, discarded. *)
+let counts =
+  let series ?mode name read =
+    let labels = function
+      | Detached -> []
+      | Attached a -> (
+          match mode with None -> [ ("obj", a.obj) ] | Some m -> [ ("mode", m); ("obj", a.obj) ])
+    in
+    { Metrics.name; labels; read }
+  in
+  let undone = function Attached a -> a.undone | Detached -> 0 in
+  Metrics.family
+    [|
+      series "tm_recovery_committed_ops_total" (function Attached a -> a.committed | Detached -> 0);
+      series "tm_recovery_undone_ops_total" ~mode:"inverse" undone;
+      series "tm_recovery_undone_ops_total" ~mode:"replay"
+        (function Attached a -> a.replayed | Detached -> 0);
+      series "tm_recovery_discarded_ops_total" undone;
+    |]
 
 let attach_metrics t reg =
   match handles t with
   | Attached a when a.reg == reg -> ()
   | Detached | Attached _ -> (
-      let h =
-        Attached { reg; committed = unresolved; undone_inverse = unresolved;
-                   undone_replay = unresolved; discarded = unresolved }
-      in
+      let h = Attached { reg; obj = obj t; committed = -1; undone = -1; replayed = -1 } in
       match t with Uip u -> u.handles <- h | Du d -> d.handles <- h)
 
 (* Per-object undo/redo accounting; every call is on a commit/abort path,
-   never per recorded operation.  Each handle is searched for in the
-   registry only on its series' first event. *)
+   never per recorded operation.  A series is registered on its first
+   event, even one that counts 0. *)
 let count_committed t n =
   match handles t with
   | Detached -> ()
-  | Attached a ->
-      if a.committed == unresolved then
-        a.committed <-
-          Metrics.counter a.reg "tm_recovery_committed_ops_total" ~labels:[ ("obj", obj t) ];
-      Metrics.Counter.add a.committed n
+  | Attached a as h ->
+      if a.committed < 0 then begin
+        Metrics.enroll a.reg counts 0 h;
+        a.committed <- n
+      end
+      else a.committed <- a.committed + n
 
-let count_undone_inverse t n =
+(* By inverse at a UIP manager, discarded at a DU one. *)
+let count_undone t n =
   match handles t with
   | Detached -> ()
-  | Attached a ->
-      if a.undone_inverse == unresolved then
-        a.undone_inverse <-
-          Metrics.counter a.reg "tm_recovery_undone_ops_total"
-            ~labels:[ ("obj", obj t); ("mode", "inverse") ];
-      Metrics.Counter.add a.undone_inverse n
+  | Attached a as h ->
+      if a.undone < 0 then begin
+        Metrics.enroll a.reg counts (match t with Uip _ -> 1 | Du _ -> 3) h;
+        a.undone <- n
+      end
+      else a.undone <- a.undone + n
 
-let count_undone_replay t n =
+let count_replayed t n =
   match handles t with
   | Detached -> ()
-  | Attached a ->
-      if a.undone_replay == unresolved then
-        a.undone_replay <-
-          Metrics.counter a.reg "tm_recovery_undone_ops_total"
-            ~labels:[ ("obj", obj t); ("mode", "replay") ];
-      Metrics.Counter.add a.undone_replay n
-
-let count_discarded t n =
-  match handles t with
-  | Detached -> ()
-  | Attached a ->
-      if a.discarded == unresolved then
-        a.discarded <-
-          Metrics.counter a.reg "tm_recovery_discarded_ops_total" ~labels:[ ("obj", obj t) ];
-      Metrics.Counter.add a.discarded n
+  | Attached a as h ->
+      if a.replayed < 0 then begin
+        Metrics.enroll a.reg counts 2 h;
+        a.replayed <- n
+      end
+      else a.replayed <- a.replayed + n
 
 (* [states] stepped through [op], which must be legal there. *)
 let stepped what m states op =
@@ -301,10 +314,10 @@ let abort_uip t tid (u : _ uip) =
      well-chosen inverses, but safety wins). *)
   (match undone with
   | [] ->
-      count_undone_replay t n;
+      count_replayed t n;
       u.current <- Spec.after_fold u.m fold_entries u.base u.head
   | _ ->
-      count_undone_inverse t n;
+      count_undone t n;
       u.current <- undone);
   fold u
 
@@ -372,9 +385,9 @@ let commit_du t tid (d : _ du) =
 
 let abort_du t tid (d : _ du) =
   match find_txn tid d.txns with
-  | No_txn -> count_discarded t 0
+  | No_txn -> count_undone t 0
   | Txn e as x ->
-      count_discarded t (List.length e.ops);
+      count_undone t (List.length e.ops);
       d.txns <- unlink_txn x d.txns
 
 let restore_du log (d : _ du) =

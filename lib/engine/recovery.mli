@@ -139,10 +139,11 @@ val intentions : t -> Tid.t -> Op.t list
     ([tm_recovery_discarded_ops_total{obj}]).  Called by
     {!Database.create}.
 
-    Each of these handles is resolved in [reg] on its series' first
-    event and kept in the manager, so a series is registered only once
-    it counts something, and later commits and aborts do not search the
-    registry.  Attaching to a different registry drops the kept handles:
-    the new registry counts only what happens after it.  Re-attaching to
-    the same registry is idempotent. *)
+    Each count is an [int] field of the manager's own handles record,
+    which enrolls in [reg] ({!Tm_obs.Metrics.enroll}) on a series' first
+    event: a series is registered only once it counts something, and no
+    commit or abort searches the registry or builds a series.
+    Attaching to a different registry starts a new record: the old
+    registry keeps what it counted, and the new one counts only what
+    happens after.  Re-attaching to the same registry is idempotent. *)
 val attach_metrics : t -> Tm_obs.Metrics.t -> unit

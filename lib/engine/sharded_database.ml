@@ -138,6 +138,7 @@ let txn_of t tid =
       invalid_arg (Fmt.str "Sharded_database: unknown transaction %a" Tid.pp tid)
 
 let new_txn t () =
+  if t.next_tid >= Tid.limit then raise Tid.Exhausted;
   let tid = Tid.of_int t.next_tid in
   t.next_tid <- t.next_tid + 1;
   let txn = Spare.pop t.spare in

@@ -101,7 +101,8 @@ val objects : t -> Atomic_object.t list
 
 (** [begin_txn t] allocates a globally unique transaction id.  Each
     shard's database adopts the transaction on first touch
-    ({!Database.adopt_txn}). *)
+    ({!Database.adopt_txn}).  Raises {!Tm_core.Tid.Exhausted} once the
+    next id would reach {!Tm_core.Tid.limit}. *)
 val begin_txn : t -> Tid.t
 
 (** [invoke t tid ~obj inv] routes to [obj]'s home shard. *)

@@ -8,7 +8,7 @@ type t = {
   name : string;
   write : pos:int -> Bytes.t -> int -> int -> unit;  (* pos, buffer, off, len *)
   force : unit -> unit;
-  read_all : unit -> string;
+  read_from : int -> string;
   size : unit -> int;
   close : unit -> unit;
   fault_count : unit -> int;
@@ -25,7 +25,14 @@ let write_at t ~pos data =
   write t ~pos (Bytes.unsafe_of_string data) ~off:0 ~len:(String.length data)
 
 let force t = t.force ()
-let read_all t = t.read_all ()
+
+let read_from t ~pos =
+  let size = t.size () in
+  if pos < 0 || pos > size then
+    invalid_arg (Fmt.str "Storage.read_from(%s): pos %d outside [0,%d]" t.name pos size);
+  t.read_from pos
+
+let read_all t = t.read_from 0
 let size t = t.size ()
 let close t = t.close ()
 let fault_count t = t.fault_count ()
@@ -51,12 +58,13 @@ let rec blit_into pages src src_off pos n =
     blit_into pages src (src_off + k) (pos + k) (n - k)
   end
 
-(* Copy the first [len] bytes of the pages into [dst]. *)
-let rec blit_out pages dst pos len =
-  if pos < len then begin
-    let k = min page_size (len - pos) in
-    Bytes.blit pages.(pos / page_size) 0 dst pos k;
-    blit_out pages dst (pos + k) len
+(* Copy bytes [pos, stop) of the pages into [dst] from [dst_off]. *)
+let rec blit_out pages dst dst_off pos stop =
+  if pos < stop then begin
+    let off = pos mod page_size in
+    let k = min (stop - pos) (page_size - off) in
+    Bytes.blit pages.(pos / page_size) off dst dst_off k;
+    blit_out pages dst (dst_off + k) (pos + k) stop
   end
 
 let of_string ?(name = "memory") contents =
@@ -93,19 +101,19 @@ let of_string ?(name = "memory") contents =
     blit_into !pages b off pos n;
     len := pos + n
   in
-  let read_all () =
+  let read_from pos =
     match !seed with
-    | Some s -> s
+    | Some s -> if pos = 0 then s else String.sub s pos (!len - pos)
     | None ->
-        let b = Bytes.create !len in
-        blit_out !pages b 0 !len;
+        let b = Bytes.create (!len - pos) in
+        blit_out !pages b 0 pos !len;
         Bytes.unsafe_to_string b
   in
   {
     name;
     write;
     force = (fun () -> ());
-    read_all;
+    read_from;
     size = (fun () -> !len);
     close = (fun () -> ());
     fault_count = (fun () -> 0);
@@ -114,8 +122,22 @@ let of_string ?(name = "memory") contents =
 
 let memory ?name () = of_string ?name ""
 
+(* A new file's directory entry is durable once its directory is
+   synced.  A file system that cannot sync a directory says [EINVAL]. *)
+let sync_dir path =
+  let fd = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () -> try Unix.fsync fd with Unix.Unix_error (Unix.EINVAL, _, _) -> ())
+
 let file path =
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
+  let fd =
+    match Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_EXCL ] 0o644 with
+    | fd ->
+        sync_dir path;
+        fd
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> Unix.openfile path [ Unix.O_RDWR ] 0o644
+  in
   (* The OS can interrupt any of these mid-call; those are the genuine
      transient errors a production log retries. *)
   let io f =
@@ -127,27 +149,37 @@ let file path =
   let rec write_all b off stop =
     if off < stop then write_all b (off + io (fun () -> Unix.write fd b off (stop - off))) stop
   in
-  let file_size () = (Unix.fstat fd).Unix.st_size in
+  (* The file's size as the last write left it, or [-1] once a write
+     raised: the next one reads it again, so it still cuts a torn
+     tail. *)
+  let size = ref (-1) in
+  let file_size () =
+    if !size < 0 then size := (Unix.fstat fd).Unix.st_size;
+    !size
+  in
   {
     name = path;
     write =
       (fun ~pos b off len ->
-        check_pos ~who:path ~pos ~size:(file_size ());
+        let old = file_size () in
+        check_pos ~who:path ~pos ~size:old;
+        size := -1;
         ignore (io (fun () -> Unix.lseek fd pos Unix.SEEK_SET));
         write_all b off (off + len);
-        io (fun () -> Unix.ftruncate fd (pos + len)));
+        if pos + len < old then io (fun () -> Unix.ftruncate fd (pos + len));
+        size := pos + len);
     force = (fun () -> io (fun () -> Unix.fsync fd));
-    read_all =
-      (fun () ->
+    read_from =
+      (fun pos ->
         let len = file_size () in
-        let b = Bytes.create len in
-        ignore (io (fun () -> Unix.lseek fd 0 Unix.SEEK_SET));
+        let b = Bytes.create (len - pos) in
+        ignore (io (fun () -> Unix.lseek fd pos Unix.SEEK_SET));
         let rec go off =
-          if off < len then
-            match io (fun () -> Unix.read fd b off (len - off)) with
+          if off < len - pos then
+            match io (fun () -> Unix.read fd b off (len - pos - off)) with
             | 0 -> Bytes.sub_string b 0 off  (* concurrent truncation *)
             | n -> go (off + n)
-          else Bytes.to_string b
+          else Bytes.unsafe_to_string b
         in
         go 0);
     size = file_size;
@@ -159,10 +191,16 @@ let file path =
 (* ------------------------------------------------------------------ *)
 (* Observation hooks: write/force ordering, simulated latency.        *)
 
-let probe ?(on_write = fun ~pos:_ _ -> ()) ?(on_force = fun () -> ()) inner =
+let probe ?(on_write = fun ~pos:_ _ -> ()) ?(on_force = fun () -> ())
+    ?(on_read = fun ~pos:_ _ -> ()) inner =
   {
     inner with
     name = inner.name ^ "+probe";
+    read_from =
+      (fun pos ->
+        let data = inner.read_from pos in
+        on_read ~pos (String.length data);
+        data);
     write =
       (fun ~pos b off len ->
         on_write ~pos len;
@@ -233,9 +271,9 @@ let faulty ~seed cfg inner =
           raise (Transient "injected: force error")
         end
         else inner.force ());
-    read_all =
-      (fun () ->
-        let data = inner.read_all () in
+    read_from =
+      (fun pos ->
+        let data = inner.read_from pos in
         if String.length data > 0 && hit cfg.short_read then begin
           inject "short_read";
           String.sub data 0 (Random.State.int rng (String.length data))

@@ -46,9 +46,14 @@ val write_at : t -> pos:int -> string -> unit
     [force] returns.  Raises {!Transient} on a retryable fault. *)
 val force : t -> unit
 
-(** The full contents.  Under {!faulty} the result may be corrupted
-    (flipped bit) or short — decoding, not this module, is responsible
-    for detecting that. *)
+(** [read_from t ~pos] is the contents from byte [pos] on, reading only
+    those bytes.  Under {!faulty} the result may be corrupted (flipped
+    bit) or short — decoding, not this module, is responsible for
+    detecting that.  Raises [Invalid_argument] if [pos] is negative or
+    past the end. *)
+val read_from : t -> pos:int -> string
+
+(** The full contents: [read_from ~pos:0]. *)
 val read_all : t -> string
 
 val size : t -> int
@@ -60,26 +65,35 @@ val close : t -> unit
 val memory : ?name:string -> unit -> t
 
 (** In-memory backend pre-seeded with [contents].  [contents] is served
-    uncopied by {!read_all} until the first {!write}. *)
+    uncopied by {!read_all} until the first {!write}.  {!read_from}
+    copies only the bytes it returns. *)
 val of_string : ?name:string -> string -> t
 
-(** File backend: [write] is a seek, a write of the slice straight from
-    the caller's buffer (no copy) and an ftruncate; [force] is fsync.
-    The file is created if missing.  [EINTR]/[EAGAIN] surface as
+(** File backend: [write] is a seek and a write of the slice straight
+    from the caller's buffer (no copy), and an ftruncate only when it
+    ends below the old end; the backend keeps the size, and reads it
+    again after a write that raised.  [force] is fsync; {!read_from} is a
+    seek and reads of its bytes.  The file is created if missing, and
+    its directory then synced once.  [EINTR]/[EAGAIN] surface as
     {!Transient}; other I/O errors propagate as [Unix.Unix_error]. *)
 val file : string -> t
 
 (** {1 Observation hooks} *)
 
-(** [probe ?on_write ?on_force inner] — a transparent wrapper that calls
-    [on_write ~pos len] before each {!write} and [on_force] before
-    each {!force}, then delegates.  For tests that assert the {e order}
+(** [probe ?on_write ?on_force ?on_read inner] — a transparent wrapper
+    that calls [on_write ~pos len] before each {!write} and [on_force]
+    before each {!force}, then delegates, and calls [on_read ~pos n]
+    after each read that served [n] bytes from [pos].  For tests that assert the {e order}
     of writes and barriers (e.g. that {!Disk_wal.create} forces the
     truncation of a stale log before anything else relies on it), and
     for a device whose barrier dominates: [~on_force:(fun () ->
     Thread.delay d)] makes group-commit batching form over {!memory}. *)
 val probe :
-  ?on_write:(pos:int -> int -> unit) -> ?on_force:(unit -> unit) -> t -> t
+  ?on_write:(pos:int -> int -> unit) ->
+  ?on_force:(unit -> unit) ->
+  ?on_read:(pos:int -> int -> unit) ->
+  t ->
+  t
 
 (** {1 Fault injection} *)
 
@@ -91,8 +105,8 @@ type fault_config = {
       (** a strict prefix of the slice is persisted, then {!Transient} *)
   write_error : float;  (** nothing persisted, {!Transient} *)
   force_error : float;  (** barrier fails with {!Transient} *)
-  bit_flip : float;  (** {!read_all} returns data with one flipped bit *)
-  short_read : float;  (** {!read_all} returns a strict prefix *)
+  bit_flip : float;  (** a read returns data with one flipped bit *)
+  short_read : float;  (** a read returns a strict prefix *)
 }
 
 val no_faults : fault_config

@@ -34,12 +34,49 @@ type key = {
   metric_labels : labels;
 }
 
+(* A family of counters kept in their owners' records (see the
+   interface), and the members one registry holds of one of its series,
+   [members.(0 .. n - 1)] in the order they enrolled. *)
+type 'a series = {
+  name : string;
+  labels : 'a -> labels;
+  read : 'a -> int;
+}
+
+type 'a family = {
+  id : 'a Type.Id.t;
+  series : 'a series array;
+}
+
+type 'a enrolled = {
+  family : 'a family;
+  index : int;
+  mutable members : 'a array;
+  mutable n : int;
+}
+
+type enrolled_any = Enrolled : 'a enrolled -> enrolled_any
+
 type t = {
   tbl : (key, metric) Hashtbl.t;
   mutable order : key list;  (* newest first; registration order for export *)
+  mutable owned : enrolled_any array;  (* per family series with members here *)
+  (* One byte per series registered, in order: 0 for the next of
+     [order], [i + 1] for the next member of [owned.(i)]. *)
+  mutable log : Bytes.t;
+  mutable logged : int;
 }
 
-let create () = { tbl = Hashtbl.create 64; order = [] }
+let create () =
+  { tbl = Hashtbl.create 64; order = []; owned = [||]; log = Bytes.create 64; logged = 0 }
+
+(* Room for one more element in a buffer of length [n]: half again. *)
+let grown n = n + (n / 2) + 1
+
+let append_log t code =
+  if t.logged = Bytes.length t.log then t.log <- Bytes.extend t.log 0 (grown t.logged - t.logged);
+  Bytes.set_uint8 t.log t.logged code;
+  t.logged <- t.logged + 1
 
 let kind_name = function
   | Counter _ -> "counter"
@@ -52,7 +89,8 @@ let key name labels = { metric_name = name; metric_labels = normalize labels }
 
 let add t key m =
   Hashtbl.add t.tbl key m;
-  t.order <- key :: t.order
+  t.order <- key :: t.order;
+  append_log t 0
 
 let type_clash name m want =
   invalid_arg
@@ -138,6 +176,37 @@ module Handles = struct
   let add t a b counter = Handle { a; b; counter; rest = t }
 end
 
+let family series = { id = Type.Id.make (); series }
+
+(* [f]'s series [index] in [t], enrolled there on first use, and its
+   code in [t]'s log. *)
+let enrolled (type a) t (f : a family) index : a enrolled * int =
+  let rec find i =
+    if i = Array.length t.owned then begin
+      if i = 255 then invalid_arg "Metrics.enroll: more than 255 owned series";
+      let e = { family = f; index; members = [||]; n = 0 } in
+      t.owned <- Array.append t.owned [| Enrolled e |];
+      (e, i + 1)
+    end
+    else
+      let (Enrolled e) = t.owned.(i) in
+      match Type.Id.provably_equal e.family.id f.id with
+      | Some Type.Equal when e.index = index -> (e, i + 1)
+      | Some Type.Equal | None -> find (i + 1)
+  in
+  find 0
+
+let enroll t f index x =
+  let e, code = enrolled t f index in
+  if e.n = Array.length e.members then begin
+    let members = Array.make (grown e.n) x in
+    Array.blit e.members 0 members 0 e.n;
+    e.members <- members
+  end;
+  e.members.(e.n) <- x;
+  e.n <- e.n + 1;
+  append_log t code
+
 module Gauge = struct
   type t = gauge
 
@@ -211,25 +280,89 @@ end
 (* ------------------------------------------------------------------ *)
 (* Introspection and aggregation.                                      *)
 
+let keyed t f acc key =
+  match Hashtbl.find_opt t.tbl key with
+  | Some m -> f acc key.metric_name key.metric_labels m
+  | None -> acc
+
+(* [f] over every series registered in [t], in order: [keyed] on a key,
+   [owned] on a member's series as its name, normalized labels and
+   value. *)
+let replay t ~keyed ~owned init =
+  let next = Array.make (Array.length t.owned) 0 in
+  let rec go acc keys p =
+    if p = t.logged then acc
+    else
+      match Bytes.get_uint8 t.log p, keys with
+      | 0, key :: keys -> go (keyed acc key) keys (p + 1)
+      | 0, [] -> assert false  (* a 0 for each key of [order] *)
+      | code, _ ->
+          let i = code - 1 in
+          let (Enrolled e) = t.owned.(i) in
+          let x = e.members.(next.(i)) in
+          next.(i) <- next.(i) + 1;
+          let s = e.family.series.(e.index) in
+          go (owned acc s.name (normalize (s.labels x)) (s.read x)) keys (p + 1)
+  in
+  go init (List.rev t.order) 0
+
+(* An owned series enrolled twice under one name and label set (a
+   member re-attached to [t]) reads as one, at its first place, holding
+   the sum: what one keyed series would have counted. *)
 let fold t f init =
-  List.fold_left
-    (fun acc key ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some m -> f acc key.metric_name key.metric_labels m
-      | None -> acc)
-    init (List.rev t.order)
+  if Array.length t.owned = 0 then List.fold_left (keyed t f) init (List.rev t.order)
+  else begin
+    let sums = Hashtbl.create 64 in
+    replay t
+      ~keyed:(fun () _ -> ())
+      ~owned:(fun () name labels v ->
+        match Hashtbl.find_opt sums (name, labels) with
+        | Some c -> c.count <- c.count + v
+        | None -> Hashtbl.add sums (name, labels) { count = v })
+      ();
+    replay t ~keyed:(keyed t f)
+      ~owned:(fun acc name labels _ ->
+        match Hashtbl.find_opt sums (name, labels) with
+        | Some c ->
+            Hashtbl.remove sums (name, labels);
+            f acc name labels (Counter c)
+        | None -> acc)
+      init
+  end
+
+(* The sum over [t]'s owned series named [name], of those labelled
+   [labels] if given. *)
+let owned_sum t name labels =
+  Array.fold_left
+    (fun acc (Enrolled e) ->
+      let s = e.family.series.(e.index) in
+      if not (String.equal s.name name) then acc
+      else begin
+        let acc = ref acc in
+        for i = 0 to e.n - 1 do
+          let x = e.members.(i) in
+          match labels with
+          | Some l when normalize (s.labels x) <> l -> ()
+          | Some _ | None -> acc := !acc + s.read x
+        done;
+        !acc
+      end)
+    0 t.owned
 
 let counter_value t ?(labels = []) name =
-  match Hashtbl.find_opt t.tbl (key name labels) with
+  let key = key name labels in
+  match Hashtbl.find_opt t.tbl key with
   | Some (Counter c) -> c.count
-  | _ -> 0
+  | Some (Gauge _ | Histogram _) -> 0
+  | None -> owned_sum t name (Some key.metric_labels)
 
 (* Sum of a counter family across all label sets. *)
 let counter_total t name =
-  fold t
-    (fun acc n _ m ->
-      match m with Counter c when String.equal n name -> acc + c.count | _ -> acc)
-    0
+  List.fold_left
+    (keyed t (fun acc n _ m ->
+         match m with Counter c when String.equal n name -> acc + c.count | _ -> acc))
+    (owned_sum t name None)
+    t.order
 
 let gauge_value t ?(labels = []) name =
   match Hashtbl.find_opt t.tbl (key name labels) with

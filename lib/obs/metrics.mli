@@ -108,11 +108,49 @@ module Handles : sig
   val add : t -> string -> string -> counter -> t
 end
 
+(** {1 Counters kept by their owners}
+
+    A component with counters per object can keep each count as an
+    [int] field of a record of its own, so a count is a field bump that
+    neither searches nor grows a registry.  A {!family} tells a registry
+    how to read such records: per series, its metric name and a
+    member's labels and value.  A record is {!enroll}ed in a series on
+    that series' first event, which registers it there and then; the
+    registry keeps one slot and one byte for it, and no key, label list,
+    table cell or counter.
+
+    Every reader ({!fold}, {!counter_value}, {!counter_total},
+    {!merge}, both exporters) sees each enrolled member as the counter
+    series [name{labels}] registered at its enrollment, holding the
+    member's value at the read.  A member enrolled twice in series of
+    one name and label set reads as one series, at its first place,
+    holding the sum, as a keyed counter asked for twice would count
+    both.  A family's names belong to it: register no keyed series
+    under them in a registry it has members in. *)
+
+(** How a registry reads one series of a member. *)
+type 'a series = {
+  name : string;
+  labels : 'a -> labels;
+  read : 'a -> int;
+}
+
+type 'a family
+
+(** [family series] defines a family; make it once, and share it across
+    registries. *)
+val family : 'a series array -> 'a family
+
+(** [enroll t f i x] registers [x] in series [i] of [f] in [t] now.  A
+    registry holds at most 255 (family, series) pairs. *)
+val enroll : t -> 'a family -> int -> 'a -> unit
+
 (** {1 Introspection and aggregation} *)
 
 (** [fold t f init] visits every registered series in registration order.
     The visitor receives the name, normalized labels and the metric
-    (opaque beyond the accessors above). *)
+    (opaque beyond the accessors above).  An owned series is handed over
+    as a counter holding its value at the visit. *)
 type metric =
   | Counter of counter
   | Gauge of gauge

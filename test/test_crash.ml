@@ -677,6 +677,30 @@ let test_replay_max_int_tid () =
   | Error c -> Alcotest.failf "log refused: %a" Wal.Codec.pp_corruption c
   | Ok dw -> Option.iter Alcotest.fail (replay_views_differ ~wal:(Disk_wal.wal dw) recs)
 
+(* The allocators stop below [Tid.limit]: an engine recovered from a
+   log whose committed tid is [max_int - 1] refuses to begin a
+   transaction with the named [Tid.Exhausted], where it gave out
+   [max_int] and then failed with [Tid.of_int]'s "negative id".  So does
+   the sharded engine. *)
+let test_allocators_stop_below_the_limit () =
+  let top = Tid.of_int (Tid.limit - 1) in
+  let image = Wal.Codec.encode_all [ Wal.Operation (top, BA.deposit 1); Wal.Commit top ] in
+  let load () =
+    match Disk_wal.load (Storage.of_string image) with
+    | Ok dw -> Disk_wal.wal dw
+    | Error c -> Alcotest.failf "log refused: %a" Wal.Codec.pp_corruption c
+  in
+  (match Shard.recover ~wal:(load ()) ~rebuild:rebuild_ba () with
+  | Error e -> Alcotest.failf "recovery failed: %a" Recovery.pp_error e
+  | Ok (sh, _) ->
+      Alcotest.check_raises "a recovered shard begins nothing" Tid.Exhausted (fun () ->
+          ignore (Shard.begin_txn sh)));
+  match SD.recover ~wals:[| load () |] ~rebuild:rebuild_ba () with
+  | Error e -> Alcotest.failf "sharded recovery failed: %a" Recovery.pp_error e
+  | Ok (sd, _) ->
+      Alcotest.check_raises "a recovered sharded engine begins nothing" Tid.Exhausted (fun () ->
+          ignore (SD.begin_txn sd))
+
 let plans_equal = Helpers.plans_equal
 
 (* A log keeps its replay state, not its records: the state stepped as
@@ -1191,6 +1215,8 @@ let suite =
     prop_recover_matches_replay;
     prop_replay_matches_reference_on_any_log;
     Alcotest.test_case "a max_int tid replays like any other" `Quick test_replay_max_int_tid;
+    Alcotest.test_case "the allocators stop below the tid limit" `Quick
+      test_allocators_stop_below_the_limit;
     prop_log_state_matches_records;
     prop_load_matches_full_decode;
     Alcotest.test_case "sharded generators: clean 2-shard drive" `Quick

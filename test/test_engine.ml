@@ -1518,6 +1518,87 @@ let test_reattach_resets_handles () =
     (Metrics.counter_value c "tm_lock_conflicts_total"
        ~labels:[ ("obj", "T"); ("requested", "withdraw"); ("held", "deposit") ])
 
+(* A committing object's recovery counts live in its own record, which
+   enrolls in the registry on the first commit for one slot and one byte
+   of the registry's order.  Two databases of 10^4 fresh DU accounts
+   take one deposit at each account: in [pre], every account's committed
+   series is registered beforehand (a commit of a transaction that did
+   nothing there counts 0), in [fresh] the deposit registers it.  Between
+   the 10^3rd and the 10^4th account, [fresh] may grow by at most 2 words
+   per account more than [pre]; registering a keyed series cost about
+   23.  The registry reads as if each series were keyed: the same
+   order, labels, values and Prometheus text. *)
+let test_first_commit_registers_nothing () =
+  let n = 10_000 and first = 1_000 in
+  let names = Array.init n (fun i -> "acct" ^ string_of_int i) in
+  let make () =
+    Database.create
+      (Array.to_list
+         (Array.map
+            (fun name ->
+              Atomic_object.create ~spec:(Spec.rename BA.spec name) ~conflict:BA.nfc_conflict
+                ~recovery:Recovery.DU ())
+            names))
+  in
+  let deposit db i =
+    let tid = Database.begin_txn db in
+    (match Database.invoke db tid ~obj:names.(i) (deposit_inv 1) with
+    | Atomic_object.Executed _ -> ()
+    | _ -> Alcotest.fail "a deposit at a fresh account must execute");
+    Database.commit db tid
+  in
+  (* Words the database reaches, registry included, as accounts
+     [from .. upto - 1] take their deposit. *)
+  let growth db ~from ~upto =
+    let before = Obj.reachable_words (Obj.repr db) in
+    for i = from to upto - 1 do
+      deposit db i
+    done;
+    Obj.reachable_words (Obj.repr db) - before
+  in
+  let pre = make () and fresh = make () in
+  List.iteri
+    (fun i o -> Atomic_object.commit o (Tid.of_int (1_000_000 + i)))
+    (Database.objects pre);
+  ignore (growth pre ~from:0 ~upto:first);
+  ignore (growth fresh ~from:0 ~upto:first);
+  let registered = growth pre ~from:first ~upto:n
+  and registering = growth fresh ~from:first ~upto:n in
+  let per_object = float_of_int (registering - registered) /. float_of_int (n - first) in
+  if per_object > 2. then
+    Alcotest.failf "a first commit grew the registry by %.2f words per object (max 2)" per_object;
+  let reg = Database.metrics fresh in
+  let series reg =
+    List.rev
+      (Metrics.fold reg
+         (fun acc name labels m ->
+           match m with
+           | Metrics.Counter c -> (name, labels, Metrics.Counter.get c) :: acc
+           | Metrics.Gauge _ | Metrics.Histogram _ -> Alcotest.failf "%s: not a counter" name)
+         [])
+  in
+  (* The old way: every other series as the database registered it,
+     then one keyed counter per account, in commit order. *)
+  let name = "tm_recovery_committed_ops_total" in
+  let expected = Metrics.create () in
+  List.iter
+    (fun (n, labels, v) ->
+      if n <> name then Metrics.Counter.add (Metrics.counter expected ~labels n) v)
+    (series reg);
+  Array.iter
+    (fun obj -> Metrics.Counter.incr (Metrics.counter expected ~labels:[ ("obj", obj) ] name))
+    names;
+  let pp_series ppf (n, labels, v) = Fmt.pf ppf "%a %d" pp_series (n, labels) v in
+  Alcotest.(check (list (of_pp pp_series)))
+    "registration order and values" (series expected) (series reg);
+  Alcotest.(check string) "prometheus text" (Metrics.to_prometheus expected)
+    (Metrics.to_prometheus reg);
+  Alcotest.(check string) "as with every series registered first"
+    (Metrics.to_prometheus (Database.metrics pre)) (Metrics.to_prometheus reg);
+  Helpers.check_int "one account's series" 1
+    (Metrics.counter_value reg name ~labels:[ ("obj", names.(42)) ]);
+  Helpers.check_int "the family's total" n (Metrics.counter_total reg name)
+
 (* The deadlock search against the one it replaced: at every [Search]
    step of a random sequence of edge changes, one detector (whose
    scratch and marks survive from search to search) finds exactly the
@@ -2604,6 +2685,8 @@ let suite =
       test_contended_metrics_golden;
     Alcotest.test_case "re-attach resets resolved handles" `Quick
       test_reattach_resets_handles;
+    Alcotest.test_case "a first commit registers no series" `Quick
+      test_first_commit_registers_nothing;
     prop_deadlock_matches_reference;
     Alcotest.test_case "blockers allocation pin" `Quick test_blockers_allocation;
     Alcotest.test_case "blocked invoke allocation pin" `Quick

@@ -167,6 +167,68 @@ let test_series_resolution_allocation () =
     Alcotest.failf "resolving a labelled counter allocated %.1f words (max 12)" resolved;
   Helpers.check_int "one series per object" n (Metrics.fold reg (fun k _ _ _ -> k + 1) 0)
 
+(* Counters kept in their owners' records read as keyed counters
+   registered at each series' first event: the same order, interleaved
+   with keyed series, the same values, totals, merge and text.  A
+   record enrolled twice under one label set (an owner re-attached)
+   reads as one series at its first place, holding the sum. *)
+type owned_counts = { obj : string; mutable hits : int; mutable misses : int }
+
+let test_owned_counters_read_as_keyed () =
+  let family =
+    Metrics.family
+      [|
+        { Metrics.name = "hits_total"; labels = (fun r -> [ ("obj", r.obj) ]); read = (fun r -> r.hits) };
+        { name = "misses_total"; labels = (fun r -> [ ("obj", r.obj); ("kind", "x") ]); read = (fun r -> r.misses) };
+      |]
+  in
+  let owned = Metrics.create () and keyed = Metrics.create () in
+  let a = { obj = "A"; hits = 0; misses = 0 } and b = { obj = "B"; hits = 0; misses = 0 } in
+  let a' = { obj = "A"; hits = 0; misses = 0 } in
+  let both f = f owned; f keyed in
+  both (fun reg -> Metrics.Counter.incr (Metrics.counter reg "before_total"));
+  Metrics.enroll owned family 0 a;
+  a.hits <- 2;
+  Metrics.Counter.add (Metrics.counter keyed ~labels:[ ("obj", "A") ] "hits_total") 2;
+  both (fun reg -> Metrics.Gauge.set (Metrics.gauge reg "between") 1.5);
+  Metrics.enroll owned family 1 b;
+  b.misses <- 3;
+  Metrics.Counter.add (Metrics.counter keyed ~labels:[ ("kind", "x"); ("obj", "B") ] "misses_total") 3;
+  Metrics.enroll owned family 0 b;
+  Metrics.enroll owned family 0 a';
+  a'.hits <- 5;
+  Metrics.Counter.add (Metrics.counter keyed ~labels:[ ("obj", "B") ] "hits_total") 0;
+  Metrics.Counter.add (Metrics.counter keyed ~labels:[ ("obj", "A") ] "hits_total") 5;
+  both (fun reg -> Metrics.Histogram.observe (Metrics.histogram reg ~buckets:[| 1. |] "after") 0.5);
+  let series reg =
+    List.rev
+      (Metrics.fold reg
+         (fun acc name labels m ->
+           let v =
+             match m with
+             | Metrics.Counter c -> float_of_int (Metrics.Counter.get c)
+             | Metrics.Gauge g -> Metrics.Gauge.get g
+             | Metrics.Histogram h -> Metrics.Histogram.sum h
+           in
+           Fmt.str "%s%a %g" name Fmt.(Dump.list (Dump.pair string string)) labels v :: acc)
+         [])
+  in
+  Alcotest.(check (list string)) "order and values" (series keyed) (series owned);
+  Alcotest.(check string) "prometheus" (Metrics.to_prometheus keyed) (Metrics.to_prometheus owned);
+  Helpers.check_int "a re-enrolled series sums" 7
+    (Metrics.counter_value owned "hits_total" ~labels:[ ("obj", "A") ]);
+  Helpers.check_int "labels in any order" 3
+    (Metrics.counter_value owned "misses_total" ~labels:[ ("obj", "B"); ("kind", "x") ]);
+  Helpers.check_int "family total" 7 (Metrics.counter_total owned "hits_total");
+  let merged reg =
+    let dst = Metrics.create () in
+    Metrics.merge ~extra_labels:[ ("run", "1") ] dst reg;
+    series dst
+  in
+  Alcotest.(check (list string)) "merged" (merged keyed) (merged owned);
+  a.hits <- 4;
+  Helpers.check_int "a read sees the record now" 9 (Metrics.counter_total owned "hits_total")
+
 let test_counter_idempotent_and_labels () =
   let reg = Metrics.create () in
   let c1 = Metrics.counter reg ~labels:[ ("a", "1"); ("b", "2") ] "c" in
@@ -560,6 +622,7 @@ let suite =
     Alcotest.test_case "catalog markdown complete" `Quick
       test_catalog_markdown_mentions_everything;
     Alcotest.test_case "labeled counters" `Quick test_counter_idempotent_and_labels;
+    Alcotest.test_case "owned counters read as keyed" `Quick test_owned_counters_read_as_keyed;
     Alcotest.test_case "instrument allocation pin" `Quick test_instrument_allocation;
     Alcotest.test_case "series resolution allocation pin" `Quick
       test_series_resolution_allocation;

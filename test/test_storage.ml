@@ -471,6 +471,74 @@ let test_file_backend () =
       Helpers.check_int "size" 11 (Storage.size s2);
       Storage.close s2)
 
+let with_temp_path name f =
+  let path = Filename.temp_file name ".wal" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
+
+(* The file backend keeps its end: appends only seek and write, and a
+   write that ends below the end cuts the tail, on the device too. *)
+let test_file_backend_keeps_its_end () =
+  with_temp_path "tm_storage_end" (fun path ->
+      Sys.remove path;
+      let s = Storage.file path in
+      let on_disk () = (Unix.stat path).Unix.st_size in
+      Storage.write_at s ~pos:0 "abc";
+      Storage.write_at s ~pos:3 "defg";
+      Storage.write_at s ~pos:7 "hij";
+      Alcotest.(check string) "appends" "abcdefghij" (Storage.read_all s);
+      Helpers.check_int "appended size" 10 (Storage.size s);
+      Storage.write_at s ~pos:4 "XY";
+      Alcotest.(check string) "a shorter write below the end" "abcdXY" (Storage.read_all s);
+      Helpers.check_int "its size" 6 (Storage.size s);
+      Helpers.check_int "its size on the device" 6 (on_disk ());
+      Storage.write_at s ~pos:6 "zz";
+      Alcotest.(check string) "the tail from 4" "XYzz" (Storage.read_from s ~pos:4);
+      Alcotest.(check string) "the empty tail" "" (Storage.read_from s ~pos:8);
+      Storage.force s;
+      Storage.close s;
+      let s2 = Storage.file path in
+      Alcotest.(check string) "reopened" "abcdXYzz" (Storage.read_all s2);
+      Helpers.check_int "reopened size" 8 (Storage.size s2);
+      Storage.close s2)
+
+(* A write torn on a file and retried leaves no stale tail: the torn
+   prefix of a rewrite below the end cuts the old bytes past it, and the
+   retry lands whole. *)
+let test_file_torn_retry_leaves_no_tail () =
+  with_temp_path "tm_storage_torn" (fun path ->
+      let f = Storage.file path in
+      Storage.write_at f ~pos:0 "0123456789";
+      let torn = Storage.faulty ~seed:7 { Storage.no_faults with torn_write = 1. } f in
+      (match Storage.write_at torn ~pos:2 "abcdef" with
+      | () -> Alcotest.fail "torn write did not raise"
+      | exception Storage.Transient _ -> ());
+      let after_tear = Storage.read_all f in
+      Helpers.check_bool "a strict prefix, and nothing past it" true
+        (String.length after_tear > 2
+        && String.length after_tear < 8
+        && String.equal after_tear (String.sub "01abcdef" 0 (String.length after_tear)));
+      Storage.write_at f ~pos:2 "abcdef";
+      Alcotest.(check string) "the retry" "01abcdef" (Storage.read_all f);
+      Helpers.check_int "its size on the device" 8 (Unix.stat path).Unix.st_size;
+      Storage.close f)
+
+(* A read from an offset serves only the bytes from it: from a seeded
+   image, from pages (across a page boundary), and through a faulty
+   wrapper, which damages the tail it serves. *)
+let test_read_from () =
+  let seeded = Storage.of_string "hello world" in
+  Alcotest.(check string) "seeded" "world" (Storage.read_from seeded ~pos:6);
+  Alcotest.check_raises "past the end" (Invalid_argument "Storage.read_from(memory): pos 12 outside [0,11]")
+    (fun () -> ignore (Storage.read_from seeded ~pos:12));
+  let paged = Storage.memory () in
+  let image = String.init 10_000 (fun i -> Char.chr (i land 0xff)) in
+  Storage.write_at paged ~pos:0 image;
+  Alcotest.(check string) "paged" (String.sub image 4090 5910) (Storage.read_from paged ~pos:4090);
+  let short = Storage.faulty ~seed:3 { Storage.no_faults with short_read = 1. } paged in
+  let tail = Storage.read_from short ~pos:9000 in
+  Helpers.check_bool "a short read of the tail" true
+    (String.length tail < 1000 && String.equal tail (String.sub image 9000 (String.length tail)))
+
 let test_faulty_torn_write () =
   let inner = Storage.memory () in
   let cfg = { Storage.no_faults with torn_write = 1. } in
@@ -1412,6 +1480,32 @@ let test_live_log_bounded_state () =
     Alcotest.failf "a live log's state grew %d → %d words, %.3f per commit (max 0.1)" small large
       per_commit
 
+(* A live checkpoint reads the stored log from the last checkpoint on,
+   not the whole log: after 2,000 deposits and a checkpoint, ten more
+   deposits and a second checkpoint read at most the bytes appended
+   since the first. *)
+let test_checkpoint_reads_its_tail () =
+  let served = ref 0 and mem = Storage.memory () in
+  let storage = Storage.probe ~on_read:(fun ~pos:_ n -> served := !served + n) mem in
+  let sh = Tm_engine.Shard.create ~wal:(Disk_wal.wal (Disk_wal.create storage)) [ account "A" ] in
+  let deposits n =
+    for _ = 1 to n do
+      let t = Tm_engine.Shard.begin_txn sh in
+      ignore (Tm_engine.Shard.invoke sh t ~obj:"A" deposit_1);
+      committed (Tm_engine.Shard.try_commit sh t)
+    done
+  in
+  deposits 2_000;
+  let previous = Storage.size mem in
+  Tm_engine.Shard.checkpoint sh;
+  deposits 10;
+  let tail = Storage.size mem - previous in
+  served := 0;
+  Tm_engine.Shard.checkpoint sh;
+  if !served = 0 || !served > tail then
+    Alcotest.failf "the checkpoint read %d bytes; its tail is %d of %d" !served tail
+      (Storage.size mem)
+
 (* A live engine's checkpoint folds its stored frames from the last
    checkpoint on.  Whatever the engine ran (deposits, commits, aborts,
    checkpoints and compactions), the [Checkpoint] frame it appends
@@ -1998,6 +2092,10 @@ let suite =
     Alcotest.test_case "memory semantics" `Quick test_memory_semantics;
     prop_memory_paged;
     Alcotest.test_case "file backend" `Quick test_file_backend;
+    Alcotest.test_case "file backend keeps its end" `Quick test_file_backend_keeps_its_end;
+    Alcotest.test_case "torn file write retried leaves no tail" `Quick
+      test_file_torn_retry_leaves_no_tail;
+    Alcotest.test_case "read from an offset" `Quick test_read_from;
     Alcotest.test_case "faulty torn write" `Quick test_faulty_torn_write;
     Alcotest.test_case "disk wal roundtrip" `Quick test_disk_wal_roundtrip;
     Alcotest.test_case "create discards stale log" `Quick
@@ -2024,6 +2122,7 @@ let suite =
       test_disk_wal_gives_up;
     Alcotest.test_case "failed append leaves the log unchanged" `Quick
       test_failed_append_leaves_log_unchanged;
+    Alcotest.test_case "a checkpoint reads only its tail" `Quick test_checkpoint_reads_its_tail;
     Alcotest.test_case "disk log keeps replay state, not records" `Quick
       test_disk_wal_keeps_replay_state_only;
     prop_encode_matches_reference;
