@@ -133,9 +133,14 @@ let sync_dir path =
 let file path =
   let fd =
     match Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_EXCL ] 0o644 with
-    | fd ->
-        sync_dir path;
-        fd
+    | fd -> (
+        match sync_dir path with
+        | () -> fd
+        | exception e ->
+            (* Unmade, so the next [file] creates it again and syncs. *)
+            Unix.close fd;
+            (try Unix.unlink path with Unix.Unix_error _ -> ());
+            raise e)
     | exception Unix.Unix_error (Unix.EEXIST, _, _) -> Unix.openfile path [ Unix.O_RDWR ] 0o644
   in
   (* The OS can interrupt any of these mid-call; those are the genuine

@@ -74,7 +74,9 @@ val of_string : ?name:string -> string -> t
     ends below the old end; the backend keeps the size, and reads it
     again after a write that raised.  [force] is fsync; {!read_from} is a
     seek and reads of its bytes.  The file is created if missing, and
-    its directory then synced once.  [EINTR]/[EAGAIN] surface as
+    its directory then synced once; if that sync raises, the new file
+    is removed again before the error propagates, so the next [file]
+    creates and syncs it.  [EINTR]/[EAGAIN] surface as
     {!Transient}; other I/O errors propagate as [Unix.Unix_error]. *)
 val file : string -> t
 

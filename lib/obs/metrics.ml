@@ -310,25 +310,22 @@ let replay t ~keyed ~owned init =
    member re-attached to [t]) reads as one, at its first place, holding
    the sum: what one keyed series would have counted. *)
 let fold t f init =
-  if Array.length t.owned = 0 then List.fold_left (keyed t f) init (List.rev t.order)
-  else begin
-    let sums = Hashtbl.create 64 in
-    replay t
-      ~keyed:(fun () _ -> ())
-      ~owned:(fun () name labels v ->
-        match Hashtbl.find_opt sums (name, labels) with
-        | Some c -> c.count <- c.count + v
-        | None -> Hashtbl.add sums (name, labels) { count = v })
-      ();
-    replay t ~keyed:(keyed t f)
-      ~owned:(fun acc name labels _ ->
-        match Hashtbl.find_opt sums (name, labels) with
-        | Some c ->
-            Hashtbl.remove sums (name, labels);
-            f acc name labels (Counter c)
-        | None -> acc)
-      init
-  end
+  let sums = Hashtbl.create 64 in
+  replay t
+    ~keyed:(fun () _ -> ())
+    ~owned:(fun () name labels v ->
+      match Hashtbl.find_opt sums (name, labels) with
+      | Some c -> c.count <- c.count + v
+      | None -> Hashtbl.add sums (name, labels) { count = v })
+    ();
+  replay t ~keyed:(keyed t f)
+    ~owned:(fun acc name labels _ ->
+      match Hashtbl.find_opt sums (name, labels) with
+      | Some c ->
+          Hashtbl.remove sums (name, labels);
+          f acc name labels (Counter c)
+      | None -> acc)
+    init
 
 (* The sum over [t]'s owned series named [name], of those labelled
    [labels] if given. *)
