@@ -2,7 +2,7 @@
 
 .PHONY: all check test bench perfcheck crashtest faulttest \
   shardtest stresstest racetest shardreport walsmoke metricsdoc metricsdoc-check golden \
-  walformatdoc walformatdoc-check clean
+  walformatdoc walformatdoc-check loc clean
 
 all:
 	dune build @all
@@ -141,6 +141,12 @@ walformatdoc:
 # Fail if docs/WAL_FORMAT.md drifted from the codec (CI runs this).
 walformatdoc-check:
 	dune exec bin/walformatdoc.exe | diff - docs/WAL_FORMAT.md
+
+# Source line counts: lib + bin + bench (bench/perf excluded) and
+# test/, each over its .ml and .mli files.
+loc:
+	@echo "lib+bin+bench $$(find lib bin bench -path bench/perf -prune -o \( -name '*.ml' -o -name '*.mli' \) -print | xargs cat | wc -l)"
+	@echo "test $$(find test \( -name '*.ml' -o -name '*.mli' \) -print | xargs cat | wc -l)"
 
 clean:
 	dune clean

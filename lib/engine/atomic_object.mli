@@ -101,8 +101,8 @@ val policy : t -> policy
 
     Handles are resolved in [reg] on their series' first event and kept
     in the object (one per metric and operation name that has occurred),
-    so registration order and the absence of zero-valued series are as
-    if every event searched the registry, but only the first one does.
+    so the series and the absence of zero-valued ones are as if every
+    event searched the registry, but only the first one does.
     Attaching to a different registry drops every kept handle, here and
     in the lock table and recovery manager; re-attaching to the same
     registry is idempotent.  The handles replace the old attachment

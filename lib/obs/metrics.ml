@@ -59,24 +59,10 @@ type enrolled_any = Enrolled : 'a enrolled -> enrolled_any
 
 type t = {
   tbl : (key, metric) Hashtbl.t;
-  mutable order : key list;  (* newest first; registration order for export *)
   mutable owned : enrolled_any array;  (* per family series with members here *)
-  (* One byte per series registered, in order: 0 for the next of
-     [order], [i + 1] for the next member of [owned.(i)]. *)
-  mutable log : Bytes.t;
-  mutable logged : int;
 }
 
-let create () =
-  { tbl = Hashtbl.create 64; order = []; owned = [||]; log = Bytes.create 64; logged = 0 }
-
-(* Room for one more element in a buffer of length [n]: half again. *)
-let grown n = n + (n / 2) + 1
-
-let append_log t code =
-  if t.logged = Bytes.length t.log then t.log <- Bytes.extend t.log 0 (grown t.logged - t.logged);
-  Bytes.set_uint8 t.log t.logged code;
-  t.logged <- t.logged + 1
+let create () = { tbl = Hashtbl.create 64; owned = [||] }
 
 let kind_name = function
   | Counter _ -> "counter"
@@ -86,11 +72,6 @@ let kind_name = function
 (* Each kind resolves its series with [Hashtbl.find] and builds the
    metric only on a miss: no closure, and no option around a hit. *)
 let key name labels = { metric_name = name; metric_labels = normalize labels }
-
-let add t key m =
-  Hashtbl.add t.tbl key m;
-  t.order <- key :: t.order;
-  append_log t 0
 
 let type_clash name m want =
   invalid_arg
@@ -104,7 +85,7 @@ let counter t ?(labels = []) name =
   | m -> type_clash name m "counter"
   | exception Not_found ->
       let c = { count = 0 } in
-      add t key (Counter c);
+      Hashtbl.add t.tbl key (Counter c);
       c
 
 let gauge t ?(labels = []) name =
@@ -114,7 +95,7 @@ let gauge t ?(labels = []) name =
   | m -> type_clash name m "gauge"
   | exception Not_found ->
       let g = { value = 0. } in
-      add t key (Gauge g);
+      Hashtbl.add t.tbl key (Gauge g);
       g
 
 (* Geometric-ish default: fine resolution at the low end (most logical
@@ -148,7 +129,7 @@ let histogram t ?(labels = []) ?(buckets = default_buckets) name =
           observations = 0;
         }
       in
-      add t key (Histogram h);
+      Hashtbl.add t.tbl key (Histogram h);
       h
 
 module Counter = struct
@@ -178,34 +159,31 @@ end
 
 let family series = { id = Type.Id.make (); series }
 
-(* [f]'s series [index] in [t], enrolled there on first use, and its
-   code in [t]'s log. *)
-let enrolled (type a) t (f : a family) index : a enrolled * int =
+(* [f]'s series [index] in [t], enrolled there on first use. *)
+let enrolled (type a) t (f : a family) index : a enrolled =
   let rec find i =
     if i = Array.length t.owned then begin
-      if i = 255 then invalid_arg "Metrics.enroll: more than 255 owned series";
       let e = { family = f; index; members = [||]; n = 0 } in
       t.owned <- Array.append t.owned [| Enrolled e |];
-      (e, i + 1)
+      e
     end
     else
       let (Enrolled e) = t.owned.(i) in
       match Type.Id.provably_equal e.family.id f.id with
-      | Some Type.Equal when e.index = index -> (e, i + 1)
+      | Some Type.Equal when e.index = index -> e
       | Some Type.Equal | None -> find (i + 1)
   in
   find 0
 
 let enroll t f index x =
-  let e, code = enrolled t f index in
+  let e = enrolled t f index in
   if e.n = Array.length e.members then begin
-    let members = Array.make (grown e.n) x in
+    let members = Array.make (e.n + (e.n / 2) + 1) x in
     Array.blit e.members 0 members 0 e.n;
     e.members <- members
   end;
   e.members.(e.n) <- x;
-  e.n <- e.n + 1;
-  append_log t code
+  e.n <- e.n + 1
 
 module Gauge = struct
   type t = gauge
@@ -280,86 +258,50 @@ end
 (* ------------------------------------------------------------------ *)
 (* Introspection and aggregation.                                      *)
 
-let keyed t f acc key =
-  match Hashtbl.find_opt t.tbl key with
-  | Some m -> f acc key.metric_name key.metric_labels m
-  | None -> acc
-
-(* [f] over every series registered in [t], in order: [keyed] on a key,
-   [owned] on a member's series as its name, normalized labels and
-   value. *)
-let replay t ~keyed ~owned init =
-  let next = Array.make (Array.length t.owned) 0 in
-  let rec go acc keys p =
-    if p = t.logged then acc
-    else
-      match Bytes.get_uint8 t.log p, keys with
-      | 0, key :: keys -> go (keyed acc key) keys (p + 1)
-      | 0, [] -> assert false  (* a 0 for each key of [order] *)
-      | code, _ ->
-          let i = code - 1 in
-          let (Enrolled e) = t.owned.(i) in
-          let x = e.members.(next.(i)) in
-          next.(i) <- next.(i) + 1;
-          let s = e.family.series.(e.index) in
-          go (owned acc s.name (normalize (s.labels x)) (s.read x)) keys (p + 1)
-  in
-  go init (List.rev t.order) 0
-
-(* An owned series enrolled twice under one name and label set (a
-   member re-attached to [t]) reads as one, at its first place, holding
-   the sum: what one keyed series would have counted. *)
-let fold t f init =
+(* Every series in [t] as its name, normalized labels and metric, in
+   exposition order: by name, then labels.  An owned series is a counter
+   holding the sum over its members under one label set (a member
+   enrolled twice, say re-attached to [t], reads once): what one keyed
+   series would have counted. *)
+let entries t =
   let sums = Hashtbl.create 64 in
-  replay t
-    ~keyed:(fun () _ -> ())
-    ~owned:(fun () name labels v ->
-      match Hashtbl.find_opt sums (name, labels) with
-      | Some c -> c.count <- c.count + v
-      | None -> Hashtbl.add sums (name, labels) { count = v })
-    ();
-  replay t ~keyed:(keyed t f)
-    ~owned:(fun acc name labels _ ->
-      match Hashtbl.find_opt sums (name, labels) with
-      | Some c ->
-          Hashtbl.remove sums (name, labels);
-          f acc name labels (Counter c)
-      | None -> acc)
-    init
-
-(* The sum over [t]'s owned series named [name], of those labelled
-   [labels] if given. *)
-let owned_sum t name labels =
-  Array.fold_left
-    (fun acc (Enrolled e) ->
+  Array.iter
+    (fun (Enrolled e) ->
       let s = e.family.series.(e.index) in
-      if not (String.equal s.name name) then acc
-      else begin
-        let acc = ref acc in
-        for i = 0 to e.n - 1 do
-          let x = e.members.(i) in
-          match labels with
-          | Some l when normalize (s.labels x) <> l -> ()
-          | Some _ | None -> acc := !acc + s.read x
-        done;
-        !acc
-      end)
-    0 t.owned
+      for i = 0 to e.n - 1 do
+        let x = e.members.(i) in
+        let key = key s.name (s.labels x) in
+        match Hashtbl.find sums key with
+        | c -> c.count <- c.count + s.read x
+        | exception Not_found -> Hashtbl.add sums key { count = s.read x }
+      done)
+    t.owned;
+  let entry key m acc = (key.metric_name, key.metric_labels, m) :: acc in
+  Hashtbl.fold (fun key c acc -> entry key (Counter c) acc) sums []
+  |> Hashtbl.fold entry t.tbl
+  |> List.sort (fun (a, la, _) (b, lb, _) ->
+         let c = String.compare a b in
+         if c <> 0 then c else compare la lb)
 
-let counter_value t ?(labels = []) name =
-  let key = key name labels in
-  match Hashtbl.find_opt t.tbl key with
-  | Some (Counter c) -> c.count
-  | Some (Gauge _ | Histogram _) -> 0
-  | None -> owned_sum t name (Some key.metric_labels)
+let fold t f init =
+  List.fold_left (fun acc (name, labels, m) -> f acc name labels m) init (entries t)
+
+(* The sum over [t]'s counters named [name], of those labelled [labels]
+   if given. *)
+let counter_sum t name labels =
+  fold t
+    (fun acc n l m ->
+      match m with
+      | Counter c
+        when String.equal n name && (match labels with None -> true | Some w -> w = l) ->
+          acc + c.count
+      | Counter _ | Gauge _ | Histogram _ -> acc)
+    0
+
+let counter_value t ?(labels = []) name = counter_sum t name (Some (normalize labels))
 
 (* Sum of a counter family across all label sets. *)
-let counter_total t name =
-  List.fold_left
-    (keyed t (fun acc n _ m ->
-         match m with Counter c when String.equal n name -> acc + c.count | _ -> acc))
-    (owned_sum t name None)
-    t.order
+let counter_total t name = counter_sum t name None
 
 let gauge_value t ?(labels = []) name =
   match Hashtbl.find_opt t.tbl (key name labels) with
@@ -404,13 +346,6 @@ let pp_labelset ppf labels =
       (String.concat ","
          (List.map (fun (k, v) -> Fmt.str "%s=\"%s\"" k (escape_label_value v)) labels))
 
-let sorted_entries t =
-  fold t (fun acc name labels m -> (name, labels, m) :: acc) []
-  |> List.rev
-  |> List.stable_sort (fun (a, la, _) (b, lb, _) ->
-         let c = String.compare a b in
-         if c <> 0 then c else compare la lb)
-
 (* Prometheus text exposition format (version 0.0.4). *)
 let pp_prometheus ppf t =
   let last_typed = ref "" in
@@ -438,7 +373,7 @@ let pp_prometheus ppf t =
             h.counts;
           Fmt.pf ppf "%s_sum%a %a@." name pp_labelset labels pp_float h.sum.total;
           Fmt.pf ppf "%s_count%a %d@." name pp_labelset labels h.observations)
-    (sorted_entries t)
+    (entries t)
 
 let to_prometheus t = Fmt.str "%a" pp_prometheus t
 
@@ -458,4 +393,4 @@ let pp_summary ppf t =
           in
           Fmt.pf ppf "%-46s %12d  mean %.1f  p50 %.1f  p90 %.1f  p99 %.1f@."
             (name ^ label_str) h.observations mean (q 0.5) (q 0.9) (q 0.99))
-    (sorted_entries t)
+    (entries t)

@@ -13,8 +13,8 @@
       closure, and a label list already strictly sorted by key is kept
       as it is.  A one-label counter costs the caller's label list and
       its [Some] (8 words) and its key (3) to resolve, 11 words in all,
-      and about 23 to register: its metric, counter, table bucket and
-      place in the registration order besides;
+      and about 20 to register: its metric, counter and table bucket
+      besides;
     - registries from independent runs can be {!merge}d, optionally adding
       distinguishing labels (e.g. [setup="UIP+NRBC"]), which is how the
       CLI combines a whole comparison matrix into one snapshot. *)
@@ -116,17 +116,16 @@ end
     how to read such records: per series, its metric name and a
     member's labels and value.  A record is {!enroll}ed in a series on
     that series' first event, which registers it there and then; the
-    registry keeps one slot and one byte for it, and no key, label list,
-    table cell or counter.
+    registry keeps one slot for it, and no key, label list, table cell
+    or counter.
 
     Every reader ({!fold}, {!counter_value}, {!counter_total},
     {!merge}, both exporters) sees each enrolled member as the counter
-    series [name{labels}] registered at its enrollment, holding the
-    member's value at the read.  A member enrolled twice in series of
-    one name and label set reads as one series, at its first place,
-    holding the sum, as a keyed counter asked for twice would count
-    both.  A family's names belong to it: register no keyed series
-    under them in a registry it has members in. *)
+    series [name{labels}], holding the member's value at the read.  A
+    member enrolled twice in series of one name and label set reads as
+    one series holding the sum, as a keyed counter asked for twice
+    would count both.  A family's names belong to it: register no keyed
+    series under them in a registry it has members in. *)
 
 (** How a registry reads one series of a member. *)
 type 'a series = {
@@ -141,16 +140,16 @@ type 'a family
     registries. *)
 val family : 'a series array -> 'a family
 
-(** [enroll t f i x] registers [x] in series [i] of [f] in [t] now.  A
-    registry holds at most 255 (family, series) pairs. *)
+(** [enroll t f i x] registers [x] in series [i] of [f] in [t] now. *)
 val enroll : t -> 'a family -> int -> 'a -> unit
 
 (** {1 Introspection and aggregation} *)
 
-(** [fold t f init] visits every registered series in registration order.
-    The visitor receives the name, normalized labels and the metric
-    (opaque beyond the accessors above).  An owned series is handed over
-    as a counter holding its value at the visit. *)
+(** [fold t f init] visits every registered series in exposition order
+    (by name, then labels), the order the exporters print.  The visitor
+    receives the name, normalized labels and the metric (opaque beyond
+    the accessors above).  An owned series is handed over as a counter
+    holding its value at the visit. *)
 type metric =
   | Counter of counter
   | Gauge of gauge

@@ -1403,17 +1403,17 @@ let contended_snapshot () =
     (List.map
        (fun (setup, recovery) ->
          let reg, victims = contended_registry recovery in
-         let order =
+         let series =
            List.rev (Metrics.fold reg (fun acc name labels _ -> (name, labels) :: acc) [])
          in
-         Fmt.str "# %s deadlock victims %d@.# %s registration order@.%a@.# %s prometheus@.%s"
+         Fmt.str "# %s deadlock victims %d@.# %s series@.%a@.# %s prometheus@.%s"
            setup victims setup
            Fmt.(list ~sep:(any "@.") pp_series)
-           order setup (Metrics.to_prometheus reg))
+           series setup (Metrics.to_prometheus reg))
        [ ("UIP+NRBC", Recovery.UIP); ("DU+NFC", Recovery.DU) ])
 
-(* Keeping handles must not change what is registered, in which order,
-   or what it counts: the snapshot equals the one taken when every event
+(* Keeping handles must not change which series are registered or what
+   they count: the snapshot equals the one taken when every event
    searched the registry.  Regenerate only for an intended change:
    delete the file and run the test, which writes it to the build
    sandbox (_build/default/test/golden/). *)
@@ -1519,15 +1519,15 @@ let test_reattach_resets_handles () =
        ~labels:[ ("obj", "T"); ("requested", "withdraw"); ("held", "deposit") ])
 
 (* A committing object's recovery counts live in its own record, which
-   enrolls in the registry on the first commit for one slot and one byte
-   of the registry's order.  Two databases of 10^4 fresh DU accounts
-   take one deposit at each account: in [pre], every account's committed
-   series is registered beforehand (a commit of a transaction that did
-   nothing there counts 0), in [fresh] the deposit registers it.  Between
+   enrolls in the registry on the first commit for one slot.  Two
+   databases of 10^4 fresh DU accounts take one deposit at each account:
+   in [pre], every account's committed series is registered beforehand
+   (a commit of a transaction that did nothing there counts 0), in
+   [fresh] the deposit registers it.  Between
    the 10^3rd and the 10^4th account, [fresh] may grow by at most 2 words
-   per account more than [pre]; registering a keyed series cost about
-   23.  The registry reads as if each series were keyed: the same
-   order, labels, values and Prometheus text. *)
+   per account more than [pre] (1.23 today); registering a keyed series
+   costs about 20.  The registry reads as if each series were keyed: the
+   same series, values and Prometheus text. *)
 let test_first_commit_registers_nothing () =
   let n = 10_000 and first = 1_000 in
   let names = Array.init n (fun i -> "acct" ^ string_of_int i) in
@@ -1578,7 +1578,7 @@ let test_first_commit_registers_nothing () =
          [])
   in
   (* The old way: every other series as the database registered it,
-     then one keyed counter per account, in commit order. *)
+     and one keyed counter per account. *)
   let name = "tm_recovery_committed_ops_total" in
   let expected = Metrics.create () in
   List.iter
@@ -1590,7 +1590,7 @@ let test_first_commit_registers_nothing () =
     names;
   let pp_series ppf (n, labels, v) = Fmt.pf ppf "%a %d" pp_series (n, labels) v in
   Alcotest.(check (list (of_pp pp_series)))
-    "registration order and values" (series expected) (series reg);
+    "series and values" (series expected) (series reg);
   Alcotest.(check string) "prometheus text" (Metrics.to_prometheus expected)
     (Metrics.to_prometheus reg);
   Alcotest.(check string) "as with every series registered first"
